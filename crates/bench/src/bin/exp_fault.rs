@@ -32,7 +32,7 @@ use ss_storage::{
     BlockStore, CoeffStore, FaultConfig, FaultInjectingBlockStore, IoStats, MemBlockStore,
     RetryPolicy, RetryingBlockStore,
 };
-use ss_transform::{try_transform_standard, ArraySource};
+use ss_transform::{transform_standard, try_transform, ArraySource};
 use std::time::Duration;
 
 const N: u32 = 8; // 256 x 256
@@ -103,7 +103,8 @@ fn main() {
                 },
             );
             let mut cs = CoeffStore::new(map, wrapped, POOL, stats);
-            let (result, wall_ms) = timed_ms(|| try_transform_standard(&src, &mut cs, false));
+            let (result, wall_ms) =
+                timed_ms(|| try_transform(|| transform_standard(&src, &mut cs, false)));
             let survived = result.is_ok();
             let coeffs = (side * side) as f64;
             let throughput = if survived {

@@ -5,8 +5,12 @@ use crate::csv;
 use crate::metrics;
 use crate::wsfile::{convert_to_v3, Meta, WsFile};
 use ss_array::NdArray;
-use ss_core::{RetentionPolicy, TilingMap};
-use ss_storage::{FaultConfig, FaultInjectingBlockStore, RetryPolicy, RetryingBlockStore};
+use ss_core::{RetentionPolicy, StandardTiling, TilingMap};
+use ss_maintain::{FlushMode, UpdateBox};
+use ss_storage::{
+    BlockStore, CoeffStore, FaultConfig, FaultInjectingBlockStore, RetryPolicy, RetryingBlockStore,
+    StorageError,
+};
 use ss_transform::ArraySource;
 use std::path::Path;
 
@@ -190,6 +194,74 @@ fn run_v3_conversion(path: &Path, policy: RetentionPolicy) -> Result<(), String>
     Ok(())
 }
 
+/// `--mode exact|merged` for the group-commit paths (default `exact`).
+fn flush_mode(args: &Args) -> Result<FlushMode, String> {
+    match args.flag_opt("mode") {
+        Some(m) => FlushMode::parse(m).ok_or(format!("bad --mode: {m} (exact|merged)")),
+        None => Ok(FlushMode::Exact),
+    }
+}
+
+/// `--workers N` (`0` = one per core), resolved; `None` when absent.
+fn worker_flag(args: &Args) -> Result<Option<usize>, String> {
+    args.flag_opt("workers")
+        .map(|w| {
+            w.parse::<usize>()
+                .map(ss_transform::resolve_workers)
+                .map_err(|e| format!("bad --workers: {e}"))
+        })
+        .transpose()
+}
+
+/// One ingest run over whatever block-device stack `ingest` built:
+/// per-chunk or group-committed (`coalesce`), serially or with the store
+/// lent to a sharded pool for `workers` threads. Storage failures come
+/// back typed; the `String` is the outcome line to print.
+fn run_ingest<S: BlockStore + Send + Sync>(
+    mut store: CoeffStore<StandardTiling, S>,
+    src: &ArraySource,
+    workers: Option<usize>,
+    coalesce: Option<(usize, FlushMode)>,
+) -> Result<(CoeffStore<StandardTiling, S>, String), StorageError> {
+    let per_chunk = |r: ss_transform::TransformReport| {
+        format!("ingested {} cells in {} chunks", r.input_coeffs, r.chunks)
+    };
+    let coalesced = |r: ss_maintain::IngestReport| {
+        format!(
+            "ingested {} cells in {} chunks with {} group flushes \
+             ({} tiles written, coalescing ratio {:.2}, {} kernel)",
+            r.input_coeffs,
+            r.chunks,
+            r.flushes,
+            r.flush.tiles_written,
+            r.flush.coalescing_ratio(),
+            ss_core::kernel::name()
+        )
+    };
+    ss_transform::try_transform(move || match (coalesce, workers) {
+        (None, None) => {
+            let report = ss_transform::transform_standard(src, &mut store, false);
+            (store, per_chunk(report))
+        }
+        (None, Some(w)) => {
+            let (store, report) = store.via_shared(w, |shared| {
+                ss_transform::transform_standard_parallel(src, shared, w)
+            });
+            (store, per_chunk(report))
+        }
+        (Some((group, mode)), None) => {
+            let report = ss_maintain::transform_standard_coalesced(src, &mut store, group, mode);
+            (store, coalesced(report))
+        }
+        (Some((group, mode)), Some(w)) => {
+            let (store, report) = store.via_shared(w, |shared| {
+                ss_maintain::transform_standard_coalesced_parallel(src, shared, group, mode, w)
+            });
+            (store, coalesced(report))
+        }
+    })
+}
+
 /// `ingest <store> --data values.csv [--chunk a,b,…] [--workers N]
 /// [--coalesce N [--mode exact|merged]]
 /// [--format v3 [--threshold ε | --topk K]]
@@ -199,7 +271,8 @@ fn run_v3_conversion(path: &Path, policy: RetentionPolicy) -> Result<(), String>
 /// `--coalesce N` buffers the SHIFT-SPLIT delta streams of N consecutive
 /// chunks tile-major and group-commits them together (N = 0 buffers the
 /// whole ingest), writing split-path tiles once per group instead of once
-/// per chunk; it composes with neither `--workers` nor fault injection.
+/// per chunk; with `--workers` each group flush is sharded across the
+/// workers (bit-identical to the serial flush).
 ///
 /// `--format v3` rewrites the store into the sparse bucketed layout of
 /// `docs/FORMAT.md` §8 after the transform completes, optionally applying
@@ -228,116 +301,39 @@ pub fn ingest(args: &Args) -> Result<(), String> {
         None => ws.meta.levels.iter().map(|&n| n.min(3)).collect(),
     };
     let src = ArraySource::new(&data, &chunk_levels);
-    let workers = match args.flag_opt("workers") {
-        Some(w) => Some(ss_transform::resolve_workers(
-            w.parse::<usize>()
-                .map_err(|e| format!("bad --workers: {e}"))?,
+    let workers = worker_flag(args)?;
+    let coalesce = match args.flag_opt("coalesce") {
+        Some(group) => Some((
+            group
+                .parse::<usize>()
+                .map_err(|e| format!("bad --coalesce: {e}"))?,
+            flush_mode(args)?,
         )),
         None => None,
     };
-    let faults = fault_flags(args)?;
-    if let Some(group) = args.flag_opt("coalesce") {
-        let group: usize = group.parse().map_err(|e| format!("bad --coalesce: {e}"))?;
-        if workers.is_some() || faults.is_some() {
-            return Err("--coalesce composes with neither --workers nor fault injection".into());
-        }
-        let mode = match args.flag_opt("mode") {
-            Some(m) => {
-                ss_maintain::FlushMode::parse(m).ok_or(format!("bad --mode: {m} (exact|merged)"))?
-            }
-            None => ss_maintain::FlushMode::Exact,
-        };
-        let report = ss_maintain::transform_standard_coalesced(&src, &mut ws.store, group, mode);
-        ws.meta.filled = dims[ws.meta.axis];
-        ws.save_meta()?;
-        report_kernel();
-        println!(
-            "ingested {} cells in {} chunks with {} group flushes \
-             ({} tiles written, coalescing ratio {:.2}, {} kernel)",
-            report.input_coeffs,
-            report.chunks,
-            report.flushes,
-            report.flush.tiles_written,
-            report.flush.coalescing_ratio(),
-            ss_core::kernel::name()
-        );
-        let stats = ws.stats.clone();
-        drop(ws);
-        if let Some(policy) = v3_policy {
-            run_v3_conversion(Path::new(path), policy)?;
-        }
-        return metrics::emit(args, &stats);
-    }
-    let (mut ws, report) = match (faults, workers) {
-        (Some((cfg, policy)), workers) => {
+    let outcome;
+    (ws.store, outcome) = match fault_flags(args)? {
+        Some((cfg, policy)) => {
             // Rebuild the stack with the fault/retry wrappers between the
             // pool and the file: pool → retries → injected faults → file.
-            let store_path = ws.path().to_path_buf();
-            let meta = ws.meta.clone();
             let stats = ws.stats.clone();
             let (map, blocks) = ws.store.into_parts();
             let wrapped =
                 RetryingBlockStore::new(FaultInjectingBlockStore::new(blocks, cfg), policy);
-            match workers {
-                Some(workers) => {
-                    let shared = ss_storage::SharedCoeffStore::new(
-                        map,
-                        wrapped,
-                        1 << 10,
-                        workers,
-                        stats.clone(),
-                    );
-                    let report =
-                        ss_transform::try_transform_standard_parallel(&src, &shared, workers)
-                            .map_err(|e| e.to_string())?;
-                    let (map, wrapped) = shared.into_parts();
-                    let blocks = wrapped.into_inner().into_inner();
-                    (
-                        WsFile::from_parts(meta, map, blocks, stats, &store_path),
-                        report,
-                    )
-                }
-                None => {
-                    let mut store =
-                        ss_storage::CoeffStore::new(map, wrapped, 1 << 10, stats.clone());
-                    let report = ss_transform::try_transform_standard(&src, &mut store, false)
-                        .map_err(|e| e.to_string())?;
-                    let (map, wrapped) = store.into_parts();
-                    let blocks = wrapped.into_inner().into_inner();
-                    (
-                        WsFile::from_parts(meta, map, blocks, stats, &store_path),
-                        report,
-                    )
-                }
-            }
+            let store = CoeffStore::new(map, wrapped, 1 << 10, stats.clone());
+            let (store, outcome) = run_ingest(store, &src, workers, coalesce)?;
+            let (map, wrapped) = store.into_parts();
+            let blocks = wrapped.into_inner().into_inner();
+            (CoeffStore::new(map, blocks, 1 << 10, stats), outcome)
         }
-        (None, Some(workers)) => {
-            // Re-house the block file in a sharded, thread-safe pool for the
-            // duration of the transform, then hand it back to the serial pool.
-            let store_path = ws.path().to_path_buf();
-            let meta = ws.meta.clone();
-            let stats = ws.stats.clone();
-            let (map, blocks) = ws.store.into_parts();
-            let shared =
-                ss_storage::SharedCoeffStore::new(map, blocks, 1 << 10, workers, stats.clone());
-            let report = ss_transform::transform_standard_parallel(&src, &shared, workers);
-            let (map, blocks) = shared.into_parts();
-            (
-                WsFile::from_parts(meta, map, blocks, stats, &store_path),
-                report,
-            )
-        }
-        (None, None) => {
-            let report = ss_transform::transform_standard(&src, &mut ws.store, false);
-            (ws, report)
-        }
+        None => run_ingest(ws.store, &src, workers, coalesce)?,
     };
     ws.meta.filled = dims[ws.meta.axis];
     ws.save_meta()?;
-    println!(
-        "ingested {} cells in {} chunks",
-        report.input_coeffs, report.chunks
-    );
+    if coalesce.is_some() {
+        report_kernel();
+    }
+    println!("{outcome}");
     let stats = ws.stats.clone();
     drop(ws);
     if let Some(policy) = v3_policy {
@@ -407,12 +403,7 @@ pub fn extract(args: &Args) -> Result<(), String> {
 /// the default `exact` mode is bit-identical).
 pub fn update(args: &Args) -> Result<(), String> {
     let path = args.pos(0, "store path")?;
-    let mode = match args.flag_opt("mode") {
-        Some(m) => {
-            ss_maintain::FlushMode::parse(m).ok_or(format!("bad --mode: {m} (exact|merged)"))?
-        }
-        None => ss_maintain::FlushMode::Exact,
-    };
+    let mode = flush_mode(args)?;
     let mut ws = WsFile::open(Path::new(path))?;
     check_writable(&ws, "update")?;
     let Some(batch_file) = args.flag_opt("batch") else {
@@ -431,37 +422,18 @@ pub fn update(args: &Args) -> Result<(), String> {
         return metrics::emit(args, &ws.stats);
     };
     let boxes = read_batch_file(Path::new(batch_file), &ws.meta)?;
-    let workers = match args.flag_opt("workers") {
-        Some(w) => Some(ss_transform::resolve_workers(
-            w.parse::<usize>()
-                .map_err(|e| format!("bad --workers: {e}"))?,
-        )),
-        None => None,
-    };
     let levels = ws.meta.levels.clone();
-    let (ws, report) = match workers {
+    let report = match worker_flag(args)? {
         Some(workers) => {
-            // Re-house the block file in the sharded thread-safe pool for
-            // the flush, then hand it back (the ingest --workers pattern).
-            let store_path = ws.path().to_path_buf();
-            let meta = ws.meta.clone();
-            let stats = ws.stats.clone();
-            let (map, blocks) = ws.store.into_parts();
-            let shared =
-                ss_storage::SharedCoeffStore::new(map, blocks, 1 << 10, workers, stats.clone());
-            let report = ss_maintain::update_boxes_standard_parallel(
-                &shared, &levels, &boxes, mode, workers,
-            );
-            let (map, blocks) = shared.into_parts();
-            (
-                WsFile::from_parts(meta, map, blocks, stats, &store_path),
-                report,
-            )
+            // Lend the block file to the sharded thread-safe pool for the
+            // flush (the ingest --workers pattern).
+            let (store, report) = ws.store.via_shared(workers, |shared| {
+                ss_maintain::update_boxes_standard_parallel(shared, &levels, &boxes, mode, workers)
+            });
+            ws.store = store;
+            report
         }
-        None => {
-            let report = ss_maintain::update_boxes_standard(&mut ws.store, &levels, &boxes, mode);
-            (ws, report)
-        }
+        None => ss_maintain::update_boxes_standard(&mut ws.store, &levels, &boxes, mode),
     };
     report_kernel();
     println!(
@@ -478,9 +450,6 @@ pub fn update(args: &Args) -> Result<(), String> {
     );
     metrics::emit(args, &ws.stats)
 }
-
-/// An update box: origin plus the dense delta to add there.
-type UpdateBox = (Vec<usize>, NdArray<f64>);
 
 /// Parses a `--batch` file: one box per line, `at;dims;datafile`
 /// (semicolon-separated, `#` comments and blank lines skipped). Relative

@@ -39,7 +39,8 @@ COMMANDS:
           transform a full dataset into the store
           (--workers 0 = one worker per core; omit for the serial driver;
           --coalesce N group-commits every N chunks through the tile-major
-          delta buffer, 0 = one flush for the whole ingest;
+          delta buffer, 0 = one flush for the whole ingest; with --workers
+          each group flush is sharded across the workers;
           --format v3 rewrites the result into the sparse bucketed layout
           of docs/FORMAT.md §8 — bytes on disk shrink with the data's
           sparsity; --threshold E zeroes coefficients with |c| <= E and
@@ -1328,34 +1329,88 @@ mod tests {
     }
 
     #[test]
-    fn coalesce_rejects_workers_and_faults() {
-        let dir = tmp_dir("coalesce_reject");
-        let data = write_cube_csv(&dir, "d.csv", 4, 4);
-        let store = dir.join("s.ws");
-        let store_s = store.to_str().unwrap().to_string();
-        run(&to_args(&["create", &store_s, "--levels", "2,2"])).unwrap();
-        assert!(run(&to_args(&[
-            "ingest",
-            &store_s,
-            "--data",
-            &data,
-            "--coalesce",
-            "2",
-            "--workers",
-            "2",
+    fn coalesce_composes_with_workers_and_faults() {
+        // One pipeline, one sink trait: group commit rides any worker
+        // count and any block-device stack, bit-identically.
+        let dir = tmp_dir("coalesce_compose");
+        let data = write_cube_csv(&dir, "d.csv", 16, 16);
+        let mut stores = Vec::new();
+        for (name, extra) in [
+            ("plain", &[][..]),
+            ("workers", &["--coalesce", "3", "--workers", "2"][..]),
+            (
+                "faulty",
+                &[
+                    "--coalesce",
+                    "3",
+                    "--fault-read",
+                    "0.2",
+                    "--fault-seed",
+                    "11",
+                    "--retries",
+                    "12",
+                ][..],
+            ),
+            (
+                "both",
+                &[
+                    "--coalesce",
+                    "0",
+                    "--workers",
+                    "3",
+                    "--fault-read",
+                    "0.2",
+                    "--fault-seed",
+                    "5",
+                    "--retries",
+                    "12",
+                ][..],
+            ),
+        ] {
+            let store = dir.join(format!("{name}.ws"));
+            let store_s = store.to_str().unwrap().to_string();
+            run(&to_args(&[
+                "create", &store_s, "--levels", "4,4", "--tiles", "2,2",
+            ]))
+            .unwrap();
+            let mut args = vec!["ingest", &store_s, "--data", &data];
+            args.extend_from_slice(extra);
+            run(&to_args(&args)).unwrap();
+            run(&to_args(&["scrub", &store_s])).unwrap();
+            stores.push(store);
+        }
+        let mut plain = crate::wsfile::WsFile::open(&stores[0]).unwrap();
+        for other in &stores[1..] {
+            let mut ws = crate::wsfile::WsFile::open(other).unwrap();
+            for r in 0..16usize {
+                for c in 0..16usize {
+                    let a = ss_query::point_standard(&mut plain.store, &plain.meta.levels, &[r, c]);
+                    let b = ss_query::point_standard(&mut ws.store, &ws.meta.levels, &[r, c]);
+                    assert_eq!(a.to_bits(), b.to_bits(), "{other:?} ({r},{c})");
+                }
+            }
+        }
+        // A device that never recovers surfaces as a typed error, not a panic.
+        let dead = dir.join("dead.ws");
+        let dead_s = dead.to_str().unwrap().to_string();
+        run(&to_args(&[
+            "create", &dead_s, "--levels", "4,4", "--tiles", "2,2",
         ]))
-        .is_err());
-        assert!(run(&to_args(&[
+        .unwrap();
+        let err = run(&to_args(&[
             "ingest",
-            &store_s,
+            &dead_s,
             "--data",
             &data,
             "--coalesce",
             "2",
             "--fault-read",
-            "0.1",
+            "1.0",
+            "--retries",
+            "1",
         ]))
-        .is_err());
+        .unwrap_err();
+        assert!(err.msg.contains("still failing after"), "{}", err.msg);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -2,7 +2,7 @@
 
 use ss_core::TilingMap;
 use ss_obs::Stopwatch;
-use ss_storage::{BlockStore, CoeffStore, SharedCoeffStore};
+use ss_storage::{BlockStore, CoeffWrite, SharedCoeffStore};
 use std::collections::HashMap;
 
 /// How buffered deltas are reduced at flush time.
@@ -298,29 +298,10 @@ impl DeltaBuffer {
         )
     }
 
-    /// Group-commit flush: one read-modify-write per dirty tile, in
-    /// ascending block order, then a single pool flush.
-    pub fn flush_into<M: TilingMap, S: BlockStore>(
-        &mut self,
-        cs: &mut CoeffStore<M, S>,
-    ) -> FlushReport {
-        let mut sw = Stopwatch::start();
-        let (entries, report) = self.drain_sorted();
-        if entries.is_empty() {
-            // Nothing drained: no tile writes, no durability flush, no
-            // flush metrics — a no-op commit must not charge a flush.
-            return report;
-        }
-        let stats = cs.stats().clone();
-        let deltas_per_tile = ss_obs::global().histogram("maintain.deltas_per_tile");
-        for (tile, payload) in &entries {
-            deltas_per_tile.record(payload.ops());
-            stats.add_coeff_writes(payload.ops());
-            cs.pool().with_block(*tile, true, |blk| payload.apply(blk));
-        }
-        cs.flush();
-        record_flush_metrics(&report, sw.lap_ns());
-        report
+    /// Group-commit flush into any sink: one read-modify-write per dirty
+    /// tile, in ascending block order, then a single pool flush.
+    pub fn flush_into<W: CoeffWrite>(&mut self, sink: &mut W) -> FlushReport {
+        self.flush_with(sink, apply_entries)
     }
 
     /// Parallel group-commit flush over a sharded store: the sorted dirty
@@ -333,43 +314,42 @@ impl DeltaBuffer {
         cs: &SharedCoeffStore<M, S>,
         workers: usize,
     ) -> FlushReport {
-        let workers = workers.max(1);
+        self.flush_with(&mut &*cs, |_, entries| {
+            ss_transform::run_sharded(workers.max(1), entries.len(), |range| {
+                apply_entries(&mut &*cs, &entries[range])
+            });
+        })
+    }
+
+    /// The one flush body: drain, `apply` the sorted tiles, flush the
+    /// sink's pool, publish metrics. Nothing drained means no tile writes,
+    /// no durability flush and no flush metrics — a no-op commit must not
+    /// charge a flush.
+    fn flush_with<W: CoeffWrite>(
+        &mut self,
+        sink: &mut W,
+        apply: impl FnOnce(&mut W, &[TileOps]),
+    ) -> FlushReport {
         let mut sw = Stopwatch::start();
         let (entries, report) = self.drain_sorted();
         if entries.is_empty() {
             return report;
         }
-        let deltas_per_tile = ss_obs::global().histogram("maintain.deltas_per_tile");
-        for (_, payload) in &entries {
-            deltas_per_tile.record(payload.ops());
-        }
-        let total = entries.len();
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let lo = total * w / workers;
-                let hi = total * (w + 1) / workers;
-                if lo == hi {
-                    continue;
-                }
-                let range = &entries[lo..hi];
-                scope.spawn(move || {
-                    for (tile, payload) in range {
-                        // Coefficient-write accounting lives inside the
-                        // store calls, matching `flush_into`'s per-tile
-                        // `add_coeff_writes` exactly (see the parity test).
-                        match payload {
-                            TileApply::Sparse(ops) => cs.apply_tile(*tile, ops),
-                            TileApply::Dense { acc, touched } => {
-                                cs.apply_tile_dense(*tile, acc, *touched)
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        cs.flush();
+        apply(sink, &entries);
+        sink.flush();
         record_flush_metrics(&report, sw.lap_ns());
         report
+    }
+}
+
+/// Applies drained tiles to `sink` in order, charging each payload's
+/// coefficient writes — identically for every sink (see the parity test).
+fn apply_entries<W: CoeffWrite>(sink: &mut W, entries: &[TileOps]) {
+    let deltas_per_tile = ss_obs::global().histogram("maintain.deltas_per_tile");
+    for (tile, payload) in entries {
+        deltas_per_tile.record(payload.ops());
+        sink.stats().add_coeff_writes(payload.ops());
+        sink.with_tile(*tile, |blk| payload.apply(blk));
     }
 }
 
@@ -392,7 +372,7 @@ fn record_flush_metrics(report: &FlushReport, flush_ns: u64) {
 mod tests {
     use super::*;
     use ss_core::StandardTiling;
-    use ss_storage::{mem_shared_store, wstore::mem_store, IoStats};
+    use ss_storage::{mem_shared_store, wstore::mem_store, CoeffStore, IoStats};
 
     fn map() -> StandardTiling {
         StandardTiling::cube(2, 4, 2)

@@ -1,11 +1,15 @@
 //! Batch drivers over a [`DeltaBuffer`]: group-committed box updates (both
-//! forms, serial and parallel flush) and a coalesced ingest driver.
+//! forms, serial and parallel flush) and coalesced ingest — the
+//! [`ChunkPipeline`] of `ss-transform` with the buffer as its staging step.
 
 use crate::buffer::{DeltaBuffer, FlushMode, FlushReport};
-use ss_array::{MultiIndexIter, NdArray};
+use ss_array::NdArray;
 use ss_core::TilingMap;
-use ss_storage::{BlockStore, CoeffStore, SharedCoeffStore};
-use ss_transform::{ChunkSource, UpdateReport};
+use ss_storage::{BlockStore, CoeffWrite, SharedCoeffStore};
+use ss_transform::{ChunkPipeline, ChunkSource, UpdateReport};
+
+/// One update box: its origin and its delta values.
+pub type UpdateBox = (Vec<usize>, NdArray<f64>);
 
 /// Outcome of a group-committed batch of box updates.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -16,28 +20,40 @@ pub struct BatchReport {
     pub flush: FlushReport,
 }
 
-/// Buffers one standard-form box update's delta stream without flushing.
-fn buffer_box_standard(
-    buf: &mut DeltaBuffer,
-    map: &impl TilingMap,
-    n: &[u32],
-    origin: &[usize],
-    delta: &NdArray<f64>,
-) -> UpdateReport {
-    buf.begin_box();
-    ss_transform::for_each_box_delta_standard(n, origin, delta, |idx, v| buf.add_at(map, idx, v))
+/// Which form's delta emitter enumerates a box (and its domain levels).
+#[derive(Clone, Copy)]
+enum BoxForm<'a> {
+    Standard(&'a [u32]),
+    NonStandard(u32),
 }
 
-/// Buffers one non-standard-form box update's delta stream.
-fn buffer_box_nonstandard(
-    buf: &mut DeltaBuffer,
-    map: &impl TilingMap,
-    n: u32,
-    origin: &[usize],
-    delta: &NdArray<f64>,
-) -> UpdateReport {
-    buf.begin_box();
-    ss_transform::for_each_box_delta_nonstandard(n, origin, delta, |idx, v| buf.add_at(map, idx, v))
+/// The one batch body: buffers every box's delta stream (serially — the
+/// arrival order defines the replay order), then group-commits through
+/// `flush`.
+fn update_boxes<W: CoeffWrite>(
+    sink: &mut W,
+    form: BoxForm,
+    boxes: &[UpdateBox],
+    mode: FlushMode,
+    flush: impl FnOnce(&mut DeltaBuffer, &mut W) -> FlushReport,
+) -> BatchReport {
+    let map = sink.map();
+    let mut buf = DeltaBuffer::for_map(map, mode);
+    let mut update = UpdateReport::default();
+    for (origin, delta) in boxes {
+        buf.begin_box();
+        let emit = |idx: &[usize], v: f64| buf.add_at(map, idx, v);
+        update.merge(match form {
+            BoxForm::Standard(n) => {
+                ss_transform::for_each_box_delta_standard(n, origin, delta, emit)
+            }
+            BoxForm::NonStandard(n) => {
+                ss_transform::for_each_box_delta_nonstandard(n, origin, delta, emit)
+            }
+        });
+    }
+    let flush = flush(&mut buf, sink);
+    BatchReport { update, flush }
 }
 
 /// Applies a batch of standard-form box updates with one group-commit
@@ -45,74 +61,70 @@ fn buffer_box_nonstandard(
 /// boxes touched it. In [`FlushMode::Exact`] the stored coefficients are
 /// bit-identical to applying [`ss_transform::update_box_standard`] box by
 /// box in the same order.
-pub fn update_boxes_standard<M: TilingMap, S: BlockStore>(
-    cs: &mut CoeffStore<M, S>,
+pub fn update_boxes_standard<W: CoeffWrite>(
+    cs: &mut W,
     n: &[u32],
-    boxes: &[(Vec<usize>, NdArray<f64>)],
+    boxes: &[UpdateBox],
     mode: FlushMode,
 ) -> BatchReport {
-    let mut buf = DeltaBuffer::for_map(cs.map(), mode);
-    let mut update = UpdateReport::default();
-    for (origin, delta) in boxes {
-        update.merge(buffer_box_standard(&mut buf, cs.map(), n, origin, delta));
-    }
-    let flush = buf.flush_into(cs);
-    BatchReport { update, flush }
+    update_boxes(
+        cs,
+        BoxForm::Standard(n),
+        boxes,
+        mode,
+        DeltaBuffer::flush_into,
+    )
 }
 
 /// [`update_boxes_standard`] with the flush sharded across `workers`
-/// threads of a [`SharedCoeffStore`]. Buffering stays serial (it defines
-/// the replay order); each dirty tile is owned by exactly one worker, so
-/// the result is bit-identical to the serial flush for any worker count.
+/// threads of a [`SharedCoeffStore`]. Each dirty tile is owned by exactly
+/// one worker, so the result is bit-identical to the serial flush for any
+/// worker count.
 pub fn update_boxes_standard_parallel<M: TilingMap, S: BlockStore + Send + Sync>(
     cs: &SharedCoeffStore<M, S>,
     n: &[u32],
-    boxes: &[(Vec<usize>, NdArray<f64>)],
+    boxes: &[UpdateBox],
     mode: FlushMode,
     workers: usize,
 ) -> BatchReport {
-    let mut buf = DeltaBuffer::for_map(cs.map(), mode);
-    let mut update = UpdateReport::default();
-    for (origin, delta) in boxes {
-        update.merge(buffer_box_standard(&mut buf, cs.map(), n, origin, delta));
-    }
-    let flush = buf.flush_into_shared(cs, workers);
-    BatchReport { update, flush }
+    update_boxes(&mut &*cs, BoxForm::Standard(n), boxes, mode, |buf, cs| {
+        buf.flush_into_shared(cs, workers)
+    })
 }
 
 /// Non-standard-form twin of [`update_boxes_standard`]: the domain is a
 /// `(2^n)^d` hypercube and every dyadic piece is subdivided into aligned
 /// cubes before SHIFT-SPLIT.
-pub fn update_boxes_nonstandard<M: TilingMap, S: BlockStore>(
-    cs: &mut CoeffStore<M, S>,
+pub fn update_boxes_nonstandard<W: CoeffWrite>(
+    cs: &mut W,
     n: u32,
-    boxes: &[(Vec<usize>, NdArray<f64>)],
+    boxes: &[UpdateBox],
     mode: FlushMode,
 ) -> BatchReport {
-    let mut buf = DeltaBuffer::for_map(cs.map(), mode);
-    let mut update = UpdateReport::default();
-    for (origin, delta) in boxes {
-        update.merge(buffer_box_nonstandard(&mut buf, cs.map(), n, origin, delta));
-    }
-    let flush = buf.flush_into(cs);
-    BatchReport { update, flush }
+    update_boxes(
+        cs,
+        BoxForm::NonStandard(n),
+        boxes,
+        mode,
+        DeltaBuffer::flush_into,
+    )
 }
 
 /// Non-standard-form twin of [`update_boxes_standard_parallel`].
 pub fn update_boxes_nonstandard_parallel<M: TilingMap, S: BlockStore + Send + Sync>(
     cs: &SharedCoeffStore<M, S>,
     n: u32,
-    boxes: &[(Vec<usize>, NdArray<f64>)],
+    boxes: &[UpdateBox],
     mode: FlushMode,
     workers: usize,
 ) -> BatchReport {
-    let mut buf = DeltaBuffer::for_map(cs.map(), mode);
-    let mut update = UpdateReport::default();
-    for (origin, delta) in boxes {
-        update.merge(buffer_box_nonstandard(&mut buf, cs.map(), n, origin, delta));
-    }
-    let flush = buf.flush_into_shared(cs, workers);
-    BatchReport { update, flush }
+    update_boxes(
+        &mut &*cs,
+        BoxForm::NonStandard(n),
+        boxes,
+        mode,
+        |buf, cs| buf.flush_into_shared(cs, workers),
+    )
 }
 
 /// Outcome of a coalesced ingest run.
@@ -128,6 +140,40 @@ pub struct IngestReport {
     pub flush: FlushReport,
 }
 
+/// The one coalesced-ingest body: the standard-form chunk pipeline with a
+/// [`DeltaBuffer`] as its staging step, group-committed through `flush`
+/// every `group` chunks (`0` = once, at the end).
+fn coalesced<W: CoeffWrite>(
+    src: &impl ChunkSource,
+    sink: &mut W,
+    group: usize,
+    mode: FlushMode,
+    mut flush: impl FnMut(&mut DeltaBuffer, &mut W) -> FlushReport,
+) -> IngestReport {
+    let pipeline = ChunkPipeline::standard(src);
+    let mut buf = DeltaBuffer::for_map(sink.map(), mode);
+    let mut report = IngestReport::default();
+    let mut commit = |buf: &mut DeltaBuffer, sink: &mut W, report: &mut IngestReport| {
+        report.flush.merge(flush(buf, sink));
+        report.flushes += 1;
+    };
+    let run = pipeline.run_range(sink, 0..pipeline.chunks(), |sink, batch| {
+        buf.begin_box();
+        for (tile, slot, delta) in batch.drain(..) {
+            buf.add(tile, slot, delta);
+        }
+        report.chunks += 1;
+        if group > 0 && report.chunks % group == 0 {
+            commit(&mut buf, sink, &mut report);
+        }
+    });
+    if !buf.is_empty() {
+        commit(&mut buf, sink, &mut report);
+    }
+    report.input_coeffs = run.input_coeffs;
+    report
+}
+
 /// Standard-form out-of-core transform with group-committed writeback:
 /// like [`ss_transform::transform_standard`], but the SHIFT-SPLIT delta
 /// streams of `group` consecutive chunks are buffered tile-major and
@@ -139,43 +185,28 @@ pub struct IngestReport {
 /// per-chunk driver: each chunk contributes at most one delta per
 /// coefficient, so arrival-ordered replay preserves the per-coefficient
 /// addition sequence.
-pub fn transform_standard_coalesced<M: TilingMap, S: BlockStore>(
+pub fn transform_standard_coalesced<W: CoeffWrite>(
     src: &impl ChunkSource,
-    cs: &mut CoeffStore<M, S>,
+    cs: &mut W,
     group: usize,
     mode: FlushMode,
 ) -> IngestReport {
-    let n = src.domain_levels().to_vec();
-    let stats = cs.stats().clone();
-    let block_capacity = cs.map().block_capacity();
-    let mut buf = DeltaBuffer::for_map(cs.map(), mode);
-    let mut report = IngestReport::default();
-    for block in MultiIndexIter::new(&src.grid()) {
-        let mut chunk = src.read_chunk(&block);
-        // Input scan accounting, mirroring the per-chunk drivers: every
-        // cell is a coefficient read arriving in block-sized units.
-        stats.add_coeff_reads(chunk.len() as u64);
-        stats.add_block_reads(chunk.len().div_ceil(block_capacity) as u64);
-        ss_core::standard::forward(&mut chunk);
-        buf.begin_box();
-        {
-            let map = cs.map();
-            ss_core::split::standard_deltas(&chunk, &n, &block, |idx, delta| {
-                buf.add_at(map, idx, delta);
-            });
-        }
-        report.chunks += 1;
-        report.input_coeffs += chunk.len() as u64;
-        if group > 0 && report.chunks % group == 0 {
-            report.flush.merge(buf.flush_into(cs));
-            report.flushes += 1;
-        }
-    }
-    if !buf.is_empty() {
-        report.flush.merge(buf.flush_into(cs));
-        report.flushes += 1;
-    }
-    report
+    coalesced(src, cs, group, mode, DeltaBuffer::flush_into)
+}
+
+/// [`transform_standard_coalesced`] with every group flush sharded across
+/// `workers` threads of a [`SharedCoeffStore`] — bit-identical to the
+/// serial flush for any worker count.
+pub fn transform_standard_coalesced_parallel<M: TilingMap, S: BlockStore + Send + Sync>(
+    src: &impl ChunkSource,
+    cs: &SharedCoeffStore<M, S>,
+    group: usize,
+    mode: FlushMode,
+    workers: usize,
+) -> IngestReport {
+    coalesced(src, &mut &*cs, group, mode, |buf, cs| {
+        buf.flush_into_shared(cs, workers)
+    })
 }
 
 #[cfg(test)]
@@ -184,6 +215,7 @@ mod tests {
     use ss_array::Shape;
     use ss_core::{NonStandardTiling, StandardTiling};
     use ss_datagen::SplitMix64;
+    use ss_storage::CoeffStore;
     use ss_storage::{mem_shared_store, wstore::mem_store, IoStats};
     use ss_transform::ArraySource;
 

@@ -15,15 +15,17 @@
 //! * [`DeltaBuffer::flush_into`] — exactly one read-modify-write per dirty
 //!   tile, visited in ascending block order (sequential I/O for
 //!   `FileBlockStore`), followed by a single pool flush (one meta/CRC
-//!   writeback per *flush*, not per box),
+//!   writeback per *flush*, not per box); generic over the
+//!   [`CoeffWrite`](ss_storage::CoeffWrite) sink,
 //! * [`DeltaBuffer::flush_into_shared`] — the same flush sharded over a
 //!   worker pool: dirty tiles are partitioned into contiguous ranges, each
 //!   tile is owned by exactly one worker, so results are bit-identical to
 //!   the serial flush for any worker count,
-//! * [`engine`] — box-batch drivers ([`update_boxes_standard`],
-//!   [`update_boxes_nonstandard`], parallel twins) and a coalesced ingest
-//!   driver ([`transform_standard_coalesced`]) that group-commits every
-//!   `group` chunks.
+//! * [`engine`] — box-batch fronts ([`update_boxes_standard`],
+//!   [`update_boxes_nonstandard`], parallel twins) over one batch body, and
+//!   coalesced ingest ([`transform_standard_coalesced`], parallel twin):
+//!   the `ss-transform` chunk pipeline with the buffer as its staging
+//!   step, group-committing every `group` chunks.
 //!
 //! # Exactness
 //!
@@ -95,8 +97,9 @@ pub mod wal;
 
 pub use buffer::{DeltaBuffer, DrainedTileOps, FlushMode, FlushReport};
 pub use engine::{
-    transform_standard_coalesced, update_boxes_nonstandard, update_boxes_nonstandard_parallel,
-    update_boxes_standard, update_boxes_standard_parallel, BatchReport, IngestReport,
+    transform_standard_coalesced, transform_standard_coalesced_parallel, update_boxes_nonstandard,
+    update_boxes_nonstandard_parallel, update_boxes_standard, update_boxes_standard_parallel,
+    BatchReport, IngestReport, UpdateBox,
 };
 pub use snapshot::{PinnedSnapshot, SnapshotCoeffStore};
 pub use wal::{replay_records, Wal, WalRecord, WalScan, WalTile};

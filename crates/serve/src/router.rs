@@ -524,36 +524,24 @@ where
         dims: &[usize],
         data: Vec<f64>,
     ) -> Result<f64, crate::server::MutErr> {
-        let delta = ss_array::NdArray::from_vec(ss_array::Shape::new(dims), data);
         let mut w = self.write.lock().unwrap();
-        let buffer = &mut w.buffer;
-        buffer.begin_box();
-        let report =
-            ss_transform::for_each_box_delta_standard(&self.levels, at, &delta, |idx, d| {
-                buffer.add_at(&*self.tiling, idx, d);
-            });
-        Ok(report.coeffs_touched as f64)
+        let tiling = self.tiling.as_ref();
+        Ok(crate::server::buffer_box(
+            &mut w.buffer,
+            tiling,
+            &self.levels,
+            at,
+            dims,
+            data,
+        ))
     }
 
     fn apply(&self, ops: &[(usize, usize, f64)]) -> Result<f64, crate::server::MutErr> {
-        let (tiles, capacity) = (self.tiling.num_tiles(), self.tiling.block_capacity());
-        for &(tile, slot, _) in ops {
-            if tile >= tiles || slot >= capacity {
-                return Err((
-                    "bad_request",
-                    format!(
-                        "op ({tile}, {slot}) outside store geometry \
-                         ({tiles} tiles x {capacity} slots)"
-                    ),
-                ));
-            }
-        }
-        let mut w = self.write.lock().unwrap();
-        w.buffer.begin_box();
-        for &(tile, slot, delta) in ops {
-            w.buffer.add(tile, slot, delta);
-        }
-        Ok(ops.len() as f64)
+        crate::server::check_ops(self.tiling.as_ref(), ops)?;
+        Ok(crate::server::buffer_ops(
+            &mut self.write.lock().unwrap().buffer,
+            ops,
+        ))
     }
 
     fn commit(&self) -> Result<f64, crate::server::MutErr> {

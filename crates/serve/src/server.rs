@@ -48,7 +48,7 @@ use ss_core::TilingMap;
 use ss_maintain::{DeltaBuffer, FlushMode, SnapshotCoeffStore};
 use ss_obs::trace::{self, SpanCtx, TraceEventKind};
 use ss_obs::{Counter, Histogram};
-use ss_storage::{BlockStore, SharedCoeffStore};
+use ss_storage::{BlockStore, CoeffRead, SharedCoeffStore};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -138,6 +138,47 @@ pub(crate) trait Mutator: Send + Sync {
 
 pub(crate) type MutErr = (&'static str, String);
 
+/// Buffers one standard-form update box's SHIFT-SPLIT delta stream as one
+/// operation; returns the coefficients touched.
+pub(crate) fn buffer_box(
+    buf: &mut DeltaBuffer,
+    map: &impl TilingMap,
+    levels: &[u32],
+    at: &[usize],
+    dims: &[usize],
+    data: Vec<f64>,
+) -> f64 {
+    let delta = ss_array::NdArray::from_vec(ss_array::Shape::new(dims), data);
+    buf.begin_box();
+    let emit = |idx: &[usize], d: f64| buf.add_at(map, idx, d);
+    ss_transform::for_each_box_delta_standard(levels, at, &delta, emit).coeffs_touched as f64
+}
+
+/// Rejects raw `(tile, slot, delta)` ops that fall outside the store
+/// geometry — they arrive from the wire.
+pub(crate) fn check_ops(map: &impl TilingMap, ops: &[(usize, usize, f64)]) -> Result<(), MutErr> {
+    let (tiles, capacity) = (map.num_tiles(), map.block_capacity());
+    match ops.iter().find(|op| op.0 >= tiles || op.1 >= capacity) {
+        Some(&(tile, slot, _)) => Err((
+            "bad_request",
+            format!(
+                "op ({tile}, {slot}) outside store geometry \
+                 ({tiles} tiles x {capacity} slots)"
+            ),
+        )),
+        None => Ok(()),
+    }
+}
+
+/// Buffers checked raw ops as one operation; returns how many.
+pub(crate) fn buffer_ops(buf: &mut DeltaBuffer, ops: &[(usize, usize, f64)]) -> f64 {
+    buf.begin_box();
+    for &(tile, slot, delta) in ops {
+        buf.add(tile, slot, delta);
+    }
+    ops.len() as f64
+}
+
 /// The writable backend: one shared delta buffer feeding a snapshot
 /// store. The buffer mutex also serialises commits relative to updates,
 /// so a commit drains exactly the updates answered before it.
@@ -153,37 +194,20 @@ where
     S: BlockStore + Send + Sync,
 {
     fn update(&self, at: &[usize], dims: &[usize], data: Vec<f64>) -> Result<f64, MutErr> {
-        let delta = ss_array::NdArray::from_vec(ss_array::Shape::new(dims), data);
-        let map = self.store.map();
         let mut buf = self.buffer.lock().unwrap();
-        buf.begin_box();
-        let report =
-            ss_transform::for_each_box_delta_standard(&self.levels, at, &delta, |idx, d| {
-                buf.add_at(map, idx, d);
-            });
-        Ok(report.coeffs_touched as f64)
+        Ok(buffer_box(
+            &mut buf,
+            self.store.map(),
+            &self.levels,
+            at,
+            dims,
+            data,
+        ))
     }
 
     fn apply(&self, ops: &[(usize, usize, f64)]) -> Result<f64, MutErr> {
-        let map = self.store.map();
-        let (tiles, capacity) = (map.num_tiles(), map.block_capacity());
-        for &(tile, slot, _) in ops {
-            if tile >= tiles || slot >= capacity {
-                return Err((
-                    "bad_request",
-                    format!(
-                        "op ({tile}, {slot}) outside store geometry \
-                         ({tiles} tiles x {capacity} slots)"
-                    ),
-                ));
-            }
-        }
-        let mut buf = self.buffer.lock().unwrap();
-        buf.begin_box();
-        for &(tile, slot, delta) in ops {
-            buf.add(tile, slot, delta);
-        }
-        Ok(ops.len() as f64)
+        check_ops(self.store.map(), ops)?;
+        Ok(buffer_ops(&mut self.buffer.lock().unwrap(), ops))
     }
 
     fn commit(&self) -> Result<f64, MutErr> {
@@ -314,16 +338,10 @@ impl QueryServer {
     {
         let (listener, state) = make_state(addr, levels, &config, None)?;
         let store = Arc::new(store);
-        let mut workers = Vec::with_capacity(config.workers);
-        for w in 0..config.workers {
-            let state = Arc::clone(&state);
-            let store = Arc::clone(&store);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("ss-serve-exec-{w}"))
-                    .spawn(move || executor_loop(&state, &store))?,
-            );
-        }
+        let workers = spawn_executors(config.workers, "ss-serve-exec", || {
+            let (state, store) = (Arc::clone(&state), Arc::clone(&store));
+            move || executor_loop(&state, "serve.exec", |plans, _| sweep(&mut &*store, &plans))
+        })?;
         QueryServer::finish(listener, state, workers)
     }
 
@@ -350,16 +368,17 @@ impl QueryServer {
             store: Arc::clone(&store),
         });
         let (listener, state) = make_state(addr, levels, &config, Some(backend))?;
-        let mut workers = Vec::with_capacity(config.workers);
-        for w in 0..config.workers {
-            let state = Arc::clone(&state);
-            let store = Arc::clone(&store);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("ss-serve-exec-{w}"))
-                    .spawn(move || snapshot_executor_loop(&state, &store))?,
-            );
-        }
+        // Each batch pins one epoch for all of its queries, so no request
+        // can observe a half-published commit, and a request parsed after
+        // a commit's response pins an epoch at least as new.
+        let workers = spawn_executors(config.workers, "ss-serve-exec", || {
+            let (state, store) = (Arc::clone(&state), Arc::clone(&store));
+            move || {
+                executor_loop(&state, "serve.exec", |plans, _| {
+                    sweep(&mut &store.pin(), &plans)
+                })
+            }
+        })?;
         QueryServer::finish(listener, state, workers)
     }
 
@@ -409,17 +428,28 @@ impl QueryServer {
             flush_mode,
         ));
         let (listener, state) = make_state(addr, levels, &config, Some(backend))?;
-        let mut workers = Vec::with_capacity(config.workers);
-        for w in 0..config.workers {
-            let state = Arc::clone(&state);
-            let core = Arc::clone(&core);
-            let tiling = Arc::clone(&tiling);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("ss-serve-route-{w}"))
-                    .spawn(move || router_executor_loop(&state, &core, &tiling))?,
-            );
-        }
+        // Each worker keeps its own connection cache, so concurrent workers
+        // fan out over disjoint sockets (per-replica in-flight counters in
+        // `RouterCore` spread them across replicas).
+        let workers = spawn_executors(config.workers, "ss-serve-route", || {
+            let (state, core, tiling) =
+                (Arc::clone(&state), Arc::clone(&core), Arc::clone(&tiling));
+            move || {
+                let mut conns = ConnCache::new();
+                executor_loop(&state, "router.fanout", |plans, routes| {
+                    // Forward each request's own trace id so shard-side
+                    // spans land under the originating trace.
+                    let jobs: Vec<router::RoutedJob> = plans
+                        .into_iter()
+                        .zip(routes)
+                        .map(|(plan, route)| {
+                            (plan, route.root.active().then_some(route.root.trace))
+                        })
+                        .collect();
+                    router::execute_routed(&core, tiling.as_ref(), &mut conns, &jobs)
+                })
+            }
+        })?;
         QueryServer::finish(listener, state, workers)
     }
 
@@ -670,132 +700,78 @@ fn parse_and_validate(line: &str, dims: &[usize]) -> Result<Request, RequestErro
     Ok(req)
 }
 
-/// Executor: drain up to `batch_max` planned requests and answer them in
-/// one tile-major sweep. Answers are bit-identical to serial execution
-/// because [`ss_query::execute_plans`] fixes the evaluation order from the
-/// plans alone.
-fn executor_loop<M, S>(state: &Arc<State>, store: &Arc<SharedCoeffStore<M, S>>)
-where
-    M: TilingMap,
-    S: BlockStore,
-{
-    loop {
-        let batch: Vec<Job> = {
-            let mut queue = state.queue.lock().unwrap();
-            loop {
-                if !queue.is_empty() {
-                    break;
-                }
-                if state.stopped() {
-                    return;
-                }
-                queue = state.available.wait(queue).unwrap();
-            }
-            let n = state.batch_max.min(queue.len());
-            queue.drain(..n).collect()
-        };
-        let (plans, routes) = split_batch(batch);
-        let exec = batch_exec_span(&routes);
-        let values = {
-            let _in_span = trace::enter(exec);
-            let mut handle: &SharedCoeffStore<M, S> = store;
-            ss_query::execute_plans_tiled(&mut handle, &plans)
-        };
-        trace::end_span(exec);
-        answer_batch(state, routes, values);
-    }
+/// Spawns `n` named executor threads, each running a fresh `make()` body.
+fn spawn_executors<F: FnOnce() + Send + 'static>(
+    n: usize,
+    name: &str,
+    make: impl Fn() -> F,
+) -> std::io::Result<Vec<JoinHandle<()>>> {
+    (0..n)
+        .map(|w| {
+            std::thread::Builder::new()
+                .name(format!("{name}-{w}"))
+                .spawn(make())
+        })
+        .collect()
 }
 
-/// Executor over a snapshot store: each batch pins one epoch for all of
-/// its queries, so no request can observe a half-published commit, and a
-/// request parsed after a commit's response pins an epoch at least as new.
-fn snapshot_executor_loop<M, S>(state: &Arc<State>, store: &Arc<SnapshotCoeffStore<M, S>>)
-where
-    M: TilingMap,
-    S: BlockStore,
-{
-    loop {
-        let batch: Vec<Job> = {
-            let mut queue = state.queue.lock().unwrap();
-            loop {
-                if !queue.is_empty() {
-                    break;
-                }
-                if state.stopped() {
-                    return;
-                }
-                queue = state.available.wait(queue).unwrap();
-            }
-            let n = state.batch_max.min(queue.len());
-            queue.drain(..n).collect()
-        };
-        let (plans, routes) = split_batch(batch);
-        let exec = batch_exec_span(&routes);
-        let values = {
-            let _in_span = trace::enter(exec);
-            let pin = store.pin();
-            let mut handle = &pin;
-            let values = ss_query::execute_plans_tiled(&mut handle, &plans);
-            drop(pin);
-            values
-        };
-        trace::end_span(exec);
-        answer_batch(state, routes, values);
+/// Parks until planned requests are queued, then takes up to `batch_max`
+/// of them; `None` once the server is stopped and the queue is drained.
+fn next_batch(state: &State) -> Option<Vec<Job>> {
+    let mut queue = state.queue.lock().unwrap();
+    while queue.is_empty() {
+        if state.stopped() {
+            return None;
+        }
+        queue = state.available.wait(queue).unwrap();
     }
+    let n = state.batch_max.min(queue.len());
+    Some(queue.drain(..n).collect())
 }
 
-/// Router executor: drain a batch and scatter-gather it across the
-/// shard fleet. Each worker keeps its own connection cache, so
-/// concurrent workers fan out over disjoint sockets (per-replica
-/// in-flight counters in [`RouterCore`] spread them across replicas).
-fn router_executor_loop<M: TilingMap>(state: &Arc<State>, core: &Arc<RouterCore>, tiling: &Arc<M>) {
-    let mut conns = ConnCache::new();
-    loop {
-        let batch: Vec<Job> = {
-            let mut queue = state.queue.lock().unwrap();
-            loop {
-                if !queue.is_empty() {
-                    break;
-                }
-                if state.stopped() {
-                    return;
-                }
-                queue = state.available.wait(queue).unwrap();
-            }
-            let n = state.batch_max.min(queue.len());
-            queue.drain(..n).collect()
-        };
+/// The executor body every backend shares: drain a batch, turn its plans
+/// into one outcome per request inside a `span` covering the sweep, and
+/// reply. The backends differ only in `run`.
+fn executor_loop(
+    state: &State,
+    span: &'static str,
+    mut run: impl FnMut(Vec<Plan>, &[Route]) -> Vec<RoutedOutcome>,
+) {
+    while let Some(batch) = next_batch(state) {
         let (plans, routes) = split_batch(batch);
-        // Forward each request's own trace id so shard-side spans land
-        // under the originating trace.
-        let jobs: Vec<router::RoutedJob> = plans
-            .into_iter()
-            .zip(routes.iter())
-            .map(|(plan, route)| (plan, route.root.active().then_some(route.root.trace)))
-            .collect();
-        let exec = batch_fanout_span(&routes);
+        // Parented under the batch's **first traced** request: tile
+        // fetches (or the shard fan-out) are shared across the batch, so
+        // they are attributed to that request's tree (a documented
+        // approximation — see DESIGN.md §13).
+        let exec = routes
+            .iter()
+            .map(|r| r.root)
+            .find(SpanCtx::active)
+            .map(|p| trace::begin_span(p.trace, p.span, span))
+            .unwrap_or_else(SpanCtx::none);
         let outcomes = {
             let _in_span = trace::enter(exec);
-            router::execute_routed(core, tiling.as_ref(), &mut conns, &jobs)
+            run(plans, &routes)
         };
         trace::end_span(exec);
-        answer_routed(state, routes, outcomes);
+        answer(state, routes, outcomes);
     }
 }
 
-/// The `router.fanout` span covering one scatter-gather sweep, parented
-/// under the batch's first traced request (the same batching
-/// approximation as [`batch_exec_span`]).
-fn batch_fanout_span(routes: &[Route]) -> SpanCtx {
-    routes
-        .iter()
-        .map(|r| r.root)
-        .find(SpanCtx::active)
-        .map(|p| trace::begin_span(p.trace, p.span, "router.fanout"))
-        .unwrap_or_else(SpanCtx::none)
+/// One tile-major sweep over `source`. Answers are bit-identical to serial
+/// execution because [`ss_query::execute_plans_tiled`] fixes the
+/// evaluation order from the plans alone.
+fn sweep(source: &mut impl CoeffRead, plans: &[Plan]) -> Vec<RoutedOutcome> {
+    ss_query::execute_plans_tiled(source, plans)
+        .into_iter()
+        .map(|r| Ok((r.value, r.tiles)))
+        .collect()
 }
 
-fn answer_routed(state: &State, routes: Vec<Route>, outcomes: Vec<RoutedOutcome>) {
+/// Replies to one executed batch: per request, the response line, the
+/// latency sample, the slow-request check, the root span's end and the
+/// reply count.
+fn answer(state: &State, routes: Vec<Route>, outcomes: impl IntoIterator<Item = RoutedOutcome>) {
     state.metrics.batches.inc();
     state.metrics.batch_size.record(routes.len() as u64);
     for (route, outcome) in routes.into_iter().zip(outcomes) {
@@ -823,8 +799,10 @@ fn answer_routed(state: &State, routes: Vec<Route>, outcomes: Vec<RoutedOutcome>
     }
 }
 
-#[allow(clippy::type_complexity)]
-fn split_batch(batch: Vec<Job>) -> (Vec<Vec<(Vec<usize>, f64)>>, Vec<Route>) {
+/// One request's query plan: `(coefficient index, weight)` terms.
+type Plan = Vec<(Vec<usize>, f64)>;
+
+fn split_batch(batch: Vec<Job>) -> (Vec<Plan>, Vec<Route>) {
     let mut plans = Vec::with_capacity(batch.len());
     let mut routes = Vec::with_capacity(batch.len());
     for job in batch {
@@ -838,38 +816,4 @@ fn split_batch(batch: Vec<Job>) -> (Vec<Vec<(Vec<usize>, f64)>>, Vec<Route>) {
         });
     }
     (plans, routes)
-}
-
-/// The `serve.exec` span covering one tile-major sweep, parented under
-/// the batch's **first traced** request: tile fetches are shared across
-/// the batch, so they are attributed to that request's tree (a
-/// documented approximation — see DESIGN.md §13).
-fn batch_exec_span(routes: &[Route]) -> SpanCtx {
-    routes
-        .iter()
-        .map(|r| r.root)
-        .find(SpanCtx::active)
-        .map(|p| trace::begin_span(p.trace, p.span, "serve.exec"))
-        .unwrap_or_else(SpanCtx::none)
-}
-
-fn answer_batch(state: &State, routes: Vec<Route>, values: Vec<ss_query::PlanTiles>) {
-    state.metrics.batches.inc();
-    state.metrics.batch_size.record(routes.len() as u64);
-    for (route, result) in routes.into_iter().zip(values) {
-        let dur_ns = route.enqueued.elapsed().as_nanos() as u64;
-        state.metrics.request_ns.record(dur_ns);
-        state.metrics.requests_ok.inc();
-        let echo = route.root.active().then_some(route.root.trace);
-        let tiles = route.wants_tiles.then_some(result.tiles.as_slice());
-        route.reply.send(&proto::ok_response_tiled(
-            route.id,
-            echo,
-            result.value,
-            tiles,
-        ));
-        state.observe_slow(route.id, &route.root, dur_ns);
-        trace::end_span(route.root);
-        state.count_reply();
-    }
 }

@@ -29,6 +29,18 @@
 //!   [`TilingMap`](ss_core::TilingMap) (subtree tiles or the naive row-major
 //!   baseline), the object every out-of-core algorithm in `ss-transform`
 //!   and every query in `ss-query` runs against,
+//! * [`CoeffRead`] / [`CoeffWrite`] — the two capabilities callers are
+//!   generic over, so no algorithm is written twice for the two stores:
+//!
+//!   | | `CoeffRead` (queries) | `CoeffWrite` (maintenance) |
+//!   |---|---|---|
+//!   | methods | `map`, `read`, `read_at` | `map`, `stats`, `add`, `with_tile`, `apply_batch`, `flush`, `clear_cache` |
+//!   | serial | `CoeffStore` | `CoeffStore` (one pool touch per delta) |
+//!   | concurrent | `SharedCoeffStore`, `&SharedCoeffStore` | `&SharedCoeffStore` (one shard lock per tile) |
+//!   | generic callers | every `ss-query` plan, batch and reconstruction | the `ss-transform` chunk pipeline, `DeltaBuffer::flush_into`, the `ss-maintain` batch fronts |
+//!
+//!   [`CoeffStore::via_shared`] lends a serial store's blocks to a sharded
+//!   pool for the duration of a parallel driver,
 //! * [`WsFile`] — the persistent `.ws` store format (blocks file, `.crc`
 //!   checksum sidecar, `.meta` text header — see `docs/FORMAT.md`), with
 //!   crash-safe metadata updates and a full-file scrub
@@ -75,6 +87,7 @@ pub mod shardmap;
 pub mod sparse;
 pub mod stats;
 pub mod throttle;
+pub mod write;
 pub mod wsfile;
 pub mod wstore;
 
@@ -90,5 +103,6 @@ pub use shard::{mem_shared_store, ShardCounters, ShardedBufferPool, SharedCoeffS
 pub use shardmap::ShardMap;
 pub use stats::{IoSnapshot, IoStats};
 pub use throttle::ThrottledBlockStore;
+pub use write::CoeffWrite;
 pub use wsfile::{convert_to_v3, Meta, V3ConvertReport, WsFile, FORMAT_VERSION, V3_FORMAT_VERSION};
 pub use wstore::CoeffStore;

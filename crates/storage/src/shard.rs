@@ -113,6 +113,17 @@ impl Drop for BusyGuard<'_> {
     }
 }
 
+/// Raises a failed transfer as the typed panic the infallible
+/// [`BlockStore`] face uses. Call it only *after* the store guard is
+/// released: a panic under the guard would poison the store lock, and
+/// every other worker would then die of a `PoisonError` that masks the
+/// typed [`StorageError`] the fallible fronts recover.
+fn raise(transfer: Result<(), StorageError>) {
+    if let Err(e) = transfer {
+        std::panic::panic_any(e);
+    }
+}
+
 /// A write-back LRU block cache usable from many threads at once.
 pub struct ShardedBufferPool<S: BlockStore> {
     shards: Vec<ShardSlot>,
@@ -303,7 +314,8 @@ impl<S: BlockStore> ShardedBufferPool<S> {
             let mut wrote_back = 0u64;
             for (vid, frame) in &victims {
                 if frame.dirty {
-                    self.lock_store().write_block(*vid, &frame.data);
+                    let wrote = self.lock_store().try_write_block(*vid, &frame.data);
+                    raise(wrote);
                     wrote_back += 1;
                 }
             }
@@ -318,11 +330,11 @@ impl<S: BlockStore> ShardedBufferPool<S> {
                 self.store_wait_ns.record(t0.elapsed().as_nanos() as u64);
                 guard.try_read_block_shared(id, &mut data)
             };
-            match shared {
-                Some(Ok(())) => {}
-                Some(Err(e)) => std::panic::panic_any(e),
-                None => self.lock_store().read_block(id, &mut data),
-            }
+            let read = match shared {
+                Some(read) => read,
+                None => self.lock_store().try_read_block(id, &mut data),
+            };
+            raise(read);
             shard = self.lock_slot(slot_ref);
             shard.counters.writebacks += wrote_back;
             self.stats.add_pool_writebacks(wrote_back);
@@ -386,10 +398,13 @@ impl<S: BlockStore> ShardedBufferPool<S> {
             if dirty.is_empty() {
                 continue;
             }
-            let mut store = self.lock_store();
-            for (id, data) in &dirty {
-                store.write_block(*id, data);
-            }
+            let wrote = {
+                let mut store = self.lock_store();
+                dirty
+                    .iter()
+                    .try_for_each(|(id, data)| store.try_write_block(*id, data))
+            };
+            raise(wrote);
         }
     }
 
@@ -481,37 +496,6 @@ impl<M: TilingMap, S: BlockStore> SharedCoeffStore<M, S> {
         let loc = self.map.locate(idx);
         self.stats.add_coeff_writes(1);
         self.pool.add(loc.tile, loc.slot, delta);
-    }
-
-    /// Adds a batch of `(slot, delta)` updates to one tile under a single
-    /// shard lock. The parallel drivers group each chunk's deltas by tile
-    /// and apply them through this.
-    pub fn apply_tile(&self, tile: usize, updates: &[(usize, f64)]) {
-        if updates.is_empty() {
-            return;
-        }
-        self.stats.add_coeff_writes(updates.len() as u64);
-        self.pool.with_block(tile, true, |blk| {
-            for &(slot, delta) in updates {
-                blk[slot] += delta;
-            }
-        });
-    }
-
-    /// Adds a dense per-slot delta vector to one tile under a single
-    /// shard lock, skipping zero-delta slots (the [`ss_core::kernel`]
-    /// masked add, vectorised in SIMD builds). `touched` is the caller's
-    /// count of non-zero slots, charged as coefficient writes — the same
-    /// accounting a sparse [`apply_tile`](Self::apply_tile) of those
-    /// slots would record.
-    pub fn apply_tile_dense(&self, tile: usize, deltas: &[f64], touched: u64) {
-        if touched == 0 {
-            return;
-        }
-        self.stats.add_coeff_writes(touched);
-        self.pool.with_block(tile, true, |blk| {
-            ss_core::kernel::masked_add(blk, deltas);
-        });
     }
 
     /// Applies a `(tile, slot, delta)` batch: sorted by tile so each
@@ -810,6 +794,28 @@ mod tests {
     }
 
     #[test]
+    fn failed_transfer_does_not_poison_the_store_lock() {
+        // Regression: a miss read that failed panicked while holding the
+        // store lock, so every later access died of a `PoisonError` that
+        // masked the typed error — a parallel driver then surfaced
+        // whichever payload its first-joined worker happened to carry.
+        let stats = IoStats::new();
+        let dead = crate::FaultInjectingBlockStore::new(
+            MemBlockStore::new(4, 8, stats.clone()),
+            crate::FaultConfig::read_errors(1.0, 3),
+        );
+        let p = ShardedBufferPool::new(dead, 4, 2, stats);
+        for id in [0usize, 1, 0] {
+            let read = std::panic::AssertUnwindSafe(|| p.read(id, 0));
+            let payload = std::panic::catch_unwind(read).unwrap_err();
+            assert!(
+                payload.downcast_ref::<StorageError>().is_some(),
+                "access to block {id} must fail typed"
+            );
+        }
+    }
+
+    #[test]
     fn shared_store_matches_serial_store() {
         let stats = IoStats::new();
         let shared = mem_shared_store(Tiling1d::new(4, 2), 8, 4, stats);
@@ -819,7 +825,7 @@ mod tests {
             shared.write(&[i], (i * 3) as f64);
             serial.write(&[i], (i * 3) as f64);
         }
-        shared.apply_tile(0, &[(0, 1.25), (1, -0.5)]);
+        shared.apply_batch(&mut vec![(0, 1, -0.5), (0, 0, 1.25)]);
         serial.pool().with_block(0, true, |blk| {
             blk[0] += 1.25;
             blk[1] += -0.5;

@@ -1,0 +1,182 @@
+//! The coefficient sink abstraction every maintenance path writes into —
+//! the write-side twin of [`CoeffRead`](crate::CoeffRead).
+//!
+//! Out-of-core transformation, appending and batch updating are all the
+//! same step: SHIFT-SPLIT deltas folded into tiled storage. [`CoeffWrite`]
+//! captures exactly that capability, so one chunk pipeline in
+//! `ss-transform` and one group-commit flush in `ss-maintain` serve both
+//! the serial [`CoeffStore`] (one caller, `&mut self` cache) and the
+//! thread-safe [`SharedCoeffStore`] (many concurrent workers). As with
+//! `CoeffRead`, the receivers are `&mut self` and the shared store
+//! implements the trait for `&SharedCoeffStore`: each worker holds its own
+//! `&` handle and passes `&mut (&shared)`.
+//!
+//! The two implementations keep their own access disciplines — they are
+//! the experiments' cost models, not interchangeable details:
+//!
+//! * [`CoeffStore::apply_batch`] touches the pool once **per delta** in
+//!   ascending `(tile, slot)` order, so every delta is a pool access in
+//!   the [`IoSnapshot`](crate::IoSnapshot);
+//! * [`SharedCoeffStore::apply_batch`] takes one shard lock (one pool
+//!   access) **per tile**.
+
+use crate::block::BlockStore;
+use crate::shard::SharedCoeffStore;
+use crate::stats::IoStats;
+use crate::wstore::CoeffStore;
+use ss_core::TilingMap;
+
+/// A sink for wavelet-coefficient deltas laid out by a [`TilingMap`].
+///
+/// Implemented by [`CoeffStore`] (exclusive access) and
+/// `&SharedCoeffStore` (per-thread handle for concurrent maintenance).
+pub trait CoeffWrite {
+    /// The tiling map describing the coefficient layout.
+    type Map: TilingMap;
+
+    /// The tiling map.
+    fn map(&self) -> &Self::Map;
+
+    /// The shared I/O counters.
+    fn stats(&self) -> &IoStats;
+
+    /// Adds `delta` to the coefficient at tuple index `idx`, charging one
+    /// coefficient write.
+    fn add(&mut self, idx: &[usize], delta: f64);
+
+    /// Runs `f` over tile `tile`'s block, marking it dirty. Charges no
+    /// coefficient writes — the caller knows how many slots it touches.
+    fn with_tile(&mut self, tile: usize, f: impl FnOnce(&mut [f64]));
+
+    /// Applies a `(tile, slot, delta)` batch sorted by `(tile, slot)`, so
+    /// each affected tile is loaded at most once per batch even with a
+    /// single-block pool — the access discipline the paper's per-chunk I/O
+    /// analysis assumes. Charges one coefficient write per delta and
+    /// clears `deltas`.
+    fn apply_batch(&mut self, deltas: &mut Vec<(usize, usize, f64)>);
+
+    /// Writes every dirty cached block back.
+    fn flush(&mut self);
+
+    /// Flushes and empties the cache (cold-cache reset between phases).
+    fn clear_cache(&mut self);
+}
+
+impl<M: TilingMap, S: BlockStore> CoeffWrite for CoeffStore<M, S> {
+    type Map = M;
+
+    fn map(&self) -> &M {
+        CoeffStore::map(self)
+    }
+
+    fn stats(&self) -> &IoStats {
+        CoeffStore::stats(self)
+    }
+
+    fn add(&mut self, idx: &[usize], delta: f64) {
+        CoeffStore::add(self, idx, delta)
+    }
+
+    fn with_tile(&mut self, tile: usize, f: impl FnOnce(&mut [f64])) {
+        self.pool().with_block(tile, true, f)
+    }
+
+    fn apply_batch(&mut self, deltas: &mut Vec<(usize, usize, f64)>) {
+        CoeffStore::apply_batch(self, deltas)
+    }
+
+    fn flush(&mut self) {
+        CoeffStore::flush(self)
+    }
+
+    fn clear_cache(&mut self) {
+        CoeffStore::clear_cache(self)
+    }
+}
+
+impl<M: TilingMap, S: BlockStore> CoeffWrite for &SharedCoeffStore<M, S> {
+    type Map = M;
+
+    fn map(&self) -> &M {
+        SharedCoeffStore::map(self)
+    }
+
+    fn stats(&self) -> &IoStats {
+        SharedCoeffStore::stats(self)
+    }
+
+    fn add(&mut self, idx: &[usize], delta: f64) {
+        SharedCoeffStore::add(self, idx, delta)
+    }
+
+    fn with_tile(&mut self, tile: usize, f: impl FnOnce(&mut [f64])) {
+        self.pool().with_block(tile, true, f)
+    }
+
+    fn apply_batch(&mut self, deltas: &mut Vec<(usize, usize, f64)>) {
+        SharedCoeffStore::apply_batch(self, deltas)
+    }
+
+    fn flush(&mut self) {
+        SharedCoeffStore::flush(self)
+    }
+
+    fn clear_cache(&mut self) {
+        self.pool().clear()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::shard::mem_shared_store;
+    use crate::wstore::mem_store;
+    use ss_core::Tiling1d;
+
+    fn fold<W: CoeffWrite>(sink: &mut W) {
+        sink.add(&[5], 1.5);
+        let mut batch: Vec<(usize, usize, f64)> = (0..16usize)
+            .rev()
+            .map(|i| {
+                let loc = sink.map().locate(&[i]);
+                (loc.tile, loc.slot, i as f64)
+            })
+            .collect();
+        sink.apply_batch(&mut batch);
+        assert!(batch.is_empty());
+        sink.with_tile(0, |blk| blk[0] += 0.25);
+        sink.flush();
+    }
+
+    #[test]
+    fn serial_and_shared_sinks_store_the_same_bits() {
+        let serial_stats = IoStats::new();
+        let mut serial = mem_store(Tiling1d::new(4, 2), 2, serial_stats.clone());
+        let shared_stats = IoStats::new();
+        let shared = mem_shared_store(Tiling1d::new(4, 2), 2, 1, shared_stats.clone());
+        fold(&mut serial);
+        fold(&mut &shared);
+        for i in 0..16usize {
+            assert_eq!(serial.read(&[i]).to_bits(), shared.read(&[i]).to_bits());
+        }
+        // Same coefficient-write accounting; the pool-access discipline is
+        // per delta on the serial sink and per tile on the shared one.
+        let (a, b) = (serial_stats.snapshot(), shared_stats.snapshot());
+        assert_eq!(a.coeff_writes, 17);
+        assert_eq!(b.coeff_writes, 17);
+        assert!(b.pool_accesses() < a.pool_accesses());
+    }
+
+    #[test]
+    fn clear_cache_makes_the_next_touch_a_miss() {
+        let stats = IoStats::new();
+        let shared = mem_shared_store(Tiling1d::new(4, 2), 8, 2, stats.clone());
+        let mut sink = &shared;
+        sink.add(&[3], 2.0);
+        sink.clear_cache();
+        let before = stats.snapshot().pool_misses;
+        sink.add(&[3], 1.0);
+        assert_eq!(stats.snapshot().pool_misses, before + 1);
+        assert_eq!(shared.read(&[3]), 3.0);
+    }
+}

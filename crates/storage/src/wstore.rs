@@ -8,6 +8,7 @@
 
 use crate::block::BlockStore;
 use crate::pool::BufferPool;
+use crate::shard::SharedCoeffStore;
 use crate::stats::IoStats;
 use ss_core::TilingMap;
 
@@ -77,6 +78,20 @@ impl<M: TilingMap, S: BlockStore> CoeffStore<M, S> {
         self.pool.add(loc.tile, loc.slot, delta);
     }
 
+    /// Applies a `(tile, slot, delta)` batch tile-by-tile: deltas are
+    /// sorted by tile ordinal so each affected tile is loaded at most once
+    /// per batch even with a single-block buffer pool — the access
+    /// discipline the paper's per-chunk I/O analysis assumes. Every delta
+    /// is one coefficient write and one pool access. Clears `deltas`.
+    pub fn apply_batch(&mut self, deltas: &mut Vec<(usize, usize, f64)>) {
+        deltas.sort_unstable_by_key(|&(tile, slot, _)| (tile, slot));
+        for &(tile, slot, delta) in deltas.iter() {
+            self.stats.add_coeff_writes(1);
+            self.pool.add(tile, slot, delta);
+        }
+        deltas.clear();
+    }
+
     /// Reads a raw `(tile, slot)` location — used by query plans that
     /// resolve locations up front to reason about block access patterns.
     pub fn read_at(&mut self, tile: usize, slot: usize) -> f64 {
@@ -103,6 +118,23 @@ impl<M: TilingMap, S: BlockStore> CoeffStore<M, S> {
     pub fn into_parts(self) -> (M, S) {
         let CoeffStore { map, pool, .. } = self;
         (map, pool.into_store())
+    }
+
+    /// Re-houses the block store in a sharded, thread-safe pool of
+    /// `shards` shards (same total budget) for the duration of `f`, then
+    /// hands it back to a serial pool — how a single-owner store lends
+    /// itself to a parallel driver.
+    pub fn via_shared<R>(
+        self,
+        shards: usize,
+        f: impl FnOnce(&SharedCoeffStore<M, S>) -> R,
+    ) -> (Self, R) {
+        let (budget, stats) = (self.pool.budget(), self.stats.clone());
+        let (map, store) = self.into_parts();
+        let shared = SharedCoeffStore::new(map, store, budget, shards, stats.clone());
+        let out = f(&shared);
+        let (map, store) = shared.into_parts();
+        (CoeffStore::new(map, store, budget, stats), out)
     }
 }
 

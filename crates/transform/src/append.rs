@@ -176,12 +176,7 @@ impl<S: BlockStore, F: FnMut(usize, usize) -> S> Appender<S, F> {
                 }
             }
             // Apply this old tile's deltas grouped by destination tile.
-            batch.sort_unstable_by_key(|&(tile, slot, _)| (tile, slot));
-            for &(tile, slot, delta) in &batch {
-                self.stats.add_coeff_writes(1);
-                new_cs.pool().add(tile, slot, delta);
-            }
-            batch.clear();
+            new_cs.apply_batch(&mut batch);
         }
         new_cs.flush();
         self.cs = new_cs;

@@ -1,81 +1,20 @@
 //! Out-of-core transformation by chunks with SHIFT-SPLIT
-//! (Section 5.1, Results 1 and 2).
+//! (Section 5.1, Results 1 and 2): the serial fronts.
 //!
-//! Each chunk is small enough to transform in memory; its detail
-//! coefficients SHIFT to final positions and its average SPLITs into
-//! updates of coarser coefficients. The standard-form driver
-//! ([`transform_standard`]) and the plain non-standard driver
+//! Every function here picks a [`ChunkPipeline`] (see
+//! [`pipeline`](crate::pipeline)) and runs it into a [`CoeffStore`]; none
+//! contains a loop over chunks. The standard-form front
+//! ([`transform_standard`]) and the plain non-standard front
 //! ([`transform_nonstandard`]) fold every delta straight into tiled
-//! storage. The z-order driver ([`transform_nonstandard_zorder`]) adds the
-//! *crest cache* of Result 2: split contributions accumulate in a small
-//! in-memory map and are written exactly once, when the z-order walk
-//! completes the quad-tree node they belong to — bounding both extra memory
-//! (`(2^d − 1)·log(N/M) + 1` entries) and I/O (`O(N^d/B^d)` blocks total).
+//! storage; the z-order front ([`transform_nonstandard_zorder`]) adds the
+//! crest cache of Result 2.
 
+use crate::pipeline::{completed_levels, cubic_levels, ChunkPipeline, Delta, TransformReport};
 use crate::source::ChunkSource;
-use ss_array::{MortonIter, MultiIndexIter};
+use ss_array::{MultiIndexIter, NdArray, Shape};
+use ss_core::tiling::NonStandardTiling;
 use ss_core::TilingMap;
-use ss_obs::{Histogram, Stopwatch};
-use ss_storage::{BlockStore, CoeffStore, IoStats};
-use std::collections::HashMap;
-
-/// Global-registry histograms attributing per-chunk ingest time to its
-/// three phases: reading the chunk from the source, the in-memory
-/// transform plus SHIFT-SPLIT delta generation, and folding the deltas
-/// into tiled storage. One sample per chunk per phase; shared by the
-/// serial drivers here and the parallel drivers in
-/// [`par`](crate::transform_standard_parallel).
-pub(crate) struct PhaseHists {
-    pub read: Histogram,
-    pub compute: Histogram,
-    pub writeback: Histogram,
-}
-
-impl PhaseHists {
-    pub(crate) fn resolve() -> Self {
-        let g = ss_obs::global();
-        PhaseHists {
-            read: g.histogram("transform.read_ns"),
-            compute: g.histogram("transform.compute_ns"),
-            writeback: g.histogram("transform.writeback_ns"),
-        }
-    }
-}
-
-/// Statistics of one out-of-core transform run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TransformReport {
-    /// Chunks processed.
-    pub chunks: usize,
-    /// Input cells scanned (each charged as a coefficient read).
-    pub input_coeffs: u64,
-    /// Peak size of the crest cache (z-order non-standard driver only).
-    pub peak_crest_cache: usize,
-}
-
-/// Charges the input scan of one chunk to `stats`: every cell is a
-/// coefficient read, and the chunk arrives in block-sized units.
-pub(crate) fn charge_input(stats: &IoStats, cells: usize, block_capacity: usize) {
-    stats.add_coeff_reads(cells as u64);
-    stats.add_block_reads(cells.div_ceil(block_capacity) as u64);
-}
-
-/// Applies one chunk's delta batch tile-by-tile: deltas are sorted by tile
-/// ordinal so each affected tile is loaded at most once per chunk even with
-/// a single-block buffer pool — the access discipline the paper's per-chunk
-/// I/O analysis assumes.
-fn apply_sorted<M: TilingMap, S: BlockStore>(
-    cs: &mut CoeffStore<M, S>,
-    deltas: &mut Vec<(usize, usize, f64)>,
-) {
-    deltas.sort_unstable_by_key(|&(tile, slot, _)| (tile, slot));
-    let stats = cs.stats().clone();
-    for &(tile, slot, delta) in deltas.iter() {
-        stats.add_coeff_writes(1);
-        cs.pool().add(tile, slot, delta);
-    }
-    deltas.clear();
-}
+use ss_storage::{BlockStore, CoeffStore};
 
 /// **Result 1** — standard-form out-of-core transform.
 ///
@@ -92,36 +31,9 @@ pub fn transform_standard<M: TilingMap, S: BlockStore>(
     cs: &mut CoeffStore<M, S>,
     cold_cache_per_chunk: bool,
 ) -> TransformReport {
-    let n = src.domain_levels().to_vec();
-    let mut report = TransformReport::default();
-    let stats = cs.stats().clone();
-    let block_capacity = cs.map().block_capacity();
-    let phases = PhaseHists::resolve();
-    let mut batch: Vec<(usize, usize, f64)> = Vec::new();
-    for block in MultiIndexIter::new(&src.grid()) {
-        let mut sw = Stopwatch::start();
-        let mut chunk = src.read_chunk(&block);
-        charge_input(&stats, chunk.len(), block_capacity);
-        phases.read.record(sw.lap_ns());
-        ss_core::standard::forward(&mut chunk);
-        {
-            let map = cs.map();
-            ss_core::split::standard_deltas(&chunk, &n, &block, |idx, delta| {
-                let loc = map.locate(idx);
-                batch.push((loc.tile, loc.slot, delta));
-            });
-        }
-        phases.compute.record(sw.lap_ns());
-        apply_sorted(cs, &mut batch);
-        phases.writeback.record(sw.lap_ns());
-        if cold_cache_per_chunk {
-            cs.clear_cache();
-        }
-        report.chunks += 1;
-        report.input_coeffs += chunk.len() as u64;
-    }
-    cs.flush();
-    report
+    let mut pipeline = ChunkPipeline::standard(src);
+    pipeline.cold_cache_per_chunk = cold_cache_per_chunk;
+    pipeline.run(cs)
 }
 
 /// Sparse variant of [`transform_standard`] (Section 5.1 discusses data
@@ -133,36 +45,9 @@ pub fn transform_standard_sparse<M: TilingMap, S: BlockStore>(
     src: &impl ChunkSource,
     cs: &mut CoeffStore<M, S>,
 ) -> TransformReport {
-    let n = src.domain_levels().to_vec();
-    let mut report = TransformReport::default();
-    let stats = cs.stats().clone();
-    let block_capacity = cs.map().block_capacity();
-    let phases = PhaseHists::resolve();
-    let mut batch: Vec<(usize, usize, f64)> = Vec::new();
-    for block in MultiIndexIter::new(&src.grid()) {
-        let mut sw = Stopwatch::start();
-        let mut chunk = src.read_chunk(&block);
-        if chunk.as_slice().iter().all(|&v| v == 0.0) {
-            continue; // absent in a sparse chunk directory: zero I/O
-        }
-        charge_input(&stats, chunk.len(), block_capacity);
-        phases.read.record(sw.lap_ns());
-        ss_core::standard::forward(&mut chunk);
-        {
-            let map = cs.map();
-            ss_core::split::standard_deltas(&chunk, &n, &block, |idx, delta| {
-                let loc = map.locate(idx);
-                batch.push((loc.tile, loc.slot, delta));
-            });
-        }
-        phases.compute.record(sw.lap_ns());
-        apply_sorted(cs, &mut batch);
-        phases.writeback.record(sw.lap_ns());
-        report.chunks += 1;
-        report.input_coeffs += chunk.len() as u64;
-    }
-    cs.flush();
-    report
+    let mut pipeline = ChunkPipeline::standard(src);
+    pipeline.skip_zero_chunks = true;
+    pipeline.run(cs)
 }
 
 /// Non-standard out-of-core transform with a **row-major** chunk schedule:
@@ -173,116 +58,19 @@ pub fn transform_nonstandard<M: TilingMap, S: BlockStore>(
     cs: &mut CoeffStore<M, S>,
     cold_cache_per_chunk: bool,
 ) -> TransformReport {
-    let (n, _m) = cubic_levels(src);
-    let mut report = TransformReport::default();
-    let stats = cs.stats().clone();
-    let block_capacity = cs.map().block_capacity();
-    let phases = PhaseHists::resolve();
-    let mut batch: Vec<(usize, usize, f64)> = Vec::new();
-    for block in MultiIndexIter::new(&src.grid()) {
-        let mut sw = Stopwatch::start();
-        let mut chunk = src.read_chunk(&block);
-        charge_input(&stats, chunk.len(), block_capacity);
-        phases.read.record(sw.lap_ns());
-        ss_core::nonstandard::forward(&mut chunk);
-        {
-            let map = cs.map();
-            ss_core::split::nonstandard_deltas(&chunk, n, &block, |idx, delta| {
-                let loc = map.locate(idx);
-                batch.push((loc.tile, loc.slot, delta));
-            });
-        }
-        phases.compute.record(sw.lap_ns());
-        apply_sorted(cs, &mut batch);
-        phases.writeback.record(sw.lap_ns());
-        if cold_cache_per_chunk {
-            cs.clear_cache();
-        }
-        report.chunks += 1;
-        report.input_coeffs += chunk.len() as u64;
-    }
-    cs.flush();
-    report
+    let mut pipeline = ChunkPipeline::nonstandard(src);
+    pipeline.cold_cache_per_chunk = cold_cache_per_chunk;
+    pipeline.run(cs)
 }
 
 /// **Result 2** — non-standard out-of-core transform with the z-order
 /// schedule and crest cache: optimal `O(N^d/B^d)` block I/O using
 /// `(2^d − 1)·log(N/M) + 1` extra memory.
-///
-/// Split contributions never touch the store while "hot": they accumulate
-/// in an in-memory map keyed by coefficient index, and a quad-tree node's
-/// `2^d − 1` coefficients are flushed (written once) the moment the z-order
-/// walk leaves its subtree.
 pub fn transform_nonstandard_zorder<M: TilingMap, S: BlockStore>(
     src: &impl ChunkSource,
     cs: &mut CoeffStore<M, S>,
 ) -> TransformReport {
-    let (n, m) = cubic_levels(src);
-    let d = src.domain_levels().len();
-    let grid_bits = n - m;
-    let mut report = TransformReport::default();
-    let stats = cs.stats().clone();
-    let block_capacity = cs.map().block_capacity();
-    let phases = PhaseHists::resolve();
-    let mut crest: HashMap<Vec<usize>, f64> = HashMap::new();
-    let mut batch: Vec<(usize, usize, f64)> = Vec::new();
-    for (rank, block) in MortonIter::new(d, grid_bits).enumerate() {
-        let mut sw = Stopwatch::start();
-        let mut chunk = src.read_chunk(&block);
-        charge_input(&stats, chunk.len(), block_capacity);
-        phases.read.record(sw.lap_ns());
-        ss_core::nonstandard::forward(&mut chunk);
-        {
-            let map = cs.map();
-            ss_core::split::nonstandard_deltas(&chunk, n, &block, |idx, delta| {
-                // Shifted details land at levels ≤ m; split contributions at
-                // levels > m (or the overall average) go to the crest cache.
-                if is_split_target(n, m, idx) {
-                    *crest.entry(idx.to_vec()).or_insert(0.0) += delta;
-                } else {
-                    let loc = map.locate(idx);
-                    batch.push((loc.tile, loc.slot, delta));
-                }
-            });
-        }
-        phases.compute.record(sw.lap_ns());
-        apply_sorted(cs, &mut batch);
-        report.peak_crest_cache = report.peak_crest_cache.max(crest.len());
-        // Flush every quad-tree node whose subtree the z-order walk just
-        // completed: after chunk `rank`, level m+s is complete when
-        // (rank+1) is a multiple of 2^{d·s}.
-        for s in 1..=grid_bits {
-            if (rank + 1) % (1usize << (d as u32 * s)) != 0 {
-                break;
-            }
-            let node: Vec<usize> = block.iter().map(|&bq| bq >> s).collect();
-            for eps in 1usize..(1usize << d) {
-                let subband: Vec<bool> = (0..d).map(|t| (eps >> (d - 1 - t)) & 1 == 1).collect();
-                let idx = ss_core::nonstandard::index_of(
-                    n,
-                    &ss_core::nonstandard::NsCoeff::Detail {
-                        level: m + s,
-                        node: node.clone(),
-                        subband,
-                    },
-                );
-                if let Some(v) = crest.remove(&idx) {
-                    cs.add(&idx, v);
-                }
-            }
-        }
-        phases.writeback.record(sw.lap_ns());
-        report.chunks += 1;
-        report.input_coeffs += chunk.len() as u64;
-    }
-    // The overall average (and, if the walk was trivial, any leftovers).
-    let mut leftovers: Vec<(Vec<usize>, f64)> = crest.drain().collect();
-    leftovers.sort_by(|a, b| a.0.cmp(&b.0));
-    for (idx, v) in leftovers {
-        cs.add(&idx, v);
-    }
-    cs.flush();
-    report
+    ChunkPipeline::zorder(src).run(cs)
 }
 
 /// Like [`transform_nonstandard_zorder`], but additionally fills every
@@ -293,153 +81,81 @@ pub fn transform_nonstandard_zorder<M: TilingMap, S: BlockStore>(
 /// `O(tiles · 2^d · log N)` coefficient reads).
 ///
 /// In-chunk tile roots get their scaling from the chunk's own averaging
-/// pyramid; roots above the chunk level are computed by the same
-/// base-`2^d` carry accumulator that drives the crest flush.
+/// pyramid; roots above the chunk level are computed by a base-`2^d`
+/// carry accumulator over the same node-completion rule that drives the
+/// crest flush, and the completed crest nodes ride the chunk's batch.
 pub fn transform_nonstandard_zorder_scalings<S: BlockStore>(
     src: &impl ChunkSource,
-    cs: &mut CoeffStore<ss_core::tiling::NonStandardTiling, S>,
+    cs: &mut CoeffStore<NonStandardTiling, S>,
 ) -> TransformReport {
     let (n, m) = cubic_levels(src);
     let d = src.domain_levels().len();
-    let grid_bits = n - m;
-    let mut report = TransformReport::default();
-    let stats = cs.stats().clone();
-    let block_capacity = cs.map().block_capacity();
-    let mut crest: HashMap<Vec<usize>, f64> = HashMap::new();
-    let mut batch: Vec<(usize, usize, f64)> = Vec::new();
+    let fan = (1usize << d) as f64;
     // acc[s-1] accumulates the child averages of the open node at level
     // m+s on the current z-order path.
-    let phases = PhaseHists::resolve();
-    let mut acc = vec![0.0f64; grid_bits as usize];
-    for (rank, block) in MortonIter::new(d, grid_bits).enumerate() {
-        let mut sw = Stopwatch::start();
-        let chunk = src.read_chunk(&block);
-        charge_input(&stats, chunk.len(), block_capacity);
-        phases.read.record(sw.lap_ns());
+    let mut acc = vec![0.0f64; (n - m) as usize];
+    let mut pipeline = ChunkPipeline::zorder(src);
+    pipeline.crest_into_batch = true;
+    let fill = |chunk: &NdArray<f64>,
+                block: &[usize],
+                rank: usize,
+                map: &NonStandardTiling,
+                batch: &mut Vec<Delta>| {
         // In-chunk averaging pyramid: level 0 = raw cells, level j = means
         // of 2^{dj} cells. Fills scaling slots of tiles rooted inside the
         // chunk's subtree.
         let mut level_avgs = chunk.clone();
         for j in 1..=m {
-            let side = 1usize << (m - j);
-            let prev = level_avgs;
-            level_avgs = NdArrayMean::halve(&prev, d);
-            for node_local in MultiIndexIter::new(&vec![side; d]) {
+            level_avgs = halve(&level_avgs, d);
+            for node_local in MultiIndexIter::new(&vec![1usize << (m - j); d]) {
                 let node: Vec<usize> = node_local
                     .iter()
-                    .zip(&block)
+                    .zip(block)
                     .map(|(&q, &bq)| (bq << (m - j)) + q)
                     .collect();
-                if let Some(tile) = cs.map().tile_of_root(j, &node) {
-                    let v = level_avgs.get(&node_local);
-                    batch.push((tile, 0, v));
+                if let Some(tile) = map.tile_of_root(j, &node) {
+                    batch.push((tile, 0, level_avgs.get(&node_local)));
                 }
             }
-        }
-        let chunk_avg = level_avgs.get(&vec![0usize; d]);
-        let mut t = chunk;
-        ss_core::nonstandard::forward(&mut t);
-        {
-            let map = cs.map();
-            ss_core::split::nonstandard_deltas(&t, n, &block, |idx, delta| {
-                if is_split_target(n, m, idx) {
-                    *crest.entry(idx.to_vec()).or_insert(0.0) += delta;
-                } else {
-                    let loc = map.locate(idx);
-                    batch.push((loc.tile, loc.slot, delta));
-                }
-            });
         }
         // Base-2^d carry: completed ancestor nodes get their average (and
-        // scaling slot, when they root a tile) as the walk leaves them.
-        let mut carry = chunk_avg;
-        for s in 1..=grid_bits {
-            acc[(s - 1) as usize] += carry;
-            if (rank + 1) % (1usize << (d as u32 * s)) != 0 {
-                break;
-            }
-            let node_avg = acc[(s - 1) as usize] / (1usize << d) as f64;
-            acc[(s - 1) as usize] = 0.0;
+        // scaling slot, when they root a tile) as the walk leaves them;
+        // the first still-open level keeps the carry.
+        let mut carry = level_avgs.get(&vec![0usize; d]);
+        let mut open = 1u32;
+        for s in completed_levels(d, n - m, rank) {
+            carry = (std::mem::take(&mut acc[(s - 1) as usize]) + carry) / fan;
             let node: Vec<usize> = block.iter().map(|&bq| bq >> s).collect();
             if m + s < n {
-                if let Some(tile) = cs.map().tile_of_root(m + s, &node) {
-                    batch.push((tile, 0, node_avg));
+                if let Some(tile) = map.tile_of_root(m + s, &node) {
+                    batch.push((tile, 0, carry));
                 }
             }
-            // Flush the node's completed detail coefficients from the crest.
-            for eps in 1usize..(1usize << d) {
-                let subband: Vec<bool> = (0..d).map(|t| (eps >> (d - 1 - t)) & 1 == 1).collect();
-                let idx = ss_core::nonstandard::index_of(
-                    n,
-                    &ss_core::nonstandard::NsCoeff::Detail {
-                        level: m + s,
-                        node: node.clone(),
-                        subband,
-                    },
-                );
-                if let Some(v) = crest.remove(&idx) {
-                    let loc = cs.map().locate(&idx);
-                    batch.push((loc.tile, loc.slot, v));
-                }
-            }
-            carry = node_avg;
+            open = s + 1;
         }
-        phases.compute.record(sw.lap_ns());
-        apply_sorted(cs, &mut batch);
-        phases.writeback.record(sw.lap_ns());
-        report.peak_crest_cache = report.peak_crest_cache.max(crest.len());
-        report.chunks += 1;
-        report.input_coeffs += t.len() as u64;
-    }
-    let mut leftovers: Vec<(Vec<usize>, f64)> = crest.drain().collect();
-    leftovers.sort_by(|a, b| a.0.cmp(&b.0));
-    for (idx, v) in leftovers {
-        cs.add(&idx, v);
-    }
+        if open <= n - m {
+            acc[(open - 1) as usize] += carry;
+        }
+    };
+    let report = pipeline.walk(cs, 0..pipeline.chunks(), fill, CoeffStore::apply_batch);
     cs.flush();
     report
 }
 
-/// Pairwise mean-pooling helper for the in-chunk averaging pyramid.
-struct NdArrayMean;
-
-impl NdArrayMean {
-    fn halve(a: &ss_array::NdArray<f64>, d: usize) -> ss_array::NdArray<f64> {
-        let side = a.shape().dim(0) / 2;
-        let out_shape = ss_array::Shape::cube(d, side.max(1));
-        ss_array::NdArray::from_fn(out_shape, |idx| {
-            let mut sum = 0.0;
-            let mut child = vec![0usize; d];
-            for corner in 0..(1usize << d) {
-                for t in 0..d {
-                    child[t] = 2 * idx[t] + ((corner >> (d - 1 - t)) & 1);
-                }
-                sum += a.get(&child);
+/// Pairwise mean-pooling step of the in-chunk averaging pyramid.
+fn halve(a: &NdArray<f64>, d: usize) -> NdArray<f64> {
+    let side = a.shape().dim(0) / 2;
+    NdArray::from_fn(Shape::cube(d, side.max(1)), |idx| {
+        let mut sum = 0.0;
+        let mut child = vec![0usize; d];
+        for corner in 0..(1usize << d) {
+            for t in 0..d {
+                child[t] = 2 * idx[t] + ((corner >> (d - 1 - t)) & 1);
             }
-            sum / (1usize << d) as f64
-        })
-    }
-}
-
-/// `true` when `idx` addresses a coefficient produced by SPLIT (level above
-/// the chunk level `m`, or the overall average) rather than by SHIFT.
-pub(crate) fn is_split_target(n: u32, m: u32, idx: &[usize]) -> bool {
-    match ss_core::nonstandard::coeff_at(n, idx) {
-        ss_core::nonstandard::NsCoeff::Scaling => true,
-        ss_core::nonstandard::NsCoeff::Detail { level, .. } => level > m,
-    }
-}
-
-/// Validates that the source is a hypercube with cubic chunks; returns
-/// `(n, m)`.
-pub(crate) fn cubic_levels(src: &impl ChunkSource) -> (u32, u32) {
-    let n = src.domain_levels();
-    let m = src.chunk_levels();
-    assert!(
-        n.windows(2).all(|w| w[0] == w[1]) && m.windows(2).all(|w| w[0] == w[1]),
-        "non-standard form requires cubic domain and chunks"
-    );
-    (n[0], m[0])
+            sum += a.get(&child);
+        }
+        sum / (1usize << d) as f64
+    })
 }
 
 #[cfg(test)]
@@ -448,7 +164,7 @@ mod tests {
     use crate::source::ArraySource;
     use ss_array::{NdArray, Shape};
     use ss_core::tiling::{NonStandardTiling, StandardTiling};
-    use ss_storage::wstore::mem_store;
+    use ss_storage::{wstore::mem_store, IoStats};
 
     fn sample(dims: &[usize]) -> NdArray<f64> {
         NdArray::from_fn(Shape::new(dims), |idx| {

@@ -8,7 +8,10 @@
 //! * [`chunked`] — **Result 1** (standard form) and **Result 2**
 //!   (non-standard form with z-order schedule and crest cache): transform a
 //!   dataset far larger than memory by transforming each chunk in memory and
-//!   folding its SHIFT-SPLIT delta stream into tiled storage,
+//!   folding its SHIFT-SPLIT delta stream into tiled storage — one
+//!   [`pipeline`] ([`ChunkPipeline`]) behind every `transform_*` front,
+//!   [`par`] running it per worker range and [`fallible`] turning its
+//!   storage panics into typed errors,
 //! * [`vitter`] — the Vitter-et-al.-style baseline: dimension-by-dimension
 //!   external 1-d transforms over row-major block storage,
 //! * [`append`] — **Section 5.2**: appending new data to an existing
@@ -28,6 +31,7 @@ pub mod chain;
 pub mod chunked;
 pub mod fallible;
 pub mod par;
+pub mod pipeline;
 pub mod source;
 pub mod update;
 pub mod vitter;
@@ -36,10 +40,13 @@ pub use append::Appender;
 pub use chain::NsChainStore;
 pub use chunked::{
     transform_nonstandard, transform_nonstandard_zorder, transform_nonstandard_zorder_scalings,
-    transform_standard, transform_standard_sparse, TransformReport,
+    transform_standard, transform_standard_sparse,
 };
-pub use fallible::{try_transform_standard, try_transform_standard_parallel};
-pub use par::{resolve_workers, transform_nonstandard_parallel, transform_standard_parallel};
+pub use fallible::try_transform;
+pub use par::{
+    resolve_workers, run_sharded, transform_nonstandard_parallel, transform_standard_parallel,
+};
+pub use pipeline::{ChunkPipeline, Delta, TransformReport};
 pub use source::{ArraySource, ChunkSource, FnSource};
 pub use update::{
     for_each_box_delta_nonstandard, for_each_box_delta_standard, update_box_nonstandard,

@@ -2,13 +2,14 @@
 //!
 //! The SHIFT-SPLIT decomposition is embarrassingly parallel on the CPU
 //! side: chunks transform independently and their delta streams commute
-//! (addition). Both drivers here shard the chunk schedule across worker
-//! threads that fold deltas *concurrently* into one
-//! [`SharedCoeffStore`] — a sharded, independently locked buffer pool —
-//! rather than accumulating per-worker maps for a single-threaded merge.
-//! Each chunk's deltas are grouped by tile and applied under one shard
-//! lock per tile, so the serial drivers' per-chunk access discipline
-//! (each tile loaded at most once per chunk) survives parallelism.
+//! (addition). A parallel run is the same [`ChunkPipeline`] run once per
+//! worker over a contiguous range of its schedule, every worker folding
+//! deltas *concurrently* into one [`SharedCoeffStore`] — a sharded,
+//! independently locked buffer pool — rather than accumulating per-worker
+//! maps for a single-threaded merge. Each chunk's deltas are grouped by
+//! tile and applied under one shard lock per tile, so the serial drivers'
+//! per-chunk access discipline (each tile loaded at most once per chunk)
+//! survives parallelism.
 //!
 //! [`transform_standard_parallel`] shards the row-major chunk grid by
 //! ordinal ranges. [`transform_nonstandard_parallel`] shards the
@@ -18,7 +19,7 @@
 //! still obeys the `(2^d − 1)·log(N/M) + 1` bound. A node whose subtree
 //! straddles a range boundary is written as partial sums by the workers
 //! that saw it — the folds commute, so the store converges to the serial
-//! result exactly.
+//! result (up to the cross-worker addition order).
 //!
 //! I/O accounting note: straddling nodes cost one extra coefficient
 //! write per extra worker, so the measured write I/O can exceed the
@@ -26,13 +27,12 @@
 //! experiments that validate the paper's per-chunk analyses keep using
 //! the serial drivers; these exist to make wall-clock ingestion fast.
 
-use crate::chunked::{charge_input, cubic_levels, is_split_target, PhaseHists, TransformReport};
+use crate::pipeline::{ChunkPipeline, TransformReport};
 use crate::source::ChunkSource;
-use ss_array::{morton_decode, Shape};
 use ss_core::TilingMap;
 use ss_obs::Stopwatch;
-use ss_storage::{BlockStore, SharedCoeffStore};
-use std::collections::HashMap;
+use ss_storage::{BlockStore, CoeffWrite, SharedCoeffStore};
+use std::ops::Range;
 
 /// Resolves a worker-count argument: `0` means "use the machine's
 /// available parallelism".
@@ -46,9 +46,67 @@ pub fn resolve_workers(workers: usize) -> usize {
     }
 }
 
+/// Splits `0..total` into `workers` contiguous ranges and runs `work` on
+/// each in its own scoped thread, returning the results in range order.
+/// A worker's panic is re-raised with its payload intact: storage
+/// failures unwind carrying a typed `StorageError` that
+/// [`try_transform`](crate::try_transform) recovers.
+pub fn run_sharded<R: Send>(
+    workers: usize,
+    total: usize,
+    work: impl Fn(Range<usize>) -> R + Sync,
+) -> Vec<R> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let work = &work;
+                scope.spawn(move || work(total * w / workers..total * (w + 1) / workers))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect()
+    })
+}
+
+impl<Src: ChunkSource + Sync> ChunkPipeline<'_, Src> {
+    /// Runs the schedule across `workers` threads (`0` = available
+    /// parallelism), one contiguous range each, then flushes `cs`.
+    pub fn run_parallel<M, S>(&self, cs: &SharedCoeffStore<M, S>, workers: usize) -> TransformReport
+    where
+        M: TilingMap,
+        S: BlockStore + Send + Sync,
+    {
+        let workers = resolve_workers(workers);
+        ss_obs::global()
+            .gauge("transform.workers")
+            .set(workers as u64);
+        let busy_ns = ss_obs::global().histogram("transform.worker_busy_ns");
+        let parts = run_sharded(workers, self.chunks(), |range| {
+            let worker_sw = Stopwatch::start();
+            let mut sink = cs;
+            let part = self.run_range(&mut sink, range, CoeffWrite::apply_batch);
+            // One sample per worker: divide by the driver's wall time
+            // for per-worker utilization.
+            busy_ns.record(worker_sw.elapsed_ns());
+            part
+        });
+        cs.flush();
+        let mut report = TransformReport::default();
+        for part in parts {
+            report.merge(part);
+        }
+        report
+    }
+}
+
 /// Parallel standard-form transform with `workers` threads
 /// (`0` = available parallelism). Matches
-/// [`transform_standard`](crate::transform_standard) exactly — deltas commute.
+/// [`transform_standard`](crate::transform_standard) — deltas commute.
 pub fn transform_standard_parallel<M, S>(
     src: &(impl ChunkSource + Sync),
     cs: &SharedCoeffStore<M, S>,
@@ -58,85 +116,16 @@ where
     M: TilingMap,
     S: BlockStore + Send + Sync,
 {
-    let workers = resolve_workers(workers);
-    ss_obs::global()
-        .gauge("transform.workers")
-        .set(workers as u64);
-    let busy_ns = ss_obs::global().histogram("transform.worker_busy_ns");
-    let n = src.domain_levels().to_vec();
-    let grid = src.grid();
-    let grid_shape = Shape::new(&grid);
-    let total_chunks = grid_shape.len();
-    let stats = cs.stats().clone();
-    let block_capacity = cs.map().block_capacity();
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let n = n.clone();
-            let grid_shape = grid_shape.clone();
-            let stats = stats.clone();
-            let busy_ns = busy_ns.clone();
-            handles.push(scope.spawn(move || {
-                let worker_sw = Stopwatch::start();
-                let phases = PhaseHists::resolve();
-                let map = cs.map();
-                let mut batch: Vec<(usize, usize, f64)> = Vec::new();
-                let lo = total_chunks * w / workers;
-                let hi = total_chunks * (w + 1) / workers;
-                for ordinal in lo..hi {
-                    let mut sw = Stopwatch::start();
-                    let block = grid_shape.unoffset(ordinal);
-                    let mut chunk = src.read_chunk(&block);
-                    charge_input(&stats, chunk.len(), block_capacity);
-                    phases.read.record(sw.lap_ns());
-                    ss_core::standard::forward(&mut chunk);
-                    ss_core::split::standard_deltas(&chunk, &n, &block, |idx, delta| {
-                        let loc = map.locate(idx);
-                        batch.push((loc.tile, loc.slot, delta));
-                    });
-                    phases.compute.record(sw.lap_ns());
-                    cs.apply_batch(&mut batch);
-                    phases.writeback.record(sw.lap_ns());
-                }
-                // One sample per worker: divide by the driver's wall time
-                // for per-worker utilization.
-                busy_ns.record(worker_sw.elapsed_ns());
-            }));
-        }
-        for h in handles {
-            // Forward the panic payload intact: storage failures unwind
-            // carrying a typed `StorageError` that `try_*` fronts recover.
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-
-    cs.flush();
-    TransformReport {
-        chunks: total_chunks,
-        input_coeffs: (total_chunks * src.chunk_len()) as u64,
-        peak_crest_cache: 0,
-    }
+    ChunkPipeline::standard(src).run_parallel(cs, workers)
 }
 
 /// Parallel non-standard transform on the **z-order** schedule with
 /// `workers` threads (`0` = available parallelism).
 ///
 /// The z-order rank space is split into contiguous per-worker ranges;
-/// each worker runs the Result 2 crest-cache discipline privately:
-/// split contributions accumulate in its local cache, and a quad-tree
-/// node's `2^d − 1` detail coefficients are written the moment the
-/// walk completes the node's subtree. A subtree that began *before* the
-/// worker's range still flushes at the same rank — the cache then holds
-/// a partial sum, and the worker(s) that processed the rest of the
-/// subtree contribute their own partials; the adds commute. Whatever
-/// remains at the end of a range (subtrees extending past it, the
-/// overall average) drains as sorted adds.
-///
-/// The returned [`TransformReport::peak_crest_cache`] is the *maximum
-/// over workers*, each of which respects the serial
+/// each worker runs the Result 2 crest-cache discipline privately (see
+/// the module docs). The returned [`TransformReport::peak_crest_cache`]
+/// is the *maximum over workers*, each of which respects the serial
 /// `(2^d − 1)·log(N/M) + 1` bound.
 pub fn transform_nonstandard_parallel<M, S>(
     src: &(impl ChunkSource + Sync),
@@ -147,118 +136,14 @@ where
     M: TilingMap,
     S: BlockStore + Send + Sync,
 {
-    let workers = resolve_workers(workers);
-    ss_obs::global()
-        .gauge("transform.workers")
-        .set(workers as u64);
-    let busy_ns = ss_obs::global().histogram("transform.worker_busy_ns");
-    let (n, m) = cubic_levels(src);
-    let d = src.domain_levels().len();
-    let grid_bits = n - m;
-    let code_bits = (grid_bits as usize)
-        .checked_mul(d)
-        .filter(|&b| b < usize::BITS as usize)
-        .expect("chunk grid too large for z-order codes") as u32;
-    let total_chunks = 1usize << code_bits;
-    let stats = cs.stats().clone();
-    let block_capacity = cs.map().block_capacity();
-
-    let per_worker: Vec<(u64, usize)> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let stats = stats.clone();
-            let busy_ns = busy_ns.clone();
-            handles.push(scope.spawn(move || {
-                let worker_sw = Stopwatch::start();
-                let phases = PhaseHists::resolve();
-                let map = cs.map();
-                let lo = total_chunks * w / workers;
-                let hi = total_chunks * (w + 1) / workers;
-                let mut crest: HashMap<Vec<usize>, f64> = HashMap::new();
-                let mut batch: Vec<(usize, usize, f64)> = Vec::new();
-                let mut block = vec![0usize; d];
-                let mut input_coeffs = 0u64;
-                let mut peak = 0usize;
-                for rank in lo..hi {
-                    let mut sw = Stopwatch::start();
-                    morton_decode(rank, grid_bits, &mut block);
-                    let mut chunk = src.read_chunk(&block);
-                    charge_input(&stats, chunk.len(), block_capacity);
-                    phases.read.record(sw.lap_ns());
-                    input_coeffs += chunk.len() as u64;
-                    ss_core::nonstandard::forward(&mut chunk);
-                    ss_core::split::nonstandard_deltas(&chunk, n, &block, |idx, delta| {
-                        if is_split_target(n, m, idx) {
-                            *crest.entry(idx.to_vec()).or_insert(0.0) += delta;
-                        } else {
-                            let loc = map.locate(idx);
-                            batch.push((loc.tile, loc.slot, delta));
-                        }
-                    });
-                    phases.compute.record(sw.lap_ns());
-                    cs.apply_batch(&mut batch);
-                    peak = peak.max(crest.len());
-                    // Flush every node whose subtree the walk just left,
-                    // exactly as in the serial z-order driver. When the
-                    // subtree started before `lo` the cached value is a
-                    // partial sum; writing it is still correct (folds
-                    // commute) and keeps the cache within its bound.
-                    for s in 1..=grid_bits {
-                        if (rank + 1) % (1usize << (d as u32 * s)) != 0 {
-                            break;
-                        }
-                        let node: Vec<usize> = block.iter().map(|&bq| bq >> s).collect();
-                        for eps in 1usize..(1usize << d) {
-                            let subband: Vec<bool> =
-                                (0..d).map(|t| (eps >> (d - 1 - t)) & 1 == 1).collect();
-                            let idx = ss_core::nonstandard::index_of(
-                                n,
-                                &ss_core::nonstandard::NsCoeff::Detail {
-                                    level: m + s,
-                                    node: node.clone(),
-                                    subband,
-                                },
-                            );
-                            if let Some(v) = crest.remove(&idx) {
-                                cs.add(&idx, v);
-                            }
-                        }
-                    }
-                    phases.writeback.record(sw.lap_ns());
-                }
-                // Subtrees extending past `hi` (and, for the last worker,
-                // the overall average) drain as commuting adds.
-                let mut leftovers: Vec<(Vec<usize>, f64)> = crest.drain().collect();
-                leftovers.sort_by(|a, b| a.0.cmp(&b.0));
-                for (idx, v) in leftovers {
-                    cs.add(&idx, v);
-                }
-                busy_ns.record(worker_sw.elapsed_ns());
-                (input_coeffs, peak)
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
-    });
-
-    cs.flush();
-    TransformReport {
-        chunks: total_chunks,
-        input_coeffs: per_worker.iter().map(|&(c, _)| c).sum(),
-        peak_crest_cache: per_worker.iter().map(|&(_, p)| p).max().unwrap_or(0),
-    }
+    ChunkPipeline::zorder(src).run_parallel(cs, workers)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::source::ArraySource;
-    use ss_array::{MultiIndexIter, NdArray};
+    use ss_array::{MultiIndexIter, NdArray, Shape};
     use ss_core::tiling::{NonStandardTiling, StandardTiling};
     use ss_storage::{mem_shared_store, IoStats};
 

@@ -19,9 +19,7 @@
 use ss_array::NdArray;
 use ss_core::tiling::StandardTiling;
 use ss_core::TilingMap;
-use ss_storage::{
-    BlockStore, CoeffStore, FileBlockStore, IoStats, MemBlockStore, SharedCoeffStore,
-};
+use ss_storage::{BlockStore, CoeffStore, FileBlockStore, IoStats, MemBlockStore};
 use ss_transform::ArraySource;
 
 /// Builder for [`WaveletCube`].
@@ -135,7 +133,6 @@ pub struct WaveletCube<S: BlockStore = MemBlockStore> {
     // `Option` only so `ingest_parallel` can move the store through a
     // `SharedCoeffStore` and back; always `Some` between method calls.
     cs: Option<CoeffStore<StandardTiling, S>>,
-    pool_blocks: usize,
     stats: IoStats,
     fast_point_ready: bool,
 }
@@ -157,7 +154,6 @@ impl<S: BlockStore> WaveletCube<S> {
     ) -> Self {
         WaveletCube {
             cs: Some(CoeffStore::new(map, store, pool_blocks, stats.clone())),
-            pool_blocks,
             levels,
             stats,
             fast_point_ready: false,
@@ -206,21 +202,11 @@ impl<S: BlockStore> WaveletCube<S> {
         let chunk_levels: Vec<u32> = self.levels.iter().map(|&n| n.min(3)).collect();
         let src = ArraySource::new(data, &chunk_levels);
         let workers = ss_transform::resolve_workers(workers);
-        let (map, store) = self
-            .cs
-            .take()
-            .expect("coefficient store present")
-            .into_parts();
-        let shared =
-            SharedCoeffStore::new(map, store, self.pool_blocks, workers, self.stats.clone());
-        ss_transform::transform_standard_parallel(&src, &shared, workers);
-        let (map, store) = shared.into_parts();
-        self.cs = Some(CoeffStore::new(
-            map,
-            store,
-            self.pool_blocks,
-            self.stats.clone(),
-        ));
+        let cs = self.cs.take().expect("coefficient store present");
+        let (cs, _) = cs.via_shared(workers, |shared| {
+            ss_transform::transform_standard_parallel(&src, shared, workers)
+        });
+        self.cs = Some(cs);
         self.fast_point_ready = false;
     }
 

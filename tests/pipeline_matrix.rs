@@ -1,0 +1,664 @@
+//! The delta pipeline's contract, as one matrix.
+//!
+//! Every transform / ingest front is the same `ChunkPipeline` over a
+//! `CoeffWrite` sink, so for sink ∈ {`CoeffStore`, `&SharedCoeffStore`
+//! with 1 and 4 shards} × workers ∈ {1, 3, 8} × grouping ∈ {per-chunk, 4,
+//! whole-ingest} the stored tiles must match the serial per-chunk front:
+//!
+//! * **`to_bits`-identical** wherever the per-coefficient addition order
+//!   is fixed — either sink with one worker, coalesced `FlushMode::Exact`
+//!   at any group size, the parallel `DeltaBuffer` flush at any worker
+//!   count;
+//! * **within 1e-9** for multi-worker parallel *transforms*, whose
+//!   cross-worker fold order is not deterministic.
+//!
+//! (Grouping applies to the standard form only — group commit has no
+//! non-standard front. A `CoeffStore` reaches several workers the way the
+//! CLI does it: `via_shared` lends its blocks to a sharded pool.)
+//!
+//! Alongside: the serial fronts' `IoSnapshot`s are pinned to constants
+//! captured from the commit *before* the drivers were collapsed into the
+//! pipeline; every worker's crest cache keeps the Result 2 bound; every
+//! front records one phase-histogram sample per chunk; and a device that
+//! never recovers surfaces as a typed `StorageError` through every front.
+
+use shiftsplit::array::{MultiIndexIter, NdArray, Shape};
+use shiftsplit::core::tiling::{NonStandardTiling, StandardTiling};
+use shiftsplit::core::TilingMap;
+use shiftsplit::datagen::SplitMix64;
+use shiftsplit::maintain::{
+    transform_standard_coalesced, transform_standard_coalesced_parallel, update_boxes_nonstandard,
+    update_boxes_nonstandard_parallel, update_boxes_standard, update_boxes_standard_parallel,
+    FlushMode, UpdateBox,
+};
+use shiftsplit::storage::{
+    mem_shared_store, wstore::mem_store, CoeffRead, CoeffStore, FaultConfig,
+    FaultInjectingBlockStore, IoSnapshot, IoStats, MemBlockStore, RetryPolicy, RetryingBlockStore,
+    SharedCoeffStore, StorageError,
+};
+use shiftsplit::transform::{
+    transform_nonstandard, transform_nonstandard_parallel, transform_nonstandard_zorder,
+    transform_nonstandard_zorder_scalings, transform_standard, transform_standard_parallel,
+    transform_standard_sparse, try_transform, Appender, ArraySource, ChunkPipeline,
+    TransformReport,
+};
+use std::sync::Mutex;
+
+/// The phase histograms live in the process-global registry, so the tests
+/// of this file (which all run pipelines) take turns.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn exclusive() -> std::sync::MutexGuard<'static, ()> {
+    ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn noisy(dims: &[usize], seed: u64) -> NdArray<f64> {
+    let mut rng = SplitMix64::new(seed);
+    NdArray::from_fn(Shape::new(dims), |_| rng.next_f64() * 200.0 - 100.0)
+}
+
+/// `noisy` with every row from 16 on zeroed: a quarter of the chunks of a
+/// 64-row domain are occupied.
+fn holey(dims: &[usize], seed: u64) -> NdArray<f64> {
+    let mut a = noisy(dims, seed);
+    for idx in MultiIndexIter::new(dims) {
+        if idx[0] >= 16 {
+            a.set(&idx, 0.0);
+        }
+    }
+    a
+}
+
+fn boxes(seed: u64, dims: &[usize], count: usize) -> Vec<UpdateBox> {
+    let mut rng = SplitMix64::new(seed);
+    (0..count)
+        .map(|_| {
+            let origin: Vec<usize> = dims.iter().map(|&d| rng.below(d - 1)).collect();
+            let extents: Vec<usize> = dims
+                .iter()
+                .zip(&origin)
+                .map(|(&d, &o)| 1 + rng.below((d - o).min(5)))
+                .collect();
+            let delta = NdArray::from_fn(Shape::new(&extents), |_| rng.range(-1.0, 1.0));
+            (origin, delta)
+        })
+        .collect()
+}
+
+/// Every tile slot of a store, in `(tile, slot)` order.
+fn slots<C: CoeffRead>(cs: &mut C) -> Vec<f64> {
+    let (tiles, cap) = (cs.map().num_tiles(), cs.map().block_capacity());
+    (0..tiles)
+        .flat_map(|tile| (0..cap).map(move |slot| (tile, slot)))
+        .map(|(tile, slot)| cs.read_at(tile, slot))
+        .collect()
+}
+
+fn assert_slots(got: &[f64], want: &[f64], exact: bool, cell: &str) {
+    assert_eq!(got.len(), want.len(), "{cell}");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        if exact {
+            assert_eq!(g.to_bits(), w.to_bits(), "{cell}: slot {i}: {g} vs {w}");
+        } else {
+            assert!((g - w).abs() <= 1e-9, "{cell}: slot {i}: {g} vs {w}");
+        }
+    }
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Sink {
+    Serial,
+    Shared { shards: usize },
+}
+
+const SINKS: [Sink; 3] = [
+    Sink::Serial,
+    Sink::Shared { shards: 1 },
+    Sink::Shared { shards: 4 },
+];
+const WORKERS: [usize; 3] = [1, 3, 8];
+/// `None` = per-chunk; `Some(g)` = group commit every `g` chunks (0 = once).
+const GROUPINGS: [Option<usize>; 3] = [None, Some(4), Some(0)];
+const MATRIX_POOL: usize = 64;
+
+/// Runs one cell of the matrix on `sink` (serial store or shared store);
+/// a serial store with several workers is lent to a sharded pool.
+fn run_cell<M: TilingMap + Clone>(
+    map: &M,
+    sink: Sink,
+    workers: usize,
+    serial: impl FnOnce(&mut CoeffStore<M, MemBlockStore>),
+    shared: impl FnOnce(&SharedCoeffStore<M, MemBlockStore>),
+) -> Vec<f64> {
+    match sink {
+        Sink::Serial => {
+            let mut cs = mem_store(map.clone(), MATRIX_POOL, IoStats::new());
+            if workers == 1 {
+                serial(&mut cs);
+            } else {
+                (cs, _) = cs.via_shared(workers, shared);
+            }
+            slots(&mut cs)
+        }
+        Sink::Shared { shards } => {
+            let cs = mem_shared_store(map.clone(), MATRIX_POOL, shards, IoStats::new());
+            shared(&cs);
+            slots(&mut &cs)
+        }
+    }
+}
+
+#[test]
+fn standard_matrix_matches_the_serial_per_chunk_front() {
+    let _turn = exclusive();
+    let square = (noisy(&[64, 64], 11), [3u32, 3], [6u32, 6]);
+    let rect = (noisy(&[32, 128], 23), [2u32, 3], [5u32, 7]);
+    for (data, chunk, levels) in [square, rect] {
+        let src = ArraySource::new(&data, &chunk);
+        let map = StandardTiling::new(&levels, &[2, 2]);
+        let want = {
+            let mut cs = mem_store(map.clone(), MATRIX_POOL, IoStats::new());
+            transform_standard(&src, &mut cs, false);
+            slots(&mut cs)
+        };
+        for sink in SINKS {
+            for workers in WORKERS {
+                for grouping in GROUPINGS {
+                    let got = run_cell(
+                        &map,
+                        sink,
+                        workers,
+                        |cs| match grouping {
+                            None => {
+                                transform_standard(&src, cs, false);
+                            }
+                            Some(g) => {
+                                transform_standard_coalesced(&src, cs, g, FlushMode::Exact);
+                            }
+                        },
+                        |cs| match (grouping, workers) {
+                            (None, w) => {
+                                transform_standard_parallel(&src, cs, w);
+                            }
+                            (Some(g), 1) => {
+                                transform_standard_coalesced(&src, &mut &*cs, g, FlushMode::Exact);
+                            }
+                            (Some(g), w) => {
+                                let mode = FlushMode::Exact;
+                                transform_standard_coalesced_parallel(&src, cs, g, mode, w);
+                            }
+                        },
+                    );
+                    // Only a multi-worker parallel *transform* folds in a
+                    // thread-dependent order; group commits replay in
+                    // arrival order whoever applies them.
+                    let exact = workers == 1 || grouping.is_some();
+                    let cell = format!("{levels:?} {sink:?} workers={workers} group={grouping:?}");
+                    assert_slots(&got, &want, exact, &cell);
+                }
+            }
+        }
+        // The pipeline itself (not the one-worker parallel front) on a
+        // shared sink.
+        let shared = mem_shared_store(map.clone(), MATRIX_POOL, 4, IoStats::new());
+        ChunkPipeline::standard(&src).run(&mut &shared);
+        assert_slots(&slots(&mut &shared), &want, true, "pipeline on shared sink");
+    }
+}
+
+#[test]
+fn nonstandard_matrix_matches_the_serial_zorder_front() {
+    let _turn = exclusive();
+    let cube = (noisy(&[32, 32, 32], 37), 3usize, 5u32, 1u32);
+    let square = (noisy(&[64, 64], 11), 2usize, 6u32, 2u32);
+    for (data, d, n, b) in [cube, square] {
+        let m = 2u32;
+        let src = ArraySource::new(&data, &vec![m; d]);
+        let map = NonStandardTiling::new(d, n, b);
+        let bound = ((1usize << d) - 1) * (n - m) as usize + 1;
+        let check = |report: TransformReport, cell: &str| {
+            assert_eq!(report.chunks, 1usize << (d as u32 * (n - m)), "{cell}");
+            assert!(
+                report.peak_crest_cache <= bound,
+                "{cell}: crest peak {} > {bound}",
+                report.peak_crest_cache
+            );
+        };
+        let want = {
+            let mut cs = mem_store(map.clone(), MATRIX_POOL, IoStats::new());
+            check(transform_nonstandard_zorder(&src, &mut cs), "reference");
+            slots(&mut cs)
+        };
+        for sink in SINKS {
+            for workers in WORKERS {
+                let cell = format!("d={d} {sink:?} workers={workers}");
+                let got = run_cell(
+                    &map,
+                    sink,
+                    workers,
+                    |cs| check(transform_nonstandard_zorder(&src, cs), &cell),
+                    // `peak_crest_cache` is the maximum over workers, so
+                    // the bound holds for every worker.
+                    |cs| check(transform_nonstandard_parallel(&src, cs, workers), &cell),
+                );
+                assert_slots(&got, &want, workers == 1, &cell);
+            }
+        }
+        let shared = mem_shared_store(map.clone(), MATRIX_POOL, 4, IoStats::new());
+        check(ChunkPipeline::zorder(&src).run(&mut &shared), "pipeline");
+        assert_slots(&slots(&mut &shared), &want, true, "pipeline on shared sink");
+    }
+}
+
+/// `[block_reads, block_writes, coeff_reads, coeff_writes, pool_hits,
+/// pool_misses, pool_evictions, pool_writebacks]`.
+fn counters(s: IoSnapshot) -> [u64; 8] {
+    [
+        s.block_reads,
+        s.block_writes,
+        s.coeff_reads,
+        s.coeff_writes,
+        s.pool_hits,
+        s.pool_misses,
+        s.pool_evictions,
+        s.pool_writebacks,
+    ]
+}
+
+/// Runs `front` on a fresh 8-block-pool store and returns its counters.
+fn io_of<M: TilingMap, R>(
+    map: M,
+    front: impl FnOnce(&mut CoeffStore<M, MemBlockStore>) -> R,
+) -> [u64; 8] {
+    let stats = IoStats::new();
+    let mut cs = mem_store(map, 8, stats.clone());
+    front(&mut cs);
+    counters(stats.snapshot())
+}
+
+#[test]
+fn serial_fronts_io_is_pinned_to_the_parent_commit() {
+    // Captured by running these exact calls at the parent commit (the ten
+    // hand-written drivers). The serial sink keeps per-delta pool touches
+    // in ascending (tile, slot) order, so nothing here may move.
+    let _turn = exclusive();
+    let sq = noisy(&[64, 64], 11);
+    let rect = noisy(&[32, 128], 23);
+    let cube = noisy(&[32, 32, 32], 37);
+    let sparse = holey(&[64, 64], 11);
+    let sq_map = || StandardTiling::new(&[6, 6], &[2, 2]);
+    let ns_map = || NonStandardTiling::new(2, 6, 2);
+    let sq3 = ArraySource::new(&sq, &[3, 3]);
+    let sq2 = ArraySource::new(&sq, &[2, 2]);
+    let exact = FlushMode::Exact;
+    let upd = boxes(7, &[64, 64], 24);
+
+    let got = [
+        (
+            "standard/sq/cold=false",
+            io_of(sq_map(), |cs| transform_standard(&sq3, cs, false)),
+        ),
+        (
+            "standard/sq/cold=true",
+            io_of(sq_map(), |cs| transform_standard(&sq3, cs, true)),
+        ),
+        (
+            "standard/rect",
+            io_of(StandardTiling::new(&[5, 7], &[2, 2]), |cs| {
+                transform_standard(&ArraySource::new(&rect, &[2, 3]), cs, false);
+            }),
+        ),
+        (
+            "standard_sparse/sq",
+            io_of(sq_map(), |cs| {
+                transform_standard_sparse(&ArraySource::new(&sparse, &[3, 3]), cs);
+            }),
+        ),
+        (
+            "coalesced/sq/group=1",
+            io_of(sq_map(), |cs| {
+                transform_standard_coalesced(&sq3, cs, 1, exact);
+            }),
+        ),
+        (
+            "coalesced/sq/group=4",
+            io_of(sq_map(), |cs| {
+                transform_standard_coalesced(&sq3, cs, 4, exact);
+            }),
+        ),
+        (
+            "coalesced/sq/group=0",
+            io_of(sq_map(), |cs| {
+                transform_standard_coalesced(&sq3, cs, 0, exact);
+            }),
+        ),
+        (
+            "nonstandard/sq",
+            io_of(ns_map(), |cs| transform_nonstandard(&sq2, cs, false)),
+        ),
+        (
+            "zorder/sq",
+            io_of(ns_map(), |cs| transform_nonstandard_zorder(&sq2, cs)),
+        ),
+        (
+            "zorder/cube",
+            io_of(NonStandardTiling::new(3, 5, 1), |cs| {
+                transform_nonstandard_zorder(&ArraySource::new(&cube, &[2, 2, 2]), cs);
+            }),
+        ),
+        (
+            "zorder_scalings/sq",
+            io_of(ns_map(), |cs| {
+                transform_nonstandard_zorder_scalings(&sq2, cs);
+            }),
+        ),
+        (
+            "update_boxes_standard/sq",
+            io_of(sq_map(), |cs| {
+                update_boxes_standard(cs, &[6, 6], &upd, exact);
+            }),
+        ),
+        (
+            "update_boxes_nonstandard/sq",
+            io_of(ns_map(), |cs| {
+                update_boxes_nonstandard(cs, 6, &upd, FlushMode::Merged);
+            }),
+        ),
+        ("appender", {
+            let stats = IoStats::new();
+            let factory_stats = stats.clone();
+            let mut app = Appender::new(
+                &[3, 3],
+                &[1, 1],
+                1,
+                move |cap, blocks| MemBlockStore::new(cap, blocks, factory_stats.clone()),
+                8,
+                stats.clone(),
+            );
+            for month in 0..4 {
+                app.append(&noisy(&[8, 8], 100 + month));
+            }
+            assert_eq!(app.expansions(), 2);
+            counters(stats.snapshot())
+        }),
+    ];
+    let pinned: [(&str, [u64; 8]); 14] = [
+        (
+            "standard/sq/cold=false",
+            [1280, 1024, 4096, 7744, 6720, 1024, 1016, 1024],
+        ),
+        (
+            "standard/sq/cold=true",
+            [1280, 1024, 4096, 7744, 6720, 1024, 512, 1024],
+        ),
+        (
+            "standard/rect",
+            [2176, 1920, 4096, 10752, 8832, 1920, 1912, 1920],
+        ),
+        (
+            "standard_sparse/sq",
+            [320, 256, 1024, 1936, 1680, 256, 248, 256],
+        ),
+        (
+            "coalesced/sq/group=1",
+            [1280, 1024, 4096, 7744, 0, 1024, 1016, 1024],
+        ),
+        (
+            "coalesced/sq/group=4",
+            [960, 704, 4096, 7744, 0, 704, 696, 704],
+        ),
+        (
+            "coalesced/sq/group=0",
+            [697, 441, 4096, 7744, 0, 441, 433, 441],
+        ),
+        (
+            "nonstandard/sq",
+            [577, 321, 4096, 7168, 6847, 321, 313, 321],
+        ),
+        ("zorder/sq", [532, 276, 4096, 4096, 3820, 276, 268, 276]),
+        (
+            "zorder/cube",
+            [8777, 4681, 32768, 32768, 28087, 4681, 4673, 4681],
+        ),
+        (
+            "zorder_scalings/sq",
+            [532, 276, 4096, 4368, 4092, 276, 268, 276],
+        ),
+        (
+            "update_boxes_standard/sq",
+            [150, 150, 0, 3711, 0, 150, 142, 150],
+        ),
+        (
+            "update_boxes_nonstandard/sq",
+            [56, 56, 0, 502, 0, 56, 48, 56],
+        ),
+        ("appender", [571, 417, 192, 504, 125, 571, 547, 417]),
+    ];
+    for ((name, got), (pinned_name, want)) in got.iter().zip(&pinned) {
+        assert_eq!(name, pinned_name);
+        assert_eq!(got, want, "{name}: IoSnapshot moved off the parent's");
+    }
+}
+
+#[test]
+fn every_front_records_one_sample_per_chunk_per_phase() {
+    let _turn = exclusive();
+    let sq = noisy(&[64, 64], 11);
+    let sparse = holey(&[64, 64], 11);
+    let std_src = ArraySource::new(&sq, &[3, 3]);
+    let sparse_src = ArraySource::new(&sparse, &[3, 3]);
+    let ns_src = ArraySource::new(&sq, &[2, 2]);
+    let std_map = || StandardTiling::new(&[6, 6], &[2, 2]);
+    let ns_map = || NonStandardTiling::new(2, 6, 2);
+    let std_store = || mem_store(std_map(), MATRIX_POOL, IoStats::new());
+    let ns_store = || mem_store(ns_map(), MATRIX_POOL, IoStats::new());
+    let std_shared = || mem_shared_store(std_map(), MATRIX_POOL, 4, IoStats::new());
+    let ns_shared = || mem_shared_store(ns_map(), MATRIX_POOL, 4, IoStats::new());
+    let exact = FlushMode::Exact;
+
+    type Front<'a> = (&'a str, usize, Box<dyn FnOnce() -> usize + 'a>);
+    let fronts: Vec<Front> = vec![
+        (
+            "transform_standard",
+            64,
+            Box::new(|| transform_standard(&std_src, &mut std_store(), false).chunks),
+        ),
+        (
+            "transform_standard_sparse",
+            16,
+            Box::new(|| transform_standard_sparse(&sparse_src, &mut std_store()).chunks),
+        ),
+        (
+            "transform_nonstandard",
+            256,
+            Box::new(|| transform_nonstandard(&ns_src, &mut ns_store(), false).chunks),
+        ),
+        (
+            "transform_nonstandard_zorder",
+            256,
+            Box::new(|| transform_nonstandard_zorder(&ns_src, &mut ns_store()).chunks),
+        ),
+        (
+            "transform_nonstandard_zorder_scalings",
+            256,
+            Box::new(|| transform_nonstandard_zorder_scalings(&ns_src, &mut ns_store()).chunks),
+        ),
+        (
+            "transform_standard_parallel",
+            64,
+            Box::new(|| transform_standard_parallel(&std_src, &std_shared(), 3).chunks),
+        ),
+        (
+            "transform_nonstandard_parallel",
+            256,
+            Box::new(|| transform_nonstandard_parallel(&ns_src, &ns_shared(), 3).chunks),
+        ),
+        (
+            "transform_standard_coalesced",
+            64,
+            Box::new(|| transform_standard_coalesced(&std_src, &mut std_store(), 4, exact).chunks),
+        ),
+        (
+            "transform_standard_coalesced_parallel",
+            64,
+            Box::new(|| {
+                transform_standard_coalesced_parallel(&std_src, &std_shared(), 0, exact, 3).chunks
+            }),
+        ),
+    ];
+    let phases = ["read_ns", "compute_ns", "writeback_ns"]
+        .map(|p| ss_obs::global().histogram(&format!("transform.{p}")));
+    for (name, want_chunks, front) in fronts {
+        let before = phases.clone().map(|h| h.count());
+        let chunks = front();
+        assert_eq!(chunks, want_chunks, "{name}");
+        for (hist, before) in phases.iter().zip(before) {
+            assert_eq!(hist.count() - before, chunks as u64, "{name}");
+        }
+    }
+}
+
+#[test]
+fn a_dead_device_is_a_typed_error_through_every_front() {
+    let _turn = exclusive();
+    let sq = noisy(&[16, 16], 5);
+    let std_src = ArraySource::new(&sq, &[2, 2]);
+    let ns_src = ArraySource::new(&sq, &[1, 1]);
+    let std_map = || StandardTiling::new(&[4, 4], &[2, 2]);
+    let ns_map = || NonStandardTiling::new(2, 4, 2);
+    // 100 % read faults under a one-retry budget: the first pool miss fails.
+    type Dead = RetryingBlockStore<FaultInjectingBlockStore<MemBlockStore>>;
+    let dead_blocks = |cap: usize, blocks: usize| -> Dead {
+        RetryingBlockStore::new(
+            FaultInjectingBlockStore::new(
+                MemBlockStore::new(cap, blocks, IoStats::new()),
+                FaultConfig::read_errors(1.0, 21),
+            ),
+            RetryPolicy::with_retries(1),
+        )
+    };
+    fn serial<M: TilingMap>(map: M, blocks: impl Fn(usize, usize) -> Dead) -> CoeffStore<M, Dead> {
+        let store = blocks(map.block_capacity(), map.num_tiles());
+        CoeffStore::new(map, store, 4, IoStats::new())
+    }
+    fn shared<M: TilingMap>(
+        map: M,
+        blocks: impl Fn(usize, usize) -> Dead,
+    ) -> SharedCoeffStore<M, Dead> {
+        let store = blocks(map.block_capacity(), map.num_tiles());
+        SharedCoeffStore::new(map, store, 4, 2, IoStats::new())
+    }
+    let exact = FlushMode::Exact;
+    let upd = boxes(3, &[16, 16], 4);
+
+    type Front<'a> = (&'a str, Box<dyn FnOnce() + 'a>);
+    let fronts: Vec<Front> = vec![
+        (
+            "transform_standard",
+            Box::new(|| {
+                transform_standard(&std_src, &mut serial(std_map(), dead_blocks), true);
+            }),
+        ),
+        (
+            "transform_standard_sparse",
+            Box::new(|| {
+                transform_standard_sparse(&std_src, &mut serial(std_map(), dead_blocks));
+            }),
+        ),
+        (
+            "transform_nonstandard",
+            Box::new(|| {
+                transform_nonstandard(&ns_src, &mut serial(ns_map(), dead_blocks), false);
+            }),
+        ),
+        (
+            "transform_nonstandard_zorder",
+            Box::new(|| {
+                transform_nonstandard_zorder(&ns_src, &mut serial(ns_map(), dead_blocks));
+            }),
+        ),
+        (
+            "transform_nonstandard_zorder_scalings",
+            Box::new(|| {
+                transform_nonstandard_zorder_scalings(&ns_src, &mut serial(ns_map(), dead_blocks));
+            }),
+        ),
+        (
+            "transform_standard_parallel",
+            Box::new(|| {
+                transform_standard_parallel(&std_src, &shared(std_map(), dead_blocks), 3);
+            }),
+        ),
+        (
+            "transform_nonstandard_parallel",
+            Box::new(|| {
+                transform_nonstandard_parallel(&ns_src, &shared(ns_map(), dead_blocks), 3);
+            }),
+        ),
+        (
+            "transform_standard_coalesced",
+            Box::new(|| {
+                transform_standard_coalesced(
+                    &std_src,
+                    &mut serial(std_map(), dead_blocks),
+                    4,
+                    exact,
+                );
+            }),
+        ),
+        (
+            "transform_standard_coalesced_parallel",
+            Box::new(|| {
+                let cs = shared(std_map(), dead_blocks);
+                transform_standard_coalesced_parallel(&std_src, &cs, 0, exact, 3);
+            }),
+        ),
+        (
+            "update_boxes_standard",
+            Box::new(|| {
+                update_boxes_standard(&mut serial(std_map(), dead_blocks), &[4, 4], &upd, exact);
+            }),
+        ),
+        (
+            "update_boxes_standard_parallel",
+            Box::new(|| {
+                let cs = shared(std_map(), dead_blocks);
+                update_boxes_standard_parallel(&cs, &[4, 4], &upd, exact, 3);
+            }),
+        ),
+        (
+            "update_boxes_nonstandard",
+            Box::new(|| {
+                update_boxes_nonstandard(&mut serial(ns_map(), dead_blocks), 4, &upd, exact);
+            }),
+        ),
+        (
+            "update_boxes_nonstandard_parallel",
+            Box::new(|| {
+                let cs = shared(ns_map(), dead_blocks);
+                update_boxes_nonstandard_parallel(&cs, 4, &upd, exact, 3);
+            }),
+        ),
+        (
+            "Appender::append",
+            Box::new(|| {
+                let mut app = Appender::new(&[3, 3], &[1, 1], 1, dead_blocks, 4, IoStats::new());
+                app.append(&noisy(&[8, 8], 9));
+            }),
+        ),
+    ];
+    // The injected panics are expected; keep their traces out of the log.
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let outcomes: Vec<_> = fronts
+        .into_iter()
+        .map(|(name, front)| (name, try_transform(front)))
+        .collect();
+    std::panic::set_hook(hook);
+    for (name, outcome) in outcomes {
+        match outcome {
+            Err(StorageError::RetriesExhausted { op: "read", .. }) => {}
+            other => panic!("{name}: expected typed retry exhaustion, got {other:?}"),
+        }
+    }
+}
