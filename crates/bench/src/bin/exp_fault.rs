@@ -5,7 +5,8 @@
 //! injection + retries) costs and tolerates. For every combination of
 //! injected read-fault rate and retry budget it ingests a 256×256 array
 //! through the full wrapped stack
-//! (`BufferPool → RetryingBlockStore → FaultInjectingBlockStore → MemBlockStore`),
+//! (`CoeffStore` (one-shard `ShardedBufferPool`) → `RetryingBlockStore` →
+//! `FaultInjectingBlockStore` → `MemBlockStore`),
 //! then scans every block, reporting:
 //!
 //! * ingest throughput (Mcoeff/s) and whether the run survived,

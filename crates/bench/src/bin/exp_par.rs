@@ -29,9 +29,7 @@ const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 fn main() {
     let side = 1usize << N;
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = ss_bench::host_cores();
     println!("# E-PAR — parallel driver worker sweep\n");
     println!(
         "domain {side}x{side}, chunks {c}x{c}, tiles {t}x{t}, pool {POOL} blocks, \

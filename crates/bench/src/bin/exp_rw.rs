@@ -23,17 +23,14 @@
 //! the ingested mass plus every committed delta — served answers stay
 //! consistent under concurrency, not just fast.
 
-use ss_array::{MultiIndexIter, NdArray, Shape};
+use ss_bench::serving::{run_reader, serve_config, throttled_store};
 use ss_bench::{emit_json_row, fmt_f, timed_ms, Table};
-use ss_core::tiling::StandardTiling;
-use ss_core::TilingMap;
 use ss_datagen::SplitMix64;
 use ss_maintain::{FlushMode, SnapshotCoeffStore, Wal};
 use ss_obs::json::Value;
-use ss_serve::{Client, QueryServer, ServeConfig};
-use ss_storage::{CoeffStore, IoStats, MemBlockStore, SharedCoeffStore, ThrottledBlockStore};
+use ss_serve::{Client, QueryServer};
+use ss_storage::IoStats;
 use std::sync::Arc;
-use std::time::Duration;
 
 const N: u32 = 6; // 64 x 64 domain
 const B: u32 = 2; // 4x4-coefficient tiles
@@ -56,52 +53,6 @@ const CONFIGS: [(usize, usize, bool); 5] = [
     (4, 2, true),
 ];
 
-type ServedStore = SharedCoeffStore<StandardTiling, ThrottledBlockStore<MemBlockStore>>;
-
-fn build_store(stats: IoStats) -> (ServedStore, f64) {
-    let side = 1usize << N;
-    let data = NdArray::from_fn(Shape::cube(2, side), |idx| {
-        ((idx[0].wrapping_mul(2654435761) ^ idx[1].wrapping_mul(40503)) % 1000) as f64 - 500.0
-    });
-    let total: f64 = MultiIndexIter::new(&[side, side])
-        .map(|idx| data.get(&idx))
-        .sum();
-    let t = ss_core::standard::forward_to(&data);
-    let map = StandardTiling::new(&[N; 2], &[B; 2]);
-    let mem = MemBlockStore::new(map.block_capacity(), map.num_tiles(), stats.clone());
-    let mut cs = CoeffStore::new(map, mem, 1 << 10, stats.clone());
-    for idx in MultiIndexIter::new(&[side, side]) {
-        cs.write(&idx, t.get(&idx));
-    }
-    cs.flush();
-    let (map, mem) = cs.into_parts();
-    let throttled =
-        ThrottledBlockStore::new(mem, Duration::from_micros(READ_LAT_US), Duration::ZERO);
-    (
-        SharedCoeffStore::new(map, throttled, POOL, SHARDS, stats),
-        total,
-    )
-}
-
-fn run_reader(addr: std::net::SocketAddr, seed: u64) {
-    let side = 1usize << N;
-    let mut client = Client::connect(addr).expect("connect");
-    let mut rng = SplitMix64::new(seed);
-    for _ in 0..READS_PER_CLIENT {
-        if rng.below(10) < 7 {
-            client
-                .point(&[rng.below(side), rng.below(side)])
-                .expect("point");
-        } else {
-            let (a, b) = (rng.below(side), rng.below(side));
-            let (c, d) = (rng.below(side), rng.below(side));
-            client
-                .range_sum(&[a.min(b), c.min(d)], &[a.max(b), c.max(d)])
-                .expect("range_sum");
-        }
-    }
-}
-
 fn run_writer(addr: std::net::SocketAddr, seed: u64) {
     let side = 1usize << N;
     let mut client = Client::connect(addr).expect("connect");
@@ -117,9 +68,7 @@ fn run_writer(addr: std::net::SocketAddr, seed: u64) {
 
 fn main() {
     let side = 1usize << N;
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = ss_bench::host_cores();
     println!("# E-RW — live read/write serving: readers × writers sweep\n");
     println!(
         "domain {side}x{side}, pool {POOL} blocks, {READ_LAT_US} µs emulated \
@@ -137,7 +86,8 @@ fn main() {
     for &(readers, writers, with_wal) in &CONFIGS {
         let commits_before = commits_ctr.get();
         let stats = IoStats::new();
-        let (shared, ingested_mass) = build_store(stats.clone());
+        let (shared, ingested_mass) =
+            throttled_store(N, B, READ_LAT_US, POOL, SHARDS, stats.clone());
         let wal_path = std::env::temp_dir().join(format!(
             "ss_exp_rw_{}_{readers}r{writers}w{}.wal",
             std::process::id(),
@@ -155,19 +105,14 @@ fn main() {
             Arc::clone(&snap),
             vec![N; 2],
             FlushMode::Exact,
-            ServeConfig {
-                workers: 4,
-                batch_max: BATCH_MAX,
-                max_requests: None,
-                slow_ns: None,
-            },
+            serve_config(4, BATCH_MAX),
         )
         .expect("bind");
         let addr = server.local_addr();
         let (_, wall_ms) = timed_ms(|| {
             std::thread::scope(|scope| {
                 for r in 0..readers {
-                    scope.spawn(move || run_reader(addr, 0xbead + r as u64));
+                    scope.spawn(move || run_reader(addr, N, READS_PER_CLIENT, 0xbead + r as u64));
                 }
                 for w in 0..writers {
                     scope.spawn(move || run_writer(addr, 0xfeed + w as u64));

@@ -2,9 +2,10 @@
 //!
 //! Not a paper experiment: the paper maintains the transformed data, this
 //! harness measures *serving* it. A 64×64 standard-form store sits behind
-//! a [`ThrottledBlockStore`] emulating a device with 200 µs per-block read
-//! latency and internal parallelism (shared positional reads), cached by a
-//! sharded pool far smaller than the tile count so misses dominate. For
+//! a [`ThrottledBlockStore`](ss_storage::ThrottledBlockStore) emulating a
+//! device with 200 µs per-block read latency and internal parallelism
+//! (shared positional reads), cached by a sharded pool far smaller than
+//! the tile count so misses dominate. For
 //! every (executor workers × closed-loop clients × `batch_max`)
 //! combination the sweep runs a fixed per-client mix of point and
 //! range-sum queries through the real TCP server and reports wall time,
@@ -23,15 +24,11 @@
 //! With one client there is exactly one request in flight and extra
 //! workers cannot help; the table says so instead of pretending.
 
-use ss_array::{MultiIndexIter, NdArray, Shape};
-use ss_bench::{emit_json_row, fmt_f, timed_ms, Table};
-use ss_core::tiling::StandardTiling;
-use ss_core::TilingMap;
-use ss_datagen::SplitMix64;
+use ss_bench::serving::{drive, serve_config, throttled_store};
+use ss_bench::{emit_json_row, fmt_f, Table};
 use ss_obs::json::Value;
-use ss_serve::{Client, QueryServer, ServeConfig};
-use ss_storage::{CoeffStore, IoStats, MemBlockStore, SharedCoeffStore, ThrottledBlockStore};
-use std::time::Duration;
+use ss_serve::QueryServer;
+use ss_storage::IoStats;
 
 const N: u32 = 6; // 64 x 64 domain
 const B: u32 = 2; // 4x4-coefficient tiles -> 16x16 = 256 tiles
@@ -43,54 +40,9 @@ const BATCHES: [usize; 3] = [1, 4, 16];
 const WORKERS: [usize; 3] = [1, 2, 4];
 const CLIENTS: [usize; 3] = [1, 4, 8];
 
-type ServedStore = SharedCoeffStore<StandardTiling, ThrottledBlockStore<MemBlockStore>>;
-
-/// Builds the served store: populate through an unthrottled serial store,
-/// then wrap the block file in the read throttle for serving.
-fn build_store(stats: IoStats) -> ServedStore {
-    let side = 1usize << N;
-    let data = NdArray::from_fn(Shape::cube(2, side), |idx| {
-        ((idx[0].wrapping_mul(2654435761) ^ idx[1].wrapping_mul(40503)) % 1000) as f64 - 500.0
-    });
-    let t = ss_core::standard::forward_to(&data);
-    let map = StandardTiling::new(&[N; 2], &[B; 2]);
-    let mem = MemBlockStore::new(map.block_capacity(), map.num_tiles(), stats.clone());
-    let mut cs = CoeffStore::new(map, mem, 1 << 10, stats.clone());
-    for idx in MultiIndexIter::new(&[side, side]) {
-        cs.write(&idx, t.get(&idx));
-    }
-    cs.flush();
-    let (map, mem) = cs.into_parts();
-    let throttled =
-        ThrottledBlockStore::new(mem, Duration::from_micros(READ_LAT_US), Duration::ZERO);
-    SharedCoeffStore::new(map, throttled, POOL, SHARDS, stats)
-}
-
-/// One closed-loop client: connect, then issue the seeded query mix one
-/// request at a time (the next request leaves only after the answer).
-fn run_client(addr: std::net::SocketAddr, seed: u64) {
-    let side = 1usize << N;
-    let mut client = Client::connect(addr).expect("connect");
-    let mut rng = SplitMix64::new(seed);
-    for _ in 0..REQS_PER_CLIENT {
-        if rng.below(10) < 7 {
-            let pos = [rng.below(side), rng.below(side)];
-            client.point(&pos).expect("point");
-        } else {
-            let (a, b) = (rng.below(side), rng.below(side));
-            let (c, d) = (rng.below(side), rng.below(side));
-            client
-                .range_sum(&[a.min(b), c.min(d)], &[a.max(b), c.max(d)])
-                .expect("range_sum");
-        }
-    }
-}
-
 fn main() {
     let side = 1usize << N;
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = ss_bench::host_cores();
     println!("# E-SERVE — query server worker × client × batch sweep\n");
     println!(
         "domain {side}x{side}, tiles {t}x{t}, pool {POOL} of {total} blocks, \
@@ -121,28 +73,18 @@ fn main() {
             for &batch_max in &BATCHES {
                 let before = (ok_ctr.get(), batch_ctr.get());
                 let stats = IoStats::new();
-                let store = build_store(stats.clone());
+                // Populated through an unthrottled serial store, then
+                // wrapped in the read throttle for serving.
+                let (store, _) = throttled_store(N, B, READ_LAT_US, POOL, SHARDS, stats.clone());
                 stats.reset(); // count only the serving phase
                 let server = QueryServer::bind(
                     "127.0.0.1:0",
                     store,
                     vec![N; 2],
-                    ServeConfig {
-                        workers,
-                        batch_max,
-                        max_requests: None,
-                        slow_ns: None,
-                    },
+                    serve_config(workers, batch_max),
                 )
                 .expect("bind");
-                let addr = server.local_addr();
-                let (_, wall_ms) = timed_ms(|| {
-                    std::thread::scope(|scope| {
-                        for c in 0..clients {
-                            scope.spawn(move || run_client(addr, 0x5E44E + c as u64));
-                        }
-                    });
-                });
+                let wall_ms = drive(server.local_addr(), N, clients, REQS_PER_CLIENT, 0x5E44E);
                 server.shutdown();
                 let requests = (clients * REQS_PER_CLIENT) as u64;
                 let answered = ok_ctr.get() - before.0;

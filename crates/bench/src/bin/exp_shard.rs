@@ -30,18 +30,14 @@
 //! partials in ascending tile order (DESIGN.md §16); this sweep measures
 //! cost, the proptests in `ss-query` and `ss-serve` pin exactness.
 
-use ss_array::{MultiIndexIter, NdArray, Shape};
-use ss_bench::{emit_json_row, fmt_f, timed_ms, Table};
+use ss_bench::serving::{self, serve_config, throttled_store, ThrottledStore};
+use ss_bench::{emit_json_row, fmt_f, Table};
 use ss_core::tiling::StandardTiling;
 use ss_core::TilingMap;
-use ss_datagen::SplitMix64;
 use ss_maintain::FlushMode;
 use ss_obs::json::Value;
-use ss_serve::{Client, QueryServer, RouterTopology, ServeConfig};
-use ss_storage::{
-    CoeffStore, IoStats, MemBlockStore, ShardMap, SharedCoeffStore, ThrottledBlockStore,
-};
-use std::time::Duration;
+use ss_serve::{QueryServer, RouterTopology, ServeConfig};
+use ss_storage::{IoStats, ShardMap};
 
 const N: u32 = 6; // 64 x 64 domain
 const B: u32 = 2; // 4x4-coefficient tiles -> 16x16 = 256 tiles
@@ -55,75 +51,25 @@ const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 const REPLICAS: [usize; 2] = [1, 2];
 const CLIENTS: [usize; 2] = [4, 16];
 
-type ServedStore = SharedCoeffStore<StandardTiling, ThrottledBlockStore<MemBlockStore>>;
-
 /// One full copy of the transformed store behind its own emulated
 /// device — every shard replica gets an independent one, which is the
 /// whole point: misses on different shards no longer share a queue.
-fn build_store(stats: IoStats) -> ServedStore {
-    let side = 1usize << N;
-    let data = NdArray::from_fn(Shape::cube(2, side), |idx| {
-        ((idx[0].wrapping_mul(2654435761) ^ idx[1].wrapping_mul(40503)) % 1000) as f64 - 500.0
-    });
-    let t = ss_core::standard::forward_to(&data);
-    let map = StandardTiling::new(&[N; 2], &[B; 2]);
-    let mem = MemBlockStore::new(map.block_capacity(), map.num_tiles(), stats.clone());
-    let mut cs = CoeffStore::new(map, mem, 1 << 10, stats.clone());
-    for idx in MultiIndexIter::new(&[side, side]) {
-        cs.write(&idx, t.get(&idx));
-    }
-    cs.flush();
-    let (map, mem) = cs.into_parts();
-    let throttled =
-        ThrottledBlockStore::new(mem, Duration::from_micros(READ_LAT_US), Duration::ZERO);
-    SharedCoeffStore::new(map, throttled, POOL, POOL_SHARDS, stats)
+fn build_store() -> ThrottledStore {
+    throttled_store(N, B, READ_LAT_US, POOL, POOL_SHARDS, IoStats::new()).0
 }
 
 fn config() -> ServeConfig {
-    ServeConfig {
-        workers: WORKERS,
-        batch_max: BATCH_MAX,
-        max_requests: None,
-        slow_ns: None,
-    }
-}
-
-/// One closed-loop client: the next request leaves only after the answer.
-fn run_client(addr: std::net::SocketAddr, seed: u64) {
-    let side = 1usize << N;
-    let mut client = Client::connect(addr).expect("connect");
-    let mut rng = SplitMix64::new(seed);
-    for _ in 0..REQS_PER_CLIENT {
-        if rng.below(10) < 7 {
-            let pos = [rng.below(side), rng.below(side)];
-            client.point(&pos).expect("point");
-        } else {
-            let (a, b) = (rng.below(side), rng.below(side));
-            let (c, d) = (rng.below(side), rng.below(side));
-            client
-                .range_sum(&[a.min(b), c.min(d)], &[a.max(b), c.max(d)])
-                .expect("range_sum");
-        }
-    }
+    serve_config(WORKERS, BATCH_MAX)
 }
 
 /// Runs `clients` closed-loop clients against `addr`, returns wall ms.
 fn drive(addr: std::net::SocketAddr, clients: usize) -> f64 {
-    let (_, wall_ms) = timed_ms(|| {
-        std::thread::scope(|scope| {
-            for c in 0..clients {
-                scope.spawn(move || run_client(addr, 0x54A4D + c as u64));
-            }
-        });
-    });
-    wall_ms
+    serving::drive(addr, N, clients, REQS_PER_CLIENT, 0x54A4D)
 }
 
 fn main() {
     let side = 1usize << N;
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = ss_bench::host_cores();
     println!("# E-SHARD — scatter-gather router shards × replicas × clients sweep\n");
     println!(
         "domain {side}x{side}, {tiles} tiles, pool {POOL} blocks per store, \
@@ -173,13 +119,8 @@ fn main() {
 
     // Direct rows: one store, no router — the ceiling to beat.
     for &clients in &CLIENTS {
-        let server = QueryServer::bind(
-            "127.0.0.1:0",
-            build_store(IoStats::new()),
-            vec![N; 2],
-            config(),
-        )
-        .expect("bind");
+        let server =
+            QueryServer::bind("127.0.0.1:0", build_store(), vec![N; 2], config()).expect("bind");
         let wall_ms = drive(server.local_addr(), clients);
         let answered = server.shutdown();
         assert_eq!(answered, (clients * REQS_PER_CLIENT) as u64);
@@ -194,13 +135,9 @@ fn main() {
             for _ in 0..shards {
                 let mut replica_addrs = Vec::new();
                 for _ in 0..replicas {
-                    let server = QueryServer::bind(
-                        "127.0.0.1:0",
-                        build_store(IoStats::new()),
-                        vec![N; 2],
-                        config(),
-                    )
-                    .expect("bind shard");
+                    let server =
+                        QueryServer::bind("127.0.0.1:0", build_store(), vec![N; 2], config())
+                            .expect("bind shard");
                     replica_addrs.push(server.local_addr());
                     shard_servers.push(server);
                 }

@@ -17,14 +17,11 @@
 //!
 //! Reported per mode: wall time and qps, as ss-exp-v1 JSONL rows.
 
-use ss_array::{MultiIndexIter, NdArray, Shape};
-use ss_bench::{emit_json_row, fmt_f, timed_ms, Table};
-use ss_core::tiling::StandardTiling;
-use ss_core::TilingMap;
-use ss_datagen::SplitMix64;
+use ss_bench::serving::{drive, populate, serve_config};
+use ss_bench::{emit_json_row, fmt_f, Table};
 use ss_obs::json::Value;
-use ss_serve::{Client, QueryServer, ServeConfig};
-use ss_storage::{CoeffStore, IoStats, MemBlockStore, SharedCoeffStore};
+use ss_serve::QueryServer;
+use ss_storage::{IoStats, SharedCoeffStore};
 
 const N: u32 = 5; // 32 x 32 domain
 const B: u32 = 2; // 8x8 tiles of 4x4 coefficients
@@ -33,72 +30,21 @@ const CLIENTS: usize = 4;
 const REQS_PER_CLIENT: usize = 400;
 const BATCH_MAX: usize = 8;
 
-type ServedStore = SharedCoeffStore<StandardTiling, MemBlockStore>;
-
-fn build_store(stats: IoStats) -> ServedStore {
-    let side = 1usize << N;
-    let data = NdArray::from_fn(Shape::cube(2, side), |idx| {
-        ((idx[0].wrapping_mul(2654435761) ^ idx[1].wrapping_mul(40503)) % 1000) as f64 - 500.0
-    });
-    let t = ss_core::standard::forward_to(&data);
-    let map = StandardTiling::new(&[N; 2], &[B; 2]);
-    let mem = MemBlockStore::new(map.block_capacity(), map.num_tiles(), stats.clone());
-    let mut cs = CoeffStore::new(map, mem, 1 << 10, stats.clone());
-    for idx in MultiIndexIter::new(&[side, side]) {
-        cs.write(&idx, t.get(&idx));
-    }
-    cs.flush();
-    let (map, mem) = cs.into_parts();
-    // Pool holds every tile: the sweep measures tracing, not I/O.
-    SharedCoeffStore::new(map, mem, map_tiles(), WORKERS.max(2), stats)
-}
-
-fn map_tiles() -> usize {
-    1usize << (2 * (N - B))
-}
-
-fn run_client(addr: std::net::SocketAddr, seed: u64) {
-    let side = 1usize << N;
-    let mut client = Client::connect(addr).expect("connect");
-    let mut rng = SplitMix64::new(seed);
-    for _ in 0..REQS_PER_CLIENT {
-        if rng.below(10) < 7 {
-            let pos = [rng.below(side), rng.below(side)];
-            client.point(&pos).expect("point");
-        } else {
-            let (a, b) = (rng.below(side), rng.below(side));
-            let (c, d) = (rng.below(side), rng.below(side));
-            client
-                .range_sum(&[a.min(b), c.min(d)], &[a.max(b), c.max(d)])
-                .expect("range_sum");
-        }
-    }
-}
-
 /// One full client sweep against a fresh server; returns (wall ms, qps).
 fn sweep() -> (f64, f64) {
     let stats = IoStats::new();
-    let store = build_store(stats);
+    let (map, mem, _) = populate(N, B, &stats);
+    // Pool holds every tile: the sweep measures tracing, not I/O.
+    let tiles = 1usize << (2 * (N - B));
+    let store = SharedCoeffStore::new(map, mem, tiles, WORKERS.max(2), stats);
     let server = QueryServer::bind(
         "127.0.0.1:0",
         store,
         vec![N; 2],
-        ServeConfig {
-            workers: WORKERS,
-            batch_max: BATCH_MAX,
-            max_requests: None,
-            slow_ns: None,
-        },
+        serve_config(WORKERS, BATCH_MAX),
     )
     .expect("bind");
-    let addr = server.local_addr();
-    let (_, wall_ms) = timed_ms(|| {
-        std::thread::scope(|scope| {
-            for c in 0..CLIENTS {
-                scope.spawn(move || run_client(addr, 0x7ACE + c as u64));
-            }
-        });
-    });
+    let wall_ms = drive(server.local_addr(), N, CLIENTS, REQS_PER_CLIENT, 0x7ACE);
     server.shutdown();
     let requests = (CLIENTS * REQS_PER_CLIENT) as f64;
     (wall_ms, requests / (wall_ms / 1000.0))

@@ -14,6 +14,8 @@
 // Axis-indexed loops over parallel arrays are the clearest idiom here.
 #![allow(clippy::needless_range_loop)]
 
+pub mod serving;
+
 use ss_obs::json::Value;
 use std::fmt::Display;
 
@@ -90,6 +92,12 @@ pub fn fmt_count(n: u64) -> String {
 /// `x` rounded to `digits` decimal places, as a string.
 pub fn fmt_f(x: f64, digits: usize) -> String {
     format!("{x:.digits$}")
+}
+
+/// CPUs the host offers — printed in the preamble of every table whose
+/// worker or client counts only mean something against it.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Times `f`, returning its result and the elapsed wall milliseconds.

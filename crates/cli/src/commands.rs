@@ -54,8 +54,6 @@ impl From<CmdError> for String {
     }
 }
 
-/// Rejects mutation of read-only (legacy v1) stores with an actionable
-/// message instead of a deep typed error.
 /// Publishes which compute kernel this binary was built with
 /// (`kernel.lanes` gauge; 1 = scalar) so `--metrics-json` rows and the
 /// metrics endpoint label their numbers with the build that produced
@@ -64,17 +62,6 @@ fn report_kernel() {
     ss_obs::global()
         .gauge("kernel.lanes")
         .set(ss_core::kernel::lanes() as u64);
-}
-
-fn check_writable(ws: &WsFile, verb: &str) -> Result<(), String> {
-    if ws.read_only() {
-        Err(format!(
-            "cannot {verb}: store is a legacy v1 file (no checksums) and opens read-only; \
-             create a fresh store and re-ingest to upgrade to the v2 format"
-        ))
-    } else {
-        Ok(())
-    }
 }
 
 /// Parses the fault-injection/retry flags shared by `ingest`:
@@ -286,7 +273,6 @@ pub fn ingest(args: &Args) -> Result<(), String> {
     let path = args.pos(0, "store path")?;
     let v3_policy = v3_flags(args)?;
     let mut ws = WsFile::open(Path::new(path))?;
-    check_writable(&ws, "ingest")?;
     if ws.sparse() {
         return Err(
             "cannot ingest into a sparse v3 store: create a fresh store and \
@@ -405,7 +391,6 @@ pub fn update(args: &Args) -> Result<(), String> {
     let path = args.pos(0, "store path")?;
     let mode = flush_mode(args)?;
     let mut ws = WsFile::open(Path::new(path))?;
-    check_writable(&ws, "update")?;
     let Some(batch_file) = args.flag_opt("batch") else {
         let origin = parse_list(args.flag("at")?)?;
         let dims = parse_list(args.flag("dims")?)?;
@@ -505,7 +490,6 @@ pub fn append(args: &Args) -> Result<(), String> {
         return Err("extent must be a power of two".into());
     }
     let ws = WsFile::open(Path::new(path))?;
-    check_writable(&ws, "append")?;
     if ws.sparse() {
         return Err(
             "cannot append: sparse v3 stores do not support domain expansion \
@@ -669,8 +653,6 @@ pub fn stats(args: &Args) -> Result<(), String> {
         ws.meta.version,
         if ws.sparse() {
             " (sparse bucketed)"
-        } else if ws.read_only() {
-            " (legacy, read-only)"
         } else {
             " (dense)"
         }
@@ -958,9 +940,6 @@ pub fn serve(args: &Args) -> Result<(), String> {
     }
     let ws = WsFile::open(Path::new(path))?;
     let writable = args.flag_set("writable");
-    if writable {
-        check_writable(&ws, "serve --writable")?;
-    }
     let levels = ws.meta.levels.clone();
     let tiling = ws.meta.tiling();
     let stats = ws.stats.clone();
@@ -1251,7 +1230,6 @@ fn open_wal_and_replay<M: TilingMap, S: ss_storage::BlockStore>(
 pub fn wal_replay(args: &Args) -> Result<(), String> {
     let path = args.pos(0, "store path")?;
     let ws = WsFile::open(Path::new(path))?;
-    check_writable(&ws, "wal-replay")?;
     let stats = ws.stats.clone();
     let (map, blocks) = ws.store.into_parts();
     let shared = ss_storage::SharedCoeffStore::new(map, blocks, 1 << 10, 4, stats.clone());

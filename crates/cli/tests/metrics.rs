@@ -121,8 +121,10 @@ fn parallel_ingest_writes_a_populated_metrics_snapshot() {
     assert!(counters.get("io.block_writes").unwrap().as_u64().unwrap() > 0);
     assert!(counters.get("io.coeff_writes").unwrap().as_u64().unwrap() > 0);
 
-    // Shard-lock wait histograms from the parallel pool.
-    assert!(field(histogram(&snap, "pool.shard_lock_wait_ns"), "count") > 0);
+    // The pool's lock-wait histograms are registered; they sample
+    // contended acquisitions only, so a quiet run may leave them empty.
+    histogram(&snap, "pool.shard_lock_wait_ns");
+    histogram(&snap, "pool.store_lock_wait_ns");
 
     std::fs::remove_dir_all(&dir).ok();
 }

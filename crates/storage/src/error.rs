@@ -3,10 +3,9 @@
 //! Every fallible operation in this crate reports a [`StorageError`]
 //! instead of a bare `String`, so callers can distinguish *transient*
 //! faults (worth retrying — see [`RetryingBlockStore`](crate::RetryingBlockStore))
-//! from *persistent* corruption (checksum mismatches, bad geometry) and
-//! *usage* errors (writing a read-only v1 store). The legacy
-//! `Result<_, String>` surfaces keep working through the
-//! `From<StorageError> for String` impl.
+//! from *persistent* corruption (checksum mismatches, bad geometry,
+//! unsupported format versions). The legacy `Result<_, String>` surfaces
+//! keep working through the `From<StorageError> for String` impl.
 
 use std::fmt;
 
@@ -41,12 +40,10 @@ pub enum StorageError {
     /// A shard topology is malformed (bad split points, zero replicas,
     /// more shards than tiles) — see [`ShardMap`](crate::ShardMap).
     Topology(String),
-    /// The `.meta` header declares a format version this build cannot
-    /// write (newer than [`FORMAT_VERSION`](crate::wsfile::FORMAT_VERSION)).
+    /// The `.meta` header declares a format version this build does not
+    /// open: the retired checksum-less v1, or one newer than
+    /// [`V3_FORMAT_VERSION`](crate::wsfile::V3_FORMAT_VERSION).
     UnsupportedVersion(u32),
-    /// A write was attempted on a store opened read-only (legacy v1
-    /// files, which carry no checksums, always open read-only).
-    ReadOnly,
     /// A deterministic fault injected by a
     /// [`FaultInjectingBlockStore`](crate::FaultInjectingBlockStore).
     Injected {
@@ -82,9 +79,9 @@ impl StorageError {
     ///
     /// Transient: injected faults and OS I/O errors (a flaky disk path
     /// may recover). Persistent: checksum mismatches, geometry damage,
-    /// read-only violations, unsupported versions — retrying those only
-    /// burns the budget, so [`RetryingBlockStore`](crate::RetryingBlockStore)
-    /// gives up on them immediately.
+    /// unsupported versions — retrying those only burns the budget, so
+    /// [`RetryingBlockStore`](crate::RetryingBlockStore) gives up on them
+    /// immediately.
     pub fn is_transient(&self) -> bool {
         matches!(
             self,
@@ -111,10 +108,9 @@ impl fmt::Display for StorageError {
             }
             StorageError::Meta(msg) => write!(f, "bad meta header: {msg}"),
             StorageError::Topology(msg) => write!(f, "bad shard topology: {msg}"),
-            StorageError::UnsupportedVersion(v) => write!(f, "unsupported version {v}"),
-            StorageError::ReadOnly => write!(
+            StorageError::UnsupportedVersion(v) => write!(
                 f,
-                "store is read-only (v1 files carry no checksums; re-ingest into a v2 store)"
+                "unsupported .ws format version {v} (this build opens versions 2 and 3)"
             ),
             StorageError::Injected { op, block } => {
                 write!(f, "injected {op} fault on block {block}")
@@ -156,9 +152,6 @@ pub struct ScrubReport {
     pub blocks: usize,
     /// Ordinals of blocks whose contents no longer match their CRC.
     pub corrupt: Vec<usize>,
-    /// Whether the store carries checksums at all. A legacy v1 store
-    /// scrubs geometry only: `corrupt` stays empty and this is `false`.
-    pub checksummed: bool,
 }
 
 impl ScrubReport {
@@ -170,13 +163,7 @@ impl ScrubReport {
 
 impl fmt::Display for ScrubReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if !self.checksummed {
-            write!(
-                f,
-                "{} blocks, no checksums (v1) — geometry only",
-                self.blocks
-            )
-        } else if self.corrupt.is_empty() {
+        if self.corrupt.is_empty() {
             write!(f, "{} blocks, all checksums match", self.blocks)
         } else {
             write!(
@@ -203,8 +190,8 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("block 5") && s.contains("0xdeadbeef"), "{s}");
-        let s: String = StorageError::ReadOnly.into();
-        assert!(s.contains("read-only"));
+        let s: String = StorageError::UnsupportedVersion(1).into();
+        assert!(s.contains("version 1"));
     }
 
     #[test]
@@ -215,7 +202,7 @@ mod tests {
             block: 0
         }
         .is_transient());
-        assert!(!StorageError::ReadOnly.is_transient());
+        assert!(!StorageError::UnsupportedVersion(1).is_transient());
         assert!(!StorageError::Checksum {
             block: 0,
             stored: 0,
@@ -229,14 +216,12 @@ mod tests {
         let clean = ScrubReport {
             blocks: 4,
             corrupt: vec![],
-            checksummed: true,
         };
         assert!(clean.is_clean());
         assert!(clean.to_string().contains("all checksums match"));
         let bad = ScrubReport {
             blocks: 4,
             corrupt: vec![2],
-            checksummed: true,
         };
         assert!(!bad.is_clean());
         assert!(bad.to_string().contains("CORRUPT"));

@@ -11,10 +11,9 @@
 //! `docs/FORMAT.md`): one CRC-32 per block, verified on every read and
 //! refreshed on every write. Bit rot, torn writes and crash windows all
 //! surface as a typed [`StorageError::Checksum`] instead of silently
-//! corrupting every later query. Legacy v1 stores (no sidecar) still open
-//! through [`FileBlockStore::open_v1`], but only read-only. Writeback
-//! ordering is *block first, CRC second*: a crash between the two leaves a
-//! detectable mismatch, never a silently wrong block.
+//! corrupting every later query. Writeback ordering is *block first, CRC
+//! second*: a crash between the two leaves a detectable mismatch, never a
+//! silently wrong block.
 //!
 //! # Sparse layout (format v3)
 //!
@@ -154,15 +153,15 @@ struct DirEntry {
 }
 
 /// How blocks are laid out on disk: the headerless dense array of
-/// formats v1/v2, or the v3 sparse heap with its in-memory directory
+/// format v2, or the v3 sparse heap with its in-memory directory
 /// mirror.
 enum Layout {
     Dense,
     Sparse { dir: Vec<DirEntry>, heap_end: u64 },
 }
 
-/// A [`BlockStore`] over a file on disk, with optional per-block CRC-32
-/// verification (format v2) and an optional sparse bucketed layout
+/// A [`BlockStore`] over a file on disk, with per-block CRC-32
+/// verification (dense format v2) and an optional sparse bucketed layout
 /// (format v3).
 pub struct FileBlockStore {
     file: File,
@@ -170,10 +169,7 @@ pub struct FileBlockStore {
     blocks: usize,
     byte_buf: Vec<u8>,
     stats: IoStats,
-    /// `Some` for v2/v3 stores; `None` for legacy v1 stores (which are
-    /// then read-only).
-    sidecar: Option<Sidecar>,
-    read_only: bool,
+    sidecar: Sidecar,
     /// CRC of an all-zero block of this capacity (v3: of the empty
     /// payload, i.e. 0), memoised for `grow`.
     zero_crc: u32,
@@ -215,8 +211,7 @@ impl FileBlockStore {
             capacity,
             blocks,
             stats,
-            Some(sidecar),
-            false,
+            sidecar,
             zero_crc,
             Layout::Dense,
         ))
@@ -256,8 +251,7 @@ impl FileBlockStore {
             capacity,
             blocks,
             stats,
-            Some(sidecar),
-            false,
+            sidecar,
             0,
             Layout::Sparse {
                 dir: vec![DirEntry::default(); blocks],
@@ -366,8 +360,7 @@ impl FileBlockStore {
             capacity,
             blocks,
             stats,
-            Some(sidecar),
-            false,
+            sidecar,
             0,
             Layout::Sparse { dir, heap_end },
         ))
@@ -394,31 +387,7 @@ impl FileBlockStore {
             capacity,
             blocks,
             stats,
-            Some(sidecar),
-            false,
-            zero_crc,
-            Layout::Dense,
-        ))
-    }
-
-    /// Opens a legacy v1 store (no checksum sidecar), **read-only**: every
-    /// write returns [`StorageError::ReadOnly`]. Queries still work;
-    /// maintenance requires re-ingesting into a v2 store.
-    pub fn open_v1(
-        path: &Path,
-        capacity: usize,
-        blocks: usize,
-        stats: IoStats,
-    ) -> Result<Self, StorageError> {
-        let file = Self::open_blocks_file(path, capacity, blocks)?;
-        let zero_crc = crc32(&vec![0u8; capacity * 8]);
-        Ok(Self::assemble(
-            file,
-            capacity,
-            blocks,
-            stats,
-            None,
-            true,
+            sidecar,
             zero_crc,
             Layout::Dense,
         ))
@@ -442,14 +411,12 @@ impl FileBlockStore {
         Ok(file)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn assemble(
         file: File,
         capacity: usize,
         blocks: usize,
         stats: IoStats,
-        sidecar: Option<Sidecar>,
-        read_only: bool,
+        sidecar: Sidecar,
         zero_crc: u32,
         layout: Layout,
     ) -> Self {
@@ -460,7 +427,6 @@ impl FileBlockStore {
             byte_buf: vec![0u8; capacity * 8],
             stats,
             sidecar,
-            read_only,
             zero_crc,
             layout,
             read_ns: ss_obs::global().histogram("storage.block_read_ns"),
@@ -478,23 +444,13 @@ impl FileBlockStore {
         &self.stats
     }
 
-    /// Whether reads are CRC-verified (false only for legacy v1 stores).
-    pub fn checksummed(&self) -> bool {
-        self.sidecar.is_some()
-    }
-
-    /// Whether writes are rejected (legacy v1 stores open read-only).
-    pub fn read_only(&self) -> bool {
-        self.read_only
-    }
-
     /// Whether the store uses the v3 sparse bucketed layout.
     pub fn sparse(&self) -> bool {
         matches!(self.layout, Layout::Sparse { .. })
     }
 
     /// Current size of the blocks file in bytes (v3: header + directory
-    /// + heap including relocation garbage; v1/v2: `capacity × blocks ×
+    /// + heap including relocation garbage; v2: `capacity × blocks ×
     /// 8`).
     pub fn disk_bytes(&self) -> Result<u64, StorageError> {
         Ok(self
@@ -554,21 +510,19 @@ impl FileBlockStore {
                 .and_then(|_| self.file.read_exact(&mut payload))
                 .map_err(|e| StorageError::io(format!("read sparse block {id}"), e))?;
         }
-        if let Some(sc) = &mut self.sidecar {
-            let stored = sc.read(id)?;
-            let computed = if entry.offset == 0 {
-                0
-            } else {
-                crc32(&payload)
-            };
-            if stored != computed {
-                self.checksum_failures.inc();
-                return Err(StorageError::Checksum {
-                    block: id,
-                    stored,
-                    computed,
-                });
-            }
+        let stored = self.sidecar.read(id)?;
+        let computed = if entry.offset == 0 {
+            0
+        } else {
+            crc32(&payload)
+        };
+        if stored != computed {
+            self.checksum_failures.inc();
+            return Err(StorageError::Checksum {
+                block: id,
+                stored,
+                computed,
+            });
         }
         Ok(payload)
     }
@@ -584,9 +538,7 @@ impl FileBlockStore {
             if old != DirEntry::default() {
                 self.write_dir_entry(id, DirEntry::default())?;
             }
-            if let Some(sc) = &mut self.sidecar {
-                sc.write(id, 0)?;
-            }
+            self.sidecar.write(id, 0)?;
             self.sparse_blocks_written.inc();
             self.sparse_bytes_saved.add(dense_bytes);
             return Ok(());
@@ -624,9 +576,7 @@ impl FileBlockStore {
         }
         // Step 3: directory. Step 4: CRC over the encoded payload.
         self.write_dir_entry(id, entry)?;
-        if let Some(sc) = &mut self.sidecar {
-            sc.write(id, crc32(&payload))?;
-        }
+        self.sidecar.write(id, crc32(&payload))?;
         self.sparse_blocks_written.inc();
         self.sparse_bytes_written.add(payload.len() as u64);
         self.sparse_bytes_saved
@@ -640,11 +590,10 @@ impl FileBlockStore {
         self.file
             .sync_data()
             .map_err(|e| StorageError::io("fsync blocks file", e))?;
-        if let Some(sc) = &mut self.sidecar {
-            sc.file
-                .sync_data()
-                .map_err(|e| StorageError::io("fsync checksum sidecar", e))?;
-        }
+        self.sidecar
+            .file
+            .sync_data()
+            .map_err(|e| StorageError::io("fsync checksum sidecar", e))?;
         Ok(())
     }
 
@@ -675,7 +624,6 @@ impl FileBlockStore {
         let mut report = ScrubReport {
             blocks: self.blocks,
             corrupt: Vec::new(),
-            checksummed: self.sidecar.is_some(),
         };
         let nbytes = self.capacity * 8;
         for id in 0..self.blocks {
@@ -683,13 +631,11 @@ impl FileBlockStore {
                 .seek(SeekFrom::Start((id * nbytes) as u64))
                 .and_then(|_| self.file.read_exact(&mut self.byte_buf))
                 .map_err(|e| StorageError::io(format!("scrub read of block {id}"), e))?;
-            if let Some(sc) = &mut self.sidecar {
-                let stored = sc.read(id)?;
-                if stored != crc32(&self.byte_buf) {
-                    report.corrupt.push(id);
-                    corruptions.inc();
-                    self.checksum_failures.inc();
-                }
+            let stored = self.sidecar.read(id)?;
+            if stored != crc32(&self.byte_buf) {
+                report.corrupt.push(id);
+                corruptions.inc();
+                self.checksum_failures.inc();
             }
             scanned.inc();
         }
@@ -715,7 +661,6 @@ impl FileBlockStore {
         let mut report = ScrubReport {
             blocks: self.blocks,
             corrupt: Vec::new(),
-            checksummed: true,
         };
         for id in 0..self.blocks {
             let entry = self.sparse_entry(id).expect("sparse layout");
@@ -775,17 +720,15 @@ impl BlockStore for FileBlockStore {
             .seek(SeekFrom::Start((id * nbytes) as u64))
             .and_then(|_| self.file.read_exact(&mut self.byte_buf))
             .map_err(|e| StorageError::io(format!("read block {id}"), e))?;
-        if let Some(sc) = &mut self.sidecar {
-            let stored = sc.read(id)?;
-            let computed = crc32(&self.byte_buf);
-            if stored != computed {
-                self.checksum_failures.inc();
-                return Err(StorageError::Checksum {
-                    block: id,
-                    stored,
-                    computed,
-                });
-            }
+        let stored = self.sidecar.read(id)?;
+        let computed = crc32(&self.byte_buf);
+        if stored != computed {
+            self.checksum_failures.inc();
+            return Err(StorageError::Checksum {
+                block: id,
+                stored,
+                computed,
+            });
         }
         for (i, v) in buf.iter_mut().enumerate() {
             let mut le = [0u8; 8];
@@ -800,9 +743,6 @@ impl BlockStore for FileBlockStore {
     fn try_write_block(&mut self, id: usize, buf: &[f64]) -> Result<(), StorageError> {
         assert!(id < self.blocks, "block {id} out of range");
         assert_eq!(buf.len(), self.capacity);
-        if self.read_only {
-            return Err(StorageError::ReadOnly);
-        }
         let t0 = Instant::now();
         if self.sparse() {
             self.write_sparse_block(id, buf)?;
@@ -821,9 +761,7 @@ impl BlockStore for FileBlockStore {
             .seek(SeekFrom::Start((id * nbytes) as u64))
             .and_then(|_| self.file.write_all(&self.byte_buf))
             .map_err(|e| StorageError::io(format!("write block {id}"), e))?;
-        if let Some(sc) = &mut self.sidecar {
-            sc.write(id, crc32(&self.byte_buf))?;
-        }
+        self.sidecar.write(id, crc32(&self.byte_buf))?;
         self.write_ns.record(t0.elapsed().as_nanos() as u64);
         self.stats.add_block_writes(1);
         Ok(())
@@ -843,10 +781,9 @@ impl BlockStore for FileBlockStore {
             self.file
                 .set_len((self.capacity * blocks * 8) as u64)
                 .expect("grow failed");
-            if let Some(sc) = &mut self.sidecar {
-                sc.grow(self.blocks, blocks, self.zero_crc)
-                    .expect("grow sidecar failed");
-            }
+            self.sidecar
+                .grow(self.blocks, blocks, self.zero_crc)
+                .expect("grow sidecar failed");
             self.blocks = blocks;
         }
     }
@@ -948,7 +885,6 @@ mod tests {
         // The scrub sees exactly the one corrupt block.
         let report = store.scrub().unwrap();
         assert_eq!(report.corrupt, vec![1]);
-        assert!(report.checksummed);
         cleanup(&path);
     }
 
@@ -973,23 +909,14 @@ mod tests {
     }
 
     #[test]
-    fn open_requires_sidecar_but_open_v1_does_not() {
-        let path = tmp("v1compat");
-        // A bare v1 blocks file: raw f64s, no sidecar.
+    fn open_requires_the_sidecar() {
+        let path = tmp("nosidecar");
+        // A bare blocks file (what format v1 was): raw f64s, no sidecar.
         std::fs::write(&path, vec![0u8; 4 * 2 * 8]).unwrap();
-        assert!(FileBlockStore::open(&path, 4, 2, IoStats::new()).is_err());
-        let mut store = FileBlockStore::open_v1(&path, 4, 2, IoStats::new()).unwrap();
-        assert!(!store.checksummed());
-        assert!(store.read_only());
-        let mut buf = [0.0; 4];
-        store.try_read_block(0, &mut buf).unwrap();
         assert!(matches!(
-            store.try_write_block(0, &buf),
-            Err(StorageError::ReadOnly)
+            FileBlockStore::open(&path, 4, 2, IoStats::new()),
+            Err(StorageError::Io { .. })
         ));
-        // Scrubbing a v1 store checks geometry/readability only.
-        let report = store.scrub().unwrap();
-        assert!(!report.checksummed && report.is_clean());
         cleanup(&path);
     }
 
@@ -1126,7 +1053,6 @@ mod tests {
         store.try_read_block(0, &mut buf).unwrap(); // others unaffected
         let report = store.scrub().unwrap();
         assert_eq!(report.corrupt, vec![2]);
-        assert!(report.checksummed);
         cleanup(&path);
     }
 

@@ -9,38 +9,44 @@
 //!   ([`FileBlockStore`]) that issues actual positioned reads and writes,
 //!   CRC-verified on every read,
 //! * [`StorageError`] — the typed fault vocabulary (I/O, checksum mismatch,
-//!   geometry, read-only, injected, retries-exhausted) every fallible path
-//!   speaks,
+//!   geometry, unsupported version, injected, retries-exhausted) every
+//!   fallible path speaks,
 //! * [`FaultInjectingBlockStore`] / [`RetryingBlockStore`] — composable
 //!   wrappers for deterministic seeded fault injection and bounded-backoff
 //!   retries,
 //! * [`IoStats`] — shared atomic counters of block reads/writes and
 //!   coefficient accesses,
-//! * [`BufferPool`] — an LRU cache over a block store with a configurable
-//!   budget in blocks, modelling the paper's "available memory `M^d`",
-//! * [`ShardedBufferPool`] / [`SharedCoeffStore`] — the thread-safe
-//!   counterparts used by the parallel transform drivers: the block-id
-//!   space is sharded over independently locked LRU caches with per-shard
-//!   hit/miss/eviction/write-back counters,
+//! * [`ShardedBufferPool`] — **the** block cache: a write-back LRU over a
+//!   block store with a configurable budget in blocks, modelling the
+//!   paper's "available memory `M^d`". One frame table, one eviction and
+//!   one flush, with per-shard hit/miss/eviction/write-back counters,
+//!   entered under two disciplines:
+//!   * [`CoeffStore`] — *exclusive*: one shard, one owner (`&mut self`),
+//!     cache hits take no lock. The object every serial out-of-core
+//!     algorithm in `ss-transform`, every offline CLI command and every
+//!     single-threaded query in `ss-query` runs against, mapping
+//!     coefficients onto blocks through any
+//!     [`TilingMap`](ss_core::TilingMap) (subtree tiles or the naive
+//!     row-major baseline),
+//!   * [`SharedCoeffStore`] — *shared*: the block-id space sharded over
+//!     independently locked LRUs (`&self`), used by the parallel
+//!     transform drivers and the query server,
 //! * [`ShardMap`] — a contiguous partition of the tile ordinal space into
 //!   shard ranges with an N-way replica count, the topology object behind
 //!   the scatter-gather query router in `ss-serve`,
-//! * [`CoeffStore`] — wavelet coefficients mapped onto blocks through any
-//!   [`TilingMap`](ss_core::TilingMap) (subtree tiles or the naive row-major
-//!   baseline), the object every out-of-core algorithm in `ss-transform`
-//!   and every query in `ss-query` runs against,
 //! * [`CoeffRead`] / [`CoeffWrite`] — the two capabilities callers are
-//!   generic over, so no algorithm is written twice for the two stores:
+//!   generic over, so no algorithm is written twice for the two
+//!   disciplines:
 //!
 //!   | | `CoeffRead` (queries) | `CoeffWrite` (maintenance) |
 //!   |---|---|---|
 //!   | methods | `map`, `read`, `read_at` | `map`, `stats`, `add`, `with_tile`, `apply_batch`, `flush`, `clear_cache` |
-//!   | serial | `CoeffStore` | `CoeffStore` (one pool touch per delta) |
-//!   | concurrent | `SharedCoeffStore`, `&SharedCoeffStore` | `&SharedCoeffStore` (one shard lock per tile) |
+//!   | exclusive | `CoeffStore` | `CoeffStore` (one pool touch per delta) |
+//!   | shared | `&SharedCoeffStore` | `&SharedCoeffStore` (one shard lock per tile) |
 //!   | generic callers | every `ss-query` plan, batch and reconstruction | the `ss-transform` chunk pipeline, `DeltaBuffer::flush_into`, the `ss-maintain` batch fronts |
 //!
-//!   [`CoeffStore::via_shared`] lends a serial store's blocks to a sharded
-//!   pool for the duration of a parallel driver,
+//!   [`CoeffStore::via_shared`] re-shards an exclusive store's cache for
+//!   the duration of a parallel driver,
 //! * [`WsFile`] — the persistent `.ws` store format (blocks file, `.crc`
 //!   checksum sidecar, `.meta` text header — see `docs/FORMAT.md`), with
 //!   crash-safe metadata updates and a full-file scrub
@@ -79,7 +85,6 @@ pub mod error;
 pub mod fault;
 pub mod file;
 pub mod mem;
-pub mod pool;
 pub mod read;
 pub mod retry;
 pub mod shard;
@@ -96,7 +101,6 @@ pub use error::{ScrubReport, StorageError};
 pub use fault::{FaultConfig, FaultInjectingBlockStore};
 pub use file::FileBlockStore;
 pub use mem::MemBlockStore;
-pub use pool::BufferPool;
 pub use read::CoeffRead;
 pub use retry::{RetryPolicy, RetryingBlockStore};
 pub use shard::{mem_shared_store, ShardCounters, ShardedBufferPool, SharedCoeffStore};

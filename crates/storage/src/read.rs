@@ -3,15 +3,16 @@
 //! Every query in `ss-query` (Lemma 1 point lookups, Lemma 2 range sums,
 //! reconstruction, tile-major batches, progressive refinement) only ever
 //! *reads* coefficients. [`CoeffRead`] captures exactly that capability, so
-//! the same query code serves both the serial [`CoeffStore`] (one caller,
-//! `&mut self` cache) and the thread-safe [`SharedCoeffStore`] (many
-//! concurrent callers over a [`ShardedBufferPool`](crate::ShardedBufferPool)).
+//! the same query code serves both entry disciplines of the one block
+//! cache ([`ShardedBufferPool`](crate::ShardedBufferPool)): the exclusive
+//! [`CoeffStore`] (one owner, lock-free hits) and the shared
+//! [`SharedCoeffStore`] (many concurrent callers).
 //!
-//! The trait keeps `&mut self` receivers so the serial store implements it
-//! directly; for concurrent serving, `CoeffRead` is *also* implemented for
-//! `&SharedCoeffStore` — each worker thread holds its own `&` reference and
-//! passes `&mut (&shared)` into the query functions, the same pattern as
-//! `io::Read for &TcpStream`. No query code changes between the two.
+//! The trait keeps `&mut self` receivers so the exclusive store implements
+//! it directly; for concurrent serving, `CoeffRead` is *also* implemented
+//! for `&SharedCoeffStore` — each worker thread holds its own `&` reference
+//! and passes `&mut (&shared)` into the query functions, the same pattern
+//! as `io::Read for &TcpStream`. No query code changes between the two.
 
 use crate::block::BlockStore;
 use crate::shard::SharedCoeffStore;
@@ -20,9 +21,8 @@ use ss_core::TilingMap;
 
 /// A read-only source of wavelet coefficients laid out by a [`TilingMap`].
 ///
-/// Implemented by [`CoeffStore`] (exclusive access), [`SharedCoeffStore`]
-/// (owned), and `&SharedCoeffStore` (per-thread handle for concurrent
-/// query serving).
+/// Implemented by [`CoeffStore`] (exclusive access) and
+/// `&SharedCoeffStore` (per-thread handle for concurrent query serving).
 pub trait CoeffRead {
     /// The tiling map describing the coefficient layout.
     type Map: TilingMap;
@@ -51,23 +51,6 @@ impl<M: TilingMap, S: BlockStore> CoeffRead for CoeffStore<M, S> {
 
     fn read_at(&mut self, tile: usize, slot: usize) -> f64 {
         CoeffStore::read_at(self, tile, slot)
-    }
-}
-
-impl<M: TilingMap, S: BlockStore> CoeffRead for SharedCoeffStore<M, S> {
-    type Map = M;
-
-    fn map(&self) -> &M {
-        SharedCoeffStore::map(self)
-    }
-
-    fn read(&mut self, idx: &[usize]) -> f64 {
-        SharedCoeffStore::read(self, idx)
-    }
-
-    fn read_at(&mut self, tile: usize, slot: usize) -> f64 {
-        self.stats().add_coeff_reads(1);
-        self.pool().read(tile, slot)
     }
 }
 

@@ -287,9 +287,9 @@ mod tests {
     #[test]
     fn persistent_errors_skip_the_retry_budget() {
         let before = ss_obs::global().counter("storage.retries").get();
-        // A v1-style read-only inner: writes fail persistently.
-        struct ReadOnly(MemBlockStore);
-        impl BlockStore for ReadOnly {
+        // An inner store whose writes fail persistently (a geometry error).
+        struct Unwritable(MemBlockStore);
+        impl BlockStore for Unwritable {
             fn block_capacity(&self) -> usize {
                 self.0.block_capacity()
             }
@@ -300,17 +300,20 @@ mod tests {
                 self.0.try_read_block(id, buf)
             }
             fn try_write_block(&mut self, _: usize, _: &[f64]) -> Result<(), StorageError> {
-                Err(StorageError::ReadOnly)
+                Err(StorageError::Geometry {
+                    expected: 1,
+                    actual: 0,
+                })
             }
             fn grow(&mut self, blocks: usize) {
                 self.0.grow(blocks);
             }
         }
-        let inner = ReadOnly(MemBlockStore::new(4, 2, IoStats::new()));
+        let inner = Unwritable(MemBlockStore::new(4, 2, IoStats::new()));
         let mut s = RetryingBlockStore::new(inner, fast_policy(5));
         assert!(matches!(
             s.try_write_block(0, &[0.0; 4]),
-            Err(StorageError::ReadOnly)
+            Err(StorageError::Geometry { .. })
         ));
         assert_eq!(
             ss_obs::global().counter("storage.retries").get(),

@@ -1,12 +1,26 @@
-//! A thread-safe, sharded buffer pool and the shared coefficient store
-//! built on it.
+//! The block cache — the workspace's one model of the paper's bounded
+//! working memory — and the shared coefficient store built on it.
 //!
-//! The serial [`BufferPool`](crate::BufferPool) is `&mut self` throughout:
-//! one caller, one cache. The parallel transform drivers in `ss-transform`
-//! instead want many workers applying coefficient deltas *concurrently*
-//! against one bounded cache. [`ShardedBufferPool`] provides that: the
-//! block-id space is partitioned across `num_shards` independently locked
-//! LRU shards, so two workers touching different shards never contend.
+//! The paper's algorithms assume a working memory of `M^d` coefficients;
+//! [`ShardedBufferPool`] models that budget in *blocks*. Repeated touches
+//! of a cached block cost nothing; a miss reads one block, and evicting a
+//! dirty block writes one. Flushing at the end of an operation writes the
+//! remaining dirty blocks — exactly the accounting the paper's per-chunk
+//! analyses use. There is one frame table, one LRU victim selection (exact
+//! LRU: the oldest stamp in a dense per-shard stamp array), one eviction
+//! write-back and one flush, entered under two disciplines:
+//!
+//! * **shared** (`&self`; [`SharedCoeffStore`]) — many workers apply
+//!   deltas or answer queries *concurrently* against one bounded cache.
+//!   The block-id space is partitioned across `num_shards` independently
+//!   locked LRU shards, so two workers touching different shards never
+//!   contend;
+//! * **exclusive** (`&mut self`; [`CoeffStore`](crate::CoeffStore), a
+//!   one-shard pool) — the single owner reaches a cached frame through
+//!   `Mutex::get_mut` and pays no lock at all
+//!   ([`ShardedBufferPool::with_block_mut`]); only a miss takes the
+//!   shared path, with locks nobody else can hold.
+//!
 //! The backing [`BlockStore`] sits behind its own reader-writer lock and
 //! is only locked on a miss, an eviction of a dirty frame, or a flush.
 //! Stores that support [`BlockStore::try_read_block_shared`] serve misses
@@ -14,37 +28,42 @@
 //! on the device concurrently — the mechanism that lets a pool of query
 //! workers overlap per-block device latency instead of serialising every
 //! cold read behind one mutex. Writes (write-backs, flushes) and reads on
-//! stores without shared-read support take the write half, which behaves
-//! exactly like the old mutex.
+//! stores without shared-read support take the write half.
 //!
 //! **Store I/O never runs under a shard lock.** A miss (or an eviction of
-//! a dirty frame, or a flush) marks the affected block ids *busy* in the
-//! shard, releases the shard mutex, performs the device transfer, then
+//! a dirty frame) marks the affected block ids *busy* in the shard,
+//! releases the shard mutex, performs the device transfer, then
 //! re-acquires the mutex to install the frame and wake waiters on the
 //! shard's condvar. Threads that need a busy block wait on the condvar
 //! instead of duplicating the load. This matters most when the backing
 //! store is a [`RetryingBlockStore`](crate::RetryingBlockStore): its
-//! capped exponential backoff can sleep for many milliseconds, and under
-//! the old held-lock discipline that sleep stalled every reader hashed to
-//! the same shard. Lock ordering remains *shard → store* in the sense
-//! that no operation acquires a shard lock while holding the store lock,
-//! and no operation holds two shard locks at once, so the pool is
-//! deadlock-free by construction.
+//! capped exponential backoff can sleep for many milliseconds, and a
+//! sleep under the shard lock would stall every reader hashed to the
+//! same shard. No operation acquires a shard lock while holding the
+//! store lock, and none holds two shard locks at once, so the pool is
+//! deadlock-free by construction. A failed transfer is raised as a typed
+//! panic only once every guard is released, so it poisons nothing.
+//!
+//! Taking a lock nobody holds reads no clock and records nothing: the
+//! `pool.shard_lock_wait_ns` / `pool.store_lock_wait_ns` histograms sample
+//! *contended* acquisitions only.
 //!
 //! Every shard keeps local hit/miss/eviction/write-back counters (read
 //! them with [`ShardedBufferPool::shard_counters`]) and mirrors each event
 //! into the shared [`IoStats`], where the totals appear in
 //! [`IoSnapshot`](crate::IoSnapshot) next to the block/coefficient
-//! counters the experiments report.
+//! counters the experiments report. Every access also emits a
+//! `tile_fetch` trace event when the calling thread is inside a traced
+//! request — served and offline paths alike.
 
 use crate::block::BlockStore;
 use crate::error::StorageError;
-use crate::pool::Frame;
 use crate::stats::IoStats;
 use ss_core::TilingMap;
-use ss_obs::Histogram;
+use ss_obs::{Histogram, TraceEventKind};
 use std::collections::{HashMap, HashSet};
-use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockWriteGuard};
+use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{LockResult, TryLockError, TryLockResult};
 use std::time::Instant;
 
 /// Per-shard cache event counters (a copy; see
@@ -61,18 +80,101 @@ pub struct ShardCounters {
     pub writebacks: u64,
 }
 
+struct Frame {
+    data: Vec<f64>,
+    dirty: bool,
+    /// Where [`Shard::lru`] keeps this frame's last-use stamp.
+    lru_slot: usize,
+}
+
+#[derive(Default)]
 struct Shard {
     frames: HashMap<usize, Frame>,
     /// Block ids with store I/O in flight (miss load or eviction
     /// write-back). A block in `busy` is never in `frames`; threads that
     /// need it wait on the slot's condvar instead of loading it twice.
     busy: HashSet<usize>,
+    /// `(last-use stamp, block id)` of every cached frame. Dense, so
+    /// that picking a victim streams 16 bytes per frame instead of
+    /// hopping through the hash table's buckets.
+    lru: Vec<(u64, usize)>,
+    /// Threads asleep on the slot's condvar: a load that finds none skips
+    /// the wake-up (a system call per miss otherwise).
+    waiting: usize,
     clock: u64,
     counters: ShardCounters,
 }
 
+impl Shard {
+    /// The hit path of both entry disciplines: one hash lookup; on a hit
+    /// the access is counted, the frame gets the newest LRU stamp (and the
+    /// dirty bit when `mutate`) and its data is returned.
+    fn hit(&mut self, id: usize, mutate: bool, stats: &IoStats) -> Option<&mut [f64]> {
+        let frame = self.frames.get_mut(&id)?;
+        self.counters.hits += 1;
+        stats.add_pool_hits(1);
+        tile_fetch(id, true);
+        self.clock += 1;
+        self.lru[frame.lru_slot].0 = self.clock;
+        frame.dirty |= mutate;
+        Some(&mut frame.data)
+    }
+
+    /// Opens a miss on `id` for the calling thread, which now owns the
+    /// load: counts it, evicts least-recently-used frames until one more
+    /// fits in `budget`, and marks `id` and every dirty victim busy.
+    /// Returns the dirty victims — the caller writes them back and loads
+    /// `id` with the shard unlocked, then calls [`install`](Self::install).
+    fn begin_miss(&mut self, id: usize, budget: usize, stats: &IoStats) -> Vec<(usize, Frame)> {
+        self.counters.misses += 1;
+        stats.add_pool_misses(1);
+        tile_fetch(id, false);
+        let mut dirty_victims = Vec::new();
+        while self.frames.len() >= budget {
+            let oldest = self.lru.iter().enumerate().min_by_key(|(_, used)| used.0);
+            let slot = oldest.expect("budget is at least one frame").0;
+            let (_, vid) = self.lru.swap_remove(slot);
+            if let Some(&(_, moved)) = self.lru.get(slot) {
+                self.frames.get_mut(&moved).expect("cached").lru_slot = slot;
+            }
+            let frame = self.frames.remove(&vid).expect("victim exists");
+            self.counters.evictions += 1;
+            stats.add_pool_evictions(1);
+            if frame.dirty {
+                self.busy.insert(vid);
+                dirty_victims.push((vid, frame));
+            }
+        }
+        self.busy.insert(id);
+        dirty_victims
+    }
+
+    /// Closes the miss [`begin_miss`](Self::begin_miss) opened: counts the
+    /// `wrote_back` victims and caches `data` as the newest frame.
+    fn install(
+        &mut self,
+        id: usize,
+        data: Vec<f64>,
+        mutate: bool,
+        wrote_back: u64,
+        stats: &IoStats,
+    ) -> &mut [f64] {
+        self.counters.writebacks += wrote_back;
+        stats.add_pool_writebacks(wrote_back);
+        self.clock += 1;
+        let frame = Frame {
+            data,
+            dirty: mutate,
+            lru_slot: self.lru.len(),
+        };
+        self.lru.push((self.clock, id));
+        &mut self.frames.entry(id).or_insert(frame).data
+    }
+}
+
 /// One independently locked shard plus the condvar busy-block waiters
 /// sleep on while another thread performs that block's store I/O.
+#[derive(Default)]
 struct ShardSlot {
     state: Mutex<Shard>,
     ready: Condvar,
@@ -82,19 +184,31 @@ struct ShardSlot {
 /// panics mid-I/O (e.g. a store read fault), so waiters never hang.
 struct BusyGuard<'a> {
     slot: &'a ShardSlot,
-    ids: Vec<usize>,
+    /// The block being loaded.
+    id: usize,
+    /// The dirty frames being written back to make room for it.
+    victims: &'a [(usize, Frame)],
 }
 
 impl BusyGuard<'_> {
+    fn unmark(&self, shard: &mut Shard) {
+        shard.busy.remove(&self.id);
+        for (vid, _) in self.victims {
+            shard.busy.remove(vid);
+        }
+    }
+
     /// Success path: clears the marks under an already-held shard lock,
     /// so the caller keeps the lock continuously from frame install to
     /// frame use (dropping it in between would let a concurrent miss
-    /// evict the just-installed frame). `Drop` stays as the panic path.
-    fn clear(mut self, shard: &mut Shard) {
-        for id in std::mem::take(&mut self.ids) {
-            shard.busy.remove(&id);
+    /// evict the just-installed frame), and wakes waiters only if there
+    /// are any. `Drop` stays as the panic path.
+    fn clear(self, shard: &mut Shard) {
+        self.unmark(shard);
+        if shard.waiting > 0 {
+            self.slot.ready.notify_all();
         }
-        std::mem::forget(self); // ids already taken: nothing to leak
+        std::mem::forget(self); // nothing owned: nothing to leak
     }
 }
 
@@ -105,9 +219,7 @@ impl Drop for BusyGuard<'_> {
             .state
             .lock()
             .unwrap_or_else(|poison| poison.into_inner());
-        for id in &self.ids {
-            shard.busy.remove(id);
-        }
+        self.unmark(&mut shard);
         drop(shard);
         self.slot.ready.notify_all();
     }
@@ -124,7 +236,41 @@ fn raise(transfer: Result<(), StorageError>) {
     }
 }
 
-/// A write-back LRU block cache usable from many threads at once.
+fn tile_fetch(id: usize, hit: bool) {
+    ss_obs::trace::event(TraceEventKind::TileFetch {
+        tile: id as u64,
+        hit,
+    });
+}
+
+/// Why a pool lock can be poisoned: only the caller's closure runs under
+/// a shard lock, and no pool code panics under the store lock.
+const POISONED: &str = "a thread panicked inside a with_block closure";
+
+/// Takes a lock the cheap way when nobody holds it — no clock read, no
+/// histogram sample — and otherwise blocks, recording the wait in
+/// `wait_ns`. The `pool.*_lock_wait_ns` histograms therefore count
+/// *contended* acquisitions only.
+fn acquire<G>(
+    attempt: TryLockResult<G>,
+    block: impl FnOnce() -> LockResult<G>,
+    wait_ns: &Histogram,
+) -> G {
+    match attempt {
+        Ok(guard) => guard,
+        Err(TryLockError::WouldBlock) => {
+            let t0 = Instant::now();
+            let guard = block().expect(POISONED);
+            wait_ns.record(t0.elapsed().as_nanos() as u64);
+            guard
+        }
+        Err(TryLockError::Poisoned(_)) => panic!("{POISONED}"),
+    }
+}
+
+/// The block cache: a write-back LRU over a [`BlockStore`], usable from
+/// many threads at once (`&self`) or by one owner without locking
+/// ([`with_block_mut`](Self::with_block_mut)).
 pub struct ShardedBufferPool<S: BlockStore> {
     shards: Vec<ShardSlot>,
     store: RwLock<S>,
@@ -132,11 +278,11 @@ pub struct ShardedBufferPool<S: BlockStore> {
     flush_lock: Mutex<()>,
     shard_budget: usize,
     block_capacity: usize,
-    num_blocks: usize,
     stats: IoStats,
-    // Global-registry handles resolved once: per-acquisition wait time on
-    // the shard locks and on the backing-store lock. Under the parallel
-    // drivers these are the contention signal the workers report.
+    // Global-registry handles resolved once: wait time of *contended*
+    // acquisitions of the shard locks and of the backing-store lock.
+    // Under the parallel drivers these are the contention signal the
+    // workers report.
     shard_wait_ns: Histogram,
     store_wait_ns: Histogram,
 }
@@ -148,24 +294,11 @@ impl<S: BlockStore> ShardedBufferPool<S> {
     pub fn new(store: S, budget: usize, num_shards: usize, stats: IoStats) -> Self {
         assert!(num_shards >= 1, "sharded pool needs at least one shard");
         assert!(budget >= 1, "buffer pool needs at least one frame");
-        let shard_budget = (budget / num_shards).max(1);
-        let shards = (0..num_shards)
-            .map(|_| ShardSlot {
-                state: Mutex::new(Shard {
-                    frames: HashMap::new(),
-                    busy: HashSet::new(),
-                    clock: 0,
-                    counters: ShardCounters::default(),
-                }),
-                ready: Condvar::new(),
-            })
-            .collect();
         ShardedBufferPool {
-            shards,
+            shards: (0..num_shards).map(|_| ShardSlot::default()).collect(),
             flush_lock: Mutex::new(()),
-            shard_budget,
+            shard_budget: (budget / num_shards).max(1),
             block_capacity: store.block_capacity(),
-            num_blocks: store.num_blocks(),
             store: RwLock::new(store),
             stats,
             shard_wait_ns: ss_obs::global().histogram("pool.shard_lock_wait_ns"),
@@ -173,31 +306,35 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         }
     }
 
-    /// Locks a shard slot, recording how long the acquisition waited.
     fn lock_slot<'a>(&self, slot: &'a ShardSlot) -> MutexGuard<'a, Shard> {
-        let t0 = Instant::now();
-        let guard = slot.state.lock().unwrap();
-        self.shard_wait_ns.record(t0.elapsed().as_nanos() as u64);
-        guard
+        acquire(
+            slot.state.try_lock(),
+            || slot.state.lock(),
+            &self.shard_wait_ns,
+        )
     }
 
-    /// Locks the backing store exclusively, recording how long the
-    /// acquisition waited.
+    /// Locks the backing store exclusively.
     fn lock_store(&self) -> RwLockWriteGuard<'_, S> {
-        let t0 = Instant::now();
-        let guard = self.store.write().unwrap();
-        self.store_wait_ns.record(t0.elapsed().as_nanos() as u64);
-        guard
+        acquire(
+            self.store.try_write(),
+            || self.store.write(),
+            &self.store_wait_ns,
+        )
+    }
+
+    /// Locks the backing store for shared reads.
+    fn read_store(&self) -> RwLockReadGuard<'_, S> {
+        acquire(
+            self.store.try_read(),
+            || self.store.read(),
+            &self.store_wait_ns,
+        )
     }
 
     /// Number of independently locked shards.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Cache budget per shard, in blocks.
-    pub fn shard_budget(&self) -> usize {
-        self.shard_budget
     }
 
     /// Total cache budget, in blocks.
@@ -218,17 +355,19 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         self.block_capacity
     }
 
-    /// Number of blocks in the underlying store.
-    pub fn num_blocks(&self) -> usize {
-        self.num_blocks
-    }
-
     /// A copy of each shard's local counters, indexed by shard.
     pub fn shard_counters(&self) -> Vec<ShardCounters> {
         self.shards
             .iter()
             .map(|s| s.state.lock().unwrap().counters)
             .collect()
+    }
+
+    /// Mutable access to the wrapped store — for maintenance operations
+    /// (scrub, fsync) that bypass the cache. Flush first if dirty frames
+    /// must be visible to the store.
+    pub fn store_mut(&mut self) -> &mut S {
+        self.store.get_mut().expect(POISONED)
     }
 
     fn shard_of(&self, id: usize) -> usize {
@@ -252,6 +391,25 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         self.with_block(id, true, |blk| blk[slot] += delta)
     }
 
+    /// [`with_block`](Self::with_block) for the pool's single owner: a
+    /// hit goes through `Mutex::get_mut` and pays no lock at all. A miss
+    /// takes the shared path below — its locks are uncontended and the
+    /// block transfer dwarfs them — so eviction, write-back and load
+    /// exist once.
+    pub fn with_block_mut<R>(
+        &mut self,
+        id: usize,
+        mutate: bool,
+        f: impl FnOnce(&mut [f64]) -> R,
+    ) -> R {
+        let owner = self.shard_of(id);
+        let shard = self.shards[owner].state.get_mut().expect(POISONED);
+        match shard.hit(id, mutate, &self.stats) {
+            Some(data) => f(data),
+            None => self.with_block(id, mutate, f),
+        }
+    }
+
     /// Runs `f` over the whole cached block `id` under a single shard
     /// lock (marking it dirty when `mutate` is true). This is how the
     /// parallel drivers apply a chunk's per-tile delta batches: one lock
@@ -262,106 +420,49 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         let slot_ref = &self.shards[self.shard_of(id)];
         let mut shard = self.lock_slot(slot_ref);
         loop {
-            if shard.frames.contains_key(&id) {
-                shard.counters.hits += 1;
-                self.stats.add_pool_hits(1);
-                ss_obs::trace::event(ss_obs::TraceEventKind::TileFetch {
-                    tile: id as u64,
-                    hit: true,
-                });
+            if let Some(data) = shard.hit(id, mutate, &self.stats) {
+                return f(data);
+            }
+            if !shard.busy.contains(&id) {
                 break;
             }
-            if shard.busy.contains(&id) {
-                // Another thread is loading or writing back this block;
-                // wait for its I/O to finish instead of duplicating it.
-                shard = slot_ref.ready.wait(shard).unwrap();
-                continue;
-            }
-            // Miss: this thread owns the load. Pick eviction victims and
-            // mark every id with in-flight I/O busy, then drop the lock.
-            shard.counters.misses += 1;
-            self.stats.add_pool_misses(1);
-            ss_obs::trace::event(ss_obs::TraceEventKind::TileFetch {
-                tile: id as u64,
-                hit: false,
-            });
-            let mut victims: Vec<(usize, Frame)> = Vec::new();
-            while shard.frames.len() + 1 > self.shard_budget && !shard.frames.is_empty() {
-                let vid = shard
-                    .frames
-                    .iter()
-                    .min_by_key(|(_, fr)| fr.last_used)
-                    .map(|(&vid, _)| vid)
-                    .expect("evict on empty shard");
-                let frame = shard.frames.remove(&vid).expect("victim exists");
-                shard.counters.evictions += 1;
-                self.stats.add_pool_evictions(1);
-                victims.push((vid, frame));
-            }
-            shard.busy.insert(id);
-            let mut busy_ids = vec![id];
-            for (vid, frame) in &victims {
-                if frame.dirty {
-                    shard.busy.insert(*vid);
-                    busy_ids.push(*vid);
-                }
-            }
-            drop(shard);
-            let busy = BusyGuard {
-                slot: slot_ref,
-                ids: busy_ids,
-            };
-            let mut wrote_back = 0u64;
-            for (vid, frame) in &victims {
-                if frame.dirty {
-                    let wrote = self.lock_store().try_write_block(*vid, &frame.data);
-                    raise(wrote);
-                    wrote_back += 1;
-                }
-            }
-            let mut data = vec![0.0; self.block_capacity];
-            // Miss read: under the read half of the store lock when the
-            // store can read through a shared reference (misses on other
-            // shards then overlap their device wait), under the write
-            // half otherwise.
-            let shared = {
-                let t0 = Instant::now();
-                let guard = self.store.read().unwrap();
-                self.store_wait_ns.record(t0.elapsed().as_nanos() as u64);
-                guard.try_read_block_shared(id, &mut data)
-            };
-            let read = match shared {
-                Some(read) => read,
-                None => self.lock_store().try_read_block(id, &mut data),
-            };
-            raise(read);
-            shard = self.lock_slot(slot_ref);
-            shard.counters.writebacks += wrote_back;
-            self.stats.add_pool_writebacks(wrote_back);
-            shard.frames.insert(
-                id,
-                Frame {
-                    data,
-                    dirty: false,
-                    last_used: 0,
-                },
-            );
-            // Clear the busy marks under this same lock and keep holding
-            // it: releasing between install and use would let a
-            // concurrent miss evict the frame (or a clear() drop it) and
-            // force a second, double-counted load for this one access.
-            busy.clear(&mut shard);
-            slot_ref.ready.notify_all();
-            break;
+            // Another thread is loading or writing back this block;
+            // wait for its I/O to finish instead of duplicating it.
+            shard.waiting += 1;
+            shard = slot_ref.ready.wait(shard).unwrap();
+            shard.waiting -= 1;
         }
-        shard.clock += 1;
-        let clock = shard.clock;
-        let frame = shard.frames.get_mut(&id).expect("frame present");
-        frame.last_used = clock;
-        if mutate {
-            frame.dirty = true;
+        // Miss: this thread owns the load, performed with the lock dropped.
+        let dirty_victims = shard.begin_miss(id, self.shard_budget, &self.stats);
+        drop(shard);
+        let busy = BusyGuard {
+            slot: slot_ref,
+            id,
+            victims: &dirty_victims,
+        };
+        for (vid, frame) in &dirty_victims {
+            let wrote = self.lock_store().try_write_block(*vid, &frame.data);
+            raise(wrote);
         }
-        f(&mut frame.data)
+        let mut data = vec![0.0; self.block_capacity];
+        // Miss read: under the read half of the store lock when the
+        // store can read through a shared reference (misses on other
+        // shards then overlap their device wait), under the write
+        // half otherwise.
+        let shared = self.read_store().try_read_block_shared(id, &mut data);
+        let read = match shared {
+            Some(read) => read,
+            None => self.lock_store().try_read_block(id, &mut data),
+        };
+        raise(read);
+        let mut shard = self.lock_slot(slot_ref);
+        // Clear the busy marks under this same lock and keep holding
+        // it: releasing between install and use would let a
+        // concurrent miss evict the frame (or a clear() drop it) and
+        // force a second, double-counted load for this one access.
+        busy.clear(&mut shard);
+        let wrote_back = dirty_victims.len() as u64;
+        f(shard.install(id, data, mutate, wrote_back, &self.stats))
     }
 
     /// Writes every dirty block back to the store, keeping the cache warm.
@@ -370,42 +471,48 @@ impl<S: BlockStore> ShardedBufferPool<S> {
     /// store after it is released, so slow store writes (throttled
     /// devices, retry backoff) never stall readers of the shard. A frame
     /// mutated between the copy and the store write is simply dirty again
-    /// and caught by the next flush.
+    /// and caught by the next flush. When a store write fails, the frames
+    /// it did not reach are marked dirty again before the typed panic is
+    /// raised (with no lock held), so a later flush still persists them.
     pub fn flush(&self) {
+        raise(self.try_flush());
+    }
+
+    fn try_flush(&self) -> Result<(), StorageError> {
         // Serialise whole-pool flushes so two concurrent flushes cannot
         // write the same block in opposite orders (copy-then-write makes
         // that reordering possible without this).
         let _flush = self.flush_lock.lock().unwrap();
         for slot in &self.shards {
             let mut dirty: Vec<(usize, Vec<f64>)> = Vec::new();
-            {
-                let mut shard = slot.state.lock().unwrap();
-                let mut ids: Vec<usize> = shard
-                    .frames
-                    .iter()
-                    .filter(|(_, fr)| fr.dirty)
-                    .map(|(&id, _)| id)
-                    .collect();
-                ids.sort_unstable();
-                for id in ids {
-                    let frame = shard.frames.get_mut(&id).expect("dirty frame");
+            for (&id, frame) in &mut self.lock_slot(slot).frames {
+                if std::mem::take(&mut frame.dirty) {
                     dirty.push((id, frame.data.clone()));
-                    frame.dirty = false;
-                    shard.counters.writebacks += 1;
-                    self.stats.add_pool_writebacks(1);
                 }
             }
             if dirty.is_empty() {
                 continue;
             }
+            dirty.sort_unstable_by_key(|&(id, _)| id);
+            let mut written = 0;
             let wrote = {
                 let mut store = self.lock_store();
-                dirty
-                    .iter()
-                    .try_for_each(|(id, data)| store.try_write_block(*id, data))
+                dirty.iter().try_for_each(|(id, data)| {
+                    store.try_write_block(*id, data).map(|()| written += 1)
+                })
             };
-            raise(wrote);
+            let mut shard = self.lock_slot(slot);
+            shard.counters.writebacks += written as u64;
+            self.stats.add_pool_writebacks(written as u64);
+            for (id, _) in &dirty[written..] {
+                if let Some(frame) = shard.frames.get_mut(id) {
+                    frame.dirty = true;
+                }
+            }
+            drop(shard);
+            wrote?;
         }
+        Ok(())
     }
 
     /// Durability barrier on the backing store (fsync for file-backed
@@ -415,11 +522,14 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         self.lock_store().try_sync()
     }
 
-    /// Flushes and drops every cached block.
+    /// Flushes and drops every cached block (a "cold cache" reset between
+    /// experiment phases).
     pub fn clear(&self) {
         self.flush();
         for slot in &self.shards {
-            slot.state.lock().unwrap().frames.clear();
+            let mut shard = self.lock_slot(slot);
+            shard.frames.clear();
+            shard.lru.clear();
         }
     }
 
@@ -431,9 +541,10 @@ impl<S: BlockStore> ShardedBufferPool<S> {
 }
 
 /// Wavelet coefficients mapped onto a [`ShardedBufferPool`] through a
-/// [`TilingMap`] — the `&self` counterpart of
-/// [`CoeffStore`](crate::CoeffStore), shared by reference across the
-/// worker threads of the parallel transform drivers.
+/// [`TilingMap`] — the shared (`&self`) entry discipline, handed by
+/// reference to the worker threads of the parallel transform drivers and
+/// of the query server. [`CoeffStore`](crate::CoeffStore) is the same
+/// thing with one shard and one owner.
 pub struct SharedCoeffStore<M: TilingMap, S: BlockStore> {
     map: M,
     pool: ShardedBufferPool<S>,
@@ -557,6 +668,13 @@ impl<M: TilingMap, S: BlockStore> SharedCoeffStore<M, S> {
     /// Direct access to the underlying sharded pool.
     pub fn pool(&self) -> &ShardedBufferPool<S> {
         &self.pool
+    }
+
+    /// The pool as its single owner sees it: lock-free hits through
+    /// [`ShardedBufferPool::with_block_mut`], and the backing store
+    /// through [`ShardedBufferPool::store_mut`].
+    pub fn pool_mut(&mut self) -> &mut ShardedBufferPool<S> {
+        &mut self.pool
     }
 
     /// Decomposes into map and (flushed) store.
@@ -812,6 +930,168 @@ mod tests {
                 payload.downcast_ref::<StorageError>().is_some(),
                 "access to block {id} must fail typed"
             );
+        }
+    }
+
+    // One shard, entered by the pool's single owner: the behaviours the
+    // serial pool's unit tests pinned, now through `with_block_mut`.
+
+    fn read_mut(p: &mut ShardedBufferPool<MemBlockStore>, id: usize, slot: usize) -> f64 {
+        p.with_block_mut(id, false, |blk| blk[slot])
+    }
+
+    fn write_mut(p: &mut ShardedBufferPool<MemBlockStore>, id: usize, slot: usize, v: f64) {
+        p.with_block_mut(id, true, |blk| blk[slot] = v)
+    }
+
+    #[test]
+    fn one_shard_write_back_on_flush() {
+        let (mut p, stats) = pool(8, 2, 1);
+        write_mut(&mut p, 0, 0, 9.0);
+        write_mut(&mut p, 0, 1, 8.0);
+        assert_eq!(stats.snapshot().block_writes, 0, "write-back, not through");
+        p.flush();
+        assert_eq!(stats.snapshot().block_writes, 1);
+        // Flushing twice does not rewrite clean blocks.
+        p.flush();
+        assert_eq!(stats.snapshot().block_writes, 1);
+    }
+
+    #[test]
+    fn one_shard_eviction_respects_budget_and_writes_dirty() {
+        let (mut p, stats) = pool(8, 2, 1);
+        write_mut(&mut p, 0, 0, 1.0);
+        read_mut(&mut p, 1, 0);
+        read_mut(&mut p, 2, 0); // evicts block 0 (LRU, dirty)
+        assert_eq!(p.cached_blocks(), 2);
+        assert_eq!(stats.snapshot().block_writes, 1);
+        // Block 0 re-read returns the evicted value.
+        assert_eq!(read_mut(&mut p, 0, 0), 1.0);
+    }
+
+    #[test]
+    fn one_shard_lru_keeps_recently_used() {
+        let (mut p, stats) = pool(8, 2, 1);
+        read_mut(&mut p, 0, 0);
+        read_mut(&mut p, 1, 0);
+        read_mut(&mut p, 0, 0); // 0 is now more recent than 1
+        read_mut(&mut p, 2, 0); // must evict 1
+        stats.reset();
+        read_mut(&mut p, 0, 0); // still cached
+        assert_eq!(stats.snapshot().block_reads, 0);
+        read_mut(&mut p, 1, 0); // was evicted
+        assert_eq!(stats.snapshot().block_reads, 1);
+    }
+
+    #[test]
+    fn one_shard_into_store_flushes() {
+        let (mut p, stats) = pool(4, 2, 1);
+        write_mut(&mut p, 1, 3, 7.0);
+        let mut store = p.into_store();
+        assert_eq!(stats.snapshot().block_writes, 1);
+        let mut buf = vec![0.0; 4];
+        store.read_block(1, &mut buf);
+        assert_eq!(buf[3], 7.0);
+    }
+
+    #[test]
+    fn one_shard_counters_track_hits_misses_evictions() {
+        let (mut p, stats) = pool(8, 2, 1);
+        read_mut(&mut p, 0, 0); // miss
+        read_mut(&mut p, 0, 1); // hit
+        write_mut(&mut p, 1, 0, 2.0); // miss
+        read_mut(&mut p, 2, 0); // miss, evicts clean block 0
+        read_mut(&mut p, 3, 0); // miss, evicts dirty block 1 (write-back)
+        let s = stats.snapshot();
+        assert_eq!(s.pool_hits, 1);
+        assert_eq!(s.pool_misses, 4);
+        assert_eq!(s.pool_accesses(), 5);
+        assert_eq!(s.pool_evictions, 2);
+        assert_eq!(s.pool_writebacks, 1);
+        // Every block the store saw was a pool miss or a pool write-back.
+        assert_eq!(s.block_reads, s.pool_misses);
+        assert_eq!(s.block_writes, s.pool_writebacks);
+        // The owner's and the shared entry count into the same shard.
+        assert_eq!(p.read(3, 0), 0.0);
+        assert_eq!(p.shard_counters()[0].hits, 2);
+    }
+
+    #[test]
+    fn one_shard_with_block_bulk_access() {
+        let (mut p, _) = pool(4, 2, 1);
+        p.with_block_mut(2, true, |blk| {
+            for (i, v) in blk.iter_mut().enumerate() {
+                *v = i as f64;
+            }
+        });
+        assert_eq!(read_mut(&mut p, 2, 3), 3.0);
+        p.with_block_mut(2, true, |blk| blk[3] += 1.5);
+        assert_eq!(p.read(2, 3), 4.5);
+    }
+
+    #[test]
+    fn failed_flush_keeps_unwritten_frames_dirty() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+
+        // Regression: flush marked frames clean before writing them, so a
+        // failed write-back left clean-but-unpersisted frames that no
+        // later flush would ever write.
+        struct FailingWrites {
+            inner: MemBlockStore,
+            broken: Arc<AtomicBool>,
+        }
+        impl BlockStore for FailingWrites {
+            fn block_capacity(&self) -> usize {
+                self.inner.block_capacity()
+            }
+            fn num_blocks(&self) -> usize {
+                self.inner.num_blocks()
+            }
+            fn try_read_block(&mut self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
+                self.inner.try_read_block(id, buf)
+            }
+            fn try_write_block(&mut self, id: usize, buf: &[f64]) -> Result<(), StorageError> {
+                // Block 0 still goes through: the failure is mid-flush.
+                if id > 0 && self.broken.load(Ordering::Acquire) {
+                    return Err(StorageError::Injected {
+                        op: "write",
+                        block: id,
+                    });
+                }
+                self.inner.try_write_block(id, buf)
+            }
+            fn grow(&mut self, blocks: usize) {
+                self.inner.grow(blocks);
+            }
+        }
+
+        let broken = Arc::new(AtomicBool::new(true));
+        let stats = IoStats::new();
+        let store = FailingWrites {
+            inner: MemBlockStore::new(4, 6, stats.clone()),
+            broken: Arc::clone(&broken),
+        };
+        let p = ShardedBufferPool::new(store, 6, 2, stats.clone());
+        for id in 0..6 {
+            p.write(id, 1, id as f64 + 0.5);
+        }
+        let flush = std::panic::AssertUnwindSafe(|| p.flush());
+        let payload = std::panic::catch_unwind(flush).unwrap_err();
+        assert!(matches!(
+            payload.downcast_ref::<StorageError>(),
+            Some(StorageError::Injected { op: "write", .. })
+        ));
+        // Only block 0 reached the store, and only it was counted.
+        assert_eq!(stats.snapshot().pool_writebacks, 1);
+        broken.store(false, Ordering::Release);
+        p.flush();
+        assert_eq!(stats.snapshot().pool_writebacks, 6);
+        let mut store = p.into_store();
+        let mut buf = vec![0.0; 4];
+        for id in 0..6 {
+            store.read_block(id, &mut buf);
+            assert_eq!(buf[1], id as f64 + 0.5, "block {id} was never persisted");
         }
     }
 

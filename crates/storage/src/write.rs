@@ -5,14 +5,16 @@
 //! same step: SHIFT-SPLIT deltas folded into tiled storage. [`CoeffWrite`]
 //! captures exactly that capability, so one chunk pipeline in
 //! `ss-transform` and one group-commit flush in `ss-maintain` serve both
-//! the serial [`CoeffStore`] (one caller, `&mut self` cache) and the
-//! thread-safe [`SharedCoeffStore`] (many concurrent workers). As with
-//! `CoeffRead`, the receivers are `&mut self` and the shared store
-//! implements the trait for `&SharedCoeffStore`: each worker holds its own
-//! `&` handle and passes `&mut (&shared)`.
+//! entry disciplines of the one block cache: the exclusive [`CoeffStore`]
+//! (one owner, `&mut self`, lock-free hits) and the shared
+//! [`SharedCoeffStore`] (many concurrent workers). As with `CoeffRead`,
+//! the receivers are `&mut self` and the shared store implements the
+//! trait for `&SharedCoeffStore`: each worker holds its own `&` handle and
+//! passes `&mut (&shared)`.
 //!
-//! The two implementations keep their own access disciplines — they are
-//! the experiments' cost models, not interchangeable details:
+//! Both run on the same frames, LRU and write-back; what differs is how
+//! often a batch enters the cache — the experiments' cost models, not
+//! interchangeable details:
 //!
 //! * [`CoeffStore::apply_batch`] touches the pool once **per delta** in
 //!   ascending `(tile, slot)` order, so every delta is a pool access in
@@ -160,7 +162,7 @@ mod tests {
             assert_eq!(serial.read(&[i]).to_bits(), shared.read(&[i]).to_bits());
         }
         // Same coefficient-write accounting; the pool-access discipline is
-        // per delta on the serial sink and per tile on the shared one.
+        // per delta on the exclusive sink and per tile on the shared one.
         let (a, b) = (serial_stats.snapshot(), shared_stats.snapshot());
         assert_eq!(a.coeff_writes, 17);
         assert_eq!(b.coeff_writes, 17);

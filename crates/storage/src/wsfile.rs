@@ -15,8 +15,9 @@
 //! axis    = 2            # append axis
 //! ```
 //!
-//! Version history: v1 had no checksum sidecar. v1 stores still open —
-//! read-only — through [`WsFile::open`]; every newly created store is v2
+//! Version history: v1 had no checksum sidecar and is retired — a meta
+//! with `version = 1` or no version line is refused with
+//! [`StorageError::UnsupportedVersion`]. Every newly created store is v2
 //! unless the sparse v3 layout is requested ([`WsFile::create_v3`],
 //! `docs/FORMAT.md` §8), in which case the blocks file is a bucket-
 //! bitmap-compressed heap and `version = 3`. Metadata updates are
@@ -46,8 +47,7 @@ pub const V3_FORMAT_VERSION: u32 = 3;
 /// Geometry and bookkeeping persisted in the `.meta` file.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Meta {
-    /// On-disk format version (1 = legacy, no checksums; 2 = current
-    /// dense default; 3 = sparse bucketed).
+    /// On-disk format version (2 = dense default; 3 = sparse bucketed).
     pub version: u32,
     /// Per-axis `log2` domain sizes.
     pub levels: Vec<u32>,
@@ -89,9 +89,10 @@ impl Meta {
         s
     }
 
-    /// Parses the textual header format. Accepts versions 1 through
-    /// [`V3_FORMAT_VERSION`]; a missing `version` line means 1 (the line
-    /// was optional before it existed).
+    /// Parses the textual header format. Accepts versions
+    /// [`FORMAT_VERSION`] through [`V3_FORMAT_VERSION`]; a missing
+    /// `version` line means the retired v1 (the line was optional before
+    /// it existed) and is refused like an explicit `version = 1`.
     pub fn from_text(text: &str) -> Result<Meta, StorageError> {
         let bad = |msg: String| StorageError::Meta(msg);
         let mut version = 1u32;
@@ -115,9 +116,6 @@ impl Meta {
                     version = value
                         .parse::<u32>()
                         .map_err(|e| bad(format!("bad version: {e}")))?;
-                    if version == 0 || version > V3_FORMAT_VERSION {
-                        return Err(StorageError::UnsupportedVersion(version));
-                    }
                 }
                 "levels" => levels = Some(parse_u32_list(value)?),
                 "tiles" => tiles = Some(parse_u32_list(value)?),
@@ -140,6 +138,9 @@ impl Meta {
         }
         if !format_ok {
             return Err(bad("not a shiftsplit-ws meta file".into()));
+        }
+        if !(FORMAT_VERSION..=V3_FORMAT_VERSION).contains(&version) {
+            return Err(StorageError::UnsupportedVersion(version));
         }
         let levels = levels.ok_or_else(|| bad("missing levels".into()))?;
         let tiles = tiles.ok_or_else(|| bad("missing tiles".into()))?;
@@ -200,6 +201,14 @@ fn atomic_write(path: &Path, text: &str) -> Result<(), StorageError> {
         .map_err(|e| StorageError::io(format!("rename over {}", path.display()), e))
 }
 
+/// Reads and parses the `.meta` header of the store at `path`.
+fn read_meta(path: &Path) -> Result<Meta, StorageError> {
+    let mp = meta_path(path);
+    let text = std::fs::read_to_string(&mp)
+        .map_err(|e| StorageError::io(format!("read {}", mp.display()), e))?;
+    Meta::from_text(&text)
+}
+
 /// An opened persistent store.
 pub struct WsFile {
     /// Store geometry.
@@ -215,65 +224,44 @@ impl WsFile {
     /// Creates a fresh, zeroed store (truncates existing files). The
     /// store is always written at the current [`FORMAT_VERSION`],
     /// whatever `meta.version` says.
-    pub fn create(path: &Path, mut meta: Meta) -> Result<WsFile, StorageError> {
-        meta.version = FORMAT_VERSION;
-        let map = meta.tiling();
-        let stats = IoStats::new();
-        let blocks =
-            FileBlockStore::create(path, map.block_capacity(), map.num_tiles(), stats.clone())?;
-        atomic_write(&meta_path(path), &meta.to_text())?;
-        Ok(WsFile {
-            store: CoeffStore::new(map, blocks, 1 << 10, stats.clone()),
-            meta,
-            stats,
-            path: path.to_path_buf(),
-        })
+    pub fn create(path: &Path, meta: Meta) -> Result<WsFile, StorageError> {
+        Self::create_as(path, meta, FORMAT_VERSION, FileBlockStore::create)
     }
 
     /// Creates a fresh, zeroed **sparse v3** store (truncates existing
     /// files): bucket-bitmap-compressed blocks file plus payload-CRC
     /// sidecar, `version = 3` in the meta (`docs/FORMAT.md` §8).
-    pub fn create_v3(path: &Path, mut meta: Meta) -> Result<WsFile, StorageError> {
-        meta.version = V3_FORMAT_VERSION;
-        let map = meta.tiling();
-        let stats = IoStats::new();
-        let blocks =
-            FileBlockStore::create_v3(path, map.block_capacity(), map.num_tiles(), stats.clone())?;
-        atomic_write(&meta_path(path), &meta.to_text())?;
-        Ok(WsFile {
-            store: CoeffStore::new(map, blocks, 1 << 10, stats.clone()),
-            meta,
-            stats,
-            path: path.to_path_buf(),
-        })
+    pub fn create_v3(path: &Path, meta: Meta) -> Result<WsFile, StorageError> {
+        Self::create_as(path, meta, V3_FORMAT_VERSION, FileBlockStore::create_v3)
     }
 
-    /// Opens an existing store. Current (v2) and sparse (v3) stores open
-    /// read-write with CRC-verified reads; legacy v1 stores open
-    /// **read-only** without checksums. The meta `version` line
-    /// dispatches the blocks-file layout.
-    pub fn open(path: &Path) -> Result<WsFile, StorageError> {
-        let mp = meta_path(path);
-        let text = std::fs::read_to_string(&mp)
-            .map_err(|e| StorageError::io(format!("read {}", mp.display()), e))?;
-        let meta = Meta::from_text(&text)?;
+    fn create_as(
+        path: &Path,
+        mut meta: Meta,
+        version: u32,
+        create: fn(&Path, usize, usize, IoStats) -> Result<FileBlockStore, StorageError>,
+    ) -> Result<WsFile, StorageError> {
+        meta.version = version;
         let map = meta.tiling();
         let stats = IoStats::new();
-        let blocks = match meta.version {
-            V3_FORMAT_VERSION => {
-                FileBlockStore::open_v3(path, map.block_capacity(), map.num_tiles(), stats.clone())?
-            }
-            2 => FileBlockStore::open(path, map.block_capacity(), map.num_tiles(), stats.clone())?,
-            _ => {
-                FileBlockStore::open_v1(path, map.block_capacity(), map.num_tiles(), stats.clone())?
-            }
+        let blocks = create(path, map.block_capacity(), map.num_tiles(), stats.clone())?;
+        atomic_write(&meta_path(path), &meta.to_text())?;
+        Ok(Self::from_parts(meta, map, blocks, stats, path))
+    }
+
+    /// Opens an existing store read-write with CRC-verified reads. The
+    /// meta `version` line dispatches the blocks-file layout: dense (v2)
+    /// or sparse (v3).
+    pub fn open(path: &Path) -> Result<WsFile, StorageError> {
+        let meta = read_meta(path)?;
+        let map = meta.tiling();
+        let stats = IoStats::new();
+        let open = match meta.version {
+            V3_FORMAT_VERSION => FileBlockStore::open_v3,
+            _ => FileBlockStore::open,
         };
-        Ok(WsFile {
-            store: CoeffStore::new(map, blocks, 1 << 10, stats.clone()),
-            meta,
-            stats,
-            path: path.to_path_buf(),
-        })
+        let blocks = open(path, map.block_capacity(), map.num_tiles(), stats.clone())?;
+        Ok(Self::from_parts(meta, map, blocks, stats, path))
     }
 
     /// Assembles a `WsFile` from already-opened parts (used by the CLI when
@@ -296,25 +284,14 @@ impl WsFile {
     /// Persists updated metadata (after appends/expansions) crash-safely:
     /// temp file → fsync → atomic rename.
     pub fn save_meta(&self) -> Result<(), StorageError> {
-        if self.read_only() {
-            return Err(StorageError::ReadOnly);
-        }
         atomic_write(&meta_path(&self.path), &self.meta.to_text())
-    }
-
-    /// Whether this store rejects writes (legacy v1 files always do).
-    pub fn read_only(&self) -> bool {
-        self.meta.version < 2
     }
 
     /// Flushes dirty cached blocks, then scrubs the whole blocks file
     /// against the checksum sidecar — the library face of
-    /// `shiftsplit scrub`. On a v1 store only geometry and readability
-    /// are checked (`report.checksummed == false`).
+    /// `shiftsplit scrub`.
     pub fn verify(&mut self) -> Result<ScrubReport, StorageError> {
-        if !self.read_only() {
-            self.store.flush();
-        }
+        self.store.flush();
         self.store.pool().store_mut().scrub()
     }
 
@@ -367,10 +344,7 @@ pub fn convert_to_v3(
     path: &Path,
     policy: RetentionPolicy,
 ) -> Result<V3ConvertReport, StorageError> {
-    let mp = meta_path(path);
-    let text = std::fs::read_to_string(&mp)
-        .map_err(|e| StorageError::io(format!("read {}", mp.display()), e))?;
-    let mut meta = Meta::from_text(&text)?;
+    let mut meta = read_meta(path)?;
     if meta.version == V3_FORMAT_VERSION {
         return Err(StorageError::Meta(format!(
             "{} is already a sparse v3 store",
@@ -380,11 +354,7 @@ pub fn convert_to_v3(
     let map = meta.tiling();
     let (capacity, blocks) = (map.block_capacity(), map.num_tiles());
     let stats = IoStats::new();
-    let mut src = if meta.version >= 2 {
-        FileBlockStore::open(path, capacity, blocks, stats.clone())?
-    } else {
-        FileBlockStore::open_v1(path, capacity, blocks, stats.clone())?
-    };
+    let mut src = FileBlockStore::open(path, capacity, blocks, stats.clone())?;
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".v3tmp");
     let tmp = PathBuf::from(tmp);
@@ -408,7 +378,7 @@ pub fn convert_to_v3(
     std::fs::rename(sidecar_path(&tmp), sidecar_path(path))
         .map_err(|e| StorageError::io("rename v3 sidecar", e))?;
     meta.version = V3_FORMAT_VERSION;
-    atomic_write(&mp, &meta.to_text())?;
+    atomic_write(&meta_path(path), &meta.to_text())?;
     Ok(report)
 }
 
@@ -437,25 +407,23 @@ mod tests {
     }
 
     #[test]
-    fn meta_version_compat() {
-        // No version line → v1 (the line predates the field).
-        let v1 =
-            Meta::from_text("format = shiftsplit-ws\nlevels = 2\ntiles = 1\nfilled = 0\naxis = 0")
-                .unwrap();
-        assert_eq!(v1.version, 1);
-        // Explicit v1 parses; future versions are refused with a typed error.
-        assert_eq!(
-            Meta::from_text(
-                "format = shiftsplit-ws\nversion = 1\nlevels = 2\ntiles = 1\nfilled = 0\naxis = 0"
-            )
-            .unwrap()
-            .version,
-            1
-        );
+    fn meta_refuses_retired_and_future_versions() {
+        let body = "levels = 2\ntiles = 1\nfilled = 0\naxis = 0";
+        // No version line → v1 (the line predates the field), retired.
         assert!(matches!(
-            Meta::from_text("format = shiftsplit-ws\nversion = 9"),
-            Err(StorageError::UnsupportedVersion(9))
+            Meta::from_text(&format!("format = shiftsplit-ws\n{body}")),
+            Err(StorageError::UnsupportedVersion(1))
         ));
+        for (version, ok) in [(0, false), (1, false), (2, true), (3, true), (9, false)] {
+            let parsed = Meta::from_text(&format!(
+                "format = shiftsplit-ws\nversion = {version}\n{body}"
+            ));
+            match parsed {
+                Ok(meta) => assert!(ok && meta.version == version),
+                Err(StorageError::UnsupportedVersion(v)) => assert!(!ok && v == version),
+                Err(other) => panic!("version {version}: {other}"),
+            }
+        }
     }
 
     #[test]
@@ -537,7 +505,6 @@ mod tests {
         {
             let mut ws = WsFile::open(&path).unwrap();
             assert_eq!(ws.meta, meta);
-            assert!(!ws.read_only());
             assert_eq!(ws.store.read(&[2, 5]), 42.5);
             assert_eq!(ws.store.read(&[0, 0]), 0.0);
         }
@@ -555,7 +522,7 @@ mod tests {
             }
         }
         let report = ws.verify().unwrap();
-        assert!(report.is_clean() && report.checksummed);
+        assert!(report.is_clean());
         drop(ws);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
@@ -568,26 +535,24 @@ mod tests {
     }
 
     #[test]
-    fn v1_store_opens_read_only() {
+    fn v1_store_is_refused() {
         // Handcraft a v1 store: raw blocks file + version-1 meta, no
         // sidecar — exactly what this repo wrote before format v2.
         let path = tmp("v1open");
-        let meta = Meta {
-            version: 1,
-            levels: vec![2, 2],
-            tiles: vec![1, 1],
-            filled: 0,
-            axis: 1,
-        };
+        let meta = Meta::new(vec![2, 2], vec![1, 1], 0, 1);
         let map = meta.tiling();
         std::fs::write(&path, vec![0u8; map.block_capacity() * map.num_tiles() * 8]).unwrap();
-        std::fs::write(meta_path(&path), meta.to_text()).unwrap();
-        let mut ws = WsFile::open(&path).unwrap();
-        assert!(ws.read_only());
-        assert_eq!(ws.store.read(&[1, 1]), 0.0, "reads work on v1");
-        assert!(matches!(ws.save_meta(), Err(StorageError::ReadOnly)));
-        let report = ws.verify().unwrap();
-        assert!(!report.checksummed);
+        let v1_text = meta.to_text().replace("version = 2", "version = 1");
+        assert!(v1_text.contains("version = 1"));
+        std::fs::write(meta_path(&path), v1_text).unwrap();
+        assert!(matches!(
+            WsFile::open(&path),
+            Err(StorageError::UnsupportedVersion(1))
+        ));
+        assert!(matches!(
+            convert_to_v3(&path, RetentionPolicy::Keep),
+            Err(StorageError::UnsupportedVersion(1))
+        ));
         cleanup(&path);
     }
 
@@ -604,7 +569,7 @@ mod tests {
         }
         {
             let mut ws = WsFile::open(&path).unwrap();
-            assert!(ws.sparse() && !ws.read_only());
+            assert!(ws.sparse());
             assert_eq!(ws.store.read(&[2, 5]), 42.5);
             assert_eq!(ws.store.read(&[0, 0]), 0.0);
             assert!(ws.verify().unwrap().is_clean());

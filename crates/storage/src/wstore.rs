@@ -1,22 +1,26 @@
-//! Tiled coefficient storage: wavelet coefficients on disk blocks.
+//! Tiled coefficient storage: wavelet coefficients on disk blocks, for one
+//! owner.
 //!
-//! [`CoeffStore`] glues a [`TilingMap`] (which decides
-//! *where* a coefficient lives) to a [`BufferPool`] over a [`BlockStore`]
-//! (which decides *what a touch costs*). Every out-of-core algorithm and
-//! every disk query in the workspace runs against this type, so its
-//! counters are the experiments' measurements.
+//! [`CoeffStore`] glues a [`TilingMap`] (which decides *where* a
+//! coefficient lives) to the block cache over a [`BlockStore`] (which
+//! decides *what a touch costs*). It is the **exclusive** entry discipline
+//! of the workspace's one cache: a [`SharedCoeffStore`] with a single
+//! shard, entered through `&mut self`, so a cache hit takes no lock (see
+//! [`ShardedBufferPool::with_block_mut`]). The serial transform drivers,
+//! the offline CLI commands and every single-threaded query run against
+//! this type, so its counters are the experiments' measurements; the
+//! same frames, LRU, write-back and flush serve the concurrent discipline
+//! ([`SharedCoeffStore`] through `&self`) in `shard.rs`.
 
 use crate::block::BlockStore;
-use crate::pool::BufferPool;
-use crate::shard::SharedCoeffStore;
+use crate::shard::{ShardedBufferPool, SharedCoeffStore};
 use crate::stats::IoStats;
 use ss_core::TilingMap;
 
-/// Wavelet coefficients stored in blocks laid out by a tiling map.
+/// Wavelet coefficients stored in blocks laid out by a tiling map, owned
+/// by one caller.
 pub struct CoeffStore<M: TilingMap, S: BlockStore> {
-    map: M,
-    pool: BufferPool<S>,
-    stats: IoStats,
+    shared: SharedCoeffStore<M, S>,
 }
 
 impl<M: TilingMap, S: BlockStore> CoeffStore<M, S> {
@@ -28,54 +32,53 @@ impl<M: TilingMap, S: BlockStore> CoeffStore<M, S> {
     /// Panics when the block store's capacity differs from the map's, or
     /// when the store has fewer blocks than the map needs.
     pub fn new(map: M, store: S, pool_budget: usize, stats: IoStats) -> Self {
-        assert_eq!(
-            store.block_capacity(),
-            map.block_capacity(),
-            "block capacity mismatch between store and tiling map"
-        );
-        assert!(
-            store.num_blocks() >= map.num_tiles(),
-            "store has {} blocks, map needs {}",
-            store.num_blocks(),
-            map.num_tiles()
-        );
         CoeffStore {
-            map,
-            pool: BufferPool::new(store, pool_budget, stats.clone()),
-            stats,
+            shared: SharedCoeffStore::new(map, store, pool_budget, 1, stats),
         }
     }
 
     /// The tiling map.
     pub fn map(&self) -> &M {
-        &self.map
+        self.shared.map()
     }
 
     /// The shared counters.
     pub fn stats(&self) -> &IoStats {
-        &self.stats
+        self.shared.stats()
     }
 
     /// Reads the coefficient at tuple index `idx`.
     pub fn read(&mut self, idx: &[usize]) -> f64 {
-        let loc = self.map.locate(idx);
-        self.stats.add_coeff_reads(1);
-        self.pool.read(loc.tile, loc.slot)
+        let loc = self.map().locate(idx);
+        self.read_at(loc.tile, loc.slot)
+    }
+
+    /// Reads a raw `(tile, slot)` location — used by query plans that
+    /// resolve locations up front to reason about block access patterns.
+    pub fn read_at(&mut self, tile: usize, slot: usize) -> f64 {
+        self.stats().add_coeff_reads(1);
+        self.pool().with_block_mut(tile, false, |blk| blk[slot])
     }
 
     /// Overwrites the coefficient at `idx`.
     pub fn write(&mut self, idx: &[usize], value: f64) {
-        let loc = self.map.locate(idx);
-        self.stats.add_coeff_writes(1);
-        self.pool.write(loc.tile, loc.slot, value);
+        let loc = self.map().locate(idx);
+        self.stats().add_coeff_writes(1);
+        self.pool()
+            .with_block_mut(loc.tile, true, |blk| blk[loc.slot] = value);
     }
 
     /// Adds `delta` to the coefficient at `idx` (the SHIFT-SPLIT fold
     /// target).
     pub fn add(&mut self, idx: &[usize], delta: f64) {
-        let loc = self.map.locate(idx);
-        self.stats.add_coeff_writes(1);
-        self.pool.add(loc.tile, loc.slot, delta);
+        let loc = self.map().locate(idx);
+        self.add_at(loc.tile, loc.slot, delta);
+    }
+
+    fn add_at(&mut self, tile: usize, slot: usize, delta: f64) {
+        self.stats().add_coeff_writes(1);
+        self.pool()
+            .with_block_mut(tile, true, |blk| blk[slot] += delta);
     }
 
     /// Applies a `(tile, slot, delta)` batch tile-by-tile: deltas are
@@ -85,51 +88,41 @@ impl<M: TilingMap, S: BlockStore> CoeffStore<M, S> {
     /// is one coefficient write and one pool access. Clears `deltas`.
     pub fn apply_batch(&mut self, deltas: &mut Vec<(usize, usize, f64)>) {
         deltas.sort_unstable_by_key(|&(tile, slot, _)| (tile, slot));
-        for &(tile, slot, delta) in deltas.iter() {
-            self.stats.add_coeff_writes(1);
-            self.pool.add(tile, slot, delta);
+        for (tile, slot, delta) in deltas.drain(..) {
+            self.add_at(tile, slot, delta);
         }
-        deltas.clear();
-    }
-
-    /// Reads a raw `(tile, slot)` location — used by query plans that
-    /// resolve locations up front to reason about block access patterns.
-    pub fn read_at(&mut self, tile: usize, slot: usize) -> f64 {
-        self.stats.add_coeff_reads(1);
-        self.pool.read(tile, slot)
     }
 
     /// Writes every dirty cached block back.
     pub fn flush(&mut self) {
-        self.pool.flush();
+        self.shared.flush();
     }
 
     /// Flushes and empties the cache (cold-cache reset between phases).
     pub fn clear_cache(&mut self) {
-        self.pool.clear();
+        self.shared.pool().clear();
     }
 
-    /// Direct access to the underlying pool (for bulk tile operations).
-    pub fn pool(&mut self) -> &mut BufferPool<S> {
-        &mut self.pool
+    /// Direct access to the underlying pool (for bulk tile operations and
+    /// [`store_mut`](ShardedBufferPool::store_mut)).
+    pub fn pool(&mut self) -> &mut ShardedBufferPool<S> {
+        self.shared.pool_mut()
     }
 
     /// Decomposes into map and (flushed) store.
     pub fn into_parts(self) -> (M, S) {
-        let CoeffStore { map, pool, .. } = self;
-        (map, pool.into_store())
+        self.shared.into_parts()
     }
 
-    /// Re-houses the block store in a sharded, thread-safe pool of
-    /// `shards` shards (same total budget) for the duration of `f`, then
-    /// hands it back to a serial pool — how a single-owner store lends
-    /// itself to a parallel driver.
+    /// Re-shards the cache over `shards` locks (same total budget) for
+    /// the duration of `f`, then back to one — how a single-owner store
+    /// lends itself to a parallel driver.
     pub fn via_shared<R>(
         self,
         shards: usize,
         f: impl FnOnce(&SharedCoeffStore<M, S>) -> R,
     ) -> (Self, R) {
-        let (budget, stats) = (self.pool.budget(), self.stats.clone());
+        let (budget, stats) = (self.shared.pool().budget(), self.stats().clone());
         let (map, store) = self.into_parts();
         let shared = SharedCoeffStore::new(map, store, budget, shards, stats.clone());
         let out = f(&shared);
@@ -144,9 +137,9 @@ pub fn mem_store<M: TilingMap>(
     pool_budget: usize,
     stats: IoStats,
 ) -> CoeffStore<M, crate::mem::MemBlockStore> {
-    let store =
-        crate::mem::MemBlockStore::new(map.block_capacity(), map.num_tiles(), stats.clone());
-    CoeffStore::new(map, store, pool_budget, stats)
+    CoeffStore {
+        shared: crate::shard::mem_shared_store(map, pool_budget, 1, stats),
+    }
 }
 
 #[cfg(test)]
@@ -223,6 +216,41 @@ mod tests {
         for i in 0..16usize {
             assert_eq!(cs2.read(&[i]), (i * i) as f64);
         }
+    }
+
+    #[test]
+    fn via_shared_round_trip_keeps_contents_budget_and_counters() {
+        let stats = IoStats::new();
+        let mut cs = mem_store(Tiling1d::new(4, 2), 3, stats.clone());
+        for i in 0..16usize {
+            cs.write(&[i], i as f64);
+        }
+        let before = stats.snapshot();
+        let (mut cs, seen) = cs.via_shared(2, |shared| {
+            assert_eq!(shared.pool().num_shards(), 2);
+            shared.add(&[5], 0.5);
+            shared.read(&[5])
+        });
+        assert_eq!(seen, 5.5);
+        assert_eq!(cs.pool().budget(), 3);
+        assert_eq!(cs.pool().num_shards(), 1);
+        for i in 0..16usize {
+            let want = if i == 5 { 5.5 } else { i as f64 };
+            assert_eq!(cs.read(&[i]), want, "index {i}");
+        }
+        // The same `IoStats` kept counting across both re-housings: each
+        // of the eight counters only grew, by the traffic in between.
+        let after = stats.snapshot();
+        assert_eq!(after.coeff_writes, before.coeff_writes + 1);
+        assert_eq!(after.coeff_reads, before.coeff_reads + 17);
+        assert_eq!(after.pool_accesses(), before.pool_accesses() + 18);
+        assert!(after.pool_hits > before.pool_hits);
+        assert!(after.pool_misses > before.pool_misses);
+        assert!(after.pool_evictions > before.pool_evictions);
+        // Handing the blocks over flushed every dirty frame, exactly once.
+        assert!(after.pool_writebacks > before.pool_writebacks);
+        assert_eq!(after.block_writes, after.pool_writebacks);
+        assert_eq!(after.block_reads, after.pool_misses);
     }
 
     #[test]
