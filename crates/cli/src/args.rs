@@ -2,6 +2,8 @@
 //! external dependencies.
 
 use std::collections::HashMap;
+use std::fmt::Display;
+use std::str::FromStr;
 
 /// Parsed command-line: positional arguments and `--key value` flags.
 #[derive(Debug, Default)]
@@ -55,9 +57,7 @@ impl Args {
 
     /// A required flag value.
     pub fn flag(&self, key: &str) -> Result<&str, String> {
-        self.flags
-            .get(key)
-            .map(|s| s.as_str())
+        self.flag_opt(key)
             .ok_or_else(|| format!("missing flag: --{key}"))
     }
 
@@ -69,6 +69,30 @@ impl Args {
     /// True when the flag was given at all (with or without a value).
     pub fn flag_set(&self, key: &str) -> bool {
         self.flags.contains_key(key)
+    }
+
+    /// A required flag parsed as `T`; `bad --key: …` when malformed.
+    pub fn require<T: FromStr<Err: Display>>(&self, key: &str) -> Result<T, String> {
+        let value = self.flag(key)?;
+        value.parse().map_err(|e| format!("bad --{key}: {e}"))
+    }
+
+    /// An optional flag parsed as `T`: `None` when absent.
+    pub fn get<T: FromStr<Err: Display>>(&self, key: &str) -> Result<Option<T>, String> {
+        self.flag_opt(key).map(|_| self.require(key)).transpose()
+    }
+
+    /// [`get`](Args::get) with a default for an absent flag.
+    pub fn get_or<T: FromStr<Err: Display>>(&self, key: &str, default: T) -> Result<T, String> {
+        Ok(self.get(key)?.unwrap_or(default))
+    }
+
+    /// The (alphabetically first) flag given that is neither in the
+    /// space-separated list `allowed` nor the global `--metrics-out`.
+    pub fn unknown_flag(&self, allowed: &str) -> Option<&str> {
+        let known = |k: &str| k == "metrics-out" || allowed.split_whitespace().any(|a| a == k);
+        let given = self.flags.keys().map(|k| k.as_str());
+        given.filter(|k| !known(k)).min()
     }
 }
 
@@ -116,6 +140,24 @@ mod tests {
         let a = Args::parse(&raw(&["--k"])).unwrap();
         assert_eq!(a.flag("k").unwrap(), "");
         assert!(Args::parse(&raw(&["--k", "1", "--k", "2"])).is_err());
+    }
+
+    #[test]
+    fn typed_accessors_parse_default_and_name_the_flag() {
+        let a = Args::parse(&raw(&["--k", "8", "--rate", "x", "--metrics-out", "m"])).unwrap();
+        assert_eq!(a.get::<usize>("k"), Ok(Some(8)));
+        assert_eq!(a.get::<usize>("absent"), Ok(None));
+        assert_eq!(a.get_or("absent", 64usize), Ok(64));
+        assert_eq!(a.require::<usize>("k"), Ok(8));
+        assert_eq!(
+            a.require::<usize>("absent"),
+            Err("missing flag: --absent".into())
+        );
+        let err = a.get::<f64>("rate").unwrap_err();
+        assert!(err.starts_with("bad --rate: "), "{err}");
+        assert_eq!(a.unknown_flag("k rate"), None);
+        assert_eq!(a.unknown_flag("k"), Some("rate"));
+        assert_eq!(a.unknown_flag(""), Some("k"));
     }
 
     #[test]

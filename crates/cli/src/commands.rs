@@ -7,11 +7,12 @@ use crate::wsfile::{convert_to_v3, Meta, WsFile};
 use ss_array::NdArray;
 use ss_core::{RetentionPolicy, StandardTiling, TilingMap};
 use ss_maintain::{FlushMode, UpdateBox};
+use ss_storage::file::sidecar_path;
 use ss_storage::{
-    BlockStore, CoeffStore, FaultConfig, FaultInjectingBlockStore, RetryPolicy, RetryingBlockStore,
-    StorageError,
+    BlockStore, CoeffStore, FaultConfig, FaultInjectingBlockStore, FileBlockStore, RetryPolicy,
+    RetryingBlockStore, StorageError,
 };
-use ss_transform::ArraySource;
+use ss_transform::{Appender, ArraySource};
 use std::path::Path;
 
 /// A command failure with a process exit code attached. Usage mistakes
@@ -68,28 +69,19 @@ fn report_kernel() {
 /// `--fault-read P --fault-write P --fault-seed S --retries N`. Returns
 /// `None` when none are present (the unwrapped fast path).
 fn fault_flags(args: &Args) -> Result<Option<(FaultConfig, RetryPolicy)>, String> {
-    let read = args.flag_opt("fault-read");
-    let write = args.flag_opt("fault-write");
-    let seed = args.flag_opt("fault-seed");
-    let retries = args.flag_opt("retries");
-    if read.is_none() && write.is_none() && seed.is_none() && retries.is_none() {
+    let flags = ["fault-read", "fault-write", "fault-seed", "retries"];
+    if !flags.iter().any(|f| args.flag_set(f)) {
         return Ok(None);
     }
-    let mut cfg = FaultConfig::default();
-    if let Some(r) = read {
-        cfg.read_error_rate = r.parse().map_err(|e| format!("bad --fault-read: {e}"))?;
-    }
-    if let Some(w) = write {
-        cfg.write_error_rate = w.parse().map_err(|e| format!("bad --fault-write: {e}"))?;
-    }
-    if let Some(s) = seed {
-        cfg.seed = s.parse().map_err(|e| format!("bad --fault-seed: {e}"))?;
-    }
-    let policy = match retries {
-        Some(n) => RetryPolicy::with_retries(n.parse().map_err(|e| format!("bad --retries: {e}"))?),
-        None => RetryPolicy::default(),
+    let default = FaultConfig::default();
+    let cfg = FaultConfig {
+        read_error_rate: args.get_or("fault-read", default.read_error_rate)?,
+        write_error_rate: args.get_or("fault-write", default.write_error_rate)?,
+        seed: args.get_or("fault-seed", default.seed)?,
+        ..default
     };
-    Ok(Some((cfg, policy)))
+    let policy = args.get("retries")?.map(RetryPolicy::with_retries);
+    Ok(Some((cfg, policy.unwrap_or_default())))
 }
 
 /// `create <store> --levels a,b,… [--tiles a,b,…] [--axis k]`
@@ -100,10 +92,7 @@ pub fn create(args: &Args) -> Result<(), String> {
         Some(t) => parse_list_u32(t)?,
         None => levels.iter().map(|&n| n.min(2)).collect(),
     };
-    let axis = match args.flag_opt("axis") {
-        Some(a) => a.parse::<usize>().map_err(|e| e.to_string())?,
-        None => levels.len() - 1,
-    };
+    let axis = args.get_or("axis", levels.len() - 1)?;
     if tiles.len() != levels.len() {
         return Err("levels/tiles rank mismatch".into());
     }
@@ -126,8 +115,8 @@ pub fn create(args: &Args) -> Result<(), String> {
 /// (v2, the default).
 fn v3_flags(args: &Args) -> Result<Option<RetentionPolicy>, String> {
     let format = args.flag_opt("format").unwrap_or("v2");
-    let threshold = args.flag_opt("threshold");
-    let topk = args.flag_opt("topk");
+    let threshold = args.get::<f64>("threshold")?;
+    let topk = args.get::<usize>("topk")?;
     match format {
         "v2" => {
             if threshold.is_some() || topk.is_some() {
@@ -137,17 +126,13 @@ fn v3_flags(args: &Args) -> Result<Option<RetentionPolicy>, String> {
         }
         "v3" => match (threshold, topk) {
             (Some(_), Some(_)) => Err("--threshold and --topk are mutually exclusive".into()),
-            (Some(t), None) => {
-                let eps: f64 = t.parse().map_err(|e| format!("bad --threshold: {e}"))?;
+            (Some(eps), None) => {
                 if eps.is_nan() || eps < 0.0 {
                     return Err("--threshold must be a number >= 0".into());
                 }
                 Ok(Some(RetentionPolicy::Threshold(eps)))
             }
-            (None, Some(k)) => {
-                let k: usize = k.parse().map_err(|e| format!("bad --topk: {e}"))?;
-                Ok(Some(RetentionPolicy::TopK(k)))
-            }
+            (None, Some(k)) => Ok(Some(RetentionPolicy::TopK(k))),
             (None, None) => Ok(Some(RetentionPolicy::Keep)),
         },
         other => Err(format!("bad --format: {other} (v2|v3)")),
@@ -191,13 +176,7 @@ fn flush_mode(args: &Args) -> Result<FlushMode, String> {
 
 /// `--workers N` (`0` = one per core), resolved; `None` when absent.
 fn worker_flag(args: &Args) -> Result<Option<usize>, String> {
-    args.flag_opt("workers")
-        .map(|w| {
-            w.parse::<usize>()
-                .map(ss_transform::resolve_workers)
-                .map_err(|e| format!("bad --workers: {e}"))
-        })
-        .transpose()
+    Ok(args.get("workers")?.map(ss_transform::resolve_workers))
 }
 
 /// One ingest run over whatever block-device stack `ingest` built:
@@ -288,13 +267,8 @@ pub fn ingest(args: &Args) -> Result<(), String> {
     };
     let src = ArraySource::new(&data, &chunk_levels);
     let workers = worker_flag(args)?;
-    let coalesce = match args.flag_opt("coalesce") {
-        Some(group) => Some((
-            group
-                .parse::<usize>()
-                .map_err(|e| format!("bad --coalesce: {e}"))?,
-            flush_mode(args)?,
-        )),
+    let coalesce = match args.get("coalesce")? {
+        Some(group) => Some((group, flush_mode(args)?)),
         None => None,
     };
     let outcome;
@@ -482,10 +456,7 @@ fn read_batch_file(path: &Path, meta: &Meta) -> Result<Vec<UpdateBox>, String> {
 /// cells along the append axis. Reopens/expands the store as needed.
 pub fn append(args: &Args) -> Result<(), String> {
     let path = args.pos(0, "store path")?;
-    let extent = args
-        .flag("extent")?
-        .parse::<usize>()
-        .map_err(|e| e.to_string())?;
+    let extent: usize = args.require("extent")?;
     if !ss_array::is_pow2(extent) {
         return Err("extent must be a power of two".into());
     }
@@ -498,14 +469,17 @@ pub fn append(args: &Args) -> Result<(), String> {
                 .into(),
         );
     }
-    let meta = ws.meta.clone();
-    drop(ws);
-    let mut dims = meta.dims();
-    dims[meta.axis] = extent;
+    if !ws.meta.filled.is_multiple_of(extent) {
+        return Err(format!(
+            "cannot append: the store holds {} slices, not a multiple of --extent {extent}",
+            ws.meta.filled
+        ));
+    }
+    let mut dims = ws.meta.dims();
+    dims[ws.meta.axis] = extent;
     let chunk = csv::read_array(Path::new(args.flag("data")?), &dims)?;
-    // Rebuild an Appender over the persistent file, seeded from the meta.
-    let stats = ss_storage::IoStats::new();
-    let new_meta = append_to_file(Path::new(path), meta, &chunk, stats.clone())?;
+    let stats = ws.stats.clone();
+    let new_meta = append_to_file(ws, &chunk)?;
     println!(
         "appended {extent} slices; domain now {:?}, filled {}",
         new_meta.dims(),
@@ -514,100 +488,56 @@ pub fn append(args: &Args) -> Result<(), String> {
     metrics::emit(args, &stats)
 }
 
-/// Appends one chunk to a store file, expanding (into a rewritten file)
-/// when the domain must double. Returns the updated metadata.
-fn append_to_file(
-    path: &Path,
-    mut meta: Meta,
-    chunk: &NdArray<f64>,
-    stats: ss_storage::IoStats,
-) -> Result<Meta, String> {
-    let extent = chunk.shape().dim(meta.axis);
-    // Expand as many times as needed, each into a fresh file swapped over
-    // the old one.
-    while meta.filled + extent > (1usize << meta.levels[meta.axis]) {
-        expand_file(path, &mut meta, stats.clone())?;
+/// Appends one chunk to a store file through the library [`Appender`]
+/// and returns the updated metadata. The CLI's own part is the files:
+/// every domain doubling migrates into a fresh temp blocks file, and the
+/// last of them replaces the store durably before the meta says so.
+fn append_to_file(ws: WsFile, chunk: &NdArray<f64>) -> Result<Meta, String> {
+    let path = ws.path().to_path_buf();
+    let WsFile {
+        mut meta,
+        store,
+        stats,
+        ..
+    } = ws;
+    let temps = std::cell::RefCell::new(Vec::new());
+    let factory = |capacity, blocks| {
+        let tmp = path.with_extension(format!("expand{}.tmp", temps.borrow().len()));
+        // Unwinds typed, like every failure of the store itself.
+        let created = FileBlockStore::create(&tmp, capacity, blocks, stats.clone())
+            .unwrap_or_else(|e| std::panic::panic_any(e));
+        temps.borrow_mut().push(tmp);
+        created
+    };
+    let mut appender = Appender::resume(store, meta.axis, meta.filled, factory);
+    ss_transform::try_transform(|| appender.append(chunk))?;
+    meta.levels = appender.levels().to_vec();
+    meta.filled = appender.filled();
+    if appender.expansions() > 0 {
+        // The expanded store must be durable before it replaces the old one.
+        appender.store().pool().store_mut().sync()?;
     }
-    let mut ws = open_with_meta(path, meta.clone(), stats.clone())?;
-    let mut block = vec![0usize; meta.levels.len()];
-    block[meta.axis] = meta.filled / extent;
-    let mut t = chunk.clone();
-    ss_core::standard::forward(&mut t);
-    ss_core::split::standard_deltas(&t, &meta.levels, &block, |idx, delta| {
-        ws.store.add(idx, delta);
-    });
-    ws.store.flush();
-    meta.filled += extent;
-    ws.meta = meta.clone();
-    ws.save_meta()?;
-    Ok(meta)
-}
-
-/// Opens the blocks file under caller-supplied metadata and counters. The
-/// metadata is authoritative (the on-disk `.meta` may be mid-update during
-/// an expansion).
-fn open_with_meta(path: &Path, meta: Meta, stats: ss_storage::IoStats) -> Result<WsFile, String> {
+    drop(appender);
+    let mut temps = temps.into_inner();
+    if let Some(grown) = temps.pop() {
+        // Doublings a multi-doubling append only passed through go first:
+        // a failure here leaves the old store untouched.
+        for passed in temps.iter().flat_map(|t| [t.clone(), sidecar_path(t)]) {
+            std::fs::remove_file(passed).map_err(|e| e.to_string())?;
+        }
+        // Blocks file first, checksum sidecar second. A crash between the two
+        // renames leaves a sidecar whose length no longer matches the blocks
+        // file, which `open` rejects — detectable, never silently wrong.
+        std::fs::rename(&grown, &path).map_err(|e| e.to_string())?;
+        std::fs::rename(sidecar_path(&grown), sidecar_path(&path)).map_err(|e| e.to_string())?;
+    }
+    // The blocks file must open under the new geometry before the meta
+    // (temp + fsync + rename) declares it.
     let map = meta.tiling();
-    let blocks = ss_storage::FileBlockStore::open(
-        path,
-        map.block_capacity(),
-        map.num_tiles(),
-        stats.clone(),
-    )
-    .map_err(|e| e.to_string())?;
-    Ok(WsFile::from_parts(meta, map, blocks, stats, path))
-}
-
-/// Doubles the append axis of the store at `path`, migrating coefficients
-/// into a rewritten blocks file.
-fn expand_file(path: &Path, meta: &mut Meta, stats: ss_storage::IoStats) -> Result<(), String> {
-    let mut old = open_with_meta(path, meta.clone(), stats.clone())?;
-    let mut new_meta = meta.clone();
-    new_meta.levels[meta.axis] += 1;
-    let tmp = path.with_extension("expand.tmp");
-    let new_map = new_meta.tiling();
-    let new_blocks = ss_storage::FileBlockStore::create(
-        &tmp,
-        new_map.block_capacity(),
-        new_map.num_tiles(),
-        stats.clone(),
-    )
-    .map_err(|e| e.to_string())?;
-    let mut new_store = ss_storage::CoeffStore::new(new_map, new_blocks, 1 << 10, stats.clone());
-    // Migrate every coefficient (details keep (level, k); the old average
-    // splits into the new average plus the new root detail).
-    let n_axis = meta.levels[meta.axis];
-    let old_dims = meta.dims();
-    let d = old_dims.len();
-    let mut target = vec![0usize; d];
-    for idx in ss_array::MultiIndexIter::new(&old_dims) {
-        let v = old.store.read(&idx);
-        if v == 0.0 {
-            continue;
-        }
-        target.copy_from_slice(&idx);
-        for (new_i, factor) in ss_core::append::expand_index_1d(n_axis, idx[meta.axis]) {
-            target[meta.axis] = new_i;
-            new_store.add(&target, v * factor);
-        }
-    }
-    new_store.flush();
-    let (_, mut new_blocks) = new_store.into_parts();
-    // The expanded store must be durable before it replaces the old one.
-    new_blocks.sync().map_err(|e| e.to_string())?;
-    drop(new_blocks);
-    drop(old);
-    // Blocks file first, checksum sidecar second. A crash between the two
-    // renames leaves a sidecar whose length no longer matches the blocks
-    // file, which `open` rejects — detectable, never silently wrong.
-    std::fs::rename(&tmp, path).map_err(|e| e.to_string())?;
-    std::fs::rename(
-        ss_storage::file::sidecar_path(&tmp),
-        ss_storage::file::sidecar_path(path),
-    )
-    .map_err(|e| e.to_string())?;
-    *meta = new_meta;
-    Ok(())
+    let blocks = FileBlockStore::open(&path, map.block_capacity(), map.num_tiles(), stats.clone())?;
+    let ws = WsFile::from_parts(meta, map, blocks, stats, &path);
+    ws.save_meta()?;
+    Ok(ws.meta)
 }
 
 /// `scrub <store>`
@@ -700,18 +630,8 @@ pub fn stats(args: &Args) -> Result<(), String> {
 /// refreshes (0 or absent = run until killed); `--interval-ms M` sets the
 /// refresh cadence. On a terminal each refresh redraws in place.
 fn stats_watch(args: &Args, addr: &str) -> Result<(), String> {
-    let iterations = match args.flag_opt("iterations") {
-        Some(n) => n
-            .parse::<u64>()
-            .map_err(|e| format!("bad --iterations: {e}"))?,
-        None => 0,
-    };
-    let interval = match args.flag_opt("interval-ms") {
-        Some(m) => m
-            .parse::<u64>()
-            .map_err(|e| format!("bad --interval-ms: {e}"))?,
-        None => 1000,
-    };
+    let iterations: u64 = args.get_or("iterations", 0)?;
+    let interval: u64 = args.get_or("interval-ms", 1000)?;
     use std::io::IsTerminal as _;
     let redraw = std::io::stdout().is_terminal();
     let mut done = 0u64;
@@ -830,17 +750,8 @@ fn http_get(addr: &str, path: &str) -> Result<String, String> {
 /// picks an ephemeral port (printed on stdout); `--requests K` exits after
 /// answering K requests (without it the server runs until killed).
 pub fn serve_metrics(args: &Args) -> Result<(), String> {
-    let port: u16 = match args.flag_opt("port") {
-        Some(p) => p.parse().map_err(|e| format!("bad --port: {e}"))?,
-        None => 0,
-    };
-    let requests = match args.flag_opt("requests") {
-        Some(r) => Some(
-            r.parse::<u64>()
-                .map_err(|e| format!("bad --requests: {e}"))?,
-        ),
-        None => None,
-    };
+    let port: u16 = args.get_or("port", 0)?;
+    let requests: Option<u64> = args.get("requests")?;
     if args.pos_len() > 0 {
         let path = args.pos(0, "store path")?;
         let ws = WsFile::open(Path::new(path))?;
@@ -889,45 +800,22 @@ pub fn serve_metrics(args: &Args) -> Result<(), String> {
 /// live registry (with sliding-window recent percentiles) while serving.
 pub fn serve(args: &Args) -> Result<(), String> {
     let path = args.pos(0, "store path")?;
-    let port: u16 = match args.flag_opt("port") {
-        Some(p) => p.parse().map_err(|e| format!("bad --port: {e}"))?,
-        None => 0,
-    };
-    let workers = match args.flag_opt("workers") {
-        Some(w) => w
-            .parse::<usize>()
-            .map_err(|e| format!("bad --workers: {e}"))?,
-        None => 4,
-    };
+    let port: u16 = args.get_or("port", 0)?;
+    let workers: usize = args.get_or("workers", 4)?;
     if workers == 0 {
         return Err("--workers must be at least one".into());
     }
-    let batch_max = match args.flag_opt("batch") {
-        Some(b) => b
-            .parse::<usize>()
-            .map_err(|e| format!("bad --batch: {e}"))?,
-        None => 64,
-    };
+    let batch_max: usize = args.get_or("batch", 64)?;
     if batch_max == 0 {
         return Err("--batch must be at least one".into());
     }
-    let max_requests = match args.flag_opt("requests") {
-        Some(r) => Some(
-            r.parse::<u64>()
-                .map_err(|e| format!("bad --requests: {e}"))?,
-        ),
-        None => None,
-    };
-    let slow_ns = match args.flag_opt("slow-ms") {
-        Some(ms) => {
-            let ms: f64 = ms.parse().map_err(|e| format!("bad --slow-ms: {e}"))?;
-            if !ms.is_finite() || ms < 0.0 {
-                return Err("--slow-ms must be a non-negative number".into());
-            }
-            Some((ms * 1e6) as u64)
-        }
-        None => None,
-    };
+    let max_requests: Option<u64> = args.get("requests")?;
+    let slow_ms: Option<f64> = args.get("slow-ms")?;
+    if slow_ms.is_some_and(|ms| !ms.is_finite() || ms < 0.0) {
+        return Err("--slow-ms must be a non-negative number".into());
+    }
+    let slow_ns = slow_ms.map(|ms| (ms * 1e6) as u64);
+    let mode = flush_mode(args)?;
     // Tracing goes live before the listener so even the first request is
     // covered; `--trace-out` implies the ring too (trace-dump reads the
     // file, `stats --watch` style tooling reads the ring).
@@ -953,63 +841,52 @@ pub fn serve(args: &Args) -> Result<(), String> {
     };
     let _metrics = metrics::maybe_serve(args)?;
     let bind_addr = format!("127.0.0.1:{port}");
-    let (server, snapshot) =
-        if args.flag_set("router") {
-            if writable {
-                return Err(
-                    "--router and --writable conflict: a router holds no store or WAL of its own \
+    let (server, snapshot) = if args.flag_set("router") {
+        if writable {
+            return Err(
+                "--router and --writable conflict: a router holds no store or WAL of its own \
                  (start the shard servers --writable instead)"
-                        .into(),
-                );
-            }
-            let mode = match args.flag_opt("mode") {
-                Some(m) if !m.is_empty() => ss_maintain::FlushMode::parse(m)
-                    .ok_or(format!("bad --mode: {m} (exact|merged)"))?,
-                _ => ss_maintain::FlushMode::Exact,
-            };
-            let topo = parse_router_topology(args, tiling.num_tiles())?;
-            println!(
-                "router over {} shards x {} replicas (tile bounds {:?})",
-                topo.shard_map().shards(),
-                topo.shard_map().replicas(),
-                topo.shard_map().bounds()
+                    .into(),
             );
-            let server =
-                ss_serve::QueryServer::bind_router(&bind_addr, tiling, levels, topo, mode, config)
-                    .map_err(|e| e.to_string())?;
-            (server, None)
-        } else if writable {
-            let mode = match args.flag_opt("mode") {
-                Some(m) if !m.is_empty() => ss_maintain::FlushMode::parse(m)
-                    .ok_or(format!("bad --mode: {m} (exact|merged)"))?,
-                _ => ss_maintain::FlushMode::Exact,
-            };
-            let (shared, wal, replayed) = open_wal_and_replay(args, path, shared)?;
-            if replayed.commits > 0 {
-                println!(
-                    "wal: replayed {} commits ({} tile images), resuming at epoch {}",
-                    replayed.commits, replayed.tiles, replayed.last_epoch
-                );
-            }
-            let snap = std::sync::Arc::new(ss_maintain::SnapshotCoeffStore::new(
-                shared,
-                Some(wal),
-                replayed.last_epoch,
-            ));
-            let server = ss_serve::QueryServer::bind_writable(
-                &bind_addr,
-                std::sync::Arc::clone(&snap),
-                levels,
-                mode,
-                config,
-            )
-            .map_err(|e| e.to_string())?;
-            (server, Some(snap))
-        } else {
-            let server = ss_serve::QueryServer::bind(&bind_addr, shared, levels, config)
+        }
+        let topo = parse_router_topology(args, tiling.num_tiles())?;
+        println!(
+            "router over {} shards x {} replicas (tile bounds {:?})",
+            topo.shard_map().shards(),
+            topo.shard_map().replicas(),
+            topo.shard_map().bounds()
+        );
+        let server =
+            ss_serve::QueryServer::bind_router(&bind_addr, tiling, levels, topo, mode, config)
                 .map_err(|e| e.to_string())?;
-            (server, None)
-        };
+        (server, None)
+    } else if writable {
+        let (shared, wal, replayed) = open_wal_and_replay(args, path, shared)?;
+        if replayed.commits > 0 {
+            println!(
+                "wal: replayed {} commits ({} tile images), resuming at epoch {}",
+                replayed.commits, replayed.tiles, replayed.last_epoch
+            );
+        }
+        let snap = std::sync::Arc::new(ss_maintain::SnapshotCoeffStore::new(
+            shared,
+            Some(wal),
+            replayed.last_epoch,
+        ));
+        let server = ss_serve::QueryServer::bind_writable(
+            &bind_addr,
+            std::sync::Arc::clone(&snap),
+            levels,
+            mode,
+            config,
+        )
+        .map_err(|e| e.to_string())?;
+        (server, Some(snap))
+    } else {
+        let server = ss_serve::QueryServer::bind(&bind_addr, shared, levels, config)
+            .map_err(|e| e.to_string())?;
+        (server, None)
+    };
     let addr = server.local_addr();
     println!("serving queries on {addr}");
     // Scripts (and our tests) learn the ephemeral port from this line or
@@ -1065,12 +942,7 @@ fn parse_router_topology(
             .ok_or(format!("shard address {part:?} resolved to nothing"))?;
         addrs.push(addr);
     }
-    let replicas = match args.flag_opt("replicas") {
-        Some(r) => r
-            .parse::<usize>()
-            .map_err(|e| format!("bad --replicas: {e}"))?,
-        None => 1,
-    };
+    let replicas: usize = args.get_or("replicas", 1)?;
     if replicas == 0 {
         return Err("--replicas must be at least 1".into());
     }
@@ -1117,16 +989,8 @@ fn parse_router_topology(
 /// writes that list for scripts.
 pub fn shard_split(args: &Args) -> Result<(), String> {
     let path = args.pos(0, "store path")?;
-    let shards = args
-        .flag("shards")?
-        .parse::<usize>()
-        .map_err(|e| format!("bad --shards: {e}"))?;
-    let replicas = match args.flag_opt("replicas") {
-        Some(r) => r
-            .parse::<usize>()
-            .map_err(|e| format!("bad --replicas: {e}"))?,
-        None => 1,
-    };
+    let shards: usize = args.require("shards")?;
+    let replicas: usize = args.get_or("replicas", 1)?;
     let mut ws = WsFile::open(Path::new(path))?;
     let map = ws.meta.tiling();
     let num_tiles = map.num_tiles();
@@ -1258,8 +1122,7 @@ pub fn wal_replay(args: &Args) -> Result<(), String> {
 pub fn query(args: &Args) -> Result<(), String> {
     let addr = args.pos(0, "server address (host:port)")?;
     let mut client = ss_serve::Client::connect(addr).map_err(|e| e.to_string())?;
-    if let Some(t) = args.flag_opt("trace") {
-        let t: u64 = t.parse().map_err(|e| format!("bad --trace: {e}"))?;
+    if let Some(t) = args.get::<u64>("trace")? {
         if t == 0 {
             return Err("--trace must be a positive integer (0 means untraced)".into());
         }
@@ -1400,14 +1263,8 @@ pub fn trace_dump(args: &Args) -> Result<(), String> {
 /// `stream --data values.csv --k K [--buffer B]`
 pub fn stream(args: &Args) -> Result<(), String> {
     let values = csv::read_values(Path::new(args.flag("data")?))?;
-    let k = args
-        .flag("k")?
-        .parse::<usize>()
-        .map_err(|e| e.to_string())?;
-    let buffer = match args.flag_opt("buffer") {
-        Some(b) => b.parse::<usize>().map_err(|e| e.to_string())?,
-        None => 64,
-    };
+    let k: usize = args.require("k")?;
+    let buffer: usize = args.get_or("buffer", 64)?;
     if !ss_array::is_pow2(buffer) {
         return Err("buffer must be a power of two".into());
     }
@@ -1447,10 +1304,7 @@ pub fn stream(args: &Args) -> Result<(), String> {
 /// blob a client can query offline (see [`query_synopsis`]).
 pub fn synopsis(args: &Args) -> Result<(), String> {
     let path = args.pos(0, "store path")?;
-    let k = args
-        .flag("k")?
-        .parse::<usize>()
-        .map_err(|e| e.to_string())?;
+    let k: usize = args.require("k")?;
     let out = args.flag("out")?;
     let mut ws = WsFile::open(Path::new(path))?;
     let syn = ss_query::StoredSynopsis::build(&mut ws.store, &ws.meta.levels, k);

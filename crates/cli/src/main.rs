@@ -146,71 +146,72 @@ fn main() {
 
 use commands::CmdError;
 
+/// How a command reports failure.
+enum Handler {
+    /// Every failure is a usage error: exit 1, USAGE reprinted.
+    Usage(fn(&Args) -> Result<(), String>),
+    /// The command picks its exit code (`scrub`: 2 for corruption).
+    Coded(fn(&Args) -> Result<(), CmdError>),
+}
+use Handler::{Coded, Usage};
+
+/// Every command: its name (the `cli.<name>_ns` span is derived from it),
+/// the flags it reads — anything else on its command line is a usage
+/// error — and its handler. `--metrics-out` is accepted everywhere.
+#[rustfmt::skip]
+const COMMANDS: &[(&str, &str, Handler)] = &[
+    ("create", "levels tiles axis", Usage(commands::create)),
+    ("ingest", "data chunk workers coalesce mode format threshold topk \
+                fault-read fault-write fault-seed retries metrics-port", Usage(commands::ingest)),
+    ("point", "", Usage(commands::point)),
+    ("sum", "lo hi", Usage(commands::sum)),
+    ("extract", "lo hi out", Usage(commands::extract)),
+    ("update", "at dims data batch workers mode", Usage(commands::update)),
+    ("append", "extent data", Usage(commands::append)),
+    ("scrub", "", Coded(commands::scrub)),
+    ("stats", "watch iterations interval-ms", Usage(commands::stats)),
+    ("synopsis", "k out", Usage(commands::synopsis)),
+    ("asksyn", "at lo hi", Usage(commands::query_synopsis)),
+    ("stream", "data k buffer", Usage(commands::stream)),
+    ("serve", "port workers batch requests addr-file writable wal mode router shards \
+               replicas bounds slow-ms trace-out trace-ring metrics-port", Usage(commands::serve)),
+    ("shard-split", "shards replicas out", Usage(commands::shard_split)),
+    ("wal-replay", "wal", Usage(commands::wal_replay)),
+    ("query", "at lo hi out trace", Usage(commands::query)),
+    ("trace-dump", "chrome", Usage(commands::trace_dump)),
+    ("serve-metrics", "port requests", Usage(commands::serve_metrics)),
+    ("demo", "", Usage(demo)),
+];
+
 fn run(raw: &[String]) -> Result<(), CmdError> {
-    let command = raw.first().map(|s| s.as_str()).unwrap_or("");
-    let rest = if raw.is_empty() { &[][..] } else { &raw[1..] };
-    let args = Args::parse(rest).map_err(CmdError::from)?;
+    let name = raw.first().map(|s| s.as_str()).unwrap_or("");
+    let args = Args::parse(raw.get(1..).unwrap_or_default())?;
+    let command = COMMANDS.iter().find(|(n, ..)| *n == name);
     // Per-command wall-clock span. It records on drop — i.e. *after* any
     // `--metrics-out` snapshot this command writes — so `cli.*_ns` shows
     // up on the live `serve-metrics` endpoint and in later snapshots from
-    // the same process (e.g. `demo`'s nested commands).
-    let _span = ss_obs::global().span(&format!("cli.{}_ns", command_slug(command)));
-    let result: Result<(), String> = match command {
-        "create" => commands::create(&args),
-        "ingest" => commands::ingest(&args),
-        "point" => commands::point(&args),
-        "sum" => commands::sum(&args),
-        "extract" => commands::extract(&args),
-        "update" => commands::update(&args),
-        "append" => commands::append(&args),
-        "scrub" => return commands::scrub(&args),
-        "stats" => commands::stats(&args),
-        "synopsis" => commands::synopsis(&args),
-        "asksyn" => commands::query_synopsis(&args),
-        "stream" => commands::stream(&args),
-        "serve" => commands::serve(&args),
-        "shard-split" => commands::shard_split(&args),
-        "wal-replay" => commands::wal_replay(&args),
-        "query" => commands::query(&args),
-        "trace-dump" => commands::trace_dump(&args),
-        "serve-metrics" => commands::serve_metrics(&args),
-        "demo" => demo(),
-        "" => Err("no command given".into()),
-        other => Err(format!("unknown command: {other}")),
+    // the same process (e.g. `demo`'s nested commands). Unknown commands
+    // share one bucket so bad input can't mint arbitrary metric names.
+    let slug = command.map_or("unknown".into(), |(n, ..)| n.replace('-', "_"));
+    let _span = ss_obs::global().span(&format!("cli.{slug}_ns"));
+    let Some((_, flags, handler)) = command else {
+        return Err(match name {
+            "" => "no command given".to_string(),
+            other => format!("unknown command: {other}"),
+        }
+        .into());
     };
-    result.map_err(CmdError::from)
-}
-
-/// Maps a command name to the metric suffix of its `cli.<cmd>_ns` span;
-/// unknown/empty commands share one bucket so bad input can't mint
-/// arbitrary metric names.
-fn command_slug(command: &str) -> &'static str {
-    match command {
-        "create" => "create",
-        "ingest" => "ingest",
-        "point" => "point",
-        "sum" => "sum",
-        "extract" => "extract",
-        "update" => "update",
-        "append" => "append",
-        "scrub" => "scrub",
-        "stats" => "stats",
-        "synopsis" => "synopsis",
-        "asksyn" => "asksyn",
-        "stream" => "stream",
-        "serve" => "serve",
-        "shard-split" => "shard_split",
-        "wal-replay" => "wal_replay",
-        "query" => "query",
-        "trace-dump" => "trace_dump",
-        "serve-metrics" => "serve_metrics",
-        "demo" => "demo",
-        _ => "unknown",
+    if let Some(flag) = args.unknown_flag(flags) {
+        return Err(format!("unknown flag --{flag} for `{name}`").into());
+    }
+    match handler {
+        Usage(f) => f(&args).map_err(CmdError::from),
+        Coded(f) => f(&args),
     }
 }
 
 /// A self-contained walkthrough requiring no input files.
-fn demo() -> Result<(), String> {
+fn demo(_: &Args) -> Result<(), String> {
     let dir = std::env::temp_dir().join(format!("ss_cli_demo_{}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
     let store = dir.join("demo.ws");
@@ -491,38 +492,141 @@ mod tests {
 
     #[test]
     fn append_through_cli_expands_domain() {
+        use ss_array::{NdArray, Shape};
         let dir = tmp_dir("append");
-        let store = dir.join("a.ws");
-        let store_s = store.to_str().unwrap().to_string();
-        run(&to_args(&[
-            "create", &store_s, "--levels", "1,2", "--axis", "1",
-        ]))
-        .unwrap();
-        let chunk = dir.join("c.csv");
-        std::fs::write(&chunk, "1,2,3,4\n5,6,7,8\n").unwrap();
-        // Two appends of extent 4: second one doubles axis 1 from 4 to 8.
-        run(&to_args(&[
+        // (start levels, append axis, extents appended, final levels)
+        let cases = [
+            // Two appends of extent 4: the second doubles axis 1 from 4 to 8.
+            ([1u32, 2], 1, &[4usize, 4][..], [1u32, 3]),
+            // The first call outgrows the domain fourfold (two doublings
+            // in one append), the second doubles a non-empty store.
+            ([1, 2], 1, &[16, 16][..], [1, 5]),
+            // Growing along the first axis.
+            ([2, 1], 0, &[4, 4, 8][..], [4, 1]),
+        ];
+        for (case, (levels, axis, extents, want_levels)) in cases.into_iter().enumerate() {
+            let store = dir.join(format!("a{case}.ws"));
+            let store_s = store.to_str().unwrap().to_string();
+            let levels_s = format!("{},{}", levels[0], levels[1]);
+            run(&to_args(&[
+                "create",
+                &store_s,
+                "--levels",
+                &levels_s,
+                "--axis",
+                &axis.to_string(),
+            ]))
+            .unwrap();
+            let dims = |extent: usize| {
+                let mut dims = [1usize << levels[0], 1 << levels[1]];
+                dims[axis] = extent;
+                dims
+            };
+            let filled: usize = extents.iter().sum();
+            let mut history = NdArray::<f64>::zeros(Shape::new(&dims(1 << want_levels[axis])));
+            let mut at = [0usize; 2];
+            for (m, &extent) in extents.iter().enumerate() {
+                let chunk = NdArray::from_fn(Shape::new(&dims(extent)), |idx| {
+                    (idx[0] * 5 + idx[1] * 3 + m * 7) as f64 / 4.0 + 1.0
+                });
+                let file = dir.join("c.csv");
+                std::fs::write(&file, csv::write_array(&chunk)).unwrap();
+                run(&to_args(&[
+                    "append",
+                    &store_s,
+                    "--extent",
+                    &extent.to_string(),
+                    "--data",
+                    file.to_str().unwrap(),
+                ]))
+                .unwrap();
+                history.insert(&at, &chunk);
+                at[axis] += extent;
+            }
+            run(&to_args(&["scrub", &store_s])).unwrap();
+            let mut ws = crate::wsfile::WsFile::open(&store).unwrap();
+            assert_eq!(ws.meta.levels, want_levels, "case {case}");
+            assert_eq!(ws.meta.filled, filled, "case {case}");
+            let want = ss_core::standard::forward_to(&history);
+            for idx in ss_array::MultiIndexIter::new(history.shape().dims()) {
+                let got = ws.store.read(&idx);
+                assert!(
+                    (got - want.get(&idx)).abs() < 1e-9,
+                    "case {case} {idx:?}: {got} vs {}",
+                    want.get(&idx)
+                );
+            }
+        }
+        // Every expansion's temp pair was renamed over the store or removed.
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            assert!(!name.contains("expand"), "left behind: {name}");
+        }
+        // A frontier the extent does not divide is refused, not misplaced.
+        let store_s = dir.join("a0.ws").to_str().unwrap().to_string();
+        let file = dir.join("c.csv");
+        std::fs::write(&file, "1,".repeat(2 * 16)).unwrap();
+        let err = run(&to_args(&[
             "append",
             &store_s,
             "--extent",
-            "4",
+            "16",
             "--data",
-            chunk.to_str().unwrap(),
+            file.to_str().unwrap(),
         ]))
-        .unwrap();
-        run(&to_args(&[
-            "append",
-            &store_s,
-            "--extent",
-            "4",
-            "--data",
-            chunk.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let meta = crate::wsfile::WsFile::open(&store).unwrap().meta;
-        assert_eq!(meta.levels, vec![1, 3]);
-        assert_eq!(meta.filled, 8);
+        .unwrap_err();
+        assert!(
+            err.msg.contains("not a multiple of --extent 16"),
+            "{}",
+            err.msg
+        );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn misspelled_flags_are_usage_errors() {
+        // None of these reach their command (no store or server exists):
+        // the flag check comes first and names the flag and the command.
+        for (command, bad, line) in [
+            (
+                "ingest",
+                "worker",
+                &["ingest", "s.ws", "--data", "d.csv", "--worker", "4"][..],
+            ),
+            ("serve", "writeable", &["serve", "s.ws", "--writeable"]),
+            (
+                "update",
+                "batchh",
+                &["update", "s.ws", "--batchh", "boxes.txt"],
+            ),
+            ("query", "att", &["query", "127.0.0.1:1", "--att", "1,2"]),
+            (
+                "point",
+                "bogus",
+                &["point", "s.ws", "1,1,1", "--bogus", "3"],
+            ),
+            (
+                "sum",
+                "hii",
+                &["sum", "s.ws", "--lo", "0,0,0", "--hii", "9,9,9"],
+            ),
+            ("scrub", "fix", &["scrub", "s.ws", "--fix"]),
+        ] {
+            let err = run(&to_args(line)).unwrap_err();
+            assert_eq!((err.code, err.usage), (1, true), "{line:?}");
+            assert!(err.msg.contains(&format!("--{bad}")), "{}", err.msg);
+            assert!(err.msg.contains(command), "{}", err.msg);
+        }
+        // The global flag stays accepted everywhere (here: the store is
+        // what is missing, not the flag that is unknown).
+        let err = run(&to_args(&[
+            "point",
+            "/nonexistent.ws",
+            "1",
+            "--metrics-out",
+            "m",
+        ]));
+        assert!(!err.unwrap_err().msg.contains("unknown flag"));
     }
 
     #[test]

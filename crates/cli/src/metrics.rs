@@ -53,12 +53,9 @@ fn write_snapshot(path: &str) -> Result<(), String> {
 /// of recent histogram baselines (6 ticks of 10 s — roughly the last
 /// minute) backs the `recent` p50/p99 views next to the lifetime numbers.
 pub fn maybe_serve(args: &Args) -> Result<Option<ss_obs::MetricsServer>, String> {
-    let Some(port) = args.flag_opt("metrics-port") else {
+    let Some(port) = args.get::<u16>("metrics-port")? else {
         return Ok(None);
     };
-    let port: u16 = port
-        .parse()
-        .map_err(|e| format!("bad --metrics-port: {e}"))?;
     let window =
         ss_obs::HistogramWindow::new(ss_obs::global(), std::time::Duration::from_secs(10), 6);
     let server = ss_obs::MetricsServer::bind_windowed(

@@ -65,9 +65,9 @@ impl TileApply {
         }
     }
 
-    /// Lowers the payload to a slot-ascending sparse op list — the WAL's
-    /// serialisation format.
-    pub(crate) fn into_ops(self) -> Vec<(usize, f64)> {
+    /// Lowers the payload to a sparse op list (a dense accumulator becomes
+    /// slot-ascending) — the scatter form of [`DeltaBuffer::drain_ops`].
+    fn into_ops(self) -> Vec<(usize, f64)> {
         match self {
             TileApply::Sparse(ops) => ops,
             TileApply::Dense { acc, .. } => acc
@@ -286,7 +286,7 @@ impl DeltaBuffer {
     /// group naturally by owning shard range, and replaying each tile's
     /// op list in order at its owner is bit-identical to flushing the
     /// whole buffer into one store (merged-mode dense accumulators lower
-    /// to slot-ascending sparse lists, exactly as the WAL records them).
+    /// to slot-ascending sparse lists).
     pub fn drain_ops(&mut self) -> (Vec<DrainedTileOps>, FlushReport) {
         let (entries, report) = self.drain_sorted();
         (
@@ -667,9 +667,9 @@ mod tests {
         for i in 0..64usize {
             buf.add(i % m.num_tiles(), (i * 11) % 16, (i as f64 - 31.5) * 0.125);
         }
-        let (entries, _) = buf.drain_sorted();
-        for (tile, payload) in entries {
-            for (slot, delta) in payload.into_ops() {
+        let (entries, _) = buf.drain_ops();
+        for (tile, ops) in entries {
+            for (slot, delta) in ops {
                 sparse_cs
                     .pool()
                     .with_block(tile, true, |blk| blk[slot] += delta);

@@ -57,8 +57,9 @@
 //! top of the same buffer: [`SnapshotCoeffStore`] publishes immutable
 //! epoch versions (readers pin one, writers group-commit the next), and
 //! [`wal`] makes each commit durable ahead of the tile writeback with a
-//! CRC-framed write-ahead log whose records replay to a bit-identical
-//! state after a crash (format: `docs/FORMAT.md` §7).
+//! CRC-framed write-ahead log whose records — the post-images of the
+//! tiles an epoch dirtied, and nothing recovery does not read — replay to
+//! a bit-identical state after a crash (format: `docs/FORMAT.md` §7).
 
 //!
 //! # Example

@@ -16,13 +16,13 @@
 //! — so a reader never observes a partially applied epoch.
 //!
 //! Durability: when constructed with a [`Wal`], every commit appends its
-//! op stream *and* tile post-images to the log and fsyncs **before**
-//! publishing — the WAL append is the commit point. A checkpoint writes
-//! the overlay into the base store, flushes and syncs it, then truncates
-//! the log. The crash matrix is in `DESIGN.md` §12.
+//! dirty tiles' post-images to the log and fsyncs **before** publishing —
+//! the WAL append is the commit point. A checkpoint writes the overlay
+//! into the base store, flushes and syncs it, then truncates the log. The
+//! crash matrix is in `DESIGN.md` §12.
 
 use crate::buffer::{DeltaBuffer, FlushReport};
-use crate::wal::{Wal, WalRecord, WalTile};
+use crate::wal::Wal;
 use ss_core::TilingMap;
 use ss_storage::{BlockStore, CoeffRead, SharedCoeffStore, StorageError};
 use std::collections::HashMap;
@@ -133,27 +133,19 @@ impl<M: TilingMap, S: BlockStore> SnapshotCoeffStore<M, S> {
         // (from the previous overlay if present, else the base store) and
         // mutated; everything else is shared by Arc with `prev`.
         let mut overlay = prev.overlay.clone();
-        let mut wal_tiles = Vec::with_capacity(entries.len());
-        for (tile, payload) in entries {
-            let mut data = match overlay.get(&tile) {
+        for (tile, payload) in &entries {
+            let mut data = match overlay.get(tile) {
                 Some(shared) => shared.as_ref().clone(),
-                None => self.base.read_tile(tile),
+                None => self.base.read_tile(*tile),
             };
             payload.apply(&mut data);
-            let image = Arc::new(data);
-            overlay.insert(tile, Arc::clone(&image));
-            wal_tiles.push(WalTile {
-                tile,
-                ops: payload.into_ops(),
-                image: image.as_ref().clone(),
-            });
+            overlay.insert(*tile, Arc::new(data));
         }
-        let committed_tiles = wal_tiles.len() as u64;
+        // The commit point: the log encodes the new images straight out
+        // of the overlay, in the drain's ascending tile order.
         if let Some(wal) = writer.wal.as_mut() {
-            wal.append(&WalRecord {
-                epoch,
-                tiles: wal_tiles,
-            })?;
+            let images = entries.iter().map(|(tile, _)| (*tile, &overlay[tile][..]));
+            wal.append(epoch, images)?;
         }
         // Publish: from here on new pins see the new epoch.
         let version = Arc::new(Version {
@@ -166,7 +158,7 @@ impl<M: TilingMap, S: BlockStore> SnapshotCoeffStore<M, S> {
         self.epoch.store(epoch, Ordering::Release);
         ss_obs::trace::pipeline_event(ss_obs::TraceEventKind::Commit {
             epoch,
-            tiles: committed_tiles,
+            tiles: entries.len() as u64,
         });
         // Retire versions that drained while we were committing.
         Self::retire_drained(&mut writer.versions);
@@ -408,6 +400,50 @@ mod tests {
         assert_eq!(pin.get(3, 3), 0.0); // still reads its own epoch
         drop(pin);
         assert!(s.checkpoint().unwrap());
+    }
+
+    #[test]
+    fn a_commit_logs_exactly_its_dirty_tiles_post_images() {
+        // k dirty tiles of capacity c cost 20 + k·(16 + 8c) log bytes in
+        // either flush mode — the record is redo images, nothing else —
+        // and what comes back on reopen is what a pin reads.
+        let dir = std::env::temp_dir().join(format!("ss_snap_wal_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("log.wal");
+        let (k, c) = (3u64, 4u64);
+        for mode in [FlushMode::Exact, FlushMode::Merged] {
+            let _ = std::fs::remove_file(&path);
+            let (wal, _, _) = Wal::open(&path).unwrap();
+            let base = mem_shared_store(Tiling1d::new(4, 2), 8, 2, IoStats::new());
+            let s = SnapshotCoeffStore::new(base, Some(wal), 0);
+            let mut buf = DeltaBuffer::new(c as usize, mode);
+            for round in 0..2u64 {
+                buf.begin_box();
+                for tile in [4, 0, 2] {
+                    buf.add(tile, 1, 0.5 + tile as f64);
+                    buf.add(tile, 3, -1.25);
+                    buf.add(tile, 1, 0.125);
+                }
+                let before = std::fs::metadata(&path).unwrap().len();
+                assert_eq!(before, 8 + round * (20 + k * (16 + 8 * c)), "{mode:?}");
+                s.commit(&mut buf).unwrap();
+                let grew = std::fs::metadata(&path).unwrap().len() - before;
+                assert_eq!(grew, 20 + k * (16 + 8 * c), "{mode:?}");
+            }
+            let pin = s.pin();
+            let (_, recs, scan) = Wal::open(&path).unwrap();
+            assert!(!scan.torn_tail);
+            assert_eq!(recs.iter().map(|r| r.epoch).collect::<Vec<_>>(), [1, 2]);
+            let last = recs.last().unwrap();
+            let tiles: Vec<usize> = last.tiles.iter().map(|t| t.tile).collect();
+            assert_eq!(tiles, [0, 2, 4], "{mode:?}");
+            for t in &last.tiles {
+                for (slot, v) in t.image.iter().enumerate() {
+                    assert_eq!(v.to_bits(), pin.get(t.tile, slot).to_bits(), "{mode:?}");
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Write-ahead delta log for group-commit maintenance.
 //!
-//! Before a commit's drained `(tile, ops)` stream touches the base store,
-//! it is appended here as one CRC-framed record carrying both the logical
-//! op list *and* the committed post-image of every dirty tile. The
-//! post-images are what make replay idempotent: a `+=` delta replayed
-//! twice corrupts, an overwrite replayed twice is a no-op, so a crash at
-//! *any* point between the WAL fsync and the (much later) fold of tiles
-//! into the base store replays to a bit-identical coefficient state. The
-//! framing is normative in `docs/FORMAT.md` §7; the commit protocol and
-//! crash matrix are in `DESIGN.md` §12.
+//! Before a commit touches the base store, the committed post-image of
+//! every tile it dirtied is appended here as one CRC-framed record — a
+//! record carries exactly what recovery reads, nothing else. Post-images
+//! are what make replay idempotent: a `+=` delta replayed twice corrupts,
+//! an overwrite replayed twice is a no-op, so a crash at *any* point
+//! between the WAL fsync and the (much later) fold of tiles into the base
+//! store replays to a bit-identical coefficient state. The framing is
+//! normative in `docs/FORMAT.md` §7; the commit protocol and crash matrix
+//! are in `DESIGN.md` §12.
 //!
 //! The log is an append-only file:
 //!
@@ -32,6 +32,9 @@ use std::path::{Path, PathBuf};
 /// File magic, 8 bytes.
 pub const WAL_MAGIC: &[u8; 8] = b"SSWSWAL1";
 
+/// Bytes of a record's frame header: `u32` body length + `u32` body CRC.
+const FRAME_HEADER: usize = 8;
+
 /// One committed epoch's dirty tiles.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WalRecord {
@@ -46,8 +49,6 @@ pub struct WalRecord {
 pub struct WalTile {
     /// Tile ordinal.
     pub tile: usize,
-    /// The drained `(slot, delta)` op list — the logical audit stream.
-    pub ops: Vec<(usize, f64)>,
     /// The tile's full contents *after* this epoch — the physical redo
     /// image replay overwrites with.
     pub image: Vec<f64>,
@@ -70,6 +71,8 @@ pub struct Wal {
     end: u64,
     /// Epoch of the last record appended or recovered (0 when none).
     last_epoch: u64,
+    /// The frame being appended; kept so its allocation is reused.
+    frame: Vec<u8>,
 }
 
 impl Wal {
@@ -101,6 +104,7 @@ impl Wal {
                 path: path.to_path_buf(),
                 end: WAL_MAGIC.len() as u64,
                 last_epoch: 0,
+                frame: Vec::new(),
             };
             return Ok((wal, Vec::new(), WalScan::default()));
         }
@@ -139,6 +143,7 @@ impl Wal {
             path: path.to_path_buf(),
             end,
             last_epoch,
+            frame: Vec::new(),
         };
         Ok((wal, records, scan))
     }
@@ -153,34 +158,59 @@ impl Wal {
         self.last_epoch
     }
 
-    /// Appends one record and fsyncs. When this returns, the commit is
-    /// durable: any crash after this point replays it.
-    pub fn append(&mut self, record: &WalRecord) -> Result<(), StorageError> {
+    /// Appends one record — `epoch` and the post-image of every tile it
+    /// dirtied, ascending by ordinal — and fsyncs. When this returns, the
+    /// commit is durable: any crash after this point replays it. The
+    /// images are encoded straight from the caller's slices into the one
+    /// reusable frame buffer.
+    pub fn append<'a>(
+        &mut self,
+        epoch: u64,
+        tiles: impl IntoIterator<Item = (usize, &'a [f64])>,
+    ) -> Result<(), StorageError> {
         let mut sw = ss_obs::Stopwatch::start();
-        let body = encode_body(record);
-        let mut framed = Vec::with_capacity(body.len() + 8);
-        framed.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&crc32(&body).to_le_bytes());
-        framed.extend_from_slice(&body);
+        let frame = &mut self.frame;
+        frame.clear();
+        // Frame length + CRC, then the body's epoch and tile count; the
+        // length, CRC and count are patched in once the body is encoded.
+        frame.extend_from_slice(&[0; FRAME_HEADER]);
+        frame.extend_from_slice(&epoch.to_le_bytes());
+        frame.extend_from_slice(&[0; 4]);
+        let mut ntiles = 0usize;
+        for (tile, image) in tiles {
+            frame.extend_from_slice(&(tile as u64).to_le_bytes());
+            frame.extend_from_slice(&0u32.to_le_bytes()); // nops: reserved
+            frame.extend_from_slice(&(image.len() as u32).to_le_bytes());
+            for v in image {
+                frame.extend_from_slice(&v.to_le_bytes());
+            }
+            ntiles += 1;
+        }
+        // A tile count or image length beyond u32 implies a body beyond
+        // u32, so this one check makes every `as u32` above lossless.
+        let body_len = u32::try_from(frame.len() - FRAME_HEADER).map_err(|_| {
+            let too_big = std::io::Error::other("record body exceeds the u32 frame length");
+            StorageError::io("append WAL record", too_big)
+        })?;
+        frame[FRAME_HEADER + 8..FRAME_HEADER + 12].copy_from_slice(&(ntiles as u32).to_le_bytes());
+        let crc = crc32(&frame[FRAME_HEADER..]);
+        frame[..4].copy_from_slice(&body_len.to_le_bytes());
+        frame[4..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
         self.file
             .seek(SeekFrom::Start(self.end))
-            .and_then(|_| self.file.write_all(&framed))
+            .and_then(|_| self.file.write_all(frame))
             .map_err(|e| StorageError::io("append WAL record", e))?;
-        ss_obs::trace::pipeline_event(ss_obs::TraceEventKind::WalAppend {
-            epoch: record.epoch,
-            bytes: framed.len() as u64,
-        });
+        let bytes = frame.len() as u64;
+        ss_obs::trace::pipeline_event(ss_obs::TraceEventKind::WalAppend { epoch, bytes });
         self.file
             .sync_data()
             .map_err(|e| StorageError::io("fsync WAL record", e))?;
-        ss_obs::trace::pipeline_event(ss_obs::TraceEventKind::WalFsync {
-            epoch: record.epoch,
-        });
-        self.end += framed.len() as u64;
-        self.last_epoch = record.epoch;
+        ss_obs::trace::pipeline_event(ss_obs::TraceEventKind::WalFsync { epoch });
+        self.end += bytes;
+        self.last_epoch = epoch;
         let g = ss_obs::global();
         g.counter("wal.appends").inc();
-        g.counter("wal.bytes_appended").add(framed.len() as u64);
+        g.counter("wal.bytes_appended").add(bytes);
         g.histogram("wal.append_ns").record(sw.lap_ns());
         Ok(())
     }
@@ -202,59 +232,39 @@ impl Wal {
     }
 }
 
-/// Serialises a record body (everything the frame's length/CRC cover).
-fn encode_body(record: &WalRecord) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&record.epoch.to_le_bytes());
-    out.extend_from_slice(&(record.tiles.len() as u32).to_le_bytes());
-    for t in &record.tiles {
-        out.extend_from_slice(&(t.tile as u64).to_le_bytes());
-        out.extend_from_slice(&(t.ops.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(t.image.len() as u32).to_le_bytes());
-        for &(slot, delta) in &t.ops {
-            out.extend_from_slice(&(slot as u32).to_le_bytes());
-            out.extend_from_slice(&delta.to_le_bytes());
-        }
-        for &v in &t.image {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    out
+/// Splits a fixed-width little-endian field off `rest`; `None` when
+/// fewer bytes remain.
+fn take<const N: usize>(rest: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, tail) = rest.split_first_chunk::<N>()?;
+    *rest = tail;
+    Some(*head)
 }
 
-/// Decodes one record body; `None` on any truncation or overflow (which
-/// the framing CRC should already have caught).
-fn decode_body(body: &[u8]) -> Option<WalRecord> {
-    let mut p = 0usize;
-    let take = |p: &mut usize, n: usize| -> Option<&[u8]> {
-        let s = body.get(*p..*p + n)?;
-        *p += n;
-        Some(s)
-    };
-    let epoch = u64::from_le_bytes(take(&mut p, 8)?.try_into().ok()?);
-    let ntiles = u32::from_le_bytes(take(&mut p, 4)?.try_into().ok()?) as usize;
-    let mut tiles = Vec::with_capacity(ntiles.min(1 << 20));
+/// Decodes one record body; `None` on any truncation, overflow or
+/// trailing bytes (which the framing CRC should already have caught).
+/// Every length field is checked against the bytes actually present, and
+/// nothing is allocated from a length alone. `nops` is reserved: this
+/// build writes 0, but a log left by an older one carries each tile's
+/// drained `(slot, delta)` ops there — 12 bytes each, never replayed —
+/// and must still open, so they are skipped.
+fn decode_body(mut rest: &[u8]) -> Option<WalRecord> {
+    let epoch = u64::from_le_bytes(take(&mut rest)?);
+    let ntiles = u32::from_le_bytes(take(&mut rest)?);
+    let mut tiles = Vec::new();
     for _ in 0..ntiles {
-        let tile = u64::from_le_bytes(take(&mut p, 8)?.try_into().ok()?) as usize;
-        let nops = u32::from_le_bytes(take(&mut p, 4)?.try_into().ok()?) as usize;
-        let cap = u32::from_le_bytes(take(&mut p, 4)?.try_into().ok()?) as usize;
-        let mut ops = Vec::with_capacity(nops.min(1 << 20));
-        for _ in 0..nops {
-            let slot = u32::from_le_bytes(take(&mut p, 4)?.try_into().ok()?) as usize;
-            let delta = f64::from_le_bytes(take(&mut p, 8)?.try_into().ok()?);
-            ops.push((slot, delta));
-        }
-        let mut image = Vec::with_capacity(cap.min(1 << 20));
-        for _ in 0..cap {
-            image.push(f64::from_le_bytes(take(&mut p, 8)?.try_into().ok()?));
-        }
-        tiles.push(WalTile { tile, ops, image });
+        let tile = usize::try_from(u64::from_le_bytes(take(&mut rest)?)).ok()?;
+        let nops = u32::from_le_bytes(take(&mut rest)?) as usize;
+        let cap = u32::from_le_bytes(take(&mut rest)?) as usize;
+        let (_reserved, after) = rest.split_at_checked(nops.checked_mul(12)?)?;
+        let (image, after) = after.split_at_checked(cap.checked_mul(8)?)?;
+        rest = after;
+        let image = image
+            .chunks_exact(8)
+            .map(|v| f64::from_le_bytes(v.try_into().expect("chunks_exact(8)")))
+            .collect();
+        tiles.push(WalTile { tile, image });
     }
-    if p == body.len() {
-        Some(WalRecord { epoch, tiles })
-    } else {
-        None
-    }
+    rest.is_empty().then_some(WalRecord { epoch, tiles })
 }
 
 /// Walks the framed records in `bytes`, returning the intact prefix as
@@ -320,33 +330,65 @@ mod tests {
             tiles: vec![
                 WalTile {
                     tile: 0,
-                    ops: vec![(0, 1.5), (3, -2.0)],
                     image: vec![1.5, 0.0, 0.0, -2.0],
                 },
                 WalTile {
                     tile: 2,
-                    ops: vec![(1, epoch as f64)],
                     image: vec![0.0, epoch as f64, 0.0, 0.0],
                 },
             ],
         }
     }
 
+    fn append(wal: &mut Wal, rec: &WalRecord) {
+        let tiles = rec.tiles.iter().map(|t| (t.tile, &t.image[..]));
+        wal.append(rec.epoch, tiles).unwrap();
+    }
+
+    /// Frames `body` the way `append` does.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut out = (body.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(&crc32(body).to_le_bytes());
+        out.extend_from_slice(body);
+        out
+    }
+
+    /// A record body in the layout older builds wrote: every tile carries
+    /// its `(slot, delta)` op list ahead of the image.
+    fn parent_layout_body(rec: &WalRecord, ops: &[(u32, f64)]) -> Vec<u8> {
+        let mut out = rec.epoch.to_le_bytes().to_vec();
+        out.extend_from_slice(&(rec.tiles.len() as u32).to_le_bytes());
+        for t in &rec.tiles {
+            out.extend_from_slice(&(t.tile as u64).to_le_bytes());
+            out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
+            out.extend_from_slice(&(t.image.len() as u32).to_le_bytes());
+            for (slot, delta) in ops {
+                out.extend_from_slice(&slot.to_le_bytes());
+                out.extend_from_slice(&delta.to_le_bytes());
+            }
+            for v in &t.image {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        out
+    }
+
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ss_wal_{}_{}", name, std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join("log.wal")
+        let path = dir.join("log.wal");
+        let _ = std::fs::remove_file(&path);
+        path
     }
 
     #[test]
     fn append_reopen_roundtrip() {
         let path = tmp("roundtrip");
-        let _ = std::fs::remove_file(&path);
         let (mut wal, recs, scan) = Wal::open(&path).unwrap();
         assert!(recs.is_empty());
         assert!(!scan.torn_tail);
-        wal.append(&record(1)).unwrap();
-        wal.append(&record(2)).unwrap();
+        append(&mut wal, &record(1));
+        append(&mut wal, &record(2));
         assert_eq!(wal.last_epoch(), 2);
         drop(wal);
         let (wal, recs, scan) = Wal::open(&path).unwrap();
@@ -357,12 +399,104 @@ mod tests {
     }
 
     #[test]
+    fn a_record_is_exactly_its_images() {
+        // 8 frame + 12 epoch/count, then 16 + 8·capacity per dirty tile:
+        // nothing but what replay reads.
+        let path = tmp("size");
+        let (mut wal, _, _) = Wal::open(&path).unwrap();
+        append(&mut wal, &record(1));
+        let (k, c) = (2, 4);
+        assert_eq!(wal.end, 8 + 20 + k * (16 + 8 * c));
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), wal.end);
+    }
+
+    #[test]
+    fn parent_layout_records_open_and_replay_to_the_same_bits() {
+        // A log left behind by a build that still wrote the op stream
+        // (nops > 0) must yield the same images as this build's record of
+        // the same epochs, interleaved with them in one log.
+        let path = tmp("backcompat");
+        let (mut wal, _, _) = Wal::open(&path).unwrap();
+        append(&mut wal, &record(1));
+        drop(wal);
+        let ops = [(0u32, 1.5), (3, -2.0), (1, 7.25)];
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(&framed(&parent_layout_body(&record(2), &ops)));
+        std::fs::write(&path, &bytes).unwrap();
+        let (mut wal, recs, scan) = Wal::open(&path).unwrap();
+        assert_eq!(recs, vec![record(1), record(2)]);
+        assert!(!scan.torn_tail);
+        assert_eq!(wal.last_epoch(), 2);
+        // The log keeps appending after the old-layout record.
+        append(&mut wal, &record(3));
+        drop(wal);
+        let (_, recs, _) = Wal::open(&path).unwrap();
+        assert_eq!(recs, vec![record(1), record(2), record(3)]);
+
+        let replayed = |recs: &[WalRecord]| -> Vec<u64> {
+            let cs = mem_shared_store(Tiling1d::new(4, 2), 8, 2, IoStats::new());
+            replay_records(recs, &cs);
+            (0..4 * 4)
+                .map(|i| cs.pool().read(i / 4, i % 4).to_bits())
+                .collect()
+        };
+        assert_eq!(
+            replayed(&recs),
+            replayed(&[record(1), record(2), record(3)])
+        );
+    }
+
+    #[test]
+    fn hostile_length_fields_end_the_scan_as_a_torn_tail() {
+        // Correctly framed (length + CRC valid) bodies whose inner length
+        // fields lie: the decoder must refuse them without panicking and
+        // without allocating from the claimed sizes.
+        let tile_header = |nops: u32, cap: u32| {
+            let mut body = 9u64.to_le_bytes().to_vec(); // epoch
+            body.extend_from_slice(&1u32.to_le_bytes()); // ntiles
+            body.extend_from_slice(&0u64.to_le_bytes()); // tile
+            body.extend_from_slice(&nops.to_le_bytes());
+            body.extend_from_slice(&cap.to_le_bytes());
+            body
+        };
+        let mut many_tiles = 9u64.to_le_bytes().to_vec();
+        many_tiles.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut ops_past_end = tile_header(3, 0);
+        ops_past_end.extend_from_slice(&[0; 35]); // one byte short of 3 ops
+        let mut image_past_end = tile_header(0, 4);
+        image_past_end.extend_from_slice(&[0; 31]); // one byte short of 4 slots
+        let mut trailing = parent_layout_body(&record(9), &[]);
+        trailing.push(0);
+        for (name, body) in [
+            ("nops = u32::MAX", tile_header(u32::MAX, 4)),
+            ("ntiles = u32::MAX", many_tiles),
+            ("nops x 12 past the end", ops_past_end),
+            ("image length past the end", image_past_end),
+            ("image length = u32::MAX", tile_header(0, u32::MAX)),
+            ("trailing byte", trailing),
+        ] {
+            assert_eq!(decode_body(&body), None, "{name}");
+            let path = tmp("hostile");
+            let (mut wal, _, _) = Wal::open(&path).unwrap();
+            append(&mut wal, &record(1));
+            drop(wal);
+            let mut bytes = std::fs::read(&path).unwrap();
+            let intact = bytes.len() as u64;
+            bytes.extend_from_slice(&framed(&body));
+            std::fs::write(&path, &bytes).unwrap();
+            let (_, recs, scan) = Wal::open(&path).unwrap();
+            assert_eq!(recs, vec![record(1)], "{name}");
+            assert!(scan.torn_tail, "{name}");
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), intact, "{name}");
+        }
+    }
+
+    #[test]
     fn torn_tail_is_detected_and_truncated() {
         let path = tmp("torn");
-        let _ = std::fs::remove_file(&path);
         let (mut wal, _, _) = Wal::open(&path).unwrap();
-        wal.append(&record(1)).unwrap();
-        wal.append(&record(2)).unwrap();
+        append(&mut wal, &record(1));
+        append(&mut wal, &record(2));
         drop(wal);
         // Chop mid-way through the second record.
         let len = std::fs::metadata(&path).unwrap().len();
@@ -382,11 +516,10 @@ mod tests {
     #[test]
     fn corrupt_body_stops_the_scan() {
         let path = tmp("corrupt");
-        let _ = std::fs::remove_file(&path);
         let (mut wal, _, _) = Wal::open(&path).unwrap();
-        wal.append(&record(1)).unwrap();
+        append(&mut wal, &record(1));
         let end = wal.end;
-        wal.append(&record(2)).unwrap();
+        append(&mut wal, &record(2));
         drop(wal);
         // Flip a byte inside the second record's body.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -401,12 +534,11 @@ mod tests {
     #[test]
     fn reset_truncates_to_magic() {
         let path = tmp("reset");
-        let _ = std::fs::remove_file(&path);
         let (mut wal, _, _) = Wal::open(&path).unwrap();
-        wal.append(&record(7)).unwrap();
+        append(&mut wal, &record(7));
         wal.reset().unwrap();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 8);
-        wal.append(&record(8)).unwrap();
+        append(&mut wal, &record(8));
         drop(wal);
         let (_, recs, _) = Wal::open(&path).unwrap();
         assert_eq!(recs, vec![record(8)]);

@@ -3,7 +3,9 @@
 //! Appending differs from updating: the domain of the growing axis must
 //! sometimes *double*, which re-homes every stored coefficient (its linear
 //! index and therefore its tile change) and splits the old overall average
-//! into the new root pair. [`Appender`] packages the full workflow:
+//! into the new root pair. [`Appender`] packages the full workflow, from
+//! an empty transform ([`Appender::new`]) or an existing one
+//! ([`Appender::resume`], the CLI's `append` on a store file):
 //!
 //! 1. transform the newly arrived chunk in memory,
 //! 2. **expand** the stored transform when the chunk would overflow the
@@ -27,8 +29,6 @@ pub struct Appender<S: BlockStore, F: FnMut(usize, usize) -> S> {
     axis: usize,
     filled: usize,
     factory: F,
-    stats: IoStats,
-    pool_budget: usize,
     expansions: usize,
 }
 
@@ -49,20 +49,35 @@ impl<S: BlockStore, F: FnMut(usize, usize) -> S> Appender<S, F> {
         pool_budget: usize,
         stats: IoStats,
     ) -> Self {
-        assert!(axis < levels.len());
         let map = StandardTiling::new(levels, tile_exp);
         let store = factory(map.block_capacity(), map.num_tiles());
-        let cs = CoeffStore::new(map, store, pool_budget, stats.clone());
+        let cs = CoeffStore::new(map, store, pool_budget, stats);
+        Self::resume(cs, axis, 0, factory)
+    }
+
+    /// Seats an appender on an existing transform — e.g. a store file
+    /// reopened in a later process — whose append axis `axis` holds
+    /// `filled` cells. Geometry, pool budget and counters are the
+    /// store's own; `factory` is only called if an append must expand.
+    pub fn resume(
+        cs: CoeffStore<StandardTiling, S>,
+        axis: usize,
+        filled: usize,
+        factory: F,
+    ) -> Self {
+        let axes = cs.map().axes();
+        assert!(axis < axes.len());
         Appender {
-            cs,
-            levels: levels.to_vec(),
-            tile_exp: tile_exp.to_vec(),
+            levels: axes.iter().map(|a| a.levels()).collect(),
+            tile_exp: axes
+                .iter()
+                .map(|a| a.block_side().trailing_zeros())
+                .collect(),
             axis,
-            filled: 0,
+            filled,
             factory,
-            stats,
-            pool_budget,
             expansions: 0,
+            cs,
         }
     }
 
@@ -88,7 +103,7 @@ impl<S: BlockStore, F: FnMut(usize, usize) -> S> Appender<S, F> {
 
     /// Shared I/O counters.
     pub fn stats(&self) -> &IoStats {
-        &self.stats
+        self.cs.stats()
     }
 
     /// Appends one chunk.
@@ -140,7 +155,8 @@ impl<S: BlockStore, F: FnMut(usize, usize) -> S> Appender<S, F> {
         self.levels[self.axis] += 1;
         let new_map = StandardTiling::new(&self.levels, &self.tile_exp);
         let new_store = (self.factory)(new_map.block_capacity(), new_map.num_tiles());
-        let mut new_cs = CoeffStore::new(new_map, new_store, self.pool_budget, self.stats.clone());
+        let (budget, stats) = (self.cs.pool().budget(), self.cs.stats().clone());
+        let mut new_cs = CoeffStore::new(new_map, new_store, budget, stats);
 
         let n_axis = old_levels[self.axis];
         // Migrate tile by tile: every old tile is read exactly once, and
@@ -235,6 +251,45 @@ mod tests {
                 want.get(&idx)
             );
         }
+    }
+
+    #[test]
+    fn resumed_appender_continues_a_reopened_store_file() {
+        // Month 0 through one appender, the file closed and reopened, the
+        // rest (three expansions) through a resumed one: same coefficients
+        // as one appender fed the whole history.
+        use ss_storage::FileBlockStore;
+        let dir = std::env::temp_dir().join(format!("ss_append_resume_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let stats = IoStats::new();
+        let mut files = 0;
+        let mut factory = |cap, blocks| {
+            files += 1;
+            let path = dir.join(format!("{files}.ws"));
+            FileBlockStore::create(&path, cap, blocks, stats.clone()).unwrap()
+        };
+        let mut first = Appender::new(&[2, 2, 3], &[1, 1, 2], 2, &mut factory, 16, stats.clone());
+        first.append(&month(&[4, 4, 8], 0));
+        drop(first);
+        let map = StandardTiling::new(&[2, 2, 3], &[1, 1, 2]);
+        let (cap, blocks) = (map.block_capacity(), map.num_tiles());
+        let reopened = FileBlockStore::open(&dir.join("1.ws"), cap, blocks, stats.clone()).unwrap();
+        let cs = CoeffStore::new(map, reopened, 16, stats.clone());
+        let mut resumed = Appender::resume(cs, 2, 8, &mut factory);
+        let mut whole = appender(&[2, 2, 3], &[1, 1, 2], 2, IoStats::new());
+        whole.append(&month(&[4, 4, 8], 0));
+        for m in 1..5usize {
+            resumed.append(&month(&[4, 4, 8], m));
+            whole.append(&month(&[4, 4, 8], m));
+        }
+        assert_eq!((resumed.filled(), resumed.expansions()), (40, 3));
+        assert_eq!(resumed.levels(), whole.levels());
+        for idx in ss_array::MultiIndexIter::new(&[4, 4, 64]) {
+            let (got, want) = (resumed.store().read(&idx), whole.store().read(&idx));
+            assert_eq!(got.to_bits(), want.to_bits(), "{idx:?}");
+        }
+        drop(resumed);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
