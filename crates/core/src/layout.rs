@@ -175,18 +175,32 @@ impl Layout1d {
     /// position `pos`; always exactly `n + 1` entries. The reconstructed
     /// value is `Σ weight · coeff[index]`.
     ///
-    /// The detail at level `j` enters with `+1` when `pos` lies in the left
-    /// half of its support (bit `j−1` of `pos` clear) and `−1` otherwise.
+    /// A data value is the average of its own length-1 block, so this is
+    /// the inverse SPLIT at `m = 0`.
     pub fn point_contributions(&self, pos: usize) -> Vec<(usize, f64)> {
-        debug_assert!(pos < self.len());
-        let mut out = Vec::with_capacity(self.n as usize + 1);
-        out.push((0, 1.0));
-        for level in 1..=self.n {
-            let k = pos >> level;
-            let sign = if (pos >> (level - 1)) & 1 == 0 {
-                1.0
-            } else {
+        self.block_average_contributions(0, pos)
+    }
+
+    /// The inverse of SPLIT: contributions computing the *scaling
+    /// coefficient* `u_{m, block}` — the average of the `(block+1)`-th dyadic
+    /// range of length `2^m` — from the transform: one weight-1 entry for
+    /// the overall average plus `n − m` signed path details, finest first.
+    ///
+    /// The detail at level `j` enters with `+1` when the block lies in the
+    /// left half of its support (bit `j−m−1` of `block` clear) and `−1`
+    /// otherwise.
+    pub fn block_average_contributions(&self, m: u32, block: usize) -> Vec<(usize, f64)> {
+        debug_assert!(m <= self.n);
+        debug_assert!(block < (1usize << (self.n - m)));
+        let mut out = Vec::with_capacity((self.n - m) as usize + 1);
+        out.push((0usize, 1.0));
+        for level in (m + 1)..=self.n {
+            let shift = level - m;
+            let k = block >> shift;
+            let sign = if (block >> (shift - 1)) & 1 == 1 {
                 -1.0
+            } else {
+                1.0
             };
             out.push((self.index_of(Coeff1d::Detail { level, k }), sign));
         }
@@ -326,6 +340,23 @@ mod tests {
             assert_eq!(contribs.len(), 5, "Lemma 1: n+1 coefficients");
             let got: f64 = contribs.iter().map(|&(i, w)| coeffs[i] * w).sum();
             assert!((got - want).abs() < 1e-9, "pos {pos}: {got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn block_average_contributions_match_dense_average() {
+        let data: Vec<f64> = (0..32).map(|i| ((i * 11) % 7) as f64 + 0.5).collect();
+        let coeffs = haar1d::forward_to_vec(&data);
+        let layout = Layout1d::for_len(32);
+        for m in 0..=5u32 {
+            for block in 0..(32 >> m) {
+                let want: f64 =
+                    data[block << m..(block + 1) << m].iter().sum::<f64>() / (1usize << m) as f64;
+                let contribs = layout.block_average_contributions(m, block);
+                assert_eq!(contribs.len(), (5 - m) as usize + 1, "n − m + 1 entries");
+                let got: f64 = contribs.iter().map(|&(i, w)| w * coeffs[i]).sum();
+                assert!((got - want).abs() < 1e-9, "m={m} block={block}");
+            }
         }
     }
 

@@ -2,51 +2,137 @@
 //!
 //! Two families of primitives live here:
 //!
-//! * **Contribution lists** — `(coefficient index, weight)` pairs whose
+//! * **Contribution lists** — `(coefficient index, weight)` terms whose
 //!   weighted sum yields a value in the original domain. They underlie point
 //!   queries (Lemma 1), range sums (Lemma 2) and the *inverse SPLIT*
 //!   (computing a dyadic block's average from the global transform). Using
 //!   lists instead of direct evaluation lets disk-backed callers account for
-//!   each coefficient access.
+//!   each coefficient access. An N-d list is one flat [`Contributions`] value
+//!   (a coordinate buffer and a weight buffer: two allocations whatever the
+//!   length); it is also the *query plan* every evaluator in `ss-query` and
+//!   `ss-serve` consumes. The standard form is separable, so its lists are
+//!   per-axis `(index, weight)` lists crossed by the one product loop,
+//!   [`for_each_product`].
 //! * **Partial reconstruction** (Result 6) — assembling the transform of a
 //!   dyadic sub-range from the global transform via inverse SHIFT (detail
 //!   re-indexing) plus inverse SPLIT (block-average evaluation), then
 //!   running an in-memory inverse transform over just `M^d` values instead
 //!   of `N^d`.
+//!
+//! **Lemma 1 is the inverse SPLIT at `m = 0`**: a data value is the average
+//! of the dyadic block of length `2^0` that holds it. The point builders are
+//! therefore one-line calls of their block-average forms
+//! ([`Layout1d::block_average_contributions`],
+//! [`nonstandard_block_average_contributions`]); there is one level loop per
+//! decomposition form, not two.
 
 use crate::layout::Layout1d;
 use crate::nonstandard::NsCoeff;
 use ss_array::{DyadicRange, MultiIndexIter, NdArray, Shape};
 
-/// Contributions computing the *scaling coefficient* `u_{m, block}` — the
-/// average of the `(block+1)`-th dyadic range of length `2^m` — from the
-/// global 1-d transform. This is the inverse of SPLIT: one weight-1 entry
-/// for the overall average plus `n − m` signed path details.
-pub fn block_average_contributions_1d(n: u32, m: u32, block: usize) -> Vec<(usize, f64)> {
-    debug_assert!(m <= n);
-    debug_assert!(block < (1usize << (n - m)));
-    let layout = Layout1d::new(n);
-    let mut out = Vec::with_capacity((n - m) as usize + 1);
-    out.push((0usize, 1.0));
-    for j in (m + 1)..=n {
-        let shift = j - m;
-        let k = block >> shift;
-        let sign = if (block >> (shift - 1)) & 1 == 1 {
-            -1.0
-        } else {
-            1.0
-        };
-        out.push((
-            layout.index_of(crate::layout::Coeff1d::Detail { level: j, k }),
-            sign,
-        ));
+/// A contribution list over N-d coefficient indices, stored flat: term `k`
+/// is `(coords[k·rank .. (k+1)·rank], weights[k])`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Contributions {
+    rank: usize,
+    coords: Vec<usize>,
+    weights: Vec<f64>,
+}
+
+impl Contributions {
+    /// An empty list of `rank`-dimensional terms with room for `terms`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `rank` is zero: a coefficient index has at least one axis.
+    pub fn with_capacity(rank: usize, terms: usize) -> Self {
+        assert!(rank > 0, "Contributions: zero-dimensional index");
+        Contributions {
+            rank,
+            coords: Vec::with_capacity(rank * terms),
+            weights: Vec::with_capacity(terms),
+        }
     }
-    out
+
+    /// Appends the term `(idx, weight)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in release builds too) when `idx` does not have the list's
+    /// rank: a short or long index would silently shift every later
+    /// coordinate.
+    pub fn push(&mut self, idx: &[usize], weight: f64) {
+        assert_eq!(
+            idx.len(),
+            self.rank,
+            "Contributions::push: index {idx:?} in a rank-{} list",
+            self.rank
+        );
+        self.coords.extend_from_slice(idx);
+        self.weights.push(weight);
+    }
+
+    /// Number of terms.
+    pub fn len(&self) -> usize {
+        self.weights.len()
+    }
+
+    /// `true` iff the list holds no terms.
+    pub fn is_empty(&self) -> bool {
+        self.weights.is_empty()
+    }
+
+    /// The `(index, weight)` terms in insertion order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&[usize], f64)> {
+        self.coords
+            .chunks_exact(self.rank)
+            .zip(self.weights.iter().copied())
+    }
+}
+
+/// Visits the cross product of per-axis `(index, factor)` lists in row-major
+/// order (last axis fastest) as `(index tuple, Π factors)`, the factors
+/// multiplied left to right starting from `1.0`. An empty list on any axis
+/// visits nothing; no axes at all visit the empty tuple once with `1.0`.
+///
+/// Allocates nothing up to rank 8 — this is the inner loop of every
+/// separable plan, partial reconstruction and scaling-slot evaluation.
+pub fn for_each_product<L: AsRef<[(usize, f64)]>>(
+    per_axis: &[L],
+    mut visit: impl FnMut(&[usize], f64),
+) {
+    fn descend<L: AsRef<[(usize, f64)]>>(
+        per_axis: &[L],
+        t: usize,
+        w: f64,
+        idx: &mut [usize],
+        visit: &mut impl FnMut(&[usize], f64),
+    ) {
+        match per_axis.get(t) {
+            None => visit(idx, w),
+            Some(list) => {
+                for &(i, f) in list.as_ref() {
+                    idx[t] = i;
+                    descend(per_axis, t + 1, w * f, idx, visit);
+                }
+            }
+        }
+    }
+    let mut inline = [0usize; 8];
+    let mut spilled;
+    let idx = match inline.get_mut(..per_axis.len()) {
+        Some(idx) => idx,
+        None => {
+            spilled = vec![0usize; per_axis.len()];
+            &mut spilled[..]
+        }
+    };
+    descend(per_axis, 0, 1.0, idx, &mut visit);
 }
 
 /// Point-query contributions for the **standard** multidimensional form:
 /// the cross product of per-axis Lemma 1 lists; `Π(n_t + 1)` entries.
-pub fn standard_point_contributions(n: &[u32], pos: &[usize]) -> Vec<(Vec<usize>, f64)> {
+pub fn standard_point_contributions(n: &[u32], pos: &[usize]) -> Contributions {
     cross_product(
         &n.iter()
             .zip(pos)
@@ -58,11 +144,7 @@ pub fn standard_point_contributions(n: &[u32], pos: &[usize]) -> Vec<(Vec<usize>
 /// Range-sum contributions for the **standard** form over the inclusive box
 /// `[lo, hi]`: cross product of per-axis Lemma 2 lists; at most
 /// `Π(2·n_t + 1)` entries.
-pub fn standard_range_sum_contributions(
-    n: &[u32],
-    lo: &[usize],
-    hi: &[usize],
-) -> Vec<(Vec<usize>, f64)> {
+pub fn standard_range_sum_contributions(n: &[u32], lo: &[usize], hi: &[usize]) -> Contributions {
     cross_product(
         &n.iter()
             .zip(lo.iter().zip(hi))
@@ -71,47 +153,29 @@ pub fn standard_range_sum_contributions(
     )
 }
 
+fn cross_product(per_axis: &[Vec<(usize, f64)>]) -> Contributions {
+    let terms = per_axis.iter().map(Vec::len).product();
+    let mut out = Contributions::with_capacity(per_axis.len(), terms);
+    for_each_product(per_axis, |idx, w| out.push(idx, w));
+    out
+}
+
 /// Point-query contributions for the **non-standard** form on an `N^d`
 /// hypercube: the overall average plus, per level, the `2^d − 1` subband
 /// coefficients of the covering quad-tree node; `(2^d − 1)·n + 1` entries.
-pub fn nonstandard_point_contributions(n: u32, d: usize, pos: &[usize]) -> Vec<(Vec<usize>, f64)> {
+/// Lemma 1 is the inverse SPLIT of the single-cell block.
+pub fn nonstandard_point_contributions(n: u32, d: usize, pos: &[usize]) -> Contributions {
     debug_assert_eq!(pos.len(), d);
-    let mut out = Vec::with_capacity(((1usize << d) - 1) * n as usize + 1);
-    out.push((vec![0usize; d], 1.0));
-    for j in 1..=n {
-        let node: Vec<usize> = pos.iter().map(|&p| p >> j).collect();
-        for eps in 1usize..(1usize << d) {
-            let mut sign = 1.0;
-            let mut subband = Vec::with_capacity(d);
-            for (t, &p) in pos.iter().enumerate() {
-                let e = (eps >> (d - 1 - t)) & 1 == 1;
-                subband.push(e);
-                if e && (p >> (j - 1)) & 1 == 1 {
-                    sign = -sign;
-                }
-            }
-            let c = NsCoeff::Detail {
-                level: j,
-                node: node.clone(),
-                subband,
-            };
-            out.push((crate::nonstandard::index_of(n, &c), sign));
-        }
-    }
-    out
+    nonstandard_block_average_contributions(n, 0, pos)
 }
 
 /// Contributions computing the average of a cubic dyadic block (side `2^m`,
 /// per-axis translation `block`) from a **non-standard** transform: the
 /// inverse SPLIT for the non-standard form.
-pub fn nonstandard_block_average_contributions(
-    n: u32,
-    m: u32,
-    block: &[usize],
-) -> Vec<(Vec<usize>, f64)> {
+pub fn nonstandard_block_average_contributions(n: u32, m: u32, block: &[usize]) -> Contributions {
     let d = block.len();
-    let mut out = Vec::with_capacity(((1usize << d) - 1) * (n - m) as usize + 1);
-    out.push((vec![0usize; d], 1.0));
+    let mut out = Contributions::with_capacity(d, ((1usize << d) - 1) * (n - m) as usize + 1);
+    out.push(&vec![0usize; d], 1.0);
     for j in (m + 1)..=n {
         let shift = j - m;
         let node: Vec<usize> = block.iter().map(|&b| b >> shift).collect();
@@ -130,7 +194,7 @@ pub fn nonstandard_block_average_contributions(
                 node: node.clone(),
                 subband,
             };
-            out.push((crate::nonstandard::index_of(n, &c), sign));
+            out.push(&crate::nonstandard::index_of(n, &c), sign);
         }
     }
     out
@@ -157,13 +221,14 @@ pub fn standard_range_transform(
     // Per-axis source lists, hoisted out of the cell loop: detail local
     // index -> single shifted index; average (local 0) -> block-average
     // contributions along that axis. Each cell then just cross-multiplies
-    // the d lists its coordinates select.
+    // the d lists its coordinates select (an all-detail cell is d
+    // single-entry weight-1 lists: one coefficient access).
     let axis_lists: Vec<Vec<Vec<(usize, f64)>>> = (0..d)
         .map(|t| {
             (0..shape.dim(t))
                 .map(|local_t| {
                     if local_t == 0 {
-                        block_average_contributions_1d(n[t], m[t], block[t])
+                        Layout1d::new(n[t]).block_average_contributions(m[t], block[t])
                     } else {
                         vec![(
                             crate::shift::shift_index_1d(n[t], m[t], block[t], local_t),
@@ -174,32 +239,12 @@ pub fn standard_range_transform(
                 .collect()
         })
         .collect();
-    let mut idx = vec![0usize; d];
+    let mut per_axis: Vec<&[(usize, f64)]> = Vec::with_capacity(d);
     for local in MultiIndexIter::new(shape.dims()) {
-        if local.iter().all(|&i| i != 0) {
-            // All-detail cell: every list is a single weight-1 entry, so
-            // the sum collapses to one coefficient access.
-            for t in 0..d {
-                idx[t] = axis_lists[t][local[t]][0].0;
-            }
-            let mut acc = 0.0;
-            acc += get(&idx);
-            out.set(&local, acc);
-            continue;
-        }
-        let per_axis: Vec<&[(usize, f64)]> =
-            (0..d).map(|t| axis_lists[t][local[t]].as_slice()).collect();
+        per_axis.clear();
+        per_axis.extend((0..d).map(|t| axis_lists[t][local[t]].as_slice()));
         let mut acc = 0.0;
-        let counts: Vec<usize> = per_axis.iter().map(|v| v.len()).collect();
-        for choice in MultiIndexIter::new(&counts) {
-            let mut w = 1.0;
-            for (t, &c) in choice.iter().enumerate() {
-                let (i, f) = per_axis[t][c];
-                idx[t] = i;
-                w *= f;
-            }
-            acc += w * get(&idx);
-        }
+        for_each_product(&per_axis, |idx, w| acc += w * get(idx));
         out.set(&local, acc);
     }
     out
@@ -259,22 +304,6 @@ pub fn nonstandard_reconstruct_range(
     t
 }
 
-fn cross_product(per_axis: &[Vec<(usize, f64)>]) -> Vec<(Vec<usize>, f64)> {
-    let counts: Vec<usize> = per_axis.iter().map(|v| v.len()).collect();
-    let mut out = Vec::with_capacity(counts.iter().product());
-    for choice in MultiIndexIter::new(&counts) {
-        let mut idx = Vec::with_capacity(per_axis.len());
-        let mut w = 1.0;
-        for (t, &c) in choice.iter().enumerate() {
-            let (i, f) = per_axis[t][c];
-            idx.push(i);
-            w *= f;
-        }
-        out.push((idx, w));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,19 +316,91 @@ mod tests {
     }
 
     #[test]
-    fn block_average_contributions_match_direct_average() {
-        let data: Vec<f64> = (0..32).map(|i| ((i * 11) % 7) as f64 + 0.5).collect();
-        let coeffs = crate::haar1d::forward_to_vec(&data);
-        for m in 0..=5u32 {
-            for block in 0..(32 >> m) {
-                let want: f64 =
-                    data[block << m..(block + 1) << m].iter().sum::<f64>() / (1usize << m) as f64;
-                let got: f64 = block_average_contributions_1d(5, m, block)
-                    .iter()
-                    .map(|&(i, w)| w * coeffs[i])
-                    .sum();
-                assert!((got - want).abs() < 1e-9, "m={m} block={block}");
+    fn contributions_round_trip_push_iter_len() {
+        let mut c = Contributions::with_capacity(3, 2);
+        assert!(c.is_empty());
+        assert_eq!(c.len(), 0);
+        assert_eq!(c.iter().count(), 0);
+        c.push(&[1, 2, 3], 0.5);
+        c.push(&[4, 5, 6], -2.0);
+        c.push(&[1, 2, 3], 0.25); // beyond the reserved capacity, repeated index
+        assert!(!c.is_empty());
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.iter().len(), 3);
+        let terms: Vec<(&[usize], f64)> = c.iter().collect();
+        assert_eq!(
+            terms,
+            vec![
+                (&[1usize, 2, 3][..], 0.5),
+                (&[4, 5, 6][..], -2.0),
+                (&[1, 2, 3][..], 0.25)
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "in a rank-2 list")]
+    fn contributions_reject_a_ragged_index() {
+        let mut c = Contributions::with_capacity(2, 2);
+        c.push(&[1, 2], 1.0);
+        c.push(&[3], 1.0);
+    }
+
+    #[test]
+    fn product_is_row_major_with_left_to_right_weights() {
+        let per_axis = vec![
+            vec![(10usize, 2.0), (11, 3.0)],
+            vec![(20, 5.0)],
+            vec![(30, 7.0), (31, 0.1), (32, -1.0)],
+        ];
+        let mut got = Vec::new();
+        for_each_product(&per_axis, |idx, w| got.push((idx.to_vec(), w)));
+        let mut want = Vec::new();
+        for &(i, a) in &per_axis[0] {
+            for &(j, b) in &per_axis[1] {
+                for &(k, c) in &per_axis[2] {
+                    want.push((vec![i, j, k], ((1.0 * a) * b) * c));
+                }
             }
+        }
+        assert_eq!(got.len(), 6);
+        for ((gi, gw), (wi, ww)) in got.iter().zip(&want) {
+            assert_eq!(gi, wi);
+            assert_eq!(gw.to_bits(), ww.to_bits());
+        }
+    }
+
+    #[test]
+    fn product_edge_ranks() {
+        // An empty list on any axis: nothing to visit.
+        let mut visits = 0;
+        for_each_product(&[vec![(1usize, 1.0)], vec![]], |_, _| visits += 1);
+        assert_eq!(visits, 0);
+        // No axes: the empty tuple, once, with the empty product.
+        let mut seen = Vec::new();
+        for_each_product(&[] as &[Vec<(usize, f64)>], |idx, w| {
+            seen.push((idx.to_vec(), w))
+        });
+        assert_eq!(seen, vec![(vec![], 1.0)]);
+        // Past the inline index buffer the walk is the same.
+        let per_axis = vec![vec![(3usize, 2.0), (4, 0.5)]; 9];
+        let mut last = (Vec::new(), 0.0);
+        let mut visits = 0;
+        for_each_product(&per_axis, |idx, w| {
+            visits += 1;
+            last = (idx.to_vec(), w);
+        });
+        assert_eq!(visits, 1 << 9);
+        assert_eq!(last, (vec![4; 9], 0.5f64.powi(9)));
+    }
+
+    #[test]
+    fn nonstandard_point_is_block_average_at_level_zero() {
+        for pos in [[0usize, 0], [5, 2], [7, 7]] {
+            assert_eq!(
+                nonstandard_point_contributions(3, 2, &pos),
+                nonstandard_block_average_contributions(3, 0, &pos)
+            );
         }
     }
 

@@ -292,6 +292,18 @@ impl StandardTiling {
     pub fn axes(&self) -> &[AxisTiling] {
         &self.axes
     }
+
+    /// The grid of per-axis tile ordinals: a tile's ordinal is the row-major
+    /// offset of its per-axis tile tuple.
+    pub fn tile_grid(&self) -> &Shape {
+        &self.tile_grid
+    }
+
+    /// The grid of per-axis slots: a slot is the row-major offset of its
+    /// per-axis slot tuple.
+    pub fn slot_grid(&self) -> &Shape {
+        &self.slot_grid
+    }
 }
 
 impl TilingMap for StandardTiling {
@@ -306,17 +318,14 @@ impl TilingMap for StandardTiling {
     }
     fn locate(&self, idx: &[usize]) -> TileSlot {
         debug_assert_eq!(idx.len(), self.axes.len());
-        let mut tile_idx = Vec::with_capacity(idx.len());
-        let mut slot_idx = Vec::with_capacity(idx.len());
-        for (axis, &i) in self.axes.iter().zip(idx) {
+        let (tile_strides, slot_strides) = (self.tile_grid.strides(), self.slot_grid.strides());
+        let mut at = TileSlot { tile: 0, slot: 0 };
+        for (t, (axis, &i)) in self.axes.iter().zip(idx).enumerate() {
             let loc = axis.locate(i);
-            tile_idx.push(loc.tile);
-            slot_idx.push(loc.slot);
+            at.tile += loc.tile * tile_strides[t];
+            at.slot += loc.slot * slot_strides[t];
         }
-        TileSlot {
-            tile: self.tile_grid.offset(&tile_idx),
-            slot: self.slot_grid.offset(&slot_idx),
-        }
+        at
     }
 }
 
@@ -562,6 +571,26 @@ mod tests {
         let map = StandardTiling::new(&[4, 3], &[2, 1]);
         assert_injective(&map, &[16, 8]);
         assert_eq!(map.block_capacity(), 4 * 2);
+    }
+
+    #[test]
+    fn standard_locate_is_the_offset_of_the_per_axis_locations() {
+        let map = StandardTiling::new(&[4, 0, 3], &[2, 1, 1]);
+        for idx in ss_array::MultiIndexIter::new(&[16, 1, 8]) {
+            let per_axis: Vec<TileSlot> = map
+                .axes()
+                .iter()
+                .zip(&idx)
+                .map(|(axis, &i)| axis.locate(i))
+                .collect();
+            let tiles: Vec<usize> = per_axis.iter().map(|l| l.tile).collect();
+            let slots: Vec<usize> = per_axis.iter().map(|l| l.slot).collect();
+            let want = TileSlot {
+                tile: map.tile_grid().offset(&tiles),
+                slot: map.slot_grid().offset(&slots),
+            };
+            assert_eq!(map.locate(&idx), want, "{idx:?}");
+        }
     }
 
     #[test]

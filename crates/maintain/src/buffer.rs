@@ -519,25 +519,18 @@ mod tests {
         let stats = IoStats::default();
         let mut cs = mem_store(m.clone(), 8, stats.clone());
         let mut buf = DeltaBuffer::for_map(&m, FlushMode::Exact);
-        let flushes_before = ss_obs::global().counter("maintain.flushes").get();
         let report = buf.flush_into(&mut cs);
         assert_eq!(report, FlushReport::default());
         assert_eq!(report.coalescing_ratio(), 1.0);
-        // An empty drain must not charge a durability flush or emit flush
-        // metrics: no block writes, `maintain.flushes` unchanged.
-        assert_eq!(
-            ss_obs::global().counter("maintain.flushes").get(),
-            flushes_before
-        );
+        // An empty drain must not charge a durability flush: no block
+        // writes. (That it emits no flush metrics either is asserted in
+        // `tests/empty_flush.rs`: `maintain.flushes` is process-global and
+        // sibling tests here flush.)
         assert_eq!(stats.snapshot().block_writes, 0);
         // Same for the shared path.
         let shared = mem_shared_store(m.clone(), 8, 4, IoStats::default());
         let report = buf.flush_into_shared(&shared, 4);
         assert_eq!(report, FlushReport::default());
-        assert_eq!(
-            ss_obs::global().counter("maintain.flushes").get(),
-            flushes_before
-        );
     }
 
     #[test]

@@ -208,7 +208,8 @@ pub fn progressive_range_sum<C: CoeffRead>(
     lo: &[usize],
     hi: &[usize],
 ) -> Vec<f64> {
-    let mut contribs = reconstruct::standard_range_sum_contributions(n, lo, hi);
+    let plan = reconstruct::standard_range_sum_contributions(n, lo, hi);
+    let mut contribs: Vec<(&[usize], f64)> = plan.iter().collect();
     // Coarse-to-fine: order by the finest level participating in the tuple
     // (larger minimum level = coarser = first).
     let fineness = |idx: &[usize]| -> u32 {

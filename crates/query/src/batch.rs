@@ -9,14 +9,15 @@
 //! `|distinct tiles|` — the batching analogue of the paper's tiling
 //! argument.
 
-use ss_core::{reconstruct, TilingMap};
+use ss_core::reconstruct::{self, Contributions};
+use ss_core::tiling::TileSlot;
+use ss_core::TilingMap;
 use ss_storage::CoeffRead;
-use std::collections::HashMap;
 
 /// Executes a batch of point queries, reading every needed tile once.
 pub fn batch_points<C: CoeffRead>(cs: &mut C, n: &[u32], positions: &[Vec<usize>]) -> Vec<f64> {
     let _span = ss_obs::global().span("query.batch_points");
-    let plans: Vec<Vec<(Vec<usize>, f64)>> = positions
+    let plans: Vec<Contributions> = positions
         .iter()
         .map(|pos| reconstruct::standard_point_contributions(n, pos))
         .collect();
@@ -31,7 +32,7 @@ pub fn batch_range_sums<C: CoeffRead>(
     ranges: &[(Vec<usize>, Vec<usize>)],
 ) -> Vec<f64> {
     let _span = ss_obs::global().span("query.batch_range_sums");
-    let plans: Vec<Vec<(Vec<usize>, f64)>> = ranges
+    let plans: Vec<Contributions> = ranges
         .iter()
         .map(|(lo, hi)| reconstruct::standard_range_sum_contributions(n, lo, hi))
         .collect();
@@ -60,81 +61,94 @@ pub struct PlanTiles {
 /// deterministic: it depends only on the plans and the tiling map, never on
 /// the store behind `cs`, so serial and concurrent executions agree bit for
 /// bit.
-pub fn execute_plans<C: CoeffRead>(cs: &mut C, plans: &[Vec<(Vec<usize>, f64)>]) -> Vec<f64> {
+pub fn execute_plans<'a, C: CoeffRead>(
+    cs: &mut C,
+    plans: impl IntoIterator<Item = &'a Contributions>,
+) -> Vec<f64> {
     execute_plans_tiled(cs, plans)
         .into_iter()
         .map(|r| r.value)
         .collect()
 }
 
+/// One plan term resolved to its storage location.
+struct Term {
+    tile: usize,
+    slot: usize,
+    query: usize,
+    weight: f64,
+}
+
 /// [`execute_plans`] with each answer's per-tile partial sums exposed.
+///
+/// The pipeline is **locate, sort, fold**: every term of every plan is
+/// located once, the terms are stable-sorted by `(tile, slot)`, and each run
+/// of equal keys is one coefficient read folded into the partials of the
+/// queries that asked for it.
 ///
 /// The canonical accumulation order is **per-tile decomposed**: within a
 /// tile, contributions fold left in ascending `(tile, slot)` key order
-/// (and, per key, in plan insertion order); the answer is then the fold
-/// of the per-tile partials in ascending tile order, starting from
-/// `0.0`. Because f64 addition is not associative, this grouping is what
-/// makes horizontal sharding *exact*: any partition of the tile space
-/// into whole-tile ranges computes the same per-tile partials locally,
-/// and a router that re-folds the partials in ascending tile order
-/// replays the identical addition sequence — the merged answer equals
-/// the single-store answer bit for bit (see `ss-serve`'s router and
+/// (and, per key, in plan insertion order — the sort is stable); the
+/// answer is then the fold of the per-tile partials in ascending tile
+/// order, starting from `0.0`. Because f64 addition is not associative,
+/// this grouping is what makes horizontal sharding *exact*: any partition
+/// of the tile space into whole-tile ranges computes the same per-tile
+/// partials locally, and a router that re-folds the partials in ascending
+/// tile order replays the identical addition sequence — the merged answer
+/// equals the single-store answer bit for bit (see `ss-serve`'s router and
 /// DESIGN.md §16).
-pub fn execute_plans_tiled<C: CoeffRead>(
+pub fn execute_plans_tiled<'a, C: CoeffRead>(
     cs: &mut C,
-    plans: &[Vec<(Vec<usize>, f64)>],
+    plans: impl IntoIterator<Item = &'a Contributions>,
 ) -> Vec<PlanTiles> {
     // Inert unless the calling thread is inside a traced request; the
     // batch's tile-fetch events then nest under this span.
     let _trace_span = ss_obs::trace::scoped("query.execute");
-    // (tile, slot) -> [(query, weight)], so each coefficient is read once
-    // even when several queries share it.
-    let mut wanted: HashMap<(usize, usize), Vec<(usize, f64)>> = HashMap::new();
-    for (q, plan) in plans.iter().enumerate() {
-        for (idx, w) in plan {
-            let loc = cs.map().locate(idx);
-            wanted
-                .entry((loc.tile, loc.slot))
-                .or_default()
-                .push((q, *w));
-        }
+    let mut terms: Vec<Term> = Vec::new();
+    let mut queries = 0;
+    for plan in plans {
+        terms.extend(plan.iter().map(|(idx, weight)| {
+            let TileSlot { tile, slot } = cs.map().locate(idx);
+            Term {
+                tile,
+                slot,
+                query: queries,
+                weight,
+            }
+        }));
+        queries += 1;
     }
-    let mut keys: Vec<(usize, usize)> = wanted.keys().copied().collect();
-    keys.sort_unstable();
-    let mut distinct_tiles = 0u64;
-    let mut results: Vec<PlanTiles> = plans
-        .iter()
-        .map(|_| PlanTiles {
+    terms.sort_by_key(|t| (t.tile, t.slot));
+    let mut results = vec![
+        PlanTiles {
             value: 0.0,
             tiles: Vec::new(),
-        })
-        .collect();
-    // Keys are sorted, so each tile is one contiguous run.
-    let mut i = 0;
-    let mut acc: HashMap<usize, f64> = HashMap::new();
+        };
+        queries
+    ];
+    // The open tile's partial per query, and the queries holding one.
+    let mut partial: Vec<Option<f64>> = vec![None; queries];
     let mut touched: Vec<usize> = Vec::new();
-    while i < keys.len() {
-        let tile = keys[i].0;
+    let mut distinct_tiles = 0u64;
+    for in_tile in terms.chunk_by(|a, b| a.tile == b.tile) {
+        let tile = in_tile[0].tile;
         distinct_tiles += 1;
-        acc.clear();
-        touched.clear();
-        while i < keys.len() && keys[i].0 == tile {
-            let v = cs.read_at(tile, keys[i].1);
-            for &(q, w) in &wanted[&keys[i]] {
-                match acc.entry(q) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => *e.get_mut() += w * v,
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(w * v);
-                        touched.push(q);
+        for same_coeff in in_tile.chunk_by(|a, b| a.slot == b.slot) {
+            let v = cs.read_at(tile, same_coeff[0].slot);
+            for term in same_coeff {
+                match &mut partial[term.query] {
+                    Some(p) => *p += term.weight * v,
+                    first => {
+                        *first = Some(term.weight * v);
+                        touched.push(term.query);
                     }
                 }
             }
-            i += 1;
         }
-        for &q in &touched {
-            let partial = acc[&q];
-            results[q].tiles.push((tile, partial));
-            results[q].value += partial;
+        for q in touched.drain(..) {
+            let p = partial[q].take().expect("a touched query holds a partial");
+            results[q].tiles.push((tile, p));
+            results[q].value += p;
         }
     }
     ss_obs::global()
@@ -146,9 +160,151 @@ pub fn execute_plans_tiled<C: CoeffRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use ss_array::{MultiIndexIter, NdArray, Shape};
-    use ss_core::tiling::StandardTiling;
+    use ss_core::tiling::{NonStandardTiling, StandardTiling};
+    use ss_datagen::SplitMix64;
     use ss_storage::{wstore::mem_store, CoeffStore, IoStats};
+    use std::collections::HashMap;
+
+    /// The evaluator this module shipped before the sort-and-fold one: two
+    /// per-batch hash maps. Kept as the oracle the new fold must match bit
+    /// for bit, `tiles` included.
+    fn execute_plans_tiled_reference<C: CoeffRead>(
+        cs: &mut C,
+        plans: &[Contributions],
+    ) -> Vec<PlanTiles> {
+        // (tile, slot) -> [(query, weight)], so each coefficient is read once
+        // even when several queries share it.
+        let mut wanted: HashMap<(usize, usize), Vec<(usize, f64)>> = HashMap::new();
+        for (q, plan) in plans.iter().enumerate() {
+            for (idx, w) in plan.iter() {
+                let loc = cs.map().locate(idx);
+                wanted.entry((loc.tile, loc.slot)).or_default().push((q, w));
+            }
+        }
+        let mut keys: Vec<(usize, usize)> = wanted.keys().copied().collect();
+        keys.sort_unstable();
+        let mut results: Vec<PlanTiles> = plans
+            .iter()
+            .map(|_| PlanTiles {
+                value: 0.0,
+                tiles: Vec::new(),
+            })
+            .collect();
+        // Keys are sorted, so each tile is one contiguous run.
+        let mut i = 0;
+        let mut acc: HashMap<usize, f64> = HashMap::new();
+        let mut touched: Vec<usize> = Vec::new();
+        while i < keys.len() {
+            let tile = keys[i].0;
+            acc.clear();
+            touched.clear();
+            while i < keys.len() && keys[i].0 == tile {
+                let v = cs.read_at(tile, keys[i].1);
+                for &(q, w) in &wanted[&keys[i]] {
+                    match acc.entry(q) {
+                        std::collections::hash_map::Entry::Occupied(mut e) => *e.get_mut() += w * v,
+                        std::collections::hash_map::Entry::Vacant(e) => {
+                            e.insert(w * v);
+                            touched.push(q);
+                        }
+                    }
+                }
+                i += 1;
+            }
+            for &q in &touched {
+                let partial = acc[&q];
+                results[q].tiles.push((tile, partial));
+                results[q].value += partial;
+            }
+        }
+        results
+    }
+
+    /// Mostly generic weights, with the values whose products expose a
+    /// changed zero sign or a dropped first term mixed in.
+    fn weight(rng: &mut SplitMix64) -> f64 {
+        match rng.below(8) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 1.0,
+            3 => -1.0,
+            _ => rng.range(-2.0, 2.0),
+        }
+    }
+
+    fn index(rng: &mut SplitMix64, dims: &[usize]) -> Vec<usize> {
+        dims.iter().map(|&d| rng.below(d)).collect()
+    }
+
+    /// Fills a store of `map` over `dims` (leaving some coefficients zero),
+    /// draws `count` plans that share a small pool of coefficients — so
+    /// plans overlap and repeat a coefficient internally — forces an empty
+    /// plan and an in-plan duplicate, and checks the fold against the
+    /// reference evaluator bit for bit, coefficient reads included.
+    fn fold_matches_reference<M: TilingMap>(map: M, dims: &[usize], seed: u64, count: usize) {
+        let mut rng = SplitMix64::new(seed);
+        let stats = IoStats::new();
+        let mut cs = mem_store(map, 1 << 10, stats.clone());
+        for idx in MultiIndexIter::new(dims) {
+            if rng.below(4) != 0 {
+                cs.write(&idx, weight(&mut rng) * 3.0);
+            }
+        }
+        let pool: Vec<Vec<usize>> = (0..10).map(|_| index(&mut rng, dims)).collect();
+        let mut plans: Vec<Contributions> = (0..count)
+            .map(|_| {
+                let terms = rng.below(40);
+                let mut plan = Contributions::with_capacity(dims.len(), terms);
+                for _ in 0..terms {
+                    let idx = match rng.below(3) {
+                        0 => index(&mut rng, dims),
+                        _ => pool[rng.below(pool.len())].clone(),
+                    };
+                    plan.push(&idx, weight(&mut rng));
+                }
+                plan
+            })
+            .collect();
+        if count >= 2 {
+            plans[0] = Contributions::with_capacity(dims.len(), 0);
+            let mut twice = Contributions::with_capacity(dims.len(), 3);
+            twice.push(&pool[0], weight(&mut rng));
+            twice.push(&pool[1], weight(&mut rng));
+            twice.push(&pool[0], weight(&mut rng));
+            plans[1] = twice;
+        }
+        stats.reset();
+        let want = execute_plans_tiled_reference(&mut cs, &plans);
+        let reference_reads = stats.snapshot().coeff_reads;
+        stats.reset();
+        let got = execute_plans_tiled(&mut cs, &plans);
+        assert_eq!(stats.snapshot().coeff_reads, reference_reads);
+        assert_eq!(got.len(), want.len());
+        for (q, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.value.to_bits(), w.value.to_bits(), "plan {q} value");
+            let bits = |r: &PlanTiles| -> Vec<(usize, u64)> {
+                r.tiles.iter().map(|&(t, p)| (t, p.to_bits())).collect()
+            };
+            assert_eq!(bits(g), bits(w), "plan {q} tiles");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn fold_is_bit_identical_to_the_two_hashmap_evaluator(
+            seed in any::<u64>(),
+            count in 0usize..9,
+        ) {
+            fold_matches_reference(StandardTiling::new(&[6], &[2]), &[64], seed, count);
+            fold_matches_reference(StandardTiling::new(&[4, 5], &[2, 3]), &[16, 32], seed, count);
+            fold_matches_reference(StandardTiling::cube(3, 3, 1), &[8, 8, 8], seed, count);
+            fold_matches_reference(NonStandardTiling::new(2, 4, 2), &[16, 16], seed, count);
+        }
+    }
 
     fn setup(
         side: usize,
@@ -296,12 +452,12 @@ mod tests {
         for shards in [1usize, 2, 4, 8] {
             let sm = ss_storage::ShardMap::even(num_tiles, shards, 1).unwrap();
             // Split each plan's terms by owning shard, preserving order.
-            type SubPlan = Vec<(Vec<usize>, f64)>;
-            let mut parts: Vec<Vec<SubPlan>> = vec![vec![Vec::new(); plans.len()]; shards];
+            let mut parts: Vec<Vec<Contributions>> =
+                vec![vec![Contributions::with_capacity(2, 0); plans.len()]; shards];
             for (q, plan) in plans.iter().enumerate() {
-                for (idx, w) in plan {
+                for (idx, w) in plan.iter() {
                     let tile = cs.map().locate(idx).tile;
-                    parts[sm.owner(tile)][q].push((idx.clone(), *w));
+                    parts[sm.owner(tile)][q].push(idx, w);
                 }
             }
             // Execute each shard's sub-plans independently, then merge:

@@ -1,5 +1,6 @@
 //! Point queries (Lemma 1) over coefficient stores.
 
+use ss_array::DyadicRange;
 use ss_core::reconstruct;
 use ss_core::tiling::{NonStandardTiling, StandardTiling};
 use ss_core::TilingMap;
@@ -30,95 +31,13 @@ pub fn point_nonstandard<C: CoeffRead>(cs: &mut C, n: u32, pos: &[usize]) -> f64
 /// Single-tile fast-path point query for the **standard form**.
 ///
 /// Requires the redundant scaling slots to be materialised (see
-/// [`crate::scalings::materialize_standard_scalings`]). The answer is
-/// assembled entirely from the *bottom* tile of the query position: per
-/// axis, the in-tile root scaling plus the in-tile detail path; the cross
-/// product of those per-axis lists addresses only slots of that one tile,
-/// so the query reads exactly **one block**.
+/// [`crate::scalings::materialize_standard_scalings`]). A data value is the
+/// average of its own single-cell block, so the answer is the one-tile
+/// average of the level-0 piece at `pos`: assembled entirely from the
+/// *bottom* tile of the query position, reading exactly **one block**.
 pub fn point_standard_fast<C: CoeffRead<Map = StandardTiling>>(cs: &mut C, pos: &[usize]) -> f64 {
     let _span = ss_obs::global().span("query.point_std_fast");
-    // Per-axis in-tile contribution lists as (slot, weight).
-    let per_axis: Vec<Vec<(usize, f64)>> = cs
-        .map()
-        .axes()
-        .iter()
-        .zip(pos)
-        .map(|(axis, &p)| {
-            // Bottom tile along this axis: the one holding the level-1
-            // detail of `p` (or the root tile when n == 0).
-            let n = axis.levels();
-            if n == 0 {
-                return vec![(0usize, 1.0)];
-            }
-            let loc = axis.locate(
-                ss_core::Layout1d::new(n).index_of(ss_core::Coeff1d::Detail {
-                    level: 1,
-                    k: p >> 1,
-                }),
-            );
-            let tile = loc.tile;
-            let (j_top, _k_top) = axis.tile_root(tile);
-            let mut list = vec![(0usize, 1.0)]; // in-tile scaling slot
-            for j in 1..=j_top {
-                let local_depth = j_top - j;
-                let k = p >> j;
-                let k_top2 = k >> local_depth;
-                let slot = (1usize << local_depth) + (k - (k_top2 << local_depth));
-                let sign = if (p >> (j - 1)) & 1 == 0 { 1.0 } else { -1.0 };
-                list.push((slot, sign));
-            }
-            list
-        })
-        .collect();
-    // The tile tuple is the same for every term: the bottom tile per axis.
-    let tile_tuple: Vec<usize> = cs
-        .map()
-        .axes()
-        .iter()
-        .zip(pos)
-        .map(|(axis, &p)| {
-            let n = axis.levels();
-            if n == 0 {
-                0
-            } else {
-                axis.locate(
-                    ss_core::Layout1d::new(n).index_of(ss_core::Coeff1d::Detail {
-                        level: 1,
-                        k: p >> 1,
-                    }),
-                )
-                .tile
-            }
-        })
-        .collect();
-    let tile_grid = ss_array::Shape::new(
-        &cs.map()
-            .axes()
-            .iter()
-            .map(|a| a.num_tiles())
-            .collect::<Vec<_>>(),
-    );
-    let slot_grid = ss_array::Shape::new(
-        &cs.map()
-            .axes()
-            .iter()
-            .map(|a| a.block_side())
-            .collect::<Vec<_>>(),
-    );
-    let tile = tile_grid.offset(&tile_tuple);
-    let counts: Vec<usize> = per_axis.iter().map(|v| v.len()).collect();
-    let mut total = 0.0;
-    let mut slot_idx = vec![0usize; per_axis.len()];
-    for choice in ss_array::MultiIndexIter::new(&counts) {
-        let mut w = 1.0;
-        for (t, &c) in choice.iter().enumerate() {
-            let (s, f) = per_axis[t][c];
-            slot_idx[t] = s;
-            w *= f;
-        }
-        total += w * cs.read_at(tile, slot_grid.offset(&slot_idx));
-    }
-    total
+    crate::range::one_tile_average(cs, &DyadicRange::cube(0, pos))
 }
 
 /// Single-tile fast-path point query for the **non-standard form**.

@@ -1,7 +1,9 @@
 //! Range-sum queries (Lemma 2) over coefficient stores.
 
-use ss_core::reconstruct;
-use ss_core::TilingMap;
+use ss_array::DyadicRange;
+use ss_core::reconstruct::{self, for_each_product};
+use ss_core::tiling::StandardTiling;
+use ss_core::{Coeff1d, Layout1d, TilingMap};
 use ss_storage::CoeffRead;
 
 /// Range-sum `Σ a[idx]` over the inclusive box `[lo, hi]` against a
@@ -57,11 +59,10 @@ pub fn range_sum_nonstandard<C: CoeffRead>(cs: &mut C, n: u32, lo: &[usize], hi:
 /// Decomposes the box into dyadic ranges; each range's sum is
 /// `cells × average`, and with materialised scaling slots
 /// ([`crate::scalings::materialize_standard_scalings`]) every per-axis
-/// block average is available *inside one tile*: the in-tile root scaling
-/// plus the in-tile path details down to the block level. Each dyadic
-/// piece therefore reads exactly **one block** (adjacent pieces often share
-/// it), versus the `≈ Π ceil(n_t/b_t)` path tiles of the Lemma 2 plan.
-pub fn range_sum_standard_fast<C: CoeffRead<Map = ss_core::tiling::StandardTiling>>(
+/// block average is available *inside one tile*. Each dyadic piece
+/// therefore reads exactly **one block** (adjacent pieces often share it),
+/// versus the `≈ Π ceil(n_t/b_t)` path tiles of the Lemma 2 plan.
+pub fn range_sum_standard_fast<C: CoeffRead<Map = StandardTiling>>(
     cs: &mut C,
     lo: &[usize],
     hi: &[usize],
@@ -70,73 +71,69 @@ pub fn range_sum_standard_fast<C: CoeffRead<Map = ss_core::tiling::StandardTilin
     let d = cs.map().ndim();
     assert_eq!(lo.len(), d);
     assert_eq!(hi.len(), d);
-    let axes = cs.map().axes().to_vec();
-    let tile_grid = ss_array::Shape::new(&axes.iter().map(|a| a.num_tiles()).collect::<Vec<_>>());
-    let slot_grid = ss_array::Shape::new(&axes.iter().map(|a| a.block_side()).collect::<Vec<_>>());
     let mut total = 0.0;
     for piece in ss_array::decompose_range(lo, hi) {
-        // Per-axis: the (tile, [(slot, weight)]) one-tile average plan.
-        let mut tile_tuple = vec![0usize; d];
-        let per_axis: Vec<Vec<(usize, f64)>> = (0..d)
-            .map(|t| {
-                let axis = &axes[t];
-                let n = axis.levels();
-                let m = piece.axes[t].level;
-                let k = piece.axes[t].translation;
-                if m == n {
-                    // Full axis: the true average at per-axis index 0.
-                    let loc = axis.locate(0);
-                    tile_tuple[t] = loc.tile;
-                    return vec![(loc.slot, 1.0)];
-                }
-                // Tile holding the level-(m+1) detail covering the block.
-                let probe = ss_core::Layout1d::new(n).index_of(ss_core::Coeff1d::Detail {
-                    level: m + 1,
-                    k: k >> 1,
-                });
-                let loc = axis.locate(probe);
-                tile_tuple[t] = loc.tile;
-                let (j_top, _) = axis.tile_root(loc.tile);
-                let mut list = vec![(0usize, 1.0)]; // in-tile scaling slot
-                for j in (m + 1)..=j_top {
-                    let shift = j - m;
-                    let kk = k >> shift;
-                    let local_depth = j_top - j;
-                    let slot =
-                        (1usize << local_depth) + (kk - ((kk >> local_depth) << local_depth));
-                    let sign = if (k >> (shift - 1)) & 1 == 1 {
-                        -1.0
-                    } else {
-                        1.0
-                    };
-                    list.push((slot, sign));
-                }
-                list
-            })
-            .collect();
-        let tile = tile_grid.offset(&tile_tuple);
-        let counts: Vec<usize> = per_axis.iter().map(|v| v.len()).collect();
-        let mut avg = 0.0;
-        let mut slot_idx = vec![0usize; d];
-        for choice in ss_array::MultiIndexIter::new(&counts) {
-            let mut w = 1.0;
-            for (t, &c) in choice.iter().enumerate() {
-                let (slot, f) = per_axis[t][c];
-                slot_idx[t] = slot;
-                w *= f;
-            }
-            avg += w * cs.read_at(tile, slot_grid.offset(&slot_idx));
-        }
-        total += avg * piece.len() as f64;
+        total += one_tile_average(cs, &piece) * piece.len() as f64;
     }
     total
+}
+
+/// The average of one dyadic `piece`, read from the single tile that holds
+/// its per-axis level-`(m+1)` details (requires materialised scaling slots).
+///
+/// A tile is itself a wavelet tree over the blocks below its root, with the
+/// root's scaling coefficient in slot 0 and detail `(local depth ℓ, q)` in
+/// slot `2^ℓ + q` — the [`Layout1d`] indexing. The per-axis in-tile list is
+/// therefore Lemma 1 in the tile's own tree, and the piece average is the
+/// cross product of those lists over slots of that one tile.
+pub(crate) fn one_tile_average<C: CoeffRead<Map = StandardTiling>>(
+    cs: &mut C,
+    piece: &DyadicRange,
+) -> f64 {
+    let map = cs.map();
+    let (tile_strides, slot_strides) = (map.tile_grid().strides(), map.slot_grid().strides());
+    let mut tile = 0;
+    // Per axis: `(slot · slot stride, weight)`, so a product term's slot is
+    // the sum of its index tuple.
+    let per_axis: Vec<Vec<(usize, f64)>> = map
+        .axes()
+        .iter()
+        .zip(&piece.axes)
+        .enumerate()
+        .map(|(t, (axis, block))| {
+            let (n, m, k) = (axis.levels(), block.level, block.translation);
+            // A full axis is the true average (tile 0, slot 0); any other
+            // block sits below the level-(m+1) detail covering it.
+            let axis_tile = if m == n {
+                0
+            } else {
+                let above = Coeff1d::Detail {
+                    level: m + 1,
+                    k: k >> 1,
+                };
+                axis.locate(Layout1d::new(n).index_of(above)).tile
+            };
+            tile += axis_tile * tile_strides[t];
+            let depth = axis.tile_root(axis_tile).0 - m;
+            Layout1d::new(depth)
+                .point_contributions(k & ((1usize << depth) - 1))
+                .into_iter()
+                .map(|(slot, sign)| (slot * slot_strides[t], sign))
+                .collect()
+        })
+        .collect();
+    let mut avg = 0.0;
+    for_each_product(&per_axis, |slots, w| {
+        avg += w * cs.read_at(tile, slots.iter().sum());
+    });
+    avg
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ss_array::{MultiIndexIter, NdArray, Shape};
-    use ss_core::tiling::{NonStandardTiling, StandardTiling};
+    use ss_array::{DyadicInterval, MultiIndexIter, NdArray, Shape};
+    use ss_core::tiling::NonStandardTiling;
     use ss_storage::{wstore::mem_store, IoStats};
 
     #[test]
@@ -220,6 +217,68 @@ mod tests {
         let got = range_sum_standard_fast(&mut cs, &[16, 32], &[31, 47]);
         assert!((got - a.region_sum(&[16, 32], &[31, 47])).abs() < 1e-6);
         assert_eq!(stats.snapshot().block_reads, 1);
+    }
+
+    /// Every dyadic piece of a store with a single-cell (`n = 0`) axis —
+    /// single cells, full axes and everything between — averages out of
+    /// exactly one tile.
+    #[test]
+    fn one_tile_average_covers_degenerate_and_full_axes() {
+        let dims = [16usize, 1, 8];
+        let n = [4u32, 0, 3];
+        let a = NdArray::from_fn(Shape::new(&dims), |idx| {
+            ((idx[0] * 7 + idx[2] * 5) % 11) as f64 - 3.5
+        });
+        let t = ss_core::standard::forward_to(&a);
+        let stats = IoStats::new();
+        let mut cs = mem_store(StandardTiling::new(&n, &[2, 1, 2]), 4096, stats.clone());
+        for idx in MultiIndexIter::new(&dims) {
+            cs.write(&idx, t.get(&idx));
+        }
+        crate::scalings::materialize_standard_scalings(&mut cs, &n);
+        for m0 in 0..=4u32 {
+            for m2 in 0..=3u32 {
+                for k0 in 0..(16usize >> m0) {
+                    for k2 in 0..(8usize >> m2) {
+                        let piece = DyadicRange::new(vec![
+                            DyadicInterval::new(m0, k0),
+                            DyadicInterval::new(0, 0),
+                            DyadicInterval::new(m2, k2),
+                        ]);
+                        let hi: Vec<usize> = piece
+                            .origin()
+                            .iter()
+                            .zip(piece.extents())
+                            .map(|(&o, e)| o + e - 1)
+                            .collect();
+                        let want = a.region_sum(&piece.origin(), &hi) / piece.len() as f64;
+                        cs.clear_cache();
+                        stats.reset();
+                        let got = one_tile_average(&mut cs, &piece);
+                        assert!((got - want).abs() < 1e-9, "{piece:?}: {got} vs {want}");
+                        assert_eq!(stats.snapshot().block_reads, 1, "{piece:?}");
+                    }
+                }
+            }
+        }
+        // A point is the level-0 piece; the whole domain is the top tile's
+        // true average alone.
+        let p = [11usize, 0, 6];
+        assert_eq!(
+            crate::point_standard_fast(&mut cs, &p),
+            range_sum_standard_fast(&mut cs, &p, &p)
+        );
+        stats.reset();
+        let whole = one_tile_average(
+            &mut cs,
+            &DyadicRange::new(vec![
+                DyadicInterval::new(4, 0),
+                DyadicInterval::new(0, 0),
+                DyadicInterval::new(3, 0),
+            ]),
+        );
+        assert_eq!(whole.to_bits(), cs.read(&[0, 0, 0]).to_bits());
+        assert_eq!(stats.snapshot().coeff_reads, 2, "one slot, plus the check");
     }
 
     #[test]

@@ -12,11 +12,9 @@
 //! transform coefficients (inverse-SPLIT contribution lists), so they can
 //! run as a post-pass after any transform or maintenance operation.
 
-use ss_core::reconstruct::{
-    block_average_contributions_1d, nonstandard_block_average_contributions,
-};
+use ss_core::reconstruct::{for_each_product, nonstandard_block_average_contributions};
 use ss_core::tiling::{NonStandardTiling, StandardTiling};
-use ss_core::TilingMap;
+use ss_core::{Coeff1d, Layout1d, TilingMap};
 use ss_storage::{BlockStore, CoeffStore};
 
 /// Fills every redundant slot of a standard-form tiled store.
@@ -34,12 +32,10 @@ pub fn materialize_standard_scalings<S: BlockStore>(
     let d = cs.map().ndim();
     assert_eq!(n.len(), d);
     let axes = cs.map().axes().to_vec();
-    let tile_counts: Vec<usize> = axes.iter().map(|a| a.num_tiles()).collect();
-    let slot_sides: Vec<usize> = axes.iter().map(|a| a.block_side()).collect();
-    let tile_grid = ss_array::Shape::new(&tile_counts);
-    let slot_grid = ss_array::Shape::new(&slot_sides);
+    let tile_grid = cs.map().tile_grid().clone();
+    let slot_grid = cs.map().slot_grid().clone();
 
-    for tile_tuple in ss_array::MultiIndexIter::new(&tile_counts) {
+    for tile_tuple in ss_array::MultiIndexIter::new(tile_grid.dims()) {
         let tile = tile_grid.offset(&tile_tuple);
         // Per-axis geometry of this tile.
         let roots: Vec<(u32, usize)> = axes
@@ -77,12 +73,9 @@ pub fn materialize_standard_scalings<S: BlockStore>(
                     let (j_top, k_top) = roots[t];
                     let s = slot_tuple[t];
                     if s == 0 {
-                        if j_top == n[t] {
-                            // True scaling axis: global index 0 of that axis.
-                            vec![(0usize, 1.0)]
-                        } else {
-                            block_average_contributions_1d(n[t], j_top, k_top)
-                        }
+                        // The tile root's average (on the top tile, the
+                        // true scaling coefficient: global index 0 alone).
+                        Layout1d::new(n[t]).block_average_contributions(j_top, k_top)
                     } else {
                         // Decode the in-tile detail slot back to the global
                         // index: slot = 2^ℓ + q at local depth ℓ.
@@ -91,25 +84,14 @@ pub fn materialize_standard_scalings<S: BlockStore>(
                         let q = s - (1usize << octave);
                         let level = j_top - local_depth;
                         let k = (k_top << local_depth) + q;
-                        let idx = ss_core::Layout1d::new(n[t])
-                            .index_of(ss_core::Coeff1d::Detail { level, k });
+                        let idx = Layout1d::new(n[t]).index_of(Coeff1d::Detail { level, k });
                         vec![(idx, 1.0)]
                     }
                 })
                 .collect();
             // Evaluate the cross product from stored coefficients.
-            let counts: Vec<usize> = per_axis.iter().map(|v| v.len()).collect();
             let mut value = 0.0;
-            let mut idx = vec![0usize; d];
-            for choice in ss_array::MultiIndexIter::new(&counts) {
-                let mut w = 1.0;
-                for (t, &c) in choice.iter().enumerate() {
-                    let (i, f) = per_axis[t][c];
-                    idx[t] = i;
-                    w *= f;
-                }
-                value += w * cs.read(&idx);
-            }
+            for_each_product(&per_axis, |idx, w| value += w * cs.read(idx));
             let slot = slot_grid.offset(&slot_tuple);
             cs.pool().write(tile, slot, value);
         }

@@ -8,8 +8,9 @@
 
 use proptest::prelude::*;
 use ss_array::{MultiIndexIter, NdArray, Shape};
+use ss_core::reconstruct::{self, Contributions};
 use ss_core::tiling::StandardTiling;
-use ss_core::{reconstruct, TilingMap};
+use ss_core::TilingMap;
 use ss_query::execute_plans_tiled;
 use ss_storage::wstore::{mem_store, CoeffStore};
 use ss_storage::{IoStats, MemBlockStore, ShardMap};
@@ -58,7 +59,7 @@ fn store() -> CoeffStore<StandardTiling, MemBlockStore> {
 /// A mix of the three plan shapes the router routes: point
 /// reconstructions, range-sum aggregates, and raw weighted term lists
 /// (what a `partial` sub-request carries).
-fn random_plans(rng: &mut Mix, count: usize) -> Vec<Vec<(Vec<usize>, f64)>> {
+fn random_plans(rng: &mut Mix, count: usize) -> Vec<Contributions> {
     (0..count)
         .map(|_| match rng.below(3) {
             0 => reconstruct::standard_point_contributions(
@@ -73,9 +74,14 @@ fn random_plans(rng: &mut Mix, count: usize) -> Vec<Vec<(Vec<usize>, f64)>> {
                 ];
                 reconstruct::standard_range_sum_contributions(&[N; 2], &lo, &hi)
             }
-            _ => (0..1 + rng.below(20))
-                .map(|_| (vec![rng.below(SIDE), rng.below(SIDE)], rng.weight()))
-                .collect(),
+            _ => {
+                let terms = 1 + rng.below(20);
+                let mut raw = Contributions::with_capacity(2, terms);
+                for _ in 0..terms {
+                    raw.push(&[rng.below(SIDE), rng.below(SIDE)], rng.weight());
+                }
+                raw
+            }
         })
         .collect()
 }
@@ -117,12 +123,12 @@ proptest! {
                 // Route: split every plan's terms by owning shard,
                 // preserving within-shard term order (what the router's
                 // `partial` sub-requests carry).
-                type SubPlan = Vec<(Vec<usize>, f64)>;
-                let mut parts: Vec<Vec<SubPlan>> = vec![vec![Vec::new(); plans.len()]; shards];
+                let mut parts: Vec<Vec<Contributions>> =
+                    vec![vec![Contributions::with_capacity(2, 0); plans.len()]; shards];
                 for (q, plan) in plans.iter().enumerate() {
-                    for (idx, w) in plan {
+                    for (idx, w) in plan.iter() {
                         let tile = cs.map().locate(idx).tile;
-                        parts[map.owner(tile)][q].push((idx.clone(), *w));
+                        parts[map.owner(tile)][q].push(idx, w);
                     }
                 }
                 // Merge: fold per-tile partials in ascending shard order

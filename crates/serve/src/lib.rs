@@ -12,7 +12,7 @@
 //! across clients**: every accepted request is planned into its Lemma 1/2
 //! contribution list up front, and each executor sweep drains a batch of
 //! concurrently pending requests and evaluates them through
-//! [`ss_query::execute_plans`] — so a hot tile demanded by many clients in
+//! [`ss_query::execute_plans_tiled`] — so a hot tile demanded by many clients in
 //! the same instant is fetched once, not once per connection. Answers are
 //! bit-identical to serial execution: the evaluation order is fixed by the
 //! plans alone, and the wire format round-trips `f64` exactly.

@@ -87,6 +87,7 @@
 //! clients interoperate freely; anything other than a positive integer
 //! is treated as absent rather than rejected, for the same reason.
 
+use ss_core::reconstruct::{self, Contributions};
 use ss_obs::json::{self, Value};
 
 /// A validated query, ready for planning.
@@ -126,7 +127,9 @@ impl Query {
 
     /// Checks arity and bounds against the served domain `dims`.
     pub fn validate(&self, dims: &[usize]) -> Result<(), String> {
-        let check = |name: &str, v: &[usize]| -> Result<(), String> {
+        // `name` is only rendered into an error: a valid request (a routed
+        // `partial` has ~170 terms) formats and allocates nothing.
+        let check = |name: std::fmt::Arguments<'_>, v: &[usize]| -> Result<(), String> {
             if v.len() != dims.len() {
                 return Err(format!(
                     "{name} has {} axes, domain has {}",
@@ -142,10 +145,10 @@ impl Query {
             Ok(())
         };
         match self {
-            Query::Point { pos } => check("pos", pos),
+            Query::Point { pos } => check(format_args!("pos"), pos),
             Query::RangeSum { lo, hi } => {
-                check("lo", lo)?;
-                check("hi", hi)?;
+                check(format_args!("lo"), lo)?;
+                check(format_args!("hi"), hi)?;
                 for (t, (&l, &h)) in lo.iter().zip(hi).enumerate() {
                     if l > h {
                         return Err(format!("lo[{t}] = {l} exceeds hi[{t}] = {h}"));
@@ -155,7 +158,7 @@ impl Query {
             }
             Query::Partial { terms } => {
                 for (k, (idx, _)) in terms.iter().enumerate() {
-                    check(&format!("terms[{k}]"), idx)?;
+                    check(format_args!("terms[{k}]"), idx)?;
                 }
                 Ok(())
             }
@@ -165,13 +168,22 @@ impl Query {
     /// The Lemma 1 / Lemma 2 contribution-list plan for a standard-form
     /// store with per-axis levels `n`. A `partial` sub-plan *is* its own
     /// contribution list.
-    pub fn plan(&self, n: &[u32]) -> Vec<(Vec<usize>, f64)> {
+    ///
+    /// # Panics
+    ///
+    /// Panics when a `partial` term's index does not have `n.len()` axes
+    /// ([`Query::validate`] rejects such requests first).
+    pub fn plan(&self, n: &[u32]) -> Contributions {
         match self {
-            Query::Point { pos } => ss_core::reconstruct::standard_point_contributions(n, pos),
-            Query::RangeSum { lo, hi } => {
-                ss_core::reconstruct::standard_range_sum_contributions(n, lo, hi)
+            Query::Point { pos } => reconstruct::standard_point_contributions(n, pos),
+            Query::RangeSum { lo, hi } => reconstruct::standard_range_sum_contributions(n, lo, hi),
+            Query::Partial { terms } => {
+                let mut plan = Contributions::with_capacity(n.len(), terms.len());
+                for (idx, w) in terms {
+                    plan.push(idx, *w);
+                }
+                plan
             }
-            Query::Partial { terms } => terms.clone(),
         }
     }
 
@@ -691,8 +703,8 @@ mod tests {
         assert_eq!(back.op, Op::Query(q.clone()));
         // A partial sub-plan is its own plan and wants the tile breakdown.
         assert_eq!(
-            q.plan(&[6, 6]),
-            vec![(vec![3, 9], 0.25), (vec![0, 1], -0.5)]
+            q.plan(&[6, 6]).iter().collect::<Vec<_>>(),
+            vec![(&[3usize, 9][..], 0.25), (&[0, 1][..], -0.5)]
         );
         assert!(q.wants_tiles());
         assert!(!Query::Point { pos: vec![1, 1] }.wants_tiles());
@@ -707,6 +719,33 @@ mod tests {
         let back = parse_request(&line).unwrap();
         assert_eq!(back.op, Op::Mutation(m.clone()));
         assert!(m.validate(&[16, 16]).is_ok());
+    }
+
+    /// `plan` is `pub` and callable without `validate`: a ragged term list
+    /// must stop there, not shift every later coordinate of the flat plan.
+    #[test]
+    #[should_panic(expected = "in a rank-2 list")]
+    fn ragged_partial_cannot_become_a_misaligned_plan() {
+        let ragged = Query::Partial {
+            terms: vec![(vec![3, 9], 0.25), (vec![4], 1.0), (vec![0, 1, 2], -0.5)],
+        };
+        assert!(ragged.validate(&[16, 16]).is_err(), "validate names it");
+        ragged.plan(&[4, 4]);
+    }
+
+    #[test]
+    fn partial_validation_names_the_offending_term() {
+        let q = Query::Partial {
+            terms: vec![(vec![3, 9], 0.25), (vec![0, 99], -0.5), (vec![1], 1.0)],
+        };
+        assert_eq!(
+            q.validate(&[16, 16]).unwrap_err(),
+            "terms[1][1] = 99 out of range (axis size 16)"
+        );
+        assert_eq!(
+            q.validate(&[16, 128]).unwrap_err(),
+            "terms[2] has 1 axes, domain has 2"
+        );
     }
 
     #[test]

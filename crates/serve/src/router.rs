@@ -38,6 +38,7 @@
 
 use crate::client::{Client, ClientError};
 use crate::proto::{Mutation, Op, Query, Response};
+use crate::server::Job;
 use ss_core::TilingMap;
 use ss_maintain::{DeltaBuffer, FlushMode};
 use ss_obs::trace;
@@ -123,10 +124,6 @@ pub(crate) type RoutedOutcome = Result<(f64, Vec<(usize, f64)>), (String, String
 /// A worker-local cache of open shard connections, keyed by
 /// `(shard, replica)`. Dropped entries reconnect on next use.
 pub(crate) type ConnCache = HashMap<(usize, usize), Client>;
-
-/// One request's routed job: its contribution plan (`(position, weight)`
-/// terms) plus the trace id to forward to the owning shards.
-pub(crate) type RoutedJob = (Vec<(Vec<usize>, f64)>, Option<u64>);
 
 impl RouterCore {
     pub(crate) fn new(topo: RouterTopology) -> RouterCore {
@@ -270,14 +267,14 @@ struct Pending {
 /// Executes one batch of planned requests by scatter-gather: split each
 /// plan by owning shard, fan `partial` sub-requests out (all sends
 /// before any read), fail over across replicas, and merge the per-tile
-/// partials back in ascending tile order. `jobs` carries each request's
-/// contribution plan plus the trace id to forward (so shard-side spans
-/// land under the originating request's trace).
+/// partials back in ascending tile order. Each job's own trace id is
+/// forwarded with its sub-requests, so shard-side spans land under the
+/// originating request's trace.
 pub(crate) fn execute_routed<M: TilingMap>(
     core: &RouterCore,
     tiling: &M,
     conns: &mut ConnCache,
-    jobs: &[RoutedJob],
+    jobs: &[Job],
 ) -> Vec<RoutedOutcome> {
     // --- Split every plan by owning shard. BTreeMaps keep both the
     // per-job shard lists and the fan-out itself in ascending shard
@@ -285,18 +282,20 @@ pub(crate) fn execute_routed<M: TilingMap>(
     let map = &core.topo.map;
     let mut sub: BTreeMap<usize, ShardBatch> = BTreeMap::new();
     let mut touched: Vec<Vec<usize>> = vec![Vec::new(); jobs.len()];
-    for (j, (plan, fwd_trace)) in jobs.iter().enumerate() {
+    for (j, job) in jobs.iter().enumerate() {
+        let root = job.route.root;
+        let fwd_trace = root.active().then_some(root.trace);
         let mut by_shard: BTreeMap<usize, Vec<(Vec<usize>, f64)>> = BTreeMap::new();
-        for (idx, w) in plan {
+        for (idx, w) in job.plan.iter() {
             let shard = map.owner(tiling.locate(idx).tile);
-            by_shard.entry(shard).or_default().push((idx.clone(), *w));
+            by_shard.entry(shard).or_default().push((idx.to_vec(), w));
         }
         for (shard, terms) in by_shard {
             touched[j].push(shard);
             let batch = sub.entry(shard).or_default();
             batch
                 .items
-                .push((Op::Query(Query::Partial { terms }), *fwd_trace));
+                .push((Op::Query(Query::Partial { terms }), fwd_trace));
             batch.jobs.push(j);
         }
     }

@@ -6,16 +6,18 @@
 //!   thread pair per connection,
 //! * per-connection **readers** parse and validate each line immediately
 //!   (errors are answered right away with a typed response) and push valid
-//!   requests — already planned into contribution lists — onto one shared
-//!   queue,
+//!   requests — already planned into one flat contribution list each —
+//!   onto one shared queue, a **burst** at a time: everything a client
+//!   pipelined in one write is queued together, with one wake-up,
 //! * a fixed pool of **executor** workers drains up to
 //!   [`ServeConfig::batch_max`] pending requests per sweep and evaluates
-//!   them **tile-major** through [`ss_query::execute_plans`]: requests that
-//!   arrived concurrently from different clients share one fetch of every
-//!   hot tile.
+//!   them **tile-major** through [`ss_query::execute_plans_tiled`] (locate
+//!   every term, sort by `(tile, slot)`, fold runs): requests that arrived
+//!   concurrently from different clients share one fetch of every hot tile.
 //!
 //! Replies are written straight to the socket under a per-connection
-//! mutex (shared by the executors and the reader's error path), not
+//! mutex (shared by the executors and the reader's error path) — one
+//! `write` per sweep and connection, not one per response — and not
 //! queued to a writer thread: a response must be **on the wire before it
 //! is counted** against the request budget, or a budgeted server could
 //! stop — and its process exit — with the final answer still buffered,
@@ -44,6 +46,7 @@
 
 use crate::proto::{self, Mutation, Op, Request, RequestError};
 use crate::router::{self, ConnCache, RoutedOutcome, RouterBackend, RouterCore, RouterTopology};
+use ss_core::reconstruct::Contributions;
 use ss_core::TilingMap;
 use ss_maintain::{DeltaBuffer, FlushMode, SnapshotCoeffStore};
 use ss_obs::trace::{self, SpanCtx, TraceEventKind};
@@ -68,11 +71,13 @@ struct ReplyLine {
 }
 
 impl ReplyLine {
-    fn send(&self, line: &str) {
+    /// Sends `lines` — one response line, or several joined by `\n` —
+    /// and the final newline in a single `write`: one segment on the
+    /// wire and one wake-up of the client, however many lines.
+    fn send(&self, lines: &str) {
         let mut out = self.out.lock().unwrap();
         let _ = out
-            .write_all(line.as_bytes())
-            .and_then(|()| out.write_all(b"\n"))
+            .write_all(format!("{lines}\n").as_bytes())
             .and_then(|()| out.flush());
     }
 }
@@ -103,26 +108,23 @@ impl Default for ServeConfig {
     }
 }
 
-/// One planned request waiting for an executor.
-struct Job {
+/// One planned request waiting for an executor: what to evaluate and
+/// where the answer goes.
+pub(crate) struct Job {
+    pub(crate) plan: Contributions,
+    pub(crate) route: Route,
+}
+
+/// The per-request part of a [`Job`] the answer path needs.
+pub(crate) struct Route {
     id: Option<i128>,
-    plan: Vec<(Vec<usize>, f64)>,
     reply: Arc<ReplyLine>,
     enqueued: Instant,
     /// The request's root trace span (inert when untraced), opened on
     /// the connection reader and closed after the reply is sent.
-    root: SpanCtx,
+    pub(crate) root: SpanCtx,
     /// Whether the reply must carry the per-tile partial decomposition
     /// (`partial` sub-plans from an upstream router).
-    wants_tiles: bool,
-}
-
-/// The per-request part of a [`Job`] that survives into the answer path.
-struct Route {
-    id: Option<i128>,
-    reply: Arc<ReplyLine>,
-    enqueued: Instant,
-    root: SpanCtx,
     wants_tiles: bool,
 }
 
@@ -289,6 +291,14 @@ impl State {
         );
     }
 
+    /// Hands the planned requests of one burst to the executors: one
+    /// queue insertion, and one wake-up per sweep's worth of work.
+    fn enqueue(&self, burst: &mut Vec<Job>) {
+        let sweeps = burst.len().div_ceil(self.batch_max);
+        self.queue.lock().unwrap().extend(burst.drain(..));
+        (0..sweeps).for_each(|_| self.available.notify_one());
+    }
+
     /// Counts one written response; reaching the budget triggers stop.
     fn count_reply(&self) {
         let n = self.answered.fetch_add(1, Ordering::AcqRel) + 1;
@@ -340,7 +350,7 @@ impl QueryServer {
         let store = Arc::new(store);
         let workers = spawn_executors(config.workers, "ss-serve-exec", || {
             let (state, store) = (Arc::clone(&state), Arc::clone(&store));
-            move || executor_loop(&state, "serve.exec", |plans, _| sweep(&mut &*store, &plans))
+            move || executor_loop(&state, "serve.exec", |batch| sweep(&mut &*store, batch))
         })?;
         QueryServer::finish(listener, state, workers)
     }
@@ -374,8 +384,8 @@ impl QueryServer {
         let workers = spawn_executors(config.workers, "ss-serve-exec", || {
             let (state, store) = (Arc::clone(&state), Arc::clone(&store));
             move || {
-                executor_loop(&state, "serve.exec", |plans, _| {
-                    sweep(&mut &store.pin(), &plans)
+                executor_loop(&state, "serve.exec", |batch| {
+                    sweep(&mut &store.pin(), batch)
                 })
             }
         })?;
@@ -436,17 +446,8 @@ impl QueryServer {
                 (Arc::clone(&state), Arc::clone(&core), Arc::clone(&tiling));
             move || {
                 let mut conns = ConnCache::new();
-                executor_loop(&state, "router.fanout", |plans, routes| {
-                    // Forward each request's own trace id so shard-side
-                    // spans land under the originating trace.
-                    let jobs: Vec<router::RoutedJob> = plans
-                        .into_iter()
-                        .zip(routes)
-                        .map(|(plan, route)| {
-                            (plan, route.root.active().then_some(route.root.trace))
-                        })
-                        .collect();
-                    router::execute_routed(&core, tiling.as_ref(), &mut conns, &jobs)
+                executor_loop(&state, "router.fanout", |batch| {
+                    router::execute_routed(&core, tiling.as_ref(), &mut conns, batch)
                 })
             }
         })?;
@@ -575,17 +576,24 @@ fn connection_loop(stream: TcpStream, state: &Arc<State>) {
     let reply = Arc::new(ReplyLine {
         out: Mutex::new(writer_stream),
     });
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(_) => break,
-        };
+    let mut reader = BufReader::new(stream);
+    // The planned queries of the burst being read. They reach the
+    // executors together, once no further complete line is buffered, so
+    // how a pipelined exchange is cut into sweeps follows from what the
+    // client sent, not from who wins a race between this thread and the
+    // executors.
+    let mut burst: Vec<Job> = Vec::new();
+    let mut line = String::new();
+    loop {
+        if !reader.buffer().contains(&b'\n') {
+            state.enqueue(&mut burst);
+        }
+        line.clear();
+        if !matches!(reader.read_line(&mut line), Ok(n) if n > 0) || state.stopped() {
+            break;
+        }
         if line.trim().is_empty() {
             continue;
-        }
-        if state.stopped() {
-            break;
         }
         match parse_and_validate(&line, &state.dims) {
             Err(e) => {
@@ -606,17 +614,16 @@ fn connection_loop(stream: TcpStream, state: &Arc<State>) {
                     plan
                 };
                 let job = Job {
-                    id,
                     plan,
-                    reply: Arc::clone(&reply),
-                    enqueued: Instant::now(),
-                    root,
-                    wants_tiles: query.wants_tiles(),
+                    route: Route {
+                        id,
+                        reply: Arc::clone(&reply),
+                        enqueued: Instant::now(),
+                        root,
+                        wants_tiles: query.wants_tiles(),
+                    },
                 };
-                let mut queue = state.queue.lock().unwrap();
-                queue.push_back(job);
-                drop(queue);
-                state.available.notify_one();
+                burst.push(job);
             }
             // Mutations are answered synchronously on the reader: the
             // response must be on the wire before the next line on this
@@ -627,6 +634,8 @@ fn connection_loop(stream: TcpStream, state: &Arc<State>) {
                 op: Op::Mutation(m),
                 trace: trace_id,
             }) => {
+                // Queries read before a mutation do not wait for it.
+                state.enqueue(&mut burst);
                 let root = trace::begin_span(request_trace_id(trace_id), 0, "serve.request");
                 let started = Instant::now();
                 let outcome = {
@@ -674,6 +683,8 @@ fn connection_loop(stream: TcpStream, state: &Arc<State>) {
             }
         }
     }
+    // A stop cut the burst short: what was planned is still answered.
+    state.enqueue(&mut burst);
 }
 
 /// The trace id a request runs under: the client's, else a fresh one
@@ -735,34 +746,33 @@ fn next_batch(state: &State) -> Option<Vec<Job>> {
 fn executor_loop(
     state: &State,
     span: &'static str,
-    mut run: impl FnMut(Vec<Plan>, &[Route]) -> Vec<RoutedOutcome>,
+    mut run: impl FnMut(&[Job]) -> Vec<RoutedOutcome>,
 ) {
     while let Some(batch) = next_batch(state) {
-        let (plans, routes) = split_batch(batch);
         // Parented under the batch's **first traced** request: tile
         // fetches (or the shard fan-out) are shared across the batch, so
         // they are attributed to that request's tree (a documented
         // approximation — see DESIGN.md §13).
-        let exec = routes
+        let exec = batch
             .iter()
-            .map(|r| r.root)
+            .map(|job| job.route.root)
             .find(SpanCtx::active)
             .map(|p| trace::begin_span(p.trace, p.span, span))
             .unwrap_or_else(SpanCtx::none);
         let outcomes = {
             let _in_span = trace::enter(exec);
-            run(plans, &routes)
+            run(&batch)
         };
         trace::end_span(exec);
-        answer(state, routes, outcomes);
+        answer(state, &batch, outcomes);
     }
 }
 
 /// One tile-major sweep over `source`. Answers are bit-identical to serial
 /// execution because [`ss_query::execute_plans_tiled`] fixes the
 /// evaluation order from the plans alone.
-fn sweep(source: &mut impl CoeffRead, plans: &[Plan]) -> Vec<RoutedOutcome> {
-    ss_query::execute_plans_tiled(source, plans)
+fn sweep(source: &mut impl CoeffRead, batch: &[Job]) -> Vec<RoutedOutcome> {
+    ss_query::execute_plans_tiled(source, batch.iter().map(|job| &job.plan))
         .into_iter()
         .map(|r| Ok((r.value, r.tiles)))
         .collect()
@@ -770,50 +780,42 @@ fn sweep(source: &mut impl CoeffRead, plans: &[Plan]) -> Vec<RoutedOutcome> {
 
 /// Replies to one executed batch: per request, the response line, the
 /// latency sample, the slow-request check, the root span's end and the
-/// reply count.
-fn answer(state: &State, routes: Vec<Route>, outcomes: impl IntoIterator<Item = RoutedOutcome>) {
+/// reply count. Consecutive replies to one connection leave in **one**
+/// `write`: a burst is queued as a unit, so a client is woken once per
+/// sweep instead of once per response.
+fn answer(state: &State, batch: &[Job], outcomes: Vec<RoutedOutcome>) {
     state.metrics.batches.inc();
-    state.metrics.batch_size.record(routes.len() as u64);
-    for (route, outcome) in routes.into_iter().zip(outcomes) {
+    state.metrics.batch_size.record(batch.len() as u64);
+    let mut lines = String::new();
+    let mut jobs = batch.iter().zip(outcomes).peekable();
+    while let Some((Job { route, .. }, outcome)) = jobs.next() {
         let dur_ns = route.enqueued.elapsed().as_nanos() as u64;
-        match outcome {
+        lines += &match outcome {
             Ok((value, tiles)) => {
                 state.metrics.request_ns.record(dur_ns);
                 state.metrics.requests_ok.inc();
                 let echo = route.root.active().then_some(route.root.trace);
                 let tiles = route.wants_tiles.then_some(tiles.as_slice());
-                route
-                    .reply
-                    .send(&proto::ok_response_tiled(route.id, echo, value, tiles));
+                proto::ok_response_tiled(route.id, echo, value, tiles)
             }
             Err((kind, message)) => {
                 state.metrics.requests_err.inc();
-                route
-                    .reply
-                    .send(&proto::err_response(route.id, &kind, &message));
+                proto::err_response(route.id, &kind, &message)
             }
-        }
+        };
         state.observe_slow(route.id, &route.root, dur_ns);
+        if jobs
+            .peek()
+            .is_some_and(|(next, _)| Arc::ptr_eq(&next.route.reply, &route.reply))
+        {
+            lines.push('\n');
+        } else {
+            route.reply.send(&lines);
+            lines.clear();
+        }
+    }
+    for Job { route, .. } in batch {
         trace::end_span(route.root);
         state.count_reply();
     }
-}
-
-/// One request's query plan: `(coefficient index, weight)` terms.
-type Plan = Vec<(Vec<usize>, f64)>;
-
-fn split_batch(batch: Vec<Job>) -> (Vec<Plan>, Vec<Route>) {
-    let mut plans = Vec::with_capacity(batch.len());
-    let mut routes = Vec::with_capacity(batch.len());
-    for job in batch {
-        plans.push(job.plan);
-        routes.push(Route {
-            id: job.id,
-            reply: job.reply,
-            enqueued: job.enqueued,
-            root: job.root,
-            wants_tiles: job.wants_tiles,
-        });
-    }
-    (plans, routes)
 }

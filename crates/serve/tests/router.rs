@@ -232,7 +232,11 @@ fn degraded_reads_fail_over_or_refuse_but_never_return_partials() {
         for idx in MultiIndexIter::new(&[SIDE, SIDE]) {
             serial.write(&idx, t.get(&idx));
         }
-        ss_query::execute_plans(&mut serial, &[vec![(term_idx, 1.0)]])[0]
+        let plan = Query::Partial {
+            terms: vec![(term_idx, 1.0)],
+        }
+        .plan(&[N; 2]);
+        ss_query::execute_plans(&mut serial, &[plan])[0]
     };
     assert_eq!(got.to_bits(), want.to_bits());
     drop(client);

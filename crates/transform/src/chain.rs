@@ -128,11 +128,12 @@ impl<S: BlockStore, F: FnMut(usize, usize) -> S> NsChainStore<S, F> {
         assert!(tau < self.taus);
         let mut value = self.cube_average(tau);
         let cs = &mut self.cubes[tau];
-        for (idx, w) in ss_core::reconstruct::nonstandard_point_contributions(self.n, self.d, pos) {
+        let plan = ss_core::reconstruct::nonstandard_point_contributions(self.n, self.d, pos);
+        for (idx, w) in plan.iter() {
             if idx.iter().all(|&i| i == 0) {
                 continue; // replaced by the chain's cube average
             }
-            value += w * cs.read(&idx);
+            value += w * cs.read(idx);
         }
         value
     }

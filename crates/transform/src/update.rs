@@ -225,17 +225,7 @@ pub fn update_box_pointwise<M: TilingMap, S: BlockStore>(
                     .collect()
             })
             .collect();
-        let counts: Vec<usize> = per_axis.iter().map(|v| v.len()).collect();
-        let mut idx = vec![0usize; d];
-        for choice in ss_array::MultiIndexIter::new(&counts) {
-            let mut w = 1.0;
-            for (t, &c) in choice.iter().enumerate() {
-                let (i, f) = per_axis[t][c];
-                idx[t] = i;
-                w *= f;
-            }
-            cs.add(&idx, v * w);
-        }
+        ss_core::reconstruct::for_each_product(&per_axis, |idx, w| cs.add(idx, v * w));
     }
     cs.flush();
 }
