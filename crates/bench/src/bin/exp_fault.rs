@@ -118,7 +118,7 @@ fn main() {
             // read can still exhaust its budget mid-scan (e.g. budget 1 at
             // rate 0.05); those count as scan failures, not a crash.
             let (p50_us, p99_us, scan_failures) = if survived {
-                let (_, mut store) = cs.into_parts();
+                let (_, store) = cs.into_parts();
                 let mut buf = vec![0.0; store.block_capacity()];
                 let mut lat_ns: Vec<u64> = Vec::with_capacity(store.num_blocks());
                 let mut failures = 0u64;

@@ -24,11 +24,18 @@ pub trait BlockStore {
     /// Reads block `id` into `buf` (`buf.len() == block_capacity`),
     /// returning a typed error on failure.
     ///
+    /// Reads take `&self`: a store keeps no state a read must own (memory
+    /// is immutable under a shared borrow, the file store reads
+    /// positionally), so any number of threads may read through one
+    /// shared reference at once. The sharded buffer pool relies on this
+    /// to serve misses under the *read* half of its store lock, where
+    /// misses on different shards wait on the device concurrently.
+    ///
     /// # Panics
     ///
     /// Panics when `id` is out of range or `buf` has the wrong length —
     /// those are caller bugs, not storage faults.
-    fn try_read_block(&mut self, id: usize, buf: &mut [f64]) -> Result<(), StorageError>;
+    fn try_read_block(&self, id: usize, buf: &mut [f64]) -> Result<(), StorageError>;
 
     /// Writes `buf` to block `id`, returning a typed error on failure.
     ///
@@ -50,37 +57,13 @@ pub trait BlockStore {
         Ok(())
     }
 
-    /// Reads block `id` into `buf` through a **shared** reference, for
-    /// stores whose reads need no exclusive state (immutable memory,
-    /// positional file reads). Returns `None` when the store cannot read
-    /// without `&mut self`; callers must then fall back to
-    /// [`try_read_block`](BlockStore::try_read_block) under exclusive
-    /// access.
-    ///
-    /// The sharded buffer pool uses this to overlap miss latency across
-    /// worker threads: shared reads run under a read lock, so two misses
-    /// on different shards wait on the device concurrently instead of
-    /// serialising behind one store mutex.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` is out of range or `buf` has the wrong length.
-    fn try_read_block_shared(
-        &self,
-        id: usize,
-        buf: &mut [f64],
-    ) -> Option<Result<(), StorageError>> {
-        let _ = (id, buf);
-        None
-    }
-
     /// Reads block `id` into `buf`.
     ///
     /// # Panics
     ///
     /// Panics when `id` is out of range, `buf` has the wrong length, or
     /// the transfer fails; the panic payload is the [`StorageError`].
-    fn read_block(&mut self, id: usize, buf: &mut [f64]) {
+    fn read_block(&self, id: usize, buf: &mut [f64]) {
         if let Err(e) = self.try_read_block(id, buf) {
             std::panic::panic_any(e);
         }

@@ -5,6 +5,14 @@
 //! implementations of the operations on real disks with real disk blocks" —
 //! this store is what makes the repository's experiments comparable.
 //!
+//! Every transfer is positional (`pread` / `pwrite` through
+//! [`std::os::unix::fs::FileExt`], so the store **needs a unix target**):
+//! there is no file cursor to share, a verified block transfer is two
+//! system calls (block, sidecar slot), and reads go through `&self` — any
+//! number of threads may read one store at once, each decoding from its
+//! own per-call byte buffer. One private `read_verified` is the only way
+//! block bytes leave the file: it serves both layouts' reads and the scrub.
+//!
 //! # Durability (format v2)
 //!
 //! A v2 store carries a *checksum sidecar* (`<name>.crc`, see
@@ -35,7 +43,7 @@ use crate::stats::IoStats;
 use ss_core::SparseTile;
 use ss_obs::{Counter, Histogram};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -68,7 +76,7 @@ impl Sidecar {
     /// Creates (truncating) a sidecar covering `blocks` zero-filled blocks.
     fn create(path: &Path, blocks: usize, zero_crc: u32) -> Result<Sidecar, StorageError> {
         let sc_path = Sidecar::path_for(path);
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
@@ -80,7 +88,7 @@ impl Sidecar {
         for _ in 0..blocks {
             bytes.extend_from_slice(&zero_crc.to_le_bytes());
         }
-        file.write_all(&bytes)
+        file.write_all_at(&bytes, 0)
             .map_err(|e| StorageError::io("write checksum sidecar", e))?;
         Ok(Sidecar { file })
     }
@@ -89,13 +97,13 @@ impl Sidecar {
     /// `blocks` blocks.
     fn open(path: &Path, blocks: usize) -> Result<Sidecar, StorageError> {
         let sc_path = Sidecar::path_for(path);
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .open(&sc_path)
             .map_err(|e| StorageError::io(format!("open {}", sc_path.display()), e))?;
         let mut magic = [0u8; SIDECAR_HEADER as usize];
-        file.read_exact(&mut magic)
+        file.read_exact_at(&mut magic, 0)
             .map_err(|e| StorageError::io("read sidecar magic", e))?;
         if &magic != SIDECAR_MAGIC {
             return Err(StorageError::Meta("bad checksum-sidecar magic".into()));
@@ -111,12 +119,16 @@ impl Sidecar {
         Ok(Sidecar { file })
     }
 
+    /// Byte offset of block `id`'s slot.
+    fn slot(id: usize) -> u64 {
+        SIDECAR_HEADER + id as u64 * 4
+    }
+
     /// The recorded CRC of block `id`.
-    fn read(&mut self, id: usize) -> Result<u32, StorageError> {
+    fn read(&self, id: usize) -> Result<u32, StorageError> {
         let mut le = [0u8; 4];
         self.file
-            .seek(SeekFrom::Start(SIDECAR_HEADER + id as u64 * 4))
-            .and_then(|_| self.file.read_exact(&mut le))
+            .read_exact_at(&mut le, Sidecar::slot(id))
             .map_err(|e| StorageError::io(format!("read crc of block {id}"), e))?;
         Ok(u32::from_le_bytes(le))
     }
@@ -124,8 +136,7 @@ impl Sidecar {
     /// Records `crc` as block `id`'s checksum.
     fn write(&mut self, id: usize, crc: u32) -> Result<(), StorageError> {
         self.file
-            .seek(SeekFrom::Start(SIDECAR_HEADER + id as u64 * 4))
-            .and_then(|_| self.file.write_all(&crc.to_le_bytes()))
+            .write_all_at(&crc.to_le_bytes(), Sidecar::slot(id))
             .map_err(|e| StorageError::io(format!("write crc of block {id}"), e))
     }
 
@@ -136,8 +147,7 @@ impl Sidecar {
             bytes.extend_from_slice(&zero_crc.to_le_bytes());
         }
         self.file
-            .seek(SeekFrom::Start(SIDECAR_HEADER + from as u64 * 4))
-            .and_then(|_| self.file.write_all(&bytes))
+            .write_all_at(&bytes, Sidecar::slot(from))
             .map_err(|e| StorageError::io("grow checksum sidecar", e))
     }
 }
@@ -150,6 +160,44 @@ struct DirEntry {
     offset: u64,
     len: u32,
     alloc: u32,
+}
+
+impl DirEntry {
+    /// Checks the entry against the file's geometry (`docs/FORMAT.md`
+    /// §8.2): an all-zero block owns no heap bytes, a payload lies wholly
+    /// past the directory (ending at `dir_end`), inside its allocation and
+    /// inside the file. The fields come from disk, so the allocation's end
+    /// is a checked sum.
+    fn validate(&self, id: usize, dir_end: u64, file_len: u64) -> Result<(), StorageError> {
+        if self.offset == 0 {
+            if self.len != 0 || self.alloc != 0 {
+                return Err(StorageError::Meta(format!(
+                    "v3 directory entry {id}: all-zero block with len {} / alloc {}",
+                    self.len, self.alloc
+                )));
+            }
+            return Ok(());
+        }
+        if self.offset < dir_end {
+            return Err(StorageError::Meta(format!(
+                "v3 directory entry {id}: payload offset {} inside header/directory",
+                self.offset
+            )));
+        }
+        if self.len > self.alloc {
+            return Err(StorageError::Geometry {
+                expected: self.alloc as u64,
+                actual: self.len as u64,
+            });
+        }
+        match self.offset.checked_add(self.alloc as u64) {
+            Some(end) if end <= file_len => Ok(()),
+            end => Err(StorageError::Geometry {
+                expected: end.unwrap_or(u64::MAX),
+                actual: file_len,
+            }),
+        }
+    }
 }
 
 /// How blocks are laid out on disk: the headerless dense array of
@@ -227,7 +275,7 @@ impl FileBlockStore {
         stats: IoStats,
     ) -> Result<Self, StorageError> {
         assert!(capacity >= 1);
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
@@ -242,7 +290,7 @@ impl FileBlockStore {
         bytes.extend_from_slice(&(capacity as u64).to_le_bytes());
         bytes.extend_from_slice(&(blocks as u64).to_le_bytes());
         bytes.resize(V3_HEADER_LEN as usize + dir_bytes, 0);
-        file.write_all(&bytes)
+        file.write_all_at(&bytes, 0)
             .map_err(|e| StorageError::io("write v3 header and directory", e))?;
         let sidecar = Sidecar::create(path, blocks, 0)?;
         let heap_end = V3_HEADER_LEN + blocks as u64 * V3_DIR_ENTRY_LEN;
@@ -271,7 +319,7 @@ impl FileBlockStore {
         stats: IoStats,
     ) -> Result<Self, StorageError> {
         assert!(capacity >= 1);
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .open(path)
@@ -288,7 +336,7 @@ impl FileBlockStore {
             });
         }
         let mut header = [0u8; V3_HEADER_LEN as usize];
-        file.read_exact(&mut header)
+        file.read_exact_at(&mut header, 0)
             .map_err(|e| StorageError::io("read v3 header", e))?;
         if &header[0..8] != V3_MAGIC {
             return Err(StorageError::Meta("bad v3 blocks-file magic".into()));
@@ -311,7 +359,7 @@ impl FileBlockStore {
             )));
         }
         let mut dir_bytes = vec![0u8; blocks * V3_DIR_ENTRY_LEN as usize];
-        file.read_exact(&mut dir_bytes)
+        file.read_exact_at(&mut dir_bytes, V3_HEADER_LEN)
             .map_err(|e| StorageError::io("read v3 directory", e))?;
         let mut dir = Vec::with_capacity(blocks);
         let mut heap_end = dir_end;
@@ -324,33 +372,7 @@ impl FileBlockStore {
                 len: u32::from_le_bytes(e[8..12].try_into().unwrap()),
                 alloc: u32::from_le_bytes(e[12..16].try_into().unwrap()),
             };
-            if entry.offset == 0 {
-                if entry.len != 0 || entry.alloc != 0 {
-                    return Err(StorageError::Meta(format!(
-                        "v3 directory entry {id}: all-zero block with len {} / alloc {}",
-                        entry.len, entry.alloc
-                    )));
-                }
-            } else {
-                if entry.offset < dir_end {
-                    return Err(StorageError::Meta(format!(
-                        "v3 directory entry {id}: payload offset {} inside header/directory",
-                        entry.offset
-                    )));
-                }
-                if entry.len > entry.alloc {
-                    return Err(StorageError::Geometry {
-                        expected: entry.alloc as u64,
-                        actual: entry.len as u64,
-                    });
-                }
-                if entry.offset + entry.alloc as u64 > file_len {
-                    return Err(StorageError::Geometry {
-                        expected: entry.offset + entry.alloc as u64,
-                        actual: file_len,
-                    });
-                }
-            }
+            entry.validate(id, dir_end, file_len)?;
             heap_end = heap_end.max(entry.offset + entry.alloc as u64);
             dir.push(entry);
         }
@@ -488,10 +510,7 @@ impl FileBlockStore {
         bytes[8..12].copy_from_slice(&entry.len.to_le_bytes());
         bytes[12..16].copy_from_slice(&entry.alloc.to_le_bytes());
         self.file
-            .seek(SeekFrom::Start(
-                V3_HEADER_LEN + id as u64 * V3_DIR_ENTRY_LEN,
-            ))
-            .and_then(|_| self.file.write_all(&bytes))
+            .write_all_at(&bytes, V3_HEADER_LEN + id as u64 * V3_DIR_ENTRY_LEN)
             .map_err(|e| StorageError::io(format!("write v3 directory entry {id}"), e))?;
         if let Layout::Sparse { dir, .. } = &mut self.layout {
             dir[id] = entry;
@@ -499,23 +518,21 @@ impl FileBlockStore {
         Ok(())
     }
 
-    /// Reads and CRC-verifies the encoded payload of sparse block `id`.
-    /// An all-zero entry returns an empty payload after checking its
-    /// sidecar slot holds the empty-string CRC (`0`).
-    fn read_sparse_payload(&mut self, id: usize, entry: DirEntry) -> Result<Vec<u8>, StorageError> {
-        let mut payload = vec![0u8; entry.len as usize];
-        if entry.offset != 0 {
-            self.file
-                .seek(SeekFrom::Start(entry.offset))
-                .and_then(|_| self.file.read_exact(&mut payload))
-                .map_err(|e| StorageError::io(format!("read sparse block {id}"), e))?;
-        }
-        let stored = self.sidecar.read(id)?;
-        let computed = if entry.offset == 0 {
-            0
-        } else {
-            crc32(&payload)
+    /// The one verified read: block `id`'s stored bytes — the dense image
+    /// (v2) or the encoded payload (v3; empty for an all-zero block, whose
+    /// sidecar slot holds the empty-string CRC `0`) — checked against the
+    /// sidecar before anything is decoded from them.
+    fn read_verified(&self, id: usize) -> Result<Vec<u8>, StorageError> {
+        let (offset, len) = match &self.layout {
+            Layout::Dense => ((id * self.block_bytes()) as u64, self.block_bytes()),
+            Layout::Sparse { dir, .. } => (dir[id].offset, dir[id].len as usize),
         };
+        let mut bytes = vec![0u8; len];
+        self.file
+            .read_exact_at(&mut bytes, offset)
+            .map_err(|e| StorageError::io(format!("read block {id}"), e))?;
+        let stored = self.sidecar.read(id)?;
+        let computed = crc32(&bytes);
         if stored != computed {
             self.checksum_failures.inc();
             return Err(StorageError::Checksum {
@@ -524,7 +541,7 @@ impl FileBlockStore {
                 computed,
             });
         }
-        Ok(payload)
+        Ok(bytes)
     }
 
     /// The §8.5 write protocol for one sparse block: encode, place
@@ -562,8 +579,7 @@ impl FileBlockStore {
         // the full allocation so `offset + alloc <= file length` holds
         // for the next open.
         self.file
-            .seek(SeekFrom::Start(entry.offset))
-            .and_then(|_| self.file.write_all(&payload))
+            .write_all_at(&payload, entry.offset)
             .map_err(|e| StorageError::io(format!("write sparse block {id}"), e))?;
         if entry.offset != old.offset {
             let new_heap_end = entry.offset + entry.alloc as u64;
@@ -599,23 +615,23 @@ impl FileBlockStore {
 
     /// Scans every block, recomputing its CRC-32 and comparing it to the
     /// sidecar — the full-file scrub behind `shiftsplit scrub` and
-    /// [`WsFile::verify`](crate::WsFile::verify).
+    /// [`WsFile::verify`](crate::WsFile::verify). On a v3 store it also
+    /// checks every directory entry's geometry against the file length
+    /// and every payload's length against its own bitmap
+    /// (`docs/FORMAT.md` §8.4).
     ///
     /// Scrub traffic is maintenance, not experiment workload, so it does
     /// **not** count into [`IoStats`]; progress appears in the global
     /// metrics registry as `scrub.blocks_scanned` / `scrub.corruptions`.
     /// Corruption is reported in the [`ScrubReport`]; only environmental
     /// failures (unreadable file, bad geometry) are `Err`.
-    pub fn scrub(&mut self) -> Result<ScrubReport, StorageError> {
-        if self.sparse() {
-            return self.scrub_sparse();
-        }
-        let expected = (self.capacity * self.blocks * 8) as u64;
-        let actual = self
-            .file
-            .metadata()
-            .map_err(|e| StorageError::io("stat blocks file", e))?
-            .len();
+    pub fn scrub(&self) -> Result<ScrubReport, StorageError> {
+        let dir_end = V3_HEADER_LEN + self.blocks as u64 * V3_DIR_ENTRY_LEN;
+        let expected = match self.layout {
+            Layout::Dense => (self.block_bytes() * self.blocks) as u64,
+            Layout::Sparse { .. } => dir_end,
+        };
+        let actual = self.disk_bytes()?;
         if actual < expected {
             return Err(StorageError::Geometry { expected, actual });
         }
@@ -625,55 +641,16 @@ impl FileBlockStore {
             blocks: self.blocks,
             corrupt: Vec::new(),
         };
-        let nbytes = self.capacity * 8;
         for id in 0..self.blocks {
-            self.file
-                .seek(SeekFrom::Start((id * nbytes) as u64))
-                .and_then(|_| self.file.read_exact(&mut self.byte_buf))
-                .map_err(|e| StorageError::io(format!("scrub read of block {id}"), e))?;
-            let stored = self.sidecar.read(id)?;
-            if stored != crc32(&self.byte_buf) {
-                report.corrupt.push(id);
-                corruptions.inc();
-                self.checksum_failures.inc();
-            }
-            scanned.inc();
-        }
-        Ok(report)
-    }
-
-    /// The v3 scrub: walks the directory, checking every entry's
-    /// geometry against the file length, every payload's CRC against the
-    /// sidecar, and every payload's length against its own bitmap
-    /// (`docs/FORMAT.md` §8.4). Per-block inconsistencies are reported
-    /// as corrupt blocks; only environmental failures are `Err`.
-    fn scrub_sparse(&mut self) -> Result<ScrubReport, StorageError> {
-        let file_len = self.disk_bytes()?;
-        let dir_end = V3_HEADER_LEN + self.blocks as u64 * V3_DIR_ENTRY_LEN;
-        if file_len < dir_end {
-            return Err(StorageError::Geometry {
-                expected: dir_end,
-                actual: file_len,
-            });
-        }
-        let scanned = ss_obs::global().counter("scrub.blocks_scanned");
-        let corruptions = ss_obs::global().counter("scrub.corruptions");
-        let mut report = ScrubReport {
-            blocks: self.blocks,
-            corrupt: Vec::new(),
-        };
-        for id in 0..self.blocks {
-            let entry = self.sparse_entry(id).expect("sparse layout");
-            let geometry_ok = if entry.offset == 0 {
-                entry.len == 0 && entry.alloc == 0
-            } else {
-                entry.offset >= dir_end
-                    && entry.len <= entry.alloc
-                    && entry.offset + entry.alloc as u64 <= file_len
-            };
-            let clean = geometry_ok
-                && match self.read_sparse_payload(id, entry) {
-                    Ok(payload) => entry.offset == 0 || sp::decode(&payload, self.capacity).is_ok(),
+            // v3 only: the entry must fit the file, and a stored payload's
+            // length must agree with its own bitmap.
+            let entry = self.sparse_entry(id);
+            let clean = entry.is_none_or(|e| e.validate(id, dir_end, actual).is_ok())
+                && match self.read_verified(id) {
+                    Ok(bytes) => {
+                        entry.is_none_or(|e| e.offset == 0)
+                            || sp::decode(&bytes, self.capacity).is_ok()
+                    }
                     Err(StorageError::Checksum { .. }) => false,
                     Err(e) => return Err(e),
                 };
@@ -700,40 +677,19 @@ impl BlockStore for FileBlockStore {
         self.blocks
     }
 
-    fn try_read_block(&mut self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
+    fn try_read_block(&self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
         assert!(id < self.blocks, "block {id} out of range");
         assert_eq!(buf.len(), self.capacity);
         let t0 = Instant::now();
-        if let Some(entry) = self.sparse_entry(id) {
-            let payload = self.read_sparse_payload(id, entry)?;
-            if entry.offset == 0 {
-                buf.fill(0.0);
-            } else {
-                sp::decode(&payload, self.capacity)?.to_dense(buf);
+        let bytes = self.read_verified(id)?;
+        match &self.layout {
+            Layout::Dense => {
+                for (v, le) in buf.iter_mut().zip(bytes.chunks_exact(8)) {
+                    *v = f64::from_le_bytes(le.try_into().expect("8-byte chunk"));
+                }
             }
-            self.read_ns.record(t0.elapsed().as_nanos() as u64);
-            self.stats.add_block_reads(1);
-            return Ok(());
-        }
-        let nbytes = self.block_bytes();
-        self.file
-            .seek(SeekFrom::Start((id * nbytes) as u64))
-            .and_then(|_| self.file.read_exact(&mut self.byte_buf))
-            .map_err(|e| StorageError::io(format!("read block {id}"), e))?;
-        let stored = self.sidecar.read(id)?;
-        let computed = crc32(&self.byte_buf);
-        if stored != computed {
-            self.checksum_failures.inc();
-            return Err(StorageError::Checksum {
-                block: id,
-                stored,
-                computed,
-            });
-        }
-        for (i, v) in buf.iter_mut().enumerate() {
-            let mut le = [0u8; 8];
-            le.copy_from_slice(&self.byte_buf[i * 8..i * 8 + 8]);
-            *v = f64::from_le_bytes(le);
+            Layout::Sparse { dir, .. } if dir[id].offset == 0 => buf.fill(0.0),
+            Layout::Sparse { .. } => sp::decode(&bytes, self.capacity)?.to_dense(buf),
         }
         self.read_ns.record(t0.elapsed().as_nanos() as u64);
         self.stats.add_block_reads(1);
@@ -758,8 +714,7 @@ impl BlockStore for FileBlockStore {
         // leaves a mismatch the next read (or scrub) detects — never a
         // silently wrong block (see DESIGN.md §9).
         self.file
-            .seek(SeekFrom::Start((id * nbytes) as u64))
-            .and_then(|_| self.file.write_all(&self.byte_buf))
+            .write_all_at(&self.byte_buf, (id * nbytes) as u64)
             .map_err(|e| StorageError::io(format!("write block {id}"), e))?;
         self.sidecar.write(id, crc32(&self.byte_buf))?;
         self.write_ns.record(t0.elapsed().as_nanos() as u64);
@@ -874,7 +829,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[4 * 8 + 2] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
-        let mut store = FileBlockStore::open(&path, 4, 3, IoStats::new()).unwrap();
+        let store = FileBlockStore::open(&path, 4, 3, IoStats::new()).unwrap();
         let mut buf = [0.0; 4];
         // Untouched blocks still read fine.
         store.try_read_block(0, &mut buf).unwrap();
@@ -899,7 +854,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[0..8].copy_from_slice(&7.0f64.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        let mut store = FileBlockStore::open(&path, 4, 2, IoStats::new()).unwrap();
+        let store = FileBlockStore::open(&path, 4, 2, IoStats::new()).unwrap();
         let mut buf = [0.0; 4];
         assert!(matches!(
             store.try_read_block(0, &mut buf),
@@ -967,7 +922,7 @@ mod tests {
         assert_eq!(store.disk_bytes().unwrap(), expected);
         assert_eq!(store.sparse_live_bytes(), Some(0));
         drop(store);
-        let mut store = FileBlockStore::open_v3(&path, 64, 8, IoStats::new()).unwrap();
+        let store = FileBlockStore::open_v3(&path, 64, 8, IoStats::new()).unwrap();
         let mut buf = [7.0; 64];
         store.try_read_block(3, &mut buf).unwrap();
         assert!(buf.iter().all(|&v| v == 0.0));
@@ -985,7 +940,7 @@ mod tests {
             store.write_block(5, &image);
             store.sync().unwrap();
         }
-        let mut store = FileBlockStore::open_v3(&path, 256, 16, IoStats::new()).unwrap();
+        let store = FileBlockStore::open_v3(&path, 256, 16, IoStats::new()).unwrap();
         let mut buf = [9.0; 256];
         store.try_read_block(5, &mut buf).unwrap();
         assert_eq!(buf, image);
@@ -1044,7 +999,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[heap_start + 5] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
-        let mut store = FileBlockStore::open_v3(&path, 64, 4, IoStats::new()).unwrap();
+        let store = FileBlockStore::open_v3(&path, 64, 4, IoStats::new()).unwrap();
         let mut buf = [0.0; 64];
         assert!(matches!(
             store.try_read_block(2, &mut buf),
@@ -1078,6 +1033,89 @@ mod tests {
         cleanup(&path);
     }
 
+    /// A directory entry no writer produces: a payload "at" the top of
+    /// the address space, so `offset + alloc` does not fit a `u64`.
+    const HOSTILE: DirEntry = DirEntry {
+        offset: u64::MAX - 8,
+        len: 8,
+        alloc: 128,
+    };
+
+    #[test]
+    fn v3_directory_offset_that_overflows_is_a_typed_error() {
+        // Regression: the unchecked `offset + alloc` panicked in debug
+        // builds and wrapped below the file length in release builds,
+        // where `open_v3` then accepted the entry.
+        let path = tmp("v3overflow");
+        let mut store = FileBlockStore::create_v3(&path, 8, 2, IoStats::new()).unwrap();
+        store.write_block(1, &[2.5; 8]);
+        // The in-memory mirror is held to the same check by the scrub.
+        if let Layout::Sparse { dir, .. } = &mut store.layout {
+            dir[0] = HOSTILE;
+        }
+        assert_eq!(store.scrub().unwrap().corrupt, vec![0]);
+        drop(store);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let dir0 = V3_HEADER_LEN as usize;
+        bytes[dir0..dir0 + 8].copy_from_slice(&HOSTILE.offset.to_le_bytes());
+        bytes[dir0 + 8..dir0 + 12].copy_from_slice(&HOSTILE.len.to_le_bytes());
+        bytes[dir0 + 12..dir0 + 16].copy_from_slice(&HOSTILE.alloc.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            FileBlockStore::open_v3(&path, 8, 2, IoStats::new()),
+            Err(StorageError::Geometry { .. })
+        ));
+        cleanup(&path);
+    }
+
+    #[test]
+    fn two_threads_read_through_one_shared_reference() {
+        // Positional reads share no cursor: two threads reading disjoint
+        // and identical blocks through one `&FileBlockStore` each get the
+        // written bits, and every call is one counted block read.
+        type Create = fn(&Path, usize, usize, IoStats) -> Result<FileBlockStore, StorageError>;
+        let layouts: [(&str, Create); 2] = [
+            ("sharedv2", FileBlockStore::create),
+            ("sharedv3", FileBlockStore::create_v3),
+        ];
+        // Eight blocks of two buckets; the last one stays all-zero.
+        let mut images = vec![vec![0.0; 32]; 8];
+        for (id, image) in images.iter_mut().take(7).enumerate() {
+            for k in (id % 3..32).step_by(3) {
+                image[k] = (id * 32 + k) as f64 - 7.25;
+            }
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        const ROUNDS: usize = 50;
+        for (name, create) in layouts {
+            let path = tmp(name);
+            let stats = IoStats::new();
+            let mut store = create(&path, 32, 8, stats.clone()).unwrap();
+            for (id, image) in images.iter().enumerate().take(7) {
+                store.write_block(id, image);
+            }
+            stats.reset();
+            let (store, images) = (&store, &images);
+            std::thread::scope(|scope| {
+                for t in 0..2 {
+                    scope.spawn(move || {
+                        let mut buf = vec![0.0; 32];
+                        for round in 0..ROUNDS {
+                            // A block of this thread's own, one both read in
+                            // the same round, one they reach a round apart.
+                            for id in [t, 2 + round % 2, 4 + (round + t) % 4] {
+                                store.try_read_block(id, &mut buf).unwrap();
+                                assert_eq!(bits(&buf), bits(&images[id]), "{name} block {id}");
+                            }
+                        }
+                    });
+                }
+            });
+            assert_eq!(stats.snapshot().block_reads, (2 * ROUNDS * 3) as u64);
+            cleanup(&path);
+        }
+    }
+
     #[test]
     fn v3_grow_panics() {
         let path = tmp("v3grow");
@@ -1102,7 +1140,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[3] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
-        let mut store = FileBlockStore::open(&path, 4, 2, IoStats::new()).unwrap();
+        let store = FileBlockStore::open(&path, 4, 2, IoStats::new()).unwrap();
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut buf = [0.0; 4];
             store.read_block(0, &mut buf);

@@ -4,9 +4,11 @@
 //! coefficient-to-block allocation of its Section 3. This crate provides the
 //! machinery to reproduce those measurements faithfully:
 //!
-//! * [`BlockStore`] — a fixed-capacity block device abstraction, with an
-//!   in-memory implementation ([`MemBlockStore`]) and a real file-backed one
-//!   ([`FileBlockStore`]) that issues actual positioned reads and writes,
+//! * [`BlockStore`] — a fixed-capacity block device abstraction whose one
+//!   read method takes `&self` in every implementation, with an in-memory
+//!   store ([`MemBlockStore`]) and a real file-backed one
+//!   ([`FileBlockStore`]) that issues actual positioned reads and writes
+//!   (`pread` / `pwrite`, so this crate **needs a unix target**),
 //!   CRC-verified on every read,
 //! * [`StorageError`] — the typed fault vocabulary (I/O, checksum mismatch,
 //!   geometry, unsupported version, injected, retries-exhausted) every

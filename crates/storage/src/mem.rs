@@ -38,7 +38,7 @@ impl BlockStore for MemBlockStore {
         self.data.len() / self.capacity
     }
 
-    fn try_read_block(&mut self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
+    fn try_read_block(&self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
         assert_eq!(buf.len(), self.capacity, "buffer/block size mismatch");
         let start = id * self.capacity;
         buf.copy_from_slice(&self.data[start..start + self.capacity]);
@@ -58,18 +58,6 @@ impl BlockStore for MemBlockStore {
         if blocks > self.num_blocks() {
             self.data.resize(blocks * self.capacity, 0.0);
         }
-    }
-
-    fn try_read_block_shared(
-        &self,
-        id: usize,
-        buf: &mut [f64],
-    ) -> Option<Result<(), StorageError>> {
-        assert_eq!(buf.len(), self.capacity, "buffer/block size mismatch");
-        let start = id * self.capacity;
-        buf.copy_from_slice(&self.data[start..start + self.capacity]);
-        self.stats.add_block_reads(1);
-        Some(Ok(()))
     }
 }
 
@@ -102,7 +90,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn rejects_out_of_range_block() {
-        let mut store = MemBlockStore::new(4, 2, IoStats::new());
+        let store = MemBlockStore::new(4, 2, IoStats::new());
         let mut buf = vec![0.0; 4];
         store.read_block(2, &mut buf);
     }

@@ -64,10 +64,57 @@ impl RetryPolicy {
 /// exponential backoff.
 pub struct RetryingBlockStore<S: BlockStore> {
     inner: S,
+    retry: Retry,
+}
+
+/// The policy plus its metric handles — everything the retry loop needs
+/// besides the store, so reads (`&self`) and writes (`&mut self`) run the
+/// same loop over a closure that borrows only `inner`.
+struct Retry {
     policy: RetryPolicy,
     retries: Counter,
     exhausted: Counter,
     backoff_ns: Histogram,
+}
+
+impl Retry {
+    /// Runs `op` up to `1 + max_retries` times, sleeping a capped
+    /// exponential backoff between transient failures, and wraps the
+    /// final transient error in [`StorageError::RetriesExhausted`].
+    fn run(
+        &self,
+        op_name: &'static str,
+        block: usize,
+        mut op: impl FnMut() -> Result<(), StorageError>,
+    ) -> Result<(), StorageError> {
+        let mut retry = 0u32;
+        loop {
+            match op() {
+                Ok(()) => return Ok(()),
+                Err(e) if !e.is_transient() => return Err(e),
+                Err(e) => {
+                    if retry >= self.policy.max_retries {
+                        self.exhausted.inc();
+                        return Err(StorageError::RetriesExhausted {
+                            op: op_name,
+                            block,
+                            attempts: retry + 1,
+                            source: Box::new(e),
+                        });
+                    }
+                    let backoff = self.policy.backoff(retry);
+                    self.backoff_ns.record(backoff.as_nanos() as u64);
+                    self.retries.inc();
+                    ss_obs::trace::event(ss_obs::TraceEventKind::Retry {
+                        block: block as u64,
+                        attempt: (retry + 1) as u64,
+                    });
+                    std::thread::sleep(backoff);
+                    retry += 1;
+                }
+            }
+        }
+    }
 }
 
 impl<S: BlockStore> RetryingBlockStore<S> {
@@ -76,16 +123,18 @@ impl<S: BlockStore> RetryingBlockStore<S> {
         let registry = ss_obs::global();
         RetryingBlockStore {
             inner,
-            policy,
-            retries: registry.counter("storage.retries"),
-            exhausted: registry.counter("storage.retries_exhausted"),
-            backoff_ns: registry.histogram("storage.retry_backoff_ns"),
+            retry: Retry {
+                policy,
+                retries: registry.counter("storage.retries"),
+                exhausted: registry.counter("storage.retries_exhausted"),
+                backoff_ns: registry.histogram("storage.retry_backoff_ns"),
+            },
         }
     }
 
     /// The active retry policy.
     pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
+        &self.retry.policy
     }
 
     /// The wrapped store.
@@ -96,74 +145,6 @@ impl<S: BlockStore> RetryingBlockStore<S> {
     /// Unwraps the inner store.
     pub fn into_inner(self) -> S {
         self.inner
-    }
-
-    /// Runs `op` up to `1 + max_retries` times, backing off between
-    /// transient failures.
-    fn with_retries(
-        &mut self,
-        op_name: &'static str,
-        block: usize,
-        mut op: impl FnMut(&mut S) -> Result<(), StorageError>,
-    ) -> Result<(), StorageError> {
-        let RetryingBlockStore {
-            inner,
-            policy,
-            retries,
-            exhausted,
-            backoff_ns,
-        } = self;
-        run_with_retries(
-            policy,
-            retries,
-            exhausted,
-            backoff_ns,
-            op_name,
-            block,
-            || op(inner),
-        )
-    }
-}
-
-/// The one retry/backoff loop both the `&mut self` and `&self` operation
-/// paths share: runs `op` up to `1 + max_retries` times, sleeping a capped
-/// exponential backoff between transient failures, and wraps the final
-/// transient error in [`StorageError::RetriesExhausted`].
-fn run_with_retries(
-    policy: &RetryPolicy,
-    retries: &Counter,
-    exhausted: &Counter,
-    backoff_ns: &Histogram,
-    op_name: &'static str,
-    block: usize,
-    mut op: impl FnMut() -> Result<(), StorageError>,
-) -> Result<(), StorageError> {
-    let mut retry = 0u32;
-    loop {
-        match op() {
-            Ok(()) => return Ok(()),
-            Err(e) if !e.is_transient() => return Err(e),
-            Err(e) => {
-                if retry >= policy.max_retries {
-                    exhausted.inc();
-                    return Err(StorageError::RetriesExhausted {
-                        op: op_name,
-                        block,
-                        attempts: retry + 1,
-                        source: Box::new(e),
-                    });
-                }
-                let backoff = policy.backoff(retry);
-                backoff_ns.record(backoff.as_nanos() as u64);
-                retries.inc();
-                ss_obs::trace::event(ss_obs::TraceEventKind::Retry {
-                    block: block as u64,
-                    attempt: (retry + 1) as u64,
-                });
-                std::thread::sleep(backoff);
-                retry += 1;
-            }
-        }
     }
 }
 
@@ -176,12 +157,17 @@ impl<S: BlockStore> BlockStore for RetryingBlockStore<S> {
         self.inner.num_blocks()
     }
 
-    fn try_read_block(&mut self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
-        self.with_retries("read", id, |inner| inner.try_read_block(id, buf))
+    fn try_read_block(&self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
+        // Through `&self`, so the sharded pool keeps the whole loop under
+        // the store *read* lock: backoff sleeps stall neither other
+        // shards' reads nor any shard's cached hits.
+        self.retry
+            .run("read", id, || self.inner.try_read_block(id, buf))
     }
 
     fn try_write_block(&mut self, id: usize, buf: &[f64]) -> Result<(), StorageError> {
-        self.with_retries("write", id, |inner| inner.try_write_block(id, buf))
+        self.retry
+            .run("write", id, || self.inner.try_write_block(id, buf))
     }
 
     fn try_sync(&mut self) -> Result<(), StorageError> {
@@ -190,45 +176,11 @@ impl<S: BlockStore> BlockStore for RetryingBlockStore<S> {
         // passing it through silently would surface a spurious durability
         // failure. `block` has no meaning for a whole-store sync; we
         // report the conventional 0.
-        self.with_retries("sync", 0, |inner| inner.try_sync())
+        self.retry.run("sync", 0, || self.inner.try_sync())
     }
 
     fn grow(&mut self, blocks: usize) {
         self.inner.grow(blocks);
-    }
-
-    fn try_read_block_shared(
-        &self,
-        id: usize,
-        buf: &mut [f64],
-    ) -> Option<Result<(), StorageError>> {
-        // Same bounded backoff as the exclusive path (one shared loop, see
-        // `run_with_retries`), but through `&self` so the sharded pool
-        // keeps it under the store *read* lock: backoff sleeps then stall
-        // neither other shards' reads nor any shard's cached hits.
-        let mut supported = true;
-        let result = run_with_retries(
-            &self.policy,
-            &self.retries,
-            &self.exhausted,
-            &self.backoff_ns,
-            "read",
-            id,
-            || match self.inner.try_read_block_shared(id, buf) {
-                Some(r) => r,
-                None => {
-                    // The inner store has no shared-read path; exit the
-                    // loop successfully and report "unsupported" below.
-                    supported = false;
-                    Ok(())
-                }
-            },
-        );
-        if supported {
-            Some(result)
-        } else {
-            None
-        }
     }
 }
 
@@ -270,7 +222,7 @@ mod tests {
     #[test]
     fn budget_exhaustion_is_typed_and_counted() {
         let before = ss_obs::global().counter("storage.retries_exhausted").get();
-        let mut s = RetryingBlockStore::new(flaky(1.0, 9), fast_policy(2));
+        let s = RetryingBlockStore::new(flaky(1.0, 9), fast_policy(2));
         let mut buf = [0.0; 4];
         match s.try_read_block(3, &mut buf) {
             Err(StorageError::RetriesExhausted {
@@ -296,7 +248,7 @@ mod tests {
             fn num_blocks(&self) -> usize {
                 self.0.num_blocks()
             }
-            fn try_read_block(&mut self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
+            fn try_read_block(&self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
                 self.0.try_read_block(id, buf)
             }
             fn try_write_block(&mut self, _: usize, _: &[f64]) -> Result<(), StorageError> {
@@ -358,110 +310,6 @@ mod tests {
         }
     }
 
-    /// A store whose *shared* reads fail transiently a fixed number of
-    /// times before succeeding (interior-mutable: the fault-injection
-    /// wrapper cannot roll its RNG through `&self`).
-    struct FlakyShared {
-        inner: MemBlockStore,
-        failures_left: std::sync::atomic::AtomicU32,
-    }
-
-    impl BlockStore for FlakyShared {
-        fn block_capacity(&self) -> usize {
-            self.inner.block_capacity()
-        }
-        fn num_blocks(&self) -> usize {
-            self.inner.num_blocks()
-        }
-        fn try_read_block(&mut self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
-            self.inner.try_read_block(id, buf)
-        }
-        fn try_write_block(&mut self, id: usize, buf: &[f64]) -> Result<(), StorageError> {
-            self.inner.try_write_block(id, buf)
-        }
-        fn grow(&mut self, blocks: usize) {
-            self.inner.grow(blocks);
-        }
-        fn try_read_block_shared(
-            &self,
-            id: usize,
-            buf: &mut [f64],
-        ) -> Option<Result<(), StorageError>> {
-            use std::sync::atomic::Ordering;
-            let left = self.failures_left.load(Ordering::Relaxed);
-            if left > 0 {
-                self.failures_left.store(left - 1, Ordering::Relaxed);
-                return Some(Err(StorageError::Injected {
-                    op: "read",
-                    block: id,
-                }));
-            }
-            self.inner.try_read_block_shared(id, buf)
-        }
-    }
-
-    fn flaky_shared(failures: u32) -> FlakyShared {
-        let mut inner = MemBlockStore::new(4, 8, IoStats::new());
-        inner.try_write_block(2, &[9.0, 8.0, 7.0, 6.0]).unwrap();
-        FlakyShared {
-            inner,
-            failures_left: std::sync::atomic::AtomicU32::new(failures),
-        }
-    }
-
-    #[test]
-    fn shared_read_retries_through_the_shared_loop() {
-        // The `&self` path retries transient faults exactly like the
-        // exclusive path (both run through `run_with_retries`)…
-        let s = RetryingBlockStore::new(flaky_shared(3), fast_policy(5));
-        let mut buf = [0.0; 4];
-        s.try_read_block_shared(2, &mut buf)
-            .expect("store supports shared reads")
-            .unwrap();
-        assert_eq!(buf, [9.0, 8.0, 7.0, 6.0]);
-        // …and its budget exhaustion carries the same typed error.
-        let s = RetryingBlockStore::new(flaky_shared(u32::MAX), fast_policy(1));
-        match s.try_read_block_shared(2, &mut buf) {
-            Some(Err(StorageError::RetriesExhausted {
-                op: "read",
-                block: 2,
-                attempts: 2,
-                ..
-            })) => {}
-            other => panic!("expected shared-read exhaustion, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn shared_read_unsupported_store_reports_none() {
-        // A store without a shared-read path must surface `None`, not an
-        // error, so the pool falls back to the exclusive path.
-        struct NoShared(MemBlockStore);
-        impl BlockStore for NoShared {
-            fn block_capacity(&self) -> usize {
-                self.0.block_capacity()
-            }
-            fn num_blocks(&self) -> usize {
-                self.0.num_blocks()
-            }
-            fn try_read_block(&mut self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
-                self.0.try_read_block(id, buf)
-            }
-            fn try_write_block(&mut self, id: usize, buf: &[f64]) -> Result<(), StorageError> {
-                self.0.try_write_block(id, buf)
-            }
-            fn grow(&mut self, blocks: usize) {
-                self.0.grow(blocks);
-            }
-        }
-        let s = RetryingBlockStore::new(
-            NoShared(MemBlockStore::new(4, 2, IoStats::new())),
-            fast_policy(3),
-        );
-        let mut buf = [0.0; 4];
-        assert!(s.try_read_block_shared(0, &mut buf).is_none());
-    }
-
     #[test]
     fn backoff_is_capped_exponential() {
         let p = RetryPolicy {
@@ -490,7 +338,7 @@ mod tests {
             pool.add(id, id % 4, id as f64 + 1.0);
         }
         pool.flush();
-        let mut store = pool.into_store().into_inner().into_inner();
+        let store = pool.into_store().into_inner().into_inner();
         let mut buf = [0.0; 4];
         for id in 0..16 {
             store.try_read_block(id, &mut buf).unwrap();

@@ -22,13 +22,14 @@
 //!   shared path, with locks nobody else can hold.
 //!
 //! The backing [`BlockStore`] sits behind its own reader-writer lock and
-//! is only locked on a miss, an eviction of a dirty frame, or a flush.
-//! Stores that support [`BlockStore::try_read_block_shared`] serve misses
-//! under the *read* half of that lock, so misses on different shards wait
-//! on the device concurrently — the mechanism that lets a pool of query
-//! workers overlap per-block device latency instead of serialising every
-//! cold read behind one mutex. Writes (write-backs, flushes) and reads on
-//! stores without shared-read support take the write half.
+//! is only locked on a miss, an eviction of a dirty frame, a flush or a
+//! sync. Every store reads through `&self`
+//! ([`BlockStore::try_read_block`]), so a miss is served under the *read*
+//! half of that lock and misses on different shards wait on the device
+//! concurrently — the mechanism that lets a pool of query workers overlap
+//! per-block device latency instead of serialising every cold read behind
+//! one mutex. The write half is for writes only: eviction write-backs,
+//! flushes and syncs.
 //!
 //! **Store I/O never runs under a shard lock.** A miss (or an eviction of
 //! a dirty frame) marks the affected block ids *busy* in the shard,
@@ -323,7 +324,7 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         )
     }
 
-    /// Locks the backing store for shared reads.
+    /// Locks the backing store for reads, shared with other misses.
     fn read_store(&self) -> RwLockReadGuard<'_, S> {
         acquire(
             self.store.try_read(),
@@ -445,15 +446,9 @@ impl<S: BlockStore> ShardedBufferPool<S> {
             raise(wrote);
         }
         let mut data = vec![0.0; self.block_capacity];
-        // Miss read: under the read half of the store lock when the
-        // store can read through a shared reference (misses on other
-        // shards then overlap their device wait), under the write
-        // half otherwise.
-        let shared = self.read_store().try_read_block_shared(id, &mut data);
-        let read = match shared {
-            Some(read) => read,
-            None => self.lock_store().try_read_block(id, &mut data),
-        };
+        // Miss read: under the read half of the store lock, so misses
+        // on other shards overlap their device wait with this one.
+        let read = self.read_store().try_read_block(id, &mut data);
         raise(read);
         let mut shard = self.lock_slot(slot_ref);
         // Clear the busy marks under this same lock and keep holding
@@ -734,7 +729,7 @@ mod tests {
             p.add(id, 0, id as f64);
             p.add(id, 0, 1.0);
         }
-        let mut store = p.into_store();
+        let store = p.into_store();
         let mut buf = vec![0.0; 4];
         for id in 0..16 {
             store.read_block(id, &mut buf);
@@ -793,7 +788,7 @@ mod tests {
             }
         });
         let p = Arc::try_unwrap(p).ok().expect("threads joined");
-        let mut store = p.into_store();
+        let store = p.into_store();
         let mut buf = vec![0.0; 4];
         for id in 0..8 {
             store.read_block(id, &mut buf);
@@ -821,7 +816,7 @@ mod tests {
             fn num_blocks(&self) -> usize {
                 self.inner.num_blocks()
             }
-            fn try_read_block(&mut self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
+            fn try_read_block(&self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
                 if id == 0 {
                     self.started.store(true, Ordering::Release);
                     return Err(StorageError::Injected {
@@ -885,6 +880,60 @@ mod tests {
                 StorageError::RetriesExhausted { block: 0, .. }
             ));
         });
+    }
+
+    #[test]
+    fn misses_on_different_shards_are_inside_the_store_together() {
+        use std::time::Duration;
+
+        // Every read waits inside the store until a second read has
+        // entered it too — possible only if a miss holds nothing that
+        // excludes another miss. Bounded: a lone reader gives up.
+        struct Rendezvous {
+            inner: MemBlockStore,
+            inside: Mutex<usize>,
+            both: Condvar,
+        }
+        impl BlockStore for Rendezvous {
+            fn block_capacity(&self) -> usize {
+                self.inner.block_capacity()
+            }
+            fn num_blocks(&self) -> usize {
+                self.inner.num_blocks()
+            }
+            fn try_read_block(&self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
+                let mut inside = self.inside.lock().unwrap();
+                *inside += 1;
+                self.both.notify_all();
+                let (_inside, wait) = self
+                    .both
+                    .wait_timeout_while(inside, Duration::from_secs(5), |n| *n < 2)
+                    .unwrap();
+                assert!(!wait.timed_out(), "no second read entered the store");
+                self.inner.try_read_block(id, buf)
+            }
+            fn try_write_block(&mut self, id: usize, buf: &[f64]) -> Result<(), StorageError> {
+                self.inner.try_write_block(id, buf)
+            }
+            fn grow(&mut self, blocks: usize) {
+                self.inner.grow(blocks);
+            }
+        }
+
+        let stats = IoStats::new();
+        let store = Rendezvous {
+            inner: MemBlockStore::new(4, 8, stats.clone()),
+            inside: Mutex::new(0),
+            both: Condvar::new(),
+        };
+        let p = ShardedBufferPool::new(store, 4, 2, stats.clone());
+        std::thread::scope(|scope| {
+            for id in [0, 1] {
+                let p = &p;
+                scope.spawn(move || assert_eq!(p.read(id, 0), 0.0));
+            }
+        });
+        assert_eq!(stats.snapshot().block_reads, 2);
     }
 
     #[test]
@@ -987,7 +1036,7 @@ mod tests {
     fn one_shard_into_store_flushes() {
         let (mut p, stats) = pool(4, 2, 1);
         write_mut(&mut p, 1, 3, 7.0);
-        let mut store = p.into_store();
+        let store = p.into_store();
         assert_eq!(stats.snapshot().block_writes, 1);
         let mut buf = vec![0.0; 4];
         store.read_block(1, &mut buf);
@@ -1048,7 +1097,7 @@ mod tests {
             fn num_blocks(&self) -> usize {
                 self.inner.num_blocks()
             }
-            fn try_read_block(&mut self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
+            fn try_read_block(&self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
                 self.inner.try_read_block(id, buf)
             }
             fn try_write_block(&mut self, id: usize, buf: &[f64]) -> Result<(), StorageError> {
@@ -1087,7 +1136,7 @@ mod tests {
         broken.store(false, Ordering::Release);
         p.flush();
         assert_eq!(stats.snapshot().pool_writebacks, 6);
-        let mut store = p.into_store();
+        let store = p.into_store();
         let mut buf = vec![0.0; 4];
         for id in 0..6 {
             store.read_block(id, &mut buf);

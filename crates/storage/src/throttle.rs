@@ -8,12 +8,12 @@
 //! worker sleeps in a miss, others keep draining the queue, so throughput
 //! scales with workers even on a single CPU.
 //!
-//! The sleep happens *inside* the store, i.e. under whatever lock the
-//! buffer pool holds while servicing a miss — deliberately so: that is
-//! exactly where a real positioned read would block. When the wrapped
-//! store supports shared reads, the throttled read does too: concurrent
-//! misses then sleep under the pool's read lock simultaneously, modelling
-//! a device with internal parallelism (command queueing).
+//! The sleep happens *inside* the store, before the transfer, i.e. under
+//! whatever lock the buffer pool holds while servicing a miss —
+//! deliberately so: that is exactly where a real positioned read would
+//! block. Reads go through `&self`, so concurrent misses sleep under the
+//! pool's read lock simultaneously, modelling a device with internal
+//! parallelism (command queueing).
 
 use crate::block::BlockStore;
 use crate::error::StorageError;
@@ -63,7 +63,7 @@ impl<S: BlockStore> BlockStore for ThrottledBlockStore<S> {
         self.inner.num_blocks()
     }
 
-    fn try_read_block(&mut self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
+    fn try_read_block(&self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
         if !self.read_latency.is_zero() {
             std::thread::sleep(self.read_latency);
         }
@@ -83,18 +83,6 @@ impl<S: BlockStore> BlockStore for ThrottledBlockStore<S> {
 
     fn grow(&mut self, blocks: usize) {
         self.inner.grow(blocks);
-    }
-
-    fn try_read_block_shared(
-        &self,
-        id: usize,
-        buf: &mut [f64],
-    ) -> Option<Result<(), StorageError>> {
-        let result = self.inner.try_read_block_shared(id, buf)?;
-        if !self.read_latency.is_zero() {
-            std::thread::sleep(self.read_latency);
-        }
-        Some(result)
     }
 }
 
@@ -118,7 +106,7 @@ mod tests {
     #[test]
     fn reads_take_at_least_the_configured_latency() {
         let inner = MemBlockStore::new(4, 2, IoStats::new());
-        let mut s = ThrottledBlockStore::new(inner, Duration::from_millis(5), Duration::ZERO);
+        let s = ThrottledBlockStore::new(inner, Duration::from_millis(5), Duration::ZERO);
         let mut buf = [0.0; 4];
         let t0 = Instant::now();
         s.try_read_block(0, &mut buf).unwrap();

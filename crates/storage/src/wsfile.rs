@@ -354,7 +354,7 @@ pub fn convert_to_v3(
     let map = meta.tiling();
     let (capacity, blocks) = (map.block_capacity(), map.num_tiles());
     let stats = IoStats::new();
-    let mut src = FileBlockStore::open(path, capacity, blocks, stats.clone())?;
+    let src = FileBlockStore::open(path, capacity, blocks, stats.clone())?;
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".v3tmp");
     let tmp = PathBuf::from(tmp);
@@ -574,6 +574,31 @@ mod tests {
             assert_eq!(ws.store.read(&[0, 0]), 0.0);
             assert!(ws.verify().unwrap().is_clean());
         }
+        cleanup(&path);
+    }
+
+    #[test]
+    fn v3_hostile_directory_offset_is_rejected_on_open() {
+        // ROADMAP 6(a): `offset + alloc` of a disk-supplied directory
+        // entry must not overflow — not a debug-build panic, not a
+        // release-build acceptance of the wrapped sum.
+        let path = tmp("v3hostile");
+        let meta = Meta::new(vec![3, 3], vec![1, 1], 8, 1);
+        {
+            let mut ws = WsFile::create_v3(&path, meta).unwrap();
+            ws.store.write(&[2, 5], 42.5);
+            ws.sync().unwrap();
+        }
+        let mut bytes = std::fs::read(&path).unwrap();
+        let dir0 = crate::sparse::V3_HEADER_LEN as usize;
+        bytes[dir0..dir0 + 8].copy_from_slice(&(u64::MAX - 8).to_le_bytes());
+        bytes[dir0 + 8..dir0 + 12].copy_from_slice(&8u32.to_le_bytes());
+        bytes[dir0 + 12..dir0 + 16].copy_from_slice(&128u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            WsFile::open(&path),
+            Err(StorageError::Geometry { .. })
+        ));
         cleanup(&path);
     }
 

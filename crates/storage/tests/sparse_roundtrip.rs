@@ -95,7 +95,7 @@ proptest! {
             }
             store.sync().unwrap();
         }
-        let mut store = FileBlockStore::open_v3(&path, capacity, blocks, IoStats::new()).unwrap();
+        let store = FileBlockStore::open_v3(&path, capacity, blocks, IoStats::new()).unwrap();
         let mut buf = vec![0.0; capacity];
         for (id, image) in images.iter().enumerate() {
             store.try_read_block(id, &mut buf).unwrap();
@@ -134,7 +134,7 @@ proptest! {
             }
             store.sync().unwrap();
         }
-        let mut store = FileBlockStore::open_v3(&path, capacity, blocks, IoStats::new()).unwrap();
+        let store = FileBlockStore::open_v3(&path, capacity, blocks, IoStats::new()).unwrap();
         let mut buf = vec![0.0; capacity];
         for (id, retained) in retained_images.iter().enumerate() {
             store.try_read_block(id, &mut buf).unwrap();
@@ -183,7 +183,7 @@ proptest! {
         let target = heap_start + flip % (bytes.len() - heap_start);
         bytes[target] ^= 1 << (flip % 8);
         std::fs::write(&path, &bytes).unwrap();
-        let mut store = FileBlockStore::open_v3(&path, capacity, blocks, IoStats::new()).unwrap();
+        let store = FileBlockStore::open_v3(&path, capacity, blocks, IoStats::new()).unwrap();
         let report = store.scrub().unwrap();
         // density 0.9 makes both payloads non-empty, so a heap flip is
         // either inside a live payload (must be caught) or in alloc

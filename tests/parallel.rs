@@ -269,11 +269,11 @@ fn sharded_pool_hammer_reconciles_counters() {
     assert_eq!(snap.block_writes, snap.pool_writebacks);
 
     // No increment was lost: the store holds THREADS*ROUNDS ones in total.
-    let mut store = pool.into_store();
+    let store = pool.into_store();
     let mut total = 0.0;
     let mut buf = vec![0.0; 8];
     for id in 0..BLOCKS {
-        shiftsplit::storage::BlockStore::read_block(&mut store, id, &mut buf);
+        shiftsplit::storage::BlockStore::read_block(&store, id, &mut buf);
         total += buf.iter().sum::<f64>();
     }
     assert_eq!(total, (THREADS * ROUNDS) as f64);
