@@ -1041,11 +1041,8 @@ mod tests {
             let snap = ss_maintain::SnapshotCoeffStore::new(shared, Some(w), 1);
             let mut buf =
                 ss_maintain::DeltaBuffer::new(snap.map().block_capacity(), Default::default());
-            buf.begin_box();
             let delta = ss_array::NdArray::from_vec(ss_array::Shape::new(&[1, 1]), vec![2.0]);
-            ss_transform::for_each_box_delta_standard(&levels, &[7, 7], &delta, |idx, d| {
-                buf.add_at(snap.map(), idx, d);
-            });
+            buf.add_box_standard(snap.map(), &levels, &[7, 7], &delta);
             snap.commit(&mut buf).unwrap();
         } // dropped without checkpoint = crash after the WAL fsync
         let mut ws = crate::wsfile::WsFile::open(&store).unwrap();

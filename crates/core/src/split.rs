@@ -24,10 +24,21 @@
 //! for the global transform — the primitive behind out-of-core
 //! transformation (Section 5.1), batch updates (Example 2) and appending
 //! (Section 5.2).
+//!
+//! Those two are the index-space definition: tuple indices, one
+//! coefficient at a time. For stores whose tiling is a cross product of
+//! per-axis tilings, [`standard_tile_runs`] is the same SHIFT-SPLIT
+//! **located and tile-major** — each axis's targets located once
+//! ([`AxisTargets`]), the cross product walked a destination tile at a
+//! time, one `(tile, &[(slot, delta)])` run per tile in ascending tile
+//! order — and is what the standard-form producers (chunk pipeline,
+//! appender, box updates) call; `standard_deltas` is its oracle.
 
 use crate::layout::{Coeff1d, Layout1d};
 use crate::nonstandard::NsCoeff;
+use crate::tiling::AxisTiling;
 use ss_array::{MultiIndexIter, NdArray};
+use std::borrow::Borrow;
 
 /// One SPLIT contribution target along a single axis.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -153,6 +164,182 @@ pub fn standard_deltas(
             }
         }
     }
+}
+
+/// One SHIFT or SPLIT target along one axis, already located.
+#[derive(Clone, Copy, Debug)]
+struct AxisTarget {
+    /// Chunk-local index of the source coefficient along the axis.
+    local: usize,
+    /// Axis tile ordinal times the axis's stride in the tile grid.
+    tile: usize,
+    /// Axis slot times the axis's stride in the slot grid.
+    slot: usize,
+    /// `1` for a SHIFT, the SPLIT multiplier otherwise.
+    factor: f64,
+}
+
+/// Every SHIFT and SPLIT target of one dyadic interval along one axis of
+/// a per-axis-product tiling ([`TilingMap::axis_tilings`]), located once
+/// and grouped by axis tile in ascending order.
+///
+/// The table depends on the interval and the axis only, so the pieces of
+/// an update box that share an axis interval share its table.
+///
+/// [`TilingMap::axis_tilings`]: crate::tiling::TilingMap::axis_tilings
+#[derive(Clone, Debug)]
+pub struct AxisTargets {
+    m: u32,
+    targets: Vec<AxisTarget>,
+    /// `targets[bounds[g]..bounds[g + 1]]` share one axis tile.
+    bounds: Vec<usize>,
+}
+
+impl AxisTargets {
+    /// Targets of the `(block+1)`-th dyadic interval of length `2^m` on
+    /// axis `t` of the product tiling `axes`.
+    pub fn new(axes: &[AxisTiling], t: usize, m: u32, block: usize) -> Self {
+        let axis = &axes[t];
+        let n = axis.levels();
+        assert!(m <= n, "chunk axis {t} larger than domain ({m} > {n})");
+        let tile_stride: usize = axes[t + 1..].iter().map(AxisTiling::num_tiles).product();
+        let slot_stride: usize = axes[t + 1..].iter().map(AxisTiling::block_side).product();
+        let mut targets = Vec::with_capacity((1usize << m) + (n - m) as usize);
+        let mut push = |local: usize, index: usize, factor: f64| {
+            let at = axis.locate(index);
+            targets.push(AxisTarget {
+                local,
+                tile: at.tile * tile_stride,
+                slot: at.slot * slot_stride,
+                factor,
+            });
+        };
+        for target in split_targets_1d(n, m, block) {
+            push(0, target.index, target.factor);
+        }
+        for local in 1..(1usize << m) {
+            push(local, crate::shift::shift_index_1d(n, m, block, local), 1.0);
+        }
+        targets.sort_by_key(|target| target.tile);
+        let mut bounds = vec![0];
+        for i in 1..targets.len() {
+            if targets[i].tile != targets[i - 1].tile {
+                bounds.push(i);
+            }
+        }
+        bounds.push(targets.len());
+        AxisTargets { m, targets, bounds }
+    }
+
+    fn groups(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    fn group(&self, g: usize) -> &[AxisTarget] {
+        &self.targets[self.bounds[g]..self.bounds[g + 1]]
+    }
+}
+
+/// The cross product of one axis-tile group per axis — all deltas of one
+/// destination tile — appended to `run`. `strides` are the chunk's;
+/// `offset`, `slot` and `factor` are what the outer axes chose.
+fn fill_run(
+    data: &[f64],
+    strides: &[usize],
+    groups: &[&[AxisTarget]],
+    offset: usize,
+    slot: usize,
+    factor: f64,
+    run: &mut Vec<(usize, f64)>,
+) {
+    let (group, inner) = groups.split_first().expect("rank >= 1");
+    let stride = strides[0];
+    for target in *group {
+        let offset = offset + target.local * stride;
+        let (slot, factor) = (slot + target.slot, factor * target.factor);
+        if !inner.is_empty() {
+            fill_run(data, &strides[1..], inner, offset, slot, factor, run);
+        } else if data[offset] != 0.0 {
+            run.push((slot, data[offset] * factor));
+        }
+    }
+}
+
+/// [`standard_tile_runs`] over axis tables built beforehand, one per axis
+/// and matching the chunk's extents.
+pub fn standard_tile_runs_located<T: Borrow<AxisTargets>>(
+    chunk_t: &NdArray<f64>,
+    tables: &[T],
+    mut emit: impl FnMut(usize, &[(usize, f64)]),
+) {
+    let d = chunk_t.shape().ndim();
+    assert_eq!(tables.len(), d);
+    for (t, table) in tables.iter().enumerate() {
+        assert_eq!(
+            chunk_t.shape().dim(t),
+            1usize << table.borrow().m,
+            "axis {t}: table built for another extent"
+        );
+    }
+    let (data, strides) = (chunk_t.as_slice(), chunk_t.shape().strides());
+    let mut choice = vec![0usize; d];
+    let mut groups: Vec<&[AxisTarget]> = Vec::with_capacity(d);
+    let mut run: Vec<(usize, f64)> = Vec::new();
+    // Odometer over one group per axis: row-major over ascending per-axis
+    // tiles is ascending tile ordinal.
+    loop {
+        groups.clear();
+        groups.extend(
+            tables
+                .iter()
+                .zip(&choice)
+                .map(|(table, &g)| table.borrow().group(g)),
+        );
+        let tile = groups.iter().map(|group| group[0].tile).sum();
+        fill_run(data, strides, &groups, 0, 0, 1.0, &mut run);
+        if !run.is_empty() {
+            emit(tile, &run);
+            run.clear();
+        }
+        let mut axis = d;
+        loop {
+            if axis == 0 {
+                return;
+            }
+            axis -= 1;
+            choice[axis] += 1;
+            if choice[axis] < tables[axis].borrow().groups() {
+                break;
+            }
+            choice[axis] = 0;
+        }
+    }
+}
+
+/// [`standard_deltas`] for a tiling that is a cross product of per-axis
+/// tilings, **located and tile-major**: each axis's SHIFT/SPLIT targets
+/// are located once ([`AxisTargets`]) and the cross product is walked one
+/// destination tile at a time. Every tile the chunk touches gets exactly
+/// one call `emit(tile, &[(slot, delta)])`, in strictly ascending tile
+/// order; a tile whose deltas all come from zero coefficients gets none.
+///
+/// The `(tile, slot, delta)` multiset equals `standard_deltas` followed by
+/// `locate`, delta for delta and bit for bit — each delta is the same
+/// `v · ((f_0 · f_1) · …)` — and a chunk sends at most one delta to any
+/// coefficient, so folding the runs in any order stores the same bits.
+pub fn standard_tile_runs(
+    chunk_t: &NdArray<f64>,
+    axes: &[AxisTiling],
+    block: &[usize],
+    emit: impl FnMut(usize, &[(usize, f64)]),
+) {
+    let m = chunk_t.shape().levels();
+    assert_eq!(axes.len(), m.len());
+    assert_eq!(block.len(), m.len());
+    let tables: Vec<AxisTargets> = (0..m.len())
+        .map(|t| AxisTargets::new(axes, t, m[t], block[t]))
+        .collect();
+    standard_tile_runs_located(chunk_t, &tables, emit);
 }
 
 /// Emits every global update implied by a **non-standard-form** transformed

@@ -51,6 +51,14 @@ pub trait TilingMap: Send + Sync {
     fn num_tiles(&self) -> usize;
     /// Locates a coefficient.
     fn locate(&self, idx: &[usize]) -> TileSlot;
+    /// The per-axis tilings, when this map is their cross product: tile
+    /// ordinal and slot are the row-major offsets of the per-axis tiles
+    /// and slots. Such a map lets a SHIFT-SPLIT be located one axis at a
+    /// time ([`crate::split::standard_tile_runs`]); `None` (the default)
+    /// means every coefficient must go through [`locate`](Self::locate).
+    fn axis_tilings(&self) -> Option<&[AxisTiling]> {
+        None
+    }
 }
 
 /// Band decomposition shared by the 1-d and quad-tree tilings: levels are
@@ -252,6 +260,9 @@ impl TilingMap for Tiling1d {
         debug_assert_eq!(idx.len(), 1);
         self.axis.locate(idx[0])
     }
+    fn axis_tilings(&self) -> Option<&[AxisTiling]> {
+        Some(std::slice::from_ref(&self.axis))
+    }
 }
 
 /// Standard-form multidimensional tiling: the cross product of per-axis
@@ -326,6 +337,9 @@ impl TilingMap for StandardTiling {
             at.slot += loc.slot * slot_strides[t];
         }
         at
+    }
+    fn axis_tilings(&self) -> Option<&[AxisTiling]> {
+        Some(&self.axes)
     }
 }
 

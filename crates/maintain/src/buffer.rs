@@ -1,8 +1,10 @@
 //! Tile-major delta buffering and group-commit flush.
 
+use ss_array::NdArray;
 use ss_core::TilingMap;
 use ss_obs::Stopwatch;
 use ss_storage::{BlockStore, CoeffWrite, SharedCoeffStore};
+use ss_transform::{for_each_box_delta_standard, for_each_box_run_standard, UpdateReport};
 use std::collections::HashMap;
 
 /// How buffered deltas are reduced at flush time.
@@ -141,9 +143,12 @@ impl FlushReport {
 /// Accumulates SHIFT-SPLIT delta streams from many operations, keyed by
 /// tile ordinal, for a single group-commit flush.
 ///
-/// Feed it with [`begin_box`](DeltaBuffer::begin_box) +
-/// [`add`](DeltaBuffer::add) (or [`add_at`](DeltaBuffer::add_at) for tuple
-/// indices), then drain with [`flush_into`](DeltaBuffer::flush_into) or
+/// Feed it a box at a time with
+/// [`add_box_standard`](DeltaBuffer::add_box_standard), or with
+/// [`begin_box`](DeltaBuffer::begin_box) + [`add_run`](DeltaBuffer::add_run)
+/// (one tile's deltas), [`add`](DeltaBuffer::add) (one located delta) or
+/// [`add_at`](DeltaBuffer::add_at) (one tuple index), then drain with
+/// [`flush_into`](DeltaBuffer::flush_into) or
 /// [`flush_into_shared`](DeltaBuffer::flush_into_shared). The buffer is
 /// reusable: a flush resets it to empty.
 pub struct DeltaBuffer {
@@ -191,9 +196,15 @@ impl DeltaBuffer {
         self.box_seq += 1;
     }
 
-    /// Buffers one coefficient delta.
-    pub fn add(&mut self, tile: usize, slot: usize, delta: f64) {
-        debug_assert!(slot < self.block_capacity);
+    /// Buffers one operation's deltas for one tile — a run of `(slot,
+    /// delta)` pairs, as the located SHIFT-SPLIT emitters produce them:
+    /// one tile lookup and one incidence check for the whole run. In
+    /// [`FlushMode::Exact`] the run joins the tile's op list in order.
+    pub fn add_run(&mut self, tile: usize, run: &[(usize, f64)]) {
+        if run.is_empty() {
+            return;
+        }
+        debug_assert!(run.iter().all(|&(slot, _)| slot < self.block_capacity));
         if self.box_seq == 0 {
             self.implicit_box = true;
         }
@@ -209,16 +220,52 @@ impl DeltaBuffer {
             self.tile_touches += 1;
         }
         match &mut buf.data {
-            TileData::Exact(ops) => ops.push((slot, delta)),
-            TileData::Merged(acc) => acc[slot] += delta,
+            TileData::Exact(ops) => ops.extend_from_slice(run),
+            TileData::Merged(acc) => {
+                for &(slot, delta) in run {
+                    acc[slot] += delta;
+                }
+            }
         }
-        self.deltas += 1;
+        self.deltas += run.len() as u64;
+    }
+
+    /// Buffers one coefficient delta: a run of one.
+    pub fn add(&mut self, tile: usize, slot: usize, delta: f64) {
+        self.add_run(tile, &[(slot, delta)]);
     }
 
     /// Buffers one delta addressed by coefficient tuple index.
     pub fn add_at(&mut self, map: &impl TilingMap, idx: &[usize], delta: f64) {
         let loc = map.locate(idx);
         self.add(loc.tile, loc.slot, delta);
+    }
+
+    /// Buffers one standard-form update box as one operation and returns
+    /// what it decomposed into. A map that is a product of per-axis
+    /// tilings takes the located emitter, one run per tile
+    /// ([`for_each_box_run_standard`]); any other map locates delta by
+    /// delta. Both leave every coefficient the same addition sequence.
+    pub fn add_box_standard(
+        &mut self,
+        map: &impl TilingMap,
+        n: &[u32],
+        origin: &[usize],
+        delta: &NdArray<f64>,
+    ) -> UpdateReport {
+        self.begin_box();
+        match map.axis_tilings() {
+            Some(axes) => {
+                assert!(
+                    axes.iter().map(|axis| axis.levels()).eq(n.iter().copied()),
+                    "map levels differ from the domain's {n:?}"
+                );
+                for_each_box_run_standard(axes, origin, delta, |tile, run| self.add_run(tile, run))
+            }
+            None => {
+                for_each_box_delta_standard(n, origin, delta, |idx, v| self.add_at(map, idx, v))
+            }
+        }
     }
 
     /// Number of distinct dirty tiles currently buffered.

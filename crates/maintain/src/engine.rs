@@ -41,13 +41,11 @@ fn update_boxes<W: CoeffWrite>(
     let mut buf = DeltaBuffer::for_map(map, mode);
     let mut update = UpdateReport::default();
     for (origin, delta) in boxes {
-        buf.begin_box();
-        let emit = |idx: &[usize], v: f64| buf.add_at(map, idx, v);
         update.merge(match form {
-            BoxForm::Standard(n) => {
-                ss_transform::for_each_box_delta_standard(n, origin, delta, emit)
-            }
+            BoxForm::Standard(n) => buf.add_box_standard(map, n, origin, delta),
             BoxForm::NonStandard(n) => {
+                buf.begin_box();
+                let emit = |idx: &[usize], v: f64| buf.add_at(map, idx, v);
                 ss_transform::for_each_box_delta_nonstandard(n, origin, delta, emit)
             }
         });

@@ -11,7 +11,11 @@
 //! them with one group-commit flush:
 //!
 //! * [`DeltaBuffer`] — accumulates `(tile, slot, delta)` contributions
-//!   keyed by tile ordinal, merging work destined for the same block,
+//!   keyed by tile ordinal, merging work destined for the same block. A
+//!   box enters through [`DeltaBuffer::add_box_standard`]: on a map that
+//!   is a product of per-axis tilings its deltas arrive located, one run
+//!   per tile ([`DeltaBuffer::add_run`]: one lookup per run, not per
+//!   delta); on any other map they are located one by one,
 //! * [`DeltaBuffer::flush_into`] — exactly one read-modify-write per dirty
 //!   tile, visited in ascending block order (sequential I/O for
 //!   `FileBlockStore`), followed by a single pool flush (one meta/CRC
@@ -38,7 +42,9 @@
 //!   read-modify-write. The per-coefficient addition sequence is exactly
 //!   the serial per-box sequence, so the result is **bit-identical** to
 //!   [`ss_transform::update_box_standard`] applied box by box — while
-//!   still writing each dirty tile once.
+//!   still writing each dirty tile once. Runs keep it so: boxes stay in
+//!   arrival order and a box's pieces in decomposition order inside every
+//!   tile's list, which is all a coefficient can observe.
 //! * [`FlushMode::Merged`] pre-sums deltas into a dense per-tile
 //!   accumulator and applies one add per touched coefficient — the
 //!   smallest possible flush, equal to the serial path only up to

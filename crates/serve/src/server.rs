@@ -151,9 +151,7 @@ pub(crate) fn buffer_box(
     data: Vec<f64>,
 ) -> f64 {
     let delta = ss_array::NdArray::from_vec(ss_array::Shape::new(dims), data);
-    buf.begin_box();
-    let emit = |idx: &[usize], d: f64| buf.add_at(map, idx, d);
-    ss_transform::for_each_box_delta_standard(levels, at, &delta, emit).coeffs_touched as f64
+    buf.add_box_standard(map, levels, at, &delta).coeffs_touched as f64
 }
 
 /// Rejects raw `(tile, slot, delta)` ops that fall outside the store
@@ -311,6 +309,11 @@ impl State {
 
     fn trigger_stop(&self) {
         self.stop.store(true, Ordering::Release);
+        // An executor reads `stop` under `queue` and then waits. Passing
+        // through the mutex puts the store before that read or this
+        // notification after the executor is parked; without it a stop
+        // landing between the two is a lost wake-up and the join hangs.
+        drop(self.queue.lock().unwrap());
         self.available.notify_all();
         // Unblock accept() with a throwaway connection.
         let _ = TcpStream::connect(self.addr);

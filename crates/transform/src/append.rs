@@ -11,8 +11,14 @@
 //! 2. **expand** the stored transform when the chunk would overflow the
 //!    current domain (`O(N^d)` coefficient moves — costly but rare, and
 //!    made of cheap SHIFT/SPLIT index arithmetic rather than reconstruction),
-//! 3. SHIFT-SPLIT the chunk's transform into the store.
+//! 3. SHIFT-SPLIT the chunk's transform into the store, **tile-major**:
+//!    the located emitter (`ss_core::split::standard_tile_runs`) fills one
+//!    batch and `apply_batch` folds it in ascending `(tile, slot)` order,
+//!    so a slab reads and writes each tile it touches once, however small
+//!    the pool — folded in emission order, a slab wider than the pool
+//!    re-read the tiles evicted in between.
 
+use crate::pipeline::extend_batch;
 use ss_array::NdArray;
 use ss_core::tiling::StandardTiling;
 use ss_core::TilingMap;
@@ -139,9 +145,11 @@ impl<S: BlockStore, F: FnMut(usize, usize) -> S> Appender<S, F> {
         block[self.axis] = self.filled >> chunk_levels[self.axis];
         let mut t = chunk.clone();
         ss_core::standard::forward(&mut t);
-        ss_core::split::standard_deltas(&t, &self.levels, &block, |idx, delta| {
-            self.cs.add(idx, delta);
+        let mut batch = Vec::new();
+        ss_core::split::standard_tile_runs(&t, self.cs.map().axes(), &block, |tile, run| {
+            extend_batch(&mut batch, tile, run)
         });
+        self.cs.apply_batch(&mut batch);
         self.cs.flush();
         self.filled += extent;
     }
@@ -287,6 +295,96 @@ mod tests {
         for idx in ss_array::MultiIndexIter::new(&[4, 4, 64]) {
             let (got, want) = (resumed.store().read(&idx), whole.store().read(&idx));
             assert_eq!(got.to_bits(), want.to_bits(), "{idx:?}");
+        }
+        drop(resumed);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_slab_wider_than_the_pool_reads_each_of_its_tiles_once() {
+        // Full-width slabs into an 8-frame pool, the store file closed and
+        // reopened half way. A slab's deltas enter the pool sorted by
+        // tile, so a non-expanding append reads exactly the tiles it
+        // touches — where folding them in emission order (what `append`
+        // used to do, replayed here on a scratch store) re-reads tiles the
+        // pool evicted in between. Integer cells keep every partial sum
+        // exact, so the result must equal the from-scratch transform
+        // bitwise, reopen or not.
+        use ss_core::split::standard_deltas;
+        use ss_storage::{wstore::mem_store, FileBlockStore};
+        use std::collections::HashSet;
+        const POOL: usize = 8;
+        const TILE_EXP: [u32; 2] = [2, 1];
+        const SLABS: usize = 8;
+        fn slab(k: usize) -> NdArray<f64> {
+            let mut rng = ss_datagen::SplitMix64::new(500 + k as u64);
+            NdArray::from_fn(Shape::new(&[32, 8]), |_| rng.below(201) as f64 - 100.0)
+        }
+        /// Appends slab `k` into a cold pool; `(block reads, block reads
+        /// of the emission-order fold)` when the append did not expand.
+        fn measured<F: FnMut(usize, usize) -> FileBlockStore>(
+            app: &mut Appender<FileBlockStore, F>,
+            k: usize,
+        ) -> Option<(u64, u64)> {
+            let chunk = slab(k);
+            let fits = app.filled() + 8 <= 1usize << app.levels()[1];
+            app.store().clear_cache();
+            let before = app.stats().snapshot().block_reads;
+            app.append(&chunk);
+            let reads = app.stats().snapshot().block_reads - before;
+            if !fits {
+                return None;
+            }
+            let map = app.store().map().clone();
+            let scratch_stats = IoStats::new();
+            let mut scratch = mem_store(map.clone(), POOL, scratch_stats.clone());
+            let mut touched = HashSet::new();
+            let t = ss_core::standard::forward_to(&chunk);
+            standard_deltas(&t, app.levels(), &[0, k], |idx, delta| {
+                touched.insert(map.locate(idx).tile);
+                scratch.add(idx, delta);
+            });
+            assert!(touched.len() > POOL, "slab {k} must not fit the pool");
+            assert_eq!(reads, touched.len() as u64, "slab {k}");
+            let emission_reads = scratch_stats.snapshot().block_reads;
+            assert!(reads <= emission_reads, "slab {k}");
+            Some((reads, emission_reads))
+        }
+        let dir = std::env::temp_dir().join(format!("ss_append_runs_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let stats = IoStats::new();
+        let mut files = 0;
+        let mut factory = |cap, blocks| {
+            files += 1;
+            let path = dir.join(format!("{files}.ws"));
+            FileBlockStore::create(&path, cap, blocks, stats.clone()).unwrap()
+        };
+        let mut first = Appender::new(&[5, 3], &TILE_EXP, 1, &mut factory, POOL, stats.clone());
+        let mut reads: Vec<(u64, u64)> = (0..4).filter_map(|k| measured(&mut first, k)).collect();
+        assert_eq!((first.filled(), first.expansions()), (32, 2));
+        drop(first);
+        let map = StandardTiling::new(&[5, 5], &TILE_EXP);
+        let (cap, blocks) = (map.block_capacity(), map.num_tiles());
+        let reopened = FileBlockStore::open(&dir.join("3.ws"), cap, blocks, stats.clone()).unwrap();
+        let cs = CoeffStore::new(map, reopened, POOL, stats.clone());
+        let mut resumed = Appender::resume(cs, 1, 32, &mut factory);
+        reads.extend((4..SLABS).filter_map(|k| measured(&mut resumed, k)));
+        assert_eq!((resumed.filled(), resumed.expansions()), (64, 1));
+        // Slabs 0, 3, 5, 6 and 7 fit without an expansion.
+        assert_eq!(reads.len(), 5);
+        let (ours, emission): (u64, u64) = reads
+            .iter()
+            .fold((0, 0), |acc, r| (acc.0 + r.0, acc.1 + r.1));
+        assert!(ours < emission, "tile-major {ours} vs emission {emission}");
+
+        let mut full = NdArray::<f64>::zeros(Shape::new(&[32, 64]));
+        for k in 0..SLABS {
+            full.insert(&[0, k * 8], &slab(k));
+        }
+        let want = ss_core::standard::forward_to(&full);
+        for idx in ss_array::MultiIndexIter::new(&[32, 64]) {
+            let got = resumed.store().read(&idx);
+            assert_eq!(got.to_bits(), want.get(&idx).to_bits(), "{idx:?}");
         }
         drop(resumed);
         std::fs::remove_dir_all(&dir).ok();

@@ -49,7 +49,7 @@ pub use par::{
 pub use pipeline::{ChunkPipeline, Delta, TransformReport};
 pub use source::{ArraySource, ChunkSource, FnSource};
 pub use update::{
-    for_each_box_delta_nonstandard, for_each_box_delta_standard, update_box_nonstandard,
-    update_box_pointwise, update_box_standard, UpdateReport,
+    for_each_box_delta_nonstandard, for_each_box_delta_standard, for_each_box_run_standard,
+    update_box_nonstandard, update_box_pointwise, update_box_standard, UpdateReport,
 };
 pub use vitter::vitter_transform_standard;

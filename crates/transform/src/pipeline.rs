@@ -33,6 +33,17 @@ use std::ops::Range;
 /// One SHIFT-SPLIT contribution, located: `(tile, slot, delta)`.
 pub type Delta = (usize, usize, f64);
 
+/// Appends one delta, located coefficient by coefficient, to a batch.
+fn push_located(batch: &mut Vec<Delta>, map: &impl TilingMap, idx: &[usize], delta: f64) {
+    let loc = map.locate(idx);
+    batch.push((loc.tile, loc.slot, delta));
+}
+
+/// Appends one tile's run of `(slot, delta)` pairs to a located batch.
+pub(crate) fn extend_batch(batch: &mut Vec<Delta>, tile: usize, run: &[(usize, f64)]) {
+    batch.extend(run.iter().map(|&(slot, delta)| (tile, slot, delta)));
+}
+
 /// Statistics of one out-of-core transform run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransformReport {
@@ -256,29 +267,40 @@ impl<'a, Src: ChunkSource> ChunkPipeline<'a, Src> {
             read_ns.record(sw.lap_ns());
             let map = sink.map();
             extra(&chunk, &block, rank, map, &mut batch);
-            let mut push = |idx: &[usize], delta: f64| {
-                let loc = map.locate(idx);
-                batch.push((loc.tile, loc.slot, delta));
-            };
-            let mut emit = |idx: &[usize], delta: f64| {
-                if !crest.as_mut().is_some_and(|c| c.absorb(idx, delta)) {
-                    push(idx, delta);
-                }
-            };
-            match &self.form {
-                Form::Standard(n) => {
+            match (&self.form, map.axis_tilings()) {
+                // A per-axis product map: located once per axis, the
+                // batch filled a tile's run at a time.
+                (Form::Standard(n), Some(axes)) => {
+                    assert!(
+                        axes.iter().map(|axis| axis.levels()).eq(n.iter().copied()),
+                        "map levels differ from the source's {n:?}"
+                    );
                     ss_core::standard::forward(&mut chunk);
-                    ss_core::split::standard_deltas(&chunk, n, &block, &mut emit);
+                    ss_core::split::standard_tile_runs(&chunk, axes, &block, |tile, run| {
+                        extend_batch(&mut batch, tile, run)
+                    });
                 }
-                Form::NonStandard(n) => {
+                (Form::Standard(n), None) => {
+                    ss_core::standard::forward(&mut chunk);
+                    ss_core::split::standard_deltas(&chunk, n, &block, |idx, delta| {
+                        push_located(&mut batch, map, idx, delta)
+                    });
+                }
+                (Form::NonStandard(n), _) => {
                     ss_core::nonstandard::forward(&mut chunk);
-                    ss_core::split::nonstandard_deltas(&chunk, *n, &block, &mut emit);
+                    ss_core::split::nonstandard_deltas(&chunk, *n, &block, |idx, delta| {
+                        if !crest.as_mut().is_some_and(|c| c.absorb(idx, delta)) {
+                            push_located(&mut batch, map, idx, delta);
+                        }
+                    });
                 }
             }
             if let Some(crest) = crest.as_mut() {
                 report.peak_crest_cache = report.peak_crest_cache.max(crest.cache.len());
                 if self.crest_into_batch {
-                    crest.flush_completed(rank, &block, &mut push);
+                    crest.flush_completed(rank, &block, |idx, delta| {
+                        push_located(&mut batch, map, idx, delta)
+                    });
                 }
             }
             compute_ns.record(sw.lap_ns());

@@ -8,7 +8,11 @@
 //! `O(V + pieces · Π log(N_t))` coefficient updates for an update volume
 //! `V` — versus `O(V · Π log N_t)` for cell-at-a-time maintenance.
 
-use ss_array::{decompose_range, NdArray, Shape};
+use ss_array::{
+    decompose_interval, decompose_range, DyadicInterval, MultiIndexIter, NdArray, Shape,
+};
+use ss_core::split::{standard_tile_runs_located, AxisTargets};
+use ss_core::tiling::AxisTiling;
 use ss_core::TilingMap;
 use ss_storage::{BlockStore, CoeffStore};
 
@@ -47,6 +51,21 @@ fn check_box(n_bits: impl Iterator<Item = u32>, origin: &[usize], delta: &NdArra
     }
 }
 
+/// The sub-box of `delta` at `rel_origin`, in the buffer the pieces of a
+/// box take turns in (hand it back with `into_vec`).
+fn extract_piece(
+    delta: &NdArray<f64>,
+    rel_origin: &[usize],
+    shape: Shape,
+    buf: &mut Vec<f64>,
+) -> NdArray<f64> {
+    let mut data = std::mem::take(buf);
+    data.resize(shape.len(), 0.0);
+    let mut piece = NdArray::from_vec(shape, data);
+    delta.extract_into(rel_origin, &mut piece);
+    piece
+}
+
 /// Enumerates every `(global index, delta)` a standard-form box update
 /// implies, without touching any store: the shared core behind
 /// [`update_box_standard`] and the coalescing maintenance engine.
@@ -82,17 +101,98 @@ pub fn for_each_box_delta_standard(
             rel_origin[t] = p - o;
             block[t] = piece.axes[t].translation;
         }
-        let extents = piece.extents();
-        let mut buf = std::mem::take(&mut extract_buf);
-        buf.resize(piece.len(), 0.0);
-        let mut t = NdArray::from_vec(Shape::new(&extents), buf);
-        delta.extract_into(&rel_origin, &mut t);
+        let shape = Shape::new(&piece.extents());
+        let mut t = extract_piece(delta, &rel_origin, shape, &mut extract_buf);
         ss_core::standard::forward(&mut t);
         ss_core::split::standard_deltas(&t, n, &block, |idx, v| {
             report.coeffs_touched += 1;
             emit(idx, v);
         });
         extract_buf = t.into_vec();
+    }
+    report
+}
+
+/// The located, tile-major twin of [`for_each_box_delta_standard`] for a
+/// store whose map is the cross product `axes` of per-axis tilings: the
+/// box's deltas arrive as **one run `(tile, &[(slot, delta)])` per tile,
+/// in ascending tile order**.
+///
+/// Each axis is decomposed once and each axis interval located once
+/// ([`AxisTargets`]); the pieces are transformed in [`decompose_range`]'s
+/// row-major order and, inside a run, the deltas of an earlier piece
+/// precede those of a later one. Every delta is computed exactly as the
+/// index-space emitter computes it and a piece sends at most one delta to
+/// a coefficient, so each coefficient sees the same addition sequence
+/// through either emitter — what keeps a group commit that replays runs in
+/// arrival order bit-identical to box-by-box [`update_box_standard`].
+///
+/// [`decompose_range`]: ss_array::decompose_range
+pub fn for_each_box_run_standard(
+    axes: &[AxisTiling],
+    origin: &[usize],
+    delta: &NdArray<f64>,
+    mut emit: impl FnMut(usize, &[(usize, f64)]),
+) -> UpdateReport {
+    let d = axes.len();
+    check_box(axes.iter().map(AxisTiling::levels), origin, delta, d);
+    let intervals: Vec<Vec<DyadicInterval>> = (0..d)
+        .map(|t| decompose_interval(origin[t], origin[t] + delta.shape().dim(t) - 1))
+        .collect();
+    let tables: Vec<Vec<AxisTargets>> = intervals
+        .iter()
+        .enumerate()
+        .map(|(t, parts)| {
+            parts
+                .iter()
+                .map(|part| AxisTargets::new(axes, t, part.level, part.translation))
+                .collect()
+        })
+        .collect();
+    let counts: Vec<usize> = intervals.iter().map(Vec::len).collect();
+    let mut report = UpdateReport::default();
+    // Every piece's runs, back to back in `deltas`; `runs` holds
+    // `(tile, start, end)` of each.
+    let mut deltas: Vec<(usize, f64)> = Vec::new();
+    let mut runs: Vec<(usize, usize, usize)> = Vec::new();
+    let mut rel_origin = vec![0usize; d];
+    let mut extents = vec![0usize; d];
+    let mut piece_tables: Vec<&AxisTargets> = Vec::with_capacity(d);
+    let mut extract_buf: Vec<f64> = Vec::new();
+    for choice in MultiIndexIter::new(&counts) {
+        piece_tables.clear();
+        for (t, &c) in choice.iter().enumerate() {
+            let part = intervals[t][c];
+            rel_origin[t] = part.start() - origin[t];
+            extents[t] = part.len();
+            piece_tables.push(&tables[t][c]);
+        }
+        let shape = Shape::new(&extents);
+        let mut piece = extract_piece(delta, &rel_origin, shape, &mut extract_buf);
+        ss_core::standard::forward(&mut piece);
+        standard_tile_runs_located(&piece, &piece_tables, |tile, run| {
+            runs.push((tile, deltas.len(), deltas.len() + run.len()));
+            deltas.extend_from_slice(run);
+        });
+        extract_buf = piece.into_vec();
+        report.pieces += 1;
+    }
+    report.coeffs_touched = deltas.len();
+    // One run per tile: ordered by `(tile, start)`, a tile's pieces stay
+    // in decomposition order.
+    runs.sort_unstable();
+    let mut merged: Vec<(usize, f64)> = Vec::new();
+    for same_tile in runs.chunk_by(|a, b| a.0 == b.0) {
+        match same_tile {
+            &[(tile, start, end)] => emit(tile, &deltas[start..end]),
+            _ => {
+                merged.clear();
+                for &(_, start, end) in same_tile {
+                    merged.extend_from_slice(&deltas[start..end]);
+                }
+                emit(same_tile[0].0, &merged);
+            }
+        }
     }
     report
 }
@@ -138,10 +238,7 @@ pub fn for_each_box_delta_nonstandard(
                 rel_origin[t] = abs - origin[t];
                 block[t] = abs >> m;
             }
-            let mut buf = std::mem::take(&mut extract_buf);
-            buf.resize(cube_shape.len(), 0.0);
-            let mut t = NdArray::from_vec(cube_shape.clone(), buf);
-            delta.extract_into(&rel_origin, &mut t);
+            let mut t = extract_piece(delta, &rel_origin, cube_shape.clone(), &mut extract_buf);
             ss_core::nonstandard::forward(&mut t);
             ss_core::split::nonstandard_deltas(&t, n, &block, |idx, v| {
                 report.coeffs_touched += 1;

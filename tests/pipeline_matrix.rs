@@ -432,7 +432,13 @@ fn serial_fronts_io_is_pinned_to_the_parent_commit() {
             "update_boxes_nonstandard/sq",
             [56, 56, 0, 502, 0, 56, 48, 56],
         ),
-        ("appender", [571, 417, 192, 504, 125, 571, 547, 417]),
+        // Re-captured when `Appender::append` went tile-major: a slab's
+        // deltas enter the 8-frame pool sorted by (tile, slot) through
+        // `apply_batch` instead of in emission order, so 18 re-reads and 18
+        // write-backs of evicted tiles turn into pool hits
+        // ([571, 417, 192, 504, 125, 571, 547, 417] before; the
+        // coefficient counts cannot move).
+        ("appender", [553, 399, 192, 504, 143, 553, 529, 399]),
     ];
     for ((name, got), (pinned_name, want)) in got.iter().zip(&pinned) {
         assert_eq!(name, pinned_name);

@@ -1,0 +1,285 @@
+//! The write path's differential: the located, tile-major SHIFT-SPLIT
+//! emitter against the index-space one it replaced in the producers.
+//!
+//! `ss_core::split::standard_deltas` followed by `TilingMap::locate` is
+//! the definition (§4.1 of the paper, one coefficient at a time);
+//! `standard_tile_runs` and `for_each_box_run_standard` locate each axis
+//! once and emit one run per destination tile. The two must agree
+//!
+//! * delta for delta, **bit for bit** — as a multiset per chunk, and as a
+//!   per-coefficient *sequence* per box (the order `FlushMode::Exact`
+//!   replays),
+//! * on the run contract: strictly ascending tiles, one run per tile,
+//! * through a `DeltaBuffer` (same drained lists, same `FlushReport`) and
+//!   through `update_boxes_standard` on a product map and on a map that is
+//!   not one (`NaiveMap` keeps the per-coefficient path).
+//!
+//! Geometries cover 1-d, 2-d and 3-d, unequal levels and tile exponents,
+//! a top band shorter than `b`, 1-cell and full-domain boxes, and chunks
+//! with exact-zero coefficients.
+
+use shiftsplit::array::{MultiIndexIter, NdArray, Shape};
+use shiftsplit::core::split::{standard_deltas, standard_tile_runs};
+use shiftsplit::core::tiling::{NaiveMap, StandardTiling, Tiling1d};
+use shiftsplit::core::TilingMap;
+use shiftsplit::datagen::SplitMix64;
+use shiftsplit::maintain::{update_boxes_standard, DeltaBuffer, FlushMode, UpdateBox};
+use shiftsplit::storage::{wstore::mem_store, IoStats};
+use shiftsplit::transform::{for_each_box_delta_standard, for_each_box_run_standard};
+use std::collections::HashMap;
+
+/// `(tile, slot, delta bits)`.
+type Located = (usize, usize, u64);
+
+/// A "transformed chunk" of the given levels: seeded values, about a
+/// third of them exactly zero.
+fn chunk(rng: &mut SplitMix64, m: &[u32]) -> NdArray<f64> {
+    let dims: Vec<usize> = m.iter().map(|&mt| 1usize << mt).collect();
+    NdArray::from_fn(Shape::new(&dims), |_| {
+        if rng.below(3) == 0 {
+            0.0
+        } else {
+            rng.range(-100.0, 100.0)
+        }
+    })
+}
+
+/// Every (chunk levels, block position) of `n` worth checking: each axis
+/// at its 1-cell, mid and full-domain extent, first and last block.
+fn chunk_positions(n: &[u32]) -> Vec<(Vec<u32>, Vec<usize>)> {
+    let per_axis: Vec<Vec<(u32, usize)>> = n
+        .iter()
+        .map(|&nt| {
+            let mut choices = vec![(nt, 0), (0, 0), (0, (1usize << nt) - 1)];
+            if nt >= 2 {
+                choices.push((nt / 2, (1usize << (nt - nt / 2)) - 1));
+                choices.push((nt - 1, 1));
+            }
+            choices
+        })
+        .collect();
+    let counts: Vec<usize> = per_axis.iter().map(Vec::len).collect();
+    MultiIndexIter::new(&counts)
+        .map(|choice| {
+            let picked: Vec<(u32, usize)> = choice
+                .iter()
+                .enumerate()
+                .map(|(t, &c)| per_axis[t][c])
+                .collect();
+            (
+                picked.iter().map(|p| p.0).collect(),
+                picked.iter().map(|p| p.1).collect(),
+            )
+        })
+        .collect()
+}
+
+fn levels_of(map: &impl TilingMap) -> Vec<u32> {
+    let axes = map.axis_tilings().expect("a per-axis product map");
+    axes.iter().map(|axis| axis.levels()).collect()
+}
+
+/// (a) One chunk: the kernel's runs against `standard_deltas` + `locate`.
+fn check_chunk_runs(map: &impl TilingMap, seed: u64) {
+    let n = levels_of(map);
+    let axes = map.axis_tilings().unwrap();
+    let mut rng = SplitMix64::new(seed);
+    for (m, block) in chunk_positions(&n) {
+        let chunk_t = chunk(&mut rng, &m);
+        let mut want: Vec<Located> = Vec::new();
+        standard_deltas(&chunk_t, &n, &block, |idx, delta| {
+            let at = map.locate(idx);
+            want.push((at.tile, at.slot, delta.to_bits()));
+        });
+        let mut got: Vec<Located> = Vec::new();
+        let mut last_tile = None;
+        standard_tile_runs(&chunk_t, axes, &block, |tile, run| {
+            assert!(!run.is_empty(), "{n:?} m={m:?} {block:?}: empty run");
+            assert!(
+                last_tile < Some(tile),
+                "{n:?} m={m:?} {block:?}: tile {tile} after {last_tile:?}"
+            );
+            last_tile = Some(tile);
+            got.extend(
+                run.iter()
+                    .map(|&(slot, delta)| (tile, slot, delta.to_bits())),
+            );
+        });
+        want.sort_unstable();
+        got.sort_unstable();
+        assert_eq!(got, want, "{n:?} m={m:?} block={block:?}");
+    }
+}
+
+#[test]
+fn chunk_runs_equal_the_located_index_space_deltas() {
+    // 7 = 2·3 + 1: the top band of the 1-d tiling is one level high.
+    check_chunk_runs(&Tiling1d::new(7, 3), 1);
+    check_chunk_runs(&StandardTiling::new(&[5, 7], &[2, 3]), 2);
+    check_chunk_runs(&StandardTiling::new(&[4, 4], &[2, 2]), 3);
+    check_chunk_runs(&StandardTiling::new(&[3, 4, 2], &[1, 3, 2]), 4);
+    // A tile taller than the whole axis, and a single-cell axis.
+    check_chunk_runs(&StandardTiling::new(&[2, 0, 3], &[3, 1, 1]), 5);
+}
+
+/// Seeded boxes plus the two extremes: one cell, the whole domain.
+fn boxes(rng: &mut SplitMix64, n: &[u32], count: usize) -> Vec<UpdateBox> {
+    let dims: Vec<usize> = n.iter().map(|&nt| 1usize << nt).collect();
+    let mut value = |_: &[usize]| rng.range(-1.0, 1.0);
+    let mut out: Vec<UpdateBox> = vec![
+        (
+            dims.iter().map(|&side| side - 1).collect(),
+            NdArray::from_fn(Shape::new(&vec![1; n.len()]), &mut value),
+        ),
+        (
+            vec![0; n.len()],
+            NdArray::from_fn(Shape::new(&dims), &mut value),
+        ),
+    ];
+    for _ in 0..count {
+        let origin: Vec<usize> = dims.iter().map(|&side| rng.below(side)).collect();
+        let extents: Vec<usize> = dims
+            .iter()
+            .zip(&origin)
+            .map(|(&side, &o)| 1 + rng.below((side - o).min(11)))
+            .collect();
+        let delta = NdArray::from_fn(Shape::new(&extents), |_| rng.range(-1.0, 1.0));
+        out.push((origin, delta));
+    }
+    out
+}
+
+/// (b) One box: every coefficient's delta sequence through both fronts.
+fn check_box_runs(map: &impl TilingMap, seed: u64) {
+    let n = levels_of(map);
+    let axes = map.axis_tilings().unwrap();
+    let mut rng = SplitMix64::new(seed);
+    for (origin, delta) in boxes(&mut rng, &n, 12) {
+        let mut want: HashMap<(usize, usize), Vec<u64>> = HashMap::new();
+        let want_report = for_each_box_delta_standard(&n, &origin, &delta, |idx, v| {
+            let at = map.locate(idx);
+            want.entry((at.tile, at.slot))
+                .or_default()
+                .push(v.to_bits());
+        });
+        let mut got: HashMap<(usize, usize), Vec<u64>> = HashMap::new();
+        let mut last_tile = None;
+        let got_report = for_each_box_run_standard(axes, &origin, &delta, |tile, run| {
+            assert!(!run.is_empty());
+            assert!(last_tile < Some(tile), "one run per tile, ascending");
+            last_tile = Some(tile);
+            for &(slot, v) in run {
+                got.entry((tile, slot)).or_default().push(v.to_bits());
+            }
+        });
+        let label = format!("{n:?} box at {origin:?} of {:?}", delta.shape().dims());
+        assert_eq!(got_report, want_report, "{label}");
+        assert_eq!(got, want, "{label}");
+    }
+}
+
+#[test]
+fn box_runs_keep_every_coefficients_delta_sequence() {
+    check_box_runs(&Tiling1d::new(7, 3), 11);
+    check_box_runs(&StandardTiling::new(&[5, 7], &[2, 3]), 12);
+    check_box_runs(&StandardTiling::new(&[3, 4, 2], &[1, 3, 2]), 13);
+}
+
+/// The per-slot subsequences of one tile's op list.
+fn by_slot(ops: &[(usize, f64)]) -> HashMap<usize, Vec<u64>> {
+    let mut out: HashMap<usize, Vec<u64>> = HashMap::new();
+    for &(slot, delta) in ops {
+        out.entry(slot).or_default().push(delta.to_bits());
+    }
+    out
+}
+
+#[test]
+fn a_buffer_fed_by_runs_drains_what_one_fed_by_add_at_drains() {
+    // (c) Overlapping boxes, so tiles near the root collect several
+    // operations and coefficients collect several deltas.
+    let n = [5u32, 6];
+    let map = StandardTiling::new(&n, &[2, 3]);
+    let batch = boxes(&mut SplitMix64::new(21), &n, 40);
+    for mode in [FlushMode::Exact, FlushMode::Merged] {
+        let mut by_runs = DeltaBuffer::for_map(&map, mode);
+        let mut by_index = DeltaBuffer::for_map(&map, mode);
+        for (origin, delta) in &batch {
+            by_runs.add_box_standard(&map, &n, origin, delta);
+            by_index.begin_box();
+            for_each_box_delta_standard(&n, origin, delta, |idx, v| by_index.add_at(&map, idx, v));
+        }
+        let (runs, runs_report) = by_runs.drain_ops();
+        let (index, index_report) = by_index.drain_ops();
+        assert_eq!(runs_report, index_report, "{mode:?}");
+        assert!(runs_report.tile_touches > runs_report.tiles_written);
+        assert_eq!(runs.len(), index.len(), "{mode:?}");
+        for ((tile_a, ops_a), (tile_b, ops_b)) in runs.iter().zip(&index) {
+            assert_eq!(tile_a, tile_b, "{mode:?}");
+            match mode {
+                // Arrival order inside a tile differs (tile-major against
+                // emission order); what a coefficient sees does not.
+                FlushMode::Exact => assert_eq!(by_slot(ops_a), by_slot(ops_b), "tile {tile_a}"),
+                // Pre-summed per slot in that same order: the same bits.
+                FlushMode::Merged => {
+                    let bits = |ops: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                        ops.iter().map(|&(s, v)| (s, v.to_bits())).collect()
+                    };
+                    assert_eq!(bits(ops_a), bits(ops_b), "tile {tile_a}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn batches_match_a_dense_recompute_on_product_and_naive_maps() {
+    // (d) The product map takes the run path, `NaiveMap` the
+    // per-coefficient one; both must land on the transform of the
+    // updated data.
+    let n = [4u32, 5];
+    let dims = [16usize, 32];
+    let mut rng = SplitMix64::new(31);
+    let mut data = NdArray::from_fn(Shape::new(&dims), |_| rng.range(-50.0, 50.0));
+    let before = shiftsplit::core::standard::forward_to(&data);
+    let batch = boxes(&mut rng, &n, 20);
+    for (origin, delta) in &batch {
+        for rel in MultiIndexIter::new(delta.shape().dims()) {
+            let at: Vec<usize> = origin.iter().zip(&rel).map(|(&o, &r)| o + r).collect();
+            data.set(&at, data.get(&at) + delta.get(&rel));
+        }
+    }
+    let want = shiftsplit::core::standard::forward_to(&data);
+
+    fn check<M: TilingMap>(
+        map: M,
+        n: &[u32],
+        before: &NdArray<f64>,
+        batch: &[UpdateBox],
+        want: &NdArray<f64>,
+    ) {
+        let product = map.axis_tilings().is_some();
+        let mut cs = mem_store(map, 16, IoStats::new());
+        for idx in MultiIndexIter::new(before.shape().dims()) {
+            cs.write(&idx, before.get(&idx));
+        }
+        let report = update_boxes_standard(&mut cs, n, batch, FlushMode::Exact);
+        assert_eq!(report.flush.boxes, batch.len() as u64);
+        assert_eq!(report.flush.deltas, report.update.coeffs_touched as u64);
+        for idx in MultiIndexIter::new(want.shape().dims()) {
+            let (got, want) = (cs.read(&idx), want.get(&idx));
+            assert!(
+                (got - want).abs() < 1e-9,
+                "product={product} {idx:?}: {got} vs {want}"
+            );
+        }
+    }
+    check(StandardTiling::new(&n, &[2, 3]), &n, &before, &batch, &want);
+    check(
+        NaiveMap::new(Shape::new(&dims), 8),
+        &n,
+        &before,
+        &batch,
+        &want,
+    );
+}
