@@ -67,6 +67,18 @@ fn drive(addr: std::net::SocketAddr, clients: usize) -> f64 {
     serving::drive(addr, N, clients, REQS_PER_CLIENT, 0x54A4D)
 }
 
+/// Stops `server` once it has counted every response of `clients`
+/// finished clients: a connection counts a reply after writing it, so the
+/// count can trail the client that has already read the reply.
+fn shutdown_counted(server: QueryServer, clients: usize) {
+    let expected = (clients * REQS_PER_CLIENT) as u64;
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while server.answered() < expected && std::time::Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    assert_eq!(server.shutdown(), expected);
+}
+
 fn main() {
     let side = 1usize << N;
     let cores = ss_bench::host_cores();
@@ -122,8 +134,7 @@ fn main() {
         let server =
             QueryServer::bind("127.0.0.1:0", build_store(), vec![N; 2], config()).expect("bind");
         let wall_ms = drive(server.local_addr(), clients);
-        let answered = server.shutdown();
-        assert_eq!(answered, (clients * REQS_PER_CLIENT) as u64);
+        shutdown_counted(server, clients);
         record(&mut table, "direct", 1, 1, clients, wall_ms);
     }
 
@@ -159,8 +170,7 @@ fn main() {
                 )
                 .expect("bind router");
                 let wall_ms = drive(router.local_addr(), clients);
-                let answered = router.shutdown();
-                assert_eq!(answered, (clients * REQS_PER_CLIENT) as u64);
+                shutdown_counted(router, clients);
                 record(&mut table, "routed", shards, replicas, clients, wall_ms);
             }
             for server in shard_servers {

@@ -777,10 +777,10 @@ pub fn serve_metrics(args: &Args) -> Result<(), String> {
 ///
 /// Serves standard-form point and range-sum queries against the store over
 /// plain TCP (line-delimited JSON; see the `ss-serve` crate docs for the
-/// wire format). The store is re-housed in the sharded thread-safe pool and
-/// answered by `W` executor workers that batch up to `B` concurrently
-/// pending requests tile-major, so a hot tile wanted by several clients at
-/// once is fetched once. `--port 0` (the default) picks an ephemeral port —
+/// wire format). The store is re-housed in the sharded thread-safe pool;
+/// every connection executes its own requests, tile-major and at most `B`
+/// per sweep (a longer pipelined burst takes several sweeps), and at most
+/// `W` sweeps execute at once. `--port 0` (the default) picks an ephemeral port —
 /// printed on stdout and, with `--addr-file`, written to a file scripts can
 /// poll; `--requests K` exits cleanly after K responses (without it the
 /// server runs until killed).
@@ -902,8 +902,8 @@ pub fn serve(args: &Args) -> Result<(), String> {
         // Clean shutdown: fold every published epoch into the store
         // (flush + fsync) and truncate the WAL. Goes through the Arc —
         // detached connection threads may still hold clones until their
-        // clients hang up. The executors are joined, so no pins remain
-        // and the checkpoint retry loop terminates.
+        // clients hang up. Each drops its pin at the end of its sweep, so
+        // the checkpoint retry loop terminates.
         while !snap.checkpoint().map_err(|e| e.to_string())? {
             std::thread::yield_now();
         }

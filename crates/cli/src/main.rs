@@ -69,9 +69,10 @@ COMMANDS:
           [--addr-file F] [--writable [--wal F] [--mode exact|merged]]
           [--slow-ms T] [--trace-out F | --trace-ring] [--metrics-port N]
           serve point/sum queries over TCP
-          (line-delimited JSON; workers batch concurrent requests
-          tile-major so hot tiles are fetched once; --requests K exits
-          after K responses; --port 0 picks an ephemeral port;
+          (line-delimited JSON; each connection executes its own
+          requests tile-major, at most B per sweep and W sweeps at once;
+          --requests K exits after K responses; --port 0 picks an
+          ephemeral port;
           --writable also accepts update/commit operations: commits are
           fsynced to the write-ahead log before they become visible,
           crash-left commits replay on startup, and a clean shutdown

@@ -17,9 +17,10 @@
 //! the recording thread. The current span travels in a thread-local
 //! ([`enter`], [`scoped`]) so deep layers — the buffer pool, the WAL,
 //! the retry wrapper — can attribute events without threading context
-//! through every signature. Spans that migrate across threads (a serve
-//! request begins on the connection reader and ends on an executor)
-//! carry their [`SpanCtx`] by value instead.
+//! through every signature. Spans that outlive the scope that opened
+//! them (a serve request's root opens when its line is parsed and closes
+//! after its sweep's replies are written) carry their [`SpanCtx`] by
+//! value instead.
 //!
 //! # Storage and export
 //!

@@ -5,23 +5,24 @@
 //! layer: a plain-TCP, line-delimited-JSON query server in the same
 //! std-only style as the `ss-obs` metrics server, running standard-form
 //! point and range-sum queries against a
-//! [`SharedCoeffStore`](ss_storage::SharedCoeffStore) from a fixed pool of
-//! worker threads.
+//! [`SharedCoeffStore`](ss_storage::SharedCoeffStore), one thread per
+//! connection.
 //!
-//! What makes it more than a socket wrapper is **tile-major batching
-//! across clients**: every accepted request is planned into its Lemma 1/2
-//! contribution list up front, and each executor sweep drains a batch of
-//! concurrently pending requests and evaluates them through
-//! [`ss_query::execute_plans_tiled`] — so a hot tile demanded by many clients in
-//! the same instant is fetched once, not once per connection. Answers are
-//! bit-identical to serial execution: the evaluation order is fixed by the
-//! plans alone, and the wire format round-trips `f64` exactly.
+//! What makes it more than a socket wrapper is **tile-major execution of
+//! whole bursts**: every accepted request is planned into its Lemma 1/2
+//! contribution list up front, and the requests a client pipelined
+//! together are evaluated in one sweep of
+//! [`ss_query::execute_plans_tiled`] — so a tile that several of them
+//! need is fetched once, and the buffer pool shares it with every other
+//! connection. Answers are bit-identical to serial execution: the
+//! evaluation order is fixed by the plans alone, and the wire format
+//! round-trips `f64` exactly.
 //!
 //! Live read/write serving: [`QueryServer::bind_writable`] runs the same
 //! protocol over an epoch-versioned
 //! [`SnapshotCoeffStore`](ss_maintain::SnapshotCoeffStore), adding
 //! `update` (buffer box deltas) and `commit` (group-commit the next
-//! epoch) operations. Each query batch pins one snapshot, so queries
+//! epoch) operations. Each sweep pins one snapshot, so queries
 //! never see a partially applied epoch, and a commit's effects are
 //! visible to every query issued after its response (read-your-writes).
 //!
@@ -35,9 +36,9 @@
 //!
 //! * [`proto`] — the wire protocol: requests, typed error responses,
 //!   exact float formatting,
-//! * [`server`] — [`QueryServer`]: acceptor, per-connection reader
-//!   threads, the shared batch queue, executor pool, and budgeted clean
-//!   shutdown,
+//! * [`server`] — [`QueryServer`]: the acceptor, one thread per
+//!   connection that parses, plans, executes and replies, the sweep
+//!   permits, and budgeted clean shutdown,
 //! * [`router`] — scatter-gather fan-out, replica failover, and the
 //!   routed write path behind [`QueryServer::bind_router`],
 //! * [`client`] — [`Client`]: a small blocking, pipelining client used by
@@ -110,7 +111,7 @@ mod tests {
     }
 
     /// Unwraps the store `Arc` once the server has let go of it. The
-    /// per-connection reader threads are detached and hold a clone of
+    /// per-connection threads are detached and hold a clone of
     /// the server state (and through it, the store) until the client's
     /// socket EOF wakes them — briefly *after* `shutdown()` returns and
     /// the client is dropped, so the unwrap must wait them out.

@@ -38,16 +38,17 @@
 
 use crate::client::{Client, ClientError};
 use crate::proto::{Mutation, Op, Query, Response};
-use crate::server::Job;
+use crate::server::{self, Backend, Job, MutErr, Outcome};
 use ss_core::TilingMap;
 use ss_maintain::{DeltaBuffer, FlushMode};
 use ss_obs::trace;
 use ss_obs::{Counter, Histogram};
 use ss_storage::ShardMap;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Where each shard's replicas listen: the [`ShardMap`] partition plus
 /// one address list per shard (all lists `map.replicas()` long).
@@ -108,25 +109,28 @@ pub(crate) struct RouterMetrics {
 
 /// Shared router state: the topology, per-replica in-flight exchange
 /// counters (the read load-balancing signal), and `router.*` metrics.
-/// Connections are deliberately **not** here — each executor worker
-/// keeps its own connection cache so the fan-out path takes no lock.
-pub(crate) struct RouterCore {
-    pub(crate) topo: RouterTopology,
+/// Connections are deliberately **not** here — each connection thread
+/// keeps its own cache ([`READ_CONNS`]) so the fan-out path takes no lock.
+struct RouterCore {
+    topo: RouterTopology,
     in_flight: Vec<Vec<AtomicUsize>>,
     metrics: RouterMetrics,
 }
 
-/// One routed request's outcome: the exact merged value plus the
-/// per-tile partials (forwarded upstream when the request itself was a
-/// `partial` sub-plan), or a typed protocol error.
-pub(crate) type RoutedOutcome = Result<(f64, Vec<(usize, f64)>), (String, String)>;
+/// A cache of open shard connections, keyed by `(shard, replica)`.
+/// Dropped entries reconnect on next use.
+type ConnCache = HashMap<(usize, usize), Client>;
 
-/// A worker-local cache of open shard connections, keyed by
-/// `(shard, replica)`. Dropped entries reconnect on next use.
-pub(crate) type ConnCache = HashMap<(usize, usize), Client>;
+thread_local! {
+    /// The shard connections a client connection's thread reads over:
+    /// concurrent sweeps fan out over disjoint sockets (the per-replica
+    /// in-flight counters spread them across replicas), and the sockets
+    /// close with the client connection.
+    static READ_CONNS: RefCell<ConnCache> = RefCell::default();
+}
 
 impl RouterCore {
-    pub(crate) fn new(topo: RouterTopology) -> RouterCore {
+    fn new(topo: RouterTopology) -> RouterCore {
         let r = ss_obs::global();
         r.gauge("router.shards").set(topo.map.shards() as u64);
         r.gauge("router.replicas").set(topo.map.replicas() as u64);
@@ -264,18 +268,18 @@ struct Pending {
     tried: Vec<bool>,
 }
 
-/// Executes one batch of planned requests by scatter-gather: split each
+/// Executes one sweep of planned requests by scatter-gather: split each
 /// plan by owning shard, fan `partial` sub-requests out (all sends
 /// before any read), fail over across replicas, and merge the per-tile
 /// partials back in ascending tile order. Each job's own trace id is
 /// forwarded with its sub-requests, so shard-side spans land under the
 /// originating request's trace.
-pub(crate) fn execute_routed<M: TilingMap>(
+fn execute_routed<M: TilingMap>(
     core: &RouterCore,
     tiling: &M,
     conns: &mut ConnCache,
     jobs: &[Job],
-) -> Vec<RoutedOutcome> {
+) -> Vec<Outcome> {
     // --- Split every plan by owning shard. BTreeMaps keep both the
     // per-job shard lists and the fan-out itself in ascending shard
     // order, which the exact merge below relies on.
@@ -283,7 +287,7 @@ pub(crate) fn execute_routed<M: TilingMap>(
     let mut sub: BTreeMap<usize, ShardBatch> = BTreeMap::new();
     let mut touched: Vec<Vec<usize>> = vec![Vec::new(); jobs.len()];
     for (j, job) in jobs.iter().enumerate() {
-        let root = job.route.root;
+        let root = job.root;
         let fwd_trace = root.active().then_some(root.trace);
         let mut by_shard: BTreeMap<usize, Vec<(Vec<usize>, f64)>> = BTreeMap::new();
         for (idx, w) in job.plan.iter() {
@@ -377,7 +381,7 @@ pub(crate) fn execute_routed<M: TilingMap>(
     // are contiguous) and fold them left from 0.0 — the same addition
     // tree `execute_plans_tiled` builds on a single store, hence
     // bit-identical for every shard count.
-    let mut out: Vec<RoutedOutcome> = Vec::with_capacity(jobs.len());
+    let mut out: Vec<Outcome> = Vec::with_capacity(jobs.len());
     for (j, shards) in touched.iter().enumerate() {
         let mut value = 0.0f64;
         let mut tiles: Vec<(usize, f64)> = Vec::new();
@@ -430,8 +434,8 @@ pub(crate) fn execute_routed<M: TilingMap>(
 /// `{buffer, connections}` serialises commits against updates, exactly
 /// like the single-store writable backend.
 pub(crate) struct RouterBackend<M: TilingMap> {
-    core: Arc<RouterCore>,
-    tiling: Arc<M>,
+    core: RouterCore,
+    tiling: M,
     levels: Vec<u32>,
     write: Mutex<WriteState>,
 }
@@ -443,14 +447,14 @@ struct WriteState {
 
 impl<M: TilingMap> RouterBackend<M> {
     pub(crate) fn new(
-        core: Arc<RouterCore>,
-        tiling: Arc<M>,
+        topology: RouterTopology,
+        tiling: M,
         levels: Vec<u32>,
         flush_mode: FlushMode,
     ) -> RouterBackend<M> {
-        let buffer = DeltaBuffer::for_map(&*tiling, flush_mode);
+        let buffer = DeltaBuffer::for_map(&tiling, flush_mode);
         RouterBackend {
-            core,
+            core: RouterCore::new(topology),
             tiling,
             levels,
             write: Mutex::new(WriteState {
@@ -513,21 +517,16 @@ impl<M: TilingMap> RouterBackend<M> {
     }
 }
 
-impl<M> crate::server::Mutator for RouterBackend<M>
-where
-    M: TilingMap + Send + Sync,
-{
-    fn update(
-        &self,
-        at: &[usize],
-        dims: &[usize],
-        data: Vec<f64>,
-    ) -> Result<f64, crate::server::MutErr> {
+impl<M: TilingMap> Backend for RouterBackend<M> {
+    fn sweep(&self, jobs: &[Job]) -> Vec<Outcome> {
+        READ_CONNS.with_borrow_mut(|conns| execute_routed(&self.core, &self.tiling, conns, jobs))
+    }
+
+    fn update(&self, at: &[usize], dims: &[usize], data: Vec<f64>) -> Result<f64, MutErr> {
         let mut w = self.write.lock().unwrap();
-        let tiling = self.tiling.as_ref();
-        Ok(crate::server::buffer_box(
+        Ok(server::buffer_box(
             &mut w.buffer,
-            tiling,
+            &self.tiling,
             &self.levels,
             at,
             dims,
@@ -535,15 +534,15 @@ where
         ))
     }
 
-    fn apply(&self, ops: &[(usize, usize, f64)]) -> Result<f64, crate::server::MutErr> {
-        crate::server::check_ops(self.tiling.as_ref(), ops)?;
-        Ok(crate::server::buffer_ops(
+    fn apply(&self, ops: &[(usize, usize, f64)]) -> Result<f64, MutErr> {
+        server::check_ops(&self.tiling, ops)?;
+        Ok(server::buffer_ops(
             &mut self.write.lock().unwrap().buffer,
             ops,
         ))
     }
 
-    fn commit(&self) -> Result<f64, crate::server::MutErr> {
+    fn commit(&self) -> Result<f64, MutErr> {
         let fwd_trace = {
             let (t, _) = trace::current();
             (t != 0).then_some(t)

@@ -1,58 +1,60 @@
 //! The concurrent query server.
 //!
-//! Thread layout:
+//! Two thread roles:
 //!
-//! * one **acceptor** thread owns the listener and spawns a reader/writer
-//!   thread pair per connection,
-//! * per-connection **readers** parse and validate each line immediately
-//!   (errors are answered right away with a typed response) and push valid
-//!   requests — already planned into one flat contribution list each —
-//!   onto one shared queue, a **burst** at a time: everything a client
-//!   pipelined in one write is queued together, with one wake-up,
-//! * a fixed pool of **executor** workers drains up to
-//!   [`ServeConfig::batch_max`] pending requests per sweep and evaluates
-//!   them **tile-major** through [`ss_query::execute_plans_tiled`] (locate
-//!   every term, sort by `(tile, slot)`, fold runs): requests that arrived
-//!   concurrently from different clients share one fetch of every hot tile.
+//! * one **acceptor** owns the listener and spawns a thread per
+//!   connection,
+//! * a **connection** thread does everything for its client. It parses
+//!   and validates each line (errors are answered right away with a typed
+//!   response), plans valid queries into one flat contribution list each,
+//!   and collects them a **burst** at a time — everything the client
+//!   pipelined in one write. It then executes the burst itself, in
+//!   **sweeps** of at most [`ServeConfig::batch_max`] requests evaluated
+//!   **tile-major** through [`ss_query::execute_plans_tiled`] (locate
+//!   every term, sort by `(tile, slot)`, fold runs: the requests of a
+//!   sweep share one fetch of every tile), and writes each sweep's
+//!   replies to its own socket in one `write`.
 //!
-//! Replies are written straight to the socket under a per-connection
-//! mutex (shared by the executors and the reader's error path) — one
-//! `write` per sweep and connection, not one per response — and not
-//! queued to a writer thread: a response must be **on the wire before it
-//! is counted** against the request budget, or a budgeted server could
-//! stop — and its process exit — with the final answer still buffered,
-//! handing that client an EOF.
+//! At most [`ServeConfig::workers`] sweeps execute at once: a sweep runs
+//! under a permit of a counting semaphore and gives it back **before**
+//! its replies are written, so a client that stops reading stalls its own
+//! thread and nobody else's. Hot tiles are shared between connections by
+//! the buffer pool, not by batching requests across connections.
+//!
+//! A response is **on the wire before it is counted** against the request
+//! budget, or a budgeted server could stop — and its process exit — with
+//! the final answer still unwritten, handing that client an EOF.
 //!
 //! Shutdown mirrors [`ss_obs`]'s metrics server: a stop flag plus a
 //! throwaway self-connection to unblock `accept`. A request budget
 //! ([`ServeConfig::max_requests`]) triggers the same path once enough
 //! responses have been written, which is how tests and CI smoke runs get a
-//! bounded, clean exit; pending queued requests are still answered before
-//! the workers park.
+//! bounded, clean exit. Connection threads are detached: one that is
+//! mid-burst when the server stops still answers what it has planned, and
+//! each exits at its next read or when its client hangs up.
 //!
 //! # Writable serving
 //!
 //! [`QueryServer::bind_writable`] serves the same protocol over a
 //! [`SnapshotCoeffStore`] and additionally accepts `update` / `commit`
-//! mutations. Mutations are handled **synchronously on the connection
-//! reader** (buffering deltas is cheap and commits must be ordered with
-//! the requests around them on the same connection): `update` runs the
-//! SHIFT-SPLIT decomposition into a shared [`DeltaBuffer`], `commit`
-//! group-commits the buffer as the next epoch through the snapshot
-//! store's WAL-backed commit path. Query batches pin one snapshot for the
-//! whole batch, so a batch never observes a half-published epoch, and any
-//! query parsed after a commit's response pins an epoch at least as new
-//! (read-your-writes).
+//! mutations. A mutation runs where its line is read, after the queries
+//! read before it and before anything read after it (commits must be
+//! ordered with the requests around them on the same connection):
+//! `update` runs the SHIFT-SPLIT decomposition into a shared
+//! [`DeltaBuffer`], `commit` group-commits the buffer as the next epoch
+//! through the snapshot store's WAL-backed commit path. A sweep pins one
+//! snapshot for all of its queries, so it never observes a half-published
+//! epoch, and any query parsed after a commit's response pins an epoch at
+//! least as new (read-your-writes).
 
 use crate::proto::{self, Mutation, Op, Request, RequestError};
-use crate::router::{self, ConnCache, RoutedOutcome, RouterBackend, RouterCore, RouterTopology};
+use crate::router::{RouterBackend, RouterTopology};
 use ss_core::reconstruct::Contributions;
 use ss_core::TilingMap;
 use ss_maintain::{DeltaBuffer, FlushMode, SnapshotCoeffStore};
 use ss_obs::trace::{self, SpanCtx, TraceEventKind};
 use ss_obs::{Counter, Histogram};
 use ss_storage::{BlockStore, CoeffRead, SharedCoeffStore};
-use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -60,34 +62,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// One connection's outbound socket half. Executors and the owning
-/// reader's error path write whole response lines under the mutex, so
-/// replies from different sources interleave safely — and synchronously:
-/// by the time the sender counts the reply toward the request budget,
-/// the bytes have already been handed to the kernel. Write errors are
-/// ignored (the client hung up; its reader thread is winding down too).
-struct ReplyLine {
-    out: Mutex<TcpStream>,
-}
-
-impl ReplyLine {
-    /// Sends `lines` — one response line, or several joined by `\n` —
-    /// and the final newline in a single `write`: one segment on the
-    /// wire and one wake-up of the client, however many lines.
-    fn send(&self, lines: &str) {
-        let mut out = self.out.lock().unwrap();
-        let _ = out
-            .write_all(format!("{lines}\n").as_bytes())
-            .and_then(|()| out.flush());
-    }
-}
-
 /// Server sizing and lifetime knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Executor worker threads draining the shared queue.
+    /// Sweeps that may execute at once, over all connections.
     pub workers: usize,
-    /// Most requests one executor sweep batches together.
+    /// Most requests one sweep evaluates; a longer pipelined burst is
+    /// executed and answered in several sweeps.
     pub batch_max: usize,
     /// Stop after this many responses (`None` = serve forever).
     pub max_requests: Option<u64>,
@@ -108,37 +89,69 @@ impl Default for ServeConfig {
     }
 }
 
-/// One planned request waiting for an executor: what to evaluate and
-/// where the answer goes.
+/// One planned request of the burst its connection thread is collecting.
 pub(crate) struct Job {
     pub(crate) plan: Contributions,
-    pub(crate) route: Route,
-}
-
-/// The per-request part of a [`Job`] the answer path needs.
-pub(crate) struct Route {
     id: Option<i128>,
-    reply: Arc<ReplyLine>,
-    enqueued: Instant,
-    /// The request's root trace span (inert when untraced), opened on
-    /// the connection reader and closed after the reply is sent.
+    planned: Instant,
+    /// The request's root trace span (inert when untraced), closed after
+    /// the reply is sent.
     pub(crate) root: SpanCtx,
     /// Whether the reply must carry the per-tile partial decomposition
     /// (`partial` sub-plans from an upstream router).
     wants_tiles: bool,
 }
 
-/// Type-erased mutation sink, so [`State`] stays non-generic. `Ok`
-/// carries the response value (deltas buffered for an update, the
-/// published epoch for a commit); `Err` carries a protocol error kind
-/// plus message.
-pub(crate) trait Mutator: Send + Sync {
-    fn update(&self, at: &[usize], dims: &[usize], data: Vec<f64>) -> Result<f64, MutErr>;
-    fn apply(&self, ops: &[(usize, usize, f64)]) -> Result<f64, MutErr>;
-    fn commit(&self) -> Result<f64, MutErr>;
+/// One request's outcome: the exact value plus its per-tile partials
+/// (sent when the request itself was a `partial` sub-plan), or a typed
+/// protocol error.
+pub(crate) type Outcome = Result<(f64, Vec<(usize, f64)>), (String, String)>;
+
+/// A protocol error kind plus message.
+pub(crate) type MutErr = (&'static str, String);
+
+/// What a server answers from. `Ok` of a mutation carries the response
+/// value (deltas buffered for an update or an apply, the published epoch
+/// for a commit); a backend that defines none of them is read-only.
+pub(crate) trait Backend: Send + Sync {
+    /// Evaluates one sweep: an outcome per job, in order.
+    fn sweep(&self, jobs: &[Job]) -> Vec<Outcome>;
+
+    fn update(&self, _at: &[usize], _dims: &[usize], _data: Vec<f64>) -> Result<f64, MutErr> {
+        Err(read_only())
+    }
+
+    fn apply(&self, _ops: &[(usize, usize, f64)]) -> Result<f64, MutErr> {
+        Err(read_only())
+    }
+
+    fn commit(&self) -> Result<f64, MutErr> {
+        Err(read_only())
+    }
 }
 
-pub(crate) type MutErr = (&'static str, String);
+fn read_only() -> MutErr {
+    (
+        "read_only",
+        "this server is read-only (start it writable to accept mutations)".to_string(),
+    )
+}
+
+/// One tile-major sweep over `source`. Answers are bit-identical to serial
+/// execution because [`ss_query::execute_plans_tiled`] fixes the
+/// evaluation order from the plans alone.
+fn sweep_store(source: &mut impl CoeffRead, jobs: &[Job]) -> Vec<Outcome> {
+    ss_query::execute_plans_tiled(source, jobs.iter().map(|job| &job.plan))
+        .into_iter()
+        .map(|r| Ok((r.value, r.tiles)))
+        .collect()
+}
+
+impl<M: TilingMap, S: BlockStore + Send + Sync> Backend for SharedCoeffStore<M, S> {
+    fn sweep(&self, jobs: &[Job]) -> Vec<Outcome> {
+        sweep_store(&mut &*self, jobs)
+    }
+}
 
 /// Buffers one standard-form update box's SHIFT-SPLIT delta stream as one
 /// operation; returns the coefficients touched.
@@ -188,11 +201,14 @@ struct WritableBackend<M: TilingMap, S: BlockStore> {
     levels: Vec<u32>,
 }
 
-impl<M, S> Mutator for WritableBackend<M, S>
-where
-    M: TilingMap,
-    S: BlockStore + Send + Sync,
-{
+impl<M: TilingMap, S: BlockStore + Send + Sync> Backend for WritableBackend<M, S> {
+    /// Pins one epoch for all of the sweep's queries, so no request can
+    /// observe a half-published commit, and a request parsed after a
+    /// commit's response pins an epoch at least as new.
+    fn sweep(&self, jobs: &[Job]) -> Vec<Outcome> {
+        sweep_store(&mut &self.store.pin(), jobs)
+    }
+
     fn update(&self, at: &[usize], dims: &[usize], data: Vec<f64>) -> Result<f64, MutErr> {
         let mut buf = self.buffer.lock().unwrap();
         Ok(buffer_box(
@@ -243,10 +259,38 @@ impl Metrics {
     }
 }
 
-/// State shared by the acceptor, readers and executors.
+/// The counting semaphore behind [`ServeConfig::workers`].
+struct Permits {
+    free: Mutex<usize>,
+    released: Condvar,
+}
+
+/// One of the permits, given back on drop.
+struct Permit<'a>(&'a Permits);
+
+impl Permits {
+    fn acquire(&self) -> Permit<'_> {
+        let free = self.free.lock().unwrap();
+        let mut free = self.released.wait_while(free, |n| *n == 0).unwrap();
+        *free -= 1;
+        Permit(self)
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        // A poisoned count is still a count: every update is one `+=`.
+        *self.0.free.lock().unwrap_or_else(|e| e.into_inner()) += 1;
+        self.0.released.notify_one();
+    }
+}
+
+/// State shared by the acceptor and the connection threads.
 struct State {
-    queue: Mutex<VecDeque<Job>>,
-    available: Condvar,
+    backend: Box<dyn Backend>,
+    /// The trace span a sweep runs in.
+    sweep_span: &'static str,
+    permits: Permits,
     stop: AtomicBool,
     answered: AtomicU64,
     max_requests: Option<u64>,
@@ -256,8 +300,6 @@ struct State {
     batch_max: usize,
     metrics: Metrics,
     slow_ns: Option<u64>,
-    /// `Some` on writable servers; `None` rejects mutations as `read_only`.
-    mutator: Option<Arc<dyn Mutator>>,
 }
 
 impl State {
@@ -289,14 +331,6 @@ impl State {
         );
     }
 
-    /// Hands the planned requests of one burst to the executors: one
-    /// queue insertion, and one wake-up per sweep's worth of work.
-    fn enqueue(&self, burst: &mut Vec<Job>) {
-        let sweeps = burst.len().div_ceil(self.batch_max);
-        self.queue.lock().unwrap().extend(burst.drain(..));
-        (0..sweeps).for_each(|_| self.available.notify_one());
-    }
-
     /// Counts one written response; reaching the budget triggers stop.
     fn count_reply(&self) {
         let n = self.answered.fetch_add(1, Ordering::AcqRel) + 1;
@@ -309,12 +343,6 @@ impl State {
 
     fn trigger_stop(&self) {
         self.stop.store(true, Ordering::Release);
-        // An executor reads `stop` under `queue` and then waits. Passing
-        // through the mutex puts the store before that read or this
-        // notification after the executor is parked; without it a stop
-        // landing between the two is a lost wake-up and the join hangs.
-        drop(self.queue.lock().unwrap());
-        self.available.notify_all();
         // Unblock accept() with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
     }
@@ -326,13 +354,12 @@ impl State {
 
 /// A query server running on background threads.
 ///
-/// The handle is deliberately non-generic: the store type is captured by
-/// the worker closures, so callers can hold `QueryServer` values of
+/// The handle is deliberately non-generic: the store type is erased
+/// behind the backend, so callers can hold `QueryServer` values of
 /// different store types uniformly.
 pub struct QueryServer {
     state: Arc<State>,
     acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl QueryServer {
@@ -349,19 +376,13 @@ impl QueryServer {
         M: TilingMap + 'static,
         S: BlockStore + Send + Sync + 'static,
     {
-        let (listener, state) = make_state(addr, levels, &config, None)?;
-        let store = Arc::new(store);
-        let workers = spawn_executors(config.workers, "ss-serve-exec", || {
-            let (state, store) = (Arc::clone(&state), Arc::clone(&store));
-            move || executor_loop(&state, "serve.exec", |batch| sweep(&mut &*store, batch))
-        })?;
-        QueryServer::finish(listener, state, workers)
+        QueryServer::start(addr, levels, config, "serve.exec", Box::new(store))
     }
 
     /// Binds `addr` and serves standard-form queries **and mutations**
     /// against an epoch-versioned snapshot store: `update` buffers box
     /// deltas under `flush_mode`, `commit` publishes them as the next
-    /// epoch, and each query batch executes against one pinned snapshot.
+    /// epoch, and each sweep executes against one pinned snapshot.
     /// The caller keeps a clone of the `Arc` to checkpoint / recover the
     /// store around the server's lifetime.
     pub fn bind_writable<M, S>(
@@ -375,24 +396,12 @@ impl QueryServer {
         M: TilingMap + 'static,
         S: BlockStore + Send + Sync + 'static,
     {
-        let backend = Arc::new(WritableBackend {
+        let backend = WritableBackend {
             buffer: Mutex::new(DeltaBuffer::for_map(store.map(), flush_mode)),
             levels: levels.clone(),
-            store: Arc::clone(&store),
-        });
-        let (listener, state) = make_state(addr, levels, &config, Some(backend))?;
-        // Each batch pins one epoch for all of its queries, so no request
-        // can observe a half-published commit, and a request parsed after
-        // a commit's response pins an epoch at least as new.
-        let workers = spawn_executors(config.workers, "ss-serve-exec", || {
-            let (state, store) = (Arc::clone(&state), Arc::clone(&store));
-            move || {
-                executor_loop(&state, "serve.exec", |batch| {
-                    sweep(&mut &store.pin(), batch)
-                })
-            }
-        })?;
-        QueryServer::finish(listener, state, workers)
+            store,
+        };
+        QueryServer::start(addr, levels, config, "serve.exec", Box::new(backend))
     }
 
     /// Binds `addr` and serves the same protocol as a **scatter-gather
@@ -432,36 +441,37 @@ impl QueryServer {
                 ),
             ));
         }
-        let tiling = Arc::new(tiling);
-        let core = Arc::new(RouterCore::new(topology));
-        let backend = Arc::new(RouterBackend::new(
-            Arc::clone(&core),
-            Arc::clone(&tiling),
-            levels.clone(),
-            flush_mode,
-        ));
-        let (listener, state) = make_state(addr, levels, &config, Some(backend))?;
-        // Each worker keeps its own connection cache, so concurrent workers
-        // fan out over disjoint sockets (per-replica in-flight counters in
-        // `RouterCore` spread them across replicas).
-        let workers = spawn_executors(config.workers, "ss-serve-route", || {
-            let (state, core, tiling) =
-                (Arc::clone(&state), Arc::clone(&core), Arc::clone(&tiling));
-            move || {
-                let mut conns = ConnCache::new();
-                executor_loop(&state, "router.fanout", |batch| {
-                    router::execute_routed(&core, tiling.as_ref(), &mut conns, batch)
-                })
-            }
-        })?;
-        QueryServer::finish(listener, state, workers)
+        let backend = RouterBackend::new(topology, tiling, levels.clone(), flush_mode);
+        QueryServer::start(addr, levels, config, "router.fanout", Box::new(backend))
     }
 
-    fn finish(
-        listener: TcpListener,
-        state: Arc<State>,
-        workers: Vec<JoinHandle<()>>,
+    fn start(
+        addr: &str,
+        levels: Vec<u32>,
+        config: ServeConfig,
+        sweep_span: &'static str,
+        backend: Box<dyn Backend>,
     ) -> std::io::Result<QueryServer> {
+        assert!(config.workers >= 1, "server needs at least one worker");
+        assert!(config.batch_max >= 1, "batch_max must be at least one");
+        let listener = TcpListener::bind(addr)?;
+        let state = Arc::new(State {
+            backend,
+            sweep_span,
+            permits: Permits {
+                free: Mutex::new(config.workers),
+                released: Condvar::new(),
+            },
+            stop: AtomicBool::new(false),
+            answered: AtomicU64::new(0),
+            max_requests: config.max_requests,
+            addr: listener.local_addr()?,
+            dims: levels.iter().map(|&n| 1usize << n).collect(),
+            levels,
+            batch_max: config.batch_max,
+            metrics: Metrics::resolve(),
+            slow_ns: config.slow_ns,
+        });
         let acceptor_state = Arc::clone(&state);
         let acceptor = std::thread::Builder::new()
             .name("ss-serve-accept".into())
@@ -469,7 +479,6 @@ impl QueryServer {
         Ok(QueryServer {
             state,
             acceptor: Some(acceptor),
-            workers,
         })
     }
 
@@ -484,27 +493,25 @@ impl QueryServer {
     }
 
     /// Blocks until the server stops on its own (request budget reached),
-    /// then joins every server thread and returns the number of responses
+    /// then joins the acceptor and returns the number of responses
     /// written. Blocks forever when no budget was configured.
     pub fn join(mut self) -> u64 {
-        self.join_threads();
-        self.state.answered.load(Ordering::Acquire)
+        self.join_acceptor();
+        self.answered()
     }
 
-    /// Stops the server and joins its threads; queued requests are still
-    /// answered first. Returns the number of responses written.
+    /// Stops accepting and joins the acceptor; a connection that is
+    /// mid-burst still answers it. Returns the number of responses
+    /// written so far.
     pub fn shutdown(mut self) -> u64 {
         self.state.trigger_stop();
-        self.join_threads();
-        self.state.answered.load(Ordering::Acquire)
+        self.join_acceptor();
+        self.answered()
     }
 
-    fn join_threads(&mut self) {
+    fn join_acceptor(&mut self) {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
         }
     }
 }
@@ -513,37 +520,9 @@ impl Drop for QueryServer {
     fn drop(&mut self) {
         if self.acceptor.is_some() {
             self.state.trigger_stop();
-            self.join_threads();
+            self.join_acceptor();
         }
     }
-}
-
-fn make_state(
-    addr: &str,
-    levels: Vec<u32>,
-    config: &ServeConfig,
-    mutator: Option<Arc<dyn Mutator>>,
-) -> std::io::Result<(TcpListener, Arc<State>)> {
-    assert!(config.workers >= 1, "server needs at least one worker");
-    assert!(config.batch_max >= 1, "batch_max must be at least one");
-    let listener = TcpListener::bind(addr)?;
-    let local = listener.local_addr()?;
-    let dims = levels.iter().map(|&n| 1usize << n).collect();
-    let state = Arc::new(State {
-        queue: Mutex::new(VecDeque::new()),
-        available: Condvar::new(),
-        stop: AtomicBool::new(false),
-        answered: AtomicU64::new(0),
-        max_requests: config.max_requests,
-        addr: local,
-        levels,
-        dims,
-        batch_max: config.batch_max,
-        metrics: Metrics::resolve(),
-        slow_ns: config.slow_ns,
-        mutator,
-    });
-    Ok((listener, state))
 }
 
 fn acceptor_loop(listener: &TcpListener, state: &Arc<State>) {
@@ -557,8 +536,8 @@ fn acceptor_loop(listener: &TcpListener, state: &Arc<State>) {
                 // coalesce them would stall closed-loop clients ~40 ms.
                 let _ = stream.set_nodelay(true);
                 let conn_state = Arc::clone(state);
-                // Reader threads are detached: they exit when the client
-                // disconnects (EOF).
+                // Connection threads are detached: they exit when the
+                // client disconnects (EOF).
                 let _ = std::thread::Builder::new()
                     .name("ss-serve-conn".into())
                     .spawn(move || connection_loop(stream, &conn_state));
@@ -568,28 +547,28 @@ fn acceptor_loop(listener: &TcpListener, state: &Arc<State>) {
     }
 }
 
-/// Per-connection reader: parse, validate, plan, enqueue. The outbound
-/// half of the socket lives in a shared [`ReplyLine`]; executors and this
-/// reader's error path write to it directly.
-fn connection_loop(stream: TcpStream, state: &Arc<State>) {
-    let writer_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let reply = Arc::new(ReplyLine {
-        out: Mutex::new(writer_stream),
-    });
+/// Hands whole response lines — one, or several joined by `\n` — and the
+/// final newline to the kernel in a single `write`: one segment on the
+/// wire and one wake-up of the client, however many lines. Write errors
+/// are ignored (the client hung up; this thread's next read ends it).
+fn send(mut out: &TcpStream, mut lines: String) {
+    lines.push('\n');
+    let _ = out.write_all(lines.as_bytes());
+}
+
+/// One connection, start to finish: parse, validate, plan, execute,
+/// reply.
+fn connection_loop(stream: TcpStream, state: &State) {
     let mut reader = BufReader::new(stream);
-    // The planned queries of the burst being read. They reach the
-    // executors together, once no further complete line is buffered, so
-    // how a pipelined exchange is cut into sweeps follows from what the
-    // client sent, not from who wins a race between this thread and the
-    // executors.
+    // The planned queries of the burst being read. They are executed
+    // together, once no further complete line is buffered, so how a
+    // pipelined exchange is cut into sweeps follows from what the client
+    // sent and from `batch_max`, never from timing.
     let mut burst: Vec<Job> = Vec::new();
     let mut line = String::new();
     loop {
         if !reader.buffer().contains(&b'\n') {
-            state.enqueue(&mut burst);
+            run_burst(state, reader.get_ref(), &mut burst);
         }
         line.clear();
         if !matches!(reader.read_line(&mut line), Ok(n) if n > 0) || state.stopped() {
@@ -601,7 +580,10 @@ fn connection_loop(stream: TcpStream, state: &Arc<State>) {
         match parse_and_validate(&line, &state.dims) {
             Err(e) => {
                 state.metrics.requests_err.inc();
-                reply.send(&proto::err_response(e.id, e.kind, &e.message));
+                send(
+                    reader.get_ref(),
+                    proto::err_response(e.id, e.kind, &e.message),
+                );
                 state.count_reply();
             }
             Ok(Request {
@@ -616,70 +598,59 @@ fn connection_loop(stream: TcpStream, state: &Arc<State>) {
                     trace::end_span(plan_span);
                     plan
                 };
-                let job = Job {
+                burst.push(Job {
                     plan,
-                    route: Route {
-                        id,
-                        reply: Arc::clone(&reply),
-                        enqueued: Instant::now(),
-                        root,
-                        wants_tiles: query.wants_tiles(),
-                    },
-                };
-                burst.push(job);
+                    id,
+                    planned: Instant::now(),
+                    root,
+                    wants_tiles: query.wants_tiles(),
+                });
             }
-            // Mutations are answered synchronously on the reader: the
-            // response must be on the wire before the next line on this
-            // connection is read, so a client that pipelines
+            // A mutation's response is on the wire before the next line
+            // on this connection is read, so a client that pipelines
             // `update, commit, query` gets read-your-writes.
             Ok(Request {
                 id,
                 op: Op::Mutation(m),
                 trace: trace_id,
             }) => {
-                // Queries read before a mutation do not wait for it.
-                state.enqueue(&mut burst);
+                // Queries read before a mutation do not see it.
+                run_burst(state, reader.get_ref(), &mut burst);
                 let root = trace::begin_span(request_trace_id(trace_id), 0, "serve.request");
                 let started = Instant::now();
                 let outcome = {
                     // The thread-local context makes the WAL / commit /
                     // tile-fetch events of this mutation attach to it.
                     let _in_span = trace::enter(root);
-                    match state.mutator.as_deref() {
-                        None => Err((
-                            "read_only",
-                            "this server is read-only (start it writable to accept mutations)"
-                                .to_string(),
-                        )),
-                        Some(mutator) => match m {
-                            Mutation::Update { at, dims, data } => {
-                                let _s = trace::scoped("serve.update");
-                                mutator.update(&at, &dims, data)
-                            }
-                            Mutation::Apply { ops } => {
-                                let _s = trace::scoped("serve.apply");
-                                mutator.apply(&ops)
-                            }
-                            Mutation::Commit => {
-                                let _s = trace::scoped("serve.commit");
-                                mutator.commit()
-                            }
-                        },
+                    match m {
+                        Mutation::Update { at, dims, data } => {
+                            let _s = trace::scoped("serve.update");
+                            state.backend.update(&at, &dims, data)
+                        }
+                        Mutation::Apply { ops } => {
+                            let _s = trace::scoped("serve.apply");
+                            state.backend.apply(&ops)
+                        }
+                        Mutation::Commit => {
+                            let _s = trace::scoped("serve.commit");
+                            state.backend.commit()
+                        }
                     }
                 };
                 let dur_ns = started.elapsed().as_nanos() as u64;
-                match outcome {
+                let reply = match outcome {
                     Ok(value) => {
                         state.metrics.requests_ok.inc();
                         state.metrics.request_ns.record(dur_ns);
                         let echo = root.active().then_some(root.trace);
-                        reply.send(&proto::ok_response_traced(id, echo, value));
+                        proto::ok_response_traced(id, echo, value)
                     }
                     Err((kind, message)) => {
                         state.metrics.requests_err.inc();
-                        reply.send(&proto::err_response(id, kind, &message));
+                        proto::err_response(id, kind, &message)
                     }
-                }
+                };
+                send(reader.get_ref(), reply);
                 state.observe_slow(id, &root, dur_ns);
                 trace::end_span(root);
                 state.count_reply();
@@ -687,7 +658,7 @@ fn connection_loop(stream: TcpStream, state: &Arc<State>) {
         }
     }
     // A stop cut the burst short: what was planned is still answered.
-    state.enqueue(&mut burst);
+    run_burst(state, reader.get_ref(), &mut burst);
 }
 
 /// The trace id a request runs under: the client's, else a fresh one
@@ -714,111 +685,64 @@ fn parse_and_validate(line: &str, dims: &[usize]) -> Result<Request, RequestErro
     Ok(req)
 }
 
-/// Spawns `n` named executor threads, each running a fresh `make()` body.
-fn spawn_executors<F: FnOnce() + Send + 'static>(
-    n: usize,
-    name: &str,
-    make: impl Fn() -> F,
-) -> std::io::Result<Vec<JoinHandle<()>>> {
-    (0..n)
-        .map(|w| {
-            std::thread::Builder::new()
-                .name(format!("{name}-{w}"))
-                .spawn(make())
-        })
-        .collect()
-}
-
-/// Parks until planned requests are queued, then takes up to `batch_max`
-/// of them; `None` once the server is stopped and the queue is drained.
-fn next_batch(state: &State) -> Option<Vec<Job>> {
-    let mut queue = state.queue.lock().unwrap();
-    while queue.is_empty() {
-        if state.stopped() {
-            return None;
-        }
-        queue = state.available.wait(queue).unwrap();
-    }
-    let n = state.batch_max.min(queue.len());
-    Some(queue.drain(..n).collect())
-}
-
-/// The executor body every backend shares: drain a batch, turn its plans
-/// into one outcome per request inside a `span` covering the sweep, and
-/// reply. The backends differ only in `run`.
-fn executor_loop(
-    state: &State,
-    span: &'static str,
-    mut run: impl FnMut(&[Job]) -> Vec<RoutedOutcome>,
-) {
-    while let Some(batch) = next_batch(state) {
-        // Parented under the batch's **first traced** request: tile
-        // fetches (or the shard fan-out) are shared across the batch, so
+/// Executes and answers a burst, `batch_max` requests at a time.
+fn run_burst(state: &State, out: &TcpStream, burst: &mut Vec<Job>) {
+    for jobs in burst.chunks(state.batch_max) {
+        let permit = state.permits.acquire();
+        // Parented under the sweep's **first traced** request: tile
+        // fetches (or the shard fan-out) are shared across the sweep, so
         // they are attributed to that request's tree (a documented
         // approximation — see DESIGN.md §13).
-        let exec = batch
+        let exec = jobs
             .iter()
-            .map(|job| job.route.root)
+            .map(|job| job.root)
             .find(SpanCtx::active)
-            .map(|p| trace::begin_span(p.trace, p.span, span))
+            .map(|p| trace::begin_span(p.trace, p.span, state.sweep_span))
             .unwrap_or_else(SpanCtx::none);
         let outcomes = {
             let _in_span = trace::enter(exec);
-            run(&batch)
+            state.backend.sweep(jobs)
         };
         trace::end_span(exec);
-        answer(state, &batch, outcomes);
+        // Before the write: a client that has stopped reading must stall
+        // this thread only, not a sweep slot.
+        drop(permit);
+        answer(state, out, jobs, outcomes);
     }
+    burst.clear();
 }
 
-/// One tile-major sweep over `source`. Answers are bit-identical to serial
-/// execution because [`ss_query::execute_plans_tiled`] fixes the
-/// evaluation order from the plans alone.
-fn sweep(source: &mut impl CoeffRead, batch: &[Job]) -> Vec<RoutedOutcome> {
-    ss_query::execute_plans_tiled(source, batch.iter().map(|job| &job.plan))
-        .into_iter()
-        .map(|r| Ok((r.value, r.tiles)))
-        .collect()
-}
-
-/// Replies to one executed batch: per request, the response line, the
+/// Replies to one executed sweep: per request, the response line, the
 /// latency sample, the slow-request check, the root span's end and the
-/// reply count. Consecutive replies to one connection leave in **one**
-/// `write`: a burst is queued as a unit, so a client is woken once per
-/// sweep instead of once per response.
-fn answer(state: &State, batch: &[Job], outcomes: Vec<RoutedOutcome>) {
+/// reply count. The lines leave in **one** `write`, so a client is woken
+/// once per sweep instead of once per response.
+fn answer(state: &State, out: &TcpStream, jobs: &[Job], outcomes: Vec<Outcome>) {
     state.metrics.batches.inc();
-    state.metrics.batch_size.record(batch.len() as u64);
+    state.metrics.batch_size.record(jobs.len() as u64);
     let mut lines = String::new();
-    let mut jobs = batch.iter().zip(outcomes).peekable();
-    while let Some((Job { route, .. }, outcome)) = jobs.next() {
-        let dur_ns = route.enqueued.elapsed().as_nanos() as u64;
+    for (job, outcome) in jobs.iter().zip(outcomes) {
+        if !lines.is_empty() {
+            lines.push('\n');
+        }
+        let dur_ns = job.planned.elapsed().as_nanos() as u64;
         lines += &match outcome {
             Ok((value, tiles)) => {
                 state.metrics.request_ns.record(dur_ns);
                 state.metrics.requests_ok.inc();
-                let echo = route.root.active().then_some(route.root.trace);
-                let tiles = route.wants_tiles.then_some(tiles.as_slice());
-                proto::ok_response_tiled(route.id, echo, value, tiles)
+                let echo = job.root.active().then_some(job.root.trace);
+                let tiles = job.wants_tiles.then_some(tiles.as_slice());
+                proto::ok_response_tiled(job.id, echo, value, tiles)
             }
             Err((kind, message)) => {
                 state.metrics.requests_err.inc();
-                proto::err_response(route.id, &kind, &message)
+                proto::err_response(job.id, &kind, &message)
             }
         };
-        state.observe_slow(route.id, &route.root, dur_ns);
-        if jobs
-            .peek()
-            .is_some_and(|(next, _)| Arc::ptr_eq(&next.route.reply, &route.reply))
-        {
-            lines.push('\n');
-        } else {
-            route.reply.send(&lines);
-            lines.clear();
-        }
+        state.observe_slow(job.id, &job.root, dur_ns);
     }
-    for Job { route, .. } in batch {
-        trace::end_span(route.root);
+    send(out, lines);
+    for job in jobs {
+        trace::end_span(job.root);
         state.count_reply();
     }
 }

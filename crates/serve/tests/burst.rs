@@ -1,8 +1,7 @@
-//! The hand-off is per burst: the requests a client pipelines in one write
-//! reach the executors together, so `k ≤ batch_max` of them are exactly one
-//! sweep whatever the timing (they used to fall into anything from 1 to `k`
-//! sweeps, by a race between the connection reader and the executors).
-//! `serve.batches` is process-wide, so this file holds exactly one test.
+//! Execution is per burst: the requests a client pipelines in one write
+//! are executed together, so `k ≤ batch_max` of them are exactly one sweep
+//! whatever the timing. `serve.batches` is process-wide, so this file holds
+//! exactly one test.
 
 use ss_core::tiling::StandardTiling;
 use ss_serve::{Client, Query, QueryServer, ServeConfig};

@@ -468,7 +468,7 @@ fn router_fanout_spans_and_shard_spans_share_one_trace_id() {
         assert!(begun.contains(&want), "missing {want} in {begun:?}");
     }
     // ...and shard-side spans under the same trace id: the shard's own
-    // request root plus its executor sweep and commit.
+    // request root plus its sweep and commit.
     for want in ["serve.exec", "serve.commit"] {
         assert!(
             begun.contains(&want),

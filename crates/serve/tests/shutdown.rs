@@ -1,10 +1,8 @@
-//! `QueryServer::shutdown` on an idle server returns. An executor reads
-//! the stop flag under the queue mutex and then parks on the condvar; a
-//! stop that lands between the two used to be a lost wake-up, and the
-//! join that follows never came back (1 in 33 runs of `tests/router.rs`).
-//! A freshly bound server, whose executors are still on their way to the
-//! first park, is the widest window there is — so bind and shut down a
-//! thousand of them, under a watchdog: fail, never hang.
+//! `QueryServer::shutdown` on an idle server returns: the only thread it
+//! joins is the acceptor, which a stop flag and a throwaway connection
+//! always reach. A freshly bound server, whose acceptor may not have
+//! reached `accept` yet, is the narrowest case there is — so bind and shut
+//! down a thousand of them, under a watchdog: fail, never hang.
 
 use ss_core::tiling::StandardTiling;
 use ss_serve::{QueryServer, ServeConfig};

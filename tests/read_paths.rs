@@ -9,7 +9,11 @@
 //!   does not depend on what else is in the batch, nor on which process
 //!   folds which tile range),
 //! * after `materialize_standard_scalings`: `point_standard_fast(p)` equals
-//!   `range_sum_standard_fast(p, p)` and the oracle (tolerance).
+//!   `range_sum_standard_fast(p, p)` and the oracle (tolerance),
+//! * **bitwise**, store vs replayed: what a writable server answers after
+//!   `update` + `commit` groups == `batch_*` over its crash image (base
+//!   store + write-ahead log, nothing checkpointed) once the log is
+//!   replayed onto it.
 //!
 //! Tier-1 (`cargo test -q` at the root) runs this, so a cross-crate break of
 //! the evaluator shows up in the one-line verify.
@@ -18,7 +22,7 @@ use shiftsplit::array::{MultiIndexIter, NdArray, Shape};
 use shiftsplit::core::tiling::StandardTiling;
 use shiftsplit::core::TilingMap;
 use shiftsplit::datagen::SplitMix64;
-use shiftsplit::maintain::{FlushMode, SnapshotCoeffStore};
+use shiftsplit::maintain::{replay_records, FlushMode, SnapshotCoeffStore, Wal};
 use shiftsplit::query;
 use shiftsplit::storage::{mem_shared_store, wstore::mem_store, IoStats, ShardMap};
 use ss_serve::{Client, Query, QueryServer, RouterTopology, ServeConfig};
@@ -55,11 +59,41 @@ fn ask(addr: std::net::SocketAddr, queries: &[Query]) -> Vec<f64> {
         .collect()
 }
 
+fn dataset() -> NdArray<f64> {
+    NdArray::from_fn(Shape::new(&DIMS), |idx| {
+        ((idx[0] * 31 + idx[1] * 7) % 23) as f64 / 3.0 - 2.5
+    })
+}
+
+type Ranges = Vec<(Vec<usize>, Vec<usize>)>;
+
+/// The seeded workload: 40 points, 30 ranges, and both as wire queries.
+fn workload() -> (Vec<Vec<usize>>, Ranges, Vec<Query>) {
+    let mut rng = SplitMix64::new(0x5eed);
+    let points: Vec<Vec<usize>> = (0..40)
+        .map(|_| DIMS.iter().map(|&d| rng.below(d)).collect())
+        .collect();
+    let ranges: Ranges = (0..30)
+        .map(|_| {
+            let lo: Vec<usize> = DIMS.iter().map(|&d| rng.below(d)).collect();
+            let hi = lo.iter().zip(DIMS).map(|(&l, d)| l + rng.below(d - l));
+            (lo.clone(), hi.collect())
+        })
+        .collect();
+    let queries = points
+        .iter()
+        .map(|pos| Query::Point { pos: pos.clone() })
+        .chain(ranges.iter().map(|(lo, hi)| Query::RangeSum {
+            lo: lo.clone(),
+            hi: hi.clone(),
+        }))
+        .collect();
+    (points, ranges, queries)
+}
+
 #[test]
 fn every_read_front_agrees() {
-    let data = NdArray::from_fn(Shape::new(&DIMS), |idx| {
-        ((idx[0] * 31 + idx[1] * 7) % 23) as f64 / 3.0 - 2.5
-    });
+    let data = dataset();
     let transformed = shiftsplit::core::standard::forward_to(&data);
     let mut cs = mem_store(tiling(), 1 << 10, IoStats::new());
     // One shared copy per server: the single-store server plus two shards
@@ -74,25 +108,7 @@ fn every_read_front_agrees() {
         }
     }
 
-    let mut rng = SplitMix64::new(0x5eed);
-    let points: Vec<Vec<usize>> = (0..40)
-        .map(|_| DIMS.iter().map(|&d| rng.below(d)).collect())
-        .collect();
-    let ranges: Vec<(Vec<usize>, Vec<usize>)> = (0..30)
-        .map(|_| {
-            let lo: Vec<usize> = DIMS.iter().map(|&d| rng.below(d)).collect();
-            let hi = lo.iter().zip(DIMS).map(|(&l, d)| l + rng.below(d - l));
-            (lo.clone(), hi.collect())
-        })
-        .collect();
-    let queries: Vec<Query> = points
-        .iter()
-        .map(|pos| Query::Point { pos: pos.clone() })
-        .chain(ranges.iter().map(|(lo, hi)| Query::RangeSum {
-            lo: lo.clone(),
-            hi: hi.clone(),
-        }))
-        .collect();
+    let (points, ranges, queries) = workload();
     let oracle: Vec<f64> = points
         .iter()
         .map(|p| data.get(p))
@@ -178,4 +194,63 @@ fn every_read_front_agrees() {
             "[{lo:?}, {hi:?}]: {fast} vs {want}"
         );
     }
+}
+
+#[test]
+fn a_replayed_crash_image_answers_like_the_live_server() {
+    let transformed = shiftsplit::core::standard::forward_to(&dataset());
+    let live = mem_shared_store(tiling(), 1 << 10, 4, IoStats::new());
+    for idx in MultiIndexIter::new(&DIMS) {
+        live.write(&idx, transformed.get(&idx));
+    }
+    let dir = std::env::temp_dir().join(format!("ss_read_paths_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (wal, left_over, _) = Wal::open(&dir.join("live.wal")).unwrap();
+    assert!(left_over.is_empty());
+    let snap = Arc::new(SnapshotCoeffStore::new(live, Some(wal), 0));
+    let server = QueryServer::bind_writable(
+        "127.0.0.1:0",
+        Arc::clone(&snap),
+        LEVELS.to_vec(),
+        FlushMode::Exact,
+        cfg(),
+    )
+    .unwrap();
+
+    // Three commit groups of four boxes each, then the read workload.
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut rng = SplitMix64::new(0xc4a5);
+    for epoch in 1..=3 {
+        for _ in 0..4 {
+            let dims = [1 + rng.below(4), 1 + rng.below(4)];
+            let at = [rng.below(DIMS[0] - 3), rng.below(DIMS[1] - 3)];
+            let cells = (0..dims[0] * dims[1]).map(|_| rng.below(2000) as f64 / 7.0 - 100.0);
+            let deltas = client.update(&at, &dims, &cells.collect::<Vec<_>>());
+            assert!(deltas.unwrap() > 0.0);
+        }
+        assert_eq!(client.commit().unwrap(), epoch as f64);
+    }
+    let (points, ranges, queries) = workload();
+    let served = ask(server.local_addr(), &queries);
+
+    // The crash image, taken under the running server: the log as it
+    // stands and the base store, into which no checkpoint has folded an
+    // epoch yet.
+    std::fs::copy(dir.join("live.wal"), dir.join("image.wal")).unwrap();
+    let image = mem_shared_store(tiling(), 1 << 10, 4, IoStats::new());
+    for idx in MultiIndexIter::new(&DIMS) {
+        image.write(&idx, snap.base().read(&idx));
+    }
+    let unreplayed = query::batch_points(&mut &image, &LEVELS, &points);
+    assert_ne!(bits(&unreplayed), bits(&served[..points.len()]));
+
+    let (_wal, records, scan) = Wal::open(&dir.join("image.wal")).unwrap();
+    assert_eq!((records.len(), scan.torn_tail), (3, false));
+    replay_records(&records, &image);
+    let mut replayed = query::batch_points(&mut &image, &LEVELS, &points);
+    replayed.extend(query::batch_range_sums(&mut &image, &LEVELS, &ranges));
+    assert_eq!(bits(&replayed), bits(&served), "replayed");
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
