@@ -187,11 +187,18 @@ impl Value {
     }
 }
 
+/// The deepest array / object nesting [`parse`] accepts. The parser
+/// recurses once per level, so without a cap one line of `[`s overflows
+/// the stack — an abort of the whole process, not a panic. What this
+/// workspace writes nests a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document (trailing whitespace allowed).
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -205,6 +212,8 @@ pub fn parse(text: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -251,8 +260,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -260,6 +269,19 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Value, String> {
@@ -448,6 +470,16 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    /// One line of `[`s used to recurse until the stack overflowed.
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let e = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.starts_with("nesting deeper than 128"), "{e}");
+        assert!(parse(&"[{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

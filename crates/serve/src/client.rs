@@ -2,8 +2,9 @@
 //!
 //! Requests are pipelined: [`Client::run`] writes every request line, then
 //! reads exactly one response line per request and matches answers back to
-//! requests by id (the server batches across connections, so responses may
-//! return out of order).
+//! requests by id. A server answers a connection in request order, except
+//! that the error reply to a malformed or invalid line is written at once
+//! and can overtake queries sent before it (see [`crate::proto`]).
 
 use crate::proto::{self, Mutation, Op, Query, Response};
 use std::collections::HashMap;
@@ -105,13 +106,6 @@ impl Client {
         self.one_op(Op::Mutation(Mutation::Commit))
     }
 
-    /// Buffers raw `(tile, slot, delta)` coefficient ops on a writable
-    /// server (the router's scatter form — see the `apply` op in
-    /// [`crate::proto`]). Returns the number of ops buffered.
-    pub fn apply(&mut self, ops: &[(usize, usize, f64)]) -> Result<f64, ClientError> {
-        self.one_op(Op::Mutation(Mutation::Apply { ops: ops.to_vec() }))
-    }
-
     fn one(&mut self, q: Query) -> Result<f64, ClientError> {
         self.one_op(Op::Query(q))
     }
@@ -137,9 +131,10 @@ impl Client {
     }
 
     /// Pipelines arbitrary operations (queries and mutations) and returns
-    /// one result per operation, in request order. Note that the *server*
-    /// answers mutations in connection order but may answer interleaved
-    /// queries out of order; results are matched back by id here.
+    /// one result per operation, in request order. The server replies in
+    /// request order except for error replies to malformed or invalid
+    /// lines, which can overtake queries sent before them; results are
+    /// matched back by id here.
     #[allow(clippy::type_complexity)]
     pub fn run_ops(
         &mut self,

@@ -8,10 +8,12 @@
 //! {"id": 8, "op": "range_sum", "lo": [0, 0], "hi": [7, 7]}
 //! ```
 //!
-//! `id` is optional; when present it is echoed verbatim in the response so
-//! pipelined clients can match answers that return out of order (batches
-//! are formed across connections, so ordering per connection is not
-//! guaranteed). Responses:
+//! `id` is optional; when present it is echoed verbatim in the response.
+//! Replies on a connection come back in request order, with one exception:
+//! the error reply to a malformed or invalid line is written at once, so
+//! it can overtake queries read before it that are still being collected
+//! into the connection's burst. Pipelined clients therefore match replies
+//! by id. Responses:
 //!
 //! ```json
 //! {"id": 7, "ok": true, "value": 12.5}
@@ -48,7 +50,9 @@
 //! ```
 //!
 //! `partial` evaluates a raw contribution list (each term an
-//! `[index, weight]` pair) and answers with the weighted sum **plus** its
+//! `[index, weight]` pair, every index of the first one's rank; it is
+//! parsed straight into one flat [`Contributions`], and an empty list
+//! answers `0` with no tiles) and answers with the weighted sum **plus** its
 //! per-tile decomposition, so a router can merge partials from disjoint
 //! tile ranges bit-exactly (the canonical accumulation order is per-tile
 //! decomposed — see `ss_query::execute_plans_tiled`):
@@ -57,11 +61,12 @@
 //! {"id": 11, "ok": true, "value": 3.25, "tiles": [[0, -0.5], [6, 3.75]]}
 //! ```
 //!
-//! `apply` buffers raw `(tile, slot, delta)` coefficient ops on a
+//! `apply` buffers raw `[tile, slot, delta]` coefficient ops on a
 //! writable shard — the already-SHIFT-SPLIT-decomposed form a router
-//! scatters after splitting one box update by tile ownership; its
-//! `value` answers with the number of ops buffered. Like `update`, the
-//! ops stay invisible until `commit`.
+//! scatters after splitting its drained delta buffer by tile ownership.
+//! Consecutive ops of one tile are one run, buffered with one
+//! `DeltaBuffer::add_run`; the `value` answers with the number of ops
+//! buffered. Like `update`, the ops stay invisible until `commit`.
 //!
 //! Error kinds are closed: `parse` (not a JSON object), `unknown_op`
 //! (unrecognised `op`), `bad_request` (wrong arity or out-of-range
@@ -88,6 +93,7 @@
 //! is treated as absent rather than rejected, for the same reason.
 
 use ss_core::reconstruct::{self, Contributions};
+use ss_maintain::DrainedTileOps;
 use ss_obs::json::{self, Value};
 
 /// A validated query, ready for planning.
@@ -109,9 +115,9 @@ pub enum Query {
     /// success response carries the per-tile partial decomposition (see
     /// the module docs).
     Partial {
-        /// `(coefficient index, weight)` terms, evaluated in the
-        /// canonical per-tile-decomposed order.
-        terms: Vec<(Vec<usize>, f64)>,
+        /// The plan the shard executes, in the canonical
+        /// per-tile-decomposed order.
+        plan: Contributions,
     },
 }
 
@@ -156,8 +162,8 @@ impl Query {
                 }
                 Ok(())
             }
-            Query::Partial { terms } => {
-                for (k, (idx, _)) in terms.iter().enumerate() {
+            Query::Partial { plan } => {
+                for (k, (idx, _)) in plan.iter().enumerate() {
                     check(format_args!("terms[{k}]"), idx)?;
                 }
                 Ok(())
@@ -168,22 +174,11 @@ impl Query {
     /// The Lemma 1 / Lemma 2 contribution-list plan for a standard-form
     /// store with per-axis levels `n`. A `partial` sub-plan *is* its own
     /// contribution list.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a `partial` term's index does not have `n.len()` axes
-    /// ([`Query::validate`] rejects such requests first).
     pub fn plan(&self, n: &[u32]) -> Contributions {
         match self {
             Query::Point { pos } => reconstruct::standard_point_contributions(n, pos),
             Query::RangeSum { lo, hi } => reconstruct::standard_range_sum_contributions(n, lo, hi),
-            Query::Partial { terms } => {
-                let mut plan = Contributions::with_capacity(n.len(), terms.len());
-                for (idx, w) in terms {
-                    plan.push(idx, *w);
-                }
-                plan
-            }
+            Query::Partial { plan } => plan.clone(),
         }
     }
 
@@ -206,11 +201,12 @@ pub enum Mutation {
         /// Row-major box contents (`dims` product values).
         data: Vec<f64>,
     },
-    /// Buffer raw `(tile, slot, delta)` coefficient ops — a router's
-    /// already-decomposed scatter for one shard.
+    /// Buffer raw coefficient ops — a router's already-decomposed scatter
+    /// for one shard: its slice of a drained `DeltaBuffer`.
     Apply {
-        /// The ops, in arrival order (replayed in this order at flush).
-        ops: Vec<(usize, usize, f64)>,
+        /// `(tile, run)` pairs, each run's `(slot, delta)` ops in arrival
+        /// order (replayed in this order at flush).
+        runs: Vec<DrainedTileOps>,
     },
     /// Group-commit everything buffered so far as the next epoch.
     Commit,
@@ -239,10 +235,10 @@ impl Mutation {
                     if e == 0 {
                         return Err(format!("dims[{t}] must be at least 1"));
                     }
-                    if o + e > d {
+                    // `o + e` could wrap: a hostile `at` must not slip past.
+                    if e > d || o > d - e {
                         return Err(format!(
-                            "box [{o}, {}] exceeds axis {t} (size {d})",
-                            o + e - 1
+                            "box at {o} of extent {e} exceeds axis {t} (size {d})"
                         ));
                     }
                     cells = cells.saturating_mul(e);
@@ -299,17 +295,21 @@ impl RequestError {
     }
 }
 
+fn as_usize(v: &Value) -> Option<usize> {
+    match v {
+        Value::Int(i) => usize::try_from(*i).ok(),
+        _ => None,
+    }
+}
+
 fn usize_array(v: &Value, name: &str) -> Result<Vec<usize>, String> {
     let arr = v
         .as_array()
         .ok_or_else(|| format!("{name} must be an array"))?;
     arr.iter()
-        .map(|e| match e {
-            Value::Int(i) if *i >= 0 => usize::try_from(*i).map_err(|_| ()),
-            _ => Err(()),
-        })
-        .collect::<Result<Vec<usize>, ()>>()
-        .map_err(|()| format!("{name} must contain non-negative integers"))
+        .map(as_usize)
+        .collect::<Option<Vec<usize>>>()
+        .ok_or_else(|| format!("{name} must contain non-negative integers"))
 }
 
 fn f64_array(v: &Value, name: &str) -> Result<Vec<f64>, String> {
@@ -322,42 +322,67 @@ fn f64_array(v: &Value, name: &str) -> Result<Vec<f64>, String> {
         .map_err(|()| format!("{name} must contain numbers"))
 }
 
-/// `terms`: an array of `[index_array, weight]` pairs.
-fn terms_array(v: &Value) -> Result<Vec<(Vec<usize>, f64)>, String> {
+/// `terms`: an array of `[index_array, weight]` pairs, parsed straight
+/// into one flat plan. The first term fixes the rank; a term of another
+/// rank is refused here, before it could shift every later coordinate.
+fn terms_array(v: &Value) -> Result<Contributions, String> {
     let arr = v.as_array().ok_or("terms must be an array")?;
-    arr.iter()
-        .enumerate()
-        .map(|(k, e)| {
-            let pair = e
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| format!("terms[{k}] must be an [index, weight] pair"))?;
-            let idx = usize_array(&pair[0], &format!("terms[{k}] index"))?;
-            let w = pair[1]
-                .as_f64()
-                .ok_or_else(|| format!("terms[{k}] weight must be a number"))?;
-            Ok((idx, w))
-        })
-        .collect()
+    // No term, no rank: an empty plan of any rank answers 0.
+    let mut plan = Contributions::with_capacity(1, 0);
+    let mut rank = 0;
+    let mut idx = Vec::new();
+    for (k, term) in arr.iter().enumerate() {
+        let Some([raw, w]) = term.as_array() else {
+            return Err(format!("terms[{k}] must be an [index, weight] pair"));
+        };
+        let bad = || format!("terms[{k}] index must be an array of non-negative integers");
+        idx.clear();
+        for x in raw.as_array().ok_or_else(bad)? {
+            idx.push(as_usize(x).ok_or_else(bad)?);
+        }
+        let w = w
+            .as_f64()
+            .ok_or_else(|| format!("terms[{k}] weight must be a number"))?;
+        if k == 0 {
+            if idx.is_empty() {
+                return Err("terms[0] index must have at least one axis".into());
+            }
+            rank = idx.len();
+            // No reservation from `arr.len()`: later terms are unchecked,
+            // and rank × len junk elements would size an abort, not an error.
+            plan = Contributions::with_capacity(rank, 0);
+        } else if idx.len() != rank {
+            return Err(format!(
+                "terms[{k}] index has {} axes, terms[0] has {rank}",
+                idx.len()
+            ));
+        }
+        plan.push(&idx, w);
+    }
+    Ok(plan)
 }
 
-/// `ops`: an array of `[tile, slot, delta]` triples.
-fn ops_array(v: &Value) -> Result<Vec<(usize, usize, f64)>, String> {
+/// `ops`: an array of `[tile, slot, delta]` triples; consecutive triples
+/// of one tile form one run.
+fn ops_array(v: &Value) -> Result<Vec<DrainedTileOps>, String> {
     let arr = v.as_array().ok_or("ops must be an array")?;
-    arr.iter()
-        .enumerate()
-        .map(|(k, e)| {
-            let triple = e
-                .as_array()
-                .filter(|p| p.len() == 3)
-                .ok_or_else(|| format!("ops[{k}] must be a [tile, slot, delta] triple"))?;
-            let loc = usize_array(&Value::Array(triple[..2].to_vec()), &format!("ops[{k}]"))?;
-            let d = triple[2]
-                .as_f64()
-                .ok_or_else(|| format!("ops[{k}] delta must be a number"))?;
-            Ok((loc[0], loc[1], d))
-        })
-        .collect()
+    let mut runs: Vec<DrainedTileOps> = Vec::new();
+    for (k, op) in arr.iter().enumerate() {
+        let Some([tile, slot, delta]) = op.as_array() else {
+            return Err(format!("ops[{k}] must be a [tile, slot, delta] triple"));
+        };
+        let (Some(tile), Some(slot)) = (as_usize(tile), as_usize(slot)) else {
+            return Err(format!("ops[{k}] must contain non-negative integers"));
+        };
+        let delta = delta
+            .as_f64()
+            .ok_or_else(|| format!("ops[{k}] delta must be a number"))?;
+        match runs.last_mut() {
+            Some((last, run)) if *last == tile => run.push((slot, delta)),
+            _ => runs.push((tile, vec![(slot, delta)])),
+        }
+    }
+    Ok(runs)
 }
 
 /// Parses one request line. Validation against the domain happens
@@ -419,15 +444,15 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
             let raw = v
                 .get("terms")
                 .ok_or_else(|| RequestError::new(id, "bad_request", "missing field terms"))?;
-            let terms = terms_array(raw).map_err(|m| RequestError::new(id, "bad_request", m))?;
-            Op::Query(Query::Partial { terms })
+            let plan = terms_array(raw).map_err(|m| RequestError::new(id, "bad_request", m))?;
+            Op::Query(Query::Partial { plan })
         }
         "apply" => {
             let raw = v
                 .get("ops")
                 .ok_or_else(|| RequestError::new(id, "bad_request", "missing field ops"))?;
-            let ops = ops_array(raw).map_err(|m| RequestError::new(id, "bad_request", m))?;
-            Op::Mutation(Mutation::Apply { ops })
+            let runs = ops_array(raw).map_err(|m| RequestError::new(id, "bad_request", m))?;
+            Op::Mutation(Mutation::Apply { runs })
         }
         "commit" => Op::Mutation(Mutation::Commit),
         other => {
@@ -481,25 +506,25 @@ pub fn op_request_line_traced(id: i128, op: &Op, trace: Option<u64>) -> String {
             pairs.push(("lo".into(), arr(lo)));
             pairs.push(("hi".into(), arr(hi)));
         }
-        Op::Query(Query::Partial { terms }) => {
+        Op::Query(Query::Partial { plan }) => {
             pairs.push((
                 "terms".into(),
                 Value::Array(
-                    terms
-                        .iter()
-                        .map(|(idx, w)| Value::Array(vec![arr(idx), Value::Float(*w)]))
+                    plan.iter()
+                        .map(|(idx, w)| Value::Array(vec![arr(idx), Value::Float(w)]))
                         .collect(),
                 ),
             ));
         }
-        Op::Mutation(Mutation::Apply { ops }) => {
+        Op::Mutation(Mutation::Apply { runs }) => {
+            let op = |t: usize, &(s, d): &(usize, f64)| {
+                Value::Array(vec![Value::from(t), Value::from(s), Value::Float(d)])
+            };
             pairs.push((
                 "ops".into(),
                 Value::Array(
-                    ops.iter()
-                        .map(|&(t, s, d)| {
-                            Value::Array(vec![Value::from(t), Value::from(s), Value::Float(d)])
-                        })
+                    runs.iter()
+                        .flat_map(|(t, run)| run.iter().map(move |o| op(*t, o)))
                         .collect(),
                 ),
             ));
@@ -693,15 +718,45 @@ mod tests {
         );
     }
 
+    /// A rank-2 `partial` over `terms`.
+    fn partial(terms: &[([usize; 2], f64)]) -> Query {
+        let mut plan = Contributions::with_capacity(2, terms.len());
+        for (idx, w) in terms {
+            plan.push(idx, *w);
+        }
+        Query::Partial { plan }
+    }
+
+    /// The wire text is a contract between routers and shards of different
+    /// builds: these are the parent commit's exact bytes, from the nested
+    /// `terms` and flat `(tile, slot, delta)` forms this crate used to hold.
     #[test]
-    fn partial_and_apply_round_trip() {
-        let q = Query::Partial {
-            terms: vec![(vec![3, 9], 0.25), (vec![0, 1], -0.5)],
-        };
+    fn partial_and_apply_lines_are_byte_identical_to_the_nested_forms() {
+        let q = partial(&[([3, 9], 0.25), ([0, 1], -0.5), ([31, 2], 0.1 + 0.2)]);
         let line = request_line(11, &q);
-        let back = parse_request(&line).unwrap();
-        assert_eq!(back.op, Op::Query(q.clone()));
-        // A partial sub-plan is its own plan and wants the tile breakdown.
+        assert_eq!(
+            line,
+            r#"{"id":11,"op":"partial","terms":[[[3,9],0.25],[[0,1],-0.5],[[31,2],0.30000000000000004]]}"#
+        );
+        assert_eq!(parse_request(&line).unwrap().op, Op::Query(q));
+
+        let runs = vec![
+            (7, vec![(3, 0.5), (4, -1.0)]),
+            (9, vec![(0, 1.0 / 3.0)]),
+            (7, vec![(1, 2.5)]),
+        ];
+        let m = Op::Mutation(Mutation::Apply { runs });
+        let line = op_request_line(12, &m);
+        assert_eq!(
+            line,
+            r#"{"id":12,"op":"apply","ops":[[7,3,0.5],[7,4,-1.0],[9,0,0.3333333333333333],[7,1,2.5]]}"#
+        );
+        assert_eq!(parse_request(&line).unwrap().op, m);
+    }
+
+    #[test]
+    fn partial_is_its_own_plan_and_wants_tiles() {
+        let q = partial(&[([3, 9], 0.25), ([0, 1], -0.5)]);
         assert_eq!(
             q.plan(&[6, 6]).iter().collect::<Vec<_>>(),
             vec![(&[3usize, 9][..], 0.25), (&[0, 1][..], -0.5)]
@@ -711,41 +766,91 @@ mod tests {
         assert!(q.validate(&[16, 16]).is_ok());
         assert!(q.validate(&[4, 4]).is_err(), "bounds");
         assert!(q.validate(&[16]).is_err(), "arity");
-
         let m = Mutation::Apply {
-            ops: vec![(7, 3, 0.5), (7, 4, -1.0)],
+            runs: vec![(7, vec![(3, 0.5)])],
         };
-        let line = op_request_line(12, &Op::Mutation(m.clone()));
-        let back = parse_request(&line).unwrap();
-        assert_eq!(back.op, Op::Mutation(m.clone()));
         assert!(m.validate(&[16, 16]).is_ok());
     }
 
-    /// `plan` is `pub` and callable without `validate`: a ragged term list
-    /// must stop there, not shift every later coordinate of the flat plan.
+    /// An empty term list is an empty plan: it answers 0 with no tiles.
     #[test]
-    #[should_panic(expected = "in a rank-2 list")]
-    fn ragged_partial_cannot_become_a_misaligned_plan() {
-        let ragged = Query::Partial {
-            terms: vec![(vec![3, 9], 0.25), (vec![4], 1.0), (vec![0, 1, 2], -0.5)],
+    fn empty_partial_is_an_empty_plan() {
+        let back = parse_request(r#"{"id":3,"op":"partial","terms":[]}"#).unwrap();
+        let Op::Query(q) = back.op else {
+            panic!("partial parsed as a mutation")
         };
-        assert!(ragged.validate(&[16, 16]).is_err(), "validate names it");
-        ragged.plan(&[4, 4]);
+        assert!(q.validate(&[16, 16]).is_ok());
+        assert!(q.plan(&[4, 4]).is_empty());
+    }
+
+    /// The first term fixes the rank: a ragged list is refused at parse,
+    /// before it could shift every later coordinate of the flat plan.
+    #[test]
+    fn ragged_or_rankless_partials_are_typed_parse_errors() {
+        for (terms, message) in [
+            (
+                "[[[3,9],0.25],[[4],1.0]]",
+                "terms[1] index has 1 axes, terms[0] has 2",
+            ),
+            (
+                "[[[3],0.25],[[0,1,2],1.0]]",
+                "terms[1] index has 3 axes, terms[0] has 1",
+            ),
+            ("[[[],0.25]]", "terms[0] index must have at least one axis"),
+            (
+                "[[[1,-2],0.25]]",
+                "terms[0] index must be an array of non-negative integers",
+            ),
+            (
+                "[[[1,2],0.25,1]]",
+                "terms[0] must be an [index, weight] pair",
+            ),
+        ] {
+            let line = format!(r#"{{"id":4,"op":"partial","terms":{terms}}}"#);
+            let e = parse_request(&line).unwrap_err();
+            assert_eq!(
+                (e.id, e.kind, e.message.as_str()),
+                (Some(4), "bad_request", message)
+            );
+        }
     }
 
     #[test]
     fn partial_validation_names_the_offending_term() {
-        let q = Query::Partial {
-            terms: vec![(vec![3, 9], 0.25), (vec![0, 99], -0.5), (vec![1], 1.0)],
-        };
+        let q = partial(&[([3, 9], 0.25), ([0, 99], -0.5), ([1, 1], 1.0)]);
         assert_eq!(
             q.validate(&[16, 16]).unwrap_err(),
             "terms[1][1] = 99 out of range (axis size 16)"
         );
         assert_eq!(
-            q.validate(&[16, 128]).unwrap_err(),
-            "terms[2] has 1 axes, domain has 2"
+            q.validate(&[16, 128, 4]).unwrap_err(),
+            "terms[0] has 2 axes, domain has 3"
         );
+    }
+
+    /// Consecutive ops of one tile are one run; a tile that comes back
+    /// later starts a new one.
+    #[test]
+    fn apply_ops_group_into_runs_by_consecutive_tile() {
+        let line = r#"{"op":"apply","ops":[[7,3,0.5],[7,4,-1],[9,0,2],[7,1,2.5]]}"#;
+        let back = parse_request(line).unwrap();
+        let want = vec![
+            (7, vec![(3, 0.5), (4, -1.0)]),
+            (9, vec![(0, 2.0)]),
+            (7, vec![(1, 2.5)]),
+        ];
+        assert_eq!(back.op, Op::Mutation(Mutation::Apply { runs: want }));
+        for (ops, message) in [
+            ("[[7,3]]", "ops[0] must be a [tile, slot, delta] triple"),
+            (
+                "[[7,3,1],[-1,0,1]]",
+                "ops[1] must contain non-negative integers",
+            ),
+            ("[[7,3,true]]", "ops[0] delta must be a number"),
+        ] {
+            let line = format!(r#"{{"op":"apply","ops":{ops}}}"#);
+            assert_eq!(parse_request(&line).unwrap_err().message, message);
+        }
     }
 
     #[test]
@@ -776,6 +881,17 @@ mod tests {
         );
         assert!(upd(&[0, 0], &[0, 2], 0).validate(&domain).is_err(), "empty");
         assert!(upd(&[0, 0], &[2, 2], 3).validate(&domain).is_err(), "data");
+        assert!(
+            upd(&[0, 0], &[9, 1], 9).validate(&domain).is_err(),
+            "extent"
+        );
+        // `at + dims` wraps in a release build: still refused.
+        assert_eq!(
+            upd(&[usize::MAX, 0], &[2, 1], 2)
+                .validate(&domain)
+                .unwrap_err(),
+            format!("box at {} of extent 2 exceeds axis 0 (size 8)", usize::MAX)
+        );
         assert!(Mutation::Commit.validate(&domain).is_ok());
     }
 

@@ -39,13 +39,13 @@
 use crate::client::{Client, ClientError};
 use crate::proto::{Mutation, Op, Query, Response};
 use crate::server::{self, Backend, Job, MutErr, Outcome};
+use ss_core::reconstruct::Contributions;
 use ss_core::TilingMap;
-use ss_maintain::{DeltaBuffer, FlushMode};
+use ss_maintain::{DeltaBuffer, DrainedTileOps, FlushMode};
 use ss_obs::trace;
 use ss_obs::{Counter, Histogram};
 use ss_storage::ShardMap;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -117,9 +117,9 @@ struct RouterCore {
     metrics: RouterMetrics,
 }
 
-/// A cache of open shard connections, keyed by `(shard, replica)`.
-/// Dropped entries reconnect on next use.
-type ConnCache = HashMap<(usize, usize), Client>;
+/// Open shard connections, indexed `[shard][replica]` (sized on first
+/// use). A `None` entry reconnects on next use.
+type ConnCache = Vec<Vec<Option<Client>>>;
 
 thread_local! {
     /// The shard connections a client connection's thread reads over:
@@ -177,14 +177,21 @@ impl RouterCore {
         replica: usize,
         items: &[(Op, Option<u64>)],
     ) -> Result<i128, String> {
-        let key = (shard, replica);
-        let client = match conns.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
+        if conns.is_empty() {
+            let replicas = self.topo.map.replicas();
+            conns.resize_with(self.topo.map.shards(), || {
+                (0..replicas).map(|_| None).collect()
+            });
+        }
+        let conn = &mut conns[shard][replica];
+        let client = match conn {
+            Some(client) => client,
+            None => {
                 let addr = self.topo.replicas[shard][replica];
-                let client = Client::connect(addr)
-                    .map_err(|err| format!("replica {replica} ({addr}): connect: {err}"))?;
-                e.insert(client)
+                conn.insert(
+                    Client::connect(addr)
+                        .map_err(|err| format!("replica {replica} ({addr}): connect: {err}"))?,
+                )
             }
         };
         match client.send_ops(items) {
@@ -193,7 +200,7 @@ impl RouterCore {
                 Ok(first_id)
             }
             Err(e) => {
-                conns.remove(&key);
+                *conn = None;
                 Err(format!("replica {replica}: send: {e}"))
             }
         }
@@ -211,61 +218,68 @@ impl RouterCore {
         first_id: i128,
         count: usize,
     ) -> Result<Vec<Response>, String> {
-        let key = (shard, replica);
-        let result = conns
-            .get_mut(&key)
+        let conn = &mut conns[shard][replica];
+        let result = conn
+            .as_mut()
             .expect("exchange in flight on a cached connection")
             .recv_responses(first_id, count);
         self.in_flight[shard][replica].fetch_sub(1, Ordering::Relaxed);
         result.map_err(|e: ClientError| {
-            conns.remove(&key);
+            *conn = None;
             format!("replica {replica}: recv: {e}")
         })
     }
 
-    /// One full send+recv exchange against `shard`, failing over across
-    /// replicas marked untried in `tried`. Returns the last error once
-    /// every replica has been tried.
-    fn exchange_sync(
-        &self,
-        conns: &mut ConnCache,
-        shard: usize,
-        items: &[(Op, Option<u64>)],
-        tried: &mut [bool],
-        mut last_err: String,
-    ) -> Result<Vec<Response>, String> {
-        while let Some(replica) = self.pick_replica(shard, tried) {
-            tried[replica] = true;
-            match self
-                .start_send(conns, shard, replica, items)
-                .and_then(|first_id| self.finish_recv(conns, shard, replica, first_id, items.len()))
-            {
-                Ok(responses) => return Ok(responses),
+    /// Puts `ex` on the wire to the least-loaded replica of `shard` it has
+    /// not tried, moving on while sends fail. The one replica-failover
+    /// loop: [`recv`](RouterCore::recv) re-enters it when a read fails.
+    fn send(&self, conns: &mut ConnCache, shard: usize, ex: &mut Exchange) {
+        while let Some(replica) = self.pick_replica(shard, &ex.tried) {
+            ex.tried[replica] = true;
+            match self.start_send(conns, shard, replica, &ex.items) {
+                Ok(first_id) => {
+                    ex.sent = Ok((replica, first_id));
+                    return;
+                }
                 Err(e) => {
                     self.metrics.replica_retries.inc();
-                    last_err = e;
+                    ex.sent = Err(e);
                 }
             }
         }
-        Err(last_err)
+    }
+
+    /// Reads `ex`'s responses; a failed read re-sends to the replicas not
+    /// tried yet. The last error once every replica has failed.
+    fn recv(
+        &self,
+        conns: &mut ConnCache,
+        shard: usize,
+        ex: &mut Exchange,
+    ) -> Result<Vec<Response>, String> {
+        loop {
+            let (replica, first_id) = ex.sent.clone()?;
+            match self.finish_recv(conns, shard, replica, first_id, ex.items.len()) {
+                Ok(responses) => return Ok(responses),
+                Err(e) => {
+                    self.metrics.replica_retries.inc();
+                    ex.sent = Err(e);
+                    self.send(conns, shard, ex);
+                }
+            }
+        }
     }
 }
 
-/// A shard's slice of one routed batch: the `partial` sub-requests to
-/// send plus the batch-local index of the job each one answers.
-#[derive(Default)]
-struct ShardBatch {
+/// One shard's part of a routed sweep: its `partial` sub-requests, the
+/// sweep-local index of the job each answers, the replicas tried, and the
+/// `(replica, first id)` the exchange is on the wire with — or the last
+/// error.
+struct Exchange {
     items: Vec<(Op, Option<u64>)>,
     jobs: Vec<usize>,
-}
-
-/// An exchange whose requests are on the wire but whose responses have
-/// not been read yet (the scatter/gather split that overlaps shard
-/// round trips).
-struct Pending {
-    replica: usize,
-    first_id: i128,
     tried: Vec<bool>,
+    sent: Result<(usize, i128), String>,
 }
 
 /// Executes one sweep of planned requests by scatter-gather: split each
@@ -273,156 +287,101 @@ struct Pending {
 /// before any read), fail over across replicas, and merge the per-tile
 /// partials back in ascending tile order. Each job's own trace id is
 /// forwarded with its sub-requests, so shard-side spans land under the
-/// originating request's trace.
+/// originating request's trace. All state is indexed by shard, so every
+/// loop below runs in ascending shard order, which the exact merge
+/// relies on.
 fn execute_routed<M: TilingMap>(
     core: &RouterCore,
     tiling: &M,
     conns: &mut ConnCache,
     jobs: &[Job],
 ) -> Vec<Outcome> {
-    // --- Split every plan by owning shard. BTreeMaps keep both the
-    // per-job shard lists and the fan-out itself in ascending shard
-    // order, which the exact merge below relies on.
+    // --- Split every plan straight into per-shard plans, each keeping
+    // the plan's term order.
     let map = &core.topo.map;
-    let mut sub: BTreeMap<usize, ShardBatch> = BTreeMap::new();
-    let mut touched: Vec<Vec<usize>> = vec![Vec::new(); jobs.len()];
+    let mut shards: Vec<Exchange> = (0..map.shards())
+        .map(|_| Exchange {
+            items: Vec::new(),
+            jobs: Vec::new(),
+            tried: vec![false; map.replicas()],
+            // Replaced by the first send: a shard has at least one replica.
+            sent: Err(String::new()),
+        })
+        .collect();
+    let mut parts: Vec<Option<Contributions>> = vec![None; map.shards()];
     for (j, job) in jobs.iter().enumerate() {
-        let root = job.root;
-        let fwd_trace = root.active().then_some(root.trace);
-        let mut by_shard: BTreeMap<usize, Vec<(Vec<usize>, f64)>> = BTreeMap::new();
         for (idx, w) in job.plan.iter() {
             let shard = map.owner(tiling.locate(idx).tile);
-            by_shard.entry(shard).or_default().push((idx.to_vec(), w));
+            parts[shard]
+                .get_or_insert_with(|| Contributions::with_capacity(idx.len(), 0))
+                .push(idx, w);
         }
-        for (shard, terms) in by_shard {
-            touched[j].push(shard);
-            let batch = sub.entry(shard).or_default();
-            batch
-                .items
-                .push((Op::Query(Query::Partial { terms }), fwd_trace));
-            batch.jobs.push(j);
+        let fwd_trace = job.root.active().then_some(job.root.trace);
+        for (ex, part) in shards.iter_mut().zip(&mut parts) {
+            if let Some(plan) = part.take() {
+                ex.items
+                    .push((Op::Query(Query::Partial { plan }), fwd_trace));
+                ex.jobs.push(j);
+            }
         }
     }
-    if !sub.is_empty() {
-        core.metrics.fanout_shards.record(sub.len() as u64);
+    let touched = shards.iter().filter(|ex| !ex.jobs.is_empty()).count();
+    if touched > 0 {
+        core.metrics.fanout_shards.record(touched as u64);
     }
 
     // --- Scatter: put every shard's sub-requests on the wire before
     // reading any response, so shard round trips overlap.
-    let mut pending: BTreeMap<usize, Pending> = BTreeMap::new();
-    let mut failures: HashMap<usize, String> = HashMap::new();
-    for (&shard, batch) in &sub {
-        core.metrics.subrequests.add(batch.items.len() as u64);
-        core.metrics.shard_subrequests[shard].add(batch.items.len() as u64);
-        let mut tried = vec![false; map.replicas()];
-        let mut last_err = String::from("no replicas configured");
-        let mut started = None;
-        while let Some(replica) = core.pick_replica(shard, &tried) {
-            tried[replica] = true;
-            match core.start_send(conns, shard, replica, &batch.items) {
-                Ok(first_id) => {
-                    started = Some(Pending {
-                        replica,
-                        first_id,
-                        tried,
-                    });
-                    break;
-                }
-                Err(e) => {
-                    core.metrics.replica_retries.inc();
-                    last_err = e;
-                }
-            }
-        }
-        match started {
-            Some(p) => {
-                pending.insert(shard, p);
-            }
-            None => {
-                failures.insert(shard, last_err);
-            }
+    for (shard, ex) in shards.iter_mut().enumerate() {
+        if !ex.jobs.is_empty() {
+            core.metrics.subrequests.add(ex.items.len() as u64);
+            core.metrics.shard_subrequests[shard].add(ex.items.len() as u64);
+            core.send(conns, shard, ex);
         }
     }
 
-    // --- Gather in ascending shard order. A replica that fails at read
-    // time falls back to a synchronous exchange against the replicas it
-    // has not tried yet; only when all fail is the shard marked down.
-    let mut answered: HashMap<(usize, usize), Response> = HashMap::new();
-    for (&shard, batch) in &sub {
-        let Some(p) = pending.remove(&shard) else {
+    // --- Gather and merge: fold each job's per-tile partials from 0.0,
+    // shard by shard in ascending order (globally ascending tile order,
+    // since shard ranges are contiguous) — the same addition tree
+    // `execute_plans_tiled` builds on a single store, hence bit-identical
+    // for every shard count. A job's first failing shard, lowest first,
+    // is its error.
+    let mut out: Vec<Outcome> = vec![Ok((0.0, Vec::new())); jobs.len()];
+    for (shard, ex) in shards.iter_mut().enumerate() {
+        if ex.jobs.is_empty() {
             continue;
+        }
+        let responses = match core.recv(conns, shard, ex) {
+            Ok(responses) => responses,
+            Err(msg) => {
+                core.metrics.shard_unavailable.inc();
+                for &j in &ex.jobs {
+                    if out[j].is_ok() {
+                        let msg = format!("shard {shard}: {msg}");
+                        out[j] = Err(("shard_unavailable".to_string(), msg));
+                    }
+                }
+                continue;
+            }
         };
-        let responses =
-            match core.finish_recv(conns, shard, p.replica, p.first_id, batch.items.len()) {
-                Ok(responses) => Ok(responses),
-                Err(e) => {
-                    core.metrics.replica_retries.inc();
-                    let mut tried = p.tried;
-                    core.exchange_sync(conns, shard, &batch.items, &mut tried, e)
-                }
+        for (&j, resp) in ex.jobs.iter().zip(responses) {
+            let Ok((value, tiles)) = &mut out[j] else {
+                continue;
             };
-        match responses {
-            Ok(responses) => {
-                for (&j, resp) in batch.jobs.iter().zip(responses) {
-                    answered.insert((shard, j), resp);
+            match (resp.result, resp.tiles) {
+                (Err((kind, msg)), _) => out[j] = Err((kind, format!("shard {shard}: {msg}"))),
+                (Ok(_), None) => {
+                    let msg = format!("shard {shard} answered without per-tile partials");
+                    out[j] = Err(("io".to_string(), msg));
+                }
+                (Ok(_), Some(parts)) => {
+                    for (tile, partial) in parts {
+                        *value += partial;
+                        tiles.push((tile, partial));
+                    }
                 }
             }
-            Err(e) => {
-                failures.insert(shard, e);
-            }
         }
-    }
-    if !failures.is_empty() {
-        core.metrics.shard_unavailable.add(failures.len() as u64);
-    }
-
-    // --- Merge: concatenate each job's per-tile partials in ascending
-    // shard order (globally ascending tile order, since shard ranges
-    // are contiguous) and fold them left from 0.0 — the same addition
-    // tree `execute_plans_tiled` builds on a single store, hence
-    // bit-identical for every shard count.
-    let mut out: Vec<Outcome> = Vec::with_capacity(jobs.len());
-    for (j, shards) in touched.iter().enumerate() {
-        let mut value = 0.0f64;
-        let mut tiles: Vec<(usize, f64)> = Vec::new();
-        let mut error: Option<(String, String)> = None;
-        for &shard in shards {
-            if let Some(msg) = failures.get(&shard) {
-                error = Some((
-                    "shard_unavailable".to_string(),
-                    format!("shard {shard}: {msg}"),
-                ));
-                break;
-            }
-            let resp = answered
-                .remove(&(shard, j))
-                .expect("every non-failed touched shard answered");
-            match resp.result {
-                Err((kind, msg)) => {
-                    error = Some((kind, format!("shard {shard}: {msg}")));
-                    break;
-                }
-                Ok(_) => match resp.tiles {
-                    None => {
-                        error = Some((
-                            "io".to_string(),
-                            format!("shard {shard} answered without per-tile partials"),
-                        ));
-                        break;
-                    }
-                    Some(parts) => {
-                        for (tile, partial) in parts {
-                            value += partial;
-                            tiles.push((tile, partial));
-                        }
-                    }
-                },
-            }
-        }
-        out.push(match error {
-            Some(e) => Err(e),
-            None => Ok((value, tiles)),
-        });
     }
     out
 }
@@ -465,30 +424,30 @@ impl<M: TilingMap> RouterBackend<M> {
     }
 
     /// Fans `[apply?, commit]` to every replica of every shard —
-    /// scatter first, then gather — and counts acknowledgements. Any
-    /// failure aborts with the offending replica's error; the caller
-    /// drops all write connections (pipelines may hold unread bytes).
+    /// scatter first, then gather — and counts acknowledgements. Each
+    /// shard's runs move whole into its one `apply`. Any failure aborts
+    /// with the offending replica's error; the caller drops all write
+    /// connections (pipelines may hold unread bytes).
     fn scatter_commit(
         &self,
         conns: &mut ConnCache,
-        per_shard: &[Vec<(usize, usize, f64)>],
+        per_shard: Vec<Vec<DrainedTileOps>>,
         fwd_trace: Option<u64>,
     ) -> Result<u64, String> {
-        let shards = self.core.topo.map.shards();
         let replicas = self.core.topo.map.replicas();
-        let mut items_by_shard: Vec<Vec<(Op, Option<u64>)>> = Vec::with_capacity(shards);
-        for ops in per_shard {
-            let mut items = Vec::with_capacity(2);
-            if !ops.is_empty() {
-                items.push((
-                    Op::Mutation(Mutation::Apply { ops: ops.clone() }),
-                    fwd_trace,
-                ));
-            }
-            items.push((Op::Mutation(Mutation::Commit), fwd_trace));
-            items_by_shard.push(items);
-        }
-        let mut sent: Vec<(usize, usize, i128)> = Vec::with_capacity(shards * replicas);
+        let items_by_shard: Vec<Vec<(Op, Option<u64>)>> = per_shard
+            .into_iter()
+            .map(|runs| {
+                let mut items = Vec::with_capacity(2);
+                if !runs.is_empty() {
+                    items.push((Op::Mutation(Mutation::Apply { runs }), fwd_trace));
+                }
+                items.push((Op::Mutation(Mutation::Commit), fwd_trace));
+                items
+            })
+            .collect();
+        let mut sent: Vec<(usize, usize, i128)> =
+            Vec::with_capacity(items_by_shard.len() * replicas);
         for (shard, items) in items_by_shard.iter().enumerate() {
             for replica in 0..replicas {
                 self.core.metrics.subrequests.add(items.len() as u64);
@@ -534,11 +493,11 @@ impl<M: TilingMap> Backend for RouterBackend<M> {
         ))
     }
 
-    fn apply(&self, ops: &[(usize, usize, f64)]) -> Result<f64, MutErr> {
-        server::check_ops(&self.tiling, ops)?;
+    fn apply(&self, runs: &[DrainedTileOps]) -> Result<f64, MutErr> {
+        server::check_ops(&self.tiling, runs)?;
         Ok(server::buffer_ops(
             &mut self.write.lock().unwrap().buffer,
-            ops,
+            runs,
         ))
     }
 
@@ -549,15 +508,16 @@ impl<M: TilingMap> Backend for RouterBackend<M> {
         };
         let mut w = self.write.lock().unwrap();
         let w = &mut *w;
-        let (entries, _report) = w.buffer.drain_ops();
+        // The drain is tile-ascending and shard ranges are contiguous, so
+        // each shard's runs are one contiguous slice of it.
         let map = &self.core.topo.map;
-        let mut per_shard: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); map.shards()];
-        for (tile, ops) in entries {
-            per_shard[map.owner(tile)]
-                .extend(ops.into_iter().map(|(slot, delta)| (tile, slot, delta)));
+        let mut per_shard: Vec<Vec<DrainedTileOps>> =
+            (0..map.shards()).map(|_| Vec::new()).collect();
+        for (tile, run) in w.buffer.drain_ops().0 {
+            per_shard[map.owner(tile)].push((tile, run));
         }
         let _span = trace::scoped("router.commit_fanout");
-        match self.scatter_commit(&mut w.conns, &per_shard, fwd_trace) {
+        match self.scatter_commit(&mut w.conns, per_shard, fwd_trace) {
             // Acks stay far below 2^53, so the f64 is exact.
             Ok(acks) => Ok(acks as f64),
             Err(msg) => {

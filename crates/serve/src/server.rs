@@ -51,7 +51,7 @@ use crate::proto::{self, Mutation, Op, Request, RequestError};
 use crate::router::{RouterBackend, RouterTopology};
 use ss_core::reconstruct::Contributions;
 use ss_core::TilingMap;
-use ss_maintain::{DeltaBuffer, FlushMode, SnapshotCoeffStore};
+use ss_maintain::{DeltaBuffer, DrainedTileOps, FlushMode, SnapshotCoeffStore};
 use ss_obs::trace::{self, SpanCtx, TraceEventKind};
 use ss_obs::{Counter, Histogram};
 use ss_storage::{BlockStore, CoeffRead, SharedCoeffStore};
@@ -108,7 +108,7 @@ pub(crate) struct Job {
 pub(crate) type Outcome = Result<(f64, Vec<(usize, f64)>), (String, String)>;
 
 /// A protocol error kind plus message.
-pub(crate) type MutErr = (&'static str, String);
+pub type MutErr = (&'static str, String);
 
 /// What a server answers from. `Ok` of a mutation carries the response
 /// value (deltas buffered for an update or an apply, the published epoch
@@ -121,7 +121,7 @@ pub(crate) trait Backend: Send + Sync {
         Err(read_only())
     }
 
-    fn apply(&self, _ops: &[(usize, usize, f64)]) -> Result<f64, MutErr> {
+    fn apply(&self, _runs: &[DrainedTileOps]) -> Result<f64, MutErr> {
         Err(read_only())
     }
 
@@ -167,29 +167,36 @@ pub(crate) fn buffer_box(
     buf.add_box_standard(map, levels, at, &delta).coeffs_touched as f64
 }
 
-/// Rejects raw `(tile, slot, delta)` ops that fall outside the store
-/// geometry — they arrive from the wire.
-pub(crate) fn check_ops(map: &impl TilingMap, ops: &[(usize, usize, f64)]) -> Result<(), MutErr> {
+/// Rejects raw op runs that fall outside the store geometry — they arrive
+/// from the wire. [`DeltaBuffer::add_run`] only debug-asserts its slots, so
+/// this is what release builds rely on (`tests/request_fuzz.rs` runs both).
+pub fn check_ops(map: &impl TilingMap, runs: &[DrainedTileOps]) -> Result<(), MutErr> {
     let (tiles, capacity) = (map.num_tiles(), map.block_capacity());
-    match ops.iter().find(|op| op.0 >= tiles || op.1 >= capacity) {
-        Some(&(tile, slot, _)) => Err((
-            "bad_request",
-            format!(
-                "op ({tile}, {slot}) outside store geometry \
-                 ({tiles} tiles x {capacity} slots)"
-            ),
-        )),
-        None => Ok(()),
+    for &(tile, ref run) in runs {
+        if let Some((slot, _)) = run
+            .iter()
+            .find(|&&(slot, _)| tile >= tiles || slot >= capacity)
+        {
+            return Err((
+                "bad_request",
+                format!(
+                    "op ({tile}, {slot}) outside store geometry \
+                     ({tiles} tiles x {capacity} slots)"
+                ),
+            ));
+        }
     }
+    Ok(())
 }
 
-/// Buffers checked raw ops as one operation; returns how many.
-pub(crate) fn buffer_ops(buf: &mut DeltaBuffer, ops: &[(usize, usize, f64)]) -> f64 {
+/// Buffers checked op runs as one operation, one `add_run` per run;
+/// returns how many ops.
+pub fn buffer_ops(buf: &mut DeltaBuffer, runs: &[DrainedTileOps]) -> f64 {
     buf.begin_box();
-    for &(tile, slot, delta) in ops {
-        buf.add(tile, slot, delta);
+    for (tile, run) in runs {
+        buf.add_run(*tile, run);
     }
-    ops.len() as f64
+    runs.iter().map(|(_, run)| run.len()).sum::<usize>() as f64
 }
 
 /// The writable backend: one shared delta buffer feeding a snapshot
@@ -221,9 +228,9 @@ impl<M: TilingMap, S: BlockStore + Send + Sync> Backend for WritableBackend<M, S
         ))
     }
 
-    fn apply(&self, ops: &[(usize, usize, f64)]) -> Result<f64, MutErr> {
-        check_ops(self.store.map(), ops)?;
-        Ok(buffer_ops(&mut self.buffer.lock().unwrap(), ops))
+    fn apply(&self, runs: &[DrainedTileOps]) -> Result<f64, MutErr> {
+        check_ops(self.store.map(), runs)?;
+        Ok(buffer_ops(&mut self.buffer.lock().unwrap(), runs))
     }
 
     fn commit(&self) -> Result<f64, MutErr> {
@@ -627,9 +634,9 @@ fn connection_loop(stream: TcpStream, state: &State) {
                             let _s = trace::scoped("serve.update");
                             state.backend.update(&at, &dims, data)
                         }
-                        Mutation::Apply { ops } => {
+                        Mutation::Apply { runs } => {
                             let _s = trace::scoped("serve.apply");
-                            state.backend.apply(&ops)
+                            state.backend.apply(&runs)
                         }
                         Mutation::Commit => {
                             let _s = trace::scoped("serve.commit");

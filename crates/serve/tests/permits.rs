@@ -4,6 +4,7 @@
 //! second connection's sweep stays out of the store while the first is
 //! held there, with two it comes in beside it.
 
+use ss_core::reconstruct::Contributions;
 use ss_core::tiling::StandardTiling;
 use ss_core::TilingMap;
 use ss_serve::{Client, Query, QueryServer, ServeConfig};
@@ -77,9 +78,10 @@ fn second_sweep_overlaps(workers: usize, wait: Duration) -> bool {
     let server = QueryServer::bind("127.0.0.1:0", store, vec![4, 4], config).unwrap();
     let addr = server.local_addr();
     let ask = move |idx: [usize; 2]| {
-        let terms = vec![(idx.to_vec(), 1.0)];
+        let mut plan = Contributions::with_capacity(2, 1);
+        plan.push(&idx, 1.0);
         let mut client = Client::connect(addr).unwrap();
-        assert_eq!(client.run(&[Query::Partial { terms }]).unwrap(), [Ok(0.0)]);
+        assert_eq!(client.run(&[Query::Partial { plan }]).unwrap(), [Ok(0.0)]);
     };
     let overlapped = std::thread::scope(|scope| {
         scope.spawn(move || ask([0, 0]));

@@ -3,6 +3,7 @@
 //! routed commits, crash replay, and cross-server trace propagation.
 
 use ss_array::{MultiIndexIter, NdArray, Shape};
+use ss_core::reconstruct::Contributions;
 use ss_core::tiling::StandardTiling;
 use ss_core::TilingMap;
 use ss_maintain::{replay_records, FlushMode, SnapshotCoeffStore, Wal};
@@ -89,6 +90,13 @@ fn bind_router(topo: RouterTopology) -> QueryServer {
         cfg(),
     )
     .unwrap()
+}
+
+/// A one-term `partial` sub-plan.
+fn partial(idx: &[usize], weight: f64) -> Query {
+    let mut plan = Contributions::with_capacity(idx.len(), 1);
+    plan.push(idx, weight);
+    Query::Partial { plan }
 }
 
 fn probe_points() -> Vec<Vec<usize>> {
@@ -206,9 +214,7 @@ fn degraded_reads_fail_over_or_refuse_but_never_return_partials() {
         .find(|idx| map.owner(tiling().locate(idx).tile) == 1)
         .expect("shard 1 owns tiles");
     let err = client
-        .run(&[Query::Partial {
-            terms: vec![(dead_idx.clone(), 1.0)],
-        }])
+        .run(&[partial(&dead_idx, 1.0)])
         .unwrap()
         .pop()
         .unwrap()
@@ -220,9 +226,7 @@ fn degraded_reads_fail_over_or_refuse_but_never_return_partials() {
     let term_idx = vec![0usize, 0];
     assert_eq!(tiling().locate(&term_idx).tile, 0);
     let got = client
-        .run(&[Query::Partial {
-            terms: vec![(term_idx.clone(), 2.0)],
-        }])
+        .run(&[partial(&term_idx, 2.0)])
         .unwrap()
         .pop()
         .unwrap()
@@ -232,10 +236,7 @@ fn degraded_reads_fail_over_or_refuse_but_never_return_partials() {
         for idx in MultiIndexIter::new(&[SIDE, SIDE]) {
             serial.write(&idx, t.get(&idx));
         }
-        let plan = Query::Partial {
-            terms: vec![(term_idx, 1.0)],
-        }
-        .plan(&[N; 2]);
+        let plan = partial(&term_idx, 1.0).plan(&[N; 2]);
         ss_query::execute_plans(&mut serial, &[plan])[0]
     };
     assert_eq!(got.to_bits(), want.to_bits());

@@ -6,6 +6,7 @@
 //! that `write`. Under a watchdog: fail, never hang.
 
 use ss_array::MultiIndexIter;
+use ss_core::reconstruct::Contributions;
 use ss_core::tiling::StandardTiling;
 use ss_core::TilingMap;
 use ss_serve::{proto, Client, Query, QueryServer, ServeConfig};
@@ -23,14 +24,14 @@ fn a_client_that_never_reads_stalls_nobody_else() {
     // One term per tile, over awkward floats: every reply carries the
     // per-tile partials of all 441 tiles, ~11 KB a line.
     let mut seen = HashSet::new();
-    let mut terms = Vec::new();
+    let mut plan = Contributions::with_capacity(2, tiling.num_tiles());
     for idx in MultiIndexIter::new(&[64, 64]) {
         if seen.insert(tiling.locate(&idx).tile) {
-            store.write(&idx, 1.0 / (3 + terms.len()) as f64);
-            terms.push((idx, 1.0));
+            store.write(&idx, 1.0 / (3 + plan.len()) as f64);
+            plan.push(&idx, 1.0);
         }
     }
-    assert_eq!(terms.len(), tiling.num_tiles());
+    assert_eq!(plan.len(), tiling.num_tiles());
     let config = ServeConfig {
         workers: 1,
         batch_max: 64,
@@ -48,7 +49,7 @@ fn a_client_that_never_reads_stalls_nobody_else() {
     stalled
         .set_write_timeout(Some(Duration::from_secs(1)))
         .unwrap();
-    let mut line = proto::request_line(1, &Query::Partial { terms });
+    let mut line = proto::request_line(1, &Query::Partial { plan });
     line.push('\n');
     let (stuck, is_stuck) = mpsc::channel();
     let writer = {

@@ -3,6 +3,7 @@
 //! `format!("terms[{k}]")` on the success path. The counting allocator is
 //! process-wide, so this file holds exactly one test.
 
+use ss_core::reconstruct::Contributions;
 use ss_serve::Query;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -34,6 +35,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// A rank-2 `partial` over `terms`.
+fn partial(terms: impl IntoIterator<Item = [usize; 2]>) -> Query {
+    let mut plan = Contributions::with_capacity(2, 0);
+    for idx in terms {
+        plan.push(&idx, 0.5);
+    }
+    Query::Partial { plan }
+}
+
 #[test]
 fn valid_requests_validate_without_allocating() {
     let dims = [64usize, 64];
@@ -43,9 +53,7 @@ fn valid_requests_validate_without_allocating() {
             lo: vec![0, 5],
             hi: vec![63, 40],
         },
-        Query::Partial {
-            terms: (0..170).map(|k| (vec![k % 64, k / 3], 0.5)).collect(),
-        },
+        partial((0..170).map(|k| [k % 64, k / 3])),
     ];
     for q in &requests {
         let before = ALLOCATIONS.with(Cell::get);
@@ -55,9 +63,7 @@ fn valid_requests_validate_without_allocating() {
         assert_eq!(allocated, 0, "{} validated with allocations", q.op());
     }
     // The error path still names the term.
-    let bad = Query::Partial {
-        terms: vec![(vec![1, 1], 1.0), (vec![1, 64], 1.0)],
-    };
+    let bad = partial([[1, 1], [1, 64]]);
     assert_eq!(
         bad.validate(&dims).unwrap_err(),
         "terms[1][1] = 64 out of range (axis size 64)"
