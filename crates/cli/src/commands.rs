@@ -311,6 +311,7 @@ pub fn point(args: &Args) -> Result<(), String> {
     let pos = parse_list(args.pos(1, "position (i,j,…)")?)?;
     let mut ws = WsFile::open(Path::new(path))?;
     check_rank(&ws.meta, pos.len())?;
+    check_box(&ws.meta, &pos, &pos)?;
     let value = ss_query::point_standard(&mut ws.store, &ws.meta.levels, &pos);
     println!("{value}");
     metrics::emit(args, &ws.stats)
@@ -322,8 +323,7 @@ pub fn sum(args: &Args) -> Result<(), String> {
     let lo = parse_list(args.flag("lo")?)?;
     let hi = parse_list(args.flag("hi")?)?;
     let mut ws = WsFile::open(Path::new(path))?;
-    check_rank(&ws.meta, lo.len())?;
-    check_rank(&ws.meta, hi.len())?;
+    check_box(&ws.meta, &lo, &hi)?;
     let value = ss_query::range_sum_standard(&mut ws.store, &ws.meta.levels, &lo, &hi);
     println!("{value}");
     metrics::emit(args, &ws.stats)
@@ -335,7 +335,7 @@ pub fn extract(args: &Args) -> Result<(), String> {
     let lo = parse_list(args.flag("lo")?)?;
     let hi = parse_list(args.flag("hi")?)?;
     let mut ws = WsFile::open(Path::new(path))?;
-    check_rank(&ws.meta, lo.len())?;
+    check_box(&ws.meta, &lo, &hi)?;
     let region = ss_query::reconstruct_box_standard(&mut ws.store, &ws.meta.levels, &lo, &hi);
     let text = csv::write_array(&region);
     match args.flag_opt("out") {
@@ -1346,4 +1346,22 @@ fn check_rank(meta: &Meta, rank: usize) -> Result<(), String> {
     } else {
         Ok(())
     }
+}
+
+/// A query box must have the store's rank, `lo <= hi` and `hi` inside
+/// the domain on every axis; the error names the first axis that fails.
+fn check_box(meta: &Meta, lo: &[usize], hi: &[usize]) -> Result<(), String> {
+    for (flag, corner) in [("--lo", lo), ("--hi", hi)] {
+        let axis = corner.len().min(meta.levels.len());
+        check_rank(meta, corner.len()).map_err(|e| format!("{flag}: {e}, at axis {axis}"))?;
+    }
+    for (axis, ((&l, &h), &n)) in lo.iter().zip(hi).zip(&meta.levels).enumerate() {
+        if l > h || h >= 1usize << n {
+            let last = (1usize << n) - 1;
+            return Err(format!(
+                "axis {axis}: [{l}, {h}] is not a range inside [0, {last}]"
+            ));
+        }
+    }
+    Ok(())
 }

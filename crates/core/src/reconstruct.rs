@@ -17,7 +17,9 @@
 //!   dyadic sub-range from the global transform via inverse SHIFT (detail
 //!   re-indexing) plus inverse SPLIT (block-average evaluation), then
 //!   running an in-memory inverse transform over just `M^d` values instead
-//!   of `N^d`.
+//!   of `N^d`. [`BoxEnvelope`] locates a whole box's envelope per axis, so
+//!   a store can be read one tile at a time and every piece assembled from
+//!   the gathered copy.
 //!
 //! **Lemma 1 is the inverse SPLIT at `m = 0`**: a data value is the average
 //! of the dyadic block of length `2^0` that holds it. The point builders are
@@ -28,6 +30,8 @@
 
 use crate::layout::Layout1d;
 use crate::nonstandard::NsCoeff;
+use crate::split::{for_each_member, for_each_tile, interval_targets, AxisTargets};
+use crate::tiling::AxisTiling;
 use ss_array::{DyadicRange, MultiIndexIter, NdArray, Shape};
 
 /// A contribution list over N-d coefficient indices, stored flat: term `k`
@@ -210,6 +214,18 @@ pub fn nonstandard_block_average_contributions(n: u32, m: u32, block: &[usize]) 
 pub fn standard_range_transform(
     n: &[u32],
     range: &DyadicRange,
+    get: impl FnMut(&[usize]) -> f64,
+) -> NdArray<f64> {
+    range_transform(n, range, |_, index| index, get)
+}
+
+/// [`standard_range_transform`] with every per-axis source index passed
+/// through `reindex(axis, index)` before `get` sees it: the same terms in
+/// the same order, addressed into a gathered copy instead of the store.
+fn range_transform(
+    n: &[u32],
+    range: &DyadicRange,
+    reindex: impl Fn(usize, usize) -> usize,
     mut get: impl FnMut(&[usize]) -> f64,
 ) -> NdArray<f64> {
     let d = range.ndim();
@@ -227,14 +243,15 @@ pub fn standard_range_transform(
         .map(|t| {
             (0..shape.dim(t))
                 .map(|local_t| {
-                    if local_t == 0 {
+                    let list = if local_t == 0 {
                         Layout1d::new(n[t]).block_average_contributions(m[t], block[t])
                     } else {
                         vec![(
                             crate::shift::shift_index_1d(n[t], m[t], block[t], local_t),
                             1.0,
                         )]
-                    }
+                    };
+                    list.into_iter().map(|(i, w)| (reindex(t, i), w)).collect()
                 })
                 .collect()
         })
@@ -261,6 +278,98 @@ pub fn standard_reconstruct_range(
     let mut t = standard_range_transform(n, range, get);
     crate::standard::inverse(&mut t);
     t
+}
+
+/// Result 6's envelope of a box `[lo, hi]` on a per-axis-product tiling
+/// ([`TilingMap::axis_tilings`](crate::TilingMap::axis_tilings)),
+/// located: per axis, every coefficient any of the box's dyadic intervals
+/// reads, once, ranked in ascending index order and grouped by tile
+/// ([`AxisTargets`]). The box's pieces are the cross product of its
+/// per-axis intervals, so the envelope of all of them is the cross
+/// product of the per-axis ones — read it a tile at a time
+/// ([`tile_runs`](Self::tile_runs)) into one array, and every piece
+/// reconstructs from that array ([`reconstruct`](Self::reconstruct)).
+#[derive(Clone, Debug)]
+pub struct BoxEnvelope {
+    levels: Vec<u32>,
+    tables: Vec<AxisTargets>,
+    /// Per axis: the envelope's coefficient indices, ascending.
+    indices: Vec<Vec<usize>>,
+    /// Row-major strides of the gathered array.
+    strides: Vec<usize>,
+}
+
+impl BoxEnvelope {
+    /// The envelope of the inclusive box `[lo, hi]` on the product tiling
+    /// `axes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the box's rank differs from the tiling's, or when
+    /// `lo > hi` or `hi` falls outside the domain on some axis.
+    pub fn new(axes: &[AxisTiling], lo: &[usize], hi: &[usize]) -> Self {
+        assert!(lo.len() == axes.len() && hi.len() == axes.len(), "box rank");
+        let (tables, indices): (Vec<_>, Vec<_>) = (0..axes.len())
+            .map(|t| {
+                let n = axes[t].levels();
+                assert!(hi[t] < 1usize << n, "axis {t}: {} outside 2^{n}", hi[t]);
+                let mut indices = Vec::new();
+                for iv in ss_array::decompose_interval(lo[t], hi[t]) {
+                    let targets = interval_targets(n, iv.level, iv.translation);
+                    indices.extend(targets.map(|(_, index, _)| index));
+                }
+                indices.sort_unstable();
+                indices.dedup();
+                let ranked = indices.iter().enumerate().map(|(rank, &i)| (rank, i, 1.0));
+                (
+                    AxisTargets::located(axes, t, indices.len(), ranked),
+                    indices,
+                )
+            })
+            .unzip();
+        let extents: Vec<usize> = indices.iter().map(Vec::len).collect();
+        BoxEnvelope {
+            levels: axes.iter().map(AxisTiling::levels).collect(),
+            tables,
+            indices,
+            strides: Shape::new(&extents).strides().to_vec(),
+        }
+    }
+
+    /// Coefficients in the envelope: the length of the gathered array.
+    pub fn coeffs(&self) -> usize {
+        self.indices.iter().map(Vec::len).product()
+    }
+
+    /// The gather, the inverse of [`crate::split::standard_tile_runs`]:
+    /// every tile the envelope covers gets exactly one call
+    /// `emit(tile, &[(slot, offset)])`, in strictly ascending tile order —
+    /// copy slot `slot` of the tile to `offset` of the gathered array.
+    pub fn tile_runs(&self, mut emit: impl FnMut(usize, &[(usize, usize)])) {
+        let mut run = Vec::new();
+        for_each_tile(&self.tables, |tile, groups| {
+            for_each_member(groups, &self.strides, 0, 0, 1.0, &mut |slot, at, _| {
+                run.push((slot, at))
+            });
+            emit(tile, &run);
+            run.clear();
+        });
+    }
+
+    /// The data of `piece`, one of the box's dyadic pieces, from the
+    /// gathered array: the terms of [`standard_reconstruct_range`] in its
+    /// order, so bit-identical to it over the store the array came from.
+    pub fn reconstruct(&self, gathered: &[f64], piece: &DyadicRange) -> NdArray<f64> {
+        assert_eq!(gathered.len(), self.coeffs());
+        let offset = |t: usize, index: usize| {
+            let rank = self.indices[t].binary_search(&index);
+            rank.expect("piece of this box") * self.strides[t]
+        };
+        let get = |at: &[usize]| gathered[at.iter().sum::<usize>()];
+        let mut t = range_transform(&self.levels, piece, offset, get);
+        crate::standard::inverse(&mut t);
+        t
+    }
 }
 
 /// Assembles the **non-standard transform of a cubic dyadic sub-range** from

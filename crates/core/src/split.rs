@@ -32,7 +32,9 @@
 //! ([`AxisTargets`]), the cross product walked a destination tile at a
 //! time, one `(tile, &[(slot, delta)])` run per tile in ascending tile
 //! order — and is what the standard-form producers (chunk pipeline,
-//! appender, box updates) call; `standard_deltas` is its oracle.
+//! appender, box updates) call; `standard_deltas` is its oracle. The
+//! same tables, read backwards, drive the tile-major gather of a partial
+//! reconstruction ([`crate::reconstruct::BoxEnvelope`]).
 
 use crate::layout::{Coeff1d, Layout1d};
 use crate::nonstandard::NsCoeff;
@@ -168,7 +170,7 @@ pub fn standard_deltas(
 
 /// One SHIFT or SPLIT target along one axis, already located.
 #[derive(Clone, Copy, Debug)]
-struct AxisTarget {
+pub(crate) struct AxisTarget {
     /// Chunk-local index of the source coefficient along the axis.
     local: usize,
     /// Axis tile ordinal times the axis's stride in the tile grid.
@@ -179,17 +181,38 @@ struct AxisTarget {
     factor: f64,
 }
 
+/// The SHIFT and SPLIT targets of the `(block+1)`-th dyadic interval of
+/// length `2^m` on a `2^n` axis, as `(local, index, factor)`: the SPLIT
+/// path of the average (local 0), then the `2^m − 1` shifted details.
+pub(crate) fn interval_targets(
+    n: u32,
+    m: u32,
+    block: usize,
+) -> impl Iterator<Item = (usize, usize, f64)> {
+    let split = split_targets_1d(n, m, block)
+        .into_iter()
+        .map(|target| (0, target.index, target.factor));
+    let shift = (1..1usize << m)
+        .map(move |local| (local, crate::shift::shift_index_1d(n, m, block, local), 1.0));
+    split.chain(shift)
+}
+
 /// Every SHIFT and SPLIT target of one dyadic interval along one axis of
 /// a per-axis-product tiling ([`TilingMap::axis_tilings`]), located once
 /// and grouped by axis tile in ascending order.
 ///
 /// The table depends on the interval and the axis only, so the pieces of
-/// an update box that share an axis interval share its table.
+/// an update box that share an axis interval share its table. Read
+/// backwards, the same located set is Result 6's envelope: the inverse
+/// SHIFT-SPLIT of an interval reads exactly the coefficients the forward
+/// one writes ([`BoxEnvelope`](crate::reconstruct::BoxEnvelope)).
 ///
 /// [`TilingMap::axis_tilings`]: crate::tiling::TilingMap::axis_tilings
 #[derive(Clone, Debug)]
 pub struct AxisTargets {
-    m: u32,
+    /// Distinct `local` values: `2^m` for an interval, the number of
+    /// coefficients for an envelope.
+    extent: usize,
     targets: Vec<AxisTarget>,
     /// `targets[bounds[g]..bounds[g + 1]]` share one axis tile.
     bounds: Vec<usize>,
@@ -199,27 +222,34 @@ impl AxisTargets {
     /// Targets of the `(block+1)`-th dyadic interval of length `2^m` on
     /// axis `t` of the product tiling `axes`.
     pub fn new(axes: &[AxisTiling], t: usize, m: u32, block: usize) -> Self {
-        let axis = &axes[t];
-        let n = axis.levels();
+        let n = axes[t].levels();
         assert!(m <= n, "chunk axis {t} larger than domain ({m} > {n})");
+        Self::located(axes, t, 1usize << m, interval_targets(n, m, block))
+    }
+
+    /// Locates `(local, index, factor)` targets on axis `t`, `extent`
+    /// distinct locals, and groups them by axis tile, ascending; a group
+    /// keeps the input order.
+    pub(crate) fn located(
+        axes: &[AxisTiling],
+        t: usize,
+        extent: usize,
+        sources: impl Iterator<Item = (usize, usize, f64)>,
+    ) -> Self {
+        let axis = &axes[t];
         let tile_stride: usize = axes[t + 1..].iter().map(AxisTiling::num_tiles).product();
         let slot_stride: usize = axes[t + 1..].iter().map(AxisTiling::block_side).product();
-        let mut targets = Vec::with_capacity((1usize << m) + (n - m) as usize);
-        let mut push = |local: usize, index: usize, factor: f64| {
-            let at = axis.locate(index);
-            targets.push(AxisTarget {
-                local,
-                tile: at.tile * tile_stride,
-                slot: at.slot * slot_stride,
-                factor,
-            });
-        };
-        for target in split_targets_1d(n, m, block) {
-            push(0, target.index, target.factor);
-        }
-        for local in 1..(1usize << m) {
-            push(local, crate::shift::shift_index_1d(n, m, block, local), 1.0);
-        }
+        let mut targets: Vec<AxisTarget> = sources
+            .map(|(local, index, factor)| {
+                let at = axis.locate(index);
+                AxisTarget {
+                    local,
+                    tile: at.tile * tile_stride,
+                    slot: at.slot * slot_stride,
+                    factor,
+                }
+            })
+            .collect();
         targets.sort_by_key(|target| target.tile);
         let mut bounds = vec![0];
         for i in 1..targets.len() {
@@ -228,7 +258,11 @@ impl AxisTargets {
             }
         }
         bounds.push(targets.len());
-        AxisTargets { m, targets, bounds }
+        AxisTargets {
+            extent,
+            targets,
+            bounds,
+        }
     }
 
     fn groups(&self) -> usize {
@@ -240,53 +274,17 @@ impl AxisTargets {
     }
 }
 
-/// The cross product of one axis-tile group per axis — all deltas of one
-/// destination tile — appended to `run`. `strides` are the chunk's;
-/// `offset`, `slot` and `factor` are what the outer axes chose.
-fn fill_run(
-    data: &[f64],
-    strides: &[usize],
-    groups: &[&[AxisTarget]],
-    offset: usize,
-    slot: usize,
-    factor: f64,
-    run: &mut Vec<(usize, f64)>,
-) {
-    let (group, inner) = groups.split_first().expect("rank >= 1");
-    let stride = strides[0];
-    for target in *group {
-        let offset = offset + target.local * stride;
-        let (slot, factor) = (slot + target.slot, factor * target.factor);
-        if !inner.is_empty() {
-            fill_run(data, &strides[1..], inner, offset, slot, factor, run);
-        } else if data[offset] != 0.0 {
-            run.push((slot, data[offset] * factor));
-        }
-    }
-}
-
-/// [`standard_tile_runs`] over axis tables built beforehand, one per axis
-/// and matching the chunk's extents.
-pub fn standard_tile_runs_located<T: Borrow<AxisTargets>>(
-    chunk_t: &NdArray<f64>,
+/// The located walk both directions share: an odometer over one
+/// axis-tile group per axis, calling `tile(ordinal, groups)` for every
+/// destination tile. Row-major over ascending per-axis tiles is
+/// ascending tile ordinal.
+pub(crate) fn for_each_tile<T: Borrow<AxisTargets>>(
     tables: &[T],
-    mut emit: impl FnMut(usize, &[(usize, f64)]),
+    mut tile: impl FnMut(usize, &[&[AxisTarget]]),
 ) {
-    let d = chunk_t.shape().ndim();
-    assert_eq!(tables.len(), d);
-    for (t, table) in tables.iter().enumerate() {
-        assert_eq!(
-            chunk_t.shape().dim(t),
-            1usize << table.borrow().m,
-            "axis {t}: table built for another extent"
-        );
-    }
-    let (data, strides) = (chunk_t.as_slice(), chunk_t.shape().strides());
+    let d = tables.len();
     let mut choice = vec![0usize; d];
     let mut groups: Vec<&[AxisTarget]> = Vec::with_capacity(d);
-    let mut run: Vec<(usize, f64)> = Vec::new();
-    // Odometer over one group per axis: row-major over ascending per-axis
-    // tiles is ascending tile ordinal.
     loop {
         groups.clear();
         groups.extend(
@@ -295,12 +293,7 @@ pub fn standard_tile_runs_located<T: Borrow<AxisTargets>>(
                 .zip(&choice)
                 .map(|(table, &g)| table.borrow().group(g)),
         );
-        let tile = groups.iter().map(|group| group[0].tile).sum();
-        fill_run(data, strides, &groups, 0, 0, 1.0, &mut run);
-        if !run.is_empty() {
-            emit(tile, &run);
-            run.clear();
-        }
+        tile(groups.iter().map(|group| group[0].tile).sum(), &groups);
         let mut axis = d;
         loop {
             if axis == 0 {
@@ -314,6 +307,62 @@ pub fn standard_tile_runs_located<T: Borrow<AxisTargets>>(
             choice[axis] = 0;
         }
     }
+}
+
+/// The cross product of one axis-tile group per axis — every member of
+/// one destination tile — visited row-major as `(slot, offset, factor)`:
+/// `offset` of the member's locals in a row-major array with `strides`,
+/// `factor` the per-axis factors multiplied left to right. `offset`,
+/// `slot` and `factor` are what the outer axes chose.
+pub(crate) fn for_each_member(
+    groups: &[&[AxisTarget]],
+    strides: &[usize],
+    offset: usize,
+    slot: usize,
+    factor: f64,
+    visit: &mut impl FnMut(usize, usize, f64),
+) {
+    let (group, inner) = groups.split_first().expect("rank >= 1");
+    let stride = strides[0];
+    for target in *group {
+        let offset = offset + target.local * stride;
+        let (slot, factor) = (slot + target.slot, factor * target.factor);
+        if inner.is_empty() {
+            visit(slot, offset, factor);
+        } else {
+            for_each_member(inner, &strides[1..], offset, slot, factor, visit);
+        }
+    }
+}
+
+/// [`standard_tile_runs`] over axis tables built beforehand, one per axis
+/// and matching the chunk's extents.
+pub fn standard_tile_runs_located<T: Borrow<AxisTargets>>(
+    chunk_t: &NdArray<f64>,
+    tables: &[T],
+    mut emit: impl FnMut(usize, &[(usize, f64)]),
+) {
+    assert_eq!(tables.len(), chunk_t.shape().ndim());
+    for (t, table) in tables.iter().enumerate() {
+        assert_eq!(
+            chunk_t.shape().dim(t),
+            table.borrow().extent,
+            "axis {t}: table built for another extent"
+        );
+    }
+    let (data, strides) = (chunk_t.as_slice(), chunk_t.shape().strides());
+    let mut run: Vec<(usize, f64)> = Vec::new();
+    for_each_tile(tables, |tile, groups| {
+        for_each_member(groups, strides, 0, 0, 1.0, &mut |slot, offset, factor| {
+            if data[offset] != 0.0 {
+                run.push((slot, data[offset] * factor));
+            }
+        });
+        if !run.is_empty() {
+            emit(tile, &run);
+            run.clear();
+        }
+    });
 }
 
 /// [`standard_deltas`] for a tiling that is a cross product of per-axis

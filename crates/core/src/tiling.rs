@@ -186,6 +186,18 @@ impl AxisTiling {
         (self.bands.top_level[band], tile - self.band_base[band])
     }
 
+    /// The tile rooted at detail `(level, k)`, or `None` when that level
+    /// is not a band top (the detail is interior to some tile) — the
+    /// inverse of [`tile_root`](Self::tile_root).
+    ///
+    /// Bands are anchored at the finest level, so a domain doubling only
+    /// changes the top band: every other tile keeps its root, members and
+    /// slots, and this finds its ordinal in the doubled tiling.
+    pub fn tile_of_root(&self, level: u32, k: usize) -> Option<usize> {
+        let band = self.bands.top_level.iter().position(|&top| top == level)?;
+        (k < 1usize << (self.n - level)).then(|| self.band_base[band] + k)
+    }
+
     /// Height of the band a tile belongs to (its subtree height).
     pub fn tile_height(&self, tile: usize) -> u32 {
         let band = match self.band_base.binary_search(&tile) {
@@ -707,6 +719,20 @@ mod tests {
         // n=5, b=2 bands: {5}, {4,3}, {2,1}: level 3 is interior.
         assert_eq!(map.tile_of_root(3, &[0, 0]), None);
         assert_eq!(map.tile_of_root(1, &[0, 0]), None);
+    }
+
+    #[test]
+    fn axis_tile_of_root_inverts_tile_root() {
+        for (n, b) in [(5u32, 2u32), (6, 3), (0, 2), (4, 1)] {
+            let axis = AxisTiling::new(n, b);
+            for tile in 0..axis.num_tiles() {
+                let (level, k) = axis.tile_root(tile);
+                assert_eq!(axis.tile_of_root(level, k), Some(tile), "n={n} b={b}");
+                assert_eq!(axis.tile_of_root(level, 1usize << (n - level)), None);
+            }
+        }
+        // n=5, b=2 bands: {5}, {4,3}, {2,1}: level 3 is interior.
+        assert_eq!(AxisTiling::new(5, 2).tile_of_root(3, 0), None);
     }
 
     #[test]

@@ -276,9 +276,15 @@ impl<M: TilingMap, S: BlockStore> PinnedSnapshot<'_, M, S> {
 
     /// Reads a raw `(tile, slot)` location at this epoch.
     pub fn get(&self, tile: usize, slot: usize) -> f64 {
+        self.tile(tile, |image| image[slot])
+    }
+
+    /// Runs `f` over tile `tile` as this epoch sees it: its overlay image
+    /// if the epoch has one, else the base store's block.
+    fn tile<R>(&self, tile: usize, f: impl FnOnce(&[f64]) -> R) -> R {
         match self.version.overlay.get(&tile) {
-            Some(image) => image[slot],
-            None => self.store.base.pool().read(tile, slot),
+            Some(image) => f(image),
+            None => self.store.base.pool().with_block(tile, false, |blk| f(blk)),
         }
     }
 }
@@ -305,6 +311,11 @@ impl<M: TilingMap, S: BlockStore> CoeffRead for PinnedSnapshot<'_, M, S> {
         self.store.base.stats().add_coeff_reads(1);
         self.get(tile, slot)
     }
+
+    fn with_tile<R>(&mut self, tile: usize, reads: usize, f: impl FnOnce(&[f64]) -> R) -> R {
+        self.store.base.stats().add_coeff_reads(reads as u64);
+        self.tile(tile, f)
+    }
 }
 
 impl<M: TilingMap, S: BlockStore> CoeffRead for &PinnedSnapshot<'_, M, S> {
@@ -322,6 +333,11 @@ impl<M: TilingMap, S: BlockStore> CoeffRead for &PinnedSnapshot<'_, M, S> {
     fn read_at(&mut self, tile: usize, slot: usize) -> f64 {
         self.store.base.stats().add_coeff_reads(1);
         self.get(tile, slot)
+    }
+
+    fn with_tile<R>(&mut self, tile: usize, reads: usize, f: impl FnOnce(&[f64]) -> R) -> R {
+        self.store.base.stats().add_coeff_reads(reads as u64);
+        self.tile(tile, f)
     }
 }
 

@@ -555,4 +555,20 @@ mod tests {
         assert_eq!(once, twice);
         assert_eq!(cs.pool().read(2, 1), 2.0); // last record wins
     }
+
+    #[test]
+    fn replay_into_a_cold_pool_reads_nothing() {
+        // A post-image replaces its tile whole, so replay never loads the
+        // block it overwrites: K images through a cold 1-frame pool (each
+        // one a miss evicting the last) cost 0 block reads and K writes.
+        let stats = IoStats::new();
+        let cs = mem_shared_store(Tiling1d::new(4, 2), 1, 1, stats.clone());
+        let recs = vec![record(1), record(2), record(3)];
+        let k = recs.iter().map(|r| r.tiles.len() as u64).sum::<u64>();
+        assert_eq!(replay_records(&recs, &cs), k);
+        let io = stats.snapshot();
+        assert_eq!((io.block_reads, io.block_writes), (0, k));
+        assert_eq!(cs.pool().read(2, 1), 3.0);
+        assert_eq!(cs.pool().read(0, 3), -2.0);
+    }
 }

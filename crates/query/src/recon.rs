@@ -11,14 +11,31 @@
 //! 3. **Inverse SHIFT-SPLIT** — assemble the region's own transform from
 //!    `O((M + log(N/M))^d)` coefficients and invert it in memory
 //!    ([`reconstruct_box_standard`], [`reconstruct_range_nonstandard`]).
+//!
+//! On a per-axis-product tiling the standard form reads its envelope
+//! **tile-major**: each of the envelope's tiles is read once, in
+//! ascending order, and Result 6 holds in blocks as well as in
+//! coefficients (`ss_core::reconstruct::BoxEnvelope`).
 
 use ss_array::{DyadicRange, MultiIndexIter, NdArray, Shape};
-use ss_core::reconstruct;
+use ss_core::reconstruct::{self, BoxEnvelope};
+use ss_core::TilingMap;
 use ss_storage::CoeffRead;
 
 /// Reconstructs an arbitrary inclusive box `[lo, hi]` from a standard-form
 /// store via inverse SHIFT-SPLIT: the box is decomposed into dyadic ranges,
 /// each assembled and inverted independently (Result 6).
+///
+/// When the map is a cross product of per-axis tilings
+/// ([`TilingMap::axis_tilings`]), the union of the pieces' envelopes is
+/// gathered first, one [`CoeffRead::with_tile`] per tile in ascending
+/// order, and every piece is assembled from that copy — the same terms
+/// in the same order as reading each coefficient from the store, so the
+/// same bits. Other maps read coefficient by coefficient.
+///
+/// # Panics
+///
+/// Panics when the box is empty or leaves the domain on some axis.
 pub fn reconstruct_box_standard<C: CoeffRead>(
     cs: &mut C,
     n: &[u32],
@@ -26,10 +43,30 @@ pub fn reconstruct_box_standard<C: CoeffRead>(
     hi: &[usize],
 ) -> NdArray<f64> {
     let _span = ss_obs::global().span("query.reconstruct_std");
+    let pieces = ss_array::decompose_range(lo, hi);
     let extents: Vec<usize> = lo.iter().zip(hi).map(|(&l, &h)| h - l + 1).collect();
     let mut out = NdArray::<f64>::zeros(Shape::new(&extents));
-    for piece in ss_array::decompose_range(lo, hi) {
-        let data = reconstruct_dyadic_standard(cs, n, &piece);
+    let envelope = cs.map().axis_tilings().map(|axes| {
+        let levels: Vec<u32> = axes.iter().map(|axis| axis.levels()).collect();
+        assert_eq!(levels, n, "n must be the map's levels");
+        BoxEnvelope::new(axes, lo, hi)
+    });
+    let mut gathered = Vec::new();
+    if let Some(envelope) = &envelope {
+        gathered.resize(envelope.coeffs(), 0.0);
+        envelope.tile_runs(|tile, run| {
+            cs.with_tile(tile, run.len(), |blk| {
+                for &(slot, at) in run {
+                    gathered[at] = blk[slot];
+                }
+            })
+        });
+    }
+    for piece in &pieces {
+        let data = match &envelope {
+            Some(envelope) => envelope.reconstruct(&gathered, piece),
+            None => reconstruct::standard_reconstruct_range(n, piece, |idx| cs.read(idx)),
+        };
         let origin: Vec<usize> = piece
             .origin()
             .iter()
@@ -39,15 +76,6 @@ pub fn reconstruct_box_standard<C: CoeffRead>(
         out.insert(&origin, &data);
     }
     out
-}
-
-/// Reconstructs a single dyadic range from a standard-form store.
-pub fn reconstruct_dyadic_standard<C: CoeffRead>(
-    cs: &mut C,
-    n: &[u32],
-    range: &DyadicRange,
-) -> NdArray<f64> {
-    reconstruct::standard_reconstruct_range(n, range, |idx| cs.read(idx))
 }
 
 /// Reconstructs a cubic dyadic range from a non-standard-form store.

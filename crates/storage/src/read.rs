@@ -36,6 +36,12 @@ pub trait CoeffRead {
     /// Reads a raw `(tile, slot)` location — used by query plans that
     /// resolve locations up front to reason about block access patterns.
     fn read_at(&mut self, tile: usize, slot: usize) -> f64;
+
+    /// Runs `f` over the whole of tile `tile` as one access, counting
+    /// `reads` coefficient reads — the slots `f` copies out. The
+    /// tile-major gather of a partial reconstruction reads each tile of
+    /// its envelope through this once.
+    fn with_tile<R>(&mut self, tile: usize, reads: usize, f: impl FnOnce(&[f64]) -> R) -> R;
 }
 
 impl<M: TilingMap, S: BlockStore> CoeffRead for CoeffStore<M, S> {
@@ -51,6 +57,11 @@ impl<M: TilingMap, S: BlockStore> CoeffRead for CoeffStore<M, S> {
 
     fn read_at(&mut self, tile: usize, slot: usize) -> f64 {
         CoeffStore::read_at(self, tile, slot)
+    }
+
+    fn with_tile<R>(&mut self, tile: usize, reads: usize, f: impl FnOnce(&[f64]) -> R) -> R {
+        self.stats().add_coeff_reads(reads as u64);
+        self.pool().with_block_mut(tile, false, |blk| f(blk))
     }
 }
 
@@ -68,6 +79,11 @@ impl<M: TilingMap, S: BlockStore> CoeffRead for &SharedCoeffStore<M, S> {
     fn read_at(&mut self, tile: usize, slot: usize) -> f64 {
         self.stats().add_coeff_reads(1);
         self.pool().read(tile, slot)
+    }
+
+    fn with_tile<R>(&mut self, tile: usize, reads: usize, f: impl FnOnce(&[f64]) -> R) -> R {
+        self.stats().add_coeff_reads(reads as u64);
+        self.pool().with_block(tile, false, |blk| f(blk))
     }
 }
 

@@ -418,6 +418,27 @@ impl<S: BlockStore> ShardedBufferPool<S> {
     /// an eviction write-back happens *outside* the shard lock (see the
     /// module docs); only the in-memory closure runs under it.
     pub fn with_block<R>(&self, id: usize, mutate: bool, f: impl FnOnce(&mut [f64]) -> R) -> R {
+        self.enter(id, mutate, true, f)
+    }
+
+    /// Installs `data` as block `id`'s whole image without reading the
+    /// block: a hit overwrites the frame, a miss takes the miss path of
+    /// [`with_block`](Self::with_block) — busy mark, victims, write-backs
+    /// — minus the load, since nothing of the old image survives. The
+    /// frame is dirty; the store sees it at eviction or flush.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `data.len()` differs from the block capacity.
+    pub fn overwrite(&self, id: usize, data: &[f64]) {
+        assert_eq!(data.len(), self.block_capacity);
+        self.enter(id, true, false, |blk| blk.copy_from_slice(data));
+    }
+
+    /// The one entry behind [`with_block`](Self::with_block) and
+    /// [`overwrite`](Self::overwrite): a miss reads the block only when
+    /// `load` (otherwise the frame starts zeroed for `f` to fill whole).
+    fn enter<R>(&self, id: usize, mutate: bool, load: bool, f: impl FnOnce(&mut [f64]) -> R) -> R {
         let slot_ref = &self.shards[self.shard_of(id)];
         let mut shard = self.lock_slot(slot_ref);
         loop {
@@ -446,10 +467,12 @@ impl<S: BlockStore> ShardedBufferPool<S> {
             raise(wrote);
         }
         let mut data = vec![0.0; self.block_capacity];
-        // Miss read: under the read half of the store lock, so misses
-        // on other shards overlap their device wait with this one.
-        let read = self.read_store().try_read_block(id, &mut data);
-        raise(read);
+        if load {
+            // Miss read: under the read half of the store lock, so misses
+            // on other shards overlap their device wait with this one.
+            let read = self.read_store().try_read_block(id, &mut data);
+            raise(read);
+        }
         let mut shard = self.lock_slot(slot_ref);
         // Clear the busy marks under this same lock and keep holding
         // it: releasing between install and use would let a
@@ -635,18 +658,18 @@ impl<M: TilingMap, S: BlockStore> SharedCoeffStore<M, S> {
         self.pool.with_block(tile, false, |blk| blk.to_vec())
     }
 
-    /// Overwrites a whole tile — the snapshot layer's fold-back hook: a
-    /// retired epoch's published tile images are written into the base
-    /// store verbatim (and WAL replay restores post-images the same way).
+    /// Overwrites a whole tile without reading it
+    /// ([`ShardedBufferPool::overwrite`]) — the snapshot layer's fold-back
+    /// hook: a retired epoch's published tile images are written into the
+    /// base store verbatim (WAL replay restores post-images, and a domain
+    /// doubling moves tiles, the same way).
     ///
     /// # Panics
     ///
     /// Panics when `data.len()` differs from the block capacity.
     pub fn overwrite_tile(&self, tile: usize, data: &[f64]) {
-        assert_eq!(data.len(), self.pool.block_capacity());
         self.stats.add_coeff_writes(data.len() as u64);
-        self.pool
-            .with_block(tile, true, |blk| blk.copy_from_slice(data));
+        self.pool.overwrite(tile, data);
     }
 
     /// Writes every dirty cached block back.

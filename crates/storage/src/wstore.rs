@@ -93,6 +93,12 @@ impl<M: TilingMap, S: BlockStore> CoeffStore<M, S> {
         }
     }
 
+    /// Overwrites a whole tile without reading it
+    /// ([`SharedCoeffStore::overwrite_tile`]).
+    pub fn overwrite_tile(&mut self, tile: usize, data: &[f64]) {
+        self.shared.overwrite_tile(tile, data);
+    }
+
     /// Writes every dirty cached block back.
     pub fn flush(&mut self) {
         self.shared.flush();

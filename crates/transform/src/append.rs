@@ -9,8 +9,10 @@
 //!
 //! 1. transform the newly arrived chunk in memory,
 //! 2. **expand** the stored transform when the chunk would overflow the
-//!    current domain (`O(N^d)` coefficient moves — costly but rare, and
-//!    made of cheap SHIFT/SPLIT index arithmetic rather than reconstruction),
+//!    current domain — costly but rare, and index arithmetic rather than
+//!    reconstruction: every tile outside the append axis's top band moves
+//!    as one block (`O(N^d / B^d)` block moves), and only the top-band row
+//!    is split coefficient by coefficient,
 //! 3. SHIFT-SPLIT the chunk's transform into the store, **tile-major**:
 //!    the located emitter (`ss_core::split::standard_tile_runs`) fills one
 //!    batch and `apply_batch` folds it in ascending `(tile, slot)` order,
@@ -157,26 +159,54 @@ impl<S: BlockStore, F: FnMut(usize, usize) -> S> Appender<S, F> {
     /// Doubles the append axis, migrating every coefficient to its new
     /// tile: details keep `(level, k)`, the old average splits into the new
     /// average plus the new root detail.
+    ///
+    /// Tiling bands are anchored at the finest level, so only the append
+    /// axis's top band changes shape. Every old tile outside it keeps its
+    /// members, slots and contents and only changes its id
+    /// ([`AxisTiling::tile_of_root`](ss_core::tiling::AxisTiling::tile_of_root)):
+    /// it moves as one block — read once, written whole without a load.
+    /// Only the top-band row goes coefficient by coefficient, where the
+    /// average splits and slots shift.
     fn expand(&mut self) {
-        let d = self.levels.len();
-        let old_levels = self.levels.clone();
+        let (d, n_axis) = (self.levels.len(), self.levels[self.axis]);
         self.levels[self.axis] += 1;
         let new_map = StandardTiling::new(&self.levels, &self.tile_exp);
         let new_store = (self.factory)(new_map.block_capacity(), new_map.num_tiles());
         let (budget, stats) = (self.cs.pool().budget(), self.cs.stats().clone());
         let mut new_cs = CoeffStore::new(new_map, new_store, budget, stats);
 
-        let n_axis = old_levels[self.axis];
-        // Migrate tile by tile: every old tile is read exactly once, and
-        // each tile's outgoing deltas are applied sorted by target tile, so
-        // the expansion costs O(tiles) block reads plus O(tiles) writes
-        // instead of thrashing the pool (the expansion is the dominant cost
-        // of Figure 13's spike months).
-        let old_axes = self.cs.map().axes().to_vec();
-        let tile_counts: Vec<usize> = old_axes.iter().map(|a| a.num_tiles()).collect();
+        // Migrate tile by tile, in ascending old id: every old tile is
+        // read exactly once and every new tile written once, so the
+        // expansion costs O(tiles) block transfers (the dominant cost of
+        // Figure 13's spike months).
+        let old_map = self.cs.map().clone();
+        let old_axes = old_map.axes();
+        let new_axis = new_cs.map().axes()[self.axis].clone();
+        let mut image = vec![0.0; old_map.block_capacity()];
         let mut target = vec![0usize; d];
         let mut batch: Vec<(usize, usize, f64)> = Vec::new();
-        for tile_tuple in ss_array::MultiIndexIter::new(&tile_counts) {
+        for mut tile_tuple in ss_array::MultiIndexIter::new(old_map.tile_grid().dims()) {
+            if tile_tuple[self.axis] != 0 {
+                let old_tile = old_map.tile_grid().offset(&tile_tuple);
+                // Copied whole with `-0.0` made `+0.0` (`v + 0.0`): the
+                // coefficient path skipped zeros, so those slots kept the
+                // new store's `+0.0`.
+                self.cs.pool().with_block_mut(old_tile, false, |blk| {
+                    for (dst, &v) in image.iter_mut().zip(blk.iter()) {
+                        *dst = v + 0.0;
+                    }
+                });
+                if image.iter().any(|&v| v != 0.0) {
+                    let (level, k) = old_axes[self.axis].tile_root(tile_tuple[self.axis]);
+                    tile_tuple[self.axis] = new_axis
+                        .tile_of_root(level, k)
+                        .expect("bands below the top survive a doubling");
+                    let new_tile = new_cs.map().tile_grid().offset(&tile_tuple);
+                    new_cs.overwrite_tile(new_tile, &image);
+                }
+                continue;
+            }
+            // The top-band row: coefficient by coefficient.
             let members: Vec<Vec<usize>> = old_axes
                 .iter()
                 .zip(&tile_tuple)
