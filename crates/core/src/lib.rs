@@ -23,9 +23,10 @@
 //!    novel operations (Section 4) as *delta streams*: given the transform of
 //!    a dyadic chunk they enumerate `(global coefficient index, delta)` pairs
 //!    that callers (in-memory arrays or disk-backed stores) fold into the
-//!    global transform. [`reconstruct`] provides the inverse direction
-//!    (Section 5.4), and [`append`] grows a transformed domain in place
-//!    (Section 5.2).
+//!    global transform; [`runs`] is the one batch that carries them, tile
+//!    by tile, from the emitter to the block. [`reconstruct`] provides the
+//!    inverse direction (Section 5.4), and [`append`] grows a transformed
+//!    domain in place (Section 5.2).
 //!
 //! # Quick example
 //!
@@ -53,6 +54,7 @@ pub mod kernel;
 pub mod layout;
 pub mod nonstandard;
 pub mod reconstruct;
+pub mod runs;
 pub mod shift;
 pub mod sparse;
 pub mod split;

@@ -1,11 +1,11 @@
 //! Tile-major delta buffering and group-commit flush.
 
 use ss_array::NdArray;
+use ss_core::runs::{TileGroup, TileRuns};
 use ss_core::TilingMap;
 use ss_obs::Stopwatch;
 use ss_storage::{BlockStore, CoeffWrite, SharedCoeffStore};
 use ss_transform::{for_each_box_delta_standard, for_each_box_run_standard, UpdateReport};
-use std::collections::HashMap;
 
 /// How buffered deltas are reduced at flush time.
 ///
@@ -19,7 +19,7 @@ pub enum FlushMode {
     /// Arrival-ordered replay: bit-identical to serial per-box updates.
     #[default]
     Exact,
-    /// Dense per-tile accumulation: one add per touched coefficient.
+    /// Per-slot sums, folded at drain: one add per touched coefficient.
     Merged,
 }
 
@@ -34,74 +34,6 @@ impl FlushMode {
             None
         }
     }
-}
-
-/// A drained tile's delta payload, ready to apply.
-pub(crate) enum TileApply {
-    /// Arrival-ordered `(slot, delta)` op list — exact replay.
-    Sparse(Vec<(usize, f64)>),
-    /// Dense per-slot accumulator (merged mode), applied in one
-    /// vectorised masked pass; `touched` counts its non-zero slots.
-    Dense { acc: Vec<f64>, touched: u64 },
-}
-
-impl TileApply {
-    /// Coefficient writes this payload performs — the op-list length, or
-    /// the number of touched slots of the dense accumulator.
-    fn ops(&self) -> u64 {
-        match self {
-            TileApply::Sparse(ops) => ops.len() as u64,
-            TileApply::Dense { touched, .. } => *touched,
-        }
-    }
-
-    /// Applies the payload to one tile's block.
-    pub(crate) fn apply(&self, blk: &mut [f64]) {
-        match self {
-            TileApply::Sparse(ops) => {
-                for &(slot, delta) in ops {
-                    blk[slot] += delta;
-                }
-            }
-            TileApply::Dense { acc, .. } => ss_core::kernel::masked_add(blk, acc),
-        }
-    }
-
-    /// Lowers the payload to a sparse op list (a dense accumulator becomes
-    /// slot-ascending) — the scatter form of [`DeltaBuffer::drain_ops`].
-    fn into_ops(self) -> Vec<(usize, f64)> {
-        match self {
-            TileApply::Sparse(ops) => ops,
-            TileApply::Dense { acc, .. } => acc
-                .iter()
-                .enumerate()
-                .filter(|&(_, &v)| v != 0.0)
-                .map(|(slot, &v)| (slot, v))
-                .collect(),
-        }
-    }
-}
-
-/// A drained tile and its delta payload.
-type TileOps = (usize, TileApply);
-
-/// A drained tile and its arrival-ordered `(slot, delta)` op list, as
-/// produced by [`DeltaBuffer::drain_ops`].
-pub type DrainedTileOps = (usize, Vec<(usize, f64)>);
-
-/// Per-tile buffered state.
-enum TileData {
-    /// Arrival-ordered `(slot, delta)` op list.
-    Exact(Vec<(usize, f64)>),
-    /// Dense accumulator indexed by slot.
-    Merged(Vec<f64>),
-}
-
-struct TileBuf {
-    /// `box_seq` value of the last operation that touched this tile; used
-    /// to count distinct (operation, tile) incidences in O(1) per add.
-    stamp: u64,
-    data: TileData,
 }
 
 /// Outcome of one group-commit flush (or a merge of several).
@@ -140,28 +72,23 @@ impl FlushReport {
     }
 }
 
-/// Accumulates SHIFT-SPLIT delta streams from many operations, keyed by
-/// tile ordinal, for a single group-commit flush.
+/// Accumulates SHIFT-SPLIT delta streams from many operations in one
+/// [`TileRuns`] arena, for a single group-commit flush.
 ///
 /// Feed it a box at a time with
 /// [`add_box_standard`](DeltaBuffer::add_box_standard), or with
-/// [`begin_box`](DeltaBuffer::begin_box) + [`add_run`](DeltaBuffer::add_run)
-/// (one tile's deltas), [`add`](DeltaBuffer::add) (one located delta) or
-/// [`add_at`](DeltaBuffer::add_at) (one tuple index), then drain with
-/// [`flush_into`](DeltaBuffer::flush_into) or
-/// [`flush_into_shared`](DeltaBuffer::flush_into_shared). The buffer is
-/// reusable: a flush resets it to empty.
+/// [`begin_box`](DeltaBuffer::begin_box) + [`add`](DeltaBuffer::add) (one
+/// located delta) or [`add_at`](DeltaBuffer::add_at) (one tuple index), or
+/// an already-located batch as one operation with
+/// [`add_runs`](DeltaBuffer::add_runs); then drain with
+/// [`flush_into`](DeltaBuffer::flush_into),
+/// [`flush_into_shared`](DeltaBuffer::flush_into_shared) or
+/// [`drain`](DeltaBuffer::drain). The buffer is reusable: a drain resets
+/// it to empty.
 pub struct DeltaBuffer {
     mode: FlushMode,
     block_capacity: usize,
-    tiles: HashMap<usize, TileBuf>,
-    /// Monotonic operation counter; bumped by `begin_box`.
-    box_seq: u64,
-    /// True when a delta arrived before the first `begin_box` — that run
-    /// of deltas is one implicit operation, counted alongside `box_seq`.
-    implicit_box: bool,
-    deltas: u64,
-    tile_touches: u64,
+    runs: TileRuns,
 }
 
 impl DeltaBuffer {
@@ -171,11 +98,7 @@ impl DeltaBuffer {
         DeltaBuffer {
             mode,
             block_capacity,
-            tiles: HashMap::new(),
-            box_seq: 0,
-            implicit_box: false,
-            deltas: 0,
-            tile_touches: 0,
+            runs: TileRuns::default(),
         }
     }
 
@@ -184,55 +107,16 @@ impl DeltaBuffer {
         DeltaBuffer::new(map.block_capacity(), mode)
     }
 
-    /// The flush mode this buffer was built with.
-    pub fn mode(&self) -> FlushMode {
-        self.mode
-    }
-
     /// Marks the start of a new buffered operation (update box, ingest
     /// chunk). Needed only for the coalescing accounting — deltas added
     /// before the first `begin_box` count as one implicit operation.
     pub fn begin_box(&mut self) {
-        self.box_seq += 1;
+        self.runs.begin_op();
     }
 
-    /// Buffers one operation's deltas for one tile — a run of `(slot,
-    /// delta)` pairs, as the located SHIFT-SPLIT emitters produce them:
-    /// one tile lookup and one incidence check for the whole run. In
-    /// [`FlushMode::Exact`] the run joins the tile's op list in order.
-    pub fn add_run(&mut self, tile: usize, run: &[(usize, f64)]) {
-        if run.is_empty() {
-            return;
-        }
-        debug_assert!(run.iter().all(|&(slot, _)| slot < self.block_capacity));
-        if self.box_seq == 0 {
-            self.implicit_box = true;
-        }
-        let buf = self.tiles.entry(tile).or_insert_with(|| TileBuf {
-            stamp: u64::MAX,
-            data: match self.mode {
-                FlushMode::Exact => TileData::Exact(Vec::new()),
-                FlushMode::Merged => TileData::Merged(vec![0.0; self.block_capacity]),
-            },
-        });
-        if buf.stamp != self.box_seq {
-            buf.stamp = self.box_seq;
-            self.tile_touches += 1;
-        }
-        match &mut buf.data {
-            TileData::Exact(ops) => ops.extend_from_slice(run),
-            TileData::Merged(acc) => {
-                for &(slot, delta) in run {
-                    acc[slot] += delta;
-                }
-            }
-        }
-        self.deltas += run.len() as u64;
-    }
-
-    /// Buffers one coefficient delta: a run of one.
+    /// Buffers one coefficient delta.
     pub fn add(&mut self, tile: usize, slot: usize, delta: f64) {
-        self.add_run(tile, &[(slot, delta)]);
+        self.runs.push(tile, slot, delta);
     }
 
     /// Buffers one delta addressed by coefficient tuple index.
@@ -241,9 +125,18 @@ impl DeltaBuffer {
         self.add(loc.tile, loc.slot, delta);
     }
 
+    /// Buffers an already-located batch (a router's `apply`) as one
+    /// operation, its runs in their order.
+    pub fn add_runs(&mut self, runs: &TileRuns) {
+        self.begin_box();
+        for (tile, run) in runs.runs() {
+            self.runs.extend(tile, run);
+        }
+    }
+
     /// Buffers one standard-form update box as one operation and returns
     /// what it decomposed into. A map that is a product of per-axis
-    /// tilings takes the located emitter, one run per tile
+    /// tilings takes the located emitter, its runs grouped by tile
     /// ([`for_each_box_run_standard`]); any other map locates delta by
     /// delta. Both leave every coefficient the same addition sequence.
     pub fn add_box_standard(
@@ -260,7 +153,9 @@ impl DeltaBuffer {
                     axes.iter().map(|axis| axis.levels()).eq(n.iter().copied()),
                     "map levels differ from the domain's {n:?}"
                 );
-                for_each_box_run_standard(axes, origin, delta, |tile, run| self.add_run(tile, run))
+                for_each_box_run_standard(axes, origin, delta, |tile, run| {
+                    self.runs.extend(tile, run)
+                })
             }
             None => {
                 for_each_box_delta_standard(n, origin, delta, |idx, v| self.add_at(map, idx, v))
@@ -268,87 +163,42 @@ impl DeltaBuffer {
         }
     }
 
-    /// Number of distinct dirty tiles currently buffered.
-    pub fn dirty_tiles(&self) -> usize {
-        self.tiles.len()
-    }
-
-    /// Number of individual deltas currently buffered.
-    pub fn pending_deltas(&self) -> u64 {
-        self.deltas
-    }
-
-    /// Number of operations started since the last flush.
-    pub fn boxes(&self) -> u64 {
-        self.box_seq
-    }
-
     /// True when nothing is buffered.
     pub fn is_empty(&self) -> bool {
-        self.tiles.is_empty()
+        self.runs.is_empty()
     }
 
-    /// Drains the buffer into sorted `(tile, payload)` pairs, resetting
-    /// it. Merged tiles keep their dense accumulator (applied as one
-    /// vectorised masked pass); merged tiles whose deltas **fully
-    /// cancelled** are dropped here, *before* `tiles_written` is counted,
-    /// so they neither dirty a block nor charge a write — they still
-    /// count in `tile_touches`, which records what a per-operation path
-    /// would have done.
-    pub(crate) fn drain_sorted(&mut self) -> (Vec<TileOps>, FlushReport) {
-        let mut entries: Vec<TileOps> = self
-            .tiles
-            .drain()
-            .filter_map(|(tile, buf)| {
-                let payload = match buf.data {
-                    TileData::Exact(ops) => TileApply::Sparse(ops),
-                    TileData::Merged(acc) => {
-                        let touched = acc.iter().filter(|&&v| v != 0.0).count() as u64;
-                        if touched == 0 {
-                            return None;
-                        }
-                        TileApply::Dense { acc, touched }
-                    }
-                };
-                Some((tile, payload))
-            })
-            .collect();
-        entries.sort_unstable_by_key(|&(tile, _)| tile);
+    /// Drains the buffer, resetting it, into a grouped arena: every dirty
+    /// tile once, ascending, with its runs in arrival order. Replaying
+    /// each tile's runs where it is stored — one store, or the shard a
+    /// router scatters it to — is bit-identical to flushing the buffer.
+    ///
+    /// [`FlushMode::Merged`] folds each tile's runs, in arrival order,
+    /// into a zeroed dense scratch and keeps one slot-ascending run of the
+    /// non-zero sums. A tile whose sums **fully cancelled** is dropped
+    /// here, before `tiles_written` is counted, so it neither dirties a
+    /// block nor charges a write; it still counts in `tile_touches`,
+    /// which records what a per-operation path would have done.
+    pub fn drain(&mut self) -> (TileRuns, FlushReport) {
+        let mut runs = std::mem::take(&mut self.runs);
+        let (boxes, deltas) = (runs.ops() as u64, runs.len() as u64);
+        let tile_touches = runs.tile_touches() as u64;
+        if self.mode == FlushMode::Merged {
+            runs = merged(&runs, self.block_capacity);
+        }
         let report = FlushReport {
-            boxes: self.box_seq + u64::from(self.implicit_box),
-            deltas: self.deltas,
-            tiles_written: entries.len() as u64,
-            tile_touches: self.tile_touches,
+            boxes,
+            deltas,
+            tiles_written: runs.tiles().count() as u64,
+            tile_touches,
         };
-        self.box_seq = 0;
-        self.implicit_box = false;
-        self.deltas = 0;
-        self.tile_touches = 0;
-        (entries, report)
-    }
-
-    /// Drains the buffer into tile-ascending `(tile, ops)` lists — each
-    /// op a `(slot, delta)` pair in arrival order — resetting the
-    /// buffer. This is the scatter form a shard router consumes: tiles
-    /// group naturally by owning shard range, and replaying each tile's
-    /// op list in order at its owner is bit-identical to flushing the
-    /// whole buffer into one store (merged-mode dense accumulators lower
-    /// to slot-ascending sparse lists).
-    pub fn drain_ops(&mut self) -> (Vec<DrainedTileOps>, FlushReport) {
-        let (entries, report) = self.drain_sorted();
-        (
-            entries
-                .into_iter()
-                .map(|(tile, payload)| (tile, payload.into_ops()))
-                .collect(),
-            report,
-        )
+        (runs, report)
     }
 
     /// Group-commit flush into any sink: one read-modify-write per dirty
     /// tile, in ascending block order, then a single pool flush.
     pub fn flush_into<W: CoeffWrite>(&mut self, sink: &mut W) -> FlushReport {
-        self.flush_with(sink, apply_entries)
+        self.flush_with(sink, |sink, runs| sink.apply_runs(runs.tiles()))
     }
 
     /// Parallel group-commit flush over a sharded store: the sorted dirty
@@ -361,43 +211,53 @@ impl DeltaBuffer {
         cs: &SharedCoeffStore<M, S>,
         workers: usize,
     ) -> FlushReport {
-        self.flush_with(&mut &*cs, |_, entries| {
-            ss_transform::run_sharded(workers.max(1), entries.len(), |range| {
-                apply_entries(&mut &*cs, &entries[range])
+        self.flush_with(&mut &*cs, |_, runs| {
+            let tiles: Vec<TileGroup> = runs.tiles().collect();
+            ss_transform::run_sharded(workers.max(1), tiles.len(), |range| {
+                let mut sink = cs;
+                sink.apply_runs(tiles[range].iter().copied());
             });
         })
     }
 
-    /// The one flush body: drain, `apply` the sorted tiles, flush the
+    /// The one flush body: drain, `apply` the grouped runs, flush the
     /// sink's pool, publish metrics. Nothing drained means no tile writes,
     /// no durability flush and no flush metrics — a no-op commit must not
     /// charge a flush.
     fn flush_with<W: CoeffWrite>(
         &mut self,
         sink: &mut W,
-        apply: impl FnOnce(&mut W, &[TileOps]),
+        apply: impl FnOnce(&mut W, &TileRuns),
     ) -> FlushReport {
         let mut sw = Stopwatch::start();
-        let (entries, report) = self.drain_sorted();
-        if entries.is_empty() {
+        let (runs, report) = self.drain();
+        if runs.is_empty() {
             return report;
         }
-        apply(sink, &entries);
+        apply(sink, &runs);
         sink.flush();
         record_flush_metrics(&report, sw.lap_ns());
         report
     }
 }
 
-/// Applies drained tiles to `sink` in order, charging each payload's
-/// coefficient writes — identically for every sink (see the parity test).
-fn apply_entries<W: CoeffWrite>(sink: &mut W, entries: &[TileOps]) {
-    let deltas_per_tile = ss_obs::global().histogram("maintain.deltas_per_tile");
-    for (tile, payload) in entries {
-        deltas_per_tile.record(payload.ops());
-        sink.stats().add_coeff_writes(payload.ops());
-        sink.with_tile(*tile, |blk| payload.apply(blk));
+/// [`FlushMode::Merged`]'s reduction of a grouped arena: per tile, the
+/// runs summed slot by slot in arrival order, then one slot-ascending run
+/// of the non-zero sums — what an eager per-tile accumulator would hold,
+/// bit for bit.
+fn merged(runs: &TileRuns, block_capacity: usize) -> TileRuns {
+    let mut sums = vec![0.0; block_capacity];
+    let mut out = TileRuns::default();
+    for group in runs.tiles() {
+        group.apply(&mut sums);
+        for (slot, sum) in sums.iter_mut().enumerate() {
+            if *sum != 0.0 {
+                out.push(group.tile(), slot, *sum);
+            }
+            *sum = 0.0;
+        }
     }
+    out
 }
 
 /// Publishes one flush's outcome to the global metrics registry.
@@ -690,36 +550,44 @@ mod tests {
     }
 
     #[test]
-    fn merged_dense_apply_matches_sparse_replay_bitwise() {
-        // The vectorised dense pass must produce the same stored bits as
-        // lowering the accumulator to a sparse op list would have.
+    fn merged_drain_stores_what_an_eager_accumulator_stores() {
+        // Merged mode once summed each tile's deltas into a dense
+        // accumulator as they arrived and applied it with `masked_add`.
+        // The drain-time fold must store the same bits — a slot whose sum
+        // cancels keeps its stored `-0.0`.
         let m = map();
-        let mut dense_cs = mem_store(m.clone(), 8, IoStats::default());
-        let mut buf = DeltaBuffer::for_map(&m, FlushMode::Merged);
-        buf.begin_box();
-        for i in 0..64usize {
-            buf.add(i % m.num_tiles(), (i * 11) % 16, (i as f64 - 31.5) * 0.125);
+        let mut deltas: Vec<(usize, usize, f64)> = (0..64usize)
+            .map(|i| (i % m.num_tiles(), (i * 11) % 16, (i as f64 - 31.5) * 0.1))
+            .collect();
+        deltas.extend([(2, 4, 7.5), (3, 1, 1e16), (2, 4, -7.5), (3, 1, -1e16)]);
+        let mut folded = mem_store(m.clone(), 8, IoStats::default());
+        let mut eager = mem_store(m.clone(), 8, IoStats::default());
+        for cs in [&mut folded, &mut eager] {
+            cs.pool().with_block(2, true, |blk| blk[4] = -0.0);
         }
-        buf.flush_into(&mut dense_cs);
-        let mut sparse_cs = mem_store(m.clone(), 8, IoStats::default());
         let mut buf = DeltaBuffer::for_map(&m, FlushMode::Merged);
-        buf.begin_box();
-        for i in 0..64usize {
-            buf.add(i % m.num_tiles(), (i * 11) % 16, (i as f64 - 31.5) * 0.125);
-        }
-        let (entries, _) = buf.drain_ops();
-        for (tile, ops) in entries {
-            for (slot, delta) in ops {
-                sparse_cs
-                    .pool()
-                    .with_block(tile, true, |blk| blk[slot] += delta);
+        let mut acc = vec![vec![0.0; 16]; m.num_tiles()];
+        for chunk in deltas.chunks(5) {
+            buf.begin_box();
+            for &(t, s, v) in chunk {
+                buf.add(t, s, v);
+                acc[t][s] += v;
             }
         }
+        buf.flush_into(&mut folded);
+        for (tile, acc) in acc.iter().enumerate() {
+            if acc.iter().any(|&v| v != 0.0) {
+                let apply = |blk: &mut [f64]| ss_core::kernel::masked_add(blk, acc);
+                eager.pool().with_block(tile, true, apply);
+            }
+        }
+        assert_eq!(folded.read_at(2, 4).to_bits(), (-0.0f64).to_bits());
         for tile in 0..m.num_tiles() {
             for slot in 0..16 {
                 assert_eq!(
-                    dense_cs.read_at(tile, slot).to_bits(),
-                    sparse_cs.read_at(tile, slot).to_bits()
+                    folded.read_at(tile, slot).to_bits(),
+                    eager.read_at(tile, slot).to_bits(),
+                    "tile {tile} slot {slot}"
                 );
             }
         }

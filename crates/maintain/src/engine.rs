@@ -156,10 +156,7 @@ fn coalesced<W: CoeffWrite>(
         report.flushes += 1;
     };
     let run = pipeline.run_range(sink, 0..pipeline.chunks(), |sink, batch| {
-        buf.begin_box();
-        for (tile, slot, delta) in batch.drain(..) {
-            buf.add(tile, slot, delta);
-        }
+        buf.add_runs(batch);
         report.chunks += 1;
         if group > 0 && report.chunks % group == 0 {
             commit(&mut buf, sink, &mut report);

@@ -10,12 +10,15 @@
 //! delta streams of many operations **tile-major** in memory and applies
 //! them with one group-commit flush:
 //!
-//! * [`DeltaBuffer`] — accumulates `(tile, slot, delta)` contributions
-//!   keyed by tile ordinal, merging work destined for the same block. A
-//!   box enters through [`DeltaBuffer::add_box_standard`]: on a map that
-//!   is a product of per-axis tilings its deltas arrive located, one run
-//!   per tile ([`DeltaBuffer::add_run`]: one lookup per run, not per
-//!   delta); on any other map they are located one by one,
+//! * [`DeltaBuffer`] — accumulates located contributions in one
+//!   [`TileRuns`](ss_core::runs::TileRuns) arena: each delta written once,
+//!   each run described by `(tile, operation, start, len)`. A box enters
+//!   through [`DeltaBuffer::add_box_standard`]: on a map that is a product
+//!   of per-axis tilings its deltas arrive located, run by run (one
+//!   descriptor per tile of the box, not one lookup per delta); on any
+//!   other map they are located one by one. A drain groups the runs by
+//!   tile with a stable sort, so a tile's runs come out together in
+//!   arrival order,
 //! * [`DeltaBuffer::flush_into`] — exactly one read-modify-write per dirty
 //!   tile, visited in ascending block order (sequential I/O for
 //!   `FileBlockStore`), followed by a single pool flush (one meta/CRC
@@ -37,18 +40,20 @@
 //! to one coefficient in memory and applying the sum is *not* bit-identical
 //! to applying them one at a time. [`FlushMode`] makes the trade explicit:
 //!
-//! * [`FlushMode::Exact`] (default) keeps each tile's deltas as an
-//!   arrival-ordered op list and replays it during the single per-tile
-//!   read-modify-write. The per-coefficient addition sequence is exactly
-//!   the serial per-box sequence, so the result is **bit-identical** to
+//! * [`FlushMode::Exact`] (default) replays each tile's runs in arrival
+//!   order during the single per-tile read-modify-write. The
+//!   per-coefficient addition sequence is exactly the serial per-box
+//!   sequence, so the result is **bit-identical** to
 //!   [`ss_transform::update_box_standard`] applied box by box — while
-//!   still writing each dirty tile once. Runs keep it so: boxes stay in
-//!   arrival order and a box's pieces in decomposition order inside every
-//!   tile's list, which is all a coefficient can observe.
-//! * [`FlushMode::Merged`] pre-sums deltas into a dense per-tile
-//!   accumulator and applies one add per touched coefficient — the
-//!   smallest possible flush, equal to the serial path only up to
-//!   floating-point rounding.
+//!   still writing each dirty tile once. The grouping keeps it so: boxes
+//!   stay in arrival order and a box's pieces in decomposition order
+//!   among every tile's runs, which is all a coefficient can observe.
+//! * [`FlushMode::Merged`] is a drain-time reduction: each tile's runs
+//!   are summed slot by slot, in arrival order, into a zeroed dense
+//!   scratch, and only the non-zero sums are applied — one add per
+//!   touched coefficient, the smallest possible flush, equal to the
+//!   serial path only up to floating-point rounding. A tile whose sums
+//!   all cancel is never written.
 //!
 //! Observability: flushes publish `maintain.*` counters, gauges, and
 //! histograms to the global [`ss_obs`] registry (boxes and deltas
@@ -102,7 +107,7 @@ pub mod engine;
 pub mod snapshot;
 pub mod wal;
 
-pub use buffer::{DeltaBuffer, DrainedTileOps, FlushMode, FlushReport};
+pub use buffer::{DeltaBuffer, FlushMode, FlushReport};
 pub use engine::{
     transform_standard_coalesced, transform_standard_coalesced_parallel, update_boxes_nonstandard,
     update_boxes_nonstandard_parallel, update_boxes_standard, update_boxes_standard_parallel,

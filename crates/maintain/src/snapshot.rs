@@ -8,7 +8,7 @@
 //! ([`commit`](SnapshotCoeffStore::commit)). Copy-on-write happens only
 //! for the tiles dirtied by the in-flight epoch: a commit copies each
 //! dirty tile out of the previous version (overlay or base), applies the
-//! drained ops in arrival order (bit-identical to
+//! tile's drained runs in arrival order (bit-identical to
 //! [`DeltaBuffer::flush_into_shared`]), and publishes the result as a new
 //! overlay entry. The base store is mutated only by
 //! [`checkpoint`](SnapshotCoeffStore::checkpoint), which folds the
@@ -123,8 +123,8 @@ impl<M: TilingMap, S: BlockStore> SnapshotCoeffStore<M, S> {
     pub fn commit(&self, buf: &mut DeltaBuffer) -> Result<(u64, FlushReport), StorageError> {
         let mut sw = ss_obs::Stopwatch::start();
         let mut writer = self.writer.lock().unwrap();
-        let (entries, report) = buf.drain_sorted();
-        if entries.is_empty() {
+        let (runs, report) = buf.drain();
+        if runs.is_empty() {
             return Ok((self.epoch(), report));
         }
         let prev = writer.versions.back().expect("current version").clone();
@@ -133,18 +133,21 @@ impl<M: TilingMap, S: BlockStore> SnapshotCoeffStore<M, S> {
         // (from the previous overlay if present, else the base store) and
         // mutated; everything else is shared by Arc with `prev`.
         let mut overlay = prev.overlay.clone();
-        for (tile, payload) in &entries {
-            let mut data = match overlay.get(tile) {
+        for group in runs.tiles() {
+            let tile = group.tile();
+            let mut data = match overlay.get(&tile) {
                 Some(shared) => shared.as_ref().clone(),
-                None => self.base.read_tile(*tile),
+                None => self.base.read_tile(tile),
             };
-            payload.apply(&mut data);
-            overlay.insert(*tile, Arc::new(data));
+            group.apply(&mut data);
+            overlay.insert(tile, Arc::new(data));
         }
         // The commit point: the log encodes the new images straight out
         // of the overlay, in the drain's ascending tile order.
         if let Some(wal) = writer.wal.as_mut() {
-            let images = entries.iter().map(|(tile, _)| (*tile, &overlay[tile][..]));
+            let images = runs
+                .tiles()
+                .map(|group| (group.tile(), &overlay[&group.tile()][..]));
             wal.append(epoch, images)?;
         }
         // Publish: from here on new pins see the new epoch.
@@ -158,7 +161,7 @@ impl<M: TilingMap, S: BlockStore> SnapshotCoeffStore<M, S> {
         self.epoch.store(epoch, Ordering::Release);
         ss_obs::trace::pipeline_event(ss_obs::TraceEventKind::Commit {
             epoch,
-            tiles: entries.len() as u64,
+            tiles: report.tiles_written,
         });
         // Retire versions that drained while we were committing.
         Self::retire_drained(&mut writer.versions);

@@ -97,12 +97,16 @@ impl StoredSynopsis {
         out
     }
 
-    /// Inverse of [`StoredSynopsis::to_bytes`].
+    /// Inverse of [`StoredSynopsis::to_bytes`]. The bytes may come from
+    /// anywhere: nothing is allocated before the record count is checked
+    /// against the bytes that hold the records, and an accepted input is
+    /// exactly what `to_bytes` writes back.
     ///
     /// # Errors
     ///
-    /// Returns a message for truncated input, wrong magic/version, or
-    /// out-of-range coefficient indices.
+    /// Returns a message for truncated or trailing input, wrong
+    /// magic/version, a level of `usize::BITS` or more, out-of-range
+    /// coefficient indices, or records out of ascending index order.
     pub fn from_bytes(bytes: &[u8]) -> Result<StoredSynopsis, String> {
         let take = |bytes: &[u8], at: &mut usize, n: usize| -> Result<Vec<u8>, String> {
             if *at + n > bytes.len() {
@@ -125,33 +129,44 @@ impl StoredSynopsis {
             return Err("zero-dimensional synopsis".into());
         }
         let mut n = Vec::with_capacity(d);
-        for _ in 0..d {
-            n.push(take(bytes, &mut at, 1)?[0] as u32);
+        for t in 0..d {
+            let level = take(bytes, &mut at, 1)?[0] as u32;
+            if level >= usize::BITS {
+                return Err(format!("level {level} on axis {t} is too large"));
+            }
+            n.push(level);
         }
-        let count =
-            u64::from_le_bytes(take(bytes, &mut at, 8)?.try_into().expect("8 bytes")) as usize;
+        let count = u64::from_le_bytes(take(bytes, &mut at, 8)?.try_into().expect("8 bytes"));
+        let record_bytes = usize::try_from(count)
+            .ok()
+            .and_then(|count| count.checked_mul((d + 1) * 8));
+        if record_bytes != Some(bytes.len() - at) {
+            return Err(format!(
+                "{count} records do not fill the {} bytes after the header",
+                bytes.len() - at
+            ));
+        }
+        let count = count as usize;
         let mut coeffs = HashMap::with_capacity(count);
-        let mut retained = 0usize;
-        let origin = vec![0usize; d];
-        for _ in 0..count {
+        let mut prev = Vec::with_capacity(d);
+        for k in 0..count {
             let mut idx = Vec::with_capacity(d);
             for t in 0..d {
-                let i = u64::from_le_bytes(take(bytes, &mut at, 8)?.try_into().expect("8 bytes"))
-                    as usize;
-                if i >= (1usize << n[t]) {
-                    return Err(format!("coefficient index {i} out of range on axis {t}"));
+                let i = u64::from_le_bytes(take(bytes, &mut at, 8)?.try_into().expect("8 bytes"));
+                match usize::try_from(i) {
+                    Ok(i) if i >> n[t] == 0 => idx.push(i),
+                    _ => return Err(format!("coefficient index {i} out of range on axis {t}")),
                 }
-                idx.push(i);
+            }
+            if k > 0 && prev >= idx {
+                return Err(format!("record {idx:?} out of ascending index order"));
             }
             let v = f64::from_le_bytes(take(bytes, &mut at, 8)?.try_into().expect("8 bytes"));
-            if idx != origin {
-                retained += 1;
-            }
+            prev.clone_from(&idx);
             coeffs.insert(idx, v);
         }
-        if at != bytes.len() {
-            return Err("trailing bytes after synopsis".into());
-        }
+        // Records ascend strictly, so the overall average is at most one.
+        let retained = count - usize::from(coeffs.contains_key(&vec![0usize; d]));
         Ok(StoredSynopsis {
             n,
             coeffs,
@@ -352,6 +367,43 @@ mod tests {
         bytes.extend_from_slice(b"SSYN");
         bytes.push(9); // bad version
         assert!(StoredSynopsis::from_bytes(&bytes).is_err());
+    }
+
+    /// `SSYN`, version 1, one axis of `level`, then `count` and `records`.
+    fn encoded(level: u8, count: u64, records: &[(u64, f64)]) -> Vec<u8> {
+        let mut bytes = b"SSYN".to_vec();
+        bytes.extend([1, 1, level]);
+        bytes.extend(count.to_le_bytes());
+        for &(i, v) in records {
+            bytes.extend(i.to_le_bytes());
+            bytes.extend(v.to_le_bytes());
+        }
+        bytes
+    }
+
+    #[test]
+    fn from_bytes_checks_header_fields_before_trusting_them() {
+        // Each of these once aborted, panicked or was accepted: a count
+        // sized the map before any record was read, and a level fed a
+        // shift unchecked.
+        for (bytes, message) in [
+            (encoded(4, 1 << 34, &[]), "records do not fill"),
+            (encoded(4, u64::MAX, &[]), "records do not fill"),
+            (encoded(4, 2, &[(1, 0.5)]), "records do not fill"),
+            (encoded(70, 0, &[]), "level 70 on axis 0 is too large"),
+            (encoded(4, 1, &[(16, 0.5)]), "index 16 out of range"),
+            (
+                encoded(4, 2, &[(3, 0.5), (3, 0.25)]),
+                "out of ascending index order",
+            ),
+        ] {
+            let err = StoredSynopsis::from_bytes(&bytes).unwrap_err();
+            assert!(err.contains(message), "{err}");
+        }
+        let bytes = encoded(63, 2, &[(0, 1.5), (u64::MAX >> 1, -0.0)]);
+        let back = StoredSynopsis::from_bytes(&bytes).unwrap();
+        assert_eq!((back.levels(), back.retained()), (&[63][..], 1));
+        assert_eq!(back.to_bytes(), bytes);
     }
 
     #[test]

@@ -64,9 +64,10 @@
 //! `apply` buffers raw `[tile, slot, delta]` coefficient ops on a
 //! writable shard — the already-SHIFT-SPLIT-decomposed form a router
 //! scatters after splitting its drained delta buffer by tile ownership.
-//! Consecutive ops of one tile are one run, buffered with one
-//! `DeltaBuffer::add_run`; the `value` answers with the number of ops
-//! buffered. Like `update`, the ops stay invisible until `commit`.
+//! The ops parse into one [`TileRuns`] arena, consecutive ops of one tile
+//! one run, and are buffered as one operation; the `value` answers with
+//! the number of ops buffered. Like `update`, the ops stay invisible until
+//! `commit`.
 //!
 //! Error kinds are closed: `parse` (not a JSON object), `unknown_op`
 //! (unrecognised `op`), `bad_request` (wrong arity or out-of-range
@@ -93,7 +94,7 @@
 //! is treated as absent rather than rejected, for the same reason.
 
 use ss_core::reconstruct::{self, Contributions};
-use ss_maintain::DrainedTileOps;
+use ss_core::runs::TileRuns;
 use ss_obs::json::{self, Value};
 
 /// A validated query, ready for planning.
@@ -204,9 +205,9 @@ pub enum Mutation {
     /// Buffer raw coefficient ops — a router's already-decomposed scatter
     /// for one shard: its slice of a drained `DeltaBuffer`.
     Apply {
-        /// `(tile, run)` pairs, each run's `(slot, delta)` ops in arrival
-        /// order (replayed in this order at flush).
-        runs: Vec<DrainedTileOps>,
+        /// The ops as tile runs in wire order, each run's `(slot, delta)`
+        /// ops in arrival order (replayed in this order at flush).
+        runs: TileRuns,
     },
     /// Group-commit everything buffered so far as the next epoch.
     Commit,
@@ -364,9 +365,9 @@ fn terms_array(v: &Value) -> Result<Contributions, String> {
 
 /// `ops`: an array of `[tile, slot, delta]` triples; consecutive triples
 /// of one tile form one run.
-fn ops_array(v: &Value) -> Result<Vec<DrainedTileOps>, String> {
+fn ops_array(v: &Value) -> Result<TileRuns, String> {
     let arr = v.as_array().ok_or("ops must be an array")?;
-    let mut runs: Vec<DrainedTileOps> = Vec::new();
+    let mut runs = TileRuns::default();
     for (k, op) in arr.iter().enumerate() {
         let Some([tile, slot, delta]) = op.as_array() else {
             return Err(format!("ops[{k}] must be a [tile, slot, delta] triple"));
@@ -377,10 +378,7 @@ fn ops_array(v: &Value) -> Result<Vec<DrainedTileOps>, String> {
         let delta = delta
             .as_f64()
             .ok_or_else(|| format!("ops[{k}] delta must be a number"))?;
-        match runs.last_mut() {
-            Some((last, run)) if *last == tile => run.push((slot, delta)),
-            _ => runs.push((tile, vec![(slot, delta)])),
-        }
+        runs.push(tile, slot, delta);
     }
     Ok(runs)
 }
@@ -523,8 +521,8 @@ pub fn op_request_line_traced(id: i128, op: &Op, trace: Option<u64>) -> String {
             pairs.push((
                 "ops".into(),
                 Value::Array(
-                    runs.iter()
-                        .flat_map(|(t, run)| run.iter().map(move |o| op(*t, o)))
+                    runs.runs()
+                        .flat_map(|(t, run)| run.iter().map(move |o| op(t, o)))
                         .collect(),
                 ),
             ));
@@ -608,19 +606,22 @@ pub struct Response {
     pub tiles: Option<Vec<(usize, f64)>>,
 }
 
-/// Parses one response line (the client side).
+/// Parses one response line (the client side). A value or tile partial
+/// must be finite: a server renders a non-finite one as `null`, so `1e999`
+/// is junk, and would not survive a re-render either.
 pub fn parse_response(line: &str) -> Result<Response, String> {
     let v = json::parse(line).map_err(|e| format!("invalid response JSON: {e}"))?;
     let id = match v.get("id") {
         Some(Value::Int(i)) => Some(*i),
         _ => None,
     };
+    let finite = |v: &Value| v.as_f64().filter(|x| x.is_finite());
     match v.get("ok") {
         Some(Value::Bool(true)) => {
             let value = v
                 .get("value")
-                .and_then(Value::as_f64)
-                .ok_or("ok response missing numeric value")?;
+                .and_then(finite)
+                .ok_or("ok response missing finite numeric value")?;
             let tiles = match v.get("tiles") {
                 None => None,
                 Some(raw) => {
@@ -637,7 +638,7 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
                             }
                             _ => return Err("tile must be a non-negative integer".into()),
                         };
-                        let partial = pair[1].as_f64().ok_or("tile partial must be a number")?;
+                        let partial = finite(&pair[1]).ok_or("tile partial must be finite")?;
                         tiles.push((tile, partial));
                     }
                     Some(tiles)
@@ -718,6 +719,15 @@ mod tests {
         );
     }
 
+    /// The arena of `(tile, run)` pairs, in order.
+    fn tile_runs(runs: &[(usize, Vec<(usize, f64)>)]) -> TileRuns {
+        let mut out = TileRuns::default();
+        for (tile, run) in runs {
+            out.extend(*tile, run);
+        }
+        out
+    }
+
     /// A rank-2 `partial` over `terms`.
     fn partial(terms: &[([usize; 2], f64)]) -> Query {
         let mut plan = Contributions::with_capacity(2, terms.len());
@@ -745,7 +755,9 @@ mod tests {
             (9, vec![(0, 1.0 / 3.0)]),
             (7, vec![(1, 2.5)]),
         ];
-        let m = Op::Mutation(Mutation::Apply { runs });
+        let m = Op::Mutation(Mutation::Apply {
+            runs: tile_runs(&runs),
+        });
         let line = op_request_line(12, &m);
         assert_eq!(
             line,
@@ -767,7 +779,7 @@ mod tests {
         assert!(q.validate(&[4, 4]).is_err(), "bounds");
         assert!(q.validate(&[16]).is_err(), "arity");
         let m = Mutation::Apply {
-            runs: vec![(7, vec![(3, 0.5)])],
+            runs: tile_runs(&[(7, vec![(3, 0.5)])]),
         };
         assert!(m.validate(&[16, 16]).is_ok());
     }
@@ -839,7 +851,8 @@ mod tests {
             (9, vec![(0, 2.0)]),
             (7, vec![(1, 2.5)]),
         ];
-        assert_eq!(back.op, Op::Mutation(Mutation::Apply { runs: want }));
+        let runs = tile_runs(&want);
+        assert_eq!(back.op, Op::Mutation(Mutation::Apply { runs }));
         for (ops, message) in [
             ("[[7,3]]", "ops[0] must be a [tile, slot, delta] triple"),
             (

@@ -40,8 +40,9 @@ use crate::client::{Client, ClientError};
 use crate::proto::{Mutation, Op, Query, Response};
 use crate::server::{self, Backend, Job, MutErr, Outcome};
 use ss_core::reconstruct::Contributions;
+use ss_core::runs::TileRuns;
 use ss_core::TilingMap;
-use ss_maintain::{DeltaBuffer, DrainedTileOps, FlushMode};
+use ss_maintain::{DeltaBuffer, FlushMode};
 use ss_obs::trace;
 use ss_obs::{Counter, Histogram};
 use ss_storage::ShardMap;
@@ -387,8 +388,8 @@ fn execute_routed<M: TilingMap>(
 }
 
 /// The router's write path: boxes are decomposed **once** at the router
-/// into a local [`DeltaBuffer`]; `commit` drains it, scatters the
-/// dirty-tile op lists to the owning shards as `apply` sub-requests,
+/// into a local [`DeltaBuffer`]; `commit` drains it, scatters each dirty
+/// tile's runs to the owning shard as `apply` sub-requests,
 /// and fans a `commit` to every replica of every shard. One mutex over
 /// `{buffer, connections}` serialises commits against updates, exactly
 /// like the single-store writable backend.
@@ -431,7 +432,7 @@ impl<M: TilingMap> RouterBackend<M> {
     fn scatter_commit(
         &self,
         conns: &mut ConnCache,
-        per_shard: Vec<Vec<DrainedTileOps>>,
+        per_shard: Vec<TileRuns>,
         fwd_trace: Option<u64>,
     ) -> Result<u64, String> {
         let replicas = self.core.topo.map.replicas();
@@ -493,7 +494,7 @@ impl<M: TilingMap> Backend for RouterBackend<M> {
         ))
     }
 
-    fn apply(&self, runs: &[DrainedTileOps]) -> Result<f64, MutErr> {
+    fn apply(&self, runs: &TileRuns) -> Result<f64, MutErr> {
         server::check_ops(&self.tiling, runs)?;
         Ok(server::buffer_ops(
             &mut self.write.lock().unwrap().buffer,
@@ -508,13 +509,12 @@ impl<M: TilingMap> Backend for RouterBackend<M> {
         };
         let mut w = self.write.lock().unwrap();
         let w = &mut *w;
-        // The drain is tile-ascending and shard ranges are contiguous, so
-        // each shard's runs are one contiguous slice of it.
+        // The drain is grouped by ascending tile and shard ranges are
+        // contiguous, so each shard's runs are one contiguous slice of it.
         let map = &self.core.topo.map;
-        let mut per_shard: Vec<Vec<DrainedTileOps>> =
-            (0..map.shards()).map(|_| Vec::new()).collect();
-        for (tile, run) in w.buffer.drain_ops().0 {
-            per_shard[map.owner(tile)].push((tile, run));
+        let mut per_shard = vec![TileRuns::default(); map.shards()];
+        for (tile, run) in w.buffer.drain().0.runs() {
+            per_shard[map.owner(tile)].extend(tile, run);
         }
         let _span = trace::scoped("router.commit_fanout");
         match self.scatter_commit(&mut w.conns, per_shard, fwd_trace) {

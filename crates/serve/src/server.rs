@@ -50,8 +50,9 @@
 use crate::proto::{self, Mutation, Op, Request, RequestError};
 use crate::router::{RouterBackend, RouterTopology};
 use ss_core::reconstruct::Contributions;
+use ss_core::runs::TileRuns;
 use ss_core::TilingMap;
-use ss_maintain::{DeltaBuffer, DrainedTileOps, FlushMode, SnapshotCoeffStore};
+use ss_maintain::{DeltaBuffer, FlushMode, SnapshotCoeffStore};
 use ss_obs::trace::{self, SpanCtx, TraceEventKind};
 use ss_obs::{Counter, Histogram};
 use ss_storage::{BlockStore, CoeffRead, SharedCoeffStore};
@@ -121,7 +122,7 @@ pub(crate) trait Backend: Send + Sync {
         Err(read_only())
     }
 
-    fn apply(&self, _runs: &[DrainedTileOps]) -> Result<f64, MutErr> {
+    fn apply(&self, _runs: &TileRuns) -> Result<f64, MutErr> {
         Err(read_only())
     }
 
@@ -168,11 +169,11 @@ pub(crate) fn buffer_box(
 }
 
 /// Rejects raw op runs that fall outside the store geometry — they arrive
-/// from the wire. [`DeltaBuffer::add_run`] only debug-asserts its slots, so
-/// this is what release builds rely on (`tests/request_fuzz.rs` runs both).
-pub fn check_ops(map: &impl TilingMap, runs: &[DrainedTileOps]) -> Result<(), MutErr> {
+/// from the wire, and a [`DeltaBuffer`] trusts its slots (`tests/request_fuzz.rs`
+/// runs this in debug and release).
+pub fn check_ops(map: &impl TilingMap, runs: &TileRuns) -> Result<(), MutErr> {
     let (tiles, capacity) = (map.num_tiles(), map.block_capacity());
-    for &(tile, ref run) in runs {
+    for (tile, run) in runs.runs() {
         if let Some((slot, _)) = run
             .iter()
             .find(|&&(slot, _)| tile >= tiles || slot >= capacity)
@@ -189,14 +190,10 @@ pub fn check_ops(map: &impl TilingMap, runs: &[DrainedTileOps]) -> Result<(), Mu
     Ok(())
 }
 
-/// Buffers checked op runs as one operation, one `add_run` per run;
-/// returns how many ops.
-pub fn buffer_ops(buf: &mut DeltaBuffer, runs: &[DrainedTileOps]) -> f64 {
-    buf.begin_box();
-    for (tile, run) in runs {
-        buf.add_run(*tile, run);
-    }
-    runs.iter().map(|(_, run)| run.len()).sum::<usize>() as f64
+/// Buffers checked op runs as one operation; returns how many ops.
+pub fn buffer_ops(buf: &mut DeltaBuffer, runs: &TileRuns) -> f64 {
+    buf.add_runs(runs);
+    runs.len() as f64
 }
 
 /// The writable backend: one shared delta buffer feeding a snapshot
@@ -228,7 +225,7 @@ impl<M: TilingMap, S: BlockStore + Send + Sync> Backend for WritableBackend<M, S
         ))
     }
 
-    fn apply(&self, runs: &[DrainedTileOps]) -> Result<f64, MutErr> {
+    fn apply(&self, runs: &TileRuns) -> Result<f64, MutErr> {
         check_ops(self.store.map(), runs)?;
         Ok(buffer_ops(&mut self.buffer.lock().unwrap(), runs))
     }

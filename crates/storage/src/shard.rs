@@ -627,30 +627,6 @@ impl<M: TilingMap, S: BlockStore> SharedCoeffStore<M, S> {
         self.pool.add(loc.tile, loc.slot, delta);
     }
 
-    /// Applies a `(tile, slot, delta)` batch: sorted by tile so each
-    /// affected tile is locked (and, on a miss, loaded) at most once per
-    /// batch — the per-chunk access discipline of the serial drivers,
-    /// preserved under concurrency. Clears `deltas`.
-    pub fn apply_batch(&self, deltas: &mut Vec<(usize, usize, f64)>) {
-        deltas.sort_unstable_by_key(|&(tile, slot, _)| (tile, slot));
-        let mut i = 0;
-        while i < deltas.len() {
-            let tile = deltas[i].0;
-            let mut j = i;
-            while j < deltas.len() && deltas[j].0 == tile {
-                j += 1;
-            }
-            self.stats.add_coeff_writes((j - i) as u64);
-            self.pool.with_block(tile, true, |blk| {
-                for &(_, slot, delta) in &deltas[i..j] {
-                    blk[slot] += delta;
-                }
-            });
-            i = j;
-        }
-        deltas.clear();
-    }
-
     /// Reads a whole tile as an owned vector — the snapshot layer's
     /// copy-on-write hook: it copies a tile out of the base store before
     /// applying an epoch's deltas to the copy.
@@ -1177,7 +1153,10 @@ mod tests {
             shared.write(&[i], (i * 3) as f64);
             serial.write(&[i], (i * 3) as f64);
         }
-        shared.apply_batch(&mut vec![(0, 1, -0.5), (0, 0, 1.25)]);
+        shared.pool().with_block(0, true, |blk| {
+            blk[1] += -0.5;
+            blk[0] += 1.25;
+        });
         serial.pool().with_block(0, true, |blk| {
             blk[0] += 1.25;
             blk[1] += -0.5;

@@ -12,20 +12,18 @@
 //! trait for `&SharedCoeffStore`: each worker holds its own `&` handle and
 //! passes `&mut (&shared)`.
 //!
-//! Both run on the same frames, LRU and write-back; what differs is how
-//! often a batch enters the cache — the experiments' cost models, not
-//! interchangeable details:
-//!
-//! * [`CoeffStore::apply_batch`] touches the pool once **per delta** in
-//!   ascending `(tile, slot)` order, so every delta is a pool access in
-//!   the [`IoSnapshot`](crate::IoSnapshot);
-//! * [`SharedCoeffStore::apply_batch`] takes one shard lock (one pool
-//!   access) **per tile**.
+//! Both run on the same frames, LRU and write-back, and a batch enters
+//! either the same way: a [`TileRuns`](ss_core::runs::TileRuns) arena,
+//! grouped by tile, goes through [`CoeffWrite::apply_runs`] — one pool
+//! access (one [`with_tile`](CoeffWrite::with_tile)) **per tile**, the
+//! tile's runs replayed in arrival order inside it, and one coefficient
+//! write charged **per delta** in the [`IoSnapshot`](crate::IoSnapshot).
 
 use crate::block::BlockStore;
 use crate::shard::SharedCoeffStore;
 use crate::stats::IoStats;
 use crate::wstore::CoeffStore;
+use ss_core::runs::TileGroup;
 use ss_core::TilingMap;
 
 /// A sink for wavelet-coefficient deltas laid out by a [`TilingMap`].
@@ -50,12 +48,18 @@ pub trait CoeffWrite {
     /// coefficient writes — the caller knows how many slots it touches.
     fn with_tile(&mut self, tile: usize, f: impl FnOnce(&mut [f64]));
 
-    /// Applies a `(tile, slot, delta)` batch sorted by `(tile, slot)`, so
-    /// each affected tile is loaded at most once per batch even with a
-    /// single-block pool — the access discipline the paper's per-chunk I/O
-    /// analysis assumes. Charges one coefficient write per delta and
-    /// clears `deltas`.
-    fn apply_batch(&mut self, deltas: &mut Vec<(usize, usize, f64)>);
+    /// Applies tile groups ([`TileRuns::tiles`](ss_core::runs::TileRuns::tiles)
+    /// of a grouped arena): one [`with_tile`](Self::with_tile) per tile,
+    /// its runs replayed in arrival order, one coefficient write charged
+    /// per delta. A grouped batch therefore loads each affected tile at
+    /// most once, even with a single-block pool — the access discipline
+    /// the paper's per-chunk I/O analysis assumes.
+    fn apply_runs<'a>(&mut self, tiles: impl IntoIterator<Item = TileGroup<'a>>) {
+        for group in tiles {
+            self.stats().add_coeff_writes(group.delta_count() as u64);
+            self.with_tile(group.tile(), |blk| group.apply(blk));
+        }
+    }
 
     /// Writes every dirty cached block back.
     fn flush(&mut self);
@@ -80,11 +84,7 @@ impl<M: TilingMap, S: BlockStore> CoeffWrite for CoeffStore<M, S> {
     }
 
     fn with_tile(&mut self, tile: usize, f: impl FnOnce(&mut [f64])) {
-        self.pool().with_block(tile, true, f)
-    }
-
-    fn apply_batch(&mut self, deltas: &mut Vec<(usize, usize, f64)>) {
-        CoeffStore::apply_batch(self, deltas)
+        self.pool().with_block_mut(tile, true, f)
     }
 
     fn flush(&mut self) {
@@ -115,10 +115,6 @@ impl<M: TilingMap, S: BlockStore> CoeffWrite for &SharedCoeffStore<M, S> {
         self.pool().with_block(tile, true, f)
     }
 
-    fn apply_batch(&mut self, deltas: &mut Vec<(usize, usize, f64)>) {
-        SharedCoeffStore::apply_batch(self, deltas)
-    }
-
     fn flush(&mut self) {
         SharedCoeffStore::flush(self)
     }
@@ -133,19 +129,18 @@ mod tests {
     use super::*;
     use crate::shard::mem_shared_store;
     use crate::wstore::mem_store;
+    use ss_core::runs::TileRuns;
     use ss_core::Tiling1d;
 
     fn fold<W: CoeffWrite>(sink: &mut W) {
         sink.add(&[5], 1.5);
-        let mut batch: Vec<(usize, usize, f64)> = (0..16usize)
-            .rev()
-            .map(|i| {
-                let loc = sink.map().locate(&[i]);
-                (loc.tile, loc.slot, i as f64)
-            })
-            .collect();
-        sink.apply_batch(&mut batch);
-        assert!(batch.is_empty());
+        let mut batch = TileRuns::default();
+        for i in (0..16usize).rev() {
+            let loc = sink.map().locate(&[i]);
+            batch.push(loc.tile, loc.slot, i as f64);
+        }
+        batch.group();
+        sink.apply_runs(batch.tiles());
         sink.with_tile(0, |blk| blk[0] += 0.25);
         sink.flush();
     }
@@ -158,15 +153,17 @@ mod tests {
         let shared = mem_shared_store(Tiling1d::new(4, 2), 2, 1, shared_stats.clone());
         fold(&mut serial);
         fold(&mut &shared);
-        for i in 0..16usize {
-            assert_eq!(serial.read(&[i]).to_bits(), shared.read(&[i]).to_bits());
-        }
-        // Same coefficient-write accounting; the pool-access discipline is
-        // per delta on the exclusive sink and per tile on the shared one.
+        // The same accounting: one coefficient write per delta, one pool
+        // access per tile of the batch (all 5) beside the `add` and the
+        // `with_tile`.
         let (a, b) = (serial_stats.snapshot(), shared_stats.snapshot());
         assert_eq!(a.coeff_writes, 17);
         assert_eq!(b.coeff_writes, 17);
-        assert!(b.pool_accesses() < a.pool_accesses());
+        assert_eq!(a.pool_accesses(), 7);
+        assert_eq!(b.pool_accesses(), 7);
+        for i in 0..16usize {
+            assert_eq!(serial.read(&[i]).to_bits(), shared.read(&[i]).to_bits());
+        }
     }
 
     #[test]

@@ -142,18 +142,44 @@ impl Meta {
         if !(FORMAT_VERSION..=V3_FORMAT_VERSION).contains(&version) {
             return Err(StorageError::UnsupportedVersion(version));
         }
-        let levels = levels.ok_or_else(|| bad("missing levels".into()))?;
-        let tiles = tiles.ok_or_else(|| bad("missing tiles".into()))?;
-        if levels.len() != tiles.len() {
-            return Err(bad("levels/tiles rank mismatch".into()));
-        }
-        Ok(Meta {
+        let meta = Meta {
             version,
-            levels,
-            tiles,
+            levels: levels.ok_or_else(|| bad("missing levels".into()))?,
+            tiles: tiles.ok_or_else(|| bad("missing tiles".into()))?,
             filled: filled.ok_or_else(|| bad("missing filled".into()))?,
             axis: axis.ok_or_else(|| bad("missing axis".into()))?,
-        })
+        };
+        meta.check()?;
+        Ok(meta)
+    }
+
+    /// Refuses a geometry this build cannot lay out: it comes off disk (or
+    /// a command line), and [`tiling`](Meta::tiling) and the block-file
+    /// size are shifts and products of it. Requires rank ≥ 1, every
+    /// `1 ≤ tiles[t] ≤ levels[t]`, `axis < rank`, and `Σ levels` and the
+    /// block-file size to fit, in checked arithmetic.
+    fn check(&self) -> Result<(), StorageError> {
+        let (levels, tiles, rank) = (&self.levels, &self.tiles, self.levels.len());
+        let total = levels.iter().try_fold(0u32, |sum, &n| sum.checked_add(n));
+        let problem = if rank == 0 || tiles.len() != rank {
+            format!("levels/tiles ranks {rank}/{} differ or are 0", tiles.len())
+        } else if total.is_none_or(|total| total >= usize::BITS) {
+            format!("levels {levels:?} exceed 2^{} cells", usize::BITS)
+        } else if let Some(t) = (0..rank).find(|&t| !(1..=levels[t]).contains(&tiles[t])) {
+            format!("tiles[{t}] = {} outside 1..={}", tiles[t], levels[t])
+        } else if self.axis >= rank {
+            format!("axis {} out of range for rank {rank}", self.axis)
+        } else {
+            // Σ levels < usize::BITS bounds every per-axis tile count and
+            // the block capacity, so the map can be built; not its bytes.
+            let map = self.tiling();
+            let coeffs = (map.block_capacity() as u64).checked_mul(map.num_tiles() as u64);
+            match coeffs.and_then(|coeffs| coeffs.checked_mul(8)) {
+                Some(_) => return Ok(()),
+                None => format!("levels {levels:?} overflow the block file"),
+            }
+        };
+        Err(StorageError::Meta(problem))
     }
 
     /// Per-axis domain sizes.
@@ -242,6 +268,7 @@ impl WsFile {
         create: fn(&Path, usize, usize, IoStats) -> Result<FileBlockStore, StorageError>,
     ) -> Result<WsFile, StorageError> {
         meta.version = version;
+        meta.check()?;
         let map = meta.tiling();
         let stats = IoStats::new();
         let blocks = create(path, map.block_capacity(), map.num_tiles(), stats.clone())?;
@@ -433,6 +460,40 @@ mod tests {
             Meta::from_text("format = other\nlevels = 1\ntiles = 1\nfilled = 0\naxis = 0").is_err()
         );
         assert!(Meta::from_text("format = shiftsplit-ws\nversion = 9").is_err());
+    }
+
+    #[test]
+    fn meta_refuses_geometry_it_cannot_lay_out() {
+        // Each once panicked in `tiling()` or the size product, wrapped,
+        // or opened `Ok` for an appender to assert on later.
+        for (levels, tiles, filled, axis, message) in [
+            ("70,4", "4,4", 0, 0, "exceed 2^64 cells"),
+            ("40,40", "2,2", 0, 0, "exceed 2^64 cells"),
+            ("31,31", "1,1", 0, 0, "overflow the block file"),
+            ("3,3", "1,1", 0, 9, "axis 9 out of range for rank 2"),
+            ("3,3", "0,1", 0, 1, "tiles[0] = 0 outside 1..=3"),
+            ("3,3", "1,4", 0, 1, "tiles[1] = 4 outside 1..=3"),
+            ("3,0", "1,1", 0, 0, "tiles[1] = 1 outside 1..=0"),
+        ] {
+            let text = format!(
+                "format = shiftsplit-ws\nversion = 2\nlevels = {levels}\ntiles = {tiles}\n\
+                 filled = {filled}\naxis = {axis}"
+            );
+            match Meta::from_text(&text) {
+                Err(StorageError::Meta(msg)) => assert!(msg.contains(message), "{msg}"),
+                other => panic!("{levels} / {tiles} / {axis}: {other:?}"),
+            }
+        }
+        // The widest geometry that fits is accepted, and `create` refuses
+        // what `open` would.
+        assert!(Meta::from_text(&Meta::new(vec![30, 30], vec![2, 2], 0, 1).to_text()).is_ok());
+        let path = tmp("bad_create");
+        let meta = Meta::new(vec![3, 3], vec![1, 1], 0, 2);
+        assert!(matches!(
+            WsFile::create(&path, meta),
+            Err(StorageError::Meta(_))
+        ));
+        cleanup(&path);
     }
 
     #[test]

@@ -72,25 +72,9 @@ impl<M: TilingMap, S: BlockStore> CoeffStore<M, S> {
     /// target).
     pub fn add(&mut self, idx: &[usize], delta: f64) {
         let loc = self.map().locate(idx);
-        self.add_at(loc.tile, loc.slot, delta);
-    }
-
-    fn add_at(&mut self, tile: usize, slot: usize, delta: f64) {
         self.stats().add_coeff_writes(1);
         self.pool()
-            .with_block_mut(tile, true, |blk| blk[slot] += delta);
-    }
-
-    /// Applies a `(tile, slot, delta)` batch tile-by-tile: deltas are
-    /// sorted by tile ordinal so each affected tile is loaded at most once
-    /// per batch even with a single-block buffer pool — the access
-    /// discipline the paper's per-chunk I/O analysis assumes. Every delta
-    /// is one coefficient write and one pool access. Clears `deltas`.
-    pub fn apply_batch(&mut self, deltas: &mut Vec<(usize, usize, f64)>) {
-        deltas.sort_unstable_by_key(|&(tile, slot, _)| (tile, slot));
-        for (tile, slot, delta) in deltas.drain(..) {
-            self.add_at(tile, slot, delta);
-        }
+            .with_block_mut(loc.tile, true, |blk| blk[loc.slot] += delta);
     }
 
     /// Overwrites a whole tile without reading it

@@ -15,16 +15,17 @@
 //!    is split coefficient by coefficient,
 //! 3. SHIFT-SPLIT the chunk's transform into the store, **tile-major**:
 //!    the located emitter (`ss_core::split::standard_tile_runs`) fills one
-//!    batch and `apply_batch` folds it in ascending `(tile, slot)` order,
-//!    so a slab reads and writes each tile it touches once, however small
-//!    the pool — folded in emission order, a slab wider than the pool
-//!    re-read the tiles evicted in between.
+//!    [`TileRuns`] batch, one run per tile in ascending order, and
+//!    `apply_runs` folds it one tile at a time, so a slab reads and writes
+//!    each tile it touches once, however small the pool — folded in
+//!    emission order, a slab wider than the pool re-read the tiles evicted
+//!    in between.
 
-use crate::pipeline::extend_batch;
 use ss_array::NdArray;
+use ss_core::runs::TileRuns;
 use ss_core::tiling::StandardTiling;
 use ss_core::TilingMap;
-use ss_storage::{BlockStore, CoeffStore, IoStats};
+use ss_storage::{BlockStore, CoeffStore, CoeffWrite, IoStats};
 
 /// Maintains a standard-form transform under appends along one axis.
 ///
@@ -147,11 +148,11 @@ impl<S: BlockStore, F: FnMut(usize, usize) -> S> Appender<S, F> {
         block[self.axis] = self.filled >> chunk_levels[self.axis];
         let mut t = chunk.clone();
         ss_core::standard::forward(&mut t);
-        let mut batch = Vec::new();
+        let mut batch = TileRuns::default();
         ss_core::split::standard_tile_runs(&t, self.cs.map().axes(), &block, |tile, run| {
-            extend_batch(&mut batch, tile, run)
+            batch.extend(tile, run)
         });
-        self.cs.apply_batch(&mut batch);
+        self.cs.apply_runs(batch.tiles());
         self.cs.flush();
         self.filled += extent;
     }
@@ -184,7 +185,7 @@ impl<S: BlockStore, F: FnMut(usize, usize) -> S> Appender<S, F> {
         let new_axis = new_cs.map().axes()[self.axis].clone();
         let mut image = vec![0.0; old_map.block_capacity()];
         let mut target = vec![0usize; d];
-        let mut batch: Vec<(usize, usize, f64)> = Vec::new();
+        let mut batch = TileRuns::default();
         for mut tile_tuple in ss_array::MultiIndexIter::new(old_map.tile_grid().dims()) {
             if tile_tuple[self.axis] != 0 {
                 let old_tile = old_map.tile_grid().offset(&tile_tuple);
@@ -226,11 +227,13 @@ impl<S: BlockStore, F: FnMut(usize, usize) -> S> Appender<S, F> {
                 for (new_i, factor) in ss_core::append::expand_index_1d(n_axis, idx[self.axis]) {
                     target[self.axis] = new_i;
                     let loc = new_cs.map().locate(&target);
-                    batch.push((loc.tile, loc.slot, v * factor));
+                    batch.push(loc.tile, loc.slot, v * factor);
                 }
             }
             // Apply this old tile's deltas grouped by destination tile.
-            new_cs.apply_batch(&mut batch);
+            batch.group();
+            new_cs.apply_runs(batch.tiles());
+            batch.clear();
         }
         new_cs.flush();
         self.cs = new_cs;

@@ -9,9 +9,10 @@
 //! storage; the z-order front ([`transform_nonstandard_zorder`]) adds the
 //! crest cache of Result 2.
 
-use crate::pipeline::{completed_levels, cubic_levels, ChunkPipeline, Delta, TransformReport};
+use crate::pipeline::{apply, completed_levels, cubic_levels, ChunkPipeline, TransformReport};
 use crate::source::ChunkSource;
 use ss_array::{MultiIndexIter, NdArray, Shape};
+use ss_core::runs::TileRuns;
 use ss_core::tiling::NonStandardTiling;
 use ss_core::TilingMap;
 use ss_storage::{BlockStore, CoeffStore};
@@ -100,7 +101,7 @@ pub fn transform_nonstandard_zorder_scalings<S: BlockStore>(
                 block: &[usize],
                 rank: usize,
                 map: &NonStandardTiling,
-                batch: &mut Vec<Delta>| {
+                batch: &mut TileRuns| {
         // In-chunk averaging pyramid: level 0 = raw cells, level j = means
         // of 2^{dj} cells. Fills scaling slots of tiles rooted inside the
         // chunk's subtree.
@@ -114,7 +115,7 @@ pub fn transform_nonstandard_zorder_scalings<S: BlockStore>(
                     .map(|(&q, &bq)| (bq << (m - j)) + q)
                     .collect();
                 if let Some(tile) = map.tile_of_root(j, &node) {
-                    batch.push((tile, 0, level_avgs.get(&node_local)));
+                    batch.push(tile, 0, level_avgs.get(&node_local));
                 }
             }
         }
@@ -128,7 +129,7 @@ pub fn transform_nonstandard_zorder_scalings<S: BlockStore>(
             let node: Vec<usize> = block.iter().map(|&bq| bq >> s).collect();
             if m + s < n {
                 if let Some(tile) = map.tile_of_root(m + s, &node) {
-                    batch.push((tile, 0, carry));
+                    batch.push(tile, 0, carry);
                 }
             }
             open = s + 1;
@@ -137,7 +138,7 @@ pub fn transform_nonstandard_zorder_scalings<S: BlockStore>(
             acc[(open - 1) as usize] += carry;
         }
     };
-    let report = pipeline.walk(cs, 0..pipeline.chunks(), fill, CoeffStore::apply_batch);
+    let report = pipeline.walk(cs, 0..pipeline.chunks(), fill, apply);
     cs.flush();
     report
 }

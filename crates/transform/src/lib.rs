@@ -46,7 +46,7 @@ pub use fallible::try_transform;
 pub use par::{
     resolve_workers, run_sharded, transform_nonstandard_parallel, transform_standard_parallel,
 };
-pub use pipeline::{ChunkPipeline, Delta, TransformReport};
+pub use pipeline::{ChunkPipeline, TransformReport};
 pub use source::{ArraySource, ChunkSource, FnSource};
 pub use update::{
     for_each_box_delta_nonstandard, for_each_box_delta_standard, for_each_box_run_standard,

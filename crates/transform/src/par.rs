@@ -27,11 +27,11 @@
 //! experiments that validate the paper's per-chunk analyses keep using
 //! the serial drivers; these exist to make wall-clock ingestion fast.
 
-use crate::pipeline::{ChunkPipeline, TransformReport};
+use crate::pipeline::{apply, ChunkPipeline, TransformReport};
 use crate::source::ChunkSource;
 use ss_core::TilingMap;
 use ss_obs::Stopwatch;
-use ss_storage::{BlockStore, CoeffWrite, SharedCoeffStore};
+use ss_storage::{BlockStore, SharedCoeffStore};
 use std::ops::Range;
 
 /// Resolves a worker-count argument: `0` means "use the machine's
@@ -89,7 +89,7 @@ impl<Src: ChunkSource + Sync> ChunkPipeline<'_, Src> {
         let parts = run_sharded(workers, self.chunks(), |range| {
             let worker_sw = Stopwatch::start();
             let mut sink = cs;
-            let part = self.run_range(&mut sink, range, CoeffWrite::apply_batch);
+            let part = self.run_range(&mut sink, range, apply);
             // One sample per worker: divide by the driver's wall time
             // for per-worker utilization.
             busy_ns.record(worker_sw.elapsed_ns());

@@ -13,7 +13,8 @@
 //! The standard and non-standard forms differ only in the in-memory
 //! forward pass and the delta emitter; the schedule is the row-major chunk
 //! grid or a z-order rank range; the sink is any [`CoeffWrite`] (serial
-//! `CoeffStore` or `&SharedCoeffStore`); the stage is `sink.apply_batch`
+//! `CoeffStore` or `&SharedCoeffStore`). A chunk's deltas fill one
+//! [`TileRuns`] batch, grouped by tile; the stage is `sink.apply_runs`
 //! or a caller's buffer (the group commit of `ss-maintain`). The z-order
 //! schedule adds the *crest cache* of Result 2: split contributions
 //! accumulate in a small in-memory map and are written exactly once, when
@@ -24,25 +25,12 @@
 use crate::source::ChunkSource;
 use ss_array::{morton_decode, NdArray, Shape};
 use ss_core::nonstandard::{coeff_at, index_of, NsCoeff};
+use ss_core::runs::TileRuns;
 use ss_core::TilingMap;
 use ss_obs::Stopwatch;
 use ss_storage::{CoeffWrite, IoStats};
 use std::collections::HashMap;
 use std::ops::Range;
-
-/// One SHIFT-SPLIT contribution, located: `(tile, slot, delta)`.
-pub type Delta = (usize, usize, f64);
-
-/// Appends one delta, located coefficient by coefficient, to a batch.
-fn push_located(batch: &mut Vec<Delta>, map: &impl TilingMap, idx: &[usize], delta: f64) {
-    let loc = map.locate(idx);
-    batch.push((loc.tile, loc.slot, delta));
-}
-
-/// Appends one tile's run of `(slot, delta)` pairs to a located batch.
-pub(crate) fn extend_batch(batch: &mut Vec<Delta>, tile: usize, run: &[(usize, f64)]) {
-    batch.extend(run.iter().map(|&(slot, delta)| (tile, slot, delta)));
-}
 
 /// Statistics of one out-of-core transform run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -211,20 +199,21 @@ impl<'a, Src: ChunkSource> ChunkPipeline<'a, Src> {
 
     /// Runs the whole schedule into `sink`, then flushes it.
     pub fn run<W: CoeffWrite>(&self, sink: &mut W) -> TransformReport {
-        let report = self.run_range(sink, 0..self.chunks(), W::apply_batch);
+        let report = self.run_range(sink, 0..self.chunks(), apply);
         sink.flush();
         report
     }
 
     /// Runs the schedule positions in `range` into `sink` without a final
-    /// flush. `stage` receives each chunk's delta batch in emission order
-    /// and must leave it empty: `CoeffWrite::apply_batch` folds it straight
-    /// into the sink; a group-commit driver moves it into its own buffer.
+    /// flush. `stage` receives each chunk's delta batch grouped by tile —
+    /// `CoeffWrite::apply_runs` folds it straight into the sink, a
+    /// group-commit driver copies it into its own buffer — and the batch
+    /// is emptied after.
     pub fn run_range<W: CoeffWrite>(
         &self,
         sink: &mut W,
         range: Range<usize>,
-        stage: impl FnMut(&mut W, &mut Vec<Delta>),
+        stage: impl FnMut(&mut W, &TileRuns),
     ) -> TransformReport {
         self.walk(sink, range, |_, _, _, _, _| {}, stage)
     }
@@ -236,8 +225,8 @@ impl<'a, Src: ChunkSource> ChunkPipeline<'a, Src> {
         &self,
         sink: &mut W,
         range: Range<usize>,
-        mut extra: impl FnMut(&NdArray<f64>, &[usize], usize, &W::Map, &mut Vec<Delta>),
-        mut stage: impl FnMut(&mut W, &mut Vec<Delta>),
+        mut extra: impl FnMut(&NdArray<f64>, &[usize], usize, &W::Map, &mut TileRuns),
+        mut stage: impl FnMut(&mut W, &TileRuns),
     ) -> TransformReport {
         // One sample per chunk per phase, whatever front ran the pipeline.
         let [read_ns, compute_ns, writeback_ns] = ["read_ns", "compute_ns", "writeback_ns"]
@@ -251,7 +240,7 @@ impl<'a, Src: ChunkSource> ChunkPipeline<'a, Src> {
             cache: HashMap::new(),
         });
         let mut report = TransformReport::default();
-        let mut batch: Vec<Delta> = Vec::new();
+        let mut batch = TileRuns::default();
         let mut block = vec![0usize; d];
         for rank in range {
             let mut sw = Stopwatch::start();
@@ -267,6 +256,10 @@ impl<'a, Src: ChunkSource> ChunkPipeline<'a, Src> {
             read_ns.record(sw.lap_ns());
             let map = sink.map();
             extra(&chunk, &block, rank, map, &mut batch);
+            let mut add_at = |idx: &[usize], delta: f64| {
+                let loc = map.locate(idx);
+                batch.push(loc.tile, loc.slot, delta);
+            };
             match (&self.form, map.axis_tilings()) {
                 // A per-axis product map: located once per axis, the
                 // batch filled a tile's run at a time.
@@ -277,20 +270,18 @@ impl<'a, Src: ChunkSource> ChunkPipeline<'a, Src> {
                     );
                     ss_core::standard::forward(&mut chunk);
                     ss_core::split::standard_tile_runs(&chunk, axes, &block, |tile, run| {
-                        extend_batch(&mut batch, tile, run)
+                        batch.extend(tile, run)
                     });
                 }
                 (Form::Standard(n), None) => {
                     ss_core::standard::forward(&mut chunk);
-                    ss_core::split::standard_deltas(&chunk, n, &block, |idx, delta| {
-                        push_located(&mut batch, map, idx, delta)
-                    });
+                    ss_core::split::standard_deltas(&chunk, n, &block, add_at);
                 }
                 (Form::NonStandard(n), _) => {
                     ss_core::nonstandard::forward(&mut chunk);
                     ss_core::split::nonstandard_deltas(&chunk, *n, &block, |idx, delta| {
                         if !crest.as_mut().is_some_and(|c| c.absorb(idx, delta)) {
-                            push_located(&mut batch, map, idx, delta);
+                            add_at(idx, delta);
                         }
                     });
                 }
@@ -299,12 +290,15 @@ impl<'a, Src: ChunkSource> ChunkPipeline<'a, Src> {
                 report.peak_crest_cache = report.peak_crest_cache.max(crest.cache.len());
                 if self.crest_into_batch {
                     crest.flush_completed(rank, &block, |idx, delta| {
-                        push_located(&mut batch, map, idx, delta)
+                        let loc = map.locate(idx);
+                        batch.push(loc.tile, loc.slot, delta);
                     });
                 }
             }
             compute_ns.record(sw.lap_ns());
-            stage(sink, &mut batch);
+            batch.group();
+            stage(sink, &batch);
+            batch.clear();
             if let Some(crest) = crest.as_mut().filter(|_| !self.crest_into_batch) {
                 crest.flush_completed(rank, &block, |idx, v| sink.add(idx, v));
             }
@@ -320,6 +314,12 @@ impl<'a, Src: ChunkSource> ChunkPipeline<'a, Src> {
         }
         report
     }
+}
+
+/// The direct stage: a chunk's grouped batch folded into the sink, one
+/// pool access per tile.
+pub(crate) fn apply<W: CoeffWrite>(sink: &mut W, batch: &TileRuns) {
+    sink.apply_runs(batch.tiles());
 }
 
 /// Validates that the source is a hypercube with cubic chunks; returns

@@ -11,6 +11,7 @@
 use ss_array::{
     decompose_interval, decompose_range, DyadicInterval, MultiIndexIter, NdArray, Shape,
 };
+use ss_core::runs::TileRuns;
 use ss_core::split::{standard_tile_runs_located, AxisTargets};
 use ss_core::tiling::AxisTiling;
 use ss_core::TilingMap;
@@ -115,17 +116,19 @@ pub fn for_each_box_delta_standard(
 
 /// The located, tile-major twin of [`for_each_box_delta_standard`] for a
 /// store whose map is the cross product `axes` of per-axis tilings: the
-/// box's deltas arrive as **one run `(tile, &[(slot, delta)])` per tile,
-/// in ascending tile order**.
+/// box's deltas arrive as runs `(tile, &[(slot, delta)])` **grouped by
+/// tile, in ascending tile order** — one run per piece that touches the
+/// tile, the runs of one tile consecutive.
 ///
 /// Each axis is decomposed once and each axis interval located once
 /// ([`AxisTargets`]); the pieces are transformed in [`decompose_range`]'s
-/// row-major order and, inside a run, the deltas of an earlier piece
-/// precede those of a later one. Every delta is computed exactly as the
-/// index-space emitter computes it and a piece sends at most one delta to
-/// a coefficient, so each coefficient sees the same addition sequence
-/// through either emitter — what keeps a group commit that replays runs in
-/// arrival order bit-identical to box-by-box [`update_box_standard`].
+/// row-major order into one [`TileRuns`] arena, and grouping it keeps, per
+/// tile, an earlier piece's run before a later one's. Every delta is
+/// computed exactly as the index-space emitter computes it and a piece
+/// sends at most one delta to a coefficient, so each coefficient sees the
+/// same addition sequence through either emitter — what keeps a group
+/// commit that replays runs in arrival order bit-identical to box-by-box
+/// [`update_box_standard`].
 ///
 /// [`decompose_range`]: ss_array::decompose_range
 pub fn for_each_box_run_standard(
@@ -151,10 +154,7 @@ pub fn for_each_box_run_standard(
         .collect();
     let counts: Vec<usize> = intervals.iter().map(Vec::len).collect();
     let mut report = UpdateReport::default();
-    // Every piece's runs, back to back in `deltas`; `runs` holds
-    // `(tile, start, end)` of each.
-    let mut deltas: Vec<(usize, f64)> = Vec::new();
-    let mut runs: Vec<(usize, usize, usize)> = Vec::new();
+    let mut runs = TileRuns::default();
     let mut rel_origin = vec![0usize; d];
     let mut extents = vec![0usize; d];
     let mut piece_tables: Vec<&AxisTargets> = Vec::with_capacity(d);
@@ -170,29 +170,14 @@ pub fn for_each_box_run_standard(
         let shape = Shape::new(&extents);
         let mut piece = extract_piece(delta, &rel_origin, shape, &mut extract_buf);
         ss_core::standard::forward(&mut piece);
-        standard_tile_runs_located(&piece, &piece_tables, |tile, run| {
-            runs.push((tile, deltas.len(), deltas.len() + run.len()));
-            deltas.extend_from_slice(run);
-        });
+        standard_tile_runs_located(&piece, &piece_tables, |tile, run| runs.extend(tile, run));
         extract_buf = piece.into_vec();
         report.pieces += 1;
     }
-    report.coeffs_touched = deltas.len();
-    // One run per tile: ordered by `(tile, start)`, a tile's pieces stay
-    // in decomposition order.
-    runs.sort_unstable();
-    let mut merged: Vec<(usize, f64)> = Vec::new();
-    for same_tile in runs.chunk_by(|a, b| a.0 == b.0) {
-        match same_tile {
-            &[(tile, start, end)] => emit(tile, &deltas[start..end]),
-            _ => {
-                merged.clear();
-                for &(_, start, end) in same_tile {
-                    merged.extend_from_slice(&deltas[start..end]);
-                }
-                emit(same_tile[0].0, &merged);
-            }
-        }
+    report.coeffs_touched = runs.len();
+    runs.group();
+    for (tile, run) in runs.runs() {
+        emit(tile, run);
     }
     report
 }

@@ -279,8 +279,17 @@ fn io_of<M: TilingMap, R>(
 #[test]
 fn serial_fronts_io_is_pinned_to_the_parent_commit() {
     // Captured by running these exact calls at the parent commit (the ten
-    // hand-written drivers). The serial sink keeps per-delta pool touches
-    // in ascending (tile, slot) order, so nothing here may move.
+    // hand-written drivers). Block, coefficient, miss, eviction and
+    // write-back counts may not move.
+    //
+    // Re-captured when the chunk batch became a `TileRuns` arena applied
+    // through `CoeffWrite::apply_runs`: a batch takes one pool access per
+    // (batch, tile) instead of one per delta, so on every row that went
+    // through the old per-delta `apply_batch` the hits fall by exactly
+    // Σ over batches of (deltas − tiles) — hits = (batch, tile) pairs −
+    // misses — and nothing else moves. The group-commit rows already took
+    // one access per tile and keep their hits. The parent's row is kept
+    // beside each changed one.
     let _turn = exclusive();
     let sq = noisy(&[64, 64], 11);
     let rect = noisy(&[32, 128], 23);
@@ -383,21 +392,25 @@ fn serial_fronts_io_is_pinned_to_the_parent_commit() {
         }),
     ];
     let pinned: [(&str, [u64; 8]); 14] = [
+        // [1280, 1024, 4096, 7744, 6720, 1024, 1016, 1024] before.
         (
             "standard/sq/cold=false",
-            [1280, 1024, 4096, 7744, 6720, 1024, 1016, 1024],
+            [1280, 1024, 4096, 7744, 0, 1024, 1016, 1024],
         ),
+        // [1280, 1024, 4096, 7744, 6720, 1024, 512, 1024] before.
         (
             "standard/sq/cold=true",
-            [1280, 1024, 4096, 7744, 6720, 1024, 512, 1024],
+            [1280, 1024, 4096, 7744, 0, 1024, 512, 1024],
         ),
+        // [2176, 1920, 4096, 10752, 8832, 1920, 1912, 1920] before.
         (
             "standard/rect",
-            [2176, 1920, 4096, 10752, 8832, 1920, 1912, 1920],
+            [2176, 1920, 4096, 10752, 0, 1920, 1912, 1920],
         ),
+        // [320, 256, 1024, 1936, 1680, 256, 248, 256] before.
         (
             "standard_sparse/sq",
-            [320, 256, 1024, 1936, 1680, 256, 248, 256],
+            [320, 256, 1024, 1936, 0, 256, 248, 256],
         ),
         (
             "coalesced/sq/group=1",
@@ -411,18 +424,19 @@ fn serial_fronts_io_is_pinned_to_the_parent_commit() {
             "coalesced/sq/group=0",
             [697, 441, 4096, 7744, 0, 441, 433, 441],
         ),
-        (
-            "nonstandard/sq",
-            [577, 321, 4096, 7168, 6847, 321, 313, 321],
-        ),
-        ("zorder/sq", [532, 276, 4096, 4096, 3820, 276, 268, 276]),
+        // [577, 321, 4096, 7168, 6847, 321, 313, 321] before.
+        ("nonstandard/sq", [577, 321, 4096, 7168, 447, 321, 313, 321]),
+        // [532, 276, 4096, 4096, 3820, 276, 268, 276] before.
+        ("zorder/sq", [532, 276, 4096, 4096, 236, 276, 268, 276]),
+        // [8777, 4681, 32768, 32768, 28087, 4681, 4673, 4681] before.
         (
             "zorder/cube",
-            [8777, 4681, 32768, 32768, 28087, 4681, 4673, 4681],
+            [8777, 4681, 32768, 32768, 439, 4681, 4673, 4681],
         ),
+        // [532, 276, 4096, 4368, 4092, 276, 268, 276] before.
         (
             "zorder_scalings/sq",
-            [532, 276, 4096, 4368, 4092, 276, 268, 276],
+            [532, 276, 4096, 4368, 49, 276, 268, 276],
         ),
         (
             "update_boxes_standard/sq",
@@ -446,7 +460,9 @@ fn serial_fronts_io_is_pinned_to_the_parent_commit() {
         // coefficient writes, +400). 40 fewer pool hits over both sides;
         // misses, evictions and block writes do not move
         // ([553, 399, 192, 504, 143, 553, 529, 399] before).
-        ("appender", [413, 399, 32, 904, 103, 553, 529, 399]),
+        // Re-captured for `apply_runs`: 85 fewer pool hits, one access per
+        // (batch, tile) ([413, 399, 32, 904, 103, 553, 529, 399] before).
+        ("appender", [413, 399, 32, 904, 18, 553, 529, 399]),
     ];
     for ((name, got), (pinned_name, want)) in got.iter().zip(&pinned) {
         assert_eq!(name, pinned_name);

@@ -6,7 +6,7 @@
 //! path; a stack overflow aborts the process). What validation accepts
 //! must also be safe to run: valid queries are planned and executed, valid
 //! `update` boxes are decomposed into a `DeltaBuffer`, and valid `apply`
-//! runs go through the server's own geometry check and `add_run`.
+//! runs go through the server's own geometry check into the buffer.
 //!
 //! The lines cover the `partial` and `apply` shapes, ragged term lists,
 //! coordinates and extents near `usize::MAX`, integers past `i128`, and

@@ -9,7 +9,8 @@
 //! * delta for delta, **bit for bit** — as a multiset per chunk, and as a
 //!   per-coefficient *sequence* per box (the order `FlushMode::Exact`
 //!   replays),
-//! * on the run contract: strictly ascending tiles, one run per tile,
+//! * on the run contract: strictly ascending tiles, one run per tile per
+//!   chunk; a box's runs grouped by ascending tile, one per piece,
 //! * through a `DeltaBuffer` (same drained lists, same `FlushReport`) and
 //!   through `update_boxes_standard` on a product map and on a map that is
 //!   not one (`NaiveMap` keeps the per-coefficient path).
@@ -19,6 +20,7 @@
 //! with exact-zero coefficients.
 
 use shiftsplit::array::{MultiIndexIter, NdArray, Shape};
+use shiftsplit::core::runs::{TileGroup, TileRuns};
 use shiftsplit::core::split::{standard_deltas, standard_tile_runs};
 use shiftsplit::core::tiling::{NaiveMap, StandardTiling, Tiling1d};
 use shiftsplit::core::TilingMap;
@@ -166,7 +168,7 @@ fn check_box_runs(map: &impl TilingMap, seed: u64) {
         let mut last_tile = None;
         let got_report = for_each_box_run_standard(axes, &origin, &delta, |tile, run| {
             assert!(!run.is_empty());
-            assert!(last_tile < Some(tile), "one run per tile, ascending");
+            assert!(last_tile <= Some(tile), "a tile's runs together, ascending");
             last_tile = Some(tile);
             for &(slot, v) in run {
                 got.entry((tile, slot)).or_default().push(v.to_bits());
@@ -209,8 +211,14 @@ fn a_buffer_fed_by_runs_drains_what_one_fed_by_add_at_drains() {
             by_index.begin_box();
             for_each_box_delta_standard(&n, origin, delta, |idx, v| by_index.add_at(&map, idx, v));
         }
-        let (runs, runs_report) = by_runs.drain_ops();
-        let (index, index_report) = by_index.drain_ops();
+        let (runs, runs_report) = by_runs.drain();
+        let (index, index_report) = by_index.drain();
+        // Each tile's runs, concatenated in arrival order.
+        let ops = |runs: &TileRuns| -> Vec<(usize, Vec<(usize, f64)>)> {
+            let ops = |tile: TileGroup| tile.runs().flatten().copied().collect();
+            runs.tiles().map(|tile| (tile.tile(), ops(tile))).collect()
+        };
+        let (runs, index) = (ops(&runs), ops(&index));
         assert_eq!(runs_report, index_report, "{mode:?}");
         assert!(runs_report.tile_touches > runs_report.tiles_written);
         assert_eq!(runs.len(), index.len(), "{mode:?}");
