@@ -4,8 +4,9 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ss_array::{NdArray, Shape};
 use ss_core::tiling::StandardTiling;
+use ss_maintain::{update_boxes_standard, FlushMode};
 use ss_storage::{wstore::mem_store, IoStats, MemBlockStore};
-use ss_transform::{update_box_standard, Appender};
+use ss_transform::Appender;
 
 fn bench_updates(c: &mut Criterion) {
     let side = 256usize;
@@ -22,7 +23,8 @@ fn bench_updates(c: &mut Criterion) {
         for idx in ss_array::MultiIndexIter::new(&[side, side]) {
             cs.write(&idx, t.get(&idx));
         }
-        b.iter(|| update_box_standard(&mut cs, &n, &[13, 77], &delta))
+        let one = [(vec![13, 77], delta.clone())];
+        b.iter(|| update_boxes_standard(&mut cs, &n, &one, FlushMode::Exact))
     });
 
     group.bench_function("append_month_8x8x32", |b| {

@@ -13,8 +13,9 @@
 //! (bit-identical for `serial`/`group`/`parallel` — the group flush
 //! replays deltas in arrival order):
 //!
-//! * **serial** — `update_box_standard` per box: each box pays a flush,
-//!   re-writing the split-path tiles near the root once *per box*;
+//! * **serial** — one `update_boxes_*` call per box, a batch of one: each
+//!   box pays a flush, re-writing the split-path tiles near the root once
+//!   *per box*;
 //! * **group** — one `DeltaBuffer` group-commit for the whole batch:
 //!   exactly one read-modify-write per dirty tile;
 //! * **parallel** — the same flush sharded over 4 workers of the sharded
@@ -87,11 +88,11 @@ fn run_serial<M: TilingMap>(
     let store = throttled(&map, stats.clone());
     let mut cs = CoeffStore::new(map, store, POOL, stats.clone());
     let (_, wall_ms) = timed_ms(|| {
-        for (origin, delta) in boxes {
+        for one in boxes.chunks(1) {
             if form == "standard" {
-                ss_transform::update_box_standard(&mut cs, &[N; 2], origin, delta);
+                ss_maintain::update_boxes_standard(&mut cs, &[N; 2], one, FlushMode::Exact);
             } else {
-                ss_transform::update_box_nonstandard(&mut cs, N, origin, delta);
+                ss_maintain::update_boxes_nonstandard(&mut cs, N, one, FlushMode::Exact);
             }
         }
     });

@@ -348,39 +348,35 @@ pub fn extract(args: &Args) -> Result<(), String> {
     metrics::emit(args, &ws.stats)
 }
 
-/// `update <store> (--at a,b,… --data delta.csv --dims a,b,… |
-/// --batch boxes.txt [--workers N]) [--mode exact|merged]`
+/// `update <store> (--at a,b,… --dims a,b,… --data delta.csv |
+/// --batch boxes.txt) [--workers N] [--mode exact|merged]`
 ///
-/// With `--at/--dims/--data`, applies one delta box through the serial
-/// per-box path. With `--batch FILE`, reads one box per line
-/// (`at;dims;datafile`, relative data paths resolved against the batch
-/// file's directory), buffers every box's SHIFT-SPLIT delta stream
-/// tile-major, and group-commits the whole batch with one
-/// read-modify-write per dirty tile and a single durability flush —
-/// instead of one per box. `--workers N` shards the flush across threads
+/// Buffers every box's SHIFT-SPLIT delta stream tile-major and
+/// group-commits it with one read-modify-write per dirty tile and a single
+/// durability flush. `--at/--dims/--data` is a batch of one box; `--batch
+/// FILE` reads one box per line (`at;dims;datafile`, relative data paths
+/// resolved against the batch file's directory) and commits them together
+/// instead of once per box. Every box is checked against the store before
+/// anything is buffered. `--workers N` shards the flush across threads
 /// (bit-identical to the serial flush); `--mode merged` pre-sums deltas
-/// per coefficient (smallest flush, equal to serial only up to rounding;
-/// the default `exact` mode is bit-identical).
+/// per coefficient (smallest flush, equal to exact only up to rounding;
+/// the default `exact` mode is bit-identical to one box at a time).
 pub fn update(args: &Args) -> Result<(), String> {
     let path = args.pos(0, "store path")?;
     let mode = flush_mode(args)?;
     let mut ws = WsFile::open(Path::new(path))?;
-    let Some(batch_file) = args.flag_opt("batch") else {
-        let origin = parse_list(args.flag("at")?)?;
-        let dims = parse_list(args.flag("dims")?)?;
-        let delta = csv::read_array(Path::new(args.flag("data")?), &dims)?;
-        check_rank(&ws.meta, origin.len())?;
-        let report =
-            ss_transform::update_box_standard(&mut ws.store, &ws.meta.levels, &origin, &delta);
-        println!(
-            "applied {} update cells as {} dyadic pieces ({} coefficients touched)",
-            delta.len(),
-            report.pieces,
-            report.coeffs_touched
-        );
-        return metrics::emit(args, &ws.stats);
+    let boxes = match args.flag_opt("batch") {
+        Some(batch_file) => read_batch_file(Path::new(batch_file), &ws.meta)?,
+        None => {
+            let data = Path::new(args.flag("data")?);
+            vec![read_box(
+                &ws.meta,
+                args.flag("at")?,
+                args.flag("dims")?,
+                data,
+            )?]
+        }
     };
-    let boxes = read_batch_file(Path::new(batch_file), &ws.meta)?;
     let levels = ws.meta.levels.clone();
     let report = match worker_flag(args)? {
         Some(workers) => {
@@ -424,30 +420,40 @@ fn read_batch_file(path: &Path, meta: &Meta) -> Result<Vec<UpdateBox>, String> {
             continue;
         }
         let parts: Vec<&str> = line.split(';').collect();
-        if parts.len() != 3 {
+        let [at, dims, data] = parts[..] else {
             return Err(format!(
                 "batch line {}: expected `at;dims;datafile`, got {line:?}",
                 lineno + 1
             ));
-        }
-        let origin = parse_list(parts[0].trim())?;
-        let dims = parse_list(parts[1].trim())?;
-        check_rank(meta, origin.len())?;
-        let data_path = {
-            let p = Path::new(parts[2].trim());
-            if p.is_absolute() {
-                p.to_path_buf()
-            } else {
-                base.join(p)
-            }
         };
-        let delta = csv::read_array(&data_path, &dims)?;
-        boxes.push((origin, delta));
+        let data = base.join(data.trim());
+        let one = read_box(meta, at.trim(), dims.trim(), &data)
+            .map_err(|e| format!("batch line {}: {e}", lineno + 1))?;
+        boxes.push(one);
     }
     if boxes.is_empty() {
         return Err("batch file holds no boxes".into());
     }
     Ok(boxes)
+}
+
+/// Parses one update box and reads its data. The box must have the
+/// store's rank, no empty axis and fit the domain (`at + dims ≤ 2^n`,
+/// checked without wrapping); the error names the first axis that fails.
+fn read_box(meta: &Meta, at: &str, dims: &str, data: &Path) -> Result<UpdateBox, String> {
+    let origin = parse_list(at)?;
+    let dims = parse_list(dims)?;
+    check_ranks(meta, [("--at", &origin), ("--dims", &dims)])?;
+    for (axis, ((&o, &e), &n)) in origin.iter().zip(&dims).zip(&meta.levels).enumerate() {
+        let side = 1usize << n;
+        if e == 0 || e > side || o > side - e {
+            return Err(format!(
+                "axis {axis}: {e} cells at {o} do not fit in [0, {}]",
+                side - 1
+            ));
+        }
+    }
+    Ok((origin, csv::read_array(data, &dims)?))
 }
 
 /// `append <store> --data chunk.csv --extent n`
@@ -1348,13 +1354,20 @@ fn check_rank(meta: &Meta, rank: usize) -> Result<(), String> {
     }
 }
 
+/// Both lists of a box must have the store's rank; the error names the
+/// flag and the first axis it lacks or overruns.
+fn check_ranks(meta: &Meta, lists: [(&str, &[usize]); 2]) -> Result<(), String> {
+    for (flag, list) in lists {
+        let axis = list.len().min(meta.levels.len());
+        check_rank(meta, list.len()).map_err(|e| format!("{flag}: {e}, at axis {axis}"))?;
+    }
+    Ok(())
+}
+
 /// A query box must have the store's rank, `lo <= hi` and `hi` inside
 /// the domain on every axis; the error names the first axis that fails.
 fn check_box(meta: &Meta, lo: &[usize], hi: &[usize]) -> Result<(), String> {
-    for (flag, corner) in [("--lo", lo), ("--hi", hi)] {
-        let axis = corner.len().min(meta.levels.len());
-        check_rank(meta, corner.len()).map_err(|e| format!("{flag}: {e}, at axis {axis}"))?;
-    }
+    check_ranks(meta, [("--lo", lo), ("--hi", hi)])?;
     for (axis, ((&l, &h), &n)) in lo.iter().zip(hi).zip(&meta.levels).enumerate() {
         if l > h || h >= 1usize << n {
             let last = (1usize << n) - 1;

@@ -49,12 +49,14 @@ COMMANDS:
   point   <store> i,j,…            query one cell
   sum     <store> --lo … --hi …    range-sum query
   extract <store> --lo … --hi …    reconstruct a region
-  update  <store> --at … --dims … --data FILE   add a delta box
-          or: --batch FILE [--workers N] [--mode exact|merged]
-          (one box per line `at;dims;datafile`; the batch is buffered
+  update  <store> (--at … --dims … --data FILE | --batch FILE)
+          [--workers N] [--mode exact|merged]   add delta boxes
+          (one box, or a file of one box per line `at;dims;datafile`;
+          every box is checked against the store, then buffered
           tile-major and group-committed — one read-modify-write per
           dirty tile and one durability flush for the whole batch;
-          exact mode is bit-identical to applying the boxes one by one)
+          --workers N shards the flush; exact mode is bit-identical to
+          applying the boxes one by one, merged pre-sums per coefficient)
   append  <store> --extent N --data FILE        append along the grow axis
           (dense stores only; v3 stores must be re-ingested to grow)
   scrub   <store>                  verify every block against its CRC-32
@@ -1391,6 +1393,38 @@ mod tests {
                 assert!((a - b).abs() < 1e-9, "merged cell ({r},{c}): {a} vs {b}");
             }
         }
+        // A single box is a batch of one: `--at … --mode merged` leaves the
+        // files a one-line `--batch … --mode merged` leaves, byte for byte,
+        // and not those of `--mode exact` (non-dyadic deltas on a box cut
+        // into pieces round differently when pre-summed).
+        let d5 = dir.join("d5.csv");
+        std::fs::write(&d5, "0.1,0.2,0.3\n0.7,1.1,1.3\n0.3,0.9,2.2\n").unwrap();
+        let one_line = dir.join("one.txt");
+        std::fs::write(&one_line, "1,3;3,3;d5.csv\n").unwrap();
+        let (d5, one_line) = (d5.to_str().unwrap(), one_line.to_str().unwrap());
+        let at = ["--at", "1,3", "--dims", "3,3", "--data", d5];
+        let mut files = Vec::new();
+        for (name, how, mode) in [
+            ("at", &at[..], "merged"),
+            ("one_line", &["--batch", one_line][..], "merged"),
+            ("at_exact", &at[..], "exact"),
+        ] {
+            let store = dir.join(format!("{name}.ws"));
+            let store_s = store.to_str().unwrap().to_string();
+            run(&to_args(&[
+                "create", &store_s, "--levels", "4,4", "--tiles", "2,2",
+            ]))
+            .unwrap();
+            run(&to_args(&["ingest", &store_s, "--data", &data])).unwrap();
+            let mut args = vec!["update", &store_s];
+            args.extend_from_slice(how);
+            args.extend_from_slice(&["--mode", mode]);
+            run(&to_args(&args)).unwrap();
+            let read = |ext: &str| std::fs::read(format!("{store_s}{ext}")).unwrap();
+            files.push(["", ".crc", ".meta"].map(read));
+        }
+        assert!(files[0] == files[1], "single box and one-line batch differ");
+        assert!(files[0][0] != files[2][0], "--mode merged was ignored");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -57,8 +57,8 @@ fn update_boxes<W: CoeffWrite>(
 /// Applies a batch of standard-form box updates with one group-commit
 /// flush: every dirty tile is read and written exactly once, however many
 /// boxes touched it. In [`FlushMode::Exact`] the stored coefficients are
-/// bit-identical to applying [`ss_transform::update_box_standard`] box by
-/// box in the same order.
+/// bit-identical to applying the boxes one at a time, in the same order,
+/// each as a batch of one — the one way a box update reaches a store.
 pub fn update_boxes_standard<W: CoeffWrite>(
     cs: &mut W,
     n: &[u32],
@@ -259,8 +259,8 @@ mod tests {
         let boxes = random_boxes(&mut rng, &[16, 16], 12);
 
         let mut serial = mem_store(map.clone(), 4, IoStats::default());
-        for (origin, delta) in &boxes {
-            ss_transform::update_box_standard(&mut serial, &n, origin, delta);
+        for one in boxes.chunks(1) {
+            update_boxes_standard(&mut serial, &n, one, FlushMode::Exact);
         }
         let mut batched = mem_store(map.clone(), 4, IoStats::default());
         let report = update_boxes_standard(&mut batched, &n, &boxes, FlushMode::Exact);
@@ -277,8 +277,8 @@ mod tests {
         let boxes = random_boxes(&mut rng, &[16, 8], 10);
 
         let mut serial = mem_store(map.clone(), 4, IoStats::default());
-        for (origin, delta) in &boxes {
-            ss_transform::update_box_standard(&mut serial, &n, origin, delta);
+        for one in boxes.chunks(1) {
+            update_boxes_standard(&mut serial, &n, one, FlushMode::Exact);
         }
         let mut batched = mem_store(map.clone(), 4, IoStats::default());
         update_boxes_standard(&mut batched, &n, &boxes, FlushMode::Merged);
@@ -299,8 +299,8 @@ mod tests {
         let boxes = random_boxes(&mut rng, &[16, 16], 8);
 
         let mut serial = mem_store(map.clone(), 4, IoStats::default());
-        for (origin, delta) in &boxes {
-            ss_transform::update_box_nonstandard(&mut serial, n, origin, delta);
+        for one in boxes.chunks(1) {
+            update_boxes_nonstandard(&mut serial, n, one, FlushMode::Exact);
         }
         let mut batched = mem_store(map.clone(), 4, IoStats::default());
         let report = update_boxes_nonstandard(&mut batched, n, &boxes, FlushMode::Exact);
@@ -337,8 +337,8 @@ mod tests {
         // real block write; this is where coalescing pays.
         let serial_stats = IoStats::default();
         let mut serial = mem_store(map.clone(), 1, serial_stats.clone());
-        for (origin, delta) in &boxes {
-            ss_transform::update_box_standard(&mut serial, &n, origin, delta);
+        for one in boxes.chunks(1) {
+            update_boxes_standard(&mut serial, &n, one, FlushMode::Exact);
         }
         let batched_stats = IoStats::default();
         let mut batched = mem_store(map.clone(), 1, batched_stats.clone());

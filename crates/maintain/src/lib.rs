@@ -43,9 +43,9 @@
 //! * [`FlushMode::Exact`] (default) replays each tile's runs in arrival
 //!   order during the single per-tile read-modify-write. The
 //!   per-coefficient addition sequence is exactly the serial per-box
-//!   sequence, so the result is **bit-identical** to
-//!   [`ss_transform::update_box_standard`] applied box by box — while
-//!   still writing each dirty tile once. The grouping keeps it so: boxes
+//!   sequence, so the result is **bit-identical** to applying the boxes
+//!   one at a time, each a batch of one — while still writing each dirty
+//!   tile once. The grouping keeps it so: boxes
 //!   stay in arrival order and a box's pieces in decomposition order
 //!   among every tile's runs, which is all a coefficient can observe.
 //! * [`FlushMode::Merged`] is a drain-time reduction: each tile's runs

@@ -94,8 +94,8 @@ proptest! {
         let boxes = random_boxes(seed, &[16, 16], count);
 
         let mut serial = mem_store(map.clone(), 4, IoStats::default());
-        for (origin, delta) in &boxes {
-            ss_transform::update_box_standard(&mut serial, &n, origin, delta);
+        for one in boxes.chunks(1) {
+            update_boxes_standard(&mut serial, &n, one, FlushMode::Exact);
         }
         let mut batched = mem_store(map, 4, IoStats::default());
         let report = update_boxes_standard(&mut batched, &n, &boxes, FlushMode::Exact);
@@ -110,8 +110,8 @@ proptest! {
         let boxes = random_boxes(seed, &[16, 16], count);
 
         let mut serial = mem_store(map.clone(), 4, IoStats::default());
-        for (origin, delta) in &boxes {
-            ss_transform::update_box_nonstandard(&mut serial, n, origin, delta);
+        for one in boxes.chunks(1) {
+            update_boxes_nonstandard(&mut serial, n, one, FlushMode::Exact);
         }
         let mut batched = mem_store(map, 4, IoStats::default());
         update_boxes_nonstandard(&mut batched, n, &boxes, FlushMode::Exact);
@@ -129,8 +129,8 @@ proptest! {
         let boxes = random_boxes(seed, &[16, 16], count);
 
         let mut serial = mem_store(map.clone(), 4, IoStats::default());
-        for (origin, delta) in &boxes {
-            ss_transform::update_box_standard(&mut serial, &n, origin, delta);
+        for one in boxes.chunks(1) {
+            update_boxes_standard(&mut serial, &n, one, FlushMode::Exact);
         }
         let shared = mem_shared_store(map, 8, 4, IoStats::default());
         update_boxes_standard_parallel(&shared, &n, &boxes, FlushMode::Exact, workers);
@@ -150,8 +150,8 @@ proptest! {
         let boxes = random_boxes(seed, &[16, 16], count);
 
         let mut serial = mem_store(map.clone(), 4, IoStats::default());
-        for (origin, delta) in &boxes {
-            ss_transform::update_box_nonstandard(&mut serial, n, origin, delta);
+        for one in boxes.chunks(1) {
+            update_boxes_nonstandard(&mut serial, n, one, FlushMode::Exact);
         }
         let shared = mem_shared_store(map, 8, 4, IoStats::default());
         update_boxes_nonstandard_parallel(&shared, n, &boxes, FlushMode::Exact, workers);
@@ -173,8 +173,8 @@ proptest! {
         let boxes = random_boxes(seed, &[16, 16], count);
 
         let mut serial = mem_store(map.clone(), 4, IoStats::default());
-        for (origin, delta) in &boxes {
-            ss_transform::update_box_standard(&mut serial, &n, origin, delta);
+        for one in boxes.chunks(1) {
+            update_boxes_standard(&mut serial, &n, one, FlushMode::Exact);
         }
         let mut faulty = faulty_store(map, 0.05, fault_seed);
         update_boxes_standard(&mut faulty, &n, &boxes, FlushMode::Exact);

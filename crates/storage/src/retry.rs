@@ -335,7 +335,7 @@ mod tests {
         let retrying = RetryingBlockStore::new(faulty, fast_policy(10));
         let pool = ShardedBufferPool::new(retrying, 4, 2, stats);
         for id in 0..16 {
-            pool.add(id, id % 4, id as f64 + 1.0);
+            pool.write(id, id % 4, id as f64 + 1.0);
         }
         pool.flush();
         let store = pool.into_store().into_inner().into_inner();

@@ -387,11 +387,6 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         self.with_block(id, true, |blk| blk[slot] = value)
     }
 
-    /// Adds `delta` to one coefficient of block `id`.
-    pub fn add(&self, id: usize, slot: usize, delta: f64) {
-        self.with_block(id, true, |blk| blk[slot] += delta)
-    }
-
     /// [`with_block`](Self::with_block) for the pool's single owner: a
     /// hit goes through `Mutex::get_mut` and pays no lock at all. A miss
     /// takes the shared path below — its locks are uncontended and the
@@ -620,13 +615,6 @@ impl<M: TilingMap, S: BlockStore> SharedCoeffStore<M, S> {
         self.pool.write(loc.tile, loc.slot, value);
     }
 
-    /// Adds `delta` to the coefficient at `idx`.
-    pub fn add(&self, idx: &[usize], delta: f64) {
-        let loc = self.map.locate(idx);
-        self.stats.add_coeff_writes(1);
-        self.pool.add(loc.tile, loc.slot, delta);
-    }
-
     /// Reads a whole tile as an owned vector — the snapshot layer's
     /// copy-on-write hook: it copies a tile out of the base store before
     /// applying an epoch's deltas to the copy.
@@ -725,8 +713,8 @@ mod tests {
         // Budget of 1 frame per shard forces constant eviction traffic.
         let (p, _) = pool(16, 4, 4);
         for id in 0..16 {
-            p.add(id, 0, id as f64);
-            p.add(id, 0, 1.0);
+            p.write(id, 0, id as f64);
+            p.with_block(id, true, |blk| blk[0] += 1.0);
         }
         let store = p.into_store();
         let mut buf = vec![0.0; 4];
@@ -780,7 +768,7 @@ mod tests {
                 scope.spawn(move || {
                     for round in 0..100 {
                         for id in 0..8 {
-                            p.add(id, round % 4, 1.0);
+                            p.with_block(id, true, |blk| blk[round % 4] += 1.0);
                         }
                     }
                 });

@@ -85,9 +85,11 @@ pub fn encode(tile: &SparseTile) -> Vec<u8> {
 }
 
 /// Decodes a v3 payload back into a [`SparseTile`] of `capacity`
-/// coefficients, rejecting any payload whose length disagrees with its
-/// own bitmap (§8.3: the encoding is canonical, so a length mismatch is
-/// corruption, reported as [`StorageError::Geometry`]).
+/// coefficients. The encoding is canonical (§8.3), so anything a writer
+/// cannot emit is corruption: a length that disagrees with the bitmap
+/// ([`StorageError::Geometry`]), and stray bitmap bits, a present bucket
+/// of all `+0.0` or a payload with no bucket at all
+/// ([`StorageError::Meta`]). An accepted payload re-encodes to itself.
 pub fn decode(payload: &[u8], capacity: usize) -> Result<SparseTile, StorageError> {
     let bm_len = bitmap_len(capacity);
     let nbuckets = num_buckets(capacity);
@@ -125,7 +127,17 @@ pub fn decode(payload: &[u8], capacity: usize) -> Result<SparseTile, StorageErro
             le.copy_from_slice(chunk);
             tile.set(b * bucket_for(capacity) + i, f64::from_le_bytes(le));
         }
+        if !tile.bucket_present(b) {
+            return Err(StorageError::Meta(format!(
+                "sparse payload marks all-zero bucket {b} present"
+            )));
+        }
         rest = tail;
+    }
+    if tile.is_zero() {
+        return Err(StorageError::Meta(
+            "sparse payload holds no bucket (an all-zero block has no payload)".into(),
+        ));
     }
     if !rest.is_empty() {
         return Err(StorageError::Geometry {
@@ -208,6 +220,23 @@ mod tests {
             decode(&payload, 64),
             Err(StorageError::Geometry { .. })
         ));
+    }
+
+    #[test]
+    fn non_canonical_buckets_are_rejected() {
+        // Capacity 32: a 1-byte bitmap marking bucket 0 present over
+        // sixteen +0.0s decodes to an empty tile, which encodes to 0 bytes.
+        let mut payload = vec![0b1];
+        payload.extend_from_slice(&[0u8; 128]);
+        assert_eq!(payload.len(), 129);
+        assert!(matches!(decode(&payload, 32), Err(StorageError::Meta(_))));
+        // A bitmap with no bucket: all-zero blocks have no payload.
+        assert!(matches!(decode(&[0], 32), Err(StorageError::Meta(_))));
+        // One -0.0 keeps a bucket present: it is not +0.0.
+        payload[1 + 8 * 7 + 7] = 0x80;
+        let tile = decode(&payload, 32).unwrap();
+        assert_eq!(tile.get(7).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(encode(&tile), payload);
     }
 
     #[test]

@@ -40,10 +40,6 @@ pub trait CoeffWrite {
     /// The shared I/O counters.
     fn stats(&self) -> &IoStats;
 
-    /// Adds `delta` to the coefficient at tuple index `idx`, charging one
-    /// coefficient write.
-    fn add(&mut self, idx: &[usize], delta: f64);
-
     /// Runs `f` over tile `tile`'s block, marking it dirty. Charges no
     /// coefficient writes — the caller knows how many slots it touches.
     fn with_tile(&mut self, tile: usize, f: impl FnOnce(&mut [f64]));
@@ -79,10 +75,6 @@ impl<M: TilingMap, S: BlockStore> CoeffWrite for CoeffStore<M, S> {
         CoeffStore::stats(self)
     }
 
-    fn add(&mut self, idx: &[usize], delta: f64) {
-        CoeffStore::add(self, idx, delta)
-    }
-
     fn with_tile(&mut self, tile: usize, f: impl FnOnce(&mut [f64])) {
         self.pool().with_block_mut(tile, true, f)
     }
@@ -107,10 +99,6 @@ impl<M: TilingMap, S: BlockStore> CoeffWrite for &SharedCoeffStore<M, S> {
         SharedCoeffStore::stats(self)
     }
 
-    fn add(&mut self, idx: &[usize], delta: f64) {
-        SharedCoeffStore::add(self, idx, delta)
-    }
-
     fn with_tile(&mut self, tile: usize, f: impl FnOnce(&mut [f64])) {
         self.pool().with_block(tile, true, f)
     }
@@ -133,7 +121,6 @@ mod tests {
     use ss_core::Tiling1d;
 
     fn fold<W: CoeffWrite>(sink: &mut W) {
-        sink.add(&[5], 1.5);
         let mut batch = TileRuns::default();
         for i in (0..16usize).rev() {
             let loc = sink.map().locate(&[i]);
@@ -154,13 +141,12 @@ mod tests {
         fold(&mut serial);
         fold(&mut &shared);
         // The same accounting: one coefficient write per delta, one pool
-        // access per tile of the batch (all 5) beside the `add` and the
-        // `with_tile`.
+        // access per tile of the batch (all 5) beside the `with_tile`.
         let (a, b) = (serial_stats.snapshot(), shared_stats.snapshot());
-        assert_eq!(a.coeff_writes, 17);
-        assert_eq!(b.coeff_writes, 17);
-        assert_eq!(a.pool_accesses(), 7);
-        assert_eq!(b.pool_accesses(), 7);
+        assert_eq!(a.coeff_writes, 16);
+        assert_eq!(b.coeff_writes, 16);
+        assert_eq!(a.pool_accesses(), 6);
+        assert_eq!(b.pool_accesses(), 6);
         for i in 0..16usize {
             assert_eq!(serial.read(&[i]).to_bits(), shared.read(&[i]).to_bits());
         }
@@ -171,10 +157,11 @@ mod tests {
         let stats = IoStats::new();
         let shared = mem_shared_store(Tiling1d::new(4, 2), 8, 2, stats.clone());
         let mut sink = &shared;
-        sink.add(&[3], 2.0);
+        let loc = sink.map().locate(&[3]);
+        sink.with_tile(loc.tile, |blk| blk[loc.slot] += 2.0);
         sink.clear_cache();
         let before = stats.snapshot().pool_misses;
-        sink.add(&[3], 1.0);
+        sink.with_tile(loc.tile, |blk| blk[loc.slot] += 1.0);
         assert_eq!(stats.snapshot().pool_misses, before + 1);
         assert_eq!(shared.read(&[3]), 3.0);
     }

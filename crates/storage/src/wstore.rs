@@ -68,15 +68,6 @@ impl<M: TilingMap, S: BlockStore> CoeffStore<M, S> {
             .with_block_mut(loc.tile, true, |blk| blk[loc.slot] = value);
     }
 
-    /// Adds `delta` to the coefficient at `idx` (the SHIFT-SPLIT fold
-    /// target).
-    pub fn add(&mut self, idx: &[usize], delta: f64) {
-        let loc = self.map().locate(idx);
-        self.stats().add_coeff_writes(1);
-        self.pool()
-            .with_block_mut(loc.tile, true, |blk| blk[loc.slot] += delta);
-    }
-
     /// Overwrites a whole tile without reading it
     /// ([`SharedCoeffStore::overwrite_tile`]).
     pub fn overwrite_tile(&mut self, tile: usize, data: &[f64]) {
@@ -150,11 +141,12 @@ mod tests {
     }
 
     #[test]
-    fn add_accumulates_and_flushes() {
+    fn writes_survive_flush_and_cache_clear() {
         let stats = IoStats::new();
         let mut cs = mem_store(Tiling1d::new(3, 1), 2, stats.clone());
-        cs.add(&[5], 1.0);
-        cs.add(&[5], 2.5);
+        cs.write(&[5], 1.0);
+        let v = cs.read(&[5]);
+        cs.write(&[5], v + 2.5);
         cs.flush();
         cs.clear_cache();
         assert_eq!(cs.read(&[5]), 3.5);
@@ -218,7 +210,7 @@ mod tests {
         let before = stats.snapshot();
         let (mut cs, seen) = cs.via_shared(2, |shared| {
             assert_eq!(shared.pool().num_shards(), 2);
-            shared.add(&[5], 0.5);
+            shared.write(&[5], 5.5);
             shared.read(&[5])
         });
         assert_eq!(seen, 5.5);

@@ -375,7 +375,8 @@ mod tests {
             let t = ss_core::standard::forward_to(&chunk);
             standard_deltas(&t, app.levels(), &[0, k], |idx, delta| {
                 touched.insert(map.locate(idx).tile);
-                scratch.add(idx, delta);
+                let v = scratch.read(idx);
+                scratch.write(idx, v + delta);
             });
             assert!(touched.len() > POOL, "slab {k} must not fit the pool");
             assert_eq!(reads, touched.len() as u64, "slab {k}");

@@ -95,8 +95,7 @@ pub fn transform_nonstandard_zorder_scalings<S: BlockStore>(
     // acc[s-1] accumulates the child averages of the open node at level
     // m+s on the current z-order path.
     let mut acc = vec![0.0f64; (n - m) as usize];
-    let mut pipeline = ChunkPipeline::zorder(src);
-    pipeline.crest_into_batch = true;
+    let pipeline = ChunkPipeline::zorder(src);
     let fill = |chunk: &NdArray<f64>,
                 block: &[usize],
                 rank: usize,

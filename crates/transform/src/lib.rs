@@ -16,8 +16,9 @@
 //!   external 1-d transforms over row-major block storage,
 //! * [`append`] — **Section 5.2**: appending new data to an existing
 //!   transform, including wavelet-domain domain expansion,
-//! * [`update`] — batch updates of arbitrary (non-dyadic) boxes in the
-//!   wavelet domain, via dyadic decomposition (generalising Example 2),
+//! * [`update`] — the SHIFT-SPLIT delta emitters of arbitrary
+//!   (non-dyadic) update boxes, via dyadic decomposition (generalising
+//!   Example 2); `ss-maintain`'s delta buffer folds them into a store,
 //! * [`chain`] — the non-standard hypercube-chain alternative for appending
 //!   (Result 5's structure on disk): flat per-append cost, no expansions.
 
@@ -50,6 +51,6 @@ pub use pipeline::{ChunkPipeline, TransformReport};
 pub use source::{ArraySource, ChunkSource, FnSource};
 pub use update::{
     for_each_box_delta_nonstandard, for_each_box_delta_standard, for_each_box_run_standard,
-    update_box_nonstandard, update_box_pointwise, update_box_standard, UpdateReport,
+    UpdateReport,
 };
 pub use vitter::vitter_transform_standard;

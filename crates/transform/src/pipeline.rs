@@ -17,9 +17,9 @@
 //! [`TileRuns`] batch, grouped by tile; the stage is `sink.apply_runs`
 //! or a caller's buffer (the group commit of `ss-maintain`). The z-order
 //! schedule adds the *crest cache* of Result 2: split contributions
-//! accumulate in a small in-memory map and are written exactly once, when
-//! the walk completes the quad-tree node they belong to — bounding both
-//! extra memory (`(2^d − 1)·log(N/M) + 1` entries) and I/O
+//! accumulate in a small in-memory map and join a chunk's batch exactly
+//! once, when the walk completes the quad-tree node they belong to —
+//! bounding both extra memory (`(2^d − 1)·log(N/M) + 1` entries) and I/O
 //! (`O(N^d/B^d)` blocks total).
 
 use crate::source::ChunkSource;
@@ -77,12 +77,12 @@ pub(crate) fn completed_levels(d: usize, grid_bits: u32, rank: usize) -> impl It
 
 /// The crest cache of Result 2: SPLIT contributions (levels above the
 /// chunk level `m`, and the overall average) never touch the store while
-/// "hot". A node's `2^d − 1` details flush the moment the z-order walk
-/// leaves its subtree; whatever remains at the end of a rank range
-/// (subtrees extending past it, the overall average) drains sorted. When a
-/// subtree started before the range the cached value is a partial sum —
-/// writing it is still correct (folds commute) and keeps the cache within
-/// its bound.
+/// "hot". A node's `2^d − 1` details join the batch of the chunk whose
+/// walk leaves its subtree; whatever remains at the end of a rank range
+/// (subtrees extending past it, the overall average) drains sorted into
+/// the range's last batch. When a subtree started before the range the
+/// cached value is a partial sum — writing it is still correct (folds
+/// commute) and keeps the cache within its bound.
 struct Crest {
     d: usize,
     n: u32,
@@ -130,8 +130,8 @@ impl Crest {
     }
 
     /// Drains the leftovers in index order.
-    fn drain_sorted(self, mut emit: impl FnMut(&[usize], f64)) {
-        let mut leftovers: Vec<(Vec<usize>, f64)> = self.cache.into_iter().collect();
+    fn drain_sorted(&mut self, mut emit: impl FnMut(&[usize], f64)) {
+        let mut leftovers: Vec<(Vec<usize>, f64)> = self.cache.drain().collect();
         leftovers.sort_by(|a, b| a.0.cmp(&b.0));
         for (idx, v) in leftovers {
             emit(&idx, v);
@@ -148,11 +148,9 @@ pub struct ChunkPipeline<'a, Src> {
     /// `(n, m)` for the z-order schedule with its crest cache; row-major
     /// over `grid` otherwise.
     zorder: Option<(u32, u32)>,
-    /// Completed crest nodes join the chunk's batch instead of being added
-    /// after it.
-    pub(crate) crest_into_batch: bool,
     /// All-zero chunks are absent from a sparse chunk directory: skipped
-    /// without charging their input scan.
+    /// without charging their input scan. Standard form only: the z-order
+    /// crest drains into a range's last chunk, which must not be skipped.
     pub(crate) skip_zero_chunks: bool,
     /// Clear the sink's cache after every chunk, so the measured I/O
     /// matches the paper's per-chunk analysis (no cross-chunk tile reuse).
@@ -167,7 +165,6 @@ impl<'a, Src: ChunkSource> ChunkPipeline<'a, Src> {
             form: Form::Standard(src.domain_levels().to_vec()),
             grid: Shape::new(&src.grid()),
             zorder: None,
-            crest_into_batch: false,
             skip_zero_chunks: false,
             cold_cache_per_chunk: false,
         }
@@ -242,6 +239,7 @@ impl<'a, Src: ChunkSource> ChunkPipeline<'a, Src> {
         let mut report = TransformReport::default();
         let mut batch = TileRuns::default();
         let mut block = vec![0usize; d];
+        let end = range.end;
         for rank in range {
             let mut sw = Stopwatch::start();
             match self.zorder {
@@ -275,7 +273,7 @@ impl<'a, Src: ChunkSource> ChunkPipeline<'a, Src> {
                 }
                 (Form::Standard(n), None) => {
                     ss_core::standard::forward(&mut chunk);
-                    ss_core::split::standard_deltas(&chunk, n, &block, add_at);
+                    ss_core::split::standard_deltas(&chunk, n, &block, &mut add_at);
                 }
                 (Form::NonStandard(n), _) => {
                     ss_core::nonstandard::forward(&mut chunk);
@@ -284,33 +282,25 @@ impl<'a, Src: ChunkSource> ChunkPipeline<'a, Src> {
                             add_at(idx, delta);
                         }
                     });
-                }
-            }
-            if let Some(crest) = crest.as_mut() {
-                report.peak_crest_cache = report.peak_crest_cache.max(crest.cache.len());
-                if self.crest_into_batch {
-                    crest.flush_completed(rank, &block, |idx, delta| {
-                        let loc = map.locate(idx);
-                        batch.push(loc.tile, loc.slot, delta);
-                    });
+                    if let Some(crest) = crest.as_mut() {
+                        report.peak_crest_cache = report.peak_crest_cache.max(crest.cache.len());
+                        crest.flush_completed(rank, &block, &mut add_at);
+                        if rank + 1 == end {
+                            crest.drain_sorted(add_at);
+                        }
+                    }
                 }
             }
             compute_ns.record(sw.lap_ns());
             batch.group();
             stage(sink, &batch);
             batch.clear();
-            if let Some(crest) = crest.as_mut().filter(|_| !self.crest_into_batch) {
-                crest.flush_completed(rank, &block, |idx, v| sink.add(idx, v));
-            }
             writeback_ns.record(sw.lap_ns());
             if self.cold_cache_per_chunk {
                 sink.clear_cache();
             }
             report.chunks += 1;
             report.input_coeffs += chunk.len() as u64;
-        }
-        if let Some(crest) = crest {
-            crest.drain_sorted(|idx, v| sink.add(idx, v));
         }
         report
     }

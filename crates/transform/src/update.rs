@@ -14,8 +14,6 @@ use ss_array::{
 use ss_core::runs::TileRuns;
 use ss_core::split::{standard_tile_runs_located, AxisTargets};
 use ss_core::tiling::AxisTiling;
-use ss_core::TilingMap;
-use ss_storage::{BlockStore, CoeffStore};
 
 /// What one box update amounted to.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -35,6 +33,8 @@ impl UpdateReport {
     }
 }
 
+/// A box must have rank `d`, no empty axis and fit the domain — checked
+/// as `e ≤ 2^n` and `o ≤ 2^n − e`, which cannot wrap.
 fn check_box(n_bits: impl Iterator<Item = u32>, origin: &[usize], delta: &NdArray<f64>, d: usize) {
     assert_eq!(origin.len(), d);
     assert_eq!(delta.shape().ndim(), d);
@@ -45,8 +45,9 @@ fn check_box(n_bits: impl Iterator<Item = u32>, origin: &[usize], delta: &NdArra
         .enumerate()
     {
         assert!(e > 0, "empty update box on axis {t}");
+        let side = 1usize << nt;
         assert!(
-            o + e - 1 < (1usize << nt),
+            e <= side && o <= side - e,
             "update escapes domain on axis {t}"
         );
     }
@@ -68,8 +69,9 @@ fn extract_piece(
 }
 
 /// Enumerates every `(global index, delta)` a standard-form box update
-/// implies, without touching any store: the shared core behind
-/// [`update_box_standard`] and the coalescing maintenance engine.
+/// implies, without touching any store: the index-space emitter behind
+/// the coalescing maintenance engine on maps that are not per-axis
+/// products.
 ///
 /// One extraction buffer and one set of index scratch vectors are reused
 /// across the dyadic pieces, so the per-piece cost is the transform and the
@@ -127,8 +129,8 @@ pub fn for_each_box_delta_standard(
 /// computed exactly as the index-space emitter computes it and a piece
 /// sends at most one delta to a coefficient, so each coefficient sees the
 /// same addition sequence through either emitter — what keeps a group
-/// commit that replays runs in arrival order bit-identical to box-by-box
-/// [`update_box_standard`].
+/// commit that replays runs in arrival order bit-identical to applying the
+/// boxes one at a time.
 ///
 /// [`decompose_range`]: ss_array::decompose_range
 pub fn for_each_box_run_standard(
@@ -236,236 +238,113 @@ pub fn for_each_box_delta_nonstandard(
     report
 }
 
-/// Adds `delta` (an arbitrary-shaped update box anchored at `origin`) to a
-/// standard-form transformed store, entirely in the wavelet domain.
-///
-/// `n` are the per-axis domain levels. Neither `origin` nor the box extents
-/// need any alignment; the box is decomposed into dyadic pieces internally.
-pub fn update_box_standard<M: TilingMap, S: BlockStore>(
-    cs: &mut CoeffStore<M, S>,
-    n: &[u32],
-    origin: &[usize],
-    delta: &NdArray<f64>,
-) -> UpdateReport {
-    let report = for_each_box_delta_standard(n, origin, delta, |idx, v| {
-        cs.add(idx, v);
-    });
-    cs.flush();
-    report
-}
-
-/// Non-standard-form twin of [`update_box_standard`]: adds `delta` to a
-/// store holding the non-standard transform of a `d`-cube of side `2^n`.
-pub fn update_box_nonstandard<M: TilingMap, S: BlockStore>(
-    cs: &mut CoeffStore<M, S>,
-    n: u32,
-    origin: &[usize],
-    delta: &NdArray<f64>,
-) -> UpdateReport {
-    let report = for_each_box_delta_nonstandard(n, origin, delta, |idx, v| {
-        cs.add(idx, v);
-    });
-    cs.flush();
-    report
-}
-
-/// Cell-at-a-time baseline: applies every update through its Lemma 1 path.
-/// Costs `O(V · Π(n_t + 1))` coefficient updates — what `update_box_standard`
-/// is measured against.
-pub fn update_box_pointwise<M: TilingMap, S: BlockStore>(
-    cs: &mut CoeffStore<M, S>,
-    n: &[u32],
-    origin: &[usize],
-    delta: &NdArray<f64>,
-) {
-    let d = n.len();
-    let mut pos = vec![0usize; d];
-    for rel in ss_array::MultiIndexIter::new(delta.shape().dims()) {
-        let v = delta.get(&rel);
-        if v == 0.0 {
-            continue;
-        }
-        for (t, (&o, &r)) in origin.iter().zip(&rel).enumerate() {
-            pos[t] = o + r;
-        }
-        // A single-cell update is the cross product of per-axis point
-        // *analysis* weights: cell -> coefficient contribution is
-        // w = Π sign_t / 2^{j_t} for details, 1/2^{n_t} for the average.
-        let per_axis: Vec<Vec<(usize, f64)>> = (0..d)
-            .map(|t| {
-                let layout = ss_core::Layout1d::new(n[t]);
-                layout
-                    .point_contributions(pos[t])
-                    .into_iter()
-                    .map(|(idx, sign)| {
-                        let level = match layout.coeff_at(idx) {
-                            ss_core::Coeff1d::Scaling => n[t],
-                            ss_core::Coeff1d::Detail { level, .. } => level,
-                        };
-                        (idx, sign / (1u64 << level) as f64)
-                    })
-                    .collect()
-            })
-            .collect();
-        ss_core::reconstruct::for_each_product(&per_axis, |idx, w| cs.add(idx, v * w));
-    }
-    cs.flush();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ss_array::{MultiIndexIter, Shape};
-    use ss_core::tiling::StandardTiling;
-    use ss_storage::{wstore::mem_store, IoStats};
+    use ss_array::MultiIndexIter;
 
-    fn setup(
-        side: usize,
-        n: u32,
-    ) -> (
-        NdArray<f64>,
-        ss_storage::CoeffStore<StandardTiling, ss_storage::MemBlockStore>,
-    ) {
-        let data = NdArray::from_fn(Shape::cube(2, side), |idx| {
+    fn sample(side: usize) -> NdArray<f64> {
+        NdArray::from_fn(Shape::cube(2, side), |idx| {
             ((idx[0] * 5 + idx[1] * 3) % 13) as f64
-        });
-        let t = ss_core::standard::forward_to(&data);
-        let mut cs = mem_store(StandardTiling::new(&[n; 2], &[2; 2]), 1024, IoStats::new());
-        for idx in MultiIndexIter::new(&[side, side]) {
-            cs.write(&idx, t.get(&idx));
-        }
-        (data, cs)
+        })
     }
 
-    fn check_matches(
-        cs: &mut ss_storage::CoeffStore<StandardTiling, ss_storage::MemBlockStore>,
-        n: u32,
-        reference: &NdArray<f64>,
-    ) {
-        let want = ss_core::standard::forward_to(reference);
-        for idx in MultiIndexIter::new(reference.shape().dims()) {
-            let got = cs.read(&idx);
-            assert!(
-                (got - want.get(&idx)).abs() < 1e-9,
-                "{idx:?}: {got} vs {}",
-                want.get(&idx)
-            );
+    /// `data` with `delta` added at `origin`.
+    fn plus_box(data: &NdArray<f64>, origin: &[usize], delta: &NdArray<f64>) -> NdArray<f64> {
+        let mut out = data.clone();
+        for rel in MultiIndexIter::new(delta.shape().dims()) {
+            let idx: Vec<usize> = origin.iter().zip(&rel).map(|(&o, &r)| o + r).collect();
+            out.set(&idx, out.get(&idx) + delta.get(&rel));
         }
-        let _ = n;
+        out
+    }
+
+    /// Folds a standard-form box update into the dense transform of
+    /// `data` and checks it against the transform of the updated data.
+    fn check_standard(
+        data: &NdArray<f64>,
+        n: &[u32],
+        origin: &[usize],
+        delta: &NdArray<f64>,
+    ) -> UpdateReport {
+        let mut t = ss_core::standard::forward_to(data);
+        let report =
+            for_each_box_delta_standard(n, origin, delta, |idx, v| t.set(idx, t.get(idx) + v));
+        let want = ss_core::standard::forward_to(&plus_box(data, origin, delta));
+        assert!(t.max_abs_diff(&want) < 1e-9);
+        report
     }
 
     #[test]
     fn misaligned_box_update_matches_recompute() {
-        let (mut data, mut cs) = setup(32, 5);
         // An awkward 7x9 box at (3, 5).
         let delta = NdArray::from_fn(Shape::new(&[7, 9]), |idx| {
             (idx[0] + 2 * idx[1]) as f64 - 5.0
         });
-        let report = update_box_standard(&mut cs, &[5, 5], &[3, 5], &delta);
+        let report = check_standard(&sample(32), &[5, 5], &[3, 5], &delta);
         assert!(report.pieces > 1, "misaligned box must decompose");
         assert!(report.coeffs_touched > 0);
-        for rel in MultiIndexIter::new(&[7, 9]) {
-            let idx = [3 + rel[0], 5 + rel[1]];
-            data.set(&idx, data.get(&idx) + delta.get(&rel));
-        }
-        check_matches(&mut cs, 5, &data);
     }
 
     #[test]
     fn aligned_box_is_single_piece() {
-        let (mut data, mut cs) = setup(32, 5);
         let delta = NdArray::from_fn(Shape::new(&[8, 8]), |_| 1.5);
-        let report = update_box_standard(&mut cs, &[5, 5], &[8, 16], &delta);
+        let report = check_standard(&sample(32), &[5, 5], &[8, 16], &delta);
         assert_eq!(report.pieces, 1);
-        for rel in MultiIndexIter::new(&[8, 8]) {
-            let idx = [8 + rel[0], 16 + rel[1]];
-            data.set(&idx, data.get(&idx) + 1.5);
-        }
-        check_matches(&mut cs, 5, &data);
     }
 
     #[test]
-    fn pointwise_baseline_agrees_with_batched() {
-        let (data, mut cs_a) = setup(16, 4);
-        let (_, mut cs_b) = setup(16, 4);
-        let delta = NdArray::from_fn(Shape::new(&[5, 3]), |idx| idx[0] as f64 - idx[1] as f64);
-        update_box_standard(&mut cs_a, &[4, 4], &[2, 9], &delta);
-        update_box_pointwise(&mut cs_b, &[4, 4], &[2, 9], &delta);
-        for idx in MultiIndexIter::new(&[16, 16]) {
-            assert!((cs_a.read(&idx) - cs_b.read(&idx)).abs() < 1e-9, "{idx:?}");
-        }
-        let _ = data;
-    }
-
-    #[test]
-    fn batched_touches_fewer_coefficients_for_large_boxes() {
-        let (_, mut cs_a) = setup(64, 6);
-        let (_, mut cs_b) = setup(64, 6);
+    fn a_box_touches_far_fewer_coefficients_than_its_cells_paths() {
+        // Example 2: cell-at-a-time maintenance folds every cell along its
+        // Lemma 1 path, V · Π(n_t + 1) coefficient updates; SHIFT-SPLIT
+        // touches at least ten times fewer for a 32x32 box in 64².
         let delta = NdArray::from_fn(Shape::new(&[32, 32]), |_| 2.0);
-        let stats_a = cs_a.stats().clone();
-        let stats_b = cs_b.stats().clone();
-        stats_a.reset();
-        update_box_standard(&mut cs_a, &[6, 6], &[0, 0], &delta);
-        let batched = stats_a.snapshot().coeff_writes;
-        stats_b.reset();
-        update_box_pointwise(&mut cs_b, &[6, 6], &[0, 0], &delta);
-        let pointwise = stats_b.snapshot().coeff_writes;
+        let report = check_standard(&sample(64), &[6, 6], &[0, 0], &delta);
+        let pointwise = delta.len() * 7 * 7;
         assert!(
-            batched * 10 < pointwise,
-            "batched {batched} vs pointwise {pointwise}"
+            report.coeffs_touched * 10 < pointwise,
+            "batched {} vs pointwise {pointwise}",
+            report.coeffs_touched
         );
     }
 
     #[test]
     fn single_cell_update() {
-        let (mut data, mut cs) = setup(16, 4);
         let delta = NdArray::from_fn(Shape::new(&[1, 1]), |_| 7.0);
-        update_box_standard(&mut cs, &[4, 4], &[9, 13], &delta);
-        data.set(&[9, 13], data.get(&[9, 13]) + 7.0);
-        check_matches(&mut cs, 4, &data);
+        check_standard(&sample(16), &[4, 4], &[9, 13], &delta);
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "update escapes domain on axis 0")]
     fn rejects_out_of_domain_update() {
-        let (_, mut cs) = setup(16, 4);
         let delta = NdArray::from_fn(Shape::new(&[4, 4]), |_| 1.0);
-        update_box_standard(&mut cs, &[4, 4], &[14, 0], &delta);
+        for_each_box_delta_standard(&[4, 4], &[14, 0], &delta, |_, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "update escapes domain on axis 0")]
+    fn rejects_an_origin_whose_end_would_wrap() {
+        let delta = NdArray::from_fn(Shape::new(&[2, 1]), |_| 1.0);
+        for_each_box_delta_standard(&[4, 4], &[usize::MAX, 0], &delta, |_, _| {});
     }
 
     #[test]
     fn nonstandard_box_update_matches_recompute() {
-        use ss_core::tiling::NonStandardTiling;
         let n = 5u32;
-        let side = 1usize << n;
-        let mut data = NdArray::from_fn(Shape::cube(2, side), |idx| {
+        let data = NdArray::from_fn(Shape::cube(2, 1 << n), |idx| {
             ((idx[0] * 11 + idx[1] * 7) % 17) as f64 - 4.0
         });
-        let t = ss_core::nonstandard::forward_to(&data);
-        let mut cs = mem_store(NonStandardTiling::new(2, n, 2), 1024, IoStats::new());
-        for idx in MultiIndexIter::new(&[side, side]) {
-            cs.write(&idx, t.get(&idx));
-        }
+        let mut t = ss_core::nonstandard::forward_to(&data);
         // An awkward 7x9 box at (3, 5): pieces of mixed extents, so cubic
         // subdivision must kick in.
         let delta = NdArray::from_fn(Shape::new(&[7, 9]), |idx| {
             (idx[0] * 2 + idx[1]) as f64 * 0.5 - 3.0
         });
-        let report = update_box_nonstandard(&mut cs, n, &[3, 5], &delta);
+        let report =
+            for_each_box_delta_nonstandard(n, &[3, 5], &delta, |idx, v| t.set(idx, t.get(idx) + v));
         assert!(report.pieces > 1);
-        for rel in MultiIndexIter::new(&[7, 9]) {
-            let idx = [3 + rel[0], 5 + rel[1]];
-            data.set(&idx, data.get(&idx) + delta.get(&rel));
-        }
-        let want = ss_core::nonstandard::forward_to(&data);
-        for idx in MultiIndexIter::new(&[side, side]) {
-            let got = cs.read(&idx);
-            assert!(
-                (got - want.get(&idx)).abs() < 1e-9,
-                "{idx:?}: {got} vs {}",
-                want.get(&idx)
-            );
-        }
+        let want = ss_core::nonstandard::forward_to(&plus_box(&data, &[3, 5], &delta));
+        assert!(t.max_abs_diff(&want) < 1e-9);
     }
 
     #[test]

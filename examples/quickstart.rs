@@ -6,10 +6,11 @@
 //! ```
 
 use shiftsplit::array::{NdArray, Shape};
+use shiftsplit::core::runs::TileRuns;
 use shiftsplit::core::tiling::StandardTiling;
-use shiftsplit::core::{haar1d, split, standard};
+use shiftsplit::core::{haar1d, split, standard, TilingMap};
 use shiftsplit::query;
-use shiftsplit::storage::{wstore::mem_store, IoStats};
+use shiftsplit::storage::{wstore::mem_store, CoeffWrite, IoStats};
 
 fn main() {
     // --- 1. The paper's running example: a tiny 1-d Haar transform. ---
@@ -53,12 +54,15 @@ fn main() {
     );
 
     // --- 4. Batch-update a dyadic region *in the wavelet domain*. ---
-    // Add +10 to the 16x16 block at (16, 32) without reconstructing.
+    // Add +10 to the 16x16 block at (16, 32) without reconstructing: the
+    // SHIFT-SPLIT deltas arrive one run per tile and fold in with one
+    // block access per tile.
     let delta = NdArray::from_fn(Shape::cube(2, 16), |_| 10.0);
     let delta_t = standard::forward_to(&delta);
-    split::standard_deltas(&delta_t, &[6, 6], &[1, 2], |idx, d| {
-        store.add(idx, d);
-    });
+    let axes = store.map().axis_tilings().expect("a per-axis tiling");
+    let mut runs = TileRuns::default();
+    split::standard_tile_runs(&delta_t, axes, &[1, 2], |tile, run| runs.extend(tile, run));
+    store.apply_runs(runs.tiles());
     store.flush();
     let after = query::point_standard(&mut store, &[6, 6], &[17, 42]);
     println!("point (17,42) after +10 block update = {after:.4}");

@@ -19,6 +19,7 @@
 use ss_array::NdArray;
 use ss_core::tiling::StandardTiling;
 use ss_core::TilingMap;
+use ss_maintain::{DeltaBuffer, FlushMode};
 use ss_storage::{BlockStore, CoeffStore, FileBlockStore, IoStats, MemBlockStore};
 use ss_transform::ArraySource;
 
@@ -246,11 +247,15 @@ impl<S: BlockStore> WaveletCube<S> {
     }
 
     /// Adds a delta box anchored at `origin`, entirely in the wavelet
-    /// domain; returns the number of dyadic pieces applied.
+    /// domain — a group commit of one box, each dirty tile read and
+    /// written once; returns the number of dyadic pieces applied.
     pub fn update(&mut self, origin: &[usize], delta: &NdArray<f64>) -> usize {
         self.fast_point_ready = false;
         let cs = self.cs.as_mut().expect("coefficient store present");
-        ss_transform::update_box_standard(cs, &self.levels, origin, delta).pieces
+        let mut buf = DeltaBuffer::for_map(cs.map(), FlushMode::Exact);
+        let report = buf.add_box_standard(cs.map(), &self.levels, origin, delta);
+        buf.flush_into(cs);
+        report.pieces
     }
 
     /// Builds a K-term synopsis for approximate querying.

@@ -6,7 +6,11 @@
 //! * `Meta::from_text`, then `WsFile::open` on a real small store and an
 //!   `Appender` seated on what opened (a `.meta` header on disk),
 //! * `ss_serve::proto::parse_response` (a router or client reading a
-//!   shard's reply).
+//!   shard's reply),
+//! * `ss_storage::sparse::decode` (one v3 block payload) and
+//!   `FileBlockStore::open_v3` on a real small store with damaged header
+//!   and directory bytes (a v3 blocks file on disk),
+//! * `ShardMap::from_bounds` (a router's `--bounds`).
 //!
 //! Every input must come back `Ok` or `Err`, never a panic. No single
 //! allocation may be sized from a field the decoder has not checked: the
@@ -16,10 +20,15 @@
 //! Every accepted input must round-trip through its encoder. CI runs this
 //! file in release too: overflow checks differ.
 
+use shiftsplit::core::sparse::SparseTile;
 use shiftsplit::core::tiling::StandardTiling;
 use shiftsplit::datagen::SplitMix64;
 use shiftsplit::query::StoredSynopsis;
-use shiftsplit::storage::{wstore::mem_store, FileBlockStore, IoStats, Meta, WsFile};
+use shiftsplit::storage::file::sidecar_path;
+use shiftsplit::storage::sparse::{self, bitmap_len, bucket_for, num_buckets};
+use shiftsplit::storage::{
+    wstore::mem_store, BlockStore, FileBlockStore, IoStats, Meta, ShardMap, StorageError, WsFile,
+};
 use shiftsplit::transform::Appender;
 use ss_serve::proto::{self, Response};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -495,4 +504,339 @@ fn every_reply_line_parses_or_is_refused() {
         }
     }
     assert!(accepted >= 1_000, "{accepted} of {} accepted", lines.len());
+}
+
+/// Capacities a v3 block can have, short tail buckets included.
+const CAPACITIES: &[usize] = &[1, 4, 16, 32, 40, 64, 256];
+
+/// A seeded tile image: each bucket absent, full, one value, or a lone
+/// `-0.0` (present: its bits are not `+0.0`'s).
+fn valid_tile(rng: &mut SplitMix64) -> Vec<f64> {
+    let mut dense = vec![0.0; *pick(rng, CAPACITIES)];
+    for chunk in dense.chunks_mut(16) {
+        let at = rng.below(chunk.len());
+        match rng.below(4) {
+            0 => {}
+            1 => chunk.fill_with(|| rng.range(-9.0, 9.0)),
+            2 => chunk[at] = rng.range(-9.0, 9.0),
+            _ => chunk[at] = -0.0,
+        }
+    }
+    dense
+}
+
+/// Byte offset of bucket `b`'s values in `payload`, counting the present
+/// buckets before it.
+fn bucket_at(payload: &[u8], capacity: usize, b: usize) -> usize {
+    let present = |i: usize| payload[i / 8] & (1 << (i % 8)) != 0;
+    let lens = (0..b)
+        .filter(|&i| present(i))
+        .map(|i| bucket_len(capacity, i));
+    bitmap_len(capacity) + 8 * lens.sum::<usize>()
+}
+
+fn bucket_len(capacity: usize, b: usize) -> usize {
+    (capacity - b * bucket_for(capacity)).min(bucket_for(capacity))
+}
+
+/// One to two bit flips, truncations, extensions or bitmap rewrites: a
+/// bucket bit set over inserted zeros, cleared with its bytes removed, a
+/// present bucket zeroed, a bitmap byte replaced.
+fn mutate_payload(rng: &mut SplitMix64, capacity: usize, mut bytes: Vec<u8>) -> Vec<u8> {
+    for _ in 0..1 + rng.below(2) {
+        let buckets = num_buckets(capacity);
+        let b = rng.below(buckets);
+        let whole = bytes.len() >= bitmap_len(capacity)
+            && bytes.len() >= bucket_at(&bytes, capacity, buckets);
+        let present = whole && bytes[b / 8] & (1 << (b % 8)) != 0;
+        match rng.below(7) {
+            0 if !bytes.is_empty() => {
+                let at = rng.below(bytes.len());
+                bytes[at] ^= 1 << rng.below(8);
+            }
+            1 => bytes.truncate(rng.below(bytes.len() + 1)),
+            2 => bytes.extend((0..8 * (1 + rng.below(3))).map(|_| rng.next_u64() as u8)),
+            3 if whole && !present => {
+                let at = bucket_at(&bytes, capacity, b);
+                bytes.splice(at..at, vec![0u8; 8 * bucket_len(capacity, b)]);
+                bytes[b / 8] |= 1 << (b % 8);
+            }
+            4 if present => {
+                let at = bucket_at(&bytes, capacity, b);
+                bytes.drain(at..at + 8 * bucket_len(capacity, b));
+                bytes[b / 8] &= !(1 << (b % 8));
+            }
+            5 if present => {
+                let at = bucket_at(&bytes, capacity, b);
+                bytes[at..at + 8 * bucket_len(capacity, b)].fill(0);
+            }
+            _ if !bytes.is_empty() => {
+                let at = rng.below(bitmap_len(capacity).min(bytes.len()));
+                bytes[at] = rng.next_u64() as u8;
+            }
+            _ => {}
+        }
+    }
+    bytes
+}
+
+#[test]
+fn every_sparse_payload_decodes_or_is_refused() {
+    // Capacity 32: bucket 0 marked present over sixteen +0.0s (decodes to
+    // the empty tile, which encodes to no bytes), and a bitmap with no
+    // bucket (an all-zero block has no payload). Both are refused.
+    let mut zero_bucket = vec![0b1];
+    zero_bucket.extend([0u8; 128]);
+    let mut inputs: Vec<(usize, Vec<u8>)> = vec![(32, zero_bucket), (32, vec![0]), (256, vec![])];
+    let mut rng = SplitMix64::new(0x5b3);
+    while inputs.len() < 4_000 {
+        let dense = valid_tile(&mut rng);
+        let capacity = dense.len();
+        let valid = sparse::encode(&SparseTile::from_dense(&dense));
+        inputs.push(if rng.below(4) == 0 {
+            (capacity, valid)
+        } else {
+            (capacity, mutate_payload(&mut rng, capacity, valid))
+        });
+    }
+    let mut accepted = 0;
+    for (capacity, bytes) in &inputs {
+        let (outcome, largest) = tracked(|| sparse::decode(bytes, *capacity));
+        let Ok(decoded) = outcome else {
+            panic!("sparse::decode panicked on {bytes:?} (capacity {capacity})");
+        };
+        assert!(largest <= allocation_cap(bytes.len()), "{bytes:?}");
+        if let Ok(tile) = decoded {
+            assert_eq!(
+                &sparse::encode(&tile),
+                bytes,
+                "accepted payload must round-trip (capacity {capacity})"
+            );
+            accepted += 1;
+        }
+    }
+    assert!(accepted >= 1_000, "{accepted} of {} accepted", inputs.len());
+    assert!(inputs.len() - accepted >= 1_000);
+}
+
+const V3_BLOCKS: usize = 12;
+const V3_CAPACITY: usize = 32;
+const V3_DIR_END: usize = 32 + 16 * V3_BLOCKS;
+
+/// A small v3 store: 12 blocks of two buckets, all-zero, one-bucket, full
+/// and `-0.0`-only images, with a relocation's garbage left in the heap.
+fn v3_store(path: &Path) {
+    let mut store =
+        FileBlockStore::create_v3(path, V3_CAPACITY, V3_BLOCKS, IoStats::new()).unwrap();
+    let mut rng = SplitMix64::new(0x3b1c);
+    for id in 0..V3_BLOCKS {
+        let mut image = vec![0.0; V3_CAPACITY];
+        match id % 4 {
+            0 => {}
+            1 => image[rng.below(16)] = rng.range(-9.0, 9.0),
+            2 => image.fill_with(|| rng.range(-9.0, 9.0)),
+            _ => image[16 + rng.below(16)] = -0.0,
+        }
+        store.try_write_block(id, &image).unwrap();
+    }
+    // Block 1 grows past its allocation and moves.
+    store.try_write_block(1, &vec![1.5; V3_CAPACITY]).unwrap();
+    store.sync().unwrap();
+}
+
+/// One to two header or directory edits: bit flips, field rewrites,
+/// entries copied over each other, the file cut short or extended.
+fn mutate_v3(rng: &mut SplitMix64, mut bytes: Vec<u8>) -> Vec<u8> {
+    for _ in 0..1 + rng.below(2) {
+        let len = bytes.len() as u64;
+        let entry = 32 + 16 * rng.below(V3_BLOCKS);
+        let other = 32 + 16 * rng.below(V3_BLOCKS);
+        let field =
+            |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        match rng.below(7) {
+            0 => {
+                for _ in 0..1 + rng.below(3) {
+                    let at = rng.below(V3_DIR_END.min(bytes.len()));
+                    bytes[at] ^= 1 << rng.below(8);
+                }
+            }
+            1 if bytes.len() >= V3_DIR_END => {
+                let (at, width) = *pick(rng, &[(8, 4), (12, 4), (16, 8), (24, 8)]);
+                let choices = [0, 1, 2, 4, 11, 13, 16, 32, 64, u32::MAX as u64, u64::MAX];
+                let value = pick(rng, &choices).to_le_bytes();
+                bytes[at..at + width].copy_from_slice(&value[..width]);
+            }
+            2 if bytes.len() >= V3_DIR_END => {
+                let choices = [
+                    0,
+                    1,
+                    31,
+                    V3_DIR_END as u64 - 1,
+                    V3_DIR_END as u64,
+                    len.saturating_sub(1),
+                    len,
+                    u64::MAX,
+                    u64::MAX - 127,
+                    field(&bytes, other),
+                    rng.next_u64() % (len + 1),
+                ];
+                let offset = *pick(rng, &choices);
+                bytes[entry..entry + 8].copy_from_slice(&offset.to_le_bytes());
+            }
+            3 if bytes.len() >= V3_DIR_END => {
+                let at = entry + 8 + 4 * rng.below(2);
+                let (payload, alloc) = (
+                    field(&bytes, entry + 8) as u32,
+                    (field(&bytes, entry + 8) >> 32) as u32,
+                );
+                let choices = [
+                    0,
+                    1,
+                    128,
+                    129,
+                    payload.wrapping_add(1),
+                    alloc.wrapping_add(1),
+                    u32::MAX,
+                ];
+                bytes[at..at + 4].copy_from_slice(&pick(rng, &choices).to_le_bytes());
+            }
+            4 if bytes.len() >= V3_DIR_END => {
+                let copy: [u8; 16] = bytes[other..other + 16].try_into().unwrap();
+                bytes[entry..entry + 16].copy_from_slice(&copy);
+            }
+            5 => bytes.truncate(rng.below(bytes.len() + 1)),
+            _ => bytes.extend((0..1 + rng.below(200)).map(|_| rng.next_u64() as u8)),
+        }
+    }
+    bytes
+}
+
+/// Opens the v3 store at `path`, reads every block and writes each
+/// readable one back; the count of readable blocks.
+fn reopen_and_rewrite(path: &Path) -> Result<usize, StorageError> {
+    let mut store = FileBlockStore::open_v3(path, V3_CAPACITY, V3_BLOCKS, IoStats::new())?;
+    let mut image = vec![0.0; V3_CAPACITY];
+    let mut readable = 0;
+    for id in 0..V3_BLOCKS {
+        if store.try_read_block(id, &mut image).is_ok() {
+            store.try_write_block(id, &image)?;
+            readable += 1;
+        }
+    }
+    store.sync()?;
+    Ok(readable)
+}
+
+#[test]
+fn every_v3_header_and_directory_opens_or_is_refused() {
+    let dir = std::env::temp_dir().join(format!("ss_v3_fuzz_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = dir.join("s.ws");
+    v3_store(&store);
+    let valid = std::fs::read(&store).unwrap();
+    let crc = std::fs::read(sidecar_path(&store)).unwrap();
+    let mut files = vec![valid.clone(), valid[..V3_DIR_END - 1].to_vec()];
+    let mut rng = SplitMix64::new(0x0b3d);
+    while files.len() < 1_500 {
+        files.push(mutate_v3(&mut rng, valid.clone()));
+    }
+    let (mut opened, mut refused, mut blocks_read) = (0, 0, 0);
+    for bytes in &files {
+        std::fs::write(&store, bytes).unwrap();
+        std::fs::write(sidecar_path(&store), &crc).unwrap();
+        let (outcome, largest) = tracked(|| reopen_and_rewrite(&store));
+        let Ok(reopened) = outcome else {
+            panic!("open_v3 panicked on a {}-byte file", bytes.len());
+        };
+        assert!(largest <= allocation_cap(bytes.len() + crc.len()));
+        match reopened {
+            Ok(readable) => {
+                // Writing back what was read changes no byte: every
+                // payload the store accepted is its canonical encoding.
+                assert!(
+                    &std::fs::read(&store).unwrap() == bytes,
+                    "blocks file moved"
+                );
+                assert!(
+                    std::fs::read(sidecar_path(&store)).unwrap() == crc,
+                    "sidecar moved"
+                );
+                opened += 1;
+                blocks_read += readable;
+            }
+            Err(_) => refused += 1,
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        opened >= 150 && refused >= 500 && blocks_read >= 1_500,
+        "{opened} opened ({blocks_read} blocks read), {refused} refused"
+    );
+}
+
+#[test]
+fn every_shard_bound_list_builds_or_is_refused() {
+    const MAX: usize = usize::MAX;
+    let mut cases: Vec<(Vec<usize>, usize)> = vec![
+        (vec![], 1),
+        (vec![0], 1),
+        (vec![0, 0], 1),
+        (vec![1, 2], 1),
+        (vec![0, 5], 0),
+        (vec![0, MAX], 1),
+        (vec![0, 3, 2], 1),
+        (vec![0, 1, MAX], MAX),
+    ];
+    let mut rng = SplitMix64::new(0x5a4d);
+    while cases.len() < 3_000 {
+        let tiles = 1 + rng.below(300);
+        let shards = 1 + rng.below(tiles.min(9));
+        let replicas = *pick(&mut rng, &[0, 1, 1, 2, 3, MAX]);
+        let mut bounds = ShardMap::even(tiles, shards, 1).unwrap().bounds().to_vec();
+        if rng.below(4) != 0 {
+            for _ in 0..1 + rng.below(2) {
+                if bounds.is_empty() {
+                    break;
+                }
+                let at = rng.below(bounds.len());
+                match rng.below(5) {
+                    0 => bounds[at] = *pick(&mut rng, &[0, 1, MAX, tiles, tiles + 1]),
+                    1 => bounds[at] = bounds[at].wrapping_add(1),
+                    2 => {
+                        bounds.remove(at);
+                    }
+                    3 => bounds.insert(at, bounds[at]),
+                    _ => bounds.truncate(at),
+                }
+            }
+        }
+        cases.push((bounds, replicas));
+    }
+    let mut accepted = 0;
+    for (bounds, replicas) in &cases {
+        let (outcome, largest) = tracked(|| {
+            let map = ShardMap::from_bounds(bounds.clone(), *replicas)?;
+            // An accepted map is safe to route with.
+            let n = map.num_tiles();
+            for tile in [0, n / 2, n - 1] {
+                assert!(map.range(map.owner(tile)).contains(&tile));
+            }
+            Ok::<_, StorageError>(map)
+        });
+        let Ok(built) = outcome else {
+            panic!("from_bounds panicked on {bounds:?} x {replicas}");
+        };
+        assert!(
+            largest <= allocation_cap(8 * bounds.len() + 8),
+            "{bounds:?}"
+        );
+        if let Ok(map) = built {
+            assert_eq!((map.bounds(), map.replicas()), (&bounds[..], *replicas));
+            let again = ShardMap::from_bounds(map.bounds().to_vec(), map.replicas());
+            assert_eq!(again.ok(), Some(map));
+            accepted += 1;
+        }
+    }
+    assert!(accepted >= 1_000, "{accepted} of {} accepted", cases.len());
+    assert!(cases.len() - accepted >= 1_000);
 }

@@ -121,11 +121,13 @@ fn wavelet_domain_updates_compose_with_queries() {
     // the 16x16 block at (16,48).
     let u1 = NdArray::from_fn(Shape::cube(2, 32), |_| 5.0);
     split::standard_deltas(&standard::forward_to(&u1), &[6, 6], &[0, 0], |idx, d| {
-        cs.add(idx, d)
+        let v = cs.read(idx);
+        cs.write(idx, v + d);
     });
     let u2 = NdArray::from_fn(Shape::cube(2, 16), |idx| (idx[0] as f64) - (idx[1] as f64));
     split::standard_deltas(&standard::forward_to(&u2), &[6, 6], &[1, 3], |idx, d| {
-        cs.add(idx, d)
+        let v = cs.read(idx);
+        cs.write(idx, v + d);
     });
     // Reference data.
     let mut reference = base.clone();

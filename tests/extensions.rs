@@ -7,10 +7,9 @@ use proptest::prelude::*;
 use shiftsplit::array::{DyadicRange, MultiIndexIter, NdArray, Shape};
 use shiftsplit::core::tiling::{NonStandardTiling, StandardTiling};
 use shiftsplit::core::{algebra, standard};
+use shiftsplit::maintain::{update_boxes_standard, FlushMode};
 use shiftsplit::storage::{wstore::mem_store, IoStats, MemBlockStore};
-use shiftsplit::transform::{
-    transform_nonstandard_zorder_scalings, update_box_standard, ArraySource, NsChainStore,
-};
+use shiftsplit::transform::{transform_nonstandard_zorder_scalings, ArraySource, NsChainStore};
 
 #[test]
 fn scaling_filled_transform_serves_fast_queries_immediately() {
@@ -157,7 +156,9 @@ proptest! {
         let delta = NdArray::from_fn(Shape::new(&[e0, e1]), |idx| {
             (idx[0] + idx[1]) as f64 - 3.0
         });
-        update_box_standard(&mut cs, &[5, 5], &[o0, o1], &delta);
+        let one = [(vec![o0, o1], delta)];
+        update_boxes_standard(&mut cs, &[5, 5], &one, FlushMode::Exact);
+        let delta = &one[0].1;
         for rel in MultiIndexIter::new(&[e0, e1]) {
             let idx = [o0 + rel[0], o1 + rel[1]];
             data.set(&idx, data.get(&idx) + delta.get(&rel));

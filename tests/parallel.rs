@@ -236,7 +236,7 @@ fn sharded_pool_hammer_reconciles_counters() {
                 for _ in 0..ROUNDS {
                     let id = rng.below(BLOCKS);
                     let slot = rng.below(8);
-                    pool.add(id, slot, 1.0);
+                    pool.with_block(id, true, |blk| blk[slot] += 1.0);
                 }
             });
         }

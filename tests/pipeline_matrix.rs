@@ -426,17 +426,24 @@ fn serial_fronts_io_is_pinned_to_the_parent_commit() {
         ),
         // [577, 321, 4096, 7168, 6847, 321, 313, 321] before.
         ("nonstandard/sq", [577, 321, 4096, 7168, 447, 321, 313, 321]),
-        // [532, 276, 4096, 4096, 3820, 276, 268, 276] before.
-        ("zorder/sq", [532, 276, 4096, 4096, 236, 276, 268, 276]),
-        // [8777, 4681, 32768, 32768, 28087, 4681, 4673, 4681] before.
+        // [532, 276, 4096, 4096, 3820, 276, 268, 276] before the arena;
+        // [532, 276, 4096, 4096, 236, 276, 268, 276] before the crest
+        // joined the chunk's batch (completed nodes and the range's
+        // leftovers no longer take one pool access each after it).
+        ("zorder/sq", [532, 276, 4096, 4096, 48, 276, 268, 276]),
+        // [8777, 4681, 32768, 32768, 28087, 4681, 4673, 4681] before the
+        // arena; [8777, 4681, 32768, 32768, 439, 4681, 4673, 4681] before
+        // the crest joined the batch.
         (
             "zorder/cube",
-            [8777, 4681, 32768, 32768, 439, 4681, 4673, 4681],
+            [8777, 4681, 32768, 32768, 0, 4681, 4673, 4681],
         ),
-        // [532, 276, 4096, 4368, 4092, 276, 268, 276] before.
+        // [532, 276, 4096, 4368, 4092, 276, 268, 276] before the arena;
+        // [532, 276, 4096, 4368, 49, 276, 268, 276] before the range's
+        // leftovers joined its last batch.
         (
             "zorder_scalings/sq",
-            [532, 276, 4096, 4368, 49, 276, 268, 276],
+            [532, 276, 4096, 4368, 48, 276, 268, 276],
         ),
         (
             "update_boxes_standard/sq",

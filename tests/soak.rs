@@ -8,6 +8,7 @@ use proptest::prelude::*;
 use shiftsplit::array::{MultiIndexIter, NdArray, Shape};
 use shiftsplit::core::tiling::StandardTiling;
 use shiftsplit::datagen::{precipitation_month, SplitMix64};
+use shiftsplit::maintain::{update_boxes_standard, FlushMode};
 use shiftsplit::query;
 use shiftsplit::storage::{wstore::mem_store, IoStats, MemBlockStore};
 use shiftsplit::transform::Appender;
@@ -43,7 +44,8 @@ fn a_year_of_operations() {
             let delta =
                 NdArray::from_fn(Shape::new(&[2, 2, dt]), |idx| (idx[2] as f64 - 0.5) * 0.25);
             let n = app.levels().to_vec();
-            shiftsplit::transform::update_box_standard(app.store(), &n, &[lat0, lon0, t0], &delta);
+            let one = [(vec![lat0, lon0, t0], delta.clone())];
+            update_boxes_standard(app.store(), &n, &one, FlushMode::Exact);
             for rel in MultiIndexIter::new(&[2, 2, dt]) {
                 let idx = [lat0 + rel[0], lon0 + rel[1], t0 + rel[2]];
                 mirror.set(&idx, mirror.get(&idx) + delta.get(&rel));
