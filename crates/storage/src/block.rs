@@ -4,9 +4,16 @@ use crate::error::StorageError;
 
 /// A store of fixed-capacity blocks of `f64` coefficients.
 ///
-/// Blocks are addressed by ordinal; every read/write transfers a whole
-/// block, mirroring disk-sector granularity. Implementations count their
+/// Blocks are addressed by ordinal; a transfer moves a whole block,
+/// mirroring disk-sector granularity. Implementations count their
 /// transfers in a shared [`IoStats`](crate::IoStats).
+///
+/// Every write is a transfer, and so is every read of a block that was
+/// written. A block a store zero-initialised itself (at creation or in
+/// [`grow`](BlockStore::grow)) and has not written since holds only
+/// zeros: the memory and file stores read it back as `+0.0` with no
+/// transfer, so it adds nothing to `block_reads`, and a file store skips
+/// its checksum. A store opened from disk treats every block as written.
 ///
 /// Transfers come in two flavours: the fallible `try_*` methods return a
 /// typed [`StorageError`] (what the retry and fault-injection wrappers
@@ -45,7 +52,8 @@ pub trait BlockStore {
     fn try_write_block(&mut self, id: usize, buf: &[f64]) -> Result<(), StorageError>;
 
     /// Grows the store to at least `blocks` blocks, zero-filled. Growing is
-    /// not an I/O-counted operation (allocation, not transfer).
+    /// not an I/O-counted operation (allocation, not transfer), and the
+    /// new blocks are unwritten until their first write.
     fn grow(&mut self, blocks: usize);
 
     /// Durability barrier: after `try_sync` returns, every previously
@@ -98,6 +106,17 @@ pub(crate) mod testsuite {
     use super::*;
     use crate::IoStats;
 
+    /// `store` with every block written once (as zeros) and `stats` reset:
+    /// a pool miss on it is a real load, as on a store opened from disk.
+    pub fn written<S: BlockStore>(mut store: S, stats: &IoStats) -> S {
+        let zeros = vec![0.0; store.block_capacity()];
+        for id in 0..store.num_blocks() {
+            store.write_block(id, &zeros);
+        }
+        stats.reset();
+        store
+    }
+
     pub fn roundtrip(store: &mut dyn BlockStore) {
         let cap = store.block_capacity();
         let data: Vec<f64> = (0..cap).map(|i| i as f64 * 1.5 - 3.0).collect();
@@ -135,5 +154,85 @@ pub(crate) mod testsuite {
         let snap = stats.snapshot();
         assert_eq!(snap.block_writes, 2);
         assert_eq!(snap.block_reads, 1);
+    }
+
+    /// How a file store's test reaches behind the store's back, for
+    /// [`unwritten_blocks_cost_no_transfer`].
+    pub struct OnDisk<'a> {
+        /// Flips one stored byte of block `id`: a byte of its payload, or
+        /// of its checksum slot when it stores no payload bytes. Flipping
+        /// twice restores it.
+        pub flip: &'a dyn Fn(usize),
+        /// Opens the same files as a new handle of `blocks` blocks that
+        /// counts into the same stats.
+        pub reopen: &'a dyn Fn(usize) -> Box<dyn BlockStore>,
+    }
+
+    /// A block the store zero-initialised and never wrote reads as `+0.0`
+    /// with no transfer; a written block is read, counted and verified,
+    /// and so is every block of a reopened store. `store` is fresh, with at
+    /// least two blocks; `grows` says whether it supports `grow`.
+    pub fn unwritten_blocks_cost_no_transfer(
+        store: &mut dyn BlockStore,
+        stats: &IoStats,
+        disk: Option<OnDisk>,
+        grows: bool,
+    ) {
+        let cap = store.block_capacity();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let zeros = vec![0u64; cap];
+        let data: Vec<f64> = (0..cap).map(|i| i as f64 - 2.75).collect();
+        let mut buf = vec![-0.0; cap];
+        let damaged = |store: &dyn BlockStore, id: usize, buf: &mut [f64]| {
+            let read = store.try_read_block(id, buf);
+            matches!(read, Err(StorageError::Checksum { block, .. }) if block == id)
+        };
+        let reads_fresh = |store: &dyn BlockStore, ids: std::ops::Range<usize>, buf: &mut [f64]| {
+            stats.reset();
+            for id in ids {
+                buf.fill(-0.0);
+                store.read_block(id, buf);
+                assert_eq!(bits(buf), zeros, "never-written block {id}");
+            }
+            assert_eq!(stats.snapshot().block_reads, 0);
+        };
+        let reads_written = |store: &dyn BlockStore, buf: &mut [f64]| {
+            stats.reset();
+            store.read_block(1, buf);
+            assert_eq!(bits(buf), bits(&data));
+            assert_eq!(stats.snapshot().block_reads, 1);
+            if let Some(disk) = &disk {
+                (disk.flip)(1);
+                assert!(damaged(store, 1, buf), "flipped byte of a written block");
+                (disk.flip)(1);
+            }
+        };
+
+        let mut blocks = store.num_blocks();
+        reads_fresh(&*store, 0..blocks, &mut buf);
+        store.write_block(1, &data);
+        reads_written(&*store, &mut buf);
+        if grows {
+            store.grow(2 * blocks);
+            reads_fresh(&*store, blocks..2 * blocks, &mut buf);
+            reads_written(&*store, &mut buf);
+            blocks *= 2;
+        }
+        if let Some(disk) = &disk {
+            let reopened = (disk.reopen)(blocks);
+            stats.reset();
+            for id in 0..blocks {
+                buf.fill(-0.0);
+                reopened.read_block(id, &mut buf);
+                let want = if id == 1 { bits(&data) } else { zeros.clone() };
+                assert_eq!(bits(&buf), want, "reopened block {id}");
+            }
+            assert_eq!(stats.snapshot().block_reads, blocks as u64);
+            (disk.flip)(0);
+            assert!(
+                damaged(&*reopened, 0, &mut buf),
+                "flipped byte of a block never written"
+            );
+        }
     }
 }

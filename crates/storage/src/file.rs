@@ -23,6 +23,19 @@
 //! second*: a crash between the two leaves a detectable mismatch, never a
 //! silently wrong block.
 //!
+//! # Unwritten blocks
+//!
+//! A handle that created its store zeroed ([`FileBlockStore::create`],
+//! [`FileBlockStore::create_v3`], and the blocks `grow` adds) reads a
+//! block it has not written as `+0.0` without touching the file: no
+//! `pread`, no sidecar read, no CRC, no `block_reads`. A write clears the
+//! mark before its transfer starts, so a failed or torn write leaves a
+//! block every later read verifies. An opened store ([`FileBlockStore::open`],
+//! [`FileBlockStore::open_v3`]) marks nothing: every block that crossed a
+//! process boundary is verified on every read. A v3 directory entry with
+//! offset 0 is *not* taken as unwritten on open — that would skip the
+//! sidecar check the §8.5 crash window relies on.
+//!
 //! # Sparse layout (format v3)
 //!
 //! A v3 store ([`FileBlockStore::create_v3`] / [`FileBlockStore::open_v3`])
@@ -210,7 +223,8 @@ enum Layout {
 
 /// A [`BlockStore`] over a file on disk, with per-block CRC-32
 /// verification (dense format v2) and an optional sparse bucketed layout
-/// (format v3).
+/// (format v3). Blocks it created zeroed and has not written read as
+/// zeros with no transfer (see the module docs).
 pub struct FileBlockStore {
     file: File,
     capacity: usize,
@@ -231,6 +245,10 @@ pub struct FileBlockStore {
     sparse_bytes_written: Counter,
     sparse_bytes_saved: Counter,
     sparse_relocations: Counter,
+    /// Blocks this handle zero-initialised and has not written since
+    /// (`create`, `create_v3`, `grow`): a read of one is no transfer. An
+    /// opened store marks none, so every block it reads is verified.
+    never_written: Vec<bool>,
 }
 
 impl FileBlockStore {
@@ -254,7 +272,7 @@ impl FileBlockStore {
             .map_err(|e| StorageError::io("size blocks file", e))?;
         let zero_crc = crc32(&vec![0u8; capacity * 8]);
         let sidecar = Sidecar::create(path, blocks, zero_crc)?;
-        Ok(Self::assemble(
+        let mut store = Self::assemble(
             file,
             capacity,
             blocks,
@@ -262,7 +280,9 @@ impl FileBlockStore {
             sidecar,
             zero_crc,
             Layout::Dense,
-        ))
+        );
+        store.never_written.fill(true);
+        Ok(store)
     }
 
     /// Creates (truncating) a sparse v3 store at `path` — header plus a
@@ -294,7 +314,7 @@ impl FileBlockStore {
             .map_err(|e| StorageError::io("write v3 header and directory", e))?;
         let sidecar = Sidecar::create(path, blocks, 0)?;
         let heap_end = V3_HEADER_LEN + blocks as u64 * V3_DIR_ENTRY_LEN;
-        Ok(Self::assemble(
+        let mut store = Self::assemble(
             file,
             capacity,
             blocks,
@@ -305,7 +325,9 @@ impl FileBlockStore {
                 dir: vec![DirEntry::default(); blocks],
                 heap_end,
             },
-        ))
+        );
+        store.never_written.fill(true);
+        Ok(store)
     }
 
     /// Opens an existing sparse v3 store created with
@@ -458,6 +480,7 @@ impl FileBlockStore {
             sparse_bytes_written: ss_obs::global().counter("storage.sparse_bytes_written"),
             sparse_bytes_saved: ss_obs::global().counter("storage.sparse_bytes_saved"),
             sparse_relocations: ss_obs::global().counter("storage.sparse_relocations"),
+            never_written: vec![false; blocks],
         }
     }
 
@@ -680,6 +703,10 @@ impl BlockStore for FileBlockStore {
     fn try_read_block(&self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
         assert!(id < self.blocks, "block {id} out of range");
         assert_eq!(buf.len(), self.capacity);
+        if self.never_written[id] {
+            buf.fill(0.0);
+            return Ok(());
+        }
         let t0 = Instant::now();
         let bytes = self.read_verified(id)?;
         match &self.layout {
@@ -699,6 +726,9 @@ impl BlockStore for FileBlockStore {
     fn try_write_block(&mut self, id: usize, buf: &[f64]) -> Result<(), StorageError> {
         assert!(id < self.blocks, "block {id} out of range");
         assert_eq!(buf.len(), self.capacity);
+        // Cleared before the transfer: a failed or torn write leaves a
+        // block every later read verifies.
+        self.never_written[id] = false;
         let t0 = Instant::now();
         if self.sparse() {
             self.write_sparse_block(id, buf)?;
@@ -739,6 +769,7 @@ impl BlockStore for FileBlockStore {
             self.sidecar
                 .grow(self.blocks, blocks, self.zero_crc)
                 .expect("grow sidecar failed");
+            self.never_written.resize(blocks, true);
             self.blocks = blocks;
         }
     }
@@ -783,6 +814,53 @@ mod tests {
         let mut store = FileBlockStore::create(&path, 8, 4, stats.clone()).unwrap();
         testsuite::counts_io(&mut store, &stats);
         cleanup(&path);
+    }
+
+    fn flip_byte(path: &Path, at: u64) {
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[at as usize] ^= 0x10;
+        std::fs::write(path, &bytes).unwrap();
+    }
+
+    #[test]
+    fn unwritten_blocks_cost_no_transfer() {
+        type Create = fn(&Path, usize, usize, IoStats) -> Result<FileBlockStore, StorageError>;
+        let layouts: [(&str, Create, Create); 2] = [
+            ("unwrittenv2", FileBlockStore::create, FileBlockStore::open),
+            (
+                "unwrittenv3",
+                FileBlockStore::create_v3,
+                FileBlockStore::open_v3,
+            ),
+        ];
+        for (name, create, open) in layouts {
+            let path = tmp(name);
+            let stats = IoStats::new();
+            let mut store = create(&path, 32, 4, stats.clone()).unwrap();
+            let sparse = store.sparse();
+            let flip = |id: usize| {
+                if !sparse {
+                    return flip_byte(&path, (id * 32 * 8) as u64 + 3);
+                }
+                // A v3 block's payload, or its checksum slot when all-zero.
+                let bytes = std::fs::read(&path).unwrap();
+                let at = (V3_HEADER_LEN + id as u64 * V3_DIR_ENTRY_LEN) as usize;
+                match u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) {
+                    0 => flip_byte(&Sidecar::path_for(&path), Sidecar::slot(id)),
+                    offset => flip_byte(&path, offset + 1),
+                }
+            };
+            let reopen = |blocks| -> Box<dyn BlockStore> {
+                Box::new(open(&path, 32, blocks, stats.clone()).unwrap())
+            };
+            let disk = testsuite::OnDisk {
+                flip: &flip,
+                reopen: &reopen,
+            };
+            // v3 stores do not grow (docs/FORMAT.md §8.6).
+            testsuite::unwritten_blocks_cost_no_transfer(&mut store, &stats, Some(disk), !sparse);
+            cleanup(&path);
+        }
     }
 
     #[test]
@@ -1072,7 +1150,9 @@ mod tests {
     fn two_threads_read_through_one_shared_reference() {
         // Positional reads share no cursor: two threads reading disjoint
         // and identical blocks through one `&FileBlockStore` each get the
-        // written bits, and every call is one counted block read.
+        // written bits, and every call on a written block is one counted
+        // block read. Block 7 is never written: its 24 reads (12 per
+        // thread) transfer nothing.
         type Create = fn(&Path, usize, usize, IoStats) -> Result<FileBlockStore, StorageError>;
         let layouts: [(&str, Create); 2] = [
             ("sharedv2", FileBlockStore::create),
@@ -1111,7 +1191,9 @@ mod tests {
                     });
                 }
             });
-            assert_eq!(stats.snapshot().block_reads, (2 * ROUNDS * 3) as u64);
+            // 300 (= 2 * ROUNDS * 3) before a never-written block stopped
+            // costing a read.
+            assert_eq!(stats.snapshot().block_reads, 276);
             cleanup(&path);
         }
     }

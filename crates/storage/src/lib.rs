@@ -9,7 +9,9 @@
 //!   store ([`MemBlockStore`]) and a real file-backed one
 //!   ([`FileBlockStore`]) that issues actual positioned reads and writes
 //!   (`pread` / `pwrite`, so this crate **needs a unix target**),
-//!   CRC-verified on every read,
+//!   CRC-verified on every read of a written block. A block a store
+//!   created zeroed and has not written since is read as zeros with no
+//!   transfer; an opened store treats every block as written,
 //! * [`StorageError`] — the typed fault vocabulary (I/O, checksum mismatch,
 //!   geometry, unsupported version, injected, retries-exhausted) every
 //!   fallible path speaks,

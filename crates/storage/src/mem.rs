@@ -10,16 +10,21 @@ pub struct MemBlockStore {
     capacity: usize,
     data: Vec<f64>,
     stats: IoStats,
+    /// Blocks zero-initialised by `new` or `grow` and not written since: a
+    /// read of one is no transfer (see [`BlockStore`]).
+    never_written: Vec<bool>,
 }
 
 impl MemBlockStore {
-    /// A zero-filled store of `blocks` blocks of `capacity` coefficients.
+    /// A zero-filled store of `blocks` blocks of `capacity` coefficients,
+    /// none of them written yet.
     pub fn new(capacity: usize, blocks: usize, stats: IoStats) -> Self {
         assert!(capacity >= 1);
         MemBlockStore {
             capacity,
             data: vec![0.0; capacity * blocks],
             stats,
+            never_written: vec![true; blocks],
         }
     }
 
@@ -40,6 +45,10 @@ impl BlockStore for MemBlockStore {
 
     fn try_read_block(&self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
         assert_eq!(buf.len(), self.capacity, "buffer/block size mismatch");
+        if self.never_written[id] {
+            buf.fill(0.0);
+            return Ok(());
+        }
         let start = id * self.capacity;
         buf.copy_from_slice(&self.data[start..start + self.capacity]);
         self.stats.add_block_reads(1);
@@ -48,6 +57,7 @@ impl BlockStore for MemBlockStore {
 
     fn try_write_block(&mut self, id: usize, buf: &[f64]) -> Result<(), StorageError> {
         assert_eq!(buf.len(), self.capacity, "buffer/block size mismatch");
+        self.never_written[id] = false;
         let start = id * self.capacity;
         self.data[start..start + self.capacity].copy_from_slice(buf);
         self.stats.add_block_writes(1);
@@ -57,6 +67,7 @@ impl BlockStore for MemBlockStore {
     fn grow(&mut self, blocks: usize) {
         if blocks > self.num_blocks() {
             self.data.resize(blocks * self.capacity, 0.0);
+            self.never_written.resize(blocks, true);
         }
     }
 }
@@ -85,6 +96,13 @@ mod tests {
         let stats = IoStats::new();
         let mut store = MemBlockStore::new(8, 4, stats.clone());
         testsuite::counts_io(&mut store, &stats);
+    }
+
+    #[test]
+    fn unwritten_blocks_cost_no_transfer() {
+        let stats = IoStats::new();
+        let mut store = MemBlockStore::new(8, 4, stats.clone());
+        testsuite::unwritten_blocks_cost_no_transfer(&mut store, &stats, None, true);
     }
 
     #[test]

@@ -681,16 +681,18 @@ pub fn mem_shared_store<M: TilingMap>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::testsuite::written;
     use crate::mem::MemBlockStore;
     use ss_core::Tiling1d;
 
+    /// A pool over blocks written once, so that every miss is a load.
     fn pool(
         blocks: usize,
         budget: usize,
         shards: usize,
     ) -> (ShardedBufferPool<MemBlockStore>, IoStats) {
         let stats = IoStats::new();
-        let store = MemBlockStore::new(4, blocks, stats.clone());
+        let store = written(MemBlockStore::new(4, blocks, stats.clone()), &stats);
         (
             ShardedBufferPool::new(store, budget, shards, stats.clone()),
             stats,
@@ -909,7 +911,7 @@ mod tests {
 
         let stats = IoStats::new();
         let store = Rendezvous {
-            inner: MemBlockStore::new(4, 8, stats.clone()),
+            inner: written(MemBlockStore::new(4, 8, stats.clone()), &stats),
             inside: Mutex::new(0),
             both: Condvar::new(),
         };
@@ -931,7 +933,7 @@ mod tests {
         // A slow store: every miss costs 30 ms.
         let stats = IoStats::new();
         let slow = crate::throttle::ThrottledBlockStore::new(
-            MemBlockStore::new(4, 8, stats.clone()),
+            written(MemBlockStore::new(4, 8, stats.clone()), &stats),
             Duration::from_millis(30),
             Duration::ZERO,
         );

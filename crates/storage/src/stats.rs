@@ -31,7 +31,10 @@ struct Counters {
 /// A point-in-time copy of the counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IoSnapshot {
-    /// Blocks read from the underlying store.
+    /// Blocks transferred from the underlying store (and input blocks an
+    /// out-of-core transform scans). A read of a block the store created
+    /// zeroed and has not written is no transfer and is not counted
+    /// (see [`BlockStore`](crate::BlockStore)).
     pub block_reads: u64,
     /// Blocks written to the underlying store.
     pub block_writes: u64,
@@ -41,7 +44,8 @@ pub struct IoSnapshot {
     pub coeff_writes: u64,
     /// Buffer-pool accesses served from a cached frame.
     pub pool_hits: u64,
-    /// Buffer-pool accesses that had to read the backing store.
+    /// Buffer-pool accesses that had to load the block from the backing
+    /// store (a load of a never-written block is not a `block_reads`).
     pub pool_misses: u64,
     /// Frames evicted to stay within the pool budget.
     pub pool_evictions: u64,

@@ -14,6 +14,10 @@
 //! block. Reads go through `&self`, so concurrent misses sleep under the
 //! pool's read lock simultaneously, modelling a device with internal
 //! parallelism (command queueing).
+//!
+//! The wrapper sleeps before it delegates, so it charges the latency even
+//! for a read of a block the inner store never wrote, which that store
+//! serves as zeros with no transfer (see [`BlockStore`]).
 
 use crate::block::BlockStore;
 use crate::error::StorageError;

@@ -126,7 +126,24 @@ pub fn mem_store<M: TilingMap>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::testsuite;
+    use crate::mem::MemBlockStore;
     use ss_core::{StandardTiling, Tiling1d, TilingMap};
+
+    /// [`mem_store`] over blocks written once, so every pool miss loads.
+    fn written_store<M: TilingMap>(
+        map: M,
+        pool_budget: usize,
+        stats: &IoStats,
+    ) -> CoeffStore<M, MemBlockStore> {
+        let blocks = MemBlockStore::new(map.block_capacity(), map.num_tiles(), stats.clone());
+        CoeffStore::new(
+            map,
+            testsuite::written(blocks, stats),
+            pool_budget,
+            stats.clone(),
+        )
+    }
 
     #[test]
     fn read_write_roundtrip_1d() {
@@ -169,9 +186,7 @@ mod tests {
         // Root-path coefficients share tiles; scattered level-1 details
         // do not.
         let stats = IoStats::new();
-        let map = Tiling1d::new(6, 2);
-        let mut cs = mem_store(map, 64, stats.clone());
-        stats.reset();
+        let mut cs = written_store(Tiling1d::new(6, 2), 64, &stats);
         // Touch a root path (indices 0,1,2,4,8,16,32 for pos 0).
         for idx in [0usize, 1, 2, 4, 8, 16, 32] {
             cs.read(&[idx]);
@@ -203,7 +218,7 @@ mod tests {
     #[test]
     fn via_shared_round_trip_keeps_contents_budget_and_counters() {
         let stats = IoStats::new();
-        let mut cs = mem_store(Tiling1d::new(4, 2), 3, stats.clone());
+        let mut cs = written_store(Tiling1d::new(4, 2), 3, &stats);
         for i in 0..16usize {
             cs.write(&[i], i as f64);
         }

@@ -3,8 +3,9 @@
 
 use shiftsplit::array::{DyadicRange, MultiIndexIter, NdArray, Shape};
 use shiftsplit::core::tiling::{NonStandardTiling, StandardTiling};
+use shiftsplit::core::TilingMap;
 use shiftsplit::query;
-use shiftsplit::storage::{wstore::mem_store, IoStats};
+use shiftsplit::storage::{wstore::mem_store, IoStats, Meta, WsFile};
 use shiftsplit::transform::{
     transform_nonstandard_zorder, transform_standard, vitter_transform_standard, ArraySource,
 };
@@ -59,6 +60,53 @@ fn result_1_standard_cost_tracks_formula_ratio() {
     }
     for r in &ratios {
         assert!(*r > 0.3 && *r < 3.0, "ratio out of band: {ratios:?}");
+    }
+}
+
+#[test]
+fn result_1_fresh_ingest_reads_only_its_input() {
+    // On a store created zeroed, R1's tile term is writes only: a tile no
+    // chunk has written yet holds zeros and its first load is no transfer.
+    // So a fresh ingest whose pool holds every tile reads exactly its
+    // input scan, N^d/B^d blocks, and writes each tile it touched once; a
+    // smaller pool adds one read per miss on a tile it already wrote back.
+    let (n, b) = (6u32, 2u32);
+    let side = 1usize << n;
+    let data = checkerboard(side);
+    let src = ArraySource::new(&data, &[3, 3]);
+    let input_scan = (side * side / 16) as u64;
+    let map = || StandardTiling::new(&[n; 2], &[b; 2]);
+    let ingest = |budget: usize| {
+        let stats = IoStats::new();
+        transform_standard(&src, &mut mem_store(map(), budget, stats.clone()), false);
+        stats.snapshot()
+    };
+
+    // In memory, at a pool of every tile: the misses are the tiles touched.
+    let whole = ingest(map().num_tiles());
+    let touched = whole.pool_misses;
+    assert_eq!(
+        (whole.block_reads, whole.block_writes),
+        (input_scan, touched)
+    );
+    // At a pool of 16, every re-load of an evicted tile is a read.
+    let small = ingest(16);
+    assert!(small.pool_misses > touched);
+    assert_eq!(small.block_reads, input_scan + small.pool_misses - touched);
+
+    // On disk: `WsFile::create`, whose pool of 1 024 frames holds all 441
+    // tiles.
+    let path = std::env::temp_dir().join(format!("ss_io_fresh_{}.ws", std::process::id()));
+    let mut ws = WsFile::create(&path, Meta::new(vec![n; 2], vec![b; 2], 0, 1)).unwrap();
+    transform_standard(&src, &mut ws.store, false);
+    let io = ws.stats.snapshot();
+    assert_eq!((io.block_reads, io.block_writes), (input_scan, touched));
+    assert!(ws.verify().unwrap().is_clean());
+    drop(ws);
+    for ext in ["", ".crc", ".meta"] {
+        let mut p = path.clone().into_os_string();
+        p.push(ext);
+        std::fs::remove_file(p).ok();
     }
 }
 

@@ -226,7 +226,12 @@ fn sharded_pool_hammer_reconciles_counters() {
     const ROUNDS: usize = 200;
     const BLOCKS: usize = 32;
     let stats = IoStats::new();
-    let store = MemBlockStore::new(8, BLOCKS, stats.clone());
+    let mut store = MemBlockStore::new(8, BLOCKS, stats.clone());
+    // Every block written once up front, so that every miss is a load.
+    for id in 0..BLOCKS {
+        shiftsplit::storage::BlockStore::write_block(&mut store, id, &[0.0; 8]);
+    }
+    stats.reset();
     let pool = ShardedBufferPool::new(store, 8, 4, stats.clone());
     std::thread::scope(|scope| {
         for t in 0..THREADS {
