@@ -7,8 +7,9 @@
 //! dirty block writes one. Flushing at the end of an operation writes the
 //! remaining dirty blocks — exactly the accounting the paper's per-chunk
 //! analyses use. There is one frame table, one LRU victim selection (exact
-//! LRU: the oldest stamp in a dense per-shard stamp array), one eviction
-//! write-back and one flush, entered under two disciplines:
+//! LRU: a hit stores a last-use stamp in the frame's stable slab slot, and
+//! a miss pops the oldest stamp off a lazily refreshed per-shard min-heap),
+//! one eviction write-back and one flush, entered under two disciplines:
 //!
 //! * **shared** (`&self`; [`SharedCoeffStore`]) — many workers apply
 //!   deltas or answer queries *concurrently* against one bounded cache.
@@ -43,7 +44,8 @@
 //! same shard. No operation acquires a shard lock while holding the
 //! store lock, and none holds two shard locks at once, so the pool is
 //! deadlock-free by construction. A failed transfer is raised as a typed
-//! panic only once every guard is released, so it poisons nothing.
+//! panic only once every guard is released, so it poisons nothing, and
+//! every dirty image it did not persist is cached dirty again first.
 //!
 //! Taking a lock nobody holds reads no clock and records nothing: the
 //! `pool.shard_lock_wait_ns` / `pool.store_lock_wait_ns` histograms sample
@@ -62,7 +64,10 @@ use crate::error::StorageError;
 use crate::stats::IoStats;
 use ss_core::TilingMap;
 use ss_obs::{Histogram, TraceEventKind};
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::sync::{LockResult, TryLockError, TryLockResult};
 use std::time::Instant;
@@ -84,10 +89,21 @@ pub struct ShardCounters {
 struct Frame {
     data: Vec<f64>,
     dirty: bool,
-    /// Where [`Shard::lru`] keeps this frame's last-use stamp.
-    lru_slot: usize,
+    /// This frame's slot in [`Shard::slots`], fixed while it is cached.
+    slot: usize,
 }
 
+/// One shard's frames and their exact-LRU order.
+///
+/// A hit stores the newest clock value in its frame's slot of a slab
+/// that never moves a cached frame; nothing else is touched. A miss
+/// picks its victim from a min-heap holding exactly one `(stamp, slot)`
+/// entry per cached frame, whose stamp is at most the slot's current
+/// one. The heap is refreshed lazily: a popped entry whose slot was hit
+/// since it was pushed is re-keyed with the current stamp and sinks back.
+/// Stamps are unique, so the first entry that surfaces current is the
+/// frame with the oldest last use — the victim a scan of every stamp
+/// would pick — at amortised `O(log frames)` instead of `O(frames)`.
 #[derive(Default)]
 struct Shard {
     frames: HashMap<usize, Frame>,
@@ -95,10 +111,13 @@ struct Shard {
     /// write-back). A block in `busy` is never in `frames`; threads that
     /// need it wait on the slot's condvar instead of loading it twice.
     busy: HashSet<usize>,
-    /// `(last-use stamp, block id)` of every cached frame. Dense, so
-    /// that picking a victim streams 16 bytes per frame instead of
-    /// hopping through the hash table's buckets.
-    lru: Vec<(u64, usize)>,
+    /// `(last-use stamp, block id)` per slab slot; only the slots of
+    /// cached frames are live.
+    slots: Vec<(u64, usize)>,
+    /// Slab slots freed by evictions, reused before the slab grows.
+    free: Vec<usize>,
+    /// Min-heap of `(stamp, slot)`, one entry per cached frame.
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
     /// Threads asleep on the slot's condvar: a load that finds none skips
     /// the wake-up (a system call per miss otherwise).
     waiting: usize,
@@ -116,7 +135,7 @@ impl Shard {
         stats.add_pool_hits(1);
         tile_fetch(id, true);
         self.clock += 1;
-        self.lru[frame.lru_slot].0 = self.clock;
+        self.slots[frame.slot].0 = self.clock;
         frame.dirty |= mutate;
         Some(&mut frame.data)
     }
@@ -125,20 +144,15 @@ impl Shard {
     /// load: counts it, evicts least-recently-used frames until one more
     /// fits in `budget`, and marks `id` and every dirty victim busy.
     /// Returns the dirty victims — the caller writes them back and loads
-    /// `id` with the shard unlocked, then calls [`install`](Self::install).
+    /// `id` with the shard unlocked, then counts the write-backs and
+    /// [`cache`](Self::cache)s the block.
     fn begin_miss(&mut self, id: usize, budget: usize, stats: &IoStats) -> Vec<(usize, Frame)> {
         self.counters.misses += 1;
         stats.add_pool_misses(1);
         tile_fetch(id, false);
         let mut dirty_victims = Vec::new();
         while self.frames.len() >= budget {
-            let oldest = self.lru.iter().enumerate().min_by_key(|(_, used)| used.0);
-            let slot = oldest.expect("budget is at least one frame").0;
-            let (_, vid) = self.lru.swap_remove(slot);
-            if let Some(&(_, moved)) = self.lru.get(slot) {
-                self.frames.get_mut(&moved).expect("cached").lru_slot = slot;
-            }
-            let frame = self.frames.remove(&vid).expect("victim exists");
+            let (vid, frame) = self.evict_lru();
             self.counters.evictions += 1;
             stats.add_pool_evictions(1);
             if frame.dirty {
@@ -150,26 +164,53 @@ impl Shard {
         dirty_victims
     }
 
-    /// Closes the miss [`begin_miss`](Self::begin_miss) opened: counts the
-    /// `wrote_back` victims and caches `data` as the newest frame.
-    fn install(
-        &mut self,
-        id: usize,
-        data: Vec<f64>,
-        mutate: bool,
-        wrote_back: u64,
-        stats: &IoStats,
-    ) -> &mut [f64] {
-        self.counters.writebacks += wrote_back;
-        stats.add_pool_writebacks(wrote_back);
-        self.clock += 1;
-        let frame = Frame {
-            data,
-            dirty: mutate,
-            lru_slot: self.lru.len(),
+    /// Removes and returns the frame with the oldest last-use stamp.
+    fn evict_lru(&mut self) -> (usize, Frame) {
+        let slot = loop {
+            let mut oldest = self.heap.peek_mut().expect("budget is at least one frame");
+            let Reverse((stamp, slot)) = *oldest;
+            let used = self.slots[slot].0;
+            if used == stamp {
+                PeekMut::pop(oldest);
+                break slot;
+            }
+            *oldest = Reverse((used, slot));
         };
-        self.lru.push((self.clock, id));
-        &mut self.frames.entry(id).or_insert(frame).data
+        self.free.push(slot);
+        let vid = self.slots[slot].1;
+        (vid, self.frames.remove(&vid).expect("victim is cached"))
+    }
+
+    /// Caches `data` as block `id`'s frame with the newest stamp.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` is already cached: its old frame's heap entry
+    /// would outlive it.
+    fn cache(&mut self, id: usize, data: Vec<f64>, dirty: bool) -> &mut [f64] {
+        let Entry::Vacant(vacant) = self.frames.entry(id) else {
+            panic!("block {id} is already cached");
+        };
+        self.clock += 1;
+        let used = (self.clock, id);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = used;
+                slot
+            }
+            None => {
+                self.slots.push(used);
+                self.slots.len() - 1
+            }
+        };
+        self.heap.push(Reverse((self.clock, slot)));
+        &mut vacant.insert(Frame { data, dirty, slot }).data
+    }
+
+    /// Counts `n` dirty frames the store took (eviction or flush).
+    fn count_writebacks(&mut self, n: u64, stats: &IoStats) {
+        self.counters.writebacks += n;
+        stats.add_pool_writebacks(n);
     }
 }
 
@@ -199,11 +240,12 @@ impl BusyGuard<'_> {
         }
     }
 
-    /// Success path: clears the marks under an already-held shard lock,
-    /// so the caller keeps the lock continuously from frame install to
-    /// frame use (dropping it in between would let a concurrent miss
-    /// evict the just-installed frame), and wakes waiters only if there
-    /// are any. `Drop` stays as the panic path.
+    /// Clears the marks under an already-held shard lock, so the caller
+    /// keeps the lock continuously from frame install (or the put-back of
+    /// unwritten victims) to frame use (dropping it in between would let a
+    /// concurrent miss evict the just-installed frame), and wakes waiters
+    /// only if there are any. `Drop` stays as the path of a panic inside
+    /// the store.
     fn clear(self, shard: &mut Shard) {
         self.unmark(shard);
         if shard.waiting > 0 {
@@ -231,10 +273,8 @@ impl Drop for BusyGuard<'_> {
 /// released: a panic under the guard would poison the store lock, and
 /// every other worker would then die of a `PoisonError` that masks the
 /// typed [`StorageError`] the fallible fronts recover.
-fn raise(transfer: Result<(), StorageError>) {
-    if let Err(e) = transfer {
-        std::panic::panic_any(e);
-    }
+fn raise(e: StorageError) -> ! {
+    std::panic::panic_any(e)
 }
 
 fn tile_fetch(id: usize, hit: bool) {
@@ -457,16 +497,16 @@ impl<S: BlockStore> ShardedBufferPool<S> {
             id,
             victims: &dirty_victims,
         };
-        for (vid, frame) in &dirty_victims {
+        let mut written = 0;
+        let mut transfer = dirty_victims.iter().try_for_each(|(vid, frame)| {
             let wrote = self.lock_store().try_write_block(*vid, &frame.data);
-            raise(wrote);
-        }
+            wrote.map(|()| written += 1)
+        });
         let mut data = vec![0.0; self.block_capacity];
-        if load {
+        if load && transfer.is_ok() {
             // Miss read: under the read half of the store lock, so misses
             // on other shards overlap their device wait with this one.
-            let read = self.read_store().try_read_block(id, &mut data);
-            raise(read);
+            transfer = self.read_store().try_read_block(id, &mut data);
         }
         let mut shard = self.lock_slot(slot_ref);
         // Clear the busy marks under this same lock and keep holding
@@ -474,8 +514,18 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         // concurrent miss evict the frame (or a clear() drop it) and
         // force a second, double-counted load for this one access.
         busy.clear(&mut shard);
-        let wrote_back = dirty_victims.len() as u64;
-        f(shard.install(id, data, mutate, wrote_back, &self.stats))
+        shard.count_writebacks(written as u64, &self.stats);
+        if let Err(e) = transfer {
+            // The victims the store did not take go back dirty before
+            // anyone can see them missing, so the next flush or eviction
+            // persists them instead of a later miss reading stale blocks.
+            for (vid, frame) in dirty_victims.into_iter().skip(written) {
+                shard.cache(vid, frame.data, true);
+            }
+            drop(shard);
+            raise(e);
+        }
+        f(shard.cache(id, data, mutate))
     }
 
     /// Writes every dirty block back to the store, keeping the cache warm.
@@ -488,7 +538,9 @@ impl<S: BlockStore> ShardedBufferPool<S> {
     /// it did not reach are marked dirty again before the typed panic is
     /// raised (with no lock held), so a later flush still persists them.
     pub fn flush(&self) {
-        raise(self.try_flush());
+        if let Err(e) = self.try_flush() {
+            raise(e);
+        }
     }
 
     fn try_flush(&self) -> Result<(), StorageError> {
@@ -515,8 +567,7 @@ impl<S: BlockStore> ShardedBufferPool<S> {
                 })
             };
             let mut shard = self.lock_slot(slot);
-            shard.counters.writebacks += written as u64;
-            self.stats.add_pool_writebacks(written as u64);
+            shard.count_writebacks(written as u64, &self.stats);
             for (id, _) in &dirty[written..] {
                 if let Some(frame) = shard.frames.get_mut(id) {
                     frame.dirty = true;
@@ -542,7 +593,9 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         for slot in &self.shards {
             let mut shard = self.lock_slot(slot);
             shard.frames.clear();
-            shard.lru.clear();
+            shard.slots.clear();
+            shard.free.clear();
+            shard.heap.clear();
         }
     }
 
@@ -1067,62 +1120,69 @@ mod tests {
         assert_eq!(p.read(2, 3), 4.5);
     }
 
-    #[test]
-    fn failed_flush_keeps_unwritten_frames_dirty() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
+    /// A store whose writes of every block but 0 fail until it is healed
+    /// (through [`ShardedBufferPool::store_mut`]).
+    struct FailingWrites {
+        inner: MemBlockStore,
+        broken: bool,
+    }
 
-        // Regression: flush marked frames clean before writing them, so a
-        // failed write-back left clean-but-unpersisted frames that no
-        // later flush would ever write.
-        struct FailingWrites {
-            inner: MemBlockStore,
-            broken: Arc<AtomicBool>,
-        }
-        impl BlockStore for FailingWrites {
-            fn block_capacity(&self) -> usize {
-                self.inner.block_capacity()
-            }
-            fn num_blocks(&self) -> usize {
-                self.inner.num_blocks()
-            }
-            fn try_read_block(&self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
-                self.inner.try_read_block(id, buf)
-            }
-            fn try_write_block(&mut self, id: usize, buf: &[f64]) -> Result<(), StorageError> {
-                // Block 0 still goes through: the failure is mid-flush.
-                if id > 0 && self.broken.load(Ordering::Acquire) {
-                    return Err(StorageError::Injected {
-                        op: "write",
-                        block: id,
-                    });
-                }
-                self.inner.try_write_block(id, buf)
-            }
-            fn grow(&mut self, blocks: usize) {
-                self.inner.grow(blocks);
+    impl FailingWrites {
+        fn new(blocks: usize, stats: &IoStats) -> Self {
+            FailingWrites {
+                inner: MemBlockStore::new(4, blocks, stats.clone()),
+                broken: true,
             }
         }
+    }
 
-        let broken = Arc::new(AtomicBool::new(true));
-        let stats = IoStats::new();
-        let store = FailingWrites {
-            inner: MemBlockStore::new(4, 6, stats.clone()),
-            broken: Arc::clone(&broken),
-        };
-        let p = ShardedBufferPool::new(store, 6, 2, stats.clone());
-        for id in 0..6 {
-            p.write(id, 1, id as f64 + 0.5);
+    impl BlockStore for FailingWrites {
+        fn block_capacity(&self) -> usize {
+            self.inner.block_capacity()
         }
-        let flush = std::panic::AssertUnwindSafe(|| p.flush());
-        let payload = std::panic::catch_unwind(flush).unwrap_err();
+        fn num_blocks(&self) -> usize {
+            self.inner.num_blocks()
+        }
+        fn try_read_block(&self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
+            self.inner.try_read_block(id, buf)
+        }
+        fn try_write_block(&mut self, id: usize, buf: &[f64]) -> Result<(), StorageError> {
+            if id > 0 && self.broken {
+                return Err(StorageError::Injected {
+                    op: "write",
+                    block: id,
+                });
+            }
+            self.inner.try_write_block(id, buf)
+        }
+        fn grow(&mut self, blocks: usize) {
+            self.inner.grow(blocks);
+        }
+    }
+
+    fn fails_with_injected_write(access: impl FnOnce()) {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(access)).unwrap_err();
         assert!(matches!(
             payload.downcast_ref::<StorageError>(),
             Some(StorageError::Injected { op: "write", .. })
         ));
+    }
+
+    #[test]
+    fn failed_flush_keeps_unwritten_frames_dirty() {
+        // Regression: flush marked frames clean before writing them, so a
+        // failed write-back left clean-but-unpersisted frames that no
+        // later flush would ever write.
+        let stats = IoStats::new();
+        let mut p = ShardedBufferPool::new(FailingWrites::new(6, &stats), 6, 2, stats.clone());
+        for id in 0..6 {
+            p.write(id, 1, id as f64 + 0.5);
+        }
+        // Block 0 still goes through: the failure is mid-flush.
+        fails_with_injected_write(|| p.flush());
         // Only block 0 reached the store, and only it was counted.
         assert_eq!(stats.snapshot().pool_writebacks, 1);
-        broken.store(false, Ordering::Release);
+        p.store_mut().broken = false;
         p.flush();
         assert_eq!(stats.snapshot().pool_writebacks, 6);
         let store = p.into_store();
@@ -1131,6 +1191,47 @@ mod tests {
             store.read_block(id, &mut buf);
             assert_eq!(buf[1], id as f64 + 0.5, "block {id} was never persisted");
         }
+    }
+
+    #[test]
+    fn failed_eviction_keeps_unwritten_victims_dirty() {
+        // Regression: a miss took its dirty victims out of the frame table
+        // and dropped their images when the write-back failed, so the
+        // block read back as whatever the store held before.
+        let stats = IoStats::new();
+        let mut p = ShardedBufferPool::new(FailingWrites::new(4, &stats), 1, 1, stats.clone());
+        p.write(1, 1, 1.5);
+        fails_with_injected_write(|| {
+            p.read(2, 0);
+        });
+        assert_eq!(p.cached_blocks(), 1, "the victim is cached again");
+        assert_eq!(stats.snapshot().pool_writebacks, 0);
+        p.store_mut().broken = false;
+        p.flush();
+        assert_eq!(p.read(1, 1), 1.5);
+        let s = stats.snapshot();
+        assert_eq!((s.block_writes, s.pool_writebacks), (1, 1));
+        let mut buf = vec![0.0; 4];
+        p.into_store().read_block(1, &mut buf);
+        assert_eq!(buf[1], 1.5, "the victim reached the store");
+    }
+
+    #[test]
+    fn failed_miss_read_counts_the_write_backs_it_made() {
+        // A victim written back before the miss read failed is in the
+        // store: `block_writes` and `pool_writebacks` must agree.
+        let stats = IoStats::new();
+        let dead_reads = crate::FaultInjectingBlockStore::new(
+            MemBlockStore::new(4, 4, stats.clone()),
+            crate::FaultConfig::read_errors(1.0, 5),
+        );
+        let p = ShardedBufferPool::new(dead_reads, 1, 1, stats.clone());
+        p.overwrite(1, &[1.0; 4]);
+        let read = std::panic::AssertUnwindSafe(|| p.read(2, 0));
+        assert!(std::panic::catch_unwind(read).is_err());
+        let s = stats.snapshot();
+        assert_eq!((s.block_writes, s.pool_writebacks), (1, 1));
+        assert_eq!(p.cached_blocks(), 0, "the written victim stays evicted");
     }
 
     #[test]

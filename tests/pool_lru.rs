@@ -1,0 +1,517 @@
+//! The block cache's victim choice and its failure paths, end to end.
+//!
+//! `ShardedBufferPool` picks each LRU victim off a lazily refreshed
+//! per-shard min-heap. The oracle here is the selection it replaced, kept
+//! only in this file: every shard scans a dense `(last-use stamp, id)`
+//! array for its minimum. Seeded scripts of every pool entry
+//! (`with_block_mut`, `with_block` with and without mutate, `overwrite`,
+//! `flush`, `clear`) run against both over a store that logs each
+//! transfer, for 1–3 shards and several budgets; the `(op, id)` transfer
+//! sequence, every access's result, every `ShardCounters` and the
+//! `IoSnapshot` must be identical.
+//!
+//! The fault sweep (ROADMAP 9(c), the pool part) runs the same scripts
+//! over `FaultInjectingBlockStore` at 1 % and 10 % read-error,
+//! write-error and torn-write rates, retrying each access (and the final
+//! flush) that fails with a typed `StorageError` until it succeeds. The
+//! results and the stored blocks must equal the fault-free run bit for
+//! bit, and every block write the store acknowledged must be a counted
+//! pool write-back.
+
+use shiftsplit::datagen::SplitMix64;
+use shiftsplit::storage::{
+    downcast_storage_error, BlockStore, FaultConfig, FaultInjectingBlockStore, IoStats,
+    MemBlockStore, ShardCounters, ShardedBufferPool, StorageError,
+};
+use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, Once};
+
+const BLOCKS: usize = 24;
+const CAPACITY: usize = 4;
+/// Blocks most accesses go to, so that small budgets see hits too.
+const HOT: usize = 5;
+const STEPS: usize = 3_000;
+const SHARDS: [usize; 3] = [1, 2, 3];
+const BUDGETS: [usize; 5] = [1, 2, 3, 7, 64];
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Op {
+    Read,
+    Write,
+}
+
+/// Logs every transfer the wrapped store acknowledged. A transfer that
+/// fails is not logged: the pool must behave as if it never happened.
+struct Recording<S> {
+    inner: S,
+    log: Mutex<Vec<(Op, usize)>>,
+}
+
+impl<S: BlockStore> Recording<S> {
+    fn new(inner: S) -> Self {
+        Recording {
+            inner,
+            log: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn log(&mut self) -> Vec<(Op, usize)> {
+        self.log.get_mut().unwrap().clone()
+    }
+}
+
+impl<S: BlockStore> BlockStore for Recording<S> {
+    fn block_capacity(&self) -> usize {
+        self.inner.block_capacity()
+    }
+    fn num_blocks(&self) -> usize {
+        self.inner.num_blocks()
+    }
+    fn try_read_block(&self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
+        self.inner.try_read_block(id, buf)?;
+        self.log.lock().unwrap().push((Op::Read, id));
+        Ok(())
+    }
+    fn try_write_block(&mut self, id: usize, buf: &[f64]) -> Result<(), StorageError> {
+        self.inner.try_write_block(id, buf)?;
+        self.log.get_mut().unwrap().push((Op::Write, id));
+        Ok(())
+    }
+    fn grow(&mut self, blocks: usize) {
+        self.inner.grow(blocks);
+    }
+}
+
+/// A memory store whose even blocks hold data and whose odd blocks were
+/// never written (a read of one is zeros with no transfer below the log).
+fn seeded_mem(stats: &IoStats) -> MemBlockStore {
+    let mut mem = MemBlockStore::new(CAPACITY, BLOCKS, stats.clone());
+    for id in (0..BLOCKS).step_by(2) {
+        let data: Vec<f64> = (0..CAPACITY).map(|k| (id * 10 + k) as f64).collect();
+        mem.write_block(id, &data);
+    }
+    stats.reset();
+    mem
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    /// `with_block_mut` (the single owner's entry).
+    Owner {
+        id: usize,
+        slot: usize,
+        add: f64,
+    },
+    /// `with_block`, adding `add` when `mutate`, else reading.
+    Shared {
+        id: usize,
+        slot: usize,
+        add: f64,
+        mutate: bool,
+    },
+    Overwrite {
+        id: usize,
+        fill: f64,
+    },
+    Flush,
+    Clear,
+}
+
+fn script(seed: u64) -> Vec<Step> {
+    let mut rng = SplitMix64::new(seed);
+    (0..STEPS)
+        .map(|i| {
+            let id = if rng.below(10) < 6 {
+                rng.below(HOT)
+            } else {
+                rng.below(BLOCKS)
+            };
+            let slot = rng.below(CAPACITY);
+            let add = (i % 17) as f64 * 0.25 - 1.5;
+            match rng.below(100) {
+                0..=29 => Step::Owner { id, slot, add },
+                30..=49 => Step::Shared {
+                    id,
+                    slot,
+                    add,
+                    mutate: true,
+                },
+                50..=84 => Step::Shared {
+                    id,
+                    slot,
+                    add,
+                    mutate: false,
+                },
+                85..=94 => Step::Overwrite { id, fill: i as f64 },
+                95..=97 => Step::Flush,
+                _ => Step::Clear,
+            }
+        })
+        .collect()
+}
+
+/// What a step observed: the coefficient after the access (0 for the
+/// steps that return nothing).
+fn observe(blk: &mut [f64], slot: usize, add: f64, mutate: bool) -> f64 {
+    if mutate {
+        blk[slot] += add;
+    }
+    blk[slot]
+}
+
+fn overwrite_image(fill: f64) -> Vec<f64> {
+    (0..CAPACITY).map(|k| fill + k as f64 * 0.5).collect()
+}
+
+/// The entries a script drives, so the same script runs on the pool and
+/// on the oracle.
+trait Cache {
+    fn access(
+        &mut self,
+        id: usize,
+        owner: bool,
+        mutate: bool,
+        f: &mut dyn FnMut(&mut [f64]) -> f64,
+    ) -> f64;
+    fn overwrite(&mut self, id: usize, data: &[f64]);
+    fn flush(&mut self);
+    fn clear(&mut self);
+}
+
+impl<S: BlockStore> Cache for ShardedBufferPool<S> {
+    fn access(
+        &mut self,
+        id: usize,
+        owner: bool,
+        mutate: bool,
+        f: &mut dyn FnMut(&mut [f64]) -> f64,
+    ) -> f64 {
+        if owner {
+            self.with_block_mut(id, mutate, f)
+        } else {
+            self.with_block(id, mutate, f)
+        }
+    }
+    fn overwrite(&mut self, id: usize, data: &[f64]) {
+        ShardedBufferPool::overwrite(self, id, data);
+    }
+    fn flush(&mut self) {
+        ShardedBufferPool::flush(self);
+    }
+    fn clear(&mut self) {
+        ShardedBufferPool::clear(self);
+    }
+}
+
+/// Runs one step; `retry` wraps every entry call that may reach the store.
+fn run_step(cache: &mut dyn Cache, step: Step, retry: bool) -> f64 {
+    let mut attempt = |call: &mut dyn FnMut(&mut dyn Cache) -> f64| loop {
+        match catch_unwind(AssertUnwindSafe(|| call(&mut *cache))) {
+            Ok(seen) => return seen,
+            // Anything but a typed storage error resumes the unwind.
+            Err(payload) if retry => drop(downcast_storage_error(payload)),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    };
+    match step {
+        Step::Owner { id, slot, add } => {
+            attempt(&mut |c| c.access(id, true, true, &mut |blk| observe(blk, slot, add, true)))
+        }
+        Step::Shared {
+            id,
+            slot,
+            add,
+            mutate,
+        } => attempt(&mut |c| {
+            c.access(id, false, mutate, &mut |blk| {
+                observe(blk, slot, add, mutate)
+            })
+        }),
+        Step::Overwrite { id, fill } => attempt(&mut |c| {
+            c.overwrite(id, &overwrite_image(fill));
+            0.0
+        }),
+        Step::Flush => attempt(&mut |c| {
+            c.flush();
+            0.0
+        }),
+        Step::Clear => attempt(&mut |c| {
+            c.clear();
+            0.0
+        }),
+    }
+}
+
+/// Runs `steps` and a final flush; returns what every step observed.
+fn run(cache: &mut dyn Cache, steps: &[Step], retry: bool) -> Vec<u64> {
+    let mut seen: Vec<u64> = steps
+        .iter()
+        .map(|&step| run_step(cache, step, retry).to_bits())
+        .collect();
+    seen.push(run_step(cache, Step::Flush, retry).to_bits());
+    seen
+}
+
+/// Fails at the first item where two runs differ, rather than printing
+/// thousands of them.
+fn assert_same<T: PartialEq + std::fmt::Debug>(seen: &[T], reference: &[T], what: &str) {
+    if let Some(i) = (0..seen.len()).find(|&i| reference.get(i) != Some(&seen[i])) {
+        let want = reference.get(i);
+        panic!(
+            "{what}: item {i} is {:?}, the reference has {want:?}",
+            seen[i]
+        );
+    }
+    assert_eq!(seen.len(), reference.len(), "{what}: lengths");
+}
+
+/// The pool's LRU before the heap: per shard, a dense `(stamp, id)`
+/// array kept next to the frame table and scanned for its minimum on
+/// every eviction (`swap_remove` moves the last frame into the hole).
+struct ScanPool<S: BlockStore> {
+    store: S,
+    shards: Vec<ScanShard>,
+    shard_budget: usize,
+    stats: IoStats,
+}
+
+#[derive(Default)]
+struct ScanShard {
+    /// `id -> (data, dirty, index into lru)`.
+    frames: HashMap<usize, (Vec<f64>, bool, usize)>,
+    lru: Vec<(u64, usize)>,
+    clock: u64,
+    counters: ShardCounters,
+}
+
+impl<S: BlockStore> ScanPool<S> {
+    fn new(store: S, budget: usize, num_shards: usize, stats: IoStats) -> Self {
+        ScanPool {
+            store,
+            shards: (0..num_shards).map(|_| ScanShard::default()).collect(),
+            shard_budget: (budget / num_shards).max(1),
+            stats,
+        }
+    }
+
+    fn enter(&mut self, id: usize, mutate: bool, load: bool) -> &mut [f64] {
+        let n = self.shards.len();
+        let shard = &mut self.shards[id % n];
+        shard.clock += 1;
+        if shard.frames.contains_key(&id) {
+            shard.counters.hits += 1;
+            self.stats.add_pool_hits(1);
+            let frame = shard.frames.get_mut(&id).unwrap();
+            shard.lru[frame.2].0 = shard.clock;
+            frame.1 |= mutate;
+            return &mut frame.0;
+        }
+        shard.counters.misses += 1;
+        self.stats.add_pool_misses(1);
+        while shard.frames.len() >= self.shard_budget {
+            let oldest = shard.lru.iter().enumerate().min_by_key(|(_, used)| used.0);
+            let slot = oldest.unwrap().0;
+            let (_, vid) = shard.lru.swap_remove(slot);
+            if let Some(&(_, moved)) = shard.lru.get(slot) {
+                shard.frames.get_mut(&moved).unwrap().2 = slot;
+            }
+            let (data, dirty, _) = shard.frames.remove(&vid).unwrap();
+            shard.counters.evictions += 1;
+            self.stats.add_pool_evictions(1);
+            if dirty {
+                self.store.write_block(vid, &data);
+                shard.counters.writebacks += 1;
+                self.stats.add_pool_writebacks(1);
+            }
+        }
+        let mut data = vec![0.0; CAPACITY];
+        if load {
+            self.store.read_block(id, &mut data);
+        }
+        shard.lru.push((shard.clock, id));
+        let slot = shard.lru.len() - 1;
+        &mut shard.frames.entry(id).or_insert((data, mutate, slot)).0
+    }
+}
+
+impl<S: BlockStore> Cache for ScanPool<S> {
+    fn access(
+        &mut self,
+        id: usize,
+        _owner: bool,
+        mutate: bool,
+        f: &mut dyn FnMut(&mut [f64]) -> f64,
+    ) -> f64 {
+        f(self.enter(id, mutate, true))
+    }
+    fn overwrite(&mut self, id: usize, data: &[f64]) {
+        self.enter(id, true, false).copy_from_slice(data);
+    }
+    fn flush(&mut self) {
+        for shard in &mut self.shards {
+            let mut dirty: Vec<(usize, Vec<f64>)> = shard
+                .frames
+                .iter_mut()
+                .filter(|(_, frame)| frame.1)
+                .map(|(&id, frame)| {
+                    frame.1 = false;
+                    (id, frame.0.clone())
+                })
+                .collect();
+            dirty.sort_unstable_by_key(|&(id, _)| id);
+            for (id, data) in &dirty {
+                self.store.write_block(*id, data);
+            }
+            shard.counters.writebacks += dirty.len() as u64;
+            self.stats.add_pool_writebacks(dirty.len() as u64);
+        }
+    }
+    fn clear(&mut self) {
+        self.flush();
+        for shard in &mut self.shards {
+            shard.frames.clear();
+            shard.lru.clear();
+        }
+    }
+}
+
+#[test]
+fn heap_victims_are_the_stamp_scan_victims() {
+    for (k, &shards) in SHARDS.iter().enumerate() {
+        for (b, &budget) in BUDGETS.iter().enumerate() {
+            let steps = script(0xB10C + (k * BUDGETS.len() + b) as u64);
+            let case = format!("{shards} shards, budget {budget}");
+
+            let stats = IoStats::new();
+            let store = Recording::new(seeded_mem(&stats));
+            let mut pool = ShardedBufferPool::new(store, budget, shards, stats.clone());
+            let seen = run(&mut pool, &steps, false);
+
+            let oracle_stats = IoStats::new();
+            let store = Recording::new(seeded_mem(&oracle_stats));
+            let mut oracle = ScanPool::new(store, budget, shards, oracle_stats.clone());
+            let oracle_seen = run(&mut oracle, &steps, false);
+
+            assert_same(
+                &seen,
+                &oracle_seen,
+                &format!("{case}: what the accesses saw, as f64 bits"),
+            );
+            assert_same(
+                &pool.store_mut().log(),
+                &oracle.store.log(),
+                &format!("{case}: the transfer sequence"),
+            );
+            let counters: Vec<ShardCounters> = oracle.shards.iter().map(|s| s.counters).collect();
+            assert_eq!(pool.shard_counters(), counters, "{case}: shard counters");
+            let snap = stats.snapshot();
+            assert_eq!(snap, oracle_stats.snapshot(), "{case}: IoSnapshot");
+            if budget < BLOCKS {
+                assert!(snap.pool_evictions > 0 && snap.pool_hits > 0, "{case}");
+            }
+        }
+    }
+}
+
+/// Keeps the expected typed-fault panics out of the test log; any other
+/// panic still prints.
+fn quiet_storage_panics() {
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let default = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if info.payload().downcast_ref::<StorageError>().is_none() {
+                default(info);
+            }
+        }));
+    });
+}
+
+/// Every block of the memory store under a pool, as bits.
+fn contents(mem: &MemBlockStore) -> Vec<u64> {
+    let mut buf = vec![0.0; CAPACITY];
+    (0..BLOCKS)
+        .flat_map(|id| {
+            mem.read_block(id, &mut buf);
+            buf.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+/// The faults the sweep injects at `rate`, one kind at a time.
+fn faults(rate: f64, seed: u64) -> [(&'static str, FaultConfig); 3] {
+    let none = FaultConfig {
+        seed,
+        ..FaultConfig::default()
+    };
+    [
+        (
+            "read error",
+            FaultConfig {
+                read_error_rate: rate,
+                ..none
+            },
+        ),
+        (
+            "write error",
+            FaultConfig {
+                write_error_rate: rate,
+                ..none
+            },
+        ),
+        (
+            "torn write",
+            FaultConfig {
+                torn_write_rate: rate,
+                ..none
+            },
+        ),
+    ]
+}
+
+#[test]
+fn faulty_stores_end_with_the_fault_free_contents() {
+    quiet_storage_panics();
+    for (k, &shards) in SHARDS.iter().enumerate() {
+        for (b, &budget) in BUDGETS.iter().enumerate() {
+            let seed = 0xFA17 + (k * BUDGETS.len() + b) as u64;
+            let steps = script(seed);
+            let clean_stats = IoStats::new();
+            let mut clean =
+                ShardedBufferPool::new(seeded_mem(&clean_stats), budget, shards, clean_stats);
+            let clean_seen = run(&mut clean, &steps, false);
+            let clean_blocks = contents(clean.store_mut());
+
+            for (kind, config) in [0.01, 0.10].into_iter().flat_map(|rate| faults(rate, seed)) {
+                let case = format!("{shards} shards, budget {budget}, {kind} {config:?}");
+                let stats = IoStats::new();
+                let faulty = FaultInjectingBlockStore::new(seeded_mem(&stats), config);
+                let store = Recording::new(faulty);
+                let mut pool = ShardedBufferPool::new(store, budget, shards, stats.clone());
+                let seen = run(&mut pool, &steps, true);
+                let what = format!("{case}: what the accesses saw, as f64 bits");
+                assert_same(&seen, &clean_seen, &what);
+                let store = pool.store_mut();
+                let blocks = contents(store.inner.inner());
+                assert_same(
+                    &blocks,
+                    &clean_blocks,
+                    &format!("{case}: stored blocks, as f64 bits"),
+                );
+                let log = store.log();
+                let acknowledged = log.iter().filter(|(op, _)| *op == Op::Write).count();
+                let snap = stats.snapshot();
+                assert_eq!(
+                    acknowledged as u64, snap.pool_writebacks,
+                    "{case}: write-backs"
+                );
+                // A torn write reaches the device but reports failure;
+                // every other fault is refused before the device.
+                if config.torn_write_rate == 0.0 {
+                    assert_eq!(snap.block_writes, snap.pool_writebacks, "{case}");
+                }
+            }
+        }
+    }
+}
