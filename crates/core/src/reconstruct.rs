@@ -284,7 +284,7 @@ pub fn standard_reconstruct_range(
 /// ([`TilingMap::axis_tilings`](crate::TilingMap::axis_tilings)),
 /// located: per axis, every coefficient any of the box's dyadic intervals
 /// reads, once, ranked in ascending index order and grouped by tile
-/// ([`AxisTargets`]). The box's pieces are the cross product of its
+/// (`AxisTargets`). The box's pieces are the cross product of its
 /// per-axis intervals, so the envelope of all of them is the cross
 /// product of the per-axis ones — read it a tile at a time
 /// ([`tile_runs`](Self::tile_runs)) into one array, and every piece
@@ -320,11 +320,8 @@ impl BoxEnvelope {
                 }
                 indices.sort_unstable();
                 indices.dedup();
-                let ranked = indices.iter().enumerate().map(|(rank, &i)| (rank, i, 1.0));
-                (
-                    AxisTargets::located(axes, t, indices.len(), ranked),
-                    indices,
-                )
+                let ranked = indices.iter().enumerate().map(|(r, &i)| (0, r, i, 1.0));
+                (AxisTargets::located(axes, t, ranked), indices)
             })
             .unzip();
         let extents: Vec<usize> = indices.iter().map(Vec::len).collect();
@@ -341,12 +338,13 @@ impl BoxEnvelope {
         self.indices.iter().map(Vec::len).product()
     }
 
-    /// The gather, the inverse of [`crate::split::standard_tile_runs`]:
+    /// The gather, the inverse of [`crate::split::standard_runs`]:
     /// every tile the envelope covers gets exactly one call
     /// `emit(tile, &[(slot, offset)])`, in strictly ascending tile order —
     /// copy slot `slot` of the tile to `offset` of the gathered array.
     pub fn tile_runs(&self, mut emit: impl FnMut(usize, &[(usize, usize)])) {
         let mut run = Vec::new();
+        // One segment per axis: one piece per tile.
         for_each_tile(&self.tables, |tile, groups| {
             for_each_member(groups, &self.strides, 0, 0, 1.0, &mut |slot, at, _| {
                 run.push((slot, at))

@@ -2,8 +2,8 @@
 //! tile, in one arena.
 //!
 //! A chunk's SHIFTed details and SPLIT path land tile by tile (§4–5), and
-//! every producer emits them that way — one `(tile, &[(slot, delta)])` run
-//! per destination tile ([`standard_tile_runs`](crate::split::standard_tile_runs)).
+//! every producer emits them that way — one run per destination tile,
+//! pushed straight into the arena ([`standard_runs`](crate::split::standard_runs)).
 //! [`TileRuns`] keeps that shape from the emitter to the block: every
 //! delta is written once, into one `Vec<(slot, delta)>`, and a run is a
 //! `(tile, op, start, len)` descriptor, `op` being the buffered operation
@@ -49,24 +49,33 @@ impl TileRuns {
     /// Appends a run of `tile`'s deltas, joining the last run when it is
     /// of the same tile and operation.
     pub fn extend(&mut self, tile: usize, run: &[(usize, f64)]) {
-        if run.is_empty() {
+        self.extend_with(tile, |deltas| deltas.extend_from_slice(run));
+    }
+
+    /// Appends the run `fill` pushes onto the arena for `tile`, straight
+    /// into place — the emitter's way to write each delta once. Joins the
+    /// last run like [`extend`](TileRuns::extend); a fill that pushes
+    /// nothing adds nothing. `fill` must only push.
+    pub fn extend_with(&mut self, tile: usize, fill: impl FnOnce(&mut Vec<(usize, f64)>)) {
+        let end = self.deltas.len();
+        fill(&mut self.deltas);
+        let len = self.deltas.len() - end;
+        if len == 0 {
             return;
         }
-        let end = self.deltas.len();
         match self.runs.last_mut() {
             Some(last)
                 if last.tile == tile && last.op == self.op && last.start + last.len == end =>
             {
-                last.len += run.len();
+                last.len += len;
             }
             _ => self.runs.push(Run {
                 tile,
                 op: self.op,
                 start: end,
-                len: run.len(),
+                len,
             }),
         }
-        self.deltas.extend_from_slice(run);
     }
 
     /// Deltas held.

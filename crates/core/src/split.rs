@@ -27,20 +27,25 @@
 //!
 //! Those two are the index-space definition: tuple indices, one
 //! coefficient at a time. For stores whose tiling is a cross product of
-//! per-axis tilings, [`standard_tile_runs`] is the same SHIFT-SPLIT
-//! **located and tile-major** — each axis's targets located once
-//! ([`AxisTargets`]), the cross product walked a destination tile at a
-//! time, one `(tile, &[(slot, delta)])` run per tile in ascending tile
-//! order — and is what the standard-form producers (chunk pipeline,
-//! appender, box updates) call; `standard_deltas` is its oracle. The
-//! same tables, read backwards, drive the tile-major gather of a partial
-//! reconstruction ([`crate::reconstruct::BoxEnvelope`]).
+//! per-axis tilings, [`standard_runs`] is the same SHIFT-SPLIT **located
+//! and tile-major**, in one pass: each axis's targets located once
+//! (`AxisTargets`), the destination tiles walked in ascending order, and
+//! each tile's deltas pushed straight into a [`TileRuns`] arena as one
+//! run. Its input may be *segmented* — consecutive dyadic intervals per
+//! axis, each transformed on its own
+//! ([`forward_segments`](crate::standard::forward_segments)) — so an
+//! update box's pieces go through one array, one table per axis and one
+//! descriptor per tile; a chunk is the one-segment case. The chunk
+//! pipeline, the appender and box updates all call it; `standard_deltas`
+//! is its oracle. The same tables, read backwards, drive the tile-major
+//! gather of a partial reconstruction
+//! ([`crate::reconstruct::BoxEnvelope`]).
 
 use crate::layout::{Coeff1d, Layout1d};
 use crate::nonstandard::NsCoeff;
+use crate::runs::TileRuns;
 use crate::tiling::AxisTiling;
-use ss_array::{MultiIndexIter, NdArray};
-use std::borrow::Borrow;
+use ss_array::{DyadicInterval, MultiIndexIter, NdArray};
 
 /// One SPLIT contribution target along a single axis.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -171,7 +176,8 @@ pub fn standard_deltas(
 /// One SHIFT or SPLIT target along one axis, already located.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct AxisTarget {
-    /// Chunk-local index of the source coefficient along the axis.
+    /// Index of the source coefficient along the axis, in the transformed
+    /// array (the segment's start plus its chunk-local index).
     local: usize,
     /// Axis tile ordinal times the axis's stride in the tile grid.
     tile: usize,
@@ -197,123 +203,153 @@ pub(crate) fn interval_targets(
     split.chain(shift)
 }
 
-/// Every SHIFT and SPLIT target of one dyadic interval along one axis of
-/// a per-axis-product tiling ([`TilingMap::axis_tilings`]), located once
-/// and grouped by axis tile in ascending order.
+/// Every SHIFT and SPLIT target of one axis's **segments** — consecutive
+/// dyadic intervals, each transformed on its own — on a per-axis-product
+/// tiling ([`TilingMap::axis_tilings`]), located once and grouped by axis
+/// tile in ascending order, the segments ascending inside a tile.
 ///
-/// The table depends on the interval and the axis only, so the pieces of
-/// an update box that share an axis interval share its table. Read
-/// backwards, the same located set is Result 6's envelope: the inverse
-/// SHIFT-SPLIT of an interval reads exactly the coefficients the forward
-/// one writes ([`BoxEnvelope`](crate::reconstruct::BoxEnvelope)).
+/// A chunk is one segment; an update box is the [`decompose_interval`] of
+/// its extent, and its pieces are the cross product of the axes' segments.
+/// Read backwards, the located set of an interval is Result 6's envelope:
+/// the inverse SHIFT-SPLIT reads exactly the coefficients the forward one
+/// writes ([`BoxEnvelope`](crate::reconstruct::BoxEnvelope)).
 ///
 /// [`TilingMap::axis_tilings`]: crate::tiling::TilingMap::axis_tilings
+/// [`decompose_interval`]: ss_array::decompose_interval
 #[derive(Clone, Debug)]
-pub struct AxisTargets {
-    /// Distinct `local` values: `2^m` for an interval, the number of
-    /// coefficients for an envelope.
-    extent: usize,
+pub(crate) struct AxisTargets {
     targets: Vec<AxisTarget>,
-    /// `targets[bounds[g]..bounds[g + 1]]` share one axis tile.
+    /// `targets[bounds[g]..bounds[g + 1]]` share one axis tile and one
+    /// segment.
     bounds: Vec<usize>,
+    /// Groups `tiles[i]..tiles[i + 1]` share one axis tile.
+    tiles: Vec<usize>,
 }
 
 impl AxisTargets {
-    /// Targets of the `(block+1)`-th dyadic interval of length `2^m` on
-    /// axis `t` of the product tiling `axes`.
-    pub fn new(axes: &[AxisTiling], t: usize, m: u32, block: usize) -> Self {
+    /// Targets of the consecutive dyadic intervals `segments` on axis `t`
+    /// of the product tiling `axes`, each interval's locals offset by its
+    /// start relative to the first.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `segments` is empty, leaves a gap or overlaps, or
+    /// leaves the domain.
+    pub(crate) fn segmented(axes: &[AxisTiling], t: usize, segments: &[DyadicInterval]) -> Self {
         let n = axes[t].levels();
-        assert!(m <= n, "chunk axis {t} larger than domain ({m} > {n})");
-        Self::located(axes, t, 1usize << m, interval_targets(n, m, block))
+        let lo = segments.first().expect("at least one segment").start();
+        let mut end = lo;
+        for seg in segments {
+            assert_eq!(seg.start(), end, "axis {t}: segments must be consecutive");
+            end += seg.len();
+        }
+        assert!(end <= 1 << n, "axis {t}: segments leave the domain");
+        let sources = segments.iter().enumerate().flat_map(|(s, seg)| {
+            let rel = seg.start() - lo;
+            interval_targets(n, seg.level, seg.translation)
+                .map(move |(local, index, factor)| (s, rel + local, index, factor))
+        });
+        Self::located(axes, t, sources)
     }
 
-    /// Locates `(local, index, factor)` targets on axis `t`, `extent`
-    /// distinct locals, and groups them by axis tile, ascending; a group
-    /// keeps the input order.
+    /// Locates `(segment, local, index, factor)` targets on axis `t`,
+    /// arriving segment by segment, and groups them by axis tile,
+    /// ascending; a group keeps the input order.
     pub(crate) fn located(
         axes: &[AxisTiling],
         t: usize,
-        extent: usize,
-        sources: impl Iterator<Item = (usize, usize, f64)>,
+        sources: impl Iterator<Item = (usize, usize, usize, f64)>,
     ) -> Self {
         let axis = &axes[t];
         let tile_stride: usize = axes[t + 1..].iter().map(AxisTiling::num_tiles).product();
         let slot_stride: usize = axes[t + 1..].iter().map(AxisTiling::block_side).product();
-        let mut targets: Vec<AxisTarget> = sources
-            .map(|(local, index, factor)| {
+        let mut tagged: Vec<(usize, AxisTarget)> = sources
+            .map(|(segment, local, index, factor)| {
                 let at = axis.locate(index);
-                AxisTarget {
+                let target = AxisTarget {
                     local,
                     tile: at.tile * tile_stride,
                     slot: at.slot * slot_stride,
                     factor,
-                }
+                };
+                (segment, target)
             })
             .collect();
-        targets.sort_by_key(|target| target.tile);
-        let mut bounds = vec![0];
-        for i in 1..targets.len() {
-            if targets[i].tile != targets[i - 1].tile {
-                bounds.push(i);
+        tagged.sort_by_key(|(_, target)| target.tile);
+        let (mut bounds, mut tiles) = (vec![0], vec![0]);
+        for (i, pair) in tagged.windows(2).enumerate() {
+            let ((seg_a, a), (seg_b, b)) = (pair[0], pair[1]);
+            if a.tile != b.tile {
+                tiles.push(bounds.len());
+            }
+            if a.tile != b.tile || seg_a != seg_b {
+                bounds.push(i + 1);
             }
         }
-        bounds.push(targets.len());
+        tiles.push(bounds.len());
+        bounds.push(tagged.len());
         AxisTargets {
-            extent,
-            targets,
+            targets: tagged.into_iter().map(|(_, target)| target).collect(),
             bounds,
+            tiles,
         }
     }
 
-    fn groups(&self) -> usize {
-        self.bounds.len() - 1
-    }
-
+    /// Target group `g`: one axis tile, one segment.
     fn group(&self, g: usize) -> &[AxisTarget] {
         &self.targets[self.bounds[g]..self.bounds[g + 1]]
     }
 }
 
-/// The located walk both directions share: an odometer over one
-/// axis-tile group per axis, calling `tile(ordinal, groups)` for every
-/// destination tile. Row-major over ascending per-axis tiles is
-/// ascending tile ordinal.
-pub(crate) fn for_each_tile<T: Borrow<AxisTargets>>(
-    tables: &[T],
-    mut tile: impl FnMut(usize, &[&[AxisTarget]]),
+/// Steps a row-major odometer, the last digit fastest, digit `i` below
+/// `limit(i)`; false once it wraps to all zeros.
+fn advance(digits: &mut [usize], limit: impl Fn(usize) -> usize) -> bool {
+    for i in (0..digits.len()).rev() {
+        digits[i] += 1;
+        if digits[i] < limit(i) {
+            return true;
+        }
+        digits[i] = 0;
+    }
+    false
+}
+
+/// The located walk both directions share: an odometer over the axis
+/// tiles of every axis — row-major over ascending per-axis tiles is
+/// ascending tile ordinal — and, inside each destination tile, over the
+/// pieces (one segment per axis) that touch it, in row-major piece order:
+/// `piece(ordinal, groups)` with the piece's target group in the tile on
+/// every axis. A tile's pieces are consecutive calls.
+pub(crate) fn for_each_tile(
+    tables: &[AxisTargets],
+    mut piece: impl FnMut(usize, &[&[AxisTarget]]),
 ) {
     let d = tables.len();
-    let mut choice = vec![0usize; d];
-    let mut groups: Vec<&[AxisTarget]> = Vec::with_capacity(d);
+    let (mut at, mut seg) = (vec![0usize; d], vec![0usize; d]);
+    let mut groups = Vec::with_capacity(d);
     loop {
-        groups.clear();
-        groups.extend(
-            tables
-                .iter()
-                .zip(&choice)
-                .map(|(table, &g)| table.borrow().group(g)),
-        );
-        tile(groups.iter().map(|group| group[0].tile).sum(), &groups);
-        let mut axis = d;
+        let first = |t: usize| tables[t].tiles[at[t]];
+        let ordinal = (0..d).map(|t| tables[t].group(first(t))[0].tile).sum();
         loop {
-            if axis == 0 {
-                return;
-            }
-            axis -= 1;
-            choice[axis] += 1;
-            if choice[axis] < tables[axis].borrow().groups() {
+            groups.clear();
+            groups.extend((0..d).map(|t| tables[t].group(first(t) + seg[t])));
+            piece(ordinal, &groups);
+            if !advance(&mut seg, |t| tables[t].tiles[at[t] + 1] - first(t)) {
                 break;
             }
-            choice[axis] = 0;
+        }
+        if !advance(&mut at, |t| tables[t].tiles.len() - 1) {
+            return;
         }
     }
 }
 
-/// The cross product of one axis-tile group per axis — every member of
-/// one destination tile — visited row-major as `(slot, offset, factor)`:
-/// `offset` of the member's locals in a row-major array with `strides`,
-/// `factor` the per-axis factors multiplied left to right. `offset`,
-/// `slot` and `factor` are what the outer axes chose.
+/// The cross product of one target group per axis — every member of one
+/// piece in one destination tile — visited row-major as
+/// `(slot, offset, factor)`: `offset` of the member's locals in a
+/// row-major array with `strides`, `factor` the per-axis factors
+/// multiplied left to right. `offset`, `slot` and `factor` are what the
+/// outer axes chose.
 pub(crate) fn for_each_member(
     groups: &[&[AxisTarget]],
     strides: &[usize],
@@ -335,60 +371,61 @@ pub(crate) fn for_each_member(
     }
 }
 
-/// [`standard_tile_runs`] over axis tables built beforehand, one per axis
-/// and matching the chunk's extents.
-pub fn standard_tile_runs_located<T: Borrow<AxisTargets>>(
-    chunk_t: &NdArray<f64>,
-    tables: &[T],
-    mut emit: impl FnMut(usize, &[(usize, f64)]),
-) {
-    assert_eq!(tables.len(), chunk_t.shape().ndim());
-    for (t, table) in tables.iter().enumerate() {
-        assert_eq!(
-            chunk_t.shape().dim(t),
-            table.borrow().extent,
-            "axis {t}: table built for another extent"
-        );
-    }
-    let (data, strides) = (chunk_t.as_slice(), chunk_t.shape().strides());
-    let mut run: Vec<(usize, f64)> = Vec::new();
-    for_each_tile(tables, |tile, groups| {
-        for_each_member(groups, strides, 0, 0, 1.0, &mut |slot, offset, factor| {
-            if data[offset] != 0.0 {
-                run.push((slot, data[offset] * factor));
-            }
-        });
-        if !run.is_empty() {
-            emit(tile, &run);
-            run.clear();
-        }
-    });
-}
-
-/// [`standard_deltas`] for a tiling that is a cross product of per-axis
-/// tilings, **located and tile-major**: each axis's SHIFT/SPLIT targets
-/// are located once ([`AxisTargets`]) and the cross product is walked one
-/// destination tile at a time. Every tile the chunk touches gets exactly
-/// one call `emit(tile, &[(slot, delta)])`, in strictly ascending tile
-/// order; a tile whose deltas all come from zero coefficients gets none.
+/// [`standard_deltas`] of a **segmented** standard-form transform, for a
+/// tiling that is the cross product `axes` of per-axis tilings, located
+/// and tile-major, pushed straight into `out`.
 ///
-/// The `(tile, slot, delta)` multiset equals `standard_deltas` followed by
-/// `locate`, delta for delta and bit for bit — each delta is the same
-/// `v · ((f_0 · f_1) · …)` — and a chunk sends at most one delta to any
-/// coefficient, so folding the runs in any order stores the same bits.
-pub fn standard_tile_runs(
-    chunk_t: &NdArray<f64>,
+/// `t` holds, along axis `i`, the consecutive dyadic intervals
+/// `segments[i]` each transformed on its own
+/// ([`forward_segments`](crate::standard::forward_segments); a chunk is one
+/// segment per axis and plain [`forward`](crate::standard::forward)). Its
+/// pieces — one segment per axis — are SHIFT-SPLIT at their own dyadic
+/// positions: each axis's targets are located once, the
+/// destination tiles are walked in strictly ascending order, and each gets
+/// one run ([`TileRuns::extend_with`]) holding, piece by piece in
+/// row-major piece order, the piece's members in this tile. Zero
+/// coefficients emit nothing, and a tile that receives nothing gets no run.
+///
+/// Per piece, the `(tile, slot, delta)` multiset equals `standard_deltas`
+/// of the piece followed by `locate`, delta for delta and bit for bit —
+/// each delta is the same `v · ((f_0 · f_1) · …)` — and a piece sends at
+/// most one delta to any coefficient, so every coefficient sees its deltas
+/// in piece order: the addition sequence of folding the pieces one at a
+/// time.
+///
+/// # Panics
+///
+/// Panics when the segments do not tile `t`'s axes or leave the domain.
+pub fn standard_runs(
+    t: &NdArray<f64>,
     axes: &[AxisTiling],
-    block: &[usize],
-    emit: impl FnMut(usize, &[(usize, f64)]),
+    segments: &[Vec<DyadicInterval>],
+    out: &mut TileRuns,
 ) {
-    let m = chunk_t.shape().levels();
-    assert_eq!(axes.len(), m.len());
-    assert_eq!(block.len(), m.len());
-    let tables: Vec<AxisTargets> = (0..m.len())
-        .map(|t| AxisTargets::new(axes, t, m[t], block[t]))
+    assert_eq!(axes.len(), t.shape().ndim());
+    assert_eq!(segments.len(), t.shape().ndim());
+    let tables: Vec<AxisTargets> = (0..axes.len())
+        .map(|i| {
+            let covered: usize = segments[i].iter().map(DyadicInterval::len).sum();
+            assert_eq!(
+                covered,
+                t.shape().dim(i),
+                "axis {i}: segments cover another extent"
+            );
+            AxisTargets::segmented(axes, i, &segments[i])
+        })
         .collect();
-    standard_tile_runs_located(chunk_t, &tables, emit);
+    let (data, strides) = (t.as_slice(), t.shape().strides());
+    // A tile's pieces arrive back to back, so each joins the tile's run.
+    for_each_tile(&tables, |tile, groups| {
+        out.extend_with(tile, |deltas| {
+            for_each_member(groups, strides, 0, 0, 1.0, &mut |slot, offset, factor| {
+                if data[offset] != 0.0 {
+                    deltas.push((slot, data[offset] * factor));
+                }
+            });
+        });
+    });
 }
 
 /// Emits every global update implied by a **non-standard-form** transformed

@@ -25,7 +25,7 @@
 //! gather/scatter path.
 
 use crate::kernel;
-use ss_array::{NdArray, Shape};
+use ss_array::{DyadicInterval, NdArray, Shape};
 
 /// In-place standard-form transform of every axis of `a`.
 ///
@@ -68,53 +68,99 @@ fn transform_axes(a: &mut NdArray<f64>, op: LineOp) {
         shape.is_dyadic(),
         "standard form requires power-of-two axes, got {shape:?}"
     );
-    // One gather buffer and one Haar scratch shared by every line of every
+    // One panel scratch and one Haar scratch shared by every line of every
     // axis — the per-line `vec![0.0; len]` allocations this loop used to
     // make dominated small-chunk transforms.
-    let mut line = Vec::new();
-    let mut scratch = Vec::new();
+    let (mut panel_scratch, mut scratch) = (Vec::new(), Vec::new());
     for axis in 0..shape.ndim() {
-        apply_along_axis(a, &shape, axis, op, &mut line, &mut scratch);
+        let whole = [shape.dim(axis)];
+        along_axis(a, axis, &whole, op, &mut panel_scratch, &mut scratch);
     }
 }
 
-/// Applies `op` to every 1-d line of `a` along `axis`. Contiguous lines
-/// (stride 1) are transformed in place; strided lines are processed in
-/// cache-blocked contiguous panels (see the module docs).
-fn apply_along_axis(
+/// In-place standard-form transform of every **segment** of `a`: along
+/// axis `t`, each of the consecutive dyadic intervals `segments[t]`
+/// (whose lengths must sum to the axis) is Haar-transformed on its own,
+/// axis after axis, with the kernels [`forward`] runs.
+///
+/// A *piece* — one segment per axis — then holds, at its own position in
+/// `a`, exactly [`forward`] of that piece alone, bit for bit: a segment's
+/// lines see only the piece's own cells, in the same cascade, and every
+/// kernel computes `(a + b)·0.5` and `(a − b)·0.5` element by element
+/// whatever the stride. An update box is transformed this way, once, for
+/// all of its [`decompose_interval`](ss_array::decompose_interval) pieces
+/// ([`crate::split::standard_runs`]); one segment per axis is [`forward`].
+///
+/// # Panics
+///
+/// Panics when `segments` has not one list per axis, or a list's lengths
+/// do not sum to its axis.
+pub fn forward_segments(a: &mut NdArray<f64>, segments: &[Vec<DyadicInterval>]) {
+    assert_eq!(
+        segments.len(),
+        a.shape().ndim(),
+        "one segment list per axis"
+    );
+    let (mut panel_scratch, mut scratch) = (Vec::new(), Vec::new());
+    for (axis, segs) in segments.iter().enumerate() {
+        let lens: Vec<usize> = segs.iter().map(DyadicInterval::len).collect();
+        let covered = lens.iter().sum::<usize>() == a.shape().dim(axis);
+        assert!(covered, "axis {axis}: segments must cover it exactly");
+        let op = LineOp::Forward;
+        along_axis(a, axis, &lens, op, &mut panel_scratch, &mut scratch);
+    }
+}
+
+/// Applies `op` to every 1-d line of `a` along `axis`, cut into
+/// consecutive segments of `lens`, one `len x stride` region at a time
+/// (see [`region_pass`]).
+fn along_axis(
     a: &mut NdArray<f64>,
-    shape: &Shape,
     axis: usize,
+    lens: &[usize],
     op: LineOp,
     panel_scratch: &mut Vec<f64>,
     scratch: &mut Vec<f64>,
 ) {
-    let len = shape.dim(axis);
+    let (len, stride) = (a.shape().dim(axis), a.shape().strides()[axis]);
+    for panel in a.as_mut_slice().chunks_exact_mut(len * stride) {
+        let mut rest = panel;
+        for &seg in lens {
+            let (region, tail) = rest.split_at_mut(seg * stride);
+            region_pass(region, seg, stride, op, panel_scratch, scratch);
+            rest = tail;
+        }
+    }
+}
+
+/// Applies `op` to the `stride` lines of one contiguous `len x stride`
+/// region — the lines are its columns. A unit-stride region is one line,
+/// transformed in place; a strided one runs the cache-blocked panel
+/// cascade (see the module docs).
+fn region_pass(
+    region: &mut [f64],
+    len: usize,
+    stride: usize,
+    op: LineOp,
+    panel_scratch: &mut Vec<f64>,
+    scratch: &mut Vec<f64>,
+) {
     if len == 1 {
         return;
     }
-    let stride = shape.strides()[axis];
-    let data = a.as_mut_slice();
     if stride == 1 {
-        // Lines are the contiguous rows of the trailing axis.
-        for row in data.chunks_exact_mut(len) {
-            match op {
-                LineOp::Forward => crate::haar1d::forward_with(row, scratch),
-                LineOp::Inverse => crate::haar1d::inverse_with(row, scratch),
-            }
+        match op {
+            LineOp::Forward => crate::haar1d::forward_with(region, scratch),
+            LineOp::Inverse => crate::haar1d::inverse_with(region, scratch),
         }
         return;
     }
-    // All lines sharing an index prefix live in one contiguous
-    // `len x stride` panel; lines are its columns.
     if panel_scratch.len() < len * block_cols(len, stride) {
         panel_scratch.resize(len * block_cols(len, stride), 0.0);
     }
-    for panel in data.chunks_exact_mut(len * stride) {
-        match op {
-            LineOp::Forward => panel_forward(panel, len, stride, panel_scratch),
-            LineOp::Inverse => panel_inverse(panel, len, stride, panel_scratch),
-        }
+    match op {
+        LineOp::Forward => panel_forward(region, len, stride, panel_scratch),
+        LineOp::Inverse => panel_inverse(region, len, stride, panel_scratch),
     }
 }
 
@@ -276,6 +322,92 @@ mod tests {
     fn rejects_non_dyadic_shape() {
         let mut a = NdArray::<f64>::zeros(Shape::new(&[4, 6]));
         forward(&mut a);
+    }
+
+    /// A SplitMix64 stream: the crate has no seeded generator of its own.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// Both signs, exponents 2^-30 ..= 2^30, one value in eight an
+        /// exact zero: sums of these round, so only the same operations in
+        /// the same order give the same bits.
+        fn mixed(&mut self) -> f64 {
+            if self.below(8) == 0 {
+                return 0.0;
+            }
+            let unit = (self.next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+            unit * 2f64.powi(self.below(61) as i32 - 30)
+        }
+    }
+
+    /// One axis's seeded segmentation: a whole dyadic axis (one segment),
+    /// one cell, or the decomposition of a random interval (length-1
+    /// segments at its odd ends).
+    fn segmentation(rng: &mut Rng) -> Vec<DyadicInterval> {
+        match rng.below(4) {
+            0 => vec![DyadicInterval::new(rng.below(5) as u32, rng.below(3))],
+            1 => vec![DyadicInterval::new(0, rng.below(64))],
+            _ => {
+                let lo = rng.below(48);
+                ss_array::decompose_interval(lo, lo + rng.below(24))
+            }
+        }
+    }
+
+    #[test]
+    fn forward_segments_leaves_every_piece_its_own_transform() {
+        // Each piece of a segmented transform must equal `forward` of the
+        // piece extracted on its own, bit for bit, for d = 1, 2, 3 — in
+        // the default build and under `--features simd`.
+        let mut rng = Rng(0x5EED);
+        for d in 1..=3 {
+            for _ in 0..40 {
+                let segments: Vec<Vec<DyadicInterval>> =
+                    (0..d).map(|_| segmentation(&mut rng)).collect();
+                let dims: Vec<usize> = segments
+                    .iter()
+                    .map(|segs| segs.iter().map(DyadicInterval::len).sum())
+                    .collect();
+                let a = NdArray::from_fn(Shape::new(&dims), |_| rng.mixed());
+                let mut got = a.clone();
+                forward_segments(&mut got, &segments);
+                let counts: Vec<usize> = segments.iter().map(Vec::len).collect();
+                for choice in ss_array::MultiIndexIter::new(&counts) {
+                    let (mut at, mut extents) = (Vec::new(), Vec::new());
+                    for (t, &s) in choice.iter().enumerate() {
+                        let lo = segments[t][0].start();
+                        at.push(segments[t][s].start() - lo);
+                        extents.push(segments[t][s].len());
+                    }
+                    let want = forward_to(&a.extract(&at, &extents));
+                    let piece = got.extract(&at, &extents);
+                    let bits = |x: &NdArray<f64>| -> Vec<u64> {
+                        x.as_slice().iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(bits(&piece), bits(&want), "{segments:?} piece {choice:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "axis 1: segments must cover it exactly")]
+    fn segments_must_cover_their_axis() {
+        let mut a = NdArray::<f64>::zeros(Shape::new(&[2, 6]));
+        let short = vec![DyadicInterval::new(2, 0)];
+        forward_segments(&mut a, &[vec![DyadicInterval::new(1, 0)], short]);
     }
 
     #[test]

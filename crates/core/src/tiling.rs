@@ -54,7 +54,7 @@ pub trait TilingMap: Send + Sync {
     /// The per-axis tilings, when this map is their cross product: tile
     /// ordinal and slot are the row-major offsets of the per-axis tiles
     /// and slots. Such a map lets a SHIFT-SPLIT be located one axis at a
-    /// time ([`crate::split::standard_tile_runs`]); `None` (the default)
+    /// time ([`crate::split::standard_runs`]); `None` (the default)
     /// means every coefficient must go through [`locate`](Self::locate).
     fn axis_tilings(&self) -> Option<&[AxisTiling]> {
         None

@@ -5,7 +5,7 @@ use ss_core::runs::{TileGroup, TileRuns};
 use ss_core::TilingMap;
 use ss_obs::Stopwatch;
 use ss_storage::{BlockStore, CoeffWrite, SharedCoeffStore};
-use ss_transform::{for_each_box_delta_standard, for_each_box_run_standard, UpdateReport};
+use ss_transform::{box_runs_standard, for_each_box_delta_standard, UpdateReport};
 
 /// How buffered deltas are reduced at flush time.
 ///
@@ -136,9 +136,11 @@ impl DeltaBuffer {
 
     /// Buffers one standard-form update box as one operation and returns
     /// what it decomposed into. A map that is a product of per-axis
-    /// tilings takes the located emitter, its runs grouped by tile
-    /// ([`for_each_box_run_standard`]); any other map locates delta by
-    /// delta. Both leave every coefficient the same addition sequence.
+    /// tilings takes the one-pass located emitter, which writes the box's
+    /// deltas straight into the buffer's arena, one descriptor per tile,
+    /// tiles ascending ([`box_runs_standard`]); any other map locates
+    /// delta by delta. Both leave every coefficient the same addition
+    /// sequence.
     pub fn add_box_standard(
         &mut self,
         map: &impl TilingMap,
@@ -153,9 +155,7 @@ impl DeltaBuffer {
                     axes.iter().map(|axis| axis.levels()).eq(n.iter().copied()),
                     "map levels differ from the domain's {n:?}"
                 );
-                for_each_box_run_standard(axes, origin, delta, |tile, run| {
-                    self.runs.extend(tile, run)
-                })
+                box_runs_standard(axes, origin, delta, &mut self.runs)
             }
             None => {
                 for_each_box_delta_standard(n, origin, delta, |idx, v| self.add_at(map, idx, v))

@@ -5,6 +5,7 @@
 use crate::buffer::{DeltaBuffer, FlushMode, FlushReport};
 use ss_array::NdArray;
 use ss_core::TilingMap;
+use ss_obs::Stopwatch;
 use ss_storage::{BlockStore, CoeffWrite, SharedCoeffStore};
 use ss_transform::{ChunkPipeline, ChunkSource, UpdateReport};
 
@@ -28,7 +29,8 @@ enum BoxForm<'a> {
 }
 
 /// The one batch body: buffers every box's delta stream (serially — the
-/// arrival order defines the replay order), then group-commits through
+/// arrival order defines the replay order), timed as `maintain.buffer_ns`
+/// beside the flush's `maintain.flush_ns`, then group-commits through
 /// `flush`.
 fn update_boxes<W: CoeffWrite>(
     sink: &mut W,
@@ -40,6 +42,7 @@ fn update_boxes<W: CoeffWrite>(
     let map = sink.map();
     let mut buf = DeltaBuffer::for_map(map, mode);
     let mut update = UpdateReport::default();
+    let mut sw = Stopwatch::start();
     for (origin, delta) in boxes {
         update.merge(match form {
             BoxForm::Standard(n) => buf.add_box_standard(map, n, origin, delta),
@@ -50,6 +53,9 @@ fn update_boxes<W: CoeffWrite>(
             }
         });
     }
+    ss_obs::global()
+        .histogram("maintain.buffer_ns")
+        .record(sw.lap_ns());
     let flush = flush(&mut buf, sink);
     BatchReport { update, flush }
 }
@@ -267,6 +273,20 @@ mod tests {
         assert_eq!(report.flush.boxes, 12);
         assert!(report.flush.coalescing_ratio() > 1.0);
         assert_stores_identical(&mut serial, &mut batched, "standard exact");
+    }
+
+    #[test]
+    fn a_batch_times_its_buffering_beside_its_flush() {
+        // Process-global histograms: other tests record too, so only
+        // growth is asserted.
+        let count = |name: &str| ss_obs::global().histogram(name).count();
+        let (buffered, flushed) = (count("maintain.buffer_ns"), count("maintain.flush_ns"));
+        let n = [4u32, 4];
+        let mut cs = mem_store(StandardTiling::new(&n, &[2, 2]), 4, IoStats::default());
+        let boxes = random_boxes(&mut SplitMix64::new(1), &[16, 16], 3);
+        update_boxes_standard(&mut cs, &n, &boxes, FlushMode::Exact);
+        assert!(count("maintain.buffer_ns") > buffered);
+        assert!(count("maintain.flush_ns") > flushed);
     }
 
     #[test]

@@ -14,11 +14,14 @@
 //!   [`TileRuns`](ss_core::runs::TileRuns) arena: each delta written once,
 //!   each run described by `(tile, operation, start, len)`. A box enters
 //!   through [`DeltaBuffer::add_box_standard`]: on a map that is a product
-//!   of per-axis tilings its deltas arrive located, run by run (one
-//!   descriptor per tile of the box, not one lookup per delta); on any
-//!   other map they are located one by one. A drain groups the runs by
-//!   tile with a stable sort, so a tile's runs come out together in
-//!   arrival order,
+//!   of per-axis tilings it takes one pass
+//!   ([`box_runs_standard`](ss_transform::box_runs_standard)) — one
+//!   segmented transform of the box, one located table per axis, and its
+//!   deltas pushed straight into the buffer's arena, one descriptor per
+//!   tile of the box, tiles ascending, with no per-piece extract and no
+//!   box-local arena; on any other map they are located one by one. A
+//!   drain groups the runs by tile with a stable sort, so a tile's runs
+//!   come out together in arrival order,
 //! * [`DeltaBuffer::flush_into`] — exactly one read-modify-write per dirty
 //!   tile, visited in ascending block order (sequential I/O for
 //!   `FileBlockStore`), followed by a single pool flush (one meta/CRC
@@ -57,7 +60,9 @@
 //!
 //! Observability: flushes publish `maintain.*` counters, gauges, and
 //! histograms to the global [`ss_obs`] registry (boxes and deltas
-//! buffered, dirty/written tiles, coalescing ratio, flush latency);
+//! buffered, dirty/written tiles, coalescing ratio, flush latency), and
+//! every box batch times its buffering stage as `maintain.buffer_ns`
+//! beside the flush's `maintain.flush_ns`;
 //! live serving adds `snapshot.*` (epoch, pins, commits, folds, live
 //! versions) and `wal.*` (appends, bytes, resets, torn tails, replays).
 //!

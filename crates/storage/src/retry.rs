@@ -238,9 +238,11 @@ mod tests {
 
     #[test]
     fn persistent_errors_skip_the_retry_budget() {
-        let before = ss_obs::global().counter("storage.retries").get();
-        // An inner store whose writes fail persistently (a geometry error).
-        struct Unwritable(MemBlockStore);
+        // An inner store whose writes fail persistently (a geometry error),
+        // counting the attempts that reach it. The count is the store's
+        // own: the global `storage.retries` counter moves under the other
+        // tests of this binary, which run concurrently.
+        struct Unwritable(MemBlockStore, usize);
         impl BlockStore for Unwritable {
             fn block_capacity(&self) -> usize {
                 self.0.block_capacity()
@@ -252,6 +254,7 @@ mod tests {
                 self.0.try_read_block(id, buf)
             }
             fn try_write_block(&mut self, _: usize, _: &[f64]) -> Result<(), StorageError> {
+                self.1 += 1;
                 Err(StorageError::Geometry {
                     expected: 1,
                     actual: 0,
@@ -261,15 +264,15 @@ mod tests {
                 self.0.grow(blocks);
             }
         }
-        let inner = Unwritable(MemBlockStore::new(4, 2, IoStats::new()));
+        let inner = Unwritable(MemBlockStore::new(4, 2, IoStats::new()), 0);
         let mut s = RetryingBlockStore::new(inner, fast_policy(5));
         assert!(matches!(
             s.try_write_block(0, &[0.0; 4]),
             Err(StorageError::Geometry { .. })
         ));
         assert_eq!(
-            ss_obs::global().counter("storage.retries").get(),
-            before,
+            s.inner().1,
+            1,
             "no retry may be spent on a persistent error"
         );
     }

@@ -14,12 +14,12 @@
 //!    as one block (`O(N^d / B^d)` block moves), and only the top-band row
 //!    is split coefficient by coefficient,
 //! 3. SHIFT-SPLIT the chunk's transform into the store, **tile-major**:
-//!    the located emitter (`ss_core::split::standard_tile_runs`) fills one
-//!    [`TileRuns`] batch, one run per tile in ascending order, and
-//!    `apply_runs` folds it one tile at a time, so a slab loads and writes
-//!    each tile it touches once, however small the pool — folded in
-//!    emission order, a slab wider than the pool re-read the tiles evicted
-//!    in between.
+//!    the located emitter (`ss_core::split::standard_runs`, one segment
+//!    per axis) fills one [`TileRuns`] batch, one run per tile in
+//!    ascending order, and `apply_runs` folds it one tile at a time, so a
+//!    slab loads and writes each tile it touches once, however small the
+//!    pool — folded in emission order, a slab wider than the pool re-read
+//!    the tiles evicted in between.
 //!
 //! A store the factory creates zeroed serves a block it has not written
 //! as zeros with no transfer ([`BlockStore`]), so a slab landing beyond
@@ -154,9 +154,8 @@ impl<S: BlockStore, F: FnMut(usize, usize) -> S> Appender<S, F> {
         let mut t = chunk.clone();
         ss_core::standard::forward(&mut t);
         let mut batch = TileRuns::default();
-        ss_core::split::standard_tile_runs(&t, self.cs.map().axes(), &block, |tile, run| {
-            batch.extend(tile, run)
-        });
+        let segments = crate::pipeline::chunk_segments(&t, &block);
+        ss_core::split::standard_runs(&t, self.cs.map().axes(), &segments, &mut batch);
         self.cs.apply_runs(batch.tiles());
         self.cs.flush();
         self.filled += extent;

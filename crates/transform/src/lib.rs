@@ -50,7 +50,6 @@ pub use par::{
 pub use pipeline::{ChunkPipeline, TransformReport};
 pub use source::{ArraySource, ChunkSource, FnSource};
 pub use update::{
-    for_each_box_delta_nonstandard, for_each_box_delta_standard, for_each_box_run_standard,
-    UpdateReport,
+    box_runs_standard, for_each_box_delta_nonstandard, for_each_box_delta_standard, UpdateReport,
 };
 pub use vitter::vitter_transform_standard;

@@ -23,7 +23,7 @@
 //! (`O(N^d/B^d)` blocks total).
 
 use crate::source::ChunkSource;
-use ss_array::{morton_decode, NdArray, Shape};
+use ss_array::{morton_decode, DyadicInterval, NdArray, Shape};
 use ss_core::nonstandard::{coeff_at, index_of, NsCoeff};
 use ss_core::runs::TileRuns;
 use ss_core::TilingMap;
@@ -267,9 +267,8 @@ impl<'a, Src: ChunkSource> ChunkPipeline<'a, Src> {
                         "map levels differ from the source's {n:?}"
                     );
                     ss_core::standard::forward(&mut chunk);
-                    ss_core::split::standard_tile_runs(&chunk, axes, &block, |tile, run| {
-                        batch.extend(tile, run)
-                    });
+                    let segments = chunk_segments(&chunk, &block);
+                    ss_core::split::standard_runs(&chunk, axes, &segments, &mut batch);
                 }
                 (Form::Standard(n), None) => {
                     ss_core::standard::forward(&mut chunk);
@@ -310,6 +309,15 @@ impl<'a, Src: ChunkSource> ChunkPipeline<'a, Src> {
 /// pool access per tile.
 pub(crate) fn apply<W: CoeffWrite>(sink: &mut W, batch: &TileRuns) {
     sink.apply_runs(batch.tiles());
+}
+
+/// A transformed chunk at `block` as the located emitter's segments: one
+/// dyadic interval per axis.
+pub(crate) fn chunk_segments(chunk: &NdArray<f64>, block: &[usize]) -> Vec<Vec<DyadicInterval>> {
+    let levels = chunk.shape().levels().into_iter().zip(block);
+    levels
+        .map(|(m, &b)| vec![DyadicInterval::new(m, b)])
+        .collect()
 }
 
 /// Validates that the source is a hypercube with cubic chunks; returns

@@ -4,15 +4,23 @@
 //! SHIFT-SPLIT batches updates for a *dyadic* range. An arbitrary
 //! axis-aligned update box decomposes into `O(Π 2·log M_t)` maximal dyadic
 //! ranges (Section 5.4 applies the same decomposition to selections); each
-//! piece is transformed independently and folded in. Total cost
-//! `O(V + pieces · Π log(N_t))` coefficient updates for an update volume
-//! `V` — versus `O(V · Π log N_t)` for cell-at-a-time maintenance.
+//! piece is the Haar transform of its own segment along each axis, SHIFT-
+//! SPLIT at its own position. Total cost `O(V + pieces · Π log(N_t))`
+//! coefficient updates for an update volume `V` — versus
+//! `O(V · Π log N_t)` for cell-at-a-time maintenance.
+//!
+//! On a per-axis-product tiling a box takes **one pass**
+//! ([`box_runs_standard`]): one copy of the box transformed segment by
+//! segment, one located table per axis, the destination tiles walked in
+//! ascending order and each tile's deltas — every piece that touches it,
+//! in piece order — pushed straight into the caller's
+//! [`TileRuns`] arena as one descriptor. There is no per-piece extract and
+//! no box-local arena. [`for_each_box_delta_standard`] is the index-space
+//! oracle and the path for any other map.
 
-use ss_array::{
-    decompose_interval, decompose_range, DyadicInterval, MultiIndexIter, NdArray, Shape,
-};
+use ss_array::{decompose_interval, decompose_range, DyadicInterval, NdArray, Shape};
 use ss_core::runs::TileRuns;
-use ss_core::split::{standard_tile_runs_located, AxisTargets};
+use ss_core::split::standard_runs;
 use ss_core::tiling::AxisTiling;
 
 /// What one box update amounted to.
@@ -118,70 +126,41 @@ pub fn for_each_box_delta_standard(
 
 /// The located, tile-major twin of [`for_each_box_delta_standard`] for a
 /// store whose map is the cross product `axes` of per-axis tilings: the
-/// box's deltas arrive as runs `(tile, &[(slot, delta)])` **grouped by
-/// tile, in ascending tile order** — one run per piece that touches the
-/// tile, the runs of one tile consecutive.
+/// box's SHIFT-SPLIT in **one pass**, pushed straight into `out` as one
+/// run per destination tile, the tiles strictly ascending.
 ///
-/// Each axis is decomposed once and each axis interval located once
-/// ([`AxisTargets`]); the pieces are transformed in [`decompose_range`]'s
-/// row-major order into one [`TileRuns`] arena, and grouping it keeps, per
-/// tile, an earlier piece's run before a later one's. Every delta is
-/// computed exactly as the index-space emitter computes it and a piece
-/// sends at most one delta to a coefficient, so each coefficient sees the
-/// same addition sequence through either emitter — what keeps a group
-/// commit that replays runs in arrival order bit-identical to applying the
-/// boxes one at a time.
+/// Each axis is decomposed once ([`decompose_interval`]); one copy of the
+/// box is transformed segment by segment
+/// ([`forward_segments`](ss_core::standard::forward_segments)), which
+/// leaves every dyadic piece at its own place, bit-identical to the
+/// piece's own transform; and [`standard_runs`] walks the destination
+/// tiles, visiting in each the pieces that touch it in
+/// [`decompose_range`]'s row-major order. So each coefficient sees the
+/// deltas [`for_each_box_delta_standard`] emits, in the same order — what
+/// keeps a group commit that replays runs in arrival order bit-identical
+/// to applying the boxes one at a time. Nothing is extracted per piece and
+/// no box-local arena is filled: each delta is written once, into `out`.
 ///
 /// [`decompose_range`]: ss_array::decompose_range
-pub fn for_each_box_run_standard(
+pub fn box_runs_standard(
     axes: &[AxisTiling],
     origin: &[usize],
     delta: &NdArray<f64>,
-    mut emit: impl FnMut(usize, &[(usize, f64)]),
+    out: &mut TileRuns,
 ) -> UpdateReport {
     let d = axes.len();
     check_box(axes.iter().map(AxisTiling::levels), origin, delta, d);
-    let intervals: Vec<Vec<DyadicInterval>> = (0..d)
+    let segments: Vec<Vec<DyadicInterval>> = (0..d)
         .map(|t| decompose_interval(origin[t], origin[t] + delta.shape().dim(t) - 1))
         .collect();
-    let tables: Vec<Vec<AxisTargets>> = intervals
-        .iter()
-        .enumerate()
-        .map(|(t, parts)| {
-            parts
-                .iter()
-                .map(|part| AxisTargets::new(axes, t, part.level, part.translation))
-                .collect()
-        })
-        .collect();
-    let counts: Vec<usize> = intervals.iter().map(Vec::len).collect();
-    let mut report = UpdateReport::default();
-    let mut runs = TileRuns::default();
-    let mut rel_origin = vec![0usize; d];
-    let mut extents = vec![0usize; d];
-    let mut piece_tables: Vec<&AxisTargets> = Vec::with_capacity(d);
-    let mut extract_buf: Vec<f64> = Vec::new();
-    for choice in MultiIndexIter::new(&counts) {
-        piece_tables.clear();
-        for (t, &c) in choice.iter().enumerate() {
-            let part = intervals[t][c];
-            rel_origin[t] = part.start() - origin[t];
-            extents[t] = part.len();
-            piece_tables.push(&tables[t][c]);
-        }
-        let shape = Shape::new(&extents);
-        let mut piece = extract_piece(delta, &rel_origin, shape, &mut extract_buf);
-        ss_core::standard::forward(&mut piece);
-        standard_tile_runs_located(&piece, &piece_tables, |tile, run| runs.extend(tile, run));
-        extract_buf = piece.into_vec();
-        report.pieces += 1;
+    let mut t = delta.clone();
+    ss_core::standard::forward_segments(&mut t, &segments);
+    let before = out.len();
+    standard_runs(&t, axes, &segments, out);
+    UpdateReport {
+        pieces: segments.iter().map(Vec::len).product(),
+        coeffs_touched: out.len() - before,
     }
-    report.coeffs_touched = runs.len();
-    runs.group();
-    for (tile, run) in runs.runs() {
-        emit(tile, run);
-    }
-    report
 }
 
 /// Enumerates every `(global index, delta)` a **non-standard-form** box

@@ -8,9 +8,9 @@
 use shiftsplit::array::{NdArray, Shape};
 use shiftsplit::core::runs::TileRuns;
 use shiftsplit::core::tiling::StandardTiling;
-use shiftsplit::core::{haar1d, split, standard, TilingMap};
-use shiftsplit::query;
+use shiftsplit::core::{haar1d, standard, TilingMap};
 use shiftsplit::storage::{wstore::mem_store, CoeffWrite, IoStats};
+use shiftsplit::{query, transform};
 
 fn main() {
     // --- 1. The paper's running example: a tiny 1-d Haar transform. ---
@@ -53,15 +53,15 @@ fn main() {
         16 * 32
     );
 
-    // --- 4. Batch-update a dyadic region *in the wavelet domain*. ---
-    // Add +10 to the 16x16 block at (16, 32) without reconstructing: the
-    // SHIFT-SPLIT deltas arrive one run per tile and fold in with one
-    // block access per tile.
+    // --- 4. Batch-update a region *in the wavelet domain*. ---
+    // Add +10 to the 16x16 block at (16, 32) without reconstructing. A box
+    // of any shape takes one pass: transformed once, segment by dyadic
+    // segment, its SHIFT-SPLIT deltas land in the arena as one run per
+    // tile, tiles ascending, and fold in with one block access per tile.
     let delta = NdArray::from_fn(Shape::cube(2, 16), |_| 10.0);
-    let delta_t = standard::forward_to(&delta);
     let axes = store.map().axis_tilings().expect("a per-axis tiling");
     let mut runs = TileRuns::default();
-    split::standard_tile_runs(&delta_t, axes, &[1, 2], |tile, run| runs.extend(tile, run));
+    transform::box_runs_standard(axes, &[16, 32], &delta, &mut runs);
     store.apply_runs(runs.tiles());
     store.flush();
     let after = query::point_standard(&mut store, &[6, 6], &[17, 42]);

@@ -3,31 +3,35 @@
 //!
 //! `ss_core::split::standard_deltas` followed by `TilingMap::locate` is
 //! the definition (§4.1 of the paper, one coefficient at a time);
-//! `standard_tile_runs` and `for_each_box_run_standard` locate each axis
-//! once and emit one run per destination tile. The two must agree
+//! `standard_runs` (a chunk, one segment per axis) and `box_runs_standard`
+//! (a box, one pass over its segmented transform) locate each axis once
+//! and push one run per destination tile straight into a `TileRuns`
+//! arena. The two must agree
 //!
-//! * delta for delta, **bit for bit** — as a multiset per chunk, and as a
-//!   per-coefficient *sequence* per box (the order `FlushMode::Exact`
+//! * delta for delta, **bit for bit** — as a multiset per chunk; per box,
+//!   as each tile's sequence of pieces in piece order and as every
+//!   coefficient's delta *sequence* (the order `FlushMode::Exact`
 //!   replays),
-//! * on the run contract: strictly ascending tiles, one run per tile per
-//!   chunk; a box's runs grouped by ascending tile, one per piece,
-//! * through a `DeltaBuffer` (same drained lists, same `FlushReport`) and
-//!   through `update_boxes_standard` on a product map and on a map that is
-//!   not one (`NaiveMap` keeps the per-coefficient path).
+//! * on the run contract: strictly ascending tiles and one descriptor per
+//!   tile, for a chunk and for a box alike, so `group()` moves nothing,
+//! * through a `DeltaBuffer` (same drained lists, same `FlushReport`, in
+//!   both flush modes) and through `update_boxes_standard` on a product
+//!   map and on a map that is not one (`NaiveMap` keeps the
+//!   per-coefficient path).
 //!
-//! Geometries cover 1-d, 2-d and 3-d, unequal levels and tile exponents,
-//! a top band shorter than `b`, 1-cell and full-domain boxes, and chunks
-//! with exact-zero coefficients.
+//! Geometries cover 1-d, 2-d and 3-d, unequal levels and mixed tile
+//! exponents, a top band shorter than `b`, 1-cell, full-domain and
+//! domain-edge boxes, and chunks with exact-zero coefficients.
 
-use shiftsplit::array::{MultiIndexIter, NdArray, Shape};
+use shiftsplit::array::{decompose_range, DyadicInterval, MultiIndexIter, NdArray, Shape};
 use shiftsplit::core::runs::{TileGroup, TileRuns};
-use shiftsplit::core::split::{standard_deltas, standard_tile_runs};
+use shiftsplit::core::split::{standard_deltas, standard_runs};
 use shiftsplit::core::tiling::{NaiveMap, StandardTiling, Tiling1d};
 use shiftsplit::core::TilingMap;
 use shiftsplit::datagen::SplitMix64;
 use shiftsplit::maintain::{update_boxes_standard, DeltaBuffer, FlushMode, UpdateBox};
 use shiftsplit::storage::{wstore::mem_store, IoStats};
-use shiftsplit::transform::{for_each_box_delta_standard, for_each_box_run_standard};
+use shiftsplit::transform::{box_runs_standard, for_each_box_delta_standard};
 use std::collections::HashMap;
 
 /// `(tile, slot, delta bits)`.
@@ -93,24 +97,57 @@ fn check_chunk_runs(map: &impl TilingMap, seed: u64) {
             let at = map.locate(idx);
             want.push((at.tile, at.slot, delta.to_bits()));
         });
-        let mut got: Vec<Located> = Vec::new();
-        let mut last_tile = None;
-        standard_tile_runs(&chunk_t, axes, &block, |tile, run| {
-            assert!(!run.is_empty(), "{n:?} m={m:?} {block:?}: empty run");
-            assert!(
-                last_tile < Some(tile),
-                "{n:?} m={m:?} {block:?}: tile {tile} after {last_tile:?}"
-            );
-            last_tile = Some(tile);
-            got.extend(
-                run.iter()
-                    .map(|&(slot, delta)| (tile, slot, delta.to_bits())),
-            );
-        });
+        let segments: Vec<Vec<DyadicInterval>> = m
+            .iter()
+            .zip(&block)
+            .map(|(&mt, &b)| vec![DyadicInterval::new(mt, b)])
+            .collect();
+        let mut arena = TileRuns::default();
+        standard_runs(&chunk_t, axes, &segments, &mut arena);
+        let label = format!("{n:?} m={m:?} block={block:?}");
+        let mut got = run_contract(&mut arena, &label);
         want.sort_unstable();
         got.sort_unstable();
-        assert_eq!(got, want, "{n:?} m={m:?} block={block:?}");
+        assert_eq!(got, want, "{label}");
     }
+}
+
+/// Checks the run contract of one operation's arena — every run non-empty,
+/// tiles strictly ascending, so one descriptor per tile and `group()` a
+/// no-op — and returns its deltas as located triples, in arena order.
+fn run_contract(arena: &mut TileRuns, label: &str) -> Vec<Located> {
+    let before: Vec<(usize, Vec<(usize, f64)>)> = arena
+        .runs()
+        .map(|(tile, run)| (tile, run.to_vec()))
+        .collect();
+    for pair in before.windows(2) {
+        assert!(
+            pair[0].0 < pair[1].0,
+            "{label}: tile {} after {}",
+            pair[1].0,
+            pair[0].0
+        );
+    }
+    assert!(
+        before.iter().all(|(_, run)| !run.is_empty()),
+        "{label}: empty run"
+    );
+    assert_eq!(
+        arena.tiles().count(),
+        before.len(),
+        "{label}: one run per tile"
+    );
+    arena.group();
+    let after: Vec<(usize, Vec<(usize, f64)>)> = arena
+        .runs()
+        .map(|(tile, run)| (tile, run.to_vec()))
+        .collect();
+    assert_eq!(after, before, "{label}: group() moved a run");
+    let located = before.into_iter().flat_map(|(tile, run)| {
+        run.into_iter()
+            .map(move |(slot, delta)| (tile, slot, delta.to_bits()))
+    });
+    located.collect()
 }
 
 #[test]
@@ -138,6 +175,12 @@ fn boxes(rng: &mut SplitMix64, n: &[u32], count: usize) -> Vec<UpdateBox> {
             NdArray::from_fn(Shape::new(&dims), &mut value),
         ),
     ];
+    // Flush with the high edge of every axis, several cells deep.
+    let deep: Vec<usize> = dims.iter().map(|&side| side.min(5)).collect();
+    out.push((
+        dims.iter().zip(&deep).map(|(&side, &e)| side - e).collect(),
+        NdArray::from_fn(Shape::new(&deep), &mut value),
+    ));
     for _ in 0..count {
         let origin: Vec<usize> = dims.iter().map(|&side| rng.below(side)).collect();
         let extents: Vec<usize> = dims
@@ -151,12 +194,73 @@ fn boxes(rng: &mut SplitMix64, n: &[u32], count: usize) -> Vec<UpdateBox> {
     out
 }
 
-/// (b) One box: every coefficient's delta sequence through both fronts.
+/// (b) One box: the arena `box_runs_standard` writes against the
+/// index-space oracle — each tile's sequence of pieces, in piece order,
+/// and every coefficient's delta sequence.
 fn check_box_runs(map: &impl TilingMap, seed: u64) {
     let n = levels_of(map);
     let axes = map.axis_tilings().unwrap();
     let mut rng = SplitMix64::new(seed);
     for (origin, delta) in boxes(&mut rng, &n, 12) {
+        let label = format!("{n:?} box at {origin:?} of {:?}", delta.shape().dims());
+        let mut arena = TileRuns::default();
+        let got_report = box_runs_standard(axes, &origin, &delta, &mut arena);
+        let got = run_contract(&mut arena, &label);
+        // The oracle, one piece at a time in `decompose_range` order: each
+        // piece is a dyadic box of its own, so one emitter call each.
+        let hi: Vec<usize> = origin
+            .iter()
+            .zip(delta.shape().dims())
+            .map(|(&o, &e)| o + e - 1)
+            .collect();
+        let mut per_tile: HashMap<usize, Vec<Vec<(usize, u64)>>> = HashMap::new();
+        for piece in decompose_range(&origin, &hi) {
+            let at: Vec<usize> = piece
+                .origin()
+                .iter()
+                .zip(&origin)
+                .map(|(&p, &o)| p - o)
+                .collect();
+            let piece_delta = delta.extract(&at, &piece.extents());
+            let mut by_tile: HashMap<usize, Vec<(usize, u64)>> = HashMap::new();
+            for_each_box_delta_standard(&n, &piece.origin(), &piece_delta, |idx, v| {
+                let loc = map.locate(idx);
+                by_tile
+                    .entry(loc.tile)
+                    .or_default()
+                    .push((loc.slot, v.to_bits()));
+            });
+            for (tile, mut deltas) in by_tile {
+                deltas.sort_unstable();
+                per_tile.entry(tile).or_default().push(deltas);
+            }
+        }
+        // Each tile's run is its pieces' deltas, piece after piece: cut it
+        // at the oracle's per-piece counts and compare piece by piece (a
+        // piece sends a slot at most one delta, so its order inside the
+        // piece is not observable).
+        let mut tiles: Vec<usize> = per_tile.keys().copied().collect();
+        tiles.sort_unstable();
+        let got_tiles: Vec<usize> = arena.runs().map(|(tile, _)| tile).collect();
+        assert_eq!(got_tiles, tiles, "{label}: tiles");
+        let mut rest = got.as_slice();
+        for tile in tiles {
+            for (p, want) in per_tile[&tile].iter().enumerate() {
+                let (head, tail) = rest.split_at(want.len());
+                let mut piece: Vec<(usize, u64)> = head
+                    .iter()
+                    .map(|&(t, slot, bits)| {
+                        assert_eq!(t, tile, "{label}: piece {p} spills out of tile {tile}");
+                        (slot, bits)
+                    })
+                    .collect();
+                piece.sort_unstable();
+                assert_eq!(&piece, want, "{label}: tile {tile}, piece {p}");
+                rest = tail;
+            }
+        }
+        assert!(rest.is_empty(), "{label}: deltas beyond the oracle's");
+        // And per coefficient, against the oracle over the whole box.
         let mut want: HashMap<(usize, usize), Vec<u64>> = HashMap::new();
         let want_report = for_each_box_delta_standard(&n, &origin, &delta, |idx, v| {
             let at = map.locate(idx);
@@ -164,19 +268,12 @@ fn check_box_runs(map: &impl TilingMap, seed: u64) {
                 .or_default()
                 .push(v.to_bits());
         });
-        let mut got: HashMap<(usize, usize), Vec<u64>> = HashMap::new();
-        let mut last_tile = None;
-        let got_report = for_each_box_run_standard(axes, &origin, &delta, |tile, run| {
-            assert!(!run.is_empty());
-            assert!(last_tile <= Some(tile), "a tile's runs together, ascending");
-            last_tile = Some(tile);
-            for &(slot, v) in run {
-                got.entry((tile, slot)).or_default().push(v.to_bits());
-            }
-        });
-        let label = format!("{n:?} box at {origin:?} of {:?}", delta.shape().dims());
+        let mut by_coeff: HashMap<(usize, usize), Vec<u64>> = HashMap::new();
+        for (tile, slot, bits) in got {
+            by_coeff.entry((tile, slot)).or_default().push(bits);
+        }
         assert_eq!(got_report, want_report, "{label}");
-        assert_eq!(got, want, "{label}");
+        assert_eq!(by_coeff, want, "{label}");
     }
 }
 
@@ -184,7 +281,9 @@ fn check_box_runs(map: &impl TilingMap, seed: u64) {
 fn box_runs_keep_every_coefficients_delta_sequence() {
     check_box_runs(&Tiling1d::new(7, 3), 11);
     check_box_runs(&StandardTiling::new(&[5, 7], &[2, 3]), 12);
+    check_box_runs(&StandardTiling::new(&[6, 4], &[1, 4]), 14);
     check_box_runs(&StandardTiling::new(&[3, 4, 2], &[1, 3, 2]), 13);
+    check_box_runs(&StandardTiling::new(&[4, 3, 5], &[2, 1, 3]), 15);
 }
 
 /// The per-slot subsequences of one tile's op list.
