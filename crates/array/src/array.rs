@@ -1,6 +1,6 @@
 //! A dense row-major multidimensional array.
 
-use crate::index::MultiIndexIter;
+use crate::index::for_each_index;
 use crate::shape::Shape;
 use std::ops::{Index, IndexMut};
 
@@ -43,9 +43,7 @@ impl<T: Copy + Default> NdArray<T> {
     /// Creates an array by evaluating `f` at every multi-index.
     pub fn from_fn(shape: Shape, mut f: impl FnMut(&[usize]) -> T) -> Self {
         let mut data = Vec::with_capacity(shape.len());
-        for idx in MultiIndexIter::new(shape.dims()) {
-            data.push(f(&idx));
-        }
+        for_each_index(shape.dims(), |idx| data.push(f(idx)));
         NdArray { shape, data }
     }
 
@@ -117,12 +115,12 @@ impl<T: Copy + Default> NdArray<T> {
         }
         copy_region(
             &self.data,
-            &self.shape,
-            origin,
+            self.shape.strides(),
+            self.shape.offset(origin),
             &mut sub.data,
-            &sub.shape.clone(),
-            &vec![0; d],
-            sub.shape.dims().to_vec().as_slice(),
+            sub.shape.strides(),
+            0,
+            sub.shape.dims(),
         );
     }
 
@@ -151,12 +149,12 @@ impl<T: Copy + Default> NdArray<T> {
         }
         copy_region(
             &sub.data,
-            &sub.shape,
-            &vec![0; d],
+            sub.shape.strides(),
+            0,
             &mut self.data,
-            &self.shape.clone(),
-            origin,
-            sub.shape.dims().to_vec().as_slice(),
+            self.shape.strides(),
+            self.shape.offset(origin),
+            sub.shape.dims(),
         );
     }
 }
@@ -197,46 +195,39 @@ impl NdArray<f64> {
                 h - l + 1
             })
             .collect();
+        assert!(self.shape.contains(hi), "region_sum: hi outside the array");
+        let (base, strides) = (self.shape.offset(lo), self.shape.strides());
         let mut sum = 0.0;
-        let mut idx = vec![0usize; lo.len()];
-        for rel in MultiIndexIter::new(&extents) {
-            for (axis, &r) in rel.iter().enumerate() {
-                idx[axis] = lo[axis] + r;
-            }
-            sum += self.get(&idx);
-        }
+        for_each_index(&extents, |rel| {
+            let off: usize = rel.iter().zip(strides).map(|(r, s)| r * s).sum();
+            sum += self.data[base + off];
+        });
         sum
     }
 }
 
-/// Copies an `extents`-sized region from `src` (at `src_origin`) to `dst`
-/// (at `dst_origin`), exploiting contiguity of the innermost axis.
+/// Copies an `extents`-sized region from `src` (starting at offset
+/// `src_base`, row-major `src_strides`) to `dst` (at `dst_base`,
+/// `dst_strides`), one contiguous innermost row at a time.
 fn copy_region<T: Copy>(
     src: &[T],
-    src_shape: &Shape,
-    src_origin: &[usize],
+    src_strides: &[usize],
+    src_base: usize,
     dst: &mut [T],
-    dst_shape: &Shape,
-    dst_origin: &[usize],
+    dst_strides: &[usize],
+    dst_base: usize,
     extents: &[usize],
 ) {
     let d = extents.len();
     let row = extents[d - 1];
-    // Iterate over all outer coordinates; memcpy the innermost rows.
-    let outer: Vec<usize> = extents[..d - 1].to_vec();
-    let mut src_idx = src_origin.to_vec();
-    let mut dst_idx = dst_origin.to_vec();
-    if outer.is_empty() || outer.iter().all(|&e| e > 0) {
-        for rel in MultiIndexIter::new(&outer) {
-            for (axis, &r) in rel.iter().enumerate() {
-                src_idx[axis] = src_origin[axis] + r;
-                dst_idx[axis] = dst_origin[axis] + r;
-            }
-            let s0 = src_shape.offset(&src_idx);
-            let d0 = dst_shape.offset(&dst_idx);
-            dst[d0..d0 + row].copy_from_slice(&src[s0..s0 + row]);
+    for_each_index(&extents[..d - 1], |rel| {
+        let (mut s0, mut d0) = (src_base, dst_base);
+        for (axis, &r) in rel.iter().enumerate() {
+            s0 += r * src_strides[axis];
+            d0 += r * dst_strides[axis];
         }
-    }
+        dst[d0..d0 + row].copy_from_slice(&src[s0..s0 + row]);
+    });
 }
 
 impl<T: Copy + Default> Index<&[usize]> for NdArray<T> {
@@ -311,6 +302,42 @@ mod tests {
             }
         }
         assert_eq!(a.region_sum(&[1, 1], &[2, 3]), expect);
+    }
+
+    #[test]
+    fn region_ops_match_per_cell_loops_on_ragged_shapes() {
+        let a = iota(&Shape::new(&[3, 5, 4]));
+        let cells = |lo: &[usize], ext: &[usize]| -> Vec<f64> {
+            let mut out = Vec::new();
+            for i in lo[0]..lo[0] + ext[0] {
+                for j in lo[1]..lo[1] + ext[1] {
+                    for k in lo[2]..lo[2] + ext[2] {
+                        out.push(a.get(&[i, j, k]));
+                    }
+                }
+            }
+            out
+        };
+        for (lo, ext) in [
+            ([0usize, 0, 0], [3usize, 5, 4]),
+            ([1, 2, 3], [2, 3, 1]),
+            ([2, 4, 0], [1, 1, 4]),
+            ([0, 1, 1], [3, 1, 2]),
+        ] {
+            let hi: Vec<usize> = lo.iter().zip(&ext).map(|(l, e)| l + e - 1).collect();
+            let want = cells(&lo, &ext);
+            let naive = want.iter().fold(0.0, |s, v| s + v);
+            assert_eq!(a.region_sum(&lo, &hi).to_bits(), naive.to_bits());
+            let sub = a.extract(&lo, &ext);
+            assert_eq!(sub.as_slice(), &want[..], "extract at {lo:?}");
+            let mut b = NdArray::<f64>::zeros(a.shape().clone());
+            b.insert(&lo, &sub);
+            for off in 0..a.len() {
+                let idx = a.shape().unoffset(off);
+                let inside = (0..3).all(|t| idx[t] >= lo[t] && idx[t] <= hi[t]);
+                assert_eq!(b.get(&idx), if inside { a.get(&idx) } else { 0.0 });
+            }
+        }
     }
 
     #[test]

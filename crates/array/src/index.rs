@@ -1,10 +1,49 @@
 //! Odometer-style iteration over rectangular multi-index domains.
 
+/// Steps a row-major odometer in place, the last digit fastest, digit `i`
+/// below `limit(i)`; false once it wraps to all zeros.
+///
+/// ```
+/// let mut digits = [0, 2];
+/// assert!(ss_array::advance(&mut digits, |_| 3));
+/// assert_eq!(digits, [1, 0]);
+/// ```
+#[inline]
+pub fn advance(digits: &mut [usize], limit: impl Fn(usize) -> usize) -> bool {
+    for i in (0..digits.len()).rev() {
+        digits[i] += 1;
+        if digits[i] < limit(i) {
+            return true;
+        }
+        digits[i] = 0;
+    }
+    false
+}
+
+/// Visits every multi-index of `[0, extents[0]) x ... ` in row-major order,
+/// stepping one index buffer with [`advance`]: nothing is allocated per
+/// index. An empty extent list visits the empty index once; a zero extent
+/// visits nothing.
+#[inline]
+pub fn for_each_index(extents: &[usize], mut visit: impl FnMut(&[usize])) {
+    if extents.contains(&0) {
+        return;
+    }
+    let mut idx = vec![0usize; extents.len()];
+    loop {
+        visit(&idx);
+        if !advance(&mut idx, |t| extents[t]) {
+            return;
+        }
+    }
+}
+
 /// Iterates over all multi-indices of a rectangular domain in row-major
 /// order (last axis fastest).
 ///
 /// An empty extent list yields exactly one empty index (the 0-dimensional
-/// point), which makes it convenient as the "outer loop" of region copies.
+/// point). Every step clones its index into a fresh `Vec`, so cell loops
+/// use [`for_each_index`] (or step [`advance`]) instead.
 ///
 /// ```
 /// use ss_array::MultiIndexIter;
@@ -39,20 +78,8 @@ impl Iterator for MultiIndexIter {
             return None;
         }
         let item = self.current.clone();
-        // Advance the odometer from the last axis.
-        let mut axis = self.extents.len();
-        loop {
-            if axis == 0 {
-                self.done = true;
-                break;
-            }
-            axis -= 1;
-            self.current[axis] += 1;
-            if self.current[axis] < self.extents[axis] {
-                break;
-            }
-            self.current[axis] = 0;
-        }
+        let extents = &self.extents;
+        self.done = !advance(&mut self.current, |t| extents[t]);
         Some(item)
     }
 
@@ -120,5 +147,56 @@ mod tests {
         let got: Vec<Vec<usize>> = MultiIndexIter::new(&[4]).collect();
         assert_eq!(got.len(), 4);
         assert_eq!(got[3], vec![3]);
+    }
+
+    #[test]
+    fn advance_steps_the_last_digit_fastest_and_wraps_to_zeros() {
+        let mut digits = [1, 0, 1];
+        let limits = [2, 1, 2];
+        assert!(!advance(&mut digits, |t| limits[t]), "last index wraps");
+        assert_eq!(digits, [0, 0, 0]);
+        let mut steps = 1;
+        while advance(&mut digits, |t| limits[t]) {
+            steps += 1;
+        }
+        assert_eq!(steps, 4);
+        assert_eq!(digits, [0, 0, 0]);
+        assert!(!advance(&mut [], |_| 1), "no digits: wraps at once");
+    }
+
+    #[test]
+    fn for_each_index_matches_the_iterator() {
+        for extents in [&[3usize, 1, 4][..], &[5], &[2, 2, 2, 2], &[1, 7]] {
+            let mut got = Vec::new();
+            for_each_index(extents, |idx| got.push(idx.to_vec()));
+            let want: Vec<Vec<usize>> = MultiIndexIter::new(extents).collect();
+            assert_eq!(got, want, "{extents:?}");
+        }
+    }
+
+    #[test]
+    fn for_each_index_edge_extents() {
+        let mut seen = Vec::new();
+        for_each_index(&[], |idx| seen.push(idx.to_vec()));
+        assert_eq!(seen, vec![Vec::<usize>::new()], "empty: once, with &[]");
+        let mut visits = 0;
+        for_each_index(&[3, 0, 2], |_| visits += 1);
+        assert_eq!(visits, 0, "a zero extent visits nothing");
+    }
+
+    #[test]
+    fn from_fn_visits_the_iterator_indices_in_row_major_order() {
+        for dims in [&[3usize, 1, 5][..], &[7], &[2, 3, 2, 2]] {
+            let mut seen = Vec::new();
+            let a = crate::NdArray::from_fn(crate::Shape::new(dims), |idx| {
+                seen.push(idx.to_vec());
+                seen.len() as f64
+            });
+            let want: Vec<Vec<usize>> = MultiIndexIter::new(dims).collect();
+            assert_eq!(seen, want, "{dims:?}");
+            for (off, idx) in want.iter().enumerate() {
+                assert_eq!(a.get(idx), (off + 1) as f64);
+            }
+        }
     }
 }

@@ -14,12 +14,15 @@
 //!   ranges,
 //! * [`morton`] — z-order (Morton) traversal of chunk grids, required by the
 //!   non-standard out-of-core transform (Result 2 of the paper),
-//! * [`MultiIndexIter`] — odometer-style iteration over rectangular index
-//!   domains.
+//! * [`advance`] / [`for_each_index`] — the one in-place odometer step over
+//!   rectangular index domains, and [`MultiIndexIter`], an iterator over the
+//!   same domains that allocates an index per step.
 //!
 //! Everything here is deliberately simple and allocation-conscious: shapes are
 //! small `Vec<usize>`s, arrays are a single `Vec<T>`, and the hot loops
-//! (sub-array copy, Morton decode) avoid per-element allocation.
+//! (`from_fn`, sub-array copy, region sums, Morton decode) allocate nothing
+//! per element: cell loops step [`advance`] over one reused index instead of
+//! iterating [`MultiIndexIter`].
 
 // Axis-indexed loops over several parallel per-axis arrays are the clearest
 // idiom for the index arithmetic in this workspace; iterator rewrites hurt
@@ -34,7 +37,7 @@ pub mod shape;
 
 pub use array::NdArray;
 pub use dyadic::{decompose_interval, decompose_range, DyadicInterval, DyadicRange};
-pub use index::MultiIndexIter;
+pub use index::{advance, for_each_index, MultiIndexIter};
 pub use morton::{morton_decode, morton_encode, MortonIter};
 pub use shape::Shape;
 

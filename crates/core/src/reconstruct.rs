@@ -19,7 +19,11 @@
 //!   running an in-memory inverse transform over just `M^d` values instead
 //!   of `N^d`. [`BoxEnvelope`] locates a whole box's envelope per axis, so
 //!   a store can be read one tile at a time and every piece assembled from
-//!   the gathered copy.
+//!   the gathered copy. Both callers share one assembly, row by row: each
+//!   row of the outer axes crosses their lists once and its cells walk the
+//!   last axis innermost, writing straight into the output — the same
+//!   terms in the same order as crossing all `d` lists per cell, so the
+//!   result is the same bit for bit, with no index allocated per cell.
 //!
 //! **Lemma 1 is the inverse SPLIT at `m = 0`**: a data value is the average
 //! of the dyadic block of length `2^0` that holds it. The point builders are
@@ -32,7 +36,7 @@ use crate::layout::Layout1d;
 use crate::nonstandard::NsCoeff;
 use crate::split::{for_each_member, for_each_tile, interval_targets, AxisTargets};
 use crate::tiling::AxisTiling;
-use ss_array::{DyadicRange, MultiIndexIter, NdArray, Shape};
+use ss_array::{advance, DyadicRange, MultiIndexIter, NdArray, Shape};
 
 /// A contribution list over N-d coefficient indices, stored flat: term `k`
 /// is `(coords[k·rank .. (k+1)·rank], weights[k])`.
@@ -222,6 +226,12 @@ pub fn standard_range_transform(
 /// [`standard_range_transform`] with every per-axis source index passed
 /// through `reindex(axis, index)` before `get` sees it: the same terms in
 /// the same order, addressed into a gathered copy instead of the store.
+///
+/// Row by row: a row of the outer axes crosses their lists once (weights
+/// left to right from `1.0`), and each cell of the row sums
+/// `(w · f) · get(idx)` over those terms times its last-axis list — the
+/// row-major order of [`for_each_product`] over all `d` lists, so every
+/// cell is the same bits as that per-cell product.
 fn range_transform(
     n: &[u32],
     range: &DyadicRange,
@@ -256,13 +266,32 @@ fn range_transform(
                 .collect()
         })
         .collect();
-    let mut per_axis: Vec<&[(usize, f64)]> = Vec::with_capacity(d);
-    for local in MultiIndexIter::new(shape.dims()) {
+    let (outer, last) = (&axis_lists[..d - 1], &axis_lists[d - 1]);
+    let mut row_at = vec![0usize; d - 1];
+    let mut per_axis: Vec<&[(usize, f64)]> = Vec::with_capacity(d - 1);
+    let (mut coords, mut weights) = (Vec::new(), Vec::new());
+    let mut idx = vec![0usize; d];
+    for row in out.as_mut_slice().chunks_exact_mut(shape.dim(d - 1)) {
         per_axis.clear();
-        per_axis.extend((0..d).map(|t| axis_lists[t][local[t]].as_slice()));
-        let mut acc = 0.0;
-        for_each_product(&per_axis, |idx, w| acc += w * get(idx));
-        out.set(&local, acc);
+        per_axis.extend(row_at.iter().zip(outer).map(|(&l, lists)| &lists[l][..]));
+        coords.clear();
+        weights.clear();
+        for_each_product(&per_axis, |i, w| {
+            coords.extend_from_slice(i);
+            weights.push(w);
+        });
+        for (cell, list) in row.iter_mut().zip(last) {
+            let mut acc = 0.0;
+            for (k, &w) in weights.iter().enumerate() {
+                idx[..d - 1].copy_from_slice(&coords[k * (d - 1)..(k + 1) * (d - 1)]);
+                for &(i, f) in list {
+                    idx[d - 1] = i;
+                    acc += (w * f) * get(&idx);
+                }
+            }
+            *cell = acc;
+        }
+        advance(&mut row_at, |t| shape.dim(t));
     }
     out
 }
@@ -607,6 +636,163 @@ mod tests {
                         got.max_abs_diff(&want)
                     );
                 }
+            }
+        }
+    }
+
+    /// The per-cell assembly the row-wise [`range_transform`] replaced: a
+    /// fresh index per cell, its `d` lists crossed by [`for_each_product`].
+    fn range_transform_per_cell(
+        n: &[u32],
+        range: &DyadicRange,
+        reindex: impl Fn(usize, usize) -> usize,
+        mut get: impl FnMut(&[usize]) -> f64,
+    ) -> NdArray<f64> {
+        let d = range.ndim();
+        let shape = Shape::new(&range.extents());
+        let mut out = NdArray::<f64>::zeros(shape.clone());
+        let axis_lists: Vec<Vec<Vec<(usize, f64)>>> = (0..d)
+            .map(|t| {
+                let (nt, iv) = (n[t], range.axes[t]);
+                (0..shape.dim(t))
+                    .map(|local_t| {
+                        let list = if local_t == 0 {
+                            Layout1d::new(nt).block_average_contributions(iv.level, iv.translation)
+                        } else {
+                            let i =
+                                crate::shift::shift_index_1d(nt, iv.level, iv.translation, local_t);
+                            vec![(i, 1.0)]
+                        };
+                        list.into_iter().map(|(i, w)| (reindex(t, i), w)).collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut per_axis: Vec<&[(usize, f64)]> = Vec::with_capacity(d);
+        for local in MultiIndexIter::new(shape.dims()) {
+            per_axis.clear();
+            per_axis.extend((0..d).map(|t| axis_lists[t][local[t]].as_slice()));
+            let mut acc = 0.0;
+            for_each_product(&per_axis, |idx, w| acc += w * get(idx));
+            out.set(&local, acc);
+        }
+        out
+    }
+
+    /// Seeded values that mix exponents over forty binades, with `±0.0`.
+    fn mixed_values(len: usize, seed: u64) -> Vec<f64> {
+        let mut s = seed;
+        (0..len)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let r = s >> 33;
+                match r % 9 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    _ => ((r % 2001) as f64 - 1000.0) / 7.0 * 2f64.powi((r >> 11) as i32 % 40 - 20),
+                }
+            })
+            .collect()
+    }
+
+    fn assert_same_bits(got: &NdArray<f64>, want: &NdArray<f64>, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}");
+        for (k, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}, cell {k}: {g} vs {w}");
+        }
+    }
+
+    /// Per axis: the whole domain, both edges, length-1 intervals and
+    /// seeded ones between.
+    fn pieces_per_axis(n: u32, seed: u64) -> Vec<DyadicInterval> {
+        let mut out = vec![
+            DyadicInterval::new(n, 0),
+            DyadicInterval::new(0, 0),
+            DyadicInterval::new(0, (1 << n) - 1),
+            DyadicInterval::new(n - 1, 1),
+        ];
+        for r in mixed_values(3, seed) {
+            let level = (r.to_bits() % u64::from(n + 1)) as u32;
+            let translation = (r.to_bits() >> 20) as usize % (1 << (n - level));
+            out.push(DyadicInterval::new(level, translation));
+        }
+        out
+    }
+
+    #[test]
+    fn row_wise_assembly_is_the_per_cell_loop_bit_for_bit() {
+        for (n, seed) in [(vec![6u32], 1u64), (vec![4, 3], 2), (vec![3, 2, 3], 3)] {
+            let dims: Vec<usize> = n.iter().map(|&nt| 1usize << nt).collect();
+            let shape = Shape::new(&dims);
+            let t = NdArray::from_vec(shape.clone(), mixed_values(shape.len(), seed));
+            let per_axis: Vec<Vec<DyadicInterval>> = n
+                .iter()
+                .enumerate()
+                .map(|(k, &nt)| pieces_per_axis(nt, seed * 10 + k as u64))
+                .collect();
+            for_each_product(
+                &per_axis
+                    .iter()
+                    .map(|ivs| (0..ivs.len()).map(|k| (k, 1.0)).collect::<Vec<_>>())
+                    .collect::<Vec<_>>(),
+                |pick, _| {
+                    let range = DyadicRange::new(
+                        pick.iter()
+                            .enumerate()
+                            .map(|(t, &k)| per_axis[t][k])
+                            .collect(),
+                    );
+                    let got = standard_range_transform(&n, &range, |idx| t.get(idx));
+                    let want = range_transform_per_cell(&n, &range, |_, i| i, |idx| t.get(idx));
+                    assert_same_bits(&got, &want, &format!("{range:?}"));
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn envelope_reconstruct_is_the_per_cell_loop_bit_for_bit() {
+        // (levels, tile levels, lo, hi) per case.
+        let cases = [
+            (vec![6u32], vec![2u32], vec![0usize], vec![63usize]),
+            (vec![6], vec![3], vec![5], vec![5]),
+            (vec![4, 3], vec![2, 1], vec![1, 0], vec![14, 7]),
+            (vec![4, 3], vec![1, 2], vec![15, 2], vec![15, 6]),
+            (vec![3, 2, 3], vec![1, 1, 2], vec![1, 0, 3], vec![6, 3, 7]),
+        ];
+        for (seed, (n, b, lo, hi)) in cases.into_iter().enumerate() {
+            let dims: Vec<usize> = n.iter().map(|&nt| 1usize << nt).collect();
+            let shape = Shape::new(&dims);
+            let t = NdArray::from_vec(shape.clone(), mixed_values(shape.len(), seed as u64));
+            let axes: Vec<AxisTiling> = n
+                .iter()
+                .zip(&b)
+                .map(|(&nt, &bt)| AxisTiling::new(nt, bt))
+                .collect();
+            let env = BoxEnvelope::new(&axes, &lo, &hi);
+            let extents: Vec<usize> = env.indices.iter().map(Vec::len).collect();
+            let mut gathered = Vec::with_capacity(env.coeffs());
+            for ranks in MultiIndexIter::new(&extents) {
+                let idx: Vec<usize> = ranks
+                    .iter()
+                    .enumerate()
+                    .map(|(a, &r)| env.indices[a][r])
+                    .collect();
+                gathered.push(t.get(&idx));
+            }
+            let offset =
+                |a: usize, i: usize| env.indices[a].binary_search(&i).unwrap() * env.strides[a];
+            for piece in ss_array::decompose_range(&lo, &hi) {
+                let got = env.reconstruct(&gathered, &piece);
+                let mut want = range_transform_per_cell(&env.levels, &piece, offset, |at| {
+                    gathered[at.iter().sum::<usize>()]
+                });
+                crate::standard::inverse(&mut want);
+                assert_same_bits(&got, &want, &format!("{piece:?} of [{lo:?}, {hi:?}]"));
+                let dense = standard_reconstruct_range(&n, &piece, |idx| t.get(idx));
+                assert_same_bits(&got, &dense, &format!("dense {piece:?}"));
             }
         }
     }

@@ -45,7 +45,7 @@ use crate::layout::{Coeff1d, Layout1d};
 use crate::nonstandard::NsCoeff;
 use crate::runs::TileRuns;
 use crate::tiling::AxisTiling;
-use ss_array::{DyadicInterval, MultiIndexIter, NdArray};
+use ss_array::{advance, for_each_index, DyadicInterval, NdArray};
 
 /// One SPLIT contribution target along a single axis.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -139,17 +139,17 @@ pub fn standard_deltas(
     let mut global = vec![0usize; d];
     let mut counts = vec![0usize; d];
     let mut choice = vec![0usize; d];
-    for local in MultiIndexIter::new(chunk_t.shape().dims()) {
-        let v = chunk_t.get(&local);
+    for_each_index(chunk_t.shape().dims(), |local| {
+        let v = chunk_t.get(local);
         if v == 0.0 {
-            continue;
+            return;
         }
         for t in 0..d {
             counts[t] = tables[t][local[t]].len();
             choice[t] = 0;
         }
         // Odometer over the cross product of per-axis targets.
-        'coeff: loop {
+        loop {
             let mut factor = 1.0;
             for t in 0..d {
                 let target = tables[t][local[t]][choice[t]];
@@ -157,20 +157,11 @@ pub fn standard_deltas(
                 factor *= target.factor;
             }
             emit(&global, v * factor);
-            let mut axis = d;
-            loop {
-                if axis == 0 {
-                    break 'coeff;
-                }
-                axis -= 1;
-                choice[axis] += 1;
-                if choice[axis] < counts[axis] {
-                    break;
-                }
-                choice[axis] = 0;
+            if !advance(&mut choice, |t| counts[t]) {
+                break;
             }
         }
-    }
+    });
 }
 
 /// One SHIFT or SPLIT target along one axis, already located.
@@ -299,19 +290,6 @@ impl AxisTargets {
     fn group(&self, g: usize) -> &[AxisTarget] {
         &self.targets[self.bounds[g]..self.bounds[g + 1]]
     }
-}
-
-/// Steps a row-major odometer, the last digit fastest, digit `i` below
-/// `limit(i)`; false once it wraps to all zeros.
-fn advance(digits: &mut [usize], limit: impl Fn(usize) -> usize) -> bool {
-    for i in (0..digits.len()).rev() {
-        digits[i] += 1;
-        if digits[i] < limit(i) {
-            return true;
-        }
-        digits[i] = 0;
-    }
-    false
 }
 
 /// The located walk both directions share: an odometer over the axis
@@ -446,17 +424,15 @@ pub fn nonstandard_deltas(
     assert_eq!(block.len(), d);
     assert!(m <= n);
     // SHIFT all details.
-    for local in MultiIndexIter::new(chunk_t.shape().dims()) {
-        if local.iter().all(|&i| i == 0) {
-            continue;
+    for_each_index(chunk_t.shape().dims(), |local| {
+        let v = chunk_t.get(local);
+        if v != 0.0 && local.iter().any(|&i| i != 0) {
+            emit(
+                &crate::shift::shift_index_nonstandard(n, m, block, local),
+                v,
+            );
         }
-        let v = chunk_t.get(&local);
-        if v == 0.0 {
-            continue;
-        }
-        let g = crate::shift::shift_index_nonstandard(n, m, block, &local);
-        emit(&g, v);
-    }
+    });
     // SPLIT the average.
     let avg = chunk_t.get(&vec![0usize; d]);
     if avg == 0.0 {

@@ -455,8 +455,26 @@ fn router_fanout_spans_and_shard_spans_share_one_trace_id() {
         }
     }
 
-    let events = trace::tracer().events();
-    let mine: Vec<_> = events.iter().filter(|e| e.trace == trace_id).collect();
+    // Shard connection threads are detached, so a shard span can end after
+    // the shutdowns return: wait, with a deadline, until every span begun
+    // under this trace has ended before reading the ring.
+    let balanced = |mine: &[ss_obs::TraceEvent]| {
+        let open = mine.iter().fold(0i64, |open, e| match e.kind {
+            TraceEventKind::SpanBegin { .. } => open + 1,
+            TraceEventKind::SpanEnd { .. } => open - 1,
+            _ => open,
+        });
+        open == 0
+    };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let mine = loop {
+        let mut mine = trace::tracer().events();
+        mine.retain(|e| e.trace == trace_id);
+        if balanced(&mine) || std::time::Instant::now() >= deadline {
+            break mine;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    };
     let begun: Vec<&str> = mine
         .iter()
         .filter_map(|e| match e.kind {
