@@ -315,9 +315,11 @@ impl<M: TilingMap, S: BlockStore> CoeffRead for PinnedSnapshot<'_, M, S> {
         self.get(tile, slot)
     }
 
-    fn with_tile<R>(&mut self, tile: usize, reads: usize, f: impl FnOnce(&[f64]) -> R) -> R {
+    fn with_tiles(&mut self, tiles: &[usize], reads: usize, mut f: impl FnMut(usize, &[f64])) {
         self.store.base.stats().add_coeff_reads(reads as u64);
-        self.tile(tile, f)
+        for (k, &tile) in tiles.iter().enumerate() {
+            self.tile(tile, |image| f(k, image));
+        }
     }
 }
 
@@ -338,9 +340,11 @@ impl<M: TilingMap, S: BlockStore> CoeffRead for &PinnedSnapshot<'_, M, S> {
         self.get(tile, slot)
     }
 
-    fn with_tile<R>(&mut self, tile: usize, reads: usize, f: impl FnOnce(&[f64]) -> R) -> R {
+    fn with_tiles(&mut self, tiles: &[usize], reads: usize, mut f: impl FnMut(usize, &[f64])) {
         self.store.base.stats().add_coeff_reads(reads as u64);
-        self.tile(tile, f)
+        for (k, &tile) in tiles.iter().enumerate() {
+            self.tile(tile, |image| f(k, image));
+        }
     }
 }
 

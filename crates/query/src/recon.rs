@@ -28,10 +28,11 @@ use ss_storage::CoeffRead;
 ///
 /// When the map is a cross product of per-axis tilings
 /// ([`TilingMap::axis_tilings`]), the union of the pieces' envelopes is
-/// gathered first, one [`CoeffRead::with_tile`] per tile in ascending
-/// order, and every piece is assembled from that copy — the same terms
-/// in the same order as reading each coefficient from the store, so the
-/// same bits. Other maps read coefficient by coefficient.
+/// gathered first, each tile once in ascending order through
+/// [`CoeffRead::with_tiles`], window by window, and every piece is
+/// assembled from that copy — the same terms in the same order as reading
+/// each coefficient from the store, so the same bits. Other maps read
+/// coefficient by coefficient.
 ///
 /// # Panics
 ///
@@ -54,13 +55,14 @@ pub fn reconstruct_box_standard<C: CoeffRead>(
     let mut gathered = Vec::new();
     if let Some(envelope) = &envelope {
         gathered.resize(envelope.coeffs(), 0.0);
+        let mut window = GatherWindow::default();
         envelope.tile_runs(|tile, run| {
-            cs.with_tile(tile, run.len(), |blk| {
-                for &(slot, at) in run {
-                    gathered[at] = blk[slot];
-                }
-            })
+            window.push(tile, run);
+            if window.tiles.len() == GATHER_WINDOW {
+                window.gather(cs, &mut gathered);
+            }
         });
+        window.gather(cs, &mut gathered);
     }
     for piece in &pieces {
         let data = match &envelope {
@@ -76,6 +78,41 @@ pub fn reconstruct_box_standard<C: CoeffRead>(
         out.insert(&origin, &data);
     }
     out
+}
+
+/// Envelope tiles one [`CoeffRead::with_tiles`] call gathers at most.
+const GATHER_WINDOW: usize = 256;
+
+/// The envelope tiles gathered next and, per tile, its `(slot, at)`
+/// pairs: tile `k`'s are `pairs[ends[k - 1]..ends[k]]`. Reused from one
+/// window to the next.
+#[derive(Default)]
+struct GatherWindow {
+    tiles: Vec<usize>,
+    ends: Vec<usize>,
+    pairs: Vec<(usize, usize)>,
+}
+
+impl GatherWindow {
+    fn push(&mut self, tile: usize, run: &[(usize, usize)]) {
+        self.tiles.push(tile);
+        self.pairs.extend_from_slice(run);
+        self.ends.push(self.pairs.len());
+    }
+
+    /// Copies the window's slots into `gathered` and empties it.
+    fn gather<C: CoeffRead>(&mut self, cs: &mut C, gathered: &mut [f64]) {
+        let GatherWindow { tiles, ends, pairs } = self;
+        cs.with_tiles(tiles, pairs.len(), |k, blk| {
+            let start = if k == 0 { 0 } else { ends[k - 1] };
+            for &(slot, at) in &pairs[start..ends[k]] {
+                gathered[at] = blk[slot];
+            }
+        });
+        tiles.clear();
+        ends.clear();
+        pairs.clear();
+    }
 }
 
 /// Reconstructs a cubic dyadic range from a non-standard-form store.

@@ -51,6 +51,46 @@ pub trait BlockStore {
     /// Panics when `id` is out of range or `buf` has the wrong length.
     fn try_write_block(&mut self, id: usize, buf: &[f64]) -> Result<(), StorageError>;
 
+    /// Reads the run of blocks `first..first + buf.len() / block_capacity`
+    /// into `buf`, block after block, stopping at the first failure.
+    ///
+    /// The default reads block by block, so a wrapper that does not
+    /// override it (retry, fault injection, device throttling) keeps its
+    /// per-block semantics. A store that can move adjacent blocks in one
+    /// transfer overrides it; the blocks it reads, counts and verifies
+    /// stay exactly those of the per-block loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the run leaves the store or `buf` is not a whole
+    /// number of blocks.
+    fn try_read_run(&self, first: usize, buf: &mut [f64]) -> Result<(), StorageError> {
+        let capacity = self.block_capacity();
+        assert_eq!(buf.len() % capacity, 0, "a run is whole blocks");
+        buf.chunks_exact_mut(capacity)
+            .enumerate()
+            .try_for_each(|(k, blk)| self.try_read_block(first + k, blk))
+    }
+
+    /// Writes `data` to the run of blocks starting at `first`. On failure
+    /// returns how many leading blocks the store took beside the error:
+    /// those are written, the rest must be treated as not written.
+    ///
+    /// The default writes block by block (see
+    /// [`try_read_run`](BlockStore::try_read_run)).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the run leaves the store or `data` is not a whole
+    /// number of blocks.
+    fn try_write_run(&mut self, first: usize, data: &[f64]) -> Result<(), (usize, StorageError)> {
+        let capacity = self.block_capacity();
+        assert_eq!(data.len() % capacity, 0, "a run is whole blocks");
+        data.chunks_exact(capacity)
+            .enumerate()
+            .try_for_each(|(k, blk)| self.try_write_block(first + k, blk).map_err(|e| (k, e)))
+    }
+
     /// Grows the store to at least `blocks` blocks, zero-filled. Growing is
     /// not an I/O-counted operation (allocation, not transfer), and the
     /// new blocks are unwritten until their first write.
@@ -141,6 +181,38 @@ pub(crate) mod testsuite {
         assert_eq!(buf, data);
         store.read_block(old * 2 - 1, &mut buf);
         assert!(buf.iter().all(|&v| v == 0.0));
+    }
+
+    /// A run moves exactly the blocks the per-block loop moves: a run
+    /// write lands every block, a run read returns them, and both count
+    /// one transfer per block. A run over never-written blocks counts only
+    /// the written ones. `store` is fresh, with at least six blocks.
+    pub fn runs_are_per_block_transfers(store: &mut dyn BlockStore, stats: &IoStats) {
+        let cap = store.block_capacity();
+        let image =
+            |id: usize| -> Vec<f64> { (0..cap).map(|k| (id * cap + k) as f64 - 0.5).collect() };
+        stats.reset();
+        // Blocks 1, 2 and 4 written: 1..3 as one run, 4 alone.
+        store
+            .try_write_run(1, &[image(1), image(2)].concat())
+            .unwrap();
+        store.try_write_run(4, &image(4)).unwrap();
+        assert_eq!(stats.snapshot().block_writes, 3);
+        let mut run = vec![-1.0; 6 * cap];
+        store.try_read_run(0, &mut run).unwrap();
+        for (id, got) in run.chunks_exact(cap).enumerate() {
+            let want = if matches!(id, 1 | 2 | 4) {
+                image(id)
+            } else {
+                vec![0.0; cap]
+            };
+            assert_eq!(got, &want[..], "block {id}");
+            let mut one = vec![-1.0; cap];
+            store.read_block(id, &mut one);
+            assert_eq!(one, want, "block {id} read alone");
+        }
+        // Two reads of each written block: the run's and the single one.
+        assert_eq!(stats.snapshot().block_reads, 6);
     }
 
     pub fn counts_io(store: &mut dyn BlockStore, stats: &IoStats) {

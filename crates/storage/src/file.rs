@@ -7,11 +7,16 @@
 //!
 //! Every transfer is positional (`pread` / `pwrite` through
 //! [`std::os::unix::fs::FileExt`], so the store **needs a unix target**):
-//! there is no file cursor to share, a verified block transfer is two
-//! system calls (block, sidecar slot), and reads go through `&self` — any
+//! there is no file cursor to share, and reads go through `&self` — any
 //! number of threads may read one store at once, each decoding from its
-//! own per-call byte buffer. One private `read_verified` is the only way
-//! block bytes leave the file: it serves both layouts' reads and the scrub.
+//! own per-call byte buffer. A transfer moves a *run* of adjacent blocks
+//! ([`BlockStore::try_read_run`] / [`BlockStore::try_write_run`]; a
+//! single-block read or write is a run of one): a v2 run is one system
+//! call for its images and one for its sidecar slots, whatever its
+//! length, and every block in it is still checked, counted and timed on
+//! its own. One private `read_verified` is the only way block bytes leave
+//! the file: it serves both layouts' reads and the scrub, which verifies
+//! the file in runs too.
 //!
 //! # Durability (format v2)
 //!
@@ -20,8 +25,17 @@
 //! refreshed on every write. Bit rot, torn writes and crash windows all
 //! surface as a typed [`StorageError::Checksum`] instead of silently
 //! corrupting every later query. Writeback ordering is *block first, CRC
-//! second*: a crash between the two leaves a detectable mismatch, never a
-//! silently wrong block.
+//! second* — for a run, every image first and every slot second: a crash
+//! in between leaves a detectable mismatch on each block of the run,
+//! never a silently wrong block.
+//!
+//! A block a run never wrote splits it: a read serves the block as
+//! zeros (see below) and transfers each stretch of written blocks on its
+//! own, so the counts equal those of reading block by block. Per-block
+//! histograms (`storage.block_read_ns`, `storage.block_write_ns`) get one
+//! sample per block, the run's time split evenly; `storage.block_run_blocks`
+//! gets one sample per transfer of a run call, its length in blocks (a
+//! single-block call records none there).
 //!
 //! # Unwritten blocks
 //!
@@ -56,6 +70,7 @@ use crate::stats::IoStats;
 use ss_core::SparseTile;
 use ss_obs::{Counter, Histogram};
 use std::fs::{File, OpenOptions};
+use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -64,6 +79,8 @@ use std::time::Instant;
 const SIDECAR_MAGIC: &[u8; 8] = b"SSWSCRC\x01";
 /// Sidecar header size in bytes (the magic).
 const SIDECAR_HEADER: u64 = 8;
+/// Blocks one v2 scrub transfer verifies at most.
+const SCRUB_RUN: usize = 256;
 
 /// Path of the checksum sidecar belonging to the blocks file at `path`
 /// (`<path>.crc`). Exposed so callers that move or rewrite a blocks file
@@ -137,20 +154,22 @@ impl Sidecar {
         SIDECAR_HEADER + id as u64 * 4
     }
 
-    /// The recorded CRC of block `id`.
-    fn read(&self, id: usize) -> Result<u32, StorageError> {
-        let mut le = [0u8; 4];
+    /// Reads the slots of the run starting at block `first` into `le`
+    /// (four little-endian bytes per block), in one `pread`.
+    fn read_run(&self, first: usize, le: &mut [u8]) -> Result<(), StorageError> {
+        let ids = first..first + le.len() / 4;
         self.file
-            .read_exact_at(&mut le, Sidecar::slot(id))
-            .map_err(|e| StorageError::io(format!("read crc of block {id}"), e))?;
-        Ok(u32::from_le_bytes(le))
+            .read_exact_at(le, Sidecar::slot(first))
+            .map_err(|e| StorageError::io(format!("read crcs of blocks {ids:?}"), e))
     }
 
-    /// Records `crc` as block `id`'s checksum.
-    fn write(&mut self, id: usize, crc: u32) -> Result<(), StorageError> {
+    /// Writes `le` (four little-endian bytes per block) as the slots of
+    /// the run starting at block `first`, in one `pwrite`.
+    fn write_run(&mut self, first: usize, le: &[u8]) -> Result<(), StorageError> {
+        let ids = first..first + le.len() / 4;
         self.file
-            .write_all_at(&crc.to_le_bytes(), Sidecar::slot(id))
-            .map_err(|e| StorageError::io(format!("write crc of block {id}"), e))
+            .write_all_at(le, Sidecar::slot(first))
+            .map_err(|e| StorageError::io(format!("write crcs of blocks {ids:?}"), e))
     }
 
     /// Appends zero-block CRCs for blocks `from..to`.
@@ -240,6 +259,7 @@ pub struct FileBlockStore {
     // per-op record is a lock-free fetch_add, not a name lookup.
     read_ns: Histogram,
     write_ns: Histogram,
+    run_blocks: Histogram,
     checksum_failures: Counter,
     sparse_blocks_written: Counter,
     sparse_bytes_written: Counter,
@@ -475,6 +495,7 @@ impl FileBlockStore {
             layout,
             read_ns: ss_obs::global().histogram("storage.block_read_ns"),
             write_ns: ss_obs::global().histogram("storage.block_write_ns"),
+            run_blocks: ss_obs::global().histogram("storage.block_run_blocks"),
             checksum_failures: ss_obs::global().counter("storage.checksum_failures"),
             sparse_blocks_written: ss_obs::global().counter("storage.sparse_blocks_written"),
             sparse_bytes_written: ss_obs::global().counter("storage.sparse_bytes_written"),
@@ -541,30 +562,141 @@ impl FileBlockStore {
         Ok(())
     }
 
-    /// The one verified read: block `id`'s stored bytes — the dense image
-    /// (v2) or the encoded payload (v3; empty for an all-zero block, whose
-    /// sidecar slot holds the empty-string CRC `0`) — checked against the
-    /// sidecar before anything is decoded from them.
-    fn read_verified(&self, id: usize) -> Result<Vec<u8>, StorageError> {
-        let (offset, len) = match &self.layout {
-            Layout::Dense => ((id * self.block_bytes()) as u64, self.block_bytes()),
-            Layout::Sparse { dir, .. } => (dir[id].offset, dir[id].len as usize),
+    /// The one verified read: the stored bytes of the blocks `ids` — the
+    /// dense images (v2, one `pread` for the whole run) or the encoded
+    /// payloads (v3, one `pread` per block; empty for an all-zero block,
+    /// whose sidecar slot holds the empty-string CRC `0`) — and their
+    /// sidecar slots (one `pread`). Each block is checked against its slot
+    /// before `visit` sees it: `visit(id, Ok(bytes))` on a match,
+    /// `visit(id, Err(Checksum))` on a mismatch. An error `visit` returns
+    /// ends the read.
+    fn read_verified(
+        &self,
+        ids: Range<usize>,
+        mut visit: impl FnMut(usize, Result<&[u8], StorageError>) -> Result<(), StorageError>,
+    ) -> Result<(), StorageError> {
+        let n = ids.len();
+        let bytes_of = match &self.layout {
+            Layout::Dense => n * self.block_bytes(),
+            Layout::Sparse { dir, .. } => ids
+                .clone()
+                .map(|id| dir[id].len as usize)
+                .max()
+                .unwrap_or(0),
         };
-        let mut bytes = vec![0u8; len];
-        self.file
-            .read_exact_at(&mut bytes, offset)
-            .map_err(|e| StorageError::io(format!("read block {id}"), e))?;
-        let stored = self.sidecar.read(id)?;
-        let computed = crc32(&bytes);
-        if stored != computed {
-            self.checksum_failures.inc();
-            return Err(StorageError::Checksum {
-                block: id,
-                stored,
-                computed,
-            });
+        let mut buf = vec![0u8; bytes_of + 4 * n];
+        let (bytes, slots) = buf.split_at_mut(bytes_of);
+        if let Layout::Dense = self.layout {
+            self.file
+                .read_exact_at(bytes, (ids.start * self.block_bytes()) as u64)
+                .map_err(|e| StorageError::io(format!("read blocks {ids:?}"), e))?;
         }
-        Ok(bytes)
+        self.sidecar.read_run(ids.start, slots)?;
+        for (k, id) in ids.enumerate() {
+            let stored = u32::from_le_bytes(slots[4 * k..4 * k + 4].try_into().expect("4 bytes"));
+            let bytes = match &self.layout {
+                Layout::Dense => &bytes[k * self.block_bytes()..(k + 1) * self.block_bytes()],
+                Layout::Sparse { dir, .. } => {
+                    let payload = &mut bytes[..dir[id].len as usize];
+                    self.file
+                        .read_exact_at(payload, dir[id].offset)
+                        .map_err(|e| StorageError::io(format!("read block {id}"), e))?;
+                    payload
+                }
+            };
+            let computed = crc32(bytes);
+            if stored == computed {
+                visit(id, Ok(bytes))?;
+            } else {
+                self.checksum_failures.inc();
+                visit(
+                    id,
+                    Err(StorageError::Checksum {
+                        block: id,
+                        stored,
+                        computed,
+                    }),
+                )?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads the written blocks `ids` into `buf` as one transfer: verified,
+    /// decoded, counted, and timed per block (see
+    /// [`record_run`](Self::record_run) for `run_call`).
+    fn read_written(
+        &self,
+        ids: Range<usize>,
+        buf: &mut [f64],
+        run_call: bool,
+    ) -> Result<(), StorageError> {
+        let t0 = Instant::now();
+        let (first, n, capacity) = (ids.start, ids.len(), self.capacity);
+        self.read_verified(ids, |id, bytes| {
+            let bytes = bytes?;
+            let blk = &mut buf[(id - first) * capacity..(id - first + 1) * capacity];
+            match &self.layout {
+                Layout::Dense => {
+                    for (v, le) in blk.iter_mut().zip(bytes.chunks_exact(8)) {
+                        *v = f64::from_le_bytes(le.try_into().expect("8-byte chunk"));
+                    }
+                }
+                Layout::Sparse { dir, .. } if dir[id].offset == 0 => blk.fill(0.0),
+                Layout::Sparse { .. } => sp::decode(bytes, capacity)?.to_dense(blk),
+            }
+            Ok(())
+        })?;
+        self.record_run(&self.read_ns, run_call, t0, n);
+        self.stats.add_block_reads(n as u64);
+        Ok(())
+    }
+
+    /// Records one transfer of `n` blocks that began at `t0`: `n` samples
+    /// of the per-block histogram `per_block`, the run's time split
+    /// evenly, and — for a transfer of a run call, not of a single-block
+    /// call — one `storage.block_run_blocks` sample of `n`. The shared
+    /// pool's every miss is a single-block call from one of many threads,
+    /// where one more record on a shared histogram costs more than the
+    /// call saves.
+    fn record_run(&self, per_block: &Histogram, run_call: bool, t0: Instant, n: usize) {
+        let ns = t0.elapsed().as_nanos() as u64;
+        let each = if n == 1 { ns } else { ns / n as u64 };
+        for _ in 0..n {
+            per_block.record(each);
+        }
+        if run_call {
+            self.run_blocks.record(n as u64);
+        }
+    }
+
+    /// The v2 write of a run: every image first, in one `pwrite`, then
+    /// every CRC slot, in another. A crash in between leaves mismatches
+    /// the next read (or scrub) detects — never a silently wrong block
+    /// (see DESIGN.md §9).
+    fn write_dense_run(
+        &mut self,
+        first: usize,
+        n: usize,
+        data: &[f64],
+    ) -> Result<(), StorageError> {
+        let block_bytes = self.block_bytes();
+        self.byte_buf.resize(n * (block_bytes + 4), 0);
+        let (images, slots) = self.byte_buf.split_at_mut(n * block_bytes);
+        for (le, v) in images.chunks_exact_mut(8).zip(data) {
+            le.copy_from_slice(&v.to_le_bytes());
+        }
+        for (slot, image) in slots
+            .chunks_exact_mut(4)
+            .zip(images.chunks_exact(block_bytes))
+        {
+            slot.copy_from_slice(&crc32(image).to_le_bytes());
+        }
+        let ids = first..first + n;
+        self.file
+            .write_all_at(images, (first * block_bytes) as u64)
+            .map_err(|e| StorageError::io(format!("write blocks {ids:?}"), e))?;
+        self.sidecar.write_run(first, slots)
     }
 
     /// The §8.5 write protocol for one sparse block: encode, place
@@ -578,7 +710,7 @@ impl FileBlockStore {
             if old != DirEntry::default() {
                 self.write_dir_entry(id, DirEntry::default())?;
             }
-            self.sidecar.write(id, 0)?;
+            self.sidecar.write_run(id, &0u32.to_le_bytes())?;
             self.sparse_blocks_written.inc();
             self.sparse_bytes_saved.add(dense_bytes);
             return Ok(());
@@ -615,7 +747,7 @@ impl FileBlockStore {
         }
         // Step 3: directory. Step 4: CRC over the encoded payload.
         self.write_dir_entry(id, entry)?;
-        self.sidecar.write(id, crc32(&payload))?;
+        self.sidecar.write_run(id, &crc32(&payload).to_le_bytes())?;
         self.sparse_blocks_written.inc();
         self.sparse_bytes_written.add(payload.len() as u64);
         self.sparse_bytes_saved
@@ -664,30 +796,117 @@ impl FileBlockStore {
             blocks: self.blocks,
             corrupt: Vec::new(),
         };
-        for id in 0..self.blocks {
-            // v3 only: the entry must fit the file, and a stored payload's
-            // length must agree with its own bitmap.
-            let entry = self.sparse_entry(id);
-            let clean = entry.is_none_or(|e| e.validate(id, dir_end, actual).is_ok())
-                && match self.read_verified(id) {
+        // v3 reads payloads one by one anyway, and checks each entry
+        // against the file before its payload is read.
+        let run = if self.sparse() { 1 } else { SCRUB_RUN };
+        for first in (0..self.blocks).step_by(run) {
+            let ids = first..self.blocks.min(first + run);
+            let fits = |e: DirEntry| e.validate(first, dir_end, actual).is_ok();
+            if !self.sparse_entry(first).is_none_or(fits) {
+                report.corrupt.push(first);
+                corruptions.inc();
+                scanned.inc();
+                continue;
+            }
+            self.read_verified(ids, |id, bytes| {
+                // v3 only: a stored payload's length must agree with its
+                // own bitmap.
+                let clean = match bytes {
                     Ok(bytes) => {
-                        entry.is_none_or(|e| e.offset == 0)
-                            || sp::decode(&bytes, self.capacity).is_ok()
+                        self.sparse_entry(id).is_none_or(|e| e.offset == 0)
+                            || sp::decode(bytes, self.capacity).is_ok()
                     }
                     Err(StorageError::Checksum { .. }) => false,
                     Err(e) => return Err(e),
                 };
-            if !clean {
-                report.corrupt.push(id);
-                corruptions.inc();
-            }
-            scanned.inc();
+                if !clean {
+                    report.corrupt.push(id);
+                    corruptions.inc();
+                }
+                scanned.inc();
+                Ok(())
+            })?;
         }
         Ok(report)
     }
 
     fn block_bytes(&self) -> usize {
         self.capacity * 8
+    }
+
+    /// The number of blocks in a run of `len` coefficients.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `len` is not a whole number of blocks — a caller bug,
+    /// not a storage fault.
+    fn blocks_in(&self, len: usize) -> usize {
+        assert!(len.is_multiple_of(self.capacity), "a run is whole blocks");
+        len / self.capacity
+    }
+
+    /// One verified transfer per stretch of written blocks of the run of
+    /// `n` blocks at `first`; a block this handle never wrote splits the
+    /// run and reads as zeros with no transfer. `run_call` as in
+    /// [`record_run`](Self::record_run).
+    fn read_run(
+        &self,
+        first: usize,
+        n: usize,
+        buf: &mut [f64],
+        run_call: bool,
+    ) -> Result<(), StorageError> {
+        let end = first + n;
+        assert!(end <= self.blocks, "blocks {first}..{end} out of range");
+        let mut id = first;
+        while id < end {
+            let hole = self.never_written[id];
+            let stop = (id + 1..end)
+                .find(|&j| self.never_written[j] != hole)
+                .unwrap_or(end);
+            let blocks = &mut buf[(id - first) * self.capacity..(stop - first) * self.capacity];
+            if hole {
+                blocks.fill(0.0);
+            } else {
+                self.read_written(id..stop, blocks, run_call)?;
+            }
+            id = stop;
+        }
+        Ok(())
+    }
+
+    /// Writes the run of `n` blocks at `first`. v2: the run's images in
+    /// one `pwrite`, then its slots in another, so no block of the run is
+    /// taken unless both land. v3: the §8.5 protocol block by block.
+    /// `run_call` as in [`record_run`](Self::record_run).
+    fn write_run(
+        &mut self,
+        first: usize,
+        n: usize,
+        data: &[f64],
+        run_call: bool,
+    ) -> Result<(), (usize, StorageError)> {
+        let end = first + n;
+        assert!(end <= self.blocks, "blocks {first}..{end} out of range");
+        // Cleared before the transfer: a failed or torn write leaves
+        // blocks every later read verifies.
+        self.never_written[first..end].fill(false);
+        let t0 = Instant::now();
+        let written = if self.sparse() {
+            data.chunks_exact(self.capacity)
+                .enumerate()
+                .try_for_each(|(k, blk)| {
+                    self.write_sparse_block(first + k, blk).map_err(|e| (k, e))
+                })
+        } else {
+            self.write_dense_run(first, n, data).map_err(|e| (0, e))
+        };
+        let taken = written.as_ref().map_or_else(|&(k, _)| k, |_| n);
+        if taken > 0 {
+            self.record_run(&self.write_ns, run_call, t0, taken);
+            self.stats.add_block_writes(taken as u64);
+        }
+        written
     }
 }
 
@@ -701,55 +920,21 @@ impl BlockStore for FileBlockStore {
     }
 
     fn try_read_block(&self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
-        assert!(id < self.blocks, "block {id} out of range");
         assert_eq!(buf.len(), self.capacity);
-        if self.never_written[id] {
-            buf.fill(0.0);
-            return Ok(());
-        }
-        let t0 = Instant::now();
-        let bytes = self.read_verified(id)?;
-        match &self.layout {
-            Layout::Dense => {
-                for (v, le) in buf.iter_mut().zip(bytes.chunks_exact(8)) {
-                    *v = f64::from_le_bytes(le.try_into().expect("8-byte chunk"));
-                }
-            }
-            Layout::Sparse { dir, .. } if dir[id].offset == 0 => buf.fill(0.0),
-            Layout::Sparse { .. } => sp::decode(&bytes, self.capacity)?.to_dense(buf),
-        }
-        self.read_ns.record(t0.elapsed().as_nanos() as u64);
-        self.stats.add_block_reads(1);
-        Ok(())
+        self.read_run(id, 1, buf, false)
     }
 
     fn try_write_block(&mut self, id: usize, buf: &[f64]) -> Result<(), StorageError> {
-        assert!(id < self.blocks, "block {id} out of range");
         assert_eq!(buf.len(), self.capacity);
-        // Cleared before the transfer: a failed or torn write leaves a
-        // block every later read verifies.
-        self.never_written[id] = false;
-        let t0 = Instant::now();
-        if self.sparse() {
-            self.write_sparse_block(id, buf)?;
-            self.write_ns.record(t0.elapsed().as_nanos() as u64);
-            self.stats.add_block_writes(1);
-            return Ok(());
-        }
-        for (i, &v) in buf.iter().enumerate() {
-            self.byte_buf[i * 8..i * 8 + 8].copy_from_slice(&v.to_le_bytes());
-        }
-        let nbytes = self.block_bytes();
-        // Ordering: block contents first, CRC second. A crash in between
-        // leaves a mismatch the next read (or scrub) detects — never a
-        // silently wrong block (see DESIGN.md §9).
-        self.file
-            .write_all_at(&self.byte_buf, (id * nbytes) as u64)
-            .map_err(|e| StorageError::io(format!("write block {id}"), e))?;
-        self.sidecar.write(id, crc32(&self.byte_buf))?;
-        self.write_ns.record(t0.elapsed().as_nanos() as u64);
-        self.stats.add_block_writes(1);
-        Ok(())
+        self.write_run(id, 1, buf, false).map_err(|(_, e)| e)
+    }
+
+    fn try_read_run(&self, first: usize, buf: &mut [f64]) -> Result<(), StorageError> {
+        self.read_run(first, self.blocks_in(buf.len()), buf, true)
+    }
+
+    fn try_write_run(&mut self, first: usize, data: &[f64]) -> Result<(), (usize, StorageError)> {
+        self.write_run(first, self.blocks_in(data.len()), data, true)
     }
 
     fn try_sync(&mut self) -> Result<(), StorageError> {
@@ -814,6 +999,154 @@ mod tests {
         let mut store = FileBlockStore::create(&path, 8, 4, stats.clone()).unwrap();
         testsuite::counts_io(&mut store, &stats);
         cleanup(&path);
+    }
+
+    type Create = fn(&Path, usize, usize, IoStats) -> Result<FileBlockStore, StorageError>;
+
+    /// Both layouts' `create`, with the name suffix of their test files.
+    const LAYOUTS: [(&str, Create); 2] = [
+        ("v2", FileBlockStore::create),
+        ("v3", FileBlockStore::create_v3),
+    ];
+
+    #[test]
+    fn runs_are_per_block_transfers() {
+        for (layout, create) in LAYOUTS {
+            let path = tmp(&format!("runs{layout}"));
+            let stats = IoStats::new();
+            let mut store = create(&path, 8, 6, stats.clone()).unwrap();
+            testsuite::runs_are_per_block_transfers(&mut store, &stats);
+            cleanup(&path);
+        }
+    }
+
+    /// `blocks` images of `capacity` coefficients, no two alike.
+    fn images(capacity: usize, blocks: usize) -> Vec<f64> {
+        (0..capacity * blocks)
+            .map(|i| i as f64 * 0.75 - 3.0)
+            .collect()
+    }
+
+    #[test]
+    fn a_run_transfers_each_stretch_of_written_blocks_once() {
+        let runs = ss_obs::global().histogram("storage.block_run_blocks");
+        let path = tmp("runholes");
+        let stats = IoStats::new();
+        let mut store = FileBlockStore::create(&path, 4, 8, stats.clone()).unwrap();
+        // Written: 1, 2 and 5..8; never written: 0, 3 and 4.
+        store.try_write_run(1, &images(4, 2)).unwrap();
+        store.try_write_run(5, &images(4, 3)).unwrap();
+        let writes = runs.count();
+        stats.reset();
+        let mut buf = vec![-1.0; 4 * 8];
+        store.try_read_run(0, &mut buf).unwrap();
+        assert_eq!(stats.snapshot().block_reads, 5);
+        // The global registry is process-wide: at least the two stretches.
+        assert!(runs.count() >= writes + 2);
+        assert!(buf[..4].iter().chain(&buf[12..20]).all(|&v| v == 0.0));
+        assert_eq!(&buf[4..12], &images(4, 2)[..]);
+        assert_eq!(&buf[20..], &images(4, 3)[..]);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_flipped_byte_inside_a_run_names_its_block() {
+        let path = tmp("runflip");
+        let mut store = FileBlockStore::create(&path, 4, 5, IoStats::new()).unwrap();
+        store.try_write_run(1, &images(4, 3)).unwrap();
+        drop(store);
+        flip_byte(&path, 2 * 4 * 8 + 5); // block 2, the run's middle block
+        let store = FileBlockStore::open(&path, 4, 5, IoStats::new()).unwrap();
+        let mut buf = vec![0.0; 4 * 3];
+        assert!(matches!(
+            store.try_read_run(1, &mut buf),
+            Err(StorageError::Checksum { block: 2, .. })
+        ));
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_run_whose_slots_did_not_land_reads_as_checksum_errors() {
+        // The crash window of a run write: every image landed, none of
+        // the run's sidecar slots did.
+        let path = tmp("runcrash");
+        let mut store = FileBlockStore::create(&path, 4, 6, IoStats::new()).unwrap();
+        store.try_write_run(0, &images(4, 6)).unwrap();
+        let old_slots = std::fs::read(Sidecar::path_for(&path)).unwrap();
+        let new_images: Vec<f64> = images(4, 4).iter().map(|v| v + 100.0).collect();
+        store.try_write_run(1, &new_images).unwrap();
+        drop(store);
+        let sidecar = Sidecar::path_for(&path);
+        let mut slots = std::fs::read(&sidecar).unwrap();
+        let run = Sidecar::slot(1) as usize..Sidecar::slot(5) as usize;
+        slots[run.clone()].copy_from_slice(&old_slots[run]);
+        std::fs::write(&sidecar, &slots).unwrap();
+        let store = FileBlockStore::open(&path, 4, 6, IoStats::new()).unwrap();
+        let mut buf = [0.0; 4];
+        for id in 0..6 {
+            let read = store.try_read_block(id, &mut buf);
+            match id {
+                1..=4 => assert!(
+                    matches!(read, Err(StorageError::Checksum { block, .. }) if block == id),
+                    "block {id}: {read:?}"
+                ),
+                _ => read.unwrap(),
+            }
+        }
+        assert_eq!(store.scrub().unwrap().corrupt, vec![1, 2, 3, 4]);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_v3_run_is_the_per_block_protocol_block_by_block() {
+        // Sparse payloads of different lengths, so that where each lands
+        // in the heap depends on the write order: the heap, directory and
+        // sidecar a run leaves are those of writing its blocks one by
+        // one, in order (§8.5).
+        let mut data = vec![0.0; 64 * 4];
+        for (id, image) in data.chunks_exact_mut(64).enumerate() {
+            for k in (id..64).step_by(7 + 5 * id) {
+                image[k] = (id * 64 + k) as f64 + 0.5;
+            }
+        }
+        let (run, single) = (tmp("v3run"), tmp("v3single"));
+        let mut by_run = FileBlockStore::create_v3(&run, 64, 6, IoStats::new()).unwrap();
+        let mut by_block = FileBlockStore::create_v3(&single, 64, 6, IoStats::new()).unwrap();
+        by_run.try_write_run(1, &data).unwrap();
+        for (k, image) in data.chunks_exact(64).enumerate() {
+            by_block.write_block(1 + k, image);
+        }
+        let mut buf = vec![0.0; 64 * 4];
+        by_run.try_read_run(1, &mut buf).unwrap();
+        assert_eq!(buf, data);
+        drop((by_run, by_block));
+        assert_eq!(
+            std::fs::read(&run).unwrap(),
+            std::fs::read(&single).unwrap()
+        );
+        assert_eq!(
+            std::fs::read(Sidecar::path_for(&run)).unwrap(),
+            std::fs::read(Sidecar::path_for(&single)).unwrap()
+        );
+        cleanup(&run);
+        cleanup(&single);
+    }
+
+    #[test]
+    fn a_scrub_reports_every_corrupt_block_of_a_run() {
+        for (layout, create) in LAYOUTS {
+            let path = tmp(&format!("scrubrun{layout}"));
+            let mut store = create(&path, 4, 6, IoStats::new()).unwrap();
+            store.try_write_run(0, &images(4, 6)).unwrap();
+            for id in [2, 3] {
+                store
+                    .sidecar
+                    .write_run(id, &0xBAD_u32.to_le_bytes())
+                    .unwrap();
+            }
+            assert_eq!(store.scrub().unwrap().corrupt, vec![2, 3], "{layout}");
+            cleanup(&path);
+        }
     }
 
     fn flip_byte(path: &Path, at: u64) {

@@ -44,8 +44,8 @@
 //!
 //!   | | `CoeffRead` (queries) | `CoeffWrite` (maintenance) |
 //!   |---|---|---|
-//!   | methods | `map`, `read`, `read_at` | `map`, `stats`, `add`, `with_tile`, `apply_runs`, `flush`, `clear_cache` |
-//!   | exclusive | `CoeffStore` | `CoeffStore` (one pool touch per delta) |
+//!   | methods | `map`, `read`, `read_at`, `with_tiles` | `map`, `stats`, `with_tile`, `apply_runs`, `flush`, `clear_cache` |
+//!   | exclusive | `CoeffStore` (windowed gather) | `CoeffStore` (windowed, one pool touch per tile) |
 //!   | shared | `&SharedCoeffStore` | `&SharedCoeffStore` (one shard lock per tile) |
 //!   | generic callers | every `ss-query` plan, batch and reconstruction | the `ss-transform` chunk pipeline, `DeltaBuffer::flush_into`, the `ss-maintain` batch fronts |
 //!

@@ -99,6 +99,13 @@ mod tests {
     }
 
     #[test]
+    fn runs_are_per_block_transfers() {
+        let stats = IoStats::new();
+        let mut store = MemBlockStore::new(8, 6, stats.clone());
+        testsuite::runs_are_per_block_transfers(&mut store, &stats);
+    }
+
+    #[test]
     fn unwritten_blocks_cost_no_transfer() {
         let stats = IoStats::new();
         let mut store = MemBlockStore::new(8, 4, stats.clone());

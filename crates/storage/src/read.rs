@@ -37,11 +37,13 @@ pub trait CoeffRead {
     /// resolve locations up front to reason about block access patterns.
     fn read_at(&mut self, tile: usize, slot: usize) -> f64;
 
-    /// Runs `f` over the whole of tile `tile` as one access, counting
-    /// `reads` coefficient reads — the slots `f` copies out. The
-    /// tile-major gather of a partial reconstruction reads each tile of
-    /// its envelope through this once.
-    fn with_tile<R>(&mut self, tile: usize, reads: usize, f: impl FnOnce(&[f64]) -> R) -> R;
+    /// Runs `f(k, block)` over each tile `tiles[k]`, in order, one pool
+    /// access per tile, counting `reads` coefficient reads in all — the
+    /// slots `f` copies out. The tile-major gather of a partial
+    /// reconstruction reads each tile of its envelope through this once;
+    /// the exclusive store moves runs of adjacent missed tiles in one
+    /// transfer ([`ShardedBufferPool::with_blocks_mut`](crate::ShardedBufferPool::with_blocks_mut)).
+    fn with_tiles(&mut self, tiles: &[usize], reads: usize, f: impl FnMut(usize, &[f64]));
 }
 
 impl<M: TilingMap, S: BlockStore> CoeffRead for CoeffStore<M, S> {
@@ -59,9 +61,10 @@ impl<M: TilingMap, S: BlockStore> CoeffRead for CoeffStore<M, S> {
         CoeffStore::read_at(self, tile, slot)
     }
 
-    fn with_tile<R>(&mut self, tile: usize, reads: usize, f: impl FnOnce(&[f64]) -> R) -> R {
+    fn with_tiles(&mut self, tiles: &[usize], reads: usize, mut f: impl FnMut(usize, &[f64])) {
         self.stats().add_coeff_reads(reads as u64);
-        self.pool().with_block_mut(tile, false, |blk| f(blk))
+        self.pool()
+            .with_blocks_mut(tiles, false, |k, blk| f(k, blk));
     }
 }
 
@@ -81,9 +84,11 @@ impl<M: TilingMap, S: BlockStore> CoeffRead for &SharedCoeffStore<M, S> {
         self.pool().read(tile, slot)
     }
 
-    fn with_tile<R>(&mut self, tile: usize, reads: usize, f: impl FnOnce(&[f64]) -> R) -> R {
+    fn with_tiles(&mut self, tiles: &[usize], reads: usize, mut f: impl FnMut(usize, &[f64])) {
         self.stats().add_coeff_reads(reads as u64);
-        self.pool().with_block(tile, false, |blk| f(blk))
+        for (k, &tile) in tiles.iter().enumerate() {
+            self.pool().with_block(tile, false, |blk| f(k, blk));
+        }
     }
 }
 

@@ -6,10 +6,12 @@
 //! of a cached block cost nothing; a miss reads one block, and evicting a
 //! dirty block writes one. Flushing at the end of an operation writes the
 //! remaining dirty blocks — exactly the accounting the paper's per-chunk
-//! analyses use. There is one frame table, one LRU victim selection (exact
-//! LRU: a hit stores a last-use stamp in the frame's stable slab slot, and
-//! a miss pops the oldest stamp off a lazily refreshed per-shard min-heap),
-//! one eviction write-back and one flush, entered under two disciplines:
+//! analyses use; whether a run of adjacent blocks moves in one transfer
+//! or block by block changes no count. There is one frame table, one LRU
+//! victim selection (exact LRU: a hit stores a last-use stamp in the
+//! frame's stable slab slot, and a miss pops the oldest stamp off a lazily
+//! refreshed per-shard min-heap), one eviction write-back and one flush,
+//! entered under two disciplines:
 //!
 //! * **shared** (`&self`; [`SharedCoeffStore`]) — many workers apply
 //!   deltas or answer queries *concurrently* against one bounded cache.
@@ -19,8 +21,18 @@
 //! * **exclusive** (`&mut self`; [`CoeffStore`](crate::CoeffStore), a
 //!   one-shard pool) — the single owner reaches a cached frame through
 //!   `Mutex::get_mut` and pays no lock at all
-//!   ([`ShardedBufferPool::with_block_mut`]); only a miss takes the
-//!   shared path, with locks nobody else can hold.
+//!   ([`ShardedBufferPool::with_block_mut`]), and its misses go in
+//!   *windows* ([`ShardedBufferPool::with_blocks_mut`]): the bookkeeping
+//!   of one access per id, then the window's dirty victims written back
+//!   and its misses loaded as runs of adjacent blocks, one
+//!   [`BlockStore::try_write_run`] / [`BlockStore::try_read_run`] each.
+//!   No other thread exists, so a window needs no busy marks.
+//!
+//! Shared misses stay one block each: a window would have to mark all its
+//! blocks busy at once, and the round-robin sharding that spreads a
+//! chunk's tiles over many locks leaves no shard two consecutive ids to
+//! run anyway. [`flush`](ShardedBufferPool::flush) serves both and writes
+//! each shard's sorted dirty frames as runs.
 //!
 //! The backing [`BlockStore`] sits behind its own reader-writer lock and
 //! is only locked on a miss, an eviction of a dirty frame, a flush or a
@@ -68,6 +80,7 @@ use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::ops::Range;
 use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::sync::{LockResult, TryLockError, TryLockResult};
 use std::time::Instant;
@@ -140,28 +153,53 @@ impl Shard {
         Some(&mut frame.data)
     }
 
-    /// Opens a miss on `id` for the calling thread, which now owns the
-    /// load: counts it, evicts least-recently-used frames until one more
-    /// fits in `budget`, and marks `id` and every dirty victim busy.
-    /// Returns the dirty victims — the caller writes them back and loads
-    /// `id` with the shard unlocked, then counts the write-backs and
-    /// [`cache`](Self::cache)s the block.
-    fn begin_miss(&mut self, id: usize, budget: usize, stats: &IoStats) -> Vec<(usize, Frame)> {
+    /// Counts a miss on `id` and evicts least-recently-used frames until
+    /// one more fits in `budget`, appending the dirty victims to
+    /// `victims` for the caller to write back.
+    fn miss(
+        &mut self,
+        id: usize,
+        budget: usize,
+        stats: &IoStats,
+        victims: &mut Vec<(usize, Frame)>,
+    ) {
         self.counters.misses += 1;
         stats.add_pool_misses(1);
         tile_fetch(id, false);
-        let mut dirty_victims = Vec::new();
         while self.frames.len() >= budget {
             let (vid, frame) = self.evict_lru();
             self.counters.evictions += 1;
             stats.add_pool_evictions(1);
             if frame.dirty {
-                self.busy.insert(vid);
-                dirty_victims.push((vid, frame));
+                victims.push((vid, frame));
             }
         }
+    }
+
+    /// Opens a miss on `id` for the calling thread, which now owns the
+    /// load: the [`miss`](Self::miss), with `id` and every dirty victim
+    /// marked busy. Returns the dirty victims — the caller writes them
+    /// back and loads `id` with the shard unlocked, then counts the
+    /// write-backs and [`cache`](Self::cache)s the block.
+    fn begin_miss(&mut self, id: usize, budget: usize, stats: &IoStats) -> Vec<(usize, Frame)> {
+        let mut dirty_victims = Vec::new();
+        self.miss(id, budget, stats, &mut dirty_victims);
+        self.busy.extend(dirty_victims.iter().map(|&(vid, _)| vid));
         self.busy.insert(id);
         dirty_victims
+    }
+
+    /// Drops the cached frames of `ids` unwritten (a window's reserved,
+    /// never loaded frames), keeping one heap entry per cached frame.
+    fn release(&mut self, ids: impl Iterator<Item = usize>) {
+        let mut gone = vec![false; self.slots.len()];
+        for id in ids {
+            if let Some(frame) = self.frames.remove(&id) {
+                gone[frame.slot] = true;
+                self.free.push(frame.slot);
+            }
+        }
+        self.heap.retain(|&Reverse((_, slot))| !gone[slot]);
     }
 
     /// Removes and returns the frame with the oldest last-use stamp.
@@ -287,6 +325,34 @@ fn tile_fetch(id: usize, hit: bool) {
 /// Why a pool lock can be poisoned: only the caller's closure runs under
 /// a shard lock, and no pool code panics under the store lock.
 const POISONED: &str = "a thread panicked inside a with_block closure";
+
+/// Index ranges of the runs of consecutive ids in `ids` (ascending).
+fn runs_of(ids: &[usize]) -> impl Iterator<Item = Range<usize>> + '_ {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let end = (start + 1..=ids.len()).find(|&j| j == ids.len() || ids[j] != ids[j - 1] + 1)?;
+        Some(std::mem::replace(&mut start, end)..end)
+    })
+}
+
+/// Writes blocks `ids` (ascending, distinct), whose images lie back to
+/// back in `images`, one [`BlockStore::try_write_run`] per run of
+/// consecutive ids. Returns how many leading blocks the store took,
+/// beside the first failure.
+fn write_runs<S: BlockStore>(
+    store: &mut S,
+    ids: &[usize],
+    images: &[f64],
+) -> (usize, Result<(), StorageError>) {
+    let capacity = store.block_capacity();
+    for run in runs_of(ids) {
+        let data = &images[run.start * capacity..run.end * capacity];
+        if let Err((taken, e)) = store.try_write_run(ids[run.start], data) {
+            return (run.start + taken, Err(e));
+        }
+    }
+    (ids.len(), Ok(()))
+}
 
 /// Takes a lock the cheap way when nobody holds it — no clock read, no
 /// histogram sample — and otherwise blocks, recording the wait in
@@ -428,10 +494,8 @@ impl<S: BlockStore> ShardedBufferPool<S> {
     }
 
     /// [`with_block`](Self::with_block) for the pool's single owner: a
-    /// hit goes through `Mutex::get_mut` and pays no lock at all. A miss
-    /// takes the shared path below — its locks are uncontended and the
-    /// block transfer dwarfs them — so eviction, write-back and load
-    /// exist once.
+    /// hit goes through `Mutex::get_mut` and pays no lock at all; a miss
+    /// is a window of one ([`with_blocks_mut`](Self::with_blocks_mut)).
     pub fn with_block_mut<R>(
         &mut self,
         id: usize,
@@ -440,9 +504,115 @@ impl<S: BlockStore> ShardedBufferPool<S> {
     ) -> R {
         let owner = self.shard_of(id);
         let shard = self.shards[owner].state.get_mut().expect(POISONED);
-        match shard.hit(id, mutate, &self.stats) {
-            Some(data) => f(data),
-            None => self.with_block(id, mutate, f),
+        if let Some(data) = shard.hit(id, mutate, &self.stats) {
+            return f(data);
+        }
+        let (mut f, mut out) = (Some(f), None);
+        self.window_mut(&[id], mutate, &mut |_, blk| out = f.take().map(|f| f(blk)));
+        out.expect("a window runs f once per id")
+    }
+
+    /// The single owner's access to many blocks: runs `f(k, block)` for
+    /// each `ids[k]`, in order, marking the blocks dirty when `mutate`.
+    ///
+    /// The ids go in windows of at most one shard budget. A window does
+    /// the bookkeeping of accessing its ids one at a time — hit stamps,
+    /// miss counts, LRU victims, each missed frame reserved at its miss's
+    /// stamp — then writes the dirty victims back ascending and loads the
+    /// misses ascending, each run of consecutive ids as one
+    /// [`BlockStore::try_write_run`] / [`BlockStore::try_read_run`], and
+    /// only then runs `f` per id. The counters, victims and blocks moved
+    /// equal those of one [`with_block_mut`](Self::with_block_mut) per
+    /// id: a window never evicts a frame it touched, since every victim
+    /// is older than all of them, and no more than a budget of them fit.
+    ///
+    /// Under `&mut self` no other thread exists, so a window marks
+    /// nothing busy. When a transfer fails, the window's reserved frames
+    /// are released, the victims the store did not take are cached dirty
+    /// again, and the typed [`StorageError`] is raised before `f` ran for
+    /// any id of the window.
+    pub fn with_blocks_mut(
+        &mut self,
+        ids: &[usize],
+        mutate: bool,
+        mut f: impl FnMut(usize, &mut [f64]),
+    ) {
+        let width = self.shard_budget;
+        for (w, window) in ids.chunks(width).enumerate() {
+            self.window_mut(window, mutate, &mut |k, blk| f(w * width + k, blk));
+        }
+    }
+
+    /// One window of [`with_blocks_mut`](Self::with_blocks_mut):
+    /// `ids.len()` is at most the shard budget.
+    fn window_mut(&mut self, ids: &[usize], mutate: bool, f: &mut dyn FnMut(usize, &mut [f64])) {
+        let (n, budget, capacity) = (self.shards.len(), self.shard_budget, self.block_capacity);
+        let mut victims = Vec::new();
+        let mut misses = Vec::new();
+        for &id in ids {
+            let shard = self.shards[id % n].state.get_mut().expect(POISONED);
+            if shard.hit(id, mutate, &self.stats).is_none() {
+                shard.miss(id, budget, &self.stats, &mut victims);
+                shard.cache(id, vec![0.0; capacity], mutate);
+                misses.push(id);
+            }
+        }
+        if !misses.is_empty() {
+            self.window_transfers(victims, misses);
+        }
+        for (k, &id) in ids.iter().enumerate() {
+            let shard = self.shards[id % n].state.get_mut().expect(POISONED);
+            let frame = shard
+                .frames
+                .get_mut(&id)
+                .expect("a window keeps its frames");
+            f(k, &mut frame.data);
+        }
+    }
+
+    /// A window's store I/O: its dirty `victims` written back, then its
+    /// `misses` (reserved frames) loaded, both ascending and as runs.
+    fn window_transfers(&mut self, mut victims: Vec<(usize, Frame)>, mut misses: Vec<usize>) {
+        let (n, capacity) = (self.shards.len(), self.block_capacity);
+        let store = self.store.get_mut().expect(POISONED);
+        victims.sort_unstable_by_key(|&(vid, _)| vid);
+        let vids: Vec<usize> = victims.iter().map(|&(vid, _)| vid).collect();
+        let images: Vec<f64> = victims
+            .iter()
+            .flat_map(|(_, frame)| &frame.data)
+            .copied()
+            .collect();
+        let (written, mut transfer) = write_runs(store, &vids, &images);
+        misses.sort_unstable();
+        if transfer.is_ok() {
+            let mut buf = Vec::new();
+            transfer = runs_of(&misses).try_for_each(|run| {
+                buf.resize(run.len() * capacity, 0.0);
+                store.try_read_run(misses[run.start], &mut buf)?;
+                for (id, image) in misses[run].iter().zip(buf.chunks_exact(capacity)) {
+                    let shard = self.shards[id % n].state.get_mut().expect(POISONED);
+                    let frame = shard.frames.get_mut(id).expect("reserved frame");
+                    frame.data.copy_from_slice(image);
+                }
+                Ok(())
+            });
+        }
+        for &vid in &vids[..written] {
+            let shard = self.shards[vid % n].state.get_mut().expect(POISONED);
+            shard.count_writebacks(1, &self.stats);
+        }
+        if let Err(e) = transfer {
+            // Released before the put-back: a victim may be one of the
+            // window's own misses, reserved but never loaded.
+            for (s, slot) in self.shards.iter_mut().enumerate() {
+                let shard = slot.state.get_mut().expect(POISONED);
+                shard.release(misses.iter().copied().filter(|id| id % n == s));
+            }
+            for (vid, frame) in victims.into_iter().skip(written) {
+                let shard = self.shards[vid % n].state.get_mut().expect(POISONED);
+                shard.cache(vid, frame.data, true);
+            }
+            raise(e);
         }
     }
 
@@ -530,8 +700,10 @@ impl<S: BlockStore> ShardedBufferPool<S> {
 
     /// Writes every dirty block back to the store, keeping the cache warm.
     ///
-    /// Dirty frames are *copied* under the shard lock and written to the
-    /// store after it is released, so slow store writes (throttled
+    /// Each shard's dirty frames are *copied*, in ascending id order, into
+    /// one run buffer under the shard lock and written to the store after
+    /// it is released, each run of consecutive ids as one
+    /// [`BlockStore::try_write_run`], so slow store writes (throttled
     /// devices, retry backoff) never stall readers of the shard. A frame
     /// mutated between the copy and the store write is simply dirty again
     /// and caught by the next flush. When a store write fails, the frames
@@ -548,27 +720,31 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         // write the same block in opposite orders (copy-then-write makes
         // that reordering possible without this).
         let _flush = self.flush_lock.lock().unwrap();
+        let (mut ids, mut images) = (Vec::new(), Vec::new());
         for slot in &self.shards {
-            let mut dirty: Vec<(usize, Vec<f64>)> = Vec::new();
-            for (&id, frame) in &mut self.lock_slot(slot).frames {
-                if std::mem::take(&mut frame.dirty) {
-                    dirty.push((id, frame.data.clone()));
+            ids.clear();
+            images.clear();
+            {
+                let mut shard = self.lock_slot(slot);
+                let mut dirty: Vec<(&usize, &mut Frame)> = shard
+                    .frames
+                    .iter_mut()
+                    .filter(|(_, frame)| frame.dirty)
+                    .collect();
+                dirty.sort_unstable_by_key(|&(&id, _)| id);
+                for (&id, frame) in dirty {
+                    frame.dirty = false;
+                    ids.push(id);
+                    images.extend_from_slice(&frame.data);
                 }
             }
-            if dirty.is_empty() {
+            if ids.is_empty() {
                 continue;
             }
-            dirty.sort_unstable_by_key(|&(id, _)| id);
-            let mut written = 0;
-            let wrote = {
-                let mut store = self.lock_store();
-                dirty.iter().try_for_each(|(id, data)| {
-                    store.try_write_block(*id, data).map(|()| written += 1)
-                })
-            };
+            let (written, wrote) = write_runs(&mut *self.lock_store(), &ids, &images);
             let mut shard = self.lock_slot(slot);
             shard.count_writebacks(written as u64, &self.stats);
-            for (id, _) in &dirty[written..] {
+            for id in &ids[written..] {
                 if let Some(frame) = shard.frames.get_mut(id) {
                     frame.dirty = true;
                 }

@@ -17,7 +17,10 @@
 //!
 //! The wrapper sleeps before it delegates, so it charges the latency even
 //! for a read of a block the inner store never wrote, which that store
-//! serves as zeros with no transfer (see [`BlockStore`]).
+//! serves as zeros with no transfer (see [`BlockStore`]). Likewise a run
+//! ([`BlockStore::try_read_run`] / [`BlockStore::try_write_run`]) is
+//! charged per block: the wrapper keeps the trait's per-block defaults,
+//! because the device model prices blocks, not system calls.
 
 use crate::block::BlockStore;
 use crate::error::StorageError;

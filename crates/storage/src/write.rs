@@ -79,6 +79,19 @@ impl<M: TilingMap, S: BlockStore> CoeffWrite for CoeffStore<M, S> {
         self.pool().with_block_mut(tile, true, f)
     }
 
+    /// The provided accounting, through the single owner's windowed entry
+    /// ([`ShardedBufferPool::with_blocks_mut`](crate::ShardedBufferPool::with_blocks_mut)):
+    /// adjacent missed tiles load, and adjacent victims write back, as
+    /// one transfer each.
+    fn apply_runs<'a>(&mut self, tiles: impl IntoIterator<Item = TileGroup<'a>>) {
+        let groups: Vec<TileGroup> = tiles.into_iter().collect();
+        let ids: Vec<usize> = groups.iter().map(TileGroup::tile).collect();
+        let deltas: usize = groups.iter().map(TileGroup::delta_count).sum();
+        self.stats().add_coeff_writes(deltas as u64);
+        self.pool()
+            .with_blocks_mut(&ids, true, |k, blk| groups[k].apply(blk));
+    }
+
     fn flush(&mut self) {
         CoeffStore::flush(self)
     }

@@ -1,22 +1,28 @@
-//! The block cache's victim choice and its failure paths, end to end.
+//! The block cache's victim choice, its windows and its failure paths,
+//! end to end.
 //!
 //! `ShardedBufferPool` picks each LRU victim off a lazily refreshed
 //! per-shard min-heap. The oracle here is the selection it replaced, kept
 //! only in this file: every shard scans a dense `(last-use stamp, id)`
-//! array for its minimum. Seeded scripts of every pool entry
-//! (`with_block_mut`, `with_block` with and without mutate, `overwrite`,
-//! `flush`, `clear`) run against both over a store that logs each
-//! transfer, for 1–3 shards and several budgets; the `(op, id)` transfer
-//! sequence, every access's result, every `ShardCounters` and the
-//! `IoSnapshot` must be identical.
+//! array for its minimum, one access at a time. Seeded scripts of every
+//! pool entry (`with_block_mut`, `with_blocks_mut` windows — random ids,
+//! with repeats, ascending runs and not, some longer than the budget —
+//! `with_block` with and without mutate, `overwrite`, `flush`, `clear`)
+//! run against both over a store that logs each transfer, for 1–3 shards
+//! and several budgets. The oracle runs a window's ids one by one. Every
+//! access's result, each step's multiset of `(op, id)` transfers (a
+//! window reorders its write-backs and loads into ascending runs), every
+//! `ShardCounters`, the `IoSnapshot` and the stored blocks must be
+//! identical.
 //!
 //! The fault sweep (ROADMAP 9(c), the pool part) runs the same scripts
 //! over `FaultInjectingBlockStore` at 1 % and 10 % read-error,
 //! write-error and torn-write rates, retrying each access (and the final
-//! flush) that fails with a typed `StorageError` until it succeeds. The
-//! results and the stored blocks must equal the fault-free run bit for
-//! bit, and every block write the store acknowledged must be a counted
-//! pool write-back.
+//! flush) that fails with a typed `StorageError` until it succeeds; a
+//! failed window ran `f` for none of its ids, so a window call resumes at
+//! the first id whose `f` did not run. The results and the stored blocks
+//! must equal the fault-free run bit for bit, and every block write the
+//! store acknowledged must be a counted pool write-back.
 
 use shiftsplit::datagen::SplitMix64;
 use shiftsplit::storage::{
@@ -25,7 +31,7 @@ use shiftsplit::storage::{
 };
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, Once};
+use std::sync::{Arc, Mutex, Once};
 
 const BLOCKS: usize = 24;
 const CAPACITY: usize = 4;
@@ -35,29 +41,31 @@ const STEPS: usize = 3_000;
 const SHARDS: [usize; 3] = [1, 2, 3];
 const BUDGETS: [usize; 5] = [1, 2, 3, 7, 64];
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Op {
     Read,
     Write,
 }
 
+type Log = Arc<Mutex<Vec<(Op, usize)>>>;
+
 /// Logs every transfer the wrapped store acknowledged. A transfer that
 /// fails is not logged: the pool must behave as if it never happened.
 struct Recording<S> {
     inner: S,
-    log: Mutex<Vec<(Op, usize)>>,
+    log: Log,
 }
 
 impl<S: BlockStore> Recording<S> {
     fn new(inner: S) -> Self {
         Recording {
             inner,
-            log: Mutex::new(Vec::new()),
+            log: Log::default(),
         }
     }
 
-    fn log(&mut self) -> Vec<(Op, usize)> {
-        self.log.get_mut().unwrap().clone()
+    fn log(&self) -> Vec<(Op, usize)> {
+        self.log.lock().unwrap().clone()
     }
 }
 
@@ -75,7 +83,7 @@ impl<S: BlockStore> BlockStore for Recording<S> {
     }
     fn try_write_block(&mut self, id: usize, buf: &[f64]) -> Result<(), StorageError> {
         self.inner.try_write_block(id, buf)?;
-        self.log.get_mut().unwrap().push((Op::Write, id));
+        self.log.lock().unwrap().push((Op::Write, id));
         Ok(())
     }
     fn grow(&mut self, blocks: usize) {
@@ -95,13 +103,21 @@ fn seeded_mem(stats: &IoStats) -> MemBlockStore {
     mem
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 enum Step {
     /// `with_block_mut` (the single owner's entry).
     Owner {
         id: usize,
         slot: usize,
         add: f64,
+    },
+    /// `with_blocks_mut` over `ids`: id `k` adds `add + k` to slot
+    /// `(slot + k) % CAPACITY` when `mutate`, else reads it.
+    Window {
+        ids: Vec<usize>,
+        slot: usize,
+        add: f64,
+        mutate: bool,
     },
     /// `with_block`, adding `add` when `mutate`, else reading.
     Shared {
@@ -129,7 +145,13 @@ fn script(seed: u64) -> Vec<Step> {
             };
             let slot = rng.below(CAPACITY);
             let add = (i % 17) as f64 * 0.25 - 1.5;
-            match rng.below(100) {
+            match rng.below(120) {
+                100.. => Step::Window {
+                    ids: window(&mut rng, id),
+                    slot,
+                    add,
+                    mutate: rng.below(3) > 0,
+                },
                 0..=29 => Step::Owner { id, slot, add },
                 30..=49 => Step::Shared {
                     id,
@@ -149,6 +171,32 @@ fn script(seed: u64) -> Vec<Step> {
             }
         })
         .collect()
+}
+
+/// The ids of a window starting at `id`: an ascending run of adjacent
+/// ids or ids drawn at random, of 1 to 12 ids either way (longer than the
+/// small budgets, so the pool cuts them into several windows), with
+/// repeats.
+fn window(rng: &mut SplitMix64, id: usize) -> Vec<usize> {
+    let len = 1 + rng.below(12);
+    let mut ids: Vec<usize> = if rng.below(2) == 0 {
+        (id..(id + len).min(BLOCKS)).collect()
+    } else {
+        (0..len)
+            .map(|_| {
+                if rng.below(10) < 6 {
+                    rng.below(HOT)
+                } else {
+                    rng.below(BLOCKS)
+                }
+            })
+            .collect()
+    };
+    if rng.below(3) == 0 {
+        let again = ids[rng.below(ids.len())];
+        ids.insert(rng.below(ids.len() + 1), again);
+    }
+    ids
 }
 
 /// What a step observed: the coefficient after the access (0 for the
@@ -174,6 +222,8 @@ trait Cache {
         mutate: bool,
         f: &mut dyn FnMut(&mut [f64]) -> f64,
     ) -> f64;
+    /// Runs `f(k, block)` per `ids[k]`.
+    fn window(&mut self, ids: &[usize], mutate: bool, f: &mut dyn FnMut(usize, &mut [f64]));
     fn overwrite(&mut self, id: usize, data: &[f64]);
     fn flush(&mut self);
     fn clear(&mut self);
@@ -193,6 +243,9 @@ impl<S: BlockStore> Cache for ShardedBufferPool<S> {
             self.with_block(id, mutate, f)
         }
     }
+    fn window(&mut self, ids: &[usize], mutate: bool, f: &mut dyn FnMut(usize, &mut [f64])) {
+        self.with_blocks_mut(ids, mutate, f);
+    }
     fn overwrite(&mut self, id: usize, data: &[f64]) {
         ShardedBufferPool::overwrite(self, id, data);
     }
@@ -204,19 +257,44 @@ impl<S: BlockStore> Cache for ShardedBufferPool<S> {
     }
 }
 
-/// Runs one step; `retry` wraps every entry call that may reach the store.
-fn run_step(cache: &mut dyn Cache, step: Step, retry: bool) -> f64 {
+/// Runs one step; `retry` wraps every entry call that may reach the
+/// store. Returns what the step observed, one value per access.
+fn run_step(cache: &mut dyn Cache, step: &Step, retry: bool) -> Vec<f64> {
     let mut attempt = |call: &mut dyn FnMut(&mut dyn Cache) -> f64| loop {
         match catch_unwind(AssertUnwindSafe(|| call(&mut *cache))) {
-            Ok(seen) => return seen,
+            Ok(seen) => return vec![seen],
             // Anything but a typed storage error resumes the unwind.
             Err(payload) if retry => drop(downcast_storage_error(payload)),
             Err(payload) => std::panic::resume_unwind(payload),
         }
     };
-    match step {
+    match *step {
         Step::Owner { id, slot, add } => {
             attempt(&mut |c| c.access(id, true, true, &mut |blk| observe(blk, slot, add, true)))
+        }
+        Step::Window {
+            ref ids,
+            slot,
+            add,
+            mutate,
+        } => {
+            // A failed window ran `f` for none of its ids: resume at the
+            // first id whose `f` did not run.
+            let mut seen = Vec::new();
+            while seen.len() < ids.len() {
+                let done = seen.len();
+                let mut f = |k: usize, blk: &mut [f64]| {
+                    let k = done + k;
+                    seen.push(observe(blk, (slot + k) % CAPACITY, add + k as f64, mutate));
+                };
+                let call = AssertUnwindSafe(|| cache.window(&ids[done..], mutate, &mut f));
+                match catch_unwind(call) {
+                    Ok(()) => {}
+                    Err(payload) if retry => drop(downcast_storage_error(payload)),
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+            seen
         }
         Step::Shared {
             id,
@@ -243,14 +321,28 @@ fn run_step(cache: &mut dyn Cache, step: Step, retry: bool) -> f64 {
     }
 }
 
-/// Runs `steps` and a final flush; returns what every step observed.
-fn run(cache: &mut dyn Cache, steps: &[Step], retry: bool) -> Vec<u64> {
-    let mut seen: Vec<u64> = steps
-        .iter()
-        .map(|&step| run_step(cache, step, retry).to_bits())
-        .collect();
-    seen.push(run_step(cache, Step::Flush, retry).to_bits());
-    seen
+/// Runs `steps` and a final flush; returns what every access observed,
+/// as bits, and — when `log` is the store's — each step's transfers,
+/// sorted.
+fn run(
+    cache: &mut dyn Cache,
+    steps: &[Step],
+    retry: bool,
+    log: Option<&Log>,
+) -> (Vec<u64>, Vec<Vec<(Op, usize)>>) {
+    let logged = || log.map_or(0, |log| log.lock().unwrap().len());
+    let mut seen = Vec::new();
+    let mut transfers = Vec::new();
+    for step in steps.iter().chain([&Step::Flush]) {
+        let before = logged();
+        seen.extend(run_step(cache, step, retry).iter().map(|v| v.to_bits()));
+        if let Some(log) = log {
+            let mut moved = log.lock().unwrap()[before..].to_vec();
+            moved.sort_unstable();
+            transfers.push(moved);
+        }
+    }
+    (seen, transfers)
 }
 
 /// Fails at the first item where two runs differ, rather than printing
@@ -345,6 +437,11 @@ impl<S: BlockStore> Cache for ScanPool<S> {
     ) -> f64 {
         f(self.enter(id, mutate, true))
     }
+    fn window(&mut self, ids: &[usize], mutate: bool, f: &mut dyn FnMut(usize, &mut [f64])) {
+        for (k, &id) in ids.iter().enumerate() {
+            f(k, self.enter(id, mutate, true));
+        }
+    }
     fn overwrite(&mut self, id: usize, data: &[f64]) {
         self.enter(id, true, false).copy_from_slice(data);
     }
@@ -385,13 +482,15 @@ fn heap_victims_are_the_stamp_scan_victims() {
 
             let stats = IoStats::new();
             let store = Recording::new(seeded_mem(&stats));
+            let log = Arc::clone(&store.log);
             let mut pool = ShardedBufferPool::new(store, budget, shards, stats.clone());
-            let seen = run(&mut pool, &steps, false);
+            let (seen, moved) = run(&mut pool, &steps, false, Some(&log));
 
             let oracle_stats = IoStats::new();
             let store = Recording::new(seeded_mem(&oracle_stats));
+            let oracle_log = Arc::clone(&store.log);
             let mut oracle = ScanPool::new(store, budget, shards, oracle_stats.clone());
-            let oracle_seen = run(&mut oracle, &steps, false);
+            let (oracle_seen, oracle_moved) = run(&mut oracle, &steps, false, Some(&oracle_log));
 
             assert_same(
                 &seen,
@@ -399,14 +498,19 @@ fn heap_victims_are_the_stamp_scan_victims() {
                 &format!("{case}: what the accesses saw, as f64 bits"),
             );
             assert_same(
-                &pool.store_mut().log(),
-                &oracle.store.log(),
-                &format!("{case}: the transfer sequence"),
+                &moved,
+                &oracle_moved,
+                &format!("{case}: each step's transfers"),
             );
             let counters: Vec<ShardCounters> = oracle.shards.iter().map(|s| s.counters).collect();
             assert_eq!(pool.shard_counters(), counters, "{case}: shard counters");
             let snap = stats.snapshot();
             assert_eq!(snap, oracle_stats.snapshot(), "{case}: IoSnapshot");
+            assert_same(
+                &contents(&pool.store_mut().inner),
+                &contents(&oracle.store.inner),
+                &format!("{case}: stored blocks, as f64 bits"),
+            );
             if budget < BLOCKS {
                 assert!(snap.pool_evictions > 0 && snap.pool_hits > 0, "{case}");
             }
@@ -480,7 +584,7 @@ fn faulty_stores_end_with_the_fault_free_contents() {
             let clean_stats = IoStats::new();
             let mut clean =
                 ShardedBufferPool::new(seeded_mem(&clean_stats), budget, shards, clean_stats);
-            let clean_seen = run(&mut clean, &steps, false);
+            let (clean_seen, _) = run(&mut clean, &steps, false, None);
             let clean_blocks = contents(clean.store_mut());
 
             for (kind, config) in [0.01, 0.10].into_iter().flat_map(|rate| faults(rate, seed)) {
@@ -489,7 +593,7 @@ fn faulty_stores_end_with_the_fault_free_contents() {
                 let faulty = FaultInjectingBlockStore::new(seeded_mem(&stats), config);
                 let store = Recording::new(faulty);
                 let mut pool = ShardedBufferPool::new(store, budget, shards, stats.clone());
-                let seen = run(&mut pool, &steps, true);
+                let (seen, _) = run(&mut pool, &steps, true, None);
                 let what = format!("{case}: what the accesses saw, as f64 bits");
                 assert_same(&seen, &clean_seen, &what);
                 let store = pool.store_mut();
