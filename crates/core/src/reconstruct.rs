@@ -34,7 +34,7 @@
 
 use crate::layout::Layout1d;
 use crate::nonstandard::NsCoeff;
-use crate::split::{for_each_member, for_each_tile, interval_targets, AxisTargets};
+use crate::split::{destinations, for_each_row, interval_targets, AxisTargets};
 use crate::tiling::AxisTiling;
 use ss_array::{advance, DyadicRange, MultiIndexIter, NdArray, Shape};
 
@@ -313,15 +313,15 @@ pub fn standard_reconstruct_range(
 /// ([`TilingMap::axis_tilings`](crate::TilingMap::axis_tilings)),
 /// located: per axis, every coefficient any of the box's dyadic intervals
 /// reads, once, ranked in ascending index order and grouped by tile
-/// (`AxisTargets`). The box's pieces are the cross product of its
-/// per-axis intervals, so the envelope of all of them is the cross
-/// product of the per-axis ones — read it a tile at a time
+/// (`AxisTargets`, one table per axis). The box's pieces are the cross
+/// product of its per-axis intervals, so the envelope of all of them is
+/// the cross product of the per-axis ones — read it a tile at a time
 /// ([`tile_runs`](Self::tile_runs)) into one array, and every piece
 /// reconstructs from that array ([`reconstruct`](Self::reconstruct)).
 #[derive(Clone, Debug)]
 pub struct BoxEnvelope {
     levels: Vec<u32>,
-    tables: Vec<AxisTargets>,
+    tables: AxisTargets,
     /// Per axis: the envelope's coefficient indices, ascending.
     indices: Vec<Vec<usize>>,
     /// Row-major strides of the gathered array.
@@ -338,7 +338,8 @@ impl BoxEnvelope {
     /// `lo > hi` or `hi` falls outside the domain on some axis.
     pub fn new(axes: &[AxisTiling], lo: &[usize], hi: &[usize]) -> Self {
         assert!(lo.len() == axes.len() && hi.len() == axes.len(), "box rank");
-        let (tables, indices): (Vec<_>, Vec<_>) = (0..axes.len())
+        let mut tables = AxisTargets::default();
+        let indices: Vec<Vec<usize>> = (0..axes.len())
             .map(|t| {
                 let n = axes[t].levels();
                 assert!(hi[t] < 1usize << n, "axis {t}: {} outside 2^{n}", hi[t]);
@@ -350,9 +351,10 @@ impl BoxEnvelope {
                 indices.sort_unstable();
                 indices.dedup();
                 let ranked = indices.iter().enumerate().map(|(r, &i)| (0, r, i, 1.0));
-                (AxisTargets::located(axes, t, ranked), indices)
+                tables.push_axis(axes, ranked);
+                indices
             })
-            .unzip();
+            .collect();
         let extents: Vec<usize> = indices.iter().map(Vec::len).collect();
         BoxEnvelope {
             levels: axes.iter().map(AxisTiling::levels).collect(),
@@ -374,9 +376,13 @@ impl BoxEnvelope {
     pub fn tile_runs(&self, mut emit: impl FnMut(usize, &[(usize, usize)])) {
         let mut run = Vec::new();
         // One segment per axis: one piece per tile.
-        for_each_tile(&self.tables, |tile, groups| {
-            for_each_member(groups, &self.strides, 0, 0, 1.0, &mut |slot, at, _| {
-                run.push((slot, at))
+        destinations(&self.tables, |tile, at| {
+            for_each_row(&self.tables, &self.strides, at, |offset, slot, _, inner| {
+                let members = inner
+                    .iter()
+                    .map(|target| (slot + target.slot as usize, offset + target.local as usize));
+                run.extend(members);
+                true
             });
             emit(tile, &run);
             run.clear();

@@ -27,17 +27,19 @@
 //!
 //! Those two are the index-space definition: tuple indices, one
 //! coefficient at a time. For stores whose tiling is a cross product of
-//! per-axis tilings, [`standard_runs`] is the same SHIFT-SPLIT **located
-//! and tile-major**, in one pass: each axis's targets located once
-//! (`AxisTargets`), the destination tiles walked in ascending order, and
-//! each tile's deltas pushed straight into a [`TileRuns`] arena as one
-//! run. Its input may be *segmented* — consecutive dyadic intervals per
-//! axis, each transformed on its own
+//! per-axis tilings, the same SHIFT-SPLIT is **located and tile-major**:
+//! each axis's targets located once (`AxisTargets`), the destination tiles
+//! walked in ascending order, and inside each tile the pieces that touch it
+//! and their members, the last axis one flat loop (`for_each_row`). Its
+//! input may be *segmented* — consecutive dyadic intervals per axis, each
+//! transformed on its own
 //! ([`forward_segments`](crate::standard::forward_segments)) — so an
-//! update box's pieces go through one array, one table per axis and one
-//! descriptor per tile; a chunk is the one-segment case. The chunk
-//! pipeline, the appender and box updates all call it; `standard_deltas`
-//! is its oracle. The same tables, read backwards, drive the tile-major
+//! update box's pieces go through one array and one table per axis; a
+//! chunk is the one-segment case. [`LocatedBox`] keeps a box that way, its
+//! values plus its tables, and generates one tile's deltas on demand;
+//! [`standard_runs`] (the chunk pipeline, the appender) writes the same
+//! walk out into a [`TileRuns`] arena, one run per tile. `standard_deltas`
+//! is their oracle. The same tables, read backwards, drive the tile-major
 //! gather of a partial reconstruction
 //! ([`crate::reconstruct::BoxEnvelope`]).
 
@@ -164,16 +166,16 @@ pub fn standard_deltas(
     });
 }
 
-/// One SHIFT or SPLIT target along one axis, already located.
-#[derive(Clone, Copy, Debug)]
+/// One SHIFT or SPLIT target along one axis, already located: 16 bytes,
+/// so a box's tables stay small beside its values (its axis tile is its
+/// group's, [`AxisTargets`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct AxisTarget {
     /// Index of the source coefficient along the axis, in the transformed
     /// array (the segment's start plus its chunk-local index).
-    local: usize,
-    /// Axis tile ordinal times the axis's stride in the tile grid.
-    tile: usize,
+    pub(crate) local: u32,
     /// Axis slot times the axis's stride in the slot grid.
-    slot: usize,
+    pub(crate) slot: u32,
     /// `1` for a SHIFT, the SPLIT multiplier otherwise.
     factor: f64,
 }
@@ -194,10 +196,12 @@ pub(crate) fn interval_targets(
     split.chain(shift)
 }
 
-/// Every SHIFT and SPLIT target of one axis's **segments** — consecutive
+/// Every SHIFT and SPLIT target of each axis's **segments** — consecutive
 /// dyadic intervals, each transformed on its own — on a per-axis-product
 /// tiling ([`TilingMap::axis_tilings`]), located once and grouped by axis
-/// tile in ascending order, the segments ascending inside a tile.
+/// tile in ascending order, the segments ascending inside a tile: one
+/// table per axis, the axes packed one after another into the same four
+/// vectors (so the walk reads two of them, whatever the rank).
 ///
 /// A chunk is one segment; an update box is the [`decompose_interval`] of
 /// its extent, and its pieces are the cross product of the axes' segments.
@@ -207,151 +211,362 @@ pub(crate) fn interval_targets(
 ///
 /// [`TilingMap::axis_tilings`]: crate::tiling::TilingMap::axis_tilings
 /// [`decompose_interval`]: ss_array::decompose_interval
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct AxisTargets {
+    /// Every axis's targets, axis after axis.
     targets: Vec<AxisTarget>,
-    /// `targets[bounds[g]..bounds[g + 1]]` share one axis tile and one
-    /// segment.
+    /// Group `g` (numbered on across the axes) is
+    /// `targets[bounds[g]..bounds[g + 1]]`: one axis tile, one segment.
     bounds: Vec<usize>,
-    /// Groups `tiles[i]..tiles[i + 1]` share one axis tile.
+    /// Axis tile `p` (numbered on across the axes) is the groups
+    /// `tiles[p]..tiles[p + 1]`.
     tiles: Vec<usize>,
+    /// Per axis tile: its ordinal times the axis's tile-grid stride.
+    ordinals: Vec<usize>,
+    /// Axis `t`'s tiles are `axis[t]..axis[t + 1]`.
+    axis: Vec<usize>,
+}
+
+impl Default for AxisTargets {
+    fn default() -> Self {
+        AxisTargets {
+            targets: Vec::new(),
+            bounds: vec![0],
+            tiles: vec![0],
+            ordinals: Vec::new(),
+            axis: vec![0],
+        }
+    }
 }
 
 impl AxisTargets {
-    /// Targets of the consecutive dyadic intervals `segments` on axis `t`
-    /// of the product tiling `axes`, each interval's locals offset by its
-    /// start relative to the first.
+    /// The tables of a transform that holds along axis `i` the
+    /// consecutive dyadic intervals `segments[i]`, each transformed on its
+    /// own, on the product tiling `axes`; `dims` is its shape.
     ///
     /// # Panics
     ///
-    /// Panics when `segments` is empty, leaves a gap or overlaps, or
-    /// leaves the domain.
-    pub(crate) fn segmented(axes: &[AxisTiling], t: usize, segments: &[DyadicInterval]) -> Self {
-        let n = axes[t].levels();
-        let lo = segments.first().expect("at least one segment").start();
-        let mut end = lo;
-        for seg in segments {
-            assert_eq!(seg.start(), end, "axis {t}: segments must be consecutive");
-            end += seg.len();
+    /// Panics when the segments do not tile `dims`, leave a gap or
+    /// overlap, or leave the domain.
+    pub(crate) fn segmented(
+        dims: &[usize],
+        axes: &[AxisTiling],
+        segments: &[Vec<DyadicInterval>],
+    ) -> Self {
+        assert_eq!(axes.len(), dims.len());
+        assert_eq!(segments.len(), dims.len());
+        let mut tables = AxisTargets::default();
+        for (t, segments) in segments.iter().enumerate() {
+            let covered: usize = segments.iter().map(DyadicInterval::len).sum();
+            assert_eq!(covered, dims[t], "axis {t}: segments cover another extent");
+            let n = axes[t].levels();
+            let lo = segments.first().expect("at least one segment").start();
+            let mut end = lo;
+            for seg in segments {
+                assert_eq!(seg.start(), end, "axis {t}: segments must be consecutive");
+                end += seg.len();
+            }
+            assert!(end <= 1 << n, "axis {t}: segments leave the domain");
+            let sources = segments.iter().enumerate().flat_map(|(s, seg)| {
+                let rel = seg.start() - lo;
+                interval_targets(n, seg.level, seg.translation)
+                    .map(move |(local, index, factor)| (s, rel + local, index, factor))
+            });
+            tables.push_axis(axes, sources);
         }
-        assert!(end <= 1 << n, "axis {t}: segments leave the domain");
-        let sources = segments.iter().enumerate().flat_map(|(s, seg)| {
-            let rel = seg.start() - lo;
-            interval_targets(n, seg.level, seg.translation)
-                .map(move |(local, index, factor)| (s, rel + local, index, factor))
-        });
-        Self::located(axes, t, sources)
+        tables
     }
 
-    /// Locates `(segment, local, index, factor)` targets on axis `t`,
-    /// arriving segment by segment, and groups them by axis tile,
-    /// ascending; a group keeps the input order.
-    pub(crate) fn located(
+    /// Locates `(segment, local, index, factor)` targets on the next axis
+    /// `t` of the product tiling `axes`, arriving segment by segment, and
+    /// appends them grouped by axis tile, ascending; a group keeps the
+    /// input order.
+    pub(crate) fn push_axis(
+        &mut self,
         axes: &[AxisTiling],
-        t: usize,
         sources: impl Iterator<Item = (usize, usize, usize, f64)>,
-    ) -> Self {
+    ) {
+        let t = self.ndim();
         let axis = &axes[t];
         let tile_stride: usize = axes[t + 1..].iter().map(AxisTiling::num_tiles).product();
         let slot_stride: usize = axes[t + 1..].iter().map(AxisTiling::block_side).product();
-        let mut tagged: Vec<(usize, AxisTarget)> = sources
+        let narrow = |v: usize| u32::try_from(v).expect("axis target beyond u32");
+        let mut tagged: Vec<(usize, usize, AxisTarget)> = sources
             .map(|(segment, local, index, factor)| {
                 let at = axis.locate(index);
                 let target = AxisTarget {
-                    local,
-                    tile: at.tile * tile_stride,
-                    slot: at.slot * slot_stride,
+                    local: narrow(local),
+                    slot: narrow(at.slot * slot_stride),
                     factor,
                 };
-                (segment, target)
+                (at.tile * tile_stride, segment, target)
             })
             .collect();
-        tagged.sort_by_key(|(_, target)| target.tile);
-        let (mut bounds, mut tiles) = (vec![0], vec![0]);
+        assert!(!tagged.is_empty(), "axis {t}: no targets");
+        tagged.sort_by_key(|&(tile, _, _)| tile);
+        let base = self.targets.len();
+        self.ordinals.push(tagged[0].0);
         for (i, pair) in tagged.windows(2).enumerate() {
-            let ((seg_a, a), (seg_b, b)) = (pair[0], pair[1]);
-            if a.tile != b.tile {
-                tiles.push(bounds.len());
+            let ((tile_a, seg_a, _), (tile_b, seg_b, _)) = (pair[0], pair[1]);
+            if tile_a != tile_b {
+                self.tiles.push(self.bounds.len());
+                self.ordinals.push(tile_b);
             }
-            if a.tile != b.tile || seg_a != seg_b {
-                bounds.push(i + 1);
+            if tile_a != tile_b || seg_a != seg_b {
+                self.bounds.push(base + i + 1);
             }
         }
-        tiles.push(bounds.len());
-        bounds.push(tagged.len());
-        AxisTargets {
-            targets: tagged.into_iter().map(|(_, target)| target).collect(),
-            bounds,
-            tiles,
-        }
+        self.tiles.push(self.bounds.len());
+        self.bounds.push(base + tagged.len());
+        self.axis.push(self.ordinals.len());
+        self.targets
+            .extend(tagged.into_iter().map(|(_, _, target)| target));
     }
 
-    /// Target group `g`: one axis tile, one segment.
-    fn group(&self, g: usize) -> &[AxisTarget] {
-        &self.targets[self.bounds[g]..self.bounds[g + 1]]
+    /// Axes held.
+    pub(crate) fn ndim(&self) -> usize {
+        self.axis.len() - 1
+    }
+
+    /// Axis `t`'s targets.
+    fn axis_targets(&self, t: usize) -> &[AxisTarget] {
+        let group = |p: usize| self.bounds[self.tiles[p]];
+        &self.targets[group(self.axis[t])..group(self.axis[t + 1])]
+    }
+
+    /// Heap bytes held.
+    fn heap_bytes(&self) -> usize {
+        let index = [&self.bounds, &self.tiles, &self.ordinals, &self.axis];
+        let index: usize = index.iter().map(|v| v.capacity()).sum();
+        self.targets.capacity() * size_of::<AxisTarget>() + index * size_of::<usize>()
     }
 }
 
-/// The located walk both directions share: an odometer over the axis
-/// tiles of every axis — row-major over ascending per-axis tiles is
-/// ascending tile ordinal — and, inside each destination tile, over the
-/// pieces (one segment per axis) that touch it, in row-major piece order:
-/// `piece(ordinal, groups)` with the piece's target group in the tile on
-/// every axis. A tile's pieces are consecutive calls.
-pub(crate) fn for_each_tile(
-    tables: &[AxisTargets],
-    mut piece: impl FnMut(usize, &[&[AxisTarget]]),
-) {
-    let d = tables.len();
-    let (mut at, mut seg) = (vec![0usize; d], vec![0usize; d]);
-    let mut groups = Vec::with_capacity(d);
+/// The destination tiles of `tables` in strictly ascending order: an
+/// odometer over every axis's tiles — row-major over ascending per-axis
+/// tiles is ascending tile ordinal — visited as `(ordinal, at)`, where
+/// `at[2t..2t + 2]` is the tile's range of target groups on axis `t`
+/// (what [`for_each_row`] takes).
+pub(crate) fn destinations(tables: &AxisTargets, mut visit: impl FnMut(usize, &[usize])) {
+    let d = tables.ndim();
+    let (mut tile, mut at) = (vec![0usize; d], vec![0usize; 2 * d]);
     loop {
-        let first = |t: usize| tables[t].tiles[at[t]];
-        let ordinal = (0..d).map(|t| tables[t].group(first(t))[0].tile).sum();
-        loop {
-            groups.clear();
-            groups.extend((0..d).map(|t| tables[t].group(first(t) + seg[t])));
-            piece(ordinal, &groups);
-            if !advance(&mut seg, |t| tables[t].tiles[at[t] + 1] - first(t)) {
-                break;
-            }
+        let mut ordinal = 0;
+        for t in 0..d {
+            let p = tables.axis[t] + tile[t];
+            ordinal += tables.ordinals[p];
+            at[2 * t] = tables.tiles[p];
+            at[2 * t + 1] = tables.tiles[p + 1];
         }
-        if !advance(&mut at, |t| tables[t].tiles.len() - 1) {
+        visit(ordinal, &at);
+        if !advance(&mut tile, |t| tables.axis[t + 1] - tables.axis[t]) {
             return;
         }
     }
 }
 
-/// The cross product of one target group per axis — every member of one
-/// piece in one destination tile — visited row-major as
-/// `(slot, offset, factor)`: `offset` of the member's locals in a
-/// row-major array with `strides`, `factor` the per-axis factors
-/// multiplied left to right. `offset`, `slot` and `factor` are what the
-/// outer axes chose.
-pub(crate) fn for_each_member(
-    groups: &[&[AxisTarget]],
+/// The located walk both directions share, inside the destination tile
+/// whose per-axis group ranges are `at` ([`destinations`]): every piece
+/// (one segment per axis) that touches the tile, in row-major piece
+/// order, and inside each piece every member of the outer axes,
+/// row-major, as one call
+/// `row(offset, slot, factor, inner)` — `offset` of the outer locals in a
+/// row-major array with `strides`, `slot` and `factor` the outer targets'
+/// slot sum and factor product (multiplied left to right from `1.0`), and
+/// `inner` the last axis's target group, which the caller runs as one flat
+/// loop: a member's offset is `offset + target.local` (the last axis of a
+/// row-major array is contiguous), its factor `factor * target.factor`.
+/// Stops, returning `false`, when `row` does.
+pub(crate) fn for_each_row(
+    tables: &AxisTargets,
     strides: &[usize],
-    offset: usize,
-    slot: usize,
-    factor: f64,
-    visit: &mut impl FnMut(usize, usize, f64),
-) {
-    let (group, inner) = groups.split_first().expect("rank >= 1");
-    let stride = strides[0];
-    for target in *group {
-        let offset = offset + target.local * stride;
-        let (slot, factor) = (slot + target.slot, factor * target.factor);
-        if inner.is_empty() {
-            visit(slot, offset, factor);
-        } else {
-            for_each_member(inner, &strides[1..], offset, slot, factor, visit);
+    at: &[usize],
+    mut row: impl FnMut(usize, usize, f64, &[AxisTarget]) -> bool,
+) -> bool {
+    let (targets, bounds) = (&tables.targets[..], &tables.bounds[..]);
+    let d = tables.ndim();
+    let inner_axis = d - 1;
+    debug_assert_eq!(strides[inner_axis], 1, "the last axis must be contiguous");
+    // Per axis: the piece (`seg`), the piece's target group as a range
+    // of `targets` (`lo`, `len`) and the member picked on the odometer's
+    // axes (`pick`). The odometer steps the axes before the last two; the
+    // second-to-last is a flat loop of rows, the last one each row's.
+    let mut scratch = vec![0usize; 4 * d];
+    let (seg, rest) = scratch.split_at_mut(d);
+    let (lo, rest) = rest.split_at_mut(d);
+    let (len, pick) = rest.split_at_mut(d);
+    let group = |t: usize, lo: &[usize], len: &[usize]| &targets[lo[t]..lo[t] + len[t]];
+    let odometer = d.saturating_sub(2);
+    loop {
+        for t in 0..d {
+            let g = at[2 * t] + seg[t];
+            lo[t] = bounds[g];
+            len[t] = bounds[g + 1] - lo[t];
         }
+        let inner = group(inner_axis, lo, len);
+        loop {
+            let (mut offset, mut slot, mut factor) = (0, 0, 1.0);
+            for t in 0..odometer {
+                let target = &targets[lo[t] + pick[t]];
+                offset += target.local as usize * strides[t];
+                slot += target.slot as usize;
+                factor *= target.factor;
+            }
+            if d == 1 {
+                if !row(offset, slot, factor, inner) {
+                    return false;
+                }
+            } else {
+                let rows = d - 2;
+                for target in group(rows, lo, len) {
+                    let offset = offset + target.local as usize * strides[rows];
+                    let (slot, factor) = (slot + target.slot as usize, factor * target.factor);
+                    if !row(offset, slot, factor, inner) {
+                        return false;
+                    }
+                }
+            }
+            if !advance(&mut pick[..odometer], |t| len[t]) {
+                break;
+            }
+        }
+        if !advance(seg, |t| at[2 * t + 1] - at[2 * t]) {
+            return true;
+        }
+    }
+}
+
+/// The deltas a segmented transform `data` (row-major, `strides`) sends
+/// into destination tile `at`, visited as `(slot, delta)`: piece by piece
+/// in row-major piece order, each piece's members row-major, every
+/// delta `v · ((f_0 · f_1) · …)` and nothing for `v = 0`.
+fn tile_deltas(
+    tables: &AxisTargets,
+    data: &[f64],
+    strides: &[usize],
+    at: &[usize],
+    mut visit: impl FnMut(usize, f64),
+) {
+    for_each_row(tables, strides, at, |offset, slot, factor, inner| {
+        let row = &data[offset..];
+        for target in inner {
+            let v = row[target.local as usize];
+            if v != 0.0 {
+                visit(slot + target.slot as usize, v * (factor * target.factor));
+            }
+        }
+        true
+    });
+}
+
+/// A **segmented** standard-form transform, located: the transform and
+/// one located target table per axis — `O(V + Σ_t targets_t)` state from
+/// which its `Π_t targets_t` SHIFT-SPLIT deltas follow, tile by tile, on
+/// demand. A [`TileRuns`] keeps an update box this way
+/// ([`push_box`](TileRuns::push_box)) and generates each tile's deltas
+/// into the block at flush ([`for_each_delta`](Self::for_each_delta)).
+#[derive(Clone, Debug, PartialEq)]
+pub struct LocatedBox {
+    t: NdArray<f64>,
+    tables: AxisTargets,
+    /// Deltas over all destination tiles.
+    deltas: usize,
+    /// True when some coefficient of `t` is zero, so a destination tile
+    /// may receive nothing.
+    has_zero: bool,
+}
+
+impl LocatedBox {
+    /// Locates `t`, which holds along axis `i` the consecutive dyadic
+    /// intervals `segments[i]`, each transformed on its own
+    /// ([`forward_segments`](crate::standard::forward_segments)), on the
+    /// product tiling `axes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the segments do not tile `t`'s axes or leave the domain.
+    pub fn new(t: NdArray<f64>, axes: &[AxisTiling], segments: &[Vec<DyadicInterval>]) -> Self {
+        let tables = AxisTargets::segmented(t.shape().dims(), axes, segments);
+        // A coefficient's deltas are the product of its per-axis target
+        // counts: the total follows without emitting anything.
+        let dims = t.shape().dims().iter().enumerate();
+        let multiplicity: Vec<Vec<usize>> = dims
+            .map(|(axis, &len)| {
+                let mut m = vec![0usize; len];
+                for target in tables.axis_targets(axis) {
+                    m[target.local as usize] += 1;
+                }
+                m
+            })
+            .collect();
+        let (mut deltas, mut has_zero) = (0, false);
+        let mut values = t.as_slice().iter();
+        for_each_index(t.shape().dims(), |idx| {
+            if *values.next().expect("one value per index") == 0.0 {
+                has_zero = true;
+            } else {
+                deltas += idx
+                    .iter()
+                    .zip(&multiplicity)
+                    .map(|(&i, m)| m[i])
+                    .product::<usize>();
+            }
+        });
+        LocatedBox {
+            t,
+            tables,
+            deltas,
+            has_zero,
+        }
+    }
+
+    /// Rank.
+    pub(crate) fn ndim(&self) -> usize {
+        self.tables.ndim()
+    }
+
+    /// SHIFT-SPLIT deltas over all destination tiles: one per non-zero
+    /// coefficient and target of its per-axis cross product.
+    pub(crate) fn delta_count(&self) -> usize {
+        self.deltas
+    }
+
+    /// Every destination tile, strictly ascending, as `(ordinal, at)` —
+    /// `at` the tile's position in the per-axis tables (`2·ndim` indices),
+    /// what [`for_each_delta`](Self::for_each_delta) takes.
+    pub fn destinations(&self, visit: impl FnMut(usize, &[usize])) {
+        destinations(&self.tables, visit);
+    }
+
+    /// True when destination tile `at` receives at least one delta.
+    pub(crate) fn receives(&self, at: &[usize]) -> bool {
+        let data = self.t.as_slice();
+        let all_zero = |offset: usize, _: usize, _: f64, inner: &[AxisTarget]| {
+            inner
+                .iter()
+                .all(|target| data[offset + target.local as usize] == 0.0)
+        };
+        !self.has_zero || !for_each_row(&self.tables, self.t.shape().strides(), at, all_zero)
+    }
+
+    /// Destination tile `at`'s deltas as `(slot, delta)`: per piece that
+    /// touches the tile, in row-major piece order, its members row-major,
+    /// each `v · ((f_0 · f_1) · …)`; a zero coefficient sends nothing.
+    pub fn for_each_delta(&self, at: &[usize], visit: impl FnMut(usize, f64)) {
+        let strides = self.t.shape().strides();
+        tile_deltas(&self.tables, self.t.as_slice(), strides, at, visit);
+    }
+
+    /// Heap bytes held: the transform and the tables.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.t.len() * size_of::<f64>() + self.tables.heap_bytes()
     }
 }
 
 /// [`standard_deltas`] of a **segmented** standard-form transform, for a
 /// tiling that is the cross product `axes` of per-axis tilings, located
-/// and tile-major, pushed straight into `out`.
+/// and tile-major, pushed straight into `out`: [`LocatedBox`]'s walk,
+/// materialised over the borrowed `t`.
 ///
 /// `t` holds, along axis `i`, the consecutive dyadic intervals
 /// `segments[i]` each transformed on its own
@@ -380,28 +595,11 @@ pub fn standard_runs(
     segments: &[Vec<DyadicInterval>],
     out: &mut TileRuns,
 ) {
-    assert_eq!(axes.len(), t.shape().ndim());
-    assert_eq!(segments.len(), t.shape().ndim());
-    let tables: Vec<AxisTargets> = (0..axes.len())
-        .map(|i| {
-            let covered: usize = segments[i].iter().map(DyadicInterval::len).sum();
-            assert_eq!(
-                covered,
-                t.shape().dim(i),
-                "axis {i}: segments cover another extent"
-            );
-            AxisTargets::segmented(axes, i, &segments[i])
-        })
-        .collect();
+    let tables = AxisTargets::segmented(t.shape().dims(), axes, segments);
     let (data, strides) = (t.as_slice(), t.shape().strides());
-    // A tile's pieces arrive back to back, so each joins the tile's run.
-    for_each_tile(&tables, |tile, groups| {
+    destinations(&tables, |tile, at| {
         out.extend_with(tile, |deltas| {
-            for_each_member(groups, strides, 0, 0, 1.0, &mut |slot, offset, factor| {
-                if data[offset] != 0.0 {
-                    deltas.push((slot, data[offset] * factor));
-                }
-            });
+            tile_deltas(&tables, data, strides, at, |slot, v| deltas.push((slot, v)));
         });
     });
 }

@@ -73,7 +73,8 @@ impl FlushReport {
 }
 
 /// Accumulates SHIFT-SPLIT delta streams from many operations in one
-/// [`TileRuns`] arena, for a single group-commit flush.
+/// [`TileRuns`] batch — arena runs and deferred boxes — for a single
+/// group-commit flush.
 ///
 /// Feed it a box at a time with
 /// [`add_box_standard`](DeltaBuffer::add_box_standard), or with
@@ -129,18 +130,16 @@ impl DeltaBuffer {
     /// operation, its runs in their order.
     pub fn add_runs(&mut self, runs: &TileRuns) {
         self.begin_box();
-        for (tile, run) in runs.runs() {
-            self.runs.extend(tile, run);
-        }
+        runs.for_each_run(|tile, run| self.runs.extend(tile, run));
     }
 
     /// Buffers one standard-form update box as one operation and returns
-    /// what it decomposed into. A map that is a product of per-axis
-    /// tilings takes the one-pass located emitter, which writes the box's
-    /// deltas straight into the buffer's arena, one descriptor per tile,
-    /// tiles ascending ([`box_runs_standard`]); any other map locates
-    /// delta by delta. Both leave every coefficient the same addition
-    /// sequence.
+    /// what it decomposed into. On a map that is a product of per-axis
+    /// tilings the box is kept deferred — its transform and per-axis
+    /// tables, one descriptor per tile, tiles ascending
+    /// ([`box_runs_standard`]) — and its deltas are generated into each
+    /// block at flush; any other map locates delta by delta into the
+    /// arena. Both leave every coefficient the same addition sequence.
     pub fn add_box_standard(
         &mut self,
         map: &impl TilingMap,
@@ -179,8 +178,14 @@ impl DeltaBuffer {
     /// here, before `tiles_written` is counted, so it neither dirties a
     /// block nor charges a write; it still counts in `tile_touches`,
     /// which records what a per-operation path would have done.
+    ///
+    /// Records the bytes the buffer held (arena, descriptors and boxes) in
+    /// the `maintain.buffer_bytes` histogram, one sample per drain.
     pub fn drain(&mut self) -> (TileRuns, FlushReport) {
         let mut runs = std::mem::take(&mut self.runs);
+        ss_obs::global()
+            .histogram("maintain.buffer_bytes")
+            .record(runs.heap_bytes() as u64);
         let (boxes, deltas) = (runs.ops() as u64, runs.len() as u64);
         let tile_touches = runs.tile_touches() as u64;
         if self.mode == FlushMode::Merged {

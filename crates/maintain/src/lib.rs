@@ -11,17 +11,18 @@
 //! them with one group-commit flush:
 //!
 //! * [`DeltaBuffer`] — accumulates located contributions in one
-//!   [`TileRuns`](ss_core::runs::TileRuns) arena: each delta written once,
-//!   each run described by `(tile, operation, start, len)`. A box enters
-//!   through [`DeltaBuffer::add_box_standard`]: on a map that is a product
-//!   of per-axis tilings it takes one pass
+//!   [`TileRuns`](ss_core::runs::TileRuns) batch, each run described by
+//!   `(tile, operation, start, len)`. A box enters through
+//!   [`DeltaBuffer::add_box_standard`]: on a map that is a product of
+//!   per-axis tilings it is kept deferred
 //!   ([`box_runs_standard`](ss_transform::box_runs_standard)) — one
-//!   segmented transform of the box, one located table per axis, and its
-//!   deltas pushed straight into the buffer's arena, one descriptor per
-//!   tile of the box, tiles ascending, with no per-piece extract and no
-//!   box-local arena; on any other map they are located one by one. A
-//!   drain groups the runs by tile with a stable sort, so a tile's runs
-//!   come out together in arrival order,
+//!   segmented transform of the box and one located table per axis, one
+//!   descriptor per tile of the box, tiles ascending — and its deltas are
+//!   generated into each block at flush; on any other map they are located
+//!   one by one into the batch's arena. A drain groups the runs by tile
+//!   with a stable sort, so a tile's runs come out together in arrival
+//!   order, and records the bytes the buffer held
+//!   (`maintain.buffer_bytes`),
 //! * [`DeltaBuffer::flush_into`] — exactly one read-modify-write per dirty
 //!   tile, visited in ascending block order (sequential I/O for
 //!   `FileBlockStore`), followed by a single pool flush (one meta/CRC

@@ -65,9 +65,10 @@
 //! writable shard — the already-SHIFT-SPLIT-decomposed form a router
 //! scatters after splitting its drained delta buffer by tile ownership.
 //! The ops parse into one [`TileRuns`] arena, consecutive ops of one tile
-//! one run, and are buffered as one operation; the `value` answers with
-//! the number of ops buffered. Like `update`, the ops stay invisible until
-//! `commit`.
+//! one run, and are buffered as one operation (a router encodes its
+//! deferred box runs written out, [`TileRuns::for_each_run`]); the `value`
+//! answers with the number of ops buffered. Like `update`, the ops stay
+//! invisible until `commit`.
 //!
 //! Error kinds are closed: `parse` (not a JSON object), `unknown_op`
 //! (unrecognised `op`), `bad_request` (wrong arity or out-of-range
@@ -518,14 +519,9 @@ pub fn op_request_line_traced(id: i128, op: &Op, trace: Option<u64>) -> String {
             let op = |t: usize, &(s, d): &(usize, f64)| {
                 Value::Array(vec![Value::from(t), Value::from(s), Value::Float(d)])
             };
-            pairs.push((
-                "ops".into(),
-                Value::Array(
-                    runs.runs()
-                        .flat_map(|(t, run)| run.iter().map(move |o| op(t, o)))
-                        .collect(),
-                ),
-            ));
+            let mut ops = Vec::with_capacity(runs.len());
+            runs.for_each_run(|t, run| ops.extend(run.iter().map(|o| op(t, o))));
+            pairs.push(("ops".into(), Value::Array(ops)));
         }
         Op::Mutation(Mutation::Update { at, dims, data }) => {
             pairs.push(("at".into(), arr(at)));

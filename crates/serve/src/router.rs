@@ -513,9 +513,9 @@ impl<M: TilingMap> Backend for RouterBackend<M> {
         // contiguous, so each shard's runs are one contiguous slice of it.
         let map = &self.core.topo.map;
         let mut per_shard = vec![TileRuns::default(); map.shards()];
-        for (tile, run) in w.buffer.drain().0.runs() {
-            per_shard[map.owner(tile)].extend(tile, run);
-        }
+        // A buffered box's runs are written out here, through its walk.
+        let (drained, _) = w.buffer.drain();
+        drained.for_each_run(|tile, run| per_shard[map.owner(tile)].extend(tile, run));
         let _span = trace::scoped("router.commit_fanout");
         match self.scatter_commit(&mut w.conns, per_shard, fwd_trace) {
             // Acks stay far below 2^53, so the f64 is exact.

@@ -173,21 +173,25 @@ pub(crate) fn buffer_box(
 /// runs this in debug and release).
 pub fn check_ops(map: &impl TilingMap, runs: &TileRuns) -> Result<(), MutErr> {
     let (tiles, capacity) = (map.num_tiles(), map.block_capacity());
-    for (tile, run) in runs.runs() {
-        if let Some((slot, _)) = run
-            .iter()
-            .find(|&&(slot, _)| tile >= tiles || slot >= capacity)
-        {
-            return Err((
-                "bad_request",
-                format!(
-                    "op ({tile}, {slot}) outside store geometry \
-                     ({tiles} tiles x {capacity} slots)"
-                ),
-            ));
+    let mut outside = None;
+    runs.for_each_run(|tile, run| {
+        if outside.is_none() {
+            let bad = run
+                .iter()
+                .find(|&&(slot, _)| tile >= tiles || slot >= capacity);
+            outside = bad.map(|&(slot, _)| (tile, slot));
         }
+    });
+    match outside {
+        Some((tile, slot)) => Err((
+            "bad_request",
+            format!(
+                "op ({tile}, {slot}) outside store geometry \
+                 ({tiles} tiles x {capacity} slots)"
+            ),
+        )),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Buffers checked op runs as one operation; returns how many ops.

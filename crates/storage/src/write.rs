@@ -16,8 +16,10 @@
 //! either the same way: a [`TileRuns`](ss_core::runs::TileRuns) arena,
 //! grouped by tile, goes through [`CoeffWrite::apply_runs`] — one pool
 //! access (one [`with_tile`](CoeffWrite::with_tile)) **per tile**, the
-//! tile's runs replayed in arrival order inside it, and one coefficient
-//! write charged **per delta** in the [`IoSnapshot`](crate::IoSnapshot).
+//! tile's runs replayed in arrival order inside it (a deferred box run
+//! generating its deltas there), and one coefficient write charged **per
+//! delta** in the [`IoSnapshot`](crate::IoSnapshot), from the count the
+//! replay returns.
 
 use crate::block::BlockStore;
 use crate::shard::SharedCoeffStore;
@@ -47,13 +49,14 @@ pub trait CoeffWrite {
     /// Applies tile groups ([`TileRuns::tiles`](ss_core::runs::TileRuns::tiles)
     /// of a grouped arena): one [`with_tile`](Self::with_tile) per tile,
     /// its runs replayed in arrival order, one coefficient write charged
-    /// per delta. A grouped batch therefore loads each affected tile at
-    /// most once, even with a single-block pool — the access discipline
-    /// the paper's per-chunk I/O analysis assumes.
+    /// per delta the replay adds. A grouped batch therefore loads each
+    /// affected tile at most once, even with a single-block pool — the
+    /// access discipline the paper's per-chunk I/O analysis assumes.
     fn apply_runs<'a>(&mut self, tiles: impl IntoIterator<Item = TileGroup<'a>>) {
         for group in tiles {
-            self.stats().add_coeff_writes(group.delta_count() as u64);
-            self.with_tile(group.tile(), |blk| group.apply(blk));
+            let mut deltas = 0;
+            self.with_tile(group.tile(), |blk| deltas = group.apply(blk));
+            self.stats().add_coeff_writes(deltas as u64);
         }
     }
 
@@ -86,10 +89,10 @@ impl<M: TilingMap, S: BlockStore> CoeffWrite for CoeffStore<M, S> {
     fn apply_runs<'a>(&mut self, tiles: impl IntoIterator<Item = TileGroup<'a>>) {
         let groups: Vec<TileGroup> = tiles.into_iter().collect();
         let ids: Vec<usize> = groups.iter().map(TileGroup::tile).collect();
-        let deltas: usize = groups.iter().map(TileGroup::delta_count).sum();
-        self.stats().add_coeff_writes(deltas as u64);
+        let mut deltas = 0;
         self.pool()
-            .with_blocks_mut(&ids, true, |k, blk| groups[k].apply(blk));
+            .with_blocks_mut(&ids, true, |k, blk| deltas += groups[k].apply(blk));
+        self.stats().add_coeff_writes(deltas as u64);
     }
 
     fn flush(&mut self) {

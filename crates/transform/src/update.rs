@@ -9,18 +9,21 @@
 //! coefficient updates for an update volume `V` — versus
 //! `O(V · Π log N_t)` for cell-at-a-time maintenance.
 //!
-//! On a per-axis-product tiling a box takes **one pass**
+//! On a per-axis-product tiling a box is **deferred**
 //! ([`box_runs_standard`]): one copy of the box transformed segment by
-//! segment, one located table per axis, the destination tiles walked in
-//! ascending order and each tile's deltas — every piece that touches it,
-//! in piece order — pushed straight into the caller's
-//! [`TileRuns`] arena as one descriptor. There is no per-piece extract and
-//! no box-local arena. [`for_each_box_delta_standard`] is the index-space
-//! oracle and the path for any other map.
+//! segment and one located table per axis, kept in the caller's
+//! [`TileRuns`] as a [`LocatedBox`] with one descriptor per destination
+//! tile, tiles ascending. The box costs its values plus its tables; its
+//! deltas — in each tile every piece that touches it, in piece order —
+//! are generated when the flush replays the tile's runs, straight into
+//! the block, each coefficient receiving the products it would have
+//! received from an arena, in the same order. There is no per-piece
+//! extract and no delta arena. [`for_each_box_delta_standard`] is the
+//! index-space oracle and the path for any other map.
 
 use ss_array::{decompose_interval, decompose_range, DyadicInterval, NdArray, Shape};
 use ss_core::runs::TileRuns;
-use ss_core::split::standard_runs;
+use ss_core::split::LocatedBox;
 use ss_core::tiling::AxisTiling;
 
 /// What one box update amounted to.
@@ -126,20 +129,22 @@ pub fn for_each_box_delta_standard(
 
 /// The located, tile-major twin of [`for_each_box_delta_standard`] for a
 /// store whose map is the cross product `axes` of per-axis tilings: the
-/// box's SHIFT-SPLIT in **one pass**, pushed straight into `out` as one
-/// run per destination tile, the tiles strictly ascending.
+/// box kept in `out` as one deferred run per destination tile that
+/// receives a delta, the tiles strictly ascending.
 ///
 /// Each axis is decomposed once ([`decompose_interval`]); one copy of the
 /// box is transformed segment by segment
 /// ([`forward_segments`](ss_core::standard::forward_segments)), which
 /// leaves every dyadic piece at its own place, bit-identical to the
-/// piece's own transform; and [`standard_runs`] walks the destination
-/// tiles, visiting in each the pieces that touch it in
-/// [`decompose_range`]'s row-major order. So each coefficient sees the
-/// deltas [`for_each_box_delta_standard`] emits, in the same order — what
-/// keeps a group commit that replays runs in arrival order bit-identical
-/// to applying the boxes one at a time. Nothing is extracted per piece and
-/// no box-local arena is filled: each delta is written once, into `out`.
+/// piece's own transform; and the [`LocatedBox`] of it and its per-axis
+/// tables goes into `out` ([`TileRuns::push_box`]). Replaying a tile's
+/// run visits the pieces that touch it in [`decompose_range`]'s row-major
+/// order, so each coefficient sees the deltas
+/// [`for_each_box_delta_standard`] emits, in the same order — what keeps
+/// a group commit that replays runs in arrival order bit-identical to
+/// applying the boxes one at a time. `coeffs_touched` is counted from the
+/// per-axis target multiplicities; no delta is written anywhere until the
+/// flush adds it to its block.
 ///
 /// [`decompose_range`]: ss_array::decompose_range
 pub fn box_runs_standard(
@@ -155,11 +160,9 @@ pub fn box_runs_standard(
         .collect();
     let mut t = delta.clone();
     ss_core::standard::forward_segments(&mut t, &segments);
-    let before = out.len();
-    standard_runs(&t, axes, &segments, out);
     UpdateReport {
         pieces: segments.iter().map(Vec::len).product(),
-        coeffs_touched: out.len() - before,
+        coeffs_touched: out.push_box(LocatedBox::new(t, axes, &segments)),
     }
 }
 

@@ -3,10 +3,12 @@
 //!
 //! `ss_core::split::standard_deltas` followed by `TilingMap::locate` is
 //! the definition (§4.1 of the paper, one coefficient at a time);
-//! `standard_runs` (a chunk, one segment per axis) and `box_runs_standard`
-//! (a box, one pass over its segmented transform) locate each axis once
-//! and push one run per destination tile straight into a `TileRuns`
-//! arena. The two must agree
+//! `standard_runs` (a chunk, one segment per axis) locates each axis once
+//! and pushes one run per destination tile straight into a `TileRuns`
+//! arena, and `box_runs_standard` (a box, one segmented transform) keeps
+//! the box deferred — its values plus one table per axis, one run per
+//! destination tile — its deltas generated when the runs are replayed.
+//! The two must agree
 //!
 //! * delta for delta, **bit for bit** — as a multiset per chunk; per box,
 //!   as each tile's sequence of pieces in piece order and as every
@@ -14,28 +16,42 @@
 //!   replays),
 //! * on the run contract: strictly ascending tiles and one descriptor per
 //!   tile, for a chunk and for a box alike, so `group()` moves nothing,
+//!   and no run for a tile that receives nothing,
 //! * through a `DeltaBuffer` (same drained lists, same `FlushReport`, in
-//!   both flush modes) and through `update_boxes_standard` on a product
-//!   map and on a map that is not one (`NaiveMap` keeps the
-//!   per-coefficient path).
+//!   both flush modes; deferred boxes interleaved with `add_runs` and
+//!   `add_at` operations store the bits the index-space oracle stores,
+//!   through `flush_into` and `flush_into_shared`, with the same
+//!   `IoSnapshot`) and through `update_boxes_standard` on a product map
+//!   and on a map that is not one (`NaiveMap` keeps the per-coefficient
+//!   path).
 //!
 //! Geometries cover 1-d, 2-d and 3-d, unequal levels and mixed tile
 //! exponents, a top band shorter than `b`, 1-cell, full-domain and
-//! domain-edge boxes, and chunks with exact-zero coefficients.
+//! domain-edge boxes, chunks with exact-zero coefficients, and boxes with
+//! zero cells and whole zero pieces.
 
-use shiftsplit::array::{decompose_range, DyadicInterval, MultiIndexIter, NdArray, Shape};
-use shiftsplit::core::runs::{TileGroup, TileRuns};
-use shiftsplit::core::split::{standard_deltas, standard_runs};
+use shiftsplit::array::{
+    decompose_interval, decompose_range, DyadicInterval, MultiIndexIter, NdArray, Shape,
+};
+use shiftsplit::core::runs::TileRuns;
+use shiftsplit::core::split::{standard_deltas, standard_runs, LocatedBox};
 use shiftsplit::core::tiling::{NaiveMap, StandardTiling, Tiling1d};
 use shiftsplit::core::TilingMap;
 use shiftsplit::datagen::SplitMix64;
-use shiftsplit::maintain::{update_boxes_standard, DeltaBuffer, FlushMode, UpdateBox};
-use shiftsplit::storage::{wstore::mem_store, IoStats};
-use shiftsplit::transform::{box_runs_standard, for_each_box_delta_standard};
+use shiftsplit::maintain::{update_boxes_standard, DeltaBuffer, FlushMode, FlushReport, UpdateBox};
+use shiftsplit::storage::{mem_shared_store, wstore::mem_store, CoeffWrite, IoSnapshot, IoStats};
+use shiftsplit::transform::{box_runs_standard, for_each_box_delta_standard, UpdateReport};
 use std::collections::HashMap;
 
 /// `(tile, slot, delta bits)`.
 type Located = (usize, usize, u64);
+
+/// Every run of `runs` in stored order, box runs written out.
+fn listed(runs: &TileRuns) -> Vec<(usize, Vec<(usize, f64)>)> {
+    let mut out = Vec::new();
+    runs.for_each_run(|tile, run| out.push((tile, run.to_vec())));
+    out
+}
 
 /// A "transformed chunk" of the given levels: seeded values, about a
 /// third of them exactly zero.
@@ -116,10 +132,7 @@ fn check_chunk_runs(map: &impl TilingMap, seed: u64) {
 /// tiles strictly ascending, so one descriptor per tile and `group()` a
 /// no-op — and returns its deltas as located triples, in arena order.
 fn run_contract(arena: &mut TileRuns, label: &str) -> Vec<Located> {
-    let before: Vec<(usize, Vec<(usize, f64)>)> = arena
-        .runs()
-        .map(|(tile, run)| (tile, run.to_vec()))
-        .collect();
+    let before = listed(arena);
     for pair in before.windows(2) {
         assert!(
             pair[0].0 < pair[1].0,
@@ -138,10 +151,7 @@ fn run_contract(arena: &mut TileRuns, label: &str) -> Vec<Located> {
         "{label}: one run per tile"
     );
     arena.group();
-    let after: Vec<(usize, Vec<(usize, f64)>)> = arena
-        .runs()
-        .map(|(tile, run)| (tile, run.to_vec()))
-        .collect();
+    let after = listed(arena);
     assert_eq!(after, before, "{label}: group() moved a run");
     let located = before.into_iter().flat_map(|(tile, run)| {
         run.into_iter()
@@ -194,14 +204,41 @@ fn boxes(rng: &mut SplitMix64, n: &[u32], count: usize) -> Vec<UpdateBox> {
     out
 }
 
-/// (b) One box: the arena `box_runs_standard` writes against the
+/// Seeded boxes with exact zeros: an all-zero box, a constant one (every
+/// detail of every piece zero), about half the cells zero, and boxes whose
+/// first dyadic piece along axis 0 is all zero — so some destination tile
+/// of the walk receives nothing.
+fn sparse_boxes(rng: &mut SplitMix64, n: &[u32], count: usize) -> Vec<UpdateBox> {
+    let mut out = Vec::new();
+    for (k, (origin, mut delta)) in boxes(rng, n, count).into_iter().enumerate() {
+        let dims = delta.shape().dims().to_vec();
+        let first = decompose_interval(origin[0], origin[0] + dims[0] - 1)[0].len();
+        let constant = rng.range(-1.0, 1.0);
+        for rel in MultiIndexIter::new(&dims) {
+            let v = match k % 4 {
+                0 => 0.0,
+                1 => constant,
+                2 if rng.below(2) == 0 => 0.0,
+                3 if rel[0] < first => 0.0,
+                _ => continue,
+            };
+            delta.set(&rel, v);
+        }
+        out.push((origin, delta));
+    }
+    out
+}
+
+/// (b) One box: the runs `box_runs_standard` keeps, written out, against the
 /// index-space oracle — each tile's sequence of pieces, in piece order,
 /// and every coefficient's delta sequence.
 fn check_box_runs(map: &impl TilingMap, seed: u64) {
     let n = levels_of(map);
     let axes = map.axis_tilings().unwrap();
     let mut rng = SplitMix64::new(seed);
-    for (origin, delta) in boxes(&mut rng, &n, 12) {
+    let mut batch = boxes(&mut rng, &n, 12);
+    batch.extend(sparse_boxes(&mut rng, &n, 8));
+    for (origin, delta) in batch {
         let label = format!("{n:?} box at {origin:?} of {:?}", delta.shape().dims());
         let mut arena = TileRuns::default();
         let got_report = box_runs_standard(axes, &origin, &delta, &mut arena);
@@ -241,7 +278,7 @@ fn check_box_runs(map: &impl TilingMap, seed: u64) {
         // piece is not observable).
         let mut tiles: Vec<usize> = per_tile.keys().copied().collect();
         tiles.sort_unstable();
-        let got_tiles: Vec<usize> = arena.runs().map(|(tile, _)| tile).collect();
+        let got_tiles: Vec<usize> = listed(&arena).iter().map(|(tile, _)| *tile).collect();
         assert_eq!(got_tiles, tiles, "{label}: tiles");
         let mut rest = got.as_slice();
         for tile in tiles {
@@ -314,8 +351,14 @@ fn a_buffer_fed_by_runs_drains_what_one_fed_by_add_at_drains() {
         let (index, index_report) = by_index.drain();
         // Each tile's runs, concatenated in arrival order.
         let ops = |runs: &TileRuns| -> Vec<(usize, Vec<(usize, f64)>)> {
-            let ops = |tile: TileGroup| tile.runs().flatten().copied().collect();
-            runs.tiles().map(|tile| (tile.tile(), ops(tile))).collect()
+            let mut out: Vec<(usize, Vec<(usize, f64)>)> = Vec::new();
+            for (tile, run) in listed(runs) {
+                match out.last_mut() {
+                    Some((last, ops)) if *last == tile => ops.extend(run),
+                    _ => out.push((tile, run)),
+                }
+            }
+            out
         };
         let (runs, index) = (ops(&runs), ops(&index));
         assert_eq!(runs_report, index_report, "{mode:?}");
@@ -389,4 +432,229 @@ fn batches_match_a_dense_recompute_on_product_and_naive_maps() {
         &batch,
         &want,
     );
+}
+
+/// A random product tiling of rank `d`: levels 1..=5 (1..=4 in 3-d),
+/// tile exponents 1..=3, so some tiles are taller than their axis.
+fn random_tiling(rng: &mut SplitMix64, d: usize) -> StandardTiling {
+    let top = if d == 3 { 4 } else { 5 };
+    let n: Vec<u32> = (0..d).map(|_| 1 + rng.below(top) as u32).collect();
+    let b: Vec<u32> = (0..d).map(|_| 1 + rng.below(3) as u32).collect();
+    StandardTiling::new(&n, &b)
+}
+
+/// One buffered operation of a mixed batch.
+enum BatchOp {
+    Box(UpdateBox),
+    Runs(TileRuns),
+    At(Vec<(Vec<usize>, f64)>),
+}
+
+/// Boxes (dense and sparse) interleaved with already-located `add_runs`
+/// batches and `add_at` operations.
+fn mixed_ops(rng: &mut SplitMix64, map: &StandardTiling, n: &[u32]) -> Vec<BatchOp> {
+    let (tiles, capacity) = (map.num_tiles(), map.block_capacity());
+    let mut boxes = boxes(rng, n, 6);
+    boxes.extend(sparse_boxes(rng, n, 6));
+    let mut out = Vec::new();
+    for (k, one) in boxes.into_iter().enumerate() {
+        out.push(BatchOp::Box(one));
+        match k % 3 {
+            0 => {
+                let mut runs = TileRuns::default();
+                for _ in 0..1 + rng.below(6) {
+                    runs.push(rng.below(tiles), rng.below(capacity), rng.range(-2.0, 2.0));
+                }
+                out.push(BatchOp::Runs(runs));
+            }
+            1 => {
+                let ops = (0..1 + rng.below(4))
+                    .map(|_| {
+                        let idx = n.iter().map(|&nt| rng.below(1 << nt)).collect();
+                        (idx, rng.range(-2.0, 2.0))
+                    })
+                    .collect();
+                out.push(BatchOp::At(ops));
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// Buffers `ops`, a box deferred (`add_box_standard`) or through the
+/// index-space oracle (`for_each_box_delta_standard` + `add_at`).
+fn buffered(
+    map: &StandardTiling,
+    n: &[u32],
+    ops: &[BatchOp],
+    mode: FlushMode,
+    deferred: bool,
+) -> (DeltaBuffer, UpdateReport) {
+    let mut buf = DeltaBuffer::for_map(map, mode);
+    let mut report = UpdateReport::default();
+    for op in ops {
+        match op {
+            BatchOp::Box((origin, delta)) if deferred => {
+                report.merge(buf.add_box_standard(map, n, origin, delta));
+            }
+            BatchOp::Box((origin, delta)) => {
+                buf.begin_box();
+                let add = |idx: &[usize], v: f64| buf.add_at(map, idx, v);
+                report.merge(for_each_box_delta_standard(n, origin, delta, add));
+            }
+            BatchOp::Runs(runs) => buf.add_runs(runs),
+            BatchOp::At(ops) => {
+                buf.begin_box();
+                for (idx, v) in ops {
+                    buf.add_at(map, idx, *v);
+                }
+            }
+        }
+    }
+    (buf, report)
+}
+
+/// Seeds every slot of `sink` with `-0.0`, `+0.0` or a value, so a zero
+/// delta added anywhere would show in the bits.
+fn seed<W: CoeffWrite>(sink: &mut W, tiles: usize, seed: u64) {
+    let mut rng = SplitMix64::new(seed);
+    for tile in 0..tiles {
+        sink.with_tile(tile, |blk| {
+            for v in blk.iter_mut() {
+                *v = match rng.below(3) {
+                    0 => -0.0,
+                    1 => 0.0,
+                    _ => rng.range(-10.0, 10.0),
+                };
+            }
+        });
+    }
+    sink.flush();
+}
+
+/// Every slot's bits, tile by tile.
+fn bits<W: CoeffWrite>(sink: &mut W, tiles: usize) -> Vec<u64> {
+    let mut out = Vec::new();
+    for tile in 0..tiles {
+        sink.with_tile(tile, |blk| out.extend(blk.iter().map(|v| v.to_bits())));
+    }
+    out
+}
+
+/// What one flush leg left behind.
+struct Leg {
+    update: UpdateReport,
+    flush: FlushReport,
+    io: IoSnapshot,
+    stored: Vec<u64>,
+}
+
+/// Buffers `ops` and flushes them into a seeded exclusive (`shared =
+/// false`) or sharded store.
+fn flush_leg(
+    map: &StandardTiling,
+    ops: &[BatchOp],
+    mode: FlushMode,
+    deferred: bool,
+    shared: bool,
+    round: u64,
+) -> Leg {
+    let n: Vec<u32> = map.axes().iter().map(|axis| axis.levels()).collect();
+    let tiles = map.num_tiles();
+    let (mut buf, update) = buffered(map, &n, ops, mode, deferred);
+    let stats = IoStats::new();
+    let (flush, io, stored) = if shared {
+        let store = mem_shared_store(map.clone(), 4, 2, stats.clone());
+        seed(&mut &store, tiles, round);
+        stats.reset();
+        let flush = buf.flush_into_shared(&store, 3);
+        (flush, stats.snapshot(), bits(&mut &store, tiles))
+    } else {
+        let mut store = mem_store(map.clone(), 3, stats.clone());
+        seed(&mut store, tiles, round);
+        stats.reset();
+        let flush = buf.flush_into(&mut store);
+        (flush, stats.snapshot(), bits(&mut store, tiles))
+    };
+    Leg {
+        update,
+        flush,
+        io,
+        stored,
+    }
+}
+
+#[test]
+fn deferred_boxes_store_what_the_index_space_oracle_stores() {
+    // Random product tilings of rank 1, 2 and 3; each batch mixes
+    // deferred boxes with arena operations, and each leg flushes through
+    // the exclusive or the sharded sink onto blocks holding `-0.0`.
+    let mut rng = SplitMix64::new(41);
+    for round in 0..12u64 {
+        let map = random_tiling(&mut rng, 1 + round as usize % 3);
+        let n: Vec<u32> = map.axes().iter().map(|axis| axis.levels()).collect();
+        let ops = mixed_ops(&mut rng, &map, &n);
+        for mode in [FlushMode::Exact, FlushMode::Merged] {
+            for shared in [false, true] {
+                let label = format!("{n:?} {mode:?} shared={shared}");
+                let got = flush_leg(&map, &ops, mode, true, shared, round);
+                let want = flush_leg(&map, &ops, mode, false, shared, round);
+                assert!(got.flush.deltas > 0, "{label}");
+                assert_eq!(got.update, want.update, "{label}: UpdateReport");
+                assert_eq!(got.flush, want.flush, "{label}: FlushReport");
+                assert_eq!(got.stored, want.stored, "{label}: stored bits");
+                assert_eq!(got.io.coeff_writes, want.io.coeff_writes, "{label}");
+                // The serial sink makes the same transfers too (sharded
+                // workers race for frames, so their pool counts vary).
+                if !shared {
+                    assert_eq!(got.io, want.io, "{label}: IoSnapshot");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_written_out_box_run_is_what_standard_runs_pushes() {
+    // `for_each_run` writes a box run out through the box's walk: per
+    // tile, the very run `standard_runs` pushes for the same segmented
+    // transform. Zero pieces leave some destination tile without a run.
+    let mut rng = SplitMix64::new(43);
+    let mut skipped = 0;
+    for round in 0..12 {
+        let map = random_tiling(&mut rng, 1 + round % 3);
+        let n: Vec<u32> = map.axes().iter().map(|axis| axis.levels()).collect();
+        let axes = map.axes();
+        let mut batch = boxes(&mut rng, &n, 4);
+        batch.extend(sparse_boxes(&mut rng, &n, 8));
+        for (origin, delta) in batch {
+            let label = format!("{n:?} box at {origin:?} of {:?}", delta.shape().dims());
+            let mut deferred = TileRuns::default();
+            let report = box_runs_standard(axes, &origin, &delta, &mut deferred);
+            let segments: Vec<Vec<DyadicInterval>> = (0..n.len())
+                .map(|t| decompose_interval(origin[t], origin[t] + delta.shape().dim(t) - 1))
+                .collect();
+            let mut t = delta.clone();
+            shiftsplit::core::standard::forward_segments(&mut t, &segments);
+            let mut arena = TileRuns::default();
+            standard_runs(&t, axes, &segments, &mut arena);
+            let as_bits = |runs: &TileRuns| -> Vec<(usize, Vec<(usize, u64)>)> {
+                let bits =
+                    |run: Vec<(usize, f64)>| run.iter().map(|&(s, v)| (s, v.to_bits())).collect();
+                listed(runs)
+                    .into_iter()
+                    .map(|(tile, run)| (tile, bits(run)))
+                    .collect()
+            };
+            assert_eq!(as_bits(&deferred), as_bits(&arena), "{label}");
+            assert_eq!(report.coeffs_touched, arena.len(), "{label}");
+            assert_eq!(deferred.len(), arena.len(), "{label}");
+            assert_eq!(deferred.is_empty(), arena.is_empty(), "{label}");
+            let mut destinations = 0;
+            LocatedBox::new(t, axes, &segments).destinations(|_, _| destinations += 1);
+            skipped += destinations - listed(&arena).len();
+        }
+    }
+    assert!(skipped > 0, "no destination tile went without a run");
 }
