@@ -7,12 +7,13 @@
 //!   queries (Lemma 1), range sums (Lemma 2) and the *inverse SPLIT*
 //!   (computing a dyadic block's average from the global transform). Using
 //!   lists instead of direct evaluation lets disk-backed callers account for
-//!   each coefficient access. An N-d list is one flat [`Contributions`] value
-//!   (a coordinate buffer and a weight buffer: two allocations whatever the
-//!   length); it is also the *query plan* every evaluator in `ss-query` and
-//!   `ss-serve` consumes. The standard form is separable, so its lists are
-//!   per-axis `(index, weight)` lists crossed by the one product loop,
-//!   [`for_each_product`].
+//!   each coefficient access. An N-d list is one [`Contributions`] value,
+//!   the *query plan* every evaluator in `ss-query` and `ss-serve`
+//!   consumes. The standard form is separable, so its plans stay per-axis
+//!   `(index, weight)` lists (the product form); their terms are the
+//!   lists crossed by the one product loop, [`for_each_product`], and the
+//!   executor walks them located, tile by tile ([`LocatedPlan`]). Other
+//!   plans are flat term lists.
 //! * **Partial reconstruction** (Result 6) — assembling the transform of a
 //!   dyadic sub-range from the global transform via inverse SHIFT (detail
 //!   re-indexing) plus inverse SPLIT (block-average evaluation), then
@@ -37,64 +38,159 @@ use crate::nonstandard::NsCoeff;
 use crate::split::{destinations, for_each_row, interval_targets, AxisTargets};
 use crate::tiling::AxisTiling;
 use ss_array::{advance, DyadicRange, MultiIndexIter, NdArray, Shape};
+use std::sync::OnceLock;
 
-/// A contribution list over N-d coefficient indices, stored flat: term `k`
-/// is `(coords[k·rank .. (k+1)·rank], weights[k])`.
-#[derive(Clone, Debug, PartialEq)]
+/// A contribution list over N-d coefficient indices, in one of two forms:
+///
+/// * **flat** — term `k` is `(coords[k·rank .. (k+1)·rank], weights[k])`,
+///   pushed one by one ([`push`](Self::push)): a router's `partial`
+///   sub-plan and the non-standard builders;
+/// * **product** — per-axis `(index, factor)` lists whose cross product,
+///   row-major, is the term list ([`product`](Self::product)): every
+///   standard-form plan. Its terms are never built on the query path; the
+///   executor locates the lists one axis at a time ([`LocatedPlan`]).
+///
+/// [`for_each_term`](Self::for_each_term) walks either form without
+/// allocating.
+#[derive(Clone, Debug)]
 pub struct Contributions {
     rank: usize,
-    coords: Vec<usize>,
-    weights: Vec<f64>,
+    /// The product form's per-axis lists; empty for a flat list.
+    axes: Vec<Vec<(usize, f64)>>,
+    /// `(coords, weights)`: a flat list's terms, or a product list's once
+    /// the first [`iter`](Self::iter) call built them.
+    terms: OnceLock<(Vec<usize>, Vec<f64>)>,
+}
+
+impl PartialEq for Contributions {
+    /// Same form and same terms; whether a product list's terms were
+    /// built is not compared.
+    fn eq(&self, other: &Self) -> bool {
+        self.rank == other.rank
+            && self.axes == other.axes
+            && (!self.axes.is_empty() || self.terms.get() == other.terms.get())
+    }
 }
 
 impl Contributions {
-    /// An empty list of `rank`-dimensional terms with room for `terms`.
+    /// An empty flat list of `rank`-dimensional terms with room for `terms`.
     ///
     /// # Panics
     ///
     /// Panics when `rank` is zero: a coefficient index has at least one axis.
     pub fn with_capacity(rank: usize, terms: usize) -> Self {
         assert!(rank > 0, "Contributions: zero-dimensional index");
+        let flat = (Vec::with_capacity(rank * terms), Vec::with_capacity(terms));
         Contributions {
             rank,
-            coords: Vec::with_capacity(rank * terms),
-            weights: Vec::with_capacity(terms),
+            axes: Vec::new(),
+            terms: OnceLock::from(flat),
         }
     }
 
-    /// Appends the term `(idx, weight)`.
+    /// The product form: the cross product of the per-axis
+    /// `(index, factor)` lists, term weights multiplied left to right from
+    /// `1.0` ([`for_each_product`]).
     ///
     /// # Panics
     ///
-    /// Panics (in release builds too) when `idx` does not have the list's
-    /// rank: a short or long index would silently shift every later
-    /// coordinate.
+    /// Panics when `axes` is empty.
+    pub fn product(axes: Vec<Vec<(usize, f64)>>) -> Self {
+        assert!(!axes.is_empty(), "Contributions: zero-dimensional index");
+        let rank = axes.len();
+        let terms = OnceLock::new();
+        Contributions { rank, axes, terms }
+    }
+
+    /// Appends the term `(idx, weight)` to a flat list.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a product list, and (in release builds too) when `idx`
+    /// does not have the list's rank: a short or long index would silently
+    /// shift every later coordinate.
     pub fn push(&mut self, idx: &[usize], weight: f64) {
+        assert!(
+            self.axes.is_empty(),
+            "Contributions::push: a product list takes no terms"
+        );
         assert_eq!(
             idx.len(),
             self.rank,
             "Contributions::push: index {idx:?} in a rank-{} list",
             self.rank
         );
-        self.coords.extend_from_slice(idx);
-        self.weights.push(weight);
+        let (coords, weights) = self.terms.get_mut().expect("a flat list holds its terms");
+        coords.extend_from_slice(idx);
+        weights.push(weight);
     }
 
-    /// Number of terms.
+    /// Number of terms: a product list's is the product of its list
+    /// lengths.
     pub fn len(&self) -> usize {
-        self.weights.len()
+        match self.per_axis() {
+            Some(axes) => axes.iter().map(Vec::len).product(),
+            None => self.flat_terms().1.len(),
+        }
     }
 
     /// `true` iff the list holds no terms.
     pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
+        self.len() == 0
     }
 
-    /// The `(index, weight)` terms in insertion order.
+    /// A product list's per-axis `(index, factor)` lists; `None` for a
+    /// flat list.
+    pub fn per_axis(&self) -> Option<&[Vec<(usize, f64)>]> {
+        (!self.axes.is_empty()).then_some(&self.axes[..])
+    }
+
+    /// Visits every term `(index, weight)` in order — insertion order, or
+    /// a product's row-major order with its [`for_each_product`] weights —
+    /// allocating nothing up to rank 8. Every walk over a plan's terms
+    /// goes through here.
+    pub fn for_each_term(&self, mut visit: impl FnMut(&[usize], f64)) {
+        match self.per_axis() {
+            Some(axes) => for_each_product(axes, visit),
+            None => {
+                let (coords, weights) = self.flat_terms();
+                for (idx, &w) in coords.chunks_exact(self.rank).zip(weights) {
+                    visit(idx, w);
+                }
+            }
+        }
+    }
+
+    fn flat_terms(&self) -> &(Vec<usize>, Vec<f64>) {
+        self.terms.get().expect("a flat list holds its terms")
+    }
+
+    /// `Σ weight · get(index)` over the terms in order, from `-0.0` (the
+    /// neutral element `Iterator::sum` folds from): the plan-order sum of
+    /// the generic query fronts.
+    pub fn weighted_sum(&self, mut get: impl FnMut(&[usize]) -> f64) -> f64 {
+        let mut sum = -0.0;
+        self.for_each_term(|idx, w| sum += w * get(idx));
+        sum
+    }
+
+    /// The terms as an iterator of borrowed `(index, weight)` pairs, the
+    /// order of [`for_each_term`](Self::for_each_term). A product list has
+    /// no index tuples to lend, so its first call builds them, once, and
+    /// keeps them with the list: for callers that need the terms as data
+    /// (a progressive sum sorts them; tests collect them). The executor,
+    /// the generic fronts, the server and the router walk
+    /// [`for_each_term`](Self::for_each_term) instead.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (&[usize], f64)> {
-        self.coords
-            .chunks_exact(self.rank)
-            .zip(self.weights.iter().copied())
+        let (coords, weights) = self.terms.get_or_init(|| {
+            let (mut coords, mut weights) = (Vec::new(), Vec::new());
+            self.for_each_term(|idx, w| {
+                coords.extend_from_slice(idx);
+                weights.push(w);
+            });
+            (coords, weights)
+        });
+        coords.chunks_exact(self.rank).zip(weights.iter().copied())
     }
 }
 
@@ -139,33 +235,26 @@ pub fn for_each_product<L: AsRef<[(usize, f64)]>>(
 }
 
 /// Point-query contributions for the **standard** multidimensional form:
-/// the cross product of per-axis Lemma 1 lists; `Π(n_t + 1)` entries.
+/// the product of per-axis Lemma 1 lists; `Π(n_t + 1)` terms.
 pub fn standard_point_contributions(n: &[u32], pos: &[usize]) -> Contributions {
-    cross_product(
-        &n.iter()
+    Contributions::product(
+        n.iter()
             .zip(pos)
             .map(|(&nt, &p)| Layout1d::new(nt).point_contributions(p))
-            .collect::<Vec<_>>(),
+            .collect(),
     )
 }
 
 /// Range-sum contributions for the **standard** form over the inclusive box
-/// `[lo, hi]`: cross product of per-axis Lemma 2 lists; at most
-/// `Π(2·n_t + 1)` entries.
+/// `[lo, hi]`: the product of per-axis Lemma 2 lists; at most
+/// `Π(2·n_t + 1)` terms.
 pub fn standard_range_sum_contributions(n: &[u32], lo: &[usize], hi: &[usize]) -> Contributions {
-    cross_product(
-        &n.iter()
+    Contributions::product(
+        n.iter()
             .zip(lo.iter().zip(hi))
             .map(|(&nt, (&l, &h))| Layout1d::new(nt).range_sum_contributions(l, h))
-            .collect::<Vec<_>>(),
+            .collect(),
     )
-}
-
-fn cross_product(per_axis: &[Vec<(usize, f64)>]) -> Contributions {
-    let terms = per_axis.iter().map(Vec::len).product();
-    let mut out = Contributions::with_capacity(per_axis.len(), terms);
-    for_each_product(per_axis, |idx, w| out.push(idx, w));
-    out
 }
 
 /// Point-query contributions for the **non-standard** form on an `N^d`
@@ -405,6 +494,69 @@ impl BoxEnvelope {
     }
 }
 
+/// A product plan ([`Contributions::product`]) located on a
+/// per-axis-product tiling ([`TilingMap::axis_tilings`](crate::TilingMap::axis_tilings)):
+/// each axis's list sorted by index and located once (`AxisTargets`, one
+/// table per axis), so the plan's terms follow tile by tile without
+/// building any of them — the read-side twin of
+/// [`LocatedBox`](crate::split::LocatedBox).
+///
+/// Inside one axis tile ascending index is ascending slot, so the walk
+/// ([`for_each_member`](Self::for_each_member)) visits a tile's members
+/// in ascending slot order, and equal slots (a list that repeats an
+/// index) in the plan's term order: the order a stable sort of the plan's
+/// located terms by `(tile, slot)` gives.
+#[derive(Clone, Debug)]
+pub struct LocatedPlan {
+    tables: AxisTargets,
+    /// Row-major strides over the sorted lists (the walk's offsets).
+    strides: Vec<usize>,
+}
+
+impl LocatedPlan {
+    /// Locates the per-axis lists `per_axis` ([`Contributions::per_axis`])
+    /// on the product tiling `axes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the ranks differ or a list is empty (an empty plan
+    /// touches no tile).
+    pub fn new(axes: &[AxisTiling], per_axis: &[Vec<(usize, f64)>]) -> Self {
+        assert_eq!(per_axis.len(), axes.len(), "plan rank");
+        let mut tables = AxisTargets::default();
+        let mut sorted = Vec::new();
+        for list in per_axis {
+            sorted.clone_from(list);
+            sorted.sort_by_key(|&(index, _)| index);
+            let ranked = sorted.iter().enumerate();
+            tables.push_axis(axes, ranked.map(|(r, &(index, f))| (0, r, index, f)));
+        }
+        let extents: Vec<usize> = per_axis.iter().map(Vec::len).collect();
+        LocatedPlan {
+            tables,
+            strides: Shape::new(&extents).strides().to_vec(),
+        }
+    }
+
+    /// Every tile the plan touches, strictly ascending, as `(ordinal, at)` —
+    /// `at` the tile's position in the per-axis tables, what
+    /// [`for_each_member`](Self::for_each_member) takes.
+    pub fn destinations(&self, visit: impl FnMut(usize, &[usize])) {
+        destinations(&self.tables, visit);
+    }
+
+    /// Tile `at`'s terms as `(slot, weight)`, in ascending slot order, each
+    /// weight `(1 · f_0) · f_1 · …` — the bits [`for_each_product`] gives.
+    pub fn for_each_member(&self, at: &[usize], mut visit: impl FnMut(usize, f64)) {
+        for_each_row(&self.tables, &self.strides, at, |_, slot, factor, inner| {
+            for target in inner {
+                visit(slot + target.slot as usize, factor * target.factor);
+            }
+            true
+        });
+    }
+}
+
 /// Assembles the **non-standard transform of a cubic dyadic sub-range** from
 /// a global coefficient accessor: details by inverse SHIFT, the block
 /// average by inverse SPLIT.
@@ -426,10 +578,7 @@ pub fn nonstandard_range_transform(
         let g = crate::shift::shift_index_nonstandard(n, m, &block, &local);
         out.set(&local, get(&g));
     }
-    let avg: f64 = nonstandard_block_average_contributions(n, m, &block)
-        .iter()
-        .map(|(idx, w)| w * get(idx))
-        .sum();
+    let avg = nonstandard_block_average_contributions(n, m, &block).weighted_sum(&mut get);
     out.set(&vec![0usize; d], avg);
     out
 }
@@ -534,6 +683,62 @@ mod tests {
         });
         assert_eq!(visits, 1 << 9);
         assert_eq!(last, (vec![4; 9], 0.5f64.powi(9)));
+    }
+
+    /// The flat plan the deleted `cross_product` built: every term of the
+    /// per-axis lists' cross product, row-major, weights multiplied left
+    /// to right from `1.0` — spelled out with an explicit odometer.
+    fn cross_product_oracle(per_axis: &[Vec<(usize, f64)>]) -> Contributions {
+        let mut out = Contributions::with_capacity(per_axis.len(), 0);
+        if per_axis.iter().any(Vec::is_empty) {
+            return out;
+        }
+        let mut pick = vec![0usize; per_axis.len()];
+        let mut idx = vec![0usize; per_axis.len()];
+        loop {
+            let mut w = 1.0;
+            for (t, list) in per_axis.iter().enumerate() {
+                idx[t] = list[pick[t]].0;
+                w *= list[pick[t]].1;
+            }
+            out.push(&idx, w);
+            if !advance(&mut pick, |t| per_axis[t].len()) {
+                return out;
+            }
+        }
+    }
+
+    #[test]
+    fn a_product_plan_walks_the_cross_product_terms_bit_for_bit() {
+        let bits = |c: &Contributions| {
+            let mut terms = Vec::new();
+            c.for_each_term(|idx, w| terms.push((idx.to_vec(), w.to_bits())));
+            terms
+        };
+        let n = [3u32, 0, 4];
+        let mut plans = vec![
+            standard_point_contributions(&n, &[5, 0, 9]),
+            standard_range_sum_contributions(&n, &[1, 0, 3], &[6, 0, 14]),
+            standard_range_sum_contributions(&n[..1], &[0], &[7]),
+        ];
+        // Repeated indices and signed zeros in the lists; an empty axis.
+        let lists = vec![
+            vec![(3usize, 0.5), (1, -0.0), (3, -1.5)],
+            vec![(0, 3.0), (2, 0.0)],
+        ];
+        plans.push(Contributions::product(lists.clone()));
+        plans.push(Contributions::product(vec![lists[0].clone(), vec![]]));
+        for plan in &plans {
+            let want = cross_product_oracle(plan.per_axis().expect("a product plan"));
+            assert_eq!(plan.len(), want.len());
+            assert_eq!(bits(plan), bits(&want));
+            let lent: Vec<(Vec<usize>, u64)> = plan
+                .iter()
+                .map(|(i, w)| (i.to_vec(), w.to_bits()))
+                .collect();
+            assert_eq!(lent, bits(&want), "iter() lends the same terms");
+        }
+        assert_eq!(plans[0].len(), 4 * 5, "Lemma 1 per axis: 4, 1 and 5 terms");
     }
 
     #[test]

@@ -177,7 +177,7 @@ pub(crate) struct AxisTarget {
     /// Axis slot times the axis's stride in the slot grid.
     pub(crate) slot: u32,
     /// `1` for a SHIFT, the SPLIT multiplier otherwise.
-    factor: f64,
+    pub(crate) factor: f64,
 }
 
 /// The SHIFT and SPLIT targets of the `(block+1)`-th dyadic interval of

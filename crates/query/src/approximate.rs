@@ -176,18 +176,13 @@ impl StoredSynopsis {
 
     /// Approximate point query (Lemma 1 against the sparse map).
     pub fn point(&self, pos: &[usize]) -> f64 {
-        reconstruct::standard_point_contributions(&self.n, pos)
-            .iter()
-            .map(|(idx, w)| w * self.get(idx))
-            .sum()
+        reconstruct::standard_point_contributions(&self.n, pos).weighted_sum(|idx| self.get(idx))
     }
 
     /// Approximate inclusive range sum (Lemma 2 against the sparse map).
     pub fn range_sum(&self, lo: &[usize], hi: &[usize]) -> f64 {
         reconstruct::standard_range_sum_contributions(&self.n, lo, hi)
-            .iter()
-            .map(|(idx, w)| w * self.get(idx))
-            .sum()
+            .weighted_sum(|idx| self.get(idx))
     }
 
     /// Fraction of the data's total energy captured by the synopsis,

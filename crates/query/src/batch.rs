@@ -9,7 +9,7 @@
 //! `|distinct tiles|` — the batching analogue of the paper's tiling
 //! argument.
 
-use ss_core::reconstruct::{self, Contributions};
+use ss_core::reconstruct::{self, Contributions, LocatedPlan};
 use ss_core::tiling::TileSlot;
 use ss_core::TilingMap;
 use ss_storage::CoeffRead;
@@ -71,24 +71,29 @@ pub fn execute_plans<'a, C: CoeffRead>(
         .collect()
 }
 
-/// One plan term resolved to its storage location.
-struct Term {
+/// The members one plan has in one tile: `members[start..end]`, its
+/// `(slot, weight)` terms in ascending slot order.
+struct Visit {
     tile: usize,
-    slot: usize,
-    query: usize,
-    weight: f64,
+    plan: usize,
+    start: usize,
+    end: usize,
 }
 
 /// [`execute_plans`] with each answer's per-tile partial sums exposed.
 ///
-/// The pipeline is **locate, sort, fold**: every term of every plan is
-/// located once, the terms are stable-sorted by `(tile, slot)`, and each run
-/// of equal keys is one coefficient read folded into the partials of the
-/// queries that asked for it.
+/// The pipeline walks **tiles, not terms**. Each plan is located once: a
+/// product plan on a product tiling through its per-axis lists
+/// ([`LocatedPlan`]: its tiles ascending, each tile's members in
+/// ascending slot order, no term built), any other plan by locating its
+/// own terms and stable-sorting them by `(tile, slot)`. Every plan's
+/// visits are then sorted by tile, and each tile the sweep touches is
+/// entered once ([`CoeffRead::with_tiles`]), where every plan that visits
+/// it folds its members.
 ///
 /// The canonical accumulation order is **per-tile decomposed**: within a
-/// tile, contributions fold left in ascending `(tile, slot)` key order
-/// (and, per key, in plan insertion order — the sort is stable); the
+/// tile, a plan's contributions fold left in ascending slot order (and,
+/// per slot, in plan term order) — the first one *sets* the partial; the
 /// answer is then the fold of the per-tile partials in ascending tile
 /// order, starting from `0.0`. Because f64 addition is not associative,
 /// this grouping is what makes horizontal sharding *exact*: any partition
@@ -97,6 +102,9 @@ struct Term {
 /// tile order replays the identical addition sequence — the merged answer
 /// equals the single-store answer bit for bit (see `ss-serve`'s router and
 /// DESIGN.md §16).
+///
+/// Counts one coefficient read per distinct `(tile, slot)` of the sweep
+/// and one pool access per distinct tile.
 pub fn execute_plans_tiled<'a, C: CoeffRead>(
     cs: &mut C,
     plans: impl IntoIterator<Item = &'a Contributions>,
@@ -104,21 +112,69 @@ pub fn execute_plans_tiled<'a, C: CoeffRead>(
     // Inert unless the calling thread is inside a traced request; the
     // batch's tile-fetch events then nest under this span.
     let _trace_span = ss_obs::trace::scoped("query.execute");
-    let mut terms: Vec<Term> = Vec::new();
+    let map = cs.map();
+    let mut visits: Vec<Visit> = Vec::new();
+    let mut members: Vec<(usize, f64)> = Vec::new();
+    let mut located: Vec<(usize, usize, f64)> = Vec::new();
     let mut queries = 0;
     for plan in plans {
-        terms.extend(plan.iter().map(|(idx, weight)| {
-            let TileSlot { tile, slot } = cs.map().locate(idx);
-            Term {
-                tile,
-                slot,
-                query: queries,
-                weight,
-            }
-        }));
+        let q = queries;
         queries += 1;
+        if plan.is_empty() {
+            continue;
+        }
+        if let (Some(axes), Some(per_axis)) = (map.axis_tilings(), plan.per_axis()) {
+            let plan = LocatedPlan::new(axes, per_axis);
+            plan.destinations(|tile, at| {
+                let start = members.len();
+                plan.for_each_member(at, |slot, w| members.push((slot, w)));
+                let end = members.len();
+                visits.push(Visit {
+                    tile,
+                    plan: q,
+                    start,
+                    end,
+                });
+            });
+        } else {
+            located.clear();
+            plan.for_each_term(|idx, w| {
+                let TileSlot { tile, slot } = map.locate(idx);
+                located.push((tile, slot, w));
+            });
+            located.sort_by_key(|&(tile, slot, _)| (tile, slot));
+            for in_tile in located.chunk_by(|a, b| a.0 == b.0) {
+                let start = members.len();
+                members.extend(in_tile.iter().map(|&(_, slot, w)| (slot, w)));
+                let end = members.len();
+                let tile = in_tile[0].0;
+                visits.push(Visit {
+                    tile,
+                    plan: q,
+                    start,
+                    end,
+                });
+            }
+        }
     }
-    terms.sort_by_key(|t| (t.tile, t.slot));
+    // Stable: inside a tile the plans stay in batch order.
+    visits.sort_by_key(|v| v.tile);
+    let mut tiles: Vec<usize> = Vec::new();
+    let mut reads = 0;
+    // The ordinal in `tiles` of the last tile that read each slot.
+    let mut seen = vec![usize::MAX; map.block_capacity()];
+    for in_tile in visits.chunk_by(|a, b| a.tile == b.tile) {
+        let k = tiles.len();
+        tiles.push(in_tile[0].tile);
+        for v in in_tile {
+            for &(slot, _) in &members[v.start..v.end] {
+                if seen[slot] != k {
+                    seen[slot] = k;
+                    reads += 1;
+                }
+            }
+        }
+    }
     let mut results = vec![
         PlanTiles {
             value: 0.0,
@@ -126,34 +182,21 @@ pub fn execute_plans_tiled<'a, C: CoeffRead>(
         };
         queries
     ];
-    // The open tile's partial per query, and the queries holding one.
-    let mut partial: Vec<Option<f64>> = vec![None; queries];
-    let mut touched: Vec<usize> = Vec::new();
-    let mut distinct_tiles = 0u64;
-    for in_tile in terms.chunk_by(|a, b| a.tile == b.tile) {
-        let tile = in_tile[0].tile;
-        distinct_tiles += 1;
-        for same_coeff in in_tile.chunk_by(|a, b| a.slot == b.slot) {
-            let v = cs.read_at(tile, same_coeff[0].slot);
-            for term in same_coeff {
-                match &mut partial[term.query] {
-                    Some(p) => *p += term.weight * v,
-                    first => {
-                        *first = Some(term.weight * v);
-                        touched.push(term.query);
-                    }
-                }
-            }
+    let mut pending = visits.iter().peekable();
+    cs.with_tiles(&tiles, reads, |k, blk| {
+        while let Some(v) = pending.next_if(|v| v.tile == tiles[k]) {
+            let mut terms = members[v.start..v.end]
+                .iter()
+                .map(|&(slot, w)| w * blk[slot]);
+            let first = terms.next().expect("a visit holds a member");
+            let partial = terms.fold(first, |p, x| p + x);
+            results[v.plan].tiles.push((v.tile, partial));
+            results[v.plan].value += partial;
         }
-        for q in touched.drain(..) {
-            let p = partial[q].take().expect("a touched query holds a partial");
-            results[q].tiles.push((tile, p));
-            results[q].value += p;
-        }
-    }
+    });
     ss_obs::global()
         .counter("query.batch_distinct_tiles")
-        .add(distinct_tiles);
+        .add(tiles.len() as u64);
     results
 }
 
@@ -288,6 +331,165 @@ mod tests {
                 r.tiles.iter().map(|&(t, p)| (t, p.to_bits())).collect()
             };
             assert_eq!(bits(g), bits(w), "plan {q} tiles");
+        }
+    }
+
+    /// A random product tiling: rank 1–3, per-axis levels 0–5 with one
+    /// axis forced to `n_t = 0` when `flat_axis`, block sides `2^1`–`2^3`
+    /// drawn per axis.
+    fn random_tiling(rng: &mut SplitMix64, flat_axis: bool) -> (Vec<u32>, StandardTiling) {
+        let d = 1 + rng.below(3);
+        let mut n: Vec<u32> = (0..d).map(|_| rng.below(6) as u32).collect();
+        if flat_axis {
+            n[rng.below(d)] = 0;
+        }
+        let b: Vec<u32> = (0..d).map(|_| 1 + rng.below(3) as u32).collect();
+        let map = StandardTiling::new(&n, &b);
+        (n, map)
+    }
+
+    /// Point and range plans (product form), raw `partial` term lists
+    /// with repeats (flat form), an empty plan of each form, and a
+    /// product whose lists repeat an index and carry `±0.0` factors.
+    fn mixed_plans(rng: &mut SplitMix64, n: &[u32], count: usize) -> Vec<Contributions> {
+        let dims: Vec<usize> = n.iter().map(|&nt| 1usize << nt).collect();
+        let pool: Vec<Vec<usize>> = (0..6).map(|_| index(rng, &dims)).collect();
+        let mut plans: Vec<Contributions> = (0..count)
+            .map(|_| match rng.below(3) {
+                0 => reconstruct::standard_point_contributions(n, &index(rng, &dims)),
+                1 => {
+                    let lo = index(rng, &dims);
+                    let hi: Vec<usize> = lo
+                        .iter()
+                        .zip(&dims)
+                        .map(|(&l, &d)| l + rng.below(d - l))
+                        .collect();
+                    reconstruct::standard_range_sum_contributions(n, &lo, &hi)
+                }
+                _ => {
+                    let terms = rng.below(30);
+                    let mut plan = Contributions::with_capacity(n.len(), terms);
+                    for _ in 0..terms {
+                        let idx = match rng.below(3) {
+                            0 => index(rng, &dims),
+                            _ => pool[rng.below(pool.len())].clone(),
+                        };
+                        plan.push(&idx, weight(rng));
+                    }
+                    plan
+                }
+            })
+            .collect();
+        plans.push(Contributions::with_capacity(n.len(), 0));
+        let mut lists: Vec<Vec<(usize, f64)>> = dims
+            .iter()
+            .map(|&d| {
+                let i = rng.below(d);
+                vec![
+                    (i, weight(rng)),
+                    (rng.below(d), weight(rng)),
+                    (i, weight(rng)),
+                ]
+            })
+            .collect();
+        plans.push(Contributions::product(lists.clone()));
+        lists[rng.below(n.len())].clear();
+        plans.push(Contributions::product(lists));
+        plans
+    }
+
+    /// `execute_plans_tiled` against the reference on one source: the
+    /// same `PlanTiles` bits, coefficient reads and block reads.
+    fn same_as_reference<C: CoeffRead>(
+        cs: &mut C,
+        stats: &IoStats,
+        plans: &[Contributions],
+        cold: &mut impl FnMut(&mut C),
+        what: &str,
+    ) {
+        cold(cs);
+        stats.reset();
+        let want = execute_plans_tiled_reference(cs, plans);
+        let want_io = stats.snapshot();
+        cold(cs);
+        stats.reset();
+        let got = execute_plans_tiled(cs, plans);
+        let got_io = stats.snapshot();
+        assert_eq!(
+            got_io.coeff_reads, want_io.coeff_reads,
+            "{what}: coefficient reads"
+        );
+        assert_eq!(
+            got_io.block_reads, want_io.block_reads,
+            "{what}: block reads"
+        );
+        let bits = |r: &PlanTiles| -> (u64, Vec<(usize, u64)>) {
+            let tiles = r.tiles.iter().map(|&(t, p)| (t, p.to_bits())).collect();
+            (r.value.to_bits(), tiles)
+        };
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (q, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(bits(g), bits(w), "{what}: plan {q}");
+        }
+    }
+
+    /// The tile walk against the two-hash-map oracle on every source kind
+    /// a sweep runs on: an exclusive store, a shared store whose pool
+    /// holds two tiles (so tiles are evicted mid-sweep), and a pinned
+    /// snapshot whose overlay shadows some tiles.
+    #[test]
+    fn product_plans_fold_like_the_oracle_on_every_source() {
+        for seed in 0..40u64 {
+            let mut rng = SplitMix64::new(seed);
+            let (n, map) = random_tiling(&mut rng, seed % 4 == 0);
+            let dims: Vec<usize> = n.iter().map(|&nt| 1usize << nt).collect();
+            let mut values: Vec<(Vec<usize>, f64)> = Vec::new();
+            for idx in MultiIndexIter::new(&dims) {
+                if rng.below(5) != 0 {
+                    values.push((idx, weight(&mut rng) * 3.0));
+                }
+            }
+            let count = 1 + rng.below(8);
+            let plans = mixed_plans(&mut rng, &n, count);
+            let what = format!("seed {seed}, levels {n:?}");
+
+            let stats = IoStats::new();
+            let mut cs = mem_store(map.clone(), 1 << 10, stats.clone());
+            for (idx, v) in &values {
+                cs.write(idx, *v);
+            }
+            cs.flush();
+            same_as_reference(&mut cs, &stats, &plans, &mut |cs| cs.clear_cache(), &what);
+
+            let stats = IoStats::new();
+            let shared = ss_storage::mem_shared_store(map.clone(), 2, 1, stats.clone());
+            for (idx, v) in &values {
+                shared.write(idx, *v);
+            }
+            shared.flush();
+            let mut handle = &shared;
+            let mut cold = |_: &mut _| shared.pool().clear();
+            let shared_what = format!("{what}, shared");
+            same_as_reference(&mut handle, &stats, &plans, &mut cold, &shared_what);
+
+            let stats = IoStats::new();
+            let base = ss_storage::mem_shared_store(map.clone(), 1 << 10, 1, stats.clone());
+            for (idx, v) in &values {
+                base.write(idx, *v);
+            }
+            let snapshots = ss_maintain::SnapshotCoeffStore::new(base, None, 0);
+            let mut buf =
+                ss_maintain::DeltaBuffer::new(map.block_capacity(), ss_maintain::FlushMode::Exact);
+            buf.begin_box();
+            for _ in 0..1 + rng.below(6) {
+                let loc = map.locate(&index(&mut rng, &dims));
+                buf.add(loc.tile, loc.slot, weight(&mut rng));
+            }
+            snapshots.commit(&mut buf).unwrap();
+            let mut pinned = snapshots.pin();
+            let mut cold = |_: &mut _| snapshots.base().pool().clear();
+            let pinned_what = format!("{what}, pinned");
+            same_as_reference(&mut pinned, &stats, &plans, &mut cold, &pinned_what);
         }
     }
 

@@ -12,20 +12,14 @@ use ss_storage::CoeffRead;
 /// `n` are the per-axis domain levels.
 pub fn point_standard<C: CoeffRead>(cs: &mut C, n: &[u32], pos: &[usize]) -> f64 {
     let _span = ss_obs::global().span("query.point_std");
-    reconstruct::standard_point_contributions(n, pos)
-        .iter()
-        .map(|(idx, w)| w * cs.read(idx))
-        .sum()
+    reconstruct::standard_point_contributions(n, pos).weighted_sum(|idx| cs.read(idx))
 }
 
 /// Point query against a **non-standard-form** store: evaluates the
 /// `(2^d − 1)·n + 1` quad-tree path contributions.
 pub fn point_nonstandard<C: CoeffRead>(cs: &mut C, n: u32, pos: &[usize]) -> f64 {
     let _span = ss_obs::global().span("query.point_ns");
-    reconstruct::nonstandard_point_contributions(n, pos.len(), pos)
-        .iter()
-        .map(|(idx, w)| w * cs.read(idx))
-        .sum()
+    reconstruct::nonstandard_point_contributions(n, pos.len(), pos).weighted_sum(|idx| cs.read(idx))
 }
 
 /// Single-tile fast-path point query for the **standard form**.

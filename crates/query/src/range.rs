@@ -11,10 +11,7 @@ use ss_storage::CoeffRead;
 /// (Lemma 2 per axis, multiplied across axes).
 pub fn range_sum_standard<C: CoeffRead>(cs: &mut C, n: &[u32], lo: &[usize], hi: &[usize]) -> f64 {
     let _span = ss_obs::global().span("query.range_sum_std");
-    reconstruct::standard_range_sum_contributions(n, lo, hi)
-        .iter()
-        .map(|(idx, w)| w * cs.read(idx))
-        .sum()
+    reconstruct::standard_range_sum_contributions(n, lo, hi).weighted_sum(|idx| cs.read(idx))
 }
 
 /// Range-sum over a **non-standard-form** store, computed by summing the

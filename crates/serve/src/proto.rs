@@ -165,10 +165,14 @@ impl Query {
                 Ok(())
             }
             Query::Partial { plan } => {
-                for (k, (idx, _)) in plan.iter().enumerate() {
-                    check(format_args!("terms[{k}]"), idx)?;
-                }
-                Ok(())
+                let (mut k, mut first_error) = (0, Ok(()));
+                plan.for_each_term(|idx, _| {
+                    if first_error.is_ok() {
+                        first_error = check(format_args!("terms[{k}]"), idx);
+                    }
+                    k += 1;
+                });
+                first_error
             }
         }
     }
@@ -506,14 +510,9 @@ pub fn op_request_line_traced(id: i128, op: &Op, trace: Option<u64>) -> String {
             pairs.push(("hi".into(), arr(hi)));
         }
         Op::Query(Query::Partial { plan }) => {
-            pairs.push((
-                "terms".into(),
-                Value::Array(
-                    plan.iter()
-                        .map(|(idx, w)| Value::Array(vec![arr(idx), Value::Float(w)]))
-                        .collect(),
-                ),
-            ));
+            let mut terms = Vec::with_capacity(plan.len());
+            plan.for_each_term(|idx, w| terms.push(Value::Array(vec![arr(idx), Value::Float(w)])));
+            pairs.push(("terms".into(), Value::Array(terms)));
         }
         Op::Mutation(Mutation::Apply { runs }) => {
             let op = |t: usize, &(s, d): &(usize, f64)| {

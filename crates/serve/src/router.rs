@@ -311,12 +311,12 @@ fn execute_routed<M: TilingMap>(
         .collect();
     let mut parts: Vec<Option<Contributions>> = vec![None; map.shards()];
     for (j, job) in jobs.iter().enumerate() {
-        for (idx, w) in job.plan.iter() {
+        job.plan.for_each_term(|idx, w| {
             let shard = map.owner(tiling.locate(idx).tile);
             parts[shard]
                 .get_or_insert_with(|| Contributions::with_capacity(idx.len(), 0))
                 .push(idx, w);
-        }
+        });
         let fwd_trace = job.root.active().then_some(job.root.trace);
         for (ex, part) in shards.iter_mut().zip(&mut parts) {
             if let Some(plan) = part.take() {

@@ -6,13 +6,15 @@
 //!   connection,
 //! * a **connection** thread does everything for its client. It parses
 //!   and validates each line (errors are answered right away with a typed
-//!   response), plans valid queries into one flat contribution list each,
-//!   and collects them a **burst** at a time — everything the client
-//!   pipelined in one write. It then executes the burst itself, in
+//!   response), plans valid queries into one contribution list each (a
+//!   point or range sum stays its per-axis lists, a `partial` its flat
+//!   terms), and collects them a **burst** at a time — everything the
+//!   client pipelined in one write. It then executes the burst itself, in
 //!   **sweeps** of at most [`ServeConfig::batch_max`] requests evaluated
-//!   **tile-major** through [`ss_query::execute_plans_tiled`] (locate
-//!   every term, sort by `(tile, slot)`, fold runs: the requests of a
-//!   sweep share one fetch of every tile), and writes each sweep's
+//!   **tile-major** through [`ss_query::execute_plans_tiled`] (each plan
+//!   located once, the sweep's tiles entered once each in ascending
+//!   order, every plan folding its members there: the requests of a
+//!   sweep share one pool access per tile), and writes each sweep's
 //!   replies to its own socket in one `write`.
 //!
 //! At most [`ServeConfig::workers`] sweeps execute at once: a sweep runs

@@ -33,14 +33,17 @@ pub trait CoeffRead {
     /// Reads the coefficient at tuple index `idx`.
     fn read(&mut self, idx: &[usize]) -> f64;
 
-    /// Reads a raw `(tile, slot)` location — used by query plans that
-    /// resolve locations up front to reason about block access patterns.
+    /// Reads a raw `(tile, slot)` location, one pool access per call —
+    /// for paths that touch a handful of known slots (the single-tile
+    /// fast paths, the scaling-slot checks). A plan goes through
+    /// [`with_tiles`](Self::with_tiles), one pool access per tile.
     fn read_at(&mut self, tile: usize, slot: usize) -> f64;
 
     /// Runs `f(k, block)` over each tile `tiles[k]`, in order, one pool
     /// access per tile, counting `reads` coefficient reads in all — the
     /// slots `f` copies out. The tile-major gather of a partial
-    /// reconstruction reads each tile of its envelope through this once;
+    /// reconstruction reads each tile of its envelope through this once,
+    /// and a query sweep each tile its plans touch;
     /// the exclusive store moves runs of adjacent missed tiles in one
     /// transfer ([`ShardedBufferPool::with_blocks_mut`](crate::ShardedBufferPool::with_blocks_mut)).
     fn with_tiles(&mut self, tiles: &[usize], reads: usize, f: impl FnMut(usize, &[f64]));
