@@ -14,8 +14,6 @@
 // Axis-indexed loops over parallel arrays are the clearest idiom here.
 #![allow(clippy::needless_range_loop)]
 
-pub mod serving;
-
 use ss_obs::json::Value;
 use std::fmt::Display;
 
@@ -94,24 +92,6 @@ pub fn fmt_f(x: f64, digits: usize) -> String {
     format!("{x:.digits$}")
 }
 
-/// CPUs the host offers — printed in the preamble of every table whose
-/// worker or client counts only mean something against it.
-pub fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Times `f`, returning its result and the elapsed wall milliseconds.
-///
-/// One [`ss_obs::Stopwatch`] behind one helper — the harnesses used to
-/// hand-roll `Instant` arithmetic with per-binary ms conversions, which is
-/// exactly how unit slips creep into reported tables.
-pub fn timed_ms<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let sw = ss_obs::Stopwatch::start();
-    let r = f();
-    let ms = sw.elapsed_ms();
-    (r, ms)
-}
-
 /// Emits one machine-readable result row as a single-line JSON object
 /// tagged `"schema": "ss-exp-v1"` and `"exp": <name>`.
 ///
@@ -170,16 +150,6 @@ mod tests {
         assert_eq!(fmt_count(1), "1");
         assert_eq!(fmt_count(1234), "1,234");
         assert_eq!(fmt_count(1234567), "1,234,567");
-    }
-
-    #[test]
-    fn timed_ms_returns_result_and_wall_clock() {
-        let (value, ms) = timed_ms(|| {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            42
-        });
-        assert_eq!(value, 42);
-        assert!(ms >= 2.0, "{ms}");
     }
 
     #[test]

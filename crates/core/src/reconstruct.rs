@@ -38,7 +38,6 @@ use crate::nonstandard::NsCoeff;
 use crate::split::{destinations, for_each_row, interval_targets, AxisTargets};
 use crate::tiling::AxisTiling;
 use ss_array::{advance, DyadicRange, MultiIndexIter, NdArray, Shape};
-use std::sync::OnceLock;
 
 /// A contribution list over N-d coefficient indices, in one of two forms:
 ///
@@ -52,24 +51,15 @@ use std::sync::OnceLock;
 ///
 /// [`for_each_term`](Self::for_each_term) walks either form without
 /// allocating.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Contributions {
     rank: usize,
     /// The product form's per-axis lists; empty for a flat list.
     axes: Vec<Vec<(usize, f64)>>,
-    /// `(coords, weights)`: a flat list's terms, or a product list's once
-    /// the first [`iter`](Self::iter) call built them.
-    terms: OnceLock<(Vec<usize>, Vec<f64>)>,
-}
-
-impl PartialEq for Contributions {
-    /// Same form and same terms; whether a product list's terms were
-    /// built is not compared.
-    fn eq(&self, other: &Self) -> bool {
-        self.rank == other.rank
-            && self.axes == other.axes
-            && (!self.axes.is_empty() || self.terms.get() == other.terms.get())
-    }
+    /// A flat list's terms, `rank` coordinates each; empty for a product.
+    coords: Vec<usize>,
+    /// A flat list's term weights; empty for a product.
+    weights: Vec<f64>,
 }
 
 impl Contributions {
@@ -80,11 +70,11 @@ impl Contributions {
     /// Panics when `rank` is zero: a coefficient index has at least one axis.
     pub fn with_capacity(rank: usize, terms: usize) -> Self {
         assert!(rank > 0, "Contributions: zero-dimensional index");
-        let flat = (Vec::with_capacity(rank * terms), Vec::with_capacity(terms));
         Contributions {
             rank,
             axes: Vec::new(),
-            terms: OnceLock::from(flat),
+            coords: Vec::with_capacity(rank * terms),
+            weights: Vec::with_capacity(terms),
         }
     }
 
@@ -97,9 +87,12 @@ impl Contributions {
     /// Panics when `axes` is empty.
     pub fn product(axes: Vec<Vec<(usize, f64)>>) -> Self {
         assert!(!axes.is_empty(), "Contributions: zero-dimensional index");
-        let rank = axes.len();
-        let terms = OnceLock::new();
-        Contributions { rank, axes, terms }
+        Contributions {
+            rank: axes.len(),
+            axes,
+            coords: Vec::new(),
+            weights: Vec::new(),
+        }
     }
 
     /// Appends the term `(idx, weight)` to a flat list.
@@ -120,9 +113,8 @@ impl Contributions {
             "Contributions::push: index {idx:?} in a rank-{} list",
             self.rank
         );
-        let (coords, weights) = self.terms.get_mut().expect("a flat list holds its terms");
-        coords.extend_from_slice(idx);
-        weights.push(weight);
+        self.coords.extend_from_slice(idx);
+        self.weights.push(weight);
     }
 
     /// Number of terms: a product list's is the product of its list
@@ -130,7 +122,7 @@ impl Contributions {
     pub fn len(&self) -> usize {
         match self.per_axis() {
             Some(axes) => axes.iter().map(Vec::len).product(),
-            None => self.flat_terms().1.len(),
+            None => self.weights.len(),
         }
     }
 
@@ -153,16 +145,11 @@ impl Contributions {
         match self.per_axis() {
             Some(axes) => for_each_product(axes, visit),
             None => {
-                let (coords, weights) = self.flat_terms();
-                for (idx, &w) in coords.chunks_exact(self.rank).zip(weights) {
+                for (idx, &w) in self.coords.chunks_exact(self.rank).zip(&self.weights) {
                     visit(idx, w);
                 }
             }
         }
-    }
-
-    fn flat_terms(&self) -> &(Vec<usize>, Vec<f64>) {
-        self.terms.get().expect("a flat list holds its terms")
     }
 
     /// `Σ weight · get(index)` over the terms in order, from `-0.0` (the
@@ -172,25 +159,6 @@ impl Contributions {
         let mut sum = -0.0;
         self.for_each_term(|idx, w| sum += w * get(idx));
         sum
-    }
-
-    /// The terms as an iterator of borrowed `(index, weight)` pairs, the
-    /// order of [`for_each_term`](Self::for_each_term). A product list has
-    /// no index tuples to lend, so its first call builds them, once, and
-    /// keeps them with the list: for callers that need the terms as data
-    /// (a progressive sum sorts them; tests collect them). The executor,
-    /// the generic fronts, the server and the router walk
-    /// [`for_each_term`](Self::for_each_term) instead.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&[usize], f64)> {
-        let (coords, weights) = self.terms.get_or_init(|| {
-            let (mut coords, mut weights) = (Vec::new(), Vec::new());
-            self.for_each_term(|idx, w| {
-                coords.extend_from_slice(idx);
-                weights.push(w);
-            });
-            (coords, weights)
-        });
-        coords.chunks_exact(self.rank).zip(weights.iter().copied())
     }
 }
 
@@ -600,6 +568,13 @@ mod tests {
     use super::*;
     use ss_array::DyadicInterval;
 
+    /// A plan's terms as data, in [`Contributions::for_each_term`] order.
+    fn terms(plan: &Contributions) -> Vec<(Vec<usize>, f64)> {
+        let mut terms = Vec::with_capacity(plan.len());
+        plan.for_each_term(|idx, w| terms.push((idx.to_vec(), w)));
+        terms
+    }
+
     fn sample_2d(side: usize) -> NdArray<f64> {
         NdArray::from_fn(Shape::cube(2, side), |idx| {
             ((idx[0] * 29 + idx[1] * 13) % 17) as f64 - 5.0
@@ -611,20 +586,18 @@ mod tests {
         let mut c = Contributions::with_capacity(3, 2);
         assert!(c.is_empty());
         assert_eq!(c.len(), 0);
-        assert_eq!(c.iter().count(), 0);
+        assert_eq!(terms(&c), vec![]);
         c.push(&[1, 2, 3], 0.5);
         c.push(&[4, 5, 6], -2.0);
         c.push(&[1, 2, 3], 0.25); // beyond the reserved capacity, repeated index
         assert!(!c.is_empty());
         assert_eq!(c.len(), 3);
-        assert_eq!(c.iter().len(), 3);
-        let terms: Vec<(&[usize], f64)> = c.iter().collect();
         assert_eq!(
-            terms,
+            terms(&c),
             vec![
-                (&[1usize, 2, 3][..], 0.5),
-                (&[4, 5, 6][..], -2.0),
-                (&[1, 2, 3][..], 0.25)
+                (vec![1, 2, 3], 0.5),
+                (vec![4, 5, 6], -2.0),
+                (vec![1, 2, 3], 0.25)
             ]
         );
     }
@@ -710,10 +683,11 @@ mod tests {
 
     #[test]
     fn a_product_plan_walks_the_cross_product_terms_bit_for_bit() {
-        let bits = |c: &Contributions| {
-            let mut terms = Vec::new();
-            c.for_each_term(|idx, w| terms.push((idx.to_vec(), w.to_bits())));
-            terms
+        let bits = |c: &Contributions| -> Vec<(Vec<usize>, u64)> {
+            terms(c)
+                .into_iter()
+                .map(|(i, w)| (i, w.to_bits()))
+                .collect()
         };
         let n = [3u32, 0, 4];
         let mut plans = vec![
@@ -732,11 +706,6 @@ mod tests {
             let want = cross_product_oracle(plan.per_axis().expect("a product plan"));
             assert_eq!(plan.len(), want.len());
             assert_eq!(bits(plan), bits(&want));
-            let lent: Vec<(Vec<usize>, u64)> = plan
-                .iter()
-                .map(|(i, w)| (i.to_vec(), w.to_bits()))
-                .collect();
-            assert_eq!(lent, bits(&want), "iter() lends the same terms");
         }
         assert_eq!(plans[0].len(), 4 * 5, "Lemma 1 per axis: 4, 1 and 5 terms");
     }
@@ -758,7 +727,7 @@ mod tests {
         for idx in MultiIndexIter::new(&[8, 8]) {
             let contribs = standard_point_contributions(&[3, 3], &idx);
             assert_eq!(contribs.len(), 16, "Lemma 1 squared");
-            let got: f64 = contribs.iter().map(|(i, w)| w * t.get(i)).sum();
+            let got = contribs.weighted_sum(|i| t.get(i));
             assert!((got - a.get(&idx)).abs() < 1e-9, "{idx:?}");
         }
     }
@@ -772,11 +741,9 @@ mod tests {
                 for lo1 in [1usize, 4] {
                     for hi1 in [lo1, 7] {
                         let want = a.region_sum(&[lo0, lo1], &[hi0, hi1]);
-                        let got: f64 =
+                        let got =
                             standard_range_sum_contributions(&[3, 3], &[lo0, lo1], &[hi0, hi1])
-                                .iter()
-                                .map(|(i, w)| w * t.get(i))
-                                .sum();
+                                .weighted_sum(|i| t.get(i));
                         assert!(
                             (got - want).abs() < 1e-9,
                             "[{lo0},{hi0}]x[{lo1},{hi1}]: {got} vs {want}"
@@ -794,7 +761,7 @@ mod tests {
         for idx in MultiIndexIter::new(&[8, 8]) {
             let contribs = nonstandard_point_contributions(3, 2, &idx);
             assert_eq!(contribs.len(), 3 * 3 + 1, "(2^d−1)·n + 1");
-            let got: f64 = contribs.iter().map(|(i, w)| w * t.get(i)).sum();
+            let got = contribs.weighted_sum(|i| t.get(i));
             assert!((got - a.get(&idx)).abs() < 1e-9, "{idx:?}");
         }
     }

@@ -658,11 +658,11 @@ mod tests {
         let (d, n, b) = (2usize, 6u32, 2u32);
         let map = NonStandardTiling::new(d, n, b);
         for pos in [[0usize, 0], [63, 63], [17, 42]] {
-            let tiles: HashSet<usize> =
-                crate::reconstruct::nonstandard_point_contributions(n, d, &pos)
-                    .iter()
-                    .map(|(idx, _)| map.locate(idx).tile)
-                    .collect();
+            let plan = crate::reconstruct::nonstandard_point_contributions(n, d, &pos);
+            let mut tiles = HashSet::new();
+            plan.for_each_term(|idx, _| {
+                tiles.insert(map.locate(idx).tile);
+            });
             assert!(
                 tiles.len() as u32 <= n.div_ceil(b),
                 "pos {pos:?}: {} tiles",

@@ -219,7 +219,8 @@ pub fn progressive_range_sum<C: CoeffRead>(
     hi: &[usize],
 ) -> Vec<f64> {
     let plan = reconstruct::standard_range_sum_contributions(n, lo, hi);
-    let mut contribs: Vec<(&[usize], f64)> = plan.iter().collect();
+    let mut contribs: Vec<(Vec<usize>, f64)> = Vec::with_capacity(plan.len());
+    plan.for_each_term(|idx, w| contribs.push((idx.to_vec(), w)));
     // Coarse-to-fine: order by the finest level participating in the tuple
     // (larger minimum level = coarser = first).
     let fineness = |idx: &[usize]| -> u32 {

@@ -221,10 +221,10 @@ mod tests {
         // even when several queries share it.
         let mut wanted: HashMap<(usize, usize), Vec<(usize, f64)>> = HashMap::new();
         for (q, plan) in plans.iter().enumerate() {
-            for (idx, w) in plan.iter() {
+            plan.for_each_term(|idx, w| {
                 let loc = cs.map().locate(idx);
                 wanted.entry((loc.tile, loc.slot)).or_default().push((q, w));
-            }
+            });
         }
         let mut keys: Vec<(usize, usize)> = wanted.keys().copied().collect();
         keys.sort_unstable();
@@ -657,10 +657,10 @@ mod tests {
             let mut parts: Vec<Vec<Contributions>> =
                 vec![vec![Contributions::with_capacity(2, 0); plans.len()]; shards];
             for (q, plan) in plans.iter().enumerate() {
-                for (idx, w) in plan.iter() {
+                plan.for_each_term(|idx, w| {
                     let tile = cs.map().locate(idx).tile;
                     parts[sm.owner(tile)][q].push(idx, w);
-                }
+                });
             }
             // Execute each shard's sub-plans independently, then merge:
             // per-shard tile lists concatenate in shard order, which is

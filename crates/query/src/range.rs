@@ -40,11 +40,8 @@ pub fn range_sum_nonstandard<C: CoeffRead>(cs: &mut C, n: u32, lo: &[usize], hi:
                 .map(|(a, &s)| (a.translation << (a.level - min_level)) + s)
                 .collect();
             let cells = (1usize << min_level).pow(block.len() as u32) as f64;
-            let avg: f64 =
-                reconstruct::nonstandard_block_average_contributions(n, min_level, &block)
-                    .iter()
-                    .map(|(idx, w)| w * cs.read(idx))
-                    .sum();
+            let avg = reconstruct::nonstandard_block_average_contributions(n, min_level, &block)
+                .weighted_sum(|idx| cs.read(idx));
             total += cells * avg;
         }
     }

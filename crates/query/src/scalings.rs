@@ -112,7 +112,7 @@ pub fn materialize_nonstandard_scalings<S: BlockStore>(
             continue; // top tile: slot 0 is the true overall average
         }
         let contribs = nonstandard_block_average_contributions(n, j_top, &node);
-        let value: f64 = contribs.iter().map(|(idx, w)| w * cs.read(idx)).sum();
+        let value = contribs.weighted_sum(|idx| cs.read(idx));
         cs.pool().write(tile, 0, value);
     }
     cs.flush();

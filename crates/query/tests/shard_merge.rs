@@ -126,10 +126,10 @@ proptest! {
                 let mut parts: Vec<Vec<Contributions>> =
                     vec![vec![Contributions::with_capacity(2, 0); plans.len()]; shards];
                 for (q, plan) in plans.iter().enumerate() {
-                    for (idx, w) in plan.iter() {
+                    plan.for_each_term(|idx, w| {
                         let tile = cs.map().locate(idx).tile;
                         parts[map.owner(tile)][q].push(idx, w);
-                    }
+                    });
                 }
                 // Merge: fold per-tile partials in ascending shard order
                 // (= ascending tile order, ranges being contiguous).

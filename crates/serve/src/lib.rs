@@ -207,7 +207,13 @@ mod tests {
                 });
             }
         });
-        server.shutdown();
+        // Every request is answered exactly once. A connection counts a
+        // reply after writing it, so the count may trail the clients.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while server.answered() < 6 * 40 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(server.shutdown(), 6 * 40);
     }
 
     #[test]
@@ -279,6 +285,30 @@ mod tests {
 
         // An empty commit is a no-op that re-answers the current epoch.
         assert_eq!(client.commit().unwrap(), 1.0);
+
+        // Four commits of one box each beside a reader: every commit mints
+        // one epoch, and every served full-domain sum is the ingested mass
+        // plus the mass of the boxes some epoch had committed.
+        let data = [1.0, -0.25, 0.5, 0.75]; // mass 2
+        let committed = |k: usize| sum_before + 7.0 + k as f64 * 2.0;
+        let addr = server.local_addr();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut reader = Client::connect(addr).unwrap();
+                for _ in 0..50 {
+                    let got = reader.range_sum(&[0, 0], &[31, 31]).unwrap();
+                    let seen = (0..=4).any(|k| (got - committed(k)).abs() < 1e-6);
+                    assert!(seen, "{got} is no epoch's sum");
+                }
+            });
+            for k in 0..4 {
+                client.update(&[6 * k, 20], &[2, 2], &data).unwrap();
+                assert_eq!(client.commit().unwrap(), (2 + k) as f64);
+            }
+        });
+        let got = client.range_sum(&[0, 0], &[31, 31]).unwrap();
+        assert!((got - committed(4)).abs() < 1e-6, "{got}");
+        assert_eq!(store.epoch(), 5);
 
         // Mutations are validated like queries.
         let err = client.update(&[31, 31], &[2, 2], &[1.0; 4]).unwrap_err();

@@ -152,7 +152,14 @@ fn routed_answers_are_bit_identical_across_shard_counts() {
             );
         }
         drop(client);
-        router.shutdown();
+        // Every routed request is answered exactly once. A connection
+        // counts a reply after writing it, so the count may trail.
+        let asked = (points.len() + ranges.len()) as u64;
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while router.answered() < asked && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(router.shutdown(), asked, "{shards} shards");
         for row in servers {
             for s in row {
                 s.shutdown();

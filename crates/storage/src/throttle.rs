@@ -1,12 +1,12 @@
-//! Device-latency emulation for serving experiments.
+//! Device-latency emulation.
 //!
 //! [`ThrottledBlockStore`] wraps any [`BlockStore`] and sleeps for a fixed
 //! duration on every block transfer, modelling a storage device whose
 //! per-block access time dwarfs CPU work — the regime the paper's I/O cost
-//! model assumes. The serving benchmarks (`exp_serve`) use it to measure
-//! how much concurrent query workers overlap device waits: while one
-//! worker sleeps in a miss, others keep draining the queue, so throughput
-//! scales with workers even on a single CPU.
+//! model assumes. It shows whether concurrent readers overlap device
+//! waits: while one sleeps in a miss, others keep working, so throughput
+//! scales with readers even on a single CPU. The pool's tests in
+//! `shard.rs` use it; no benchmark workload runs it yet.
 //!
 //! The sleep happens *inside* the store, before the transfer, i.e. under
 //! whatever lock the buffer pool holds while servicing a miss —

@@ -129,12 +129,12 @@ impl<S: BlockStore, F: FnMut(usize, usize) -> S> NsChainStore<S, F> {
         let mut value = self.cube_average(tau);
         let cs = &mut self.cubes[tau];
         let plan = ss_core::reconstruct::nonstandard_point_contributions(self.n, self.d, pos);
-        for (idx, w) in plan.iter() {
+        plan.for_each_term(|idx, w| {
             if idx.iter().all(|&i| i == 0) {
-                continue; // replaced by the chain's cube average
+                return; // replaced by the chain's cube average
             }
             value += w * cs.read(idx);
-        }
+        });
         value
     }
 

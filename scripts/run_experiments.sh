@@ -6,15 +6,11 @@ cd "$(dirname "$0")/.."
 mkdir -p results
 
 EXPERIMENTS=(exp_table1 exp_table2 exp_fig11 exp_fig12 exp_fig13 exp_fig14 exp_recon exp_tiling exp_ablation exp_approx exp_streams_md)
-# Post-paper extensions (DESIGN.md §7/§9/§10/§11/§12/§14):
-# parallel-driver, durability, query-serving, coalesced-maintenance,
-# live read/write-serving and sparse-storage sweeps.
-EXPERIMENTS+=(exp_par exp_fault exp_serve exp_update exp_rw exp_sparse)
-# Kernel-layer sweep (DESIGN.md §15): scalar build here; run again with
-# `cargo +nightly ... --features simd` for the vector rows.
-EXPERIMENTS+=(exp_simd)
-# Scatter-gather router scale-out sweep (DESIGN.md §16).
-EXPERIMENTS+=(exp_shard)
+# Sparse-storage sweep (DESIGN.md §14) and kernel-layer sweep (DESIGN.md
+# §15): scalar build here; run exp_simd again with
+# `cargo +nightly ... --features simd` for the vector rows. Everything
+# else is measured by benchmark/ (benchmark/README.md).
+EXPERIMENTS+=(exp_sparse exp_simd)
 
 cargo build --release -p ss-bench --bins
 

@@ -19,8 +19,10 @@
 //! Alongside: the serial fronts' `IoSnapshot`s are pinned to constants
 //! captured from the commit *before* the drivers were collapsed into the
 //! pipeline; every worker's crest cache keeps the Result 2 bound; every
-//! front records one phase-histogram sample per chunk; and a device that
-//! never recovers surfaces as a typed `StorageError` through every front.
+//! front records one phase-histogram sample per chunk; a device that
+//! never recovers surfaces as a typed `StorageError` through every front;
+//! and under transient faults and retries every front stores what its
+//! fault-free run stores.
 
 use shiftsplit::array::{MultiIndexIter, NdArray, Shape};
 use shiftsplit::core::tiling::{NonStandardTiling, StandardTiling};
@@ -43,6 +45,7 @@ use shiftsplit::transform::{
     TransformReport,
 };
 use std::sync::Mutex;
+use std::time::Duration;
 
 /// The phase histograms live in the process-global registry, so the tests
 /// of this file (which all run pipelines) take turns.
@@ -563,147 +566,266 @@ fn every_front_records_one_sample_per_chunk_per_phase() {
     }
 }
 
-#[test]
-fn a_dead_device_is_a_typed_error_through_every_front() {
-    let _turn = exclusive();
-    let sq = noisy(&[16, 16], 5);
-    let std_src = ArraySource::new(&sq, &[2, 2]);
-    let ns_src = ArraySource::new(&sq, &[1, 1]);
+/// A device behind faults and retries: `RetryingBlockStore` over
+/// `FaultInjectingBlockStore` over `MemBlockStore`.
+type Faulty = RetryingBlockStore<FaultInjectingBlockStore<MemBlockStore>>;
+
+/// Makes a zeroed `(capacity, blocks)` device.
+type Device<'a> = &'a dyn Fn(usize, usize) -> Faulty;
+
+fn device(cap: usize, blocks: usize, faults: FaultConfig, retries: RetryPolicy) -> Faulty {
+    let mem = MemBlockStore::new(cap, blocks, IoStats::new());
+    RetryingBlockStore::new(FaultInjectingBlockStore::new(mem, faults), retries)
+}
+
+/// A serial store on `device`, with a 4-frame pool so every front evicts.
+fn serial_on<M: TilingMap>(map: M, device: Device) -> CoeffStore<M, Faulty> {
+    let store = device(map.block_capacity(), map.num_tiles());
+    CoeffStore::new(map, store, 4, IoStats::new())
+}
+
+/// A 2-shard shared store on `device`, with a 4-frame pool.
+fn shared_on<M: TilingMap>(map: M, device: Device) -> SharedCoeffStore<M, Faulty> {
+    let store = device(map.block_capacity(), map.num_tiles());
+    SharedCoeffStore::new(map, store, 4, 2, IoStats::new())
+}
+
+/// A front's name, whether it is deterministic (its stored slots are
+/// bit-reproducible; a multi-worker parallel transform's are within
+/// 1e-9), and its run: a fresh store on the device, the front, the
+/// store's slots.
+type Front<'a> = (&'static str, bool, Box<dyn Fn(Device) -> Vec<f64> + 'a>);
+
+/// Every transform / ingest / update front over a 16×16 domain.
+fn device_fronts<'a>(sq: &'a NdArray<f64>, upd: &'a [UpdateBox]) -> Vec<Front<'a>> {
+    let std_src = || ArraySource::new(sq, &[2, 2]);
+    let ns_src = || ArraySource::new(sq, &[1, 1]);
     let std_map = || StandardTiling::new(&[4, 4], &[2, 2]);
     let ns_map = || NonStandardTiling::new(2, 4, 2);
-    // 100 % read faults under a one-retry budget: the first pool miss fails.
-    type Dead = RetryingBlockStore<FaultInjectingBlockStore<MemBlockStore>>;
-    let dead_blocks = |cap: usize, blocks: usize| -> Dead {
-        RetryingBlockStore::new(
-            FaultInjectingBlockStore::new(
-                MemBlockStore::new(cap, blocks, IoStats::new()),
-                FaultConfig::read_errors(1.0, 21),
-            ),
-            RetryPolicy::with_retries(1),
-        )
-    };
-    fn serial<M: TilingMap>(map: M, blocks: impl Fn(usize, usize) -> Dead) -> CoeffStore<M, Dead> {
-        let store = blocks(map.block_capacity(), map.num_tiles());
-        CoeffStore::new(map, store, 4, IoStats::new())
-    }
-    fn shared<M: TilingMap>(
-        map: M,
-        blocks: impl Fn(usize, usize) -> Dead,
-    ) -> SharedCoeffStore<M, Dead> {
-        let store = blocks(map.block_capacity(), map.num_tiles());
-        SharedCoeffStore::new(map, store, 4, 2, IoStats::new())
-    }
     let exact = FlushMode::Exact;
-    let upd = boxes(3, &[16, 16], 4);
-
-    type Front<'a> = (&'a str, Box<dyn FnOnce() + 'a>);
-    let fronts: Vec<Front> = vec![
+    vec![
         (
             "transform_standard",
-            Box::new(|| {
-                transform_standard(&std_src, &mut serial(std_map(), dead_blocks), true);
+            true,
+            Box::new(move |dev| {
+                let mut cs = serial_on(std_map(), dev);
+                transform_standard(&std_src(), &mut cs, true);
+                slots(&mut cs)
             }),
         ),
         (
             "transform_standard_sparse",
-            Box::new(|| {
-                transform_standard_sparse(&std_src, &mut serial(std_map(), dead_blocks));
+            true,
+            Box::new(move |dev| {
+                let mut cs = serial_on(std_map(), dev);
+                transform_standard_sparse(&std_src(), &mut cs);
+                slots(&mut cs)
             }),
         ),
         (
             "transform_nonstandard",
-            Box::new(|| {
-                transform_nonstandard(&ns_src, &mut serial(ns_map(), dead_blocks), false);
+            true,
+            Box::new(move |dev| {
+                let mut cs = serial_on(ns_map(), dev);
+                transform_nonstandard(&ns_src(), &mut cs, false);
+                slots(&mut cs)
             }),
         ),
         (
             "transform_nonstandard_zorder",
-            Box::new(|| {
-                transform_nonstandard_zorder(&ns_src, &mut serial(ns_map(), dead_blocks));
+            true,
+            Box::new(move |dev| {
+                let mut cs = serial_on(ns_map(), dev);
+                transform_nonstandard_zorder(&ns_src(), &mut cs);
+                slots(&mut cs)
             }),
         ),
         (
             "transform_nonstandard_zorder_scalings",
-            Box::new(|| {
-                transform_nonstandard_zorder_scalings(&ns_src, &mut serial(ns_map(), dead_blocks));
+            true,
+            Box::new(move |dev| {
+                let mut cs = serial_on(ns_map(), dev);
+                transform_nonstandard_zorder_scalings(&ns_src(), &mut cs);
+                slots(&mut cs)
             }),
         ),
         (
             "transform_standard_parallel",
-            Box::new(|| {
-                transform_standard_parallel(&std_src, &shared(std_map(), dead_blocks), 3);
+            false,
+            Box::new(move |dev| {
+                let cs = shared_on(std_map(), dev);
+                transform_standard_parallel(&std_src(), &cs, 3);
+                slots(&mut &cs)
             }),
         ),
         (
             "transform_nonstandard_parallel",
-            Box::new(|| {
-                transform_nonstandard_parallel(&ns_src, &shared(ns_map(), dead_blocks), 3);
+            false,
+            Box::new(move |dev| {
+                let cs = shared_on(ns_map(), dev);
+                transform_nonstandard_parallel(&ns_src(), &cs, 3);
+                slots(&mut &cs)
             }),
         ),
         (
             "transform_standard_coalesced",
-            Box::new(|| {
-                transform_standard_coalesced(
-                    &std_src,
-                    &mut serial(std_map(), dead_blocks),
-                    4,
-                    exact,
-                );
+            true,
+            Box::new(move |dev| {
+                let mut cs = serial_on(std_map(), dev);
+                transform_standard_coalesced(&std_src(), &mut cs, 4, exact);
+                slots(&mut cs)
             }),
         ),
         (
             "transform_standard_coalesced_parallel",
-            Box::new(|| {
-                let cs = shared(std_map(), dead_blocks);
-                transform_standard_coalesced_parallel(&std_src, &cs, 0, exact, 3);
+            true,
+            Box::new(move |dev| {
+                let cs = shared_on(std_map(), dev);
+                transform_standard_coalesced_parallel(&std_src(), &cs, 0, exact, 3);
+                slots(&mut &cs)
             }),
         ),
         (
             "update_boxes_standard",
-            Box::new(|| {
-                update_boxes_standard(&mut serial(std_map(), dead_blocks), &[4, 4], &upd, exact);
+            true,
+            Box::new(move |dev| {
+                let mut cs = serial_on(std_map(), dev);
+                update_boxes_standard(&mut cs, &[4, 4], upd, exact);
+                slots(&mut cs)
             }),
         ),
         (
             "update_boxes_standard_parallel",
-            Box::new(|| {
-                let cs = shared(std_map(), dead_blocks);
-                update_boxes_standard_parallel(&cs, &[4, 4], &upd, exact, 3);
+            true,
+            Box::new(move |dev| {
+                let cs = shared_on(std_map(), dev);
+                update_boxes_standard_parallel(&cs, &[4, 4], upd, exact, 3);
+                slots(&mut &cs)
             }),
         ),
         (
             "update_boxes_nonstandard",
-            Box::new(|| {
-                update_boxes_nonstandard(&mut serial(ns_map(), dead_blocks), 4, &upd, exact);
+            true,
+            Box::new(move |dev| {
+                let mut cs = serial_on(ns_map(), dev);
+                update_boxes_nonstandard(&mut cs, 4, upd, exact);
+                slots(&mut cs)
             }),
         ),
         (
             "update_boxes_nonstandard_parallel",
-            Box::new(|| {
-                let cs = shared(ns_map(), dead_blocks);
-                update_boxes_nonstandard_parallel(&cs, 4, &upd, exact, 3);
+            true,
+            Box::new(move |dev| {
+                let cs = shared_on(ns_map(), dev);
+                update_boxes_nonstandard_parallel(&cs, 4, upd, exact, 3);
+                slots(&mut &cs)
             }),
         ),
         (
             "Appender::append",
-            Box::new(|| {
-                let mut app = Appender::new(&[3, 3], &[1, 1], 1, dead_blocks, 4, IoStats::new());
+            true,
+            Box::new(|dev| {
+                let mut app = Appender::new(&[3, 3], &[1, 1], 1, dev, 4, IoStats::new());
                 app.append(&noisy(&[8, 8], 9));
+                app.append(&noisy(&[8, 8], 10)); // doubles the append axis
+                slots(app.store())
             }),
         ),
-    ];
-    // The injected panics are expected; keep their traces out of the log.
+    ]
+}
+
+/// Runs `f` with panic traces silenced: the injected panics are expected.
+fn quietly<R>(f: impl FnOnce() -> R) -> R {
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let outcomes: Vec<_> = fronts
-        .into_iter()
-        .map(|(name, front)| (name, try_transform(front)))
-        .collect();
+    let out = f();
     std::panic::set_hook(hook);
+    out
+}
+
+#[test]
+fn a_dead_device_is_a_typed_error_through_every_front() {
+    let _turn = exclusive();
+    let sq = noisy(&[16, 16], 5);
+    let upd = boxes(3, &[16, 16], 4);
+    // 100 % read faults under a one-retry budget: the first pool miss fails.
+    let dead = |cap, blocks| {
+        let faults = FaultConfig::read_errors(1.0, 21);
+        device(cap, blocks, faults, RetryPolicy::with_retries(1))
+    };
+    let outcomes: Vec<_> = quietly(|| {
+        device_fronts(&sq, &upd)
+            .into_iter()
+            .map(|(name, _, run)| (name, try_transform(|| run(&dead))))
+            .collect()
+    });
     for (name, outcome) in outcomes {
         match outcome {
             Err(StorageError::RetriesExhausted { op: "read", .. }) => {}
             other => panic!("{name}: expected typed retry exhaustion, got {other:?}"),
         }
+    }
+}
+
+/// Read errors, write errors and torn writes at 1 % and 10 %, one kind at
+/// a time, under a retry budget no access exhausts (a fault clears with
+/// probability `1 − rate` per retry): every front must store what its
+/// fault-free run stores.
+#[test]
+fn transient_faults_heal_to_the_fault_free_contents_through_every_front() {
+    let _turn = exclusive();
+    let sq = noisy(&[16, 16], 5);
+    let upd = boxes(3, &[16, 16], 4);
+    let retries = RetryPolicy {
+        max_retries: 16,
+        base_backoff: Duration::ZERO,
+        max_backoff: Duration::ZERO,
+    };
+    let registry = ss_obs::global();
+    let injected = [
+        registry.counter("storage.faults_injected_read"),
+        registry.counter("storage.faults_injected_write"),
+        registry.counter("storage.faults_torn_writes"),
+    ];
+    // Faults injected per (rate, kind), over all fronts.
+    let mut total = [[0u64; 3]; 2];
+    for (f, (name, exact, run)) in device_fronts(&sq, &upd).iter().enumerate() {
+        let clean = |cap, blocks| device(cap, blocks, FaultConfig::default(), retries);
+        let want = run(&clean);
+        for (r, rate) in [0.01, 0.10].into_iter().enumerate() {
+            let seed = 0xFA17 + (f * 2 + r) as u64;
+            let none = FaultConfig {
+                seed,
+                ..FaultConfig::default()
+            };
+            let kinds = [
+                FaultConfig {
+                    read_error_rate: rate,
+                    ..none
+                },
+                FaultConfig {
+                    write_error_rate: rate,
+                    ..none
+                },
+                FaultConfig {
+                    torn_write_rate: rate,
+                    ..none
+                },
+            ];
+            for (k, (faults, counter)) in kinds.into_iter().zip(&injected).enumerate() {
+                let before = counter.get();
+                let faulty = |cap, blocks| device(cap, blocks, faults, retries);
+                let got = quietly(|| try_transform(|| run(&faulty)))
+                    .unwrap_or_else(|e| panic!("{name} {faults:?}: {e:?}"));
+                assert_slots(&got, &want, *exact, &format!("{name} {faults:?}"));
+                total[r][k] += counter.get() - before;
+            }
+        }
+    }
+    for (rate, kinds) in [0.01, 0.10].into_iter().zip(total) {
+        assert!(
+            kinds.iter().all(|&n| n > 0),
+            "rate {rate}: injected {kinds:?}"
+        );
     }
 }
