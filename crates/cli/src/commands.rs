@@ -174,61 +174,39 @@ fn flush_mode(args: &Args) -> Result<FlushMode, String> {
     }
 }
 
-/// `--workers N` (`0` = one per core), resolved; `None` when absent.
-fn worker_flag(args: &Args) -> Result<Option<usize>, String> {
-    Ok(args.get("workers")?.map(ss_transform::resolve_workers))
-}
-
 /// One ingest run over whatever block-device stack `ingest` built:
-/// per-chunk or group-committed (`coalesce`), serially or with the store
-/// lent to a sharded pool for `workers` threads. Storage failures come
-/// back typed; the `String` is the outcome line to print.
-fn run_ingest<S: BlockStore + Send + Sync>(
+/// per-chunk, or group-committed (`coalesce`). Storage failures come back
+/// typed; the `String` is the outcome line to print.
+fn run_ingest<S: BlockStore>(
     mut store: CoeffStore<StandardTiling, S>,
     src: &ArraySource,
-    workers: Option<usize>,
     coalesce: Option<(usize, FlushMode)>,
 ) -> Result<(CoeffStore<StandardTiling, S>, String), StorageError> {
-    let per_chunk = |r: ss_transform::TransformReport| {
-        format!("ingested {} cells in {} chunks", r.input_coeffs, r.chunks)
-    };
-    let coalesced = |r: ss_maintain::IngestReport| {
-        format!(
-            "ingested {} cells in {} chunks with {} group flushes \
-             ({} tiles written, coalescing ratio {:.2}, {} kernel)",
-            r.input_coeffs,
-            r.chunks,
-            r.flushes,
-            r.flush.tiles_written,
-            r.flush.coalescing_ratio(),
-            ss_core::kernel::name()
-        )
-    };
-    ss_transform::try_transform(move || match (coalesce, workers) {
-        (None, None) => {
-            let report = ss_transform::transform_standard(src, &mut store, false);
-            (store, per_chunk(report))
-        }
-        (None, Some(w)) => {
-            let (store, report) = store.via_shared(w, |shared| {
-                ss_transform::transform_standard_parallel(src, shared, w)
-            });
-            (store, per_chunk(report))
-        }
-        (Some((group, mode)), None) => {
-            let report = ss_maintain::transform_standard_coalesced(src, &mut store, group, mode);
-            (store, coalesced(report))
-        }
-        (Some((group, mode)), Some(w)) => {
-            let (store, report) = store.via_shared(w, |shared| {
-                ss_maintain::transform_standard_coalesced_parallel(src, shared, group, mode, w)
-            });
-            (store, coalesced(report))
-        }
+    ss_transform::try_transform(move || {
+        let outcome = match coalesce {
+            None => {
+                let r = ss_transform::transform_standard(src, &mut store, false);
+                format!("ingested {} cells in {} chunks", r.input_coeffs, r.chunks)
+            }
+            Some((group, mode)) => {
+                let r = ss_maintain::transform_standard_coalesced(src, &mut store, group, mode);
+                format!(
+                    "ingested {} cells in {} chunks with {} group flushes \
+                     ({} tiles written, coalescing ratio {:.2}, {} kernel)",
+                    r.input_coeffs,
+                    r.chunks,
+                    r.flushes,
+                    r.flush.tiles_written,
+                    r.flush.coalescing_ratio(),
+                    ss_core::kernel::name()
+                )
+            }
+        };
+        (store, outcome)
     })
 }
 
-/// `ingest <store> --data values.csv [--chunk a,b,…] [--workers N]
+/// `ingest <store> --data values.csv [--chunk a,b,…]
 /// [--coalesce N [--mode exact|merged]]
 /// [--format v3 [--threshold ε | --topk K]]
 /// [--fault-read P] [--fault-write P] [--fault-seed S] [--retries N]
@@ -237,8 +215,8 @@ fn run_ingest<S: BlockStore + Send + Sync>(
 /// `--coalesce N` buffers the SHIFT-SPLIT delta streams of N consecutive
 /// chunks tile-major and group-commits them together (N = 0 buffers the
 /// whole ingest), writing split-path tiles once per group instead of once
-/// per chunk; with `--workers` each group flush is sharded across the
-/// workers (bit-identical to the serial flush).
+/// per chunk. `--mode` without `--coalesce` is a usage error: the
+/// per-chunk ingest has no group flush to choose a mode for.
 ///
 /// `--format v3` rewrites the store into the sparse bucketed layout of
 /// `docs/FORMAT.md` §8 after the transform completes, optionally applying
@@ -251,6 +229,11 @@ pub fn ingest(args: &Args) -> Result<(), String> {
     let _server = metrics::maybe_serve(args)?;
     let path = args.pos(0, "store path")?;
     let v3_policy = v3_flags(args)?;
+    let mode = flush_mode(args)?;
+    let coalesce = args.get("coalesce")?.map(|group| (group, mode));
+    if coalesce.is_none() && args.flag_set("mode") {
+        return Err("--mode needs --coalesce: the per-chunk ingest has no group flush".into());
+    }
     let mut ws = WsFile::open(Path::new(path))?;
     if ws.sparse() {
         return Err(
@@ -266,11 +249,6 @@ pub fn ingest(args: &Args) -> Result<(), String> {
         None => ws.meta.levels.iter().map(|&n| n.min(3)).collect(),
     };
     let src = ArraySource::new(&data, &chunk_levels);
-    let workers = worker_flag(args)?;
-    let coalesce = match args.get("coalesce")? {
-        Some(group) => Some((group, flush_mode(args)?)),
-        None => None,
-    };
     let outcome;
     (ws.store, outcome) = match fault_flags(args)? {
         Some((cfg, policy)) => {
@@ -281,12 +259,12 @@ pub fn ingest(args: &Args) -> Result<(), String> {
             let wrapped =
                 RetryingBlockStore::new(FaultInjectingBlockStore::new(blocks, cfg), policy);
             let store = CoeffStore::new(map, wrapped, 1 << 10, stats.clone());
-            let (store, outcome) = run_ingest(store, &src, workers, coalesce)?;
+            let (store, outcome) = run_ingest(store, &src, coalesce)?;
             let (map, wrapped) = store.into_parts();
             let blocks = wrapped.into_inner().into_inner();
             (CoeffStore::new(map, blocks, 1 << 10, stats), outcome)
         }
-        None => run_ingest(ws.store, &src, workers, coalesce)?,
+        None => run_ingest(ws.store, &src, coalesce)?,
     };
     ws.meta.filled = dims[ws.meta.axis];
     ws.save_meta()?;
@@ -349,7 +327,7 @@ pub fn extract(args: &Args) -> Result<(), String> {
 }
 
 /// `update <store> (--at a,b,… --dims a,b,… --data delta.csv |
-/// --batch boxes.txt) [--workers N] [--mode exact|merged]`
+/// --batch boxes.txt) [--mode exact|merged]`
 ///
 /// Buffers every box's SHIFT-SPLIT delta stream tile-major and
 /// group-commits it with one read-modify-write per dirty tile and a single
@@ -357,8 +335,7 @@ pub fn extract(args: &Args) -> Result<(), String> {
 /// FILE` reads one box per line (`at;dims;datafile`, relative data paths
 /// resolved against the batch file's directory) and commits them together
 /// instead of once per box. Every box is checked against the store before
-/// anything is buffered. `--workers N` shards the flush across threads
-/// (bit-identical to the serial flush); `--mode merged` pre-sums deltas
+/// anything is buffered. `--mode merged` pre-sums deltas
 /// per coefficient (smallest flush, equal to exact only up to rounding;
 /// the default `exact` mode is bit-identical to one box at a time).
 pub fn update(args: &Args) -> Result<(), String> {
@@ -377,19 +354,7 @@ pub fn update(args: &Args) -> Result<(), String> {
             )?]
         }
     };
-    let levels = ws.meta.levels.clone();
-    let report = match worker_flag(args)? {
-        Some(workers) => {
-            // Lend the block file to the sharded thread-safe pool for the
-            // flush (the ingest --workers pattern).
-            let (store, report) = ws.store.via_shared(workers, |shared| {
-                ss_maintain::update_boxes_standard_parallel(shared, &levels, &boxes, mode, workers)
-            });
-            ws.store = store;
-            report
-        }
-        None => ss_maintain::update_boxes_standard(&mut ws.store, &levels, &boxes, mode),
-    };
+    let report = ss_maintain::update_boxes_standard(&mut ws.store, &ws.meta.levels, &boxes, mode);
     report_kernel();
     println!(
         "applied {} boxes as {} dyadic pieces ({} coefficients); \
@@ -796,6 +761,8 @@ pub fn serve_metrics(args: &Args) -> Result<(), String> {
 /// write-ahead log (`--wal`, default `<store>.wal`) *before* it becomes
 /// visible, commits left in the log by a crash are replayed on startup,
 /// and a clean shutdown checkpoints the store and truncates the log.
+/// `--mode` picks the commit flush and so needs `--writable` or
+/// `--router`; a read-only server refuses it.
 ///
 /// Introspection: `--trace-out FILE` records every request's spans and
 /// the commit pipeline's epoch-tagged events as `ss-trace-v1` JSON lines
@@ -822,6 +789,11 @@ pub fn serve(args: &Args) -> Result<(), String> {
     }
     let slow_ns = slow_ms.map(|ms| (ms * 1e6) as u64);
     let mode = flush_mode(args)?;
+    if args.flag_set("mode") && !args.flag_set("writable") && !args.flag_set("router") {
+        return Err(
+            "--mode needs --writable or --router: a read-only server commits nothing".into(),
+        );
+    }
     // Tracing goes live before the listener so even the first request is
     // covered; `--trace-out` implies the ring too (trace-dump reads the
     // file, `stats --watch` style tooling reads the ring).

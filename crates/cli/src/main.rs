@@ -34,13 +34,11 @@ USAGE:
 
 COMMANDS:
   create  <store> --levels a,b,…   create an empty store (log2 sizes)
-  ingest  <store> --data FILE [--workers N] [--coalesce N]
+  ingest  <store> --data FILE [--coalesce N [--mode exact|merged]]
           [--format v3 [--threshold E | --topk K]]
           transform a full dataset into the store
-          (--workers 0 = one worker per core; omit for the serial driver;
-          --coalesce N group-commits every N chunks through the tile-major
-          delta buffer, 0 = one flush for the whole ingest; with --workers
-          each group flush is sharded across the workers;
+          (--coalesce N group-commits every N chunks through the tile-major
+          delta buffer, 0 = one flush for the whole ingest;
           --format v3 rewrites the result into the sparse bucketed layout
           of docs/FORMAT.md §8 — bytes on disk shrink with the data's
           sparsity; --threshold E zeroes coefficients with |c| <= E and
@@ -50,13 +48,13 @@ COMMANDS:
   sum     <store> --lo … --hi …    range-sum query
   extract <store> --lo … --hi …    reconstruct a region
   update  <store> (--at … --dims … --data FILE | --batch FILE)
-          [--workers N] [--mode exact|merged]   add delta boxes
+          [--mode exact|merged]   add delta boxes
           (one box, or a file of one box per line `at;dims;datafile`;
           every box is checked against the store, then buffered
           tile-major and group-committed — one read-modify-write per
           dirty tile and one durability flush for the whole batch;
-          --workers N shards the flush; exact mode is bit-identical to
-          applying the boxes one by one, merged pre-sums per coefficient)
+          exact mode is bit-identical to applying the boxes one by one,
+          merged pre-sums per coefficient)
   append  <store> --extent N --data FILE        append along the grow axis
           (dense stores only; v3 stores must be re-ingested to grow)
   scrub   <store>                  verify every block against its CRC-32
@@ -164,12 +162,12 @@ use Handler::{Coded, Usage};
 #[rustfmt::skip]
 const COMMANDS: &[(&str, &str, Handler)] = &[
     ("create", "levels tiles axis", Usage(commands::create)),
-    ("ingest", "data chunk workers coalesce mode format threshold topk \
+    ("ingest", "data chunk coalesce mode format threshold topk \
                 fault-read fault-write fault-seed retries metrics-port", Usage(commands::ingest)),
     ("point", "", Usage(commands::point)),
     ("sum", "lo hi", Usage(commands::sum)),
     ("extract", "lo hi out", Usage(commands::extract)),
-    ("update", "at dims data batch workers mode", Usage(commands::update)),
+    ("update", "at dims data batch mode", Usage(commands::update)),
     ("append", "extent data", Usage(commands::append)),
     ("scrub", "", Coded(commands::scrub)),
     ("stats", "watch iterations interval-ms", Usage(commands::stats)),
@@ -323,46 +321,6 @@ mod tests {
             delta.to_str().unwrap(),
         ]))
         .unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn parallel_ingest_matches_serial() {
-        // Two identical stores, one ingested serially and one with
-        // `--workers 4`: every cell must read back the same.
-        let dir = tmp_dir("par_ingest");
-        let data: Vec<String> = (0..16)
-            .map(|r| {
-                (0..16)
-                    .map(|c| (((r * 37 + c * 11) % 100) as f64).to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            })
-            .collect();
-        let f = dir.join("data.csv");
-        std::fs::write(&f, data.join("\n")).unwrap();
-        let mut stores = Vec::new();
-        for (name, extra) in [("serial", &[][..]), ("par", &["--workers", "4"][..])] {
-            let store = dir.join(format!("{name}.ws"));
-            let store_s = store.to_str().unwrap().to_string();
-            run(&to_args(&[
-                "create", &store_s, "--levels", "4,4", "--tiles", "2,2",
-            ]))
-            .unwrap();
-            let mut args = vec!["ingest", &store_s, "--data", f.to_str().unwrap()];
-            args.extend_from_slice(extra);
-            run(&to_args(&args)).unwrap();
-            stores.push(store);
-        }
-        let mut serial = crate::wsfile::WsFile::open(&stores[0]).unwrap();
-        let mut par = crate::wsfile::WsFile::open(&stores[1]).unwrap();
-        for i in 0..16 {
-            for j in 0..16 {
-                let a = ss_query::point_standard(&mut serial.store, &serial.meta.levels, &[i, j]);
-                let b = ss_query::point_standard(&mut par.store, &par.meta.levels, &[i, j]);
-                assert!((a - b).abs() <= 1e-9, "cell ({i},{j}): {a} vs {b}");
-            }
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -596,6 +554,17 @@ mod tests {
                 "worker",
                 &["ingest", "s.ws", "--data", "d.csv", "--worker", "4"][..],
             ),
+            // The serial writers are the only ones: no `--workers`.
+            (
+                "ingest",
+                "workers",
+                &["ingest", "s.ws", "--data", "d.csv", "--workers", "4"],
+            ),
+            (
+                "update",
+                "workers",
+                &["update", "s.ws", "--batch", "b.txt", "--workers", "2"],
+            ),
             ("serve", "writeable", &["serve", "s.ws", "--writeable"]),
             (
                 "update",
@@ -774,6 +743,10 @@ mod tests {
         .unwrap();
         let addr_file = dir.join("addr.txt");
         let addr_file_s = addr_file.to_str().unwrap().to_string();
+        // A read-only server commits nothing: `--mode` is a usage error.
+        let err = run(&to_args(&["serve", &store_s, "--mode", "merged"])).unwrap_err();
+        assert_eq!((err.code, err.usage), (1, true));
+        assert!(err.msg.contains("--mode"), "{}", err.msg);
         let points = [[0usize, 0], [7, 13], [15, 15], [3, 9]];
         // 4 point queries + 1 range sum = a budget of 5 responses.
         let serve_store = store_s.clone();
@@ -1307,8 +1280,8 @@ mod tests {
 
     #[test]
     fn batched_update_matches_serial_updates() {
-        // One store updated box-by-box, one with `update --batch`, one with
-        // `--batch --workers 3`: all cells must read back bit-identically.
+        // One store updated box-by-box, one with `update --batch`: all
+        // cells must read back bit-identically.
         let dir = tmp_dir("batch_update");
         let data = write_cube_csv(&dir, "base.csv", 16, 16);
         // Three overlapping delta boxes.
@@ -1333,7 +1306,6 @@ mod tests {
         for (name, batched) in [
             ("serial", None),
             ("batch", Some(&[][..])),
-            ("batch_par", Some(&["--workers", "3"][..])),
             ("batch_merged", Some(&["--mode", "merged"][..])),
         ] {
             let store = dir.join(format!("{name}.ws"));
@@ -1369,23 +1341,16 @@ mod tests {
             stores.push(store);
         }
         let mut serial = crate::wsfile::WsFile::open(&stores[0]).unwrap();
-        for (i, name) in ["batch", "batch_par"].iter().enumerate() {
-            let mut other = crate::wsfile::WsFile::open(&stores[i + 1]).unwrap();
-            for r in 0..16usize {
-                for c in 0..16usize {
-                    let a =
-                        ss_query::point_standard(&mut serial.store, &serial.meta.levels, &[r, c]);
-                    let b = ss_query::point_standard(&mut other.store, &other.meta.levels, &[r, c]);
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{name} cell ({r},{c}): {a} vs {b}"
-                    );
-                }
+        let mut batch = crate::wsfile::WsFile::open(&stores[1]).unwrap();
+        for r in 0..16usize {
+            for c in 0..16usize {
+                let a = ss_query::point_standard(&mut serial.store, &serial.meta.levels, &[r, c]);
+                let b = ss_query::point_standard(&mut batch.store, &batch.meta.levels, &[r, c]);
+                assert_eq!(a.to_bits(), b.to_bits(), "batch cell ({r},{c}): {a} vs {b}");
             }
         }
         // Merged mode: equal within rounding only.
-        let mut merged = crate::wsfile::WsFile::open(&stores[3]).unwrap();
+        let mut merged = crate::wsfile::WsFile::open(&stores[2]).unwrap();
         for r in 0..16usize {
             for c in 0..16usize {
                 let a = ss_query::point_standard(&mut serial.store, &serial.meta.levels, &[r, c]);
@@ -1461,19 +1426,32 @@ mod tests {
                 }
             }
         }
+        // `--mode` only picks a group flush: without `--coalesce` it, and
+        // a mode that does not exist, are usage errors, not ignored.
+        let store_s = stores[0].to_str().unwrap();
+        for extra in [
+            &["--mode", "merged"][..],
+            &["--mode", "bogus"],
+            &["--coalesce", "2", "--mode", "bogus"],
+        ] {
+            let mut args = vec!["ingest", store_s, "--data", &data];
+            args.extend_from_slice(extra);
+            let err = run(&to_args(&args)).unwrap_err();
+            assert_eq!((err.code, err.usage), (1, true), "{extra:?}");
+            assert!(err.msg.contains("--mode"), "{extra:?}: {}", err.msg);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn coalesce_composes_with_workers_and_faults() {
-        // One pipeline, one sink trait: group commit rides any worker
-        // count and any block-device stack, bit-identically.
+    fn coalesce_composes_with_faults() {
+        // One pipeline, one sink trait: group commit rides any
+        // block-device stack, bit-identically.
         let dir = tmp_dir("coalesce_compose");
         let data = write_cube_csv(&dir, "d.csv", 16, 16);
         let mut stores = Vec::new();
         for (name, extra) in [
             ("plain", &[][..]),
-            ("workers", &["--coalesce", "3", "--workers", "2"][..]),
             (
                 "faulty",
                 &[
@@ -1488,12 +1466,10 @@ mod tests {
                 ][..],
             ),
             (
-                "both",
+                "one_flush_faulty",
                 &[
                     "--coalesce",
                     "0",
-                    "--workers",
-                    "3",
                     "--fault-read",
                     "0.2",
                     "--fault-seed",

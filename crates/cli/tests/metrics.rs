@@ -54,7 +54,7 @@ fn field(h: &ss_obs::json::Value, key: &str) -> u64 {
 }
 
 #[test]
-fn parallel_ingest_writes_a_populated_metrics_snapshot() {
+fn ingest_writes_a_populated_metrics_snapshot() {
     let dir = tmp_dir("ingest");
     let store = dir.join("t.ws");
     let csv = dir.join("data.csv");
@@ -67,8 +67,6 @@ fn parallel_ingest_writes_a_populated_metrics_snapshot() {
         store.to_str().unwrap(),
         "--data",
         csv.to_str().unwrap(),
-        "--workers",
-        "4",
         "--metrics-out",
         metrics.to_str().unwrap(),
     ]));
@@ -86,23 +84,14 @@ fn parallel_ingest_writes_a_populated_metrics_snapshot() {
         assert!(field(h, "p99") <= field(h, "max"), "{name}: p99 > max");
     }
 
-    // Phase attribution from the parallel transform driver.
+    // Phase attribution from the transform driver.
     for name in [
         "transform.read_ns",
         "transform.compute_ns",
         "transform.writeback_ns",
-        "transform.worker_busy_ns",
     ] {
         assert!(field(histogram(&snap, name), "count") > 0, "{name}: empty");
     }
-    assert_eq!(
-        snap.get("gauges")
-            .unwrap()
-            .get("transform.workers")
-            .unwrap()
-            .as_u64(),
-        Some(4)
-    );
 
     // The full IoSnapshot counter set is folded in, with real traffic.
     let counters = snap.get("counters").unwrap();

@@ -1,10 +1,10 @@
 //! Tile-major delta buffering and group-commit flush.
 
 use ss_array::NdArray;
-use ss_core::runs::{TileGroup, TileRuns};
+use ss_core::runs::TileRuns;
 use ss_core::TilingMap;
 use ss_obs::Stopwatch;
-use ss_storage::{BlockStore, CoeffWrite, SharedCoeffStore};
+use ss_storage::CoeffWrite;
 use ss_transform::{box_runs_standard, for_each_box_delta_standard, UpdateReport};
 
 /// How buffered deltas are reduced at flush time.
@@ -82,8 +82,7 @@ impl FlushReport {
 /// located delta) or [`add_at`](DeltaBuffer::add_at) (one tuple index), or
 /// an already-located batch as one operation with
 /// [`add_runs`](DeltaBuffer::add_runs); then drain with
-/// [`flush_into`](DeltaBuffer::flush_into),
-/// [`flush_into_shared`](DeltaBuffer::flush_into_shared) or
+/// [`flush_into`](DeltaBuffer::flush_into) or
 /// [`drain`](DeltaBuffer::drain). The buffer is reusable: a drain resets
 /// it to empty.
 pub struct DeltaBuffer {
@@ -200,46 +199,17 @@ impl DeltaBuffer {
         (runs, report)
     }
 
-    /// Group-commit flush into any sink: one read-modify-write per dirty
-    /// tile, in ascending block order, then a single pool flush.
+    /// Group-commit flush into any sink: drain, one read-modify-write per
+    /// dirty tile in ascending block order, then a single pool flush.
+    /// Nothing drained means no tile writes, no durability flush and no
+    /// flush metrics — a no-op commit must not charge a flush.
     pub fn flush_into<W: CoeffWrite>(&mut self, sink: &mut W) -> FlushReport {
-        self.flush_with(sink, |sink, runs| sink.apply_runs(runs.tiles()))
-    }
-
-    /// Parallel group-commit flush over a sharded store: the sorted dirty
-    /// tiles are partitioned into contiguous ranges, one range per worker.
-    /// Every tile is applied by exactly one worker (one shard lock, one
-    /// read-modify-write), so the result is bit-identical to
-    /// [`flush_into`](DeltaBuffer::flush_into) for any `workers >= 1`.
-    pub fn flush_into_shared<M: TilingMap, S: BlockStore + Send + Sync>(
-        &mut self,
-        cs: &SharedCoeffStore<M, S>,
-        workers: usize,
-    ) -> FlushReport {
-        self.flush_with(&mut &*cs, |_, runs| {
-            let tiles: Vec<TileGroup> = runs.tiles().collect();
-            ss_transform::run_sharded(workers.max(1), tiles.len(), |range| {
-                let mut sink = cs;
-                sink.apply_runs(tiles[range].iter().copied());
-            });
-        })
-    }
-
-    /// The one flush body: drain, `apply` the grouped runs, flush the
-    /// sink's pool, publish metrics. Nothing drained means no tile writes,
-    /// no durability flush and no flush metrics — a no-op commit must not
-    /// charge a flush.
-    fn flush_with<W: CoeffWrite>(
-        &mut self,
-        sink: &mut W,
-        apply: impl FnOnce(&mut W, &TileRuns),
-    ) -> FlushReport {
         let mut sw = Stopwatch::start();
         let (runs, report) = self.drain();
         if runs.is_empty() {
             return report;
         }
-        apply(sink, &runs);
+        sink.apply_runs(runs.tiles());
         sink.flush();
         record_flush_metrics(&report, sw.lap_ns());
         report
@@ -284,7 +254,7 @@ fn record_flush_metrics(report: &FlushReport, flush_ns: u64) {
 mod tests {
     use super::*;
     use ss_core::StandardTiling;
-    use ss_storage::{mem_shared_store, wstore::mem_store, CoeffStore, IoStats};
+    use ss_storage::{mem_shared_store, wstore::mem_store, IoStats};
 
     fn map() -> StandardTiling {
         StandardTiling::cube(2, 4, 2)
@@ -349,83 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_flush_is_bit_identical_for_any_worker_count() {
-        let m = map();
-        let mut serial = mem_store(m.clone(), 8, IoStats::default());
-        let mut buf = DeltaBuffer::for_map(&m, FlushMode::Exact);
-        let deltas: Vec<(usize, usize, f64)> = (0..200)
-            .map(|i| ((i * 7) % m.num_tiles(), (i * 5) % 16, 0.1 + i as f64 * 1e-3))
-            .collect();
-        for chunk in deltas.chunks(10) {
-            buf.begin_box();
-            for &(t, s, v) in chunk {
-                buf.add(t, s, v);
-            }
-        }
-        buf.flush_into(&mut serial);
-        for workers in [1usize, 2, 3, 8, 16, 64] {
-            let shared = mem_shared_store(m.clone(), 8, 4, IoStats::default());
-            let mut buf = DeltaBuffer::for_map(&m, FlushMode::Exact);
-            for chunk in deltas.chunks(10) {
-                buf.begin_box();
-                for &(t, s, v) in chunk {
-                    buf.add(t, s, v);
-                }
-            }
-            let report = buf.flush_into_shared(&shared, workers);
-            assert_eq!(report.deltas, 200);
-            let (map_back, store) = shared.into_parts();
-            let mut check = CoeffStore::new(map_back, store, 8, IoStats::default());
-            for tile in 0..m.num_tiles() {
-                for slot in 0..16 {
-                    assert_eq!(
-                        serial.read_at(tile, slot).to_bits(),
-                        check.read_at(tile, slot).to_bits(),
-                        "workers={workers} tile={tile} slot={slot}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_flush_applies_all_tiles_when_workers_exceed_dirty_count() {
-        let m = map();
-        // Only 3 dirty tiles, far fewer than the worker counts below.
-        let deltas: [(usize, usize, f64); 3] = [(0, 1, 1.0), (2, 5, 2.0), (5, 9, 3.0)];
-        let mut serial = mem_store(m.clone(), 8, IoStats::default());
-        let mut buf = DeltaBuffer::for_map(&m, FlushMode::Exact);
-        buf.begin_box();
-        for &(t, s, v) in &deltas {
-            buf.add(t, s, v);
-        }
-        buf.flush_into(&mut serial);
-        for workers in [4usize, 8, 16] {
-            let shared = mem_shared_store(m.clone(), 8, 4, IoStats::default());
-            let mut buf = DeltaBuffer::for_map(&m, FlushMode::Exact);
-            buf.begin_box();
-            for &(t, s, v) in &deltas {
-                buf.add(t, s, v);
-            }
-            let report = buf.flush_into_shared(&shared, workers);
-            assert_eq!(report.tiles_written, 3);
-            let (map_back, store) = shared.into_parts();
-            let mut check = CoeffStore::new(map_back, store, 8, IoStats::default());
-            for &(t, s, v) in &deltas {
-                assert_eq!(
-                    check.read_at(t, s).to_bits(),
-                    v.to_bits(),
-                    "workers={workers} tile={t} slot={s} lost its delta"
-                );
-                assert_eq!(
-                    serial.read_at(t, s).to_bits(),
-                    check.read_at(t, s).to_bits()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn empty_flush_is_a_noop() {
         let m = map();
         let stats = IoStats::default();
@@ -439,9 +332,9 @@ mod tests {
         // `tests/empty_flush.rs`: `maintain.flushes` is process-global and
         // sibling tests here flush.)
         assert_eq!(stats.snapshot().block_writes, 0);
-        // Same for the shared path.
+        // Same into a shared sink.
         let shared = mem_shared_store(m.clone(), 8, 4, IoStats::default());
-        let report = buf.flush_into_shared(&shared, 4);
+        let report = buf.flush_into(&mut &shared);
         assert_eq!(report, FlushReport::default());
     }
 
@@ -498,7 +391,7 @@ mod tests {
         assert_eq!(cs.read_at(5, 0), 3.0);
         assert_eq!(cs.read_at(2, 4), 0.0);
 
-        // Same cancellation through the sharded path.
+        // Same cancellation into a shared sink.
         let shared_stats = IoStats::default();
         let shared = mem_shared_store(m.clone(), 8, 4, shared_stats.clone());
         let mut buf = DeltaBuffer::for_map(&m, FlushMode::Merged);
@@ -508,7 +401,7 @@ mod tests {
         buf.add(2, 4, -7.5);
         buf.begin_box();
         buf.add(5, 0, 3.0);
-        let report = buf.flush_into_shared(&shared, 4);
+        let report = buf.flush_into(&mut &shared);
         assert_eq!(report.tiles_written, 1);
         assert_eq!(shared_stats.snapshot().block_writes, 1);
         assert_eq!(shared_stats.snapshot().coeff_writes, 1);
@@ -516,10 +409,10 @@ mod tests {
 
     #[test]
     fn serial_and_sharded_flush_record_identical_coeff_writes() {
-        // Regression: `flush_into` charged `add_coeff_writes` per tile in
-        // the flush loop while `flush_into_shared` relied on the store's
-        // apply hooks — the two paths must account identically, in both
-        // flush modes.
+        // Regression: the exclusive flush once charged `add_coeff_writes`
+        // per tile in its loop while the sharded one relied on the store's
+        // apply hooks — an exclusive and a shared sink must account
+        // identically, in both flush modes.
         for mode in [FlushMode::Exact, FlushMode::Merged] {
             let m = map();
             let deltas: Vec<(usize, usize, f64)> = (0..60)
@@ -544,7 +437,7 @@ mod tests {
                     buf.add(t, s, v);
                 }
             }
-            let shared_report = buf.flush_into_shared(&shared, 3);
+            let shared_report = buf.flush_into(&mut &shared);
             assert_eq!(serial_report, shared_report, "mode {mode:?}");
             assert_eq!(
                 serial_stats.snapshot().coeff_writes,

@@ -1,12 +1,11 @@
 //! Batch drivers over a [`DeltaBuffer`]: group-committed box updates (both
-//! forms, serial and parallel flush) and coalesced ingest — the
-//! [`ChunkPipeline`] of `ss-transform` with the buffer as its staging step.
+//! forms) and coalesced ingest — the [`ChunkPipeline`] of `ss-transform`
+//! with the buffer as its staging step.
 
 use crate::buffer::{DeltaBuffer, FlushMode, FlushReport};
 use ss_array::NdArray;
-use ss_core::TilingMap;
 use ss_obs::Stopwatch;
-use ss_storage::{BlockStore, CoeffWrite, SharedCoeffStore};
+use ss_storage::CoeffWrite;
 use ss_transform::{ChunkPipeline, ChunkSource, UpdateReport};
 
 /// One update box: its origin and its delta values.
@@ -28,16 +27,14 @@ enum BoxForm<'a> {
     NonStandard(u32),
 }
 
-/// The one batch body: buffers every box's delta stream (serially — the
-/// arrival order defines the replay order), timed as `maintain.buffer_ns`
-/// beside the flush's `maintain.flush_ns`, then group-commits through
-/// `flush`.
+/// The one batch body: buffers every box's delta stream (the arrival
+/// order defines the replay order), timed as `maintain.buffer_ns` beside
+/// the flush's `maintain.flush_ns`, then group-commits it into `sink`.
 fn update_boxes<W: CoeffWrite>(
     sink: &mut W,
     form: BoxForm,
     boxes: &[UpdateBox],
     mode: FlushMode,
-    flush: impl FnOnce(&mut DeltaBuffer, &mut W) -> FlushReport,
 ) -> BatchReport {
     let map = sink.map();
     let mut buf = DeltaBuffer::for_map(map, mode);
@@ -56,7 +53,7 @@ fn update_boxes<W: CoeffWrite>(
     ss_obs::global()
         .histogram("maintain.buffer_ns")
         .record(sw.lap_ns());
-    let flush = flush(&mut buf, sink);
+    let flush = buf.flush_into(sink);
     BatchReport { update, flush }
 }
 
@@ -71,29 +68,7 @@ pub fn update_boxes_standard<W: CoeffWrite>(
     boxes: &[UpdateBox],
     mode: FlushMode,
 ) -> BatchReport {
-    update_boxes(
-        cs,
-        BoxForm::Standard(n),
-        boxes,
-        mode,
-        DeltaBuffer::flush_into,
-    )
-}
-
-/// [`update_boxes_standard`] with the flush sharded across `workers`
-/// threads of a [`SharedCoeffStore`]. Each dirty tile is owned by exactly
-/// one worker, so the result is bit-identical to the serial flush for any
-/// worker count.
-pub fn update_boxes_standard_parallel<M: TilingMap, S: BlockStore + Send + Sync>(
-    cs: &SharedCoeffStore<M, S>,
-    n: &[u32],
-    boxes: &[UpdateBox],
-    mode: FlushMode,
-    workers: usize,
-) -> BatchReport {
-    update_boxes(&mut &*cs, BoxForm::Standard(n), boxes, mode, |buf, cs| {
-        buf.flush_into_shared(cs, workers)
-    })
+    update_boxes(cs, BoxForm::Standard(n), boxes, mode)
 }
 
 /// Non-standard-form twin of [`update_boxes_standard`]: the domain is a
@@ -105,30 +80,7 @@ pub fn update_boxes_nonstandard<W: CoeffWrite>(
     boxes: &[UpdateBox],
     mode: FlushMode,
 ) -> BatchReport {
-    update_boxes(
-        cs,
-        BoxForm::NonStandard(n),
-        boxes,
-        mode,
-        DeltaBuffer::flush_into,
-    )
-}
-
-/// Non-standard-form twin of [`update_boxes_standard_parallel`].
-pub fn update_boxes_nonstandard_parallel<M: TilingMap, S: BlockStore + Send + Sync>(
-    cs: &SharedCoeffStore<M, S>,
-    n: u32,
-    boxes: &[UpdateBox],
-    mode: FlushMode,
-    workers: usize,
-) -> BatchReport {
-    update_boxes(
-        &mut &*cs,
-        BoxForm::NonStandard(n),
-        boxes,
-        mode,
-        |buf, cs| buf.flush_into_shared(cs, workers),
-    )
+    update_boxes(cs, BoxForm::NonStandard(n), boxes, mode)
 }
 
 /// Outcome of a coalesced ingest run.
@@ -144,21 +96,28 @@ pub struct IngestReport {
     pub flush: FlushReport,
 }
 
-/// The one coalesced-ingest body: the standard-form chunk pipeline with a
-/// [`DeltaBuffer`] as its staging step, group-committed through `flush`
-/// every `group` chunks (`0` = once, at the end).
-fn coalesced<W: CoeffWrite>(
+/// Standard-form out-of-core transform with group-committed writeback:
+/// like [`ss_transform::transform_standard`], but the SHIFT-SPLIT delta
+/// streams of `group` consecutive chunks are buffered tile-major and
+/// flushed together, so split-path tiles shared by a group are written
+/// once per *group* rather than once per chunk. `group == 0` buffers the
+/// whole ingest and flushes once at the end.
+///
+/// With [`FlushMode::Exact`] the stored transform is bit-identical to the
+/// per-chunk driver: each chunk contributes at most one delta per
+/// coefficient, so arrival-ordered replay preserves the per-coefficient
+/// addition sequence.
+pub fn transform_standard_coalesced<W: CoeffWrite>(
     src: &impl ChunkSource,
     sink: &mut W,
     group: usize,
     mode: FlushMode,
-    mut flush: impl FnMut(&mut DeltaBuffer, &mut W) -> FlushReport,
 ) -> IngestReport {
     let pipeline = ChunkPipeline::standard(src);
     let mut buf = DeltaBuffer::for_map(sink.map(), mode);
     let mut report = IngestReport::default();
-    let mut commit = |buf: &mut DeltaBuffer, sink: &mut W, report: &mut IngestReport| {
-        report.flush.merge(flush(buf, sink));
+    let commit = |buf: &mut DeltaBuffer, sink: &mut W, report: &mut IngestReport| {
+        report.flush.merge(buf.flush_into(sink));
         report.flushes += 1;
     };
     let run = pipeline.run_range(sink, 0..pipeline.chunks(), |sink, batch| {
@@ -175,49 +134,13 @@ fn coalesced<W: CoeffWrite>(
     report
 }
 
-/// Standard-form out-of-core transform with group-committed writeback:
-/// like [`ss_transform::transform_standard`], but the SHIFT-SPLIT delta
-/// streams of `group` consecutive chunks are buffered tile-major and
-/// flushed together, so split-path tiles shared by a group are written
-/// once per *group* rather than once per chunk. `group == 0` buffers the
-/// whole ingest and flushes once at the end.
-///
-/// With [`FlushMode::Exact`] the stored transform is bit-identical to the
-/// per-chunk driver: each chunk contributes at most one delta per
-/// coefficient, so arrival-ordered replay preserves the per-coefficient
-/// addition sequence.
-pub fn transform_standard_coalesced<W: CoeffWrite>(
-    src: &impl ChunkSource,
-    cs: &mut W,
-    group: usize,
-    mode: FlushMode,
-) -> IngestReport {
-    coalesced(src, cs, group, mode, DeltaBuffer::flush_into)
-}
-
-/// [`transform_standard_coalesced`] with every group flush sharded across
-/// `workers` threads of a [`SharedCoeffStore`] — bit-identical to the
-/// serial flush for any worker count.
-pub fn transform_standard_coalesced_parallel<M: TilingMap, S: BlockStore + Send + Sync>(
-    src: &impl ChunkSource,
-    cs: &SharedCoeffStore<M, S>,
-    group: usize,
-    mode: FlushMode,
-    workers: usize,
-) -> IngestReport {
-    coalesced(src, &mut &*cs, group, mode, |buf, cs| {
-        buf.flush_into_shared(cs, workers)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ss_array::Shape;
-    use ss_core::{NonStandardTiling, StandardTiling};
+    use ss_core::{NonStandardTiling, StandardTiling, TilingMap};
     use ss_datagen::SplitMix64;
-    use ss_storage::CoeffStore;
-    use ss_storage::{mem_shared_store, wstore::mem_store, IoStats};
+    use ss_storage::{wstore::mem_store, CoeffStore, IoStats};
     use ss_transform::ArraySource;
 
     fn random_boxes(
@@ -326,24 +249,6 @@ mod tests {
         let report = update_boxes_nonstandard(&mut batched, n, &boxes, FlushMode::Exact);
         assert_eq!(report.flush.boxes, 8);
         assert_stores_identical(&mut serial, &mut batched, "nonstandard exact");
-    }
-
-    #[test]
-    fn parallel_batch_matches_serial_batch() {
-        let n = [5u32, 4];
-        let map = StandardTiling::new(&n, &[2, 2]);
-        let mut rng = SplitMix64::new(41);
-        let boxes = random_boxes(&mut rng, &[32, 16], 16);
-
-        let mut serial = mem_store(map.clone(), 4, IoStats::default());
-        update_boxes_standard(&mut serial, &n, &boxes, FlushMode::Exact);
-        for workers in [1usize, 2, 5] {
-            let shared = mem_shared_store(map.clone(), 8, 4, IoStats::default());
-            update_boxes_standard_parallel(&shared, &n, &boxes, FlushMode::Exact, workers);
-            let (m, store) = shared.into_parts();
-            let mut check = CoeffStore::new(m, store, 4, IoStats::default());
-            assert_stores_identical(&mut serial, &mut check, "parallel");
-        }
     }
 
     #[test]

@@ -27,16 +27,13 @@
 //!   tile, visited in ascending block order (sequential I/O for
 //!   `FileBlockStore`), followed by a single pool flush (one meta/CRC
 //!   writeback per *flush*, not per box); generic over the
-//!   [`CoeffWrite`](ss_storage::CoeffWrite) sink,
-//! * [`DeltaBuffer::flush_into_shared`] — the same flush sharded over a
-//!   worker pool: dirty tiles are partitioned into contiguous ranges, each
-//!   tile is owned by exactly one worker, so results are bit-identical to
-//!   the serial flush for any worker count,
+//!   [`CoeffWrite`](ss_storage::CoeffWrite) sink — an exclusive
+//!   `&mut CoeffStore` or a shared `&SharedCoeffStore` alike,
 //! * [`engine`] — box-batch fronts ([`update_boxes_standard`],
-//!   [`update_boxes_nonstandard`], parallel twins) over one batch body, and
-//!   coalesced ingest ([`transform_standard_coalesced`], parallel twin):
-//!   the `ss-transform` chunk pipeline with the buffer as its staging
-//!   step, group-committing every `group` chunks.
+//!   [`update_boxes_nonstandard`]) over one batch body, and coalesced
+//!   ingest ([`transform_standard_coalesced`]): the `ss-transform` chunk
+//!   pipeline with the buffer as its staging step, group-committing every
+//!   `group` chunks.
 //!
 //! # Exactness
 //!
@@ -115,9 +112,8 @@ pub mod wal;
 
 pub use buffer::{DeltaBuffer, FlushMode, FlushReport};
 pub use engine::{
-    transform_standard_coalesced, transform_standard_coalesced_parallel, update_boxes_nonstandard,
-    update_boxes_nonstandard_parallel, update_boxes_standard, update_boxes_standard_parallel,
-    BatchReport, IngestReport, UpdateBox,
+    transform_standard_coalesced, update_boxes_nonstandard, update_boxes_standard, BatchReport,
+    IngestReport, UpdateBox,
 };
 pub use snapshot::{PinnedSnapshot, SnapshotCoeffStore};
 pub use wal::{replay_records, Wal, WalRecord, WalScan, WalTile};

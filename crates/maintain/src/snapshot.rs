@@ -9,7 +9,7 @@
 //! for the tiles dirtied by the in-flight epoch: a commit copies each
 //! dirty tile out of the previous version (overlay or base), applies the
 //! tile's drained runs in arrival order (bit-identical to
-//! [`DeltaBuffer::flush_into_shared`]), and publishes the result as a new
+//! [`DeltaBuffer::flush_into`]), and publishes the result as a new
 //! overlay entry. The base store is mutated only by
 //! [`checkpoint`](SnapshotCoeffStore::checkpoint), which folds the
 //! current overlay down once every older version has drained its readers

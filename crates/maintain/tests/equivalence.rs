@@ -2,9 +2,8 @@
 //!
 //! The contract the `DeltaBuffer` engine sells is that coalescing is an
 //! I/O-layer optimisation with **zero** numerical surface: for any batch
-//! of update boxes, flushing one group commit (serially or across worker
-//! threads, against a healthy device or one that drops requests until
-//! retried) produces coefficient blocks whose every `f64` is
+//! of update boxes, flushing one group commit (against a healthy device
+//! or one that drops requests until retried) produces coefficient blocks whose every `f64` is
 //! bit-for-bit the value the serial per-box path writes. These tests
 //! state that as sampled properties over random workloads rather than as
 //! hand-picked examples — `f64::to_bits` equality, no tolerances.
@@ -13,14 +12,11 @@ use proptest::prelude::*;
 use ss_array::{NdArray, Shape};
 use ss_core::{NonStandardTiling, StandardTiling, TilingMap};
 use ss_datagen::SplitMix64;
-use ss_maintain::{
-    update_boxes_nonstandard, update_boxes_nonstandard_parallel, update_boxes_standard,
-    update_boxes_standard_parallel, FlushMode,
-};
+use ss_maintain::{update_boxes_nonstandard, update_boxes_standard, FlushMode};
 use ss_storage::wstore::mem_store;
 use ss_storage::{
-    mem_shared_store, BlockStore, CoeffStore, FaultConfig, FaultInjectingBlockStore, IoStats,
-    MemBlockStore, RetryPolicy, RetryingBlockStore,
+    BlockStore, CoeffStore, FaultConfig, FaultInjectingBlockStore, IoStats, MemBlockStore,
+    RetryPolicy, RetryingBlockStore,
 };
 
 /// `count` boxes with random origins, extents (≤ 5 per axis) and values,
@@ -116,48 +112,6 @@ proptest! {
         let mut batched = mem_store(map, 4, IoStats::default());
         update_boxes_nonstandard(&mut batched, n, &boxes, FlushMode::Exact);
         assert_identical(&mut serial, &mut batched, "nonstandard batch");
-    }
-
-    #[test]
-    fn parallel_standard_flush_is_bit_identical(
-        seed in any::<u64>(),
-        count in 1usize..12,
-        workers in 1usize..6,
-    ) {
-        let n = [4u32, 4];
-        let map = StandardTiling::new(&n, &[2, 2]);
-        let boxes = random_boxes(seed, &[16, 16], count);
-
-        let mut serial = mem_store(map.clone(), 4, IoStats::default());
-        for one in boxes.chunks(1) {
-            update_boxes_standard(&mut serial, &n, one, FlushMode::Exact);
-        }
-        let shared = mem_shared_store(map, 8, 4, IoStats::default());
-        update_boxes_standard_parallel(&shared, &n, &boxes, FlushMode::Exact, workers);
-        let (m, store) = shared.into_parts();
-        let mut check = CoeffStore::new(m, store, 4, IoStats::default());
-        assert_identical(&mut serial, &mut check, "standard parallel");
-    }
-
-    #[test]
-    fn parallel_nonstandard_flush_is_bit_identical(
-        seed in any::<u64>(),
-        count in 1usize..12,
-        workers in 1usize..6,
-    ) {
-        let n = 4u32;
-        let map = NonStandardTiling::new(2, n, 2);
-        let boxes = random_boxes(seed, &[16, 16], count);
-
-        let mut serial = mem_store(map.clone(), 4, IoStats::default());
-        for one in boxes.chunks(1) {
-            update_boxes_nonstandard(&mut serial, n, one, FlushMode::Exact);
-        }
-        let shared = mem_shared_store(map, 8, 4, IoStats::default());
-        update_boxes_nonstandard_parallel(&shared, n, &boxes, FlushMode::Exact, workers);
-        let (m, store) = shared.into_parts();
-        let mut check = CoeffStore::new(m, store, 4, IoStats::default());
-        assert_identical(&mut serial, &mut check, "nonstandard parallel");
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //!     [`TilingMap`](ss_core::TilingMap) (subtree tiles or the naive
 //!     row-major baseline),
 //!   * [`SharedCoeffStore`] — *shared*: the block-id space sharded over
-//!     independently locked LRUs (`&self`), used by the parallel
-//!     transform drivers and the query server,
+//!     independently locked LRUs (`&self`), used by the parallel z-order
+//!     transform driver, the snapshot store and the query server,
 //! * [`ShardMap`] — a contiguous partition of the tile ordinal space into
 //!   shard ranges with an N-way replica count, the topology object behind
 //!   the scatter-gather query router in `ss-serve`,
@@ -49,8 +49,6 @@
 //!   | shared | `&SharedCoeffStore` | `&SharedCoeffStore` (one shard lock per tile) |
 //!   | generic callers | every `ss-query` plan, batch and reconstruction | the `ss-transform` chunk pipeline, `DeltaBuffer::flush_into`, the `ss-maintain` batch fronts |
 //!
-//!   [`CoeffStore::via_shared`] re-shards an exclusive store's cache for
-//!   the duration of a parallel driver,
 //! * [`WsFile`] — the persistent `.ws` store format (blocks file, `.crc`
 //!   checksum sidecar, `.meta` text header — see `docs/FORMAT.md`), with
 //!   crash-safe metadata updates and a full-file scrub

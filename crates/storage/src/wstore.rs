@@ -94,22 +94,6 @@ impl<M: TilingMap, S: BlockStore> CoeffStore<M, S> {
     pub fn into_parts(self) -> (M, S) {
         self.shared.into_parts()
     }
-
-    /// Re-shards the cache over `shards` locks (same total budget) for
-    /// the duration of `f`, then back to one — how a single-owner store
-    /// lends itself to a parallel driver.
-    pub fn via_shared<R>(
-        self,
-        shards: usize,
-        f: impl FnOnce(&SharedCoeffStore<M, S>) -> R,
-    ) -> (Self, R) {
-        let (budget, stats) = (self.shared.pool().budget(), self.stats().clone());
-        let (map, store) = self.into_parts();
-        let shared = SharedCoeffStore::new(map, store, budget, shards, stats.clone());
-        let out = f(&shared);
-        let (map, store) = shared.into_parts();
-        (CoeffStore::new(map, store, budget, stats), out)
-    }
 }
 
 /// Convenience: an in-memory tiled store sized for `map`.
@@ -213,41 +197,6 @@ mod tests {
         for i in 0..16usize {
             assert_eq!(cs2.read(&[i]), (i * i) as f64);
         }
-    }
-
-    #[test]
-    fn via_shared_round_trip_keeps_contents_budget_and_counters() {
-        let stats = IoStats::new();
-        let mut cs = written_store(Tiling1d::new(4, 2), 3, &stats);
-        for i in 0..16usize {
-            cs.write(&[i], i as f64);
-        }
-        let before = stats.snapshot();
-        let (mut cs, seen) = cs.via_shared(2, |shared| {
-            assert_eq!(shared.pool().num_shards(), 2);
-            shared.write(&[5], 5.5);
-            shared.read(&[5])
-        });
-        assert_eq!(seen, 5.5);
-        assert_eq!(cs.pool().budget(), 3);
-        assert_eq!(cs.pool().num_shards(), 1);
-        for i in 0..16usize {
-            let want = if i == 5 { 5.5 } else { i as f64 };
-            assert_eq!(cs.read(&[i]), want, "index {i}");
-        }
-        // The same `IoStats` kept counting across both re-housings: each
-        // of the eight counters only grew, by the traffic in between.
-        let after = stats.snapshot();
-        assert_eq!(after.coeff_writes, before.coeff_writes + 1);
-        assert_eq!(after.coeff_reads, before.coeff_reads + 17);
-        assert_eq!(after.pool_accesses(), before.pool_accesses() + 18);
-        assert!(after.pool_hits > before.pool_hits);
-        assert!(after.pool_misses > before.pool_misses);
-        assert!(after.pool_evictions > before.pool_evictions);
-        // Handing the blocks over flushed every dirty frame, exactly once.
-        assert!(after.pool_writebacks > before.pool_writebacks);
-        assert_eq!(after.block_writes, after.pool_writebacks);
-        assert_eq!(after.block_reads, after.pool_misses);
     }
 
     #[test]

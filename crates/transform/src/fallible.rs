@@ -38,9 +38,9 @@ pub fn try_transform<R>(driver: impl FnOnce() -> R) -> Result<R, StorageError> {
 mod tests {
     use super::*;
     use crate::source::ArraySource;
-    use crate::{transform_standard, transform_standard_parallel, transform_standard_sparse};
+    use crate::{transform_nonstandard_parallel, transform_standard, transform_standard_sparse};
     use ss_array::{NdArray, Shape};
-    use ss_core::tiling::StandardTiling;
+    use ss_core::tiling::{NonStandardTiling, StandardTiling};
     use ss_core::TilingMap;
     use ss_storage::{
         wstore::mem_store, CoeffStore, FaultConfig, FaultInjectingBlockStore, IoStats,
@@ -52,11 +52,11 @@ mod tests {
     }
 
     fn wrapped_store(
+        map: &impl TilingMap,
         read_rate: f64,
         retries: u32,
         stats: IoStats,
     ) -> RetryingBlockStore<FaultInjectingBlockStore<MemBlockStore>> {
-        let map = StandardTiling::new(&[4; 2], &[2; 2]);
         let inner = MemBlockStore::new(map.block_capacity(), map.num_tiles(), stats);
         RetryingBlockStore::new(
             FaultInjectingBlockStore::new(inner, FaultConfig::read_errors(read_rate, 21)),
@@ -70,7 +70,8 @@ mod tests {
         let src = ArraySource::new(&a, &[2, 2]);
         let stats = IoStats::new();
         let map = StandardTiling::new(&[4; 2], &[2; 2]);
-        let mut cs = CoeffStore::new(map, wrapped_store(0.1, 8, stats.clone()), 4, stats);
+        let blocks = wrapped_store(&map, 0.1, 8, stats.clone());
+        let mut cs = CoeffStore::new(map, blocks, 4, stats);
         let report = try_transform(|| transform_standard(&src, &mut cs, false)).unwrap();
         assert_eq!(report.chunks, 16);
         let want = ss_core::standard::forward_to(&a);
@@ -86,7 +87,8 @@ mod tests {
         let stats = IoStats::new();
         let map = StandardTiling::new(&[4; 2], &[2; 2]);
         // 100% read faults, tiny budget: the first pool miss must fail.
-        let mut cs = CoeffStore::new(map, wrapped_store(1.0, 1, stats.clone()), 4, stats);
+        let blocks = wrapped_store(&map, 1.0, 1, stats.clone());
+        let mut cs = CoeffStore::new(map, blocks, 4, stats);
         match try_transform(|| transform_standard(&src, &mut cs, false)) {
             Err(StorageError::RetriesExhausted { op: "read", .. }) => {}
             other => panic!("expected typed exhaustion, got {other:?}"),
@@ -98,9 +100,10 @@ mod tests {
         let a = sample(16);
         let src = ArraySource::new(&a, &[2, 2]);
         let stats = IoStats::new();
-        let map = StandardTiling::new(&[4; 2], &[2; 2]);
-        let cs = SharedCoeffStore::new(map, wrapped_store(1.0, 1, stats.clone()), 4, 2, stats);
-        match try_transform(|| transform_standard_parallel(&src, &cs, 2)) {
+        let map = NonStandardTiling::new(2, 4, 2);
+        let blocks = wrapped_store(&map, 1.0, 1, stats.clone());
+        let cs = SharedCoeffStore::new(map, blocks, 4, 2, stats);
+        match try_transform(|| transform_nonstandard_parallel(&src, &cs, 2)) {
             Err(StorageError::RetriesExhausted { op: "read", .. }) => {}
             other => panic!("expected typed exhaustion, got {other:?}"),
         }

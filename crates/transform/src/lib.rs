@@ -10,8 +10,8 @@
 //!   dataset far larger than memory by transforming each chunk in memory and
 //!   folding its SHIFT-SPLIT delta stream into tiled storage — one
 //!   [`pipeline`] ([`ChunkPipeline`]) behind every `transform_*` front,
-//!   [`par`] running it per worker range and [`fallible`] turning its
-//!   storage panics into typed errors,
+//!   [`par`] running the z-order schedule per worker range and
+//!   [`fallible`] turning its storage panics into typed errors,
 //! * [`vitter`] — the Vitter-et-al.-style baseline: dimension-by-dimension
 //!   external 1-d transforms over row-major block storage,
 //! * [`append`] — **Section 5.2**: appending new data to an existing
@@ -44,9 +44,7 @@ pub use chunked::{
     transform_standard, transform_standard_sparse,
 };
 pub use fallible::try_transform;
-pub use par::{
-    resolve_workers, run_sharded, transform_nonstandard_parallel, transform_standard_parallel,
-};
+pub use par::transform_nonstandard_parallel;
 pub use pipeline::{ChunkPipeline, TransformReport};
 pub use source::{ArraySource, ChunkSource, FnSource};
 pub use update::{

@@ -1,4 +1,4 @@
-//! Parallel out-of-core transformation.
+//! Parallel out-of-core transformation on the z-order schedule.
 //!
 //! The SHIFT-SPLIT decomposition is embarrassingly parallel on the CPU
 //! side: chunks transform independently and their delta streams commute
@@ -11,21 +11,22 @@
 //! per-chunk access discipline (each tile loaded at most once per chunk)
 //! survives parallelism.
 //!
-//! [`transform_standard_parallel`] shards the row-major chunk grid by
-//! ordinal ranges. [`transform_nonstandard_parallel`] shards the
-//! *z-order* schedule of Result 2 by contiguous rank ranges; every worker
-//! keeps its own crest cache and flushes a quad-tree node the moment its
-//! subtree completes inside the worker's range, so each worker's cache
-//! still obeys the `(2^d − 1)·log(N/M) + 1` bound. A node whose subtree
-//! straddles a range boundary is written as partial sums by the workers
-//! that saw it — the folds commute, so the store converges to the serial
-//! result (up to the cross-worker addition order).
+//! [`transform_nonstandard_parallel`] shards the *z-order* schedule of
+//! Result 2 by contiguous rank ranges; every worker keeps its own crest
+//! cache and flushes a quad-tree node the moment its subtree completes
+//! inside the worker's range, so each worker's cache still obeys the
+//! `(2^d − 1)·log(N/M) + 1` bound. A node whose subtree straddles a range
+//! boundary is written as partial sums by the workers that saw it — the
+//! folds commute, so the store converges to the serial result (up to the
+//! cross-worker addition order). The standard form has no parallel
+//! driver: sharding its row-major schedule measured slower than the
+//! serial [`transform_standard`](crate::transform_standard).
 //!
 //! I/O accounting note: straddling nodes cost one extra coefficient
 //! write per extra worker, so the measured write I/O can exceed the
 //! serial z-order driver's by `O(workers · (2^d − 1) · log(N/M))` — the
 //! experiments that validate the paper's per-chunk analyses keep using
-//! the serial drivers; these exist to make wall-clock ingestion fast.
+//! the serial drivers; this one exists to make wall-clock ingestion fast.
 
 use crate::pipeline::{apply, ChunkPipeline, TransformReport};
 use crate::source::ChunkSource;
@@ -36,7 +37,7 @@ use std::ops::Range;
 
 /// Resolves a worker-count argument: `0` means "use the machine's
 /// available parallelism".
-pub fn resolve_workers(workers: usize) -> usize {
+fn resolve_workers(workers: usize) -> usize {
     if workers == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -51,7 +52,7 @@ pub fn resolve_workers(workers: usize) -> usize {
 /// A worker's panic is re-raised with its payload intact: storage
 /// failures unwind carrying a typed `StorageError` that
 /// [`try_transform`](crate::try_transform) recovers.
-pub fn run_sharded<R: Send>(
+fn run_sharded<R: Send>(
     workers: usize,
     total: usize,
     work: impl Fn(Range<usize>) -> R + Sync,
@@ -104,21 +105,6 @@ impl<Src: ChunkSource + Sync> ChunkPipeline<'_, Src> {
     }
 }
 
-/// Parallel standard-form transform with `workers` threads
-/// (`0` = available parallelism). Matches
-/// [`transform_standard`](crate::transform_standard) — deltas commute.
-pub fn transform_standard_parallel<M, S>(
-    src: &(impl ChunkSource + Sync),
-    cs: &SharedCoeffStore<M, S>,
-    workers: usize,
-) -> TransformReport
-where
-    M: TilingMap,
-    S: BlockStore + Send + Sync,
-{
-    ChunkPipeline::standard(src).run_parallel(cs, workers)
-}
-
 /// Parallel non-standard transform on the **z-order** schedule with
 /// `workers` threads (`0` = available parallelism).
 ///
@@ -144,7 +130,7 @@ mod tests {
     use super::*;
     use crate::source::ArraySource;
     use ss_array::{MultiIndexIter, NdArray, Shape};
-    use ss_core::tiling::{NonStandardTiling, StandardTiling};
+    use ss_core::tiling::NonStandardTiling;
     use ss_storage::{mem_shared_store, IoStats};
 
     fn sample(side: usize) -> NdArray<f64> {
@@ -155,19 +141,18 @@ mod tests {
 
     #[test]
     fn parallel_matches_direct_transform() {
-        let a = sample(64);
-        let src = ArraySource::new(&a, &[3, 3]);
-        for workers in [1usize, 2, 4, 7] {
-            let cs = mem_shared_store(
-                StandardTiling::new(&[6; 2], &[2; 2]),
-                512,
-                4,
-                IoStats::new(),
-            );
-            let report = transform_standard_parallel(&src, &cs, workers);
+        // A 3-d cube: a crest node split by a range boundary is written
+        // as partial sums of 2^3 − 1 subbands.
+        let a = NdArray::from_fn(Shape::cube(3, 16), |idx| {
+            ((idx[0] * 13 + idx[1] * 7 + idx[2] * 3) % 23) as f64 - 11.0
+        });
+        let src = ArraySource::new(&a, &[2, 2, 2]); // 4x4x4 z-order grid
+        for workers in [1usize, 2, 5] {
+            let cs = mem_shared_store(NonStandardTiling::new(3, 4, 1), 512, 4, IoStats::new());
+            let report = transform_nonstandard_parallel(&src, &cs, workers);
             assert_eq!(report.chunks, 64);
-            let want = ss_core::standard::forward_to(&a);
-            for idx in MultiIndexIter::new(&[64, 64]) {
+            let want = ss_core::nonstandard::forward_to(&a);
+            for idx in MultiIndexIter::new(&[16, 16, 16]) {
                 assert!(
                     (cs.read(&idx) - want.get(&idx)).abs() < 1e-9,
                     "workers={workers} {idx:?}"
@@ -180,19 +165,11 @@ mod tests {
     fn parallel_matches_serial_driver() {
         let a = sample(32);
         let src = ArraySource::new(&a, &[2, 2]);
-        let mut serial = ss_storage::wstore::mem_store(
-            StandardTiling::new(&[5; 2], &[2; 2]),
-            512,
-            IoStats::new(),
-        );
-        crate::chunked::transform_standard(&src, &mut serial, false);
-        let parallel = mem_shared_store(
-            StandardTiling::new(&[5; 2], &[2; 2]),
-            512,
-            8,
-            IoStats::new(),
-        );
-        transform_standard_parallel(&src, &parallel, 3);
+        let mut serial =
+            ss_storage::wstore::mem_store(NonStandardTiling::new(2, 5, 2), 512, IoStats::new());
+        crate::chunked::transform_nonstandard_zorder(&src, &mut serial);
+        let parallel = mem_shared_store(NonStandardTiling::new(2, 5, 2), 512, 8, IoStats::new());
+        transform_nonstandard_parallel(&src, &parallel, 3);
         for idx in MultiIndexIter::new(&[32, 32]) {
             assert!((serial.read(&idx) - parallel.read(&idx)).abs() < 1e-9);
         }
@@ -202,14 +179,9 @@ mod tests {
     fn zero_workers_means_auto() {
         let a = sample(16);
         let src = ArraySource::new(&a, &[2, 2]);
-        let cs = mem_shared_store(
-            StandardTiling::new(&[4; 2], &[2; 2]),
-            256,
-            4,
-            IoStats::new(),
-        );
-        transform_standard_parallel(&src, &cs, 0);
-        let want = ss_core::standard::forward_to(&a);
+        let cs = mem_shared_store(NonStandardTiling::new(2, 4, 2), 256, 4, IoStats::new());
+        transform_nonstandard_parallel(&src, &cs, 0);
+        let want = ss_core::nonstandard::forward_to(&a);
         for idx in MultiIndexIter::new(&[16, 16]) {
             assert!((cs.read(&idx) - want.get(&idx)).abs() < 1e-9);
         }
@@ -219,9 +191,9 @@ mod tests {
     fn more_workers_than_chunks_is_fine() {
         let a = sample(8);
         let src = ArraySource::new(&a, &[2, 2]); // 4 chunks
-        let cs = mem_shared_store(StandardTiling::new(&[3; 2], &[1; 2]), 64, 2, IoStats::new());
-        transform_standard_parallel(&src, &cs, 16);
-        let want = ss_core::standard::forward_to(&a);
+        let cs = mem_shared_store(NonStandardTiling::new(2, 3, 1), 64, 2, IoStats::new());
+        transform_nonstandard_parallel(&src, &cs, 16);
+        let want = ss_core::nonstandard::forward_to(&a);
         for idx in MultiIndexIter::new(&[8, 8]) {
             assert!((cs.read(&idx) - want.get(&idx)).abs() < 1e-9);
         }

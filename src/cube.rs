@@ -131,9 +131,7 @@ impl WaveletCubeBuilder {
 /// A standard-form wavelet-transformed data cube on tiled block storage.
 pub struct WaveletCube<S: BlockStore = MemBlockStore> {
     levels: Vec<u32>,
-    // `Option` only so `ingest_parallel` can move the store through a
-    // `SharedCoeffStore` and back; always `Some` between method calls.
-    cs: Option<CoeffStore<StandardTiling, S>>,
+    cs: CoeffStore<StandardTiling, S>,
     stats: IoStats,
     fast_point_ready: bool,
 }
@@ -154,15 +152,11 @@ impl<S: BlockStore> WaveletCube<S> {
         stats: IoStats,
     ) -> Self {
         WaveletCube {
-            cs: Some(CoeffStore::new(map, store, pool_blocks, stats.clone())),
+            cs: CoeffStore::new(map, store, pool_blocks, stats.clone()),
             levels,
             stats,
             fast_point_ready: false,
         }
-    }
-
-    fn cs(&mut self) -> &mut CoeffStore<StandardTiling, S> {
-        self.cs.as_mut().expect("coefficient store present")
     }
 
     /// Per-axis domain sizes.
@@ -188,50 +182,28 @@ impl<S: BlockStore> WaveletCube<S> {
         );
         let chunk_levels: Vec<u32> = self.levels.iter().map(|&n| n.min(3)).collect();
         let src = ArraySource::new(data, &chunk_levels);
-        ss_transform::transform_standard(&src, self.cs(), false);
-        self.fast_point_ready = false;
-    }
-
-    /// Parallel variant of [`WaveletCube::ingest`] (`0` workers = auto):
-    /// the coefficient store is rehoused in a sharded, thread-safe buffer
-    /// pool for the duration of the transform, with one shard per worker.
-    pub fn ingest_parallel(&mut self, data: &NdArray<f64>, workers: usize)
-    where
-        S: Send + Sync,
-    {
-        assert_eq!(data.shape().dims(), self.dims().as_slice());
-        let chunk_levels: Vec<u32> = self.levels.iter().map(|&n| n.min(3)).collect();
-        let src = ArraySource::new(data, &chunk_levels);
-        let workers = ss_transform::resolve_workers(workers);
-        let cs = self.cs.take().expect("coefficient store present");
-        let (cs, _) = cs.via_shared(workers, |shared| {
-            ss_transform::transform_standard_parallel(&src, shared, workers)
-        });
-        self.cs = Some(cs);
+        ss_transform::transform_standard(&src, &mut self.cs, false);
         self.fast_point_ready = false;
     }
 
     /// The value of one cell.
     pub fn point(&mut self, pos: &[usize]) -> f64 {
-        let cs = self.cs.as_mut().expect("coefficient store present");
-        ss_query::point_standard(cs, &self.levels, pos)
+        ss_query::point_standard(&mut self.cs, &self.levels, pos)
     }
 
     /// Single-block point query; materialises the tile scaling slots on
     /// first use (and again after any mutation).
     pub fn fast_point(&mut self, pos: &[usize]) -> f64 {
         if !self.fast_point_ready {
-            let cs = self.cs.as_mut().expect("coefficient store present");
-            ss_query::materialize_standard_scalings(cs, &self.levels);
+            ss_query::materialize_standard_scalings(&mut self.cs, &self.levels);
             self.fast_point_ready = true;
         }
-        ss_query::point_standard_fast(self.cs(), pos)
+        ss_query::point_standard_fast(&mut self.cs, pos)
     }
 
     /// Sum over the inclusive box `[lo, hi]`.
     pub fn sum(&mut self, lo: &[usize], hi: &[usize]) -> f64 {
-        let cs = self.cs.as_mut().expect("coefficient store present");
-        ss_query::range_sum_standard(cs, &self.levels, lo, hi)
+        ss_query::range_sum_standard(&mut self.cs, &self.levels, lo, hi)
     }
 
     /// Mean over the inclusive box `[lo, hi]`.
@@ -242,8 +214,7 @@ impl<S: BlockStore> WaveletCube<S> {
 
     /// Reconstructs the inclusive box `[lo, hi]`.
     pub fn extract(&mut self, lo: &[usize], hi: &[usize]) -> NdArray<f64> {
-        let cs = self.cs.as_mut().expect("coefficient store present");
-        ss_query::reconstruct_box_standard(cs, &self.levels, lo, hi)
+        ss_query::reconstruct_box_standard(&mut self.cs, &self.levels, lo, hi)
     }
 
     /// Adds a delta box anchored at `origin`, entirely in the wavelet
@@ -251,7 +222,7 @@ impl<S: BlockStore> WaveletCube<S> {
     /// written once; returns the number of dyadic pieces applied.
     pub fn update(&mut self, origin: &[usize], delta: &NdArray<f64>) -> usize {
         self.fast_point_ready = false;
-        let cs = self.cs.as_mut().expect("coefficient store present");
+        let cs = &mut self.cs;
         let mut buf = DeltaBuffer::for_map(cs.map(), FlushMode::Exact);
         let report = buf.add_box_standard(cs.map(), &self.levels, origin, delta);
         buf.flush_into(cs);
@@ -260,13 +231,12 @@ impl<S: BlockStore> WaveletCube<S> {
 
     /// Builds a K-term synopsis for approximate querying.
     pub fn synopsis(&mut self, k: usize) -> ss_query::StoredSynopsis {
-        let cs = self.cs.as_mut().expect("coefficient store present");
-        ss_query::StoredSynopsis::build(cs, &self.levels, k)
+        ss_query::StoredSynopsis::build(&mut self.cs, &self.levels, k)
     }
 
     /// Direct access to the underlying coefficient store.
     pub fn store(&mut self) -> &mut CoeffStore<StandardTiling, S> {
-        self.cs()
+        &mut self.cs
     }
 }
 
@@ -307,18 +277,6 @@ mod tests {
         let delta = NdArray::from_fn(Shape::cube(2, 4), |_| 2.0);
         cube.update(&[4, 4], &delta);
         assert!((cube.fast_point(&[5, 5]) - (data.get(&[5, 5]) + 2.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn parallel_ingest_equivalent() {
-        let data = sample(32);
-        let mut a = WaveletCube::builder().dims(&[32, 32]).in_memory();
-        a.ingest(&data);
-        let mut b = WaveletCube::builder().dims(&[32, 32]).in_memory();
-        b.ingest_parallel(&data, 4);
-        for idx in ss_array::MultiIndexIter::new(&[32, 32]).step_by(17) {
-            assert!((a.point(&idx) - b.point(&idx)).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * [`query`] — point / range-sum / partial-reconstruction queries,
 //! * [`transform`] — out-of-core chunked transforms and wavelet-domain
 //!   appending,
-//! * [`maintain`] — tile-major delta buffering and group-committed
-//!   (optionally parallel) batch updates,
+//! * [`maintain`] — tile-major delta buffering and group-committed batch
+//!   updates,
 //! * [`stream`] — K-term synopses of data streams,
 //! * [`datagen`] — synthetic stand-ins for the paper's datasets.
 //!

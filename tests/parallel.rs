@@ -1,10 +1,10 @@
-//! Worker-count invariance of the parallel transform drivers, and
+//! Worker-count invariance of the parallel z-order transform driver, and
 //! concurrency smoke tests for the sharded buffer pool.
 //!
 //! The SHIFT-SPLIT delta streams commute under addition, so the parallel
-//! drivers must produce *the same store* as the serial ones for every
+//! driver must produce *the same store* as the serial one for every
 //! worker count — including worker counts that don't divide the chunk
-//! grid, and chunk grids that aren't powers of the worker count.
+//! grid.
 
 use shiftsplit::array::{MultiIndexIter, NdArray, Shape};
 use shiftsplit::core::tiling::{NonStandardTiling, StandardTiling};
@@ -13,61 +13,12 @@ use shiftsplit::storage::{
     mem_shared_store, wstore::mem_store, IoStats, MemBlockStore, ShardedBufferPool,
 };
 use shiftsplit::transform::{
-    transform_nonstandard_parallel, transform_nonstandard_zorder, transform_standard,
-    transform_standard_parallel, ArraySource,
+    transform_nonstandard_parallel, transform_nonstandard_zorder, ArraySource,
 };
 
 fn noisy(dims: &[usize], seed: u64) -> NdArray<f64> {
     let mut rng = SplitMix64::new(seed);
     NdArray::from_fn(Shape::new(dims), |_| rng.next_f64() * 200.0 - 100.0)
-}
-
-#[test]
-fn standard_parallel_invariant_across_worker_counts() {
-    let data = noisy(&[64, 64], 11);
-    let src = ArraySource::new(&data, &[3, 3]); // 8x8 chunk grid
-    let mut serial = mem_store(StandardTiling::new(&[6, 6], &[2, 2]), 512, IoStats::new());
-    transform_standard(&src, &mut serial, false);
-    for workers in [1usize, 2, 8] {
-        let shared = mem_shared_store(
-            StandardTiling::new(&[6, 6], &[2, 2]),
-            512,
-            4,
-            IoStats::new(),
-        );
-        transform_standard_parallel(&src, &shared, workers);
-        for idx in MultiIndexIter::new(&[64, 64]) {
-            assert!(
-                (shared.read(&idx) - serial.read(&idx)).abs() <= 1e-9,
-                "workers={workers} idx={idx:?}"
-            );
-        }
-    }
-}
-
-#[test]
-fn standard_parallel_non_pow2_chunk_grid() {
-    // 3 chunk levels on one axis, 2 on the other: a 2x8 grid of 16 chunks
-    // sliced across worker counts that don't divide it evenly.
-    let data = noisy(&[16, 64], 23);
-    let src = ArraySource::new(&data, &[3, 3]); // grid 2x8
-    let mut serial = mem_store(StandardTiling::new(&[4, 6], &[2, 2]), 256, IoStats::new());
-    transform_standard(&src, &mut serial, false);
-    for workers in [1usize, 2, 3, 5, 8] {
-        let shared = mem_shared_store(
-            StandardTiling::new(&[4, 6], &[2, 2]),
-            256,
-            3, // non-pow2 shard count too
-            IoStats::new(),
-        );
-        transform_standard_parallel(&src, &shared, workers);
-        for idx in MultiIndexIter::new(&[16, 64]) {
-            assert!(
-                (shared.read(&idx) - serial.read(&idx)).abs() <= 1e-9,
-                "workers={workers} idx={idx:?}"
-            );
-        }
-    }
 }
 
 #[test]

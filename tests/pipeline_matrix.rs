@@ -2,19 +2,15 @@
 //!
 //! Every transform / ingest front is the same `ChunkPipeline` over a
 //! `CoeffWrite` sink, so for sink ∈ {`CoeffStore`, `&SharedCoeffStore`
-//! with 1 and 4 shards} × workers ∈ {1, 3, 8} × grouping ∈ {per-chunk, 4,
-//! whole-ingest} the stored tiles must match the serial per-chunk front:
+//! with 1 and 4 shards} the stored tiles must match the serial per-chunk
+//! front:
 //!
-//! * **`to_bits`-identical** wherever the per-coefficient addition order
-//!   is fixed — either sink with one worker, coalesced `FlushMode::Exact`
-//!   at any group size, the parallel `DeltaBuffer` flush at any worker
-//!   count;
-//! * **within 1e-9** for multi-worker parallel *transforms*, whose
-//!   cross-worker fold order is not deterministic.
-//!
-//! (Grouping applies to the standard form only — group commit has no
-//! non-standard front. A `CoeffStore` reaches several workers the way the
-//! CLI does it: `via_shared` lends its blocks to a sharded pool.)
+//! * standard form, × grouping ∈ {per-chunk, 4, whole-ingest}:
+//!   **`to_bits`-identical** — one writer, and coalesced
+//!   `FlushMode::Exact` replays in arrival order at any group size;
+//! * non-standard z-order, × workers ∈ {1, 3, 8} on the shared sinks:
+//!   `to_bits`-identical with one worker, **within 1e-9** with several,
+//!   whose cross-worker fold order is not deterministic.
 //!
 //! Alongside: the serial fronts' `IoSnapshot`s are pinned to constants
 //! captured from the commit *before* the drivers were collapsed into the
@@ -29,9 +25,8 @@ use shiftsplit::core::tiling::{NonStandardTiling, StandardTiling};
 use shiftsplit::core::TilingMap;
 use shiftsplit::datagen::SplitMix64;
 use shiftsplit::maintain::{
-    transform_standard_coalesced, transform_standard_coalesced_parallel, update_boxes_nonstandard,
-    update_boxes_nonstandard_parallel, update_boxes_standard, update_boxes_standard_parallel,
-    FlushMode, UpdateBox,
+    transform_standard_coalesced, update_boxes_nonstandard, update_boxes_standard, FlushMode,
+    UpdateBox,
 };
 use shiftsplit::storage::{
     mem_shared_store, wstore::mem_store, CoeffRead, CoeffStore, FaultConfig,
@@ -40,9 +35,8 @@ use shiftsplit::storage::{
 };
 use shiftsplit::transform::{
     transform_nonstandard, transform_nonstandard_parallel, transform_nonstandard_zorder,
-    transform_nonstandard_zorder_scalings, transform_standard, transform_standard_parallel,
-    transform_standard_sparse, try_transform, Appender, ArraySource, ChunkPipeline,
-    TransformReport,
+    transform_nonstandard_zorder_scalings, transform_standard, transform_standard_sparse,
+    try_transform, Appender, ArraySource, ChunkPipeline, TransformReport,
 };
 use std::sync::Mutex;
 use std::time::Duration;
@@ -124,23 +118,18 @@ const WORKERS: [usize; 3] = [1, 3, 8];
 const GROUPINGS: [Option<usize>; 3] = [None, Some(4), Some(0)];
 const MATRIX_POOL: usize = 64;
 
-/// Runs one cell of the matrix on `sink` (serial store or shared store);
-/// a serial store with several workers is lent to a sharded pool.
+/// Runs one cell of the matrix: `serial` on an exclusive store, `shared`
+/// on a sharded one.
 fn run_cell<M: TilingMap + Clone>(
     map: &M,
     sink: Sink,
-    workers: usize,
     serial: impl FnOnce(&mut CoeffStore<M, MemBlockStore>),
     shared: impl FnOnce(&SharedCoeffStore<M, MemBlockStore>),
 ) -> Vec<f64> {
     match sink {
         Sink::Serial => {
             let mut cs = mem_store(map.clone(), MATRIX_POOL, IoStats::new());
-            if workers == 1 {
-                serial(&mut cs);
-            } else {
-                (cs, _) = cs.via_shared(workers, shared);
-            }
+            serial(&mut cs);
             slots(&mut cs)
         }
         Sink::Shared { shards } => {
@@ -165,47 +154,31 @@ fn standard_matrix_matches_the_serial_per_chunk_front() {
             slots(&mut cs)
         };
         for sink in SINKS {
-            for workers in WORKERS {
-                for grouping in GROUPINGS {
-                    let got = run_cell(
-                        &map,
-                        sink,
-                        workers,
-                        |cs| match grouping {
-                            None => {
-                                transform_standard(&src, cs, false);
-                            }
-                            Some(g) => {
-                                transform_standard_coalesced(&src, cs, g, FlushMode::Exact);
-                            }
-                        },
-                        |cs| match (grouping, workers) {
-                            (None, w) => {
-                                transform_standard_parallel(&src, cs, w);
-                            }
-                            (Some(g), 1) => {
-                                transform_standard_coalesced(&src, &mut &*cs, g, FlushMode::Exact);
-                            }
-                            (Some(g), w) => {
-                                let mode = FlushMode::Exact;
-                                transform_standard_coalesced_parallel(&src, cs, g, mode, w);
-                            }
-                        },
-                    );
-                    // Only a multi-worker parallel *transform* folds in a
-                    // thread-dependent order; group commits replay in
-                    // arrival order whoever applies them.
-                    let exact = workers == 1 || grouping.is_some();
-                    let cell = format!("{levels:?} {sink:?} workers={workers} group={grouping:?}");
-                    assert_slots(&got, &want, exact, &cell);
-                }
+            for grouping in GROUPINGS {
+                let got = run_cell(
+                    &map,
+                    sink,
+                    |cs| match grouping {
+                        None => {
+                            transform_standard(&src, cs, false);
+                        }
+                        Some(g) => {
+                            transform_standard_coalesced(&src, cs, g, FlushMode::Exact);
+                        }
+                    },
+                    |cs| match grouping {
+                        None => {
+                            ChunkPipeline::standard(&src).run(&mut &*cs);
+                        }
+                        Some(g) => {
+                            transform_standard_coalesced(&src, &mut &*cs, g, FlushMode::Exact);
+                        }
+                    },
+                );
+                let cell = format!("{levels:?} {sink:?} group={grouping:?}");
+                assert_slots(&got, &want, true, &cell);
             }
         }
-        // The pipeline itself (not the one-worker parallel front) on a
-        // shared sink.
-        let shared = mem_shared_store(map.clone(), MATRIX_POOL, 4, IoStats::new());
-        ChunkPipeline::standard(&src).run(&mut &shared);
-        assert_slots(&slots(&mut &shared), &want, true, "pipeline on shared sink");
     }
 }
 
@@ -233,12 +206,17 @@ fn nonstandard_matrix_matches_the_serial_zorder_front() {
             slots(&mut cs)
         };
         for sink in SINKS {
-            for workers in WORKERS {
+            // The exclusive store has one writer; the shared ones take
+            // every worker count.
+            let workers: &[usize] = match sink {
+                Sink::Serial => &[1],
+                Sink::Shared { .. } => &WORKERS,
+            };
+            for &workers in workers {
                 let cell = format!("d={d} {sink:?} workers={workers}");
                 let got = run_cell(
                     &map,
                     sink,
-                    workers,
                     |cs| check(transform_nonstandard_zorder(&src, cs), &cell),
                     // `peak_crest_cache` is the maximum over workers, so
                     // the bound holds for every worker.
@@ -500,7 +478,6 @@ fn every_front_records_one_sample_per_chunk_per_phase() {
     let ns_map = || NonStandardTiling::new(2, 6, 2);
     let std_store = || mem_store(std_map(), MATRIX_POOL, IoStats::new());
     let ns_store = || mem_store(ns_map(), MATRIX_POOL, IoStats::new());
-    let std_shared = || mem_shared_store(std_map(), MATRIX_POOL, 4, IoStats::new());
     let ns_shared = || mem_shared_store(ns_map(), MATRIX_POOL, 4, IoStats::new());
     let exact = FlushMode::Exact;
 
@@ -532,11 +509,6 @@ fn every_front_records_one_sample_per_chunk_per_phase() {
             Box::new(|| transform_nonstandard_zorder_scalings(&ns_src, &mut ns_store()).chunks),
         ),
         (
-            "transform_standard_parallel",
-            64,
-            Box::new(|| transform_standard_parallel(&std_src, &std_shared(), 3).chunks),
-        ),
-        (
             "transform_nonstandard_parallel",
             256,
             Box::new(|| transform_nonstandard_parallel(&ns_src, &ns_shared(), 3).chunks),
@@ -545,13 +517,6 @@ fn every_front_records_one_sample_per_chunk_per_phase() {
             "transform_standard_coalesced",
             64,
             Box::new(|| transform_standard_coalesced(&std_src, &mut std_store(), 4, exact).chunks),
-        ),
-        (
-            "transform_standard_coalesced_parallel",
-            64,
-            Box::new(|| {
-                transform_standard_coalesced_parallel(&std_src, &std_shared(), 0, exact, 3).chunks
-            }),
         ),
     ];
     let phases = ["read_ns", "compute_ns", "writeback_ns"]
@@ -650,15 +615,6 @@ fn device_fronts<'a>(sq: &'a NdArray<f64>, upd: &'a [UpdateBox]) -> Vec<Front<'a
             }),
         ),
         (
-            "transform_standard_parallel",
-            false,
-            Box::new(move |dev| {
-                let cs = shared_on(std_map(), dev);
-                transform_standard_parallel(&std_src(), &cs, 3);
-                slots(&mut &cs)
-            }),
-        ),
-        (
             "transform_nonstandard_parallel",
             false,
             Box::new(move |dev| {
@@ -677,15 +633,6 @@ fn device_fronts<'a>(sq: &'a NdArray<f64>, upd: &'a [UpdateBox]) -> Vec<Front<'a
             }),
         ),
         (
-            "transform_standard_coalesced_parallel",
-            true,
-            Box::new(move |dev| {
-                let cs = shared_on(std_map(), dev);
-                transform_standard_coalesced_parallel(&std_src(), &cs, 0, exact, 3);
-                slots(&mut &cs)
-            }),
-        ),
-        (
             "update_boxes_standard",
             true,
             Box::new(move |dev| {
@@ -695,30 +642,12 @@ fn device_fronts<'a>(sq: &'a NdArray<f64>, upd: &'a [UpdateBox]) -> Vec<Front<'a
             }),
         ),
         (
-            "update_boxes_standard_parallel",
-            true,
-            Box::new(move |dev| {
-                let cs = shared_on(std_map(), dev);
-                update_boxes_standard_parallel(&cs, &[4, 4], upd, exact, 3);
-                slots(&mut &cs)
-            }),
-        ),
-        (
             "update_boxes_nonstandard",
             true,
             Box::new(move |dev| {
                 let mut cs = serial_on(ns_map(), dev);
                 update_boxes_nonstandard(&mut cs, 4, upd, exact);
                 slots(&mut cs)
-            }),
-        ),
-        (
-            "update_boxes_nonstandard_parallel",
-            true,
-            Box::new(move |dev| {
-                let cs = shared_on(ns_map(), dev);
-                update_boxes_nonstandard_parallel(&cs, 4, upd, exact, 3);
-                slots(&mut &cs)
             }),
         ),
         (

@@ -4,10 +4,8 @@
 
 use shiftsplit::array::{MultiIndexIter, NdArray, Shape};
 use shiftsplit::core::tiling::{NonStandardTiling, StandardTiling};
-use shiftsplit::storage::{mem_shared_store, wstore::mem_store, IoStats};
-use shiftsplit::transform::{
-    transform_nonstandard_zorder, transform_standard_parallel, ArraySource,
-};
+use shiftsplit::storage::{wstore::mem_store, IoStats};
+use shiftsplit::transform::{transform_nonstandard_zorder, transform_standard, ArraySource};
 
 #[test]
 #[ignore = "scale test: ~1M-cell transforms"]
@@ -17,15 +15,12 @@ fn megacell_standard_transform_roundtrip() {
         ((idx[0].wrapping_mul(2654435761) ^ idx[1].wrapping_mul(40503)) % 1000) as f64 - 500.0
     });
     let src = ArraySource::new(&data, &[5, 5]);
-    let shared = mem_shared_store(
+    let mut cs = mem_store(
         StandardTiling::new(&[10, 10], &[3, 3]),
         1 << 12,
-        8,
         IoStats::new(),
     );
-    transform_standard_parallel(&src, &shared, 0);
-    let (map, store) = shared.into_parts();
-    let mut cs = shiftsplit::storage::CoeffStore::new(map, store, 1 << 12, IoStats::new());
+    transform_standard(&src, &mut cs, false);
     // Spot-check 1k points through the query path.
     for i in 0..1000usize {
         let p = [(i * 97) % side, (i * 61) % side];

@@ -20,7 +20,7 @@
 //! * through a `DeltaBuffer` (same drained lists, same `FlushReport`, in
 //!   both flush modes; deferred boxes interleaved with `add_runs` and
 //!   `add_at` operations store the bits the index-space oracle stores,
-//!   through `flush_into` and `flush_into_shared`, with the same
+//!   through `flush_into` into an exclusive and a shared sink, with the same
 //!   `IoSnapshot`) and through `update_boxes_standard` on a product map
 //!   and on a map that is not one (`NaiveMap` keeps the per-coefficient
 //!   path).
@@ -568,7 +568,7 @@ fn flush_leg(
         let store = mem_shared_store(map.clone(), 4, 2, stats.clone());
         seed(&mut &store, tiles, round);
         stats.reset();
-        let flush = buf.flush_into_shared(&store, 3);
+        let flush = buf.flush_into(&mut &store);
         (flush, stats.snapshot(), bits(&mut &store, tiles))
     } else {
         let mut store = mem_store(map.clone(), 3, stats.clone());
