@@ -20,22 +20,35 @@ pub fn advance(digits: &mut [usize], limit: impl Fn(usize) -> usize) -> bool {
     false
 }
 
+/// Odometer digits held on the stack: three per axis up to rank 8.
+const STACK_DIGITS: usize = 24;
+
+/// Runs `f` on `len` zeroed odometer digits, held on the stack up to 24
+/// (three per axis up to rank 8) and in a `Vec` beyond.
+#[inline]
+pub fn with_digits<R>(len: usize, f: impl FnOnce(&mut [usize]) -> R) -> R {
+    if len <= STACK_DIGITS {
+        f(&mut [0; STACK_DIGITS][..len])
+    } else {
+        f(&mut vec![0; len])
+    }
+}
+
 /// Visits every multi-index of `[0, extents[0]) x ... ` in row-major order,
-/// stepping one index buffer with [`advance`]: nothing is allocated per
-/// index. An empty extent list visits the empty index once; a zero extent
-/// visits nothing.
+/// stepping one index buffer ([`with_digits`]) with [`advance`]: nothing
+/// is allocated per index. An empty extent list visits the empty index
+/// once; a zero extent visits nothing.
 #[inline]
 pub fn for_each_index(extents: &[usize], mut visit: impl FnMut(&[usize])) {
     if extents.contains(&0) {
         return;
     }
-    let mut idx = vec![0usize; extents.len()];
-    loop {
-        visit(&idx);
-        if !advance(&mut idx, |t| extents[t]) {
+    with_digits(extents.len(), |idx| loop {
+        visit(idx);
+        if !advance(idx, |t| extents[t]) {
             return;
         }
-    }
+    })
 }
 
 /// Iterates over all multi-indices of a rectangular domain in row-major
@@ -182,6 +195,12 @@ mod tests {
         let mut visits = 0;
         for_each_index(&[3, 0, 2], |_| visits += 1);
         assert_eq!(visits, 0, "a zero extent visits nothing");
+        // Past the stack digits the index lives in a `Vec`: same walk.
+        let mut wide = vec![1; 25];
+        (wide[1], wide[24]) = (2, 3);
+        let mut got = Vec::new();
+        for_each_index(&wide, |idx| got.push(idx.to_vec()));
+        assert_eq!(got, MultiIndexIter::new(&wide).collect::<Vec<_>>());
     }
 
     #[test]

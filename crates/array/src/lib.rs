@@ -15,8 +15,9 @@
 //! * [`morton`] — z-order (Morton) traversal of chunk grids, required by the
 //!   non-standard out-of-core transform (Result 2 of the paper),
 //! * [`advance`] / [`for_each_index`] — the one in-place odometer step over
-//!   rectangular index domains, and [`MultiIndexIter`], an iterator over the
-//!   same domains that allocates an index per step.
+//!   rectangular index domains, its digits on the stack ([`with_digits`]),
+//!   and [`MultiIndexIter`], an iterator over the same domains that
+//!   allocates an index per step.
 //!
 //! Everything here is deliberately simple and allocation-conscious: shapes are
 //! small `Vec<usize>`s, arrays are a single `Vec<T>`, and the hot loops
@@ -37,7 +38,7 @@ pub mod shape;
 
 pub use array::NdArray;
 pub use dyadic::{decompose_interval, decompose_range, DyadicInterval, DyadicRange};
-pub use index::{advance, for_each_index, MultiIndexIter};
+pub use index::{advance, for_each_index, with_digits, MultiIndexIter};
 pub use morton::{morton_decode, morton_encode, MortonIter};
 pub use shape::Shape;
 

@@ -22,11 +22,12 @@
 //! [`group`](TileRuns::group) stable-sorts the descriptors by tile, so
 //! [`tiles`](TileRuns::tiles) yields each tile once with its runs in
 //! arrival order, whatever their source. A box run replays its tile's
-//! deltas in the order the arena would have held them (piece by piece,
-//! members row-major), so replaying in that order still gives every
-//! coefficient the addition sequence of applying the operations one at a
-//! time, which is what keeps a group commit bit-identical to the serial
-//! path. Consumers that need `(slot, delta)` slices — the wire encoder,
+//! deltas in the order the arena would have held them — the outer targets
+//! row-major over the whole axis tile, segments ascending; per
+//! coefficient, piece order — so replaying in that order still gives
+//! every coefficient the addition sequence of applying the operations one
+//! at a time, which is what keeps a group commit bit-identical to the
+//! serial path. Consumers that need `(slot, delta)` slices — the wire encoder,
 //! the router's per-shard split — take them from
 //! [`for_each_run`](TileRuns::for_each_run), which writes a box run out
 //! through the same walk.

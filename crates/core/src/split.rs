@@ -29,10 +29,10 @@
 //! coefficient at a time. For stores whose tiling is a cross product of
 //! per-axis tilings, the same SHIFT-SPLIT is **located and tile-major**:
 //! each axis's targets located once (`AxisTargets`), the destination tiles
-//! walked in ascending order, and inside each tile the pieces that touch it
-//! and their members, the last axis one flat loop (`for_each_row`). Its
-//! input may be *segmented* — consecutive dyadic intervals per axis, each
-//! transformed on its own
+//! walked in ascending order, and inside each tile every axis's whole
+//! slice of targets, the outer axes row-major and the last axis one flat
+//! loop (`for_each_row`). Its input may be *segmented* — consecutive
+//! dyadic intervals per axis, each transformed on its own
 //! ([`forward_segments`](crate::standard::forward_segments)) — so an
 //! update box's pieces go through one array and one table per axis; a
 //! chunk is the one-segment case. [`LocatedBox`] keeps a box that way, its
@@ -47,7 +47,7 @@ use crate::layout::{Coeff1d, Layout1d};
 use crate::nonstandard::NsCoeff;
 use crate::runs::TileRuns;
 use crate::tiling::AxisTiling;
-use ss_array::{advance, for_each_index, DyadicInterval, NdArray};
+use ss_array::{advance, for_each_index, with_digits, DyadicInterval, NdArray};
 
 /// One SPLIT contribution target along a single axis.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -346,37 +346,48 @@ impl AxisTargets {
 /// odometer over every axis's tiles — row-major over ascending per-axis
 /// tiles is ascending tile ordinal — visited as `(ordinal, at)`, where
 /// `at[2t..2t + 2]` is the tile's range of target groups on axis `t`
-/// (what [`for_each_row`] takes).
+/// (what [`for_each_row`] takes). Its digits live on the stack
+/// ([`with_digits`]).
 pub(crate) fn destinations(tables: &AxisTargets, mut visit: impl FnMut(usize, &[usize])) {
     let d = tables.ndim();
-    let (mut tile, mut at) = (vec![0usize; d], vec![0usize; 2 * d]);
-    loop {
-        let mut ordinal = 0;
-        for t in 0..d {
-            let p = tables.axis[t] + tile[t];
-            ordinal += tables.ordinals[p];
-            at[2 * t] = tables.tiles[p];
-            at[2 * t + 1] = tables.tiles[p + 1];
+    with_digits(3 * d, |digits| {
+        let (tile, at) = digits.split_at_mut(d);
+        loop {
+            let mut ordinal = 0;
+            for t in 0..d {
+                let p = tables.axis[t] + tile[t];
+                ordinal += tables.ordinals[p];
+                at[2 * t] = tables.tiles[p];
+                at[2 * t + 1] = tables.tiles[p + 1];
+            }
+            visit(ordinal, at);
+            if !advance(tile, |t| tables.axis[t + 1] - tables.axis[t]) {
+                return;
+            }
         }
-        visit(ordinal, &at);
-        if !advance(&mut tile, |t| tables.axis[t + 1] - tables.axis[t]) {
-            return;
-        }
-    }
+    });
 }
 
 /// The located walk both directions share, inside the destination tile
-/// whose per-axis group ranges are `at` ([`destinations`]): every piece
-/// (one segment per axis) that touches the tile, in row-major piece
-/// order, and inside each piece every member of the outer axes,
-/// row-major, as one call
+/// whose per-axis group ranges are `at` ([`destinations`]). Each axis
+/// takes part with its whole slice of the tile — every segment's targets,
+/// segments ascending — and the walk steps the outer axes' slices
+/// row-major, as one call per row
 /// `row(offset, slot, factor, inner)` — `offset` of the outer locals in a
 /// row-major array with `strides`, `slot` and `factor` the outer targets'
 /// slot sum and factor product (multiplied left to right from `1.0`), and
-/// `inner` the last axis's target group, which the caller runs as one flat
+/// `inner` the last axis's whole slice, which the caller runs as one flat
 /// loop: a member's offset is `offset + target.local` (the last axis of a
 /// row-major array is contiguous), its factor `factor * target.factor`.
-/// Stops, returning `false`, when `row` does.
+/// The axes before the last two are a stack-held odometer
+/// ([`with_digits`]), the second-to-last a flat loop of rows.
+///
+/// A slot receives at most one target tuple per piece (one segment per
+/// axis), and its tuples' segments ascend with their positions in the
+/// slices, so every slot sees its pieces in row-major piece order — the
+/// order of folding the pieces one at a time; only the interleaving of
+/// different slots differs from the piece-major walk the tests keep as
+/// the oracle. Stops, returning `false`, when `row` does.
 pub(crate) fn for_each_row(
     tables: &AxisTargets,
     strides: &[usize],
@@ -385,61 +396,38 @@ pub(crate) fn for_each_row(
 ) -> bool {
     let (targets, bounds) = (&tables.targets[..], &tables.bounds[..]);
     let d = tables.ndim();
-    let inner_axis = d - 1;
-    debug_assert_eq!(strides[inner_axis], 1, "the last axis must be contiguous");
-    // Per axis: the piece (`seg`), the piece's target group as a range
-    // of `targets` (`lo`, `len`) and the member picked on the odometer's
-    // axes (`pick`). The odometer steps the axes before the last two; the
-    // second-to-last is a flat loop of rows, the last one each row's.
-    let mut scratch = vec![0usize; 4 * d];
-    let (seg, rest) = scratch.split_at_mut(d);
-    let (lo, rest) = rest.split_at_mut(d);
-    let (len, pick) = rest.split_at_mut(d);
-    let group = |t: usize, lo: &[usize], len: &[usize]| &targets[lo[t]..lo[t] + len[t]];
-    let odometer = d.saturating_sub(2);
-    loop {
-        for t in 0..d {
-            let g = at[2 * t] + seg[t];
-            lo[t] = bounds[g];
-            len[t] = bounds[g + 1] - lo[t];
+    debug_assert_eq!(strides[d - 1], 1, "the last axis must be contiguous");
+    let slice = |t: usize| &targets[bounds[at[2 * t]]..bounds[at[2 * t + 1]]];
+    let inner = slice(d - 1);
+    let Some(rows) = d.checked_sub(2) else {
+        return row(0, 0, 1.0, inner);
+    };
+    with_digits(rows, |pick| loop {
+        let (mut offset, mut slot, mut factor) = (0, 0, 1.0);
+        for t in 0..rows {
+            let target = &slice(t)[pick[t]];
+            offset += target.local as usize * strides[t];
+            slot += target.slot as usize;
+            factor *= target.factor;
         }
-        let inner = group(inner_axis, lo, len);
-        loop {
-            let (mut offset, mut slot, mut factor) = (0, 0, 1.0);
-            for t in 0..odometer {
-                let target = &targets[lo[t] + pick[t]];
-                offset += target.local as usize * strides[t];
-                slot += target.slot as usize;
-                factor *= target.factor;
-            }
-            if d == 1 {
-                if !row(offset, slot, factor, inner) {
-                    return false;
-                }
-            } else {
-                let rows = d - 2;
-                for target in group(rows, lo, len) {
-                    let offset = offset + target.local as usize * strides[rows];
-                    let (slot, factor) = (slot + target.slot as usize, factor * target.factor);
-                    if !row(offset, slot, factor, inner) {
-                        return false;
-                    }
-                }
-            }
-            if !advance(&mut pick[..odometer], |t| len[t]) {
-                break;
+        for target in slice(rows) {
+            let offset = offset + target.local as usize * strides[rows];
+            let (slot, factor) = (slot + target.slot as usize, factor * target.factor);
+            if !row(offset, slot, factor, inner) {
+                return false;
             }
         }
-        if !advance(seg, |t| at[2 * t + 1] - at[2 * t]) {
+        if !advance(pick, |t| slice(t).len()) {
             return true;
         }
-    }
+    })
 }
 
 /// The deltas a segmented transform `data` (row-major, `strides`) sends
-/// into destination tile `at`, visited as `(slot, delta)`: piece by piece
-/// in row-major piece order, each piece's members row-major, every
-/// delta `v · ((f_0 · f_1) · …)` and nothing for `v = 0`.
+/// into destination tile `at`, visited as `(slot, delta)`: the outer
+/// targets row-major over the whole axis tile, segments ascending (so per
+/// slot, piece order — [`for_each_row`]), every delta
+/// `v · ((f_0 · f_1) · …)` and nothing for `v = 0`.
 fn tile_deltas(
     tables: &AxisTargets,
     data: &[f64],
@@ -488,29 +476,34 @@ impl LocatedBox {
     pub fn new(t: NdArray<f64>, axes: &[AxisTiling], segments: &[Vec<DyadicInterval>]) -> Self {
         let tables = AxisTargets::segmented(t.shape().dims(), axes, segments);
         // A coefficient's deltas are the product of its per-axis target
-        // counts: the total follows without emitting anything.
-        let dims = t.shape().dims().iter().enumerate();
-        let multiplicity: Vec<Vec<usize>> = dims
-            .map(|(axis, &len)| {
-                let mut m = vec![0usize; len];
-                for target in tables.axis_targets(axis) {
-                    m[target.local as usize] += 1;
-                }
-                m
-            })
-            .collect();
-        let (mut deltas, mut has_zero) = (0, false);
-        let mut values = t.as_slice().iter();
-        for_each_index(t.shape().dims(), |idx| {
-            if *values.next().expect("one value per index") == 0.0 {
-                has_zero = true;
-            } else {
-                deltas += idx
-                    .iter()
-                    .zip(&multiplicity)
-                    .map(|(&i, m)| m[i])
-                    .product::<usize>();
+        // counts: the total follows without emitting anything. The counts
+        // sit axis after axis in one table, and each row of the last axis
+        // sums its non-zero cells' counts in one flat loop.
+        let dims = t.shape().dims();
+        let mut multiplicity = vec![0usize; dims.iter().sum()];
+        let mut base = 0;
+        for (axis, &len) in dims.iter().enumerate() {
+            for target in tables.axis_targets(axis) {
+                multiplicity[base + target.local as usize] += 1;
             }
+            base += len;
+        }
+        let (outer, inner) = multiplicity.split_at(base - dims[dims.len() - 1]);
+        let (mut deltas, mut has_zero) = (0, false);
+        let mut rows = t.as_slice().chunks_exact(inner.len());
+        for_each_index(&dims[..dims.len() - 1], |idx| {
+            let (mut weight, mut base) = (1, 0);
+            for (&i, &len) in idx.iter().zip(dims) {
+                weight *= outer[base + i];
+                base += len;
+            }
+            let row = rows.next().expect("one row per outer index");
+            let mut sum = 0;
+            for (&v, &m) in row.iter().zip(inner) {
+                has_zero |= v == 0.0;
+                sum += if v == 0.0 { 0 } else { m };
+            }
+            deltas += weight * sum;
         });
         LocatedBox {
             t,
@@ -549,9 +542,10 @@ impl LocatedBox {
         !self.has_zero || !for_each_row(&self.tables, self.t.shape().strides(), at, all_zero)
     }
 
-    /// Destination tile `at`'s deltas as `(slot, delta)`: per piece that
-    /// touches the tile, in row-major piece order, its members row-major,
-    /// each `v · ((f_0 · f_1) · …)`; a zero coefficient sends nothing.
+    /// Destination tile `at`'s deltas as `(slot, delta)`: the outer
+    /// targets row-major over the whole axis tile, segments ascending, so
+    /// per slot in piece order; each `v · ((f_0 · f_1) · …)`, a zero
+    /// coefficient sending nothing.
     pub fn for_each_delta(&self, at: &[usize], visit: impl FnMut(usize, f64)) {
         let strides = self.t.shape().strides();
         tile_deltas(&self.tables, self.t.as_slice(), strides, at, visit);
@@ -575,16 +569,17 @@ impl LocatedBox {
 /// pieces — one segment per axis — are SHIFT-SPLIT at their own dyadic
 /// positions: each axis's targets are located once, the
 /// destination tiles are walked in strictly ascending order, and each gets
-/// one run ([`TileRuns::extend_with`]) holding, piece by piece in
-/// row-major piece order, the piece's members in this tile. Zero
+/// one run ([`TileRuns::extend_with`]) holding its members: the outer
+/// targets row-major over the whole axis tile, segments ascending. Zero
 /// coefficients emit nothing, and a tile that receives nothing gets no run.
 ///
-/// Per piece, the `(tile, slot, delta)` multiset equals `standard_deltas`
-/// of the piece followed by `locate`, delta for delta and bit for bit —
-/// each delta is the same `v · ((f_0 · f_1) · …)` — and a piece sends at
-/// most one delta to any coefficient, so every coefficient sees its deltas
-/// in piece order: the addition sequence of folding the pieces one at a
-/// time.
+/// Per tile, the `(slot, delta)` multiset equals that of `standard_deltas`
+/// of each piece followed by `locate`, delta for delta and bit for bit —
+/// each delta is the same `v · ((f_0 · f_1) · …)` — and per coefficient
+/// the deltas come in piece order: a piece sends at most one delta to any
+/// coefficient, so that is the addition sequence of folding the pieces one
+/// at a time. A chunk is one piece: its run is that piece's members,
+/// row-major.
 ///
 /// # Panics
 ///
@@ -699,7 +694,166 @@ pub fn apply_chunk_1d(global: &mut [f64], chunk_t: &[f64], block: usize) {
 mod tests {
     use super::*;
     use crate::haar1d;
+    use crate::standard::tests::Rng;
     use ss_array::Shape;
+    use std::collections::HashMap;
+
+    /// The piece-major walk the flat [`for_each_row`] replaced, kept as the
+    /// oracle of its order contract: every piece (one segment per axis)
+    /// that touches the tile, in row-major piece order, and inside each
+    /// piece its members row-major, one `row` call per row of the piece.
+    fn for_each_row_piece_major(
+        tables: &AxisTargets,
+        strides: &[usize],
+        at: &[usize],
+        mut row: impl FnMut(usize, usize, f64, &[AxisTarget]) -> bool,
+    ) -> bool {
+        let (targets, bounds) = (&tables.targets[..], &tables.bounds[..]);
+        let d = tables.ndim();
+        let inner_axis = d - 1;
+        let mut scratch = vec![0usize; 4 * d];
+        let (seg, rest) = scratch.split_at_mut(d);
+        let (lo, rest) = rest.split_at_mut(d);
+        let (len, pick) = rest.split_at_mut(d);
+        let group = |t: usize, lo: &[usize], len: &[usize]| &targets[lo[t]..lo[t] + len[t]];
+        let odometer = d.saturating_sub(2);
+        loop {
+            for t in 0..d {
+                let g = at[2 * t] + seg[t];
+                lo[t] = bounds[g];
+                len[t] = bounds[g + 1] - lo[t];
+            }
+            let inner = group(inner_axis, lo, len);
+            loop {
+                let (mut offset, mut slot, mut factor) = (0, 0, 1.0);
+                for t in 0..odometer {
+                    let target = &targets[lo[t] + pick[t]];
+                    offset += target.local as usize * strides[t];
+                    slot += target.slot as usize;
+                    factor *= target.factor;
+                }
+                if d == 1 {
+                    if !row(offset, slot, factor, inner) {
+                        return false;
+                    }
+                } else {
+                    let rows = d - 2;
+                    for target in group(rows, lo, len) {
+                        let offset = offset + target.local as usize * strides[rows];
+                        let (slot, factor) = (slot + target.slot as usize, factor * target.factor);
+                        if !row(offset, slot, factor, inner) {
+                            return false;
+                        }
+                    }
+                }
+                if !advance(&mut pick[..odometer], |t| len[t]) {
+                    break;
+                }
+            }
+            if !advance(seg, |t| at[2 * t + 1] - at[2 * t]) {
+                return true;
+            }
+        }
+    }
+
+    /// Tile `at`'s deltas of `located` as `(slot, delta bits)`, in emission
+    /// order: through the flat walk, or through the piece-major oracle.
+    fn emitted(located: &LocatedBox, at: &[usize], flat: bool) -> Vec<(usize, u64)> {
+        let mut out = Vec::new();
+        if flat {
+            located.for_each_delta(at, |slot, v| out.push((slot, v.to_bits())));
+            return out;
+        }
+        let data = located.t.as_slice();
+        let strides = located.t.shape().strides();
+        for_each_row_piece_major(
+            &located.tables,
+            strides,
+            at,
+            |offset, slot, factor, inner| {
+                for target in inner {
+                    let v = data[offset + target.local as usize];
+                    if v != 0.0 {
+                        let delta = v * (factor * target.factor);
+                        out.push((slot + target.slot as usize, delta.to_bits()));
+                    }
+                }
+                true
+            },
+        );
+        out
+    }
+
+    /// Each slot's delta sequence.
+    fn per_slot(deltas: &[(usize, u64)]) -> HashMap<usize, Vec<u64>> {
+        let mut out: HashMap<usize, Vec<u64>> = HashMap::new();
+        for &(slot, bits) in deltas {
+            out.entry(slot).or_default().push(bits);
+        }
+        out
+    }
+
+    #[test]
+    fn the_flat_walk_keeps_every_slots_piece_order() {
+        // Random segmented transforms, d = 1..=4, one value in eight an
+        // exact zero; axis 0 is `[4i + 1, 4j + 2]`, j > i, so it
+        // decomposes into at least four segments. Per destination tile the flat walk
+        // must emit the piece-major oracle's `(slot, delta bits)` multiset
+        // and each slot's sequence, and a block folded through either walk
+        // must keep the same bits.
+        let mut rng = Rng(0xF1A7);
+        let mut wide = 0;
+        for d in 1..=4usize {
+            let (longest, extra) = ([0, 40, 24, 12, 7][d], [0, 10, 5, 2, 1][d]);
+            for _ in 0..[0, 24, 12, 6, 3][d] {
+                let axes: Vec<AxisTiling> = (0..d)
+                    .map(|_| AxisTiling::new(6, 1 + rng.below(3) as u32))
+                    .collect();
+                let segments: Vec<Vec<DyadicInterval>> = (0..d)
+                    .map(|t| {
+                        let (lo, len) = if t == 0 {
+                            (1 + 4 * rng.below(4), 6 + 4 * rng.below(extra))
+                        } else {
+                            (rng.below(24), 1 + rng.below(longest))
+                        };
+                        ss_array::decompose_interval(lo, lo + len - 1)
+                    })
+                    .collect();
+                wide += usize::from(segments.iter().any(|s| s.len() >= 4));
+                let dims: Vec<usize> = segments
+                    .iter()
+                    .map(|segs| segs.iter().map(DyadicInterval::len).sum())
+                    .collect();
+                let t = NdArray::from_fn(Shape::new(&dims), |_| rng.mixed());
+                let located = LocatedBox::new(t, &axes, &segments);
+                let capacity: usize = axes.iter().map(AxisTiling::block_side).product();
+                let mut count = 0;
+                located.destinations(|_, at| {
+                    let (flat, oracle) =
+                        (emitted(&located, at, true), emitted(&located, at, false));
+                    count += flat.len();
+                    assert_eq!(per_slot(&flat), per_slot(&oracle), "{segments:?}: per slot");
+                    let (mut got, mut want) = (flat.clone(), oracle.clone());
+                    got.sort_unstable();
+                    want.sort_unstable();
+                    assert_eq!(got, want, "{segments:?}: multiset");
+                    assert_eq!(located.receives(at), !flat.is_empty(), "{segments:?}");
+                    let fold = |deltas: &[(usize, u64)]| -> Vec<u64> {
+                        let mut blk: Vec<f64> = (0..capacity)
+                            .map(|i| [-0.0, 0.0, 1.0 / 3.0][i % 3])
+                            .collect();
+                        for &(slot, bits) in deltas {
+                            blk[slot] += f64::from_bits(bits);
+                        }
+                        blk.iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(fold(&flat), fold(&oracle), "{segments:?}: block");
+                });
+                assert_eq!(count, located.delta_count(), "{segments:?}");
+            }
+        }
+        assert_eq!(wide, 24 + 12 + 6 + 3, "axis 0 always has four segments");
+    }
 
     #[test]
     fn paper_counterexample_sign() {

@@ -240,7 +240,7 @@ pub fn orthonormal_scale(shape: &Shape, idx: &[usize]) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ss_array::Shape;
 
@@ -325,7 +325,7 @@ mod tests {
     }
 
     /// A SplitMix64 stream: the crate has no seeded generator of its own.
-    struct Rng(u64);
+    pub(crate) struct Rng(pub(crate) u64);
 
     impl Rng {
         fn next(&mut self) -> u64 {
@@ -336,14 +336,14 @@ mod tests {
             z ^ (z >> 31)
         }
 
-        fn below(&mut self, n: usize) -> usize {
+        pub(crate) fn below(&mut self, n: usize) -> usize {
             (self.next() % n as u64) as usize
         }
 
         /// Both signs, exponents 2^-30 ..= 2^30, one value in eight an
         /// exact zero: sums of these round, so only the same operations in
         /// the same order give the same bits.
-        fn mixed(&mut self) -> f64 {
+        pub(crate) fn mixed(&mut self) -> f64 {
             if self.below(8) == 0 {
                 return 0.0;
             }

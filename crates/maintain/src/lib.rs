@@ -47,8 +47,9 @@
 //!   sequence, so the result is **bit-identical** to applying the boxes
 //!   one at a time, each a batch of one — while still writing each dirty
 //!   tile once. The grouping keeps it so: boxes
-//!   stay in arrival order and a box's pieces in decomposition order
-//!   among every tile's runs, which is all a coefficient can observe.
+//!   stay in arrival order among every tile's runs, and each
+//!   coefficient's deltas from one box come in decomposition (piece)
+//!   order, which is all a coefficient can observe.
 //! * [`FlushMode::Merged`] is a drain-time reduction: each tile's runs
 //!   are summed slot by slot, in arrival order, into a zeroed dense
 //!   scratch, and only the non-zero sums are applied — one add per

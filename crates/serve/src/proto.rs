@@ -66,9 +66,11 @@
 //! scatters after splitting its drained delta buffer by tile ownership.
 //! The ops parse into one [`TileRuns`] arena, consecutive ops of one tile
 //! one run, and are buffered as one operation (a router encodes its
-//! deferred box runs written out, [`TileRuns::for_each_run`]); the `value`
-//! answers with the number of ops buffered. Like `update`, the ops stay
-//! invisible until `commit`.
+//! deferred box runs written out, [`TileRuns::for_each_run`]: the outer
+//! targets row-major over the whole axis tile, segments ascending; per
+//! coefficient, piece order — a shard adds them slot by slot, so only that
+//! per-coefficient order counts); the `value` answers with the number of
+//! ops buffered. Like `update`, the ops stay invisible until `commit`.
 //!
 //! Error kinds are closed: `parse` (not a JSON object), `unknown_op`
 //! (unrecognised `op`), `bad_request` (wrong arity or out-of-range

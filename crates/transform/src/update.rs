@@ -14,10 +14,11 @@
 //! segment and one located table per axis, kept in the caller's
 //! [`TileRuns`] as a [`LocatedBox`] with one descriptor per destination
 //! tile, tiles ascending. The box costs its values plus its tables; its
-//! deltas — in each tile every piece that touches it, in piece order —
-//! are generated when the flush replays the tile's runs, straight into
-//! the block, each coefficient receiving the products it would have
-//! received from an arena, in the same order. There is no per-piece
+//! deltas — in each tile the outer targets row-major over the whole axis
+//! tile, segments ascending; per coefficient, piece order — are generated
+//! when the flush replays the tile's runs, straight into the block, each
+//! coefficient receiving the products it would have received from an
+//! arena, in the same order. There is no per-piece
 //! extract and no delta arena. [`for_each_box_delta_standard`] is the
 //! index-space oracle and the path for any other map.
 

@@ -11,7 +11,7 @@
 //! The two must agree
 //!
 //! * delta for delta, **bit for bit** — as a multiset per chunk; per box,
-//!   as each tile's sequence of pieces in piece order and as every
+//!   as each tile's multiset (the union of its pieces') and as every
 //!   coefficient's delta *sequence* (the order `FlushMode::Exact`
 //!   replays),
 //! * on the run contract: strictly ascending tiles and one descriptor per
@@ -25,10 +25,11 @@
 //!   and on a map that is not one (`NaiveMap` keeps the per-coefficient
 //!   path).
 //!
-//! Geometries cover 1-d, 2-d and 3-d, unequal levels and mixed tile
-//! exponents, a top band shorter than `b`, 1-cell, full-domain and
-//! domain-edge boxes, chunks with exact-zero coefficients, and boxes with
-//! zero cells and whole zero pieces.
+//! Geometries cover 1-d to 4-d (a 4-d box of five segments on every axis
+//! steps the walk's odometer), unequal levels and mixed tile exponents, a
+//! top band shorter than `b`, 1-cell, full-domain and domain-edge boxes,
+//! chunks with exact-zero coefficients, and boxes with zero cells and
+//! whole zero pieces.
 
 use shiftsplit::array::{
     decompose_interval, decompose_range, DyadicInterval, MultiIndexIter, NdArray, Shape,
@@ -229,15 +230,36 @@ fn sparse_boxes(rng: &mut SplitMix64, n: &[u32], count: usize) -> Vec<UpdateBox>
     out
 }
 
-/// (b) One box: the runs `box_runs_standard` keeps, written out, against the
-/// index-space oracle — each tile's sequence of pieces, in piece order,
-/// and every coefficient's delta sequence.
-fn check_box_runs(map: &impl TilingMap, seed: u64) {
+/// One box whose extent decomposes into five dyadic segments on every
+/// axis (`[1, 10]` and `[5, 14]` alternate), so each destination tile
+/// crosses several pieces on every axis; one cell in five an exact zero.
+fn wide_box(rng: &mut SplitMix64, d: usize) -> UpdateBox {
+    let origin = (0..d).map(|t| [1, 5][t % 2]).collect();
+    let value = |_: &[usize]| {
+        if rng.below(5) == 0 {
+            0.0
+        } else {
+            rng.range(-1.0, 1.0)
+        }
+    };
+    (origin, NdArray::from_fn(Shape::new(&vec![10; d]), value))
+}
+
+/// Seeded boxes of every kind: [`boxes`] and [`sparse_boxes`].
+fn seeded_boxes(n: &[u32], seed: u64) -> Vec<UpdateBox> {
+    let mut rng = SplitMix64::new(seed);
+    let mut batch = boxes(&mut rng, n, 12);
+    batch.extend(sparse_boxes(&mut rng, n, 8));
+    batch
+}
+
+/// (b) One box at a time: the runs `box_runs_standard` keeps, written
+/// out, against the index-space oracle — each tile's deltas as the
+/// multiset of its pieces' deltas, and every coefficient's delta
+/// sequence.
+fn check_box_runs(map: &impl TilingMap, batch: Vec<UpdateBox>) {
     let n = levels_of(map);
     let axes = map.axis_tilings().unwrap();
-    let mut rng = SplitMix64::new(seed);
-    let mut batch = boxes(&mut rng, &n, 12);
-    batch.extend(sparse_boxes(&mut rng, &n, 8));
     for (origin, delta) in batch {
         let label = format!("{n:?} box at {origin:?} of {:?}", delta.shape().dims());
         let mut arena = TileRuns::default();
@@ -250,7 +272,7 @@ fn check_box_runs(map: &impl TilingMap, seed: u64) {
             .zip(delta.shape().dims())
             .map(|(&o, &e)| o + e - 1)
             .collect();
-        let mut per_tile: HashMap<usize, Vec<Vec<(usize, u64)>>> = HashMap::new();
+        let mut per_tile: HashMap<usize, Vec<(usize, u64)>> = HashMap::new();
         for piece in decompose_range(&origin, &hi) {
             let at: Vec<usize> = piece
                 .origin()
@@ -259,44 +281,32 @@ fn check_box_runs(map: &impl TilingMap, seed: u64) {
                 .map(|(&p, &o)| p - o)
                 .collect();
             let piece_delta = delta.extract(&at, &piece.extents());
-            let mut by_tile: HashMap<usize, Vec<(usize, u64)>> = HashMap::new();
             for_each_box_delta_standard(&n, &piece.origin(), &piece_delta, |idx, v| {
                 let loc = map.locate(idx);
-                by_tile
+                per_tile
                     .entry(loc.tile)
                     .or_default()
                     .push((loc.slot, v.to_bits()));
             });
-            for (tile, mut deltas) in by_tile {
-                deltas.sort_unstable();
-                per_tile.entry(tile).or_default().push(deltas);
-            }
         }
-        // Each tile's run is its pieces' deltas, piece after piece: cut it
-        // at the oracle's per-piece counts and compare piece by piece (a
-        // piece sends a slot at most one delta, so its order inside the
-        // piece is not observable).
+        // Each tile's run holds the union of its pieces' deltas. How the
+        // run interleaves different coefficients is not observable: every
+        // consumer folds slot by slot.
         let mut tiles: Vec<usize> = per_tile.keys().copied().collect();
         tiles.sort_unstable();
         let got_tiles: Vec<usize> = listed(&arena).iter().map(|(tile, _)| *tile).collect();
         assert_eq!(got_tiles, tiles, "{label}: tiles");
-        let mut rest = got.as_slice();
-        for tile in tiles {
-            for (p, want) in per_tile[&tile].iter().enumerate() {
-                let (head, tail) = rest.split_at(want.len());
-                let mut piece: Vec<(usize, u64)> = head
-                    .iter()
-                    .map(|&(t, slot, bits)| {
-                        assert_eq!(t, tile, "{label}: piece {p} spills out of tile {tile}");
-                        (slot, bits)
-                    })
-                    .collect();
-                piece.sort_unstable();
-                assert_eq!(&piece, want, "{label}: tile {tile}, piece {p}");
-                rest = tail;
-            }
+        let mut got_per_tile: HashMap<usize, Vec<(usize, u64)>> = HashMap::new();
+        for &(tile, slot, bits) in &got {
+            got_per_tile.entry(tile).or_default().push((slot, bits));
         }
-        assert!(rest.is_empty(), "{label}: deltas beyond the oracle's");
+        for tile in tiles {
+            let (mut run, mut want) =
+                (got_per_tile.remove(&tile).unwrap(), per_tile[&tile].clone());
+            run.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(run, want, "{label}: tile {tile}");
+        }
         // And per coefficient, against the oracle over the whole box.
         let mut want: HashMap<(usize, usize), Vec<u64>> = HashMap::new();
         let want_report = for_each_box_delta_standard(&n, &origin, &delta, |idx, v| {
@@ -316,11 +326,19 @@ fn check_box_runs(map: &impl TilingMap, seed: u64) {
 
 #[test]
 fn box_runs_keep_every_coefficients_delta_sequence() {
-    check_box_runs(&Tiling1d::new(7, 3), 11);
-    check_box_runs(&StandardTiling::new(&[5, 7], &[2, 3]), 12);
-    check_box_runs(&StandardTiling::new(&[6, 4], &[1, 4]), 14);
-    check_box_runs(&StandardTiling::new(&[3, 4, 2], &[1, 3, 2]), 13);
-    check_box_runs(&StandardTiling::new(&[4, 3, 5], &[2, 1, 3]), 15);
+    let maps = [
+        (StandardTiling::new(&[5, 7], &[2, 3]), 12),
+        (StandardTiling::new(&[6, 4], &[1, 4]), 14),
+        (StandardTiling::new(&[3, 4, 2], &[1, 3, 2]), 13),
+        (StandardTiling::new(&[4, 3, 5], &[2, 1, 3]), 15),
+    ];
+    check_box_runs(&Tiling1d::new(7, 3), seeded_boxes(&[7], 11));
+    for (map, seed) in maps {
+        check_box_runs(&map, seeded_boxes(&levels_of(&map), seed));
+    }
+    // Rank 4, so the walk's odometer steps: five segments on every axis.
+    let map = StandardTiling::new(&[4, 4, 4, 4], &[2, 1, 2, 1]);
+    check_box_runs(&map, vec![wide_box(&mut SplitMix64::new(16), 4)]);
 }
 
 /// The per-slot subsequences of one tile's op list.
@@ -585,6 +603,29 @@ fn flush_leg(
     }
 }
 
+/// Flushes `ops` deferred and through the oracle, in both flush modes and
+/// into both sinks: the same reports, stored bits and writes.
+fn check_deferred(map: &StandardTiling, ops: &[BatchOp], round: u64) {
+    let n: Vec<u32> = map.axes().iter().map(|axis| axis.levels()).collect();
+    for mode in [FlushMode::Exact, FlushMode::Merged] {
+        for shared in [false, true] {
+            let label = format!("{n:?} {mode:?} shared={shared}");
+            let got = flush_leg(map, ops, mode, true, shared, round);
+            let want = flush_leg(map, ops, mode, false, shared, round);
+            assert!(got.flush.deltas > 0, "{label}");
+            assert_eq!(got.update, want.update, "{label}: UpdateReport");
+            assert_eq!(got.flush, want.flush, "{label}: FlushReport");
+            assert_eq!(got.stored, want.stored, "{label}: stored bits");
+            assert_eq!(got.io.coeff_writes, want.io.coeff_writes, "{label}");
+            // The serial sink makes the same transfers too (sharded
+            // workers race for frames, so their pool counts vary).
+            if !shared {
+                assert_eq!(got.io, want.io, "{label}: IoSnapshot");
+            }
+        }
+    }
+}
+
 #[test]
 fn deferred_boxes_store_what_the_index_space_oracle_stores() {
     // Random product tilings of rank 1, 2 and 3; each batch mixes
@@ -594,25 +635,34 @@ fn deferred_boxes_store_what_the_index_space_oracle_stores() {
     for round in 0..12u64 {
         let map = random_tiling(&mut rng, 1 + round as usize % 3);
         let n: Vec<u32> = map.axes().iter().map(|axis| axis.levels()).collect();
-        let ops = mixed_ops(&mut rng, &map, &n);
-        for mode in [FlushMode::Exact, FlushMode::Merged] {
-            for shared in [false, true] {
-                let label = format!("{n:?} {mode:?} shared={shared}");
-                let got = flush_leg(&map, &ops, mode, true, shared, round);
-                let want = flush_leg(&map, &ops, mode, false, shared, round);
-                assert!(got.flush.deltas > 0, "{label}");
-                assert_eq!(got.update, want.update, "{label}: UpdateReport");
-                assert_eq!(got.flush, want.flush, "{label}: FlushReport");
-                assert_eq!(got.stored, want.stored, "{label}: stored bits");
-                assert_eq!(got.io.coeff_writes, want.io.coeff_writes, "{label}");
-                // The serial sink makes the same transfers too (sharded
-                // workers race for frames, so their pool counts vary).
-                if !shared {
-                    assert_eq!(got.io, want.io, "{label}: IoSnapshot");
-                }
-            }
-        }
+        check_deferred(&map, &mixed_ops(&mut rng, &map, &n), round);
     }
+    // Rank 4, so the walk's odometer steps: a box of five segments on
+    // every axis, arena operations and a one-cell box.
+    let map = StandardTiling::new(&[4, 4, 4, 4], &[1, 2, 1, 2]);
+    let (tiles, capacity) = (map.num_tiles(), map.block_capacity());
+    let mut runs = TileRuns::default();
+    for _ in 0..8 {
+        runs.push(rng.below(tiles), rng.below(capacity), rng.range(-2.0, 2.0));
+    }
+    let at = (0..4)
+        .map(|_| {
+            (
+                (0..4).map(|_| rng.below(16)).collect(),
+                rng.range(-2.0, 2.0),
+            )
+        })
+        .collect();
+    let ops = [
+        BatchOp::Box(wide_box(&mut rng, 4)),
+        BatchOp::Runs(runs),
+        BatchOp::At(at),
+        BatchOp::Box((
+            vec![15, 0, 7, 9],
+            NdArray::from_fn(Shape::new(&[1; 4]), |_| 0.5),
+        )),
+    ];
+    check_deferred(&map, &ops, 12);
 }
 
 #[test]
