@@ -12,7 +12,7 @@
 //!   consumes. The standard form is separable, so its plans stay per-axis
 //!   `(index, weight)` lists (the product form); their terms are the
 //!   lists crossed by the one product loop, [`for_each_product`], and the
-//!   executor walks them located, tile by tile ([`LocatedPlan`]). Other
+//!   executor walks them located, tile by tile ([`LocatedPlans`]). Other
 //!   plans are flat term lists.
 //! * **Partial reconstruction** (Result 6) — assembling the transform of a
 //!   dyadic sub-range from the global transform via inverse SHIFT (detail
@@ -35,7 +35,7 @@
 
 use crate::layout::Layout1d;
 use crate::nonstandard::NsCoeff;
-use crate::split::{destinations, for_each_row, interval_targets, AxisTargets};
+use crate::split::{destinations, for_each_row, interval_targets, AxisTarget, AxisTargets};
 use crate::tiling::AxisTiling;
 use ss_array::{advance, DyadicRange, MultiIndexIter, NdArray, Shape};
 
@@ -47,7 +47,7 @@ use ss_array::{advance, DyadicRange, MultiIndexIter, NdArray, Shape};
 /// * **product** — per-axis `(index, factor)` lists whose cross product,
 ///   row-major, is the term list ([`product`](Self::product)): every
 ///   standard-form plan. Its terms are never built on the query path; the
-///   executor locates the lists one axis at a time ([`LocatedPlan`]).
+///   executor locates the lists one axis at a time ([`LocatedPlans`]).
 ///
 /// [`for_each_term`](Self::for_each_term) walks either form without
 /// allocating.
@@ -395,7 +395,7 @@ impl BoxEnvelope {
     /// `lo > hi` or `hi` falls outside the domain on some axis.
     pub fn new(axes: &[AxisTiling], lo: &[usize], hi: &[usize]) -> Self {
         assert!(lo.len() == axes.len() && hi.len() == axes.len(), "box rank");
-        let mut tables = AxisTargets::default();
+        let (mut tables, mut tagged) = (AxisTargets::default(), Vec::new());
         let indices: Vec<Vec<usize>> = (0..axes.len())
             .map(|t| {
                 let n = axes[t].levels();
@@ -408,7 +408,7 @@ impl BoxEnvelope {
                 indices.sort_unstable();
                 indices.dedup();
                 let ranked = indices.iter().enumerate().map(|(r, &i)| (0, r, i, 1.0));
-                tables.push_axis(axes, ranked);
+                tables.push_axis(axes, ranked, &mut tagged);
                 indices
             })
             .collect();
@@ -462,48 +462,57 @@ impl BoxEnvelope {
     }
 }
 
-/// A product plan ([`Contributions::product`]) located on a
-/// per-axis-product tiling ([`TilingMap::axis_tilings`](crate::TilingMap::axis_tilings)):
-/// each axis's list sorted by index and located once (`AxisTargets`, one
-/// table per axis), so the plan's terms follow tile by tile without
-/// building any of them — the read-side twin of
-/// [`LocatedBox`](crate::split::LocatedBox).
+/// Product plans ([`Contributions::product`]) located on a
+/// per-axis-product tiling ([`TilingMap::axis_tilings`](crate::TilingMap::axis_tilings)),
+/// one at a time into one set of tables a sweep reuses: each axis's list
+/// sorted by index and located once (`AxisTargets`, one table per axis),
+/// so the plan's terms follow tile by tile without building any of them —
+/// the read-side twin of [`LocatedBox`](crate::split::LocatedBox). After
+/// the first plans have sized the tables and the sort scratch, locating
+/// another allocates nothing.
 ///
 /// Inside one axis tile ascending index is ascending slot, so the walk
 /// ([`for_each_member`](Self::for_each_member)) visits a tile's members
-/// in ascending slot order, and equal slots (a list that repeats an
-/// index) in the plan's term order: the order a stable sort of the plan's
-/// located terms by `(tile, slot)` gives.
-#[derive(Clone, Debug)]
-pub struct LocatedPlan {
+/// in ascending slot order: the order a stable sort of the plan's located
+/// terms by `(tile, slot)` gives. A list that repeats an index is refused
+/// ([`locate`](Self::locate) returns `false`): the walk would bring such
+/// a slot back once per copy, row by row, instead of folding its terms
+/// together. The Lemma 1 and 2 lists never repeat one.
+#[derive(Clone, Debug, Default)]
+pub struct LocatedPlans {
     tables: AxisTargets,
-    /// Row-major strides over the sorted lists (the walk's offsets).
+    /// One `1` per axis: the member walk reads slots and factors, never
+    /// the offsets strides would give.
     strides: Vec<usize>,
+    /// Sort scratch: one axis list by index, then its located targets.
+    sorted: Vec<(usize, f64)>,
+    tagged: Vec<(usize, usize, AxisTarget)>,
 }
 
-impl LocatedPlan {
+impl LocatedPlans {
     /// Locates the per-axis lists `per_axis` ([`Contributions::per_axis`])
-    /// on the product tiling `axes`.
+    /// on the product tiling `axes`, in place of the plan held before;
+    /// `false`, with nothing usable held, when a list repeats an index.
     ///
     /// # Panics
     ///
     /// Panics when the ranks differ or a list is empty (an empty plan
     /// touches no tile).
-    pub fn new(axes: &[AxisTiling], per_axis: &[Vec<(usize, f64)>]) -> Self {
+    pub fn locate(&mut self, axes: &[AxisTiling], per_axis: &[Vec<(usize, f64)>]) -> bool {
         assert_eq!(per_axis.len(), axes.len(), "plan rank");
-        let mut tables = AxisTargets::default();
-        let mut sorted = Vec::new();
+        self.tables.clear();
         for list in per_axis {
-            sorted.clone_from(list);
-            sorted.sort_by_key(|&(index, _)| index);
-            let ranked = sorted.iter().enumerate();
-            tables.push_axis(axes, ranked.map(|(r, &(index, f))| (0, r, index, f)));
+            self.sorted.clone_from(list);
+            self.sorted.sort_unstable_by_key(|&(index, _)| index);
+            if self.sorted.windows(2).any(|pair| pair[0].0 == pair[1].0) {
+                return false;
+            }
+            let ranked = self.sorted.iter().enumerate();
+            let sources = ranked.map(|(r, &(index, f))| (0, r, index, f));
+            self.tables.push_axis(axes, sources, &mut self.tagged);
         }
-        let extents: Vec<usize> = per_axis.iter().map(Vec::len).collect();
-        LocatedPlan {
-            tables,
-            strides: Shape::new(&extents).strides().to_vec(),
-        }
+        self.strides.resize(per_axis.len(), 1);
+        true
     }
 
     /// Every tile the plan touches, strictly ascending, as `(ordinal, at)` —

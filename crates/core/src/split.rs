@@ -272,7 +272,7 @@ impl AxisTargets {
                 interval_targets(n, seg.level, seg.translation)
                     .map(move |(local, index, factor)| (s, rel + local, index, factor))
             });
-            tables.push_axis(axes, sources);
+            tables.push_axis(axes, sources, &mut Vec::new());
         }
         tables
     }
@@ -280,28 +280,28 @@ impl AxisTargets {
     /// Locates `(segment, local, index, factor)` targets on the next axis
     /// `t` of the product tiling `axes`, arriving segment by segment, and
     /// appends them grouped by axis tile, ascending; a group keeps the
-    /// input order.
+    /// input order. `tagged` is sort scratch, reused across calls.
     pub(crate) fn push_axis(
         &mut self,
         axes: &[AxisTiling],
         sources: impl Iterator<Item = (usize, usize, usize, f64)>,
+        tagged: &mut Vec<(usize, usize, AxisTarget)>,
     ) {
         let t = self.ndim();
         let axis = &axes[t];
         let tile_stride: usize = axes[t + 1..].iter().map(AxisTiling::num_tiles).product();
         let slot_stride: usize = axes[t + 1..].iter().map(AxisTiling::block_side).product();
         let narrow = |v: usize| u32::try_from(v).expect("axis target beyond u32");
-        let mut tagged: Vec<(usize, usize, AxisTarget)> = sources
-            .map(|(segment, local, index, factor)| {
-                let at = axis.locate(index);
-                let target = AxisTarget {
-                    local: narrow(local),
-                    slot: narrow(at.slot * slot_stride),
-                    factor,
-                };
-                (at.tile * tile_stride, segment, target)
-            })
-            .collect();
+        tagged.clear();
+        tagged.extend(sources.map(|(segment, local, index, factor)| {
+            let at = axis.locate(index);
+            let target = AxisTarget {
+                local: narrow(local),
+                slot: narrow(at.slot * slot_stride),
+                factor,
+            };
+            (at.tile * tile_stride, segment, target)
+        }));
         assert!(!tagged.is_empty(), "axis {t}: no targets");
         tagged.sort_by_key(|&(tile, _, _)| tile);
         let base = self.targets.len();
@@ -320,7 +320,16 @@ impl AxisTargets {
         self.bounds.push(base + tagged.len());
         self.axis.push(self.ordinals.len());
         self.targets
-            .extend(tagged.into_iter().map(|(_, _, target)| target));
+            .extend(tagged.iter().map(|&(_, _, target)| target));
+    }
+
+    /// Empties the tables, keeping their allocations.
+    pub(crate) fn clear(&mut self) {
+        self.targets.clear();
+        self.bounds.truncate(1);
+        self.tiles.truncate(1);
+        self.ordinals.clear();
+        self.axis.truncate(1);
     }
 
     /// Axes held.

@@ -315,11 +315,12 @@ impl<M: TilingMap, S: BlockStore> CoeffRead for PinnedSnapshot<'_, M, S> {
         self.get(tile, slot)
     }
 
-    fn with_tiles(&mut self, tiles: &[usize], reads: usize, mut f: impl FnMut(usize, &[f64])) {
-        self.store.base.stats().add_coeff_reads(reads as u64);
+    fn with_tiles(&mut self, tiles: &[usize], mut f: impl FnMut(usize, &[f64]) -> usize) {
+        let mut reads = 0;
         for (k, &tile) in tiles.iter().enumerate() {
-            self.tile(tile, |image| f(k, image));
+            reads += self.tile(tile, |image| f(k, image));
         }
+        self.store.base.stats().add_coeff_reads(reads as u64);
     }
 }
 
@@ -340,11 +341,12 @@ impl<M: TilingMap, S: BlockStore> CoeffRead for &PinnedSnapshot<'_, M, S> {
         self.get(tile, slot)
     }
 
-    fn with_tiles(&mut self, tiles: &[usize], reads: usize, mut f: impl FnMut(usize, &[f64])) {
-        self.store.base.stats().add_coeff_reads(reads as u64);
+    fn with_tiles(&mut self, tiles: &[usize], mut f: impl FnMut(usize, &[f64]) -> usize) {
+        let mut reads = 0;
         for (k, &tile) in tiles.iter().enumerate() {
-            self.tile(tile, |image| f(k, image));
+            reads += self.tile(tile, |image| f(k, image));
         }
+        self.store.base.stats().add_coeff_reads(reads as u64);
     }
 }
 

@@ -9,7 +9,7 @@
 //! `|distinct tiles|` — the batching analogue of the paper's tiling
 //! argument.
 
-use ss_core::reconstruct::{self, Contributions, LocatedPlan};
+use ss_core::reconstruct::{self, Contributions, LocatedPlans};
 use ss_core::tiling::TileSlot;
 use ss_core::TilingMap;
 use ss_storage::CoeffRead;
@@ -82,14 +82,19 @@ struct Visit {
 
 /// [`execute_plans`] with each answer's per-tile partial sums exposed.
 ///
-/// The pipeline walks **tiles, not terms**. Each plan is located once: a
-/// product plan on a product tiling through its per-axis lists
-/// ([`LocatedPlan`]: its tiles ascending, each tile's members in
-/// ascending slot order, no term built), any other plan by locating its
-/// own terms and stable-sorting them by `(tile, slot)`. Every plan's
-/// visits are then sorted by tile, and each tile the sweep touches is
-/// entered once ([`CoeffRead::with_tiles`]), where every plan that visits
-/// it folds its members.
+/// The pipeline walks **tiles, not terms**, through one set of tables
+/// per sweep: every plan's members go into one `members` arena, sized for
+/// the whole sweep, and its tiles into one `visits` list. A product plan
+/// on a product tiling is located through its per-axis lists into the
+/// sweep's [`LocatedPlans`] (its tiles ascending, each tile's members in
+/// ascending slot order, no term built); any other plan — and one whose
+/// list repeats an index — locates its own terms and stable-sorts them by
+/// `(tile, slot)`. The visits are then sorted by `(tile, plan)` — a plan
+/// enters each tile at most once, so the keys are distinct and this is
+/// the order a stable sort by tile gives — and each tile the sweep
+/// touches is entered once ([`CoeffRead::with_tiles`]), where every plan
+/// that visits it folds its members and the sweep counts the tile's
+/// distinct slots.
 ///
 /// The canonical accumulation order is **per-tile decomposed**: within a
 /// tile, a plan's contributions fold left in ascending slot order (and,
@@ -113,21 +118,23 @@ pub fn execute_plans_tiled<'a, C: CoeffRead>(
     // batch's tile-fetch events then nest under this span.
     let _trace_span = ss_obs::trace::scoped("query.execute");
     let map = cs.map();
+    let plans: Vec<&Contributions> = plans.into_iter().collect();
+    let terms = plans.iter().map(|plan| plan.len()).sum();
+    let mut members: Vec<(usize, f64)> = Vec::with_capacity(terms);
     let mut visits: Vec<Visit> = Vec::new();
-    let mut members: Vec<(usize, f64)> = Vec::new();
+    let mut results: Vec<PlanTiles> = Vec::with_capacity(plans.len());
+    let mut product = LocatedPlans::default();
     let mut located: Vec<(usize, usize, f64)> = Vec::new();
-    let mut queries = 0;
-    for plan in plans {
-        let q = queries;
-        queries += 1;
-        if plan.is_empty() {
-            continue;
-        }
-        if let (Some(axes), Some(per_axis)) = (map.axis_tilings(), plan.per_axis()) {
-            let plan = LocatedPlan::new(axes, per_axis);
-            plan.destinations(|tile, at| {
+    for (q, plan) in plans.iter().enumerate() {
+        let visited = visits.len();
+        let by_axis = match (map.axis_tilings(), plan.per_axis()) {
+            (Some(axes), Some(per_axis)) if !plan.is_empty() => product.locate(axes, per_axis),
+            _ => false,
+        };
+        if by_axis {
+            product.destinations(|tile, at| {
                 let start = members.len();
-                plan.for_each_member(at, |slot, w| members.push((slot, w)));
+                product.for_each_member(at, |slot, w| members.push((slot, w)));
                 let end = members.len();
                 visits.push(Visit {
                     tile,
@@ -156,43 +163,30 @@ pub fn execute_plans_tiled<'a, C: CoeffRead>(
                 });
             }
         }
+        results.push(PlanTiles {
+            value: 0.0,
+            tiles: Vec::with_capacity(visits.len() - visited),
+        });
     }
-    // Stable: inside a tile the plans stay in batch order.
-    visits.sort_by_key(|v| v.tile);
-    let mut tiles: Vec<usize> = Vec::new();
-    let mut reads = 0;
+    visits.sort_unstable_by_key(|v| (v.tile, v.plan));
+    let mut tiles: Vec<usize> = visits.iter().map(|v| v.tile).collect();
+    tiles.dedup();
     // The ordinal in `tiles` of the last tile that read each slot.
     let mut seen = vec![usize::MAX; map.block_capacity()];
-    for in_tile in visits.chunk_by(|a, b| a.tile == b.tile) {
-        let k = tiles.len();
-        tiles.push(in_tile[0].tile);
-        for v in in_tile {
-            for &(slot, _) in &members[v.start..v.end] {
-                if seen[slot] != k {
-                    seen[slot] = k;
-                    reads += 1;
-                }
-            }
-        }
-    }
-    let mut results = vec![
-        PlanTiles {
-            value: 0.0,
-            tiles: Vec::new(),
-        };
-        queries
-    ];
     let mut pending = visits.iter().peekable();
-    cs.with_tiles(&tiles, reads, |k, blk| {
+    cs.with_tiles(&tiles, |k, blk| {
+        let mut reads = 0;
         while let Some(v) = pending.next_if(|v| v.tile == tiles[k]) {
-            let mut terms = members[v.start..v.end]
-                .iter()
-                .map(|&(slot, w)| w * blk[slot]);
+            let mut terms = members[v.start..v.end].iter().map(|&(slot, w)| {
+                reads += usize::from(std::mem::replace(&mut seen[slot], k) != k);
+                w * blk[slot]
+            });
             let first = terms.next().expect("a visit holds a member");
             let partial = terms.fold(first, |p, x| p + x);
             results[v.plan].tiles.push((v.tile, partial));
             results[v.plan].value += partial;
         }
+        reads
     });
     ss_obs::global()
         .counter("query.batch_distinct_tiles")
@@ -490,6 +484,55 @@ mod tests {
             let mut cold = |_: &mut _| snapshots.base().pool().clear();
             let pinned_what = format!("{what}, pinned");
             same_as_reference(&mut pinned, &stats, &plans, &mut cold, &pinned_what);
+        }
+    }
+
+    /// How a sweep is cut and ordered changes no answer: one seeded mix
+    /// of point, range, `partial` and empty plans at ranks 1–4, run in
+    /// sweeps of 1, 2, 7, 32, 64 and 65 plans, forwards and reversed,
+    /// gives every plan the oracle's `value` and `tiles` bit for bit — the
+    /// unstable `(tile, plan)` sort cannot leak the batch into an answer.
+    #[test]
+    fn batch_composition_changes_no_answer() {
+        for d in 1..=4usize {
+            let mut rng = SplitMix64::new(0xBA7C + d as u64);
+            let top = if d <= 2 { 3 } else { 2 };
+            let n: Vec<u32> = (0..d).map(|_| 2 + rng.below(top) as u32).collect();
+            let b: Vec<u32> = (0..d).map(|_| 1 + rng.below(2) as u32).collect();
+            let map = StandardTiling::new(&n, &b);
+            let dims: Vec<usize> = n.iter().map(|&nt| 1usize << nt).collect();
+            let mut cs = mem_store(map, 1 << 10, IoStats::new());
+            for idx in MultiIndexIter::new(&dims) {
+                cs.write(&idx, weight(&mut rng) * 3.0);
+            }
+            let plans = mixed_plans(&mut rng, &n, 65);
+            let want = execute_plans_tiled_reference(&mut cs, &plans);
+            let touched: std::collections::BTreeSet<usize> = want
+                .iter()
+                .flat_map(|r| r.tiles.iter().map(|&(t, _)| t))
+                .collect();
+            assert!(touched.len() > 4, "rank {d}: {} tiles", touched.len());
+            let bits = |r: &PlanTiles| -> (u64, Vec<(usize, u64)>) {
+                let tiles = r.tiles.iter().map(|&(t, p)| (t, p.to_bits())).collect();
+                (r.value.to_bits(), tiles)
+            };
+            let reversed: Vec<Contributions> = plans.iter().rev().cloned().collect();
+            for cut in [1, 2, 7, 32, 64, 65] {
+                let mut forwards: Vec<PlanTiles> = Vec::new();
+                for sweep in plans.chunks(cut) {
+                    forwards.extend(execute_plans_tiled(&mut cs, sweep));
+                }
+                let mut backwards: Vec<PlanTiles> = Vec::new();
+                for sweep in reversed.chunks(cut) {
+                    backwards.extend(execute_plans_tiled(&mut cs, sweep));
+                }
+                backwards.reverse();
+                for (q, w) in want.iter().enumerate() {
+                    let what = format!("rank {d}, sweeps of {cut}, plan {q}");
+                    assert_eq!(bits(&forwards[q]), bits(w), "{what}");
+                    assert_eq!(bits(&backwards[q]), bits(w), "{what}, reversed");
+                }
+            }
         }
     }
 

@@ -30,7 +30,7 @@
 //! | Front | Evaluation | Reads |
 //! |---|---|---|
 //! | generic: [`point_standard`], [`range_sum_standard`], [`point_nonstandard`], [`range_sum_nonstandard`] | plan-order sum: `Σ w · read(idx)` as the plan lists its terms | one `read` per term, `≈ Π ceil(n_t/b_t)` tiles |
-//! | canonical: [`execute_plans_tiled`] — [`batch_points`], [`batch_range_sums`], `ss-serve`'s served and routed answers | tile-major **locate → walk tiles → fold**: a standard plan located per axis ([`ss_core::reconstruct::LocatedPlan`]), a flat one term by term; per-tile partials in `(tile, slot)` order, then the partials in ascending tile order; independent of batch composition, thread and store, so sharded merges are exact | every tile entered once per batch, every `(tile, slot)` counted once |
+//! | canonical: [`execute_plans_tiled`] — [`batch_points`], [`batch_range_sums`], `ss-serve`'s served and routed answers | tile-major **locate → walk tiles → fold** through one set of tables per sweep: every standard plan located per axis into the sweep's [`ss_core::reconstruct::LocatedPlans`], a flat one (or a list that repeats an index) term by term, all members in one arena; visits sorted by `(tile, plan)` (distinct keys: a stable tile sort's order); per-tile partials in `(tile, slot)` order, then the partials in ascending tile order; independent of batch composition, thread and store, so sharded merges are exact | every tile entered once per sweep, every `(tile, slot)` counted once, in the fold pass; a shared store adds its pool hits once per sweep |
 //! | fast: [`point_standard_fast`], [`range_sum_standard_fast`] (and [`point_nonstandard_fast`]) | one tile per dyadic piece through the materialised scaling slots ([`scalings`]); a point is the level-0 piece | one block per piece |
 
 // Axis-indexed loops over several parallel per-axis arrays are the clearest

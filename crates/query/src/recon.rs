@@ -103,11 +103,12 @@ impl GatherWindow {
     /// Copies the window's slots into `gathered` and empties it.
     fn gather<C: CoeffRead>(&mut self, cs: &mut C, gathered: &mut [f64]) {
         let GatherWindow { tiles, ends, pairs } = self;
-        cs.with_tiles(tiles, pairs.len(), |k, blk| {
+        cs.with_tiles(tiles, |k, blk| {
             let start = if k == 0 { 0 } else { ends[k - 1] };
             for &(slot, at) in &pairs[start..ends[k]] {
                 gathered[at] = blk[slot];
             }
+            ends[k] - start
         });
         tiles.clear();
         ends.clear();

@@ -40,13 +40,16 @@ pub trait CoeffRead {
     fn read_at(&mut self, tile: usize, slot: usize) -> f64;
 
     /// Runs `f(k, block)` over each tile `tiles[k]`, in order, one pool
-    /// access per tile, counting `reads` coefficient reads in all — the
-    /// slots `f` copies out. The tile-major gather of a partial
-    /// reconstruction reads each tile of its envelope through this once,
-    /// and a query sweep each tile its plans touch;
-    /// the exclusive store moves runs of adjacent missed tiles in one
-    /// transfer ([`ShardedBufferPool::with_blocks_mut`](crate::ShardedBufferPool::with_blocks_mut)).
-    fn with_tiles(&mut self, tiles: &[usize], reads: usize, f: impl FnMut(usize, &[f64]));
+    /// access per tile; `f` returns the coefficient reads it made in the
+    /// tile (the distinct slots it took), counted once, after the walk.
+    /// The tile-major gather of a partial reconstruction reads each tile
+    /// of its envelope through this once, and a query sweep each tile its
+    /// plans touch; the exclusive store moves runs of adjacent missed
+    /// tiles in one transfer
+    /// ([`ShardedBufferPool::with_blocks_mut`](crate::ShardedBufferPool::with_blocks_mut)),
+    /// the shared one counts its pool hits once per call
+    /// ([`ShardedBufferPool::with_blocks`](crate::ShardedBufferPool::with_blocks)).
+    fn with_tiles(&mut self, tiles: &[usize], f: impl FnMut(usize, &[f64]) -> usize);
 }
 
 impl<M: TilingMap, S: BlockStore> CoeffRead for CoeffStore<M, S> {
@@ -64,10 +67,11 @@ impl<M: TilingMap, S: BlockStore> CoeffRead for CoeffStore<M, S> {
         CoeffStore::read_at(self, tile, slot)
     }
 
-    fn with_tiles(&mut self, tiles: &[usize], reads: usize, mut f: impl FnMut(usize, &[f64])) {
-        self.stats().add_coeff_reads(reads as u64);
+    fn with_tiles(&mut self, tiles: &[usize], mut f: impl FnMut(usize, &[f64]) -> usize) {
+        let mut reads = 0;
         self.pool()
-            .with_blocks_mut(tiles, false, |k, blk| f(k, blk));
+            .with_blocks_mut(tiles, false, |k, blk| reads += f(k, blk));
+        self.stats().add_coeff_reads(reads as u64);
     }
 }
 
@@ -87,11 +91,10 @@ impl<M: TilingMap, S: BlockStore> CoeffRead for &SharedCoeffStore<M, S> {
         self.pool().read(tile, slot)
     }
 
-    fn with_tiles(&mut self, tiles: &[usize], reads: usize, mut f: impl FnMut(usize, &[f64])) {
+    fn with_tiles(&mut self, tiles: &[usize], mut f: impl FnMut(usize, &[f64]) -> usize) {
+        let mut reads = 0;
+        self.pool().with_blocks(tiles, |k, blk| reads += f(k, blk));
         self.stats().add_coeff_reads(reads as u64);
-        for (k, &tile) in tiles.iter().enumerate() {
-            self.pool().with_block(tile, false, |blk| f(k, blk));
-        }
     }
 }
 

@@ -65,7 +65,8 @@
 //!
 //! Every shard keeps local hit/miss/eviction/write-back counters (read
 //! them with [`ShardedBufferPool::shard_counters`]) and mirrors each event
-//! into the shared [`IoStats`], where the totals appear in
+//! into the shared [`IoStats`] ([`ShardedBufferPool::with_blocks`] adds a
+//! call's hits at once), where the totals appear in
 //! [`IoSnapshot`](crate::IoSnapshot) next to the block/coefficient
 //! counters the experiments report. Every access also emits a
 //! `tile_fetch` trace event when the calling thread is inside a traced
@@ -80,6 +81,7 @@ use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::sync::{LockResult, TryLockError, TryLockResult};
@@ -98,6 +100,32 @@ pub struct ShardCounters {
     /// Dirty frames written back (eviction or flush).
     pub writebacks: u64,
 }
+
+/// The hash of a block id — the only key the frame table and the busy
+/// set hold — as one multiply: the ids are small integers below the
+/// store's block count, so SipHash's flood resistance buys nothing on a
+/// path every tile access takes. The product's high bits, the well mixed
+/// ones, are rotated down to where the table picks its bucket, so ids
+/// that share their low bits (a shard holds one residue class) still
+/// spread over the whole table.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("block ids hash through write_usize");
+    }
+
+    fn write_usize(&mut self, id: usize) {
+        self.0 = (id as u64).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type ById = BuildHasherDefault<IdHasher>;
 
 struct Frame {
     data: Vec<f64>,
@@ -119,11 +147,11 @@ struct Frame {
 /// would pick — at amortised `O(log frames)` instead of `O(frames)`.
 #[derive(Default)]
 struct Shard {
-    frames: HashMap<usize, Frame>,
+    frames: HashMap<usize, Frame, ById>,
     /// Block ids with store I/O in flight (miss load or eviction
     /// write-back). A block in `busy` is never in `frames`; threads that
     /// need it wait on the slot's condvar instead of loading it twice.
-    busy: HashSet<usize>,
+    busy: HashSet<usize, ById>,
     /// `(last-use stamp, block id)` per slab slot; only the slots of
     /// cached frames are live.
     slots: Vec<(u64, usize)>,
@@ -143,9 +171,16 @@ impl Shard {
     /// the access is counted, the frame gets the newest LRU stamp (and the
     /// dirty bit when `mutate`) and its data is returned.
     fn hit(&mut self, id: usize, mutate: bool, stats: &IoStats) -> Option<&mut [f64]> {
+        let data = self.touch(id, mutate)?;
+        stats.add_pool_hits(1);
+        Some(data)
+    }
+
+    /// [`hit`](Self::hit) counted in the shard only: the caller adds it
+    /// to the global `pool_hits`.
+    fn touch(&mut self, id: usize, mutate: bool) -> Option<&mut [f64]> {
         let frame = self.frames.get_mut(&id)?;
         self.counters.hits += 1;
-        stats.add_pool_hits(1);
         tile_fetch(id, true);
         self.clock += 1;
         self.slots[frame.slot].0 = self.clock;
@@ -624,6 +659,30 @@ impl<S: BlockStore> ShardedBufferPool<S> {
     /// module docs); only the in-memory closure runs under it.
     pub fn with_block<R>(&self, id: usize, mutate: bool, f: impl FnOnce(&mut [f64]) -> R) -> R {
         self.enter(id, mutate, true, f)
+    }
+
+    /// The shared discipline's read of many blocks: runs `f(k, block)`
+    /// for each `ids[k]`, in order, each access a
+    /// [`with_block`](Self::with_block) — one shard lock, the same hit
+    /// stamps, shard counters and miss path — except that the hits go
+    /// into the shared [`IoStats`] once, at the end of the call, so
+    /// concurrent readers do not pass its counter line between cores
+    /// once per tile (a miss takes the hits before it along).
+    pub fn with_blocks(&self, ids: &[usize], mut f: impl FnMut(usize, &[f64])) {
+        let mut hits = 0;
+        for (k, &id) in ids.iter().enumerate() {
+            let mut shard = self.lock_slot(&self.shards[self.shard_of(id)]);
+            if let Some(data) = shard.touch(id, false) {
+                f(k, data);
+                hits += 1;
+                continue;
+            }
+            drop(shard);
+            // Counted before the miss, whose failed transfer panics.
+            self.stats.add_pool_hits(std::mem::take(&mut hits));
+            self.enter(id, false, true, |blk| f(k, blk));
+        }
+        self.stats.add_pool_hits(hits);
     }
 
     /// Installs `data` as block `id`'s whole image without reading the

@@ -23,15 +23,24 @@
 //! the first id whose `f` did not run. The results and the stored blocks
 //! must equal the fault-free run bit for bit, and every block write the
 //! store acknowledged must be a counted pool write-back.
+//!
+//! Concurrent query sweeps through `&SharedCoeffStore` (whose hits reach
+//! the shared `IoStats` once per call) must still count every access and
+//! every distinct coefficient exactly once.
 
+use shiftsplit::core::reconstruct::{self, Contributions};
+use shiftsplit::core::{StandardTiling, TilingMap};
 use shiftsplit::datagen::SplitMix64;
+use shiftsplit::query::{execute_plans_tiled, PlanTiles};
 use shiftsplit::storage::{
     downcast_storage_error, BlockStore, FaultConfig, FaultInjectingBlockStore, IoStats,
-    MemBlockStore, ShardCounters, ShardedBufferPool, StorageError,
+    MemBlockStore, ShardCounters, ShardedBufferPool, SharedCoeffStore, StorageError,
+    ThrottledBlockStore,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, Once};
+use std::time::Duration;
 
 const BLOCKS: usize = 24;
 const CAPACITY: usize = 4;
@@ -618,4 +627,132 @@ fn faulty_stores_end_with_the_fault_free_contents() {
             }
         }
     }
+}
+
+/// A shared store over a 32 × 32 standard tiling in 4 × 4 tiles (64
+/// tiles, every block written), with a pool of `budget` frames in two
+/// shards over a device that sleeps on every block read.
+fn slow_shared_store(
+    budget: usize,
+    stats: &IoStats,
+) -> SharedCoeffStore<StandardTiling, ThrottledBlockStore<MemBlockStore>> {
+    let map = StandardTiling::new(&[5, 5], &[2, 2]);
+    let capacity = map.block_capacity();
+    let mut mem = MemBlockStore::new(capacity, map.num_tiles(), stats.clone());
+    for id in 0..map.num_tiles() {
+        let image: Vec<f64> = (0..capacity)
+            .map(|slot| (id * capacity + slot) as f64 * 0.25 - 7.0)
+            .collect();
+        mem.write_block(id, &image);
+    }
+    stats.reset();
+    let store = ThrottledBlockStore::symmetric(mem, Duration::from_micros(20));
+    SharedCoeffStore::new(map, store, budget, 2, stats.clone())
+}
+
+/// A sweep of 1–6 plans: points and ranges (product form) near a few hot
+/// cells, so sweeps share tiles, and flat `partial` lists with repeats.
+fn random_sweep(rng: &mut SplitMix64) -> Vec<Contributions> {
+    let hot = [[3usize, 5], [17, 30], [28, 9]];
+    let near = |rng: &mut SplitMix64| -> Vec<usize> {
+        let at = hot[rng.below(hot.len())];
+        at.iter().map(|&i| (i + rng.below(4)).min(31)).collect()
+    };
+    (0..1 + rng.below(6))
+        .map(|_| match rng.below(3) {
+            0 => reconstruct::standard_point_contributions(&[5, 5], &near(rng)),
+            1 => {
+                let lo = near(rng);
+                let hi: Vec<usize> = lo.iter().map(|&l| l + rng.below(32 - l)).collect();
+                reconstruct::standard_range_sum_contributions(&[5, 5], &lo, &hi)
+            }
+            _ => {
+                let mut plan = Contributions::with_capacity(2, 8);
+                for _ in 0..1 + rng.below(8) {
+                    let idx = [rng.below(32), rng.below(32)];
+                    plan.push(&idx, rng.range(-2.0, 2.0));
+                    if rng.below(3) == 0 {
+                        plan.push(&idx, -1.0);
+                    }
+                }
+                plan
+            }
+        })
+        .collect()
+}
+
+fn answer_bits(results: &[PlanTiles]) -> Vec<(u64, Vec<(usize, u64)>)> {
+    let tiles = |r: &PlanTiles| r.tiles.iter().map(|&(t, p)| (t, p.to_bits())).collect();
+    results
+        .iter()
+        .map(|r| (r.value.to_bits(), tiles(r)))
+        .collect()
+}
+
+/// Three threads run seeded sweeps through `&SharedCoeffStore` on a pool
+/// of 6 frames for 64 tiles, over a device slow enough that two sweeps
+/// often want a block while it loads (one of them then waits on the busy
+/// mark); hits and misses both happen. Whatever the interleaving, the
+/// shard hits sum to the global `pool_hits`, every
+/// sweep's distinct tiles are one hit or one miss each, and `coeff_reads`
+/// is the sweeps' distinct `(tile, slot)` pairs; every answer equals the
+/// one a serial run of the same sweep gave.
+#[test]
+fn concurrent_sweeps_count_every_access_once() {
+    let sweeps: Vec<Vec<Vec<Contributions>>> = (0..3u64)
+        .map(|thread| {
+            let mut rng = SplitMix64::new(0x5EE9 + thread);
+            (0..40).map(|_| random_sweep(&mut rng)).collect()
+        })
+        .collect();
+    let serial_stats = IoStats::new();
+    let serial = slow_shared_store(6, &serial_stats);
+    let want: Vec<Vec<_>> = sweeps
+        .iter()
+        .map(|list| {
+            let run = |plans: &Vec<Contributions>| execute_plans_tiled(&mut &serial, plans);
+            list.iter().map(|plans| answer_bits(&run(plans))).collect()
+        })
+        .collect();
+
+    let stats = IoStats::new();
+    let shared = slow_shared_store(6, &stats);
+    let (mut tiles, mut coefficients) = (0, 0);
+    for plans in sweeps.iter().flatten() {
+        let mut seen = BTreeSet::new();
+        for plan in plans {
+            plan.for_each_term(|idx, _| {
+                let at = shared.map().locate(idx);
+                seen.insert((at.tile, at.slot));
+            });
+        }
+        coefficients += seen.len() as u64;
+        tiles += seen.iter().map(|&(t, _)| t).collect::<BTreeSet<_>>().len() as u64;
+    }
+    let start = std::sync::Barrier::new(sweeps.len());
+    std::thread::scope(|scope| {
+        for (list, want) in sweeps.iter().zip(&want) {
+            let (shared, start) = (&shared, &start);
+            scope.spawn(move || {
+                start.wait();
+                for (s, (plans, want)) in list.iter().zip(want).enumerate() {
+                    let got = execute_plans_tiled(&mut { shared }, plans);
+                    assert_eq!(&answer_bits(&got), want, "sweep {s}");
+                }
+            });
+        }
+    });
+    let snap = stats.snapshot();
+    let counters = shared.pool().shard_counters();
+    let hits: u64 = counters.iter().map(|c| c.hits).sum();
+    let misses: u64 = counters.iter().map(|c| c.misses).sum();
+    assert!(hits > 0 && misses > 0, "{hits} hits, {misses} misses");
+    assert_eq!(hits, snap.pool_hits, "shard hits vs pool_hits");
+    assert_eq!(misses, snap.pool_misses, "shard misses vs pool_misses");
+    assert_eq!(
+        snap.pool_hits + snap.pool_misses,
+        tiles,
+        "one access per tile"
+    );
+    assert_eq!(snap.coeff_reads, coefficients, "one read per (tile, slot)");
 }
