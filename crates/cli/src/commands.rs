@@ -55,16 +55,6 @@ impl From<CmdError> for String {
     }
 }
 
-/// Publishes which compute kernel this binary was built with
-/// (`kernel.lanes` gauge; 1 = scalar) so `--metrics-json` rows and the
-/// metrics endpoint label their numbers with the build that produced
-/// them.
-fn report_kernel() {
-    ss_obs::global()
-        .gauge("kernel.lanes")
-        .set(ss_core::kernel::lanes() as u64);
-}
-
 /// Parses the fault-injection/retry flags shared by `ingest`:
 /// `--fault-read P --fault-write P --fault-seed S --retries N`. Returns
 /// `None` when none are present (the unwrapped fast path).
@@ -166,21 +156,13 @@ fn run_v3_conversion(path: &Path, policy: RetentionPolicy) -> Result<(), String>
     Ok(())
 }
 
-/// `--mode exact|merged` for the group-commit paths (default `exact`).
-fn flush_mode(args: &Args) -> Result<FlushMode, String> {
-    match args.flag_opt("mode") {
-        Some(m) => FlushMode::parse(m).ok_or(format!("bad --mode: {m} (exact|merged)")),
-        None => Ok(FlushMode::Exact),
-    }
-}
-
 /// One ingest run over whatever block-device stack `ingest` built:
 /// per-chunk, or group-committed (`coalesce`). Storage failures come back
 /// typed; the `String` is the outcome line to print.
 fn run_ingest<S: BlockStore>(
     mut store: CoeffStore<StandardTiling, S>,
     src: &ArraySource,
-    coalesce: Option<(usize, FlushMode)>,
+    coalesce: Option<usize>,
 ) -> Result<(CoeffStore<StandardTiling, S>, String), StorageError> {
     ss_transform::try_transform(move || {
         let outcome = match coalesce {
@@ -188,17 +170,16 @@ fn run_ingest<S: BlockStore>(
                 let r = ss_transform::transform_standard(src, &mut store, false);
                 format!("ingested {} cells in {} chunks", r.input_coeffs, r.chunks)
             }
-            Some((group, mode)) => {
-                let r = ss_maintain::transform_standard_coalesced(src, &mut store, group, mode);
+            Some(group) => {
+                let r = ss_maintain::transform_standard_coalesced(src, &mut store, group);
                 format!(
                     "ingested {} cells in {} chunks with {} group flushes \
-                     ({} tiles written, coalescing ratio {:.2}, {} kernel)",
+                     ({} tiles written, coalescing ratio {:.2})",
                     r.input_coeffs,
                     r.chunks,
                     r.flushes,
                     r.flush.tiles_written,
-                    r.flush.coalescing_ratio(),
-                    ss_core::kernel::name()
+                    r.flush.coalescing_ratio()
                 )
             }
         };
@@ -207,7 +188,7 @@ fn run_ingest<S: BlockStore>(
 }
 
 /// `ingest <store> --data values.csv [--chunk a,b,…]
-/// [--coalesce N [--mode exact|merged]]
+/// [--coalesce N]
 /// [--format v3 [--threshold ε | --topk K]]
 /// [--fault-read P] [--fault-write P] [--fault-seed S] [--retries N]
 /// [--metrics-out FILE] [--metrics-port N]`
@@ -215,8 +196,7 @@ fn run_ingest<S: BlockStore>(
 /// `--coalesce N` buffers the SHIFT-SPLIT delta streams of N consecutive
 /// chunks tile-major and group-commits them together (N = 0 buffers the
 /// whole ingest), writing split-path tiles once per group instead of once
-/// per chunk. `--mode` without `--coalesce` is a usage error: the
-/// per-chunk ingest has no group flush to choose a mode for.
+/// per chunk.
 ///
 /// `--format v3` rewrites the store into the sparse bucketed layout of
 /// `docs/FORMAT.md` §8 after the transform completes, optionally applying
@@ -229,11 +209,7 @@ pub fn ingest(args: &Args) -> Result<(), String> {
     let _server = metrics::maybe_serve(args)?;
     let path = args.pos(0, "store path")?;
     let v3_policy = v3_flags(args)?;
-    let mode = flush_mode(args)?;
-    let coalesce = args.get("coalesce")?.map(|group| (group, mode));
-    if coalesce.is_none() && args.flag_set("mode") {
-        return Err("--mode needs --coalesce: the per-chunk ingest has no group flush".into());
-    }
+    let coalesce = args.get("coalesce")?;
     let mut ws = WsFile::open(Path::new(path))?;
     if ws.sparse() {
         return Err(
@@ -268,9 +244,6 @@ pub fn ingest(args: &Args) -> Result<(), String> {
     };
     ws.meta.filled = dims[ws.meta.axis];
     ws.save_meta()?;
-    if coalesce.is_some() {
-        report_kernel();
-    }
     println!("{outcome}");
     let stats = ws.stats.clone();
     drop(ws);
@@ -327,7 +300,7 @@ pub fn extract(args: &Args) -> Result<(), String> {
 }
 
 /// `update <store> (--at a,b,… --dims a,b,… --data delta.csv |
-/// --batch boxes.txt) [--mode exact|merged]`
+/// --batch boxes.txt)`
 ///
 /// Buffers every box's SHIFT-SPLIT delta stream tile-major and
 /// group-commits it with one read-modify-write per dirty tile and a single
@@ -335,12 +308,10 @@ pub fn extract(args: &Args) -> Result<(), String> {
 /// FILE` reads one box per line (`at;dims;datafile`, relative data paths
 /// resolved against the batch file's directory) and commits them together
 /// instead of once per box. Every box is checked against the store before
-/// anything is buffered. `--mode merged` pre-sums deltas
-/// per coefficient (smallest flush, equal to exact only up to rounding;
-/// the default `exact` mode is bit-identical to one box at a time).
+/// anything is buffered. The result is bit-identical to applying the
+/// boxes one at a time.
 pub fn update(args: &Args) -> Result<(), String> {
     let path = args.pos(0, "store path")?;
-    let mode = flush_mode(args)?;
     let mut ws = WsFile::open(Path::new(path))?;
     let boxes = match args.flag_opt("batch") {
         Some(batch_file) => read_batch_file(Path::new(batch_file), &ws.meta)?,
@@ -354,19 +325,22 @@ pub fn update(args: &Args) -> Result<(), String> {
             )?]
         }
     };
-    let report = ss_maintain::update_boxes_standard(&mut ws.store, &ws.meta.levels, &boxes, mode);
-    report_kernel();
+    let report = ss_maintain::update_boxes_standard(
+        &mut ws.store,
+        &ws.meta.levels,
+        &boxes,
+        FlushMode::Exact,
+    );
     println!(
         "applied {} boxes as {} dyadic pieces ({} coefficients); \
          group flush wrote {} tiles for {} per-box tile touches \
-         (coalescing ratio {:.2}, {} kernel)",
+         (coalescing ratio {:.2})",
         boxes.len(),
         report.update.pieces,
         report.update.coeffs_touched,
         report.flush.tiles_written,
         report.flush.tile_touches,
-        report.flush.coalescing_ratio(),
-        ss_core::kernel::name()
+        report.flush.coalescing_ratio()
     );
     metrics::emit(args, &ws.stats)
 }
@@ -574,11 +548,6 @@ pub fn stats(args: &Args) -> Result<(), String> {
             .collect::<Vec<_>>()
     );
     println!("append  : axis {}, filled {}", ws.meta.axis, ws.meta.filled);
-    println!(
-        "kernel  : {} (lanes {})",
-        ss_core::kernel::name(),
-        ss_core::kernel::lanes()
-    );
     let disk = std::fs::metadata(ws.path()).map(|m| m.len()).unwrap_or(0);
     println!("on disk : {disk} bytes");
     if let Some(live) = ws.store.pool().store_mut().sparse_live_bytes() {
@@ -742,7 +711,7 @@ pub fn serve_metrics(args: &Args) -> Result<(), String> {
 }
 
 /// `serve <store> [--port N] [--workers W] [--batch B] [--requests K]
-/// [--addr-file FILE] [--writable [--wal FILE] [--mode exact|merged]]
+/// [--addr-file FILE] [--writable [--wal FILE]]
 /// [--router --shards a:p,b:p,… [--replicas N] [--bounds 0,c1,…,T]]
 /// [--slow-ms T] [--trace-out FILE | --trace-ring] [--metrics-port N]`
 ///
@@ -761,8 +730,6 @@ pub fn serve_metrics(args: &Args) -> Result<(), String> {
 /// write-ahead log (`--wal`, default `<store>.wal`) *before* it becomes
 /// visible, commits left in the log by a crash are replayed on startup,
 /// and a clean shutdown checkpoints the store and truncates the log.
-/// `--mode` picks the commit flush and so needs `--writable` or
-/// `--router`; a read-only server refuses it.
 ///
 /// Introspection: `--trace-out FILE` records every request's spans and
 /// the commit pipeline's epoch-tagged events as `ss-trace-v1` JSON lines
@@ -788,12 +755,6 @@ pub fn serve(args: &Args) -> Result<(), String> {
         return Err("--slow-ms must be a non-negative number".into());
     }
     let slow_ns = slow_ms.map(|ms| (ms * 1e6) as u64);
-    let mode = flush_mode(args)?;
-    if args.flag_set("mode") && !args.flag_set("writable") && !args.flag_set("router") {
-        return Err(
-            "--mode needs --writable or --router: a read-only server commits nothing".into(),
-        );
-    }
     // Tracing goes live before the listener so even the first request is
     // covered; `--trace-out` implies the ring too (trace-dump reads the
     // file, `stats --watch` style tooling reads the ring).
@@ -834,9 +795,8 @@ pub fn serve(args: &Args) -> Result<(), String> {
             topo.shard_map().replicas(),
             topo.shard_map().bounds()
         );
-        let server =
-            ss_serve::QueryServer::bind_router(&bind_addr, tiling, levels, topo, mode, config)
-                .map_err(|e| e.to_string())?;
+        let server = ss_serve::QueryServer::bind_router(&bind_addr, tiling, levels, topo, config)
+            .map_err(|e| e.to_string())?;
         (server, None)
     } else if writable {
         let (shared, wal, replayed) = open_wal_and_replay(args, path, shared)?;
@@ -855,7 +815,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
             &bind_addr,
             std::sync::Arc::clone(&snap),
             levels,
-            mode,
+            FlushMode::Exact,
             config,
         )
         .map_err(|e| e.to_string())?;

@@ -34,7 +34,7 @@ USAGE:
 
 COMMANDS:
   create  <store> --levels a,b,…   create an empty store (log2 sizes)
-  ingest  <store> --data FILE [--coalesce N [--mode exact|merged]]
+  ingest  <store> --data FILE [--coalesce N]
           [--format v3 [--threshold E | --topk K]]
           transform a full dataset into the store
           (--coalesce N group-commits every N chunks through the tile-major
@@ -48,13 +48,12 @@ COMMANDS:
   sum     <store> --lo … --hi …    range-sum query
   extract <store> --lo … --hi …    reconstruct a region
   update  <store> (--at … --dims … --data FILE | --batch FILE)
-          [--mode exact|merged]   add delta boxes
+          add delta boxes
           (one box, or a file of one box per line `at;dims;datafile`;
           every box is checked against the store, then buffered
           tile-major and group-committed — one read-modify-write per
-          dirty tile and one durability flush for the whole batch;
-          exact mode is bit-identical to applying the boxes one by one,
-          merged pre-sums per coefficient)
+          dirty tile and one durability flush for the whole batch,
+          bit-identical to applying the boxes one by one)
   append  <store> --extent N --data FILE        append along the grow axis
           (dense stores only; v3 stores must be re-ingested to grow)
   scrub   <store>                  verify every block against its CRC-32
@@ -66,7 +65,7 @@ COMMANDS:
   asksyn  <F> --at …|--lo …--hi …  approximate queries from a synopsis
   stream  --data FILE --k K        best-K synopsis of a value stream
   serve   <store> [--port N] [--workers W] [--batch B] [--requests K]
-          [--addr-file F] [--writable [--wal F] [--mode exact|merged]]
+          [--addr-file F] [--writable [--wal F]]
           [--slow-ms T] [--trace-out F | --trace-ring] [--metrics-port N]
           serve point/sum queries over TCP
           (line-delimited JSON; each connection executes its own
@@ -162,19 +161,19 @@ use Handler::{Coded, Usage};
 #[rustfmt::skip]
 const COMMANDS: &[(&str, &str, Handler)] = &[
     ("create", "levels tiles axis", Usage(commands::create)),
-    ("ingest", "data chunk coalesce mode format threshold topk \
+    ("ingest", "data chunk coalesce format threshold topk \
                 fault-read fault-write fault-seed retries metrics-port", Usage(commands::ingest)),
     ("point", "", Usage(commands::point)),
     ("sum", "lo hi", Usage(commands::sum)),
     ("extract", "lo hi out", Usage(commands::extract)),
-    ("update", "at dims data batch mode", Usage(commands::update)),
+    ("update", "at dims data batch", Usage(commands::update)),
     ("append", "extent data", Usage(commands::append)),
     ("scrub", "", Coded(commands::scrub)),
     ("stats", "watch iterations interval-ms", Usage(commands::stats)),
     ("synopsis", "k out", Usage(commands::synopsis)),
     ("asksyn", "at lo hi", Usage(commands::query_synopsis)),
     ("stream", "data k buffer", Usage(commands::stream)),
-    ("serve", "port workers batch requests addr-file writable wal mode router shards \
+    ("serve", "port workers batch requests addr-file writable wal router shards \
                replicas bounds slow-ms trace-out trace-ring metrics-port", Usage(commands::serve)),
     ("shard-split", "shards replicas out", Usage(commands::shard_split)),
     ("wal-replay", "wal", Usage(commands::wal_replay)),
@@ -743,10 +742,6 @@ mod tests {
         .unwrap();
         let addr_file = dir.join("addr.txt");
         let addr_file_s = addr_file.to_str().unwrap().to_string();
-        // A read-only server commits nothing: `--mode` is a usage error.
-        let err = run(&to_args(&["serve", &store_s, "--mode", "merged"])).unwrap_err();
-        assert_eq!((err.code, err.usage), (1, true));
-        assert!(err.msg.contains("--mode"), "{}", err.msg);
         let points = [[0usize, 0], [7, 13], [15, 15], [3, 9]];
         // 4 point queries + 1 range sum = a budget of 5 responses.
         let serve_store = store_s.clone();
@@ -1009,14 +1004,12 @@ mod tests {
             let ws = crate::wsfile::WsFile::open(&store).unwrap();
             let stats = ws.stats.clone();
             let levels = ws.meta.levels.clone();
-            use ss_core::TilingMap as _;
             let (map, blocks) = ws.store.into_parts();
             let shared = ss_storage::SharedCoeffStore::new(map, blocks, 64, 2, stats);
             let (w, recs, _) = ss_maintain::Wal::open(&wal).unwrap();
             assert!(recs.is_empty());
             let snap = ss_maintain::SnapshotCoeffStore::new(shared, Some(w), 1);
-            let mut buf =
-                ss_maintain::DeltaBuffer::new(snap.map().block_capacity(), Default::default());
+            let mut buf = ss_maintain::DeltaBuffer::new();
             let delta = ss_array::NdArray::from_vec(ss_array::Shape::new(&[1, 1]), vec![2.0]);
             buf.add_box_standard(snap.map(), &levels, &[7, 7], &delta);
             snap.commit(&mut buf).unwrap();
@@ -1303,11 +1296,7 @@ mod tests {
             .collect();
         std::fs::write(&batch, format!("# three boxes\n\n{batch_text}")).unwrap();
         let mut stores = Vec::new();
-        for (name, batched) in [
-            ("serial", None),
-            ("batch", Some(&[][..])),
-            ("batch_merged", Some(&["--mode", "merged"][..])),
-        ] {
+        for (name, batched) in [("serial", false), ("batch", true)] {
             let store = dir.join(format!("{name}.ws"));
             let store_s = store.to_str().unwrap().to_string();
             run(&to_args(&[
@@ -1315,27 +1304,28 @@ mod tests {
             ]))
             .unwrap();
             run(&to_args(&["ingest", &store_s, "--data", &data])).unwrap();
-            match batched {
-                None => {
-                    for (at, dims, f) in &boxes {
-                        let df = dir.join(f);
-                        run(&to_args(&[
-                            "update",
-                            &store_s,
-                            "--at",
-                            at,
-                            "--dims",
-                            dims,
-                            "--data",
-                            df.to_str().unwrap(),
-                        ]))
-                        .unwrap();
-                    }
-                }
-                Some(extra) => {
-                    let mut args = vec!["update", &store_s, "--batch", batch.to_str().unwrap()];
-                    args.extend_from_slice(extra);
-                    run(&to_args(&args)).unwrap();
+            if batched {
+                run(&to_args(&[
+                    "update",
+                    &store_s,
+                    "--batch",
+                    batch.to_str().unwrap(),
+                ]))
+                .unwrap();
+            } else {
+                for (at, dims, f) in &boxes {
+                    let df = dir.join(f);
+                    run(&to_args(&[
+                        "update",
+                        &store_s,
+                        "--at",
+                        at,
+                        "--dims",
+                        dims,
+                        "--data",
+                        df.to_str().unwrap(),
+                    ]))
+                    .unwrap();
                 }
             }
             stores.push(store);
@@ -1349,47 +1339,6 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "batch cell ({r},{c}): {a} vs {b}");
             }
         }
-        // Merged mode: equal within rounding only.
-        let mut merged = crate::wsfile::WsFile::open(&stores[2]).unwrap();
-        for r in 0..16usize {
-            for c in 0..16usize {
-                let a = ss_query::point_standard(&mut serial.store, &serial.meta.levels, &[r, c]);
-                let b = ss_query::point_standard(&mut merged.store, &merged.meta.levels, &[r, c]);
-                assert!((a - b).abs() < 1e-9, "merged cell ({r},{c}): {a} vs {b}");
-            }
-        }
-        // A single box is a batch of one: `--at … --mode merged` leaves the
-        // files a one-line `--batch … --mode merged` leaves, byte for byte,
-        // and not those of `--mode exact` (non-dyadic deltas on a box cut
-        // into pieces round differently when pre-summed).
-        let d5 = dir.join("d5.csv");
-        std::fs::write(&d5, "0.1,0.2,0.3\n0.7,1.1,1.3\n0.3,0.9,2.2\n").unwrap();
-        let one_line = dir.join("one.txt");
-        std::fs::write(&one_line, "1,3;3,3;d5.csv\n").unwrap();
-        let (d5, one_line) = (d5.to_str().unwrap(), one_line.to_str().unwrap());
-        let at = ["--at", "1,3", "--dims", "3,3", "--data", d5];
-        let mut files = Vec::new();
-        for (name, how, mode) in [
-            ("at", &at[..], "merged"),
-            ("one_line", &["--batch", one_line][..], "merged"),
-            ("at_exact", &at[..], "exact"),
-        ] {
-            let store = dir.join(format!("{name}.ws"));
-            let store_s = store.to_str().unwrap().to_string();
-            run(&to_args(&[
-                "create", &store_s, "--levels", "4,4", "--tiles", "2,2",
-            ]))
-            .unwrap();
-            run(&to_args(&["ingest", &store_s, "--data", &data])).unwrap();
-            let mut args = vec!["update", &store_s];
-            args.extend_from_slice(how);
-            args.extend_from_slice(&["--mode", mode]);
-            run(&to_args(&args)).unwrap();
-            let read = |ext: &str| std::fs::read(format!("{store_s}{ext}")).unwrap();
-            files.push(["", ".crc", ".meta"].map(read));
-        }
-        assert!(files[0] == files[1], "single box and one-line batch differ");
-        assert!(files[0][0] != files[2][0], "--mode merged was ignored");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1426,20 +1375,51 @@ mod tests {
                 }
             }
         }
-        // `--mode` only picks a group flush: without `--coalesce` it, and
-        // a mode that does not exist, are usage errors, not ignored.
-        let store_s = stores[0].to_str().unwrap();
-        for extra in [
-            &["--mode", "merged"][..],
-            &["--mode", "bogus"],
-            &["--coalesce", "2", "--mode", "bogus"],
-        ] {
-            let mut args = vec!["ingest", store_s, "--data", &data];
-            args.extend_from_slice(extra);
-            let err = run(&to_args(&args)).unwrap_err();
-            assert_eq!((err.code, err.usage), (1, true), "{extra:?}");
-            assert!(err.msg.contains("--mode"), "{extra:?}: {}", err.msg);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_removed_mode_flag_is_a_usage_error() {
+        // The group flush has one mode, so `--mode` names nothing: every
+        // command that took it refuses it rather than ignoring it.
+        let dir = tmp_dir("no_mode");
+        let data = write_cube_csv(&dir, "d.csv", 16, 16);
+        let d1 = dir.join("d1.csv");
+        std::fs::write(&d1, "1,2\n3,4\n").unwrap();
+        let store = dir.join("s.ws");
+        let store_s = store.to_str().unwrap();
+        run(&to_args(&[
+            "create", store_s, "--levels", "4,4", "--tiles", "2,2",
+        ]))
+        .unwrap();
+        let at = [
+            "--at",
+            "1,1",
+            "--dims",
+            "2,2",
+            "--data",
+            d1.to_str().unwrap(),
+        ];
+        let ingest = [
+            "ingest",
+            store_s,
+            "--data",
+            data.as_str(),
+            "--coalesce",
+            "2",
+            "--mode",
+            "exact",
+        ];
+        let update = [&["update", store_s][..], &at, &["--mode", "merged"]].concat();
+        let serve = ["serve", store_s, "--writable", "--mode", "exact"];
+        for args in [&ingest[..], &update, &serve] {
+            let err = run(&to_args(args)).unwrap_err();
+            assert_eq!((err.code, err.usage), (1, true), "{args:?}");
+            assert!(err.msg.contains("--mode"), "{args:?}: {}", err.msg);
         }
+        // The same ingest and update without the flag go through.
+        run(&to_args(&ingest[..6])).unwrap();
+        run(&to_args(&[&["update", store_s][..], &at].concat())).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 

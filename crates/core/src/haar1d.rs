@@ -12,11 +12,7 @@
 //! `√2` instead; [`to_orthonormal`] / [`from_orthonormal`] rescale between
 //! the two so callers can rank coefficients by true L² energy.
 
-//! Both cascades run on the build-selected compute kernel
-//! ([`crate::kernel`]): the default scalar path, or the `std::simd` path
-//! under the `simd` cargo feature. The two are bit-identical —
-//! [`forward_scalar_with`] / [`inverse_scalar_with`] stay exported so
-//! tests can pin that down inside a single build.
+//! Both cascades run on the compute kernel of [`crate::kernel`].
 
 use crate::kernel;
 use crate::layout::Layout1d;
@@ -62,26 +58,6 @@ pub fn forward_with(data: &mut [f64], scratch: &mut Vec<f64>) {
     }
 }
 
-/// [`forward_with`] pinned to the scalar kernel regardless of the build —
-/// the reference side of the scalar/SIMD bit-identity tests.
-pub fn forward_scalar_with(data: &mut [f64], scratch: &mut Vec<f64>) {
-    let n = data.len();
-    assert!(
-        ss_array::is_pow2(n),
-        "haar1d::forward: length {n} not a power of two"
-    );
-    if scratch.len() < n / 2 {
-        scratch.resize(n / 2, 0.0);
-    }
-    let mut width = n;
-    while width > 1 {
-        let half = width / 2;
-        kernel::forward_level_scalar(data, scratch, half);
-        data[half..width].copy_from_slice(&scratch[..half]);
-        width = half;
-    }
-}
-
 /// In-place inverse Haar transform (unnormalised convention).
 ///
 /// Uses a thread-local scratch buffer; hot loops that already own one
@@ -109,26 +85,6 @@ pub fn inverse_with(data: &mut [f64], scratch: &mut Vec<f64>) {
     while width < n {
         let double = width * 2;
         kernel::inverse_level(data, scratch, width);
-        data[..double].copy_from_slice(&scratch[..double]);
-        width = double;
-    }
-}
-
-/// [`inverse_with`] pinned to the scalar kernel regardless of the build —
-/// the reference side of the scalar/SIMD bit-identity tests.
-pub fn inverse_scalar_with(data: &mut [f64], scratch: &mut Vec<f64>) {
-    let n = data.len();
-    assert!(
-        ss_array::is_pow2(n),
-        "haar1d::inverse: length {n} not a power of two"
-    );
-    if scratch.len() < n {
-        scratch.resize(n, 0.0);
-    }
-    let mut width = 1usize;
-    while width < n {
-        let double = width * 2;
-        kernel::inverse_level_scalar(data, scratch, width);
         data[..double].copy_from_slice(&scratch[..double]);
         width = double;
     }
@@ -255,31 +211,5 @@ mod tests {
     #[should_panic]
     fn rejects_non_power_of_two() {
         forward(&mut [1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn active_kernel_is_bit_identical_to_scalar() {
-        // Runs in both builds: trivially green on scalar, and the real
-        // scalar-vs-SIMD equivalence check when `--features simd`.
-        for n in [2usize, 8, 64, 1024, 4096] {
-            let data: Vec<f64> = (0..n)
-                .map(|i| ((i as f64) * 0.7).sin() * 1e3 + (i % 17) as f64)
-                .collect();
-            let mut active = data.clone();
-            let mut scalar = data;
-            let (mut s1, mut s2) = (Vec::new(), Vec::new());
-            forward_with(&mut active, &mut s1);
-            forward_scalar_with(&mut scalar, &mut s2);
-            assert!(active
-                .iter()
-                .zip(&scalar)
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
-            inverse_with(&mut active, &mut s1);
-            inverse_scalar_with(&mut scalar, &mut s2);
-            assert!(active
-                .iter()
-                .zip(&scalar)
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
-        }
     }
 }

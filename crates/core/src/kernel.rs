@@ -1,69 +1,15 @@
 //! The element-wise compute kernels behind every hot loop in the
-//! workspace — one scalar implementation, one lane-generic
-//! [`std::simd`] implementation, selected at **build time** by the
-//! `simd` cargo feature.
-//!
-//! # Why a kernel layer
+//! workspace.
 //!
 //! The Haar cascade is an O(N) butterfly: every level applies the same
 //! unnormalised average/difference pair `u = (a + b)/2`, `w = (a − b)/2`
 //! to independent element pairs, and the separable multidimensional
 //! forms apply that pair across whole *panels* of adjacent lines (see
 //! [`crate::standard`]). Those panels have unit-stride inner loops by
-//! construction, which is exactly the shape `std::simd` vectorises.
-//! Centralising the arithmetic here means `haar1d`, both
-//! multidimensional transforms, reconstruction and the maintenance
-//! engine's flush apply all pick up the vector build from one place —
-//! and that the scalar/SIMD equivalence argument has one paragraph to
-//! live in (docs/ERROR_MODEL.md §"Kernel equivalence").
-//!
-//! # Exactness
-//!
-//! Every function in this module performs the **same IEEE-754
-//! operations in the same per-element order** in both builds: the SIMD
-//! paths only regroup independent elements into lanes (additions never
-//! reassociate across elements) and the lane tails fall back to the
-//! scalar loop. Results are therefore **bit-identical** between the
-//! scalar and SIMD builds, for every lane width — the property the
-//! cross-build proptests in `haar1d`, `standard` and `nonstandard`
-//! pin down.
-//!
-//! # Build selection
-//!
-//! The `simd` feature requires a nightly toolchain (`portable_simd`).
-//! The default build is dependency-free stable Rust; [`name`] and
-//! [`lanes`] report which kernel a binary was built with so CLIs and
-//! experiment harnesses can label their output.
-
-#[cfg(feature = "simd")]
-use std::simd::{cmp::SimdPartialEq, Select, Simd};
-
-/// Default lane width of the SIMD build: `f64x8` spans one AVX-512
-/// register and lowers to two fused AVX2 ops elsewhere — measurably
-/// better than `f64x4` on both, and exact either way.
-#[cfg(feature = "simd")]
-pub const LANES: usize = 8;
-
-/// Which kernel this build runs: `"simd"` or `"scalar"`.
-pub const fn name() -> &'static str {
-    if cfg!(feature = "simd") {
-        "simd"
-    } else {
-        "scalar"
-    }
-}
-
-/// Lane width of the active kernel (1 for the scalar build).
-pub const fn lanes() -> usize {
-    #[cfg(feature = "simd")]
-    {
-        LANES
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        1
-    }
-}
+//! construction, which the compiler vectorises on its own. Centralising
+//! the arithmetic here gives `haar1d`, both multidimensional transforms
+//! and reconstruction one definition of each step, so one per-element
+//! operation order — the order the bit-identity tests pin.
 
 // ---------------------------------------------------------------------
 // Contiguous (interleaved-pair) butterfly levels — the 1-d cascade.
@@ -75,7 +21,7 @@ pub const fn lanes() -> usize {
 ///
 /// Writing average `k` is safe while later pairs are still unread:
 /// `k < 2k' + 1` for every unprocessed pair `k' >= k`.
-pub fn forward_level_scalar(data: &mut [f64], detail: &mut [f64], half: usize) {
+pub fn forward_level(data: &mut [f64], detail: &mut [f64], half: usize) {
     for k in 0..half {
         let a = data[2 * k];
         let b = data[2 * k + 1];
@@ -84,78 +30,17 @@ pub fn forward_level_scalar(data: &mut [f64], detail: &mut [f64], half: usize) {
     }
 }
 
-/// Lane-generic SIMD variant of [`forward_level_scalar`]; the tail that
-/// does not fill a register runs the scalar loop.
-#[cfg(feature = "simd")]
-pub fn forward_level_lanes<const L: usize>(data: &mut [f64], detail: &mut [f64], half: usize) {
-    let scale = Simd::<f64, L>::splat(0.5);
-    let mut k = 0;
-    while k + L <= half {
-        // 2·L interleaved inputs -> L averages + L details. Both input
-        // registers are loaded before the (potentially overlapping at
-        // k = 0) average store.
-        let x = Simd::<f64, L>::from_slice(&data[2 * k..2 * k + L]);
-        let y = Simd::<f64, L>::from_slice(&data[2 * k + L..2 * k + 2 * L]);
-        let (a, b) = x.deinterleave(y);
-        ((a + b) * scale).copy_to_slice(&mut data[k..k + L]);
-        ((a - b) * scale).copy_to_slice(&mut detail[k..k + L]);
-        k += L;
-    }
-    for k in k..half {
-        let a = data[2 * k];
-        let b = data[2 * k + 1];
-        data[k] = (a + b) * 0.5;
-        detail[k] = (a - b) * 0.5;
-    }
-}
-
-/// One forward level through the active kernel.
-pub fn forward_level(data: &mut [f64], detail: &mut [f64], half: usize) {
-    #[cfg(feature = "simd")]
-    forward_level_lanes::<LANES>(data, detail, half);
-    #[cfg(not(feature = "simd"))]
-    forward_level_scalar(data, detail, half);
-}
-
 /// One inverse Haar level over a contiguous line: reads averages
 /// `data[k]` and details `data[width + k]` for `k < width`, writes the
 /// reconstructed interleaved pairs into `out[..2 * width]`. `data` and
 /// `out` must not alias (the cascade hands in its scratch buffer).
-pub fn inverse_level_scalar(data: &[f64], out: &mut [f64], width: usize) {
+pub fn inverse_level(data: &[f64], out: &mut [f64], width: usize) {
     for k in 0..width {
         let u = data[k];
         let w = data[width + k];
         out[2 * k] = u + w;
         out[2 * k + 1] = u - w;
     }
-}
-
-/// Lane-generic SIMD variant of [`inverse_level_scalar`].
-#[cfg(feature = "simd")]
-pub fn inverse_level_lanes<const L: usize>(data: &[f64], out: &mut [f64], width: usize) {
-    let mut k = 0;
-    while k + L <= width {
-        let u = Simd::<f64, L>::from_slice(&data[k..k + L]);
-        let w = Simd::<f64, L>::from_slice(&data[width + k..width + k + L]);
-        let (lo, hi) = (u + w).interleave(u - w);
-        lo.copy_to_slice(&mut out[2 * k..2 * k + L]);
-        hi.copy_to_slice(&mut out[2 * k + L..2 * k + 2 * L]);
-        k += L;
-    }
-    for k in k..width {
-        let u = data[k];
-        let w = data[width + k];
-        out[2 * k] = u + w;
-        out[2 * k + 1] = u - w;
-    }
-}
-
-/// One inverse level through the active kernel.
-pub fn inverse_level(data: &[f64], out: &mut [f64], width: usize) {
-    #[cfg(feature = "simd")]
-    inverse_level_lanes::<LANES>(data, out, width);
-    #[cfg(not(feature = "simd"))]
-    inverse_level_scalar(data, out, width);
 }
 
 // ---------------------------------------------------------------------
@@ -168,8 +53,8 @@ pub fn inverse_level(data: &[f64], out: &mut [f64], width: usize) {
 /// Offsets address one backing slice because the destination row *may*
 /// alias the `a0` source row (the cascade writes average row `k` over
 /// source row `2k` when `k == 0`); every element is loaded before its
-/// store, so the aliasing is benign in both builds.
-pub fn avg_diff_panel_scalar(
+/// store, so the aliasing is benign.
+pub fn avg_diff_panel(
     data: &mut [f64],
     a0: usize,
     b0: usize,
@@ -185,85 +70,17 @@ pub fn avg_diff_panel_scalar(
     }
 }
 
-/// Lane-generic SIMD variant of [`avg_diff_panel_scalar`].
-#[cfg(feature = "simd")]
-pub fn avg_diff_panel_lanes<const L: usize>(
-    data: &mut [f64],
-    a0: usize,
-    b0: usize,
-    dst: usize,
-    diff: &mut [f64],
-    len: usize,
-) {
-    let scale = Simd::<f64, L>::splat(0.5);
-    let mut j = 0;
-    while j + L <= len {
-        let a = Simd::<f64, L>::from_slice(&data[a0 + j..a0 + j + L]);
-        let b = Simd::<f64, L>::from_slice(&data[b0 + j..b0 + j + L]);
-        ((a + b) * scale).copy_to_slice(&mut data[dst + j..dst + j + L]);
-        ((a - b) * scale).copy_to_slice(&mut diff[j..j + L]);
-        j += L;
-    }
-    for j in j..len {
-        let a = data[a0 + j];
-        let b = data[b0 + j];
-        data[dst + j] = (a + b) * 0.5;
-        diff[j] = (a - b) * 0.5;
-    }
-}
-
-/// Panel forward step through the active kernel.
-pub fn avg_diff_panel(
-    data: &mut [f64],
-    a0: usize,
-    b0: usize,
-    dst: usize,
-    diff: &mut [f64],
-    len: usize,
-) {
-    #[cfg(feature = "simd")]
-    avg_diff_panel_lanes::<LANES>(data, a0, b0, dst, diff, len);
-    #[cfg(not(feature = "simd"))]
-    avg_diff_panel_scalar(data, a0, b0, dst, diff, len);
-}
-
 /// Panel inverse step: `sum[j] = u[j] + w[j]`, `diff[j] = u[j] - w[j]`.
 /// All four slices are disjoint (the cascade writes into scratch rows).
-pub fn add_sub_rows_scalar(u: &[f64], w: &[f64], sum: &mut [f64], diff: &mut [f64]) {
+pub fn add_sub_rows(u: &[f64], w: &[f64], sum: &mut [f64], diff: &mut [f64]) {
     for j in 0..u.len() {
         sum[j] = u[j] + w[j];
         diff[j] = u[j] - w[j];
     }
 }
 
-/// Lane-generic SIMD variant of [`add_sub_rows_scalar`].
-#[cfg(feature = "simd")]
-pub fn add_sub_rows_lanes<const L: usize>(u: &[f64], w: &[f64], sum: &mut [f64], diff: &mut [f64]) {
-    let len = u.len();
-    let mut j = 0;
-    while j + L <= len {
-        let a = Simd::<f64, L>::from_slice(&u[j..j + L]);
-        let b = Simd::<f64, L>::from_slice(&w[j..j + L]);
-        (a + b).copy_to_slice(&mut sum[j..j + L]);
-        (a - b).copy_to_slice(&mut diff[j..j + L]);
-        j += L;
-    }
-    for j in j..len {
-        sum[j] = u[j] + w[j];
-        diff[j] = u[j] - w[j];
-    }
-}
-
-/// Panel inverse step through the active kernel.
-pub fn add_sub_rows(u: &[f64], w: &[f64], sum: &mut [f64], diff: &mut [f64]) {
-    #[cfg(feature = "simd")]
-    add_sub_rows_lanes::<LANES>(u, w, sum, diff);
-    #[cfg(not(feature = "simd"))]
-    add_sub_rows_scalar(u, w, sum, diff);
-}
-
 // ---------------------------------------------------------------------
-// Dense delta application — the maintenance flush inner loop.
+// Dense delta application.
 // ---------------------------------------------------------------------
 
 /// Adds a dense per-slot delta vector into a block, touching **only**
@@ -273,42 +90,13 @@ pub fn add_sub_rows(u: &[f64], w: &[f64], sum: &mut [f64], diff: &mut [f64]) {
 /// The skip is semantic, not an optimisation: an unconditional
 /// `blk[j] += 0.0` would rewrite a stored `-0.0` coefficient to `+0.0`,
 /// breaking the bit-identity contract of the exact flush path
-/// (docs/ERROR_MODEL.md). The SIMD build keeps the contract with a
-/// lane mask instead of a branch.
-pub fn masked_add_scalar(blk: &mut [f64], delta: &[f64]) {
+/// (docs/ERROR_MODEL.md).
+pub fn masked_add(blk: &mut [f64], delta: &[f64]) {
     for (b, &d) in blk.iter_mut().zip(delta) {
         if d != 0.0 {
             *b += d;
         }
     }
-}
-
-/// Lane-generic SIMD variant of [`masked_add_scalar`].
-#[cfg(feature = "simd")]
-pub fn masked_add_lanes<const L: usize>(blk: &mut [f64], delta: &[f64]) {
-    let zero = Simd::<f64, L>::splat(0.0);
-    let len = blk.len().min(delta.len());
-    let mut j = 0;
-    while j + L <= len {
-        let d = Simd::<f64, L>::from_slice(&delta[j..j + L]);
-        let b = Simd::<f64, L>::from_slice(&blk[j..j + L]);
-        let touched = d.simd_ne(zero);
-        touched.select(b + d, b).copy_to_slice(&mut blk[j..j + L]);
-        j += L;
-    }
-    for j in j..len {
-        if delta[j] != 0.0 {
-            blk[j] += delta[j];
-        }
-    }
-}
-
-/// Dense delta application through the active kernel.
-pub fn masked_add(blk: &mut [f64], delta: &[f64]) {
-    #[cfg(feature = "simd")]
-    masked_add_lanes::<LANES>(blk, delta);
-    #[cfg(not(feature = "simd"))]
-    masked_add_scalar(blk, delta);
 }
 
 #[cfg(test)]
@@ -380,35 +168,6 @@ mod tests {
                 before[j] // bitwise: -0.0 stays -0.0
             };
             assert_eq!(blk[j].to_bits(), want.to_bits(), "slot {j}");
-        }
-    }
-
-    #[cfg(feature = "simd")]
-    #[test]
-    fn lane_widths_agree_bitwise() {
-        for half in [5usize, 16, 40, 128] {
-            let orig = sample(2 * half, half as u64);
-            let run = |f: &dyn Fn(&mut [f64], &mut [f64], usize)| {
-                let mut d = orig.clone();
-                let mut det = vec![0.0; half];
-                f(&mut d, &mut det, half);
-                (d, det)
-            };
-            let want = run(&forward_level_scalar);
-            for (d, det) in [
-                run(&forward_level_lanes::<2>),
-                run(&forward_level_lanes::<4>),
-                run(&forward_level_lanes::<8>),
-            ] {
-                assert_eq!(
-                    d.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    want.0.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                );
-                assert_eq!(
-                    det.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    want.1.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                );
-            }
         }
     }
 }

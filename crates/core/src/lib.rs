@@ -45,7 +45,6 @@
 // idiom for the index arithmetic in this workspace; iterator rewrites hurt
 // readability without changing the generated code.
 #![allow(clippy::needless_range_loop)]
-#![cfg_attr(feature = "simd", feature(portable_simd))]
 
 pub mod algebra;
 pub mod append;

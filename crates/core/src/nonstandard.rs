@@ -23,16 +23,10 @@
 //! A level's joint step applies a fixed `2^d x 2^d` signed butterfly to
 //! every `2^d`-cell hypercube of the average subband. The inner loops
 //! run on precomputed flat offset and sign tables (no per-cell index
-//! tuples), accumulate in fixed corner order `(((v_0 ± v_1) ± v_2) ± …)`
-//! so the scalar and SIMD builds agree bit for bit, and the common
-//! `d = 2` case has a dedicated row-pair kernel on [`crate::kernel`]'s
-//! lane width that deinterleaves quad columns straight into the four
-//! subband rows.
+//! tuples) and accumulate in fixed corner order
+//! `(((v_0 ± v_1) ± v_2) ± …)`.
 
 use ss_array::{NdArray, Shape};
-
-#[cfg(feature = "simd")]
-use std::simd::Simd;
 
 /// A coefficient of the non-standard decomposition.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -146,11 +140,6 @@ fn joint_forward_level(
     half: usize,
     tables: &JointTables,
 ) {
-    #[cfg(feature = "simd")]
-    if d == 2 && strides[1] == 1 {
-        joint_forward_level_2d::<{ crate::kernel::LANES }>(data, out, strides[0], half);
-        return;
-    }
     let m = 1usize << d;
     let scale = m as f64;
     let mut idx = vec![0usize; d];
@@ -159,9 +148,8 @@ fn joint_forward_level(
     'cells: loop {
         for e in 0..m {
             let sign = &tables.sign[e * m..(e + 1) * m];
-            // Corner 0 always enters with sign +1; accumulating from it
-            // (rather than from 0.0) keeps the association identical to
-            // the specialised SIMD kernels.
+            // Corner 0 always enters with sign +1, so the sum starts
+            // from it rather than from 0.0.
             let mut acc = data[src_base];
             for c in 1..m {
                 acc += sign[c] * data[src_base + tables.corner_off[c]];
@@ -197,11 +185,6 @@ fn joint_inverse_level(
     half: usize,
     tables: &JointTables,
 ) {
-    #[cfg(feature = "simd")]
-    if d == 2 && strides[1] == 1 {
-        joint_inverse_level_2d::<{ crate::kernel::LANES }>(data, out, strides[0], half);
-        return;
-    }
     let m = 1usize << d;
     let mut idx = vec![0usize; d];
     let mut src_base = 0usize;
@@ -230,91 +213,6 @@ fn joint_inverse_level(
             idx[t] = 0;
             src_base -= 2 * half * strides[t];
             dst_base -= half * strides[t];
-        }
-    }
-}
-
-/// `d = 2` forward joint step on SIMD lanes: each row pair deinterleaves
-/// into the four quad corners `(p, q, r, s)` and lands in the four
-/// subband rows. Accumulation order matches the generic path:
-/// `((p ± q) ± r) ± s`, then one division by 4.
-#[cfg(feature = "simd")]
-fn joint_forward_level_2d<const L: usize>(data: &[f64], out: &mut [f64], side: usize, half: usize) {
-    let four = Simd::<f64, L>::splat(4.0);
-    for i in 0..half {
-        let r0 = 2 * i * side;
-        let r1 = r0 + side;
-        let o00 = i * side; // average subband
-        let o01 = o00 + half; // detail in axis 1
-        let o10 = (i + half) * side; // detail in axis 0
-        let o11 = o10 + half; // detail in both
-        let mut j = 0;
-        while j + L <= half {
-            let x0 = Simd::<f64, L>::from_slice(&data[r0 + 2 * j..r0 + 2 * j + L]);
-            let x1 = Simd::<f64, L>::from_slice(&data[r0 + 2 * j + L..r0 + 2 * j + 2 * L]);
-            let (p, q) = x0.deinterleave(x1);
-            let y0 = Simd::<f64, L>::from_slice(&data[r1 + 2 * j..r1 + 2 * j + L]);
-            let y1 = Simd::<f64, L>::from_slice(&data[r1 + 2 * j + L..r1 + 2 * j + 2 * L]);
-            let (r, s) = y0.deinterleave(y1);
-            ((((p + q) + r) + s) / four).copy_to_slice(&mut out[o00 + j..o00 + j + L]);
-            ((((p - q) + r) - s) / four).copy_to_slice(&mut out[o01 + j..o01 + j + L]);
-            ((((p + q) - r) - s) / four).copy_to_slice(&mut out[o10 + j..o10 + j + L]);
-            ((((p - q) - r) + s) / four).copy_to_slice(&mut out[o11 + j..o11 + j + L]);
-            j += L;
-        }
-        for j in j..half {
-            let p = data[r0 + 2 * j];
-            let q = data[r0 + 2 * j + 1];
-            let r = data[r1 + 2 * j];
-            let s = data[r1 + 2 * j + 1];
-            out[o00 + j] = (((p + q) + r) + s) / 4.0;
-            out[o01 + j] = (((p - q) + r) - s) / 4.0;
-            out[o10 + j] = (((p + q) - r) - s) / 4.0;
-            out[o11 + j] = (((p - q) - r) + s) / 4.0;
-        }
-    }
-}
-
-/// `d = 2` inverse joint step on SIMD lanes: the four subband rows
-/// `(A, B, C, D)` reconstruct a quad per column, interleaved back into
-/// the two data rows. Accumulation order `((A ± B) ± C) ± D` matches
-/// the generic path.
-#[cfg(feature = "simd")]
-fn joint_inverse_level_2d<const L: usize>(data: &[f64], out: &mut [f64], side: usize, half: usize) {
-    for i in 0..half {
-        let i00 = i * side;
-        let i01 = i00 + half;
-        let i10 = (i + half) * side;
-        let i11 = i10 + half;
-        let r0 = 2 * i * side;
-        let r1 = r0 + side;
-        let mut j = 0;
-        while j + L <= half {
-            let a = Simd::<f64, L>::from_slice(&data[i00 + j..i00 + j + L]);
-            let b = Simd::<f64, L>::from_slice(&data[i01 + j..i01 + j + L]);
-            let c = Simd::<f64, L>::from_slice(&data[i10 + j..i10 + j + L]);
-            let d = Simd::<f64, L>::from_slice(&data[i11 + j..i11 + j + L]);
-            let v00 = ((a + b) + c) + d;
-            let v01 = ((a - b) + c) - d;
-            let v10 = ((a + b) - c) - d;
-            let v11 = ((a - b) - c) + d;
-            let (lo, hi) = v00.interleave(v01);
-            lo.copy_to_slice(&mut out[r0 + 2 * j..r0 + 2 * j + L]);
-            hi.copy_to_slice(&mut out[r0 + 2 * j + L..r0 + 2 * j + 2 * L]);
-            let (lo, hi) = v10.interleave(v11);
-            lo.copy_to_slice(&mut out[r1 + 2 * j..r1 + 2 * j + L]);
-            hi.copy_to_slice(&mut out[r1 + 2 * j + L..r1 + 2 * j + 2 * L]);
-            j += L;
-        }
-        for j in j..half {
-            let a = data[i00 + j];
-            let b = data[i01 + j];
-            let c = data[i10 + j];
-            let d = data[i11 + j];
-            out[r0 + 2 * j] = ((a + b) + c) + d;
-            out[r0 + 2 * j + 1] = ((a - b) + c) - d;
-            out[r1 + 2 * j] = ((a + b) - c) - d;
-            out[r1 + 2 * j + 1] = ((a - b) - c) + d;
         }
     }
 }
@@ -598,8 +496,7 @@ mod tests {
 
     #[test]
     fn flat_kernel_is_bit_identical_to_tuple_reference() {
-        // Pins both the scalar and the SIMD build to the same tuple-index
-        // reference, so the two builds are bit-identical to each other.
+        // Pins the flat offset-table kernel to the tuple-index reference.
         for (d, side) in [(1usize, 16usize), (2, 32), (3, 8)] {
             let a = sample(&Shape::cube(d, side));
             let got = forward_to(&a);

@@ -164,8 +164,8 @@ fn region_pass(
     }
 }
 
-/// Column-block width for the panel cascade: wide enough to keep full
-/// SIMD rows busy, narrow enough that the block's working set
+/// Column-block width for the panel cascade: wide enough to keep the
+/// vectorised rows busy, narrow enough that the block's working set
 /// (`len` rows of `block` doubles) stays cache-resident.
 fn block_cols(len: usize, stride: usize) -> usize {
     ((1usize << 12) / len).clamp(16, stride.max(16)).min(stride)
@@ -369,8 +369,7 @@ pub(crate) mod tests {
     #[test]
     fn forward_segments_leaves_every_piece_its_own_transform() {
         // Each piece of a segmented transform must equal `forward` of the
-        // piece extracted on its own, bit for bit, for d = 1, 2, 3 — in
-        // the default build and under `--features simd`.
+        // piece extracted on its own, bit for bit, for d = 1, 2, 3.
         let mut rng = Rng(0x5EED);
         for d in 1..=3 {
             for _ in 0..40 {

@@ -1,12 +1,8 @@
-//! Property tests of the scalar/SIMD kernel boundary.
-//!
-//! The `simd` build's contract (crates/core/src/kernel.rs, documented in
-//! docs/ERROR_MODEL.md) is **bit-identity**: every transform produces the
-//! same `f64` bits as the scalar build, because the vector paths perform
-//! the same IEEE operations in the same per-element order. These
-//! properties pin both builds to build-independent scalar references —
-//! passing in *each* build therefore proves the builds agree with each
-//! other. `to_bits` equality throughout, no tolerances.
+//! Property tests pinning the multidimensional transforms to their
+//! definitions, bit for bit: the standard form's panel cascade equals a
+//! per-line 1-d cascade over every axis, and the non-standard form's flat
+//! offset-table kernel equals a tuple-index reference with the same
+//! corner-order association. `to_bits` equality throughout, no tolerances.
 
 use proptest::prelude::*;
 use ss_array::{MultiIndexIter, NdArray, Shape};
@@ -33,19 +29,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn haar1d_active_kernel_matches_scalar_bitwise(seed in any::<u64>(), levels in 0u32..13) {
-        let data = data_from_seed(seed, 1usize << levels);
-        let (mut active, mut scalar) = (data.clone(), data);
-        let (mut s1, mut s2) = (Vec::new(), Vec::new());
-        haar1d::forward_with(&mut active, &mut s1);
-        haar1d::forward_scalar_with(&mut scalar, &mut s2);
-        prop_assert_eq!(bits(&active), bits(&scalar));
-        haar1d::inverse_with(&mut active, &mut s1);
-        haar1d::inverse_scalar_with(&mut scalar, &mut s2);
-        prop_assert_eq!(bits(&active), bits(&scalar));
-    }
-
-    #[test]
     fn standard_panel_pass_matches_per_line_scalar_bitwise(
         seed in any::<u64>(),
         shape_pick in 0usize..5,
@@ -61,8 +44,7 @@ proptest! {
         let flat = data_from_seed(seed, shape.len());
         let a = NdArray::from_vec(shape.clone(), flat);
         let got = standard::forward_to(&a);
-        // Reference: gather each strided line, scalar-pinned 1-d cascade,
-        // scatter back — the definition of the standard form.
+        // Reference: gather each strided line, 1-d cascade, scatter back — the definition of the standard form.
         let mut want = a.clone();
         let mut scratch = Vec::new();
         for axis in 0..shape.ndim() {
@@ -74,15 +56,14 @@ proptest! {
                 let base = shape.offset(&idx);
                 let mut line: Vec<f64> =
                     (0..len).map(|i| want.as_slice()[base + i * stride]).collect();
-                haar1d::forward_scalar_with(&mut line, &mut scratch);
+                haar1d::forward_with(&mut line, &mut scratch);
                 for (i, &v) in line.iter().enumerate() {
                     want.as_mut_slice()[base + i * stride] = v;
                 }
             }
         }
         prop_assert_eq!(bits(got.as_slice()), bits(want.as_slice()));
-        // Inverse: panel cascade inverts the reference transform back to
-        // the same bits in both builds.
+        // Inverse: the panel cascade inverts the reference transform.
         let mut back_active = got.clone();
         standard::inverse(&mut back_active);
         prop_assert!(a.max_abs_diff(&back_active) < 1e-8);
@@ -105,7 +86,7 @@ proptest! {
     }
 }
 
-/// Tuple-index scalar reference of the non-standard forward transform,
+/// Tuple-index reference of the non-standard forward transform,
 /// with the production kernels' fixed corner-order association.
 fn naive_nonstandard_forward(a: &NdArray<f64>) -> NdArray<f64> {
     let shape = a.shape().clone();

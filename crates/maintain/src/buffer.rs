@@ -7,33 +7,17 @@ use ss_obs::Stopwatch;
 use ss_storage::CoeffWrite;
 use ss_transform::{box_runs_standard, for_each_box_delta_standard, UpdateReport};
 
-/// How buffered deltas are reduced at flush time.
-///
-/// See the crate docs for the exactness discussion; the short version is
-/// that [`Exact`](FlushMode::Exact) replays deltas in arrival order (bit
-/// -identical to the serial per-box path, same I/O as `Merged`), while
-/// [`Merged`](FlushMode::Merged) pre-sums them (one add per coefficient,
-/// tolerance-equal only).
+/// How buffered deltas are reduced at flush time: always
+/// [`Exact`](FlushMode::Exact), an arrival-order replay. The one-variant
+/// enum stays on [`DeltaBuffer::for_map`],
+/// [`update_boxes_standard`](crate::update_boxes_standard) and the
+/// writable server's bind for source compatibility with callers that
+/// still name it; no other signature takes it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FlushMode {
     /// Arrival-ordered replay: bit-identical to serial per-box updates.
     #[default]
     Exact,
-    /// Per-slot sums, folded at drain: one add per touched coefficient.
-    Merged,
-}
-
-impl FlushMode {
-    /// Parses the CLI spelling (`exact` / `merged`), case-insensitively.
-    pub fn parse(s: &str) -> Option<FlushMode> {
-        if s.eq_ignore_ascii_case("exact") {
-            Some(FlushMode::Exact)
-        } else if s.eq_ignore_ascii_case("merged") {
-            Some(FlushMode::Merged)
-        } else {
-            None
-        }
-    }
 }
 
 /// Outcome of one group-commit flush (or a merge of several).
@@ -85,26 +69,22 @@ impl FlushReport {
 /// [`flush_into`](DeltaBuffer::flush_into) or
 /// [`drain`](DeltaBuffer::drain). The buffer is reusable: a drain resets
 /// it to empty.
+#[derive(Default)]
 pub struct DeltaBuffer {
-    mode: FlushMode,
-    block_capacity: usize,
     runs: TileRuns,
 }
 
 impl DeltaBuffer {
-    /// An empty buffer for blocks of `block_capacity` coefficients.
-    pub fn new(block_capacity: usize, mode: FlushMode) -> Self {
-        assert!(block_capacity >= 1);
-        DeltaBuffer {
-            mode,
-            block_capacity,
-            runs: TileRuns::default(),
-        }
+    /// An empty buffer.
+    pub fn new() -> Self {
+        DeltaBuffer::default()
     }
 
-    /// Convenience constructor taking the block capacity from a tiling map.
-    pub fn for_map(map: &impl TilingMap, mode: FlushMode) -> Self {
-        DeltaBuffer::new(map.block_capacity(), mode)
+    /// An empty buffer for `map`'s stores; the same as
+    /// [`new`](DeltaBuffer::new), kept for callers that name a map and a
+    /// [`FlushMode`].
+    pub fn for_map(_map: &impl TilingMap, _mode: FlushMode) -> Self {
+        DeltaBuffer::new()
     }
 
     /// Marks the start of a new buffered operation (update box, ingest
@@ -171,13 +151,6 @@ impl DeltaBuffer {
     /// each tile's runs where it is stored — one store, or the shard a
     /// router scatters it to — is bit-identical to flushing the buffer.
     ///
-    /// [`FlushMode::Merged`] folds each tile's runs, in arrival order,
-    /// into a zeroed dense scratch and keeps one slot-ascending run of the
-    /// non-zero sums. A tile whose sums **fully cancelled** is dropped
-    /// here, before `tiles_written` is counted, so it neither dirties a
-    /// block nor charges a write; it still counts in `tile_touches`,
-    /// which records what a per-operation path would have done.
-    ///
     /// Records the bytes the buffer held (arena, descriptors and boxes) in
     /// the `maintain.buffer_bytes` histogram, one sample per drain.
     pub fn drain(&mut self) -> (TileRuns, FlushReport) {
@@ -185,14 +158,11 @@ impl DeltaBuffer {
         ss_obs::global()
             .histogram("maintain.buffer_bytes")
             .record(runs.heap_bytes() as u64);
-        let (boxes, deltas) = (runs.ops() as u64, runs.len() as u64);
+        // `tile_touches` groups the runs, which `tiles` then counts.
         let tile_touches = runs.tile_touches() as u64;
-        if self.mode == FlushMode::Merged {
-            runs = merged(&runs, self.block_capacity);
-        }
         let report = FlushReport {
-            boxes,
-            deltas,
+            boxes: runs.ops() as u64,
+            deltas: runs.len() as u64,
             tiles_written: runs.tiles().count() as u64,
             tile_touches,
         };
@@ -214,25 +184,6 @@ impl DeltaBuffer {
         record_flush_metrics(&report, sw.lap_ns());
         report
     }
-}
-
-/// [`FlushMode::Merged`]'s reduction of a grouped arena: per tile, the
-/// runs summed slot by slot in arrival order, then one slot-ascending run
-/// of the non-zero sums — what an eager per-tile accumulator would hold,
-/// bit for bit.
-fn merged(runs: &TileRuns, block_capacity: usize) -> TileRuns {
-    let mut sums = vec![0.0; block_capacity];
-    let mut out = TileRuns::default();
-    for group in runs.tiles() {
-        group.apply(&mut sums);
-        for (slot, sum) in sums.iter_mut().enumerate() {
-            if *sum != 0.0 {
-                out.push(group.tile(), slot, *sum);
-            }
-            *sum = 0.0;
-        }
-    }
-    out
 }
 
 /// Publishes one flush's outcome to the global metrics registry.
@@ -264,7 +215,7 @@ mod tests {
     fn exact_flush_replays_in_arrival_order() {
         let m = map();
         let mut cs = mem_store(m.clone(), 8, IoStats::default());
-        let mut buf = DeltaBuffer::for_map(&m, FlushMode::Exact);
+        let mut buf = DeltaBuffer::new();
         // Deltas whose sum depends on association order.
         let vals = [1e16, 1.0, -1e16, 1.0];
         buf.begin_box();
@@ -283,29 +234,12 @@ mod tests {
     }
 
     #[test]
-    fn merged_flush_sums_before_applying() {
-        let m = map();
-        let mut cs = mem_store(m.clone(), 8, IoStats::default());
-        let mut buf = DeltaBuffer::for_map(&m, FlushMode::Merged);
-        buf.begin_box();
-        buf.add(0, 1, 2.0);
-        buf.add(0, 1, 3.0);
-        buf.add(0, 2, -1.0);
-        let report = buf.flush_into(&mut cs);
-        assert_eq!(report.tiles_written, 1);
-        assert_eq!(cs.read_at(0, 1), 5.0);
-        assert_eq!(cs.read_at(0, 2), -1.0);
-        // Merged apply charges one coefficient write per touched slot.
-        assert_eq!(cs.stats().snapshot().coeff_writes, 2);
-    }
-
-    #[test]
     fn one_block_write_per_dirty_tile() {
         let m = map();
         let stats = IoStats::default();
         // Pool large enough that only the final flush writes blocks.
         let mut cs = mem_store(m.clone(), m.num_tiles(), stats.clone());
-        let mut buf = DeltaBuffer::for_map(&m, FlushMode::Exact);
+        let mut buf = DeltaBuffer::new();
         for b in 0..10 {
             buf.begin_box();
             buf.add(0, 0, b as f64); // every box touches tile 0
@@ -323,7 +257,7 @@ mod tests {
         let m = map();
         let stats = IoStats::default();
         let mut cs = mem_store(m.clone(), 8, stats.clone());
-        let mut buf = DeltaBuffer::for_map(&m, FlushMode::Exact);
+        let mut buf = DeltaBuffer::new();
         let report = buf.flush_into(&mut cs);
         assert_eq!(report, FlushReport::default());
         assert_eq!(report.coalescing_ratio(), 1.0);
@@ -341,7 +275,7 @@ mod tests {
     #[test]
     fn implicit_first_box_counts_once() {
         let m = map();
-        let mut buf = DeltaBuffer::for_map(&m, FlushMode::Exact);
+        let mut buf = DeltaBuffer::new();
         buf.add(0, 0, 1.0); // no begin_box
         let mut cs = mem_store(m, 8, IoStats::default());
         let report = buf.flush_into(&mut cs);
@@ -354,7 +288,7 @@ mod tests {
         // operation; tile_touches counted it but `boxes` did not, which
         // inflated the coalescing ratio.
         let m = map();
-        let mut buf = DeltaBuffer::for_map(&m, FlushMode::Exact);
+        let mut buf = DeltaBuffer::new();
         buf.add(0, 0, 1.0); // implicit first operation
         buf.begin_box();
         buf.add(0, 1, 2.0); // explicit second operation, same tile
@@ -367,135 +301,36 @@ mod tests {
     }
 
     #[test]
-    fn merged_tiles_that_fully_cancel_are_not_written() {
-        // Regression: +x and −x boxes landing on the same tile cancel to
-        // an all-zero accumulator; the drain used to count that tile in
-        // `tiles_written` and still issue a dirtying read-modify-write.
-        let m = map();
-        let stats = IoStats::default();
-        let mut cs = mem_store(m.clone(), m.num_tiles(), stats.clone());
-        let mut buf = DeltaBuffer::for_map(&m, FlushMode::Merged);
-        buf.begin_box();
-        buf.add(2, 4, 7.5); // +x box
-        buf.add(2, 5, 1.0);
-        buf.begin_box();
-        buf.add(2, 4, -7.5); // −x box: cancels slot 4 and 5 on tile 2
-        buf.add(2, 5, -1.0);
-        buf.begin_box();
-        buf.add(5, 0, 3.0); // a surviving tile, so the flush is not empty
-        let report = buf.flush_into(&mut cs);
-        assert_eq!(report.tiles_written, 1, "cancelled tile must not count");
-        assert_eq!(report.tile_touches, 3, "touches still reflect arrivals");
-        assert_eq!(stats.snapshot().block_writes, 1, "tile 2 must stay clean");
-        assert_eq!(stats.snapshot().coeff_writes, 1);
-        assert_eq!(cs.read_at(5, 0), 3.0);
-        assert_eq!(cs.read_at(2, 4), 0.0);
-
-        // Same cancellation into a shared sink.
-        let shared_stats = IoStats::default();
-        let shared = mem_shared_store(m.clone(), 8, 4, shared_stats.clone());
-        let mut buf = DeltaBuffer::for_map(&m, FlushMode::Merged);
-        buf.begin_box();
-        buf.add(2, 4, 7.5);
-        buf.begin_box();
-        buf.add(2, 4, -7.5);
-        buf.begin_box();
-        buf.add(5, 0, 3.0);
-        let report = buf.flush_into(&mut &shared);
-        assert_eq!(report.tiles_written, 1);
-        assert_eq!(shared_stats.snapshot().block_writes, 1);
-        assert_eq!(shared_stats.snapshot().coeff_writes, 1);
-    }
-
-    #[test]
     fn serial_and_sharded_flush_record_identical_coeff_writes() {
         // Regression: the exclusive flush once charged `add_coeff_writes`
         // per tile in its loop while the sharded one relied on the store's
         // apply hooks — an exclusive and a shared sink must account
-        // identically, in both flush modes.
-        for mode in [FlushMode::Exact, FlushMode::Merged] {
-            let m = map();
-            let deltas: Vec<(usize, usize, f64)> = (0..60)
-                .map(|i| ((i * 3) % m.num_tiles(), (i * 7) % 16, 0.25 + i as f64))
-                .collect();
-            let serial_stats = IoStats::default();
-            let mut cs = mem_store(m.clone(), 8, serial_stats.clone());
-            let mut buf = DeltaBuffer::for_map(&m, mode);
-            for chunk in deltas.chunks(6) {
-                buf.begin_box();
-                for &(t, s, v) in chunk {
-                    buf.add(t, s, v);
-                }
-            }
-            let serial_report = buf.flush_into(&mut cs);
-            let shared_stats = IoStats::default();
-            let shared = mem_shared_store(m.clone(), 8, 4, shared_stats.clone());
-            let mut buf = DeltaBuffer::for_map(&m, mode);
-            for chunk in deltas.chunks(6) {
-                buf.begin_box();
-                for &(t, s, v) in chunk {
-                    buf.add(t, s, v);
-                }
-            }
-            let shared_report = buf.flush_into(&mut &shared);
-            assert_eq!(serial_report, shared_report, "mode {mode:?}");
-            assert_eq!(
-                serial_stats.snapshot().coeff_writes,
-                shared_stats.snapshot().coeff_writes,
-                "mode {mode:?}: coeff-write accounting diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn merged_drain_stores_what_an_eager_accumulator_stores() {
-        // Merged mode once summed each tile's deltas into a dense
-        // accumulator as they arrived and applied it with `masked_add`.
-        // The drain-time fold must store the same bits — a slot whose sum
-        // cancels keeps its stored `-0.0`.
+        // identically.
         let m = map();
-        let mut deltas: Vec<(usize, usize, f64)> = (0..64usize)
-            .map(|i| (i % m.num_tiles(), (i * 11) % 16, (i as f64 - 31.5) * 0.1))
+        let deltas: Vec<(usize, usize, f64)> = (0..60)
+            .map(|i| ((i * 3) % m.num_tiles(), (i * 7) % 16, 0.25 + i as f64))
             .collect();
-        deltas.extend([(2, 4, 7.5), (3, 1, 1e16), (2, 4, -7.5), (3, 1, -1e16)]);
-        let mut folded = mem_store(m.clone(), 8, IoStats::default());
-        let mut eager = mem_store(m.clone(), 8, IoStats::default());
-        for cs in [&mut folded, &mut eager] {
-            cs.pool().with_block(2, true, |blk| blk[4] = -0.0);
-        }
-        let mut buf = DeltaBuffer::for_map(&m, FlushMode::Merged);
-        let mut acc = vec![vec![0.0; 16]; m.num_tiles()];
-        for chunk in deltas.chunks(5) {
-            buf.begin_box();
-            for &(t, s, v) in chunk {
-                buf.add(t, s, v);
-                acc[t][s] += v;
+        let fill = || {
+            let mut buf = DeltaBuffer::new();
+            for chunk in deltas.chunks(6) {
+                buf.begin_box();
+                for &(t, s, v) in chunk {
+                    buf.add(t, s, v);
+                }
             }
-        }
-        buf.flush_into(&mut folded);
-        for (tile, acc) in acc.iter().enumerate() {
-            if acc.iter().any(|&v| v != 0.0) {
-                let apply = |blk: &mut [f64]| ss_core::kernel::masked_add(blk, acc);
-                eager.pool().with_block(tile, true, apply);
-            }
-        }
-        assert_eq!(folded.read_at(2, 4).to_bits(), (-0.0f64).to_bits());
-        for tile in 0..m.num_tiles() {
-            for slot in 0..16 {
-                assert_eq!(
-                    folded.read_at(tile, slot).to_bits(),
-                    eager.read_at(tile, slot).to_bits(),
-                    "tile {tile} slot {slot}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn flush_mode_parse_is_case_insensitive() {
-        assert_eq!(FlushMode::parse("exact"), Some(FlushMode::Exact));
-        assert_eq!(FlushMode::parse("Exact"), Some(FlushMode::Exact));
-        assert_eq!(FlushMode::parse("MERGED"), Some(FlushMode::Merged));
-        assert_eq!(FlushMode::parse("bogus"), None);
+            buf
+        };
+        let serial_stats = IoStats::default();
+        let mut cs = mem_store(m.clone(), 8, serial_stats.clone());
+        let serial_report = fill().flush_into(&mut cs);
+        let shared_stats = IoStats::default();
+        let shared = mem_shared_store(m.clone(), 8, 4, shared_stats.clone());
+        let shared_report = fill().flush_into(&mut &shared);
+        assert_eq!(serial_report, shared_report);
+        assert_eq!(
+            serial_stats.snapshot().coeff_writes,
+            shared_stats.snapshot().coeff_writes,
+            "coeff-write accounting diverged"
+        );
     }
 }

@@ -30,14 +30,9 @@ enum BoxForm<'a> {
 /// The one batch body: buffers every box's delta stream (the arrival
 /// order defines the replay order), timed as `maintain.buffer_ns` beside
 /// the flush's `maintain.flush_ns`, then group-commits it into `sink`.
-fn update_boxes<W: CoeffWrite>(
-    sink: &mut W,
-    form: BoxForm,
-    boxes: &[UpdateBox],
-    mode: FlushMode,
-) -> BatchReport {
+fn update_boxes<W: CoeffWrite>(sink: &mut W, form: BoxForm, boxes: &[UpdateBox]) -> BatchReport {
     let map = sink.map();
-    let mut buf = DeltaBuffer::for_map(map, mode);
+    let mut buf = DeltaBuffer::new();
     let mut update = UpdateReport::default();
     let mut sw = Stopwatch::start();
     for (origin, delta) in boxes {
@@ -59,16 +54,17 @@ fn update_boxes<W: CoeffWrite>(
 
 /// Applies a batch of standard-form box updates with one group-commit
 /// flush: every dirty tile is read and written exactly once, however many
-/// boxes touched it. In [`FlushMode::Exact`] the stored coefficients are
-/// bit-identical to applying the boxes one at a time, in the same order,
-/// each as a batch of one — the one way a box update reaches a store.
+/// boxes touched it. The stored coefficients are bit-identical to
+/// applying the boxes one at a time, in the same order, each as a batch
+/// of one — the one way a box update reaches a store. `_mode` is always
+/// [`FlushMode::Exact`], kept for source compatibility.
 pub fn update_boxes_standard<W: CoeffWrite>(
     cs: &mut W,
     n: &[u32],
     boxes: &[UpdateBox],
-    mode: FlushMode,
+    _mode: FlushMode,
 ) -> BatchReport {
-    update_boxes(cs, BoxForm::Standard(n), boxes, mode)
+    update_boxes(cs, BoxForm::Standard(n), boxes)
 }
 
 /// Non-standard-form twin of [`update_boxes_standard`]: the domain is a
@@ -78,9 +74,8 @@ pub fn update_boxes_nonstandard<W: CoeffWrite>(
     cs: &mut W,
     n: u32,
     boxes: &[UpdateBox],
-    mode: FlushMode,
 ) -> BatchReport {
-    update_boxes(cs, BoxForm::NonStandard(n), boxes, mode)
+    update_boxes(cs, BoxForm::NonStandard(n), boxes)
 }
 
 /// Outcome of a coalesced ingest run.
@@ -92,7 +87,7 @@ pub struct IngestReport {
     pub input_coeffs: u64,
     /// Group-commit flushes performed.
     pub flushes: usize,
-    /// Merged flush totals across the run.
+    /// Flush totals summed across the run.
     pub flush: FlushReport,
 }
 
@@ -103,18 +98,16 @@ pub struct IngestReport {
 /// once per *group* rather than once per chunk. `group == 0` buffers the
 /// whole ingest and flushes once at the end.
 ///
-/// With [`FlushMode::Exact`] the stored transform is bit-identical to the
-/// per-chunk driver: each chunk contributes at most one delta per
+/// The stored transform is bit-identical to the per-chunk driver: each chunk contributes at most one delta per
 /// coefficient, so arrival-ordered replay preserves the per-coefficient
 /// addition sequence.
 pub fn transform_standard_coalesced<W: CoeffWrite>(
     src: &impl ChunkSource,
     sink: &mut W,
     group: usize,
-    mode: FlushMode,
 ) -> IngestReport {
     let pipeline = ChunkPipeline::standard(src);
-    let mut buf = DeltaBuffer::for_map(sink.map(), mode);
+    let mut buf = DeltaBuffer::new();
     let mut report = IngestReport::default();
     let commit = |buf: &mut DeltaBuffer, sink: &mut W, report: &mut IngestReport| {
         report.flush.merge(buf.flush_into(sink));
@@ -213,28 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_standard_merged_matches_within_tolerance() {
-        let n = [4u32, 3];
-        let map = StandardTiling::new(&n, &[2, 1]);
-        let mut rng = SplitMix64::new(11);
-        let boxes = random_boxes(&mut rng, &[16, 8], 10);
-
-        let mut serial = mem_store(map.clone(), 4, IoStats::default());
-        for one in boxes.chunks(1) {
-            update_boxes_standard(&mut serial, &n, one, FlushMode::Exact);
-        }
-        let mut batched = mem_store(map.clone(), 4, IoStats::default());
-        update_boxes_standard(&mut batched, &n, &boxes, FlushMode::Merged);
-        for tile in 0..map.num_tiles() {
-            for slot in 0..map.block_capacity() {
-                let a = serial.read_at(tile, slot);
-                let b = batched.read_at(tile, slot);
-                assert!((a - b).abs() < 1e-9, "tile {tile} slot {slot}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
     fn batched_nonstandard_matches_serial_bit_for_bit() {
         let n = 4u32;
         let map = NonStandardTiling::new(2, n, 2);
@@ -243,10 +214,10 @@ mod tests {
 
         let mut serial = mem_store(map.clone(), 4, IoStats::default());
         for one in boxes.chunks(1) {
-            update_boxes_nonstandard(&mut serial, n, one, FlushMode::Exact);
+            update_boxes_nonstandard(&mut serial, n, one);
         }
         let mut batched = mem_store(map.clone(), 4, IoStats::default());
-        let report = update_boxes_nonstandard(&mut batched, n, &boxes, FlushMode::Exact);
+        let report = update_boxes_nonstandard(&mut batched, n, &boxes);
         assert_eq!(report.flush.boxes, 8);
         assert_stores_identical(&mut serial, &mut batched, "nonstandard exact");
     }
@@ -289,8 +260,7 @@ mod tests {
         for group in [0usize, 1, 4, 7] {
             let stats = IoStats::default();
             let mut coalesced = mem_store(map.clone(), 4, stats.clone());
-            let report =
-                transform_standard_coalesced(&src, &mut coalesced, group, FlushMode::Exact);
+            let report = transform_standard_coalesced(&src, &mut coalesced, group);
             assert_eq!(report.chunks, 16);
             let expect_flushes = if group == 0 {
                 1
@@ -311,7 +281,7 @@ mod tests {
         let mut prev = 0.0f64;
         for group in [1usize, 4, 16, 64] {
             let mut cs = mem_store(map.clone(), 4, IoStats::default());
-            let report = transform_standard_coalesced(&src, &mut cs, group, FlushMode::Exact);
+            let report = transform_standard_coalesced(&src, &mut cs, group);
             let ratio = report.flush.coalescing_ratio();
             assert!(
                 ratio >= prev,

@@ -38,24 +38,17 @@
 //! # Exactness
 //!
 //! Floating-point addition is not associative, so summing several deltas
-//! to one coefficient in memory and applying the sum is *not* bit-identical
-//! to applying them one at a time. [`FlushMode`] makes the trade explicit:
-//!
-//! * [`FlushMode::Exact`] (default) replays each tile's runs in arrival
-//!   order during the single per-tile read-modify-write. The
-//!   per-coefficient addition sequence is exactly the serial per-box
-//!   sequence, so the result is **bit-identical** to applying the boxes
-//!   one at a time, each a batch of one — while still writing each dirty
-//!   tile once. The grouping keeps it so: boxes
-//!   stay in arrival order among every tile's runs, and each
-//!   coefficient's deltas from one box come in decomposition (piece)
-//!   order, which is all a coefficient can observe.
-//! * [`FlushMode::Merged`] is a drain-time reduction: each tile's runs
-//!   are summed slot by slot, in arrival order, into a zeroed dense
-//!   scratch, and only the non-zero sums are applied — one add per
-//!   touched coefficient, the smallest possible flush, equal to the
-//!   serial path only up to floating-point rounding. A tile whose sums
-//!   all cancel is never written.
+//! to one coefficient in memory and applying the sum would not be
+//! bit-identical to applying them one at a time. The flush therefore
+//! replays each tile's runs in arrival order during the single per-tile
+//! read-modify-write. The per-coefficient addition sequence is exactly
+//! the serial per-box sequence, so the result is **bit-identical** to
+//! applying the boxes one at a time, each a batch of one — while still
+//! writing each dirty tile once. The grouping keeps it so: boxes stay in
+//! arrival order among every tile's runs, and each coefficient's deltas
+//! from one box come in decomposition (piece) order, which is all a
+//! coefficient can observe. [`FlushMode`] names this one reduction; it is
+//! kept on three signatures for source compatibility only.
 //!
 //! Observability: flushes publish `maintain.*` counters, gauges, and
 //! histograms to the global [`ss_obs`] registry (boxes and deltas
@@ -84,14 +77,13 @@
 //!
 //! ```
 //! use ss_core::tiling::StandardTiling;
-//! use ss_core::TilingMap;
-//! use ss_maintain::{DeltaBuffer, FlushMode};
+//! use ss_maintain::DeltaBuffer;
 //! use ss_storage::{wstore::mem_store, IoStats};
 //!
 //! let map = StandardTiling::new(&[4, 4], &[2, 2]); // 16x16, 4x4 tiles
 //! let mut cs = mem_store(map.clone(), 1 << 10, IoStats::new());
 //!
-//! let mut buf = DeltaBuffer::new(map.block_capacity(), FlushMode::Exact);
+//! let mut buf = DeltaBuffer::new();
 //! // Two overlapping single-coefficient updates destined for one tile:
 //! buf.begin_box();
 //! buf.add(3, 1, 0.5);

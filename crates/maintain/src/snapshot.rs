@@ -353,7 +353,6 @@ impl<M: TilingMap, S: BlockStore> CoeffRead for &PinnedSnapshot<'_, M, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::FlushMode;
     use ss_core::Tiling1d;
     use ss_storage::{mem_shared_store, IoStats};
 
@@ -365,7 +364,7 @@ mod tests {
     #[test]
     fn pinned_reader_sees_its_epoch_not_later_commits() {
         let s = snap_store();
-        let mut buf = DeltaBuffer::new(4, FlushMode::Exact);
+        let mut buf = DeltaBuffer::new();
         buf.begin_box();
         buf.add(0, 1, 5.0);
         s.commit(&mut buf).unwrap();
@@ -388,7 +387,7 @@ mod tests {
     #[test]
     fn checkpoint_blocked_by_old_reader_then_folds() {
         let s = snap_store();
-        let mut buf = DeltaBuffer::new(4, FlushMode::Exact);
+        let mut buf = DeltaBuffer::new();
         buf.begin_box();
         buf.add(2, 0, 1.0);
         s.commit(&mut buf).unwrap();
@@ -409,7 +408,7 @@ mod tests {
     #[test]
     fn reader_pinned_at_current_epoch_survives_a_fold() {
         let s = snap_store();
-        let mut buf = DeltaBuffer::new(4, FlushMode::Exact);
+        let mut buf = DeltaBuffer::new();
         buf.begin_box();
         buf.add(1, 2, 4.0);
         s.commit(&mut buf).unwrap();
@@ -429,43 +428,41 @@ mod tests {
 
     #[test]
     fn a_commit_logs_exactly_its_dirty_tiles_post_images() {
-        // k dirty tiles of capacity c cost 20 + k·(16 + 8c) log bytes in
-        // either flush mode — the record is redo images, nothing else —
-        // and what comes back on reopen is what a pin reads.
+        // k dirty tiles of capacity c cost 20 + k·(16 + 8c) log bytes —
+        // the record is redo images, nothing else — and what comes back on
+        // reopen is what a pin reads.
         let dir = std::env::temp_dir().join(format!("ss_snap_wal_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("log.wal");
         let (k, c) = (3u64, 4u64);
-        for mode in [FlushMode::Exact, FlushMode::Merged] {
-            let _ = std::fs::remove_file(&path);
-            let (wal, _, _) = Wal::open(&path).unwrap();
-            let base = mem_shared_store(Tiling1d::new(4, 2), 8, 2, IoStats::new());
-            let s = SnapshotCoeffStore::new(base, Some(wal), 0);
-            let mut buf = DeltaBuffer::new(c as usize, mode);
-            for round in 0..2u64 {
-                buf.begin_box();
-                for tile in [4, 0, 2] {
-                    buf.add(tile, 1, 0.5 + tile as f64);
-                    buf.add(tile, 3, -1.25);
-                    buf.add(tile, 1, 0.125);
-                }
-                let before = std::fs::metadata(&path).unwrap().len();
-                assert_eq!(before, 8 + round * (20 + k * (16 + 8 * c)), "{mode:?}");
-                s.commit(&mut buf).unwrap();
-                let grew = std::fs::metadata(&path).unwrap().len() - before;
-                assert_eq!(grew, 20 + k * (16 + 8 * c), "{mode:?}");
+        let _ = std::fs::remove_file(&path);
+        let (wal, _, _) = Wal::open(&path).unwrap();
+        let base = mem_shared_store(Tiling1d::new(4, 2), 8, 2, IoStats::new());
+        let s = SnapshotCoeffStore::new(base, Some(wal), 0);
+        let mut buf = DeltaBuffer::new();
+        for round in 0..2u64 {
+            buf.begin_box();
+            for tile in [4, 0, 2] {
+                buf.add(tile, 1, 0.5 + tile as f64);
+                buf.add(tile, 3, -1.25);
+                buf.add(tile, 1, 0.125);
             }
-            let pin = s.pin();
-            let (_, recs, scan) = Wal::open(&path).unwrap();
-            assert!(!scan.torn_tail);
-            assert_eq!(recs.iter().map(|r| r.epoch).collect::<Vec<_>>(), [1, 2]);
-            let last = recs.last().unwrap();
-            let tiles: Vec<usize> = last.tiles.iter().map(|t| t.tile).collect();
-            assert_eq!(tiles, [0, 2, 4], "{mode:?}");
-            for t in &last.tiles {
-                for (slot, v) in t.image.iter().enumerate() {
-                    assert_eq!(v.to_bits(), pin.get(t.tile, slot).to_bits(), "{mode:?}");
-                }
+            let before = std::fs::metadata(&path).unwrap().len();
+            assert_eq!(before, 8 + round * (20 + k * (16 + 8 * c)));
+            s.commit(&mut buf).unwrap();
+            let grew = std::fs::metadata(&path).unwrap().len() - before;
+            assert_eq!(grew, 20 + k * (16 + 8 * c));
+        }
+        let pin = s.pin();
+        let (_, recs, scan) = Wal::open(&path).unwrap();
+        assert!(!scan.torn_tail);
+        assert_eq!(recs.iter().map(|r| r.epoch).collect::<Vec<_>>(), [1, 2]);
+        let last = recs.last().unwrap();
+        let tiles: Vec<usize> = last.tiles.iter().map(|t| t.tile).collect();
+        assert_eq!(tiles, [0, 2, 4]);
+        for t in &last.tiles {
+            for (slot, v) in t.image.iter().enumerate() {
+                assert_eq!(v.to_bits(), pin.get(t.tile, slot).to_bits());
             }
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -474,7 +471,7 @@ mod tests {
     #[test]
     fn empty_commit_is_a_noop() {
         let s = snap_store();
-        let mut buf = DeltaBuffer::new(4, FlushMode::Exact);
+        let mut buf = DeltaBuffer::new();
         let (epoch, report) = s.commit(&mut buf).unwrap();
         assert_eq!(epoch, 0);
         assert_eq!(report, FlushReport::default());

@@ -3,14 +3,14 @@
 //! test: nothing else in the process flushes a buffer.
 
 use ss_core::StandardTiling;
-use ss_maintain::{DeltaBuffer, FlushMode, FlushReport};
+use ss_maintain::{DeltaBuffer, FlushReport};
 use ss_storage::{mem_shared_store, wstore::mem_store, IoStats};
 
 #[test]
 fn empty_flush_leaves_the_flush_counter_alone() {
     let flushes = ss_obs::global().counter("maintain.flushes");
     let map = StandardTiling::cube(2, 4, 2);
-    let mut buf = DeltaBuffer::for_map(&map, FlushMode::Exact);
+    let mut buf = DeltaBuffer::new();
 
     let mut cs = mem_store(map.clone(), 8, IoStats::default());
     assert_eq!(buf.flush_into(&mut cs), FlushReport::default());

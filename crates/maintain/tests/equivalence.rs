@@ -107,10 +107,10 @@ proptest! {
 
         let mut serial = mem_store(map.clone(), 4, IoStats::default());
         for one in boxes.chunks(1) {
-            update_boxes_nonstandard(&mut serial, n, one, FlushMode::Exact);
+            update_boxes_nonstandard(&mut serial, n, one);
         }
         let mut batched = mem_store(map, 4, IoStats::default());
-        update_boxes_nonstandard(&mut batched, n, &boxes, FlushMode::Exact);
+        update_boxes_nonstandard(&mut batched, n, &boxes);
         assert_identical(&mut serial, &mut batched, "nonstandard batch");
     }
 

@@ -13,7 +13,7 @@
 //!    the reopened store restores the committed state bit for bit.
 
 use ss_core::{Tiling1d, TilingMap};
-use ss_maintain::{replay_records, DeltaBuffer, FlushMode, SnapshotCoeffStore, Wal};
+use ss_maintain::{replay_records, DeltaBuffer, SnapshotCoeffStore, Wal};
 use ss_storage::{FileBlockStore, IoStats, SharedCoeffStore};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -79,7 +79,7 @@ fn hammered_readers_see_whole_epochs_and_serial_final_state() {
 
         // The writer: one commit per epoch, with interleaved checkpoint
         // folds (which may be blocked by pinned readers — that's fine).
-        let mut buf = DeltaBuffer::new(store.map().block_capacity(), FlushMode::Exact);
+        let mut buf = DeltaBuffer::new();
         for e in 1..=EPOCHS {
             buf.begin_box();
             for &t in &sentinels {
@@ -163,7 +163,7 @@ fn crash_between_wal_append_and_writeback_replays_bit_identically() {
         let (wal, recs, _) = Wal::open(&dir.join("log.wal")).unwrap();
         assert!(recs.is_empty());
         let s = SnapshotCoeffStore::new(cs, Some(wal), 0);
-        let mut buf = DeltaBuffer::new(4, FlushMode::Exact);
+        let mut buf = DeltaBuffer::new();
         for e in 1..=3u64 {
             buf.begin_box();
             for t in 0..4usize {
@@ -200,7 +200,7 @@ fn crash_between_wal_append_and_writeback_replays_bit_identically() {
     // (the WAL reset that would follow a complete fold never happens).
     let expected4: Vec<f64> = {
         let s = SnapshotCoeffStore::new(cs, Some(wal), 3);
-        let mut buf = DeltaBuffer::new(4, FlushMode::Exact);
+        let mut buf = DeltaBuffer::new();
         buf.begin_box();
         for t in 0..4usize {
             buf.add(t, t, delta(4, t));
@@ -258,7 +258,7 @@ fn wal_replay_onto_sparse_v3_store_is_bit_identical() {
         let (wal, recs, _) = Wal::open(&dir.join("log.wal")).unwrap();
         assert!(recs.is_empty());
         let s = SnapshotCoeffStore::new(cs, Some(wal), 0);
-        let mut buf = DeltaBuffer::new(4, FlushMode::Exact);
+        let mut buf = DeltaBuffer::new();
         for e in 1..=3u64 {
             buf.begin_box();
             for t in 0..4usize {

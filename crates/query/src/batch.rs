@@ -472,8 +472,7 @@ mod tests {
                 base.write(idx, *v);
             }
             let snapshots = ss_maintain::SnapshotCoeffStore::new(base, None, 0);
-            let mut buf =
-                ss_maintain::DeltaBuffer::new(map.block_capacity(), ss_maintain::FlushMode::Exact);
+            let mut buf = ss_maintain::DeltaBuffer::new();
             buf.begin_box();
             for _ in 0..1 + rng.below(6) {
                 let loc = map.locate(&index(&mut rng, &dims));

@@ -42,7 +42,7 @@ use crate::server::{self, Backend, Job, MutErr, Outcome};
 use ss_core::reconstruct::Contributions;
 use ss_core::runs::TileRuns;
 use ss_core::TilingMap;
-use ss_maintain::{DeltaBuffer, FlushMode};
+use ss_maintain::DeltaBuffer;
 use ss_obs::trace;
 use ss_obs::{Counter, Histogram};
 use ss_storage::ShardMap;
@@ -406,19 +406,13 @@ struct WriteState {
 }
 
 impl<M: TilingMap> RouterBackend<M> {
-    pub(crate) fn new(
-        topology: RouterTopology,
-        tiling: M,
-        levels: Vec<u32>,
-        flush_mode: FlushMode,
-    ) -> RouterBackend<M> {
-        let buffer = DeltaBuffer::for_map(&tiling, flush_mode);
+    pub(crate) fn new(topology: RouterTopology, tiling: M, levels: Vec<u32>) -> RouterBackend<M> {
         RouterBackend {
             core: RouterCore::new(topology),
             tiling,
             levels,
             write: Mutex::new(WriteState {
-                buffer,
+                buffer: DeltaBuffer::new(),
                 conns: ConnCache::new(),
             }),
         }

@@ -391,15 +391,16 @@ impl QueryServer {
 
     /// Binds `addr` and serves standard-form queries **and mutations**
     /// against an epoch-versioned snapshot store: `update` buffers box
-    /// deltas under `flush_mode`, `commit` publishes them as the next
-    /// epoch, and each sweep executes against one pinned snapshot.
-    /// The caller keeps a clone of the `Arc` to checkpoint / recover the
-    /// store around the server's lifetime.
+    /// deltas, `commit` publishes them as the next epoch, and each sweep
+    /// executes against one pinned snapshot. The caller keeps a clone of
+    /// the `Arc` to checkpoint / recover the store around the server's
+    /// lifetime. `_mode` is always [`FlushMode::Exact`], kept for source
+    /// compatibility.
     pub fn bind_writable<M, S>(
         addr: &str,
         store: Arc<SnapshotCoeffStore<M, S>>,
         levels: Vec<u32>,
-        flush_mode: FlushMode,
+        _mode: FlushMode,
         config: ServeConfig,
     ) -> std::io::Result<QueryServer>
     where
@@ -407,7 +408,7 @@ impl QueryServer {
         S: BlockStore + Send + Sync + 'static,
     {
         let backend = WritableBackend {
-            buffer: Mutex::new(DeltaBuffer::for_map(store.map(), flush_mode)),
+            buffer: Mutex::new(DeltaBuffer::new()),
             levels: levels.clone(),
             store,
         };
@@ -422,8 +423,7 @@ impl QueryServer {
     /// of each shard, and the per-tile partial sums are merged back in
     /// ascending tile order — bit-identical to executing the plan
     /// against one store holding every tile. Mutations are accepted
-    /// too: `update` decomposes boxes once at the router under
-    /// `flush_mode`, and `commit` scatters the dirty-tile op lists to
+    /// too: `update` decomposes boxes once at the router, and `commit` scatters the dirty-tile op lists to
     /// the owning shards and fans a commit to every replica (see
     /// [`crate::router`] for the failure semantics).
     ///
@@ -435,7 +435,6 @@ impl QueryServer {
         tiling: M,
         levels: Vec<u32>,
         topology: RouterTopology,
-        flush_mode: FlushMode,
         config: ServeConfig,
     ) -> std::io::Result<QueryServer>
     where
@@ -451,7 +450,7 @@ impl QueryServer {
                 ),
             ));
         }
-        let backend = RouterBackend::new(topology, tiling, levels.clone(), flush_mode);
+        let backend = RouterBackend::new(topology, tiling, levels.clone());
         QueryServer::start(addr, levels, config, "router.fanout", Box::new(backend))
     }
 

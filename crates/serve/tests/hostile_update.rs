@@ -86,15 +86,9 @@ fn a_wrapping_update_is_refused_and_the_router_keeps_committing() {
     let shard = writable();
     let map = ShardMap::even(tiling().num_tiles(), 1, 1).unwrap();
     let topology = RouterTopology::new(map, vec![vec![shard.local_addr()]]).unwrap();
-    let router = QueryServer::bind_router(
-        "127.0.0.1:0",
-        tiling(),
-        LEVELS.to_vec(),
-        topology,
-        FlushMode::Exact,
-        cfg(),
-    )
-    .unwrap();
+    let router =
+        QueryServer::bind_router("127.0.0.1:0", tiling(), LEVELS.to_vec(), topology, cfg())
+            .unwrap();
     let acks = hostile_lines_leave_the_write_path_working(router.local_addr());
     assert_eq!(acks, 1.0);
     router.shutdown();

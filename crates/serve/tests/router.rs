@@ -81,15 +81,7 @@ fn fleet(
 }
 
 fn bind_router(topo: RouterTopology) -> QueryServer {
-    QueryServer::bind_router(
-        "127.0.0.1:0",
-        tiling(),
-        vec![N; 2],
-        topo,
-        FlushMode::Exact,
-        cfg(),
-    )
-    .unwrap()
+    QueryServer::bind_router("127.0.0.1:0", tiling(), vec![N; 2], topo, cfg()).unwrap()
 }
 
 /// A one-term `partial` sub-plan.

@@ -64,8 +64,8 @@
 //! *contended* acquisitions only.
 //!
 //! Every shard keeps local hit/miss/eviction/write-back counters (read
-//! them with [`ShardedBufferPool::shard_counters`]) and mirrors each event
-//! into the shared [`IoStats`] ([`ShardedBufferPool::with_blocks`] adds a
+//! them with [`ShardedBufferPool::shard_counters`]) and mirrors each of
+//! those events into the shared [`IoStats`] ([`ShardedBufferPool::with_blocks`] adds a
 //! call's hits at once), where the totals appear in
 //! [`IoSnapshot`](crate::IoSnapshot) next to the block/coefficient
 //! counters the experiments report. Every access also emits a
@@ -99,6 +99,9 @@ pub struct ShardCounters {
     pub evictions: u64,
     /// Dirty frames written back (eviction or flush).
     pub writebacks: u64,
+    /// Accesses that found their block busy with another thread's load or
+    /// write-back and waited for it instead of loading it again.
+    pub busy_waits: u64,
 }
 
 /// The hash of a block id — the only key the frame table and the busy
@@ -705,6 +708,7 @@ impl<S: BlockStore> ShardedBufferPool<S> {
     fn enter<R>(&self, id: usize, mutate: bool, load: bool, f: impl FnOnce(&mut [f64]) -> R) -> R {
         let slot_ref = &self.shards[self.shard_of(id)];
         let mut shard = self.lock_slot(slot_ref);
+        let mut waited = false;
         loop {
             if let Some(data) = shard.hit(id, mutate, &self.stats) {
                 return f(data);
@@ -714,6 +718,10 @@ impl<S: BlockStore> ShardedBufferPool<S> {
             }
             // Another thread is loading or writing back this block;
             // wait for its I/O to finish instead of duplicating it.
+            if !waited {
+                shard.counters.busy_waits += 1;
+                waited = true;
+            }
             shard.waiting += 1;
             shard = slot_ref.ready.wait(shard).unwrap();
             shard.waiting -= 1;
@@ -1215,25 +1223,69 @@ mod tests {
 
     #[test]
     fn waiters_share_one_in_flight_load() {
-        use std::sync::Arc;
-        use std::time::Duration;
+        use std::time::{Duration, Instant};
 
-        // A slow store: every miss costs 30 ms.
+        // Every read blocks until the test opens the gate, so the first
+        // miss holds its busy mark while the other readers arrive.
+        struct Gate {
+            inner: MemBlockStore,
+            open: Mutex<bool>,
+            opened: Condvar,
+        }
+        impl BlockStore for Gate {
+            fn block_capacity(&self) -> usize {
+                self.inner.block_capacity()
+            }
+            fn num_blocks(&self) -> usize {
+                self.inner.num_blocks()
+            }
+            fn try_read_block(&self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
+                let open = self.open.lock().unwrap();
+                let (_open, wait) = self
+                    .opened
+                    .wait_timeout_while(open, Duration::from_secs(30), |open| !*open)
+                    .unwrap();
+                assert!(!wait.timed_out(), "the gate never opened");
+                self.inner.try_read_block(id, buf)
+            }
+            fn try_write_block(&mut self, id: usize, buf: &[f64]) -> Result<(), StorageError> {
+                self.inner.try_write_block(id, buf)
+            }
+            fn grow(&mut self, blocks: usize) {
+                self.inner.grow(blocks);
+            }
+        }
+
         let stats = IoStats::new();
-        let slow = crate::throttle::ThrottledBlockStore::new(
-            written(MemBlockStore::new(4, 8, stats.clone()), &stats),
-            Duration::from_millis(30),
-            Duration::ZERO,
-        );
-        let p = Arc::new(ShardedBufferPool::new(slow, 4, 1, stats.clone()));
+        let gate = Gate {
+            inner: written(MemBlockStore::new(4, 8, stats.clone()), &stats),
+            open: Mutex::new(false),
+            opened: Condvar::new(),
+        };
+        let p = ShardedBufferPool::new(gate, 4, 1, stats.clone());
+        let busy_waits = || p.shard_counters()[0].busy_waits;
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                let p = Arc::clone(&p);
-                scope.spawn(move || assert_eq!(p.read(3, 0), 0.0));
+                scope.spawn(|| assert_eq!(p.read(3, 0), 0.0));
             }
+            // One reader owns the load behind the gate; the other three
+            // must each be waiting on its busy mark before it opens.
+            let t0 = Instant::now();
+            loop {
+                let waits = busy_waits();
+                if waits == 3 {
+                    break;
+                }
+                assert!(t0.elapsed() < Duration::from_secs(30), "{waits} waits");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let gate = p.read_store();
+            *gate.open.lock().unwrap() = true;
+            gate.opened.notify_all();
         });
         // All four threads raced for the same cold block: exactly one
         // loaded it from the store, the rest waited on the busy mark.
+        assert_eq!(busy_waits(), 3);
         assert_eq!(stats.snapshot().block_reads, 1);
     }
 

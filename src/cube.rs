@@ -19,7 +19,7 @@
 use ss_array::NdArray;
 use ss_core::tiling::StandardTiling;
 use ss_core::TilingMap;
-use ss_maintain::{DeltaBuffer, FlushMode};
+use ss_maintain::DeltaBuffer;
 use ss_storage::{BlockStore, CoeffStore, FileBlockStore, IoStats, MemBlockStore};
 use ss_transform::ArraySource;
 
@@ -223,7 +223,7 @@ impl<S: BlockStore> WaveletCube<S> {
     pub fn update(&mut self, origin: &[usize], delta: &NdArray<f64>) -> usize {
         self.fast_point_ready = false;
         let cs = &mut self.cs;
-        let mut buf = DeltaBuffer::for_map(cs.map(), FlushMode::Exact);
+        let mut buf = DeltaBuffer::new();
         let report = buf.add_box_standard(cs.map(), &self.levels, origin, delta);
         buf.flush_into(cs);
         report.pieces

@@ -163,7 +163,7 @@ fn standard_matrix_matches_the_serial_per_chunk_front() {
                             transform_standard(&src, cs, false);
                         }
                         Some(g) => {
-                            transform_standard_coalesced(&src, cs, g, FlushMode::Exact);
+                            transform_standard_coalesced(&src, cs, g);
                         }
                     },
                     |cs| match grouping {
@@ -171,7 +171,7 @@ fn standard_matrix_matches_the_serial_per_chunk_front() {
                             ChunkPipeline::standard(&src).run(&mut &*cs);
                         }
                         Some(g) => {
-                            transform_standard_coalesced(&src, &mut &*cs, g, FlushMode::Exact);
+                            transform_standard_coalesced(&src, &mut &*cs, g);
                         }
                     },
                 );
@@ -315,19 +315,19 @@ fn serial_fronts_io_is_pinned_to_the_parent_commit() {
         (
             "coalesced/sq/group=1",
             io_of(sq_map(), |cs| {
-                transform_standard_coalesced(&sq3, cs, 1, exact);
+                transform_standard_coalesced(&sq3, cs, 1);
             }),
         ),
         (
             "coalesced/sq/group=4",
             io_of(sq_map(), |cs| {
-                transform_standard_coalesced(&sq3, cs, 4, exact);
+                transform_standard_coalesced(&sq3, cs, 4);
             }),
         ),
         (
             "coalesced/sq/group=0",
             io_of(sq_map(), |cs| {
-                transform_standard_coalesced(&sq3, cs, 0, exact);
+                transform_standard_coalesced(&sq3, cs, 0);
             }),
         ),
         (
@@ -359,7 +359,7 @@ fn serial_fronts_io_is_pinned_to_the_parent_commit() {
         (
             "update_boxes_nonstandard/sq",
             io_of(ns_map(), |cs| {
-                update_boxes_nonstandard(cs, 6, &upd, FlushMode::Merged);
+                update_boxes_nonstandard(cs, 6, &upd);
             }),
         ),
         ("appender", {
@@ -438,9 +438,13 @@ fn serial_fronts_io_is_pinned_to_the_parent_commit() {
             "update_boxes_standard/sq",
             [0, 150, 0, 3711, 0, 150, 142, 150],
         ),
+        // [0, 56, 0, 502, 0, 56, 48, 56] while this row ran the
+        // pre-summing flush, which charged one coefficient write per
+        // touched slot; the arrival-order replay charges one per delta.
+        // No block or pool count moved.
         (
             "update_boxes_nonstandard/sq",
-            [0, 56, 0, 502, 0, 56, 48, 56],
+            [0, 56, 0, 2593, 0, 56, 48, 56],
         ),
         // Re-captured when `Appender::append` went tile-major: a slab's
         // deltas enter the 8-frame pool sorted by (tile, slot) through
@@ -479,7 +483,6 @@ fn every_front_records_one_sample_per_chunk_per_phase() {
     let std_store = || mem_store(std_map(), MATRIX_POOL, IoStats::new());
     let ns_store = || mem_store(ns_map(), MATRIX_POOL, IoStats::new());
     let ns_shared = || mem_shared_store(ns_map(), MATRIX_POOL, 4, IoStats::new());
-    let exact = FlushMode::Exact;
 
     type Front<'a> = (&'a str, usize, Box<dyn FnOnce() -> usize + 'a>);
     let fronts: Vec<Front> = vec![
@@ -516,7 +519,7 @@ fn every_front_records_one_sample_per_chunk_per_phase() {
         (
             "transform_standard_coalesced",
             64,
-            Box::new(|| transform_standard_coalesced(&std_src, &mut std_store(), 4, exact).chunks),
+            Box::new(|| transform_standard_coalesced(&std_src, &mut std_store(), 4).chunks),
         ),
     ];
     let phases = ["read_ns", "compute_ns", "writeback_ns"]
@@ -628,7 +631,7 @@ fn device_fronts<'a>(sq: &'a NdArray<f64>, upd: &'a [UpdateBox]) -> Vec<Front<'a
             true,
             Box::new(move |dev| {
                 let mut cs = serial_on(std_map(), dev);
-                transform_standard_coalesced(&std_src(), &mut cs, 4, exact);
+                transform_standard_coalesced(&std_src(), &mut cs, 4);
                 slots(&mut cs)
             }),
         ),
@@ -646,7 +649,7 @@ fn device_fronts<'a>(sq: &'a NdArray<f64>, upd: &'a [UpdateBox]) -> Vec<Front<'a
             true,
             Box::new(move |dev| {
                 let mut cs = serial_on(ns_map(), dev);
-                update_boxes_nonstandard(&mut cs, 4, upd, exact);
+                update_boxes_nonstandard(&mut cs, 4, upd);
                 slots(&mut cs)
             }),
         ),

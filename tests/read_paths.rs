@@ -161,15 +161,9 @@ fn every_read_front_agrees() {
         shards.iter().map(|s| vec![s.local_addr()]).collect(),
     )
     .unwrap();
-    let router = QueryServer::bind_router(
-        "127.0.0.1:0",
-        tiling(),
-        LEVELS.to_vec(),
-        topology,
-        FlushMode::Exact,
-        cfg(),
-    )
-    .unwrap();
+    let router =
+        QueryServer::bind_router("127.0.0.1:0", tiling(), LEVELS.to_vec(), topology, cfg())
+            .unwrap();
     assert_eq!(
         bits(&ask(router.local_addr(), &queries)),
         bits(&batched),

@@ -24,7 +24,7 @@ use shiftsplit::core::reconstruct::standard_reconstruct_range;
 use shiftsplit::core::tiling::{StandardTiling, Tiling1d};
 use shiftsplit::core::{Coeff1d, Layout1d, TilingMap};
 use shiftsplit::datagen::SplitMix64;
-use shiftsplit::maintain::{DeltaBuffer, FlushMode, SnapshotCoeffStore};
+use shiftsplit::maintain::{DeltaBuffer, SnapshotCoeffStore};
 use shiftsplit::query::reconstruct_box_standard;
 use shiftsplit::storage::{
     mem_shared_store, wstore::mem_store, CoeffRead, CoeffStore, IoStats, MemBlockStore,
@@ -191,7 +191,7 @@ fn tile_major_extract_through_a_pinned_snapshot_with_an_overlay() {
         let store = SnapshotCoeffStore::new(base, None, 0);
         // One epoch dirtying a third of the tiles: those are read from
         // the overlay, the rest from the base pool.
-        let mut buf = DeltaBuffer::new(capacity, FlushMode::Exact);
+        let mut buf = DeltaBuffer::new();
         buf.begin_box();
         for tile in (0..tiles).filter(|tile| tile % 3 == 1) {
             buf.add(tile, rng.below(capacity), rng.range(-5.0, 5.0));

@@ -258,7 +258,7 @@ fn tiling() -> StandardTiling {
 #[test]
 fn every_request_line_is_ok_or_a_typed_error() {
     let mut store = mem_store(tiling(), 1 << 10, IoStats::new());
-    let mut buf = DeltaBuffer::for_map(&tiling(), FlushMode::Merged);
+    let mut buf = DeltaBuffer::for_map(&tiling(), FlushMode::Exact);
     let max = usize::MAX;
     let mut lines = vec![
         format!(r#"{{"op":"update","at":[{max},0],"dims":[2,1],"data":[1,2]}}"#),

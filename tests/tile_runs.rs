@@ -12,13 +12,12 @@
 //!
 //! * delta for delta, **bit for bit** — as a multiset per chunk; per box,
 //!   as each tile's multiset (the union of its pieces') and as every
-//!   coefficient's delta *sequence* (the order `FlushMode::Exact`
-//!   replays),
+//!   coefficient's delta *sequence* (the order the flush replays),
 //! * on the run contract: strictly ascending tiles and one descriptor per
 //!   tile, for a chunk and for a box alike, so `group()` moves nothing,
 //!   and no run for a tile that receives nothing,
-//! * through a `DeltaBuffer` (same drained lists, same `FlushReport`, in
-//!   both flush modes; deferred boxes interleaved with `add_runs` and
+//! * through a `DeltaBuffer` (same drained lists, same `FlushReport`;
+//!   deferred boxes interleaved with `add_runs` and
 //!   `add_at` operations store the bits the index-space oracle stores,
 //!   through `flush_into` into an exclusive and a shared sink, with the same
 //!   `IoSnapshot`) and through `update_boxes_standard` on a product map
@@ -357,46 +356,35 @@ fn a_buffer_fed_by_runs_drains_what_one_fed_by_add_at_drains() {
     let n = [5u32, 6];
     let map = StandardTiling::new(&n, &[2, 3]);
     let batch = boxes(&mut SplitMix64::new(21), &n, 40);
-    for mode in [FlushMode::Exact, FlushMode::Merged] {
-        let mut by_runs = DeltaBuffer::for_map(&map, mode);
-        let mut by_index = DeltaBuffer::for_map(&map, mode);
-        for (origin, delta) in &batch {
-            by_runs.add_box_standard(&map, &n, origin, delta);
-            by_index.begin_box();
-            for_each_box_delta_standard(&n, origin, delta, |idx, v| by_index.add_at(&map, idx, v));
-        }
-        let (runs, runs_report) = by_runs.drain();
-        let (index, index_report) = by_index.drain();
-        // Each tile's runs, concatenated in arrival order.
-        let ops = |runs: &TileRuns| -> Vec<(usize, Vec<(usize, f64)>)> {
-            let mut out: Vec<(usize, Vec<(usize, f64)>)> = Vec::new();
-            for (tile, run) in listed(runs) {
-                match out.last_mut() {
-                    Some((last, ops)) if *last == tile => ops.extend(run),
-                    _ => out.push((tile, run)),
-                }
-            }
-            out
-        };
-        let (runs, index) = (ops(&runs), ops(&index));
-        assert_eq!(runs_report, index_report, "{mode:?}");
-        assert!(runs_report.tile_touches > runs_report.tiles_written);
-        assert_eq!(runs.len(), index.len(), "{mode:?}");
-        for ((tile_a, ops_a), (tile_b, ops_b)) in runs.iter().zip(&index) {
-            assert_eq!(tile_a, tile_b, "{mode:?}");
-            match mode {
-                // Arrival order inside a tile differs (tile-major against
-                // emission order); what a coefficient sees does not.
-                FlushMode::Exact => assert_eq!(by_slot(ops_a), by_slot(ops_b), "tile {tile_a}"),
-                // Pre-summed per slot in that same order: the same bits.
-                FlushMode::Merged => {
-                    let bits = |ops: &[(usize, f64)]| -> Vec<(usize, u64)> {
-                        ops.iter().map(|&(s, v)| (s, v.to_bits())).collect()
-                    };
-                    assert_eq!(bits(ops_a), bits(ops_b), "tile {tile_a}");
-                }
+    let mut by_runs = DeltaBuffer::new();
+    let mut by_index = DeltaBuffer::new();
+    for (origin, delta) in &batch {
+        by_runs.add_box_standard(&map, &n, origin, delta);
+        by_index.begin_box();
+        for_each_box_delta_standard(&n, origin, delta, |idx, v| by_index.add_at(&map, idx, v));
+    }
+    let (runs, runs_report) = by_runs.drain();
+    let (index, index_report) = by_index.drain();
+    // Each tile's runs, concatenated in arrival order.
+    let ops = |runs: &TileRuns| -> Vec<(usize, Vec<(usize, f64)>)> {
+        let mut out: Vec<(usize, Vec<(usize, f64)>)> = Vec::new();
+        for (tile, run) in listed(runs) {
+            match out.last_mut() {
+                Some((last, ops)) if *last == tile => ops.extend(run),
+                _ => out.push((tile, run)),
             }
         }
+        out
+    };
+    let (runs, index) = (ops(&runs), ops(&index));
+    assert_eq!(runs_report, index_report);
+    assert!(runs_report.tile_touches > runs_report.tiles_written);
+    assert_eq!(runs.len(), index.len());
+    for ((tile_a, ops_a), (tile_b, ops_b)) in runs.iter().zip(&index) {
+        assert_eq!(tile_a, tile_b);
+        // Arrival order inside a tile differs (tile-major against
+        // emission order); what a coefficient sees does not.
+        assert_eq!(by_slot(ops_a), by_slot(ops_b), "tile {tile_a}");
     }
 }
 
@@ -506,10 +494,9 @@ fn buffered(
     map: &StandardTiling,
     n: &[u32],
     ops: &[BatchOp],
-    mode: FlushMode,
     deferred: bool,
 ) -> (DeltaBuffer, UpdateReport) {
-    let mut buf = DeltaBuffer::for_map(map, mode);
+    let mut buf = DeltaBuffer::new();
     let mut report = UpdateReport::default();
     for op in ops {
         match op {
@@ -573,14 +560,13 @@ struct Leg {
 fn flush_leg(
     map: &StandardTiling,
     ops: &[BatchOp],
-    mode: FlushMode,
     deferred: bool,
     shared: bool,
     round: u64,
 ) -> Leg {
     let n: Vec<u32> = map.axes().iter().map(|axis| axis.levels()).collect();
     let tiles = map.num_tiles();
-    let (mut buf, update) = buffered(map, &n, ops, mode, deferred);
+    let (mut buf, update) = buffered(map, &n, ops, deferred);
     let stats = IoStats::new();
     let (flush, io, stored) = if shared {
         let store = mem_shared_store(map.clone(), 4, 2, stats.clone());
@@ -603,25 +589,23 @@ fn flush_leg(
     }
 }
 
-/// Flushes `ops` deferred and through the oracle, in both flush modes and
-/// into both sinks: the same reports, stored bits and writes.
+/// Flushes `ops` deferred and through the oracle, into both sinks: the
+/// same reports, stored bits and writes.
 fn check_deferred(map: &StandardTiling, ops: &[BatchOp], round: u64) {
     let n: Vec<u32> = map.axes().iter().map(|axis| axis.levels()).collect();
-    for mode in [FlushMode::Exact, FlushMode::Merged] {
-        for shared in [false, true] {
-            let label = format!("{n:?} {mode:?} shared={shared}");
-            let got = flush_leg(map, ops, mode, true, shared, round);
-            let want = flush_leg(map, ops, mode, false, shared, round);
-            assert!(got.flush.deltas > 0, "{label}");
-            assert_eq!(got.update, want.update, "{label}: UpdateReport");
-            assert_eq!(got.flush, want.flush, "{label}: FlushReport");
-            assert_eq!(got.stored, want.stored, "{label}: stored bits");
-            assert_eq!(got.io.coeff_writes, want.io.coeff_writes, "{label}");
-            // The serial sink makes the same transfers too (sharded
-            // workers race for frames, so their pool counts vary).
-            if !shared {
-                assert_eq!(got.io, want.io, "{label}: IoSnapshot");
-            }
+    for shared in [false, true] {
+        let label = format!("{n:?} shared={shared}");
+        let got = flush_leg(map, ops, true, shared, round);
+        let want = flush_leg(map, ops, false, shared, round);
+        assert!(got.flush.deltas > 0, "{label}");
+        assert_eq!(got.update, want.update, "{label}: UpdateReport");
+        assert_eq!(got.flush, want.flush, "{label}: FlushReport");
+        assert_eq!(got.stored, want.stored, "{label}: stored bits");
+        assert_eq!(got.io.coeff_writes, want.io.coeff_writes, "{label}");
+        // The serial sink makes the same transfers too (sharded
+        // workers race for frames, so their pool counts vary).
+        if !shared {
+            assert_eq!(got.io, want.io, "{label}: IoSnapshot");
         }
     }
 }
