@@ -79,26 +79,6 @@ pub fn add_sub_rows(u: &[f64], w: &[f64], sum: &mut [f64], diff: &mut [f64]) {
     }
 }
 
-// ---------------------------------------------------------------------
-// Dense delta application.
-// ---------------------------------------------------------------------
-
-/// Adds a dense per-slot delta vector into a block, touching **only**
-/// slots whose delta is non-zero: `blk[j] += delta[j]` where
-/// `delta[j] != 0.0`.
-///
-/// The skip is semantic, not an optimisation: an unconditional
-/// `blk[j] += 0.0` would rewrite a stored `-0.0` coefficient to `+0.0`,
-/// breaking the bit-identity contract of the exact flush path
-/// (docs/ERROR_MODEL.md).
-pub fn masked_add(blk: &mut [f64], delta: &[f64]) {
-    for (b, &d) in blk.iter_mut().zip(delta) {
-        if d != 0.0 {
-            *b += d;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,24 +130,6 @@ mod tests {
         for j in 0..len {
             assert_eq!(sum[j].to_bits(), (a[j] + b[j]).to_bits());
             assert_eq!(d2[j].to_bits(), (a[j] - b[j]).to_bits());
-        }
-    }
-
-    #[test]
-    fn masked_add_skips_zero_deltas_bitwise() {
-        let mut blk = vec![-0.0f64, 1.5, -0.0, 2.5, -3.5, -0.0, 0.0, 4.0, -0.0];
-        let mut delta = vec![0.0f64; blk.len()];
-        delta[1] = 0.5;
-        delta[4] = -1.0;
-        let before = blk.clone();
-        masked_add(&mut blk, &delta);
-        for j in 0..blk.len() {
-            let want = if delta[j] != 0.0 {
-                before[j] + delta[j]
-            } else {
-                before[j] // bitwise: -0.0 stays -0.0
-            };
-            assert_eq!(blk[j].to_bits(), want.to_bits(), "slot {j}");
         }
     }
 }

@@ -154,7 +154,10 @@ impl Contributions {
 
     /// `Σ weight · get(index)` over the terms in order, from `-0.0` (the
     /// neutral element `Iterator::sum` folds from): the plan-order sum of
-    /// the generic query fronts.
+    /// an in-memory synopsis, the tests, and the block averages that
+    /// non-standard partial reconstruction and the scaling slots assemble.
+    /// A query answered from a store is `ss-query`'s tile-major sweep
+    /// instead, which adds the same terms in another order.
     pub fn weighted_sum(&self, mut get: impl FnMut(&[usize]) -> f64) -> f64 {
         let mut sum = -0.0;
         self.for_each_term(|idx, w| sum += w * get(idx));

@@ -9,9 +9,10 @@
 //! store coarse-to-fine, yielding a refining estimate after every
 //! decomposition level — usable as-is for online aggregation.
 
-use ss_core::reconstruct;
+use ss_core::reconstruct::{self, Contributions};
 use ss_storage::CoeffRead;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap};
 
 /// A sparse K-term synopsis of a standard-form transform.
 #[derive(Clone, Debug)]
@@ -210,8 +211,13 @@ impl StoredSynopsis {
 
 /// Progressive (online-aggregation style) range sum: evaluates the Lemma 2
 /// contribution list **coarse-to-fine**, returning the running estimate
-/// after each batch of levels. The last element is the exact answer; early
-/// elements are usable approximations after a handful of coefficient reads.
+/// after each band of levels. The last element is the exact answer; early
+/// elements are usable approximations from a handful of coefficients.
+///
+/// One sweep of [`crate::execute_plans`] folds every band (a flat plan of
+/// its terms) and the whole plan, reading each `(tile, slot)` once; the
+/// last element is the whole plan's fold, the bits
+/// [`crate::range_sum_standard`] and a server answer.
 pub fn progressive_range_sum<C: CoeffRead>(
     cs: &mut C,
     n: &[u32],
@@ -219,10 +225,8 @@ pub fn progressive_range_sum<C: CoeffRead>(
     hi: &[usize],
 ) -> Vec<f64> {
     let plan = reconstruct::standard_range_sum_contributions(n, lo, hi);
-    let mut contribs: Vec<(Vec<usize>, f64)> = Vec::with_capacity(plan.len());
-    plan.for_each_term(|idx, w| contribs.push((idx.to_vec(), w)));
-    // Coarse-to-fine: order by the finest level participating in the tuple
-    // (larger minimum level = coarser = first).
+    // A term's band is the finest level in its tuple (larger = coarser =
+    // first).
     let fineness = |idx: &[usize]| -> u32 {
         idx.iter()
             .zip(n)
@@ -233,21 +237,24 @@ pub fn progressive_range_sum<C: CoeffRead>(
             .min()
             .unwrap_or(0)
     };
-    contribs.sort_by_key(|(idx, _)| std::cmp::Reverse(fineness(idx)));
-    let mut estimates = Vec::new();
+    let mut bands: BTreeMap<Reverse<u32>, Contributions> = BTreeMap::new();
+    plan.for_each_term(|idx, w| {
+        bands
+            .entry(Reverse(fineness(idx)))
+            .or_insert_with(|| Contributions::with_capacity(n.len(), 0))
+            .push(idx, w);
+    });
+    let values = crate::execute_plans(cs, bands.values().chain([&plan]));
+    let (&whole, bands) = values.split_last().expect("the whole plan is swept");
     let mut acc = 0.0;
-    let mut current_band = None;
-    for (idx, w) in &contribs {
-        let band = fineness(idx);
-        if let Some(cb) = current_band {
-            if band != cb {
-                estimates.push(acc);
-            }
-        }
-        current_band = Some(band);
-        acc += w * cs.read(idx);
-    }
-    estimates.push(acc);
+    let mut estimates: Vec<f64> = bands[..bands.len().saturating_sub(1)]
+        .iter()
+        .map(|band| {
+            acc += band;
+            acc
+        })
+        .collect();
+    estimates.push(whole);
     estimates
 }
 
@@ -328,6 +335,9 @@ mod tests {
         assert!(!estimates.is_empty());
         let last = *estimates.last().unwrap();
         assert!((last - exact).abs() < 1e-6);
+        // The last estimate is the one fold's answer, bit for bit.
+        let swept = crate::range_sum_standard(&mut cs, &[5, 5], &[3, 5], &[22, 30]);
+        assert_eq!(last.to_bits(), swept.to_bits());
         // Refinement: the final estimate must be at least as good as the
         // first.
         let first_err = (estimates[0] - exact).abs();

@@ -6,8 +6,9 @@
 //! *single* tile. This crate implements:
 //!
 //! * [`point`] — point queries (Lemma 1) for the standard and non-standard
-//!   forms, both the generic contribution-list plan and the single-tile
-//!   *fast path* that exploits materialised scaling slots,
+//!   forms, both the contribution-list plan (folded by [`batch`]'s sweep)
+//!   and the single-tile *fast path* that exploits materialised scaling
+//!   slots,
 //! * [`range`] — range-sum queries (Lemma 2) for the standard form,
 //! * [`recon`] — partial reconstruction of arbitrary boxes (Section 5.4 /
 //!   Result 6) with the two baselines the paper discusses (full inverse
@@ -17,20 +18,21 @@
 //!   the standard form),
 //! * [`approximate`] — K-term synopses of stored transforms and progressive
 //!   (online-aggregation style) range sums,
-//! * [`batch`] — tile-major execution of query batches (every needed tile
-//!   entered once across the whole batch).
+//! * [`batch`] — the one evaluator: tile-major execution of query plans,
+//!   one or a batch (every needed tile entered once across the sweep).
 //!
 //! # Which front evaluates what
 //!
-//! Every exact standard-form answer is a weighted sum over one contribution
-//! list ([`ss_core::reconstruct::Contributions`], the *plan*); the fronts
-//! differ only in the order they add it up, which is why they agree to
-//! rounding but only the middle row agrees bit for bit across processes:
+//! Every exact answer from a store is a weighted sum over one contribution
+//! list ([`ss_core::reconstruct::Contributions`], the *plan*), and every
+//! such sum is one fold: a sweep of [`execute_plans_tiled`]. A single
+//! query is a one-plan sweep, so it answers the same bits as any batch,
+//! served or routed. The fast front reads materialised scaling slots
+//! instead of the plan, and agrees with the fold to rounding:
 //!
 //! | Front | Evaluation | Reads |
 //! |---|---|---|
-//! | generic: [`point_standard`], [`range_sum_standard`], [`point_nonstandard`], [`range_sum_nonstandard`] | plan-order sum: `Σ w · read(idx)` as the plan lists its terms | one `read` per term, `≈ Π ceil(n_t/b_t)` tiles |
-//! | canonical: [`execute_plans_tiled`] — [`batch_points`], [`batch_range_sums`], `ss-serve`'s served and routed answers | tile-major **locate → walk tiles → fold** through one set of tables per sweep: every standard plan located per axis into the sweep's [`ss_core::reconstruct::LocatedPlans`], a flat one (or a list that repeats an index) term by term, all members in one arena; visits sorted by `(tile, plan)` (distinct keys: a stable tile sort's order); per-tile partials in `(tile, slot)` order, then the partials in ascending tile order; independent of batch composition, thread and store, so sharded merges are exact | every tile entered once per sweep, every `(tile, slot)` counted once, in the fold pass; a shared store adds its pool hits once per sweep |
+//! | canonical: [`execute_plans_tiled`] — [`point_standard`], [`range_sum_standard`], [`point_nonstandard`], [`range_sum_nonstandard`] (one-plan sweeps; the non-standard plans flat), [`batch_points`], [`batch_range_sums`], `ss-serve`'s served and routed answers | tile-major **locate → walk tiles → fold** through one set of tables per sweep: every standard plan located per axis into the sweep's [`ss_core::reconstruct::LocatedPlans`], a flat one (or a list that repeats an index) term by term, all members in one arena; visits sorted by `(tile, plan)` (distinct keys: a stable tile sort's order); per-tile partials in `(tile, slot)` order, then the partials in ascending tile order; independent of batch composition, thread and store, so sharded merges are exact | every tile entered once per sweep, `≈ Π ceil(n_t/b_t)` tiles per standard plan, every `(tile, slot)` counted once, in the fold pass; a shared store adds its pool hits once per sweep |
 //! | fast: [`point_standard_fast`], [`range_sum_standard_fast`] (and [`point_nonstandard_fast`]) | one tile per dyadic piece through the materialised scaling slots ([`scalings`]); a point is the level-0 piece | one block per piece |
 
 // Axis-indexed loops over several parallel per-axis arrays are the clearest

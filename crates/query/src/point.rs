@@ -1,5 +1,6 @@
 //! Point queries (Lemma 1) over coefficient stores.
 
+use crate::batch::execute_plans;
 use ss_array::DyadicRange;
 use ss_core::reconstruct;
 use ss_core::tiling::{NonStandardTiling, StandardTiling};
@@ -7,19 +8,24 @@ use ss_core::TilingMap;
 use ss_storage::CoeffRead;
 
 /// Point query against a **standard-form** store laid out by any tiling
-/// map: evaluates the `Π(n_t + 1)` Lemma 1 contributions.
+/// map: folds the `Π(n_t + 1)` Lemma 1 contributions as a one-plan sweep
+/// of [`crate::execute_plans_tiled`], bit for bit what [`crate::batch_points`]
+/// and a server answer.
 ///
 /// `n` are the per-axis domain levels.
 pub fn point_standard<C: CoeffRead>(cs: &mut C, n: &[u32], pos: &[usize]) -> f64 {
     let _span = ss_obs::global().span("query.point_std");
-    reconstruct::standard_point_contributions(n, pos).weighted_sum(|idx| cs.read(idx))
+    let plan = reconstruct::standard_point_contributions(n, pos);
+    execute_plans(cs, [&plan])[0]
 }
 
-/// Point query against a **non-standard-form** store: evaluates the
-/// `(2^d − 1)·n + 1` quad-tree path contributions.
+/// Point query against a **non-standard-form** store: folds the
+/// `(2^d − 1)·n + 1` quad-tree path contributions as a one-plan (flat)
+/// sweep of [`crate::execute_plans_tiled`].
 pub fn point_nonstandard<C: CoeffRead>(cs: &mut C, n: u32, pos: &[usize]) -> f64 {
     let _span = ss_obs::global().span("query.point_ns");
-    reconstruct::nonstandard_point_contributions(n, pos.len(), pos).weighted_sum(|idx| cs.read(idx))
+    let plan = reconstruct::nonstandard_point_contributions(n, pos.len(), pos);
+    execute_plans(cs, [&plan])[0]
 }
 
 /// Single-tile fast-path point query for the **standard form**.

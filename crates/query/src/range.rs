@@ -1,28 +1,35 @@
 //! Range-sum queries (Lemma 2) over coefficient stores.
 
+use crate::batch::execute_plans;
 use ss_array::DyadicRange;
-use ss_core::reconstruct::{self, for_each_product};
+use ss_core::reconstruct::{self, for_each_product, Contributions};
 use ss_core::tiling::StandardTiling;
 use ss_core::{Coeff1d, Layout1d, TilingMap};
 use ss_storage::CoeffRead;
 
 /// Range-sum `Σ a[idx]` over the inclusive box `[lo, hi]` against a
-/// **standard-form** store: evaluates at most `Π(2·n_t + 1)` coefficients
-/// (Lemma 2 per axis, multiplied across axes).
+/// **standard-form** store: folds at most `Π(2·n_t + 1)` coefficients
+/// (Lemma 2 per axis, multiplied across axes) as a one-plan sweep of
+/// [`crate::execute_plans_tiled`], bit for bit what
+/// [`crate::batch_range_sums`] and a server answer.
 pub fn range_sum_standard<C: CoeffRead>(cs: &mut C, n: &[u32], lo: &[usize], hi: &[usize]) -> f64 {
     let _span = ss_obs::global().span("query.range_sum_std");
-    reconstruct::standard_range_sum_contributions(n, lo, hi).weighted_sum(|idx| cs.read(idx))
+    let plan = reconstruct::standard_range_sum_contributions(n, lo, hi);
+    execute_plans(cs, [&plan])[0]
 }
 
-/// Range-sum over a **non-standard-form** store, computed by summing the
-/// per-cell quad-tree contributions of the box's dyadic decomposition.
+/// Range-sum over a **non-standard-form** store: one flat plan of the
+/// per-cell quad-tree contributions of the box's dyadic decomposition,
+/// folded by a one-plan sweep of [`crate::execute_plans_tiled`].
 ///
 /// Each cubic dyadic piece contributes `cells × block-average`; the block
-/// average costs `(2^d − 1)(n − m) + 1` coefficient reads (inverse SPLIT),
-/// so the whole query costs `O(pieces · 2^d · log N)`.
+/// average is `(2^d − 1)(n − m) + 1` terms (inverse SPLIT), each weight
+/// scaled by the piece's cell count, so the plan holds
+/// `O(pieces · 2^d · log N)` terms. Pieces share their coarse path
+/// coefficients, and the sweep reads each `(tile, slot)` once.
 pub fn range_sum_nonstandard<C: CoeffRead>(cs: &mut C, n: u32, lo: &[usize], hi: &[usize]) -> f64 {
     let _span = ss_obs::global().span("query.range_sum_ns");
-    let mut total = 0.0;
+    let mut plan = Contributions::with_capacity(lo.len(), 0);
     for piece in ss_array::decompose_range(lo, hi) {
         // Non-standard inverse SPLIT needs cubic pieces; split rectangular
         // pieces into cubes of the smallest participating level.
@@ -40,12 +47,11 @@ pub fn range_sum_nonstandard<C: CoeffRead>(cs: &mut C, n: u32, lo: &[usize], hi:
                 .map(|(a, &s)| (a.translation << (a.level - min_level)) + s)
                 .collect();
             let cells = (1usize << min_level).pow(block.len() as u32) as f64;
-            let avg = reconstruct::nonstandard_block_average_contributions(n, min_level, &block)
-                .weighted_sum(|idx| cs.read(idx));
-            total += cells * avg;
+            reconstruct::nonstandard_block_average_contributions(n, min_level, &block)
+                .for_each_term(|idx, w| plan.push(idx, w * cells));
         }
     }
-    total
+    execute_plans(cs, [&plan])[0]
 }
 
 /// Scaling-slot fast path for standard-form range sums.

@@ -186,7 +186,8 @@ impl<S: BlockStore> WaveletCube<S> {
         self.fast_point_ready = false;
     }
 
-    /// The value of one cell.
+    /// The value of one cell: the bits a server over the same store
+    /// answers.
     pub fn point(&mut self, pos: &[usize]) -> f64 {
         ss_query::point_standard(&mut self.cs, &self.levels, pos)
     }
@@ -201,7 +202,8 @@ impl<S: BlockStore> WaveletCube<S> {
         ss_query::point_standard_fast(&mut self.cs, pos)
     }
 
-    /// Sum over the inclusive box `[lo, hi]`.
+    /// Sum over the inclusive box `[lo, hi]`: the bits a server over the
+    /// same store answers.
     pub fn sum(&mut self, lo: &[usize], hi: &[usize]) -> f64 {
         ss_query::range_sum_standard(&mut self.cs, &self.levels, lo, hi)
     }
@@ -245,9 +247,11 @@ mod tests {
     use super::*;
     use ss_array::Shape;
 
+    /// Non-dyadic values, so the order a sum is added in shows in its
+    /// last bits.
     fn sample(side: usize) -> NdArray<f64> {
         NdArray::from_fn(Shape::cube(2, side), |idx| {
-            ((idx[0] * 7 + idx[1] * 3) % 17) as f64 - 4.0
+            ((idx[0] * 7 + idx[1] * 3) % 17) as f64 / 3.0 - 4.0
         })
     }
 
@@ -260,6 +264,15 @@ mod tests {
         assert!((cube.point(&[9, 21]) - data.get(&[9, 21])).abs() < 1e-9);
         assert!((cube.sum(&[3, 4], &[20, 30]) - data.region_sum(&[3, 4], &[20, 30])).abs() < 1e-6);
         assert!((cube.avg(&[0, 0], &[31, 31]) - data.total() / 1024.0).abs() < 1e-9);
+        // The cube answers through the server's sweep: the batch's bits.
+        let levels = [5, 5];
+        let point = cube.point(&[9, 21]);
+        let sum = cube.sum(&[3, 4], &[20, 30]);
+        let batched = ss_query::batch_points(cube.store(), &levels, &[vec![9, 21]])[0];
+        assert_eq!(point.to_bits(), batched.to_bits());
+        let ranges = [(vec![3, 4], vec![20, 30])];
+        let batched = ss_query::batch_range_sums(cube.store(), &levels, &ranges)[0];
+        assert_eq!(sum.to_bits(), batched.to_bits());
         let region = cube.extract(&[8, 8], &[11, 13]);
         assert!(region.max_abs_diff(&data.extract(&[8, 8], &[4, 6])) < 1e-9);
     }

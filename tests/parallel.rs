@@ -125,6 +125,13 @@ fn concurrent_readers_match_serial_bit_for_bit() {
                 .map(|(lo, hi)| shiftsplit::query::range_sum_standard(&mut serial, &levels, lo, hi))
                 .collect();
             let b = shiftsplit::query::batch_points(&mut serial, &levels, &points);
+            // A single point is a one-plan sweep: the batch's bits.
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&p),
+                bits(&b),
+                "thread {t}: point_standard vs batch_points"
+            );
             (p, r, b)
         })
         .collect();

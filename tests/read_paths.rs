@@ -1,13 +1,13 @@
 //! Read-path differential: every way this workspace answers a point or a
 //! range sum, over one small standard-form store and one seeded workload.
 //!
-//! * dense oracle ≈ the generic `point_standard` / `range_sum_standard`
-//!   (plan-order summation; tolerance),
-//! * **bitwise**: `batch_*` == `execute_plans_tiled(Query::plan)` == answers
-//!   served by `QueryServer::bind` over loopback == answers routed by
-//!   `bind_router` over two shard servers (the canonical tile-major fold
-//!   does not depend on what else is in the batch, nor on which process
-//!   folds which tile range),
+//! * dense oracle ≈ `batch_*` (tolerance: the data is not dyadic),
+//! * **bitwise**: the single-query `point_standard` / `range_sum_standard`
+//!   == `batch_*` == `execute_plans_tiled(Query::plan)` == answers served
+//!   by `QueryServer::bind` over loopback == answers routed by
+//!   `bind_router` over two shard servers (every exact answer is one
+//!   tile-major fold, which does not depend on what else is in the batch,
+//!   nor on which process folds which tile range),
 //! * after `materialize_standard_scalings`: `point_standard_fast(p)` equals
 //!   `range_sum_standard_fast(p, p)` and the oracle (tolerance),
 //! * **bitwise**, store vs replayed: what a writable server answers after
@@ -115,22 +115,23 @@ fn every_read_front_agrees() {
         .chain(ranges.iter().map(|(lo, hi)| data.region_sum(lo, hi)))
         .collect();
 
-    // Generic fronts: plan-order summation, equal to the data up to rounding.
-    for (q, want) in queries.iter().zip(&oracle) {
-        let got = match q {
-            Query::Point { pos } => query::point_standard(&mut cs, &LEVELS, pos),
-            Query::RangeSum { lo, hi } => query::range_sum_standard(&mut cs, &LEVELS, lo, hi),
-            Query::Partial { .. } => unreachable!(),
-        };
-        assert!((got - want).abs() < 1e-9, "{q:?}: {got} vs {want}");
-    }
-
-    // The canonical tile-major fold, four ways.
+    // The canonical tile-major fold, equal to the data up to rounding.
     let mut batched = query::batch_points(&mut cs, &LEVELS, &points);
     batched.extend(query::batch_range_sums(&mut cs, &LEVELS, &ranges));
     for (got, want) in batched.iter().zip(&oracle) {
         assert!((got - want).abs() < 1e-9, "batched {got} vs {want}");
     }
+
+    // A single query is a one-plan sweep: the batch's bits.
+    let single: Vec<f64> = queries
+        .iter()
+        .map(|q| match q {
+            Query::Point { pos } => query::point_standard(&mut cs, &LEVELS, pos),
+            Query::RangeSum { lo, hi } => query::range_sum_standard(&mut cs, &LEVELS, lo, hi),
+            Query::Partial { .. } => unreachable!(),
+        })
+        .collect();
+    assert_eq!(bits(&single), bits(&batched), "single queries");
 
     let plans: Vec<_> = queries.iter().map(|q| q.plan(&LEVELS)).collect();
     let planned: Vec<f64> = query::execute_plans_tiled(&mut cs, &plans)
