@@ -6,8 +6,13 @@
 //! tools. Integers are kept as `i128` end to end (no `f64` round-trip),
 //! so `u64` counters survive exactly — the round-trip property the
 //! exporter tests rely on.
+//!
+//! The scalar writers ([`push_int`], [`push_f64`], [`escape_into`]) append
+//! into a caller's `String`. [`Value`] prints through them, and so does the
+//! serve wire, which appends its lines without building a tree: one float
+//! rule for both.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value. Objects preserve insertion order.
 #[derive(Clone, Debug, PartialEq)]
@@ -115,7 +120,27 @@ impl From<String> for Value {
     }
 }
 
-fn escape_into(out: &mut String, s: &str) {
+/// Appends `i` in decimal.
+pub fn push_int(out: &mut String, i: i128) {
+    let _ = write!(out, "{i}");
+}
+
+/// Appends `x` in its shortest round-trip form, with `.0` after an
+/// integral value so it re-parses as a float; a non-finite value is `null`.
+pub fn push_f64(out: &mut String, x: f64) {
+    if !x.is_finite() {
+        out.push_str("null");
+        return;
+    }
+    let start = out.len();
+    let _ = write!(out, "{x}");
+    if !out[start..].contains(['.', 'e', 'E']) {
+        out.push_str(".0");
+    }
+}
+
+/// Appends `s` as a quoted JSON string.
+pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -125,7 +150,7 @@ fn escape_into(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -146,20 +171,8 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(i) => out.push_str(&i.to_string()),
-            Value::Float(x) => {
-                if x.is_finite() {
-                    let s = format!("{x}");
-                    out.push_str(&s);
-                    // `{}` prints integral floats without a dot; keep the
-                    // number a float on re-parse.
-                    if !s.contains(['.', 'e', 'E']) {
-                        out.push_str(".0");
-                    }
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Value::Int(i) => push_int(out, *i),
+            Value::Float(x) => push_f64(out, *x),
             Value::Str(s) => escape_into(out, s),
             Value::Array(items) => {
                 out.push('[');
@@ -351,12 +364,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next `"` or `\` at once: the
+                    // input is a `&str` and both are ASCII, so the run is
+                    // whole UTF-8 and the string costs its length, once.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|e| e.to_string())?;
+                    out.push_str(run);
                 }
             }
         }
@@ -427,6 +444,7 @@ mod tests {
             Value::Int(u64::MAX as i128),
             Value::Int(-42),
             Value::Str("a \"quoted\"\n\tstring \\".into()),
+            Value::Str("caf\u{e9}\u{1}\u{65e5}\\\u{1f600}\"".into()),
         ] {
             assert_eq!(parse(&v.to_string()).unwrap(), v, "{v}");
         }
@@ -439,6 +457,40 @@ mod tests {
         assert!(text.contains('.'), "{text}");
         assert_eq!(parse(&text).unwrap(), v);
         assert_eq!(parse("1.5e3").unwrap().as_f64(), Some(1500.0));
+    }
+
+    /// The scalar writers print what `to_string` and `format!` printed
+    /// before they appended in place: the wire's bytes hang on them.
+    #[test]
+    fn scalar_writers_match_the_formatting_they_replaced() {
+        let mut state = 0x5eed_u64;
+        let mut out = String::new();
+        for k in 0..20_000 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let x = match k % 4 {
+                0 => f64::from_bits(state),
+                1 => (state >> 40) as f64 - 8e6,
+                2 => (state >> 11) as f64 / (1u64 << 53) as f64,
+                _ => [-0.0, 1e-300, 0.1 + 0.2, 1e21, f64::NAN, f64::NEG_INFINITY][k / 4 % 6],
+            };
+            let want = match format!("{x}") {
+                _ if !x.is_finite() => "null".to_string(),
+                s if s.contains(['.', 'e', 'E']) => s,
+                s => s + ".0",
+            };
+            out.clear();
+            push_f64(&mut out, x);
+            assert_eq!(out, want);
+            let i = (state as i128) << (k % 64) ^ -(k as i128);
+            out.clear();
+            push_int(&mut out, i);
+            assert_eq!(out, i.to_string());
+        }
+        out.clear();
+        escape_into(&mut out, "\"\\\n\r\t\u{1}\u{1f} \u{e9}");
+        assert_eq!(out, "\"\\\"\\\\\\n\\r\\t\\u0001\\u001f \u{e9}\"");
     }
 
     #[test]

@@ -174,11 +174,7 @@ impl Client {
         let first_id = self.next_id;
         let mut lines = String::new();
         for (k, (op, trace)) in items.iter().enumerate() {
-            lines.push_str(&proto::op_request_line_traced(
-                first_id + k as i128,
-                op,
-                *trace,
-            ));
+            proto::write_op(&mut lines, first_id + k as i128, op, *trace);
             lines.push('\n');
         }
         self.next_id += items.len() as i128;

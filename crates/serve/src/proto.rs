@@ -24,6 +24,12 @@
 //! [`ss_obs::json`], so the served answer equals the serial in-process
 //! answer bit for bit.
 //!
+//! Lines are appended straight into the caller's buffer ([`write_query`],
+//! [`write_op`], [`write_ok_response`]) through `ss_obs::json`'s scalar
+//! writers; no JSON tree is built to render one. The bytes are the
+//! contract: the test module keeps the tree renderer they replaced as the
+//! oracle they must equal. Reading a line is the one [`json::parse`].
+//!
 //! A **writable** server additionally accepts mutations:
 //!
 //! ```json
@@ -474,121 +480,184 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
     Ok(Request { id, op, trace })
 }
 
-fn id_value(id: Option<i128>) -> Value {
-    match id {
-        Some(i) => Value::Int(i),
-        None => Value::Null,
+/// Appends `,` before every array item but the first: what `out` ends
+/// with is the array's `[` only before its first item.
+fn comma(out: &mut String) {
+    if !out.ends_with('[') {
+        out.push(',');
     }
+}
+
+/// Appends `,"name":[x0,x1,…]`.
+fn push_usizes(out: &mut String, name: &str, v: &[usize]) {
+    out.push_str(",\"");
+    out.push_str(name);
+    out.push_str("\":");
+    push_index(out, v);
+}
+
+/// Appends `[x0,x1,…]`.
+fn push_index(out: &mut String, v: &[usize]) {
+    out.push('[');
+    for &x in v {
+        comma(out);
+        json::push_int(out, x as i128);
+    }
+    out.push(']');
+}
+
+/// Appends `{"id":ID,"op":"NAME"`, a request line's opening.
+fn open_request(out: &mut String, id: i128, op: &str) {
+    out.push_str("{\"id\":");
+    json::push_int(out, id);
+    out.push_str(",\"op\":\"");
+    out.push_str(op);
+    out.push('"');
+}
+
+/// Appends the optional `trace` field and the closing brace.
+fn close_line(out: &mut String, trace: Option<u64>) {
+    if let Some(t) = trace {
+        out.push_str(",\"trace\":");
+        json::push_int(out, t.into());
+    }
+    out.push('}');
+}
+
+/// Appends the request line for `query` with id `id`, carrying an
+/// optional `trace` id (the client side; see the module docs).
+pub fn write_query(out: &mut String, id: i128, query: &Query, trace: Option<u64>) {
+    open_request(out, id, query.op());
+    match query {
+        Query::Point { pos } => push_usizes(out, "pos", pos),
+        Query::RangeSum { lo, hi } => {
+            push_usizes(out, "lo", lo);
+            push_usizes(out, "hi", hi);
+        }
+        Query::Partial { plan } => {
+            out.push_str(",\"terms\":[");
+            plan.for_each_term(|idx, w| {
+                comma(out);
+                out.push('[');
+                push_index(out, idx);
+                out.push(',');
+                json::push_f64(out, w);
+                out.push(']');
+            });
+            out.push(']');
+        }
+    }
+    close_line(out, trace);
+}
+
+/// Appends the request line for any operation with id `id` (the client
+/// side).
+pub fn write_op(out: &mut String, id: i128, op: &Op, trace: Option<u64>) {
+    let m = match op {
+        Op::Query(q) => return write_query(out, id, q, trace),
+        Op::Mutation(m) => m,
+    };
+    match m {
+        Mutation::Update { at, dims, data } => {
+            open_request(out, id, "update");
+            push_usizes(out, "at", at);
+            push_usizes(out, "dims", dims);
+            out.push_str(",\"data\":[");
+            for &x in data {
+                comma(out);
+                json::push_f64(out, x);
+            }
+            out.push(']');
+        }
+        Mutation::Apply { runs } => {
+            open_request(out, id, "apply");
+            out.push_str(",\"ops\":[");
+            runs.for_each_run(|t, run| {
+                for &(s, d) in run {
+                    comma(out);
+                    out.push('[');
+                    json::push_int(out, t as i128);
+                    out.push(',');
+                    json::push_int(out, s as i128);
+                    out.push(',');
+                    json::push_f64(out, d);
+                    out.push(']');
+                }
+            });
+            out.push(']');
+        }
+        Mutation::Commit => open_request(out, id, "commit"),
+    }
+    close_line(out, trace);
 }
 
 /// Renders a request line for `query` with id `id` (the client side).
 pub fn request_line(id: i128, query: &Query) -> String {
-    op_request_line(id, &Op::Query(query.clone()))
+    let mut out = String::new();
+    write_query(&mut out, id, query, None);
+    out
 }
 
-/// Renders a request line for any operation with id `id` (the client side).
-pub fn op_request_line(id: i128, op: &Op) -> String {
-    op_request_line_traced(id, op, None)
-}
-
-/// Renders a request line carrying an optional `trace` id (the client
-/// side; see the module docs on the `trace` field).
-pub fn op_request_line_traced(id: i128, op: &Op, trace: Option<u64>) -> String {
-    let name = match op {
-        Op::Query(q) => q.op(),
-        Op::Mutation(Mutation::Update { .. }) => "update",
-        Op::Mutation(Mutation::Apply { .. }) => "apply",
-        Op::Mutation(Mutation::Commit) => "commit",
-    };
-    let mut pairs = vec![
-        ("id".to_string(), Value::Int(id)),
-        ("op".to_string(), Value::from(name)),
-    ];
-    let arr = |v: &[usize]| Value::Array(v.iter().map(|&x| Value::from(x)).collect());
-    match op {
-        Op::Query(Query::Point { pos }) => pairs.push(("pos".into(), arr(pos))),
-        Op::Query(Query::RangeSum { lo, hi }) => {
-            pairs.push(("lo".into(), arr(lo)));
-            pairs.push(("hi".into(), arr(hi)));
-        }
-        Op::Query(Query::Partial { plan }) => {
-            let mut terms = Vec::with_capacity(plan.len());
-            plan.for_each_term(|idx, w| terms.push(Value::Array(vec![arr(idx), Value::Float(w)])));
-            pairs.push(("terms".into(), Value::Array(terms)));
-        }
-        Op::Mutation(Mutation::Apply { runs }) => {
-            let op = |t: usize, &(s, d): &(usize, f64)| {
-                Value::Array(vec![Value::from(t), Value::from(s), Value::Float(d)])
-            };
-            let mut ops = Vec::with_capacity(runs.len());
-            runs.for_each_run(|t, run| ops.extend(run.iter().map(|o| op(t, o))));
-            pairs.push(("ops".into(), Value::Array(ops)));
-        }
-        Op::Mutation(Mutation::Update { at, dims, data }) => {
-            pairs.push(("at".into(), arr(at)));
-            pairs.push(("dims".into(), arr(dims)));
-            pairs.push((
-                "data".into(),
-                Value::Array(data.iter().map(|&x| Value::Float(x)).collect()),
-            ));
-        }
-        Op::Mutation(Mutation::Commit) => {}
+/// Appends `{"id":ID,"ok":`, a response line's opening; a missing id is
+/// `null`.
+fn open_response(out: &mut String, id: Option<i128>, ok: bool) {
+    out.push_str("{\"id\":");
+    match id {
+        Some(i) => json::push_int(out, i),
+        None => out.push_str("null"),
     }
-    if let Some(t) = trace {
-        pairs.push(("trace".into(), Value::from(t)));
+    out.push_str(if ok { ",\"ok\":true" } else { ",\"ok\":false" });
+}
+
+/// Appends a success response line echoing the honoured `trace` id and,
+/// for a `partial` sub-plan, its per-tile partial decomposition.
+pub fn write_ok_response(
+    out: &mut String,
+    id: Option<i128>,
+    trace: Option<u64>,
+    value: f64,
+    tiles: Option<&[(usize, f64)]>,
+) {
+    open_response(out, id, true);
+    out.push_str(",\"value\":");
+    json::push_f64(out, value);
+    if let Some(tiles) = tiles {
+        out.push_str(",\"tiles\":[");
+        for &(t, p) in tiles {
+            comma(out);
+            out.push('[');
+            json::push_int(out, t as i128);
+            out.push(',');
+            json::push_f64(out, p);
+            out.push(']');
+        }
+        out.push(']');
     }
-    Value::Object(pairs).to_string()
+    close_line(out, trace);
 }
 
-/// Renders a success response line.
-pub fn ok_response(id: Option<i128>, value: f64) -> String {
-    ok_response_traced(id, None, value)
-}
-
-/// Renders a success response line echoing the honoured `trace` id.
-pub fn ok_response_traced(id: Option<i128>, trace: Option<u64>, value: f64) -> String {
-    ok_response_tiled(id, trace, value, None)
-}
-
-/// Renders a success response line, optionally carrying the per-tile
-/// partial decomposition a `partial` sub-plan answers with.
+/// Renders a success response line (see [`write_ok_response`]).
 pub fn ok_response_tiled(
     id: Option<i128>,
     trace: Option<u64>,
     value: f64,
     tiles: Option<&[(usize, f64)]>,
 ) -> String {
-    let mut pairs = vec![
-        ("id".into(), id_value(id)),
-        ("ok".into(), Value::Bool(true)),
-        ("value".into(), Value::Float(value)),
-    ];
-    if let Some(tiles) = tiles {
-        pairs.push((
-            "tiles".into(),
-            Value::Array(
-                tiles
-                    .iter()
-                    .map(|&(t, p)| Value::Array(vec![Value::from(t), Value::Float(p)]))
-                    .collect(),
-            ),
-        ));
-    }
-    if let Some(t) = trace {
-        pairs.push(("trace".into(), Value::from(t)));
-    }
-    Value::Object(pairs).to_string()
+    let mut out = String::new();
+    write_ok_response(&mut out, id, trace, value, tiles);
+    out
 }
 
 /// Renders a typed error response line.
 pub fn err_response(id: Option<i128>, kind: &str, message: &str) -> String {
-    Value::Object(vec![
-        ("id".into(), id_value(id)),
-        ("ok".into(), Value::Bool(false)),
-        ("error".into(), Value::from(kind)),
-        ("message".into(), Value::from(message)),
-    ])
-    .to_string()
+    let mut out = String::new();
+    open_response(&mut out, id, false);
+    out.push_str(",\"error\":");
+    json::escape_into(&mut out, kind);
+    out.push_str(",\"message\":");
+    json::escape_into(&mut out, message);
+    out.push('}');
+    out
 }
 
 /// A parsed response line.
@@ -671,6 +740,13 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The request line [`write_op`] appends for `op`, untraced.
+    fn op_request_line(id: i128, op: &Op) -> String {
+        let mut out = String::new();
+        write_op(&mut out, id, op, None);
+        out
+    }
 
     #[test]
     fn request_round_trip() {
@@ -871,7 +947,7 @@ mod tests {
         assert_eq!(back.result, Ok(3.25));
         assert_eq!(back.tiles, Some(tiles));
         // Plain responses parse with no tiles.
-        let back = parse_response(&ok_response(Some(1), 2.0)).unwrap();
+        let back = parse_response(&ok_response_tiled(Some(1), None, 2.0, None)).unwrap();
         assert_eq!(back.tiles, None);
     }
 
@@ -908,7 +984,7 @@ mod tests {
     #[test]
     fn response_round_trip_is_exact_for_awkward_floats() {
         for v in [0.1 + 0.2, 1.0 / 3.0, -0.0, 1e-300, 12_345.678_901_234_5] {
-            let line = ok_response(Some(7), v);
+            let line = ok_response_tiled(Some(7), None, v, None);
             let back = parse_response(&line).unwrap();
             assert_eq!(back.result, Ok(v), "{line}");
         }
@@ -920,7 +996,13 @@ mod tests {
         let r = parse_request(r#"{"id":1,"op":"commit"}"#).unwrap();
         assert_eq!(r.trace, None);
         // A positive integer is honoured and round-trips.
-        let line = op_request_line_traced(5, &Op::Query(Query::Point { pos: vec![1] }), Some(42));
+        let mut line = String::new();
+        write_op(
+            &mut line,
+            5,
+            &Op::Query(Query::Point { pos: vec![1] }),
+            Some(42),
+        );
         let back = parse_request(&line).unwrap();
         assert_eq!(back.trace, Some(42));
         assert_eq!(back.id, Some(5));
@@ -932,7 +1014,7 @@ mod tests {
             assert_eq!(r.trace, None, "trace={junk}");
         }
         // The success response echoes the honoured id.
-        let resp = ok_response_traced(Some(7), Some(42), 2.5);
+        let resp = ok_response_tiled(Some(7), Some(42), 2.5, None);
         assert!(resp.contains(r#""trace":42"#), "{resp}");
         let back = parse_response(&resp).unwrap();
         assert_eq!(back.result, Ok(2.5));
@@ -980,5 +1062,250 @@ mod tests {
         let (kind, msg) = back.result.unwrap_err();
         assert_eq!(kind, "bad_request");
         assert!(msg.contains("out of range"));
+    }
+
+    // The oracle: the `Value`-tree rendering the wire used before it
+    // appended lines directly. Its bytes are the contract.
+
+    fn tree_id(id: Option<i128>) -> Value {
+        id.map_or(Value::Null, Value::Int)
+    }
+
+    fn op_name(op: &Op) -> &'static str {
+        match op {
+            Op::Query(q) => q.op(),
+            Op::Mutation(Mutation::Update { .. }) => "update",
+            Op::Mutation(Mutation::Apply { .. }) => "apply",
+            Op::Mutation(Mutation::Commit) => "commit",
+        }
+    }
+
+    fn tree_request(id: i128, op: &Op, trace: Option<u64>) -> String {
+        let mut pairs = vec![
+            ("id".to_string(), Value::Int(id)),
+            ("op".to_string(), Value::from(op_name(op))),
+        ];
+        let arr = |v: &[usize]| Value::Array(v.iter().map(|&x| Value::from(x)).collect());
+        match op {
+            Op::Query(Query::Point { pos }) => pairs.push(("pos".into(), arr(pos))),
+            Op::Query(Query::RangeSum { lo, hi }) => {
+                pairs.push(("lo".into(), arr(lo)));
+                pairs.push(("hi".into(), arr(hi)));
+            }
+            Op::Query(Query::Partial { plan }) => {
+                let mut terms = Vec::new();
+                plan.for_each_term(|idx, w| {
+                    terms.push(Value::Array(vec![arr(idx), Value::Float(w)]))
+                });
+                pairs.push(("terms".into(), Value::Array(terms)));
+            }
+            Op::Mutation(Mutation::Apply { runs }) => {
+                let mut ops = Vec::new();
+                runs.for_each_run(|t, run| {
+                    ops.extend(run.iter().map(|&(s, d)| {
+                        Value::Array(vec![Value::from(t), Value::from(s), Value::Float(d)])
+                    }))
+                });
+                pairs.push(("ops".into(), Value::Array(ops)));
+            }
+            Op::Mutation(Mutation::Update { at, dims, data }) => {
+                pairs.push(("at".into(), arr(at)));
+                pairs.push(("dims".into(), arr(dims)));
+                let data = data.iter().map(|&x| Value::Float(x)).collect();
+                pairs.push(("data".into(), Value::Array(data)));
+            }
+            Op::Mutation(Mutation::Commit) => {}
+        }
+        if let Some(t) = trace {
+            pairs.push(("trace".into(), Value::from(t)));
+        }
+        Value::Object(pairs).to_string()
+    }
+
+    fn tree_ok(
+        id: Option<i128>,
+        trace: Option<u64>,
+        value: f64,
+        tiles: Option<&[(usize, f64)]>,
+    ) -> String {
+        let mut pairs = vec![
+            ("id".into(), tree_id(id)),
+            ("ok".into(), Value::Bool(true)),
+            ("value".into(), Value::Float(value)),
+        ];
+        if let Some(tiles) = tiles {
+            let tiles = tiles
+                .iter()
+                .map(|&(t, p)| Value::Array(vec![Value::from(t), Value::Float(p)]))
+                .collect();
+            pairs.push(("tiles".into(), Value::Array(tiles)));
+        }
+        if let Some(t) = trace {
+            pairs.push(("trace".into(), Value::from(t)));
+        }
+        Value::Object(pairs).to_string()
+    }
+
+    fn tree_err(id: Option<i128>, kind: &str, message: &str) -> String {
+        Value::Object(vec![
+            ("id".into(), tree_id(id)),
+            ("ok".into(), Value::Bool(false)),
+            ("error".into(), Value::from(kind)),
+            ("message".into(), Value::from(message)),
+        ])
+        .to_string()
+    }
+
+    /// SplitMix64: the seeded inputs of the byte-identity test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn id(&mut self) -> i128 {
+            let ids = [0, -1, -42, 7, i64::MAX as i128 + 1, i128::MAX, i128::MIN];
+            match self.below(ids.len() + 1) {
+                k if k < ids.len() => ids[k],
+                _ => self.next() as i128 - (1 << 63),
+            }
+        }
+
+        fn float(&mut self) -> f64 {
+            let floats = [
+                -0.0,
+                0.0,
+                1e-300,
+                0.1 + 0.2,
+                1.0,
+                -3.0,
+                1e21,
+                1e300,
+                f64::MIN_POSITIVE / 8.0,
+                f64::MAX,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ];
+            match self.below(floats.len() + 2) {
+                k if k < floats.len() => floats[k],
+                k if k == floats.len() => self.below(1 << 20) as f64 - 1000.0,
+                _ => f64::from_bits(self.next()),
+            }
+        }
+
+        fn index(&mut self, rank: usize) -> Vec<usize> {
+            (0..rank)
+                .map(|_| match self.below(4) {
+                    0 => usize::MAX,
+                    _ => self.below(5000),
+                })
+                .collect()
+        }
+
+        fn trace(&mut self) -> Option<u64> {
+            match self.below(3) {
+                0 => None,
+                1 => Some(u64::MAX),
+                _ => Some(1 + self.below(1 << 30) as u64),
+            }
+        }
+
+        fn op(&mut self) -> Op {
+            let rank = 1 + self.below(3);
+            match self.below(6) {
+                0 => Op::Query(Query::Point {
+                    pos: self.index(rank),
+                }),
+                1 => Op::Query(Query::RangeSum {
+                    lo: self.index(rank),
+                    hi: self.index(rank),
+                }),
+                2 => {
+                    let mut plan = Contributions::with_capacity(rank, 0);
+                    for _ in 0..self.below(5) {
+                        let (idx, w) = (self.index(rank), self.float());
+                        plan.push(&idx, w);
+                    }
+                    Op::Query(Query::Partial { plan })
+                }
+                3 => Op::Mutation(Mutation::Update {
+                    at: self.index(rank),
+                    dims: self.index(rank),
+                    data: (0..self.below(5)).map(|_| self.float()).collect(),
+                }),
+                4 => {
+                    let mut runs = TileRuns::default();
+                    for _ in 0..self.below(6) {
+                        let (t, s, d) = (self.below(4), self.below(300), self.float());
+                        runs.push(t, s, d);
+                    }
+                    Op::Mutation(Mutation::Apply { runs })
+                }
+                _ => Op::Mutation(Mutation::Commit),
+            }
+        }
+    }
+
+    /// Every line the writers append is the tree renderer's, byte for byte:
+    /// every op with and without `trace`, extreme ids, awkward and
+    /// non-finite floats, `tiles` present and absent, and error messages
+    /// that need escaping.
+    #[test]
+    fn written_lines_are_byte_identical_to_the_tree_renderer() {
+        let mut rng = Rng(0x5eed);
+        let mut ops_seen = std::collections::BTreeSet::new();
+        let mut out = String::new();
+        for _ in 0..4000 {
+            let (id, op, trace) = (rng.id(), rng.op(), rng.trace());
+            ops_seen.insert((op_name(&op), trace.is_some()));
+            out.clear();
+            write_op(&mut out, id, &op, trace);
+            assert_eq!(out, tree_request(id, &op, trace));
+            if let Op::Query(q) = &op {
+                assert_eq!(out, {
+                    let mut line = String::new();
+                    write_query(&mut line, id, q, trace);
+                    line
+                });
+            }
+
+            let id = (rng.below(5) > 0).then(|| rng.id());
+            let value = rng.float();
+            let tiles: Vec<_> = (0..rng.below(4))
+                .map(|_| (rng.below(1 << 20), rng.float()))
+                .collect();
+            let tiles = (rng.below(2) == 0).then_some(tiles.as_slice());
+            let trace = rng.trace();
+            assert_eq!(
+                ok_response_tiled(id, trace, value, tiles),
+                tree_ok(id, trace, value, tiles)
+            );
+        }
+        // Six ops, each with and without a trace.
+        assert_eq!(ops_seen.len(), 12, "{ops_seen:?}");
+
+        for message in [
+            "",
+            "pos[0] = 9 \"out\" of\trange \\",
+            "line\nbreak\r\u{0}\u{1}\u{1f}\u{7f}",
+            "caf\u{e9} \u{65e5}\u{672c} \u{1f600}",
+        ] {
+            for id in [None, Some(-1), Some(0), Some(i64::MAX as i128 + 1)] {
+                assert_eq!(
+                    err_response(id, "bad_request", message),
+                    tree_err(id, "bad_request", message)
+                );
+            }
+        }
     }
 }

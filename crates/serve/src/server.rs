@@ -652,7 +652,9 @@ fn connection_loop(stream: TcpStream, state: &State) {
                         state.metrics.requests_ok.inc();
                         state.metrics.request_ns.record(dur_ns);
                         let echo = root.active().then_some(root.trace);
-                        proto::ok_response_traced(id, echo, value)
+                        let mut line = String::new();
+                        proto::write_ok_response(&mut line, id, echo, value, None);
+                        line
                     }
                     Err((kind, message)) => {
                         state.metrics.requests_err.inc();
@@ -737,19 +739,19 @@ fn answer(state: &State, out: &TcpStream, jobs: &[Job], outcomes: Vec<Outcome>) 
             lines.push('\n');
         }
         let dur_ns = job.planned.elapsed().as_nanos() as u64;
-        lines += &match outcome {
+        match outcome {
             Ok((value, tiles)) => {
                 state.metrics.request_ns.record(dur_ns);
                 ok += 1;
                 let echo = job.root.active().then_some(job.root.trace);
                 let tiles = job.wants_tiles.then_some(tiles.as_slice());
-                proto::ok_response_tiled(job.id, echo, value, tiles)
+                proto::write_ok_response(&mut lines, job.id, echo, value, tiles);
             }
             Err((kind, message)) => {
                 state.metrics.requests_err.inc();
-                proto::err_response(job.id, &kind, &message)
+                lines += &proto::err_response(job.id, &kind, &message);
             }
-        };
+        }
         state.observe_slow(job.id, &job.root, dur_ns);
     }
     state.metrics.requests_ok.add(ok);

@@ -1196,21 +1196,33 @@ mod tests {
         }
     }
 
+    /// The blocks file and sidecar at `tmp(name)`, removed when the guard
+    /// drops — a failing test cleans up too.
+    struct TmpStore(std::path::PathBuf);
+
+    impl Drop for TmpStore {
+        fn drop(&mut self) {
+            cleanup(&self.0);
+        }
+    }
+
     #[test]
     fn records_block_io_latency_in_global_registry() {
-        // The global registry is process-wide, so assert growth, not
-        // absolute counts.
-        let reads = ss_obs::global().histogram("storage.block_read_ns");
-        let writes = ss_obs::global().histogram("storage.block_write_ns");
-        let (r0, w0) = (reads.count(), writes.count());
-        let path = tmp("latency");
-        let mut store = FileBlockStore::create(&path, 8, 2, IoStats::new()).unwrap();
+        let path = TmpStore(tmp("latency"));
+        let mut store = FileBlockStore::create(&path.0, 8, 2, IoStats::new()).unwrap();
+        // The handles come from the global registry, which the module's
+        // other tests write on parallel threads: count through handles of
+        // a registry this test owns. `tests/metrics.rs` of ss-cli checks
+        // that the global names are exported.
+        let own = ss_obs::Registry::new();
+        store.read_ns = own.histogram("storage.block_read_ns");
+        store.write_ns = own.histogram("storage.block_write_ns");
+        let (r0, w0) = (store.read_ns.count(), store.write_ns.count());
         let mut buf = [0.0; 8];
         store.write_block(0, &[1.0; 8]);
         store.read_block(0, &mut buf);
-        assert_eq!(reads.count(), r0 + 1);
-        assert_eq!(writes.count(), w0 + 1);
-        cleanup(&path);
+        assert_eq!(store.read_ns.count(), r0 + 1);
+        assert_eq!(store.write_ns.count(), w0 + 1);
     }
 
     #[test]

@@ -411,8 +411,8 @@ fn valid_reply(rng: &mut SplitMix64) -> String {
     let id = (rng.below(4) != 0).then(|| rng.next_u64() as i128 - (1 << 40));
     let value = rng.range(-1e6, 1e6);
     match rng.below(4) {
-        0 => proto::ok_response(id, value),
-        1 => proto::ok_response_traced(id, Some(1 + rng.below(1000) as u64), value),
+        0 => proto::ok_response_tiled(id, None, value, None),
+        1 => proto::ok_response_tiled(id, Some(1 + rng.below(1000) as u64), value, None),
         2 => {
             let tiles: Vec<(usize, f64)> = (0..rng.below(8))
                 .map(|_| (rng.below(1 << 20), rng.range(-1.0, 1.0)))

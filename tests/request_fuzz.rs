@@ -333,3 +333,36 @@ fn a_wide_first_term_before_junk_is_refused_not_reserved() {
     assert!(err.message.contains("terms[1]"), "{}", err.message);
     assert!(started.elapsed().as_secs() < 10, "{:?}", started.elapsed());
 }
+
+/// A string is copied run by run between its `"` and `\`, once. The
+/// parser used to re-check the whole rest of the line for every character
+/// it copied, so one 256 KiB string cost seconds and a 1 MB line kept a
+/// connection thread busy for a minute.
+#[test]
+fn long_strings_parse_in_linear_time() {
+    let n = 256 << 10;
+    let plain: String = "abcdefgh\u{e9}\u{65e5}".chars().cycle().take(n).collect();
+    let unit = "\\n\\\"x\\\\\\u00e9\u{e9}";
+    let escaped = unit.repeat(n.div_ceil(unit.len()));
+    let lines = [
+        (format!(r#"{{"id":1,"op":"{plain}"}}"#), Err("unknown_op")),
+        (format!(r#"{{"id":1,"{plain}":1,"op":"commit"}}"#), Ok(())),
+        (
+            format!(r#"{{"id":1,"op":"commit","note":"{escaped}"}}"#),
+            Ok(()),
+        ),
+    ];
+    for (line, want) in lines {
+        assert!(line.len() >= n);
+        let started = std::time::Instant::now();
+        let got = proto::parse_request(&line).map(|_| ()).map_err(|e| e.kind);
+        let took = started.elapsed();
+        assert_eq!(got, want);
+        // A linear parse takes under 20 ms even in a debug build.
+        assert!(
+            took.as_secs_f64() < 2.0,
+            "{took:?} for {} bytes",
+            line.len()
+        );
+    }
+}
