@@ -602,7 +602,6 @@ fn render_watch(addr: &str, doc: &ss_obs::json::Value) {
     if let Some(w) = doc.get("recent_window_s") {
         println!("recent window: {w}s");
     }
-    render_topology(doc);
     if let Some(counters) = doc.get("counters").and_then(|c| c.as_object()) {
         if !counters.is_empty() {
             println!("counters:");
@@ -634,31 +633,6 @@ fn render_watch(addr: &str, doc: &ss_obs::json::Value) {
                 );
             }
         }
-    }
-}
-
-/// The router topology section of a `stats --watch` frame: present only
-/// when the watched process is a scatter-gather router (it sets the
-/// `router.shards` / `router.replicas` gauges at startup). One line per
-/// shard with its cumulative sub-request count.
-fn render_topology(doc: &ss_obs::json::Value) {
-    let gauge = |name: &str| {
-        doc.get("gauges")
-            .and_then(|g| g.get(name))
-            .and_then(|v| v.as_u64())
-    };
-    let (Some(shards), Some(replicas)) = (gauge("router.shards"), gauge("router.replicas")) else {
-        return;
-    };
-    println!("router topology: {shards} shards x {replicas} replicas");
-    let counters = doc.get("counters").and_then(|c| c.as_object());
-    for s in 0..shards {
-        let name = format!("router.shard_requests.{s}");
-        let served = counters
-            .and_then(|c| c.iter().find(|(n, _)| *n == name))
-            .and_then(|(_, v)| v.as_u64())
-            .unwrap_or(0);
-        println!("  shard {s:<3} {served:>12} sub-requests");
     }
 }
 
@@ -712,7 +686,6 @@ pub fn serve_metrics(args: &Args) -> Result<(), String> {
 
 /// `serve <store> [--port N] [--workers W] [--batch B] [--requests K]
 /// [--addr-file FILE] [--writable [--wal FILE]]
-/// [--router --shards a:p,b:p,… [--replicas N] [--bounds 0,c1,…,T]]
 /// [--slow-ms T] [--trace-out FILE | --trace-ring] [--metrics-port N]`
 ///
 /// Serves standard-form point and range-sum queries against the store over
@@ -768,7 +741,6 @@ pub fn serve(args: &Args) -> Result<(), String> {
     let ws = WsFile::open(Path::new(path))?;
     let writable = args.flag_set("writable");
     let levels = ws.meta.levels.clone();
-    let tiling = ws.meta.tiling();
     let stats = ws.stats.clone();
     let (map, blocks) = ws.store.into_parts();
     let shared = ss_storage::SharedCoeffStore::new(map, blocks, 1 << 10, workers, stats.clone());
@@ -780,25 +752,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
     };
     let _metrics = metrics::maybe_serve(args)?;
     let bind_addr = format!("127.0.0.1:{port}");
-    let (server, snapshot) = if args.flag_set("router") {
-        if writable {
-            return Err(
-                "--router and --writable conflict: a router holds no store or WAL of its own \
-                 (start the shard servers --writable instead)"
-                    .into(),
-            );
-        }
-        let topo = parse_router_topology(args, tiling.num_tiles())?;
-        println!(
-            "router over {} shards x {} replicas (tile bounds {:?})",
-            topo.shard_map().shards(),
-            topo.shard_map().replicas(),
-            topo.shard_map().bounds()
-        );
-        let server = ss_serve::QueryServer::bind_router(&bind_addr, tiling, levels, topo, config)
-            .map_err(|e| e.to_string())?;
-        (server, None)
-    } else if writable {
+    let (server, snapshot) = if writable {
         let (shared, wal, replayed) = open_wal_and_replay(args, path, shared)?;
         if replayed.commits > 0 {
             println!(
@@ -854,130 +808,6 @@ pub fn serve(args: &Args) -> Result<(), String> {
         println!("trace written to {tpath}");
     }
     metrics::emit_quiet(args, Some(&stats))
-}
-
-/// Builds the router topology from `--shards a:p,b:p,…` (shard-major:
-/// with `--replicas N`, each consecutive group of N addresses is one
-/// shard's replica set), plus an optional `--bounds 0,c1,…,T` explicit
-/// partition (e.g. from `shard-split`); without `--bounds` the tile
-/// space is split evenly.
-fn parse_router_topology(
-    args: &Args,
-    num_tiles: usize,
-) -> Result<ss_serve::RouterTopology, String> {
-    use std::net::ToSocketAddrs as _;
-    let spec = args
-        .flag_opt("shards")
-        .filter(|s| !s.is_empty())
-        .ok_or("--router needs --shards (comma-separated shard server addresses)")?;
-    let mut addrs = Vec::new();
-    for part in spec.split(',') {
-        let part = part.trim();
-        let addr = part
-            .to_socket_addrs()
-            .map_err(|e| format!("bad shard address {part:?}: {e}"))?
-            .next()
-            .ok_or(format!("shard address {part:?} resolved to nothing"))?;
-        addrs.push(addr);
-    }
-    let replicas: usize = args.get_or("replicas", 1)?;
-    if replicas == 0 {
-        return Err("--replicas must be at least 1".into());
-    }
-    if addrs.is_empty() || addrs.len() % replicas != 0 {
-        return Err(format!(
-            "--shards lists {} addresses, not divisible into replica sets of {replicas}",
-            addrs.len()
-        ));
-    }
-    let shards = addrs.len() / replicas;
-    let map = match args.flag_opt("bounds").filter(|b| !b.is_empty()) {
-        Some(b) => {
-            let bounds = parse_list(b)?;
-            let map = ss_storage::ShardMap::from_bounds(bounds, replicas)
-                .map_err(|e| format!("bad --bounds: {e}"))?;
-            if map.shards() != shards {
-                return Err(format!(
-                    "--bounds describes {} shards but --shards/--replicas give {shards}",
-                    map.shards()
-                ));
-            }
-            if map.num_tiles() != num_tiles {
-                return Err(format!(
-                    "--bounds covers {} tiles but the store has {num_tiles}",
-                    map.num_tiles()
-                ));
-            }
-            map
-        }
-        None => ss_storage::ShardMap::even(num_tiles, shards, replicas)
-            .map_err(|e| format!("partitioning {num_tiles} tiles into {shards} shards: {e}"))?,
-    };
-    let grouped = addrs.chunks(replicas).map(<[_]>::to_vec).collect();
-    ss_serve::RouterTopology::new(map, grouped)
-}
-
-/// `shard-split <store> --shards S [--replicas N] [--out FILE]`
-///
-/// Offline rebalancer: weighs every tile by its non-zero coefficient
-/// count (the proxy for routed read work — zero coefficients contribute
-/// nothing to a partial sum) and computes contiguous shard bounds that
-/// even out total weight. Prints the even split next to the balanced one
-/// and the `--bounds` list to paste into `serve --router`; `--out FILE`
-/// writes that list for scripts.
-pub fn shard_split(args: &Args) -> Result<(), String> {
-    let path = args.pos(0, "store path")?;
-    let shards: usize = args.require("shards")?;
-    let replicas: usize = args.get_or("replicas", 1)?;
-    let mut ws = WsFile::open(Path::new(path))?;
-    let map = ws.meta.tiling();
-    let num_tiles = map.num_tiles();
-    let slots = map.block_capacity();
-    let mut weight = vec![0u64; num_tiles];
-    for (t, w) in weight.iter_mut().enumerate() {
-        for s in 0..slots {
-            if ws.store.read_at(t, s) != 0.0 {
-                *w += 1;
-            }
-        }
-    }
-    let even =
-        ss_storage::ShardMap::even(num_tiles, shards, replicas).map_err(|e| e.to_string())?;
-    let balanced = even
-        .rebalanced(&weight, shards)
-        .map_err(|e| e.to_string())?;
-    let total: u64 = weight.iter().sum();
-    println!("store   : {path}");
-    println!("tiles   : {num_tiles} ({total} non-zero coefficients)");
-    println!("shards  : {shards} x {replicas} replicas");
-    let describe = |label: &str, m: &ss_storage::ShardMap| {
-        println!("{label}:");
-        for s in 0..m.shards() {
-            let r = m.range(s);
-            let w: u64 = weight[r.clone()].iter().sum();
-            println!(
-                "  shard {s}: tiles [{}, {}) weight {w} ({:.1}%)",
-                r.start,
-                r.end,
-                100.0 * w as f64 / total.max(1) as f64
-            );
-        }
-    };
-    describe("even split", &even);
-    describe("balanced split", &balanced);
-    let bounds = balanced
-        .bounds()
-        .iter()
-        .map(|b| b.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    println!("bounds  : {bounds}");
-    println!("use with: serve <store> --router --shards … --replicas {replicas} --bounds {bounds}");
-    if let Some(out) = args.flag_opt("out").filter(|o| !o.is_empty()) {
-        std::fs::write(out, &bounds).map_err(|e| format!("writing {out}: {e}"))?;
-        println!("bounds written to {out}");
-    }
-    metrics::emit_quiet(args, Some(&ws.stats))
 }
 
 /// What WAL recovery found on startup.

@@ -81,18 +81,6 @@ COMMANDS:
           --trace-ring keeps them in the in-memory ring only; --slow-ms T
           logs requests slower than T ms on stderr; --metrics-port serves
           the live registry with recent-window percentiles)
-  serve   <store> --router --shards a:p,b:p,… [--replicas N] [--bounds …]
-          scatter-gather query router over shard servers
-          (the store argument supplies geometry only; each shard server
-          owns a contiguous tile range — even split, or --bounds from
-          shard-split; --replicas N groups every N consecutive --shards
-          addresses into one shard's replica set, reads load-balance
-          across replicas and fail over; answers are bit-identical to a
-          single server; update/commit fan out to every replica and ack
-          only when all shards confirm)
-  shard-split <store> --shards S [--replicas N] [--out F]
-          offline rebalancer: weighs tiles by non-zero coefficients and
-          prints balanced --bounds for serve --router
   wal-replay <store> [--wal F]   replay crash-left commits from the
           write-ahead log onto the store, sync it, truncate the log
   query   <addr> (--at i,j,… | --lo … --hi …) [--out F] [--trace N]
@@ -173,9 +161,8 @@ const COMMANDS: &[(&str, &str, Handler)] = &[
     ("synopsis", "k out", Usage(commands::synopsis)),
     ("asksyn", "at lo hi", Usage(commands::query_synopsis)),
     ("stream", "data k buffer", Usage(commands::stream)),
-    ("serve", "port workers batch requests addr-file writable wal router shards \
-               replicas bounds slow-ms trace-out trace-ring metrics-port", Usage(commands::serve)),
-    ("shard-split", "shards replicas out", Usage(commands::shard_split)),
+    ("serve", "port workers batch requests addr-file writable wal \
+               slow-ms trace-out trace-ring metrics-port", Usage(commands::serve)),
     ("wal-replay", "wal", Usage(commands::wal_replay)),
     ("query", "at lo hi out trace", Usage(commands::query)),
     ("trace-dump", "chrome", Usage(commands::trace_dump)),
@@ -796,149 +783,6 @@ mod tests {
         assert_eq!(got.to_bits(), want.to_bits(), "range sum");
         // The budget is now spent: the serve command returns Ok on its own.
         server.join().unwrap().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn routed_serve_through_cli_matches_serial_answers() {
-        // End-to-end router path through the CLI: `shard-split` computes
-        // balanced bounds, two in-process shard servers hold the store,
-        // `serve --router --bounds …` scatter-gathers over them, and
-        // `query` answers must be bit-identical to the serial batch path.
-        let dir = tmp_dir("router_serve");
-        let store = dir.join("s.ws");
-        let store_s = store.to_str().unwrap().to_string();
-        run(&to_args(&[
-            "create", &store_s, "--levels", "4,4", "--tiles", "2,2",
-        ]))
-        .unwrap();
-        let data: Vec<String> = (0..16)
-            .map(|r| {
-                (0..16)
-                    .map(|c| (((r * 13 + c * 23) % 37) as f64 / 8.0).to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            })
-            .collect();
-        let f = dir.join("d.csv");
-        std::fs::write(&f, data.join("\n")).unwrap();
-        run(&to_args(&[
-            "ingest",
-            &store_s,
-            "--data",
-            f.to_str().unwrap(),
-        ]))
-        .unwrap();
-        // Offline rebalancer: bounds must be a full contiguous partition.
-        let bounds_file = dir.join("bounds.txt");
-        let bounds_file_s = bounds_file.to_str().unwrap().to_string();
-        run(&to_args(&[
-            "shard-split",
-            &store_s,
-            "--shards",
-            "2",
-            "--out",
-            &bounds_file_s,
-        ]))
-        .unwrap();
-        let bounds = std::fs::read_to_string(&bounds_file).unwrap();
-        let parsed: Vec<usize> = bounds
-            .trim()
-            .split(',')
-            .map(|b| b.parse().unwrap())
-            .collect();
-        assert_eq!(parsed.first(), Some(&0));
-        assert_eq!(parsed.len(), 3, "2 shards need 3 bounds: {bounds}");
-        // Two in-process shard servers, each holding the full store file
-        // (the router only asks a shard for tiles in its owned range).
-        let mut shard_servers = Vec::new();
-        let mut shard_addrs = Vec::new();
-        for _ in 0..2 {
-            let ws = crate::wsfile::WsFile::open(&store).unwrap();
-            let stats = ws.stats.clone();
-            let levels = ws.meta.levels.clone();
-            let (map, blocks) = ws.store.into_parts();
-            let shared = ss_storage::SharedCoeffStore::new(map, blocks, 64, 2, stats);
-            let server = ss_serve::QueryServer::bind(
-                "127.0.0.1:0",
-                shared,
-                levels,
-                ss_serve::ServeConfig {
-                    workers: 2,
-                    batch_max: 16,
-                    max_requests: None,
-                    slow_ns: None,
-                },
-            )
-            .unwrap();
-            shard_addrs.push(server.local_addr().to_string());
-            shard_servers.push(server);
-        }
-        let addr_file = dir.join("addr.txt");
-        let addr_file_s = addr_file.to_str().unwrap().to_string();
-        let points = [[0usize, 0], [7, 13], [15, 15], [3, 9]];
-        // 4 points + 1 range sum = a budget of 5 routed responses.
-        let serve_store = store_s.clone();
-        let shards_arg = shard_addrs.join(",");
-        let bounds_arg = bounds.trim().to_string();
-        let router = std::thread::spawn(move || {
-            run(&to_args(&[
-                "serve",
-                &serve_store,
-                "--router",
-                "--shards",
-                &shards_arg,
-                "--bounds",
-                &bounds_arg,
-                "--port",
-                "0",
-                "--workers",
-                "2",
-                "--requests",
-                "5",
-                "--addr-file",
-                &addr_file_s,
-            ]))
-        });
-        let addr = loop {
-            match std::fs::read_to_string(&addr_file) {
-                Ok(a) if !a.is_empty() => break a,
-                _ => std::thread::sleep(std::time::Duration::from_millis(5)),
-            }
-        };
-        let mut ws = crate::wsfile::WsFile::open(&store).unwrap();
-        let out = dir.join("answer.txt");
-        let out_s = out.to_str().unwrap().to_string();
-        for pos in &points {
-            let at = format!("{},{}", pos[0], pos[1]);
-            run(&to_args(&["query", &addr, "--at", &at, "--out", &out_s])).unwrap();
-            let got: f64 = std::fs::read_to_string(&out)
-                .unwrap()
-                .trim()
-                .parse()
-                .unwrap();
-            let want = ss_query::batch_points(&mut ws.store, &ws.meta.levels, &[pos.to_vec()])[0];
-            assert_eq!(got.to_bits(), want.to_bits(), "routed point {pos:?}");
-        }
-        run(&to_args(&[
-            "query", &addr, "--lo", "2,1", "--hi", "13,11", "--out", &out_s,
-        ]))
-        .unwrap();
-        let got: f64 = std::fs::read_to_string(&out)
-            .unwrap()
-            .trim()
-            .parse()
-            .unwrap();
-        let want = ss_query::batch_range_sums(
-            &mut ws.store,
-            &ws.meta.levels,
-            &[(vec![2, 1], vec![13, 11])],
-        )[0];
-        assert_eq!(got.to_bits(), want.to_bits(), "routed range sum");
-        router.join().unwrap().unwrap();
-        for server in shard_servers {
-            server.shutdown();
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

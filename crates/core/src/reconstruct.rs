@@ -42,8 +42,8 @@ use ss_array::{advance, DyadicRange, MultiIndexIter, NdArray, Shape};
 /// A contribution list over N-d coefficient indices, in one of two forms:
 ///
 /// * **flat** — term `k` is `(coords[k·rank .. (k+1)·rank], weights[k])`,
-///   pushed one by one ([`push`](Self::push)): a router's `partial`
-///   sub-plan and the non-standard builders;
+///   pushed one by one ([`push`](Self::push)): a `partial` request's
+///   plan and the non-standard builders;
 /// * **product** — per-axis `(index, factor)` lists whose cross product,
 ///   row-major, is the term list ([`product`](Self::product)): every
 ///   standard-form plan. Its terms are never built on the query path; the

@@ -27,8 +27,7 @@
 //! coefficient, piece order — so replaying in that order still gives
 //! every coefficient the addition sequence of applying the operations one
 //! at a time, which is what keeps a group commit bit-identical to the
-//! serial path. Consumers that need `(slot, delta)` slices — the wire encoder,
-//! the router's per-shard split — take them from
+//! serial path. Consumers that need `(slot, delta)` slices take them from
 //! [`for_each_run`](TileRuns::for_each_run), which writes a box run out
 //! through the same walk.
 

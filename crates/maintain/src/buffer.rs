@@ -105,8 +105,8 @@ impl DeltaBuffer {
         self.add(loc.tile, loc.slot, delta);
     }
 
-    /// Buffers an already-located batch (a router's `apply`) as one
-    /// operation, its runs in their order.
+    /// Buffers an already-located batch as one operation, its runs in
+    /// their order.
     pub fn add_runs(&mut self, runs: &TileRuns) {
         self.begin_box();
         runs.for_each_run(|tile, run| self.runs.extend(tile, run));
@@ -148,8 +148,8 @@ impl DeltaBuffer {
 
     /// Drains the buffer, resetting it, into a grouped arena: every dirty
     /// tile once, ascending, with its runs in arrival order. Replaying
-    /// each tile's runs where it is stored — one store, or the shard a
-    /// router scatters it to — is bit-identical to flushing the buffer.
+    /// each tile's runs where it is stored is bit-identical to flushing
+    /// the buffer.
     ///
     /// Records the bytes the buffer held (arena, descriptors and boxes) in
     /// the `maintain.buffer_bytes` histogram, one sample per drain.

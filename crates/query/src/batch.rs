@@ -42,7 +42,7 @@ pub fn batch_range_sums<C: CoeffRead>(
 }
 
 /// One plan's answer plus its per-tile partial sums, in ascending tile
-/// order — the decomposition a scatter-gather router merges exactly.
+/// order — what a `partial` request answers.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PlanTiles {
     /// The plan's answer: the fold of `tiles` partials in order,
@@ -104,13 +104,8 @@ struct Visit {
 /// tile, a plan's contributions fold left in ascending slot order (and,
 /// per slot, in plan term order) — the first one *sets* the partial; the
 /// answer is then the fold of the per-tile partials in ascending tile
-/// order, starting from `0.0`. Because f64 addition is not associative,
-/// this grouping is what makes horizontal sharding *exact*: any partition
-/// of the tile space into whole-tile ranges computes the same per-tile
-/// partials locally, and a router that re-folds the partials in ascending
-/// tile order replays the identical addition sequence — the merged answer
-/// equals the single-store answer bit for bit (see `ss-serve`'s router and
-/// DESIGN.md §16).
+/// order, starting from `0.0`, so no answer depends on what else is in
+/// the sweep.
 ///
 /// Counts one coefficient read per distinct `(tile, slot)` of the sweep
 /// and one pool access per distinct tile.
@@ -780,60 +775,6 @@ mod tests {
                 acc += partial;
             }
             assert_eq!(acc.to_bits(), r.value.to_bits());
-        }
-    }
-
-    /// The router invariant, stated without a router: splitting every
-    /// plan's terms by a contiguous tile-range partition, executing each
-    /// part independently, and re-folding the per-tile partials in
-    /// ascending tile order reproduces the unsplit answer bit for bit.
-    #[test]
-    fn tiled_partials_merge_exactly_under_contiguous_splits() {
-        let (_, mut cs, _) = setup(64, 6);
-        let mut plans = Vec::new();
-        for i in 0..12usize {
-            plans.push(reconstruct::standard_point_contributions(
-                &[6, 6],
-                &[(i * 17) % 64, (i * 23) % 64],
-            ));
-            let lo = vec![(i * 5) % 30, (i * 7) % 30];
-            plans.push(reconstruct::standard_range_sum_contributions(
-                &[6, 6],
-                &lo,
-                &[lo[0] + 20, lo[1] + 33],
-            ));
-        }
-        let whole = execute_plans_tiled(&mut cs, &plans);
-        let num_tiles = cs.map().num_tiles();
-        for shards in [1usize, 2, 4, 8] {
-            let sm = ss_storage::ShardMap::even(num_tiles, shards, 1).unwrap();
-            // Split each plan's terms by owning shard, preserving order.
-            let mut parts: Vec<Vec<Contributions>> =
-                vec![vec![Contributions::with_capacity(2, 0); plans.len()]; shards];
-            for (q, plan) in plans.iter().enumerate() {
-                plan.for_each_term(|idx, w| {
-                    let tile = cs.map().locate(idx).tile;
-                    parts[sm.owner(tile)][q].push(idx, w);
-                });
-            }
-            // Execute each shard's sub-plans independently, then merge:
-            // per-shard tile lists concatenate in shard order, which is
-            // ascending tile order because ranges are contiguous.
-            let mut merged = vec![0.0f64; plans.len()];
-            for shard_plans in &parts {
-                for (q, r) in execute_plans_tiled(&mut cs, shard_plans).iter().enumerate() {
-                    for &(_, partial) in &r.tiles {
-                        merged[q] += partial;
-                    }
-                }
-            }
-            for (q, (m, w)) in merged.iter().zip(&whole).enumerate() {
-                assert_eq!(
-                    m.to_bits(),
-                    w.value.to_bits(),
-                    "plan {q} diverges at {shards} shards"
-                );
-            }
         }
     }
 }

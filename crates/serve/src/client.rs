@@ -131,66 +131,28 @@ impl Client {
     }
 
     /// Pipelines arbitrary operations (queries and mutations) and returns
-    /// one result per operation, in request order. The server replies in
-    /// request order except for error replies to malformed or invalid
-    /// lines, which can overtake queries sent before them; results are
-    /// matched back by id here.
+    /// one result per operation, in request order. Every request carries
+    /// the client's trace id. The server replies in request order except
+    /// for error replies to malformed or invalid lines, which can overtake
+    /// queries sent before them; results are matched back by id here.
     #[allow(clippy::type_complexity)]
     pub fn run_ops(
         &mut self,
-        queries: &[Op],
+        ops: &[Op],
     ) -> Result<Vec<Result<f64, (String, String)>>, ClientError> {
-        let trace = self.trace;
-        let items: Vec<(Op, Option<u64>)> = queries.iter().map(|q| (q.clone(), trace)).collect();
-        Ok(self
-            .run_ops_detailed(&items)?
-            .into_iter()
-            .map(|r| r.result)
-            .collect())
-    }
-
-    /// Pipelines operations carrying **per-operation** trace ids and
-    /// returns the full parsed responses (including the per-tile partial
-    /// decomposition of `partial` sub-plans), in request order. This is
-    /// the fan-out primitive the scatter-gather router drives: one
-    /// routed batch mixes requests from different traced clients, so
-    /// each forwarded sub-request keeps its own trace id.
-    pub fn run_ops_detailed(
-        &mut self,
-        items: &[(Op, Option<u64>)],
-    ) -> Result<Vec<Response>, ClientError> {
-        if items.is_empty() {
+        if ops.is_empty() {
             return Ok(Vec::new());
         }
-        let first_id = self.send_ops(items)?;
-        self.recv_responses(first_id, items.len())
-    }
-
-    /// Writes and flushes one pipelined request per item without waiting
-    /// for answers; returns the id of the first request. The router's
-    /// scatter phase sends to every shard before reading from any, so
-    /// shard round trips overlap instead of adding up.
-    pub fn send_ops(&mut self, items: &[(Op, Option<u64>)]) -> Result<i128, ClientError> {
-        let first_id = self.next_id;
+        let (first_id, count) = (self.next_id, ops.len());
         let mut lines = String::new();
-        for (k, (op, trace)) in items.iter().enumerate() {
-            proto::write_op(&mut lines, first_id + k as i128, op, *trace);
+        for (k, op) in ops.iter().enumerate() {
+            proto::write_op(&mut lines, first_id + k as i128, op, self.trace);
             lines.push('\n');
         }
-        self.next_id += items.len() as i128;
+        self.next_id += count as i128;
         self.writer.write_all(lines.as_bytes())?;
         self.writer.flush()?;
-        Ok(first_id)
-    }
 
-    /// Reads the `count` responses to a [`send_ops`](Client::send_ops)
-    /// exchange that started at `first_id`, re-ordered into request
-    /// order.
-    pub fn recv_responses(
-        &mut self,
-        first_id: i128,
-        count: usize,
-    ) -> Result<Vec<Response>, ClientError> {
         let mut by_id: HashMap<i128, Response> = HashMap::with_capacity(count);
         let mut line = String::new();
         while by_id.len() < count {
@@ -214,7 +176,12 @@ impl Client {
             by_id.insert(id, resp);
         }
         Ok((0..count)
-            .map(|k| by_id.remove(&(first_id + k as i128)).expect("all ids seen"))
+            .map(|k| {
+                by_id
+                    .remove(&(first_id + k as i128))
+                    .expect("all ids seen")
+                    .result
+            })
             .collect())
     }
 }

@@ -26,21 +26,11 @@
 //! never see a partially applied epoch, and a commit's effects are
 //! visible to every query issued after its response (read-your-writes).
 //!
-//! Horizontal scale-out: [`QueryServer::bind_router`] serves the same
-//! protocol as a **scatter-gather router** over tile-range shards — tile
-//! space is partitioned by an [`ss_storage::ShardMap`] into contiguous
-//! ranges, each held by N replica shard servers; the router splits every
-//! plan by owning shard, fans `partial` sub-requests to the least-loaded
-//! replicas, and merges the per-tile partial sums back **bit-identically**
-//! (ascending tile order reproduces the single-store addition tree).
-//!
 //! * [`proto`] — the wire protocol: requests, typed error responses,
 //!   exact float formatting,
 //! * [`server`] — [`QueryServer`]: the acceptor, one thread per
 //!   connection that parses, plans, executes and replies, the sweep
 //!   permits, and budgeted clean shutdown,
-//! * [`router`] — scatter-gather fan-out, replica failover, and the
-//!   routed write path behind [`QueryServer::bind_router`],
 //! * [`client`] — [`Client`]: a small blocking, pipelining client used by
 //!   the CLI `query` command, the benches and the tests.
 //!
@@ -71,12 +61,10 @@
 
 pub mod client;
 pub mod proto;
-pub mod router;
 pub mod server;
 
 pub use client::{Client, ClientError};
 pub use proto::{Mutation, Op, Query};
-pub use router::RouterTopology;
 pub use server::{QueryServer, ServeConfig};
 
 #[cfg(test)]

@@ -45,45 +45,30 @@
 //! updates are invisible to queries; from the commit response onward
 //! every new query sees them (read-your-writes at epoch granularity).
 //!
-//! # Router sub-requests (`partial` / `apply`)
+//! # Per-tile partial sums (`partial`)
 //!
-//! The scatter-gather router (see [`crate::QueryServer::bind_router`])
-//! speaks two additional operations to its shard servers:
+//! Any server also evaluates a raw contribution list:
 //!
 //! ```json
 //! {"id": 11, "op": "partial", "terms": [[[3, 9], 0.25], [[0, 1], -0.5]]}
-//! {"id": 12, "op": "apply", "ops": [[7, 3, 0.5], [7, 4, -1.0]]}
 //! ```
 //!
-//! `partial` evaluates a raw contribution list (each term an
-//! `[index, weight]` pair, every index of the first one's rank; it is
-//! parsed straight into one flat [`Contributions`], and an empty list
-//! answers `0` with no tiles) and answers with the weighted sum **plus** its
-//! per-tile decomposition, so a router can merge partials from disjoint
-//! tile ranges bit-exactly (the canonical accumulation order is per-tile
-//! decomposed — see `ss_query::execute_plans_tiled`):
+//! Each term is an `[index, weight]` pair, every index of the first one's
+//! rank; the list is parsed straight into one flat [`Contributions`], and
+//! an empty list answers `0` with no tiles. The answer carries the
+//! weighted sum **plus** its per-tile decomposition in the canonical
+//! accumulation order (see `ss_query::execute_plans_tiled`): the value is
+//! the fold of the tile partials in ascending tile order.
 //!
 //! ```json
 //! {"id": 11, "ok": true, "value": 3.25, "tiles": [[0, -0.5], [6, 3.75]]}
 //! ```
 //!
-//! `apply` buffers raw `[tile, slot, delta]` coefficient ops on a
-//! writable shard — the already-SHIFT-SPLIT-decomposed form a router
-//! scatters after splitting its drained delta buffer by tile ownership.
-//! The ops parse into one [`TileRuns`] arena, consecutive ops of one tile
-//! one run, and are buffered as one operation (a router encodes its
-//! deferred box runs written out, [`TileRuns::for_each_run`]: the outer
-//! targets row-major over the whole axis tile, segments ascending; per
-//! coefficient, piece order — a shard adds them slot by slot, so only that
-//! per-coefficient order counts); the `value` answers with the number of
-//! ops buffered. Like `update`, the ops stay invisible until `commit`.
-//!
 //! Error kinds are closed: `parse` (not a JSON object), `unknown_op`
-//! (unrecognised `op`), `bad_request` (wrong arity or out-of-range
-//! coordinates), `read_only` (mutation sent to a read-only server), `io`
-//! (a commit failed to reach the write-ahead log), `shard_unavailable`
-//! (a router could not reach any replica of a shard a request needs — the
-//! answer would otherwise be a silent partial sum, so it is refused).
+//! (unrecognised `op`; the message echoes at most its first 64
+//! characters), `bad_request` (wrong arity or out-of-range coordinates),
+//! `read_only` (mutation sent to a read-only server), `io` (a commit
+//! failed to reach the write-ahead log).
 //!
 //! # Tracing (`trace` field)
 //!
@@ -103,7 +88,6 @@
 //! is treated as absent rather than rejected, for the same reason.
 
 use ss_core::reconstruct::{self, Contributions};
-use ss_core::runs::TileRuns;
 use ss_obs::json::{self, Value};
 
 /// A validated query, ready for planning.
@@ -121,12 +105,11 @@ pub enum Query {
         /// Upper corner, inclusive.
         hi: Vec<usize>,
     },
-    /// A raw contribution list — a router's sub-plan for one shard. The
-    /// success response carries the per-tile partial decomposition (see
-    /// the module docs).
+    /// A raw contribution list. The success response carries the
+    /// per-tile partial decomposition (see the module docs).
     Partial {
-        /// The plan the shard executes, in the canonical
-        /// per-tile-decomposed order.
+        /// The plan to evaluate, in the canonical per-tile-decomposed
+        /// order.
         plan: Contributions,
     },
 }
@@ -143,8 +126,8 @@ impl Query {
 
     /// Checks arity and bounds against the served domain `dims`.
     pub fn validate(&self, dims: &[usize]) -> Result<(), String> {
-        // `name` is only rendered into an error: a valid request (a routed
-        // `partial` has ~170 terms) formats and allocates nothing.
+        // `name` is only rendered into an error: a valid request (a
+        // `partial` can have hundreds of terms) formats and allocates nothing.
         let check = |name: std::fmt::Arguments<'_>, v: &[usize]| -> Result<(), String> {
             if v.len() != dims.len() {
                 return Err(format!(
@@ -215,26 +198,15 @@ pub enum Mutation {
         /// Row-major box contents (`dims` product values).
         data: Vec<f64>,
     },
-    /// Buffer raw coefficient ops — a router's already-decomposed scatter
-    /// for one shard: its slice of a drained `DeltaBuffer`.
-    Apply {
-        /// The ops as tile runs in wire order, each run's `(slot, delta)`
-        /// ops in arrival order (replayed in this order at flush).
-        runs: TileRuns,
-    },
     /// Group-commit everything buffered so far as the next epoch.
     Commit,
 }
 
 impl Mutation {
     /// Checks arity, bounds and data length against the domain `dims`.
-    /// `apply` ops address `(tile, slot)` locations directly; their
-    /// bounds depend on the tiling map, so the backend checks them when
-    /// buffering.
     pub fn validate(&self, domain: &[usize]) -> Result<(), String> {
         match self {
             Mutation::Commit => Ok(()),
-            Mutation::Apply { .. } => Ok(()),
             Mutation::Update { at, dims, data } => {
                 if at.len() != domain.len() || dims.len() != domain.len() {
                     return Err(format!(
@@ -376,25 +348,9 @@ fn terms_array(v: &Value) -> Result<Contributions, String> {
     Ok(plan)
 }
 
-/// `ops`: an array of `[tile, slot, delta]` triples; consecutive triples
-/// of one tile form one run.
-fn ops_array(v: &Value) -> Result<TileRuns, String> {
-    let arr = v.as_array().ok_or("ops must be an array")?;
-    let mut runs = TileRuns::default();
-    for (k, op) in arr.iter().enumerate() {
-        let Some([tile, slot, delta]) = op.as_array() else {
-            return Err(format!("ops[{k}] must be a [tile, slot, delta] triple"));
-        };
-        let (Some(tile), Some(slot)) = (as_usize(tile), as_usize(slot)) else {
-            return Err(format!("ops[{k}] must contain non-negative integers"));
-        };
-        let delta = delta
-            .as_f64()
-            .ok_or_else(|| format!("ops[{k}] delta must be a number"))?;
-        runs.push(tile, slot, delta);
-    }
-    Ok(runs)
-}
+/// The most characters of an unrecognised `op` an `unknown_op` message
+/// echoes; a longer op is cut there, with `…` after the closing quote.
+const OP_ECHO_CHARS: usize = 64;
 
 /// Parses one request line. Validation against the domain happens
 /// separately via [`Query::validate`].
@@ -458,21 +414,18 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
             let plan = terms_array(raw).map_err(|m| RequestError::new(id, "bad_request", m))?;
             Op::Query(Query::Partial { plan })
         }
-        "apply" => {
-            let raw = v
-                .get("ops")
-                .ok_or_else(|| RequestError::new(id, "bad_request", "missing field ops"))?;
-            let runs = ops_array(raw).map_err(|m| RequestError::new(id, "bad_request", m))?;
-            Op::Mutation(Mutation::Apply { runs })
-        }
         "commit" => Op::Mutation(Mutation::Commit),
         other => {
+            // The op is echoed, so a long one is cut: the reply stays
+            // short however long the line was.
+            let shown: String = other.chars().take(OP_ECHO_CHARS).collect();
+            let cut = if shown.len() < other.len() { "…" } else { "" };
             return Err(RequestError::new(
                 id,
                 "unknown_op",
                 format!(
-                    "unknown op {other:?} (expected point, range_sum, partial, \
-                     update, apply, or commit)"
+                    "unknown op {shown:?}{cut} (expected point, range_sum, partial, \
+                     update, or commit)"
                 ),
             ));
         }
@@ -567,23 +520,6 @@ pub fn write_op(out: &mut String, id: i128, op: &Op, trace: Option<u64>) {
                 comma(out);
                 json::push_f64(out, x);
             }
-            out.push(']');
-        }
-        Mutation::Apply { runs } => {
-            open_request(out, id, "apply");
-            out.push_str(",\"ops\":[");
-            runs.for_each_run(|t, run| {
-                for &(s, d) in run {
-                    comma(out);
-                    out.push('[');
-                    json::push_int(out, t as i128);
-                    out.push(',');
-                    json::push_int(out, s as i128);
-                    out.push(',');
-                    json::push_f64(out, d);
-                    out.push(']');
-                }
-            });
             out.push(']');
         }
         Mutation::Commit => open_request(out, id, "commit"),
@@ -792,15 +728,6 @@ mod tests {
         );
     }
 
-    /// The arena of `(tile, run)` pairs, in order.
-    fn tile_runs(runs: &[(usize, Vec<(usize, f64)>)]) -> TileRuns {
-        let mut out = TileRuns::default();
-        for (tile, run) in runs {
-            out.extend(*tile, run);
-        }
-        out
-    }
-
     /// A rank-2 `partial` over `terms`.
     fn partial(terms: &[([usize; 2], f64)]) -> Query {
         let mut plan = Contributions::with_capacity(2, terms.len());
@@ -810,11 +737,11 @@ mod tests {
         Query::Partial { plan }
     }
 
-    /// The wire text is a contract between routers and shards of different
-    /// builds: these are the parent commit's exact bytes, from the nested
-    /// `terms` and flat `(tile, slot, delta)` forms this crate used to hold.
+    /// The wire text is a contract between clients and servers of
+    /// different builds: these are the exact bytes of the nested `terms`
+    /// form this crate used to hold.
     #[test]
-    fn partial_and_apply_lines_are_byte_identical_to_the_nested_forms() {
+    fn partial_lines_are_byte_identical_to_the_nested_form() {
         let q = partial(&[([3, 9], 0.25), ([0, 1], -0.5), ([31, 2], 0.1 + 0.2)]);
         let line = request_line(11, &q);
         assert_eq!(
@@ -822,21 +749,6 @@ mod tests {
             r#"{"id":11,"op":"partial","terms":[[[3,9],0.25],[[0,1],-0.5],[[31,2],0.30000000000000004]]}"#
         );
         assert_eq!(parse_request(&line).unwrap().op, Op::Query(q));
-
-        let runs = vec![
-            (7, vec![(3, 0.5), (4, -1.0)]),
-            (9, vec![(0, 1.0 / 3.0)]),
-            (7, vec![(1, 2.5)]),
-        ];
-        let m = Op::Mutation(Mutation::Apply {
-            runs: tile_runs(&runs),
-        });
-        let line = op_request_line(12, &m);
-        assert_eq!(
-            line,
-            r#"{"id":12,"op":"apply","ops":[[7,3,0.5],[7,4,-1.0],[9,0,0.3333333333333333],[7,1,2.5]]}"#
-        );
-        assert_eq!(parse_request(&line).unwrap().op, m);
     }
 
     #[test]
@@ -851,10 +763,6 @@ mod tests {
         assert!(q.validate(&[16, 16]).is_ok());
         assert!(q.validate(&[4, 4]).is_err(), "bounds");
         assert!(q.validate(&[16]).is_err(), "arity");
-        let m = Mutation::Apply {
-            runs: tile_runs(&[(7, vec![(3, 0.5)])]),
-        };
-        assert!(m.validate(&[16, 16]).is_ok());
     }
 
     /// An empty term list is an empty plan: it answers 0 with no tiles.
@@ -911,32 +819,6 @@ mod tests {
             q.validate(&[16, 128, 4]).unwrap_err(),
             "terms[0] has 2 axes, domain has 3"
         );
-    }
-
-    /// Consecutive ops of one tile are one run; a tile that comes back
-    /// later starts a new one.
-    #[test]
-    fn apply_ops_group_into_runs_by_consecutive_tile() {
-        let line = r#"{"op":"apply","ops":[[7,3,0.5],[7,4,-1],[9,0,2],[7,1,2.5]]}"#;
-        let back = parse_request(line).unwrap();
-        let want = vec![
-            (7, vec![(3, 0.5), (4, -1.0)]),
-            (9, vec![(0, 2.0)]),
-            (7, vec![(1, 2.5)]),
-        ];
-        let runs = tile_runs(&want);
-        assert_eq!(back.op, Op::Mutation(Mutation::Apply { runs }));
-        for (ops, message) in [
-            ("[[7,3]]", "ops[0] must be a [tile, slot, delta] triple"),
-            (
-                "[[7,3,1],[-1,0,1]]",
-                "ops[1] must contain non-negative integers",
-            ),
-            ("[[7,3,true]]", "ops[0] delta must be a number"),
-        ] {
-            let line = format!(r#"{{"op":"apply","ops":{ops}}}"#);
-            assert_eq!(parse_request(&line).unwrap_err().message, message);
-        }
     }
 
     #[test]
@@ -1028,6 +910,16 @@ mod tests {
             parse_request(r#"{"id":1,"op":"bogus"}"#).unwrap_err().kind,
             "unknown_op"
         );
+        // Raw coefficient ops (`apply`) are not an op of this protocol.
+        let e = parse_request(r#"{"id":2,"op":"apply","ops":[[7,3,0.5]]}"#).unwrap_err();
+        assert_eq!(
+            (e.id, e.kind, e.message.as_str()),
+            (
+                Some(2),
+                "unknown_op",
+                r#"unknown op "apply" (expected point, range_sum, partial, update, or commit)"#
+            )
+        );
         let e = parse_request(r#"{"id":1,"op":"point"}"#).unwrap_err();
         assert_eq!((e.kind, e.id), ("bad_request", Some(1)));
         let e = parse_request(r#"{"op":"point","pos":[1,-2]}"#).unwrap_err();
@@ -1075,7 +967,6 @@ mod tests {
         match op {
             Op::Query(q) => q.op(),
             Op::Mutation(Mutation::Update { .. }) => "update",
-            Op::Mutation(Mutation::Apply { .. }) => "apply",
             Op::Mutation(Mutation::Commit) => "commit",
         }
     }
@@ -1098,15 +989,6 @@ mod tests {
                     terms.push(Value::Array(vec![arr(idx), Value::Float(w)]))
                 });
                 pairs.push(("terms".into(), Value::Array(terms)));
-            }
-            Op::Mutation(Mutation::Apply { runs }) => {
-                let mut ops = Vec::new();
-                runs.for_each_run(|t, run| {
-                    ops.extend(run.iter().map(|&(s, d)| {
-                        Value::Array(vec![Value::from(t), Value::from(s), Value::Float(d)])
-                    }))
-                });
-                pairs.push(("ops".into(), Value::Array(ops)));
             }
             Op::Mutation(Mutation::Update { at, dims, data }) => {
                 pairs.push(("at".into(), arr(at)));
@@ -1222,7 +1104,7 @@ mod tests {
 
         fn op(&mut self) -> Op {
             let rank = 1 + self.below(3);
-            match self.below(6) {
+            match self.below(5) {
                 0 => Op::Query(Query::Point {
                     pos: self.index(rank),
                 }),
@@ -1243,14 +1125,6 @@ mod tests {
                     dims: self.index(rank),
                     data: (0..self.below(5)).map(|_| self.float()).collect(),
                 }),
-                4 => {
-                    let mut runs = TileRuns::default();
-                    for _ in 0..self.below(6) {
-                        let (t, s, d) = (self.below(4), self.below(300), self.float());
-                        runs.push(t, s, d);
-                    }
-                    Op::Mutation(Mutation::Apply { runs })
-                }
                 _ => Op::Mutation(Mutation::Commit),
             }
         }
@@ -1291,8 +1165,8 @@ mod tests {
                 tree_ok(id, trace, value, tiles)
             );
         }
-        // Six ops, each with and without a trace.
-        assert_eq!(ops_seen.len(), 12, "{ops_seen:?}");
+        // Five ops, each with and without a trace.
+        assert_eq!(ops_seen.len(), 10, "{ops_seen:?}");
 
         for message in [
             "",

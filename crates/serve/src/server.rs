@@ -50,13 +50,12 @@
 //! least as new (read-your-writes).
 
 use crate::proto::{self, Mutation, Op, Request, RequestError};
-use crate::router::{RouterBackend, RouterTopology};
 use ss_core::reconstruct::Contributions;
-use ss_core::runs::TileRuns;
 use ss_core::TilingMap;
 use ss_maintain::{DeltaBuffer, FlushMode, SnapshotCoeffStore};
 use ss_obs::trace::{self, SpanCtx, TraceEventKind};
 use ss_obs::{Counter, Histogram};
+use ss_query::PlanTiles;
 use ss_storage::{BlockStore, CoeffRead, SharedCoeffStore};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -93,38 +92,30 @@ impl Default for ServeConfig {
 }
 
 /// One planned request of the burst its connection thread is collecting.
-pub(crate) struct Job {
-    pub(crate) plan: Contributions,
+struct Job {
+    plan: Contributions,
     id: Option<i128>,
     planned: Instant,
     /// The request's root trace span (inert when untraced), closed after
     /// the reply is sent.
-    pub(crate) root: SpanCtx,
-    /// Whether the reply must carry the per-tile partial decomposition
-    /// (`partial` sub-plans from an upstream router).
+    root: SpanCtx,
+    /// Whether the reply carries the per-tile partial decomposition
+    /// (`partial` requests).
     wants_tiles: bool,
 }
 
-/// One request's outcome: the exact value plus its per-tile partials
-/// (sent when the request itself was a `partial` sub-plan), or a typed
-/// protocol error.
-pub(crate) type Outcome = Result<(f64, Vec<(usize, f64)>), (String, String)>;
-
 /// A protocol error kind plus message.
-pub type MutErr = (&'static str, String);
+type MutErr = (&'static str, String);
 
 /// What a server answers from. `Ok` of a mutation carries the response
-/// value (deltas buffered for an update or an apply, the published epoch
-/// for a commit); a backend that defines none of them is read-only.
-pub(crate) trait Backend: Send + Sync {
-    /// Evaluates one sweep: an outcome per job, in order.
-    fn sweep(&self, jobs: &[Job]) -> Vec<Outcome>;
+/// value (deltas buffered for an update, the published epoch for a
+/// commit); a backend that defines neither is read-only.
+trait Backend: Send + Sync {
+    /// Evaluates one sweep: each job's exact value plus its per-tile
+    /// partials, in order.
+    fn sweep(&self, jobs: &[Job]) -> Vec<PlanTiles>;
 
     fn update(&self, _at: &[usize], _dims: &[usize], _data: Vec<f64>) -> Result<f64, MutErr> {
-        Err(read_only())
-    }
-
-    fn apply(&self, _runs: &TileRuns) -> Result<f64, MutErr> {
         Err(read_only())
     }
 
@@ -143,63 +134,14 @@ fn read_only() -> MutErr {
 /// One tile-major sweep over `source`. Answers are bit-identical to serial
 /// execution because [`ss_query::execute_plans_tiled`] fixes the
 /// evaluation order from the plans alone.
-fn sweep_store(source: &mut impl CoeffRead, jobs: &[Job]) -> Vec<Outcome> {
+fn sweep_store(source: &mut impl CoeffRead, jobs: &[Job]) -> Vec<PlanTiles> {
     ss_query::execute_plans_tiled(source, jobs.iter().map(|job| &job.plan))
-        .into_iter()
-        .map(|r| Ok((r.value, r.tiles)))
-        .collect()
 }
 
 impl<M: TilingMap, S: BlockStore + Send + Sync> Backend for SharedCoeffStore<M, S> {
-    fn sweep(&self, jobs: &[Job]) -> Vec<Outcome> {
+    fn sweep(&self, jobs: &[Job]) -> Vec<PlanTiles> {
         sweep_store(&mut &*self, jobs)
     }
-}
-
-/// Buffers one standard-form update box's SHIFT-SPLIT delta stream as one
-/// operation; returns the coefficients touched.
-pub(crate) fn buffer_box(
-    buf: &mut DeltaBuffer,
-    map: &impl TilingMap,
-    levels: &[u32],
-    at: &[usize],
-    dims: &[usize],
-    data: Vec<f64>,
-) -> f64 {
-    let delta = ss_array::NdArray::from_vec(ss_array::Shape::new(dims), data);
-    buf.add_box_standard(map, levels, at, &delta).coeffs_touched as f64
-}
-
-/// Rejects raw op runs that fall outside the store geometry — they arrive
-/// from the wire, and a [`DeltaBuffer`] trusts its slots (`tests/request_fuzz.rs`
-/// runs this in debug and release).
-pub fn check_ops(map: &impl TilingMap, runs: &TileRuns) -> Result<(), MutErr> {
-    let (tiles, capacity) = (map.num_tiles(), map.block_capacity());
-    let mut outside = None;
-    runs.for_each_run(|tile, run| {
-        if outside.is_none() {
-            let bad = run
-                .iter()
-                .find(|&&(slot, _)| tile >= tiles || slot >= capacity);
-            outside = bad.map(|&(slot, _)| (tile, slot));
-        }
-    });
-    match outside {
-        Some((tile, slot)) => Err((
-            "bad_request",
-            format!(
-                "op ({tile}, {slot}) outside store geometry \
-                 ({tiles} tiles x {capacity} slots)"
-            ),
-        )),
-        None => Ok(()),
-    }
-}
-
-/// Buffers checked op runs as one operation; returns how many ops.
-pub fn buffer_ops(buf: &mut DeltaBuffer, runs: &TileRuns) -> f64 {
-    buf.add_runs(runs);
-    runs.len() as f64
 }
 
 /// The writable backend: one shared delta buffer feeding a snapshot
@@ -215,25 +157,17 @@ impl<M: TilingMap, S: BlockStore + Send + Sync> Backend for WritableBackend<M, S
     /// Pins one epoch for all of the sweep's queries, so no request can
     /// observe a half-published commit, and a request parsed after a
     /// commit's response pins an epoch at least as new.
-    fn sweep(&self, jobs: &[Job]) -> Vec<Outcome> {
+    fn sweep(&self, jobs: &[Job]) -> Vec<PlanTiles> {
         sweep_store(&mut &self.store.pin(), jobs)
     }
 
+    /// Buffers the box's SHIFT-SPLIT delta stream as one operation;
+    /// answers the coefficients touched.
     fn update(&self, at: &[usize], dims: &[usize], data: Vec<f64>) -> Result<f64, MutErr> {
+        let delta = ss_array::NdArray::from_vec(ss_array::Shape::new(dims), data);
         let mut buf = self.buffer.lock().unwrap();
-        Ok(buffer_box(
-            &mut buf,
-            self.store.map(),
-            &self.levels,
-            at,
-            dims,
-            data,
-        ))
-    }
-
-    fn apply(&self, runs: &TileRuns) -> Result<f64, MutErr> {
-        check_ops(self.store.map(), runs)?;
-        Ok(buffer_ops(&mut self.buffer.lock().unwrap(), runs))
+        let touched = buf.add_box_standard(self.store.map(), &self.levels, at, &delta);
+        Ok(touched.coeffs_touched as f64)
     }
 
     fn commit(&self) -> Result<f64, MutErr> {
@@ -298,8 +232,6 @@ impl Drop for Permit<'_> {
 /// State shared by the acceptor and the connection threads.
 struct State {
     backend: Box<dyn Backend>,
-    /// The trace span a sweep runs in.
-    sweep_span: &'static str,
     permits: Permits,
     stop: AtomicBool,
     answered: AtomicU64,
@@ -386,7 +318,7 @@ impl QueryServer {
         M: TilingMap + 'static,
         S: BlockStore + Send + Sync + 'static,
     {
-        QueryServer::start(addr, levels, config, "serve.exec", Box::new(store))
+        QueryServer::start(addr, levels, config, Box::new(store))
     }
 
     /// Binds `addr` and serves standard-form queries **and mutations**
@@ -412,53 +344,13 @@ impl QueryServer {
             levels: levels.clone(),
             store,
         };
-        QueryServer::start(addr, levels, config, "serve.exec", Box::new(backend))
-    }
-
-    /// Binds `addr` and serves the same protocol as a **scatter-gather
-    /// router** over tile-range shards: the server owns no coefficients
-    /// itself. Query plans are split by the owning shard of each
-    /// contributing tile (per `topology`'s [`ss_storage::ShardMap`]),
-    /// fanned out as `partial` sub-requests to the least-loaded replica
-    /// of each shard, and the per-tile partial sums are merged back in
-    /// ascending tile order — bit-identical to executing the plan
-    /// against one store holding every tile. Mutations are accepted
-    /// too: `update` decomposes boxes once at the router, and `commit` scatters the dirty-tile op lists to
-    /// the owning shards and fans a commit to every replica (see
-    /// [`crate::router`] for the failure semantics).
-    ///
-    /// `tiling` must describe the same tile space the shards serve;
-    /// the call fails if `topology` partitions a different number of
-    /// tiles.
-    pub fn bind_router<M>(
-        addr: &str,
-        tiling: M,
-        levels: Vec<u32>,
-        topology: RouterTopology,
-        config: ServeConfig,
-    ) -> std::io::Result<QueryServer>
-    where
-        M: TilingMap + Send + Sync + 'static,
-    {
-        if topology.shard_map().num_tiles() != tiling.num_tiles() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "topology partitions {} tiles but the tiling has {}",
-                    topology.shard_map().num_tiles(),
-                    tiling.num_tiles()
-                ),
-            ));
-        }
-        let backend = RouterBackend::new(topology, tiling, levels.clone());
-        QueryServer::start(addr, levels, config, "router.fanout", Box::new(backend))
+        QueryServer::start(addr, levels, config, Box::new(backend))
     }
 
     fn start(
         addr: &str,
         levels: Vec<u32>,
         config: ServeConfig,
-        sweep_span: &'static str,
         backend: Box<dyn Backend>,
     ) -> std::io::Result<QueryServer> {
         assert!(config.workers >= 1, "server needs at least one worker");
@@ -466,7 +358,6 @@ impl QueryServer {
         let listener = TcpListener::bind(addr)?;
         let state = Arc::new(State {
             backend,
-            sweep_span,
             permits: Permits {
                 free: Mutex::new(config.workers),
                 released: Condvar::new(),
@@ -636,10 +527,6 @@ fn connection_loop(stream: TcpStream, state: &State) {
                             let _s = trace::scoped("serve.update");
                             state.backend.update(&at, &dims, data)
                         }
-                        Mutation::Apply { runs } => {
-                            let _s = trace::scoped("serve.apply");
-                            state.backend.apply(&runs)
-                        }
                         Mutation::Commit => {
                             let _s = trace::scoped("serve.commit");
                             state.backend.commit()
@@ -701,16 +588,16 @@ fn run_burst(state: &State, out: &TcpStream, burst: &mut Vec<Job>) {
     for jobs in burst.chunks(state.batch_max) {
         let permit = state.permits.acquire();
         // Parented under the sweep's **first traced** request: tile
-        // fetches (or the shard fan-out) are shared across the sweep, so
+        // fetches are shared across the sweep, so
         // they are attributed to that request's tree (a documented
         // approximation — see DESIGN.md §13).
         let exec = jobs
             .iter()
             .map(|job| job.root)
             .find(SpanCtx::active)
-            .map(|p| trace::begin_span(p.trace, p.span, state.sweep_span))
+            .map(|p| trace::begin_span(p.trace, p.span, "serve.exec"))
             .unwrap_or_else(SpanCtx::none);
-        let outcomes = {
+        let answers = {
             let _in_span = trace::enter(exec);
             state.backend.sweep(jobs)
         };
@@ -718,7 +605,7 @@ fn run_burst(state: &State, out: &TcpStream, burst: &mut Vec<Job>) {
         // Before the write: a client that has stopped reading must stall
         // this thread only, not a sweep slot.
         drop(permit);
-        answer(state, out, jobs, outcomes);
+        answer(state, out, jobs, answers);
     }
     burst.clear();
 }
@@ -729,32 +616,22 @@ fn run_burst(state: &State, out: &TcpStream, burst: &mut Vec<Job>) {
 /// share those counters once per sweep instead of once per response. The
 /// lines leave in **one** `write`, so a client is woken once per sweep
 /// instead of once per response.
-fn answer(state: &State, out: &TcpStream, jobs: &[Job], outcomes: Vec<Outcome>) {
+fn answer(state: &State, out: &TcpStream, jobs: &[Job], answers: Vec<PlanTiles>) {
     state.metrics.batches.inc();
     state.metrics.batch_size.record(jobs.len() as u64);
     let mut lines = String::new();
-    let mut ok = 0;
-    for (job, outcome) in jobs.iter().zip(outcomes) {
+    for (job, answer) in jobs.iter().zip(answers) {
         if !lines.is_empty() {
             lines.push('\n');
         }
         let dur_ns = job.planned.elapsed().as_nanos() as u64;
-        match outcome {
-            Ok((value, tiles)) => {
-                state.metrics.request_ns.record(dur_ns);
-                ok += 1;
-                let echo = job.root.active().then_some(job.root.trace);
-                let tiles = job.wants_tiles.then_some(tiles.as_slice());
-                proto::write_ok_response(&mut lines, job.id, echo, value, tiles);
-            }
-            Err((kind, message)) => {
-                state.metrics.requests_err.inc();
-                lines += &proto::err_response(job.id, &kind, &message);
-            }
-        }
+        state.metrics.request_ns.record(dur_ns);
+        let echo = job.root.active().then_some(job.root.trace);
+        let tiles = job.wants_tiles.then_some(answer.tiles.as_slice());
+        proto::write_ok_response(&mut lines, job.id, echo, answer.value, tiles);
         state.observe_slow(job.id, &job.root, dur_ns);
     }
-    state.metrics.requests_ok.add(ok);
+    state.metrics.requests_ok.add(jobs.len() as u64);
     send(out, lines);
     for job in jobs {
         trace::end_span(job.root);

@@ -37,9 +37,6 @@ pub enum StorageError {
     },
     /// The `.meta` header failed to parse.
     Meta(String),
-    /// A shard topology is malformed (bad split points, zero replicas,
-    /// more shards than tiles) — see [`ShardMap`](crate::ShardMap).
-    Topology(String),
     /// The `.meta` header declares a format version this build does not
     /// open: the retired checksum-less v1, or one newer than
     /// [`V3_FORMAT_VERSION`](crate::wsfile::V3_FORMAT_VERSION).
@@ -107,7 +104,6 @@ impl fmt::Display for StorageError {
                 write!(f, "store holds {actual} bytes, geometry needs {expected}")
             }
             StorageError::Meta(msg) => write!(f, "bad meta header: {msg}"),
-            StorageError::Topology(msg) => write!(f, "bad shard topology: {msg}"),
             StorageError::UnsupportedVersion(v) => write!(
                 f,
                 "unsupported .ws format version {v} (this build opens versions 2 and 3)"

@@ -35,9 +35,6 @@
 //!   * [`SharedCoeffStore`] — *shared*: the block-id space sharded over
 //!     independently locked LRUs (`&self`), used by the parallel z-order
 //!     transform driver, the snapshot store and the query server,
-//! * [`ShardMap`] — a contiguous partition of the tile ordinal space into
-//!   shard ranges with an N-way replica count, the topology object behind
-//!   the scatter-gather query router in `ss-serve`,
 //! * [`CoeffRead`] / [`CoeffWrite`] — the two capabilities callers are
 //!   generic over, so no algorithm is written twice for the two
 //!   disciplines:
@@ -90,7 +87,6 @@ pub mod mem;
 pub mod read;
 pub mod retry;
 pub mod shard;
-pub mod shardmap;
 pub mod sparse;
 pub mod stats;
 pub mod throttle;
@@ -106,7 +102,6 @@ pub use mem::MemBlockStore;
 pub use read::CoeffRead;
 pub use retry::{RetryPolicy, RetryingBlockStore};
 pub use shard::{mem_shared_store, ShardCounters, ShardedBufferPool, SharedCoeffStore};
-pub use shardmap::ShardMap;
 pub use stats::{IoSnapshot, IoStats};
 pub use throttle::ThrottledBlockStore;
 pub use write::CoeffWrite;

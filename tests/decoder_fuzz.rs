@@ -5,12 +5,11 @@
 //! * `StoredSynopsis::from_bytes` (a synopsis shipped to a client),
 //! * `Meta::from_text`, then `WsFile::open` on a real small store and an
 //!   `Appender` seated on what opened (a `.meta` header on disk),
-//! * `ss_serve::proto::parse_response` (a router or client reading a
-//!   shard's reply),
+//! * `ss_serve::proto::parse_response` (a client reading a server's
+//!   reply),
 //! * `ss_storage::sparse::decode` (one v3 block payload) and
 //!   `FileBlockStore::open_v3` on a real small store with damaged header
-//!   and directory bytes (a v3 blocks file on disk),
-//! * `ShardMap::from_bounds` (a router's `--bounds`).
+//!   and directory bytes (a v3 blocks file on disk).
 //!
 //! Every input must come back `Ok` or `Err`, never a panic. No single
 //! allocation may be sized from a field the decoder has not checked: the
@@ -27,7 +26,7 @@ use shiftsplit::query::StoredSynopsis;
 use shiftsplit::storage::file::sidecar_path;
 use shiftsplit::storage::sparse::{self, bitmap_len, bucket_for, num_buckets};
 use shiftsplit::storage::{
-    wstore::mem_store, BlockStore, FileBlockStore, IoStats, Meta, ShardMap, StorageError, WsFile,
+    wstore::mem_store, BlockStore, FileBlockStore, IoStats, Meta, StorageError, WsFile,
 };
 use shiftsplit::transform::Appender;
 use ss_serve::proto::{self, Response};
@@ -772,71 +771,4 @@ fn every_v3_header_and_directory_opens_or_is_refused() {
         opened >= 150 && refused >= 500 && blocks_read >= 1_500,
         "{opened} opened ({blocks_read} blocks read), {refused} refused"
     );
-}
-
-#[test]
-fn every_shard_bound_list_builds_or_is_refused() {
-    const MAX: usize = usize::MAX;
-    let mut cases: Vec<(Vec<usize>, usize)> = vec![
-        (vec![], 1),
-        (vec![0], 1),
-        (vec![0, 0], 1),
-        (vec![1, 2], 1),
-        (vec![0, 5], 0),
-        (vec![0, MAX], 1),
-        (vec![0, 3, 2], 1),
-        (vec![0, 1, MAX], MAX),
-    ];
-    let mut rng = SplitMix64::new(0x5a4d);
-    while cases.len() < 3_000 {
-        let tiles = 1 + rng.below(300);
-        let shards = 1 + rng.below(tiles.min(9));
-        let replicas = *pick(&mut rng, &[0, 1, 1, 2, 3, MAX]);
-        let mut bounds = ShardMap::even(tiles, shards, 1).unwrap().bounds().to_vec();
-        if rng.below(4) != 0 {
-            for _ in 0..1 + rng.below(2) {
-                if bounds.is_empty() {
-                    break;
-                }
-                let at = rng.below(bounds.len());
-                match rng.below(5) {
-                    0 => bounds[at] = *pick(&mut rng, &[0, 1, MAX, tiles, tiles + 1]),
-                    1 => bounds[at] = bounds[at].wrapping_add(1),
-                    2 => {
-                        bounds.remove(at);
-                    }
-                    3 => bounds.insert(at, bounds[at]),
-                    _ => bounds.truncate(at),
-                }
-            }
-        }
-        cases.push((bounds, replicas));
-    }
-    let mut accepted = 0;
-    for (bounds, replicas) in &cases {
-        let (outcome, largest) = tracked(|| {
-            let map = ShardMap::from_bounds(bounds.clone(), *replicas)?;
-            // An accepted map is safe to route with.
-            let n = map.num_tiles();
-            for tile in [0, n / 2, n - 1] {
-                assert!(map.range(map.owner(tile)).contains(&tile));
-            }
-            Ok::<_, StorageError>(map)
-        });
-        let Ok(built) = outcome else {
-            panic!("from_bounds panicked on {bounds:?} x {replicas}");
-        };
-        assert!(
-            largest <= allocation_cap(8 * bounds.len() + 8),
-            "{bounds:?}"
-        );
-        if let Ok(map) = built {
-            assert_eq!((map.bounds(), map.replicas()), (&bounds[..], *replicas));
-            let again = ShardMap::from_bounds(map.bounds().to_vec(), map.replicas());
-            assert_eq!(again.ok(), Some(map));
-            accepted += 1;
-        }
-    }
-    assert!(accepted >= 1_000, "{accepted} of {} accepted", cases.len());
-    assert!(cases.len() - accepted >= 1_000);
 }

@@ -4,10 +4,8 @@
 //! * dense oracle ≈ `batch_*` (tolerance: the data is not dyadic),
 //! * **bitwise**: the single-query `point_standard` / `range_sum_standard`
 //!   == `batch_*` == `execute_plans_tiled(Query::plan)` == answers served
-//!   by `QueryServer::bind` over loopback == answers routed by
-//!   `bind_router` over two shard servers (every exact answer is one
-//!   tile-major fold, which does not depend on what else is in the batch,
-//!   nor on which process folds which tile range),
+//!   by `QueryServer::bind` over loopback (every exact answer is one
+//!   tile-major fold, which does not depend on what else is in the batch),
 //! * after `materialize_standard_scalings`: `point_standard_fast(p)` equals
 //!   `range_sum_standard_fast(p, p)` and the oracle (tolerance),
 //! * **bitwise**, store vs replayed: what a writable server answers after
@@ -20,12 +18,11 @@
 
 use shiftsplit::array::{MultiIndexIter, NdArray, Shape};
 use shiftsplit::core::tiling::StandardTiling;
-use shiftsplit::core::TilingMap;
 use shiftsplit::datagen::SplitMix64;
 use shiftsplit::maintain::{replay_records, FlushMode, SnapshotCoeffStore, Wal};
 use shiftsplit::query;
-use shiftsplit::storage::{mem_shared_store, wstore::mem_store, IoStats, ShardMap};
-use ss_serve::{Client, Query, QueryServer, RouterTopology, ServeConfig};
+use shiftsplit::storage::{mem_shared_store, wstore::mem_store, IoStats};
+use ss_serve::{Client, Query, QueryServer, ServeConfig};
 use std::sync::Arc;
 
 const LEVELS: [u32; 2] = [5, 4];
@@ -96,16 +93,11 @@ fn every_read_front_agrees() {
     let data = dataset();
     let transformed = shiftsplit::core::standard::forward_to(&data);
     let mut cs = mem_store(tiling(), 1 << 10, IoStats::new());
-    // One shared copy per server: the single-store server plus two shards
-    // (each holds the whole geometry; the router only asks for its tiles).
-    let shared: Vec<_> = (0..3)
-        .map(|_| mem_shared_store(tiling(), 1 << 10, 4, IoStats::new()))
-        .collect();
+    // The served copy.
+    let shared = mem_shared_store(tiling(), 1 << 10, 4, IoStats::new());
     for idx in MultiIndexIter::new(&DIMS) {
         cs.write(&idx, transformed.get(&idx));
-        for copy in &shared {
-            copy.write(&idx, transformed.get(&idx));
-        }
+        shared.write(&idx, transformed.get(&idx));
     }
 
     let (points, ranges, queries) = workload();
@@ -140,40 +132,13 @@ fn every_read_front_agrees() {
         .collect();
     assert_eq!(bits(&planned), bits(&batched), "execute_plans_tiled");
 
-    let mut shared = shared.into_iter();
-    let single = shared.next().unwrap();
-    let server = QueryServer::bind("127.0.0.1:0", single, LEVELS.to_vec(), cfg()).unwrap();
+    let server = QueryServer::bind("127.0.0.1:0", shared, LEVELS.to_vec(), cfg()).unwrap();
     assert_eq!(
         bits(&ask(server.local_addr(), &queries)),
         bits(&batched),
         "served"
     );
     server.shutdown();
-
-    let shards: Vec<QueryServer> = shared
-        .map(|copy| {
-            let store = Arc::new(SnapshotCoeffStore::new(copy, None, 0));
-            let mode = FlushMode::Exact;
-            QueryServer::bind_writable("127.0.0.1:0", store, LEVELS.to_vec(), mode, cfg()).unwrap()
-        })
-        .collect();
-    let topology = RouterTopology::new(
-        ShardMap::even(tiling().num_tiles(), 2, 1).unwrap(),
-        shards.iter().map(|s| vec![s.local_addr()]).collect(),
-    )
-    .unwrap();
-    let router =
-        QueryServer::bind_router("127.0.0.1:0", tiling(), LEVELS.to_vec(), topology, cfg())
-            .unwrap();
-    assert_eq!(
-        bits(&ask(router.local_addr(), &queries)),
-        bits(&batched),
-        "routed"
-    );
-    router.shutdown();
-    for shard in shards {
-        shard.shutdown();
-    }
 
     // The one-tile fast fronts, once the scaling slots exist.
     query::materialize_standard_scalings(&mut cs, &LEVELS);
