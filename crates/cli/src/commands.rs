@@ -8,10 +8,7 @@ use ss_array::NdArray;
 use ss_core::{RetentionPolicy, StandardTiling, TilingMap};
 use ss_maintain::{FlushMode, UpdateBox};
 use ss_storage::file::sidecar_path;
-use ss_storage::{
-    BlockStore, CoeffStore, FaultConfig, FaultInjectingBlockStore, FileBlockStore, RetryPolicy,
-    RetryingBlockStore, StorageError,
-};
+use ss_storage::{CoeffStore, FileBlockStore, StorageError};
 use ss_transform::{Appender, ArraySource};
 use std::path::Path;
 
@@ -53,25 +50,6 @@ impl From<CmdError> for String {
     fn from(e: CmdError) -> String {
         e.msg
     }
-}
-
-/// Parses the fault-injection/retry flags shared by `ingest`:
-/// `--fault-read P --fault-write P --fault-seed S --retries N`. Returns
-/// `None` when none are present (the unwrapped fast path).
-fn fault_flags(args: &Args) -> Result<Option<(FaultConfig, RetryPolicy)>, String> {
-    let flags = ["fault-read", "fault-write", "fault-seed", "retries"];
-    if !flags.iter().any(|f| args.flag_set(f)) {
-        return Ok(None);
-    }
-    let default = FaultConfig::default();
-    let cfg = FaultConfig {
-        read_error_rate: args.get_or("fault-read", default.read_error_rate)?,
-        write_error_rate: args.get_or("fault-write", default.write_error_rate)?,
-        seed: args.get_or("fault-seed", default.seed)?,
-        ..default
-    };
-    let policy = args.get("retries")?.map(RetryPolicy::with_retries);
-    Ok(Some((cfg, policy.unwrap_or_default())))
 }
 
 /// `create <store> --levels a,b,… [--tiles a,b,…] [--axis k]`
@@ -156,14 +134,14 @@ fn run_v3_conversion(path: &Path, policy: RetentionPolicy) -> Result<(), String>
     Ok(())
 }
 
-/// One ingest run over whatever block-device stack `ingest` built:
-/// per-chunk, or group-committed (`coalesce`). Storage failures come back
-/// typed; the `String` is the outcome line to print.
-fn run_ingest<S: BlockStore>(
-    mut store: CoeffStore<StandardTiling, S>,
+/// One ingest run into the store's file: per-chunk, or group-committed
+/// (`coalesce`). Storage failures come back typed; the `String` is the
+/// outcome line to print.
+fn run_ingest(
+    mut store: CoeffStore<StandardTiling, FileBlockStore>,
     src: &ArraySource,
     coalesce: Option<usize>,
-) -> Result<(CoeffStore<StandardTiling, S>, String), StorageError> {
+) -> Result<(CoeffStore<StandardTiling, FileBlockStore>, String), StorageError> {
     ss_transform::try_transform(move || {
         let outcome = match coalesce {
             None => {
@@ -190,7 +168,6 @@ fn run_ingest<S: BlockStore>(
 /// `ingest <store> --data values.csv [--chunk a,b,…]
 /// [--coalesce N]
 /// [--format v3 [--threshold ε | --topk K]]
-/// [--fault-read P] [--fault-write P] [--fault-seed S] [--retries N]
 /// [--metrics-out FILE] [--metrics-port N]`
 ///
 /// `--coalesce N` buffers the SHIFT-SPLIT delta streams of N consecutive
@@ -226,22 +203,7 @@ pub fn ingest(args: &Args) -> Result<(), String> {
     };
     let src = ArraySource::new(&data, &chunk_levels);
     let outcome;
-    (ws.store, outcome) = match fault_flags(args)? {
-        Some((cfg, policy)) => {
-            // Rebuild the stack with the fault/retry wrappers between the
-            // pool and the file: pool → retries → injected faults → file.
-            let stats = ws.stats.clone();
-            let (map, blocks) = ws.store.into_parts();
-            let wrapped =
-                RetryingBlockStore::new(FaultInjectingBlockStore::new(blocks, cfg), policy);
-            let store = CoeffStore::new(map, wrapped, 1 << 10, stats.clone());
-            let (store, outcome) = run_ingest(store, &src, coalesce)?;
-            let (map, wrapped) = store.into_parts();
-            let blocks = wrapped.into_inner().into_inner();
-            (CoeffStore::new(map, blocks, 1 << 10, stats), outcome)
-        }
-        None => run_ingest(ws.store, &src, coalesce)?,
-    };
+    (ws.store, outcome) = run_ingest(ws.store, &src, coalesce)?;
     ws.meta.filled = dims[ws.meta.axis];
     ws.save_meta()?;
     println!("{outcome}");

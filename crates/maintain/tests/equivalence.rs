@@ -2,9 +2,9 @@
 //!
 //! The contract the `DeltaBuffer` engine sells is that coalescing is an
 //! I/O-layer optimisation with **zero** numerical surface: for any batch
-//! of update boxes, flushing one group commit (against a healthy device
-//! or one that drops requests until retried) produces coefficient blocks whose every `f64` is
-//! bit-for-bit the value the serial per-box path writes. These tests
+//! of update boxes, flushing one group commit produces coefficient blocks
+//! whose every `f64` is bit-for-bit the value the serial per-box path
+//! writes. These tests
 //! state that as sampled properties over random workloads rather than as
 //! hand-picked examples — `f64::to_bits` equality, no tolerances.
 
@@ -14,10 +14,7 @@ use ss_core::{NonStandardTiling, StandardTiling, TilingMap};
 use ss_datagen::SplitMix64;
 use ss_maintain::{update_boxes_nonstandard, update_boxes_standard, FlushMode};
 use ss_storage::wstore::mem_store;
-use ss_storage::{
-    BlockStore, CoeffStore, FaultConfig, FaultInjectingBlockStore, IoStats, MemBlockStore,
-    RetryPolicy, RetryingBlockStore,
-};
+use ss_storage::{CoeffStore, IoStats, MemBlockStore};
 
 /// `count` boxes with random origins, extents (≤ 5 per axis) and values,
 /// all derived from one sampled seed so failures reproduce from the
@@ -39,12 +36,11 @@ fn random_boxes(seed: u64, dims: &[usize], count: usize) -> Vec<(Vec<usize>, NdA
 }
 
 /// Every (tile, slot) of both stores holds the same bit pattern.
-fn assert_identical<M, A, B>(a: &mut CoeffStore<M, A>, b: &mut CoeffStore<M, B>, label: &str)
-where
-    M: TilingMap,
-    A: BlockStore,
-    B: BlockStore,
-{
+fn assert_identical<M: TilingMap>(
+    a: &mut CoeffStore<M, MemBlockStore>,
+    b: &mut CoeffStore<M, MemBlockStore>,
+    label: &str,
+) {
     let tiles = a.map().num_tiles();
     let cap = a.map().block_capacity();
     for tile in 0..tiles {
@@ -57,27 +53,6 @@ where
             );
         }
     }
-}
-
-type FaultyStore = RetryingBlockStore<FaultInjectingBlockStore<MemBlockStore>>;
-
-/// A store whose device drops `rate` of reads *and* writes (transient,
-/// deterministic per `seed`) beneath a bounded-retry layer — the flush
-/// path must come out unscathed.
-fn faulty_store<M: TilingMap>(map: M, rate: f64, seed: u64) -> CoeffStore<M, FaultyStore> {
-    let stats = IoStats::default();
-    let inner = MemBlockStore::new(map.block_capacity(), map.num_tiles(), stats.clone());
-    let cfg = FaultConfig {
-        seed,
-        read_error_rate: rate,
-        write_error_rate: rate,
-        ..FaultConfig::default()
-    };
-    let store = RetryingBlockStore::new(
-        FaultInjectingBlockStore::new(inner, cfg),
-        RetryPolicy::with_retries(16),
-    );
-    CoeffStore::new(map, store, 4, stats)
 }
 
 proptest! {
@@ -112,26 +87,5 @@ proptest! {
         let mut batched = mem_store(map, 4, IoStats::default());
         update_boxes_nonstandard(&mut batched, n, &boxes);
         assert_identical(&mut serial, &mut batched, "nonstandard batch");
-    }
-
-    #[test]
-    fn faulty_device_batched_flush_is_bit_identical(
-        seed in any::<u64>(),
-        count in 1usize..10,
-        fault_seed in any::<u64>(),
-    ) {
-        // Transient read AND write faults under the pool: bounded retries
-        // absorb them and the flushed bits match a fault-free serial run.
-        let n = [4u32, 4];
-        let map = StandardTiling::new(&n, &[2, 2]);
-        let boxes = random_boxes(seed, &[16, 16], count);
-
-        let mut serial = mem_store(map.clone(), 4, IoStats::default());
-        for one in boxes.chunks(1) {
-            update_boxes_standard(&mut serial, &n, one, FlushMode::Exact);
-        }
-        let mut faulty = faulty_store(map, 0.05, fault_seed);
-        update_boxes_standard(&mut faulty, &n, &boxes, FlushMode::Exact);
-        assert_identical(&mut serial, &mut faulty, "faulty batch");
     }
 }

@@ -15,12 +15,11 @@
 //! a trace with parent linkage ([`begin_span`] / [`end_span`]); **point
 //! events** ([`TraceEventKind`]) attach to whatever span is current on
 //! the recording thread. The current span travels in a thread-local
-//! ([`enter`], [`scoped`]) so deep layers — the buffer pool, the WAL,
-//! the retry wrapper — can attribute events without threading context
-//! through every signature. Spans that outlive the scope that opened
-//! them (a serve request's root opens when its line is parsed and closes
-//! after its sweep's replies are written) carry their [`SpanCtx`] by
-//! value instead.
+//! ([`enter`], [`scoped`]) so deep layers — the buffer pool, the WAL —
+//! can attribute events without threading context through every
+//! signature. Spans that outlive the scope that opened them (a serve
+//! request's root opens when its line is parsed and closes after its
+//! sweep's replies are written) carry their [`SpanCtx`] by value instead.
 //!
 //! # Storage and export
 //!
@@ -109,13 +108,6 @@ pub enum TraceEventKind {
         /// Epoch the checkpoint made the new base.
         epoch: u64,
     },
-    /// A transient block-I/O failure triggered a retry.
-    Retry {
-        /// Block id being retried.
-        block: u64,
-        /// 1-based attempt number that failed.
-        attempt: u64,
-    },
     /// A request exceeded the slow-request threshold.
     SlowRequest {
         /// Observed request duration.
@@ -136,7 +128,6 @@ impl TraceEventKind {
             TraceEventKind::WalFsync { .. } => "wal_fsync",
             TraceEventKind::Commit { .. } => "commit",
             TraceEventKind::Checkpoint { .. } => "checkpoint",
-            TraceEventKind::Retry { .. } => "retry",
             TraceEventKind::SlowRequest { .. } => "slow_request",
         }
     }
@@ -565,10 +556,6 @@ pub fn event_value(ev: &TraceEvent) -> Value {
         TraceEventKind::Checkpoint { epoch } => {
             pairs.push(("epoch".into(), Value::from(epoch)));
         }
-        TraceEventKind::Retry { block, attempt } => {
-            pairs.push(("block".into(), Value::from(block)));
-            pairs.push(("attempt".into(), Value::from(attempt)));
-        }
         TraceEventKind::SlowRequest {
             dur_ns,
             threshold_ns,
@@ -732,14 +719,7 @@ mod tests {
                 let t = std::sync::Arc::clone(&t);
                 s.spawn(move || {
                     for i in 0..per {
-                        t.event_for(
-                            1,
-                            0,
-                            TraceEventKind::Retry {
-                                block: i,
-                                attempt: 1,
-                            },
-                        );
+                        t.event_for(1, 0, TraceEventKind::TileFetch { tile: i, hit: true });
                     }
                 });
             }

@@ -68,7 +68,9 @@
 //! (unrecognised `op`; the message echoes at most its first 64
 //! characters), `bad_request` (wrong arity or out-of-range coordinates),
 //! `read_only` (mutation sent to a read-only server), `io` (a commit
-//! failed to reach the write-ahead log).
+//! failed to reach the write-ahead log), `too_large` (a line longer than
+//! [`MAX_LINE_BYTES`](crate::server::MAX_LINE_BYTES); answered with no
+//! id, after which the server closes the connection).
 //!
 //! # Tracing (`trace` field)
 //!

@@ -57,12 +57,19 @@ use ss_obs::trace::{self, SpanCtx, TraceEventKind};
 use ss_obs::{Counter, Histogram};
 use ss_query::PlanTiles;
 use ss_storage::{BlockStore, CoeffRead, SharedCoeffStore};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// The longest request line a connection reads, its newline excluded: far
+/// above any real request (an 8 × 8 `update` is about 1.5 KB), and a
+/// bound on what a client that never sends `\n` can make its connection
+/// buffer. A longer line is answered `too_large` and its connection is
+/// closed.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Server sizing and lifetime knobs.
 #[derive(Clone, Copy, Debug)]
@@ -456,6 +463,20 @@ fn send(mut out: &TcpStream, mut lines: String) {
     let _ = out.write_all(lines.as_bytes());
 }
 
+/// Closes a connection after its final reply: stops writing, so the reply
+/// is followed by a clean end of stream, then reads and drops at most
+/// [`MAX_LINE_BYTES`] more of what the client sends (each read waits at
+/// most a second), so that the client's write in flight completes and
+/// unread input does not turn the close into a reset.
+fn close_lingering(stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(1)));
+    let _ = std::io::copy(
+        &mut stream.take(MAX_LINE_BYTES as u64),
+        &mut std::io::sink(),
+    );
+}
+
 /// One connection, start to finish: parse, validate, plan, execute,
 /// reply.
 fn connection_loop(stream: TcpStream, state: &State) {
@@ -465,19 +486,38 @@ fn connection_loop(stream: TcpStream, state: &State) {
     // pipelined exchange is cut into sweeps follows from what the client
     // sent and from `batch_max`, never from timing.
     let mut burst: Vec<Job> = Vec::new();
-    let mut line = String::new();
+    let mut bytes = Vec::new();
     loop {
         if !reader.buffer().contains(&b'\n') {
             run_burst(state, reader.get_ref(), &mut burst);
         }
-        line.clear();
-        if !matches!(reader.read_line(&mut line), Ok(n) if n > 0) || state.stopped() {
+        bytes.clear();
+        let read = (&mut reader)
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', &mut bytes);
+        if !matches!(read, Ok(n) if n > 0) || state.stopped() {
             break;
         }
+        if bytes.len() > MAX_LINE_BYTES && bytes.last() != Some(&b'\n') {
+            run_burst(state, reader.get_ref(), &mut burst);
+            state.metrics.requests_err.inc();
+            let message = format!("request line longer than {MAX_LINE_BYTES} bytes");
+            send(
+                reader.get_ref(),
+                proto::err_response(None, "too_large", &message),
+            );
+            state.count_replies(1);
+            close_lingering(reader.get_ref());
+            return;
+        }
+        // A line that is not UTF-8 ends the connection.
+        let Ok(line) = std::str::from_utf8(&bytes) else {
+            break;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        match parse_and_validate(&line, &state.dims) {
+        match parse_and_validate(line, &state.dims) {
             Err(e) => {
                 state.metrics.requests_err.inc();
                 send(

@@ -16,8 +16,7 @@ use crate::error::StorageError;
 /// its checksum. A store opened from disk treats every block as written.
 ///
 /// Transfers come in two flavours: the fallible `try_*` methods return a
-/// typed [`StorageError`] (what the retry and fault-injection wrappers
-/// compose over), while the infallible `read_block`/`write_block` the
+/// typed [`StorageError`], while the infallible `read_block`/`write_block` the
 /// buffer pools call panic on failure — with the `StorageError` itself as
 /// the panic payload, so a driver can still recover the typed error with
 /// [`downcast_storage_error`] after catching the unwind.
@@ -55,8 +54,8 @@ pub trait BlockStore {
     /// into `buf`, block after block, stopping at the first failure.
     ///
     /// The default reads block by block, so a wrapper that does not
-    /// override it (retry, fault injection, device throttling) keeps its
-    /// per-block semantics. A store that can move adjacent blocks in one
+    /// override it (a test device that injects faults or latency) keeps
+    /// its per-block semantics. A store that can move adjacent blocks in one
     /// transfer overrides it; the blocks it reads, counts and verifies
     /// stay exactly those of the per-block loop.
     ///

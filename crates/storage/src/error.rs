@@ -1,11 +1,13 @@
 //! Typed storage errors and the scrub report.
 //!
 //! Every fallible operation in this crate reports a [`StorageError`]
-//! instead of a bare `String`, so callers can distinguish *transient*
-//! faults (worth retrying — see [`RetryingBlockStore`](crate::RetryingBlockStore))
-//! from *persistent* corruption (checksum mismatches, bad geometry,
-//! unsupported format versions). The legacy `Result<_, String>` surfaces
-//! keep working through the `From<StorageError> for String` impl.
+//! instead of a bare `String`, and every variant is one the file store
+//! produces: an OS I/O failure, a checksum mismatch, damaged geometry, a
+//! bad `.meta` header or an unsupported format version. Errors are
+//! detected and typed, never retried: no path in this workspace repeats
+//! a failed transfer, so a caller sees the first failure as it happened.
+//! The legacy `Result<_, String>` surfaces keep working through the
+//! `From<StorageError> for String` impl.
 
 use std::fmt;
 
@@ -41,26 +43,6 @@ pub enum StorageError {
     /// open: the retired checksum-less v1, or one newer than
     /// [`V3_FORMAT_VERSION`](crate::wsfile::V3_FORMAT_VERSION).
     UnsupportedVersion(u32),
-    /// A deterministic fault injected by a
-    /// [`FaultInjectingBlockStore`](crate::FaultInjectingBlockStore).
-    Injected {
-        /// `"read"` or `"write"`.
-        op: &'static str,
-        /// The block the faulted operation targeted.
-        block: usize,
-    },
-    /// A [`RetryingBlockStore`](crate::RetryingBlockStore) exhausted its
-    /// retry budget.
-    RetriesExhausted {
-        /// `"read"` or `"write"`.
-        op: &'static str,
-        /// The block the operation targeted.
-        block: usize,
-        /// Attempts made (initial try plus retries).
-        attempts: u32,
-        /// The error the final attempt returned.
-        source: Box<StorageError>,
-    },
 }
 
 impl StorageError {
@@ -70,20 +52,6 @@ impl StorageError {
             context: context.into(),
             source,
         }
-    }
-
-    /// Whether retrying the failed operation could plausibly succeed.
-    ///
-    /// Transient: injected faults and OS I/O errors (a flaky disk path
-    /// may recover). Persistent: checksum mismatches, geometry damage,
-    /// unsupported versions — retrying those only burns the budget, so
-    /// [`RetryingBlockStore`](crate::RetryingBlockStore) gives up on them
-    /// immediately.
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            StorageError::Io { .. } | StorageError::Injected { .. }
-        )
     }
 }
 
@@ -108,18 +76,6 @@ impl fmt::Display for StorageError {
                 f,
                 "unsupported .ws format version {v} (this build opens versions 2 and 3)"
             ),
-            StorageError::Injected { op, block } => {
-                write!(f, "injected {op} fault on block {block}")
-            }
-            StorageError::RetriesExhausted {
-                op,
-                block,
-                attempts,
-                source,
-            } => write!(
-                f,
-                "{op} of block {block} still failing after {attempts} attempts: {source}"
-            ),
         }
     }
 }
@@ -128,7 +84,6 @@ impl std::error::Error for StorageError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StorageError::Io { source, .. } => Some(source),
-            StorageError::RetriesExhausted { source, .. } => Some(source.as_ref()),
             _ => None,
         }
     }
@@ -191,23 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn transience_classification() {
-        assert!(StorageError::io("x", std::io::Error::other("y")).is_transient());
-        assert!(StorageError::Injected {
-            op: "read",
-            block: 0
-        }
-        .is_transient());
-        assert!(!StorageError::UnsupportedVersion(1).is_transient());
-        assert!(!StorageError::Checksum {
-            block: 0,
-            stored: 0,
-            computed: 1
-        }
-        .is_transient());
-    }
-
-    #[test]
     fn scrub_report_display() {
         let clean = ScrubReport {
             blocks: 4,
@@ -226,15 +164,11 @@ mod tests {
     #[test]
     fn error_chain_reaches_the_root_cause() {
         use std::error::Error as _;
-        let e = StorageError::RetriesExhausted {
-            op: "read",
-            block: 3,
-            attempts: 4,
-            source: Box::new(StorageError::Injected {
-                op: "read",
-                block: 3,
-            }),
-        };
-        assert!(e.source().unwrap().to_string().contains("injected"));
+        let e = StorageError::io(
+            "read block 3",
+            std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "short read"),
+        );
+        assert!(e.to_string().contains("read block 3"), "{e}");
+        assert!(e.source().unwrap().to_string().contains("short read"));
     }
 }

@@ -13,11 +13,9 @@
 //!   created zeroed and has not written since is read as zeros with no
 //!   transfer; an opened store treats every block as written,
 //! * [`StorageError`] — the typed fault vocabulary (I/O, checksum mismatch,
-//!   geometry, unsupported version, injected, retries-exhausted) every
-//!   fallible path speaks,
-//! * [`FaultInjectingBlockStore`] / [`RetryingBlockStore`] — composable
-//!   wrappers for deterministic seeded fault injection and bounded-backoff
-//!   retries,
+//!   geometry, bad meta header, unsupported version) every fallible path
+//!   speaks; each variant is one the file store produces, and no path
+//!   retries a failed transfer,
 //! * [`IoStats`] — shared atomic counters of block reads/writes and
 //!   coefficient accesses,
 //! * [`ShardedBufferPool`] — **the** block cache: a write-back LRU over a
@@ -81,29 +79,23 @@
 pub mod block;
 pub mod crc;
 pub mod error;
-pub mod fault;
 pub mod file;
 pub mod mem;
 pub mod read;
-pub mod retry;
 pub mod shard;
 pub mod sparse;
 pub mod stats;
-pub mod throttle;
 pub mod write;
 pub mod wsfile;
 pub mod wstore;
 
 pub use block::{downcast_storage_error, BlockStore};
 pub use error::{ScrubReport, StorageError};
-pub use fault::{FaultConfig, FaultInjectingBlockStore};
 pub use file::FileBlockStore;
 pub use mem::MemBlockStore;
 pub use read::CoeffRead;
-pub use retry::{RetryPolicy, RetryingBlockStore};
 pub use shard::{mem_shared_store, ShardCounters, ShardedBufferPool, SharedCoeffStore};
 pub use stats::{IoSnapshot, IoStats};
-pub use throttle::ThrottledBlockStore;
 pub use write::CoeffWrite;
 pub use wsfile::{convert_to_v3, Meta, V3ConvertReport, WsFile, FORMAT_VERSION, V3_FORMAT_VERSION};
 pub use wstore::CoeffStore;

@@ -54,15 +54,15 @@
 //! releases the shard mutex, performs the device transfer, then
 //! re-acquires the mutex to install the frame and wake waiters on the
 //! shard's condvar. Threads that need a busy block wait on the condvar
-//! instead of duplicating the load. This matters most when the backing
-//! store is a [`RetryingBlockStore`](crate::RetryingBlockStore): its
-//! capped exponential backoff can sleep for many milliseconds, and a
-//! sleep under the shard lock would stall every reader hashed to the
-//! same shard. No operation acquires a shard lock while holding the
-//! store lock, and none holds two shard locks at once, so the pool is
-//! deadlock-free by construction. A failed transfer is raised as a typed
-//! panic only once every guard is released, so it poisons nothing, and
-//! every dirty image it did not persist is cached dirty again first.
+//! instead of duplicating the load. This matters most when a transfer is
+//! slow — a device that takes milliseconds to serve, or to report, a
+//! read — because a wait under the shard lock would stall every reader
+//! hashed to the same shard. No operation acquires a shard lock while
+//! holding the store lock, and none holds two shard locks at once, so the
+//! pool is deadlock-free by construction. A failed transfer is raised as
+//! a typed panic only once every guard is released, so it poisons
+//! nothing, and every dirty image it did not persist is cached dirty
+//! again first.
 //!
 //! Taking a lock nobody holds reads no clock and records nothing: the
 //! `pool.shard_lock_wait_ns` / `pool.store_lock_wait_ns` histograms sample
@@ -806,12 +806,12 @@ impl<S: BlockStore> ShardedBufferPool<S> {
     /// Each shard's dirty frames are *copied*, in ascending id order, into
     /// one run buffer under the shard lock and written to the store after
     /// it is released, each run of consecutive ids as one
-    /// [`BlockStore::try_write_run`], so slow store writes (throttled
-    /// devices, retry backoff) never stall readers of the shard. A frame
-    /// mutated between the copy and the store write is simply dirty again
-    /// and caught by the next flush. When a store write fails, the frames
-    /// it did not reach are marked dirty again before the typed panic is
-    /// raised (with no lock held), so a later flush still persists them.
+    /// [`BlockStore::try_write_run`], so slow store writes never stall
+    /// readers of the shard. A frame mutated between the copy and the
+    /// store write is simply dirty again and caught by the next flush.
+    /// When a store write fails, the frames it did not reach are marked
+    /// dirty again before the typed panic is raised (with no lock held),
+    /// so a later flush still persists them.
     pub fn flush(&self) {
         if let Err(e) = self.try_flush() {
             raise(e);
@@ -1118,19 +1118,19 @@ mod tests {
     }
 
     #[test]
-    fn retry_backoff_does_not_stall_same_shard_readers() {
-        use crate::retry::{RetryPolicy, RetryingBlockStore};
+    fn a_slow_failing_miss_does_not_stall_same_shard_readers() {
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
         use std::time::Duration;
 
-        // Block 0 always fails with a transient error (after signalling
-        // that the faulty load has started); every other block succeeds.
-        struct OneBadBlock {
+        // A read of block 0 signals that it has started, takes 600 ms and
+        // then fails as a real failed `pread` does; every other block
+        // succeeds at once.
+        struct SlowBadBlock {
             inner: MemBlockStore,
             started: Arc<AtomicBool>,
         }
-        impl BlockStore for OneBadBlock {
+        impl BlockStore for SlowBadBlock {
             fn block_capacity(&self) -> usize {
                 self.inner.block_capacity()
             }
@@ -1140,10 +1140,8 @@ mod tests {
             fn try_read_block(&self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
                 if id == 0 {
                     self.started.store(true, Ordering::Release);
-                    return Err(StorageError::Injected {
-                        op: "read",
-                        block: 0,
-                    });
+                    std::thread::sleep(Duration::from_millis(600));
+                    return Err(dead_read(0));
                 }
                 self.inner.try_read_block(id, buf)
             }
@@ -1156,50 +1154,39 @@ mod tests {
         }
 
         let started = Arc::new(AtomicBool::new(false));
-        let policy = RetryPolicy {
-            max_retries: 4,
-            base_backoff: Duration::from_millis(40),
-            max_backoff: Duration::from_millis(400),
-        };
-        // Backoff budget: 40+80+160+320 = 600 ms before exhaustion.
         let stats = IoStats::new();
-        let store = RetryingBlockStore::new(
-            OneBadBlock {
-                inner: MemBlockStore::new(4, 8, stats.clone()),
-                started: Arc::clone(&started),
-            },
-            policy,
-        );
-        // One shard: the faulty load and the probe reads share its lock.
+        let store = SlowBadBlock {
+            inner: MemBlockStore::new(4, 8, stats.clone()),
+            started: Arc::clone(&started),
+        };
+        // One shard: the slow load and the probe reads share its lock.
         let p = ShardedBufferPool::new(store, 4, 1, stats);
         p.write(1, 0, 42.0); // warm block 1 into the cache
         std::thread::scope(|scope| {
-            let faulty = scope
+            let slow = scope
                 .spawn(|| std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.read(0, 0))));
             while !started.load(Ordering::Acquire) {
                 std::thread::yield_now();
             }
-            // The faulty load is now sleeping its backoff. A cached read
-            // on the same shard must complete far inside the 600 ms
-            // retry budget — under the old held-lock discipline it
-            // waited the whole budget out.
+            // The slow load is now inside the store. A cached read on the
+            // same shard must complete far inside its 600 ms — under a
+            // held-lock discipline it would wait the whole read out.
             let t0 = Instant::now();
             assert_eq!(p.read(1, 0), 42.0);
             let waited = t0.elapsed();
             assert!(
                 waited < Duration::from_millis(200),
-                "same-shard cached read stalled {waited:?} behind retry backoff"
+                "same-shard cached read stalled {waited:?} behind a slow miss"
             );
             let err = crate::block::downcast_storage_error(
-                faulty
-                    .join()
+                slow.join()
                     .expect("thread itself must not die")
                     .unwrap_err(),
             );
-            assert!(matches!(
-                err,
-                StorageError::RetriesExhausted { block: 0, .. }
-            ));
+            assert!(
+                matches!(&err, StorageError::Io { context, .. } if context.contains("block 0")),
+                "{err:?}"
+            );
         });
     }
 
@@ -1332,10 +1319,7 @@ mod tests {
         // masked the typed error — a parallel driver then surfaced
         // whichever payload its first-joined worker happened to carry.
         let stats = IoStats::new();
-        let dead = crate::FaultInjectingBlockStore::new(
-            MemBlockStore::new(4, 8, stats.clone()),
-            crate::FaultConfig::read_errors(1.0, 3),
-        );
+        let dead = DeadReads(MemBlockStore::new(4, 8, stats.clone()));
         let p = ShardedBufferPool::new(dead, 4, 2, stats);
         for id in [0usize, 1, 0] {
             let read = std::panic::AssertUnwindSafe(|| p.read(id, 0));
@@ -1471,10 +1455,10 @@ mod tests {
         }
         fn try_write_block(&mut self, id: usize, buf: &[f64]) -> Result<(), StorageError> {
             if id > 0 && self.broken {
-                return Err(StorageError::Injected {
-                    op: "write",
-                    block: id,
-                });
+                return Err(StorageError::io(
+                    format!("injected write fault on block {id}"),
+                    std::io::Error::other("device refused the write"),
+                ));
             }
             self.inner.try_write_block(id, buf)
         }
@@ -1487,8 +1471,38 @@ mod tests {
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(access)).unwrap_err();
         assert!(matches!(
             payload.downcast_ref::<StorageError>(),
-            Some(StorageError::Injected { op: "write", .. })
+            Some(StorageError::Io { context, .. }) if context.starts_with("injected write")
         ));
+    }
+
+    /// The error a failed read of block `id` reports: the class a failed
+    /// `pread` has.
+    fn dead_read(id: usize) -> StorageError {
+        StorageError::io(
+            format!("injected read fault on block {id}"),
+            std::io::Error::other("device gone"),
+        )
+    }
+
+    /// A store every read of which fails; writes go through.
+    struct DeadReads(MemBlockStore);
+
+    impl BlockStore for DeadReads {
+        fn block_capacity(&self) -> usize {
+            self.0.block_capacity()
+        }
+        fn num_blocks(&self) -> usize {
+            self.0.num_blocks()
+        }
+        fn try_read_block(&self, id: usize, _: &mut [f64]) -> Result<(), StorageError> {
+            Err(dead_read(id))
+        }
+        fn try_write_block(&mut self, id: usize, buf: &[f64]) -> Result<(), StorageError> {
+            self.0.try_write_block(id, buf)
+        }
+        fn grow(&mut self, blocks: usize) {
+            self.0.grow(blocks);
+        }
     }
 
     #[test]
@@ -1544,10 +1558,7 @@ mod tests {
         // A victim written back before the miss read failed is in the
         // store: `block_writes` and `pool_writebacks` must agree.
         let stats = IoStats::new();
-        let dead_reads = crate::FaultInjectingBlockStore::new(
-            MemBlockStore::new(4, 4, stats.clone()),
-            crate::FaultConfig::read_errors(1.0, 5),
-        );
+        let dead_reads = DeadReads(MemBlockStore::new(4, 4, stats.clone()));
         let p = ShardedBufferPool::new(dead_reads, 1, 1, stats.clone());
         p.overwrite(1, &[1.0; 4]);
         let read = std::panic::AssertUnwindSafe(|| p.read(2, 0));

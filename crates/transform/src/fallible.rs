@@ -38,75 +38,13 @@ pub fn try_transform<R>(driver: impl FnOnce() -> R) -> Result<R, StorageError> {
 mod tests {
     use super::*;
     use crate::source::ArraySource;
-    use crate::{transform_nonstandard_parallel, transform_standard, transform_standard_sparse};
+    use crate::{transform_standard, transform_standard_sparse};
     use ss_array::{NdArray, Shape};
-    use ss_core::tiling::{NonStandardTiling, StandardTiling};
-    use ss_core::TilingMap;
-    use ss_storage::{
-        wstore::mem_store, CoeffStore, FaultConfig, FaultInjectingBlockStore, IoStats,
-        MemBlockStore, RetryPolicy, RetryingBlockStore, SharedCoeffStore,
-    };
+    use ss_core::tiling::StandardTiling;
+    use ss_storage::{wstore::mem_store, CoeffStore, IoStats, MemBlockStore};
 
     fn sample(side: usize) -> NdArray<f64> {
         NdArray::from_fn(Shape::cube(2, side), |idx| (idx[0] * 7 + idx[1]) as f64)
-    }
-
-    fn wrapped_store(
-        map: &impl TilingMap,
-        read_rate: f64,
-        retries: u32,
-        stats: IoStats,
-    ) -> RetryingBlockStore<FaultInjectingBlockStore<MemBlockStore>> {
-        let inner = MemBlockStore::new(map.block_capacity(), map.num_tiles(), stats);
-        RetryingBlockStore::new(
-            FaultInjectingBlockStore::new(inner, FaultConfig::read_errors(read_rate, 21)),
-            RetryPolicy::with_retries(retries),
-        )
-    }
-
-    #[test]
-    fn faulty_ingest_succeeds_through_retries() {
-        let a = sample(16);
-        let src = ArraySource::new(&a, &[2, 2]);
-        let stats = IoStats::new();
-        let map = StandardTiling::new(&[4; 2], &[2; 2]);
-        let blocks = wrapped_store(&map, 0.1, 8, stats.clone());
-        let mut cs = CoeffStore::new(map, blocks, 4, stats);
-        let report = try_transform(|| transform_standard(&src, &mut cs, false)).unwrap();
-        assert_eq!(report.chunks, 16);
-        let want = ss_core::standard::forward_to(&a);
-        for idx in ss_array::MultiIndexIter::new(&[16, 16]) {
-            assert!((cs.read(&idx) - want.get(&idx)).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn exhausted_retries_surface_as_typed_error_serial() {
-        let a = sample(16);
-        let src = ArraySource::new(&a, &[2, 2]);
-        let stats = IoStats::new();
-        let map = StandardTiling::new(&[4; 2], &[2; 2]);
-        // 100% read faults, tiny budget: the first pool miss must fail.
-        let blocks = wrapped_store(&map, 1.0, 1, stats.clone());
-        let mut cs = CoeffStore::new(map, blocks, 4, stats);
-        match try_transform(|| transform_standard(&src, &mut cs, false)) {
-            Err(StorageError::RetriesExhausted { op: "read", .. }) => {}
-            other => panic!("expected typed exhaustion, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn exhausted_retries_surface_as_typed_error_parallel() {
-        let a = sample(16);
-        let src = ArraySource::new(&a, &[2, 2]);
-        let stats = IoStats::new();
-        let map = NonStandardTiling::new(2, 4, 2);
-        let blocks = wrapped_store(&map, 1.0, 1, stats.clone());
-        let cs = SharedCoeffStore::new(map, blocks, 4, 2, stats);
-        match try_transform(|| transform_nonstandard_parallel(&src, &cs, 2)) {
-            Err(StorageError::RetriesExhausted { op: "read", .. }) => {}
-            other => panic!("expected typed exhaustion, got {other:?}"),
-        }
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //! Alongside: the serial fronts' `IoSnapshot`s are pinned to constants
 //! captured from the commit *before* the drivers were collapsed into the
 //! pipeline; every worker's crest cache keeps the Result 2 bound; every
-//! front records one phase-histogram sample per chunk; a device that
-//! never recovers surfaces as a typed `StorageError` through every front;
-//! and under transient faults and retries every front stores what its
-//! fault-free run stores.
+//! front records one phase-histogram sample per chunk; and a device whose
+//! every read fails (the test-support fault device) surfaces as a typed
+//! `StorageError` through every front.
 
 use shiftsplit::array::{MultiIndexIter, NdArray, Shape};
 use shiftsplit::core::tiling::{NonStandardTiling, StandardTiling};
@@ -29,8 +28,7 @@ use shiftsplit::maintain::{
     UpdateBox,
 };
 use shiftsplit::storage::{
-    mem_shared_store, wstore::mem_store, CoeffRead, CoeffStore, FaultConfig,
-    FaultInjectingBlockStore, IoSnapshot, IoStats, MemBlockStore, RetryPolicy, RetryingBlockStore,
+    mem_shared_store, wstore::mem_store, CoeffRead, CoeffStore, IoSnapshot, IoStats, MemBlockStore,
     SharedCoeffStore, StorageError,
 };
 use shiftsplit::transform::{
@@ -39,7 +37,12 @@ use shiftsplit::transform::{
     try_transform, Appender, ArraySource, ChunkPipeline, TransformReport,
 };
 use std::sync::Mutex;
-use std::time::Duration;
+
+#[allow(dead_code)]
+#[path = "support/fault.rs"]
+mod fault;
+
+use fault::{FaultConfig, FaultInjectingBlockStore};
 
 /// The phase histograms live in the process-global registry, so the tests
 /// of this file (which all run pipelines) take turns.
@@ -534,17 +537,12 @@ fn every_front_records_one_sample_per_chunk_per_phase() {
     }
 }
 
-/// A device behind faults and retries: `RetryingBlockStore` over
-/// `FaultInjectingBlockStore` over `MemBlockStore`.
-type Faulty = RetryingBlockStore<FaultInjectingBlockStore<MemBlockStore>>;
+/// A device behind injected faults: `FaultInjectingBlockStore` over
+/// `MemBlockStore`.
+type Faulty = FaultInjectingBlockStore<MemBlockStore>;
 
 /// Makes a zeroed `(capacity, blocks)` device.
 type Device<'a> = &'a dyn Fn(usize, usize) -> Faulty;
-
-fn device(cap: usize, blocks: usize, faults: FaultConfig, retries: RetryPolicy) -> Faulty {
-    let mem = MemBlockStore::new(cap, blocks, IoStats::new());
-    RetryingBlockStore::new(FaultInjectingBlockStore::new(mem, faults), retries)
-}
 
 /// A serial store on `device`, with a 4-frame pool so every front evicts.
 fn serial_on<M: TilingMap>(map: M, device: Device) -> CoeffStore<M, Faulty> {
@@ -558,11 +556,9 @@ fn shared_on<M: TilingMap>(map: M, device: Device) -> SharedCoeffStore<M, Faulty
     SharedCoeffStore::new(map, store, 4, 2, IoStats::new())
 }
 
-/// A front's name, whether it is deterministic (its stored slots are
-/// bit-reproducible; a multi-worker parallel transform's are within
-/// 1e-9), and its run: a fresh store on the device, the front, the
-/// store's slots.
-type Front<'a> = (&'static str, bool, Box<dyn Fn(Device) -> Vec<f64> + 'a>);
+/// A front's name and its run: a fresh store on the device, the front,
+/// the store's slots.
+type Front<'a> = (&'static str, Box<dyn Fn(Device) -> Vec<f64> + 'a>);
 
 /// Every transform / ingest / update front over a 16×16 domain.
 fn device_fronts<'a>(sq: &'a NdArray<f64>, upd: &'a [UpdateBox]) -> Vec<Front<'a>> {
@@ -574,7 +570,6 @@ fn device_fronts<'a>(sq: &'a NdArray<f64>, upd: &'a [UpdateBox]) -> Vec<Front<'a
     vec![
         (
             "transform_standard",
-            true,
             Box::new(move |dev| {
                 let mut cs = serial_on(std_map(), dev);
                 transform_standard(&std_src(), &mut cs, true);
@@ -583,7 +578,6 @@ fn device_fronts<'a>(sq: &'a NdArray<f64>, upd: &'a [UpdateBox]) -> Vec<Front<'a
         ),
         (
             "transform_standard_sparse",
-            true,
             Box::new(move |dev| {
                 let mut cs = serial_on(std_map(), dev);
                 transform_standard_sparse(&std_src(), &mut cs);
@@ -592,7 +586,6 @@ fn device_fronts<'a>(sq: &'a NdArray<f64>, upd: &'a [UpdateBox]) -> Vec<Front<'a
         ),
         (
             "transform_nonstandard",
-            true,
             Box::new(move |dev| {
                 let mut cs = serial_on(ns_map(), dev);
                 transform_nonstandard(&ns_src(), &mut cs, false);
@@ -601,7 +594,6 @@ fn device_fronts<'a>(sq: &'a NdArray<f64>, upd: &'a [UpdateBox]) -> Vec<Front<'a
         ),
         (
             "transform_nonstandard_zorder",
-            true,
             Box::new(move |dev| {
                 let mut cs = serial_on(ns_map(), dev);
                 transform_nonstandard_zorder(&ns_src(), &mut cs);
@@ -610,7 +602,6 @@ fn device_fronts<'a>(sq: &'a NdArray<f64>, upd: &'a [UpdateBox]) -> Vec<Front<'a
         ),
         (
             "transform_nonstandard_zorder_scalings",
-            true,
             Box::new(move |dev| {
                 let mut cs = serial_on(ns_map(), dev);
                 transform_nonstandard_zorder_scalings(&ns_src(), &mut cs);
@@ -619,7 +610,6 @@ fn device_fronts<'a>(sq: &'a NdArray<f64>, upd: &'a [UpdateBox]) -> Vec<Front<'a
         ),
         (
             "transform_nonstandard_parallel",
-            false,
             Box::new(move |dev| {
                 let cs = shared_on(ns_map(), dev);
                 transform_nonstandard_parallel(&ns_src(), &cs, 3);
@@ -628,7 +618,6 @@ fn device_fronts<'a>(sq: &'a NdArray<f64>, upd: &'a [UpdateBox]) -> Vec<Front<'a
         ),
         (
             "transform_standard_coalesced",
-            true,
             Box::new(move |dev| {
                 let mut cs = serial_on(std_map(), dev);
                 transform_standard_coalesced(&std_src(), &mut cs, 4);
@@ -637,7 +626,6 @@ fn device_fronts<'a>(sq: &'a NdArray<f64>, upd: &'a [UpdateBox]) -> Vec<Front<'a
         ),
         (
             "update_boxes_standard",
-            true,
             Box::new(move |dev| {
                 let mut cs = serial_on(std_map(), dev);
                 update_boxes_standard(&mut cs, &[4, 4], upd, exact);
@@ -646,7 +634,6 @@ fn device_fronts<'a>(sq: &'a NdArray<f64>, upd: &'a [UpdateBox]) -> Vec<Front<'a
         ),
         (
             "update_boxes_nonstandard",
-            true,
             Box::new(move |dev| {
                 let mut cs = serial_on(ns_map(), dev);
                 update_boxes_nonstandard(&mut cs, 4, upd);
@@ -655,7 +642,6 @@ fn device_fronts<'a>(sq: &'a NdArray<f64>, upd: &'a [UpdateBox]) -> Vec<Front<'a
         ),
         (
             "Appender::append",
-            true,
             Box::new(|dev| {
                 let mut app = Appender::new(&[3, 3], &[1, 1], 1, dev, 4, IoStats::new());
                 app.append(&noisy(&[8, 8], 9));
@@ -680,84 +666,21 @@ fn a_dead_device_is_a_typed_error_through_every_front() {
     let _turn = exclusive();
     let sq = noisy(&[16, 16], 5);
     let upd = boxes(3, &[16, 16], 4);
-    // 100 % read faults under a one-retry budget: the first pool miss fails.
+    // 100 % read faults: the first pool miss fails.
     let dead = |cap, blocks| {
-        let faults = FaultConfig::read_errors(1.0, 21);
-        device(cap, blocks, faults, RetryPolicy::with_retries(1))
+        let mem = MemBlockStore::new(cap, blocks, IoStats::new());
+        FaultInjectingBlockStore::new(mem, FaultConfig::read_errors(1.0, 21))
     };
     let outcomes: Vec<_> = quietly(|| {
         device_fronts(&sq, &upd)
             .into_iter()
-            .map(|(name, _, run)| (name, try_transform(|| run(&dead))))
+            .map(|(name, run)| (name, try_transform(|| run(&dead))))
             .collect()
     });
     for (name, outcome) in outcomes {
         match outcome {
-            Err(StorageError::RetriesExhausted { op: "read", .. }) => {}
-            other => panic!("{name}: expected typed retry exhaustion, got {other:?}"),
+            Err(StorageError::Io { context, .. }) if context.starts_with("injected read") => {}
+            other => panic!("{name}: expected the injected read error, got {other:?}"),
         }
-    }
-}
-
-/// Read errors, write errors and torn writes at 1 % and 10 %, one kind at
-/// a time, under a retry budget no access exhausts (a fault clears with
-/// probability `1 − rate` per retry): every front must store what its
-/// fault-free run stores.
-#[test]
-fn transient_faults_heal_to_the_fault_free_contents_through_every_front() {
-    let _turn = exclusive();
-    let sq = noisy(&[16, 16], 5);
-    let upd = boxes(3, &[16, 16], 4);
-    let retries = RetryPolicy {
-        max_retries: 16,
-        base_backoff: Duration::ZERO,
-        max_backoff: Duration::ZERO,
-    };
-    let registry = ss_obs::global();
-    let injected = [
-        registry.counter("storage.faults_injected_read"),
-        registry.counter("storage.faults_injected_write"),
-        registry.counter("storage.faults_torn_writes"),
-    ];
-    // Faults injected per (rate, kind), over all fronts.
-    let mut total = [[0u64; 3]; 2];
-    for (f, (name, exact, run)) in device_fronts(&sq, &upd).iter().enumerate() {
-        let clean = |cap, blocks| device(cap, blocks, FaultConfig::default(), retries);
-        let want = run(&clean);
-        for (r, rate) in [0.01, 0.10].into_iter().enumerate() {
-            let seed = 0xFA17 + (f * 2 + r) as u64;
-            let none = FaultConfig {
-                seed,
-                ..FaultConfig::default()
-            };
-            let kinds = [
-                FaultConfig {
-                    read_error_rate: rate,
-                    ..none
-                },
-                FaultConfig {
-                    write_error_rate: rate,
-                    ..none
-                },
-                FaultConfig {
-                    torn_write_rate: rate,
-                    ..none
-                },
-            ];
-            for (k, (faults, counter)) in kinds.into_iter().zip(&injected).enumerate() {
-                let before = counter.get();
-                let faulty = |cap, blocks| device(cap, blocks, faults, retries);
-                let got = quietly(|| try_transform(|| run(&faulty)))
-                    .unwrap_or_else(|e| panic!("{name} {faults:?}: {e:?}"));
-                assert_slots(&got, &want, *exact, &format!("{name} {faults:?}"));
-                total[r][k] += counter.get() - before;
-            }
-        }
-    }
-    for (rate, kinds) in [0.01, 0.10].into_iter().zip(total) {
-        assert!(
-            kinds.iter().all(|&n| n > 0),
-            "rate {rate}: injected {kinds:?}"
-        );
     }
 }

@@ -16,9 +16,10 @@
 //! identical.
 //!
 //! The fault sweep (ROADMAP 9(c), the pool part) runs the same scripts
-//! over `FaultInjectingBlockStore` at 1 % and 10 % read-error,
-//! write-error and torn-write rates, retrying each access (and the final
-//! flush) that fails with a typed `StorageError` until it succeeds; a
+//! over the test-support `FaultInjectingBlockStore` at 1 % and 10 %
+//! read-error, write-error and torn-write rates, repeating each access
+//! (and the final flush) that fails with a typed `StorageError` until it
+//! succeeds — the pool itself never retries; a
 //! failed window ran `f` for none of its ids, so a window call resumes at
 //! the first id whose `f` did not run. The results and the stored blocks
 //! must equal the fault-free run bit for bit, and every block write the
@@ -36,14 +37,23 @@ use shiftsplit::core::{StandardTiling, TilingMap};
 use shiftsplit::datagen::SplitMix64;
 use shiftsplit::query::{execute_plans_tiled, PlanTiles};
 use shiftsplit::storage::{
-    downcast_storage_error, BlockStore, FaultConfig, FaultInjectingBlockStore, IoStats,
-    MemBlockStore, ShardCounters, ShardedBufferPool, SharedCoeffStore, StorageError,
-    ThrottledBlockStore,
+    downcast_storage_error, BlockStore, IoStats, MemBlockStore, ShardCounters, ShardedBufferPool,
+    SharedCoeffStore, StorageError,
 };
 use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, Once};
 use std::time::Duration;
+
+#[allow(dead_code)]
+#[path = "support/fault.rs"]
+mod fault;
+#[allow(dead_code)]
+#[path = "support/throttle.rs"]
+mod throttle;
+
+use fault::{FaultConfig, FaultInjectingBlockStore};
+use throttle::ThrottledBlockStore;
 
 const BLOCKS: usize = 24;
 const CAPACITY: usize = 4;

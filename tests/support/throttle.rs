@@ -1,12 +1,11 @@
-//! Device-latency emulation.
+//! Device-latency emulation, for tests only.
 //!
 //! [`ThrottledBlockStore`] wraps any [`BlockStore`] and sleeps for a fixed
 //! duration on every block transfer, modelling a storage device whose
 //! per-block access time dwarfs CPU work — the regime the paper's I/O cost
 //! model assumes. It shows whether concurrent readers overlap device
-//! waits: while one sleeps in a miss, others keep working, so throughput
-//! scales with readers even on a single CPU. The pool's tests in
-//! `shard.rs` use it; no benchmark workload runs it yet.
+//! waits: while one sleeps in a miss, others keep working. No benchmark
+//! workload runs it.
 //!
 //! The sleep happens *inside* the store, before the transfer, i.e. under
 //! whatever lock the buffer pool holds while servicing a miss —
@@ -21,9 +20,11 @@
 //! ([`BlockStore::try_read_run`] / [`BlockStore::try_write_run`]) is
 //! charged per block: the wrapper keeps the trait's per-block defaults,
 //! because the device model prices blocks, not system calls.
+//!
+//! Include it with `#[path = "support/throttle.rs"] mod throttle;`; its
+//! own tests live in `tests/block_stores.rs`, so they run once.
 
-use crate::block::BlockStore;
-use crate::error::StorageError;
+use shiftsplit::storage::{BlockStore, StorageError};
 use std::time::Duration;
 
 /// A [`BlockStore`] wrapper that sleeps on every read and write, emulating
@@ -48,16 +49,6 @@ impl<S: BlockStore> ThrottledBlockStore<S> {
     /// Wraps `inner` with the same latency for reads and writes.
     pub fn symmetric(inner: S, latency: Duration) -> Self {
         Self::new(inner, latency, latency)
-    }
-
-    /// The wrapped store.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Unwraps the inner store.
-    pub fn into_inner(self) -> S {
-        self.inner
     }
 }
 
@@ -90,33 +81,5 @@ impl<S: BlockStore> BlockStore for ThrottledBlockStore<S> {
 
     fn grow(&mut self, blocks: usize) {
         self.inner.grow(blocks);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::mem::MemBlockStore;
-    use crate::stats::IoStats;
-    use std::time::Instant;
-
-    #[test]
-    fn transfers_pass_through_unchanged() {
-        let inner = MemBlockStore::new(4, 4, IoStats::new());
-        let mut s = ThrottledBlockStore::symmetric(inner, Duration::ZERO);
-        s.try_write_block(1, &[1.0, 2.0, 3.0, 4.0]).unwrap();
-        let mut buf = [0.0; 4];
-        s.try_read_block(1, &mut buf).unwrap();
-        assert_eq!(buf, [1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn reads_take_at_least_the_configured_latency() {
-        let inner = MemBlockStore::new(4, 2, IoStats::new());
-        let s = ThrottledBlockStore::new(inner, Duration::from_millis(5), Duration::ZERO);
-        let mut buf = [0.0; 4];
-        let t0 = Instant::now();
-        s.try_read_block(0, &mut buf).unwrap();
-        assert!(t0.elapsed() >= Duration::from_millis(5));
     }
 }
