@@ -5,16 +5,16 @@ use crate::csv;
 use crate::metrics;
 use crate::wsfile::{convert_to_v3, Meta, WsFile};
 use ss_array::NdArray;
-use ss_core::{RetentionPolicy, StandardTiling, TilingMap};
+use ss_core::{RetentionPolicy, TilingMap};
 use ss_maintain::{FlushMode, UpdateBox};
 use ss_storage::file::sidecar_path;
-use ss_storage::{CoeffStore, FileBlockStore, StorageError};
+use ss_storage::{FileBlockStore, StorageError};
 use ss_transform::{Appender, ArraySource};
 use std::path::Path;
 
 /// A command failure with a process exit code attached. Usage mistakes
-/// (`code` 1) reprint the USAGE text; detected data corruption (`code` 2)
-/// does not — the message is the whole story.
+/// (`code` 1) reprint the USAGE text; a storage failure does not — the
+/// message is the whole story — and detected data corruption exits 2.
 #[derive(Debug)]
 pub struct CmdError {
     /// Human-readable cause.
@@ -46,14 +46,29 @@ impl From<String> for CmdError {
     }
 }
 
-impl From<CmdError> for String {
-    fn from(e: CmdError) -> String {
-        e.msg
+impl From<&str> for CmdError {
+    fn from(msg: &str) -> CmdError {
+        CmdError::from(msg.to_string())
+    }
+}
+
+/// A storage error is never a usage error: a checksum mismatch is
+/// corruption (exit 2, as `scrub` reports it), anything else exits 1.
+impl From<StorageError> for CmdError {
+    fn from(e: StorageError) -> CmdError {
+        match e {
+            StorageError::Checksum { .. } => CmdError::corruption(e.to_string()),
+            e => CmdError {
+                msg: e.to_string(),
+                code: 1,
+                usage: false,
+            },
+        }
     }
 }
 
 /// `create <store> --levels a,b,… [--tiles a,b,…] [--axis k]`
-pub fn create(args: &Args) -> Result<(), String> {
+pub fn create(args: &Args) -> Result<(), CmdError> {
     let path = args.pos(0, "store path")?;
     let levels = parse_list_u32(args.flag("levels")?)?;
     let tiles = match args.flag_opt("tiles") {
@@ -110,7 +125,7 @@ fn v3_flags(args: &Args) -> Result<Option<RetentionPolicy>, String> {
 /// Rewrites the freshly ingested dense store at `path` into the sparse
 /// v3 layout under `policy`, printing the compression ratio and the
 /// *achieved* (not just requested) retention error (docs/ERROR_MODEL.md).
-fn run_v3_conversion(path: &Path, policy: RetentionPolicy) -> Result<(), String> {
+fn run_v3_conversion(path: &Path, policy: RetentionPolicy) -> Result<(), CmdError> {
     let report = convert_to_v3(path, policy)?;
     let r = report.retention;
     println!(
@@ -134,59 +149,23 @@ fn run_v3_conversion(path: &Path, policy: RetentionPolicy) -> Result<(), String>
     Ok(())
 }
 
-/// One ingest run into the store's file: per-chunk, or group-committed
-/// (`coalesce`). Storage failures come back typed; the `String` is the
-/// outcome line to print.
-fn run_ingest(
-    mut store: CoeffStore<StandardTiling, FileBlockStore>,
-    src: &ArraySource,
-    coalesce: Option<usize>,
-) -> Result<(CoeffStore<StandardTiling, FileBlockStore>, String), StorageError> {
-    ss_transform::try_transform(move || {
-        let outcome = match coalesce {
-            None => {
-                let r = ss_transform::transform_standard(src, &mut store, false);
-                format!("ingested {} cells in {} chunks", r.input_coeffs, r.chunks)
-            }
-            Some(group) => {
-                let r = ss_maintain::transform_standard_coalesced(src, &mut store, group);
-                format!(
-                    "ingested {} cells in {} chunks with {} group flushes \
-                     ({} tiles written, coalescing ratio {:.2})",
-                    r.input_coeffs,
-                    r.chunks,
-                    r.flushes,
-                    r.flush.tiles_written,
-                    r.flush.coalescing_ratio()
-                )
-            }
-        };
-        (store, outcome)
-    })
-}
-
 /// `ingest <store> --data values.csv [--chunk a,b,…]
-/// [--coalesce N]
 /// [--format v3 [--threshold ε | --topk K]]
 /// [--metrics-out FILE] [--metrics-port N]`
 ///
-/// `--coalesce N` buffers the SHIFT-SPLIT delta streams of N consecutive
-/// chunks tile-major and group-commits them together (N = 0 buffers the
-/// whole ingest), writing split-path tiles once per group instead of once
-/// per chunk.
+/// One serial SHIFT-SPLIT pass (`transform_standard`) over the chunk grid.
 ///
 /// `--format v3` rewrites the store into the sparse bucketed layout of
 /// `docs/FORMAT.md` §8 after the transform completes, optionally applying
 /// a lossy retention pass (`--threshold ε` zeroes coefficients with
 /// `|c| <= ε`; `--topk K` keeps the K largest per tile) and reporting the
 /// achieved error.
-pub fn ingest(args: &Args) -> Result<(), String> {
+pub fn ingest(args: &Args) -> Result<(), CmdError> {
     // Held for the duration of the transform so a scraper can watch the
     // phase histograms fill in live.
     let _server = metrics::maybe_serve(args)?;
     let path = args.pos(0, "store path")?;
     let v3_policy = v3_flags(args)?;
-    let coalesce = args.get("coalesce")?;
     let mut ws = WsFile::open(Path::new(path))?;
     if ws.sparse() {
         return Err(
@@ -202,11 +181,10 @@ pub fn ingest(args: &Args) -> Result<(), String> {
         None => ws.meta.levels.iter().map(|&n| n.min(3)).collect(),
     };
     let src = ArraySource::new(&data, &chunk_levels);
-    let outcome;
-    (ws.store, outcome) = run_ingest(ws.store, &src, coalesce)?;
+    let r = ss_transform::transform_standard(&src, &mut ws.store, false);
     ws.meta.filled = dims[ws.meta.axis];
     ws.save_meta()?;
-    println!("{outcome}");
+    println!("ingested {} cells in {} chunks", r.input_coeffs, r.chunks);
     let stats = ws.stats.clone();
     drop(ws);
     if let Some(policy) = v3_policy {
@@ -216,7 +194,7 @@ pub fn ingest(args: &Args) -> Result<(), String> {
 }
 
 /// `point <store> i,j,…`
-pub fn point(args: &Args) -> Result<(), String> {
+pub fn point(args: &Args) -> Result<(), CmdError> {
     if args.pos_len() > 2 {
         return Err("point takes exactly a store path and one position".into());
     }
@@ -231,7 +209,7 @@ pub fn point(args: &Args) -> Result<(), String> {
 }
 
 /// `sum <store> --lo a,b,… --hi a,b,…`
-pub fn sum(args: &Args) -> Result<(), String> {
+pub fn sum(args: &Args) -> Result<(), CmdError> {
     let path = args.pos(0, "store path")?;
     let lo = parse_list(args.flag("lo")?)?;
     let hi = parse_list(args.flag("hi")?)?;
@@ -243,7 +221,7 @@ pub fn sum(args: &Args) -> Result<(), String> {
 }
 
 /// `extract <store> --lo a,b,… --hi a,b,… [--out file]`
-pub fn extract(args: &Args) -> Result<(), String> {
+pub fn extract(args: &Args) -> Result<(), CmdError> {
     let path = args.pos(0, "store path")?;
     let lo = parse_list(args.flag("lo")?)?;
     let hi = parse_list(args.flag("hi")?)?;
@@ -272,7 +250,7 @@ pub fn extract(args: &Args) -> Result<(), String> {
 /// instead of once per box. Every box is checked against the store before
 /// anything is buffered. The result is bit-identical to applying the
 /// boxes one at a time.
-pub fn update(args: &Args) -> Result<(), String> {
+pub fn update(args: &Args) -> Result<(), CmdError> {
     let path = args.pos(0, "store path")?;
     let mut ws = WsFile::open(Path::new(path))?;
     let boxes = match args.flag_opt("batch") {
@@ -361,7 +339,7 @@ fn read_box(meta: &Meta, at: &str, dims: &str, data: &Path) -> Result<UpdateBox,
 ///
 /// The chunk spans the full domain on every non-append axis and `extent`
 /// cells along the append axis. Reopens/expands the store as needed.
-pub fn append(args: &Args) -> Result<(), String> {
+pub fn append(args: &Args) -> Result<(), CmdError> {
     let path = args.pos(0, "store path")?;
     let extent: usize = args.require("extent")?;
     if !ss_array::is_pow2(extent) {
@@ -380,7 +358,8 @@ pub fn append(args: &Args) -> Result<(), String> {
         return Err(format!(
             "cannot append: the store holds {} slices, not a multiple of --extent {extent}",
             ws.meta.filled
-        ));
+        )
+        .into());
     }
     let mut dims = ws.meta.dims();
     dims[ws.meta.axis] = extent;
@@ -399,7 +378,7 @@ pub fn append(args: &Args) -> Result<(), String> {
 /// and returns the updated metadata. The CLI's own part is the files:
 /// every domain doubling migrates into a fresh temp blocks file, and the
 /// last of them replaces the store durably before the meta says so.
-fn append_to_file(ws: WsFile, chunk: &NdArray<f64>) -> Result<Meta, String> {
+fn append_to_file(ws: WsFile, chunk: &NdArray<f64>) -> Result<Meta, CmdError> {
     let path = ws.path().to_path_buf();
     let WsFile {
         mut meta,
@@ -417,7 +396,7 @@ fn append_to_file(ws: WsFile, chunk: &NdArray<f64>) -> Result<Meta, String> {
         created
     };
     let mut appender = Appender::resume(store, meta.axis, meta.filled, factory);
-    ss_transform::try_transform(|| appender.append(chunk))?;
+    appender.append(chunk);
     meta.levels = appender.levels().to_vec();
     meta.filled = appender.filled();
     if appender.expansions() > 0 {
@@ -454,7 +433,7 @@ fn append_to_file(ws: WsFile, chunk: &NdArray<f64>) -> Result<Meta, String> {
 /// distinguish "damaged data" from "bad invocation", which exits 1).
 pub fn scrub(args: &Args) -> Result<(), CmdError> {
     let path = args.pos(0, "store path")?;
-    let mut ws = WsFile::open(Path::new(path)).map_err(|e| CmdError::from(e.to_string()))?;
+    let mut ws = WsFile::open(Path::new(path))?;
     let report = ws
         .verify()
         .map_err(|e| CmdError::corruption(e.to_string()))?;
@@ -474,12 +453,12 @@ pub fn scrub(args: &Args) -> Result<(), CmdError> {
 /// `stats <store>` — or `stats --watch host:port [--iterations N]
 /// [--interval-ms M]` for a live `top`-style view of a running server's
 /// metrics endpoint (see `serve --metrics-port` / `serve-metrics`).
-pub fn stats(args: &Args) -> Result<(), String> {
+pub fn stats(args: &Args) -> Result<(), CmdError> {
     if let Some(addr) = args.flag_opt("watch") {
         if addr.is_empty() {
             return Err("--watch needs a metrics address (host:port)".into());
         }
-        return stats_watch(args, addr);
+        return Ok(stats_watch(args, addr)?);
     }
     let path = args.pos(0, "store path")?;
     let mut ws = WsFile::open(Path::new(path))?;
@@ -625,7 +604,7 @@ fn http_get(addr: &str, path: &str) -> Result<String, String> {
 /// folded in first so the endpoint has content immediately. `--port 0`
 /// picks an ephemeral port (printed on stdout); `--requests K` exits after
 /// answering K requests (without it the server runs until killed).
-pub fn serve_metrics(args: &Args) -> Result<(), String> {
+pub fn serve_metrics(args: &Args) -> Result<(), CmdError> {
     let port: u16 = args.get_or("port", 0)?;
     let requests: Option<u64> = args.get("requests")?;
     if args.pos_len() > 0 {
@@ -673,7 +652,7 @@ pub fn serve_metrics(args: &Args) -> Result<(), String> {
 /// `--slow-ms T` logs any request slower than `T` milliseconds on stderr
 /// and counts it in `serve.requests_slow`. `--metrics-port N` exposes the
 /// live registry (with sliding-window recent percentiles) while serving.
-pub fn serve(args: &Args) -> Result<(), String> {
+pub fn serve(args: &Args) -> Result<(), CmdError> {
     let path = args.pos(0, "store path")?;
     let port: u16 = args.get_or("port", 0)?;
     let workers: usize = args.get_or("workers", 4)?;
@@ -758,7 +737,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
         // detached connection threads may still hold clones until their
         // clients hang up. Each drops its pin at the end of its sweep, so
         // the checkpoint retry loop terminates.
-        while !snap.checkpoint().map_err(|e| e.to_string())? {
+        while !snap.checkpoint()? {
             std::thread::yield_now();
         }
         println!("checkpointed store, wal truncated");
@@ -792,13 +771,13 @@ fn open_wal_and_replay<M: TilingMap, S: ss_storage::BlockStore>(
         ss_maintain::Wal,
         ReplaySummary,
     ),
-    String,
+    CmdError,
 > {
     let wal_path = match args.flag_opt("wal") {
         Some(p) if !p.is_empty() => std::path::PathBuf::from(p),
         _ => std::path::PathBuf::from(format!("{store_path}.wal")),
     };
-    let (wal, records, scan) = ss_maintain::Wal::open(&wal_path).map_err(|e| e.to_string())?;
+    let (wal, records, scan) = ss_maintain::Wal::open(&wal_path)?;
     if scan.torn_tail {
         println!("wal: dropped torn tail (incomplete final append)");
     }
@@ -821,7 +800,7 @@ fn open_wal_and_replay<M: TilingMap, S: ss_storage::BlockStore>(
 /// what a writable server does on startup), flushes and fsyncs the store,
 /// then truncates the log. Idempotent: replaying an already-recovered
 /// store rewrites the same bits, and an empty log is a no-op.
-pub fn wal_replay(args: &Args) -> Result<(), String> {
+pub fn wal_replay(args: &Args) -> Result<(), CmdError> {
     let path = args.pos(0, "store path")?;
     let ws = WsFile::open(Path::new(path))?;
     let stats = ws.stats.clone();
@@ -831,8 +810,8 @@ pub fn wal_replay(args: &Args) -> Result<(), String> {
     if replayed.commits == 0 {
         println!("wal is empty: nothing to replay");
     } else {
-        shared.sync().map_err(|e| e.to_string())?;
-        wal.reset().map_err(|e| e.to_string())?;
+        shared.sync()?;
+        wal.reset()?;
         println!(
             "replayed {} commits ({} tile images) up to epoch {}; store synced, wal truncated",
             replayed.commits, replayed.tiles, replayed.last_epoch
@@ -849,7 +828,7 @@ pub fn wal_replay(args: &Args) -> Result<(), String> {
 /// `--trace N` tags the request with trace id `N`: a tracing-enabled
 /// server records its spans under that id (old or tracing-off servers
 /// ignore the tag).
-pub fn query(args: &Args) -> Result<(), String> {
+pub fn query(args: &Args) -> Result<(), CmdError> {
     let addr = args.pos(0, "server address (host:port)")?;
     let mut client = ss_serve::Client::connect(addr).map_err(|e| e.to_string())?;
     if let Some(t) = args.get::<u64>("trace")? {
@@ -881,7 +860,7 @@ pub fn query(args: &Args) -> Result<(), String> {
 /// events. `--chrome OUT` additionally converts the file to Chrome
 /// `trace_event` JSON — open it at chrome://tracing or ui.perfetto.dev to
 /// follow one request end to end.
-pub fn trace_dump(args: &Args) -> Result<(), String> {
+pub fn trace_dump(args: &Args) -> Result<(), CmdError> {
     let path = args.pos(0, "trace file (ss-trace-v1 JSON lines)")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     use std::collections::{BTreeMap, HashMap, HashSet};
@@ -905,7 +884,8 @@ pub fn trace_dump(args: &Args) -> Result<(), String> {
                 return Err(format!(
                     "{path}:{line}: schema {other:?}, expected {:?}",
                     ss_obs::trace::TRACE_SCHEMA
-                ))
+                )
+                .into())
             }
         }
         let ev = v
@@ -991,7 +971,7 @@ pub fn trace_dump(args: &Args) -> Result<(), String> {
 }
 
 /// `stream --data values.csv --k K [--buffer B]`
-pub fn stream(args: &Args) -> Result<(), String> {
+pub fn stream(args: &Args) -> Result<(), CmdError> {
     let values = csv::read_values(Path::new(args.flag("data")?))?;
     let k: usize = args.require("k")?;
     let buffer: usize = args.get_or("buffer", 64)?;
@@ -1032,7 +1012,7 @@ pub fn stream(args: &Args) -> Result<(), String> {
 ///
 /// Builds a K-term synopsis of the store and writes it as a compact binary
 /// blob a client can query offline (see [`query_synopsis`]).
-pub fn synopsis(args: &Args) -> Result<(), String> {
+pub fn synopsis(args: &Args) -> Result<(), CmdError> {
     let path = args.pos(0, "store path")?;
     let k: usize = args.require("k")?;
     let out = args.flag("out")?;
@@ -1052,7 +1032,7 @@ pub fn synopsis(args: &Args) -> Result<(), String> {
 /// `asksyn <syn.bin> (--at i,j,… | --lo … --hi …)`
 ///
 /// Answers approximate queries from a synopsis file — no store needed.
-pub fn query_synopsis(args: &Args) -> Result<(), String> {
+pub fn query_synopsis(args: &Args) -> Result<(), CmdError> {
     let path = args.pos(0, "synopsis path")?;
     let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
     let syn = ss_query::StoredSynopsis::from_bytes(&bytes)?;

@@ -34,12 +34,9 @@ USAGE:
 
 COMMANDS:
   create  <store> --levels a,b,…   create an empty store (log2 sizes)
-  ingest  <store> --data FILE [--coalesce N]
-          [--format v3 [--threshold E | --topk K]]
+  ingest  <store> --data FILE [--format v3 [--threshold E | --topk K]]
           transform a full dataset into the store
-          (--coalesce N group-commits every N chunks through the tile-major
-          delta buffer, 0 = one flush for the whole ingest;
-          --format v3 rewrites the result into the sparse bucketed layout
+          (--format v3 rewrites the result into the sparse bucketed layout
           of docs/FORMAT.md §8 — bytes on disk shrink with the data's
           sparsity; --threshold E zeroes coefficients with |c| <= E and
           --topk K keeps the K largest per tile, both reporting the
@@ -105,14 +102,15 @@ Run any command without its required flags to see what it needs.";
 
 fn main() {
     // Storage failures escaping the infallible BlockStore face unwind
-    // with a typed `StorageError` payload; print those as one-line
-    // diagnostics instead of an opaque `Box<dyn Any>` panic trace.
+    // with a typed `StorageError` payload. `run` reports the main
+    // thread's as one `error:` line, so the hook stays quiet for them; a
+    // server thread's still gets one line instead of a panic trace.
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        if let Some(e) = info.payload().downcast_ref::<ss_storage::StorageError>() {
-            eprintln!("storage error: {e}");
-        } else {
-            default_hook(info);
+        match info.payload().downcast_ref::<ss_storage::StorageError>() {
+            Some(_) if std::thread::current().name() == Some("main") => {}
+            Some(e) => eprintln!("storage error: {e}"),
+            None => default_hook(info),
         }
     }));
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -132,39 +130,33 @@ fn main() {
 
 use commands::CmdError;
 
-/// How a command reports failure.
-enum Handler {
-    /// Every failure is a usage error: exit 1, USAGE reprinted.
-    Usage(fn(&Args) -> Result<(), String>),
-    /// The command picks its exit code (`scrub`: 2 for corruption).
-    Coded(fn(&Args) -> Result<(), CmdError>),
-}
-use Handler::{Coded, Usage};
+/// A command: reads its arguments, reports failure with an exit code.
+type Handler = fn(&Args) -> Result<(), CmdError>;
 
 /// Every command: its name (the `cli.<name>_ns` span is derived from it),
 /// the flags it reads — anything else on its command line is a usage
 /// error — and its handler. `--metrics-out` is accepted everywhere.
 #[rustfmt::skip]
 const COMMANDS: &[(&str, &str, Handler)] = &[
-    ("create", "levels tiles axis", Usage(commands::create)),
-    ("ingest", "data chunk coalesce format threshold topk metrics-port", Usage(commands::ingest)),
-    ("point", "", Usage(commands::point)),
-    ("sum", "lo hi", Usage(commands::sum)),
-    ("extract", "lo hi out", Usage(commands::extract)),
-    ("update", "at dims data batch", Usage(commands::update)),
-    ("append", "extent data", Usage(commands::append)),
-    ("scrub", "", Coded(commands::scrub)),
-    ("stats", "watch iterations interval-ms", Usage(commands::stats)),
-    ("synopsis", "k out", Usage(commands::synopsis)),
-    ("asksyn", "at lo hi", Usage(commands::query_synopsis)),
-    ("stream", "data k buffer", Usage(commands::stream)),
+    ("create", "levels tiles axis", commands::create),
+    ("ingest", "data chunk format threshold topk metrics-port", commands::ingest),
+    ("point", "", commands::point),
+    ("sum", "lo hi", commands::sum),
+    ("extract", "lo hi out", commands::extract),
+    ("update", "at dims data batch", commands::update),
+    ("append", "extent data", commands::append),
+    ("scrub", "", commands::scrub),
+    ("stats", "watch iterations interval-ms", commands::stats),
+    ("synopsis", "k out", commands::synopsis),
+    ("asksyn", "at lo hi", commands::query_synopsis),
+    ("stream", "data k buffer", commands::stream),
     ("serve", "port workers batch requests addr-file writable wal \
-               slow-ms trace-out trace-ring metrics-port", Usage(commands::serve)),
-    ("wal-replay", "wal", Usage(commands::wal_replay)),
-    ("query", "at lo hi out trace", Usage(commands::query)),
-    ("trace-dump", "chrome", Usage(commands::trace_dump)),
-    ("serve-metrics", "port requests", Usage(commands::serve_metrics)),
-    ("demo", "", Usage(demo)),
+               slow-ms trace-out trace-ring metrics-port", commands::serve),
+    ("wal-replay", "wal", commands::wal_replay),
+    ("query", "at lo hi out trace", commands::query),
+    ("trace-dump", "chrome", commands::trace_dump),
+    ("serve-metrics", "port requests", commands::serve_metrics),
+    ("demo", "", demo),
 ];
 
 fn run(raw: &[String]) -> Result<(), CmdError> {
@@ -188,14 +180,15 @@ fn run(raw: &[String]) -> Result<(), CmdError> {
     if let Some(flag) = args.unknown_flag(flags) {
         return Err(format!("unknown flag --{flag} for `{name}`").into());
     }
-    match handler {
-        Usage(f) => f(&args).map_err(CmdError::from),
-        Coded(f) => f(&args),
-    }
+    // A storage failure inside the command unwinds with its typed error
+    // (the infallible BlockStore face); it is reported like a returned
+    // one. Any other panic keeps unwinding.
+    std::panic::catch_unwind(|| handler(&args))
+        .unwrap_or_else(|payload| Err(ss_storage::downcast_storage_error(payload).into()))
 }
 
 /// A self-contained walkthrough requiring no input files.
-fn demo(_: &Args) -> Result<(), String> {
+fn demo(_: &Args) -> Result<(), CmdError> {
     let dir = std::env::temp_dir().join(format!("ss_cli_demo_{}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
     let store = dir.join("demo.ws");
@@ -1113,42 +1106,6 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_ingest_matches_plain_ingest() {
-        let dir = tmp_dir("coalesce_ingest");
-        let data = write_cube_csv(&dir, "d.csv", 16, 16);
-        let mut stores = Vec::new();
-        for (name, extra) in [
-            ("plain", &[][..]),
-            ("coalesced", &["--coalesce", "4"][..]),
-            ("one_flush", &["--coalesce", "0"][..]),
-        ] {
-            let store = dir.join(format!("{name}.ws"));
-            let store_s = store.to_str().unwrap().to_string();
-            run(&to_args(&[
-                "create", &store_s, "--levels", "4,4", "--tiles", "2,2",
-            ]))
-            .unwrap();
-            let mut args = vec!["ingest", &store_s, "--data", &data];
-            args.extend_from_slice(extra);
-            run(&to_args(&args)).unwrap();
-            run(&to_args(&["scrub", &store_s])).unwrap();
-            stores.push(store);
-        }
-        let mut plain = crate::wsfile::WsFile::open(&stores[0]).unwrap();
-        for other in &stores[1..] {
-            let mut ws = crate::wsfile::WsFile::open(other).unwrap();
-            for r in 0..16usize {
-                for c in 0..16usize {
-                    let a = ss_query::point_standard(&mut plain.store, &plain.meta.levels, &[r, c]);
-                    let b = ss_query::point_standard(&mut ws.store, &ws.meta.levels, &[r, c]);
-                    assert_eq!(a.to_bits(), b.to_bits(), "cell ({r},{c}): {a} vs {b}");
-                }
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn the_removed_mode_flag_is_a_usage_error() {
         // The group flush has one mode, so `--mode` names nothing: every
         // command that took it refuses it rather than ignoring it.
@@ -1175,8 +1132,6 @@ mod tests {
             store_s,
             "--data",
             data.as_str(),
-            "--coalesce",
-            "2",
             "--mode",
             "exact",
         ];
@@ -1188,7 +1143,7 @@ mod tests {
             assert!(err.msg.contains("--mode"), "{args:?}: {}", err.msg);
         }
         // The same ingest and update without the flag go through.
-        run(&to_args(&ingest[..6])).unwrap();
+        run(&to_args(&ingest[..4])).unwrap();
         run(&to_args(&[&["update", store_s][..], &at].concat())).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1196,11 +1151,15 @@ mod tests {
     #[test]
     fn a_corrupt_block_is_a_typed_ingest_error() {
         // A real device fault, not an injected one: one flipped payload
-        // byte of block 0 (the root tile every chunk's split path
-        // reaches). Re-ingesting must come back as a typed error naming
-        // the checksum mismatch, not as a panic, and scrub still exits 2.
+        // byte of block 0 (the root tile every chunk's split path and
+        // every query reaches). Every command that reads it must come
+        // back as a typed error naming the checksum mismatch — not as a
+        // panic, not as a usage error — with scrub's exit code 2.
         let dir = tmp_dir("corrupt_ingest");
         let data = write_cube_csv(&dir, "d.csv", 16, 16);
+        let slab = write_cube_csv(&dir, "slab.csv", 16, 16);
+        let delta = dir.join("delta.csv");
+        std::fs::write(&delta, "1,1\n1,1\n").unwrap();
         let store = dir.join("s.ws");
         let store_s = store.to_str().unwrap();
         run(&to_args(&[
@@ -1214,11 +1173,32 @@ mod tests {
         let mut bytes = std::fs::read(&store).unwrap();
         bytes[3] ^= 0x10;
         std::fs::write(&store, &bytes).unwrap();
-        let err = run(&to_args(&ingest)).unwrap_err();
-        assert!(err.msg.contains("checksum mismatch"), "{}", err.msg);
-        assert!(err.msg.contains("block 0"), "{}", err.msg);
-        let err = run(&to_args(&["scrub", store_s])).unwrap_err();
-        assert_eq!((err.code, err.usage), (2, false), "{}", err.msg);
+        let delta_s = delta.to_str().unwrap();
+        let update = [
+            "update", store_s, "--at", "1,1", "--dims", "2,2", "--data", delta_s,
+        ];
+        let append = ["append", store_s, "--extent", "16", "--data", slab.as_str()];
+        let commands: [&[&str]; 7] = [
+            &["point", store_s, "3,5"],
+            &["sum", store_s, "--lo", "0,0", "--hi", "15,15"],
+            &["extract", store_s, "--lo", "0,0", "--hi", "3,3"],
+            &update,
+            &append,
+            &ingest,
+            &["scrub", store_s],
+        ];
+        for args in commands {
+            let err = run(&to_args(args)).unwrap_err();
+            assert_eq!((err.code, err.usage), (2, false), "{args:?}: {}", err.msg);
+            if args[0] != "scrub" {
+                assert!(
+                    err.msg.contains("checksum mismatch"),
+                    "{args:?}: {}",
+                    err.msg
+                );
+                assert!(err.msg.contains("block 0"), "{args:?}: {}", err.msg);
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -10,15 +10,16 @@
 //! JSON) while the transform runs.
 
 use crate::args::Args;
+use crate::commands::CmdError;
 use ss_storage::IoStats;
 
 /// Folds `stats` into the global registry, then emits: the JSON snapshot
 /// to `--metrics-out FILE` when the flag is present, otherwise the
 /// one-line counter summary on stderr.
-pub fn emit(args: &Args, stats: &IoStats) -> Result<(), String> {
+pub fn emit(args: &Args, stats: &IoStats) -> Result<(), CmdError> {
     stats.publish(&ss_obs::global());
     match args.flag_opt("metrics-out") {
-        Some(path) => write_snapshot(path),
+        Some(path) => Ok(write_snapshot(path)?),
         None => {
             eprintln!("[{}]", stats.snapshot());
             Ok(())
@@ -29,12 +30,12 @@ pub fn emit(args: &Args, stats: &IoStats) -> Result<(), String> {
 /// Like [`emit`] for commands that either have no [`IoStats`] (`stream`)
 /// or never printed a counter line (`create`, `synopsis`): honours
 /// `--metrics-out` and stays silent otherwise.
-pub fn emit_quiet(args: &Args, stats: Option<&IoStats>) -> Result<(), String> {
+pub fn emit_quiet(args: &Args, stats: Option<&IoStats>) -> Result<(), CmdError> {
     if let Some(stats) = stats {
         stats.publish(&ss_obs::global());
     }
     match args.flag_opt("metrics-out") {
-        Some(path) => write_snapshot(path),
+        Some(path) => Ok(write_snapshot(path)?),
         None => Ok(()),
     }
 }

@@ -1,7 +1,8 @@
-//! The CLI runs on the plain file device only: the fault-injection and
-//! retry flags `ingest` once took are unknown flags, refused with exit 1
-//! and a message naming the flag, and the same ingest without the flag
-//! goes through.
+//! The CLI runs on the plain file device only and ingests through one
+//! serial writer: the fault-injection, retry and group-commit
+//! (`--coalesce`) flags `ingest` once took are unknown flags, refused with
+//! exit 1 and a message naming the flag, and the same ingest without the
+//! flag goes through.
 
 use std::process::Command;
 
@@ -35,6 +36,7 @@ fn ingest_refuses_the_removed_fault_and_retry_flags() {
         ("--fault-write", "0.2"),
         ("--fault-seed", "11"),
         ("--retries", "12"),
+        ("--coalesce", "4"),
     ] {
         let out = bin()
             .args(["ingest", store, "--data", data, flag, value])

@@ -39,8 +39,8 @@ pub struct TileSlot {
 
 /// A map from coefficient tuple indices to `(tile, slot)` locations.
 ///
-/// Maps are immutable layout descriptors shared freely across worker
-/// threads (the parallel transform drivers call `locate` concurrently),
+/// Maps are immutable layout descriptors shared freely across threads
+/// (the query server's connection threads call `locate` concurrently),
 /// hence the `Send + Sync` supertraits.
 pub trait TilingMap: Send + Sync {
     /// Dimensionality of coefficient indices.

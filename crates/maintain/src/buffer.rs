@@ -4,7 +4,7 @@ use ss_array::NdArray;
 use ss_core::runs::TileRuns;
 use ss_core::TilingMap;
 use ss_obs::Stopwatch;
-use ss_storage::CoeffWrite;
+use ss_storage::{BlockStore, CoeffStore};
 use ss_transform::{box_runs_standard, for_each_box_delta_standard, UpdateReport};
 
 /// How buffered deltas are reduced at flush time: always
@@ -23,7 +23,7 @@ pub enum FlushMode {
 /// Outcome of one group-commit flush (or a merge of several).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FlushReport {
-    /// Buffered operations (boxes, chunks) drained by the flush.
+    /// Buffered operations (boxes) drained by the flush.
     pub boxes: u64,
     /// Individual coefficient deltas drained.
     pub deltas: u64,
@@ -63,9 +63,8 @@ impl FlushReport {
 /// Feed it a box at a time with
 /// [`add_box_standard`](DeltaBuffer::add_box_standard), or with
 /// [`begin_box`](DeltaBuffer::begin_box) + [`add`](DeltaBuffer::add) (one
-/// located delta) or [`add_at`](DeltaBuffer::add_at) (one tuple index), or
-/// an already-located batch as one operation with
-/// [`add_runs`](DeltaBuffer::add_runs); then drain with
+/// located delta) or [`add_at`](DeltaBuffer::add_at) (one tuple index);
+/// then drain with
 /// [`flush_into`](DeltaBuffer::flush_into) or
 /// [`drain`](DeltaBuffer::drain). The buffer is reusable: a drain resets
 /// it to empty.
@@ -87,9 +86,9 @@ impl DeltaBuffer {
         DeltaBuffer::new()
     }
 
-    /// Marks the start of a new buffered operation (update box, ingest
-    /// chunk). Needed only for the coalescing accounting — deltas added
-    /// before the first `begin_box` count as one implicit operation.
+    /// Marks the start of a new buffered operation (an update box). Needed
+    /// only for the coalescing accounting — deltas added before the first
+    /// `begin_box` count as one implicit operation.
     pub fn begin_box(&mut self) {
         self.runs.begin_op();
     }
@@ -103,13 +102,6 @@ impl DeltaBuffer {
     pub fn add_at(&mut self, map: &impl TilingMap, idx: &[usize], delta: f64) {
         let loc = map.locate(idx);
         self.add(loc.tile, loc.slot, delta);
-    }
-
-    /// Buffers an already-located batch as one operation, its runs in
-    /// their order.
-    pub fn add_runs(&mut self, runs: &TileRuns) {
-        self.begin_box();
-        runs.for_each_run(|tile, run| self.runs.extend(tile, run));
     }
 
     /// Buffers one standard-form update box as one operation and returns
@@ -169,18 +161,21 @@ impl DeltaBuffer {
         (runs, report)
     }
 
-    /// Group-commit flush into any sink: drain, one read-modify-write per
+    /// Group-commit flush into `cs`: drain, one read-modify-write per
     /// dirty tile in ascending block order, then a single pool flush.
     /// Nothing drained means no tile writes, no durability flush and no
     /// flush metrics — a no-op commit must not charge a flush.
-    pub fn flush_into<W: CoeffWrite>(&mut self, sink: &mut W) -> FlushReport {
+    pub fn flush_into<M: TilingMap, S: BlockStore>(
+        &mut self,
+        cs: &mut CoeffStore<M, S>,
+    ) -> FlushReport {
         let mut sw = Stopwatch::start();
         let (runs, report) = self.drain();
         if runs.is_empty() {
             return report;
         }
-        sink.apply_runs(runs.tiles());
-        sink.flush();
+        cs.apply_runs(runs.tiles());
+        cs.flush();
         record_flush_metrics(&report, sw.lap_ns());
         report
     }
@@ -205,7 +200,7 @@ fn record_flush_metrics(report: &FlushReport, flush_ns: u64) {
 mod tests {
     use super::*;
     use ss_core::StandardTiling;
-    use ss_storage::{mem_shared_store, wstore::mem_store, IoStats};
+    use ss_storage::{wstore::mem_store, IoStats};
 
     fn map() -> StandardTiling {
         StandardTiling::cube(2, 4, 2)
@@ -266,10 +261,6 @@ mod tests {
         // `tests/empty_flush.rs`: `maintain.flushes` is process-global and
         // sibling tests here flush.)
         assert_eq!(stats.snapshot().block_writes, 0);
-        // Same into a shared sink.
-        let shared = mem_shared_store(m.clone(), 8, 4, IoStats::default());
-        let report = buf.flush_into(&mut &shared);
-        assert_eq!(report, FlushReport::default());
     }
 
     #[test]
@@ -298,39 +289,5 @@ mod tests {
         assert_eq!(report.tile_touches, 2);
         assert_eq!(report.tiles_written, 1);
         assert_eq!(report.coalescing_ratio(), 2.0);
-    }
-
-    #[test]
-    fn serial_and_sharded_flush_record_identical_coeff_writes() {
-        // Regression: the exclusive flush once charged `add_coeff_writes`
-        // per tile in its loop while the sharded one relied on the store's
-        // apply hooks — an exclusive and a shared sink must account
-        // identically.
-        let m = map();
-        let deltas: Vec<(usize, usize, f64)> = (0..60)
-            .map(|i| ((i * 3) % m.num_tiles(), (i * 7) % 16, 0.25 + i as f64))
-            .collect();
-        let fill = || {
-            let mut buf = DeltaBuffer::new();
-            for chunk in deltas.chunks(6) {
-                buf.begin_box();
-                for &(t, s, v) in chunk {
-                    buf.add(t, s, v);
-                }
-            }
-            buf
-        };
-        let serial_stats = IoStats::default();
-        let mut cs = mem_store(m.clone(), 8, serial_stats.clone());
-        let serial_report = fill().flush_into(&mut cs);
-        let shared_stats = IoStats::default();
-        let shared = mem_shared_store(m.clone(), 8, 4, shared_stats.clone());
-        let shared_report = fill().flush_into(&mut &shared);
-        assert_eq!(serial_report, shared_report);
-        assert_eq!(
-            serial_stats.snapshot().coeff_writes,
-            shared_stats.snapshot().coeff_writes,
-            "coeff-write accounting diverged"
-        );
     }
 }

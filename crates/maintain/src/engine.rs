@@ -1,12 +1,12 @@
-//! Batch drivers over a [`DeltaBuffer`]: group-committed box updates (both
-//! forms) and coalesced ingest — the [`ChunkPipeline`] of `ss-transform`
-//! with the buffer as its staging step.
+//! Batch drivers over a [`DeltaBuffer`]: group-committed box updates in
+//! both forms.
 
 use crate::buffer::{DeltaBuffer, FlushMode, FlushReport};
 use ss_array::NdArray;
+use ss_core::TilingMap;
 use ss_obs::Stopwatch;
-use ss_storage::CoeffWrite;
-use ss_transform::{ChunkPipeline, ChunkSource, UpdateReport};
+use ss_storage::{BlockStore, CoeffStore};
+use ss_transform::UpdateReport;
 
 /// One update box: its origin and its delta values.
 pub type UpdateBox = (Vec<usize>, NdArray<f64>);
@@ -29,9 +29,13 @@ enum BoxForm<'a> {
 
 /// The one batch body: buffers every box's delta stream (the arrival
 /// order defines the replay order), timed as `maintain.buffer_ns` beside
-/// the flush's `maintain.flush_ns`, then group-commits it into `sink`.
-fn update_boxes<W: CoeffWrite>(sink: &mut W, form: BoxForm, boxes: &[UpdateBox]) -> BatchReport {
-    let map = sink.map();
+/// the flush's `maintain.flush_ns`, then group-commits it into `cs`.
+fn update_boxes<M: TilingMap, S: BlockStore>(
+    cs: &mut CoeffStore<M, S>,
+    form: BoxForm,
+    boxes: &[UpdateBox],
+) -> BatchReport {
+    let map = cs.map();
     let mut buf = DeltaBuffer::new();
     let mut update = UpdateReport::default();
     let mut sw = Stopwatch::start();
@@ -48,7 +52,7 @@ fn update_boxes<W: CoeffWrite>(sink: &mut W, form: BoxForm, boxes: &[UpdateBox])
     ss_obs::global()
         .histogram("maintain.buffer_ns")
         .record(sw.lap_ns());
-    let flush = buf.flush_into(sink);
+    let flush = buf.flush_into(cs);
     BatchReport { update, flush }
 }
 
@@ -58,8 +62,8 @@ fn update_boxes<W: CoeffWrite>(sink: &mut W, form: BoxForm, boxes: &[UpdateBox])
 /// applying the boxes one at a time, in the same order, each as a batch
 /// of one — the one way a box update reaches a store. `_mode` is always
 /// [`FlushMode::Exact`], kept for source compatibility.
-pub fn update_boxes_standard<W: CoeffWrite>(
-    cs: &mut W,
+pub fn update_boxes_standard<M: TilingMap, S: BlockStore>(
+    cs: &mut CoeffStore<M, S>,
     n: &[u32],
     boxes: &[UpdateBox],
     _mode: FlushMode,
@@ -70,71 +74,21 @@ pub fn update_boxes_standard<W: CoeffWrite>(
 /// Non-standard-form twin of [`update_boxes_standard`]: the domain is a
 /// `(2^n)^d` hypercube and every dyadic piece is subdivided into aligned
 /// cubes before SHIFT-SPLIT.
-pub fn update_boxes_nonstandard<W: CoeffWrite>(
-    cs: &mut W,
+pub fn update_boxes_nonstandard<M: TilingMap, S: BlockStore>(
+    cs: &mut CoeffStore<M, S>,
     n: u32,
     boxes: &[UpdateBox],
 ) -> BatchReport {
     update_boxes(cs, BoxForm::NonStandard(n), boxes)
 }
 
-/// Outcome of a coalesced ingest run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IngestReport {
-    /// Chunks processed.
-    pub chunks: usize,
-    /// Input cells scanned.
-    pub input_coeffs: u64,
-    /// Group-commit flushes performed.
-    pub flushes: usize,
-    /// Flush totals summed across the run.
-    pub flush: FlushReport,
-}
-
-/// Standard-form out-of-core transform with group-committed writeback:
-/// like [`ss_transform::transform_standard`], but the SHIFT-SPLIT delta
-/// streams of `group` consecutive chunks are buffered tile-major and
-/// flushed together, so split-path tiles shared by a group are written
-/// once per *group* rather than once per chunk. `group == 0` buffers the
-/// whole ingest and flushes once at the end.
-///
-/// The stored transform is bit-identical to the per-chunk driver: each chunk contributes at most one delta per
-/// coefficient, so arrival-ordered replay preserves the per-coefficient
-/// addition sequence.
-pub fn transform_standard_coalesced<W: CoeffWrite>(
-    src: &impl ChunkSource,
-    sink: &mut W,
-    group: usize,
-) -> IngestReport {
-    let pipeline = ChunkPipeline::standard(src);
-    let mut buf = DeltaBuffer::new();
-    let mut report = IngestReport::default();
-    let commit = |buf: &mut DeltaBuffer, sink: &mut W, report: &mut IngestReport| {
-        report.flush.merge(buf.flush_into(sink));
-        report.flushes += 1;
-    };
-    let run = pipeline.run_range(sink, 0..pipeline.chunks(), |sink, batch| {
-        buf.add_runs(batch);
-        report.chunks += 1;
-        if group > 0 && report.chunks % group == 0 {
-            commit(&mut buf, sink, &mut report);
-        }
-    });
-    if !buf.is_empty() {
-        commit(&mut buf, sink, &mut report);
-    }
-    report.input_coeffs = run.input_coeffs;
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ss_array::Shape;
-    use ss_core::{NonStandardTiling, StandardTiling, TilingMap};
+    use ss_core::{NonStandardTiling, StandardTiling};
     use ss_datagen::SplitMix64;
     use ss_storage::{wstore::mem_store, CoeffStore, IoStats};
-    use ss_transform::ArraySource;
 
     fn random_boxes(
         rng: &mut SplitMix64,
@@ -246,49 +200,5 @@ mod tests {
             bw < sw,
             "batched flush should write fewer blocks ({bw} vs {sw})"
         );
-    }
-
-    #[test]
-    fn coalesced_ingest_matches_per_chunk_driver() {
-        let mut rng = SplitMix64::new(99);
-        let data = NdArray::from_fn(Shape::new(&[16, 16]), |_| rng.range(-10.0, 10.0));
-        let src = ArraySource::new(&data, &[2, 2]);
-        let map = StandardTiling::new(&[4, 4], &[2, 2]);
-
-        let mut per_chunk = mem_store(map.clone(), 4, IoStats::default());
-        ss_transform::transform_standard(&src, &mut per_chunk, false);
-        for group in [0usize, 1, 4, 7] {
-            let stats = IoStats::default();
-            let mut coalesced = mem_store(map.clone(), 4, stats.clone());
-            let report = transform_standard_coalesced(&src, &mut coalesced, group);
-            assert_eq!(report.chunks, 16);
-            let expect_flushes = if group == 0 {
-                1
-            } else {
-                16usize.div_ceil(group)
-            };
-            assert_eq!(report.flushes, expect_flushes, "group={group}");
-            assert_stores_identical(&mut per_chunk, &mut coalesced, "ingest");
-        }
-    }
-
-    #[test]
-    fn coalescing_ratio_grows_with_group_size() {
-        let mut rng = SplitMix64::new(5);
-        let data = NdArray::from_fn(Shape::new(&[32, 32]), |_| rng.range(-1.0, 1.0));
-        let src = ArraySource::new(&data, &[2, 2]);
-        let map = StandardTiling::new(&[5, 5], &[2, 2]);
-        let mut prev = 0.0f64;
-        for group in [1usize, 4, 16, 64] {
-            let mut cs = mem_store(map.clone(), 4, IoStats::default());
-            let report = transform_standard_coalesced(&src, &mut cs, group);
-            let ratio = report.flush.coalescing_ratio();
-            assert!(
-                ratio >= prev,
-                "group {group}: ratio {ratio} should not shrink (prev {prev})"
-            );
-            prev = ratio;
-        }
-        assert!(prev > 1.0, "large groups must coalesce ({prev})");
     }
 }

@@ -2,8 +2,8 @@
 //! applied to *batches* of updates).
 //!
 //! A single box update already coalesces its own deltas per tile, but a
-//! workload of many boxes (or a chunked ingest) repeatedly re-reads and
-//! re-writes the tiles near the top of the wavelet tree: every box SPLITs
+//! workload of many boxes repeatedly re-reads and re-writes the tiles near
+//! the top of the wavelet tree: every box SPLITs
 //! into the same `O(log N)` coarse coefficients, so a per-box
 //! read-modify-write cycle pays one block write *per box* for tiles that a
 //! batched scheme would write once. This crate buffers the SHIFT-SPLIT
@@ -26,14 +26,11 @@
 //! * [`DeltaBuffer::flush_into`] — exactly one read-modify-write per dirty
 //!   tile, visited in ascending block order (sequential I/O for
 //!   `FileBlockStore`), followed by a single pool flush (one meta/CRC
-//!   writeback per *flush*, not per box); generic over the
-//!   [`CoeffWrite`](ss_storage::CoeffWrite) sink — an exclusive
-//!   `&mut CoeffStore` or a shared `&SharedCoeffStore` alike,
+//!   writeback per *flush*, not per box) into one exclusive
+//!   `&mut CoeffStore`, through
+//!   [`CoeffStore::apply_runs`](ss_storage::CoeffStore::apply_runs),
 //! * [`engine`] — box-batch fronts ([`update_boxes_standard`],
-//!   [`update_boxes_nonstandard`]) over one batch body, and coalesced
-//!   ingest ([`transform_standard_coalesced`]): the `ss-transform` chunk
-//!   pipeline with the buffer as its staging step, group-committing every
-//!   `group` chunks.
+//!   [`update_boxes_nonstandard`]) over one batch body.
 //!
 //! # Exactness
 //!
@@ -104,9 +101,6 @@ pub mod snapshot;
 pub mod wal;
 
 pub use buffer::{DeltaBuffer, FlushMode, FlushReport};
-pub use engine::{
-    transform_standard_coalesced, update_boxes_nonstandard, update_boxes_standard, BatchReport,
-    IngestReport, UpdateBox,
-};
+pub use engine::{update_boxes_nonstandard, update_boxes_standard, BatchReport, UpdateBox};
 pub use snapshot::{PinnedSnapshot, SnapshotCoeffStore};
 pub use wal::{replay_records, Wal, WalRecord, WalScan, WalTile};

@@ -4,7 +4,7 @@
 
 use ss_core::StandardTiling;
 use ss_maintain::{DeltaBuffer, FlushReport};
-use ss_storage::{mem_shared_store, wstore::mem_store, IoStats};
+use ss_storage::{wstore::mem_store, IoStats};
 
 #[test]
 fn empty_flush_leaves_the_flush_counter_alone() {
@@ -14,8 +14,6 @@ fn empty_flush_leaves_the_flush_counter_alone() {
 
     let mut cs = mem_store(map.clone(), 8, IoStats::default());
     assert_eq!(buf.flush_into(&mut cs), FlushReport::default());
-    let shared = mem_shared_store(map.clone(), 8, 4, IoStats::default());
-    assert_eq!(buf.flush_into(&mut &shared), FlushReport::default());
     assert_eq!(flushes.get(), 0, "empty drains must not count as flushes");
 
     // The counter is live: one real delta, one flush, one count.

@@ -206,7 +206,7 @@ impl Registry {
     /// {
     ///   "schema": "ss-metrics-v1",
     ///   "counters":   {"io.block_reads": 7, ...},
-    ///   "gauges":     {"transform.workers": 4, ...},
+    ///   "gauges":     {"maintain.tiles_dirty": 4, ...},
     ///   "histograms": {
     ///     "storage.block_read_ns": {
     ///       "count": 9, "sum": 1234, "max": 400,
@@ -413,7 +413,7 @@ mod tests {
     fn json_snapshot_has_stable_shape() {
         let r = Registry::new();
         r.counter("io.block_reads").add(7);
-        r.gauge("transform.workers").set(4);
+        r.gauge("maintain.tiles_dirty").set(4);
         r.record_ns("q.ns", 100);
         r.record_ns("q.ns", 3000);
         let v = json::parse(&r.to_json()).unwrap();
@@ -429,7 +429,7 @@ mod tests {
         assert_eq!(
             v.get("gauges")
                 .unwrap()
-                .get("transform.workers")
+                .get("maintain.tiles_dirty")
                 .unwrap()
                 .as_u64(),
             Some(4)

@@ -31,19 +31,16 @@
 //!     [`TilingMap`](ss_core::TilingMap) (subtree tiles or the naive
 //!     row-major baseline),
 //!   * [`SharedCoeffStore`] — *shared*: the block-id space sharded over
-//!     independently locked LRUs (`&self`), used by the parallel z-order
-//!     transform driver, the snapshot store and the query server,
-//! * [`CoeffRead`] / [`CoeffWrite`] — the two capabilities callers are
-//!   generic over, so no algorithm is written twice for the two
-//!   disciplines:
-//!
-//!   | | `CoeffRead` (queries) | `CoeffWrite` (maintenance) |
-//!   |---|---|---|
-//!   | methods | `map`, `read`, `read_at`, `with_tiles` | `map`, `stats`, `with_tile`, `apply_runs`, `flush`, `clear_cache` |
-//!   | exclusive | `CoeffStore` (windowed gather) | `CoeffStore` (windowed, one pool touch per tile) |
-//!   | shared | `&SharedCoeffStore` | `&SharedCoeffStore` (one shard lock per tile) |
-//!   | generic callers | every `ss-query` plan, batch and reconstruction | the `ss-transform` chunk pipeline, `DeltaBuffer::flush_into`, the `ss-maintain` batch fronts |
-//!
+//!     independently locked LRUs (`&self`), used by the snapshot store
+//!     and the query server,
+//! * [`CoeffRead`] — the read capability every query is generic over, so
+//!   no query is written twice for the two disciplines: `CoeffStore`
+//!   (windowed gather) and `&SharedCoeffStore` both implement `map`,
+//!   `read`, `read_at` and `with_tiles`. Writes have one writer: every
+//!   transform, ingest, append and batch update folds its deltas into an
+//!   exclusive `CoeffStore` through [`CoeffStore::apply_runs`] (one pool
+//!   touch per tile); the shared store takes whole tiles
+//!   ([`SharedCoeffStore::overwrite_tile`], the checkpoint and WAL replay),
 //! * [`WsFile`] — the persistent `.ws` store format (blocks file, `.crc`
 //!   checksum sidecar, `.meta` text header — see `docs/FORMAT.md`), with
 //!   crash-safe metadata updates and a full-file scrub
@@ -96,6 +93,5 @@ pub use mem::MemBlockStore;
 pub use read::CoeffRead;
 pub use shard::{mem_shared_store, ShardCounters, ShardedBufferPool, SharedCoeffStore};
 pub use stats::{IoSnapshot, IoStats};
-pub use write::CoeffWrite;
 pub use wsfile::{convert_to_v3, Meta, V3ConvertReport, WsFile, FORMAT_VERSION, V3_FORMAT_VERSION};
 pub use wstore::CoeffStore;

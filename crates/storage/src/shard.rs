@@ -352,8 +352,8 @@ impl Drop for BusyGuard<'_> {
 /// Raises a failed transfer as the typed panic the infallible
 /// [`BlockStore`] face uses. Call it only *after* the store guard is
 /// released: a panic under the guard would poison the store lock, and
-/// every other worker would then die of a `PoisonError` that masks the
-/// typed [`StorageError`] the fallible fronts recover.
+/// every other thread would then die of a `PoisonError` that masks the
+/// typed [`StorageError`] its caller recovers.
 fn raise(e: StorageError) -> ! {
     std::panic::panic_any(e)
 }
@@ -430,9 +430,8 @@ pub struct ShardedBufferPool<S: BlockStore> {
     block_capacity: usize,
     stats: IoStats,
     // Global-registry handles resolved once: wait time of *contended*
-    // acquisitions of the shard locks and of the backing-store lock.
-    // Under the parallel drivers these are the contention signal the
-    // workers report.
+    // acquisitions of the shard locks and of the backing-store lock:
+    // the contention signal of concurrent readers and the writer.
     shard_wait_ns: Histogram,
     store_wait_ns: Histogram,
 }
@@ -669,8 +668,7 @@ impl<S: BlockStore> ShardedBufferPool<S> {
     }
 
     /// Runs `f` over the whole cached block `id` under a single shard
-    /// lock (marking it dirty when `mutate` is true). This is how the
-    /// parallel drivers apply a chunk's per-tile delta batches: one lock
+    /// lock (marking it dirty when `mutate` is true): one lock
     /// acquisition per tile, not per coefficient. Store I/O for a miss or
     /// an eviction write-back happens *outside* the shard lock (see the
     /// module docs); only the in-memory closure runs under it.
@@ -887,9 +885,9 @@ impl<S: BlockStore> ShardedBufferPool<S> {
 
 /// Wavelet coefficients mapped onto a [`ShardedBufferPool`] through a
 /// [`TilingMap`] — the shared (`&self`) entry discipline, handed by
-/// reference to the worker threads of the parallel transform drivers and
-/// of the query server. [`CoeffStore`](crate::CoeffStore) is the same
-/// thing with one shard and one owner.
+/// reference to the threads of the query server and the snapshot store.
+/// [`CoeffStore`](crate::CoeffStore) is the same thing with one shard and
+/// one owner.
 pub struct SharedCoeffStore<M: TilingMap, S: BlockStore> {
     map: M,
     pool: ShardedBufferPool<S>,
@@ -1316,8 +1314,8 @@ mod tests {
     fn failed_transfer_does_not_poison_the_store_lock() {
         // Regression: a miss read that failed panicked while holding the
         // store lock, so every later access died of a `PoisonError` that
-        // masked the typed error — a parallel driver then surfaced
-        // whichever payload its first-joined worker happened to carry.
+        // masked the typed error — a multi-threaded caller then surfaced
+        // whichever payload its first thread happened to carry.
         let stats = IoStats::new();
         let dead = DeadReads(MemBlockStore::new(4, 8, stats.clone()));
         let p = ShardedBufferPool::new(dead, 4, 2, stats);

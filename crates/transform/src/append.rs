@@ -30,7 +30,7 @@ use ss_array::NdArray;
 use ss_core::runs::TileRuns;
 use ss_core::tiling::StandardTiling;
 use ss_core::TilingMap;
-use ss_storage::{BlockStore, CoeffStore, CoeffWrite, IoStats};
+use ss_storage::{BlockStore, CoeffStore, IoStats};
 
 /// Maintains a standard-form transform under appends along one axis.
 ///

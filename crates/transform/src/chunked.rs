@@ -9,7 +9,7 @@
 //! storage; the z-order front ([`transform_nonstandard_zorder`]) adds the
 //! crest cache of Result 2.
 
-use crate::pipeline::{apply, completed_levels, cubic_levels, ChunkPipeline, TransformReport};
+use crate::pipeline::{completed_levels, cubic_levels, ChunkPipeline, TransformReport};
 use crate::source::ChunkSource;
 use ss_array::{MultiIndexIter, NdArray, Shape};
 use ss_core::runs::TileRuns;
@@ -137,7 +137,7 @@ pub fn transform_nonstandard_zorder_scalings<S: BlockStore>(
             acc[(open - 1) as usize] += carry;
         }
     };
-    let report = pipeline.walk(cs, 0..pipeline.chunks(), fill, apply);
+    let report = pipeline.walk(cs, fill);
     cs.flush();
     report
 }

@@ -10,8 +10,7 @@
 //!   dataset far larger than memory by transforming each chunk in memory and
 //!   folding its SHIFT-SPLIT delta stream into tiled storage — one
 //!   [`pipeline`] ([`ChunkPipeline`]) behind every `transform_*` front,
-//!   [`par`] running the z-order schedule per worker range and
-//!   [`fallible`] turning its storage panics into typed errors,
+//!   one writer into one exclusive `CoeffStore`,
 //! * [`vitter`] — the Vitter-et-al.-style baseline: dimension-by-dimension
 //!   external 1-d transforms over row-major block storage,
 //! * [`append`] — **Section 5.2**: appending new data to an existing
@@ -30,8 +29,6 @@
 pub mod append;
 pub mod chain;
 pub mod chunked;
-pub mod fallible;
-pub mod par;
 pub mod pipeline;
 pub mod source;
 pub mod update;
@@ -43,8 +40,6 @@ pub use chunked::{
     transform_nonstandard, transform_nonstandard_zorder, transform_nonstandard_zorder_scalings,
     transform_standard, transform_standard_sparse,
 };
-pub use fallible::try_transform;
-pub use par::transform_nonstandard_parallel;
 pub use pipeline::{ChunkPipeline, TransformReport};
 pub use source::{ArraySource, ChunkSource, FnSource};
 pub use update::{

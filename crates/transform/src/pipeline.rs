@@ -6,21 +6,20 @@
 //! in [`ChunkPipeline`]:
 //!
 //! ```text
-//! schedule ─▶ read_chunk + charge_input ─▶ forward(form) ─▶ deltas(form) ─▶ [crest] ─▶ stage ─▶ sink
+//! schedule ─▶ read_chunk + charge_input ─▶ forward(form) ─▶ deltas(form) ─▶ [crest] ─▶ apply_runs
 //!  row-major │ z-order        read_ns            compute_ns                      writeback_ns
 //! ```
 //!
 //! The standard and non-standard forms differ only in the in-memory
 //! forward pass and the delta emitter; the schedule is the row-major chunk
-//! grid or a z-order rank range; the sink is any [`CoeffWrite`] (serial
-//! `CoeffStore` or `&SharedCoeffStore`). A chunk's deltas fill one
-//! [`TileRuns`] batch, grouped by tile; the stage is `sink.apply_runs`
-//! or a caller's buffer (the group commit of `ss-maintain`). The z-order
-//! schedule adds the *crest cache* of Result 2: split contributions
-//! accumulate in a small in-memory map and join a chunk's batch exactly
-//! once, when the walk completes the quad-tree node they belong to —
-//! bounding both extra memory (`(2^d − 1)·log(N/M) + 1` entries) and I/O
-//! (`O(N^d/B^d)` blocks total).
+//! grid or the z-order walk; the sink is one exclusive [`CoeffStore`]. A
+//! chunk's deltas fill one [`TileRuns`] batch, grouped by tile, and
+//! [`CoeffStore::apply_runs`] folds it in, one pool access per tile. The
+//! z-order schedule adds the *crest cache* of Result 2: split
+//! contributions accumulate in a small in-memory map and join a chunk's
+//! batch exactly once, when the walk completes the quad-tree node they
+//! belong to — bounding both extra memory (`(2^d − 1)·log(N/M) + 1`
+//! entries) and I/O (`O(N^d/B^d)` blocks total).
 
 use crate::source::ChunkSource;
 use ss_array::{morton_decode, DyadicInterval, NdArray, Shape};
@@ -28,9 +27,8 @@ use ss_core::nonstandard::{coeff_at, index_of, NsCoeff};
 use ss_core::runs::TileRuns;
 use ss_core::TilingMap;
 use ss_obs::Stopwatch;
-use ss_storage::{CoeffWrite, IoStats};
+use ss_storage::{BlockStore, CoeffStore, IoStats};
 use std::collections::HashMap;
-use std::ops::Range;
 
 /// Statistics of one out-of-core transform run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -39,18 +37,8 @@ pub struct TransformReport {
     pub chunks: usize,
     /// Input cells scanned (each charged as a coefficient read).
     pub input_coeffs: u64,
-    /// Peak size of the crest cache (z-order schedule only; the maximum
-    /// over workers for a parallel run).
+    /// Peak size of the crest cache (z-order schedule only).
     pub peak_crest_cache: usize,
-}
-
-impl TransformReport {
-    /// Folds another worker range's report into this one.
-    pub fn merge(&mut self, other: TransformReport) {
-        self.chunks += other.chunks;
-        self.input_coeffs += other.input_coeffs;
-        self.peak_crest_cache = self.peak_crest_cache.max(other.peak_crest_cache);
-    }
 }
 
 /// Charges the input scan of one chunk to `stats`: every cell is a
@@ -78,11 +66,8 @@ pub(crate) fn completed_levels(d: usize, grid_bits: u32, rank: usize) -> impl It
 /// The crest cache of Result 2: SPLIT contributions (levels above the
 /// chunk level `m`, and the overall average) never touch the store while
 /// "hot". A node's `2^d − 1` details join the batch of the chunk whose
-/// walk leaves its subtree; whatever remains at the end of a rank range
-/// (subtrees extending past it, the overall average) drains sorted into
-/// the range's last batch. When a subtree started before the range the
-/// cached value is a partial sum — writing it is still correct (folds
-/// commute) and keeps the cache within its bound.
+/// walk leaves its subtree; whatever remains at the end of the walk (the
+/// overall average) drains sorted into the last chunk's batch.
 struct Crest {
     d: usize,
     n: u32,
@@ -140,7 +125,7 @@ impl Crest {
 }
 
 /// The chunk pipeline: a source, a form, a schedule and the per-chunk
-/// options, run over any [`CoeffWrite`] sink. See the module docs.
+/// options, run into one [`CoeffStore`]. See the module docs.
 pub struct ChunkPipeline<'a, Src> {
     src: &'a Src,
     form: Form,
@@ -150,9 +135,9 @@ pub struct ChunkPipeline<'a, Src> {
     zorder: Option<(u32, u32)>,
     /// All-zero chunks are absent from a sparse chunk directory: skipped
     /// without charging their input scan. Standard form only: the z-order
-    /// crest drains into a range's last chunk, which must not be skipped.
+    /// crest drains into the last chunk, which must not be skipped.
     pub(crate) skip_zero_chunks: bool,
-    /// Clear the sink's cache after every chunk, so the measured I/O
+    /// Clear the store's cache after every chunk, so the measured I/O
     /// matches the paper's per-chunk analysis (no cross-chunk tile reuse).
     pub(crate) cold_cache_per_chunk: bool,
 }
@@ -194,41 +179,27 @@ impl<'a, Src: ChunkSource> ChunkPipeline<'a, Src> {
         self.grid.len()
     }
 
-    /// Runs the whole schedule into `sink`, then flushes it.
-    pub fn run<W: CoeffWrite>(&self, sink: &mut W) -> TransformReport {
-        let report = self.run_range(sink, 0..self.chunks(), apply);
-        sink.flush();
+    /// Runs the whole schedule into `cs`, then flushes it.
+    pub fn run<M: TilingMap, S: BlockStore>(&self, cs: &mut CoeffStore<M, S>) -> TransformReport {
+        let report = self.walk(cs, |_, _, _, _, _| {});
+        cs.flush();
         report
     }
 
-    /// Runs the schedule positions in `range` into `sink` without a final
-    /// flush. `stage` receives each chunk's delta batch grouped by tile —
-    /// `CoeffWrite::apply_runs` folds it straight into the sink, a
-    /// group-commit driver copies it into its own buffer — and the batch
-    /// is emptied after.
-    pub fn run_range<W: CoeffWrite>(
+    /// The per-chunk step, written once: every chunk of the schedule, its
+    /// grouped batch folded into `cs` by [`CoeffStore::apply_runs`].
+    /// `extra` sees each raw chunk (with its grid position and schedule
+    /// rank) before the forward pass and may add tile-slot writes of its
+    /// own to the batch.
+    pub(crate) fn walk<M: TilingMap, S: BlockStore>(
         &self,
-        sink: &mut W,
-        range: Range<usize>,
-        stage: impl FnMut(&mut W, &TileRuns),
-    ) -> TransformReport {
-        self.walk(sink, range, |_, _, _, _, _| {}, stage)
-    }
-
-    /// The per-chunk step, written once. `extra` sees each raw chunk (with
-    /// its grid position and schedule rank) before the forward pass and
-    /// may add tile-slot writes of its own to the batch.
-    pub(crate) fn walk<W: CoeffWrite>(
-        &self,
-        sink: &mut W,
-        range: Range<usize>,
-        mut extra: impl FnMut(&NdArray<f64>, &[usize], usize, &W::Map, &mut TileRuns),
-        mut stage: impl FnMut(&mut W, &TileRuns),
+        cs: &mut CoeffStore<M, S>,
+        mut extra: impl FnMut(&NdArray<f64>, &[usize], usize, &M, &mut TileRuns),
     ) -> TransformReport {
         // One sample per chunk per phase, whatever front ran the pipeline.
         let [read_ns, compute_ns, writeback_ns] = ["read_ns", "compute_ns", "writeback_ns"]
             .map(|phase| ss_obs::global().histogram(&format!("transform.{phase}")));
-        let block_capacity = sink.map().block_capacity();
+        let block_capacity = cs.map().block_capacity();
         let d = self.grid.ndim();
         let mut crest = self.zorder.map(|(n, m)| Crest {
             d,
@@ -239,8 +210,8 @@ impl<'a, Src: ChunkSource> ChunkPipeline<'a, Src> {
         let mut report = TransformReport::default();
         let mut batch = TileRuns::default();
         let mut block = vec![0usize; d];
-        let end = range.end;
-        for rank in range {
+        let end = self.chunks();
+        for rank in 0..end {
             let mut sw = Stopwatch::start();
             match self.zorder {
                 Some((n, m)) => morton_decode(rank, n - m, &mut block),
@@ -250,9 +221,9 @@ impl<'a, Src: ChunkSource> ChunkPipeline<'a, Src> {
             if self.skip_zero_chunks && chunk.as_slice().iter().all(|&v| v == 0.0) {
                 continue;
             }
-            charge_input(sink.stats(), chunk.len(), block_capacity);
+            charge_input(cs.stats(), chunk.len(), block_capacity);
             read_ns.record(sw.lap_ns());
-            let map = sink.map();
+            let map = cs.map();
             extra(&chunk, &block, rank, map, &mut batch);
             let mut add_at = |idx: &[usize], delta: f64| {
                 let loc = map.locate(idx);
@@ -292,23 +263,17 @@ impl<'a, Src: ChunkSource> ChunkPipeline<'a, Src> {
             }
             compute_ns.record(sw.lap_ns());
             batch.group();
-            stage(sink, &batch);
+            cs.apply_runs(batch.tiles());
             batch.clear();
             writeback_ns.record(sw.lap_ns());
             if self.cold_cache_per_chunk {
-                sink.clear_cache();
+                cs.clear_cache();
             }
             report.chunks += 1;
             report.input_coeffs += chunk.len() as u64;
         }
         report
     }
-}
-
-/// The direct stage: a chunk's grouped batch folded into the sink, one
-/// pool access per tile.
-pub(crate) fn apply<W: CoeffWrite>(sink: &mut W, batch: &TileRuns) {
-    sink.apply_runs(batch.tiles());
 }
 
 /// A transformed chunk at `block` as the located emitter's segments: one

@@ -9,7 +9,7 @@ use shiftsplit::array::{NdArray, Shape};
 use shiftsplit::core::runs::TileRuns;
 use shiftsplit::core::tiling::StandardTiling;
 use shiftsplit::core::{haar1d, standard, TilingMap};
-use shiftsplit::storage::{wstore::mem_store, CoeffWrite, IoStats};
+use shiftsplit::storage::{wstore::mem_store, IoStats};
 use shiftsplit::{query, transform};
 
 fn main() {

@@ -1,41 +1,36 @@
 //! The delta pipeline's contract, as one matrix.
 //!
-//! Every transform / ingest front is the same `ChunkPipeline` over a
-//! `CoeffWrite` sink, so for sink ∈ {`CoeffStore`, `&SharedCoeffStore`
-//! with 1 and 4 shards} the stored tiles must match the serial per-chunk
-//! front:
+//! Every transform / ingest front is the same `ChunkPipeline` run by one
+//! writer into one `CoeffStore`, so for pool ∈ {1 frame, 4 frames, the
+//! whole store} the stored tiles must be **`to_bits`-identical** to the
+//! front's own on a roomy pool — a pool decides what a touch costs, never
+//! what a coefficient holds:
 //!
-//! * standard form, × grouping ∈ {per-chunk, 4, whole-ingest}:
-//!   **`to_bits`-identical** — one writer, and coalesced
-//!   `FlushMode::Exact` replays in arrival order at any group size;
-//! * non-standard z-order, × workers ∈ {1, 3, 8} on the shared sinks:
-//!   `to_bits`-identical with one worker, **within 1e-9** with several,
-//!   whose cross-worker fold order is not deterministic.
+//! * standard form, × cold cache per chunk ∈ {off, on};
+//! * non-standard z-order (whose crest cache keeps the Result 2 bound),
+//!   beside the row-major non-standard front, which folds the same
+//!   deltas in another order and so matches **within 1e-9**.
 //!
 //! Alongside: the serial fronts' `IoSnapshot`s are pinned to constants
 //! captured from the commit *before* the drivers were collapsed into the
-//! pipeline; every worker's crest cache keeps the Result 2 bound; every
-//! front records one phase-histogram sample per chunk; and a device whose
-//! every read fails (the test-support fault device) surfaces as a typed
-//! `StorageError` through every front.
+//! pipeline; every front records one phase-histogram sample per chunk;
+//! and a device whose every read fails (the test-support fault device)
+//! surfaces as a typed `StorageError` through every front.
 
 use shiftsplit::array::{MultiIndexIter, NdArray, Shape};
 use shiftsplit::core::tiling::{NonStandardTiling, StandardTiling};
 use shiftsplit::core::TilingMap;
 use shiftsplit::datagen::SplitMix64;
-use shiftsplit::maintain::{
-    transform_standard_coalesced, update_boxes_nonstandard, update_boxes_standard, FlushMode,
-    UpdateBox,
-};
+use shiftsplit::maintain::{update_boxes_nonstandard, update_boxes_standard, FlushMode, UpdateBox};
 use shiftsplit::storage::{
-    mem_shared_store, wstore::mem_store, CoeffRead, CoeffStore, IoSnapshot, IoStats, MemBlockStore,
-    SharedCoeffStore, StorageError,
+    downcast_storage_error, wstore::mem_store, CoeffRead, CoeffStore, IoSnapshot, IoStats,
+    MemBlockStore, StorageError,
 };
 use shiftsplit::transform::{
-    transform_nonstandard, transform_nonstandard_parallel, transform_nonstandard_zorder,
-    transform_nonstandard_zorder_scalings, transform_standard, transform_standard_sparse,
-    try_transform, Appender, ArraySource, ChunkPipeline, TransformReport,
+    transform_nonstandard, transform_nonstandard_zorder, transform_nonstandard_zorder_scalings,
+    transform_standard, transform_standard_sparse, Appender, ArraySource, TransformReport,
 };
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 #[allow(dead_code)]
@@ -105,43 +100,10 @@ fn assert_slots(got: &[f64], want: &[f64], exact: bool, cell: &str) {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Sink {
-    Serial,
-    Shared { shards: usize },
-}
-
-const SINKS: [Sink; 3] = [
-    Sink::Serial,
-    Sink::Shared { shards: 1 },
-    Sink::Shared { shards: 4 },
-];
-const WORKERS: [usize; 3] = [1, 3, 8];
-/// `None` = per-chunk; `Some(g)` = group commit every `g` chunks (0 = once).
-const GROUPINGS: [Option<usize>; 3] = [None, Some(4), Some(0)];
+/// Pool budgets of the matrix: one frame (every tile a chunk touches
+/// after another is a miss), a few, and room for every tile.
+const POOLS: [usize; 3] = [1, 4, MATRIX_POOL];
 const MATRIX_POOL: usize = 64;
-
-/// Runs one cell of the matrix: `serial` on an exclusive store, `shared`
-/// on a sharded one.
-fn run_cell<M: TilingMap + Clone>(
-    map: &M,
-    sink: Sink,
-    serial: impl FnOnce(&mut CoeffStore<M, MemBlockStore>),
-    shared: impl FnOnce(&SharedCoeffStore<M, MemBlockStore>),
-) -> Vec<f64> {
-    match sink {
-        Sink::Serial => {
-            let mut cs = mem_store(map.clone(), MATRIX_POOL, IoStats::new());
-            serial(&mut cs);
-            slots(&mut cs)
-        }
-        Sink::Shared { shards } => {
-            let cs = mem_shared_store(map.clone(), MATRIX_POOL, shards, IoStats::new());
-            shared(&cs);
-            slots(&mut &cs)
-        }
-    }
-}
 
 #[test]
 fn standard_matrix_matches_the_serial_per_chunk_front() {
@@ -156,30 +118,12 @@ fn standard_matrix_matches_the_serial_per_chunk_front() {
             transform_standard(&src, &mut cs, false);
             slots(&mut cs)
         };
-        for sink in SINKS {
-            for grouping in GROUPINGS {
-                let got = run_cell(
-                    &map,
-                    sink,
-                    |cs| match grouping {
-                        None => {
-                            transform_standard(&src, cs, false);
-                        }
-                        Some(g) => {
-                            transform_standard_coalesced(&src, cs, g);
-                        }
-                    },
-                    |cs| match grouping {
-                        None => {
-                            ChunkPipeline::standard(&src).run(&mut &*cs);
-                        }
-                        Some(g) => {
-                            transform_standard_coalesced(&src, &mut &*cs, g);
-                        }
-                    },
-                );
-                let cell = format!("{levels:?} {sink:?} group={grouping:?}");
-                assert_slots(&got, &want, true, &cell);
+        for pool in POOLS {
+            for cold in [false, true] {
+                let mut cs = mem_store(map.clone(), pool, IoStats::new());
+                transform_standard(&src, &mut cs, cold);
+                let cell = format!("{levels:?} pool={pool} cold={cold}");
+                assert_slots(&slots(&mut cs), &want, true, &cell);
             }
         }
     }
@@ -208,29 +152,20 @@ fn nonstandard_matrix_matches_the_serial_zorder_front() {
             check(transform_nonstandard_zorder(&src, &mut cs), "reference");
             slots(&mut cs)
         };
-        for sink in SINKS {
-            // The exclusive store has one writer; the shared ones take
-            // every worker count.
-            let workers: &[usize] = match sink {
-                Sink::Serial => &[1],
-                Sink::Shared { .. } => &WORKERS,
-            };
-            for &workers in workers {
-                let cell = format!("d={d} {sink:?} workers={workers}");
-                let got = run_cell(
-                    &map,
-                    sink,
-                    |cs| check(transform_nonstandard_zorder(&src, cs), &cell),
-                    // `peak_crest_cache` is the maximum over workers, so
-                    // the bound holds for every worker.
-                    |cs| check(transform_nonstandard_parallel(&src, cs, workers), &cell),
-                );
-                assert_slots(&got, &want, workers == 1, &cell);
-            }
+        for pool in POOLS {
+            let cell = format!("d={d} pool={pool}");
+            let mut cs = mem_store(map.clone(), pool, IoStats::new());
+            check(transform_nonstandard_zorder(&src, &mut cs), &cell);
+            assert_slots(&slots(&mut cs), &want, true, &cell);
+            let mut row_major = mem_store(map.clone(), pool, IoStats::new());
+            transform_nonstandard(&src, &mut row_major, false);
+            assert_slots(
+                &slots(&mut row_major),
+                &want,
+                false,
+                &format!("{cell} row-major"),
+            );
         }
-        let shared = mem_shared_store(map.clone(), MATRIX_POOL, 4, IoStats::new());
-        check(ChunkPipeline::zorder(&src).run(&mut &shared), "pipeline");
-        assert_slots(&slots(&mut &shared), &want, true, "pipeline on shared sink");
     }
 }
 
@@ -267,21 +202,20 @@ fn serial_fronts_io_is_pinned_to_the_parent_commit() {
     // write-back counts may not move.
     //
     // Re-captured when the chunk batch became a `TileRuns` arena applied
-    // through `CoeffWrite::apply_runs`: a batch takes one pool access per
+    // through `apply_runs`: a batch takes one pool access per
     // (batch, tile) instead of one per delta, so on every row that went
     // through the old per-delta `apply_batch` the hits fall by exactly
     // Σ over batches of (deltas − tiles) — hits = (batch, tile) pairs −
-    // misses — and nothing else moves. The group-commit rows already took
-    // one access per tile and keep their hits. The parent's row is kept
-    // beside each changed one.
+    // misses — and nothing else moves. The parent's row is kept beside
+    // each changed one.
     //
     // Re-captured when a block the store never wrote stopped costing a
     // read: it holds zeros, so the pool's load of it is no transfer. Only
     // `block_reads` moved, on every row by exactly its loads of
     // never-written tiles (on a fresh store, each tile's first load), so
     // `block_reads` = input scan + misses on written tiles. In row order
-    // it was 1280, 1280, 2176, 320, 1280, 960, 697, 577, 532, 8777, 532,
-    // 150, 56 and 413 before; the per-row notes below predate that.
+    // it was 1280, 1280, 2176, 320, 577, 532, 8777, 532, 150, 56 and 413
+    // before; the per-row notes below predate that.
     let _turn = exclusive();
     let sq = noisy(&[64, 64], 11);
     let rect = noisy(&[32, 128], 23);
@@ -313,24 +247,6 @@ fn serial_fronts_io_is_pinned_to_the_parent_commit() {
             "standard_sparse/sq",
             io_of(sq_map(), |cs| {
                 transform_standard_sparse(&ArraySource::new(&sparse, &[3, 3]), cs);
-            }),
-        ),
-        (
-            "coalesced/sq/group=1",
-            io_of(sq_map(), |cs| {
-                transform_standard_coalesced(&sq3, cs, 1);
-            }),
-        ),
-        (
-            "coalesced/sq/group=4",
-            io_of(sq_map(), |cs| {
-                transform_standard_coalesced(&sq3, cs, 4);
-            }),
-        ),
-        (
-            "coalesced/sq/group=0",
-            io_of(sq_map(), |cs| {
-                transform_standard_coalesced(&sq3, cs, 0);
             }),
         ),
         (
@@ -383,7 +299,7 @@ fn serial_fronts_io_is_pinned_to_the_parent_commit() {
             counters(stats.snapshot())
         }),
     ];
-    let pinned: [(&str, [u64; 8]); 14] = [
+    let pinned: [(&str, [u64; 8]); 11] = [
         // [1280, 1024, 4096, 7744, 6720, 1024, 1016, 1024] before.
         (
             "standard/sq/cold=false",
@@ -403,18 +319,6 @@ fn serial_fronts_io_is_pinned_to_the_parent_commit() {
         (
             "standard_sparse/sq",
             [194, 256, 1024, 1936, 0, 256, 248, 256],
-        ),
-        (
-            "coalesced/sq/group=1",
-            [839, 1024, 4096, 7744, 0, 1024, 1016, 1024],
-        ),
-        (
-            "coalesced/sq/group=4",
-            [519, 704, 4096, 7744, 0, 704, 696, 704],
-        ),
-        (
-            "coalesced/sq/group=0",
-            [256, 441, 4096, 7744, 0, 441, 433, 441],
         ),
         // [577, 321, 4096, 7168, 6847, 321, 313, 321] before.
         ("nonstandard/sq", [304, 321, 4096, 7168, 447, 321, 313, 321]),
@@ -485,7 +389,6 @@ fn every_front_records_one_sample_per_chunk_per_phase() {
     let ns_map = || NonStandardTiling::new(2, 6, 2);
     let std_store = || mem_store(std_map(), MATRIX_POOL, IoStats::new());
     let ns_store = || mem_store(ns_map(), MATRIX_POOL, IoStats::new());
-    let ns_shared = || mem_shared_store(ns_map(), MATRIX_POOL, 4, IoStats::new());
 
     type Front<'a> = (&'a str, usize, Box<dyn FnOnce() -> usize + 'a>);
     let fronts: Vec<Front> = vec![
@@ -514,16 +417,6 @@ fn every_front_records_one_sample_per_chunk_per_phase() {
             256,
             Box::new(|| transform_nonstandard_zorder_scalings(&ns_src, &mut ns_store()).chunks),
         ),
-        (
-            "transform_nonstandard_parallel",
-            256,
-            Box::new(|| transform_nonstandard_parallel(&ns_src, &ns_shared(), 3).chunks),
-        ),
-        (
-            "transform_standard_coalesced",
-            64,
-            Box::new(|| transform_standard_coalesced(&std_src, &mut std_store(), 4).chunks),
-        ),
     ];
     let phases = ["read_ns", "compute_ns", "writeback_ns"]
         .map(|p| ss_obs::global().histogram(&format!("transform.{p}")));
@@ -548,12 +441,6 @@ type Device<'a> = &'a dyn Fn(usize, usize) -> Faulty;
 fn serial_on<M: TilingMap>(map: M, device: Device) -> CoeffStore<M, Faulty> {
     let store = device(map.block_capacity(), map.num_tiles());
     CoeffStore::new(map, store, 4, IoStats::new())
-}
-
-/// A 2-shard shared store on `device`, with a 4-frame pool.
-fn shared_on<M: TilingMap>(map: M, device: Device) -> SharedCoeffStore<M, Faulty> {
-    let store = device(map.block_capacity(), map.num_tiles());
-    SharedCoeffStore::new(map, store, 4, 2, IoStats::new())
 }
 
 /// A front's name and its run: a fresh store on the device, the front,
@@ -609,22 +496,6 @@ fn device_fronts<'a>(sq: &'a NdArray<f64>, upd: &'a [UpdateBox]) -> Vec<Front<'a
             }),
         ),
         (
-            "transform_nonstandard_parallel",
-            Box::new(move |dev| {
-                let cs = shared_on(ns_map(), dev);
-                transform_nonstandard_parallel(&ns_src(), &cs, 3);
-                slots(&mut &cs)
-            }),
-        ),
-        (
-            "transform_standard_coalesced",
-            Box::new(move |dev| {
-                let mut cs = serial_on(std_map(), dev);
-                transform_standard_coalesced(&std_src(), &mut cs, 4);
-                slots(&mut cs)
-            }),
-        ),
-        (
             "update_boxes_standard",
             Box::new(move |dev| {
                 let mut cs = serial_on(std_map(), dev);
@@ -674,7 +545,10 @@ fn a_dead_device_is_a_typed_error_through_every_front() {
     let outcomes: Vec<_> = quietly(|| {
         device_fronts(&sq, &upd)
             .into_iter()
-            .map(|(name, run)| (name, try_transform(|| run(&dead))))
+            .map(|(name, run)| {
+                let outcome = catch_unwind(AssertUnwindSafe(|| run(&dead)));
+                (name, outcome.map_err(downcast_storage_error))
+            })
             .collect()
     });
     for (name, outcome) in outcomes {

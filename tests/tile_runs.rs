@@ -17,10 +17,10 @@
 //!   tile, for a chunk and for a box alike, so `group()` moves nothing,
 //!   and no run for a tile that receives nothing,
 //! * through a `DeltaBuffer` (same drained lists, same `FlushReport`;
-//!   deferred boxes interleaved with `add_runs` and
-//!   `add_at` operations store the bits the index-space oracle stores,
-//!   through `flush_into` into an exclusive and a shared sink, with the same
-//!   `IoSnapshot`) and through `update_boxes_standard` on a product map
+//!   deferred boxes interleaved with `add_at` operations store the bits
+//!   the index-space oracle stores, through `flush_into` into one
+//!   exclusive store, with the same `IoSnapshot`) and through
+//!   `update_boxes_standard` on a product map
 //!   and on a map that is not one (`NaiveMap` keeps the per-coefficient
 //!   path).
 //!
@@ -39,7 +39,7 @@ use shiftsplit::core::tiling::{NaiveMap, StandardTiling, Tiling1d};
 use shiftsplit::core::TilingMap;
 use shiftsplit::datagen::SplitMix64;
 use shiftsplit::maintain::{update_boxes_standard, DeltaBuffer, FlushMode, FlushReport, UpdateBox};
-use shiftsplit::storage::{mem_shared_store, wstore::mem_store, CoeffWrite, IoSnapshot, IoStats};
+use shiftsplit::storage::{wstore::mem_store, CoeffStore, IoSnapshot, IoStats, MemBlockStore};
 use shiftsplit::transform::{box_runs_standard, for_each_box_delta_standard, UpdateReport};
 use std::collections::HashMap;
 
@@ -452,37 +452,24 @@ fn random_tiling(rng: &mut SplitMix64, d: usize) -> StandardTiling {
 /// One buffered operation of a mixed batch.
 enum BatchOp {
     Box(UpdateBox),
-    Runs(TileRuns),
     At(Vec<(Vec<usize>, f64)>),
 }
 
-/// Boxes (dense and sparse) interleaved with already-located `add_runs`
-/// batches and `add_at` operations.
-fn mixed_ops(rng: &mut SplitMix64, map: &StandardTiling, n: &[u32]) -> Vec<BatchOp> {
-    let (tiles, capacity) = (map.num_tiles(), map.block_capacity());
+/// Boxes (dense and sparse) interleaved with `add_at` operations.
+fn mixed_ops(rng: &mut SplitMix64, n: &[u32]) -> Vec<BatchOp> {
     let mut boxes = boxes(rng, n, 6);
     boxes.extend(sparse_boxes(rng, n, 6));
     let mut out = Vec::new();
     for (k, one) in boxes.into_iter().enumerate() {
         out.push(BatchOp::Box(one));
-        match k % 3 {
-            0 => {
-                let mut runs = TileRuns::default();
-                for _ in 0..1 + rng.below(6) {
-                    runs.push(rng.below(tiles), rng.below(capacity), rng.range(-2.0, 2.0));
-                }
-                out.push(BatchOp::Runs(runs));
-            }
-            1 => {
-                let ops = (0..1 + rng.below(4))
-                    .map(|_| {
-                        let idx = n.iter().map(|&nt| rng.below(1 << nt)).collect();
-                        (idx, rng.range(-2.0, 2.0))
-                    })
-                    .collect();
-                out.push(BatchOp::At(ops));
-            }
-            _ => {}
+        if k % 3 == 1 {
+            let ops = (0..1 + rng.below(4))
+                .map(|_| {
+                    let idx = n.iter().map(|&nt| rng.below(1 << nt)).collect();
+                    (idx, rng.range(-2.0, 2.0))
+                })
+                .collect();
+            out.push(BatchOp::At(ops));
         }
     }
     out
@@ -508,7 +495,6 @@ fn buffered(
                 let add = |idx: &[usize], v: f64| buf.add_at(map, idx, v);
                 report.merge(for_each_box_delta_standard(n, origin, delta, add));
             }
-            BatchOp::Runs(runs) => buf.add_runs(runs),
             BatchOp::At(ops) => {
                 buf.begin_box();
                 for (idx, v) in ops {
@@ -520,12 +506,15 @@ fn buffered(
     (buf, report)
 }
 
-/// Seeds every slot of `sink` with `-0.0`, `+0.0` or a value, so a zero
+/// A test store of the flush legs.
+type Store = CoeffStore<StandardTiling, MemBlockStore>;
+
+/// Seeds every slot of `cs` with `-0.0`, `+0.0` or a value, so a zero
 /// delta added anywhere would show in the bits.
-fn seed<W: CoeffWrite>(sink: &mut W, tiles: usize, seed: u64) {
+fn seed(cs: &mut Store, tiles: usize, seed: u64) {
     let mut rng = SplitMix64::new(seed);
     for tile in 0..tiles {
-        sink.with_tile(tile, |blk| {
+        cs.with_tile(tile, |blk| {
             for v in blk.iter_mut() {
                 *v = match rng.below(3) {
                     0 => -0.0,
@@ -535,14 +524,14 @@ fn seed<W: CoeffWrite>(sink: &mut W, tiles: usize, seed: u64) {
             }
         });
     }
-    sink.flush();
+    cs.flush();
 }
 
 /// Every slot's bits, tile by tile.
-fn bits<W: CoeffWrite>(sink: &mut W, tiles: usize) -> Vec<u64> {
+fn bits(cs: &mut Store, tiles: usize) -> Vec<u64> {
     let mut out = Vec::new();
     for tile in 0..tiles {
-        sink.with_tile(tile, |blk| out.extend(blk.iter().map(|v| v.to_bits())));
+        cs.with_tile(tile, |blk| out.extend(blk.iter().map(|v| v.to_bits())));
     }
     out
 }
@@ -555,80 +544,52 @@ struct Leg {
     stored: Vec<u64>,
 }
 
-/// Buffers `ops` and flushes them into a seeded exclusive (`shared =
-/// false`) or sharded store.
-fn flush_leg(
-    map: &StandardTiling,
-    ops: &[BatchOp],
-    deferred: bool,
-    shared: bool,
-    round: u64,
-) -> Leg {
+/// Buffers `ops` and flushes them into a seeded store.
+fn flush_leg(map: &StandardTiling, ops: &[BatchOp], deferred: bool, round: u64) -> Leg {
     let n: Vec<u32> = map.axes().iter().map(|axis| axis.levels()).collect();
     let tiles = map.num_tiles();
     let (mut buf, update) = buffered(map, &n, ops, deferred);
     let stats = IoStats::new();
-    let (flush, io, stored) = if shared {
-        let store = mem_shared_store(map.clone(), 4, 2, stats.clone());
-        seed(&mut &store, tiles, round);
-        stats.reset();
-        let flush = buf.flush_into(&mut &store);
-        (flush, stats.snapshot(), bits(&mut &store, tiles))
-    } else {
-        let mut store = mem_store(map.clone(), 3, stats.clone());
-        seed(&mut store, tiles, round);
-        stats.reset();
-        let flush = buf.flush_into(&mut store);
-        (flush, stats.snapshot(), bits(&mut store, tiles))
-    };
+    let mut store = mem_store(map.clone(), 3, stats.clone());
+    seed(&mut store, tiles, round);
+    stats.reset();
+    let flush = buf.flush_into(&mut store);
     Leg {
         update,
         flush,
-        io,
-        stored,
+        io: stats.snapshot(),
+        stored: bits(&mut store, tiles),
     }
 }
 
-/// Flushes `ops` deferred and through the oracle, into both sinks: the
-/// same reports, stored bits and writes.
+/// Flushes `ops` deferred and through the oracle: the same reports,
+/// stored bits and transfers.
 fn check_deferred(map: &StandardTiling, ops: &[BatchOp], round: u64) {
     let n: Vec<u32> = map.axes().iter().map(|axis| axis.levels()).collect();
-    for shared in [false, true] {
-        let label = format!("{n:?} shared={shared}");
-        let got = flush_leg(map, ops, true, shared, round);
-        let want = flush_leg(map, ops, false, shared, round);
-        assert!(got.flush.deltas > 0, "{label}");
-        assert_eq!(got.update, want.update, "{label}: UpdateReport");
-        assert_eq!(got.flush, want.flush, "{label}: FlushReport");
-        assert_eq!(got.stored, want.stored, "{label}: stored bits");
-        assert_eq!(got.io.coeff_writes, want.io.coeff_writes, "{label}");
-        // The serial sink makes the same transfers too (sharded
-        // workers race for frames, so their pool counts vary).
-        if !shared {
-            assert_eq!(got.io, want.io, "{label}: IoSnapshot");
-        }
-    }
+    let label = format!("{n:?}");
+    let got = flush_leg(map, ops, true, round);
+    let want = flush_leg(map, ops, false, round);
+    assert!(got.flush.deltas > 0, "{label}");
+    assert_eq!(got.update, want.update, "{label}: UpdateReport");
+    assert_eq!(got.flush, want.flush, "{label}: FlushReport");
+    assert_eq!(got.stored, want.stored, "{label}: stored bits");
+    assert_eq!(got.io, want.io, "{label}: IoSnapshot");
 }
 
 #[test]
 fn deferred_boxes_store_what_the_index_space_oracle_stores() {
     // Random product tilings of rank 1, 2 and 3; each batch mixes
-    // deferred boxes with arena operations, and each leg flushes through
-    // the exclusive or the sharded sink onto blocks holding `-0.0`.
+    // deferred boxes with `add_at` operations, and each leg flushes onto
+    // blocks holding `-0.0`.
     let mut rng = SplitMix64::new(41);
     for round in 0..12u64 {
         let map = random_tiling(&mut rng, 1 + round as usize % 3);
         let n: Vec<u32> = map.axes().iter().map(|axis| axis.levels()).collect();
-        check_deferred(&map, &mixed_ops(&mut rng, &map, &n), round);
+        check_deferred(&map, &mixed_ops(&mut rng, &n), round);
     }
     // Rank 4, so the walk's odometer steps: a box of five segments on
-    // every axis, arena operations and a one-cell box.
+    // every axis, `add_at` operations and a one-cell box.
     let map = StandardTiling::new(&[4, 4, 4, 4], &[1, 2, 1, 2]);
-    let (tiles, capacity) = (map.num_tiles(), map.block_capacity());
-    let mut runs = TileRuns::default();
-    for _ in 0..8 {
-        runs.push(rng.below(tiles), rng.below(capacity), rng.range(-2.0, 2.0));
-    }
     let at = (0..4)
         .map(|_| {
             (
@@ -639,7 +600,6 @@ fn deferred_boxes_store_what_the_index_space_oracle_stores() {
         .collect();
     let ops = [
         BatchOp::Box(wide_box(&mut rng, 4)),
-        BatchOp::Runs(runs),
         BatchOp::At(at),
         BatchOp::Box((
             vec![15, 0, 7, 9],
