@@ -386,14 +386,15 @@ fn append_to_file(ws: WsFile, chunk: &NdArray<f64>) -> Result<Meta, CmdError> {
         stats,
         ..
     } = ws;
-    let temps = std::cell::RefCell::new(Vec::new());
+    let temps = ExpandTemps::default();
     let factory = |capacity, blocks| {
-        let tmp = path.with_extension(format!("expand{}.tmp", temps.borrow().len()));
+        let mut made = temps.0.borrow_mut();
+        let tmp = path.with_extension(format!("expand{}.tmp", made.len()));
+        made.push(tmp.clone());
+        drop(made);
         // Unwinds typed, like every failure of the store itself.
-        let created = FileBlockStore::create(&tmp, capacity, blocks, stats.clone())
-            .unwrap_or_else(|e| std::panic::panic_any(e));
-        temps.borrow_mut().push(tmp);
-        created
+        FileBlockStore::create(&tmp, capacity, blocks, stats.clone())
+            .unwrap_or_else(|e| std::panic::panic_any(e))
     };
     let mut appender = Appender::resume(store, meta.axis, meta.filled, factory);
     appender.append(chunk);
@@ -404,18 +405,20 @@ fn append_to_file(ws: WsFile, chunk: &NdArray<f64>) -> Result<Meta, CmdError> {
         appender.store().pool().store_mut().sync()?;
     }
     drop(appender);
-    let mut temps = temps.into_inner();
-    if let Some(grown) = temps.pop() {
+    let made = temps.0.borrow().clone();
+    if let Some((grown, passed)) = made.split_last() {
         // Doublings a multi-doubling append only passed through go first:
         // a failure here leaves the old store untouched.
-        for passed in temps.iter().flat_map(|t| [t.clone(), sidecar_path(t)]) {
-            std::fs::remove_file(passed).map_err(|e| e.to_string())?;
+        for file in passed.iter().flat_map(|t| [t.clone(), sidecar_path(t)]) {
+            std::fs::remove_file(file).map_err(|e| e.to_string())?;
         }
+        // From here on the temp files are the store's next state.
+        temps.0.borrow_mut().clear();
         // Blocks file first, checksum sidecar second. A crash between the two
         // renames leaves a sidecar whose length no longer matches the blocks
         // file, which `open` rejects — detectable, never silently wrong.
-        std::fs::rename(&grown, &path).map_err(|e| e.to_string())?;
-        std::fs::rename(sidecar_path(&grown), sidecar_path(&path)).map_err(|e| e.to_string())?;
+        std::fs::rename(grown, &path).map_err(|e| e.to_string())?;
+        std::fs::rename(sidecar_path(grown), sidecar_path(&path)).map_err(|e| e.to_string())?;
     }
     // The blocks file must open under the new geometry before the meta
     // (temp + fsync + rename) declares it.
@@ -424,6 +427,23 @@ fn append_to_file(ws: WsFile, chunk: &NdArray<f64>) -> Result<Meta, CmdError> {
     let ws = WsFile::from_parts(meta, map, blocks, stats, &path);
     ws.save_meta()?;
     Ok(ws.meta)
+}
+
+/// The temp stores an append's doublings made (blocks file plus
+/// checksum sidecar each), removed on drop: an append that fails or
+/// unwinds before its renames leaves none of them behind.
+#[derive(Default)]
+struct ExpandTemps(std::cell::RefCell<Vec<std::path::PathBuf>>);
+
+impl Drop for ExpandTemps {
+    fn drop(&mut self) {
+        for tmp in self.0.get_mut().drain(..) {
+            // A file the failure left uncreated, or already removed, is
+            // no error here.
+            let _ = std::fs::remove_file(sidecar_path(&tmp));
+            let _ = std::fs::remove_file(tmp);
+        }
+    }
 }
 
 /// `scrub <store>`

@@ -1190,6 +1190,14 @@ mod tests {
         for args in commands {
             let err = run(&to_args(args)).unwrap_err();
             assert_eq!((err.code, err.usage), (2, false), "{args:?}: {}", err.msg);
+            // The failed append unwound out of a doubling: its temp
+            // store and sidecar are gone with it.
+            let left: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+                .filter(|name| name.contains(".tmp"))
+                .collect();
+            assert!(left.is_empty(), "{args:?} left {left:?}");
             if args[0] != "scrub" {
                 assert!(
                     err.msg.contains("checksum mismatch"),

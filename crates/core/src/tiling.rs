@@ -59,6 +59,30 @@ pub trait TilingMap: Send + Sync {
     fn axis_tilings(&self) -> Option<&[AxisTiling]> {
         None
     }
+    /// How much of the domain reads `tile`: the cells under its root
+    /// region over those under the finest tile's, `Π_t 2^(j_top,t −
+    /// j_min,t)` — 1 for a finest tile, the most for the tile holding the
+    /// overall average. A query reads every tile whose root region holds
+    /// one of its cells, so coarse tiles are shared by nearly every query.
+    /// The block cache weighs its victims by it (`ss-storage`'s pool); 0
+    /// (the default) favours no tile.
+    fn coverage(&self, tile: usize) -> u64 {
+        let _ = tile;
+        0
+    }
+}
+
+/// `2^e`, saturating: a coverage never wraps.
+fn pow2(e: u32) -> u64 {
+    1u64.checked_shl(e).unwrap_or(u64::MAX)
+}
+
+/// The band a tile ordinal falls in, given each band's first ordinal.
+fn band_of_tile(band_base: &[usize], tile: usize) -> usize {
+    match band_base.binary_search(&tile) {
+        Ok(i) => i,
+        Err(i) => i - 1,
+    }
 }
 
 /// Band decomposition shared by the 1-d and quad-tree tilings: levels are
@@ -108,6 +132,11 @@ impl Bands {
             }
         }
         panic!("level {j} outside all bands");
+    }
+
+    /// Levels from the finest band's top up to band `band`'s top.
+    fn depth_above_finest(&self, band: usize) -> u32 {
+        self.top_level[band] - self.top_level.last().expect("at least one band")
     }
 }
 
@@ -179,10 +208,7 @@ impl AxisTiling {
     /// coefficient `u_{level, translation}`.
     pub fn tile_root(&self, tile: usize) -> (u32, usize) {
         assert!(tile < self.num_tiles, "tile {tile} out of range");
-        let band = match self.band_base.binary_search(&tile) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
+        let band = band_of_tile(&self.band_base, tile);
         (self.bands.top_level[band], tile - self.band_base[band])
     }
 
@@ -200,11 +226,14 @@ impl AxisTiling {
 
     /// Height of the band a tile belongs to (its subtree height).
     pub fn tile_height(&self, tile: usize) -> u32 {
-        let band = match self.band_base.binary_search(&tile) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        self.bands.height[band]
+        self.bands.height[band_of_tile(&self.band_base, tile)]
+    }
+
+    /// `log2` of a tile's [`TilingMap::coverage`] along this axis: how
+    /// many levels its root sits above the finest tiles' roots.
+    pub(crate) fn coverage_levels(&self, tile: usize) -> u32 {
+        let band = band_of_tile(&self.band_base, tile);
+        self.bands.depth_above_finest(band)
     }
 
     /// The per-axis coefficient indices stored in `tile`, in slot order
@@ -274,6 +303,9 @@ impl TilingMap for Tiling1d {
     }
     fn axis_tilings(&self) -> Option<&[AxisTiling]> {
         Some(std::slice::from_ref(&self.axis))
+    }
+    fn coverage(&self, tile: usize) -> u64 {
+        pow2(self.axis.coverage_levels(tile))
     }
 }
 
@@ -353,6 +385,15 @@ impl TilingMap for StandardTiling {
     fn axis_tilings(&self) -> Option<&[AxisTiling]> {
         Some(&self.axes)
     }
+    fn coverage(&self, tile: usize) -> u64 {
+        let mut rest = tile;
+        let mut levels = 0;
+        for (axis, &stride) in self.axes.iter().zip(self.tile_grid.strides()) {
+            levels += axis.coverage_levels(rest / stride);
+            rest %= stride;
+        }
+        pow2(levels)
+    }
 }
 
 /// Non-standard-form tiling: subtrees of the `2^d`-ary quad tree (Figure 7).
@@ -404,10 +445,7 @@ impl NonStandardTiling {
     /// The quad-tree root node of a tile: `(level, node)`.
     pub fn tile_root(&self, tile: usize) -> (u32, Vec<usize>) {
         assert!(tile < self.num_tiles);
-        let band = match self.band_base.binary_search(&tile) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
+        let band = band_of_tile(&self.band_base, tile);
         let top = self.bands.top_level[band];
         let grid = Shape::new(&vec![1usize << (self.n - top); self.d]);
         (top, grid.unoffset(tile - self.band_base[band]))
@@ -462,6 +500,10 @@ impl TilingMap for NonStandardTiling {
                 }
             }
         }
+    }
+    fn coverage(&self, tile: usize) -> u64 {
+        let band = band_of_tile(&self.band_base, tile);
+        pow2(self.d as u32 * self.bands.depth_above_finest(band))
     }
 }
 
@@ -733,6 +775,35 @@ mod tests {
         }
         // n=5, b=2 bands: {5}, {4,3}, {2,1}: level 3 is interior.
         assert_eq!(AxisTiling::new(5, 2).tile_of_root(3, 0), None);
+    }
+
+    #[test]
+    fn coverage_is_the_root_region_over_the_finest_tiles() {
+        // S1024's tiling: bands topped at levels 10, 9, 6 and 3 per axis.
+        let map = StandardTiling::cube(2, 10, 3);
+        let finest = 1u64 << 3;
+        for tile in 0..map.num_tiles() {
+            let tiles = map.tile_grid().unoffset(tile);
+            let cells: u64 = map
+                .axes()
+                .iter()
+                .zip(&tiles)
+                .map(|(axis, &t)| (1u64 << axis.tile_root(t).0) / finest)
+                .product();
+            assert_eq!(map.coverage(tile), cells, "tile {tile}");
+        }
+        assert_eq!(map.coverage(0), 16_384);
+        assert_eq!(map.coverage(map.num_tiles() - 1), 1);
+        // One axis, and the quad tree: bands {5}, {4,3}, {2,1}.
+        let line = Tiling1d::new(5, 2);
+        let by_tile: Vec<u64> = (0..line.num_tiles()).map(|t| line.coverage(t)).collect();
+        assert_eq!(by_tile, [8, 4, 4, 1, 1, 1, 1, 1, 1, 1, 1]);
+        let quad = NonStandardTiling::new(2, 5, 2);
+        assert_eq!(quad.coverage(0), 64);
+        assert_eq!(quad.coverage(1), 16);
+        assert_eq!(quad.coverage(quad.num_tiles() - 1), 1);
+        // The row-major baseline favours no block.
+        assert_eq!(NaiveMap::new(Shape::new(&[4, 4]), 4).coverage(0), 0);
     }
 
     #[test]

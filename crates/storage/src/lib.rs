@@ -18,21 +18,26 @@
 //!   retries a failed transfer,
 //! * [`IoStats`] — shared atomic counters of block reads/writes and
 //!   coefficient accesses,
-//! * [`ShardedBufferPool`] — **the** block cache: a write-back LRU over a
-//!   block store with a configurable budget in blocks, modelling the
-//!   paper's "available memory `M^d`". One frame table, one eviction and
-//!   one flush, with per-shard hit/miss/eviction/write-back counters,
-//!   entered under two disciplines:
+//! * [`ShardedBufferPool`] — **the** block cache: a write-back cache over
+//!   a block store with a configurable budget in blocks, modelling the
+//!   paper's "available memory `M^d`". One frame table, one victim rule
+//!   (GreedyDual over per-block weights; exact LRU when every weight is
+//!   0), one eviction and one flush, with per-shard
+//!   hit/miss/eviction/write-back counters, entered under two
+//!   disciplines:
 //!   * [`CoeffStore`] — *exclusive*: one shard, one owner (`&mut self`),
-//!     cache hits take no lock. The object every serial out-of-core
+//!     cache hits take no lock, no block weighs anything (exact LRU, the
+//!     paper's counts). The object every serial out-of-core
 //!     algorithm in `ss-transform`, every offline CLI command and every
 //!     single-threaded query in `ss-query` runs against, mapping
 //!     coefficients onto blocks through any
 //!     [`TilingMap`](ss_core::TilingMap) (subtree tiles or the naive
 //!     row-major baseline),
 //!   * [`SharedCoeffStore`] — *shared*: the block-id space sharded over
-//!     independently locked LRUs (`&self`), used by the snapshot store
-//!     and the query server,
+//!     independently locked shards (`&self`), used by the snapshot store
+//!     and the query server; each tile weighs its
+//!     [`TilingMap::coverage`](ss_core::TilingMap::coverage), so the
+//!     coarse tiles every query shares survive a sweep of fine ones,
 //! * [`CoeffRead`] — the read capability every query is generic over, so
 //!   no query is written twice for the two disciplines: `CoeffStore`
 //!   (windowed gather) and `&SharedCoeffStore` both implement `map`,

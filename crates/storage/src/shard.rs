@@ -7,17 +7,25 @@
 //! dirty block writes one. Flushing at the end of an operation writes the
 //! remaining dirty blocks — exactly the accounting the paper's per-chunk
 //! analyses use; whether a run of adjacent blocks moves in one transfer
-//! or block by block changes no count. There is one frame table, one LRU
-//! victim selection (exact LRU: a hit stores a last-use stamp in the
-//! frame's stable slab slot, and a miss pops the oldest stamp off a lazily
-//! refreshed per-shard min-heap), one eviction write-back and one flush,
+//! or block by block changes no count. There is one frame table, one
+//! victim rule, one eviction write-back and one flush. The victim rule is
+//! GreedyDual (Young 1994; Cao & Irani 1997): a hit or an install keys its
+//! frame `(floor + weight, last-use stamp)` in the frame's stable slab
+//! slot, a miss pops the smallest key off a lazily refreshed per-shard
+//! min-heap, and each eviction lifts the shard's floor to the victim's
+//! first component. Exact LRU is its zero-weight case. The pool is
 //! entered under two disciplines:
 //!
 //! * **shared** (`&self`; [`SharedCoeffStore`]) — many workers apply
 //!   deltas or answer queries *concurrently* against one bounded cache.
 //!   The block-id space is partitioned across `num_shards` independently
-//!   locked LRU shards, so two workers touching different shards never
-//!   contend. A read of many blocks
+//!   locked shards, so two workers touching different shards never
+//!   contend. Its pool weighs each tile by its
+//!   [`TilingMap::coverage`]: a query reads every tile whose root region
+//!   holds one of its cells, so the coarse tiles are shared by nearly
+//!   every query, and an unweighted pool smaller than one sweep's tiles
+//!   would evict each of them before the next sweep came back to it
+//!   (sequential flooding). A read of many blocks
 //!   ([`ShardedBufferPool::with_blocks`]) enters each shard **once per
 //!   call**: it takes a shard nobody holds first, folds all of that
 //!   shard's blocks under the one lock, in the order the caller gave
@@ -31,7 +39,10 @@
 //!   of one access per id, then the window's dirty victims written back
 //!   and its misses loaded as runs of adjacent blocks, one
 //!   [`BlockStore::try_write_run`] / [`BlockStore::try_read_run`] each.
-//!   No other thread exists, so a window needs no busy marks.
+//!   No other thread exists, so a window needs no busy marks. This
+//!   discipline's pool is unweighted, exact LRU: a window's promise that
+//!   it never evicts a frame it touched rests on age order, and the
+//!   paper's pinned per-chunk I/O counts are LRU counts.
 //!
 //! Shared misses stay one block each: a window would have to mark all its
 //! blocks busy at once, and the round-robin sharding that spreads a
@@ -138,21 +149,33 @@ type ById = BuildHasherDefault<IdHasher>;
 struct Frame {
     data: Vec<f64>,
     dirty: bool,
-    /// This frame's slot in [`Shard::slots`], fixed while it is cached.
+    /// This frame's slot in [`Shard::keys`], fixed while it is cached.
     slot: usize,
+    /// The block's weight in the victim order.
+    weight: u64,
 }
 
-/// One shard's frames and their exact-LRU order.
+/// One shard's frames and their victim order (GreedyDual: Young 1994;
+/// Cao & Irani 1997).
 ///
-/// A hit stores the newest clock value in its frame's slot of a slab
-/// that never moves a cached frame; nothing else is touched. A miss
-/// picks its victim from a min-heap holding exactly one `(stamp, slot)`
-/// entry per cached frame, whose stamp is at most the slot's current
-/// one. The heap is refreshed lazily: a popped entry whose slot was hit
-/// since it was pushed is re-keyed with the current stamp and sinks back.
+/// A frame's key is `(priority, stamp)`: the shard's floor at its last
+/// use plus its weight, then that use's clock value, which is unique and
+/// breaks every tie in age order. A hit re-keys its frame to
+/// `(floor + weight, newest stamp)` in its slot of a slab that never
+/// moves a cached frame; nothing else is written. A miss picks its
+/// victim from a min-heap holding exactly one `(priority, stamp, slot)`
+/// entry per cached frame, whose key is at most the slot's current one:
+/// keys only grow, because the floor does. The
+/// heap is refreshed lazily: a popped entry whose slot was hit since it
+/// was pushed is re-keyed with the slot's current key and sinks back.
 /// Stamps are unique, so the first entry that surfaces current is the
-/// frame with the oldest last use — the victim a scan of every stamp
-/// would pick — at amortised `O(log frames)` instead of `O(frames)`.
+/// frame with the smallest key — the victim a scan of every key would
+/// pick — at amortised `O(log frames)` instead of `O(frames)`. Evicting
+/// raises the floor to the victim's priority, so a heavy frame nobody
+/// uses any more sinks under the new arrivals' keys and leaves too.
+///
+/// With every weight 0 each key is `(floor, stamp)` with one floor for
+/// all of them: the victim is the oldest last use, exact LRU.
 #[derive(Default)]
 struct Shard {
     frames: HashMap<usize, Frame, ById>,
@@ -160,13 +183,17 @@ struct Shard {
     /// write-back). A block in `busy` is never in `frames`; threads that
     /// need it wait on the slot's condvar instead of loading it twice.
     busy: HashSet<usize, ById>,
-    /// `(last-use stamp, block id)` per slab slot; only the slots of
+    /// The `(priority, stamp)` key per slab slot; only the slots of
     /// cached frames are live.
-    slots: Vec<(u64, usize)>,
+    keys: Vec<(u64, u64)>,
+    /// The block id per slab slot, read when the slot's frame is evicted.
+    ids: Vec<usize>,
     /// Slab slots freed by evictions, reused before the slab grows.
     free: Vec<usize>,
-    /// Min-heap of `(stamp, slot)`, one entry per cached frame.
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Min-heap of `(priority, stamp, slot)`, one entry per cached frame.
+    heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    /// The last victim's priority, never above a cached frame's.
+    floor: u64,
     /// Threads asleep on the slot's condvar: a load that finds none skips
     /// the wake-up (a system call per miss otherwise).
     waiting: usize,
@@ -176,8 +203,8 @@ struct Shard {
 
 impl Shard {
     /// The hit path of both entry disciplines: one hash lookup; on a hit
-    /// the access is counted, the frame gets the newest LRU stamp (and the
-    /// dirty bit when `mutate`) and its data is returned.
+    /// the access is counted, the frame is re-keyed (and gets the dirty
+    /// bit when `mutate`) and its data is returned.
     fn hit(&mut self, id: usize, mutate: bool, stats: &IoStats) -> Option<&mut [f64]> {
         let data = self.touch(id, mutate)?;
         stats.add_pool_hits(1);
@@ -191,12 +218,12 @@ impl Shard {
         self.counters.hits += 1;
         tile_fetch(id, true);
         self.clock += 1;
-        self.slots[frame.slot].0 = self.clock;
+        self.keys[frame.slot] = (self.floor.saturating_add(frame.weight), self.clock);
         frame.dirty |= mutate;
         Some(&mut frame.data)
     }
 
-    /// Counts a miss on `id` and evicts least-recently-used frames until
+    /// Counts a miss on `id` and evicts the smallest-keyed frames until
     /// one more fits in `budget`, appending the dirty victims to
     /// `victims` for the caller to write back.
     fn miss(
@@ -210,7 +237,7 @@ impl Shard {
         stats.add_pool_misses(1);
         tile_fetch(id, false);
         while self.frames.len() >= budget {
-            let (vid, frame) = self.evict_lru();
+            let (vid, frame) = self.evict();
             self.counters.evictions += 1;
             stats.add_pool_evictions(1);
             if frame.dirty {
@@ -235,57 +262,67 @@ impl Shard {
     /// Drops the cached frames of `ids` unwritten (a window's reserved,
     /// never loaded frames), keeping one heap entry per cached frame.
     fn release(&mut self, ids: impl Iterator<Item = usize>) {
-        let mut gone = vec![false; self.slots.len()];
+        let mut gone = vec![false; self.keys.len()];
         for id in ids {
             if let Some(frame) = self.frames.remove(&id) {
                 gone[frame.slot] = true;
                 self.free.push(frame.slot);
             }
         }
-        self.heap.retain(|&Reverse((_, slot))| !gone[slot]);
+        self.heap.retain(|&Reverse((_, _, slot))| !gone[slot]);
     }
 
-    /// Removes and returns the frame with the oldest last-use stamp.
-    fn evict_lru(&mut self) -> (usize, Frame) {
+    /// Removes and returns the frame with the smallest key, raising the
+    /// floor to its priority.
+    fn evict(&mut self) -> (usize, Frame) {
         let slot = loop {
-            let mut oldest = self.heap.peek_mut().expect("budget is at least one frame");
-            let Reverse((stamp, slot)) = *oldest;
-            let used = self.slots[slot].0;
+            let mut least = self.heap.peek_mut().expect("budget is at least one frame");
+            let Reverse((_, stamp, slot)) = *least;
+            let (priority, used) = self.keys[slot];
             if used == stamp {
-                PeekMut::pop(oldest);
+                PeekMut::pop(least);
+                self.floor = priority;
                 break slot;
             }
-            *oldest = Reverse((used, slot));
+            *least = Reverse((priority, used, slot));
         };
         self.free.push(slot);
-        let vid = self.slots[slot].1;
-        (vid, self.frames.remove(&vid).expect("victim is cached"))
+        let id = self.ids[slot];
+        (id, self.frames.remove(&id).expect("victim is cached"))
     }
 
-    /// Caches `data` as block `id`'s frame with the newest stamp.
+    /// Caches `data` as block `id`'s frame, keyed as a hit of a block of
+    /// `weight` (on the floor its own evictions left).
     ///
     /// # Panics
     ///
     /// Panics when `id` is already cached: its old frame's heap entry
     /// would outlive it.
-    fn cache(&mut self, id: usize, data: Vec<f64>, dirty: bool) -> &mut [f64] {
+    fn cache(&mut self, id: usize, data: Vec<f64>, dirty: bool, weight: u64) -> &mut [f64] {
         let Entry::Vacant(vacant) = self.frames.entry(id) else {
             panic!("block {id} is already cached");
         };
         self.clock += 1;
-        let used = (self.clock, id);
+        let key = (self.floor.saturating_add(weight), self.clock);
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slots[slot] = used;
+                (self.keys[slot], self.ids[slot]) = (key, id);
                 slot
             }
             None => {
-                self.slots.push(used);
-                self.slots.len() - 1
+                self.keys.push(key);
+                self.ids.push(id);
+                self.keys.len() - 1
             }
         };
-        self.heap.push(Reverse((self.clock, slot)));
-        &mut vacant.insert(Frame { data, dirty, slot }).data
+        self.heap.push(Reverse((key.0, key.1, slot)));
+        let frame = Frame {
+            data,
+            dirty,
+            slot,
+            weight,
+        };
+        &mut vacant.insert(frame).data
     }
 
     /// Counts `n` dirty frames the store took (eviction or flush).
@@ -418,11 +455,19 @@ fn acquire<G>(
     }
 }
 
-/// The block cache: a write-back LRU over a [`BlockStore`], usable from
-/// many threads at once (`&self`) or by one owner without locking
-/// ([`with_block_mut`](Self::with_block_mut)).
+/// Gives each block's weight in the victim order (see
+/// [`ShardedBufferPool::weighted`]).
+type Weigh = Box<dyn Fn(usize) -> u64 + Send + Sync>;
+
+/// The block cache: a write-back cache over a [`BlockStore`] that evicts
+/// by weighted recency (exact LRU unless [`weighted`](Self::weighted)),
+/// usable from many threads at once (`&self`) or by one owner without
+/// locking ([`with_block_mut`](Self::with_block_mut)).
 pub struct ShardedBufferPool<S: BlockStore> {
     shards: Vec<ShardSlot>,
+    /// Each block's weight, read when the block is cached; `None` weighs
+    /// every block 0.
+    weigh: Option<Weigh>,
     store: RwLock<S>,
     /// Serialises whole-pool flushes (see [`flush`](Self::flush)).
     flush_lock: Mutex<()>,
@@ -437,14 +482,16 @@ pub struct ShardedBufferPool<S: BlockStore> {
 }
 
 impl<S: BlockStore> ShardedBufferPool<S> {
-    /// Wraps `store` with `num_shards` LRU shards sharing a total cache
-    /// budget of `budget` blocks (each shard gets `max(1, budget /
-    /// num_shards)` frames). Cache events are recorded in `stats`.
+    /// Wraps `store` with `num_shards` shards sharing a total cache budget
+    /// of `budget` blocks (each shard gets `max(1, budget / num_shards)`
+    /// frames), unweighted (exact LRU). Cache events are recorded in
+    /// `stats`.
     pub fn new(store: S, budget: usize, num_shards: usize, stats: IoStats) -> Self {
         assert!(num_shards >= 1, "sharded pool needs at least one shard");
         assert!(budget >= 1, "buffer pool needs at least one frame");
         ShardedBufferPool {
             shards: (0..num_shards).map(|_| ShardSlot::default()).collect(),
+            weigh: None,
             flush_lock: Mutex::new(()),
             shard_budget: (budget / num_shards).max(1),
             block_capacity: store.block_capacity(),
@@ -453,6 +500,27 @@ impl<S: BlockStore> ShardedBufferPool<S> {
             shard_wait_ns: ss_obs::global().histogram("pool.shard_lock_wait_ns"),
             store_wait_ns: ss_obs::global().histogram("pool.store_lock_wait_ns"),
         }
+    }
+
+    /// Weighs block `id` by `weigh(id)` in the victim order: an access
+    /// keys its frame `(floor + weight, stamp)`, the smallest key goes
+    /// first, and each eviction lifts its shard's floor to the victim's
+    /// first component. A frame that is read again and again before the
+    /// floor climbs past it survives a sweep of lighter blocks many times
+    /// the budget, and one nobody reads leaves once the floor reaches it,
+    /// within its weight times the shard budget of misses. An unweighted
+    /// pool (every weight 0) is exact LRU.
+    ///
+    /// The exclusive discipline's windows rest on age order (a window
+    /// never evicts a frame it touched), so a weighted pool's
+    /// [`with_blocks_mut`](Self::with_blocks_mut) goes one id per window.
+    pub fn weighted(mut self, weigh: impl Fn(usize) -> u64 + Send + Sync + 'static) -> Self {
+        self.weigh = Some(Box::new(weigh));
+        self
+    }
+
+    fn weight(&self, id: usize) -> u64 {
+        self.weigh.as_ref().map_or(0, |weigh| weigh(id))
     }
 
     fn lock_slot<'a>(&self, slot: &'a ShardSlot) -> MutexGuard<'a, Shard> {
@@ -566,7 +634,8 @@ impl<S: BlockStore> ShardedBufferPool<S> {
     /// The single owner's access to many blocks: runs `f(k, block)` for
     /// each `ids[k]`, in order, marking the blocks dirty when `mutate`.
     ///
-    /// The ids go in windows of at most one shard budget. A window does
+    /// The ids go in windows of at most one shard budget (of one id in a
+    /// [`weighted`](Self::weighted) pool). A window does
     /// the bookkeeping of accessing its ids one at a time — hit stamps,
     /// miss counts, LRU victims, each missed frame reserved at its miss's
     /// stamp — then writes the dirty victims back ascending and loads the
@@ -588,7 +657,11 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         mutate: bool,
         mut f: impl FnMut(usize, &mut [f64]),
     ) {
-        let width = self.shard_budget;
+        let width = if self.weigh.is_some() {
+            1
+        } else {
+            self.shard_budget
+        };
         for (w, window) in ids.chunks(width).enumerate() {
             self.window_mut(window, mutate, &mut |k, blk| f(w * width + k, blk));
         }
@@ -601,10 +674,11 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         let mut victims = Vec::new();
         let mut misses = Vec::new();
         for &id in ids {
+            let weight = self.weight(id);
             let shard = self.shards[id % n].state.get_mut().expect(POISONED);
             if shard.hit(id, mutate, &self.stats).is_none() {
                 shard.miss(id, budget, &self.stats, &mut victims);
-                shard.cache(id, vec![0.0; capacity], mutate);
+                shard.cache(id, vec![0.0; capacity], mutate, weight);
                 misses.push(id);
             }
         }
@@ -661,7 +735,7 @@ impl<S: BlockStore> ShardedBufferPool<S> {
             }
             for (vid, frame) in victims.into_iter().skip(written) {
                 let shard = self.shards[vid % n].state.get_mut().expect(POISONED);
-                shard.cache(vid, frame.data, true);
+                shard.cache(vid, frame.data, true, frame.weight);
             }
             raise(e);
         }
@@ -779,6 +853,7 @@ impl<S: BlockStore> ShardedBufferPool<S> {
             // on other shards overlap their device wait with this one.
             transfer = self.read_store().try_read_block(id, &mut data);
         }
+        let weight = self.weight(id);
         let mut shard = self.lock_slot(slot_ref);
         // Clear the busy marks under this same lock and keep holding
         // it: releasing between install and use would let a
@@ -791,12 +866,12 @@ impl<S: BlockStore> ShardedBufferPool<S> {
             // anyone can see them missing, so the next flush or eviction
             // persists them instead of a later miss reading stale blocks.
             for (vid, frame) in dirty_victims.into_iter().skip(written) {
-                shard.cache(vid, frame.data, true);
+                shard.cache(vid, frame.data, true, frame.weight);
             }
             drop(shard);
             raise(e);
         }
-        f(shard.cache(id, data, mutate))
+        f(shard.cache(id, data, mutate, weight))
     }
 
     /// Writes every dirty block back to the store, keeping the cache warm.
@@ -870,9 +945,11 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         for slot in &self.shards {
             let mut shard = self.lock_slot(slot);
             shard.frames.clear();
-            shard.slots.clear();
+            shard.keys.clear();
+            shard.ids.clear();
             shard.free.clear();
             shard.heap.clear();
+            shard.floor = 0;
         }
     }
 
@@ -886,8 +963,10 @@ impl<S: BlockStore> ShardedBufferPool<S> {
 /// Wavelet coefficients mapped onto a [`ShardedBufferPool`] through a
 /// [`TilingMap`] — the shared (`&self`) entry discipline, handed by
 /// reference to the threads of the query server and the snapshot store.
-/// [`CoeffStore`](crate::CoeffStore) is the same thing with one shard and
-/// one owner.
+/// Its pool weighs each tile by its [`TilingMap::coverage`], so the
+/// coarse tiles nearly every query reads outlive a sweep of fine ones.
+/// [`CoeffStore`](crate::CoeffStore) is the same thing with one shard,
+/// one owner and no weights.
 pub struct SharedCoeffStore<M: TilingMap, S: BlockStore> {
     map: M,
     pool: ShardedBufferPool<S>,
@@ -896,13 +975,35 @@ pub struct SharedCoeffStore<M: TilingMap, S: BlockStore> {
 
 impl<M: TilingMap, S: BlockStore> SharedCoeffStore<M, S> {
     /// Builds a shared store over `store` with layout `map`, a total cache
-    /// budget of `pool_budget` blocks split over `num_shards` shards.
+    /// budget of `pool_budget` blocks split over `num_shards` shards, each
+    /// tile weighted by its [`TilingMap::coverage`]
+    /// ([`ShardedBufferPool::weighted`]).
     ///
     /// # Panics
     ///
     /// Panics when the block store's capacity differs from the map's, or
     /// when the store has fewer blocks than the map needs.
-    pub fn new(map: M, store: S, pool_budget: usize, num_shards: usize, stats: IoStats) -> Self {
+    pub fn new(map: M, store: S, pool_budget: usize, num_shards: usize, stats: IoStats) -> Self
+    where
+        M: Clone + 'static,
+    {
+        let weigh = map.clone();
+        let shared = Self::unweighted(map, store, pool_budget, num_shards, stats);
+        SharedCoeffStore {
+            pool: shared.pool.weighted(move |tile| weigh.coverage(tile)),
+            ..shared
+        }
+    }
+
+    /// [`new`](Self::new) with every tile weighted 0: exact LRU, the
+    /// exclusive [`CoeffStore`](crate::CoeffStore)'s pool.
+    pub(crate) fn unweighted(
+        map: M,
+        store: S,
+        pool_budget: usize,
+        num_shards: usize,
+        stats: IoStats,
+    ) -> Self {
         assert_eq!(
             store.block_capacity(),
             map.block_capacity(),
@@ -997,7 +1098,7 @@ impl<M: TilingMap, S: BlockStore> SharedCoeffStore<M, S> {
 }
 
 /// Convenience: an in-memory shared tiled store sized for `map`.
-pub fn mem_shared_store<M: TilingMap>(
+pub fn mem_shared_store<M: TilingMap + Clone + 'static>(
     map: M,
     pool_budget: usize,
     num_shards: usize,
@@ -1564,6 +1665,91 @@ mod tests {
         let s = stats.snapshot();
         assert_eq!((s.block_writes, s.pool_writebacks), (1, 1));
         assert_eq!(p.cached_blocks(), 0, "the written victim stays evicted");
+    }
+
+    /// Whether block `id` has a frame in its shard.
+    fn cached<S: BlockStore>(p: &ShardedBufferPool<S>, id: usize) -> bool {
+        let shard = p.shards[p.shard_of(id)].state.lock().unwrap();
+        shard.frames.contains_key(&id)
+    }
+
+    /// Budget, heavy set and sweeps of the flooding tests: each sweep
+    /// reads the heavy ids `0..HEAVY` (weight `HEAVY_WEIGHT`), then
+    /// `FRESH` ids never read before (weight 1), more than the budget.
+    const FRAMES: usize = 16;
+    const HEAVY: usize = 4;
+    const HEAVY_WEIGHT: u64 = 64;
+    const FRESH: usize = 20;
+    const SWEEPS: usize = 10;
+
+    fn flooding_pool(weighted: bool) -> (ShardedBufferPool<MemBlockStore>, IoStats) {
+        let blocks = HEAVY + FRESH * SWEEPS + FRAMES * HEAVY_WEIGHT as usize;
+        let (p, stats) = pool(blocks, FRAMES, 1);
+        let weigh = |id| if id < HEAVY { HEAVY_WEIGHT } else { 1 };
+        (if weighted { p.weighted(weigh) } else { p }, stats)
+    }
+
+    fn flood(p: &ShardedBufferPool<MemBlockStore>) {
+        for sweep in 0..SWEEPS {
+            for id in (0..HEAVY).chain(HEAVY + sweep * FRESH..HEAVY + (sweep + 1) * FRESH) {
+                p.read(id, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn weighted_frames_survive_sequential_flooding() {
+        // Exact LRU: every sweep pushes more than the budget through the
+        // pool after the heavy set, so nothing is ever read twice from a
+        // frame.
+        let (lru, lru_stats) = flooding_pool(false);
+        flood(&lru);
+        assert_eq!(lru_stats.snapshot().pool_hits, 0);
+        // Weighted: from the second sweep on, every heavy read is a hit,
+        // and nothing else is (the fresh ids are read once each).
+        let (p, stats) = flooding_pool(true);
+        flood(&p);
+        let snap = stats.snapshot();
+        assert_eq!(snap.pool_hits, (HEAVY * (SWEEPS - 1)) as u64);
+        assert_eq!(snap.block_reads, (HEAVY + FRESH * SWEEPS) as u64);
+        assert!((0..HEAVY).all(|id| cached(&p, id)));
+    }
+
+    #[test]
+    fn stale_heavy_frames_leave_within_weight_times_budget_misses() {
+        let (p, stats) = flooding_pool(true);
+        flood(&p);
+        // The traffic moves to ids disjoint from the heavy set: count the
+        // misses until the last heavy frame has left.
+        let misses = stats.snapshot().pool_misses;
+        let mut id = HEAVY + FRESH * SWEEPS;
+        while (0..HEAVY).any(|h| cached(&p, h)) {
+            p.read(id, 0);
+            id += 1;
+        }
+        let took = stats.snapshot().pool_misses - misses;
+        assert!(
+            took <= HEAVY_WEIGHT * FRAMES as u64,
+            "{took} misses to age the heavy set out"
+        );
+        // Yet the weight bought them more than one sweep of the budget.
+        assert!(took > FRAMES as u64, "{took}");
+    }
+
+    #[test]
+    fn saturated_keys_fall_back_to_age_order() {
+        // Every weight is the largest key: the floor saturates at once,
+        // and the stamp alone orders the frames, as in exact LRU.
+        let (p, stats) = pool(8, 2, 1);
+        let p = p.weighted(|_| u64::MAX);
+        for id in [0, 1, 0, 2, 3, 0] {
+            p.read(id, 0);
+        }
+        // 0 was read last before 2 came: 1 left, then 0 when 3 came, and
+        // the final read of 0 missed.
+        let snap = stats.snapshot();
+        assert_eq!((snap.pool_hits, snap.pool_misses), (1, 5));
+        assert!(cached(&p, 3) && cached(&p, 0));
     }
 
     #[test]

@@ -9,8 +9,11 @@
 //! [`ShardedBufferPool::with_block_mut`]). The serial transform drivers,
 //! the offline CLI commands and every single-threaded query run against
 //! this type, so its counters are the experiments' measurements; the
-//! same frames, LRU, write-back and flush serve the concurrent discipline
-//! ([`SharedCoeffStore`] through `&self`) in `shard.rs`.
+//! same frames, victim rule, write-back and flush serve the concurrent
+//! discipline ([`SharedCoeffStore`] through `&self`) in `shard.rs`. Its
+//! pool weighs no block, which makes the victim rule exact LRU: the
+//! windows of [`ShardedBufferPool::with_blocks_mut`] need age order, and
+//! the paper's per-chunk I/O counts are LRU counts.
 
 use crate::block::BlockStore;
 use crate::shard::{ShardedBufferPool, SharedCoeffStore};
@@ -33,7 +36,7 @@ impl<M: TilingMap, S: BlockStore> CoeffStore<M, S> {
     /// when the store has fewer blocks than the map needs.
     pub fn new(map: M, store: S, pool_budget: usize, stats: IoStats) -> Self {
         CoeffStore {
-            shared: SharedCoeffStore::new(map, store, pool_budget, 1, stats),
+            shared: SharedCoeffStore::unweighted(map, store, pool_budget, 1, stats),
         }
     }
 
@@ -102,9 +105,9 @@ pub fn mem_store<M: TilingMap>(
     pool_budget: usize,
     stats: IoStats,
 ) -> CoeffStore<M, crate::mem::MemBlockStore> {
-    CoeffStore {
-        shared: crate::shard::mem_shared_store(map, pool_budget, 1, stats),
-    }
+    let store =
+        crate::mem::MemBlockStore::new(map.block_capacity(), map.num_tiles(), stats.clone());
+    CoeffStore::new(map, store, pool_budget, stats)
 }
 
 #[cfg(test)]

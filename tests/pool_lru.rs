@@ -1,10 +1,14 @@
 //! The block cache's victim choice, its windows and its failure paths,
 //! end to end.
 //!
-//! `ShardedBufferPool` picks each LRU victim off a lazily refreshed
-//! per-shard min-heap. The oracle here is the selection it replaced, kept
-//! only in this file: every shard scans a dense `(last-use stamp, id)`
-//! array for its minimum, one access at a time. Seeded scripts of every
+//! `ShardedBufferPool` picks each victim off a lazily refreshed per-shard
+//! min-heap of GreedyDual keys `(floor + weight, last-use stamp)`. The
+//! oracle here is a scan, kept only in this file: every shard keeps a
+//! dense `(priority, stamp, id)` array and a floor, and scans the array
+//! for its minimum on every eviction, one access at a time. Each script runs twice:
+//! with every weight 0 (an unweighted pool; exact LRU, and the victims of
+//! the plain stamp scan) and with seeded per-block weights (a
+//! `weighted` pool). Seeded scripts of every
 //! pool entry (`with_block_mut`, `with_blocks_mut` windows — random ids,
 //! with repeats, ascending runs and not, some longer than the budget —
 //! `with_block` with and without mutate, `overwrite`, `flush`, `clear`)
@@ -380,13 +384,18 @@ fn assert_same<T: PartialEq + std::fmt::Debug>(seen: &[T], reference: &[T], what
     assert_eq!(seen.len(), reference.len(), "{what}: lengths");
 }
 
-/// The pool's LRU before the heap: per shard, a dense `(stamp, id)`
-/// array kept next to the frame table and scanned for its minimum on
-/// every eviction (`swap_remove` moves the last frame into the hole).
+/// The pool's victim choice before the heap: per shard, a dense
+/// `(priority, stamp, id)` array kept next to the frame table and scanned
+/// for its minimum `(priority, stamp)` on every eviction (`swap_remove`
+/// moves the last frame into the hole). An access keys its frame
+/// `(floor + weights[id], clock)`; an eviction sets the floor to the
+/// victim's priority. With every weight 0 the floor stays 0 and this is
+/// the plain last-use-stamp scan.
 struct ScanPool<S: BlockStore> {
     store: S,
     shards: Vec<ScanShard>,
     shard_budget: usize,
+    weights: Vec<u64>,
     stats: IoStats,
 }
 
@@ -394,17 +403,19 @@ struct ScanPool<S: BlockStore> {
 struct ScanShard {
     /// `id -> (data, dirty, index into lru)`.
     frames: HashMap<usize, (Vec<f64>, bool, usize)>,
-    lru: Vec<(u64, usize)>,
+    lru: Vec<(u64, u64, usize)>,
+    floor: u64,
     clock: u64,
     counters: ShardCounters,
 }
 
 impl<S: BlockStore> ScanPool<S> {
-    fn new(store: S, budget: usize, num_shards: usize, stats: IoStats) -> Self {
+    fn new(store: S, budget: usize, num_shards: usize, weights: &[u64], stats: IoStats) -> Self {
         ScanPool {
             store,
             shards: (0..num_shards).map(|_| ScanShard::default()).collect(),
             shard_budget: (budget / num_shards).max(1),
+            weights: weights.to_vec(),
             stats,
         }
     }
@@ -417,17 +428,22 @@ impl<S: BlockStore> ScanPool<S> {
             shard.counters.hits += 1;
             self.stats.add_pool_hits(1);
             let frame = shard.frames.get_mut(&id).unwrap();
-            shard.lru[frame.2].0 = shard.clock;
+            shard.lru[frame.2] = (shard.floor + self.weights[id], shard.clock, id);
             frame.1 |= mutate;
             return &mut frame.0;
         }
         shard.counters.misses += 1;
         self.stats.add_pool_misses(1);
         while shard.frames.len() >= self.shard_budget {
-            let oldest = shard.lru.iter().enumerate().min_by_key(|(_, used)| used.0);
-            let slot = oldest.unwrap().0;
-            let (_, vid) = shard.lru.swap_remove(slot);
-            if let Some(&(_, moved)) = shard.lru.get(slot) {
+            let least = shard
+                .lru
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, &(priority, stamp, _))| (priority, stamp));
+            let slot = least.unwrap().0;
+            let (priority, _, vid) = shard.lru.swap_remove(slot);
+            shard.floor = priority;
+            if let Some(&(_, _, moved)) = shard.lru.get(slot) {
                 shard.frames.get_mut(&moved).unwrap().2 = slot;
             }
             let (data, dirty, _) = shard.frames.remove(&vid).unwrap();
@@ -443,7 +459,9 @@ impl<S: BlockStore> ScanPool<S> {
         if load {
             self.store.read_block(id, &mut data);
         }
-        shard.lru.push((shard.clock, id));
+        shard
+            .lru
+            .push((shard.floor + self.weights[id], shard.clock, id));
         let slot = shard.lru.len() - 1;
         &mut shard.frames.entry(id).or_insert((data, mutate, slot)).0
     }
@@ -491,52 +509,77 @@ impl<S: BlockStore> Cache for ScanPool<S> {
         for shard in &mut self.shards {
             shard.frames.clear();
             shard.lru.clear();
+            shard.floor = 0;
         }
     }
 }
 
+/// Seeded per-block weights, small enough that keys often tie on their
+/// priority and the stamp decides.
+fn seeded_weights(seed: u64) -> Vec<u64> {
+    let mut rng = SplitMix64::new(seed);
+    (0..BLOCKS).map(|_| rng.below(9) as u64).collect()
+}
+
 #[test]
 fn heap_victims_are_the_stamp_scan_victims() {
-    for (k, &shards) in SHARDS.iter().enumerate() {
-        for (b, &budget) in BUDGETS.iter().enumerate() {
-            let steps = script(0xB10C + (k * BUDGETS.len() + b) as u64);
-            let case = format!("{shards} shards, budget {budget}");
-
-            let stats = IoStats::new();
-            let store = Recording::new(seeded_mem(&stats));
-            let log = Arc::clone(&store.log);
-            let mut pool = ShardedBufferPool::new(store, budget, shards, stats.clone());
-            let (seen, moved) = run(&mut pool, &steps, false, Some(&log));
-
-            let oracle_stats = IoStats::new();
-            let store = Recording::new(seeded_mem(&oracle_stats));
-            let oracle_log = Arc::clone(&store.log);
-            let mut oracle = ScanPool::new(store, budget, shards, oracle_stats.clone());
-            let (oracle_seen, oracle_moved) = run(&mut oracle, &steps, false, Some(&oracle_log));
-
-            assert_same(
-                &seen,
-                &oracle_seen,
-                &format!("{case}: what the accesses saw, as f64 bits"),
-            );
-            assert_same(
-                &moved,
-                &oracle_moved,
-                &format!("{case}: each step's transfers"),
-            );
-            let counters: Vec<ShardCounters> = oracle.shards.iter().map(|s| s.counters).collect();
-            assert_eq!(pool.shard_counters(), counters, "{case}: shard counters");
-            let snap = stats.snapshot();
-            assert_eq!(snap, oracle_stats.snapshot(), "{case}: IoSnapshot");
-            assert_same(
-                &contents(&pool.store_mut().inner),
-                &contents(&oracle.store.inner),
-                &format!("{case}: stored blocks, as f64 bits"),
-            );
-            if budget < BLOCKS {
-                assert!(snap.pool_evictions > 0 && snap.pool_hits > 0, "{case}");
+    for weighted in [false, true] {
+        for (k, &shards) in SHARDS.iter().enumerate() {
+            for (b, &budget) in BUDGETS.iter().enumerate() {
+                let seed = 0xB10C + (k * BUDGETS.len() + b) as u64;
+                victims_match_the_scan(seed, shards, budget, weighted);
             }
         }
+    }
+}
+
+/// One script of [`heap_victims_are_the_stamp_scan_victims`].
+fn victims_match_the_scan(seed: u64, shards: usize, budget: usize, weighted: bool) {
+    let steps = script(seed);
+    let weights = if weighted {
+        seeded_weights(!seed)
+    } else {
+        vec![0; BLOCKS]
+    };
+    let case = format!("{shards} shards, budget {budget}, weights {weights:?}");
+
+    let stats = IoStats::new();
+    let store = Recording::new(seeded_mem(&stats));
+    let log = Arc::clone(&store.log);
+    let mut pool = ShardedBufferPool::new(store, budget, shards, stats.clone());
+    if weighted {
+        let weights = weights.clone();
+        pool = pool.weighted(move |id| weights[id]);
+    }
+    let (seen, moved) = run(&mut pool, &steps, false, Some(&log));
+
+    let oracle_stats = IoStats::new();
+    let store = Recording::new(seeded_mem(&oracle_stats));
+    let oracle_log = Arc::clone(&store.log);
+    let mut oracle = ScanPool::new(store, budget, shards, &weights, oracle_stats.clone());
+    let (oracle_seen, oracle_moved) = run(&mut oracle, &steps, false, Some(&oracle_log));
+
+    assert_same(
+        &seen,
+        &oracle_seen,
+        &format!("{case}: what the accesses saw, as f64 bits"),
+    );
+    assert_same(
+        &moved,
+        &oracle_moved,
+        &format!("{case}: each step's transfers"),
+    );
+    let counters: Vec<ShardCounters> = oracle.shards.iter().map(|s| s.counters).collect();
+    assert_eq!(pool.shard_counters(), counters, "{case}: shard counters");
+    let snap = stats.snapshot();
+    assert_eq!(snap, oracle_stats.snapshot(), "{case}: IoSnapshot");
+    assert_same(
+        &contents(&pool.store_mut().inner),
+        &contents(&oracle.store.inner),
+        &format!("{case}: stored blocks, as f64 bits"),
+    );
+    if budget < BLOCKS {
+        assert!(snap.pool_evictions > 0 && snap.pool_hits > 0, "{case}");
     }
 }
 
@@ -778,16 +821,23 @@ fn concurrent_sweeps_count_every_access_once() {
 /// equal `ShardCounters`, equal block reads and pool hits and misses, and
 /// the same cached frames — the hits and misses of a probe over every
 /// block agree. `f` must run once per `k`, ascending within each shard.
+/// The twins run unweighted and with seeded per-block weights.
 #[test]
 fn a_shard_major_pass_leaves_the_pool_a_per_block_loop_leaves() {
-    for shards in [2usize, 3] {
+    for (shards, weighted) in [(2usize, false), (3, false), (2, true), (3, true)] {
         for budget in [shards, 2 * shards, 3 * shards + 1] {
-            let what = format!("{shards} shards, budget {budget}");
+            let what = format!("{shards} shards, budget {budget}, weighted {weighted}");
             let (pass_stats, loop_stats) = (IoStats::new(), IoStats::new());
-            let pass =
+            let mut pass =
                 ShardedBufferPool::new(seeded_mem(&pass_stats), budget, shards, pass_stats.clone());
-            let each =
+            let mut each =
                 ShardedBufferPool::new(seeded_mem(&loop_stats), budget, shards, loop_stats.clone());
+            if weighted {
+                let weights = seeded_weights(budget as u64);
+                let twin = weights.clone();
+                pass = pass.weighted(move |id| weights[id]);
+                each = each.weighted(move |id| twin[id]);
+            }
             let mut rng = SplitMix64::new(0x5A4D + (shards * 100 + budget) as u64);
             for list in 0..60 {
                 let ids: Vec<usize> = (0..rng.below(3 * BLOCKS))

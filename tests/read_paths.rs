@@ -11,13 +11,17 @@
 //! * **bitwise**, store vs replayed: what a writable server answers after
 //!   `update` + `commit` groups == `batch_*` over its crash image (base
 //!   store + write-ahead log, nothing checkpointed) once the log is
-//!   replayed onto it.
+//!   replayed onto it,
+//! * **bitwise**, pool weights: a served pool smaller than one sweep's
+//!   tiles, weighted by coverage (the served default) or not (exact LRU),
+//!   answers repeated batches with `batch_*`'s bits; the weights change
+//!   which tiles come from the store, never an answer.
 //!
 //! Tier-1 (`cargo test -q` at the root) runs this, so a cross-crate break of
 //! the evaluator shows up in the one-line verify.
 
 use shiftsplit::array::{MultiIndexIter, NdArray, Shape};
-use shiftsplit::core::tiling::StandardTiling;
+use shiftsplit::core::tiling::{AxisTiling, StandardTiling, TileSlot, TilingMap};
 use shiftsplit::datagen::SplitMix64;
 use shiftsplit::maintain::{replay_records, FlushMode, SnapshotCoeffStore, Wal};
 use shiftsplit::query;
@@ -213,4 +217,87 @@ fn a_replayed_crash_image_answers_like_the_live_server() {
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The test tiling with the trait's default coverage: a shared pool over
+/// it weighs every tile 0, which is exact LRU.
+#[derive(Clone)]
+struct Unweighted(StandardTiling);
+
+impl TilingMap for Unweighted {
+    fn ndim(&self) -> usize {
+        self.0.ndim()
+    }
+    fn block_capacity(&self) -> usize {
+        self.0.block_capacity()
+    }
+    fn num_tiles(&self) -> usize {
+        self.0.num_tiles()
+    }
+    fn locate(&self, idx: &[usize]) -> TileSlot {
+        self.0.locate(idx)
+    }
+    fn axis_tilings(&self) -> Option<&[AxisTiling]> {
+        self.0.axis_tilings()
+    }
+}
+
+#[test]
+fn a_pool_smaller_than_a_sweep_serves_the_same_bits_weighted_or_not() {
+    const FRAMES: usize = 8;
+    let transformed = shiftsplit::core::standard::forward_to(&dataset());
+    let mut cs = mem_store(tiling(), 1 << 10, IoStats::new());
+    for idx in MultiIndexIter::new(&DIMS) {
+        cs.write(&idx, transformed.get(&idx));
+    }
+    let (points, ranges, queries) = workload();
+    let mut batched = query::batch_points(&mut cs, &LEVELS, &points);
+    batched.extend(query::batch_range_sums(&mut cs, &LEVELS, &ranges));
+
+    // Every sweep the server folds (up to `batch_max` queries) reads more
+    // tiles than the pool holds.
+    let map = tiling();
+    for sweep in queries.chunks(cfg().batch_max) {
+        let mut tiles = std::collections::HashSet::new();
+        for q in sweep {
+            q.plan(&LEVELS).for_each_term(|idx, _| {
+                tiles.insert(map.locate(idx).tile);
+            });
+        }
+        assert!(tiles.len() > FRAMES, "a sweep reads {} tiles", tiles.len());
+    }
+
+    let mut hits = Vec::new();
+    for weighted in [true, false] {
+        let stats = IoStats::new();
+        let served = if weighted {
+            let store = mem_shared_store(tiling(), FRAMES, 2, stats.clone());
+            for idx in MultiIndexIter::new(&DIMS) {
+                store.write(&idx, transformed.get(&idx));
+            }
+            store.flush();
+            QueryServer::bind("127.0.0.1:0", store, LEVELS.to_vec(), cfg())
+        } else {
+            let store = mem_shared_store(Unweighted(tiling()), FRAMES, 2, stats.clone());
+            for idx in MultiIndexIter::new(&DIMS) {
+                store.write(&idx, transformed.get(&idx));
+            }
+            store.flush();
+            QueryServer::bind("127.0.0.1:0", store, LEVELS.to_vec(), cfg())
+        };
+        let server = served.unwrap();
+        stats.reset();
+        for round in 0..3 {
+            assert_eq!(
+                bits(&ask(server.local_addr(), &queries)),
+                bits(&batched),
+                "weighted {weighted}, round {round}"
+            );
+        }
+        server.shutdown();
+        let snap = stats.snapshot();
+        assert!(snap.block_reads > 0, "weighted {weighted}: {snap:?}");
+        hits.push(snap.pool_hits);
+    }
+    assert!(hits[0] > 0, "the weighted pool kept no tile: {hits:?}");
 }
