@@ -52,12 +52,15 @@ impl From<&str> for CmdError {
     }
 }
 
-/// A storage error is never a usage error: a checksum mismatch is
-/// corruption (exit 2, as `scrub` reports it), anything else exits 1.
+/// A storage error is never a usage error: a checksum mismatch or an
+/// interrupted mutation is corruption (exit 2, as `scrub` reports it),
+/// anything else exits 1.
 impl From<StorageError> for CmdError {
     fn from(e: StorageError) -> CmdError {
         match e {
-            StorageError::Checksum { .. } => CmdError::corruption(e.to_string()),
+            StorageError::Checksum { .. } | StorageError::Interrupted => {
+                CmdError::corruption(e.to_string())
+            }
             e => CmdError {
                 msg: e.to_string(),
                 code: 1,
@@ -184,6 +187,7 @@ pub fn ingest(args: &Args) -> Result<(), CmdError> {
     let r = ss_transform::transform_standard(&src, &mut ws.store, false);
     ws.meta.filled = dims[ws.meta.axis];
     ws.save_meta()?;
+    ws.sync()?;
     println!("ingested {} cells in {} chunks", r.input_coeffs, r.chunks);
     let stats = ws.stats.clone();
     drop(ws);
@@ -271,6 +275,7 @@ pub fn update(args: &Args) -> Result<(), CmdError> {
         &boxes,
         FlushMode::Exact,
     );
+    ws.sync()?;
     println!(
         "applied {} boxes as {} dyadic pieces ({} coefficients); \
          group flush wrote {} tiles for {} per-box tile touches \
@@ -377,7 +382,10 @@ pub fn append(args: &Args) -> Result<(), CmdError> {
 /// Appends one chunk to a store file through the library [`Appender`]
 /// and returns the updated metadata. The CLI's own part is the files:
 /// every domain doubling migrates into a fresh temp blocks file, and the
-/// last of them replaces the store durably before the meta says so.
+/// last of them replaces the store durably before the meta says so. An
+/// append without a doubling writes the store in place; its header
+/// stays marked until the new `filled` and the blocks are durable
+/// together.
 fn append_to_file(ws: WsFile, chunk: &NdArray<f64>) -> Result<Meta, CmdError> {
     let path = ws.path().to_path_buf();
     let WsFile {
@@ -400,31 +408,36 @@ fn append_to_file(ws: WsFile, chunk: &NdArray<f64>) -> Result<Meta, CmdError> {
     appender.append(chunk);
     meta.levels = appender.levels().to_vec();
     meta.filled = appender.filled();
-    if appender.expansions() > 0 {
-        // The expanded store must be durable before it replaces the old one.
-        appender.store().pool().store_mut().sync()?;
+    let expanded = appender.expansions() > 0;
+    let (map, mut blocks) = appender.into_store().into_parts();
+    if !expanded {
+        let mut ws = WsFile::from_parts(meta, map, blocks, stats, &path);
+        ws.save_meta()?;
+        ws.sync()?;
+        return Ok(ws.meta);
     }
-    drop(appender);
+    // The expanded store must be durable before it replaces the old one.
+    blocks.sync()?;
+    drop(blocks);
     let made = temps.0.borrow().clone();
-    if let Some((grown, passed)) = made.split_last() {
-        // Doublings a multi-doubling append only passed through go first:
-        // a failure here leaves the old store untouched.
-        for file in passed.iter().flat_map(|t| [t.clone(), sidecar_path(t)]) {
-            std::fs::remove_file(file).map_err(|e| e.to_string())?;
-        }
-        // From here on the temp files are the store's next state.
-        temps.0.borrow_mut().clear();
-        // Blocks file first, checksum sidecar second. A crash between the two
-        // renames leaves a sidecar whose length no longer matches the blocks
-        // file, which `open` rejects — detectable, never silently wrong.
-        std::fs::rename(grown, &path).map_err(|e| e.to_string())?;
-        std::fs::rename(sidecar_path(grown), sidecar_path(&path)).map_err(|e| e.to_string())?;
+    let (grown, passed) = made.split_last().expect("a doubling made a temp store");
+    // Doublings a multi-doubling append only passed through go first:
+    // a failure here leaves the old store untouched.
+    for file in passed.iter().flat_map(|t| [t.clone(), sidecar_path(t)]) {
+        std::fs::remove_file(file).map_err(|e| e.to_string())?;
     }
+    // The renames swap the files under the old header: marked, it makes
+    // a crash before the new header lands one `open` refuses.
+    WsFile::open(&path)?.mark()?;
+    // From here on the temp files are the store's next state.
+    temps.0.borrow_mut().clear();
+    std::fs::rename(grown, &path).map_err(|e| e.to_string())?;
+    std::fs::rename(sidecar_path(grown), sidecar_path(&path)).map_err(|e| e.to_string())?;
     // The blocks file must open under the new geometry before the meta
-    // (temp + fsync + rename) declares it.
+    // (temp + fsync + rename) declares it; the new header is unmarked.
     let map = meta.tiling();
     let blocks = FileBlockStore::open(&path, map.block_capacity(), map.num_tiles(), stats.clone())?;
-    let ws = WsFile::from_parts(meta, map, blocks, stats, &path);
+    let mut ws = WsFile::from_parts(meta, map, blocks, stats, &path);
     ws.save_meta()?;
     Ok(ws.meta)
 }
@@ -699,8 +712,15 @@ pub fn serve(args: &Args) -> Result<(), CmdError> {
     } else if args.flag_set("trace-ring") {
         ss_obs::trace::tracer().enable_ring();
     }
-    let ws = WsFile::open(Path::new(path))?;
-    let writable = args.flag_set("writable");
+    let log = if args.flag_set("writable") {
+        Some(open_wal(args, path)?)
+    } else {
+        None
+    };
+    let ws = match &log {
+        Some((_, records)) => open_logged(path, records)?,
+        None => WsFile::open(Path::new(path))?,
+    };
     let levels = ws.meta.levels.clone();
     let stats = ws.stats.clone();
     let (map, blocks) = ws.store.into_parts();
@@ -713,8 +733,8 @@ pub fn serve(args: &Args) -> Result<(), CmdError> {
     };
     let _metrics = metrics::maybe_serve(args)?;
     let bind_addr = format!("127.0.0.1:{port}");
-    let (server, snapshot) = if writable {
-        let (shared, wal, replayed) = open_wal_and_replay(args, path, shared)?;
+    let (server, snapshot) = if let Some((wal, records)) = log {
+        let replayed = replay(&records, &shared)?;
         if replayed.commits > 0 {
             println!(
                 "wal: replayed {} commits ({} tile images), resuming at epoch {}",
@@ -778,21 +798,12 @@ struct ReplaySummary {
     last_epoch: u64,
 }
 
-/// Opens the `--wal` log (default `<store>.wal`) and replays any commits a
-/// crash left in it onto `shared`. Passes `shared` through because replay
-/// needs the store and the caller needs it back.
-fn open_wal_and_replay<M: TilingMap, S: ss_storage::BlockStore>(
+/// Opens the `--wal` log (default `<store>.wal`) and the commits a crash
+/// left in it.
+fn open_wal(
     args: &Args,
     store_path: &str,
-    shared: ss_storage::SharedCoeffStore<M, S>,
-) -> Result<
-    (
-        ss_storage::SharedCoeffStore<M, S>,
-        ss_maintain::Wal,
-        ReplaySummary,
-    ),
-    CmdError,
-> {
+) -> Result<(ss_maintain::Wal, Vec<ss_maintain::WalRecord>), CmdError> {
     let wal_path = match args.flag_opt("wal") {
         Some(p) if !p.is_empty() => std::path::PathBuf::from(p),
         _ => std::path::PathBuf::from(format!("{store_path}.wal")),
@@ -801,16 +812,37 @@ fn open_wal_and_replay<M: TilingMap, S: ss_storage::BlockStore>(
     if scan.torn_tail {
         println!("wal: dropped torn tail (incomplete final append)");
     }
-    let tiles = ss_maintain::replay_records(&records, &shared);
-    Ok((
-        shared,
-        wal,
-        ReplaySummary {
-            commits: records.len(),
-            tiles,
-            last_epoch: records.last().map(|r| r.epoch).unwrap_or(0),
-        },
-    ))
+    Ok((wal, records))
+}
+
+/// Opens the store of a write-ahead log holding `records`. A checkpoint
+/// writes only tiles whose post-images the log holds until the sync
+/// after it, so a store an interrupted checkpoint left marked opens when
+/// there are records to [`replay`]; with none, it is refused.
+fn open_logged(path: &str, records: &[ss_maintain::WalRecord]) -> Result<WsFile, CmdError> {
+    let open = if records.is_empty() {
+        WsFile::open
+    } else {
+        WsFile::recover
+    };
+    Ok(open(Path::new(path))?)
+}
+
+/// Replays `records` onto `shared` and syncs it, which clears the mark an
+/// interrupted checkpoint left.
+fn replay<M: TilingMap, S: ss_storage::BlockStore>(
+    records: &[ss_maintain::WalRecord],
+    shared: &ss_storage::SharedCoeffStore<M, S>,
+) -> Result<ReplaySummary, CmdError> {
+    let tiles = ss_maintain::replay_records(records, shared);
+    if !records.is_empty() {
+        shared.sync()?;
+    }
+    Ok(ReplaySummary {
+        commits: records.len(),
+        tiles,
+        last_epoch: records.last().map_or(0, |r| r.epoch),
+    })
 }
 
 /// `wal-replay <store> [--wal FILE]`
@@ -822,15 +854,15 @@ fn open_wal_and_replay<M: TilingMap, S: ss_storage::BlockStore>(
 /// store rewrites the same bits, and an empty log is a no-op.
 pub fn wal_replay(args: &Args) -> Result<(), CmdError> {
     let path = args.pos(0, "store path")?;
-    let ws = WsFile::open(Path::new(path))?;
+    let (mut wal, records) = open_wal(args, path)?;
+    let ws = open_logged(path, &records)?;
     let stats = ws.stats.clone();
     let (map, blocks) = ws.store.into_parts();
     let shared = ss_storage::SharedCoeffStore::new(map, blocks, 1 << 10, 4, stats.clone());
-    let (shared, mut wal, replayed) = open_wal_and_replay(args, path, shared)?;
+    let replayed = replay(&records, &shared)?;
     if replayed.commits == 0 {
         println!("wal is empty: nothing to replay");
     } else {
-        shared.sync()?;
         wal.reset()?;
         println!(
             "replayed {} commits ({} tile images) up to epoch {}; store synced, wal truncated",

@@ -55,7 +55,9 @@ COMMANDS:
           (dense stores only; v3 stores must be re-ingested to grow)
   scrub   <store>                  verify every block against its CRC-32
           (exit 0 = intact, 2 = corruption detected; on v3 stores the
-          scrub also checks directory geometry and payload encoding)
+          scrub also checks directory geometry and payload encoding;
+          like every command, it refuses with exit 2 a store that a
+          mutation left marked in .meta by dying before its sync)
   stats   <store>                  show store geometry and on-disk bytes
           (v3 stores also report live payload vs. garbage bytes)
   synopsis <store> --k K --out F   export a K-term synopsis blob
@@ -790,6 +792,82 @@ mod tests {
         // Earlier folded state is untouched by the replay.
         let a = ss_query::point_standard(&mut ws.store, &ws.meta.levels, &[2, 3]);
         assert!((a - 4.5).abs() < 1e-9, "{a}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_interrupted_mutation_is_refused_until_a_log_replays_it() {
+        let dir = tmp_dir("interrupted");
+        let data = write_cube_csv(&dir, "d.csv", 16, 16);
+        let store = dir.join("s.ws");
+        let store_s = store.to_str().unwrap();
+        run(&to_args(&[
+            "create", store_s, "--levels", "4,4", "--tiles", "2,2",
+        ]))
+        .unwrap();
+        let ingest = ["ingest", store_s, "--data", data.as_str(), "--chunk", "2,2"];
+        run(&to_args(&ingest)).unwrap();
+        let meta = dir.join("s.ws.meta");
+        let clean = std::fs::read_to_string(&meta).unwrap();
+        assert!(!clean.contains("mutating"), "{clean}");
+
+        // A mutation whose process died after a block write, before the
+        // sync: the store is marked, and every command refuses it.
+        let mut ws = crate::wsfile::WsFile::open(&store).unwrap();
+        ws.store.write(&[3, 3], 1.0);
+        ws.store.flush();
+        drop(ws);
+        let wal = dir.join("s.wal");
+        let wal_s = wal.to_str().unwrap();
+        let delta = dir.join("delta.csv");
+        std::fs::write(&delta, "1\n").unwrap();
+        let delta_s = delta.to_str().unwrap();
+        let update = [
+            "update", store_s, "--at", "1,1", "--dims", "1,1", "--data", delta_s,
+        ];
+        let commands: [&[&str]; 7] = [
+            &["point", store_s, "3,5"],
+            &["extract", store_s, "--lo", "0,0", "--hi", "3,3"],
+            &update,
+            &ingest,
+            &["scrub", store_s],
+            &["serve", store_s, "--requests", "1"],
+            &["wal-replay", store_s, "--wal", wal_s],
+        ];
+        for args in commands {
+            let err = run(&to_args(args)).unwrap_err();
+            assert_eq!((err.code, err.usage), (2, false), "{args:?}: {}", err.msg);
+            assert!(err.msg.contains("interrupted mutation"), "{}", err.msg);
+        }
+
+        // Unmarked by hand, as a restored copy would be; then a checkpoint
+        // that died after writing a logged tile: the log's commits replay
+        // over it, and the sync clears the mark.
+        std::fs::write(&meta, &clean).unwrap();
+        let ws = crate::wsfile::WsFile::open(&store).unwrap();
+        let levels = ws.meta.levels.clone();
+        let (map, blocks) = ws.store.into_parts();
+        let shared = ss_storage::SharedCoeffStore::new(map, blocks, 64, 2, ws.stats);
+        let (log, _, _) = ss_maintain::Wal::open(&wal).unwrap();
+        let snap = ss_maintain::SnapshotCoeffStore::new(shared, Some(log), 0);
+        let mut buf = ss_maintain::DeltaBuffer::new();
+        let delta = ss_array::NdArray::from_vec(ss_array::Shape::new(&[1, 1]), vec![2.0]);
+        buf.add_box_standard(snap.map(), &levels, &[7, 7], &delta);
+        snap.commit(&mut buf).unwrap();
+        drop(snap);
+        let (_, records, _) = ss_maintain::Wal::open(&wal).unwrap();
+        let mut ws = crate::wsfile::WsFile::open(&store).unwrap();
+        let before = ss_query::point_standard(&mut ws.store, &levels, &[7, 7]);
+        let tile = &records[0].tiles[0];
+        ws.store.overwrite_tile(tile.tile, &tile.image);
+        ws.store.flush();
+        drop(ws);
+        assert!(crate::wsfile::WsFile::open(&store).is_err());
+        run(&to_args(&["wal-replay", store_s, "--wal", wal_s])).unwrap();
+        assert_eq!(std::fs::read_to_string(&meta).unwrap(), clean);
+        let mut ws = crate::wsfile::WsFile::open(&store).unwrap();
+        let after = ss_query::point_standard(&mut ws.store, &levels, &[7, 7]);
+        assert!((after - before - 2.0).abs() < 1e-9, "{before} -> {after}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

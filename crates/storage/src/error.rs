@@ -3,7 +3,8 @@
 //! Every fallible operation in this crate reports a [`StorageError`]
 //! instead of a bare `String`, and every variant is one the file store
 //! produces: an OS I/O failure, a checksum mismatch, damaged geometry, a
-//! bad `.meta` header or an unsupported format version. Errors are
+//! bad `.meta` header, an unsupported format version or an interrupted
+//! mutation. Errors are
 //! detected and typed, never retried: no path in this workspace repeats
 //! a failed transfer, so a caller sees the first failure as it happened.
 //! The legacy `Result<_, String>` surfaces keep working through the
@@ -43,6 +44,11 @@ pub enum StorageError {
     /// open: the retired checksum-less v1, or one newer than
     /// [`V3_FORMAT_VERSION`](crate::wsfile::V3_FORMAT_VERSION).
     UnsupportedVersion(u32),
+    /// The `.meta` header carries the mutation-in-flight mark: blocks
+    /// were written after the store's last sync and that mutation never
+    /// finished, so the store may equal no state it ever had
+    /// (`docs/FORMAT.md` §5).
+    Interrupted,
 }
 
 impl StorageError {
@@ -75,6 +81,12 @@ impl fmt::Display for StorageError {
             StorageError::UnsupportedVersion(v) => write!(
                 f,
                 "unsupported .ws format version {v} (this build opens versions 2 and 3)"
+            ),
+            StorageError::Interrupted => write!(
+                f,
+                "interrupted mutation: blocks were written after the store's last sync \
+                 (`.meta` carries `mutating = 1`), so it may hold a torn state; restore \
+                 it from a copy or rebuild it"
             ),
         }
     }

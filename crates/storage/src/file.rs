@@ -67,6 +67,7 @@ use crate::sparse::{
     self as sp, V3_ALLOC_QUANTUM, V3_DIR_ENTRY_LEN, V3_HEADER_LEN, V3_MAGIC, V3_VERSION,
 };
 use crate::stats::IoStats;
+use crate::wsfile::MetaMark;
 use ss_core::SparseTile;
 use ss_obs::{Counter, Histogram};
 use std::fs::{File, OpenOptions};
@@ -269,6 +270,10 @@ pub struct FileBlockStore {
     /// (`create`, `create_v3`, `grow`): a read of one is no transfer. An
     /// opened store marks none, so every block it reads is verified.
     never_written: Vec<bool>,
+    /// The `.meta` header of the [`WsFile`](crate::WsFile) these blocks
+    /// belong to: marked before the first write after an open or a sync,
+    /// cleared by [`sync`](Self::sync). `None` for a bare blocks file.
+    pub(crate) header: Option<MetaMark>,
 }
 
 impl FileBlockStore {
@@ -502,6 +507,7 @@ impl FileBlockStore {
             sparse_bytes_saved: ss_obs::global().counter("storage.sparse_bytes_saved"),
             sparse_relocations: ss_obs::global().counter("storage.sparse_relocations"),
             never_written: vec![false; blocks],
+            header: None,
         }
     }
 
@@ -756,7 +762,8 @@ impl FileBlockStore {
     }
 
     /// Flushes OS buffers of the blocks file and sidecar to stable
-    /// storage (`fsync`).
+    /// storage (`fsync`), then clears the header's mutation-in-flight
+    /// mark.
     pub fn sync(&mut self) -> Result<(), StorageError> {
         self.file
             .sync_data()
@@ -765,7 +772,12 @@ impl FileBlockStore {
             .file
             .sync_data()
             .map_err(|e| StorageError::io("fsync checksum sidecar", e))?;
-        Ok(())
+        self.header.as_mut().map_or(Ok(()), MetaMark::clear)
+    }
+
+    /// Marks the header before a change to the blocks file or sidecar.
+    fn mark(&mut self) -> Result<(), StorageError> {
+        self.header.as_mut().map_or(Ok(()), MetaMark::set)
     }
 
     /// Scans every block, recomputing its CRC-32 and comparing it to the
@@ -888,6 +900,7 @@ impl FileBlockStore {
     ) -> Result<(), (usize, StorageError)> {
         let end = first + n;
         assert!(end <= self.blocks, "blocks {first}..{end} out of range");
+        self.mark().map_err(|e| (0, e))?;
         // Cleared before the transfer: a failed or torn write leaves
         // blocks every later read verifies.
         self.never_written[first..end].fill(false);
@@ -948,6 +961,9 @@ impl BlockStore for FileBlockStore {
                 "grow is unsupported on format v3 stores (docs/FORMAT.md §8.6); \
                  re-ingest into a fresh store to expand the domain"
             );
+            if let Err(e) = self.mark() {
+                std::panic::panic_any(e);
+            }
             self.file
                 .set_len((self.capacity * blocks * 8) as u64)
                 .expect("grow failed");

@@ -13,7 +13,8 @@
 //!   created zeroed and has not written since is read as zeros with no
 //!   transfer; an opened store treats every block as written,
 //! * [`StorageError`] — the typed fault vocabulary (I/O, checksum mismatch,
-//!   geometry, bad meta header, unsupported version) every fallible path
+//!   geometry, bad meta header, unsupported version, interrupted
+//!   mutation) every fallible path
 //!   speaks; each variant is one the file store produces, and no path
 //!   retries a failed transfer,
 //! * [`IoStats`] — shared atomic counters of block reads/writes and
@@ -37,7 +38,11 @@
 //!     independently locked shards (`&self`), used by the snapshot store
 //!     and the query server; each tile weighs its
 //!     [`TilingMap::coverage`](ss_core::TilingMap::coverage), so the
-//!     coarse tiles every query shares survive a sweep of fine ones,
+//!     coarse tiles every query shares survive a sweep of fine ones, and
+//!     a tile it loads all `+0.0` is a *zero entry* served from a shared
+//!     zero image, outside the budget (at most one per block; ≈ 10 560
+//!     of S1024's 21 609 tiles) — the exclusive pool keeps none, as its
+//!     counts are the paper's dense per-block ones,
 //! * [`CoeffRead`] — the read capability every query is generic over, so
 //!   no query is written twice for the two disciplines: `CoeffStore`
 //!   (windowed gather) and `&SharedCoeffStore` both implement `map`,
@@ -48,7 +53,9 @@
 //!   ([`SharedCoeffStore::overwrite_tile`], the checkpoint and WAL replay),
 //! * [`WsFile`] — the persistent `.ws` store format (blocks file, `.crc`
 //!   checksum sidecar, `.meta` text header — see `docs/FORMAT.md`), with
-//!   crash-safe metadata updates and a full-file scrub
+//!   crash-safe metadata updates, a header mark that makes a mutation
+//!   which died before its sync refused on open
+//!   ([`StorageError::Interrupted`]), and a full-file scrub
 //!   ([`WsFile::verify`]).
 //!
 //! # Example

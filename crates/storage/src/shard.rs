@@ -25,7 +25,12 @@
 //!   holds one of its cells, so the coarse tiles are shared by nearly
 //!   every query, and an unweighted pool smaller than one sweep's tiles
 //!   would evict each of them before the next sweep came back to it
-//!   (sequential flooding). A read of many blocks
+//!   (sequential flooding). Its pool also keeps every block it loads
+//!   clean with an all-`+0.0` image as a *zero entry* — no frame, no
+//!   victim key, outside the budget, at most one per store block
+//!   (≈ 10 560 of S1024's 21 609 tiles): the Haar transform of locally
+//!   constant data is mostly zero tiles, and each would otherwise take a
+//!   frame from a tile that holds data. A read of many blocks
 //!   ([`ShardedBufferPool::with_blocks`]) enters each shard **once per
 //!   call**: it takes a shard nobody holds first, folds all of that
 //!   shard's blocks under the one lock, in the order the caller gave
@@ -40,9 +45,10 @@
 //!   and its misses loaded as runs of adjacent blocks, one
 //!   [`BlockStore::try_write_run`] / [`BlockStore::try_read_run`] each.
 //!   No other thread exists, so a window needs no busy marks. This
-//!   discipline's pool is unweighted, exact LRU: a window's promise that
-//!   it never evicts a frame it touched rests on age order, and the
-//!   paper's pinned per-chunk I/O counts are LRU counts.
+//!   discipline's pool is unweighted, exact LRU, with no zero entries: a
+//!   window's promise that it never evicts a frame it touched rests on
+//!   age order, and the paper's pinned per-chunk I/O counts are dense LRU
+//!   counts, every block a frame.
 //!
 //! Shared misses stay one block each: a window would have to mark all its
 //! blocks busy at once, and the round-robin sharding that spreads a
@@ -107,8 +113,10 @@ use std::time::Instant;
 /// [`ShardedBufferPool::shard_counters`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardCounters {
-    /// Accesses served from a cached frame.
+    /// Accesses served from a cached frame or a zero entry.
     pub hits: u64,
+    /// The hits a zero entry served (see [`ShardedBufferPool::weighted`]).
+    pub zero_hits: u64,
     /// Accesses that read the backing store.
     pub misses: u64,
     /// Frames evicted to respect the shard budget.
@@ -183,6 +191,12 @@ struct Shard {
     /// write-back). A block in `busy` is never in `frames`; threads that
     /// need it wait on the slot's condvar instead of loading it twice.
     busy: HashSet<usize, ById>,
+    /// Zero entries: blocks a weighted pool loaded clean with every slot
+    /// `+0.0`. Never in `frames`; no slab slot, no heap key, no budget.
+    zeros: HashSet<usize, ById>,
+    /// The image every zero entry serves, zeroed again before each use
+    /// (sized by the first zero entry).
+    zero: Vec<f64>,
     /// The `(priority, stamp)` key per slab slot; only the slots of
     /// cached frames are live.
     keys: Vec<(u64, u64)>,
@@ -212,15 +226,25 @@ impl Shard {
     }
 
     /// [`hit`](Self::hit) counted in the shard only: the caller adds it
-    /// to the global `pool_hits`.
+    /// to the global `pool_hits`. A read of a zero entry is a hit on the
+    /// shard's zero image; a mutating access misses it.
     fn touch(&mut self, id: usize, mutate: bool) -> Option<&mut [f64]> {
-        let frame = self.frames.get_mut(&id)?;
+        if let Some(frame) = self.frames.get_mut(&id) {
+            self.counters.hits += 1;
+            tile_fetch(id, true);
+            self.clock += 1;
+            self.keys[frame.slot] = (self.floor.saturating_add(frame.weight), self.clock);
+            frame.dirty |= mutate;
+            return Some(&mut frame.data);
+        }
+        if mutate || !self.zeros.contains(&id) {
+            return None;
+        }
         self.counters.hits += 1;
+        self.counters.zero_hits += 1;
         tile_fetch(id, true);
-        self.clock += 1;
-        self.keys[frame.slot] = (self.floor.saturating_add(frame.weight), self.clock);
-        frame.dirty |= mutate;
-        Some(&mut frame.data)
+        self.zero.fill(0.0);
+        Some(&mut self.zero)
     }
 
     /// Counts a miss on `id` and evicts the smallest-keyed frames until
@@ -511,9 +535,22 @@ impl<S: BlockStore> ShardedBufferPool<S> {
     /// within its weight times the shard budget of misses. An unweighted
     /// pool (every weight 0) is exact LRU.
     ///
+    /// A weighted pool also keeps each block it loads *clean* with every
+    /// slot `+0.0` (`to_bits() == 0`; a `-0.0` stays a frame) as a **zero
+    /// entry**: no data, no slab slot, no heap key, outside the shard
+    /// budget — at most one per store block. A read of one is a hit on a
+    /// shared zero image; a mutating access (or an
+    /// [`overwrite`](Self::overwrite)) drops it and installs a zeroed
+    /// frame through the miss path without a block read; [`clear`](Self::clear)
+    /// forgets them. The Haar transform of locally constant data is
+    /// mostly zero tiles, which would otherwise take frames from the
+    /// tiles that hold data. An unweighted pool keeps none: its misses
+    /// and evictions are the paper's dense per-block LRU accounting.
+    ///
     /// The exclusive discipline's windows rest on age order (a window
     /// never evicts a frame it touched), so a weighted pool's
-    /// [`with_blocks_mut`](Self::with_blocks_mut) goes one id per window.
+    /// [`with_blocks_mut`](Self::with_blocks_mut) takes its ids one at a
+    /// time through [`with_block_mut`](Self::with_block_mut).
     pub fn weighted(mut self, weigh: impl Fn(usize) -> u64 + Send + Sync + 'static) -> Self {
         self.weigh = Some(Box::new(weigh));
         self
@@ -614,7 +651,8 @@ impl<S: BlockStore> ShardedBufferPool<S> {
 
     /// [`with_block`](Self::with_block) for the pool's single owner: a
     /// hit goes through `Mutex::get_mut` and pays no lock at all; a miss
-    /// is a window of one ([`with_blocks_mut`](Self::with_blocks_mut)).
+    /// is a window of one ([`with_blocks_mut`](Self::with_blocks_mut)),
+    /// or in a [`weighted`](Self::weighted) pool the shared miss path.
     pub fn with_block_mut<R>(
         &mut self,
         id: usize,
@@ -626,6 +664,9 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         if let Some(data) = shard.hit(id, mutate, &self.stats) {
             return f(data);
         }
+        if self.weigh.is_some() {
+            return self.enter(id, mutate, true, f);
+        }
         let (mut f, mut out) = (Some(f), None);
         self.window_mut(&[id], mutate, &mut |_, blk| out = f.take().map(|f| f(blk)));
         out.expect("a window runs f once per id")
@@ -634,8 +675,9 @@ impl<S: BlockStore> ShardedBufferPool<S> {
     /// The single owner's access to many blocks: runs `f(k, block)` for
     /// each `ids[k]`, in order, marking the blocks dirty when `mutate`.
     ///
-    /// The ids go in windows of at most one shard budget (of one id in a
-    /// [`weighted`](Self::weighted) pool). A window does
+    /// The ids go in windows of at most one shard budget (in a
+    /// [`weighted`](Self::weighted) pool, one [`with_block_mut`](Self::with_block_mut)
+    /// per id). A window does
     /// the bookkeeping of accessing its ids one at a time — hit stamps,
     /// miss counts, LRU victims, each missed frame reserved at its miss's
     /// stamp — then writes the dirty victims back ascending and loads the
@@ -657,28 +699,29 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         mutate: bool,
         mut f: impl FnMut(usize, &mut [f64]),
     ) {
-        let width = if self.weigh.is_some() {
-            1
-        } else {
-            self.shard_budget
-        };
+        if self.weigh.is_some() {
+            for (k, &id) in ids.iter().enumerate() {
+                self.with_block_mut(id, mutate, |blk| f(k, blk));
+            }
+            return;
+        }
+        let width = self.shard_budget;
         for (w, window) in ids.chunks(width).enumerate() {
             self.window_mut(window, mutate, &mut |k, blk| f(w * width + k, blk));
         }
     }
 
-    /// One window of [`with_blocks_mut`](Self::with_blocks_mut):
-    /// `ids.len()` is at most the shard budget.
+    /// One window of [`with_blocks_mut`](Self::with_blocks_mut) in an
+    /// unweighted pool: `ids.len()` is at most the shard budget.
     fn window_mut(&mut self, ids: &[usize], mutate: bool, f: &mut dyn FnMut(usize, &mut [f64])) {
         let (n, budget, capacity) = (self.shards.len(), self.shard_budget, self.block_capacity);
         let mut victims = Vec::new();
         let mut misses = Vec::new();
         for &id in ids {
-            let weight = self.weight(id);
             let shard = self.shards[id % n].state.get_mut().expect(POISONED);
             if shard.hit(id, mutate, &self.stats).is_none() {
                 shard.miss(id, budget, &self.stats, &mut victims);
-                shard.cache(id, vec![0.0; capacity], mutate, weight);
+                shard.cache(id, vec![0.0; capacity], mutate, 0);
                 misses.push(id);
             }
         }
@@ -812,7 +855,9 @@ impl<S: BlockStore> ShardedBufferPool<S> {
 
     /// The one entry behind [`with_block`](Self::with_block) and
     /// [`overwrite`](Self::overwrite): a miss reads the block only when
-    /// `load` (otherwise the frame starts zeroed for `f` to fill whole).
+    /// `load` and the block is no zero entry (otherwise the frame starts
+    /// zeroed for `f` to fill whole). In a weighted pool a clean load of
+    /// an all-`+0.0` block becomes a zero entry instead of a frame.
     fn enter<R>(&self, id: usize, mutate: bool, load: bool, f: impl FnOnce(&mut [f64]) -> R) -> R {
         let slot_ref = &self.shards[self.shard_of(id)];
         let mut shard = self.lock_slot(slot_ref);
@@ -835,6 +880,8 @@ impl<S: BlockStore> ShardedBufferPool<S> {
             shard.waiting -= 1;
         }
         // Miss: this thread owns the load, performed with the lock dropped.
+        // A zero entry still here met a mutating access: it is all zeros.
+        let load = !shard.zeros.remove(&id) && load;
         let dirty_victims = shard.begin_miss(id, self.shard_budget, &self.stats);
         drop(shard);
         let busy = BusyGuard {
@@ -853,7 +900,8 @@ impl<S: BlockStore> ShardedBufferPool<S> {
             // on other shards overlap their device wait with this one.
             transfer = self.read_store().try_read_block(id, &mut data);
         }
-        let weight = self.weight(id);
+        let zero = load && !mutate && self.weigh.is_some() && data.iter().all(|v| v.to_bits() == 0);
+        let weight = if zero { 0 } else { self.weight(id) };
         let mut shard = self.lock_slot(slot_ref);
         // Clear the busy marks under this same lock and keep holding
         // it: releasing between install and use would let a
@@ -870,6 +918,12 @@ impl<S: BlockStore> ShardedBufferPool<S> {
             }
             drop(shard);
             raise(e);
+        }
+        if zero {
+            shard.zeros.insert(id);
+            shard.zero.clear();
+            shard.zero.resize(self.block_capacity, 0.0);
+            return f(&mut shard.zero);
         }
         f(shard.cache(id, data, mutate, weight))
     }
@@ -938,13 +992,14 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         self.lock_store().try_sync()
     }
 
-    /// Flushes and drops every cached block (a "cold cache" reset between
-    /// experiment phases).
+    /// Flushes and drops every cached block and zero entry (a "cold
+    /// cache" reset between experiment phases).
     pub fn clear(&self) {
         self.flush();
         for slot in &self.shards {
             let mut shard = self.lock_slot(slot);
             shard.frames.clear();
+            shard.zeros.clear();
             shard.keys.clear();
             shard.ids.clear();
             shard.free.clear();
@@ -1124,6 +1179,25 @@ mod tests {
     ) -> (ShardedBufferPool<MemBlockStore>, IoStats) {
         let stats = IoStats::new();
         let store = written(MemBlockStore::new(4, blocks, stats.clone()), &stats);
+        (
+            ShardedBufferPool::new(store, budget, shards, stats.clone()),
+            stats,
+        )
+    }
+
+    /// [`pool`] over blocks that hold data: block `id` is `id + 1` in
+    /// slot 0, so a weighted pool keeps every block it loads as a frame.
+    fn filled_pool(
+        blocks: usize,
+        budget: usize,
+        shards: usize,
+    ) -> (ShardedBufferPool<MemBlockStore>, IoStats) {
+        let stats = IoStats::new();
+        let mut store = MemBlockStore::new(4, blocks, stats.clone());
+        for id in 0..blocks {
+            store.write_block(id, &[id as f64 + 1.0, 0.0, 0.0, 0.0]);
+        }
+        stats.reset();
         (
             ShardedBufferPool::new(store, budget, shards, stats.clone()),
             stats,
@@ -1378,37 +1452,49 @@ mod tests {
             }
         }
 
-        let stats = IoStats::new();
-        let gate = Gate {
-            inner: written(MemBlockStore::new(4, 8, stats.clone()), &stats),
-            open: Mutex::new(false),
-            opened: Condvar::new(),
-        };
-        let p = ShardedBufferPool::new(gate, 4, 1, stats.clone());
-        let busy_waits = || p.shard_counters()[0].busy_waits;
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| assert_eq!(p.read(3, 0), 0.0));
+        // The block is all zeros: in a weighted pool the load becomes a
+        // zero entry, which the three waiters then hit.
+        for weighted in [false, true] {
+            let stats = IoStats::new();
+            let gate = Gate {
+                inner: written(MemBlockStore::new(4, 8, stats.clone()), &stats),
+                open: Mutex::new(false),
+                opened: Condvar::new(),
+            };
+            let mut p = ShardedBufferPool::new(gate, 4, 1, stats.clone());
+            if weighted {
+                p = p.weighted(|_| 1);
             }
-            // One reader owns the load behind the gate; the other three
-            // must each be waiting on its busy mark before it opens.
-            let t0 = Instant::now();
-            loop {
-                let waits = busy_waits();
-                if waits == 3 {
-                    break;
+            let busy_waits = || p.shard_counters()[0].busy_waits;
+            std::thread::scope(|scope| {
+                for _ in 0..4 {
+                    scope.spawn(|| assert_eq!(p.read(3, 0), 0.0));
                 }
-                assert!(t0.elapsed() < Duration::from_secs(30), "{waits} waits");
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            let gate = p.read_store();
-            *gate.open.lock().unwrap() = true;
-            gate.opened.notify_all();
-        });
-        // All four threads raced for the same cold block: exactly one
-        // loaded it from the store, the rest waited on the busy mark.
-        assert_eq!(busy_waits(), 3);
-        assert_eq!(stats.snapshot().block_reads, 1);
+                // One reader owns the load behind the gate; the other three
+                // must each be waiting on its busy mark before it opens.
+                let t0 = Instant::now();
+                loop {
+                    let waits = busy_waits();
+                    if waits == 3 {
+                        break;
+                    }
+                    assert!(t0.elapsed() < Duration::from_secs(30), "{waits} waits");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                let gate = p.read_store();
+                *gate.open.lock().unwrap() = true;
+                gate.opened.notify_all();
+            });
+            // All four threads raced for the same cold block: exactly one
+            // loaded it from the store, the rest waited on the busy mark.
+            assert_eq!(busy_waits(), 3);
+            assert_eq!(stats.snapshot().block_reads, 1);
+            let counters = p.shard_counters()[0];
+            assert_eq!((counters.hits, counters.misses), (3, 1));
+            let zero_hits = if weighted { 3 } else { 0 };
+            assert_eq!(counters.zero_hits, zero_hits, "weighted {weighted}");
+            assert_eq!(p.cached_blocks(), usize::from(!weighted));
+        }
     }
 
     #[test]
@@ -1684,7 +1770,7 @@ mod tests {
 
     fn flooding_pool(weighted: bool) -> (ShardedBufferPool<MemBlockStore>, IoStats) {
         let blocks = HEAVY + FRESH * SWEEPS + FRAMES * HEAVY_WEIGHT as usize;
-        let (p, stats) = pool(blocks, FRAMES, 1);
+        let (p, stats) = filled_pool(blocks, FRAMES, 1);
         let weigh = |id| if id < HEAVY { HEAVY_WEIGHT } else { 1 };
         (if weighted { p.weighted(weigh) } else { p }, stats)
     }
@@ -1713,6 +1799,18 @@ mod tests {
         assert_eq!(snap.pool_hits, (HEAVY * (SWEEPS - 1)) as u64);
         assert_eq!(snap.block_reads, (HEAVY + FRESH * SWEEPS) as u64);
         assert!((0..HEAVY).all(|id| cached(&p, id)));
+        // The same sweeps over all-zero blocks: every block is a zero
+        // entry after its one read, so every repeat is a hit, nothing is
+        // evicted and no frame is taken.
+        let blocks = HEAVY + FRESH * SWEEPS;
+        let (zeros, stats) = pool(blocks, FRAMES, 1);
+        let zeros = zeros.weighted(|id| if id < HEAVY { HEAVY_WEIGHT } else { 1 });
+        flood(&zeros);
+        let snap = stats.snapshot();
+        assert_eq!(snap.pool_hits, (HEAVY * (SWEEPS - 1)) as u64);
+        assert_eq!(snap.block_reads, blocks as u64);
+        assert_eq!((snap.pool_evictions, zeros.cached_blocks()), (0, 0));
+        assert_eq!(zeros.shard_counters()[0].zero_hits, snap.pool_hits);
     }
 
     #[test]
@@ -1740,7 +1838,7 @@ mod tests {
     fn saturated_keys_fall_back_to_age_order() {
         // Every weight is the largest key: the floor saturates at once,
         // and the stamp alone orders the frames, as in exact LRU.
-        let (p, stats) = pool(8, 2, 1);
+        let (p, stats) = filled_pool(8, 2, 1);
         let p = p.weighted(|_| u64::MAX);
         for id in [0, 1, 0, 2, 3, 0] {
             p.read(id, 0);
@@ -1750,6 +1848,100 @@ mod tests {
         let snap = stats.snapshot();
         assert_eq!((snap.pool_hits, snap.pool_misses), (1, 5));
         assert!(cached(&p, 3) && cached(&p, 0));
+        // All-zero blocks are zero entries: both repeats of 0 hit.
+        let (p, stats) = pool(8, 2, 1);
+        let p = p.weighted(|_| u64::MAX);
+        for id in [0, 1, 0, 2, 3, 0] {
+            p.read(id, 0);
+        }
+        let snap = stats.snapshot();
+        assert_eq!((snap.pool_hits, snap.pool_misses), (2, 4));
+        assert_eq!(p.cached_blocks(), 0);
+    }
+
+    #[test]
+    fn an_all_zero_block_read_twice_is_one_read_and_no_frame() {
+        let (p, stats) = pool(8, 2, 1);
+        let p = p.weighted(|_| 1);
+        assert_eq!(p.read(3, 1), 0.0);
+        assert_eq!(p.with_block(3, false, |blk| blk.to_vec()), [0.0; 4]);
+        let snap = stats.snapshot();
+        assert_eq!(snap.block_reads, 1);
+        assert_eq!((snap.pool_misses, snap.pool_hits), (1, 1));
+        assert_eq!(p.shard_counters()[0].zero_hits, 1);
+        assert!(!cached(&p, 3) && p.cached_blocks() == 0);
+        // A shared read of many blocks serves it from the zero image too.
+        let mut seen = Vec::new();
+        p.with_blocks(&[3, 3], |k, blk| seen.push((k, blk.to_vec())));
+        assert_eq!(seen, [(0, vec![0.0; 4]), (1, vec![0.0; 4])]);
+        assert_eq!(stats.snapshot().block_reads, 1);
+    }
+
+    #[test]
+    fn a_negative_zero_image_stays_a_frame() {
+        let stats = IoStats::new();
+        let mut store = written(MemBlockStore::new(4, 8, stats.clone()), &stats);
+        store.write_block(5, &[0.0, -0.0, 0.0, 0.0]);
+        stats.reset();
+        let p = ShardedBufferPool::new(store, 2, 1, stats.clone()).weighted(|_| 1);
+        assert_eq!(p.read(5, 1).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(p.read(5, 1).to_bits(), (-0.0f64).to_bits());
+        assert!(cached(&p, 5));
+        assert_eq!(p.shard_counters()[0].zero_hits, 0);
+        assert_eq!(stats.snapshot().block_reads, 1);
+    }
+
+    #[test]
+    fn writes_on_a_zero_entry_read_no_block_and_persist() {
+        let (p, stats) = pool(8, 4, 1);
+        let p = p.weighted(|_| 1);
+        p.read(1, 0);
+        p.read(2, 0);
+        assert_eq!(stats.snapshot().block_reads, 2);
+        p.write(1, 3, 7.5);
+        p.overwrite(2, &[1.0, 2.0, 3.0, 4.0]);
+        p.with_block(2, true, |blk| blk[0] += 0.5);
+        let snap = stats.snapshot();
+        assert_eq!(snap.block_reads, 2, "the zero entries were not read again");
+        assert_eq!((snap.pool_misses, snap.pool_hits), (4, 1));
+        assert!(cached(&p, 1) && cached(&p, 2));
+        p.flush();
+        assert_eq!(stats.snapshot().block_writes, 2);
+        // A new pool over the same store sees both images.
+        let reopened = ShardedBufferPool::new(p.into_store(), 4, 1, stats.clone()).weighted(|_| 1);
+        assert_eq!(reopened.read(1, 3), 7.5);
+        assert_eq!(
+            reopened.with_block(2, false, |blk| blk.to_vec()),
+            [1.5, 2.0, 3.0, 4.0]
+        );
+        assert_eq!(reopened.cached_blocks(), 2);
+    }
+
+    #[test]
+    fn clear_forgets_zero_entries() {
+        let (p, stats) = pool(8, 2, 2);
+        let p = p.weighted(|_| 1);
+        p.read(4, 0);
+        p.read(4, 0);
+        p.clear();
+        p.read(4, 0);
+        let snap = stats.snapshot();
+        assert_eq!(snap.block_reads, 2);
+        assert_eq!((snap.pool_misses, snap.pool_hits), (2, 1));
+    }
+
+    #[test]
+    fn an_unweighted_pool_keeps_no_zero_entry() {
+        let (mut p, stats) = pool(8, 2, 1);
+        p.read(3, 0);
+        p.read(3, 0);
+        read_mut(&mut p, 4, 0);
+        read_mut(&mut p, 4, 0);
+        let snap = stats.snapshot();
+        assert_eq!(snap.block_reads, 2);
+        assert_eq!((snap.pool_misses, snap.pool_hits), (2, 2));
+        assert_eq!(p.shard_counters()[0].zero_hits, 0);
+        assert!(cached(&p, 3) && cached(&p, 4));
     }
 
     #[test]

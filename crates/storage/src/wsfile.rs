@@ -25,6 +25,16 @@
 //! atomically renames it over the old header, so a crash at any instant
 //! leaves either the old meta or the new one intact, never a torn
 //! mixture.
+//!
+//! A block write can tear the store itself: a batch that dies between two
+//! of its writes leaves every block CRC-valid and the whole equal to no
+//! state the store ever had. So the blocks file of a `WsFile` marks its
+//! header before its first block write after an open or a sync — the
+//! header plus a `mutating = 1` line, written the same crash-safe way —
+//! and [`WsFile::sync`] clears the mark once the blocks and the sidecar
+//! are fsynced. [`WsFile::open`] refuses a marked store with
+//! [`StorageError::Interrupted`]; an older build refuses it as an unknown
+//! meta key.
 
 use crate::error::{ScrubReport, StorageError};
 use crate::file::sidecar_path;
@@ -43,6 +53,10 @@ pub const FORMAT_VERSION: u32 = 2;
 /// The opt-in sparse bucketed format version (`docs/FORMAT.md` §8),
 /// written by [`WsFile::create_v3`] / `shiftsplit ingest --format v3`.
 pub const V3_FORMAT_VERSION: u32 = 3;
+
+/// The line a `.meta` header ends with while its store has block writes
+/// that no sync has covered yet (`docs/FORMAT.md` §5).
+const MUTATING: &str = "mutating = 1\n";
 
 /// Geometry and bookkeeping persisted in the `.meta` file.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -133,6 +147,7 @@ impl Meta {
                             .map_err(|e| bad(format!("bad axis: {e}")))?,
                     )
                 }
+                "mutating" => return Err(StorageError::Interrupted),
                 other => return Err(bad(format!("unknown meta key: {other}"))),
             }
         }
@@ -227,12 +242,57 @@ fn atomic_write(path: &Path, text: &str) -> Result<(), StorageError> {
         .map_err(|e| StorageError::io(format!("rename over {}", path.display()), e))
 }
 
-/// Reads and parses the `.meta` header of the store at `path`.
-fn read_meta(path: &Path) -> Result<Meta, StorageError> {
+/// Reads and parses the `.meta` header of the store at `path`, and
+/// whether it carries the mutation-in-flight mark.
+fn read_meta(path: &Path) -> Result<(Meta, bool), StorageError> {
     let mp = meta_path(path);
     let text = std::fs::read_to_string(&mp)
         .map_err(|e| StorageError::io(format!("read {}", mp.display()), e))?;
-    Meta::from_text(&text)
+    match text.strip_suffix(MUTATING) {
+        Some(header) => Ok((Meta::from_text(header)?, true)),
+        None => Ok((Meta::from_text(&text)?, false)),
+    }
+}
+
+/// A store's `.meta` header as its blocks file keeps it: the text at
+/// rest, and whether the file on disk carries the mutation-in-flight
+/// mark. The [`FileBlockStore`] of a [`WsFile`] sets the mark before its
+/// first block write and clears it at the end of its `sync`.
+pub(crate) struct MetaMark {
+    path: PathBuf,
+    text: String,
+    marked: bool,
+}
+
+impl MetaMark {
+    /// Marks the header, unless it is marked already.
+    pub(crate) fn set(&mut self) -> Result<(), StorageError> {
+        if !self.marked {
+            self.write(true)?;
+            self.marked = true;
+        }
+        Ok(())
+    }
+
+    /// Writes the header back unmarked, if it is marked.
+    pub(crate) fn clear(&mut self) -> Result<(), StorageError> {
+        if self.marked {
+            self.write(false)?;
+            self.marked = false;
+        }
+        Ok(())
+    }
+
+    /// Replaces the header text, keeping the mark if it is set.
+    fn save(&mut self, text: String) -> Result<(), StorageError> {
+        self.text = text;
+        self.write(self.marked)
+    }
+
+    fn write(&self, marked: bool) -> Result<(), StorageError> {
+        let mark = if marked { MUTATING } else { "" };
+        atomic_write(&self.path, &format!("{}{mark}", self.text))
+    }
 }
 
 /// An opened persistent store.
@@ -279,27 +339,61 @@ impl WsFile {
     /// Opens an existing store read-write with CRC-verified reads. The
     /// meta `version` line dispatches the blocks-file layout: dense (v2)
     /// or sparse (v3).
+    ///
+    /// # Errors
+    ///
+    /// Besides the file faults, refuses a store an interrupted mutation
+    /// left marked with [`StorageError::Interrupted`].
     pub fn open(path: &Path) -> Result<WsFile, StorageError> {
-        let meta = read_meta(path)?;
+        match read_meta(path)? {
+            (_, true) => Err(StorageError::Interrupted),
+            (meta, false) => Self::open_as(path, meta, false),
+        }
+    }
+
+    /// [`open`](Self::open) that also opens a store an interrupted
+    /// mutation left marked, keeping the mark until the next
+    /// [`sync`](Self::sync). Only for a caller about to overwrite every
+    /// block that mutation may have torn from the post-images a log holds
+    /// — write-ahead-log replay, whose log covers every tile a checkpoint
+    /// writes — and then sync.
+    pub fn recover(path: &Path) -> Result<WsFile, StorageError> {
+        let (meta, marked) = read_meta(path)?;
+        Self::open_as(path, meta, marked)
+    }
+
+    fn open_as(path: &Path, meta: Meta, marked: bool) -> Result<WsFile, StorageError> {
         let map = meta.tiling();
         let stats = IoStats::new();
         let open = match meta.version {
             V3_FORMAT_VERSION => FileBlockStore::open_v3,
             _ => FileBlockStore::open,
         };
-        let blocks = open(path, map.block_capacity(), map.num_tiles(), stats.clone())?;
+        let mut blocks = open(path, map.block_capacity(), map.num_tiles(), stats.clone())?;
+        blocks.header = Some(MetaMark {
+            path: meta_path(path),
+            text: meta.to_text(),
+            marked,
+        });
         Ok(Self::from_parts(meta, map, blocks, stats, path))
     }
 
     /// Assembles a `WsFile` from already-opened parts (used by the CLI when
     /// it needs the block store bound to a caller-provided `IoStats`).
+    /// Blocks that came out of a `WsFile` keep their header's mark; any
+    /// others take the header at `path` as unmarked.
     pub fn from_parts(
         meta: Meta,
         map: StandardTiling,
-        blocks: FileBlockStore,
+        mut blocks: FileBlockStore,
         stats: IoStats,
         path: &Path,
     ) -> WsFile {
+        blocks.header.get_or_insert_with(|| MetaMark {
+            path: meta_path(path),
+            text: meta.to_text(),
+            marked: false,
+        });
         WsFile {
             store: CoeffStore::new(map, blocks, 1 << 10, stats.clone()),
             meta,
@@ -309,9 +403,11 @@ impl WsFile {
     }
 
     /// Persists updated metadata (after appends/expansions) crash-safely:
-    /// temp file → fsync → atomic rename.
-    pub fn save_meta(&self) -> Result<(), StorageError> {
-        atomic_write(&meta_path(&self.path), &self.meta.to_text())
+    /// temp file → fsync → atomic rename. A marked header stays marked
+    /// until the next [`sync`](Self::sync).
+    pub fn save_meta(&mut self) -> Result<(), StorageError> {
+        let text = self.meta.to_text();
+        self.header().save(text)
     }
 
     /// Flushes dirty cached blocks, then scrubs the whole blocks file
@@ -323,10 +419,27 @@ impl WsFile {
     }
 
     /// Flushes dirty cached blocks and fsyncs the blocks file and
-    /// checksum sidecar to stable storage.
+    /// checksum sidecar to stable storage, then clears the header's
+    /// mutation-in-flight mark.
     pub fn sync(&mut self) -> Result<(), StorageError> {
         self.store.flush();
         self.store.pool().store_mut().sync()
+    }
+
+    /// Marks the header as if a block write were in flight, until the
+    /// next [`sync`](Self::sync): for a caller about to change the
+    /// store's files other than through its blocks (a domain doubling's
+    /// renames).
+    pub fn mark(&mut self) -> Result<(), StorageError> {
+        self.header().set()
+    }
+
+    fn header(&mut self) -> &mut MetaMark {
+        let blocks = self.store.pool().store_mut();
+        blocks
+            .header
+            .as_mut()
+            .expect("from_parts ties every WsFile's header")
     }
 
     /// The blocks-file path.
@@ -371,7 +484,10 @@ pub fn convert_to_v3(
     path: &Path,
     policy: RetentionPolicy,
 ) -> Result<V3ConvertReport, StorageError> {
-    let mut meta = read_meta(path)?;
+    let mut meta = match read_meta(path)? {
+        (_, true) => return Err(StorageError::Interrupted),
+        (meta, false) => meta,
+    };
     if meta.version == V3_FORMAT_VERSION {
         return Err(StorageError::Meta(format!(
             "{} is already a sparse v3 store",
@@ -529,7 +645,7 @@ mod tests {
         {
             let mut ws = WsFile::create(&path, meta).unwrap();
             ws.store.write(&[1, 1], 3.0);
-            ws.store.flush();
+            ws.sync().unwrap();
         }
         let len = std::fs::metadata(&path).unwrap().len();
         std::fs::OpenOptions::new()
@@ -561,7 +677,7 @@ mod tests {
         {
             let mut ws = WsFile::create(&path, meta.clone()).unwrap();
             ws.store.write(&[2, 5], 42.5);
-            ws.store.flush();
+            ws.sync().unwrap();
         }
         {
             let mut ws = WsFile::open(&path).unwrap();
@@ -584,6 +700,7 @@ mod tests {
         }
         let report = ws.verify().unwrap();
         assert!(report.is_clean());
+        ws.sync().unwrap();
         drop(ws);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
@@ -626,7 +743,7 @@ mod tests {
             assert!(ws.sparse());
             assert_eq!(ws.meta.version, V3_FORMAT_VERSION);
             ws.store.write(&[2, 5], 42.5);
-            ws.store.flush();
+            ws.sync().unwrap();
         }
         {
             let mut ws = WsFile::open(&path).unwrap();
@@ -672,7 +789,7 @@ mod tests {
             let mut ws = WsFile::create(&path, meta).unwrap();
             ws.store.write(&[2, 5], 42.5);
             ws.store.write(&[7, 7], -1e-12);
-            ws.store.flush();
+            ws.sync().unwrap();
             for i in 0..8 {
                 for j in 0..8 {
                     dense_image.push(ws.store.read(&[i, j]));
@@ -706,7 +823,7 @@ mod tests {
             let mut ws = WsFile::create(&path, meta).unwrap();
             ws.store.write(&[1, 1], 8.0);
             ws.store.write(&[3, 3], 0.25);
-            ws.store.flush();
+            ws.sync().unwrap();
         }
         let report = convert_to_v3(&path, RetentionPolicy::Threshold(1.0)).unwrap();
         assert!(report.retention.dropped >= 1);
@@ -714,6 +831,85 @@ mod tests {
         assert!(report.retention.max_dropped <= 1.0, "threshold respected");
         let mut ws = WsFile::open(&path).unwrap();
         assert!(ws.verify().unwrap().is_clean());
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_write_marks_the_header_until_the_sync() {
+        let path = tmp("mark");
+        let meta = Meta::new(vec![3, 3], vec![1, 1], 8, 1);
+        let mut ws = WsFile::create(&path, meta.clone()).unwrap();
+        let clean = std::fs::read(meta_path(&path)).unwrap();
+        assert_eq!(clean, meta.to_text().as_bytes());
+        ws.store.write(&[2, 5], 42.5);
+        ws.store.flush();
+        let marked = std::fs::read_to_string(meta_path(&path)).unwrap();
+        assert_eq!(marked, format!("{}{MUTATING}", meta.to_text()));
+        // An unsynced mutation is refused by open, scrub's way in and
+        // the v3 conversion alike; an older build rejects the key.
+        assert!(matches!(
+            WsFile::open(&path),
+            Err(StorageError::Interrupted)
+        ));
+        assert!(matches!(
+            convert_to_v3(&path, RetentionPolicy::Keep),
+            Err(StorageError::Interrupted)
+        ));
+        assert!(matches!(
+            Meta::from_text(&marked),
+            Err(StorageError::Interrupted)
+        ));
+        // A header saved meanwhile stays marked; the sync clears it and
+        // leaves the header byte for byte what an unmarked save writes.
+        ws.meta.filled = 4;
+        ws.save_meta().unwrap();
+        assert!(matches!(
+            WsFile::open(&path),
+            Err(StorageError::Interrupted)
+        ));
+        ws.sync().unwrap();
+        assert_eq!(
+            std::fs::read(meta_path(&path)).unwrap(),
+            ws.meta.to_text().as_bytes()
+        );
+        drop(ws);
+        let mut ws = WsFile::open(&path).unwrap();
+        assert_eq!((ws.meta.filled, ws.store.read(&[2, 5])), (4, 42.5));
+        // Reads and a sync with nothing written rename nothing.
+        ws.sync().unwrap();
+        assert!(!std::fs::read_to_string(meta_path(&path))
+            .unwrap()
+            .contains("mutating"));
+        cleanup(&path);
+    }
+
+    #[test]
+    fn recover_opens_a_marked_store_until_its_sync() {
+        let path = tmp("recover");
+        let meta = Meta::new(vec![3, 3], vec![1, 1], 8, 1);
+        let mut ws = WsFile::create(&path, meta.clone()).unwrap();
+        ws.store.write(&[1, 1], 1.5);
+        ws.store.flush();
+        drop(ws);
+        let mut ws = WsFile::recover(&path).unwrap();
+        assert_eq!(ws.meta, meta);
+        ws.store.write(&[1, 1], 2.5);
+        ws.save_meta().unwrap();
+        assert!(matches!(
+            WsFile::open(&path),
+            Err(StorageError::Interrupted)
+        ));
+        ws.sync().unwrap();
+        assert_eq!(WsFile::open(&path).unwrap().store.read(&[1, 1]), 2.5);
+        // `mark` covers a change made around the blocks.
+        let mut ws = WsFile::open(&path).unwrap();
+        ws.mark().unwrap();
+        assert!(matches!(
+            WsFile::open(&path),
+            Err(StorageError::Interrupted)
+        ));
+        ws.sync().unwrap();
+        assert!(WsFile::open(&path).is_ok());
         cleanup(&path);
     }
 

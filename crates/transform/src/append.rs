@@ -115,6 +115,11 @@ impl<S: BlockStore, F: FnMut(usize, usize) -> S> Appender<S, F> {
         &mut self.cs
     }
 
+    /// Hands back the underlying coefficient store.
+    pub fn into_store(self) -> CoeffStore<StandardTiling, S> {
+        self.cs
+    }
+
     /// Shared I/O counters.
     pub fn stats(&self) -> &IoStats {
         self.cs.stats()

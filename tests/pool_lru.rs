@@ -8,7 +8,8 @@
 //! for its minimum on every eviction, one access at a time. Each script runs twice:
 //! with every weight 0 (an unweighted pool; exact LRU, and the victims of
 //! the plain stamp scan) and with seeded per-block weights (a
-//! `weighted` pool). Seeded scripts of every
+//! `weighted` pool, whose oracle also keeps the zero rule: a clean
+//! all-`+0.0` load is a zero entry, not a frame). Seeded scripts of every
 //! pool entry (`with_block_mut`, `with_blocks_mut` windows — random ids,
 //! with repeats, ascending runs and not, some longer than the budget —
 //! `with_block` with and without mutate, `overwrite`, `flush`, `clear`)
@@ -391,11 +392,19 @@ fn assert_same<T: PartialEq + std::fmt::Debug>(seen: &[T], reference: &[T], what
 /// `(floor + weights[id], clock)`; an eviction sets the floor to the
 /// victim's priority. With every weight 0 the floor stays 0 and this is
 /// the plain last-use-stamp scan.
+///
+/// A weighted oracle also keeps the zero rule: a clean load whose every
+/// slot is `+0.0` (by bits) joins a per-shard zero set instead of the
+/// frames, still after the miss's evictions; a read of a zero-set block
+/// is a hit on zeros, and a mutating access drops it from the set and
+/// misses without a load.
 struct ScanPool<S: BlockStore> {
     store: S,
     shards: Vec<ScanShard>,
     shard_budget: usize,
     weights: Vec<u64>,
+    weighted: bool,
+    zero: Vec<f64>,
     stats: IoStats,
 }
 
@@ -404,6 +413,7 @@ struct ScanShard {
     /// `id -> (data, dirty, index into lru)`.
     frames: HashMap<usize, (Vec<f64>, bool, usize)>,
     lru: Vec<(u64, u64, usize)>,
+    zeros: BTreeSet<usize>,
     floor: u64,
     clock: u64,
     counters: ShardCounters,
@@ -416,11 +426,21 @@ impl<S: BlockStore> ScanPool<S> {
             shards: (0..num_shards).map(|_| ScanShard::default()).collect(),
             shard_budget: (budget / num_shards).max(1),
             weights: weights.to_vec(),
+            weighted: false,
+            zero: vec![0.0; CAPACITY],
             stats,
         }
     }
 
-    fn enter(&mut self, id: usize, mutate: bool, load: bool) -> &mut [f64] {
+    /// The oracle of a weighted pool: the zero rule on.
+    fn weighted(self) -> Self {
+        ScanPool {
+            weighted: true,
+            ..self
+        }
+    }
+
+    fn enter(&mut self, id: usize, mutate: bool, mut load: bool) -> &mut [f64] {
         let n = self.shards.len();
         let shard = &mut self.shards[id % n];
         shard.clock += 1;
@@ -431,6 +451,17 @@ impl<S: BlockStore> ScanPool<S> {
             shard.lru[frame.2] = (shard.floor + self.weights[id], shard.clock, id);
             frame.1 |= mutate;
             return &mut frame.0;
+        }
+        if shard.zeros.contains(&id) {
+            if !mutate {
+                shard.counters.hits += 1;
+                shard.counters.zero_hits += 1;
+                self.stats.add_pool_hits(1);
+                self.zero.fill(0.0);
+                return &mut self.zero;
+            }
+            shard.zeros.remove(&id);
+            load = false;
         }
         shard.counters.misses += 1;
         self.stats.add_pool_misses(1);
@@ -458,6 +489,11 @@ impl<S: BlockStore> ScanPool<S> {
         let mut data = vec![0.0; CAPACITY];
         if load {
             self.store.read_block(id, &mut data);
+            if self.weighted && !mutate && data.iter().all(|v| v.to_bits() == 0) {
+                shard.zeros.insert(id);
+                self.zero.fill(0.0);
+                return &mut self.zero;
+            }
         }
         shard
             .lru
@@ -508,6 +544,7 @@ impl<S: BlockStore> Cache for ScanPool<S> {
         self.flush();
         for shard in &mut self.shards {
             shard.frames.clear();
+            shard.zeros.clear();
             shard.lru.clear();
             shard.floor = 0;
         }
@@ -557,6 +594,9 @@ fn victims_match_the_scan(seed: u64, shards: usize, budget: usize, weighted: boo
     let store = Recording::new(seeded_mem(&oracle_stats));
     let oracle_log = Arc::clone(&store.log);
     let mut oracle = ScanPool::new(store, budget, shards, &weights, oracle_stats.clone());
+    if weighted {
+        oracle = oracle.weighted();
+    }
     let (oracle_seen, oracle_moved) = run(&mut oracle, &steps, false, Some(&oracle_log));
 
     assert_same(

@@ -15,7 +15,10 @@
 //! * **bitwise**, pool weights: a served pool smaller than one sweep's
 //!   tiles, weighted by coverage (the served default) or not (exact LRU),
 //!   answers repeated batches with `batch_*`'s bits; the weights change
-//!   which tiles come from the store, never an answer.
+//!   which tiles come from the store, never an answer,
+//! * **bitwise**, zero entries: over data constant on 8×8 cells, whose
+//!   transform is mostly all-zero tiles, the served pools answer with
+//!   `batch_*`'s bits while serving those tiles from zero entries.
 //!
 //! Tier-1 (`cargo test -q` at the root) runs this, so a cross-crate break of
 //! the evaluator shows up in the one-line verify.
@@ -300,4 +303,70 @@ fn a_pool_smaller_than_a_sweep_serves_the_same_bits_weighted_or_not() {
         hits.push(snap.pool_hits);
     }
     assert!(hits[0] > 0, "the weighted pool kept no tile: {hits:?}");
+}
+
+/// Serves `transformed` from a cold shared pool of 8 frames over `map`:
+/// two rounds of the workload through the server's executor
+/// (`&SharedCoeffStore`), then two through the server itself, must
+/// answer with `batched`'s bits. Returns the zero-entry hits of the
+/// executor rounds.
+fn serve_over_zero_tiles<M: TilingMap + Clone + 'static>(
+    map: M,
+    transformed: &NdArray<f64>,
+    batched: &[f64],
+) -> u64 {
+    const FRAMES: usize = 8;
+    let (points, ranges, queries) = workload();
+    let store = mem_shared_store(map, FRAMES, 2, IoStats::new());
+    for idx in MultiIndexIter::new(&DIMS) {
+        store.write(&idx, transformed.get(&idx));
+    }
+    store.pool().clear();
+    for round in 0..2 {
+        let mut got = query::batch_points(&mut &store, &LEVELS, &points);
+        got.extend(query::batch_range_sums(&mut &store, &LEVELS, &ranges));
+        assert_eq!(bits(&got), bits(batched), "executor, round {round}");
+    }
+    let zero_hits = store
+        .pool()
+        .shard_counters()
+        .iter()
+        .map(|c| c.zero_hits)
+        .sum();
+    let server = QueryServer::bind("127.0.0.1:0", store, LEVELS.to_vec(), cfg()).unwrap();
+    for round in 0..2 {
+        let served = ask(server.local_addr(), &queries);
+        assert_eq!(bits(&served), bits(batched), "served, round {round}");
+    }
+    server.shutdown();
+    zero_hits
+}
+
+#[test]
+fn zero_tiles_are_served_from_zero_entries_with_the_same_bits() {
+    let data = NdArray::from_fn(Shape::new(&DIMS), |idx| {
+        ((idx[0] / 8 * 5 + idx[1] / 8 * 3) % 7) as f64 - 2.5
+    });
+    let transformed = shiftsplit::core::standard::forward_to(&data);
+    let mut cs = mem_store(tiling(), 1 << 10, IoStats::new());
+    for idx in MultiIndexIter::new(&DIMS) {
+        cs.write(&idx, transformed.get(&idx));
+    }
+    let map = tiling();
+    let zero_tiles = (0..map.num_tiles())
+        .filter(|&tile| (0..map.block_capacity()).all(|slot| cs.read_at(tile, slot).to_bits() == 0))
+        .count();
+    assert!(zero_tiles * 2 > map.num_tiles(), "{zero_tiles} zero tiles");
+    let (points, ranges, _) = workload();
+    let mut batched = query::batch_points(&mut cs, &LEVELS, &points);
+    batched.extend(query::batch_range_sums(&mut cs, &LEVELS, &ranges));
+
+    // Weighted by coverage (the served default) and weighing every tile
+    // 0: the same bits, and zero entries in both.
+    for zero_hits in [
+        serve_over_zero_tiles(tiling(), &transformed, &batched),
+        serve_over_zero_tiles(Unweighted(tiling()), &transformed, &batched),
+    ] {
+        assert!(zero_hits > 0, "no read was served by a zero entry");
+    }
 }
