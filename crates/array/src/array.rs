@@ -160,14 +160,6 @@ impl<T: Copy + Default> NdArray<T> {
 }
 
 impl NdArray<f64> {
-    /// Adds `other` element-wise (shapes must match).
-    pub fn add_assign(&mut self, other: &NdArray<f64>) {
-        assert_eq!(self.shape, other.shape, "add_assign: shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
     /// Maximum absolute difference against `other` (shapes must match).
     pub fn max_abs_diff(&self, other: &NdArray<f64>) -> f64 {
         assert_eq!(self.shape, other.shape, "max_abs_diff: shape mismatch");
@@ -338,14 +330,6 @@ mod tests {
                 assert_eq!(b.get(&idx), if inside { a.get(&idx) } else { 0.0 });
             }
         }
-    }
-
-    #[test]
-    fn add_assign_elementwise() {
-        let mut a = iota(&Shape::new(&[2, 2]));
-        let b = iota(&Shape::new(&[2, 2]));
-        a.add_assign(&b);
-        assert_eq!(a.as_slice(), &[2.0, 4.0, 6.0, 8.0]);
     }
 
     #[test]

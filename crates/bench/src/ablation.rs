@@ -7,8 +7,8 @@
 //! 3. sparse-aware vs dense chunk scanning on mostly-empty data
 //!    (the paper's `z` non-zero values discussion).
 
+use crate::{fmt_count, Table};
 use ss_array::{NdArray, Shape};
-use ss_bench::{fmt_count, Table};
 use ss_core::tiling::{NonStandardTiling, StandardTiling};
 use ss_datagen::sparse_cube;
 use ss_storage::{wstore::mem_store, IoStats};
@@ -17,15 +17,15 @@ use ss_transform::{
     transform_standard_sparse, ArraySource,
 };
 
-fn main() {
-    println!("# Ablations — schedule, cache policy, sparsity\n");
-    zorder_vs_rowmajor();
-    warm_vs_cold();
-    sparse_vs_dense();
+pub fn run(md: &mut String) {
+    md.push_str("# Ablations — schedule, cache policy, sparsity\n\n");
+    zorder_vs_rowmajor(md);
+    warm_vs_cold(md);
+    sparse_vs_dense(md);
 }
 
-fn zorder_vs_rowmajor() {
-    println!("## 1. Non-standard chunk schedule: z-order + crest cache vs row-major\n");
+fn zorder_vs_rowmajor(md: &mut String) {
+    md.push_str("## 1. Non-standard chunk schedule: z-order + crest cache vs row-major\n\n");
     let mut table = Table::new(&[
         "N^2",
         "row-major blocks",
@@ -55,13 +55,13 @@ fn zorder_vs_rowmajor() {
             &report.peak_crest_cache,
         ]);
     }
-    table.print();
-    println!("Result 2 hinges on the schedule: with a tiny (4-block) pool the z-order");
-    println!("walk with its O(log) crest cache avoids re-reading ancestor tiles.\n");
+    table.write(md);
+    md.push_str("Result 2 hinges on the schedule: with a tiny (4-block) pool the z-order\n");
+    md.push_str("walk with its O(log) crest cache avoids re-reading ancestor tiles.\n\n");
 }
 
-fn warm_vs_cold() {
-    println!("## 2. Standard transform: warm vs cold buffer pool across chunks\n");
+fn warm_vs_cold(md: &mut String) {
+    md.push_str("## 2. Standard transform: warm vs cold buffer pool across chunks\n\n");
     let mut table = Table::new(&["N^2", "cold-cache blocks", "warm-cache blocks", "saving"]);
     for n in [7u32, 8, 9] {
         let side = 1usize << n;
@@ -84,13 +84,13 @@ fn warm_vs_cold() {
             &format!("{:.1}x", c as f64 / w as f64),
         ]);
     }
-    table.print();
-    println!("The paper's per-chunk analysis assumes cold tiles; a modest warm pool");
-    println!("recovers the shared coarse-path tiles between neighbouring chunks.\n");
+    table.write(md);
+    md.push_str("The paper's per-chunk analysis assumes cold tiles; a modest warm pool\n");
+    md.push_str("recovers the shared coarse-path tiles between neighbouring chunks.\n\n");
 }
 
-fn sparse_vs_dense() {
-    println!("## 3. Sparse-aware chunk scan on mostly-empty data\n");
+fn sparse_vs_dense(md: &mut String) {
+    md.push_str("## 3. Sparse-aware chunk scan on mostly-empty data\n\n");
     let mut table = Table::new(&[
         "non-zeros z",
         "dense-scan blocks",
@@ -114,7 +114,7 @@ fn sparse_vs_dense() {
             &report.chunks,
         ]);
     }
-    table.print();
-    println!("Sparse I/O tracks the number of occupied chunks (≈ min(z, (N/M)^d)), not");
-    println!("the domain volume — the paper's O(z + z·log(N/M)/M) regime.");
+    table.write(md);
+    md.push_str("Sparse I/O tracks the number of occupied chunks (≈ min(z, (N/M)^d)), not\n");
+    md.push_str("the domain volume — the paper's O(z + z·log(N/M)/M) regime.\n");
 }

@@ -8,8 +8,8 @@
 //! we show progressive (coarse-to-fine) evaluation converging on an exact
 //! store.
 
+use crate::{fmt_f, Table};
 use ss_array::{MultiIndexIter, NdArray, Shape};
-use ss_bench::{fmt_f, Table};
 use ss_core::tiling::StandardTiling;
 use ss_datagen::SplitMix64;
 use ss_query::{progressive_range_sum, StoredSynopsis};
@@ -18,9 +18,11 @@ use ss_storage::{wstore::mem_store, IoStats};
 const N: u32 = 8; // 256 x 256
 const QUERIES: usize = 200;
 
-fn main() {
+pub fn run(md: &mut String) {
     let side = 1usize << N;
-    println!("# Approximate & progressive range aggregates ({side} x {side})\n");
+    md.push_str(&format!(
+        "# Approximate & progressive range aggregates ({side} x {side})\n\n"
+    ));
     // A smooth climate-like field: latitude gradient + two pressure systems.
     let data = NdArray::from_fn(Shape::cube(2, side), |idx| {
         let (x, y) = (idx[0] as f64 / side as f64, idx[1] as f64 / side as f64);
@@ -47,7 +49,7 @@ fn main() {
         })
         .collect();
 
-    println!("## Synopsis size vs accuracy\n");
+    md.push_str("## Synopsis size vs accuracy\n\n");
     let mut table = Table::new(&[
         "K",
         "K / N^2",
@@ -73,9 +75,9 @@ fn main() {
             &fmt_f(errors[QUERIES / 2], 4),
         ]);
     }
-    table.print();
+    table.write(md);
 
-    println!("## Progressive evaluation (one query, coarse to fine)\n");
+    md.push_str("## Progressive evaluation (one query, coarse to fine)\n\n");
     let (lo, hi) = ([37usize, 80usize], [180usize, 201usize]);
     let exact = data.region_sum(&lo, &hi);
     let estimates = progressive_range_sum(&mut cs, &[N; 2], &lo, &hi);
@@ -87,9 +89,9 @@ fn main() {
             &fmt_f((est - exact).abs() / exact.abs().max(1.0), 5),
         ]);
     }
-    table.print();
-    println!("exact: {exact:.1}");
-    println!("\nSmooth data compresses hard: a fraction of a percent of the coefficients");
-    println!("answers range sums to ~1% error, and progressive evaluation reaches the");
-    println!("exact answer after the last refinement step.");
+    table.write(md);
+    md.push_str(&format!("exact: {exact:.1}\n"));
+    md.push_str("\nSmooth data compresses hard: a fraction of a percent of the coefficients\n");
+    md.push_str("answers range sums to ~1% error, and progressive evaluation reaches the\n");
+    md.push_str("exact answer after the last refinement step.\n");
 }

@@ -14,7 +14,7 @@
 //!    negligible),
 //! 3. SHIFT-SPLIT beats Vitter at every memory size.
 
-use ss_bench::{fmt_count, Table};
+use crate::{fmt_count, Table};
 use ss_core::tiling::{NonStandardTiling, StandardTiling};
 use ss_datagen::temperature_cube;
 use ss_storage::{wstore::mem_store, IoStats};
@@ -26,14 +26,14 @@ const D: usize = 4;
 const N_LEVELS: u32 = 5; // 32 per axis -> 32^4 = 1,048,576 cells
 const B_LEVELS: u32 = 2; // 4^4 = 256 coefficients (2 KB) per block
 
-fn main() {
-    println!("# E3 / Figure 11 — I/O (coefficients) vs memory size, d=4\n");
+pub fn run(md: &mut String) {
+    md.push_str("# E3 / Figure 11 — I/O (coefficients) vs memory size, d=4\n\n");
     let side = 1usize << N_LEVELS;
-    println!(
-        "dataset: TEMPERATURE-like {side}^4 cube ({} cells); block {} coeffs\n",
+    md.push_str(&format!(
+        "dataset: TEMPERATURE-like {side}^4 cube ({} cells); block {} coeffs\n\n",
         fmt_count((side * side * side * side) as u64),
         1usize << (B_LEVELS as usize * D),
-    );
+    ));
     let data = temperature_cube(&[side; 4], 20050614);
     let mut table = Table::new(&[
         "memory M^4 (coeffs)",
@@ -75,7 +75,7 @@ fn main() {
             &fmt_count(stats_z.snapshot().coeffs()),
         ]);
     }
-    table.print();
-    println!("Expected shape (paper Fig. 11): Standard falls steeply with memory;");
-    println!("Non-Standard is flat and lowest; Vitter is highest at every size.");
+    table.write(md);
+    md.push_str("Expected shape (paper Fig. 11): Standard falls steeply with memory;\n");
+    md.push_str("Non-Standard is flat and lowest; Vitter is highest at every size.\n");
 }

@@ -9,16 +9,16 @@
 //! `b = 4` → 2 KB, `b = 5` → 8 KB (the nearest realisable sizes to the
 //! paper's 1 KB / 4 KB).
 
+use crate::{fmt_count, Table};
 use ss_array::{NdArray, Shape};
-use ss_bench::{fmt_count, Table};
 use ss_core::tiling::{NonStandardTiling, StandardTiling};
 use ss_storage::{wstore::mem_store, IoStats};
 use ss_transform::{transform_nonstandard_zorder, transform_standard, ArraySource};
 
 const M_LEVELS: u32 = 3; // 8x8 = 64-coefficient memory, as in the paper
 
-fn main() {
-    println!("# E4 / Figure 12 — I/O (blocks) vs dataset size, d=2, memory 64\n");
+pub fn run(md: &mut String) {
+    md.push_str("# E4 / Figure 12 — I/O (blocks) vs dataset size, d=2, memory 64\n\n");
     let mut table = Table::new(&[
         "dataset (cells)",
         "Std b=3 (512B)",
@@ -57,7 +57,7 @@ fn main() {
             cells.iter().map(|c| c as &dyn std::fmt::Display).collect();
         table.row(&refs);
     }
-    table.print();
-    println!("Expected shape (paper Fig. 12): linear growth in dataset size; larger");
-    println!("tiles strictly cheaper; non-standard ≤ standard at equal tile size.");
+    table.write(md);
+    md.push_str("Expected shape (paper Fig. 12): linear growth in dataset size; larger\n");
+    md.push_str("tiles strictly cheaper; non-standard ≤ standard at equal tile size.\n");
 }

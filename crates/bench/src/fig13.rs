@@ -11,7 +11,7 @@
 //! `(3,3,3) = 512` = 4 KB, `(3,3,4) = 1024` = 8 KB — the paper's sizes
 //! exactly.
 
-use ss_bench::{fmt_count, Table};
+use crate::{fmt_count, Table};
 use ss_datagen::precipitation_month;
 use ss_storage::{IoStats, MemBlockStore};
 use ss_transform::{Appender, NsChainStore};
@@ -19,8 +19,8 @@ use ss_transform::{Appender, NsChainStore};
 const MONTHS: usize = 540; // 45 years
 const DAYS: usize = 32;
 
-fn main() {
-    println!("# E5 / Figure 13 — per-append I/O (blocks) over 45 years of monthly data\n");
+pub fn run(md: &mut String) {
+    md.push_str("# E5 / Figure 13 — per-append I/O (blocks) over 45 years of monthly data\n\n");
     let tile_configs: [(&str, [u32; 3]); 3] =
         [("2KB", [3, 3, 2]), ("4KB", [3, 3, 3]), ("8KB", [3, 3, 4])];
     let mut per_month: Vec<Vec<u64>> = Vec::new();
@@ -73,9 +73,9 @@ fn main() {
     }
 
     // The full 540-row series as CSV (for plotting), then a summary table.
-    println!("## Per-month series (CSV)\n");
-    println!("```");
-    println!("month,blocks_2KB,blocks_4KB,blocks_8KB,blocks_ns_chain");
+    md.push_str("## Per-month series (CSV)\n\n");
+    md.push_str("```\n");
+    md.push_str("month,blocks_2KB,blocks_4KB,blocks_8KB,blocks_ns_chain\n");
     for (m, (((a, b), c), ch)) in per_month[0]
         .iter()
         .zip(&per_month[1])
@@ -83,11 +83,11 @@ fn main() {
         .zip(&chain_costs)
         .enumerate()
     {
-        println!("{m},{a},{b},{c},{ch}");
+        md.push_str(&format!("{m},{a},{b},{c},{ch}\n"));
     }
-    println!("```\n");
+    md.push_str("```\n\n");
 
-    println!("## Summary\n");
+    md.push_str("## Summary\n\n");
     let mut table = Table::new(&[
         "tile",
         "total blocks",
@@ -121,10 +121,12 @@ fn main() {
             &format!("{:.1}x", max as f64 / median.max(1) as f64),
         ]);
     }
-    table.print();
-    println!("domain expansions over {MONTHS} months: {expansions} (standard form);");
-    println!("the non-standard hypercube chain needs none — its appends are flat.");
-    println!("\nExpected shape (paper Fig. 13): flat monthly cost with spikes at the");
-    println!("domain-doubling months; larger tiles reduce block counts throughout and");
-    println!("soften the spikes.");
+    table.write(md);
+    md.push_str(&format!(
+        "domain expansions over {MONTHS} months: {expansions} (standard form);\n"
+    ));
+    md.push_str("the non-standard hypercube chain needs none — its appends are flat.\n");
+    md.push_str("\nExpected shape (paper Fig. 13): flat monthly cost with spikes at the\n");
+    md.push_str("domain-doubling months; larger tiles reduce block counts throughout and\n");
+    md.push_str("soften the spikes.\n");
 }

@@ -11,7 +11,7 @@
 //! reporting measured per-item coefficient operations and the final
 //! synopsis SSE against the offline best-K floor.
 
-use ss_bench::{fmt_count, fmt_f, Table};
+use crate::{fmt_count, fmt_f, Table};
 use ss_datagen::sensor_stream;
 use ss_stream::stream1d::reconstruct_from_entries;
 use ss_stream::{offline_best_k_sse, sse, BufferedStream, PerItemStream};
@@ -19,9 +19,11 @@ use ss_stream::{offline_best_k_sse, sse, BufferedStream, PerItemStream};
 const N_LEVELS: u32 = 20;
 const K: usize = 64;
 
-fn main() {
+pub fn run(md: &mut String) {
     let n = 1usize << N_LEVELS;
-    println!("# E6 — per-item update cost vs buffer size (stream of 2^{N_LEVELS}, K={K})\n");
+    md.push_str(&format!(
+        "# E6 — per-item update cost vs buffer size (stream of 2^{N_LEVELS}, K={K})\n\n"
+    ));
     let data = sensor_stream(n, 7);
     let best = offline_best_k_sse(&data, K);
 
@@ -65,9 +67,9 @@ fn main() {
             &fmt_f(e / best, 4),
         ]);
     }
-    table.print();
-    println!("offline best-K SSE floor: {}", fmt_f(best, 1));
-    println!("\nExpected shape (Result 3): ops/item ≈ log N for the baseline, falling");
-    println!("towards ≈ 1 + log(N/B)/B as the buffer grows, with SSE identical to the");
-    println!("offline best-K floor for every buffer size.");
+    table.write(md);
+    md.push_str(&format!("offline best-K SSE floor: {}\n", fmt_f(best, 1)));
+    md.push_str("\nExpected shape (Result 3): ops/item ≈ log N for the baseline, falling\n");
+    md.push_str("towards ≈ 1 + log(N/B)/B as the buffer grows, with SSE identical to the\n");
+    md.push_str("offline best-K floor for every buffer size.\n");
 }

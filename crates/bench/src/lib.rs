@@ -1,24 +1,68 @@
-//! Shared infrastructure for the experiment harnesses.
+//! The paper's tables and figures, one experiment each.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see `DESIGN.md` §4 for the index and `EXPERIMENTS.md` for recorded
-//! results). The binaries print markdown tables to stdout; run them all
-//! with `scripts/run_experiments.sh`.
+//! Every experiment is a function that appends its markdown report to a
+//! `String`; [`EXPERIMENTS`] lists them by the name of their golden file
+//! `results/<name>.md` (see `DESIGN.md` §4 for the index and
+//! `EXPERIMENTS.md` for what each one shows). The `repro` binary writes
+//! the golden files, and `tests/paper_results.rs` compares every
+//! experiment's output with its golden file byte for byte.
 //!
 //! The paper's absolute numbers came from a 2005 testbed and 16 GB inputs;
-//! the harnesses default to laptop-scale shapes that preserve every *ratio*
-//! the paper argues about (who wins, by what factor, where the crossovers
-//! sit). Scale knobs are compiled in as constants at the top of each
-//! binary.
+//! the experiments default to laptop-scale shapes that preserve every
+//! *ratio* the paper argues about (who wins, by what factor, where the
+//! crossovers sit). Scale knobs are compiled in as constants at the top of
+//! each module. No experiment reads a clock: timing belongs to
+//! `benchmark/`.
 
 // Axis-indexed loops over parallel arrays are the clearest idiom here.
 #![allow(clippy::needless_range_loop)]
 
-use ss_obs::json::Value;
 use std::fmt::Display;
+use std::path::PathBuf;
 
-/// Accumulates rows and prints a markdown table.
-pub struct Table {
+mod ablation;
+mod approx;
+mod fig11;
+mod fig12;
+mod fig13;
+mod fig14;
+mod recon;
+mod sparse;
+mod streams_md;
+mod table1;
+mod table2;
+mod tiling;
+
+/// An experiment: appends its markdown report to the `String`.
+pub type Experiment = fn(&mut String);
+
+/// Every experiment, by the name of its golden file `results/<name>.md`,
+/// in the paper's order.
+pub const EXPERIMENTS: [(&str, Experiment); 12] = [
+    ("exp_table1", table1::run),
+    ("exp_table2", table2::run),
+    ("exp_fig11", fig11::run),
+    ("exp_fig12", fig12::run),
+    ("exp_fig13", fig13::run),
+    ("exp_fig14", fig14::run),
+    ("exp_recon", recon::run),
+    ("exp_tiling", tiling::run),
+    ("exp_ablation", ablation::run),
+    ("exp_approx", approx::run),
+    ("exp_streams_md", streams_md::run),
+    ("exp_sparse", sparse::run),
+];
+
+/// The golden file of experiment `name`: `results/<name>.md` at the root
+/// of the source tree this crate was built from.
+pub fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../results")
+        .join(format!("{name}.md"))
+}
+
+/// Accumulates rows and renders a markdown table.
+struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
@@ -68,14 +112,15 @@ impl Table {
         out
     }
 
-    /// Prints the markdown rendering to stdout.
-    pub fn print(&self) {
-        println!("{}", self.to_markdown());
+    /// Appends the markdown rendering and a blank line to `out`.
+    pub fn write(&self, out: &mut String) {
+        out.push_str(&self.to_markdown());
+        out.push('\n');
     }
 }
 
 /// Pretty-prints a count with thousands separators.
-pub fn fmt_count(n: u64) -> String {
+fn fmt_count(n: u64) -> String {
     let s = n.to_string();
     let mut out = String::new();
     for (i, c) in s.chars().enumerate() {
@@ -88,40 +133,8 @@ pub fn fmt_count(n: u64) -> String {
 }
 
 /// `x` rounded to `digits` decimal places, as a string.
-pub fn fmt_f(x: f64, digits: usize) -> String {
+fn fmt_f(x: f64, digits: usize) -> String {
     format!("{x:.digits$}")
-}
-
-/// Emits one machine-readable result row as a single-line JSON object
-/// tagged `"schema": "ss-exp-v1"` and `"exp": <name>`.
-///
-/// When the `SS_EXP_JSON` environment variable names a file, rows append
-/// to it (JSONL, one object per line) so a sweep of binaries accumulates
-/// a dataset; otherwise the row prints to stdout prefixed `JSON: `,
-/// coexisting with the human-readable markdown tables.
-pub fn emit_json_row(exp: &str, fields: &[(&str, Value)]) {
-    let mut pairs = vec![
-        ("schema".to_string(), Value::from("ss-exp-v1")),
-        ("exp".to_string(), Value::from(exp)),
-    ];
-    for (key, value) in fields {
-        pairs.push((key.to_string(), value.clone()));
-    }
-    let line = Value::Object(pairs).to_string();
-    match std::env::var_os("SS_EXP_JSON") {
-        Some(path) => {
-            use std::io::Write;
-            let appended = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .and_then(|mut f| writeln!(f, "{line}"));
-            if let Err(e) = appended {
-                eprintln!("SS_EXP_JSON: cannot append to {path:?}: {e}");
-            }
-        }
-        None => println!("JSON: {line}"),
-    }
 }
 
 #[cfg(test)]
@@ -150,33 +163,5 @@ mod tests {
         assert_eq!(fmt_count(1), "1");
         assert_eq!(fmt_count(1234), "1,234");
         assert_eq!(fmt_count(1234567), "1,234,567");
-    }
-
-    #[test]
-    fn json_rows_append_to_the_env_named_file() {
-        let path = std::env::temp_dir().join(format!("ss_exp_rows_{}.jsonl", std::process::id()));
-        std::fs::remove_file(&path).ok();
-        std::env::set_var("SS_EXP_JSON", &path);
-        emit_json_row(
-            "par",
-            &[
-                ("workers", Value::from(4u64)),
-                ("wall_ms", Value::from(1.5)),
-            ],
-        );
-        emit_json_row("par", &[("workers", Value::from(8u64))]);
-        std::env::remove_var("SS_EXP_JSON");
-        let text = std::fs::read_to_string(&path).unwrap();
-        let rows: Vec<Value> = text
-            .lines()
-            .map(|l| ss_obs::json::parse(l).unwrap())
-            .collect();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].get("schema").unwrap().as_str(), Some("ss-exp-v1"));
-        assert_eq!(rows[0].get("exp").unwrap().as_str(), Some("par"));
-        assert_eq!(rows[0].get("workers").unwrap().as_u64(), Some(4));
-        assert_eq!(rows[0].get("wall_ms").unwrap().as_f64(), Some(1.5));
-        assert_eq!(rows[1].get("workers").unwrap().as_u64(), Some(8));
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -8,10 +8,11 @@
 //! and report measured coefficient reads for all three, locating the
 //! crossover points the paper discusses (Section 5.4) — and, for the
 //! inverse SHIFT-SPLIT, block reads: Result 6 in blocks is the number of
-//! tiles the envelope covers, each read once.
+//! tiles the envelope covers, each read once. Both forms' read counts and
+//! the pointwise count are asserted equal to their closed forms.
 
+use crate::{fmt_count, Table};
 use ss_array::{DyadicRange, MultiIndexIter, NdArray, Shape};
-use ss_bench::{fmt_count, Table};
 use ss_core::tiling::StandardTiling;
 use ss_core::TilingMap;
 use ss_query::recon;
@@ -21,9 +22,11 @@ use std::collections::HashSet;
 const N_LEVELS: u32 = 9; // 512 x 512
 const B_LEVELS: u32 = 3;
 
-fn main() {
+pub fn run(md: &mut String) {
     let side = 1usize << N_LEVELS;
-    println!("# E7 / Result 6 — partial reconstruction of an M x M range from {side} x {side}\n");
+    md.push_str(&format!(
+        "# E7 / Result 6 — partial reconstruction of an M x M range from {side} x {side}\n\n"
+    ));
     let data = NdArray::from_fn(Shape::cube(2, side), |idx| {
         ((idx[0] * 37 + idx[1] * 59) % 101) as f64 - 50.0
     });
@@ -79,6 +82,8 @@ fn main() {
         let full_reads = (side * side) as u64;
         let ss_formula = (big_m as u64 + (N_LEVELS - m) as u64).pow(2);
         let pw_formula = (big_m as u64).pow(2) * (N_LEVELS as u64 + 1).pow(2);
+        assert_eq!(ss.coeff_reads, ss_formula, "M={big_m}: shift-split reads");
+        assert_eq!(pw_reads, pw_formula, "M={big_m}: pointwise reads");
         table.row(&[
             &big_m,
             &fmt_count(ss.coeff_reads),
@@ -90,12 +95,12 @@ fn main() {
             &fmt_count(full_reads),
         ]);
     }
-    table.print();
-    println!("Expected shape: shift-split tracks its (M + log(N/M))^2 formula, beating");
-    println!("pointwise by ~(log N)^2 at every size and beating the full inverse until");
-    println!("M approaches N (where they coincide). In blocks, shift-split reads each");
-    println!("tile of its envelope once.\n");
-    nonstandard();
+    table.write(md);
+    md.push_str("Expected shape: shift-split tracks its (M + log(N/M))^2 formula, beating\n");
+    md.push_str("pointwise by ~(log N)^2 at every size and beating the full inverse until\n");
+    md.push_str("M approaches N (where they coincide). In blocks, shift-split reads each\n");
+    md.push_str("tile of its envelope once.\n\n");
+    nonstandard(md);
 }
 
 /// Tiles the per-coefficient assembly of `range` touches: the tiles its
@@ -110,11 +115,11 @@ fn envelope_tiles(map: &StandardTiling, range: &DyadicRange) -> u64 {
 }
 
 /// Result 6's non-standard bound: `M^d + (2^d − 1)·log(N/M) + 1` reads.
-fn nonstandard() {
+fn nonstandard(md: &mut String) {
     use ss_core::tiling::NonStandardTiling;
     let n = 8u32;
     let side = 1usize << n;
-    println!("## Non-standard form ({side} x {side})\n");
+    md.push_str(&format!("## Non-standard form ({side} x {side})\n\n"));
     let data = NdArray::from_fn(Shape::cube(2, side), |idx| {
         ((idx[0] * 41 + idx[1] * 13) % 67) as f64 - 30.0
     });
@@ -138,9 +143,10 @@ fn nonstandard() {
         assert!(got.max_abs_diff(&want) < 1e-9);
         let reads = stats.take().coeff_reads;
         let formula = (1u64 << (2 * m)) - 1 + 3 * (n - m) as u64 + 1;
+        assert_eq!(reads, formula, "M={}: non-standard reads", 1usize << m);
         table.row(&[&(1usize << m), &fmt_count(reads), &fmt_count(formula)]);
     }
-    table.print();
-    println!("The non-standard inverse SHIFT-SPLIT reads the M^2 − 1 in-range details");
-    println!("plus one quad-tree path — Result 6's second bound, measured.");
+    table.write(md);
+    md.push_str("The non-standard inverse SHIFT-SPLIT reads the M^2 − 1 in-range details\n");
+    md.push_str("plus one quad-tree path — Result 6's second bound, measured.\n");
 }

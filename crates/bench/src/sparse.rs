@@ -1,5 +1,5 @@
-//! **E-SPARSE** — sparse v3 storage: bytes on disk, query latency and
-//! pool behaviour versus reconstruction error.
+//! **E-SPARSE** — sparse v3 storage: bytes on disk and pool behaviour
+//! versus reconstruction error.
 //!
 //! Not a paper experiment: the paper stores every coefficient; this
 //! harness measures what the bucketed sparse format (`docs/FORMAT.md`
@@ -13,23 +13,22 @@
 //! 1e-1}` and best-K with `K ∈ {16, 4}` per tile. For each store we
 //! report bytes on disk (blocks file + CRC sidecar), the achieved L2
 //! error from the retention report, a measured root-mean-square point
-//! error against the raw data, and the latency and pool hit rate of a
-//! 2 000-point query workload against a cold default-budget pool.
+//! error against the raw data, and the pool hit rate of a 2 000-point
+//! query workload against a cold default-budget pool. Query latency is
+//! the benchmark's to measure (`benchmark/`), not this report's.
 //!
 //! Expected shape: the lossless v3 store alone beats dense by well over
 //! 2× on this workload (the acceptance bar), thresholds shrink it
-//! further at bounded error, and query latency stays flat — point reads
+//! further at bounded error, and the hit rate stays flat — point reads
 //! still touch one block per query whatever the layout.
 
+use crate::{fmt_f, Table};
 use ss_array::MultiIndexIter;
-use ss_bench::{emit_json_row, fmt_f, Table};
 use ss_core::sparse::RetentionPolicy;
 use ss_datagen::{sparse::sparse_cube, SplitMix64};
-use ss_obs::json::Value;
 use ss_storage::file::sidecar_path;
 use ss_storage::wsfile::{convert_to_v3, Meta, WsFile};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 const N: u32 = 8; // 256 x 256 domain
 const B: u32 = 4; // 16x16-coefficient tiles
@@ -37,43 +36,16 @@ const NONZEROS: usize = 200;
 const SEED: u64 = 0x5eed_ba5e;
 const QUERIES: usize = 2_000;
 
-struct Policy {
-    name: &'static str,
-    policy: RetentionPolicy,
-}
-
-fn policies() -> Vec<Policy> {
-    vec![
-        Policy {
-            name: "v3 eps=0",
-            policy: RetentionPolicy::Threshold(0.0),
-        },
-        Policy {
-            name: "v3 eps=1e-12",
-            policy: RetentionPolicy::Threshold(1e-12),
-        },
-        Policy {
-            name: "v3 eps=1e-3",
-            policy: RetentionPolicy::Threshold(1e-3),
-        },
-        Policy {
-            name: "v3 eps=1e-2",
-            policy: RetentionPolicy::Threshold(1e-2),
-        },
-        Policy {
-            name: "v3 eps=1e-1",
-            policy: RetentionPolicy::Threshold(1e-1),
-        },
-        Policy {
-            name: "v3 topk=16",
-            policy: RetentionPolicy::TopK(16),
-        },
-        Policy {
-            name: "v3 topk=4",
-            policy: RetentionPolicy::TopK(4),
-        },
-    ]
-}
+/// The retention policies swept, by the name of their table row.
+const POLICIES: [(&str, RetentionPolicy); 7] = [
+    ("v3 eps=0", RetentionPolicy::Threshold(0.0)),
+    ("v3 eps=1e-12", RetentionPolicy::Threshold(1e-12)),
+    ("v3 eps=1e-3", RetentionPolicy::Threshold(1e-3)),
+    ("v3 eps=1e-2", RetentionPolicy::Threshold(1e-2)),
+    ("v3 eps=1e-1", RetentionPolicy::Threshold(1e-1)),
+    ("v3 topk=16", RetentionPolicy::TopK(16)),
+    ("v3 topk=4", RetentionPolicy::TopK(4)),
+];
 
 fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ss_exp_sparse_{tag}_{}.ws", std::process::id()))
@@ -105,37 +77,33 @@ fn copy_store(src: &Path, dst: &Path) {
 }
 
 /// Cold-pool query workload: `QUERIES` uniform point queries, returning
-/// (mean latency in µs, pool hit rate, RMS error against `data`).
-fn query_workload(path: &Path, data: &ss_array::NdArray<f64>) -> (f64, f64, f64) {
+/// (pool hit rate, RMS error against `data`).
+fn query_workload(path: &Path, data: &ss_array::NdArray<f64>) -> (f64, f64) {
     let side = 1usize << N;
     let mut ws = WsFile::open(path).expect("open store");
     ws.stats.reset();
     let mut rng = SplitMix64::new(SEED ^ 0xabcd);
     let mut err_sq = 0.0;
-    let start = Instant::now();
     for _ in 0..QUERIES {
         let pos = [rng.below(side), rng.below(side)];
         let got = ss_query::point_standard(&mut ws.store, &ws.meta.levels, &pos);
         let want = data.get(&pos);
         err_sq += (got - want) * (got - want);
     }
-    let elapsed = start.elapsed();
     let snap = ws.stats.snapshot();
     let hit_rate = if snap.pool_hits + snap.pool_misses > 0 {
         snap.pool_hits as f64 / (snap.pool_hits + snap.pool_misses) as f64
     } else {
         0.0
     };
-    (
-        elapsed.as_secs_f64() * 1e6 / QUERIES as f64,
-        hit_rate,
-        (err_sq / QUERIES as f64).sqrt(),
-    )
+    (hit_rate, (err_sq / QUERIES as f64).sqrt())
 }
 
-fn main() {
+pub fn run(md: &mut String) {
     let side = 1usize << N;
-    println!("# E-SPARSE — sparse v3 bytes-on-disk vs reconstruction error ({side} x {side})\n");
+    md.push_str(&format!(
+        "# E-SPARSE — sparse v3 bytes-on-disk vs reconstruction error ({side} x {side})\n\n"
+    ));
     let data = sparse_cube(&[side, side], NONZEROS, SEED);
 
     // Dense v2 baseline on disk.
@@ -152,7 +120,7 @@ fn main() {
         ws.sync().expect("sync dense store");
     }
     let dense_disk = disk_bytes(&dense_path);
-    let (dense_lat, dense_hit, dense_rms) = query_workload(&dense_path, &data);
+    let (dense_hit, dense_rms) = query_workload(&dense_path, &data);
 
     let mut table = Table::new(&[
         "store",
@@ -162,7 +130,6 @@ fn main() {
         "dropped",
         "achieved L2",
         "point RMS",
-        "query us",
         "pool hit%",
     ]);
     table.row(&[
@@ -173,34 +140,18 @@ fn main() {
         &0u64,
         &"0",
         &fmt_f(dense_rms, 9),
-        &fmt_f(dense_lat, 1),
         &fmt_f(dense_hit * 100.0, 1),
     ]);
-    emit_json_row(
-        "sparse",
-        &[
-            ("store", Value::from("v2-dense")),
-            ("policy", Value::from("none")),
-            ("disk_bytes", Value::from(dense_disk)),
-            ("bytes_ratio", Value::from(1.0)),
-            ("kept", Value::from((side * side) as u64)),
-            ("dropped", Value::from(0u64)),
-            ("achieved_l2", Value::from(0.0)),
-            ("point_rms", Value::from(dense_rms)),
-            ("query_us", Value::from(dense_lat)),
-            ("pool_hit_rate", Value::from(dense_hit)),
-        ],
-    );
 
     let mut lossless_ratio = None;
-    for p in policies() {
-        let path = scratch(&p.name.replace(['=', ' ', '.', '-'], "_"));
+    for (name, policy) in POLICIES {
+        let path = scratch(&name.replace(['=', ' ', '.', '-'], "_"));
         copy_store(&dense_path, &path);
-        let report = convert_to_v3(&path, p.policy).expect("convert to v3");
+        let report = convert_to_v3(&path, policy).expect("convert to v3");
         let sparse_disk = disk_bytes(&path);
         let ratio = dense_disk as f64 / sparse_disk as f64;
-        let (lat, hit, rms) = query_workload(&path, &data);
-        if p.policy.lossless() {
+        let (hit, rms) = query_workload(&path, &data);
+        if policy.lossless() {
             lossless_ratio.get_or_insert(ratio);
             assert!(
                 rms < 1e-9,
@@ -208,51 +159,29 @@ fn main() {
             );
         }
         table.row(&[
-            &p.name,
+            &name,
             &sparse_disk,
             &format!("{ratio:.2}x"),
             &report.retention.kept,
             &report.retention.dropped,
             &fmt_f(report.retention.l2_error(), 6),
             &fmt_f(rms, 9),
-            &fmt_f(lat, 1),
             &fmt_f(hit * 100.0, 1),
         ]);
-        emit_json_row(
-            "sparse",
-            &[
-                ("store", Value::from(p.name)),
-                (
-                    "policy",
-                    Value::from(match p.policy {
-                        RetentionPolicy::Keep => "keep".to_string(),
-                        RetentionPolicy::Threshold(e) => format!("threshold:{e}"),
-                        RetentionPolicy::TopK(k) => format!("topk:{k}"),
-                    }),
-                ),
-                ("disk_bytes", Value::from(sparse_disk)),
-                ("bytes_ratio", Value::from(ratio)),
-                ("kept", Value::from(report.retention.kept)),
-                ("dropped", Value::from(report.retention.dropped)),
-                ("achieved_l2", Value::from(report.retention.l2_error())),
-                ("max_dropped", Value::from(report.retention.max_dropped)),
-                ("point_rms", Value::from(rms)),
-                ("query_us", Value::from(lat)),
-                ("pool_hit_rate", Value::from(hit)),
-            ],
-        );
         remove_store(&path);
     }
-    table.print();
+    table.write(md);
 
     let ratio = lossless_ratio.expect("lossless policy in sweep");
-    println!("Lossless v3 is {ratio:.2}x smaller than dense on this workload (bar: >= 2x).");
+    md.push_str(&format!(
+        "Lossless v3 is {ratio:.2}x smaller than dense on this workload (bar: >= 2x).\n"
+    ));
     assert!(
         ratio >= 2.0,
         "acceptance: lossless v3 must shrink this workload at least 2x (got {ratio:.2}x)"
     );
-    println!("Thresholds trade reported L2 error for further shrinkage; best-K bounds");
-    println!("per-tile footprint instead of error. Query latency and pool behaviour are");
-    println!("layout-independent: one block per point query either way.");
+    md.push_str("Thresholds trade reported L2 error for further shrinkage; best-K bounds\n");
+    md.push_str("per-tile footprint instead of error. Pool behaviour is layout-independent:\n");
+    md.push_str("one block per point query either way.\n");
     remove_store(&dense_path);
 }

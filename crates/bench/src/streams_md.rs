@@ -5,15 +5,15 @@
 //! live coefficients ("prohibitive, except … very small domain size")
 //! while the non-standard hypercube chain needs only
 //! `O(K + M^d + (2^d−1)·log(N/M) + log T)`. We maintain both synopses over
-//! the same synthetic stream and report the *measured* live state, then
-//! verify both deliver exact coefficients (offers equal the offline chain).
+//! the same synthetic stream and report the *measured* live state, which
+//! is asserted equal to the bound's exact count in both forms.
 
+use crate::{fmt_count, Table};
 use ss_array::{NdArray, Shape};
-use ss_bench::{fmt_count, Table};
 use ss_stream::{NonStandardStreamSynopsis, StandardStreamSynopsis};
 
-fn main() {
-    println!("# Results 4 & 5 — live coefficients of d-dimensional stream synopses\n");
+pub fn run(md: &mut String) {
+    md.push_str("# Results 4 & 5 — live coefficients of d-dimensional stream synopses\n\n");
     let mut table = Table::new(&[
         "space N (d=3 stream: N x N x T)",
         "T",
@@ -55,6 +55,8 @@ fn main() {
         // (2^d − 1)(n − m) + 1 for the in-flight cube (crest + average
         // sentinel) plus log T for the time tree; exact for d = 2.
         let r5 = 3 * (n_sp - m) as usize + 1 + t_levels as usize;
+        assert_eq!(std_live, r4, "N={side}: standard live state is Result 4's");
+        assert_eq!(ns_live, r5, "N={side}: non-standard peak is Result 5's");
         table.row(&[
             &side,
             &fmt_count(t_max as u64),
@@ -64,8 +66,8 @@ fn main() {
             &fmt_count(r5 as u64),
         ]);
     }
-    table.print();
-    println!("The standard form's live state grows with N^{{d-1}}·log T (unusable for");
-    println!("wide cubes); the non-standard chain stays logarithmic — the paper's");
-    println!("Result 4 vs Result 5 conclusion, measured.");
+    table.write(md);
+    md.push_str("The standard form's live state grows with N^{d-1}·log T (unusable for\n");
+    md.push_str("wide cubes); the non-standard chain stays logarithmic — the paper's\n");
+    md.push_str("Result 4 vs Result 5 conclusion, measured.\n");
 }

@@ -12,17 +12,20 @@
 //! map every target through the Section 3 tiling, and count distinct tiles,
 //! split by which operation produced them (a target is SHIFT's iff every
 //! axis re-indexes a chunk detail). Formulas are ceilinged per the paper.
+//! Every count is asserted against its prediction: equal, except that a
+//! standard SPLIT may save one tile per axis where the lowest path band
+//! shares a tile with the chunk's subtree.
 
+use crate::Table;
 use ss_array::{NdArray, Shape};
-use ss_bench::Table;
 use ss_core::tiling::{NonStandardTiling, StandardTiling};
 use ss_core::TilingMap;
 use std::collections::HashSet;
 
-fn main() {
-    println!("# E1 / Table 1 — tiles touched by SHIFT and SPLIT\n");
-    standard();
-    nonstandard();
+pub fn run(md: &mut String) {
+    md.push_str("# E1 / Table 1 — tiles touched by SHIFT and SPLIT\n\n");
+    standard(md);
+    nonstandard(md);
 }
 
 /// `true` when every axis of `idx` addresses a detail of level ≤ m (a pure
@@ -38,8 +41,8 @@ fn is_shift_target(idx: &[usize], n: &[u32], m: &[u32]) -> bool {
     })
 }
 
-fn standard() {
-    println!("## Standard form\n");
+fn standard(md: &mut String) {
+    md.push_str("## Standard form\n\n");
     let mut table = Table::new(&[
         "d",
         "N",
@@ -85,6 +88,16 @@ fn standard() {
         let p_axis = (n - m).div_ceil(b) as usize;
         let shift_formula = s_axis.pow(d as u32);
         let split_formula = (s_axis + p_axis).pow(d as u32) - shift_formula;
+        assert_eq!(
+            shift_tiles.len(),
+            shift_formula,
+            "d={d} n={n}: standard SHIFT"
+        );
+        assert!(
+            split_only.len() <= split_formula && split_formula - split_only.len() <= d,
+            "d={d} n={n}: standard SPLIT {} tiles against {split_formula} predicted",
+            split_only.len()
+        );
         table.row(&[
             &d,
             &(1u64 << n),
@@ -96,13 +109,13 @@ fn standard() {
             &split_formula,
         ]);
     }
-    table.print();
-    println!("(predictions are exact up to band-boundary sharing between the subtree");
-    println!("and the lowest path tile, which can save one tile per axis)\n");
+    table.write(md);
+    md.push_str("(predictions are exact up to band-boundary sharing between the subtree\n");
+    md.push_str("and the lowest path tile, which can save one tile per axis)\n\n");
 }
 
-fn nonstandard() {
-    println!("## Non-standard form\n");
+fn nonstandard(md: &mut String) {
+    md.push_str("## Non-standard form\n\n");
     let mut table = Table::new(&[
         "d",
         "N",
@@ -144,6 +157,16 @@ fn nonstandard() {
         let shift_formula =
             ((1usize << (m as usize * d)) - 1).div_ceil((1usize << (b as usize * d)) - 1);
         let split_formula = (n - m).div_ceil(b) as usize;
+        assert_eq!(
+            shift_tiles.len(),
+            shift_formula,
+            "d={d} n={n}: non-standard SHIFT"
+        );
+        assert_eq!(
+            split_only.len(),
+            split_formula,
+            "d={d} n={n}: non-standard SPLIT"
+        );
         table.row(&[
             &d,
             &(1u64 << n),
@@ -155,7 +178,7 @@ fn nonstandard() {
             &split_formula,
         ]);
     }
-    table.print();
-    println!("SHIFT touches B^d-fold fewer tiles than coefficients; SPLIT log_B-fold fewer —");
-    println!("the two claims of Section 4.2.");
+    table.write(md);
+    md.push_str("SHIFT touches B^d-fold fewer tiles than coefficients; SPLIT log_B-fold fewer —\n");
+    md.push_str("the two claims of Section 4.2.\n");
 }

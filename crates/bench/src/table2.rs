@@ -15,16 +15,16 @@
 //! * Vitter:          measured only (the paper's entry is OCR-garbled; see
 //!   DESIGN.md Corrections).
 
+use crate::{fmt_count, Table};
 use ss_array::{NdArray, Shape};
-use ss_bench::{fmt_count, Table};
 use ss_core::tiling::{NonStandardTiling, StandardTiling};
 use ss_storage::{wstore::mem_store, IoStats};
 use ss_transform::{
     transform_nonstandard_zorder, transform_standard, vitter_transform_standard, ArraySource,
 };
 
-fn main() {
-    println!("# E2 / Table 2 — transform I/O, measured vs formula\n");
+pub fn run(md: &mut String) {
+    md.push_str("# E2 / Table 2 — transform I/O, measured vs formula\n\n");
     let d = 2usize;
     let mut table = Table::new(&[
         "N^d",
@@ -86,7 +86,7 @@ fn main() {
             &fmt_count(ns_formula as u64),
         ]);
     }
-    table.print();
-    println!("Expected shape: SS-ns ≤ SS-std < Vitter in blocks; SS-ns block cost ≈ its");
-    println!("2(N/B)^d scan-bound formula (Result 2's optimality).");
+    table.write(md);
+    md.push_str("Expected shape: SS-ns ≤ SS-std < Vitter in blocks; SS-ns block cost ≈ its\n");
+    md.push_str("2(N/B)^d scan-bound formula (Result 2's optimality).\n");
 }

@@ -12,8 +12,8 @@
 //! needed to perform any operation in the wavelet domain", and quantifies
 //! the extra win from the redundant per-tile scaling coefficient.
 
+use crate::{fmt_f, Table};
 use ss_array::{MultiIndexIter, NdArray, Shape};
-use ss_bench::{fmt_f, Table};
 use ss_core::tiling::{NaiveMap, StandardTiling};
 use ss_core::TilingMap;
 use ss_datagen::SplitMix64;
@@ -33,10 +33,12 @@ fn fill<M: TilingMap>(map: M, t: &NdArray<f64>, stats: IoStats) -> CoeffStore<M,
     cs
 }
 
-fn main() {
+pub fn run(md: &mut String) {
     let side = 1usize << N_LEVELS;
-    println!("# E8 — block reads per query: naive vs tiled vs tiled+fast-path\n");
-    println!("dataset {side} x {side}, 4 x 4 tiles, {QUERIES} random queries each\n");
+    md.push_str("# E8 — block reads per query: naive vs tiled vs tiled+fast-path\n\n");
+    md.push_str(&format!(
+        "dataset {side} x {side}, 4 x 4 tiles, {QUERIES} random queries each\n\n"
+    ));
     let data = NdArray::from_fn(Shape::cube(2, side), |idx| {
         ((idx[0] * 13 + idx[1] * 7) % 29) as f64
     });
@@ -152,7 +154,7 @@ fn main() {
         &fmt_f(c, 1),
     ]);
 
-    table.print();
-    println!("Expected shape: tiling cuts point-query block reads from ≈ (n+1)^2-ish to");
-    println!("≈ ceil(n/b)^2, and the in-tile scaling slots cut them to exactly 1.");
+    table.write(md);
+    md.push_str("Expected shape: tiling cuts point-query block reads from ≈ (n+1)^2-ish to\n");
+    md.push_str("≈ ceil(n/b)^2, and the in-tile scaling slots cut them to exactly 1.\n");
 }

@@ -9,13 +9,12 @@
 //! Filters are the **unnormalised** average/difference pair used throughout
 //! the database literature and the paper:
 //! `u = (a + b) / 2`, `w = (a − b) / 2`. The orthonormal variant divides by
-//! `√2` instead; [`to_orthonormal`] / [`from_orthonormal`] rescale between
-//! the two so callers can rank coefficients by true L² energy.
+//! `√2` instead; `Layout1d::orthonormal_scale` rescales between the two so
+//! callers can rank coefficients by true L² energy.
 
 //! Both cascades run on the compute kernel of [`crate::kernel`].
 
 use crate::kernel;
-use crate::layout::Layout1d;
 use std::cell::RefCell;
 
 thread_local! {
@@ -104,29 +103,30 @@ pub fn inverse_to_vec(coeffs: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Rescales unnormalised coefficients in place to the orthonormal basis.
-///
-/// In the orthonormal Haar basis the detail at level `j` equals the
-/// unnormalised detail times `2^{j/2}`, and the overall average times
-/// `2^{n/2}`. After this call, Parseval holds: `Σ coeff² = Σ data²`.
-pub fn to_orthonormal(coeffs: &mut [f64]) {
-    let layout = Layout1d::for_len(coeffs.len());
-    for (i, c) in coeffs.iter_mut().enumerate() {
-        *c *= layout.orthonormal_scale(i);
-    }
-}
-
-/// Inverse of [`to_orthonormal`].
-pub fn from_orthonormal(coeffs: &mut [f64]) {
-    let layout = Layout1d::for_len(coeffs.len());
-    for (i, c) in coeffs.iter_mut().enumerate() {
-        *c /= layout.orthonormal_scale(i);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::Layout1d;
+
+    /// Rescales unnormalised coefficients in place to the orthonormal basis.
+    ///
+    /// In the orthonormal Haar basis the detail at level `j` equals the
+    /// unnormalised detail times `2^{j/2}`, and the overall average times
+    /// `2^{n/2}`. After this call, Parseval holds: `Σ coeff² = Σ data²`.
+    fn to_orthonormal(coeffs: &mut [f64]) {
+        let layout = Layout1d::for_len(coeffs.len());
+        for (i, c) in coeffs.iter_mut().enumerate() {
+            *c *= layout.orthonormal_scale(i);
+        }
+    }
+
+    /// Inverse of [`to_orthonormal`].
+    fn from_orthonormal(coeffs: &mut [f64]) {
+        let layout = Layout1d::for_len(coeffs.len());
+        for (i, c) in coeffs.iter_mut().enumerate() {
+            *c /= layout.orthonormal_scale(i);
+        }
+    }
 
     #[test]
     fn paper_running_example() {

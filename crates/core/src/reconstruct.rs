@@ -540,7 +540,7 @@ impl LocatedPlans {
 /// Assembles the **non-standard transform of a cubic dyadic sub-range** from
 /// a global coefficient accessor: details by inverse SHIFT, the block
 /// average by inverse SPLIT.
-pub fn nonstandard_range_transform(
+fn nonstandard_range_transform(
     n: u32,
     range: &DyadicRange,
     mut get: impl FnMut(&[usize]) -> f64,

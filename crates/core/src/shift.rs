@@ -53,7 +53,8 @@ pub fn shift_index_1d(n: u32, m: u32, block: usize, local: usize) -> usize {
 /// Inverse of [`shift_index_1d`]: maps a global detail index back into the
 /// chunk, or `None` when the global coefficient lies outside the chunk's
 /// subtree (its support is not contained in the chunk).
-pub fn unshift_index_1d(n: u32, m: u32, block: usize, global_idx: usize) -> Option<usize> {
+#[cfg(test)]
+fn unshift_index_1d(n: u32, m: u32, block: usize, global_idx: usize) -> Option<usize> {
     let chunk = Layout1d::new(m);
     let global = Layout1d::new(n);
     match global.coeff_at(global_idx) {
@@ -81,7 +82,8 @@ pub fn unshift_index_1d(n: u32, m: u32, block: usize, global_idx: usize) -> Opti
 /// `local` must be a detail index (≥ 1); components equal to 0 belong to
 /// SPLIT along that axis (see [`crate::split::standard_deltas`], which
 /// handles the mixed cases).
-pub fn shift_index_standard(n: &[u32], m: &[u32], block: &[usize], local: &[usize]) -> Vec<usize> {
+#[cfg(test)]
+fn shift_index_standard(n: &[u32], m: &[u32], block: &[usize], local: &[usize]) -> Vec<usize> {
     debug_assert_eq!(n.len(), m.len());
     debug_assert_eq!(n.len(), local.len());
     local

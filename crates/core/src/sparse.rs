@@ -103,7 +103,8 @@ impl SparseTile {
     }
 
     /// Count of materialised buckets.
-    pub fn present_buckets(&self) -> usize {
+    #[cfg(test)]
+    fn present_buckets(&self) -> usize {
         self.buckets.iter().filter(|b| b.is_some()).count()
     }
 

@@ -65,7 +65,7 @@ pub struct SplitTarget {
 /// * `n` — global domain `2^n`;
 /// * `m` — chunk length `2^m`;
 /// * `block` — the chunk is the `(block+1)`-th dyadic range.
-pub fn split_targets_1d(n: u32, m: u32, block: usize) -> Vec<SplitTarget> {
+fn split_targets_1d(n: u32, m: u32, block: usize) -> Vec<SplitTarget> {
     debug_assert!(m <= n);
     debug_assert!(block < (1usize << (n - m)));
     let layout = Layout1d::new(n);

@@ -16,7 +16,7 @@ pub const NUM_BUCKETS: usize = 65;
 
 /// Bucket index of `value`: 0 for 0, else `64 − leading_zeros`.
 #[inline]
-pub fn bucket_of(value: u64) -> usize {
+fn bucket_of(value: u64) -> usize {
     if value == 0 {
         0
     } else {
@@ -134,7 +134,7 @@ impl HistogramSnapshot {
     /// The value at quantile `q` (`0.0 ..= 1.0`): the inclusive upper
     /// bound of the bucket containing the rank-`⌈q·count⌉` sample,
     /// capped at the observed maximum. Returns 0 on an empty histogram.
-    pub fn quantile(&self, q: f64) -> u64 {
+    fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -149,7 +149,7 @@ impl HistogramSnapshot {
         self.max
     }
 
-    /// Median (see [`quantile`](HistogramSnapshot::quantile)).
+    /// Median (see `quantile`).
     pub fn p50(&self) -> u64 {
         self.quantile(0.50)
     }

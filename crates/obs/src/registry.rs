@@ -219,14 +219,9 @@ impl Registry {
     ///
     /// `buckets` lists only non-empty buckets as
     /// `[inclusive upper bound, count]` pairs in ascending order.
-    pub fn to_json_value(&self) -> Value {
-        self.to_json_value_windowed(None)
-    }
-
-    /// Like [`to_json_value`](Registry::to_json_value), with the
-    /// sliding-interval view attached: when `window` is given (and has
-    /// ticked at least once over a histogram), that histogram's object
-    /// gains a `"recent"` sub-object — `count`, `sum`, `max`, `p50`,
+    ///
+    /// When `window` is given (and has ticked at least once over a
+    /// histogram), that histogram's object gains a `"recent"` sub-object — `count`, `sum`, `max`, `p50`,
     /// `p90`, `p99` over roughly the last [`span_secs`] of traffic — and
     /// the document gains a top-level `"recent_window_s"`. Old consumers
     /// ignore the extra fields; the schema tag is unchanged.
@@ -290,9 +285,9 @@ impl Registry {
         Value::Object(doc)
     }
 
-    /// The JSON snapshot as text (see [`to_json_value`](Registry::to_json_value)).
+    /// The JSON snapshot as text.
     pub fn to_json(&self) -> String {
-        self.to_json_value().to_string()
+        self.to_json_value_windowed(None).to_string()
     }
 
     /// Prometheus text exposition (format version 0.0.4): counters and
@@ -359,7 +354,7 @@ impl Registry {
 }
 
 /// Mangles a dotted metric name into a Prometheus metric name.
-pub fn prometheus_name(name: &str) -> String {
+fn prometheus_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 3);
     out.push_str("ss_");
     for c in name.chars() {

@@ -282,7 +282,7 @@ impl Tracer {
     }
 
     /// Nanoseconds since the tracer's start (the `ts` clock on events).
-    pub fn now_ns(&self) -> u64 {
+    fn now_ns(&self) -> u64 {
         self.start.elapsed().as_nanos() as u64
     }
 
@@ -521,7 +521,7 @@ pub fn pipeline_event(kind: TraceEventKind) {
 // JSON-lines export (`ss-trace-v1`) and Chrome trace_event conversion.
 
 /// Serialises one event as an `ss-trace-v1` JSON object.
-pub fn event_value(ev: &TraceEvent) -> Value {
+fn event_value(ev: &TraceEvent) -> Value {
     let mut pairs = vec![
         ("schema".to_string(), Value::from(TRACE_SCHEMA)),
         ("ts".to_string(), Value::from(ev.ts_ns)),

@@ -24,7 +24,7 @@
 //! [`ss_obs::json`], so the served answer equals the serial in-process
 //! answer bit for bit.
 //!
-//! Lines are appended straight into the caller's buffer ([`write_query`],
+//! Lines are appended straight into the caller's buffer (`write_query`,
 //! [`write_op`], [`write_ok_response`]) through `ss_obs::json`'s scalar
 //! writers; no JSON tree is built to render one. The bytes are the
 //! contract: the test module keeps the tree renderer they replaced as the
@@ -481,7 +481,7 @@ fn close_line(out: &mut String, trace: Option<u64>) {
 
 /// Appends the request line for `query` with id `id`, carrying an
 /// optional `trace` id (the client side; see the module docs).
-pub fn write_query(out: &mut String, id: i128, query: &Query, trace: Option<u64>) {
+fn write_query(out: &mut String, id: i128, query: &Query, trace: Option<u64>) {
     open_request(out, id, query.op());
     match query {
         Query::Point { pos } => push_usizes(out, "pos", pos),

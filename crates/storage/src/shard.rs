@@ -606,7 +606,8 @@ impl<S: BlockStore> ShardedBufferPool<S> {
     }
 
     /// Blocks currently cached across all shards.
-    pub fn cached_blocks(&self) -> usize {
+    #[cfg(test)]
+    fn cached_blocks(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.state.lock().unwrap().frames.len())

@@ -49,7 +49,7 @@ pub fn bitmap_len(capacity: usize) -> usize {
 
 /// Exact encoded payload length of `tile` in bytes: the bitmap plus
 /// `8 × bucket_len` for every present bucket.
-pub fn encoded_len(tile: &SparseTile) -> usize {
+fn encoded_len(tile: &SparseTile) -> usize {
     let mut len = bitmap_len(tile.capacity());
     for b in 0..tile.num_buckets() {
         if tile.bucket_present(b) {

@@ -94,7 +94,7 @@ impl StandardStreamSynopsis {
     }
 
     /// Time slots consumed.
-    pub fn time_filled(&self) -> usize {
+    fn time_filled(&self) -> usize {
         self.blocks << self.chunk_time_levels
     }
 
@@ -325,11 +325,6 @@ impl NonStandardStreamSynopsis {
     #[inline]
     fn detail_slot(sub_levels: u32, d: usize, level: u32, eps: usize) -> usize {
         ((level - sub_levels - 1) as usize) * ((1usize << d) - 1) + (eps - 1)
-    }
-
-    /// Hypercubes completed.
-    pub fn cubes_filled(&self) -> usize {
-        self.tau
     }
 
     /// Peak live (non-K) coefficients observed — must respect the Result 5

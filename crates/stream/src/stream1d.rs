@@ -17,7 +17,6 @@
 
 use crate::synopsis::{CoeffKey, KTermSynopsis, SynopsisEntry};
 use ss_obs::{Histogram, Stopwatch};
-use std::collections::HashMap;
 
 /// Per-item (Gilbert-style) maintenance of a K-term synopsis.
 #[derive(Clone, Debug)]
@@ -298,14 +297,15 @@ pub fn offline_top_k(data: &[f64], k: usize) -> (f64, Vec<SynopsisEntry<CoeffKey
     (coeffs[0], syn.entries())
 }
 
-/// Map from key to value for set comparison in tests and experiments.
-pub fn entry_map(entries: &[SynopsisEntry<CoeffKey>]) -> HashMap<CoeffKey, f64> {
-    entries.iter().map(|e| (e.key, e.value)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
+    /// Map from key to value for set comparison.
+    fn entry_map(entries: &[SynopsisEntry<CoeffKey>]) -> HashMap<CoeffKey, f64> {
+        entries.iter().map(|e| (e.key, e.value)).collect()
+    }
 
     fn stream(n: usize) -> Vec<f64> {
         (0..n)

@@ -63,11 +63,6 @@ impl<S: BlockStore, F: FnMut(usize, usize) -> S> NsChainStore<S, F> {
         self.taus == 0
     }
 
-    /// Cube side `2^n`.
-    pub fn cube_side(&self) -> usize {
-        1usize << self.n
-    }
-
     /// Shared I/O counters.
     pub fn stats(&self) -> &IoStats {
         &self.stats
@@ -113,7 +108,7 @@ impl<S: BlockStore, F: FnMut(usize, usize) -> S> NsChainStore<S, F> {
     }
 
     /// The average of cube `tau`, reconstructed from the averages tree.
-    pub fn cube_average(&self, tau: usize) -> f64 {
+    fn cube_average(&self, tau: usize) -> f64 {
         assert!(tau < self.taus, "cube {tau} not appended yet");
         let layout = Layout1d::for_len(self.avg_tree.len());
         layout
