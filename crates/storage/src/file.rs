@@ -11,12 +11,13 @@
 //! number of threads may read one store at once, each decoding from its
 //! own per-call byte buffer. A transfer moves a *run* of adjacent blocks
 //! ([`BlockStore::try_read_run`] / [`BlockStore::try_write_run`]; a
-//! single-block read or write is a run of one): a v2 run is one system
-//! call for its images and one for its sidecar slots, whatever its
-//! length, and every block in it is still checked, counted and timed on
-//! its own. One private `read_verified` is the only way block bytes leave
-//! the file: it serves both layouts' reads and the scrub, which verifies
-//! the file in runs too.
+//! single-block read or write is a run of one): a v2 run read is one
+//! system call for its images, whatever its length, and a v2 run write
+//! one for its images and one for its sidecar slots; every block in a run
+//! is still checked, counted and timed on its own. One private
+//! `read_verified` is the only way block bytes leave the file: it serves
+//! both layouts' reads and the scrub, which verifies the file in runs
+//! too.
 //!
 //! # Durability (format v2)
 //!
@@ -28,6 +29,15 @@
 //! second* — for a run, every image first and every slot second: a crash
 //! in between leaves a detectable mismatch on each block of the run,
 //! never a silently wrong block.
+//!
+//! A handle mirrors the sidecar in memory: read whole, in one `pread`,
+//! when it creates or opens the store, and updated only after each of
+//! its own slot writes has landed. A block read verifies the bytes it
+//! reads from the file against that mirror, so a miss costs one `pread`
+//! (v3: none for an all-zero block). A slot damaged on disk after the
+//! open is seen by [`scrub`](FileBlockStore::scrub), which reads the
+//! sidecar file, and by every later open — not by this handle's reads.
+//! The store has one writer, the handle that opened it.
 //!
 //! A block a run never wrote splits it: a read serves the block as
 //! zeros (see below) and transfers each stretch of written blocks on its
@@ -42,9 +52,9 @@
 //! A handle that created its store zeroed ([`FileBlockStore::create`],
 //! [`FileBlockStore::create_v3`], and the blocks `grow` adds) reads a
 //! block it has not written as `+0.0` without touching the file: no
-//! `pread`, no sidecar read, no CRC, no `block_reads`. A write clears the
-//! mark before its transfer starts, so a failed or torn write leaves a
-//! block every later read verifies. An opened store ([`FileBlockStore::open`],
+//! `pread`, no CRC, no `block_reads`. A write clears the mark before its
+//! transfer starts, so a failed or torn write leaves a block every later
+//! read verifies. An opened store ([`FileBlockStore::open`],
 //! [`FileBlockStore::open_v3`]) marks nothing: every block that crossed a
 //! process boundary is verified on every read. A v3 directory entry with
 //! offset 0 is *not* taken as unwritten on open — that would skip the
@@ -91,9 +101,19 @@ pub fn sidecar_path(path: &Path) -> PathBuf {
 }
 
 /// The checksum sidecar: `SIDECAR_MAGIC` followed by one little-endian
-/// CRC-32 per block, in block order.
+/// CRC-32 per block, in block order — and its mirror in memory.
 struct Sidecar {
     file: File,
+    /// Every slot, as this handle created or opened the file, updated
+    /// once each of the handle's own slot writes has landed: what a block
+    /// read verifies against. The scrub reads the file instead.
+    slots: Vec<u32>,
+}
+
+/// The CRC-32s in `le`, four little-endian bytes each.
+fn crcs(le: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    le.chunks_exact(4)
+        .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
 }
 
 impl Sidecar {
@@ -114,18 +134,19 @@ impl Sidecar {
             .truncate(true)
             .open(&sc_path)
             .map_err(|e| StorageError::io(format!("create {}", sc_path.display()), e))?;
+        let slots = vec![zero_crc; blocks];
         let mut bytes = Vec::with_capacity(SIDECAR_HEADER as usize + blocks * 4);
         bytes.extend_from_slice(SIDECAR_MAGIC);
-        for _ in 0..blocks {
-            bytes.extend_from_slice(&zero_crc.to_le_bytes());
+        for crc in &slots {
+            bytes.extend_from_slice(&crc.to_le_bytes());
         }
         file.write_all_at(&bytes, 0)
             .map_err(|e| StorageError::io("write checksum sidecar", e))?;
-        Ok(Sidecar { file })
+        Ok(Sidecar { file, slots })
     }
 
     /// Opens an existing sidecar, validating magic and length for
-    /// `blocks` blocks.
+    /// `blocks` blocks, then mirrors its slots in one `pread`.
     fn open(path: &Path, blocks: usize) -> Result<Sidecar, StorageError> {
         let sc_path = Sidecar::path_for(path);
         let file = OpenOptions::new()
@@ -147,7 +168,12 @@ impl Sidecar {
         if actual < expected {
             return Err(StorageError::Geometry { expected, actual });
         }
-        Ok(Sidecar { file })
+        let mut sidecar = Sidecar {
+            file,
+            slots: Vec::new(),
+        };
+        sidecar.slots = sidecar.read_run(0..blocks)?;
+        Ok(sidecar)
     }
 
     /// Byte offset of block `id`'s slot.
@@ -155,22 +181,27 @@ impl Sidecar {
         SIDECAR_HEADER + id as u64 * 4
     }
 
-    /// Reads the slots of the run starting at block `first` into `le`
-    /// (four little-endian bytes per block), in one `pread`.
-    fn read_run(&self, first: usize, le: &mut [u8]) -> Result<(), StorageError> {
-        let ids = first..first + le.len() / 4;
+    /// The slots of blocks `ids` as the file holds them, in one `pread`.
+    fn read_run(&self, ids: Range<usize>) -> Result<Vec<u32>, StorageError> {
+        let mut le = vec![0u8; ids.len() * 4];
         self.file
-            .read_exact_at(le, Sidecar::slot(first))
-            .map_err(|e| StorageError::io(format!("read crcs of blocks {ids:?}"), e))
+            .read_exact_at(&mut le, Sidecar::slot(ids.start))
+            .map_err(|e| StorageError::io(format!("read crcs of blocks {ids:?}"), e))?;
+        Ok(crcs(&le).collect())
     }
 
     /// Writes `le` (four little-endian bytes per block) as the slots of
-    /// the run starting at block `first`, in one `pwrite`.
+    /// the run starting at block `first`, in one `pwrite`, then mirrors
+    /// them: the mirror never holds a slot the file lacks.
     fn write_run(&mut self, first: usize, le: &[u8]) -> Result<(), StorageError> {
         let ids = first..first + le.len() / 4;
         self.file
             .write_all_at(le, Sidecar::slot(first))
-            .map_err(|e| StorageError::io(format!("write crcs of blocks {ids:?}"), e))
+            .map_err(|e| StorageError::io(format!("write crcs of blocks {ids:?}"), e))?;
+        for (slot, crc) in self.slots[ids].iter_mut().zip(crcs(le)) {
+            *slot = crc;
+        }
+        Ok(())
     }
 
     /// Appends zero-block CRCs for blocks `from..to`.
@@ -181,7 +212,9 @@ impl Sidecar {
         }
         self.file
             .write_all_at(&bytes, Sidecar::slot(from))
-            .map_err(|e| StorageError::io("grow checksum sidecar", e))
+            .map_err(|e| StorageError::io("grow checksum sidecar", e))?;
+        self.slots.resize(to, zero_crc);
+        Ok(())
     }
 }
 
@@ -543,6 +576,12 @@ impl FileBlockStore {
         }
     }
 
+    /// The sidecar slots this handle verifies its reads against.
+    #[cfg(test)]
+    fn mirror(&self) -> &[u32] {
+        &self.sidecar.slots
+    }
+
     /// The v3 directory entry of block `id`, if this is a sparse store.
     fn sparse_entry(&self, id: usize) -> Option<DirEntry> {
         match &self.layout {
@@ -570,40 +609,37 @@ impl FileBlockStore {
 
     /// The one verified read: the stored bytes of the blocks `ids` — the
     /// dense images (v2, one `pread` for the whole run) or the encoded
-    /// payloads (v3, one `pread` per block; empty for an all-zero block,
-    /// whose sidecar slot holds the empty-string CRC `0`) — and their
-    /// sidecar slots (one `pread`). Each block is checked against its slot
-    /// before `visit` sees it: `visit(id, Ok(bytes))` on a match,
-    /// `visit(id, Err(Checksum))` on a mismatch. An error `visit` returns
-    /// ends the read.
+    /// payloads (v3, one `pread` per block; none for an all-zero block,
+    /// whose checksum is the empty-string CRC `0`) — each checked against
+    /// its CRC in `stored` before `visit` sees it: `visit(id, Ok(bytes))`
+    /// on a match, `visit(id, Err(Checksum))` on a mismatch. An error
+    /// `visit` returns ends the read.
     fn read_verified(
         &self,
         ids: Range<usize>,
+        stored: &[u32],
         mut visit: impl FnMut(usize, Result<&[u8], StorageError>) -> Result<(), StorageError>,
     ) -> Result<(), StorageError> {
-        let n = ids.len();
+        debug_assert_eq!(stored.len(), ids.len());
         let bytes_of = match &self.layout {
-            Layout::Dense => n * self.block_bytes(),
+            Layout::Dense => ids.len() * self.block_bytes(),
             Layout::Sparse { dir, .. } => ids
                 .clone()
                 .map(|id| dir[id].len as usize)
                 .max()
                 .unwrap_or(0),
         };
-        let mut buf = vec![0u8; bytes_of + 4 * n];
-        let (bytes, slots) = buf.split_at_mut(bytes_of);
+        let mut buf = vec![0u8; bytes_of];
         if let Layout::Dense = self.layout {
             self.file
-                .read_exact_at(bytes, (ids.start * self.block_bytes()) as u64)
+                .read_exact_at(&mut buf, (ids.start * self.block_bytes()) as u64)
                 .map_err(|e| StorageError::io(format!("read blocks {ids:?}"), e))?;
         }
-        self.sidecar.read_run(ids.start, slots)?;
-        for (k, id) in ids.enumerate() {
-            let stored = u32::from_le_bytes(slots[4 * k..4 * k + 4].try_into().expect("4 bytes"));
+        for ((k, id), &stored) in ids.enumerate().zip(stored) {
             let bytes = match &self.layout {
-                Layout::Dense => &bytes[k * self.block_bytes()..(k + 1) * self.block_bytes()],
+                Layout::Dense => &buf[k * self.block_bytes()..(k + 1) * self.block_bytes()],
                 Layout::Sparse { dir, .. } => {
-                    let payload = &mut bytes[..dir[id].len as usize];
+                    let payload = &mut buf[..dir[id].len as usize];
                     self.file
                         .read_exact_at(payload, dir[id].offset)
                         .map_err(|e| StorageError::io(format!("read block {id}"), e))?;
@@ -639,7 +675,8 @@ impl FileBlockStore {
     ) -> Result<(), StorageError> {
         let t0 = Instant::now();
         let (first, n, capacity) = (ids.start, ids.len(), self.capacity);
-        self.read_verified(ids, |id, bytes| {
+        let stored = &self.sidecar.slots[ids.clone()];
+        self.read_verified(ids, stored, |id, bytes| {
             let bytes = bytes?;
             let blk = &mut buf[(id - first) * capacity..(id - first + 1) * capacity];
             match &self.layout {
@@ -781,7 +818,8 @@ impl FileBlockStore {
     }
 
     /// Scans every block, recomputing its CRC-32 and comparing it to the
-    /// sidecar — the full-file scrub behind `shiftsplit scrub` and
+    /// sidecar file, not this handle's mirror of it — the full-file scrub
+    /// behind `shiftsplit scrub` and
     /// [`WsFile::verify`](crate::WsFile::verify). On a v3 store it also
     /// checks every directory entry's geometry against the file length
     /// and every payload's length against its own bitmap
@@ -820,7 +858,10 @@ impl FileBlockStore {
                 scanned.inc();
                 continue;
             }
-            self.read_verified(ids, |id, bytes| {
+            // The file's slots, not the mirror: the scrub sees a slot
+            // damaged after this handle opened the store.
+            let stored = self.sidecar.read_run(ids.clone())?;
+            self.read_verified(ids, &stored, |id, bytes| {
                 // v3 only: a stored payload's length must agree with its
                 // own bitmap.
                 let clean = match bytes {
@@ -1019,15 +1060,16 @@ mod tests {
 
     type Create = fn(&Path, usize, usize, IoStats) -> Result<FileBlockStore, StorageError>;
 
-    /// Both layouts' `create`, with the name suffix of their test files.
-    const LAYOUTS: [(&str, Create); 2] = [
-        ("v2", FileBlockStore::create),
-        ("v3", FileBlockStore::create_v3),
+    /// Both layouts' `create` and `open`, with the name suffix of their
+    /// test files.
+    const LAYOUTS: [(&str, Create, Create); 2] = [
+        ("v2", FileBlockStore::create, FileBlockStore::open),
+        ("v3", FileBlockStore::create_v3, FileBlockStore::open_v3),
     ];
 
     #[test]
     fn runs_are_per_block_transfers() {
-        for (layout, create) in LAYOUTS {
+        for (layout, create, _) in LAYOUTS {
             let path = tmp(&format!("runs{layout}"));
             let stats = IoStats::new();
             let mut store = create(&path, 8, 6, stats.clone()).unwrap();
@@ -1150,7 +1192,7 @@ mod tests {
 
     #[test]
     fn a_scrub_reports_every_corrupt_block_of_a_run() {
-        for (layout, create) in LAYOUTS {
+        for (layout, create, _) in LAYOUTS {
             let path = tmp(&format!("scrubrun{layout}"));
             let mut store = create(&path, 4, 6, IoStats::new()).unwrap();
             store.try_write_run(0, &images(4, 6)).unwrap();
@@ -1171,19 +1213,157 @@ mod tests {
         std::fs::write(path, &bytes).unwrap();
     }
 
+    /// The heap offset of block `id`'s payload in the v3 blocks file at
+    /// `path`, as its directory entry on disk says (0: all-zero).
+    fn payload_offset(path: &Path, id: usize) -> u64 {
+        let bytes = std::fs::read(path).unwrap();
+        let at = (V3_HEADER_LEN + id as u64 * V3_DIR_ENTRY_LEN) as usize;
+        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+    }
+
+    /// The slots the sidecar file of the store at `path` holds.
+    fn disk_slots(path: &Path) -> Vec<u32> {
+        let bytes = std::fs::read(Sidecar::path_for(path)).unwrap();
+        crcs(&bytes[SIDECAR_HEADER as usize..]).collect()
+    }
+
+    #[test]
+    fn a_flipped_block_fails_the_open_handles_next_read() {
+        // What the mirror must not lose: a read takes the block's bytes
+        // from the file, so damage done under an open handle — the one
+        // that created the store or one that opened it — is refused there.
+        for (layout, create, open) in LAYOUTS {
+            let path = TmpStore(tmp(&format!("openflip{layout}")));
+            let mut created = create(&path.0, 8, 3, IoStats::new()).unwrap();
+            created.try_write_run(0, &images(8, 3)).unwrap();
+            let opened = open(&path.0, 8, 3, IoStats::new()).unwrap();
+            let at = if created.sparse() {
+                payload_offset(&path.0, 1) + 1
+            } else {
+                8 * 8 + 3
+            };
+            flip_byte(&path.0, at);
+            let mut buf = [0.0; 8];
+            for store in [&created, &opened] {
+                assert!(
+                    matches!(
+                        store.try_read_block(1, &mut buf),
+                        Err(StorageError::Checksum { block: 1, .. })
+                    ),
+                    "{layout}"
+                );
+                store.try_read_block(2, &mut buf).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn a_flipped_slot_is_seen_by_scrub_and_by_the_next_open() {
+        for (layout, create, open) in LAYOUTS {
+            let path = TmpStore(tmp(&format!("slotflip{layout}")));
+            let mut store = create(&path.0, 8, 3, IoStats::new()).unwrap();
+            store.try_write_run(0, &images(8, 3)).unwrap();
+            drop(store);
+            let store = open(&path.0, 8, 3, IoStats::new()).unwrap();
+            flip_byte(&Sidecar::path_for(&path.0), Sidecar::slot(1));
+            // The open handle checks the file's block against the slot it
+            // read at open, which still matches it.
+            let mut buf = [0.0; 8];
+            store.try_read_block(1, &mut buf).unwrap();
+            assert_eq!(buf, images(8, 3)[8..16], "{layout}");
+            assert_eq!(store.scrub().unwrap().corrupt, vec![1], "{layout}");
+            let reopened = open(&path.0, 8, 3, IoStats::new()).unwrap();
+            assert!(
+                matches!(
+                    reopened.try_read_block(1, &mut buf),
+                    Err(StorageError::Checksum { block: 1, .. })
+                ),
+                "{layout}"
+            );
+        }
+    }
+
+    /// Every block of `a` and `b` reads the same bits.
+    fn reads_alike(a: &FileBlockStore, b: &FileBlockStore) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (mut x, mut y) = (vec![0.0; a.capacity], vec![0.0; b.capacity]);
+        for id in 0..a.blocks {
+            a.try_read_block(id, &mut x).unwrap();
+            b.try_read_block(id, &mut y).unwrap();
+            assert_eq!(bits(&x), bits(&y), "block {id}");
+        }
+    }
+
+    #[test]
+    fn the_mirror_is_the_sidecar_after_writes_grow_and_relocation() {
+        // v2: a run, a single block, a grow and a write past the old end.
+        let path = TmpStore(tmp("mirrorv2"));
+        let mut store = FileBlockStore::create(&path.0, 4, 4, IoStats::new()).unwrap();
+        store.try_write_run(1, &images(4, 2)).unwrap();
+        store.write_block(3, &[9.5; 4]);
+        store.grow(7);
+        store.write_block(5, &[-1.25; 4]);
+        assert_eq!(store.mirror(), disk_slots(&path.0));
+        let reopened = FileBlockStore::open(&path.0, 4, 7, IoStats::new()).unwrap();
+        assert_eq!(reopened.mirror(), store.mirror());
+        reads_alike(&store, &reopened);
+
+        // v3: a new payload, an in-place rewrite, a relocation and a
+        // block written back to all-zero.
+        let path = TmpStore(tmp("mirrorv3"));
+        let mut store = FileBlockStore::create_v3(&path.0, 64, 3, IoStats::new()).unwrap();
+        let mut image = [0.0; 64];
+        image[0] = 1.0;
+        store.write_block(0, &image);
+        store.write_block(2, &image);
+        image[1] = 2.0;
+        store.write_block(0, &image);
+        let before = store.disk_bytes().unwrap();
+        for slot in [16, 32, 48] {
+            image[slot] = 3.0;
+        }
+        store.write_block(0, &image);
+        assert!(store.disk_bytes().unwrap() > before, "relocated");
+        store.write_block(2, &[0.0; 64]);
+        assert_eq!(store.mirror(), disk_slots(&path.0));
+        let reopened = FileBlockStore::open_v3(&path.0, 64, 3, IoStats::new()).unwrap();
+        assert_eq!(reopened.mirror(), store.mirror());
+        reads_alike(&store, &reopened);
+    }
+
+    #[test]
+    fn a_short_sidecar_is_refused_before_its_mirror_is_allocated() {
+        for (layout, create, open) in LAYOUTS {
+            let path = TmpStore(tmp(&format!("shortcrc{layout}")));
+            drop(create(&path.0, 8, 4, IoStats::new()).unwrap());
+            let sidecar = Sidecar::path_for(&path.0);
+            let bytes = std::fs::read(&sidecar).unwrap();
+            std::fs::write(&sidecar, &bytes[..bytes.len() - 4]).unwrap();
+            assert!(
+                matches!(
+                    open(&path.0, 8, 4, IoStats::new()),
+                    Err(StorageError::Geometry {
+                        expected: 24,
+                        actual: 20
+                    })
+                ),
+                "{layout}"
+            );
+        }
+        // A geometry no sidecar holds is refused by the length check:
+        // allocating its 4 TiB mirror first would abort the process.
+        let path = TmpStore(tmp("hugecrc"));
+        drop(FileBlockStore::create(&path.0, 8, 4, IoStats::new()).unwrap());
+        assert!(matches!(
+            Sidecar::open(&path.0, 1 << 40),
+            Err(StorageError::Geometry { .. })
+        ));
+    }
+
     #[test]
     fn unwritten_blocks_cost_no_transfer() {
-        type Create = fn(&Path, usize, usize, IoStats) -> Result<FileBlockStore, StorageError>;
-        let layouts: [(&str, Create, Create); 2] = [
-            ("unwrittenv2", FileBlockStore::create, FileBlockStore::open),
-            (
-                "unwrittenv3",
-                FileBlockStore::create_v3,
-                FileBlockStore::open_v3,
-            ),
-        ];
-        for (name, create, open) in layouts {
-            let path = tmp(name);
+        for (layout, create, open) in LAYOUTS {
+            let path = tmp(&format!("unwritten{layout}"));
             let stats = IoStats::new();
             let mut store = create(&path, 32, 4, stats.clone()).unwrap();
             let sparse = store.sparse();
@@ -1192,9 +1372,7 @@ mod tests {
                     return flip_byte(&path, (id * 32 * 8) as u64 + 3);
                 }
                 // A v3 block's payload, or its checksum slot when all-zero.
-                let bytes = std::fs::read(&path).unwrap();
-                let at = (V3_HEADER_LEN + id as u64 * V3_DIR_ENTRY_LEN) as usize;
-                match u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) {
+                match payload_offset(&path, id) {
                     0 => flip_byte(&Sidecar::path_for(&path), Sidecar::slot(id)),
                     offset => flip_byte(&path, offset + 1),
                 }
