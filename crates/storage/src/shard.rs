@@ -35,7 +35,9 @@
 //!   call**: it takes a shard nobody holds first, folds all of that
 //!   shard's blocks under the one lock, in the order the caller gave
 //!   them, and only then moves on, so two sweeps over the same pool pass
-//!   each other shard by shard instead of trading a lock per block;
+//!   each other shard by shard instead of trading a lock per block. A
+//!   miss inside it drops the lock for its load and goes on under the one
+//!   its install re-took: one more lock acquisition per miss;
 //! * **exclusive** (`&mut self`; [`CoeffStore`](crate::CoeffStore), a
 //!   one-shard pool) — the single owner reaches a cached frame through
 //!   `Mutex::get_mut` and pays no lock at all
@@ -66,12 +68,25 @@
 //! one mutex. The write half is for writes only: eviction write-backs,
 //! flushes and syncs.
 //!
-//! **Store I/O never runs under a shard lock.** A miss (or an eviction of
-//! a dirty frame) marks the affected block ids *busy* in the shard,
-//! releases the shard mutex, performs the device transfer, then
-//! re-acquires the mutex to install the frame and wake waiters on the
-//! shard's condvar. Threads that need a busy block wait on the condvar
-//! instead of duplicating the load. This matters most when a transfer is
+//! **Store I/O never runs under a shard lock.** A shared miss marks its
+//! block *busy* in the shard, releases the shard mutex and loads the block
+//! into the shard's *spare* buffer, then re-acquires the mutex once and,
+//! under that one hold, checks the image for zeros, evicts, installs the
+//! frame and runs the caller's closure. The order is load → relock → zero
+//! check → evict → install, so a zero load evicts nothing, and a frame is
+//! only evicted for one the miss keeps. Each shard keeps at most one spare:
+//! a miss takes it (allocating only when there is none), and the first
+//! clean victim's buffer becomes the next one, as does a zero or failed
+//! load's; a frame installed without a load (an
+//! [`overwrite`](ShardedBufferPool::overwrite), a write on a zero entry)
+//! starts zero-filled. A warm pool's misses therefore allocate and free
+//! nothing — a frame freed under one thread's lock that another thread
+//! allocated costs both of them. Dirty victims are written back before the
+//! install, with their ids and the missed block busy and the mutex
+//! released again, so an access whose write-back fails has changed nothing.
+//! Every transfer ends by waking the waiters on the shard's condvar:
+//! threads that need a busy block wait there instead of duplicating the
+//! load. This matters most when a transfer is
 //! slow — a device that takes milliseconds to serve, or to report, a
 //! read — because a wait under the shard lock would stall every reader
 //! hashed to the same shard. No operation acquires a shard lock while
@@ -197,6 +212,10 @@ struct Shard {
     /// The image every zero entry serves, zeroed again before each use
     /// (sized by the first zero entry).
     zero: Vec<f64>,
+    /// A frame buffer nobody uses: the next miss loads into it. An
+    /// eviction of a clean frame refills it, so a warm pool's misses
+    /// allocate nothing.
+    spare: Option<Vec<f64>>,
     /// The `(priority, stamp)` key per slab slot; only the slots of
     /// cached frames are live.
     keys: Vec<(u64, u64)>,
@@ -247,40 +266,39 @@ impl Shard {
         Some(&mut self.zero)
     }
 
-    /// Counts a miss on `id` and evicts the smallest-keyed frames until
-    /// one more fits in `budget`, appending the dirty victims to
-    /// `victims` for the caller to write back.
-    fn miss(
-        &mut self,
-        id: usize,
-        budget: usize,
-        stats: &IoStats,
-        victims: &mut Vec<(usize, Frame)>,
-    ) {
+    /// Counts a miss on `id`.
+    fn miss(&mut self, id: usize, stats: &IoStats) {
         self.counters.misses += 1;
         stats.add_pool_misses(1);
         tile_fetch(id, false);
+    }
+
+    /// Evicts the smallest-keyed frames until one more fits in `budget`,
+    /// appending the dirty victims to `victims` for the caller to write
+    /// back; a clean victim's buffer is [`recycle`](Self::recycle)d.
+    fn make_room(&mut self, budget: usize, stats: &IoStats, victims: &mut Vec<(usize, Frame)>) {
         while self.frames.len() >= budget {
             let (vid, frame) = self.evict();
             self.counters.evictions += 1;
             stats.add_pool_evictions(1);
             if frame.dirty {
                 victims.push((vid, frame));
+            } else {
+                self.recycle(frame.data);
             }
         }
     }
 
-    /// Opens a miss on `id` for the calling thread, which now owns the
-    /// load: the [`miss`](Self::miss), with `id` and every dirty victim
-    /// marked busy. Returns the dirty victims — the caller writes them
-    /// back and loads `id` with the shard unlocked, then counts the
-    /// write-backs and [`cache`](Self::cache)s the block.
-    fn begin_miss(&mut self, id: usize, budget: usize, stats: &IoStats) -> Vec<(usize, Frame)> {
-        let mut dirty_victims = Vec::new();
-        self.miss(id, budget, stats, &mut dirty_victims);
-        self.busy.extend(dirty_victims.iter().map(|&(vid, _)| vid));
-        self.busy.insert(id);
-        dirty_victims
+    /// The buffer a missed block's frame is built in, of stale contents:
+    /// the spare, or a new one when the shard has none. This is the one
+    /// place a frame gets its buffer.
+    fn buffer(&mut self, capacity: usize) -> Vec<f64> {
+        self.spare.take().unwrap_or_else(|| vec![0.0; capacity])
+    }
+
+    /// Keeps `data` as the spare unless the shard holds one already.
+    fn recycle(&mut self, data: Vec<f64>) {
+        self.spare.get_or_insert(data);
     }
 
     /// Drops the cached frames of `ids` unwritten (a window's reserved,
@@ -368,9 +386,10 @@ struct ShardSlot {
 /// panics mid-I/O (e.g. a store read fault), so waiters never hang.
 struct BusyGuard<'a> {
     slot: &'a ShardSlot,
-    /// The block being loaded.
+    /// The missed block, being loaded or waiting for room.
     id: usize,
-    /// The dirty frames being written back to make room for it.
+    /// The dirty frames being written back to make room for it (none
+    /// while it loads).
     victims: &'a [(usize, Frame)],
 }
 
@@ -383,11 +402,10 @@ impl BusyGuard<'_> {
     }
 
     /// Clears the marks under an already-held shard lock, so the caller
-    /// keeps the lock continuously from frame install (or the put-back of
-    /// unwritten victims) to frame use (dropping it in between would let a
-    /// concurrent miss evict the just-installed frame), and wakes waiters
-    /// only if there are any. `Drop` stays as the path of a panic inside
-    /// the store.
+    /// keeps the lock continuously from the relock through the frame's
+    /// install and use (see [`ShardedBufferPool::access`]), and wakes
+    /// waiters only if there are any. `Drop` stays as the path of a panic
+    /// inside the store.
     fn clear(self, shard: &mut Shard) {
         self.unmark(shard);
         if shard.waiting > 0 {
@@ -479,19 +497,15 @@ fn acquire<G>(
     }
 }
 
-/// Gives each block's weight in the victim order (see
-/// [`ShardedBufferPool::weighted`]).
-type Weigh = Box<dyn Fn(usize) -> u64 + Send + Sync>;
-
 /// The block cache: a write-back cache over a [`BlockStore`] that evicts
 /// by weighted recency (exact LRU unless [`weighted`](Self::weighted)),
 /// usable from many threads at once (`&self`) or by one owner without
 /// locking ([`with_block_mut`](Self::with_block_mut)).
 pub struct ShardedBufferPool<S: BlockStore> {
     shards: Vec<ShardSlot>,
-    /// Each block's weight, read when the block is cached; `None` weighs
-    /// every block 0.
-    weigh: Option<Weigh>,
+    /// Each block's weight, indexed by id and read when the block is
+    /// cached; `None` weighs every block 0.
+    weights: Option<Vec<u64>>,
     store: RwLock<S>,
     /// Serialises whole-pool flushes (see [`flush`](Self::flush)).
     flush_lock: Mutex<()>,
@@ -515,7 +529,7 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         assert!(budget >= 1, "buffer pool needs at least one frame");
         ShardedBufferPool {
             shards: (0..num_shards).map(|_| ShardSlot::default()).collect(),
-            weigh: None,
+            weights: None,
             flush_lock: Mutex::new(()),
             shard_budget: (budget / num_shards).max(1),
             block_capacity: store.block_capacity(),
@@ -526,7 +540,8 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         }
     }
 
-    /// Weighs block `id` by `weigh(id)` in the victim order: an access
+    /// Weighs block `id` by `weights[id]` — a table built once, read with
+    /// one index per install — in the victim order: an access
     /// keys its frame `(floor + weight, stamp)`, the smallest key goes
     /// first, and each eviction lifts its shard's floor to the victim's
     /// first component. A frame that is read again and again before the
@@ -538,7 +553,9 @@ impl<S: BlockStore> ShardedBufferPool<S> {
     /// A weighted pool also keeps each block it loads *clean* with every
     /// slot `+0.0` (`to_bits() == 0`; a `-0.0` stays a frame) as a **zero
     /// entry**: no data, no slab slot, no heap key, outside the shard
-    /// budget — at most one per store block. A read of one is a hit on a
+    /// budget — at most one per store block. The miss checks its image
+    /// before it makes room, so a zero load evicts nothing. A read of one
+    /// is a hit on a
     /// shared zero image; a mutating access (or an
     /// [`overwrite`](Self::overwrite)) drops it and installs a zeroed
     /// frame through the miss path without a block read; [`clear`](Self::clear)
@@ -551,13 +568,17 @@ impl<S: BlockStore> ShardedBufferPool<S> {
     /// never evicts a frame it touched), so a weighted pool's
     /// [`with_blocks_mut`](Self::with_blocks_mut) takes its ids one at a
     /// time through [`with_block_mut`](Self::with_block_mut).
-    pub fn weighted(mut self, weigh: impl Fn(usize) -> u64 + Send + Sync + 'static) -> Self {
-        self.weigh = Some(Box::new(weigh));
+    ///
+    /// # Panics
+    ///
+    /// An access to a block past the end of `weights` panics.
+    pub fn weighted(mut self, weights: Vec<u64>) -> Self {
+        self.weights = Some(weights);
         self
     }
 
     fn weight(&self, id: usize) -> u64 {
-        self.weigh.as_ref().map_or(0, |weigh| weigh(id))
+        self.weights.as_ref().map_or(0, |weights| weights[id])
     }
 
     fn lock_slot<'a>(&self, slot: &'a ShardSlot) -> MutexGuard<'a, Shard> {
@@ -665,7 +686,7 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         if let Some(data) = shard.hit(id, mutate, &self.stats) {
             return f(data);
         }
-        if self.weigh.is_some() {
+        if self.weights.is_some() {
             return self.enter(id, mutate, true, f);
         }
         let (mut f, mut out) = (Some(f), None);
@@ -700,7 +721,7 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         mutate: bool,
         mut f: impl FnMut(usize, &mut [f64]),
     ) {
-        if self.weigh.is_some() {
+        if self.weights.is_some() {
             for (k, &id) in ids.iter().enumerate() {
                 self.with_block_mut(id, mutate, |blk| f(k, blk));
             }
@@ -721,8 +742,10 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         for &id in ids {
             let shard = self.shards[id % n].state.get_mut().expect(POISONED);
             if shard.hit(id, mutate, &self.stats).is_none() {
-                shard.miss(id, budget, &self.stats, &mut victims);
-                shard.cache(id, vec![0.0; capacity], mutate, 0);
+                shard.miss(id, &self.stats);
+                shard.make_room(budget, &self.stats, &mut victims);
+                let data = shard.buffer(capacity);
+                shard.cache(id, data, mutate, 0);
                 misses.push(id);
             }
         }
@@ -802,7 +825,8 @@ impl<S: BlockStore> ShardedBufferPool<S> {
     /// otherwise it waits on the first shard left — and runs `f` for that
     /// shard's ids in ascending `k` under the lock. Each access is a
     /// [`with_block`](Self::with_block) — the same hit stamps, shard
-    /// counters and miss path, a miss dropping the lock for its I/O — so
+    /// counters and miss path, a miss dropping the lock for its I/O and
+    /// going on under the lock its install re-took — so
     /// every shard sees its ids in the order of `ids`, and its LRU order,
     /// counters and block reads are those of one `with_block` per id. The
     /// hits go into the shared [`IoStats`] once, at the end of the call
@@ -830,11 +854,10 @@ impl<S: BlockStore> ShardedBufferPool<S> {
                     hits += 1;
                     continue;
                 }
-                drop(shard);
                 // Counted before the miss, whose failed transfer panics.
                 self.stats.add_pool_hits(std::mem::take(&mut hits));
-                self.enter(id, false, true, |blk| f(k, blk));
-                shard = self.lock_slot(&self.shards[s]);
+                let slot = &self.shards[s];
+                shard = self.access(slot, shard, id, false, true, |blk| f(k, blk)).1;
             }
         }
         self.stats.add_pool_hits(hits);
@@ -842,8 +865,8 @@ impl<S: BlockStore> ShardedBufferPool<S> {
 
     /// Installs `data` as block `id`'s whole image without reading the
     /// block: a hit overwrites the frame, a miss takes the miss path of
-    /// [`with_block`](Self::with_block) — busy mark, victims, write-backs
-    /// — minus the load, since nothing of the old image survives. The
+    /// [`with_block`](Self::with_block) — victims, write-backs, install —
+    /// minus the load, since nothing of the old image survives. The
     /// frame is dirty; the store sees it at eviction or flush.
     ///
     /// # Panics
@@ -860,12 +883,29 @@ impl<S: BlockStore> ShardedBufferPool<S> {
     /// zeroed for `f` to fill whole). In a weighted pool a clean load of
     /// an all-`+0.0` block becomes a zero entry instead of a frame.
     fn enter<R>(&self, id: usize, mutate: bool, load: bool, f: impl FnOnce(&mut [f64]) -> R) -> R {
-        let slot_ref = &self.shards[self.shard_of(id)];
-        let mut shard = self.lock_slot(slot_ref);
+        let slot = &self.shards[self.shard_of(id)];
+        self.access(slot, self.lock_slot(slot), id, mutate, load, f)
+            .0
+    }
+
+    /// [`enter`](Self::enter) under `shard`, the held lock of `slot`.
+    /// Returns `f`'s result and the lock, held without a break from the
+    /// hit or the frame's install through `f`: releasing it in between
+    /// would let a concurrent miss evict the frame (or a `clear` drop it)
+    /// and force a second, double-counted load for this one access.
+    fn access<'a, R>(
+        &self,
+        slot: &'a ShardSlot,
+        mut shard: MutexGuard<'a, Shard>,
+        id: usize,
+        mutate: bool,
+        load: bool,
+        f: impl FnOnce(&mut [f64]) -> R,
+    ) -> (R, MutexGuard<'a, Shard>) {
         let mut waited = false;
         loop {
             if let Some(data) = shard.hit(id, mutate, &self.stats) {
-                return f(data);
+                return (f(data), shard);
             }
             if !shard.busy.contains(&id) {
                 break;
@@ -877,56 +917,105 @@ impl<S: BlockStore> ShardedBufferPool<S> {
                 waited = true;
             }
             shard.waiting += 1;
-            shard = slot_ref.ready.wait(shard).unwrap();
+            shard = slot.ready.wait(shard).unwrap();
             shard.waiting -= 1;
         }
-        // Miss: this thread owns the load, performed with the lock dropped.
-        // A zero entry still here met a mutating access: it is all zeros.
+        // Miss: this thread owns the load. A zero entry still here met a
+        // mutating access: it is all zeros.
+        shard.miss(id, &self.stats);
         let load = !shard.zeros.remove(&id) && load;
-        let dirty_victims = shard.begin_miss(id, self.shard_budget, &self.stats);
+        let mut data = shard.buffer(self.block_capacity);
+        if load {
+            shard.busy.insert(id);
+            drop(shard);
+            let busy = BusyGuard {
+                slot,
+                id,
+                victims: &[],
+            };
+            // Miss read: under the read half of the store lock, so misses
+            // on other shards overlap their device wait with this one.
+            let read = self.read_store().try_read_block(id, &mut data);
+            shard = self.lock_slot(slot);
+            busy.clear(&mut shard);
+            if let Err(e) = read {
+                shard.recycle(data);
+                drop(shard);
+                raise(e);
+            }
+            // Checked before any eviction: a zero load takes no frame, so
+            // it evicts none.
+            if !mutate && self.weights.is_some() && data.iter().all(|v| v.to_bits() == 0) {
+                shard.recycle(data);
+                shard.zeros.insert(id);
+                shard.zero.clear();
+                shard.zero.resize(self.block_capacity, 0.0);
+                return (f(&mut shard.zero), shard);
+            }
+        } else {
+            data.fill(0.0);
+        }
+        let mut victims = Vec::new();
+        loop {
+            shard.make_room(self.shard_budget, &self.stats, &mut victims);
+            if victims.is_empty() {
+                break;
+            }
+            shard = match self.write_back(slot, shard, id, &mut victims) {
+                Ok(shard) => shard,
+                Err((mut shard, e)) => {
+                    shard.recycle(data);
+                    drop(shard);
+                    raise(e);
+                }
+            };
+        }
+        let weight = self.weight(id);
+        (f(shard.cache(id, data, mutate, weight)), shard)
+    }
+
+    /// Writes the dirty `victims` of a miss on `id` back, with the shard
+    /// unlocked and `id` and the victims marked busy, before the missed
+    /// frame is installed: an access whose write-back fails has changed
+    /// nothing, and `f` has not run. Returns the shard locked again (more
+    /// frames may have arrived meanwhile: the caller makes room again),
+    /// with each written victim's buffer [`recycle`](Shard::recycle)d and
+    /// the marks cleared. On a failure the victims the store did not take
+    /// are cached dirty again before anyone can see them missing, so the
+    /// next flush or eviction persists them instead of a later miss
+    /// reading a stale block.
+    fn write_back<'a>(
+        &self,
+        slot: &'a ShardSlot,
+        mut shard: MutexGuard<'a, Shard>,
+        id: usize,
+        victims: &mut Vec<(usize, Frame)>,
+    ) -> Result<MutexGuard<'a, Shard>, (MutexGuard<'a, Shard>, StorageError)> {
+        shard.busy.insert(id);
+        shard.busy.extend(victims.iter().map(|&(vid, _)| vid));
         drop(shard);
-        let busy = BusyGuard {
-            slot: slot_ref,
-            id,
-            victims: &dirty_victims,
-        };
+        let busy = BusyGuard { slot, id, victims };
         let mut written = 0;
-        let mut transfer = dirty_victims.iter().try_for_each(|(vid, frame)| {
+        let wrote = victims.iter().try_for_each(|(vid, frame)| {
             let wrote = self.lock_store().try_write_block(*vid, &frame.data);
             wrote.map(|()| written += 1)
         });
-        let mut data = vec![0.0; self.block_capacity];
-        if load && transfer.is_ok() {
-            // Miss read: under the read half of the store lock, so misses
-            // on other shards overlap their device wait with this one.
-            transfer = self.read_store().try_read_block(id, &mut data);
-        }
-        let zero = load && !mutate && self.weigh.is_some() && data.iter().all(|v| v.to_bits() == 0);
-        let weight = if zero { 0 } else { self.weight(id) };
-        let mut shard = self.lock_slot(slot_ref);
-        // Clear the busy marks under this same lock and keep holding
-        // it: releasing between install and use would let a
-        // concurrent miss evict the frame (or a clear() drop it) and
-        // force a second, double-counted load for this one access.
+        let mut shard = self.lock_slot(slot);
         busy.clear(&mut shard);
         shard.count_writebacks(written as u64, &self.stats);
-        if let Err(e) = transfer {
-            // The victims the store did not take go back dirty before
-            // anyone can see them missing, so the next flush or eviction
-            // persists them instead of a later miss reading stale blocks.
-            for (vid, frame) in dirty_victims.into_iter().skip(written) {
-                shard.cache(vid, frame.data, true, frame.weight);
+        let mut victims = victims.drain(..);
+        for (_, frame) in victims.by_ref().take(written) {
+            shard.recycle(frame.data);
+        }
+        match wrote {
+            Ok(()) => Ok(shard),
+            Err(e) => {
+                for (vid, frame) in victims {
+                    shard.cache(vid, frame.data, true, frame.weight);
+                }
+                Err((shard, e))
             }
-            drop(shard);
-            raise(e);
         }
-        if zero {
-            shard.zeros.insert(id);
-            shard.zero.clear();
-            shard.zero.resize(self.block_capacity, 0.0);
-            return f(&mut shard.zero);
-        }
-        f(shard.cache(id, data, mutate, weight))
     }
 
     /// Writes every dirty block back to the store, keeping the cache warm.
@@ -1039,14 +1128,11 @@ impl<M: TilingMap, S: BlockStore> SharedCoeffStore<M, S> {
     ///
     /// Panics when the block store's capacity differs from the map's, or
     /// when the store has fewer blocks than the map needs.
-    pub fn new(map: M, store: S, pool_budget: usize, num_shards: usize, stats: IoStats) -> Self
-    where
-        M: Clone + 'static,
-    {
-        let weigh = map.clone();
+    pub fn new(map: M, store: S, pool_budget: usize, num_shards: usize, stats: IoStats) -> Self {
         let shared = Self::unweighted(map, store, pool_budget, num_shards, stats);
+        let weights = (0..shared.map.num_tiles()).map(|tile| shared.map.coverage(tile));
         SharedCoeffStore {
-            pool: shared.pool.weighted(move |tile| weigh.coverage(tile)),
+            pool: shared.pool.weighted(weights.collect()),
             ..shared
         }
     }
@@ -1154,7 +1240,7 @@ impl<M: TilingMap, S: BlockStore> SharedCoeffStore<M, S> {
 }
 
 /// Convenience: an in-memory shared tiled store sized for `map`.
-pub fn mem_shared_store<M: TilingMap + Clone + 'static>(
+pub fn mem_shared_store<M: TilingMap>(
     map: M,
     pool_budget: usize,
     num_shards: usize,
@@ -1289,6 +1375,82 @@ mod tests {
             store.read_block(id, &mut buf);
             assert_eq!(buf.iter().sum::<f64>(), 400.0, "block {id}");
         }
+    }
+
+    #[test]
+    fn weighted_adds_and_reads_through_one_frame_shards_accumulate_exactly() {
+        // One frame per shard: nearly every access evicts, and each
+        // mutated victim is written back while other threads miss on its
+        // shard. Blocks 0..8 hold `id + 1` in slot 0, blocks 8..16 are all
+        // zeros (zero entries until an add reaches them); the threads add
+        // to 0..4 and 8..12 and read everything through `with_blocks`.
+        use std::sync::Arc;
+        let stats = IoStats::new();
+        let mut store = MemBlockStore::new(4, 16, stats.clone());
+        for id in 0..8 {
+            store.write_block(id, &[id as f64 + 1.0, 0.0, 0.0, 0.0]);
+        }
+        let p = ShardedBufferPool::new(store, 4, 4, stats);
+        let p = Arc::new(p.weighted((0..16).map(|id| id as u64 % 3).collect()));
+        let base = |id: usize| if id < 8 { id as f64 + 1.0 } else { 0.0 };
+        let mutated = |id: usize| id % 8 < 4;
+        let ids: Vec<usize> = (0..16).collect();
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (p, ids) = (Arc::clone(&p), &ids);
+                scope.spawn(move || {
+                    for round in 0..100 {
+                        for id in (0..16).filter(|&id| mutated(id)) {
+                            p.with_block(id, true, |blk| blk[(round + t) % 4] += 1.0);
+                        }
+                        p.with_blocks(ids, |k, blk| {
+                            let sum: f64 = blk.iter().sum();
+                            if mutated(k) {
+                                assert!(sum >= base(k) && sum <= base(k) + 400.0, "{k}: {sum}");
+                                assert_eq!(sum.fract(), 0.0, "block {k}");
+                            } else {
+                                assert_eq!(blk, [base(k), 0.0, 0.0, 0.0], "block {k}");
+                            }
+                        });
+                    }
+                });
+            }
+        });
+        let p = Arc::try_unwrap(p).ok().expect("threads joined");
+        assert!(p.shard_counters().iter().all(|c| c.writebacks > 0));
+        let store = p.into_store();
+        let mut buf = vec![0.0; 4];
+        for id in 0..16 {
+            store.read_block(id, &mut buf);
+            let adds = if mutated(id) { 400.0 } else { 0.0 };
+            assert_eq!(buf.iter().sum::<f64>(), base(id) + adds, "block {id}");
+        }
+    }
+
+    #[test]
+    fn a_zero_load_into_a_full_weighted_shard_evicts_nothing() {
+        // Blocks 0..4 hold data and fill the shard; 4..8 are all zeros.
+        let stats = IoStats::new();
+        let mut store = MemBlockStore::new(4, 8, stats.clone());
+        for id in 0..4 {
+            store.write_block(id, &[id as f64 + 1.0, 0.0, 0.0, 0.0]);
+        }
+        stats.reset();
+        let p = ShardedBufferPool::new(store, 4, 1, stats.clone()).weighted(vec![1; 8]);
+        for id in 0..4 {
+            p.read(id, 0);
+        }
+        assert_eq!(p.read(4, 0), 0.0);
+        p.with_block(5, false, |blk| assert_eq!(blk, [0.0; 4]));
+        p.with_blocks(&[6, 7], |_, blk| assert_eq!(blk, [0.0; 4]));
+        assert_eq!(p.shard_counters()[0].evictions, 0);
+        let hits = stats.snapshot().pool_hits;
+        for id in 0..4 {
+            assert_eq!(p.read(id, 0), id as f64 + 1.0);
+        }
+        let snap = stats.snapshot();
+        assert_eq!(snap.pool_hits, hits + 4, "every resident frame still hits");
+        assert_eq!((snap.pool_misses, snap.pool_evictions), (8, 0));
     }
 
     #[test]
@@ -1464,7 +1626,7 @@ mod tests {
             };
             let mut p = ShardedBufferPool::new(gate, 4, 1, stats.clone());
             if weighted {
-                p = p.weighted(|_| 1);
+                p = p.weighted(vec![1; 8]);
             }
             let busy_waits = || p.shard_counters()[0].busy_waits;
             std::thread::scope(|scope| {
@@ -1741,8 +1903,10 @@ mod tests {
 
     #[test]
     fn failed_miss_read_counts_the_write_backs_it_made() {
-        // A victim written back before the miss read failed is in the
-        // store: `block_writes` and `pool_writebacks` must agree.
+        // A miss loads before it evicts: one whose read fails has evicted
+        // nothing and written nothing back, so `block_writes` and
+        // `pool_writebacks` agree at 0 and the dirty frame stays cached
+        // for the next flush to write, counted once.
         let stats = IoStats::new();
         let dead_reads = DeadReads(MemBlockStore::new(4, 4, stats.clone()));
         let p = ShardedBufferPool::new(dead_reads, 1, 1, stats.clone());
@@ -1750,8 +1914,14 @@ mod tests {
         let read = std::panic::AssertUnwindSafe(|| p.read(2, 0));
         assert!(std::panic::catch_unwind(read).is_err());
         let s = stats.snapshot();
+        assert_eq!(
+            (s.block_writes, s.pool_writebacks, s.pool_evictions),
+            (0, 0, 0)
+        );
+        assert!(cached(&p, 1), "the would-be victim stays cached");
+        p.flush();
+        let s = stats.snapshot();
         assert_eq!((s.block_writes, s.pool_writebacks), (1, 1));
-        assert_eq!(p.cached_blocks(), 0, "the written victim stays evicted");
     }
 
     /// Whether block `id` has a frame in its shard.
@@ -1769,11 +1939,24 @@ mod tests {
     const FRESH: usize = 20;
     const SWEEPS: usize = 10;
 
+    /// The heavy ids' weight, then 1 for each other of `blocks` ids.
+    fn weights(blocks: usize) -> Vec<u64> {
+        (0..blocks)
+            .map(|id| if id < HEAVY { HEAVY_WEIGHT } else { 1 })
+            .collect()
+    }
+
     fn flooding_pool(weighted: bool) -> (ShardedBufferPool<MemBlockStore>, IoStats) {
         let blocks = HEAVY + FRESH * SWEEPS + FRAMES * HEAVY_WEIGHT as usize;
         let (p, stats) = filled_pool(blocks, FRAMES, 1);
-        let weigh = |id| if id < HEAVY { HEAVY_WEIGHT } else { 1 };
-        (if weighted { p.weighted(weigh) } else { p }, stats)
+        (
+            if weighted {
+                p.weighted(weights(blocks))
+            } else {
+                p
+            },
+            stats,
+        )
     }
 
     fn flood(p: &ShardedBufferPool<MemBlockStore>) {
@@ -1805,7 +1988,7 @@ mod tests {
         // evicted and no frame is taken.
         let blocks = HEAVY + FRESH * SWEEPS;
         let (zeros, stats) = pool(blocks, FRAMES, 1);
-        let zeros = zeros.weighted(|id| if id < HEAVY { HEAVY_WEIGHT } else { 1 });
+        let zeros = zeros.weighted(weights(blocks));
         flood(&zeros);
         let snap = stats.snapshot();
         assert_eq!(snap.pool_hits, (HEAVY * (SWEEPS - 1)) as u64);
@@ -1840,7 +2023,7 @@ mod tests {
         // Every weight is the largest key: the floor saturates at once,
         // and the stamp alone orders the frames, as in exact LRU.
         let (p, stats) = filled_pool(8, 2, 1);
-        let p = p.weighted(|_| u64::MAX);
+        let p = p.weighted(vec![u64::MAX; 8]);
         for id in [0, 1, 0, 2, 3, 0] {
             p.read(id, 0);
         }
@@ -1851,7 +2034,7 @@ mod tests {
         assert!(cached(&p, 3) && cached(&p, 0));
         // All-zero blocks are zero entries: both repeats of 0 hit.
         let (p, stats) = pool(8, 2, 1);
-        let p = p.weighted(|_| u64::MAX);
+        let p = p.weighted(vec![u64::MAX; 8]);
         for id in [0, 1, 0, 2, 3, 0] {
             p.read(id, 0);
         }
@@ -1863,7 +2046,7 @@ mod tests {
     #[test]
     fn an_all_zero_block_read_twice_is_one_read_and_no_frame() {
         let (p, stats) = pool(8, 2, 1);
-        let p = p.weighted(|_| 1);
+        let p = p.weighted(vec![1; 8]);
         assert_eq!(p.read(3, 1), 0.0);
         assert_eq!(p.with_block(3, false, |blk| blk.to_vec()), [0.0; 4]);
         let snap = stats.snapshot();
@@ -1884,7 +2067,7 @@ mod tests {
         let mut store = written(MemBlockStore::new(4, 8, stats.clone()), &stats);
         store.write_block(5, &[0.0, -0.0, 0.0, 0.0]);
         stats.reset();
-        let p = ShardedBufferPool::new(store, 2, 1, stats.clone()).weighted(|_| 1);
+        let p = ShardedBufferPool::new(store, 2, 1, stats.clone()).weighted(vec![1; 8]);
         assert_eq!(p.read(5, 1).to_bits(), (-0.0f64).to_bits());
         assert_eq!(p.read(5, 1).to_bits(), (-0.0f64).to_bits());
         assert!(cached(&p, 5));
@@ -1895,7 +2078,7 @@ mod tests {
     #[test]
     fn writes_on_a_zero_entry_read_no_block_and_persist() {
         let (p, stats) = pool(8, 4, 1);
-        let p = p.weighted(|_| 1);
+        let p = p.weighted(vec![1; 8]);
         p.read(1, 0);
         p.read(2, 0);
         assert_eq!(stats.snapshot().block_reads, 2);
@@ -1909,7 +2092,8 @@ mod tests {
         p.flush();
         assert_eq!(stats.snapshot().block_writes, 2);
         // A new pool over the same store sees both images.
-        let reopened = ShardedBufferPool::new(p.into_store(), 4, 1, stats.clone()).weighted(|_| 1);
+        let reopened =
+            ShardedBufferPool::new(p.into_store(), 4, 1, stats.clone()).weighted(vec![1; 8]);
         assert_eq!(reopened.read(1, 3), 7.5);
         assert_eq!(
             reopened.with_block(2, false, |blk| blk.to_vec()),
@@ -1921,7 +2105,7 @@ mod tests {
     #[test]
     fn clear_forgets_zero_entries() {
         let (p, stats) = pool(8, 2, 2);
-        let p = p.weighted(|_| 1);
+        let p = p.weighted(vec![1; 8]);
         p.read(4, 0);
         p.read(4, 0);
         p.clear();

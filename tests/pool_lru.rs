@@ -395,9 +395,9 @@ fn assert_same<T: PartialEq + std::fmt::Debug>(seen: &[T], reference: &[T], what
 ///
 /// A weighted oracle also keeps the zero rule: a clean load whose every
 /// slot is `+0.0` (by bits) joins a per-shard zero set instead of the
-/// frames, still after the miss's evictions; a read of a zero-set block
-/// is a hit on zeros, and a mutating access drops it from the set and
-/// misses without a load.
+/// frames, before the miss's evictions, so it evicts nothing; a read of a
+/// zero-set block is a hit on zeros, and a mutating access drops it from
+/// the set and misses without a load.
 struct ScanPool<S: BlockStore> {
     store: S,
     shards: Vec<ScanShard>,
@@ -465,6 +465,15 @@ impl<S: BlockStore> ScanPool<S> {
         }
         shard.counters.misses += 1;
         self.stats.add_pool_misses(1);
+        let mut data = vec![0.0; CAPACITY];
+        if load {
+            self.store.read_block(id, &mut data);
+            if self.weighted && !mutate && data.iter().all(|v| v.to_bits() == 0) {
+                shard.zeros.insert(id);
+                self.zero.fill(0.0);
+                return &mut self.zero;
+            }
+        }
         while shard.frames.len() >= self.shard_budget {
             let least = shard
                 .lru
@@ -484,15 +493,6 @@ impl<S: BlockStore> ScanPool<S> {
                 self.store.write_block(vid, &data);
                 shard.counters.writebacks += 1;
                 self.stats.add_pool_writebacks(1);
-            }
-        }
-        let mut data = vec![0.0; CAPACITY];
-        if load {
-            self.store.read_block(id, &mut data);
-            if self.weighted && !mutate && data.iter().all(|v| v.to_bits() == 0) {
-                shard.zeros.insert(id);
-                self.zero.fill(0.0);
-                return &mut self.zero;
             }
         }
         shard
@@ -585,8 +585,7 @@ fn victims_match_the_scan(seed: u64, shards: usize, budget: usize, weighted: boo
     let log = Arc::clone(&store.log);
     let mut pool = ShardedBufferPool::new(store, budget, shards, stats.clone());
     if weighted {
-        let weights = weights.clone();
-        pool = pool.weighted(move |id| weights[id]);
+        pool = pool.weighted(weights.clone());
     }
     let (seen, moved) = run(&mut pool, &steps, false, Some(&log));
 
@@ -874,9 +873,8 @@ fn a_shard_major_pass_leaves_the_pool_a_per_block_loop_leaves() {
                 ShardedBufferPool::new(seeded_mem(&loop_stats), budget, shards, loop_stats.clone());
             if weighted {
                 let weights = seeded_weights(budget as u64);
-                let twin = weights.clone();
-                pass = pass.weighted(move |id| weights[id]);
-                each = each.weighted(move |id| twin[id]);
+                pass = pass.weighted(weights.clone());
+                each = each.weighted(weights);
             }
             let mut rng = SplitMix64::new(0x5A4D + (shards * 100 + budget) as u64);
             for list in 0..60 {
