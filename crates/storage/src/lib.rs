@@ -27,8 +27,9 @@
 //!   hit/miss/eviction/write-back counters, entered under two
 //!   disciplines:
 //!   * [`CoeffStore`] — *exclusive*: one shard, one owner (`&mut self`),
-//!     cache hits take no lock, no block weighs anything (exact LRU, the
-//!     paper's counts). The object every serial out-of-core
+//!     cache hits take no lock, a single-block miss is the shared miss
+//!     and many blocks go in windows of runs, no block weighs anything
+//!     (exact LRU, the paper's counts). The object every serial out-of-core
 //!     algorithm in `ss-transform`, every offline CLI command and every
 //!     single-threaded query in `ss-query` runs against, mapping
 //!     coefficients onto blocks through any

@@ -41,10 +41,12 @@
 //! * **exclusive** (`&mut self`; [`CoeffStore`](crate::CoeffStore), a
 //!   one-shard pool) — the single owner reaches a cached frame through
 //!   `Mutex::get_mut` and pays no lock at all
-//!   ([`ShardedBufferPool::with_block_mut`]), and its misses go in
-//!   *windows* ([`ShardedBufferPool::with_blocks_mut`]): the bookkeeping
-//!   of one access per id, then the window's dirty victims written back
-//!   and its misses loaded as runs of adjacent blocks, one
+//!   ([`ShardedBufferPool::with_block_mut`]); its single-block miss is
+//!   the shared miss below, whose locks nobody else holds. Its access to
+//!   many blocks goes in *windows*
+//!   ([`ShardedBufferPool::with_blocks_mut`]): the bookkeeping of one
+//!   access per id, then the window's dirty victims written back and its
+//!   misses loaded as runs of adjacent blocks, one
 //!   [`BlockStore::try_write_run`] / [`BlockStore::try_read_run`] each.
 //!   No other thread exists, so a window needs no busy marks. This
 //!   discipline's pool is unweighted, exact LRU, with no zero entries: a
@@ -52,6 +54,7 @@
 //!   age order, and the paper's pinned per-chunk I/O counts are dense LRU
 //!   counts, every block a frame.
 //!
+//! So there is one miss path per block and one for a window of blocks.
 //! Shared misses stay one block each: a window would have to mark all its
 //! blocks busy at once, and the round-robin sharding that spreads a
 //! chunk's tiles over many locks leaves no shard two consecutive ids to
@@ -70,20 +73,23 @@
 //!
 //! **Store I/O never runs under a shard lock.** A shared miss marks its
 //! block *busy* in the shard, releases the shard mutex and loads the block
-//! into the shard's *spare* buffer, then re-acquires the mutex once and,
-//! under that one hold, checks the image for zeros, evicts, installs the
-//! frame and runs the caller's closure. The order is load → relock → zero
-//! check → evict → install, so a zero load evicts nothing, and a frame is
-//! only evicted for one the miss keeps. Each shard keeps at most one spare:
-//! a miss takes it (allocating only when there is none), and the first
-//! clean victim's buffer becomes the next one, as does a zero or failed
-//! load's; a frame installed without a load (an
-//! [`overwrite`](ShardedBufferPool::overwrite), a write on a zero entry)
-//! starts zero-filled. A warm pool's misses therefore allocate and free
-//! nothing — a frame freed under one thread's lock that another thread
-//! allocated costs both of them. Dirty victims are written back before the
-//! install, with their ids and the missed block busy and the mutex
-//! released again, so an access whose write-back fails has changed nothing.
+//! into one of the shard's *spare* buffers, then re-acquires the mutex
+//! once and, under that one hold, checks the image for zeros, evicts,
+//! installs the frame and runs the caller's closure. The order is load →
+//! relock → zero check → evict → install, so a zero load evicts nothing,
+//! and a frame is only evicted for one the miss keeps. Every buffer a
+//! frame or a load gives up — a clean victim's, a written-back dirty
+//! victim's, a zero or failed load's — goes back to the shard's spare
+//! list, and a miss allocates only when that list is empty; a frame
+//! installed without a load (an [`overwrite`](ShardedBufferPool::overwrite),
+//! a write on a zero entry) starts zero-filled. The spares never number
+//! more than the buffers the shard has given up and not yet reused, and a
+//! warm pool's misses allocate and free nothing — a frame freed under one
+//! thread's lock that another thread allocated costs both of them. Dirty
+//! victims are written back before the install, from a victim list the
+//! shard keeps between misses, with their ids and the missed block busy
+//! and the mutex released again, so an access whose write-back fails has
+//! changed nothing.
 //! Every transfer ends by waking the waiters on the shard's condvar:
 //! threads that need a busy block wait there instead of duplicating the
 //! load. This matters most when a transfer is
@@ -212,10 +218,13 @@ struct Shard {
     /// The image every zero entry serves, zeroed again before each use
     /// (sized by the first zero entry).
     zero: Vec<f64>,
-    /// A frame buffer nobody uses: the next miss loads into it. An
-    /// eviction of a clean frame refills it, so a warm pool's misses
+    /// Frame buffers nobody uses: every buffer a frame gives up comes
+    /// back here and the next miss takes one, so a warm pool's misses
     /// allocate nothing.
-    spare: Option<Vec<f64>>,
+    spare: Vec<Vec<f64>>,
+    /// The shared miss's dirty-victim list, kept between misses: a miss
+    /// takes it out while it makes room and puts it back, empty, after.
+    victims: Vec<(usize, Frame)>,
     /// The `(priority, stamp)` key per slab slot; only the slots of
     /// cached frames are live.
     keys: Vec<(u64, u64)>,
@@ -290,28 +299,28 @@ impl Shard {
     }
 
     /// The buffer a missed block's frame is built in, of stale contents:
-    /// the spare, or a new one when the shard has none. This is the one
+    /// a spare, or a new one when the shard has none. This is the one
     /// place a frame gets its buffer.
     fn buffer(&mut self, capacity: usize) -> Vec<f64> {
-        self.spare.take().unwrap_or_else(|| vec![0.0; capacity])
+        self.spare.pop().unwrap_or_else(|| vec![0.0; capacity])
     }
 
-    /// Keeps `data` as the spare unless the shard holds one already.
+    /// Keeps `data`, a buffer a frame or a load gave up, as a spare. This
+    /// is the one place such a buffer goes.
     fn recycle(&mut self, data: Vec<f64>) {
-        self.spare.get_or_insert(data);
+        self.spare.push(data);
     }
 
-    /// Drops the cached frames of `ids` unwritten (a window's reserved,
-    /// never loaded frames), keeping one heap entry per cached frame.
-    fn release(&mut self, ids: impl Iterator<Item = usize>) {
-        let mut gone = vec![false; self.keys.len()];
-        for id in ids {
-            if let Some(frame) = self.frames.remove(&id) {
-                gone[frame.slot] = true;
-                self.free.push(frame.slot);
+    /// Drops the cached frame of `id` (a window's reserved frame, loaded
+    /// or not) with its heap entry: one entry per cached frame.
+    fn release(&mut self, id: usize) {
+        if let Some(frame) = self.frames.remove(&id) {
+            self.free.push(frame.slot);
+            self.heap.retain(|&Reverse((.., slot))| slot != frame.slot);
+            if !frame.data.is_empty() {
+                self.recycle(frame.data);
             }
         }
-        self.heap.retain(|&Reverse((_, _, slot))| !gone[slot]);
     }
 
     /// Removes and returns the frame with the smallest key, raising the
@@ -448,6 +457,11 @@ fn tile_fetch(id: usize, hit: bool) {
 /// a shard lock, and no pool code panics under the store lock.
 const POISONED: &str = "a thread panicked inside a with_block closure";
 
+/// Block `id`'s shard, reached by the pool's single owner.
+fn owned(shards: &mut [ShardSlot], id: usize) -> &mut Shard {
+    shards[id % shards.len()].state.get_mut().expect(POISONED)
+}
+
 /// Index ranges of the runs of consecutive ids in `ids` (ascending).
 fn runs_of(ids: &[usize]) -> impl Iterator<Item = Range<usize>> + '_ {
     let mut start = 0;
@@ -497,6 +511,22 @@ fn acquire<G>(
     }
 }
 
+/// The lists of a [`ShardedBufferPool::with_blocks_mut`] window, kept in
+/// the pool between calls (behind `&mut self`) so that a warm window
+/// allocates nothing. `victims` and `misses` are empty between windows.
+#[derive(Default)]
+struct Window {
+    /// The dirty victims, written back ascending.
+    victims: Vec<(usize, Frame)>,
+    /// The missed ids, loaded ascending.
+    misses: Vec<usize>,
+    /// The victims' ids, in `victims`' order.
+    ids: Vec<usize>,
+    /// The images of one transfer: the victims' for the write-back, then
+    /// each load run's.
+    images: Vec<f64>,
+}
+
 /// The block cache: a write-back cache over a [`BlockStore`] that evicts
 /// by weighted recency (exact LRU unless [`weighted`](Self::weighted)),
 /// usable from many threads at once (`&self`) or by one owner without
@@ -509,6 +539,8 @@ pub struct ShardedBufferPool<S: BlockStore> {
     store: RwLock<S>,
     /// Serialises whole-pool flushes (see [`flush`](Self::flush)).
     flush_lock: Mutex<()>,
+    /// The single owner's window lists (see [`Window`]).
+    window: Window,
     shard_budget: usize,
     block_capacity: usize,
     stats: IoStats,
@@ -531,6 +563,7 @@ impl<S: BlockStore> ShardedBufferPool<S> {
             shards: (0..num_shards).map(|_| ShardSlot::default()).collect(),
             weights: None,
             flush_lock: Mutex::new(()),
+            window: Window::default(),
             shard_budget: (budget / num_shards).max(1),
             block_capacity: store.block_capacity(),
             store: RwLock::new(store),
@@ -567,7 +600,8 @@ impl<S: BlockStore> ShardedBufferPool<S> {
     /// The exclusive discipline's windows rest on age order (a window
     /// never evicts a frame it touched), so a weighted pool's
     /// [`with_blocks_mut`](Self::with_blocks_mut) takes its ids one at a
-    /// time through [`with_block_mut`](Self::with_block_mut).
+    /// time through [`with_block_mut`](Self::with_block_mut), whose miss
+    /// is the shared miss in every pool.
     ///
     /// # Panics
     ///
@@ -673,25 +707,18 @@ impl<S: BlockStore> ShardedBufferPool<S> {
 
     /// [`with_block`](Self::with_block) for the pool's single owner: a
     /// hit goes through `Mutex::get_mut` and pays no lock at all; a miss
-    /// is a window of one ([`with_blocks_mut`](Self::with_blocks_mut)),
-    /// or in a [`weighted`](Self::weighted) pool the shared miss path.
+    /// is the shared miss ([`with_block`](Self::with_block)'s), whose
+    /// uncontended locks and busy marks cost no allocation either.
     pub fn with_block_mut<R>(
         &mut self,
         id: usize,
         mutate: bool,
         f: impl FnOnce(&mut [f64]) -> R,
     ) -> R {
-        let owner = self.shard_of(id);
-        let shard = self.shards[owner].state.get_mut().expect(POISONED);
-        if let Some(data) = shard.hit(id, mutate, &self.stats) {
+        if let Some(data) = owned(&mut self.shards, id).hit(id, mutate, &self.stats) {
             return f(data);
         }
-        if self.weights.is_some() {
-            return self.enter(id, mutate, true, f);
-        }
-        let (mut f, mut out) = (Some(f), None);
-        self.window_mut(&[id], mutate, &mut |_, blk| out = f.take().map(|f| f(blk)));
-        out.expect("a window runs f once per id")
+        self.enter(id, mutate, true, f)
     }
 
     /// The single owner's access to many blocks: runs `f(k, block)` for
@@ -701,14 +728,18 @@ impl<S: BlockStore> ShardedBufferPool<S> {
     /// [`weighted`](Self::weighted) pool, one [`with_block_mut`](Self::with_block_mut)
     /// per id). A window does
     /// the bookkeeping of accessing its ids one at a time — hit stamps,
-    /// miss counts, LRU victims, each missed frame reserved at its miss's
-    /// stamp — then writes the dirty victims back ascending and loads the
-    /// misses ascending, each run of consecutive ids as one
-    /// [`BlockStore::try_write_run`] / [`BlockStore::try_read_run`], and
-    /// only then runs `f` per id. The counters, victims and blocks moved
-    /// equal those of one [`with_block_mut`](Self::with_block_mut) per
-    /// id: a window never evicts a frame it touched, since every victim
-    /// is older than all of them, and no more than a budget of them fit.
+    /// miss counts, LRU victims, each missed frame reserved, without a
+    /// buffer, at its miss's stamp — then writes the dirty victims back
+    /// ascending and loads the misses ascending, each run of consecutive
+    /// ids as one [`BlockStore::try_write_run`] /
+    /// [`BlockStore::try_read_run`], each missed frame taking a spare
+    /// buffer as its run lands, and only then runs `f` per id. The
+    /// counters, victims and blocks moved equal those of one
+    /// [`with_block_mut`](Self::with_block_mut) per id: a window never
+    /// evicts a frame it touched, since every victim is older than all of
+    /// them, and no more than a budget of them fit. The window's lists
+    /// stay in the pool between calls, and every victim's buffer becomes
+    /// a spare, so a warm window allocates nothing.
     ///
     /// Under `&mut self` no other thread exists, so a window marks
     /// nothing busy. When a transfer fails, the window's reserved frames
@@ -727,84 +758,68 @@ impl<S: BlockStore> ShardedBufferPool<S> {
             }
             return;
         }
-        let width = self.shard_budget;
-        for (w, window) in ids.chunks(width).enumerate() {
-            self.window_mut(window, mutate, &mut |k, blk| f(w * width + k, blk));
-        }
-    }
-
-    /// One window of [`with_blocks_mut`](Self::with_blocks_mut) in an
-    /// unweighted pool: `ids.len()` is at most the shard budget.
-    fn window_mut(&mut self, ids: &[usize], mutate: bool, f: &mut dyn FnMut(usize, &mut [f64])) {
-        let (n, budget, capacity) = (self.shards.len(), self.shard_budget, self.block_capacity);
-        let mut victims = Vec::new();
-        let mut misses = Vec::new();
-        for &id in ids {
-            let shard = self.shards[id % n].state.get_mut().expect(POISONED);
-            if shard.hit(id, mutate, &self.stats).is_none() {
-                shard.miss(id, &self.stats);
-                shard.make_room(budget, &self.stats, &mut victims);
-                let data = shard.buffer(capacity);
-                shard.cache(id, data, mutate, 0);
-                misses.push(id);
-            }
-        }
-        if !misses.is_empty() {
-            self.window_transfers(victims, misses);
-        }
-        for (k, &id) in ids.iter().enumerate() {
-            let shard = self.shards[id % n].state.get_mut().expect(POISONED);
-            let frame = shard
-                .frames
-                .get_mut(&id)
-                .expect("a window keeps its frames");
-            f(k, &mut frame.data);
-        }
-    }
-
-    /// A window's store I/O: its dirty `victims` written back, then its
-    /// `misses` (reserved frames) loaded, both ascending and as runs.
-    fn window_transfers(&mut self, mut victims: Vec<(usize, Frame)>, mut misses: Vec<usize>) {
-        let (n, capacity) = (self.shards.len(), self.block_capacity);
-        let store = self.store.get_mut().expect(POISONED);
-        victims.sort_unstable_by_key(|&(vid, _)| vid);
-        let vids: Vec<usize> = victims.iter().map(|&(vid, _)| vid).collect();
-        let images: Vec<f64> = victims
-            .iter()
-            .flat_map(|(_, frame)| &frame.data)
-            .copied()
-            .collect();
-        let (written, mut transfer) = write_runs(store, &vids, &images);
-        misses.sort_unstable();
-        if transfer.is_ok() {
-            let mut buf = Vec::new();
-            transfer = runs_of(&misses).try_for_each(|run| {
-                buf.resize(run.len() * capacity, 0.0);
-                store.try_read_run(misses[run.start], &mut buf)?;
-                for (id, image) in misses[run].iter().zip(buf.chunks_exact(capacity)) {
-                    let shard = self.shards[id % n].state.get_mut().expect(POISONED);
-                    let frame = shard.frames.get_mut(id).expect("reserved frame");
-                    frame.data.copy_from_slice(image);
+        let (budget, capacity) = (self.shard_budget, self.block_capacity);
+        let (shards, stats, lists) = (&mut self.shards, &self.stats, &mut self.window);
+        for (w, window) in ids.chunks(budget).enumerate() {
+            for &id in window {
+                let shard = owned(shards, id);
+                if shard.hit(id, mutate, stats).is_none() {
+                    shard.miss(id, stats);
+                    shard.make_room(budget, stats, &mut lists.victims);
+                    shard.cache(id, Vec::new(), mutate, 0);
+                    lists.misses.push(id);
                 }
-                Ok(())
-            });
-        }
-        for &vid in &vids[..written] {
-            let shard = self.shards[vid % n].state.get_mut().expect(POISONED);
-            shard.count_writebacks(1, &self.stats);
-        }
-        if let Err(e) = transfer {
-            // Released before the put-back: a victim may be one of the
-            // window's own misses, reserved but never loaded.
-            for (s, slot) in self.shards.iter_mut().enumerate() {
-                let shard = slot.state.get_mut().expect(POISONED);
-                shard.release(misses.iter().copied().filter(|id| id % n == s));
             }
-            for (vid, frame) in victims.into_iter().skip(written) {
-                let shard = self.shards[vid % n].state.get_mut().expect(POISONED);
-                shard.cache(vid, frame.data, true, frame.weight);
+            if !lists.misses.is_empty() {
+                let store = self.store.get_mut().expect(POISONED);
+                lists.victims.sort_unstable_by_key(|&(vid, _)| vid);
+                lists.ids.clear();
+                lists.images.clear();
+                for (vid, frame) in &lists.victims {
+                    lists.ids.push(*vid);
+                    lists.images.extend_from_slice(&frame.data);
+                }
+                let (written, mut transfer) = write_runs(store, &lists.ids, &lists.images);
+                for (vid, frame) in lists.victims.drain(..written) {
+                    let shard = owned(shards, vid);
+                    shard.count_writebacks(1, stats);
+                    shard.recycle(frame.data);
+                }
+                lists.misses.sort_unstable();
+                if transfer.is_ok() {
+                    transfer = runs_of(&lists.misses).try_for_each(|run| {
+                        lists.images.resize(run.len() * capacity, 0.0);
+                        store.try_read_run(lists.misses[run.start], &mut lists.images)?;
+                        let images = lists.images.chunks_exact(capacity);
+                        for (&id, image) in lists.misses[run].iter().zip(images) {
+                            let shard = owned(shards, id);
+                            let mut data = shard.buffer(capacity);
+                            data.copy_from_slice(image);
+                            shard.frames.get_mut(&id).expect("reserved frame").data = data;
+                        }
+                        Ok(())
+                    });
+                }
+                if let Err(e) = transfer {
+                    // Released before the put-back: a victim may be one of
+                    // the window's own misses, reserved but never loaded.
+                    for id in lists.misses.drain(..) {
+                        owned(shards, id).release(id);
+                    }
+                    for (vid, frame) in lists.victims.drain(..) {
+                        owned(shards, vid).cache(vid, frame.data, true, frame.weight);
+                    }
+                    raise(e);
+                }
+                lists.misses.clear();
             }
-            raise(e);
+            for (k, &id) in window.iter().enumerate() {
+                let frame = owned(shards, id).frames.get_mut(&id);
+                f(
+                    w * budget + k,
+                    &mut frame.expect("a window keeps its frames").data,
+                );
+            }
         }
     }
 
@@ -955,7 +970,9 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         } else {
             data.fill(0.0);
         }
-        let mut victims = Vec::new();
+        // The shard's kept list: a warm miss with dirty victims allocates
+        // no list of its own.
+        let mut victims = std::mem::take(&mut shard.victims);
         loop {
             shard.make_room(self.shard_budget, &self.stats, &mut victims);
             if victims.is_empty() {
@@ -970,6 +987,7 @@ impl<S: BlockStore> ShardedBufferPool<S> {
                 }
             };
         }
+        shard.victims = victims;
         let weight = self.weight(id);
         (f(shard.cache(id, data, mutate, weight)), shard)
     }
@@ -1003,18 +1021,15 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         let mut shard = self.lock_slot(slot);
         busy.clear(&mut shard);
         shard.count_writebacks(written as u64, &self.stats);
-        let mut victims = victims.drain(..);
-        for (_, frame) in victims.by_ref().take(written) {
+        for (_, frame) in victims.drain(..written) {
             shard.recycle(frame.data);
+        }
+        for (vid, frame) in victims.drain(..) {
+            shard.cache(vid, frame.data, true, frame.weight);
         }
         match wrote {
             Ok(()) => Ok(shard),
-            Err(e) => {
-                for (vid, frame) in victims {
-                    shard.cache(vid, frame.data, true, frame.weight);
-                }
-                Err((shard, e))
-            }
+            Err(e) => Err((shard, e)),
         }
     }
 
@@ -1773,6 +1788,70 @@ mod tests {
         assert_eq!(read_mut(&mut p, 2, 3), 3.0);
         p.with_block_mut(2, true, |blk| blk[3] += 1.5);
         assert_eq!(p.read(2, 3), 4.5);
+    }
+
+    /// Logs each run transfer as `(first, blocks)`.
+    struct RunLog {
+        inner: MemBlockStore,
+        reads: Mutex<Vec<(usize, usize)>>,
+        writes: Vec<(usize, usize)>,
+    }
+
+    impl BlockStore for RunLog {
+        fn block_capacity(&self) -> usize {
+            self.inner.block_capacity()
+        }
+        fn num_blocks(&self) -> usize {
+            self.inner.num_blocks()
+        }
+        fn try_read_block(&self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
+            self.inner.try_read_block(id, buf)
+        }
+        fn try_write_block(&mut self, id: usize, buf: &[f64]) -> Result<(), StorageError> {
+            self.inner.try_write_block(id, buf)
+        }
+        fn try_read_run(&self, first: usize, buf: &mut [f64]) -> Result<(), StorageError> {
+            let blocks = buf.len() / self.block_capacity();
+            self.reads.lock().unwrap().push((first, blocks));
+            self.inner.try_read_run(first, buf)
+        }
+        fn try_write_run(
+            &mut self,
+            first: usize,
+            data: &[f64],
+        ) -> Result<(), (usize, StorageError)> {
+            self.writes
+                .push((first, data.len() / self.block_capacity()));
+            self.inner.try_write_run(first, data)
+        }
+        fn grow(&mut self, blocks: usize) {
+            self.inner.grow(blocks);
+        }
+    }
+
+    #[test]
+    fn a_window_moves_adjacent_blocks_as_one_run_each_way() {
+        let stats = IoStats::new();
+        let store = RunLog {
+            inner: written(MemBlockStore::new(4, 16, stats.clone()), &stats),
+            reads: Mutex::default(),
+            writes: Vec::new(),
+        };
+        let mut p = ShardedBufferPool::new(store, 8, 1, stats.clone());
+        let dirty: Vec<usize> = (0..8).collect();
+        p.with_blocks_mut(&dirty, true, |k, blk| blk[0] = k as f64 + 1.0);
+        p.store_mut().reads.get_mut().unwrap().clear();
+        let next: Vec<usize> = (8..16).collect();
+        p.with_blocks_mut(&next, false, |_, blk| assert_eq!(blk, [0.0; 4]));
+        let store = p.store_mut();
+        assert_eq!(store.writes, [(0, 8)], "the eight dirty victims");
+        assert_eq!(
+            *store.reads.get_mut().unwrap(),
+            [(8, 8)],
+            "the eight misses"
+        );
+        let s = stats.snapshot();
+        assert_eq!((s.pool_evictions, s.pool_writebacks), (8, 8));
     }
 
     /// A store whose writes of every block but 0 fail until it is healed

@@ -5,8 +5,10 @@
 //! coefficient lives) to the block cache over a [`BlockStore`] (which
 //! decides *what a touch costs*). It is the **exclusive** entry discipline
 //! of the workspace's one cache: a [`SharedCoeffStore`] with a single
-//! shard, entered through `&mut self`, so a cache hit takes no lock (see
-//! [`ShardedBufferPool::with_block_mut`]). The serial transform drivers,
+//! shard, entered through `&mut self`, so a cache hit takes no lock and a
+//! single-block miss is the shared discipline's own (see
+//! [`ShardedBufferPool::with_block_mut`]), while many blocks go in windows
+//! of runs. The serial transform drivers,
 //! the offline CLI commands and every single-threaded query run against
 //! this type, so its counters are the experiments' measurements; the
 //! same frames, victim rule, write-back and flush serve the concurrent

@@ -1,8 +1,9 @@
-//! A warm shared miss allocates nothing. A shard keeps one spare frame
-//! buffer: a miss loads into it, and the clean victim it evicts hands its
-//! buffer on as the next spare. This binary counts the test thread's heap
-//! allocations through a counting global allocator, so it holds exactly
-//! one test.
+//! A warm miss allocates nothing, in either discipline. Every buffer a
+//! frame gives up goes back to its shard's spares and the next miss takes
+//! one; a shared miss keeps its dirty-victim list in the shard, and the
+//! single owner's windows keep theirs in the pool. This binary counts each
+//! test thread's heap allocations through a counting global allocator
+//! (the count is per thread, so the tests may run in parallel).
 
 use ss_storage::{BlockStore, IoStats, MemBlockStore, ShardedBufferPool};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -85,4 +86,54 @@ fn a_warm_weighted_miss_allocates_nothing() {
     let misses = stats.snapshot().pool_misses;
     assert_eq!(missing, calls(&warm));
     assert_eq!(stats.snapshot().pool_misses, misses, "a hit");
+}
+
+#[test]
+fn a_warm_exclusive_miss_allocates_nothing() {
+    // One unweighted shard of 8 frames, as `CoeffStore` has, over blocks
+    // that all hold data.
+    let stats = IoStats::new();
+    let mut store = MemBlockStore::new(CAPACITY, BLOCKS, stats.clone());
+    for id in 0..BLOCKS {
+        store.write_block(id, &[id as f64 + 1.0; CAPACITY]);
+    }
+    let mut pool = ShardedBufferPool::new(store, 8, 1, stats.clone());
+    let ids: Vec<usize> = (0..BLOCKS).collect();
+    // Warm-up: every entry misses, evicts clean and dirty frames and
+    // writes victims back once, so each kept list has its capacity.
+    for mutate in [false, true] {
+        for &id in &ids {
+            pool.with_block_mut(id, mutate, |blk| blk[1] += 0.0);
+        }
+        pool.with_blocks_mut(&ids, mutate, |_, blk| blk[1] += 0.0);
+    }
+
+    let mut misses_allocating = |what: &str, access: &mut dyn FnMut(&mut ShardedBufferPool<_>)| {
+        let misses = stats.snapshot().pool_misses;
+        let before = allocations();
+        access(&mut pool);
+        let allocated = allocations() - before;
+        let missed = stats.snapshot().pool_misses - misses;
+        assert_eq!(missed, 256, "{what}: every access misses");
+        assert_eq!(allocated, 0, "{what}: {missed} warm misses allocated");
+    };
+    // 256 accesses, each to a block evicted 56 accesses before.
+    let order = |k: usize| (k * 7) % BLOCKS;
+    for mutate in [false, true] {
+        misses_allocating(&format!("with_block_mut, mutate {mutate}"), &mut |pool| {
+            for k in 0..256 {
+                let id = order(k);
+                let seen = pool.with_block_mut(id, mutate, |blk| blk[0]);
+                assert_eq!(seen, id as f64 + 1.0);
+            }
+        });
+        misses_allocating(&format!("with_blocks_mut, mutate {mutate}"), &mut |pool| {
+            for window in 0..32 {
+                let ids: [usize; 8] = std::array::from_fn(|k| order(window * 8 + k));
+                pool.with_blocks_mut(&ids, mutate, |k, blk| {
+                    assert_eq!(blk[0], ids[k] as f64 + 1.0)
+                });
+            }
+        });
+    }
 }
